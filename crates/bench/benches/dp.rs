@@ -9,7 +9,15 @@ use dordis_dp::planner::{plan, PlannerConfig};
 
 fn bench_skellam(c: &mut Criterion) {
     let mut g = c.benchmark_group("skellam_vector");
-    for (label, variance) in [("small_var", 4.0), ("large_var", 4000.0)] {
+    // small/large, then the reference plan's components (fl_xnoise32:
+    // k = 0, a middle k, k = T).
+    for (label, variance) in [
+        ("small_var", 4.0),
+        ("large_var", 4000.0),
+        ("plan_86", 86.0),
+        ("plan_312", 312.0),
+        ("plan_2496", 2496.0),
+    ] {
         g.throughput(Throughput::Elements(10_000));
         g.bench_with_input(BenchmarkId::from_parameter(label), &variance, |b, &v| {
             b.iter(|| skellam_vector(&[1u8; 32], b"bench", 10_000, v));

@@ -33,7 +33,6 @@ use dordis_crypto::vrf::{VrfPublicKey, VrfSecretKey};
 use dordis_dp::accountant::Mechanism;
 use dordis_dp::encoding::Encoder;
 use dordis_dp::ledger::PrivacyLedger;
-use dordis_dp::mechanism::skellam_vector;
 use dordis_dp::planner::{plan, PlannerConfig};
 use dordis_fl::data::{dirichlet_partition, synthetic_classification, train_test_split, Dataset};
 use dordis_fl::eval::{accuracy, perplexity};
@@ -64,7 +63,7 @@ use crate::sampling::{
     decode_claim, encode_claim, seat_claims, self_select, SamplingConfig, SeatedCohort,
 };
 use crate::trainer::{
-    achieved_noise_multiplier, add_noise_mod, build_model, build_optimizer, clipped_local_delta,
+    achieved_noise_multiplier, add_share_noise, build_model, build_optimizer, clipped_local_delta,
     master_seed, RoundRecord, TrainingReport,
 };
 use crate::DordisError;
@@ -397,26 +396,6 @@ fn encoded_input(
         .encode(&update_f64, &round_seed)
         .map_err(DordisError::Dp)?;
     let noise_seeds = match st.spec.variant {
-        Variant::Orig | Variant::Early => {
-            let noise = skellam_vector(
-                &Prg::fork(&round_seed, b"orig.noise", 0),
-                b"dordis.orig",
-                enc.len(),
-                st.target_variance / n as f64,
-            );
-            add_noise_mod(&mut enc, &noise, bits);
-            Vec::new()
-        }
-        Variant::Conservative { est_dropout } => {
-            let noise = skellam_vector(
-                &Prg::fork(&round_seed, b"con.noise", 0),
-                b"dordis.con",
-                enc.len(),
-                st.target_variance / ((n as f64) * (1.0 - est_dropout)),
-            );
-            add_noise_mod(&mut enc, &noise, bits);
-            Vec::new()
-        }
         Variant::XNoise { .. } => {
             let plan = xplan.expect("xnoise plan built for xnoise variant");
             // The seeds travel through secagg's Shamir backup, so the
@@ -430,7 +409,11 @@ fn encoded_input(
             perturb(&mut enc, &seeds, plan, bits)?;
             seeds
         }
-        Variant::NonPrivate => unreachable!("rejected in statics()"),
+        // `NonPrivate` is rejected in statics().
+        variant => {
+            add_share_noise(&mut enc, variant, &round_seed, st.target_variance, n, bits);
+            Vec::new()
+        }
     };
     Ok(ClientInput {
         vector: enc,

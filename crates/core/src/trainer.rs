@@ -14,7 +14,7 @@ use dordis_crypto::prg::{Prg, Seed};
 use dordis_dp::accountant::Mechanism;
 use dordis_dp::encoding::{add_mod, Encoder};
 use dordis_dp::ledger::PrivacyLedger;
-use dordis_dp::mechanism::skellam_vector;
+use dordis_dp::mechanism::SkellamSampler;
 use dordis_dp::planner::{plan, PlannerConfig};
 use dordis_fl::data::{dirichlet_partition, synthetic_classification, train_test_split, Dataset};
 use dordis_fl::eval::{accuracy, perplexity};
@@ -23,7 +23,9 @@ use dordis_fl::model::{Linear, Mlp, Model};
 use dordis_fl::optim::{AdamW, Optimizer, Sgd};
 use dordis_fl::tensor::clip_l2;
 use dordis_xnoise::decomposition::XNoisePlan;
-use dordis_xnoise::enforcement::{derive_component_seeds, perturb, remove_excess};
+use dordis_xnoise::enforcement::{
+    add_noise_stream, derive_component_seeds, perturb, remove_excess,
+};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -393,24 +395,6 @@ fn aggregate_private(
             .encode(&update_f64, &round_seed)
             .map_err(DordisError::Dp)?;
         match spec.variant {
-            Variant::Orig | Variant::Early => {
-                let noise = skellam_vector(
-                    &Prg::fork(&round_seed, b"orig.noise", 0),
-                    b"dordis.orig",
-                    enc.len(),
-                    target_variance / n as f64,
-                );
-                add_noise_mod(&mut enc, &noise, bits);
-            }
-            Variant::Conservative { est_dropout } => {
-                let noise = skellam_vector(
-                    &Prg::fork(&round_seed, b"con.noise", 0),
-                    b"dordis.con",
-                    enc.len(),
-                    target_variance / ((n as f64) * (1.0 - est_dropout)),
-                );
-                add_noise_mod(&mut enc, &noise, bits);
-            }
             Variant::XNoise { .. } => {
                 let plan = xnoise_plan.expect("xnoise plan built");
                 let seeds = derive_component_seeds(&round_seed, plan.dropout_tolerance);
@@ -424,7 +408,7 @@ fn aggregate_private(
                     }
                 }
             }
-            Variant::NonPrivate => unreachable!("dp-only path"),
+            variant => add_share_noise(&mut enc, variant, &round_seed, target_variance, n, bits),
         }
         encoded.push(enc);
     }
@@ -449,13 +433,28 @@ fn aggregate_private(
     Ok((encoder.decode(&sum, dim), achieved))
 }
 
-pub(crate) fn add_noise_mod(enc: &mut [u64], noise: &[i64], bits: u32) {
-    let modulus = 1i64 << bits;
-    let mask = (1u64 << bits) - 1;
-    for (e, &z) in enc.iter_mut().zip(noise.iter()) {
-        let d = z.rem_euclid(modulus) as u64;
-        *e = e.wrapping_add(d) & mask;
-    }
+/// Adds the one noise share of a variant without removal machinery:
+/// `σ²∗ / n` for `Orig`/`Early`, `σ²∗ / (n·(1 - d̂))` for `Conservative`.
+pub(crate) fn add_share_noise(
+    enc: &mut [u64],
+    variant: Variant,
+    round_seed: &Seed,
+    target_variance: f64,
+    n: usize,
+    bits: u32,
+) {
+    let (fork, domain, clients): (&[u8], &[u8], f64) = match variant {
+        Variant::Orig | Variant::Early => (b"orig.noise", b"dordis.orig", n as f64),
+        Variant::Conservative { est_dropout } => {
+            (b"con.noise", b"dordis.con", n as f64 * (1.0 - est_dropout))
+        }
+        Variant::XNoise { .. } | Variant::NonPrivate => {
+            unreachable!("{variant:?} adds no single share")
+        }
+    };
+    let sampler = SkellamSampler::new(target_variance / clients);
+    let seed = Prg::fork(round_seed, fork, 0);
+    add_noise_stream(enc, &sampler, &seed, domain, true, bits);
 }
 
 #[cfg(test)]

@@ -5,6 +5,13 @@
 //! adds noise generated from seed `g_{u,k}`, and the server can later
 //! regenerate (and subtract) *exactly* the same vector from the seed alone
 //! (paper §3.1, "decomposition").
+//!
+//! Noise generation is XNoise's runtime cost (every client draws `T + 1`
+//! components, the server redraws the removable ones), so Skellam vectors
+//! come from [`SkellamSampler`]: one inverse-CDF table per variance, one
+//! PRG word per draw. [`skellam`] (a difference of two rejection-sampled
+//! Poissons) serves variances whose table would not fit in cache and is
+//! the reference the table is tested against.
 
 use dordis_crypto::prg::{Prg, Seed};
 
@@ -120,6 +127,162 @@ pub fn skellam(prg: &mut Prg, variance: f64) -> i64 {
     poisson(prg, mu) as i64 - poisson(prg, mu) as i64
 }
 
+/// Widest support (`2·reach + 1` values) an inversion table may span:
+/// `σ ≲ 2 700`. Wider distributions are drawn as Poisson differences.
+const TABLE_CAP: usize = 1 << 16;
+
+/// Draws per strip: PRG words are expanded and inverted in place in a
+/// buffer small enough to stay in L1 next to the table.
+const STRIP: usize = 512;
+
+/// A symmetric Skellam sampler for one variance: one PRG word per draw.
+///
+/// Up to [`TABLE_CAP`] the sampler inverts a precomputed survival
+/// function of `|X|` (see [`SkellamTable`]); above it, where the table
+/// would no longer fit in cache, every draw is [`skellam`]'s Poisson
+/// difference. The regime is a function of `variance` alone, so a
+/// client and the server regenerating its noise always agree on it.
+pub struct SkellamSampler {
+    variance: f64,
+    table: Option<SkellamTable>,
+}
+
+impl SkellamSampler {
+    /// Prepares a sampler for per-coordinate variance `variance`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `variance` is negative or NaN.
+    #[must_use]
+    pub fn new(variance: f64) -> Self {
+        assert!(variance >= 0.0, "Skellam variance must be non-negative");
+        SkellamSampler {
+            variance,
+            table: SkellamTable::reach_for(variance)
+                .map(|reach| SkellamTable::new(variance, reach)),
+        }
+    }
+
+    /// Hands `sink` the stream's next `len` draws in order, as
+    /// `(offset, strip)` with at most [`STRIP`] draws per call, each a
+    /// two's-complement `u64` — the form that adds into `Z_{2^b}` with a
+    /// wrapping add and a ring mask. Nothing of length `len` is
+    /// allocated.
+    pub fn for_each_strip(&self, prg: &mut Prg, len: usize, mut sink: impl FnMut(usize, &[u64])) {
+        let mut strip = [0u64; STRIP];
+        for at in (0..len).step_by(STRIP) {
+            let strip = &mut strip[..STRIP.min(len - at)];
+            self.fill_ring(prg, strip);
+            sink(at, strip);
+        }
+    }
+
+    /// Overwrites `out` with the stream's next `out.len()` draws; draw
+    /// `i` of the table regime is a function of stream word `i` alone.
+    fn fill_ring(&self, prg: &mut Prg, out: &mut [u64]) {
+        if let Some(table) = &self.table {
+            prg.fill_mod2b(64, out);
+            for word in out {
+                *word = table.draw(*word) as u64;
+            }
+        } else {
+            for slot in out {
+                *slot = skellam(prg, self.variance) as u64;
+            }
+        }
+    }
+}
+
+/// Guide-table inversion of the symmetric Skellam distribution
+/// `P(X = k) = e^{-2μ} I_|k|(2μ)`, truncated to `|k| ≤ reach`.
+///
+/// A draw spends one 64-bit word: the low bit is the sign, the other 63
+/// bits are a uniform `u` inverted through the survival function of
+/// `|X|`. Small `u` maps to large magnitudes, so the tail thresholds are
+/// small integers held at full relative precision, and the output is
+/// symmetric by construction.
+struct SkellamTable {
+    /// `survival[m] = 2^63 · P(|X| ≥ m)` for `m ∈ 0..=reach + 1`:
+    /// `2^63` at 0, non-increasing, 0 at `reach + 1`.
+    survival: Vec<u64>,
+    /// `guide[u >> shift]` is the smallest magnitude any `u` of that
+    /// bucket maps to; the draw walks up from there (under 1/4 step on
+    /// average: buckets are equiprobable and outnumber thresholds 4:1).
+    guide: Vec<u16>,
+    shift: u32,
+}
+
+impl SkellamTable {
+    /// The truncation point `⌈12σ + 24⌉`, or `None` above [`TABLE_CAP`].
+    ///
+    /// The neglected mass `P(|X| > reach)` is below `2^-64` for every
+    /// variance the table serves (a Chernoff bound puts it under `2^-100`;
+    /// asserted in `reach_leaves_less_than_2_pow_minus_64`).
+    fn reach_for(variance: f64) -> Option<usize> {
+        let reach = (12.0 * variance.sqrt() + 24.0).ceil();
+        (2.0 * reach + 1.0 <= TABLE_CAP as f64).then_some(reach as usize)
+    }
+
+    fn new(variance: f64, reach: usize) -> Self {
+        const ONE: u64 = 1 << 63;
+        // Miller's backward recurrence in ratio form: with
+        // r_k = I_k(x) / I_{k-1}(x) and x = 2μ = variance,
+        // r_k = 1 / (2k/x + r_{k+1}). Started from 0 at 2·reach, the
+        // start-up error has decayed by more than e^-400 at `reach`.
+        let mut w = vec![0.0f64; reach + 2];
+        let mut ratio = 0.0;
+        for k in (1..=2 * reach).rev() {
+            ratio = 1.0 / (2.0 * k as f64 / variance + ratio);
+            if k <= reach {
+                w[k] = ratio;
+            }
+        }
+        // Forward: w[m] ∝ P(|X| = m) = (2 - [m = 0]) · I_m / I_0.
+        w[0] = 1.0;
+        let mut bessel = 1.0;
+        for m in 1..=reach {
+            bessel *= w[m];
+            w[m] = 2.0 * bessel;
+        }
+        // Suffix sums from the small end, normalised by
+        // w[0] = (I_0 + 2 Σ I_k) / I_0.
+        for m in (0..=reach).rev() {
+            w[m] += w[m + 1];
+        }
+        let scale = ONE as f64 / w[0];
+        let mut survival: Vec<u64> = w.iter().map(|&s| ((s * scale) as u64).min(ONE)).collect();
+        survival[0] = ONE;
+
+        let buckets = (4 * (reach + 1)).next_power_of_two();
+        let shift = 63 - buckets.trailing_zeros();
+        let mut guide = Vec::with_capacity(buckets);
+        let mut m = reach;
+        for bucket in 1..=buckets as u64 {
+            // The bucket's largest u is `(bucket << shift) - 1`.
+            while survival[m] < bucket << shift {
+                m -= 1;
+            }
+            guide.push(m as u16);
+        }
+        SkellamTable {
+            survival,
+            guide,
+            shift,
+        }
+    }
+
+    #[inline]
+    fn draw(&self, word: u64) -> i64 {
+        let u = word >> 1;
+        let mut m = usize::from(self.guide[(u >> self.shift) as usize]);
+        while u < self.survival[m + 1] {
+            m += 1;
+        }
+        let negative = (word & 1) as i64;
+        (m as i64 ^ -negative) + negative
+    }
+}
+
 /// Generates a full Skellam noise vector from a seed.
 ///
 /// Each coordinate is an independent `Skellam` draw with the given
@@ -127,8 +290,11 @@ pub fn skellam(prg: &mut Prg, variance: f64) -> i64 {
 /// can regenerate the identical vector during XNoise removal.
 #[must_use]
 pub fn skellam_vector(seed: &Seed, domain: &[u8], len: usize, variance: f64) -> Vec<i64> {
-    let mut prg = Prg::new(seed, domain);
-    (0..len).map(|_| skellam(&mut prg, variance)).collect()
+    let mut out = Vec::with_capacity(len);
+    SkellamSampler::new(variance).for_each_strip(&mut Prg::new(seed, domain), len, |_, strip| {
+        out.extend(strip.iter().map(|&z| z as i64));
+    });
+    out
 }
 
 /// Generates a full Gaussian noise vector from a seed (continuous analogue
@@ -242,6 +408,216 @@ mod tests {
         let (mean, var) = mean_var(&sums);
         assert!(mean.abs() < 0.15, "mean {mean}");
         assert!((var - 8.0).abs() < 0.5, "var {var}");
+    }
+
+    /// The reference plan's component variances, the extremes, and the
+    /// two sides of the table cap (asserted in `regime_follows_variance`).
+    const UNDER_CAP: f64 = 7.44e6;
+    const OVER_CAP: f64 = 7.46e6;
+    const VARIANCES: [f64; 7] = [0.5, 4.0, 86.0, 312.0, 2496.0, UNDER_CAP, OVER_CAP];
+
+    /// Bin edges for a goodness-of-fit test: width `max(1, σ/8)` out to
+    /// `±3.5σ`; everything beyond falls into two open tail bins.
+    fn bin_edges(variance: f64) -> Vec<i64> {
+        let sigma = variance.sqrt();
+        let width = ((sigma / 8.0).round() as i64).max(1);
+        let half = (3.5 * sigma / width as f64).ceil() as i64;
+        (-half..=half + 1).map(|i| i * width - width / 2).collect()
+    }
+
+    fn histogram(edges: &[i64], xs: impl Iterator<Item = i64>) -> Vec<f64> {
+        let mut counts = vec![0.0; edges.len() + 1];
+        for x in xs {
+            counts[edges.partition_point(|&e| e <= x)] += 1.0;
+        }
+        counts
+    }
+
+    /// `P(X < edge)` for every edge, computed without Bessel functions:
+    /// `X = A - B` with `A, B ~ Poisson(μ)`, so
+    /// `P(X < e) = Σ_j P(B = j) · P(A < j + e)`, with the Poisson pmf
+    /// evaluated in log space over `μ ± (12√μ + 40)`.
+    fn convolved_cdf(variance: f64, edges: &[i64]) -> Vec<f64> {
+        let mu = variance / 2.0;
+        let span = (12.0 * mu.sqrt() + 40.0).ceil() as i64;
+        let lo = (mu.floor() as i64 - span).max(0);
+        let hi = mu.floor() as i64 + span;
+        let pmf: Vec<f64> = (lo..=hi)
+            .map(|j| (j as f64 * mu.ln() - mu - ln_factorial(j as u64)).exp())
+            .collect();
+        // below[i] = P(A < lo + i).
+        let mut below = vec![0.0; pmf.len() + 1];
+        for (i, p) in pmf.iter().enumerate() {
+            below[i + 1] = below[i] + p;
+        }
+        edges
+            .iter()
+            .map(|&e| {
+                pmf.iter()
+                    .enumerate()
+                    .map(|(j, p)| p * below[(j as i64 + e).clamp(0, pmf.len() as i64) as usize])
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// Expected bin counts for `n` draws over `edges` (tails included).
+    fn expected_counts(variance: f64, edges: &[i64], n: usize) -> Vec<f64> {
+        let cdf = convolved_cdf(variance, edges);
+        let mut prev = 0.0;
+        let mut out: Vec<f64> = cdf
+            .iter()
+            .map(|&c| {
+                let p = c - prev;
+                prev = c;
+                p * n as f64
+            })
+            .collect();
+        out.push((1.0 - prev) * n as f64);
+        out
+    }
+
+    /// `(χ² - dof) / √(2·dof)` of observed against expected counts.
+    fn chi_square_z(observed: &[f64], expected: &[f64]) -> f64 {
+        let chi: f64 = observed
+            .iter()
+            .zip(expected)
+            .map(|(o, e)| (o - e) * (o - e) / e)
+            .sum();
+        let dof = (observed.len() - 1) as f64;
+        (chi - dof) / (2.0 * dof).sqrt()
+    }
+
+    #[test]
+    fn regime_follows_variance() {
+        for v in VARIANCES {
+            assert_eq!(SkellamSampler::new(v).table.is_some(), v != OVER_CAP, "{v}");
+        }
+        let widest = SkellamSampler::new(UNDER_CAP).table.unwrap();
+        assert!(2 * widest.survival.len() - 3 <= TABLE_CAP);
+    }
+
+    #[test]
+    fn skellam_vector_fits_convolved_pmf() {
+        // Both regimes against a pmf that shares no code with either.
+        const N: usize = 200_000;
+        for variance in VARIANCES {
+            let edges = bin_edges(variance);
+            let expected = expected_counts(variance, &edges, N);
+            assert!(expected.iter().all(|&e| e > 10.0), "{variance}: thin bin");
+            for seed in [21u8, 22, 23] {
+                let xs = skellam_vector(&[seed; 32], b"chi", N, variance);
+                let z = chi_square_z(&histogram(&edges, xs.into_iter()), &expected);
+                assert!(z < 4.0, "variance {variance}, seed {seed}: z = {z}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_agrees_with_poisson_difference_oracle() {
+        const N: usize = 200_000;
+        for variance in [4.0, 86.0, 2496.0] {
+            let edges = bin_edges(variance);
+            let table = histogram(
+                &edges,
+                skellam_vector(&[31u8; 32], b"two", N, variance).into_iter(),
+            );
+            let mut prg = Prg::new(&[32u8; 32], b"two");
+            let oracle = histogram(&edges, (0..N).map(|_| skellam(&mut prg, variance)));
+            // Two-sample χ² with equal sample sizes.
+            let chi: f64 = table
+                .iter()
+                .zip(&oracle)
+                .map(|(a, b)| (a - b) * (a - b) / (a + b))
+                .sum();
+            let dof = edges.len() as f64;
+            let z = (chi - dof) / (2.0 * dof).sqrt();
+            assert!(z < 4.0, "variance {variance}: z = {z}");
+        }
+    }
+
+    #[test]
+    fn table_pmf_matches_convolved_pmf() {
+        // The table itself, not samples from it: P(|X| ≥ m) to 1e-10
+        // (the Lanczos `ln_factorial` of the reference is the limit).
+        for variance in [0.5, 4.0, 86.0, 312.0, 2496.0] {
+            let table = SkellamSampler::new(variance).table.unwrap();
+            let reach = table.survival.len() as i64 - 2;
+            let edges: Vec<i64> = (1..=reach.min(400)).collect();
+            for (m, below) in edges.iter().zip(convolved_cdf(variance, &edges)) {
+                // P(|X| ≥ m) = 2 · (1 - P(X < m)) by symmetry.
+                let want = 2.0 * (1.0 - below);
+                let got = table.survival[*m as usize] as f64 / (1u64 << 63) as f64;
+                assert!(
+                    (got - want).abs() < 1e-10,
+                    "{variance}, m = {m}: {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn draws_are_exactly_symmetric() {
+        // Flipping the sign bit of every word negates the vector.
+        for variance in [0.5, 86.0, 2496.0] {
+            let table = SkellamSampler::new(variance).table.unwrap();
+            let mut words = vec![0u64; 4096];
+            Prg::new(&[41u8; 32], b"sym").fill_mod2b(64, &mut words);
+            for w in words {
+                assert_eq!(table.draw(w ^ 1), -table.draw(w));
+            }
+        }
+    }
+
+    #[test]
+    fn reach_leaves_less_than_2_pow_minus_64() {
+        // Chernoff: P(X ≥ a) ≤ exp(-a·t + σ²(cosh t - 1)) at
+        // t = asinh(a / σ²), for every variance the table serves.
+        let limit = -64.0 * std::f64::consts::LN_2;
+        let mut variance = 1e-9;
+        while let Some(reach) = SkellamTable::reach_for(variance) {
+            let a = reach as f64 + 1.0;
+            let t = (a / variance).asinh();
+            let ln_tail = 2f64.ln() - a * t + variance * (t.cosh() - 1.0);
+            assert!(ln_tail < limit, "variance {variance}: ln tail {ln_tail}");
+            variance *= 1.05;
+        }
+        assert!(variance > UNDER_CAP);
+        // And the extreme words stay inside the truncated support.
+        for variance in [0.0, 1e-300, 0.5, 2496.0, UNDER_CAP] {
+            let table = SkellamSampler::new(variance).table.unwrap();
+            let reach = table.survival.len() as i64 - 2;
+            assert_eq!(table.draw(u64::MAX), 0);
+            for word in [0, 1, 2, 3] {
+                assert!(table.draw(word).abs() <= reach, "{variance}, word {word}");
+            }
+            assert_eq!(table.draw(0) > 0, variance >= 0.5, "smallest u is the tail");
+        }
+    }
+
+    #[test]
+    fn skellam_vector_golden() {
+        // Pins the stream layout (word i → draw i, low bit = sign): a
+        // change here changes every client's noise for a given seed.
+        assert_eq!(
+            skellam_vector(&[7u8; 32], b"golden", 8, 312.0),
+            [15, -6, -25, -20, -3, 39, 4, -17]
+        );
+    }
+
+    #[test]
+    fn draws_do_not_depend_on_strip_boundaries() {
+        for variance in [86.0, OVER_CAP] {
+            let whole = skellam_vector(&[5u8; 32], b"strip", 1500, variance);
+            let sampler = SkellamSampler::new(variance);
+            let mut prg = Prg::new(&[5u8; 32], b"strip");
+            let mut pieces = vec![0u64; 1500];
+            for piece in pieces.chunks_mut(97) {
+                sampler.fill_ring(&mut prg, piece);
+            }
+            let pieces: Vec<i64> = pieces.into_iter().map(|z| z as i64).collect();
+            assert_eq!(whole, pieces);
+        }
     }
 
     #[test]

@@ -147,9 +147,48 @@ pub fn ring_mask(bit_width: u32) -> u64 {
     }
 }
 
+/// `value + delta (mod 2^b)` for a signed `delta`, `ring = 2^b - 1`.
+///
+/// `2^b` divides `2^64`, so reducing the two's-complement wrapping sum
+/// is exact for every `b ≤ 64` — no signed division, no `1 << b`.
+#[inline]
+#[must_use]
+pub fn add_signed_ring(value: u64, delta: i64, ring: u64) -> u64 {
+    value.wrapping_add(delta as u64) & ring
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn add_signed_ring_equals_rem_euclid_form(
+            bits in 1u32..63,
+            value in any::<u64>(),
+            delta in any::<i64>(),
+        ) {
+            let ring = ring_mask(bits);
+            let value = value & ring;
+            let want = (value + delta.rem_euclid(1i64 << bits) as u64) & ring;
+            prop_assert_eq!(add_signed_ring(value, delta, ring), want);
+        }
+
+        #[test]
+        fn add_signed_ring_is_total_and_invertible_at_63_and_64(
+            value in any::<u64>(),
+            delta in any::<i64>(),
+        ) {
+            for bits in [63u32, 64] {
+                let ring = ring_mask(bits);
+                let value = value & ring;
+                let there = add_signed_ring(value, delta, ring);
+                prop_assert!(there <= ring);
+                prop_assert_eq!(add_signed_ring(there, delta.wrapping_neg(), ring), value);
+            }
+        }
+    }
 
     #[test]
     fn pairwise_masks_cancel() {

@@ -1,15 +1,17 @@
 //! Online noise enforcement: client-side addition and server-side removal
 //! of decomposed Skellam noise in `Z_{2^b}` (Definition 2, XNoise).
 //!
-//! Noise vectors are generated deterministically from per-component seeds
-//! with [`dordis_dp::mechanism::skellam_vector`], so the server removes
+//! Noise is drawn deterministically from per-component seeds by
+//! [`dordis_dp::mechanism::SkellamSampler`], so the server removes
 //! *exactly* the realized noise (not just noise of matching distribution)
 //! once it learns a seed — directly from a survivor, or via Shamir
-//! reconstruction for clients that dropped mid-protocol.
+//! reconstruction for clients that dropped mid-protocol. Both directions
+//! stream the draws straight into the ring vector ([`add_noise_stream`]);
+//! [`component_noise`] is the materialized form of the same stream.
 
 use dordis_crypto::prg::{Prg, Seed};
-use dordis_dp::mechanism::skellam_vector;
-use dordis_secagg::mask::ring_mask;
+use dordis_dp::mechanism::{skellam_vector, SkellamSampler};
+use dordis_secagg::mask::add_signed_assign;
 
 use crate::decomposition::XNoisePlan;
 use crate::XNoiseError;
@@ -29,6 +31,22 @@ pub fn derive_component_seeds(round_seed: &Seed, components: usize) -> Vec<Seed>
 #[must_use]
 pub fn component_noise(seed: &Seed, len: usize, variance: f64) -> Vec<i64> {
     skellam_vector(seed, NOISE_DOMAIN, len, variance)
+}
+
+/// `acc ± noise (mod 2^b)`, where `noise` is the vector
+/// `skellam_vector(seed, domain, acc.len(), variance)` of `sampler`'s
+/// variance — drawn strip by strip and never materialized.
+pub fn add_noise_stream(
+    acc: &mut [u64],
+    sampler: &SkellamSampler,
+    seed: &Seed,
+    domain: &[u8],
+    positive: bool,
+    bit_width: u32,
+) {
+    sampler.for_each_strip(&mut Prg::new(seed, domain), acc.len(), |at, noise| {
+        add_signed_assign(&mut acc[at..at + noise.len()], noise, positive, bit_width);
+    });
 }
 
 /// Client-side: adds all `T + 1` noise components to an encoded update.
@@ -51,12 +69,9 @@ pub fn perturb(
             seeds.len()
         )));
     }
-    let ring = ring_mask(bit_width);
     for (k, seed) in seeds.iter().enumerate() {
-        let noise = component_noise(seed, update.len(), plan.component_variance(k));
-        for (u, &z) in update.iter_mut().zip(noise.iter()) {
-            *u = add_ring(*u, z, ring);
-        }
+        let sampler = SkellamSampler::new(plan.component_variance(k));
+        add_noise_stream(update, &sampler, seed, NOISE_DOMAIN, true, bit_width);
     }
     Ok(())
 }
@@ -66,7 +81,8 @@ pub fn perturb(
 /// `removal_seeds` is the `(client, component k, seed)` list produced by
 /// secure aggregation; `survivors`/`dropped` determine which components
 /// *must* be present. Removal is idempotent over duplicates (they are
-/// deduplicated) and fails loudly if a required seed is missing.
+/// deduplicated) and fails loudly if a required seed is missing — before
+/// anything is subtracted, so `aggregate` is untouched on every error.
 ///
 /// # Errors
 ///
@@ -81,22 +97,27 @@ pub fn remove_excess(
 ) -> Result<(), XNoiseError> {
     let dropped = plan.clients.saturating_sub(survivors.len());
     let range = plan.removal_components(dropped)?;
-    let ring = ring_mask(bit_width);
     // Deduplicate: a seed may arrive both directly and via reconstruction.
     let mut seen = std::collections::BTreeMap::new();
     for (c, k, s) in removal_seeds {
         seen.insert((*c, *k), *s);
     }
-    for &client in survivors {
-        for k in range.clone() {
-            let seed = seen.get(&(client, k)).ok_or(XNoiseError::MissingSeed {
+    // Component-outer, so each removable variance builds its table once
+    // (addition in the ring commutes, so the order is unobservable).
+    let mut required = Vec::new();
+    for k in range {
+        let seeds = survivors.iter().map(|&client| {
+            seen.get(&(client, k)).ok_or(XNoiseError::MissingSeed {
                 client,
                 component: k,
-            })?;
-            let noise = component_noise(seed, aggregate.len(), plan.component_variance(k));
-            for (a, &z) in aggregate.iter_mut().zip(noise.iter()) {
-                *a = add_ring(*a, -z, ring);
-            }
+            })
+        });
+        required.push((k, seeds.collect::<Result<Vec<_>, _>>()?));
+    }
+    for (k, seeds) in required {
+        let sampler = SkellamSampler::new(plan.component_variance(k));
+        for seed in seeds {
+            add_noise_stream(aggregate, &sampler, seed, NOISE_DOMAIN, false, bit_width);
         }
     }
     Ok(())
@@ -111,33 +132,19 @@ pub fn orig_noise(seed: &Seed, len: usize, target_variance: f64, clients: usize)
     skellam_vector(seed, NOISE_DOMAIN, len, target_variance / clients as f64)
 }
 
-/// Adds a signed integer to a ring element.
-#[inline]
-fn add_ring(value: u64, delta: i64, ring: u64) -> u64 {
-    let m = ring.wrapping_add(1); // 2^b (or 0 for b = 64, handled by mask).
-    let d = if m == 0 {
-        delta as u64
-    } else {
-        (delta.rem_euclid(m as i64)) as u64
-    };
-    value.wrapping_add(d) & ring
-}
-
-/// Centered interpretation of a ring element (for analysis/tests).
+/// Centered interpretation of a ring element (for analysis/tests):
+/// sign-extends bit `b - 1`, for any `1 ≤ b ≤ 64`.
 #[must_use]
 pub fn center(value: u64, bit_width: u32) -> i64 {
-    let m = 1i64 << bit_width;
-    let v = value as i64;
-    if v >= m / 2 {
-        v - m
-    } else {
-        v
-    }
+    let spare = 64 - bit_width;
+    ((value << spare) as i64) >> spare
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dordis_secagg::mask::{add_signed_ring, ring_mask};
+    use proptest::prelude::*;
 
     const BITS: u32 = 24;
 
@@ -254,7 +261,7 @@ mod tests {
             let s = seeds_for(c, 3);
             let noise = component_noise(&s[0], len, plan.component_variance(0));
             for (a, &z) in aggregate.iter_mut().zip(noise.iter()) {
-                *a = super::add_ring(*a, -z, ring);
+                *a = add_signed_ring(*a, -z, ring);
             }
         }
         let mut expect = vec![0u64; len];
@@ -280,7 +287,10 @@ mod tests {
                 removal.push((c, k, s[k]));
             }
         }
-        let mut agg = vec![0u64; 8];
+        // Component 1 is complete and could be stripped before the gap
+        // in component 2 is found; it must not be.
+        let before: Vec<u64> = (0..8).map(|i| i * 1000).collect();
+        let mut agg = before.clone();
         let err = remove_excess(&mut agg, &removal, &survivors, &plan, BITS).unwrap_err();
         assert_eq!(
             err,
@@ -289,18 +299,21 @@ mod tests {
                 component: 2
             }
         );
+        assert_eq!(agg, before, "aggregate half-stripped on MissingSeed");
     }
 
     #[test]
     fn tolerance_exceeded_is_detected() {
         let plan = plan(8, 2, 10.0);
         let survivors: Vec<u32> = vec![0, 1, 2]; // 5 dropped > T = 2.
-        let mut agg = vec![0u64; 8];
+        let before: Vec<u64> = (0..8).map(|i| i * 1000).collect();
+        let mut agg = before.clone();
         let err = remove_excess(&mut agg, &[], &survivors, &plan, BITS).unwrap_err();
         assert!(matches!(
             err,
             XNoiseError::ToleranceExceeded { dropped: 5, .. }
         ));
+        assert_eq!(agg, before);
     }
 
     #[test]
@@ -335,8 +348,114 @@ mod tests {
     #[test]
     fn add_ring_handles_negative() {
         let ring = ring_mask(8);
-        assert_eq!(super::add_ring(5, -10, ring), 251);
-        assert_eq!(super::add_ring(250, 10, ring), 4);
-        assert_eq!(super::add_ring(0, -256, ring), 0);
+        assert_eq!(add_signed_ring(5, -10, ring), 251);
+        assert_eq!(add_signed_ring(250, 10, ring), 4);
+        assert_eq!(add_signed_ring(0, -256, ring), 0);
+    }
+
+    #[test]
+    fn center_is_total_up_to_64_bits() {
+        assert_eq!(center(u64::MAX, 64), -1);
+        assert_eq!(center(1 << 63, 64), i64::MIN);
+        assert_eq!(center(1 << 62, 63), -(1 << 62));
+        assert_eq!(center((1 << 62) - 1, 63), (1 << 62) - 1);
+    }
+
+    /// One sampled round shape: `(plan, bits, survivors' inputs)` with
+    /// client ids `dropped..n`.
+    fn round_shape(
+        n: usize,
+        t: usize,
+        dropped: usize,
+        bits: usize,
+        len: usize,
+    ) -> (XNoisePlan, u32, Vec<(u32, Vec<u64>)>) {
+        let t = t % n;
+        let bits = [8u32, 20, 32, 62][bits];
+        let ring = ring_mask(bits);
+        let inputs = ((dropped % (t + 1)) as u32..n as u32)
+            .map(|c| {
+                let input = (0..len as u64).map(|i| ((u64::from(c) << 40) | (i * 77)) & ring);
+                (c, input.collect())
+            })
+            .collect();
+        (plan(n, t, 5000.0), bits, inputs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn streaming_perturb_equals_summed_component_noise(
+            n in 2usize..7, t in 0usize..6, bits in 0usize..4, len in 0usize..1100,
+        ) {
+            let (plan, bits, inputs) = round_shape(n, t, 0, bits, len);
+            let ring = ring_mask(bits);
+            for (client, input) in inputs {
+                let seeds = seeds_for(client, plan.dropout_tolerance);
+                let mut streamed = input.clone();
+                perturb(&mut streamed, &seeds, &plan, bits).unwrap();
+                let mut summed = input;
+                for (k, seed) in seeds.iter().enumerate() {
+                    let noise = component_noise(seed, len, plan.component_variance(k));
+                    for (v, z) in summed.iter_mut().zip(noise) {
+                        *v = add_signed_ring(*v, z, ring);
+                    }
+                }
+                prop_assert_eq!(streamed, summed);
+            }
+        }
+
+        #[test]
+        fn perturb_then_removing_every_component_is_the_identity(
+            n in 2usize..7, t in 0usize..6, bits in 0usize..4, len in 0usize..1100,
+        ) {
+            let (plan, bits, inputs) = round_shape(n, t, 0, bits, len);
+            for (client, input) in inputs {
+                let seeds = seeds_for(client, plan.dropout_tolerance);
+                let mut update = input.clone();
+                perturb(&mut update, &seeds, &plan, bits).unwrap();
+                for (k, seed) in seeds.iter().enumerate() {
+                    let sampler = SkellamSampler::new(plan.component_variance(k));
+                    add_noise_stream(&mut update, &sampler, seed, NOISE_DOMAIN, false, bits);
+                }
+                prop_assert_eq!(update, input);
+            }
+        }
+
+        #[test]
+        fn component_outer_removal_equals_survivor_outer(
+            n in 2usize..7, t in 0usize..6, dropped in 0usize..6, bits in 0usize..4,
+            len in 0usize..1100,
+        ) {
+            let (plan, bits, inputs) = round_shape(n, t, dropped, bits, len);
+            let ring = ring_mask(bits);
+            let dropped = n - inputs.len();
+            let survivors: Vec<u32> = inputs.iter().map(|(c, _)| *c).collect();
+            let mut aggregate = vec![0u64; len];
+            let mut removal = Vec::new();
+            for (client, input) in inputs {
+                let seeds = seeds_for(client, plan.dropout_tolerance);
+                let mut update = input;
+                perturb(&mut update, &seeds, &plan, bits).unwrap();
+                for (a, u) in aggregate.iter_mut().zip(update) {
+                    *a = a.wrapping_add(u) & ring;
+                }
+                for k in dropped + 1..=plan.dropout_tolerance {
+                    removal.push((client, k, seeds[k]));
+                }
+            }
+            // The parent's order: survivor-outer, one materialized
+            // vector per (survivor, component).
+            let mut reference = aggregate.clone();
+            for (_, k, seed) in &removal {
+                let noise = component_noise(seed, len, plan.component_variance(*k));
+                for (a, z) in reference.iter_mut().zip(noise) {
+                    *a = add_signed_ring(*a, -z, ring);
+                }
+            }
+            remove_excess(&mut aggregate, &removal, &survivors, &plan, bits).unwrap();
+            prop_assert_eq!(aggregate, reference);
+        }
     }
 }

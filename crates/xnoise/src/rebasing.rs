@@ -15,10 +15,14 @@
 //!    from shares because it did not exist before aggregation.
 
 use dordis_crypto::prg::{Prg, Seed};
-use dordis_dp::mechanism::skellam_vector;
-use dordis_secagg::mask::ring_mask;
+use dordis_dp::mechanism::{skellam_vector, SkellamSampler};
+use dordis_secagg::mask::{add_signed_ring, ring_mask};
 
+use crate::enforcement::add_noise_stream;
 use crate::XNoiseError;
+
+/// Stream domain of the original noise `n_o`.
+const ORIGINAL_DOMAIN: &[u8] = b"rebase.original";
 
 /// Per-round rebasing state for one client.
 pub struct RebasingClient {
@@ -43,7 +47,7 @@ impl RebasingClient {
     pub fn original_noise(&self) -> Vec<i64> {
         skellam_vector(
             &self.round_seed,
-            b"rebase.original",
+            ORIGINAL_DOMAIN,
             self.len,
             self.per_client_variance,
         )
@@ -51,10 +55,16 @@ impl RebasingClient {
 
     /// Adds `n_o` to an encoded update in `Z_{2^b}`.
     pub fn perturb(&self, update: &mut [u64], bit_width: u32) {
-        let ring = ring_mask(bit_width);
-        for (u, z) in update.iter_mut().zip(self.original_noise()) {
-            *u = add_ring(*u, z, ring);
-        }
+        let sampler = SkellamSampler::new(self.per_client_variance);
+        let len = self.len.min(update.len());
+        add_noise_stream(
+            &mut update[..len],
+            &sampler,
+            &self.round_seed,
+            ORIGINAL_DOMAIN,
+            true,
+            bit_width,
+        );
     }
 }
 
@@ -132,7 +142,7 @@ impl RebasingRound {
         let ring = ring_mask(bit_width);
         for adj in adjustments {
             for (a, &z) in aggregate.iter_mut().zip(adj.iter()) {
-                *a = add_ring(*a, z, ring);
+                *a = add_signed_ring(*a, z, ring);
             }
         }
     }
@@ -143,17 +153,6 @@ impl RebasingRound {
     pub fn removal_bytes(&self, bytes_per_weight: f64) -> u64 {
         (self.len as f64 * bytes_per_weight).ceil() as u64
     }
-}
-
-#[inline]
-fn add_ring(value: u64, delta: i64, ring: u64) -> u64 {
-    let m = ring.wrapping_add(1);
-    let d = if m == 0 {
-        delta as u64
-    } else {
-        (delta.rem_euclid(m as i64)) as u64
-    };
-    value.wrapping_add(d) & ring
 }
 
 #[cfg(test)]
@@ -170,13 +169,7 @@ mod tests {
     }
 
     fn center(v: u64) -> i64 {
-        let m = 1i64 << BITS;
-        let x = v as i64;
-        if x >= m / 2 {
-            x - m
-        } else {
-            x
-        }
+        crate::enforcement::center(v, BITS)
     }
 
     /// Rebasing end-to-end: residual noise after adjustments ≈ σ²∗.
