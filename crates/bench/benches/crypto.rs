@@ -4,8 +4,9 @@
 //! of the simulator's cost model: PRG (mask) expansion throughput, key
 //! agreement, signatures, Shamir, and AEAD.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dordis_crypto::ed25519::SigningKey;
+use dordis_crypto::field::Fe;
 use dordis_crypto::ka::KeyPair;
 use dordis_crypto::prg::Prg;
 use dordis_crypto::sha256::sha256;
@@ -38,6 +39,26 @@ fn bench_mask_expansion(c: &mut Criterion) {
         });
     }
     g.finish();
+}
+
+fn bench_field(c: &mut Criterion) {
+    // The layer under `x25519_agree`: one ladder is 255 steps of
+    // 5 mul + 4 square + 1 mul_small, then one inversion. A single mul
+    // is below the timer's resolution, so the mul and square rows time
+    // a dependent chain of 1 000 and report elements per second.
+    const CHAIN: u64 = 1_000;
+    let x = Fe::from_bytes(&[0x5au8; 32]);
+    let y = Fe::from_bytes(&[0x33u8; 32]);
+    let mut g = c.benchmark_group("field");
+    g.throughput(Throughput::Elements(CHAIN));
+    g.bench_function("fe_mul", |b| {
+        b.iter(|| (0..CHAIN).fold(black_box(x), |acc, _| acc.mul(black_box(y))));
+    });
+    g.bench_function("fe_square", |b| {
+        b.iter(|| (0..CHAIN).fold(black_box(x), |acc, _| acc.square()));
+    });
+    g.finish();
+    c.bench_function("fe_invert", |b| b.iter(|| black_box(x).invert()));
 }
 
 fn bench_x25519(c: &mut Criterion) {
@@ -96,6 +117,7 @@ criterion_group!(
     benches,
     bench_sha256,
     bench_mask_expansion,
+    bench_field,
     bench_x25519,
     bench_signatures,
     bench_shamir,

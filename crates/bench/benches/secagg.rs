@@ -6,8 +6,10 @@
 use std::collections::BTreeMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dordis_secagg::client::ClientInput;
-use dordis_secagg::driver::{run_round, DropStage, DropoutSchedule, RoundSpec};
+use dordis_secagg::client::{Client, ClientInput};
+use dordis_secagg::driver::{
+    client_rng, run_round, share_keys_rng, DropStage, DropoutSchedule, RoundSpec,
+};
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 
@@ -71,5 +73,78 @@ fn bench_secagg_with_dropout(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_secagg_round, bench_secagg_with_dropout);
+/// One client's share of a `tcp_cohort256`-shaped round (256 sampled,
+/// Harary degree 20, dim 1024): ShareKeys + MaskedInputCollection +
+/// Unmasking, i.e. the three stages that pay per masking neighbor.
+/// Only client 0 and its 20 neighbors are built: no other roster entry
+/// reaches client 0's stages.
+fn bench_client_round(c: &mut Criterion) {
+    const SAMPLES: usize = 10;
+    const SEED: u64 = 5;
+    let n = 256usize;
+    let params = RoundParams {
+        round: 1,
+        clients: (0..n as u32).collect(),
+        threshold: 11,
+        bit_width: 20,
+        vector_len: 1024,
+        noise_components: 0,
+        threat_model: ThreatModel::SemiHonest,
+        graph: MaskingGraph::harary_for(n),
+    };
+    assert_eq!(params.graph.degree(n), 20);
+    let fresh = |id: ClientId| {
+        let input = ClientInput {
+            vector: vec![u64::from(id) + 1; params.vector_len],
+            noise_seeds: vec![],
+        };
+        Client::new(params.clone(), id, input, None, &mut client_rng(SEED, id)).unwrap()
+    };
+    let ids: Vec<ClientId> = params
+        .graph
+        .holders(n, 0)
+        .into_iter()
+        .map(|i| i as ClientId)
+        .collect();
+    let mut holders: Vec<Client> = ids.iter().map(|&id| fresh(id)).collect();
+    let roster: Vec<_> = holders
+        .iter_mut()
+        .map(|h| h.advertise_keys().unwrap())
+        .collect();
+    let inbox: Vec<_> = holders
+        .iter_mut()
+        .skip(1)
+        .flat_map(|h| {
+            h.share_keys(&roster, &mut share_keys_rng(SEED, h.id()))
+                .unwrap()
+        })
+        .filter(|ct| ct.to == 0)
+        .collect();
+    assert_eq!(inbox.len(), 20);
+    // A client is spent by its round, and the client rng is a function
+    // of (seed, id), so every fresh client 0 advertises the same keys:
+    // one per sample plus one for the warm-up pass.
+    let mut pool: Vec<Client> = (0..=SAMPLES).map(|_| fresh(0)).collect();
+    let mut g = c.benchmark_group("client_round");
+    g.sample_size(SAMPLES);
+    g.bench_function("deg20_dim1024", |b| {
+        b.iter(|| {
+            let mut me = pool.pop().expect("one fresh client per pass");
+            let sent = me
+                .share_keys(&roster, &mut share_keys_rng(SEED, 0))
+                .unwrap();
+            let masked = me.masked_input(inbox.clone()).unwrap();
+            let response = me.unmask(&ids, None).unwrap();
+            (sent, masked, response)
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_secagg_round,
+    bench_secagg_with_dropout,
+    bench_client_round
+);
 criterion_main!(benches);

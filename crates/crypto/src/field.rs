@@ -5,17 +5,72 @@
 //! `u128` and the prime's shape lets the carry out of the top limb wrap
 //! around multiplied by 19. Both [`crate::x25519`] and [`crate::ed25519`]
 //! build on this module.
+//!
+//! # Limb bounds
+//!
+//! Limbs are allowed to run above 51 bits between reductions. Two bounds
+//! make up the contract, and every operation states (and `debug_assert`s)
+//! which one it takes and which one it returns:
+//!
+//! - **tight**: every limb `< 2^52`. Returned by every constructor and by
+//!   `mul`, `square`, `mul_small`, `add`, `sub`, `neg`, `invert`,
+//!   `pow_p58`.
+//! - **loose**: every limb `< 2^54`. Returned by `add_lazy` / `sub_lazy`
+//!   (which take tight inputs and do no carry at all) and accepted by
+//!   `mul`, `square` and `mul_small`, so a lazy sum or difference may
+//!   only ever feed a multiplication.
+//!
+//! Only `to_bytes` (and `equals` / `is_zero` / `parity` through it)
+//! reduces to the canonical representative in `[0, p)`.
 
 /// Low 51 bits.
 const MASK51: u64 = (1u64 << 51) - 1;
+/// Exclusive limb bound of a tight element.
+const TIGHT: u64 = 1 << 52;
+/// Exclusive limb bound of a loose element.
+const LOOSE: u64 = 1 << 54;
 
-/// An element of GF(2^255 - 19).
-///
-/// Internally limbs may be up to a few bits above 51 between reductions;
-/// all public constructors and operations return values with limbs < 2^52,
-/// which every operation accepts as input.
+/// An element of GF(2^255 - 19); see the module docs for the limb bounds.
 #[derive(Clone, Copy, Debug)]
 pub struct Fe(pub(crate) [u64; 5]);
+
+/// Carries five `u128` column sums into a tight element: one chain up
+/// the limbs, the top carry folded back ×19 (still in `u128`), and one
+/// trailing carry out of limb 0.
+///
+/// Input: every column `< 2^115` (so each running sum stays far below
+/// 2^128). Output: limb 1 `< 2^51 + 2^18`, the others `< 2^51`.
+#[inline]
+fn carry_wide(r: [u128; 5]) -> Fe {
+    const M: u128 = MASK51 as u128;
+    debug_assert!(r.iter().all(|&c| c < 1 << 115));
+    let r1 = r[1] + (r[0] >> 51);
+    let r2 = r[2] + (r1 >> 51);
+    let r3 = r[3] + (r2 >> 51);
+    let r4 = r[4] + (r3 >> 51);
+    let r0 = (r[0] & M) + 19 * (r4 >> 51);
+    Fe([
+        (r0 & M) as u64,
+        (r1 & M) as u64 + (r0 >> 51) as u64,
+        (r2 & M) as u64,
+        (r3 & M) as u64,
+        (r4 & M) as u64,
+    ])
+}
+
+#[inline]
+fn m(x: u64, y: u64) -> u128 {
+    u128::from(x) * u128::from(y)
+}
+
+/// Carries limbs 0..4 upward, leaving them below 2^51 and the whole
+/// excess in limb 4.
+fn carry_up(t: &mut [u64; 5]) {
+    for i in 0..4 {
+        t[i + 1] += t[i] >> 51;
+        t[i] &= MASK51;
+    }
+}
 
 impl Fe {
     /// The additive identity.
@@ -54,79 +109,66 @@ impl Fe {
         ])
     }
 
+    fn within(self, bound: u64) -> bool {
+        self.0.iter().all(|&l| l < bound)
+    }
+
     /// Encodes the element canonically as 32 little-endian bytes.
+    ///
+    /// Input: loose. This is the one place that reduces fully, to the
+    /// representative in `[0, p)`, without branching on the value.
     #[must_use]
     pub fn to_bytes(self) -> [u8; 32] {
-        let mut t = self.reduce_limbs().0;
-        // After reduce_limbs all limbs are < 2^51, so the value is in
-        // [0, 2^255). At most one subtraction of p is needed: the value is
-        // >= p = 2^255 - 19 iff limbs 1..4 are maximal and limb 0 >= 2^51-19.
-        let ge_p = t[1] == MASK51
-            && t[2] == MASK51
-            && t[3] == MASK51
-            && t[4] == MASK51
-            && t[0] >= MASK51 - 18;
-        if ge_p {
-            t[0] -= MASK51 - 18;
-            t[1] = 0;
-            t[2] = 0;
-            t[3] = 0;
-            t[4] = 0;
-        }
+        // After one carry pass the value is below 2^255 + 2^8 < 2p.
+        let mut t = self.carry().0;
+        // q = 1 iff value >= p, i.e. iff value + 19 reaches 2^255.
+        let mut q = (t[0] + 19) >> 51;
+        q = (t[1] + q) >> 51;
+        q = (t[2] + q) >> 51;
+        q = (t[3] + q) >> 51;
+        q = (t[4] + q) >> 51;
+        // value - q·p = value + 19q - q·2^255: add, carry, drop bit 255.
+        t[0] += 19 * q;
+        carry_up(&mut t);
+        t[4] &= MASK51;
         let mut out = [0u8; 32];
         let mut acc: u128 = 0;
         let mut acc_bits = 0u32;
         let mut idx = 0usize;
-        for (i, &limb) in t.iter().enumerate() {
+        for &limb in &t {
             acc |= (limb as u128) << acc_bits;
             acc_bits += 51;
-            while acc_bits >= 8 && idx < 32 {
+            while acc_bits >= 8 {
                 out[idx] = (acc & 0xff) as u8;
                 acc >>= 8;
                 acc_bits -= 8;
                 idx += 1;
             }
-            let _ = i;
         }
-        while idx < 32 {
-            out[idx] = (acc & 0xff) as u8;
-            acc >>= 8;
-            idx += 1;
-        }
+        // 5 · 51 = 255 bits: the last seven sit in the accumulator.
+        out[31] = acc as u8;
         out
     }
 
-    /// Propagates carries so that every limb is < 2^51.
-    fn reduce_limbs(self) -> Fe {
+    /// One carry pass up the limbs, the top carry folded back ×19.
+    ///
+    /// Input: loose. Output: limb 0 `< 2^51 + 2^8`, the others `< 2^51`.
+    fn carry(self) -> Fe {
+        debug_assert!(self.within(LOOSE));
         let mut t = self.0;
-        // Two passes handle any input produced by this module's operations.
-        for _ in 0..2 {
-            let mut carry;
-            carry = t[0] >> 51;
-            t[0] &= MASK51;
-            t[1] += carry;
-            carry = t[1] >> 51;
-            t[1] &= MASK51;
-            t[2] += carry;
-            carry = t[2] >> 51;
-            t[2] &= MASK51;
-            t[3] += carry;
-            carry = t[3] >> 51;
-            t[3] &= MASK51;
-            t[4] += carry;
-            carry = t[4] >> 51;
-            t[4] &= MASK51;
-            t[0] += 19 * carry;
-        }
-        let carry = t[0] >> 51;
-        t[0] &= MASK51;
-        t[1] += carry;
+        carry_up(&mut t);
+        t[0] += 19 * (t[4] >> 51);
+        t[4] &= MASK51;
         Fe(t)
     }
 
-    /// Field addition.
+    /// Limb-wise sum with no carry, for use between multiplications.
+    ///
+    /// Input: tight. Output: loose (every limb `< 2^53`).
+    #[inline]
     #[must_use]
-    pub fn add(self, rhs: Fe) -> Fe {
+    pub(crate) fn add_lazy(self, rhs: Fe) -> Fe {
+        debug_assert!(self.within(TIGHT) && rhs.within(TIGHT));
         Fe([
             self.0[0] + rhs.0[0],
             self.0[1] + rhs.0[1],
@@ -134,79 +176,129 @@ impl Fe {
             self.0[3] + rhs.0[3],
             self.0[4] + rhs.0[4],
         ])
-        .reduce_limbs()
     }
 
-    /// Field subtraction.
+    /// Limb-wise difference with no carry, for use between
+    /// multiplications: `self + 4p - rhs`, and every limb of `4p` is at
+    /// least `2^53 - 76`, above any tight limb, so no limb goes negative.
+    ///
+    /// Input: tight. Output: loose (every limb `< 2^52 + 2^53`).
+    #[inline]
+    #[must_use]
+    pub(crate) fn sub_lazy(self, rhs: Fe) -> Fe {
+        debug_assert!(self.within(TIGHT) && rhs.within(TIGHT));
+        const FOUR_P0: u64 = 4 * (MASK51 - 18); // 4 · (2^51 - 19)
+        const FOUR_PI: u64 = 4 * MASK51; // 4 · (2^51 - 1)
+        Fe([
+            self.0[0] + FOUR_P0 - rhs.0[0],
+            self.0[1] + FOUR_PI - rhs.0[1],
+            self.0[2] + FOUR_PI - rhs.0[2],
+            self.0[3] + FOUR_PI - rhs.0[3],
+            self.0[4] + FOUR_PI - rhs.0[4],
+        ])
+    }
+
+    /// Field addition. Input: tight. Output: tight.
+    #[must_use]
+    pub fn add(self, rhs: Fe) -> Fe {
+        self.add_lazy(rhs).carry()
+    }
+
+    /// Field subtraction. Input: tight. Output: tight.
     #[must_use]
     pub fn sub(self, rhs: Fe) -> Fe {
-        // Add 2p (in limb form) before subtracting so limbs stay positive.
-        let two_p0 = 2 * (MASK51 - 18); // 2 * (2^51 - 19)
-        let two_pi = 2 * MASK51; // 2 * (2^51 - 1)
-        Fe([
-            self.0[0] + two_p0 - rhs.0[0],
-            self.0[1] + two_pi - rhs.0[1],
-            self.0[2] + two_pi - rhs.0[2],
-            self.0[3] + two_pi - rhs.0[3],
-            self.0[4] + two_pi - rhs.0[4],
-        ])
-        .reduce_limbs()
+        self.sub_lazy(rhs).carry()
     }
 
-    /// Field negation.
+    /// Field negation. Input: tight. Output: tight.
     #[must_use]
     pub fn neg(self) -> Fe {
         Fe::ZERO.sub(self)
     }
 
-    /// Field multiplication.
+    /// Field multiplication. Input: loose. Output: tight.
+    #[inline]
     #[must_use]
     pub fn mul(self, rhs: Fe) -> Fe {
+        debug_assert!(self.within(LOOSE) && rhs.within(LOOSE));
         let a = &self.0;
         let b = &rhs.0;
+        // 19 · 2^54 < 2^59: the pre-scaled limbs stay in u64, and each
+        // column is below 77 · 2^108 < 2^115.
         let b1_19 = b[1] * 19;
         let b2_19 = b[2] * 19;
         let b3_19 = b[3] * 19;
         let b4_19 = b[4] * 19;
-        let m = |x: u64, y: u64| -> u128 { (x as u128) * (y as u128) };
-        let r0 = m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19);
-        let mut r1 =
-            m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19);
-        let mut r2 =
-            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19);
-        let mut r3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
-        let mut r4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
-        // Carry propagation over u128 accumulators.
-        let mut t = [0u64; 5];
-        let mut carry: u128;
-        carry = r0 >> 51;
-        t[0] = (r0 as u64) & MASK51;
-        r1 += carry;
-        carry = r1 >> 51;
-        t[1] = (r1 as u64) & MASK51;
-        r2 += carry;
-        carry = r2 >> 51;
-        t[2] = (r2 as u64) & MASK51;
-        r3 += carry;
-        carry = r3 >> 51;
-        t[3] = (r3 as u64) & MASK51;
-        r4 += carry;
-        carry = r4 >> 51;
-        t[4] = (r4 as u64) & MASK51;
-        t[0] += (carry as u64) * 19;
-        Fe(t).reduce_limbs()
+        carry_wide([
+            m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19),
+            m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19),
+            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19),
+            m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19),
+            m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]),
+        ])
     }
 
-    /// Field squaring.
+    /// Field squaring: the 15 distinct limb products of `mul(self, self)`,
+    /// the off-diagonal ones doubled. Input: loose. Output: tight.
+    #[inline]
     #[must_use]
     pub fn square(self) -> Fe {
-        self.mul(self)
+        debug_assert!(self.within(LOOSE));
+        let a = &self.0;
+        // 38 · 2^54 < 2^60: the doubled and pre-scaled limbs stay in u64.
+        let d0 = 2 * a[0];
+        let d1 = 2 * a[1];
+        let d2_19 = 38 * a[2];
+        let a3_19 = 19 * a[3];
+        let a4_19 = 19 * a[4];
+        let d4_19 = 2 * a4_19;
+        carry_wide([
+            m(a[0], a[0]) + m(d4_19, a[1]) + m(d2_19, a[3]),
+            m(d0, a[1]) + m(d4_19, a[2]) + m(a3_19, a[3]),
+            m(d0, a[2]) + m(a[1], a[1]) + m(d4_19, a[3]),
+            m(d0, a[3]) + m(d1, a[2]) + m(a4_19, a[4]),
+            m(d0, a[4]) + m(d1, a[3]) + m(a[2], a[2]),
+        ])
+    }
+
+    /// `self` squared `k` times, i.e. `self^(2^k)`.
+    fn pow2k(self, k: u32) -> Fe {
+        (0..k).fold(self, |x, _| x.square())
+    }
+
+    /// Multiplication by a small constant (the ladder's 121 665): five
+    /// limb products instead of 25. Input: loose. Output: tight.
+    #[inline]
+    #[must_use]
+    pub(crate) fn mul_small(self, k: u32) -> Fe {
+        debug_assert!(self.within(LOOSE));
+        let k = u64::from(k);
+        carry_wide(self.0.map(|l| m(l, k)))
+    }
+
+    /// `(self^(2^250 - 1), self^11)`: the addition chain shared by
+    /// [`Fe::invert`], [`Fe::pow_p58`] and [`Fe::sqrt_m1`]: 249
+    /// squarings and 10 multiplications.
+    fn pow22501(self) -> (Fe, Fe) {
+        let x2 = self.square();
+        let x9 = x2.pow2k(2).mul(self);
+        let x11 = x9.mul(x2);
+        let e5 = x11.square().mul(x9); // 2^5 - 1
+        let e10 = e5.pow2k(5).mul(e5); // 2^10 - 1
+        let e20 = e10.pow2k(10).mul(e10);
+        let e40 = e20.pow2k(20).mul(e20);
+        let e50 = e40.pow2k(10).mul(e10);
+        let e100 = e50.pow2k(50).mul(e50);
+        let e200 = e100.pow2k(100).mul(e100);
+        let e250 = e200.pow2k(50).mul(e50);
+        (e250, x11)
     }
 
     /// Raises the element to an arbitrary power given as 32 little-endian
-    /// bytes (most-significant bit first internally).
-    #[must_use]
-    pub fn pow_bytes_le(self, exp: &[u8; 32]) -> Fe {
+    /// bytes, bit by bit: the oracle the addition chains are tested
+    /// against.
+    #[cfg(test)]
+    fn pow_bytes_le(self, exp: &[u8; 32]) -> Fe {
         let mut result = Fe::ONE;
         for bit in (0..256).rev() {
             result = result.square();
@@ -220,34 +312,30 @@ impl Fe {
     /// Multiplicative inverse via Fermat: `self^(p-2)`.
     ///
     /// Returns zero for zero input (callers must handle that case).
+    /// Input: loose. Output: tight.
     #[must_use]
     pub fn invert(self) -> Fe {
-        // p - 2 = 2^255 - 21, little-endian bytes.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xeb; // 0xed - 2
-        exp[31] = 0x7f;
-        self.pow_bytes_le(&exp)
+        // p - 2 = 2^255 - 21 = (2^250 - 1) · 2^5 + 11.
+        let (e250, x11) = self.pow22501();
+        e250.pow2k(5).mul(x11)
     }
 
     /// `self^((p-5)/8)`, used for square-root extraction on the curve.
+    /// Input: loose. Output: tight.
     #[must_use]
     pub fn pow_p58(self) -> Fe {
-        // (p - 5) / 8 = (2^255 - 24) / 8 = 2^252 - 3, little-endian bytes.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfd;
-        exp[31] = 0x0f;
-        self.pow_bytes_le(&exp)
+        // (p - 5) / 8 = 2^252 - 3 = (2^250 - 1) · 2^2 + 1.
+        let (e250, _) = self.pow22501();
+        e250.pow2k(2).mul(self)
     }
 
     /// Returns `sqrt(-1)` in the field (one of the two roots).
     #[must_use]
     pub fn sqrt_m1() -> Fe {
         // 2^((p-1)/4) is a square root of -1 because 2 is a non-square
-        // mod p. (p-1)/4 = (2^255 - 20) / 4 = 2^253 - 5.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfb;
-        exp[31] = 0x1f;
-        Fe::from_u64(2).pow_bytes_le(&exp)
+        // mod p. (p-1)/4 = 2^253 - 5 = (2^250 - 1) · 2^3 + 3.
+        let (e250, _) = Fe::from_u64(2).pow22501();
+        e250.pow2k(3).mul(Fe::from_u64(8))
     }
 
     /// True if the element is zero.
@@ -345,6 +433,262 @@ mod tests {
         assert!(y8.mul(x4).equals(Fe::ONE));
     }
 
+    // ------------------------------------------------------------------
+    // A reference that shares nothing with the limb code: 256-bit
+    // integers as four u64 words, schoolbook multiplication, reduction
+    // by 2^256 = 38 (mod p) and trial subtraction of p.
+    // ------------------------------------------------------------------
+
+    type U256 = [u64; 4];
+    const P: U256 = [
+        0xffff_ffff_ffff_ffed,
+        u64::MAX,
+        u64::MAX,
+        0x7fff_ffff_ffff_ffff,
+    ];
+
+    /// `a - b` over 256 bits, for `a >= b`.
+    fn ref_sub_words(a: U256, b: U256) -> U256 {
+        let mut out = [0u64; 4];
+        let mut borrow = 0u64;
+        for i in 0..4 {
+            let (d1, b1) = a[i].overflowing_sub(b[i]);
+            let (d2, b2) = d1.overflowing_sub(borrow);
+            out[i] = d2;
+            borrow = u64::from(b1 | b2);
+        }
+        assert_eq!(borrow, 0);
+        out
+    }
+
+    /// `Σ words[i] · 2^(64·i) mod p`, canonical.
+    fn ref_reduce(words: &[u64]) -> U256 {
+        let mut w = words.to_vec();
+        w.resize(w.len().max(5), 0);
+        // Fold everything above 2^256 down ×38 until it is gone.
+        while w[4..].iter().any(|&x| x != 0) {
+            let (lo, hi) = w.split_at(4);
+            let mut next = vec![0u64; hi.len().max(4) + 1];
+            let mut carry = 0u128;
+            for i in 0..next.len() {
+                let t = u128::from(lo.get(i).copied().unwrap_or(0))
+                    + 38 * u128::from(hi.get(i).copied().unwrap_or(0))
+                    + carry;
+                next[i] = t as u64;
+                carry = t >> 64;
+            }
+            assert_eq!(carry, 0);
+            w = next;
+        }
+        let mut r: U256 = [w[0], w[1], w[2], w[3]];
+        let ge_p = |r: &U256| {
+            (0..4)
+                .rev()
+                .find(|&i| r[i] != P[i])
+                .is_none_or(|i| r[i] > P[i])
+        };
+        while ge_p(&r) {
+            r = ref_sub_words(r, P);
+        }
+        r
+    }
+
+    /// The integer a limb vector stands for, reduced mod p.
+    fn ref_of(x: Fe) -> U256 {
+        let mut w = [0u64; 6];
+        for (i, &limb) in x.0.iter().enumerate() {
+            let v = u128::from(limb) << (51 * i % 64);
+            let at = 51 * i / 64;
+            let mut carry = 0u128;
+            for (j, part) in [v as u64, (v >> 64) as u64, 0].into_iter().enumerate() {
+                let t = u128::from(w[at + j]) + u128::from(part) + carry;
+                w[at + j] = t as u64;
+                carry = t >> 64;
+            }
+        }
+        ref_reduce(&w)
+    }
+
+    fn ref_mul(a: U256, b: U256) -> U256 {
+        let mut prod = [0u64; 8];
+        for i in 0..4 {
+            let mut carry = 0u128;
+            for j in 0..4 {
+                let t = u128::from(prod[i + j]) + u128::from(a[i]) * u128::from(b[j]) + carry;
+                prod[i + j] = t as u64;
+                carry = t >> 64;
+            }
+            prod[i + 4] = carry as u64;
+        }
+        ref_reduce(&prod)
+    }
+
+    fn ref_mul_small(a: U256, k: u32) -> U256 {
+        ref_mul(a, [u64::from(k), 0, 0, 0])
+    }
+
+    fn ref_add(a: U256, b: U256) -> U256 {
+        let mut sum = [0u64; 5];
+        let mut carry = 0u128;
+        for i in 0..4 {
+            let t = u128::from(a[i]) + u128::from(b[i]) + carry;
+            sum[i] = t as u64;
+            carry = t >> 64;
+        }
+        sum[4] = carry as u64;
+        ref_reduce(&sum)
+    }
+
+    /// `a - b` as `a + (p - b)`; both inputs canonical.
+    fn ref_sub(a: U256, b: U256) -> U256 {
+        ref_add(a, ref_sub_words(P, b))
+    }
+
+    /// Asserts that `x` encodes to the canonical bytes of `want`.
+    #[track_caller]
+    fn assert_is(x: Fe, want: U256) {
+        let mut bytes = [0u8; 32];
+        for (chunk, word) in bytes.chunks_exact_mut(8).zip(want) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(x.to_bytes(), bytes);
+    }
+
+    /// Every limb at `bound - 1`.
+    fn all_limbs(bound: u64) -> Fe {
+        Fe([bound - 1; 5])
+    }
+
+    /// 0, 1, p-1, p, p+1, 2^255-1 as limb vectors, plus every limb at the
+    /// tight maximum. All are tight, so every operation accepts them.
+    fn tight_edges() -> Vec<Fe> {
+        vec![
+            Fe::ZERO,
+            Fe::ONE,
+            Fe([MASK51 - 19, MASK51, MASK51, MASK51, MASK51]),
+            Fe([MASK51 - 18, MASK51, MASK51, MASK51, MASK51]),
+            Fe([MASK51 - 17, MASK51, MASK51, MASK51, MASK51]),
+            Fe([MASK51; 5]),
+            all_limbs(TIGHT),
+        ]
+    }
+
+    /// A full-width element whose limbs are uniform below `bound`.
+    fn fe_below(bound: u64, raw: &[u8; 40]) -> Fe {
+        let mut limbs = [0u64; 5];
+        for (l, chunk) in limbs.iter_mut().zip(raw.chunks_exact(8)) {
+            *l = u64::from_le_bytes(chunk.try_into().unwrap()) % bound;
+        }
+        Fe(limbs)
+    }
+
+    /// The multiplications (which accept loose operands) against the
+    /// reference, with the tight bound of their results.
+    fn check_multiplications(a: Fe, b: Fe) {
+        let (ra, rb) = (ref_of(a), ref_of(b));
+        assert_is(a, ra);
+        assert_is(a.mul(b), ref_mul(ra, rb));
+        assert_is(a.square(), ref_mul(ra, ra));
+        assert_is(a.mul_small(121_665), ref_mul_small(ra, 121_665));
+        assert_is(a.mul_small(u32::MAX), ref_mul_small(ra, u32::MAX));
+        assert!(a.mul(b).within(TIGHT) && a.square().within(TIGHT));
+        assert!(a.mul_small(u32::MAX).within(TIGHT));
+    }
+
+    /// Every operation on tight `(a, b)` against the reference.
+    fn check_against_reference(a: Fe, b: Fe) {
+        check_multiplications(a, b);
+        let (ra, rb) = (ref_of(a), ref_of(b));
+        let (rs, rd) = (ref_add(ra, rb), ref_sub(ra, rb));
+        assert_is(a.add(b), rs);
+        assert_is(a.sub(b), rd);
+        assert_is(a.neg(), ref_sub([0; 4], ra));
+        assert!(a.add(b).within(TIGHT) && a.sub(b).within(TIGHT));
+        // The lazy forms, each consumed by a multiplication the way the
+        // ladder step composes them.
+        let (sum, diff) = (a.add_lazy(b), a.sub_lazy(b));
+        assert!(sum.within(LOOSE) && diff.within(LOOSE));
+        assert_is(sum, rs);
+        assert_is(diff, rd);
+        check_multiplications(diff, sum);
+        // z2 = e · (aa + 121665 · e) with e = aa - bb.
+        let (aa, bb) = (sum.square(), diff.square());
+        let e = aa.sub_lazy(bb);
+        let z2 = e.mul(aa.add_lazy(e.mul_small(121_665)));
+        let (raa, rbb) = (ref_mul(rs, rs), ref_mul(rd, rd));
+        let re = ref_sub(raa, rbb);
+        assert_is(z2, ref_mul(re, ref_add(raa, ref_mul_small(re, 121_665))));
+    }
+
+    /// An exponent of the shape `2^k - c`: all-ones bytes but the ends.
+    fn exponent(first: u8, last: u8) -> [u8; 32] {
+        let mut e = [0xffu8; 32];
+        e[0] = first;
+        e[31] = last;
+        e
+    }
+
+    /// `invert` and `pow_p58` against bit-by-bit exponentiation.
+    fn check_chains(x: Fe) {
+        let p_minus_2 = exponent(0xeb, 0x7f);
+        let p_minus_5_over_8 = exponent(0xfd, 0x0f);
+        assert_eq!(x.invert().to_bytes(), x.pow_bytes_le(&p_minus_2).to_bytes());
+        assert_eq!(
+            x.pow_p58().to_bytes(),
+            x.pow_bytes_le(&p_minus_5_over_8).to_bytes()
+        );
+    }
+
+    #[test]
+    fn reference_knows_p() {
+        assert_eq!(ref_reduce(&P), [0; 4]);
+        assert_eq!(ref_reduce(&[0, 0, 0, 0, 1]), [38, 0, 0, 0]); // 2^256
+        assert_eq!(
+            ref_mul_small(ref_sub([0; 4], [1, 0, 0, 0]), 2),
+            ref_sub(P, [2, 0, 0, 0])
+        );
+    }
+
+    #[test]
+    fn edges_match_reference() {
+        let edges = tight_edges();
+        for &a in &edges {
+            for &b in &edges {
+                check_against_reference(a, b);
+            }
+        }
+        // p, p+1 and 2^255-1 are non-canonical: they must encode reduced.
+        assert_eq!(edges[3].to_bytes(), [0u8; 32]);
+        assert_eq!(edges[4].to_bytes(), Fe::ONE.to_bytes());
+        assert_eq!(edges[5].to_bytes(), Fe::from_u64(18).to_bytes());
+    }
+
+    #[test]
+    fn loose_maximum_is_accepted_by_every_multiplication() {
+        let top = all_limbs(LOOSE);
+        check_multiplications(top, top);
+        assert!(top.invert().mul(top).equals(Fe::ONE));
+    }
+
+    #[test]
+    fn chains_match_bitwise_exponentiation() {
+        let mut xs = tight_edges();
+        xs.push(all_limbs(LOOSE));
+        xs.into_iter().for_each(check_chains);
+        let p_minus_1_over_4 = exponent(0xfb, 0x1f);
+        assert_eq!(
+            Fe::sqrt_m1().to_bytes(),
+            fe(2).pow_bytes_le(&p_minus_1_over_4).to_bytes()
+        );
+    }
+
+    #[test]
+    fn invert_zero_is_zero() {
+        assert!(Fe::ZERO.invert().is_zero());
+        // p is zero too.
+        assert!(tight_edges()[3].invert().is_zero());
+    }
+
     proptest! {
         #[test]
         fn prop_add_commutes(a in any::<u64>(), b in any::<u64>()) {
@@ -389,6 +733,23 @@ mod tests {
             a[31] &= 0x7f; b[31] &= 0x7f; c[31] &= 0x7f;
             let (x, y, z) = (Fe::from_bytes(&a), Fe::from_bytes(&b), Fe::from_bytes(&c));
             prop_assert!(x.mul(y).mul(z).equals(x.mul(y.mul(z))));
+        }
+
+        #[test]
+        fn prop_full_width_matches_reference(a in any::<[u8; 40]>(), b in any::<[u8; 40]>()) {
+            check_against_reference(fe_below(TIGHT, &a), fe_below(TIGHT, &b));
+        }
+
+        #[test]
+        fn prop_loose_multiplications_match_reference(a in any::<[u8; 40]>(), b in any::<[u8; 40]>()) {
+            check_multiplications(fe_below(LOOSE, &a), fe_below(LOOSE, &b));
+        }
+
+        #[test]
+        fn prop_full_width_chains(a in any::<[u8; 40]>()) {
+            let x = fe_below(LOOSE, &a);
+            check_chains(x);
+            prop_assert!(x.is_zero() || x.invert().mul(x).equals(Fe::ONE));
         }
     }
 }

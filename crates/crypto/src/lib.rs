@@ -25,8 +25,9 @@
 //!   (the paper's §7 extension).
 //!
 //! The implementations favour clarity over speed, but all hot paths used by
-//! the aggregation protocols (hashing, ChaCha20 mask expansion) are efficient
-//! enough to aggregate multi-million-parameter updates in the benchmarks.
+//! the aggregation protocols (hashing, ChaCha20 mask expansion, the X25519
+//! ladder over the lazily reduced [`field`]) are efficient enough to
+//! aggregate multi-million-parameter updates in the benchmarks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

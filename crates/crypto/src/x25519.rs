@@ -50,7 +50,6 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     let mut x3 = x1;
     let mut z3 = Fe::ONE;
     let mut swap = 0u64;
-    let a24 = Fe::from_u64(121_665);
 
     for t in (0..255).rev() {
         let k_t = ((k[t / 8] >> (t % 8)) & 1) as u64;
@@ -59,19 +58,23 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
         cswap(swap, &mut z2, &mut z3);
         swap = k_t;
 
-        let a = x2.add(z2);
+        // Every sum and difference below takes `mul`/`square` outputs
+        // (tight) and feeds a `mul`/`square`/`mul_small` (which accept
+        // loose), so the carry-free forms are within their limb bounds
+        // by construction; `x1` comes tight from `from_bytes`.
+        let a = x2.add_lazy(z2);
         let aa = a.square();
-        let b = x2.sub(z2);
+        let b = x2.sub_lazy(z2);
         let bb = b.square();
-        let e = aa.sub(bb);
-        let c = x3.add(z3);
-        let d = x3.sub(z3);
+        let e = aa.sub_lazy(bb);
+        let c = x3.add_lazy(z3);
+        let d = x3.sub_lazy(z3);
         let da = d.mul(a);
         let cb = c.mul(b);
-        x3 = da.add(cb).square();
-        z3 = x1.mul(da.sub(cb).square());
+        x3 = da.add_lazy(cb).square();
+        z3 = x1.mul(da.sub_lazy(cb).square());
         x2 = aa.mul(bb);
-        z2 = e.mul(aa.add(a24.mul(e)));
+        z2 = e.mul(aa.add_lazy(e.mul_small(121_665)));
     }
     cswap(swap, &mut x2, &mut x3);
     cswap(swap, &mut z2, &mut z3);
@@ -88,6 +91,12 @@ pub fn public_key(secret: &SecretKey) -> PublicKey {
 ///
 /// Callers should hash the result before use as key material (see
 /// [`crate::ka`]), per standard DH hygiene.
+///
+/// A low-order `their_public` is not rejected: the result is then all
+/// zero whatever the secret (RFC 7748 §6.1 leaves that check to the
+/// caller). [`crate::ka::KeyPair::agree`] hashes the result together
+/// with both public keys, so such a peer only fixes the key of its own
+/// channel, which it would know anyway.
 #[must_use]
 pub fn shared_secret(our_secret: &SecretKey, their_public: &PublicKey) -> [u8; 32] {
     x25519(our_secret, their_public)
@@ -143,6 +152,49 @@ mod tests {
             hex(&k_ab),
             "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742"
         );
+    }
+
+    #[test]
+    fn rfc7748_iterated_vector() {
+        // RFC 7748 §5.2: k = u = 9; each step sets (k, u) to
+        // (X25519(k, u), k).
+        let mut k = BASE_POINT;
+        let mut u = BASE_POINT;
+        for i in 1..=1000 {
+            (k, u) = (x25519(&k, &u), k);
+            if i == 1 {
+                assert_eq!(
+                    hex(&k),
+                    "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079"
+                );
+            }
+        }
+        assert_eq!(
+            hex(&k),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"
+        );
+    }
+
+    #[test]
+    fn low_order_points_give_the_all_zero_secret() {
+        // The u-coordinates of the points of order 1, 2, 4 and 8 on the
+        // curve and its twist, with the non-canonical encodings p and
+        // p + 1 of 0 and 1: clamping makes the scalar a multiple of 8,
+        // so the ladder lands on the identity and encodes 0.
+        let low_order = [
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0100000000000000000000000000000000000000000000000000000000000000",
+            "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+            "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+            "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+            "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+            "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        ];
+        for secret in [[0x42u8; 32], [0xffu8; 32], BASE_POINT] {
+            for u in low_order {
+                assert_eq!(shared_secret(&secret, &unhex32(u)), [0u8; 32], "u = {u}");
+            }
+        }
     }
 
     #[test]

@@ -58,6 +58,14 @@ pub struct Client {
     u2: Vec<ClientId>,
     /// Ciphertexts received, keyed by sender.
     inbox: BTreeMap<ClientId, Vec<u8>>,
+    /// This round's channel keys `KA.agree(c_sk, c_pk_v)`, keyed by peer:
+    /// filled when `share_keys` seals to `v`, read when `unmask` opens
+    /// from `v`, so each pair costs one agreement. The map dies with
+    /// this `Client`, i.e. with the round.
+    channel_keys: BTreeMap<ClientId, [u8; 32]>,
+    /// The bundles `unmask` decrypted, keyed by sender, kept for
+    /// `noise_shares`.
+    bundles: BTreeMap<ClientId, ShareBundle>,
     /// The U3 set this client accepted (set at consistency/unmask).
     u3: Vec<ClientId>,
     /// The U4/U5 supersets for later verification.
@@ -67,6 +75,9 @@ pub struct Client {
     /// back at Unmasking like any other U3 member's).
     own_b_share: Option<Share>,
     aborted: bool,
+    /// `KA.agree` calls made so far (both keypairs).
+    #[cfg(test)]
+    agreements: usize,
 }
 
 impl Client {
@@ -125,10 +136,14 @@ impl Client {
             u1: BTreeMap::new(),
             u2: Vec::new(),
             inbox: BTreeMap::new(),
+            channel_keys: BTreeMap::new(),
+            bundles: BTreeMap::new(),
             u3: Vec::new(),
             u4: Vec::new(),
             own_b_share: None,
             aborted: false,
+            #[cfg(test)]
+            agreements: 0,
         })
     }
 
@@ -174,6 +189,22 @@ impl Client {
                         .is_some_and(|vi| self.params.graph.are_neighbors(n, my_idx, vi))
             })
             .collect()
+    }
+
+    /// The AEAD key of the channel to `peer` (who must be in U1), agreed
+    /// on first use and remembered for the rest of the round.
+    fn channel_key(&mut self, peer: ClientId) -> [u8; 32] {
+        if let Some(&key) = self.channel_keys.get(&peer) {
+            return key;
+        }
+        let (c_pk, _) = self.u1[&peer];
+        let key = self.c_kp.agree(&c_pk);
+        #[cfg(test)]
+        {
+            self.agreements += 1;
+        }
+        self.channel_keys.insert(peer, key);
+        key
     }
 
     // ------------------------------------------------------------------
@@ -304,8 +335,7 @@ impl Client {
                 b_share: b_shares[slot].clone(),
                 seed_shares: seed_share_lists.iter().map(|l| l[slot].clone()).collect(),
             };
-            let (c_pk, _) = self.u1[&to];
-            let key = self.c_kp.agree(&c_pk);
+            let key = self.channel_key(to);
             let aad = aad_for(self.params.round, self.id, to);
             let ciphertext = aead::seal(&key, &aad, &bundle.encode(), rng);
             out.push(EncryptedShares {
@@ -361,6 +391,10 @@ impl Client {
         for v in neighbors {
             let (_, s_pk_v) = self.u1[&v];
             let s_uv = self.s_kp.agree(&s_pk_v);
+            #[cfg(test)]
+            {
+                self.agreements += 1;
+            }
             mask::add_pairwise_mask_assign(&mut y, &s_uv, 0, self.id > v, bits);
         }
         Ok(MaskedInput {
@@ -508,8 +542,7 @@ impl Client {
         let mut bundles: BTreeMap<ClientId, ShareBundle> = BTreeMap::new();
         let inbox = std::mem::take(&mut self.inbox);
         for (&from, ct) in inbox.iter() {
-            let (c_pk, _) = self.u1[&from];
-            let key = self.c_kp.agree(&c_pk);
+            let key = self.channel_key(from);
             let aad = aad_for(self.params.round, from, self.id);
             let plain = match aead::open(&key, &aad, ct) {
                 Ok(p) => p,
@@ -545,6 +578,7 @@ impl Client {
                 .map(|k| (k, self.input.noise_seeds[k]))
                 .collect::<Vec<_>>()
         });
+        self.bundles = bundles;
         Ok(UnmaskingResponse {
             client: self.id,
             sk_shares,
@@ -572,7 +606,7 @@ impl Client {
 
     /// Returns shares of noise seeds owned by clients in `U3 \ U5` (those
     /// whose masked input is in the sum but who dropped before reporting
-    /// their own seeds).
+    /// their own seeds), read from the bundles `unmask` decrypted.
     pub fn noise_shares(&mut self, u5: &[ClientId]) -> Result<NoiseShareResponse, SecAggError> {
         self.check_live()?;
         if u5.len() < self.params.threshold {
@@ -591,17 +625,10 @@ impl Client {
             }
         };
         let mut seed_shares = Vec::new();
-        for (&from, ct) in self.inbox.iter() {
+        for (&from, bundle) in &self.bundles {
             if !self.u3.contains(&from) || u5.contains(&from) {
                 continue;
             }
-            let (c_pk, _) = self.u1[&from];
-            let key = self.c_kp.agree(&c_pk);
-            let aad = aad_for(self.params.round, from, self.id);
-            let plain = aead::open(&key, &aad, ct)
-                .map_err(|_| self_abort_err(self.id, "stage-5 AEAD failure"))?;
-            let bundle = ShareBundle::decode(&plain)
-                .ok_or_else(|| self_abort_err(self.id, "stage-5 malformed bundle"))?;
             for k in range.clone() {
                 if let Some(share) = bundle.seed_shares.get(k - 1) {
                     seed_shares.push((from, k, share.clone()));
@@ -717,6 +744,204 @@ mod tests {
         let adv = c.advertise_keys().unwrap();
         assert!(c.share_keys(&[adv], &mut rng).is_err());
         assert!(c.advertise_keys().is_err());
+    }
+
+    // ------------------------------------------------------------------
+    // Once-per-pair key agreement, driven stage by stage the way
+    // `driver::run_round` drives it (same rngs, same order), but keeping
+    // the clients so their agreement counters can be read afterwards.
+    // ------------------------------------------------------------------
+
+    use crate::driver::{client_rng, share_keys_rng};
+    use crate::server::Server;
+
+    const SEED: u64 = 0x15_5eed;
+
+    fn round(n: u32, t: usize, graph: MaskingGraph, noise_components: usize) -> RoundParams {
+        RoundParams {
+            graph,
+            noise_components,
+            ..params(n, t)
+        }
+    }
+
+    struct Staged {
+        clients: BTreeMap<ClientId, Client>,
+        unmask: BTreeMap<ClientId, Result<UnmaskingResponse, SecAggError>>,
+        /// Stage-5 responses; empty when the stage did not run.
+        noise: Vec<NoiseShareResponse>,
+    }
+
+    /// A semi-honest round in which `gone_before_masked` vanish just
+    /// before MaskedInputCollection and `gone_before_unmask` just before
+    /// Unmasking; `tamper` plays the network between ShareKeys and the
+    /// clients' inboxes.
+    fn drive(
+        params: &RoundParams,
+        gone_before_masked: &[ClientId],
+        gone_before_unmask: &[ClientId],
+        tamper: impl FnOnce(&mut BTreeMap<ClientId, Vec<EncryptedShares>>),
+    ) -> Staged {
+        let mut clients = BTreeMap::new();
+        for &id in &params.clients {
+            let noise_seeds = if params.noise_components == 0 {
+                vec![]
+            } else {
+                (0..=params.noise_components)
+                    .map(|k| [(id as u8) ^ (k as u8) << 4; 32])
+                    .collect()
+            };
+            let input = ClientInput {
+                vector: vec![u64::from(id) + 1; params.vector_len],
+                noise_seeds,
+            };
+            let c = Client::new(params.clone(), id, input, None, &mut client_rng(SEED, id));
+            clients.insert(id, c.unwrap());
+        }
+        let mut server = Server::new(params.clone()).unwrap();
+        let advs = clients
+            .values_mut()
+            .map(|c| c.advertise_keys().unwrap())
+            .collect();
+        let roster = server.collect_advertisements(advs).unwrap();
+        let mut cts = Vec::new();
+        for (&id, c) in clients.iter_mut() {
+            cts.extend(
+                c.share_keys(&roster, &mut share_keys_rng(SEED, id))
+                    .unwrap(),
+            );
+        }
+        let mut inboxes = server.route_shares(cts).unwrap();
+        tamper(&mut inboxes);
+        let mut masked = Vec::new();
+        for (&id, c) in clients.iter_mut() {
+            if !gone_before_masked.contains(&id) {
+                let inbox = inboxes.remove(&id).unwrap_or_default();
+                masked.push(c.masked_input(inbox).unwrap());
+            }
+        }
+        let u3 = server.collect_masked(masked).unwrap();
+        let mut unmask = BTreeMap::new();
+        for &id in u3.iter().filter(|id| !gone_before_unmask.contains(id)) {
+            unmask.insert(id, clients.get_mut(&id).unwrap().unmask(&u3, None));
+        }
+        let responses = unmask.values().filter_map(|r| r.clone().ok()).collect();
+        server.collect_unmasking(responses).unwrap();
+        let u5 = server.u5().to_vec();
+        let mut noise = Vec::new();
+        if !server.pending_seed_owners().is_empty() {
+            for id in &u5 {
+                noise.push(clients.get_mut(id).unwrap().noise_shares(&u5).unwrap());
+            }
+            server.collect_noise_shares(noise.clone()).unwrap();
+        }
+        // The round must still aggregate: everyone in U3 is in the sum.
+        let outcome = server.finish();
+        let want: u64 = u3.iter().map(|&id| u64::from(id) + 1).sum();
+        assert_eq!(outcome.sum, vec![want; params.vector_len]);
+        Staged {
+            clients,
+            unmask,
+            noise,
+        }
+    }
+
+    /// Every client that answered Unmasking made exactly `2 · degree`
+    /// agreements: one per neighbor for the channel key, one per
+    /// neighbor for the pairwise mask.
+    fn assert_two_agreements_per_neighbor(staged: &Staged, degree: usize) {
+        assert!(!staged.unmask.is_empty());
+        for (id, r) in &staged.unmask {
+            assert!(r.is_ok(), "client {id}: {r:?}");
+            let c = &staged.clients[id];
+            assert_eq!(c.agreements, 2 * degree, "client {id}");
+            assert_eq!(c.channel_keys.len(), degree, "client {id}");
+        }
+    }
+
+    #[test]
+    fn complete_graph_round_agrees_twice_per_neighbor() {
+        let p = round(6, 4, MaskingGraph::Complete, 0);
+        let staged = drive(&p, &[], &[], |_| {});
+        assert_eq!(staged.unmask.len(), 6);
+        assert_two_agreements_per_neighbor(&staged, 5);
+    }
+
+    #[test]
+    fn harary_round_agrees_twice_per_neighbor() {
+        let graph = MaskingGraph::Harary { half_degree: 3 };
+        let p = round(12, 4, graph, 0);
+        assert_eq!(graph.degree(12), 6);
+        // One dropout after ShareKeys: its neighbors still hold its
+        // ciphertext and still mask against it.
+        let staged = drive(&p, &[5], &[], |_| {});
+        assert_eq!(staged.unmask.len(), 11);
+        assert_two_agreements_per_neighbor(&staged, 6);
+    }
+
+    /// An XNoise round that reaches ExcessiveNoiseRemoval: client 1 drops
+    /// before its masked input (so components 2..=3 are removed) and
+    /// client 6 after it (so the survivors must hand over shares of its
+    /// seeds).
+    fn xnoise_round_with_droppers() -> Staged {
+        drive(&round(8, 5, MaskingGraph::Complete, 3), &[1], &[6], |_| {})
+    }
+
+    #[test]
+    fn xnoise_round_with_noise_shares_agrees_twice_per_neighbor() {
+        let staged = xnoise_round_with_droppers();
+        assert_eq!(staged.unmask.len(), 6);
+        assert_eq!(staged.noise.len(), 6);
+        assert!(staged.noise.iter().all(|r| r.seed_shares.len() == 2));
+        assert_two_agreements_per_neighbor(&staged, 7);
+    }
+
+    #[test]
+    fn noise_shares_match_the_decrypt_again_implementation() {
+        // SHA-256 over every response's (client, owner, k, x, y), taken
+        // from this exact round when `noise_shares` still agreed on the
+        // channel key and opened each inbox ciphertext a second time.
+        let mut bytes = Vec::new();
+        for r in xnoise_round_with_droppers().noise {
+            for (owner, k, share) in r.seed_shares {
+                bytes.extend_from_slice(&r.client.to_le_bytes());
+                bytes.extend_from_slice(&owner.to_le_bytes());
+                bytes.push(k as u8);
+                bytes.push(share.x);
+                bytes.extend_from_slice(&share.y);
+            }
+        }
+        let digest: String = dordis_crypto::sha256::sha256(&bytes)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            digest,
+            "9ed2ece2db8fb597816ad9d4cadef901fcb439f2253e4e8f18932dd5ff845dee"
+        );
+    }
+
+    #[test]
+    fn corrupted_inbox_ciphertext_still_aborts_in_unmask() {
+        let p = round(6, 4, MaskingGraph::Complete, 0);
+        let staged = drive(&p, &[], &[], |inboxes| {
+            let ct = inboxes
+                .get_mut(&2)
+                .and_then(|cts| cts.iter_mut().find(|ct| ct.from == 4))
+                .unwrap();
+            *ct.ciphertext.last_mut().unwrap() ^= 1;
+        });
+        for (id, r) in &staged.unmask {
+            match r {
+                Err(SecAggError::ClientAbort { client, reason }) => {
+                    assert_eq!((*id, *client), (2, 2));
+                    assert_eq!(reason, "ciphertext from 4 failed AEAD");
+                }
+                other => assert!(*id != 2 && other.is_ok(), "client {id}: {other:?}"),
+            }
+        }
+        assert!(staged.unmask[&2].is_err());
+        assert!(staged.clients[&2].aborted);
     }
 
     #[test]
