@@ -26,14 +26,18 @@ fn bench_sha256(c: &mut Criterion) {
 }
 
 fn bench_mask_expansion(c: &mut Criterion) {
-    // The dominant SecAgg cost: expanding pairwise masks in Z_2^20.
-    let mut g = c.benchmark_group("prg_mask_expand");
-    for elems in [1_000usize, 100_000] {
-        let mut out = vec![0u64; elems];
-        g.throughput(Throughput::Elements(elems as u64));
-        g.bench_with_input(BenchmarkId::from_parameter(elems), &elems, |b, _| {
+    // The dominant SecAgg cost: expanding masks in Z_2^b. One `u32`
+    // keystream word per element up to 32 bits, one `u64` above, so 32
+    // and 33 sit on the two sides of the lane boundary; 64 is the
+    // Skellam sampler's word source.
+    const ELEMS: usize = 100_000;
+    let mut out = vec![0u64; ELEMS];
+    let mut g = c.benchmark_group("prg/fill_mod2b");
+    g.throughput(Throughput::Elements(ELEMS as u64));
+    for bits in [16u32, 20, 32, 33, 64] {
+        g.bench_with_input(BenchmarkId::from_parameter(bits), &bits, |b, &bits| {
             b.iter(|| {
-                Prg::new(&[7u8; 32], b"bench").fill_mod2b(20, &mut out);
+                Prg::new(&[7u8; 32], b"bench").fill_mod2b(bits, &mut out);
                 out[0]
             });
         });

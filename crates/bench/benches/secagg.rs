@@ -5,12 +5,13 @@
 
 use std::collections::BTreeMap;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dordis_secagg::client::{Client, ClientInput};
 use dordis_secagg::driver::{
     client_rng, run_round, share_keys_rng, DropStage, DropoutSchedule, RoundSpec,
 };
 use dordis_secagg::graph::MaskingGraph;
+use dordis_secagg::mask::add_pairwise_mask_assign;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 
 const DIM: usize = 256;
@@ -141,8 +142,27 @@ fn bench_client_round(c: &mut Criterion) {
     g.finish();
 }
 
+/// Fused expand-and-accumulate of one pairwise mask, on both sides of
+/// the PRG's 32-bit lane boundary.
+fn bench_expand_and_add(c: &mut Criterion) {
+    const ELEMS: usize = 100_000;
+    let mut acc = vec![0u64; ELEMS];
+    let mut g = c.benchmark_group("mask/expand_and_add");
+    g.throughput(Throughput::Elements(ELEMS as u64));
+    for bits in [20u32, 33] {
+        g.bench_with_input(BenchmarkId::from_parameter(bits), &bits, |b, &bits| {
+            b.iter(|| {
+                add_pairwise_mask_assign(&mut acc, &[7u8; 32], 0, true, bits);
+                acc[0]
+            });
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_expand_and_add,
     bench_secagg_round,
     bench_secagg_with_dropout,
     bench_client_round

@@ -26,12 +26,9 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
-/// Number of `u64` keystream words per ChaCha20 block.
-pub const BLOCK_WORDS: usize = BLOCK_LEN / 8;
-
 /// Computes one keystream block as its 16 little-endian `u32` state
-/// words — the allocation-free core that [`block`] and the batched
-/// [`KeyStream::fill_u64`] path share.
+/// words — the allocation-free core that [`block`] and [`KeyStream`]
+/// share.
 #[must_use]
 pub fn block_words(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
     let mut state = [0u32; 16];
@@ -71,25 +68,16 @@ pub fn block_words(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -
 /// Computes one 64-byte ChaCha20 keystream block.
 #[must_use]
 pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCK_LEN] {
-    let words = block_words(key, counter, nonce);
-    let mut out = [0u8; BLOCK_LEN];
-    for i in 0..16 {
-        out[4 * i..4 * i + 4].copy_from_slice(&words[i].to_le_bytes());
-    }
-    out
+    words_to_bytes(&block_words(key, counter, nonce))
 }
 
-/// Writes one keystream block as 8 little-endian `u64` words — two
-/// consecutive LE `u32` state words packed low-then-high, so the result
-/// is bit-identical to reading the byte stream with
-/// `u64::from_le_bytes`.
-#[inline]
-fn block_u64(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN], out: &mut [u64]) {
-    debug_assert_eq!(out.len(), BLOCK_WORDS);
-    let words = block_words(key, counter, nonce);
-    for (o, pair) in out.iter_mut().zip(words.chunks_exact(2)) {
-        *o = u64::from(pair[0]) | (u64::from(pair[1]) << 32);
+/// Serializes a block's state words to the RFC 8439 byte stream.
+fn words_to_bytes(words: &[u32; 16]) -> [u8; BLOCK_LEN] {
+    let mut out = [0u8; BLOCK_LEN];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(words) {
+        bytes.copy_from_slice(&word.to_le_bytes());
     }
+    out
 }
 
 /// XORs the ChaCha20 keystream (starting at `counter`) into `data` in place.
@@ -118,6 +106,10 @@ pub struct KeyStream {
     counter: u32,
     buf: [u8; BLOCK_LEN],
     buf_pos: usize,
+    /// Blocks generated so far — the cost of everything read from this
+    /// stream, as a count.
+    #[cfg(test)]
+    pub(crate) blocks: usize,
 }
 
 impl KeyStream {
@@ -130,16 +122,49 @@ impl KeyStream {
             counter: 0,
             buf: [0u8; BLOCK_LEN],
             buf_pos: BLOCK_LEN,
+            #[cfg(test)]
+            blocks: 0,
         }
+    }
+
+    /// Generates the block at the current counter and advances past it.
+    #[inline]
+    fn next_block(&mut self) -> [u32; 16] {
+        let words = block_words(&self.key, self.counter, &self.nonce);
+        self.counter = self.counter.wrapping_add(1);
+        #[cfg(test)]
+        {
+            self.blocks += 1;
+        }
+        words
+    }
+
+    /// Buffers the next block for byte- and word-wise reads.
+    fn refill(&mut self) {
+        self.buf = words_to_bytes(&self.next_block());
+        self.buf_pos = 0;
+    }
+
+    /// The next `N` keystream bytes: straight from the buffered block
+    /// when it holds them all; the byte path handles refills and
+    /// straddles.
+    fn next_bytes<const N: usize>(&mut self) -> [u8; N] {
+        let mut b = [0u8; N];
+        match self.buf.get(self.buf_pos..self.buf_pos + N) {
+            Some(word) => {
+                b.copy_from_slice(word);
+                self.buf_pos += N;
+            }
+            None => self.fill(&mut b),
+        }
+        b
     }
 
     /// Fills `out` with the next keystream bytes.
     pub fn fill(&mut self, out: &mut [u8]) {
         for byte in out.iter_mut() {
             if self.buf_pos == BLOCK_LEN {
-                self.buf = block(&self.key, self.counter, &self.nonce);
-                self.counter = self.counter.wrapping_add(1);
-                self.buf_pos = 0;
+                self.refill();
             }
             *byte = self.buf[self.buf_pos];
             self.buf_pos += 1;
@@ -148,9 +173,12 @@ impl KeyStream {
 
     /// Returns the next keystream `u64` (little-endian).
     pub fn next_u64(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.fill(&mut b);
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.next_bytes())
+    }
+
+    /// Returns the next keystream `u32` (little-endian).
+    pub fn next_u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.next_bytes())
     }
 
     /// Fills `out` with the next keystream `u64`s (little-endian),
@@ -160,50 +188,52 @@ impl KeyStream {
     /// times — it consumes exactly `8 × out.len()` stream bytes from the
     /// current position — but skips the per-word byte shuffling: aligned
     /// spans are produced 8 words (one block) at a time directly into
-    /// `out`. This is the mask-expansion fast path
-    /// (`Prg::fill_mod2b`), where the stream position is normally
-    /// word-aligned and the spans are thousands of words long.
+    /// `out`. This is the word source of the Skellam sampler and of
+    /// mask expansion in rings wider than 32 bits (`Prg::fill_mod2b`).
     pub fn fill_u64(&mut self, out: &mut [u64]) {
         let mut rest = out;
-        // Drain buffered block bytes first (and handle a misaligned
-        // position via the byte path) until the stream is block-aligned.
+        // Drain the buffered block word by word until the stream is
+        // block-aligned.
         while !rest.is_empty() && self.buf_pos != BLOCK_LEN {
-            let avail = BLOCK_LEN - self.buf_pos;
-            if avail >= 8 {
-                let b: [u8; 8] = self.buf[self.buf_pos..self.buf_pos + 8]
-                    .try_into()
-                    .expect("8 bytes");
-                rest[0] = u64::from_le_bytes(b);
-                self.buf_pos += 8;
-            } else {
-                // 1..=7 leftover bytes: the word straddles a block
-                // boundary; the byte path handles the refill.
-                let mut b = [0u8; 8];
-                self.fill(&mut b);
-                rest[0] = u64::from_le_bytes(b);
-            }
+            rest[0] = self.next_u64();
             rest = &mut rest[1..];
         }
-        // Whole blocks straight into the caller's buffer.
-        let mut chunks = rest.chunks_exact_mut(BLOCK_WORDS);
+        // Whole blocks straight into the caller's buffer: two
+        // consecutive state words packed low-then-high are the `u64` the
+        // byte stream holds there.
+        let mut chunks = rest.chunks_exact_mut(BLOCK_LEN / 8);
         for chunk in &mut chunks {
-            block_u64(&self.key, self.counter, &self.nonce, chunk);
-            self.counter = self.counter.wrapping_add(1);
-        }
-        let tail = chunks.into_remainder();
-        if !tail.is_empty() {
-            // Partial final block: generate it into the buffer so the
-            // unread remainder stays available to later reads.
-            self.buf = block(&self.key, self.counter, &self.nonce);
-            self.counter = self.counter.wrapping_add(1);
-            self.buf_pos = 0;
-            for t in tail.iter_mut() {
-                let b: [u8; 8] = self.buf[self.buf_pos..self.buf_pos + 8]
-                    .try_into()
-                    .expect("8 bytes");
-                *t = u64::from_le_bytes(b);
-                self.buf_pos += 8;
+            let words = self.next_block();
+            for (o, pair) in chunk.iter_mut().zip(words.chunks_exact(2)) {
+                *o = u64::from(pair[0]) | (u64::from(pair[1]) << 32);
             }
+        }
+        // Partial final block: read through the buffer, so the unread
+        // remainder stays available to later reads.
+        for t in chunks.into_remainder() {
+            *t = self.next_u64();
+        }
+    }
+
+    /// Fills `out` with the next keystream `u32`s (little-endian): the
+    /// twin of [`KeyStream::fill_u64`] at half the word size, 16 words
+    /// per block, each block's state words copied out as they are.
+    ///
+    /// Bit-identical to calling [`KeyStream::next_u32`] `out.len()`
+    /// times. This is the mask-expansion fast path for rings of at most
+    /// 32 bits (`Prg::fill_mod2b`).
+    pub fn fill_u32(&mut self, out: &mut [u32]) {
+        let mut rest = out;
+        while !rest.is_empty() && self.buf_pos != BLOCK_LEN {
+            rest[0] = self.next_u32();
+            rest = &mut rest[1..];
+        }
+        let mut chunks = rest.chunks_exact_mut(BLOCK_LEN / 4);
+        for chunk in &mut chunks {
+            chunk.copy_from_slice(&self.next_block());
+        }
+        for t in chunks.into_remainder() {
+            *t = self.next_u32();
         }
     }
 
@@ -213,25 +243,25 @@ impl KeyStream {
     /// `(key, nonce, i)` — so a reader can start mid-stream for the cost
     /// of at most one block computation. This is what lets the compute
     /// plane expand *one chunk's slice* of a mask without generating the
-    /// prefix: element `i` of a mask vector lives at byte `8 i`.
+    /// prefix: `Prg::new_at` turns the slice's first element into the
+    /// byte offset of its keystream word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `byte_offset` is at or beyond 2^38, the end of the
+    /// keystream a 32-bit block counter addresses — wrapping there would
+    /// serve keystream already used.
     pub fn seek(&mut self, byte_offset: u64) {
-        let block_idx = byte_offset / BLOCK_LEN as u64;
         let within = (byte_offset % BLOCK_LEN as u64) as usize;
-        self.counter = block_idx as u32;
+        self.counter = u32::try_from(byte_offset / BLOCK_LEN as u64).unwrap_or_else(|_| {
+            panic!("seek to byte {byte_offset} is past the 2^38-byte ChaCha20 keystream")
+        });
         if within == 0 {
             self.buf_pos = BLOCK_LEN; // next read generates the block
         } else {
-            self.buf = block(&self.key, self.counter, &self.nonce);
-            self.counter = self.counter.wrapping_add(1);
+            self.refill();
             self.buf_pos = within;
         }
-    }
-
-    /// Returns the next keystream `u32` (little-endian).
-    pub fn next_u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.fill(&mut b);
-        u32::from_le_bytes(b)
     }
 }
 
@@ -333,6 +363,26 @@ mod tests {
     }
 
     #[test]
+    fn fill_u32_matches_next_u32_across_alignments() {
+        let key = [12u8; KEY_LEN];
+        let nonce = [5u8; NONCE_LEN];
+        // The `u32` twin of the test above; a misalignment of 4 leaves
+        // the stream word-aligned for `u32` but not for `u64`.
+        for misalign in 0..=9usize {
+            let mut a = KeyStream::new(key, nonce);
+            let mut b = KeyStream::new(key, nonce);
+            let mut skip = vec![0u8; misalign];
+            a.fill(&mut skip);
+            b.fill(&mut skip);
+            let mut batched = vec![0u32; 71];
+            a.fill_u32(&mut batched);
+            let legacy: Vec<u32> = (0..71).map(|_| b.next_u32()).collect();
+            assert_eq!(batched, legacy, "misalign {misalign}");
+            assert_eq!(a.next_u64(), b.next_u64(), "misalign {misalign}");
+        }
+    }
+
+    #[test]
     fn seek_reproduces_mid_stream_words() {
         let key = [13u8; KEY_LEN];
         let nonce = [6u8; NONCE_LEN];
@@ -357,6 +407,31 @@ mod tests {
             seeked.fill(&mut got);
             assert_eq!(got, stream[off..], "byte offset {off}");
         }
+    }
+
+    #[test]
+    fn seek_reaches_the_last_block() {
+        let key = [14u8; KEY_LEN];
+        let nonce = [8u8; NONCE_LEN];
+        let last = u64::from(u32::MAX) * BLOCK_LEN as u64;
+        let want = block(&key, u32::MAX, &nonce);
+        let mut ks = KeyStream::new(key, nonce);
+        ks.seek(last);
+        let mut got = [0u8; BLOCK_LEN];
+        ks.fill(&mut got);
+        assert_eq!(got, want);
+        ks.seek(last + 61);
+        let mut got = [0u8; 3];
+        ks.fill(&mut got);
+        assert_eq!(got, want[61..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "seek to byte 274877906944 is past")]
+    fn seek_past_the_last_block_panics() {
+        // Block 2^32 would truncate to counter 0 and re-serve the
+        // stream's first bytes.
+        KeyStream::new([14u8; KEY_LEN], [8u8; NONCE_LEN]).seek(1 << 38);
     }
 
     #[test]

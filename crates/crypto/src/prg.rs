@@ -50,19 +50,27 @@ impl Prg {
     }
 
     /// Creates a PRG for `seed` positioned at element `elem_offset` of
-    /// the stream's `u64` sequence — the state [`Prg::new`] would reach
-    /// after `elem_offset` calls to [`Prg::next_u64`], for the cost of
-    /// at most one ChaCha20 block.
+    /// its `Z_{2^bits}` mask vector — the state [`Prg::new`] would reach
+    /// after a [`Prg::fill_mod2b`] of `elem_offset` elements at the same
+    /// `bits`, for the cost of at most one ChaCha20 block.
     ///
     /// This is the compute plane's entry point for partial mask
     /// expansion: a worker unmasking chunk `c` seeks every mask stream
     /// to the chunk's first element instead of generating (and
     /// discarding) the prefix, so parallelizing by chunk costs no extra
     /// PRG work.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is outside `1..=64` or the element lies past the
+    /// end of the ChaCha20 keystream.
     #[must_use]
-    pub fn new_at(seed: &Seed, domain: &[u8], elem_offset: usize) -> Self {
+    pub fn new_at(seed: &Seed, domain: &[u8], bits: u32, elem_offset: usize) -> Self {
+        let byte_offset = (elem_offset as u64)
+            .checked_mul(lane_bytes(bits))
+            .expect("mask element offset overflows the keystream");
         let mut prg = Prg::new(seed, domain);
-        prg.stream.seek(elem_offset as u64 * 8);
+        prg.stream.seek(byte_offset);
         prg
     }
 
@@ -126,23 +134,39 @@ impl Prg {
     /// coordinate lives in `Z_{2^b}` and pairwise masks must be uniform
     /// there so that `p_{u,v} + p_{v,u} = 0 (mod 2^b)`.
     ///
+    /// Each element is one little-endian keystream word of the narrowest
+    /// power-of-two width that holds the ring, masked to `bits`: a `u32`
+    /// (16 elements per ChaCha20 block) for `bits ≤ 32`, a `u64` (8 per
+    /// block) above. A fill consumes exactly that many stream bytes, so
+    /// fills at one `bits` compose: any split of a fill equals the
+    /// whole.
+    ///
     /// # Panics
     ///
     /// Panics if `bits == 0` or `bits > 64`.
     pub fn fill_mod2b(&mut self, bits: u32, out: &mut [u64]) {
-        assert!(bits >= 1 && bits <= 64, "bits must be in 1..=64");
+        let lane = lane_bytes(bits);
         let mask = if bits == 64 {
             u64::MAX
         } else {
             (1u64 << bits) - 1
         };
-        // Batched keystream generation (whole ChaCha20 blocks straight
-        // into `out`), then one masking pass — bit-equal to the legacy
-        // per-`next_u64` path, which consumed exactly 8 bytes per
-        // element from the same stream position.
-        self.stream.fill_u64(out);
-        for v in out.iter_mut() {
-            *v &= mask;
+        // Batched keystream generation (whole ChaCha20 blocks at a
+        // time), then one masking pass.
+        if lane == 4 {
+            let mut lanes = [0u32; LANE_STRIP];
+            for strip in out.chunks_mut(LANE_STRIP) {
+                let lanes = &mut lanes[..strip.len()];
+                self.stream.fill_u32(lanes);
+                for (v, &lane) in strip.iter_mut().zip(lanes.iter()) {
+                    *v = u64::from(lane) & mask;
+                }
+            }
+        } else {
+            self.stream.fill_u64(out);
+            for v in out.iter_mut() {
+                *v &= mask;
+            }
         }
     }
 
@@ -153,6 +177,26 @@ impl Prg {
         s
     }
 }
+
+/// Keystream bytes one element of a `Z_{2^bits}` mask vector occupies —
+/// the mask layout rule, shared by [`Prg::fill_mod2b`] (which reads the
+/// words) and [`Prg::new_at`] (which seeks to one).
+///
+/// # Panics
+///
+/// Panics if `bits == 0` or `bits > 64`.
+fn lane_bytes(bits: u32) -> u64 {
+    assert!(bits >= 1 && bits <= 64, "bits must be in 1..=64");
+    if bits <= 32 {
+        4
+    } else {
+        8
+    }
+}
+
+/// `u32` keystream words [`Prg::fill_mod2b`] stages per widening pass:
+/// 16 blocks, 1 KiB of stack.
+const LANE_STRIP: usize = 256;
 
 /// Generates a random seed from an OS-independent entropy source.
 ///
@@ -245,19 +289,22 @@ mod tests {
 
     #[test]
     fn new_at_matches_skipped_stream() {
+        // `new_at(bits, k)` is the state a `k`-element fill leaves
+        // behind, on both sides of the lane boundary (32 / 33) and of
+        // block boundaries (16 `u32` lanes, 8 `u64` lanes).
         let seed = [9u8; 32];
-        for offset in [0usize, 1, 5, 8, 13, 100] {
-            let mut skipped = Prg::new(&seed, b"seek");
-            for _ in 0..offset {
-                skipped.next_u64();
-            }
-            let mut seeked = Prg::new_at(&seed, b"seek", offset);
-            for i in 0..32 {
-                assert_eq!(
-                    seeked.next_u64(),
-                    skipped.next_u64(),
-                    "offset {offset}, word {i}"
-                );
+        for bits in [20u32, 32, 33, 64] {
+            for offset in [0usize, 1, 5, 7, 8, 9, 15, 16, 17, 100] {
+                let mut skipped = Prg::new(&seed, b"seek");
+                skipped.fill_mod2b(bits, &mut vec![0u64; offset]);
+                let mut seeked = Prg::new_at(&seed, b"seek", bits, offset);
+                for i in 0..32 {
+                    assert_eq!(
+                        seeked.next_u64(),
+                        skipped.next_u64(),
+                        "bits {bits}, offset {offset}, word {i}"
+                    );
+                }
             }
         }
     }
@@ -268,13 +315,60 @@ mod tests {
         // on: expanding from element k reproduces the tail of the
         // whole-vector expansion exactly.
         let seed = [10u8; 32];
-        let bits = 20;
-        let mut whole = vec![0u64; 50];
-        Prg::new(&seed, b"chunk").fill_mod2b(bits, &mut whole);
-        for k in [0usize, 1, 7, 8, 9, 31] {
-            let mut tail = vec![0u64; 50 - k];
-            Prg::new_at(&seed, b"chunk", k).fill_mod2b(bits, &mut tail);
-            assert_eq!(tail, whole[k..], "offset {k}");
+        for bits in [20u32, 32, 33] {
+            let mut whole = vec![0u64; 50];
+            Prg::new(&seed, b"chunk").fill_mod2b(bits, &mut whole);
+            for k in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33] {
+                let mut tail = vec![0u64; 50 - k];
+                Prg::new_at(&seed, b"chunk", bits, k).fill_mod2b(bits, &mut tail);
+                assert_eq!(tail, whole[k..], "bits {bits}, offset {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_reads_stay_byte_exact() {
+        // An odd-length fill in a 32-bit lane leaves the stream at
+        // 4 mod 8; whatever is read next is still the RFC 8439 byte
+        // stream from that byte on.
+        let seed = [11u8; 32];
+        let mut bytes = [0u8; 7 * 4 + 8 + 3 * 8];
+        Prg::new(&seed, b"mixed").fill_bytes(&mut bytes);
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+
+        let mut prg = Prg::new(&seed, b"mixed");
+        let mut lanes = [0u64; 7];
+        prg.fill_mod2b(20, &mut lanes);
+        for (i, &lane) in lanes.iter().enumerate() {
+            assert_eq!(lane, word(4 * i) & 0xf_ffff, "lane {i}");
+        }
+        assert_eq!(prg.next_u64(), word(28));
+        let mut wide = [0u64; 3];
+        prg.fill_mod2b(33, &mut wide);
+        for (i, &lane) in wide.iter().enumerate() {
+            assert_eq!(lane, word(36 + 8 * i) & 0x1_ffff_ffff, "wide lane {i}");
+        }
+    }
+
+    #[test]
+    fn mask_expansion_block_counts() {
+        // The layout's cost as a count: 16 elements per ChaCha20 block
+        // up to 32 bits, 8 above — however the fill is split.
+        for (bits, blocks) in [
+            (16u32, 4096),
+            (20, 4096),
+            (32, 4096),
+            (33, 8192),
+            (64, 8192),
+        ] {
+            for strip in [1 << 16, 500] {
+                let mut prg = Prg::new(&[12u8; 32], b"count");
+                let mut out = vec![0u64; 1 << 16];
+                for part in out.chunks_mut(strip) {
+                    prg.fill_mod2b(bits, part);
+                }
+                assert_eq!(prg.stream.blocks, blocks, "bits {bits}, strip {strip}");
+            }
         }
     }
 

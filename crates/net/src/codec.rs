@@ -47,7 +47,11 @@ use crate::NetError;
 /// [`StageTag::ViewChange`]) carry round-boundary session checkpoints
 /// from a primary coordinator to its backup and signal view changes
 /// after a failover.
-pub const WIRE_VERSION: u8 = 5;
+/// v6: no frame changed — the mask layout did (`dordis_crypto::prg`: one
+/// `u32` keystream word per ring element up to 32 bits, was one `u64`).
+/// Masks from the two layouts do not cancel and the aggregate would be
+/// silently wrong, so a v5 peer is refused at its first frame instead.
+pub const WIRE_VERSION: u8 = 6;
 
 /// Envelope header bytes: version, stage, round, chunk.
 pub const HEADER_BYTES: usize = 1 + 1 + 8 + 2;

@@ -15,8 +15,11 @@
 //!   seekable), so a per-chunk compute job expands exactly its slice of
 //!   every mask.
 //!
-//! Both layers are bit-equal: element `i` of every mask is keystream
-//! word `i` masked to the ring, and addition in `Z_{2^b}` commutes.
+//! Both layers are bit-equal: element `i` of every mask is the same
+//! ring element whichever layer expands it and wherever the expansion
+//! starts (which keystream bytes it is read from is
+//! `dordis_crypto::prg`'s business — `Prg::fill_mod2b` and
+//! `Prg::new_at` agree on it), and addition in `Z_{2^b}` commutes.
 
 use dordis_crypto::prg::{Prg, Seed};
 
@@ -68,7 +71,7 @@ pub fn add_pairwise_mask_assign(
     positive: bool,
     bit_width: u32,
 ) {
-    let mut prg = Prg::new_at(shared_key, DOMAIN_PAIRWISE, elem_offset);
+    let mut prg = Prg::new_at(shared_key, DOMAIN_PAIRWISE, bit_width, elem_offset);
     expand_and_add(&mut prg, acc, positive, bit_width);
 }
 
@@ -81,7 +84,7 @@ pub fn add_self_mask_assign(
     positive: bool,
     bit_width: u32,
 ) {
-    let mut prg = Prg::new_at(seed, DOMAIN_SELFMASK, elem_offset);
+    let mut prg = Prg::new_at(seed, DOMAIN_SELFMASK, bit_width, elem_offset);
     expand_and_add(&mut prg, acc, positive, bit_width);
 }
 
@@ -192,14 +195,18 @@ mod tests {
 
     #[test]
     fn pairwise_masks_cancel() {
-        // The defining property: +mask then -mask restores the vector.
+        // The defining property, p_{u,v} + p_{v,u} = 0: u adds the mask,
+        // v subtracts it. 32 and 33 bits are the two sides of the PRG's
+        // lane boundary.
         let key = [7u8; 32];
-        let bits = 20;
-        let mut acc = vec![5u64, 10, 15];
-        let m = pairwise_mask(&key, 3, bits);
-        add_signed_assign(&mut acc, &m, true, bits);
-        add_signed_assign(&mut acc, &m, false, bits);
-        assert_eq!(acc, vec![5, 10, 15]);
+        for bits in [20u32, 32, 33] {
+            let mut acc = vec![5u64, 10, 15];
+            let m = pairwise_mask(&key, 3, bits);
+            add_signed_assign(&mut acc, &m, true, bits);
+            assert_ne!(acc, vec![5, 10, 15], "bits {bits}");
+            add_signed_assign(&mut acc, &m, false, bits);
+            assert_eq!(acc, vec![5, 10, 15], "bits {bits}");
+        }
     }
 
     #[test]
@@ -281,12 +288,25 @@ mod tests {
         // Per-chunk jobs expand [offset, offset + len) of each mask;
         // that must equal the same slice of the whole-vector expansion.
         let key = [5u8; 32];
-        let bits = 18;
-        let whole = pairwise_mask(&key, 1000, bits);
-        for (offset, len) in [(0usize, 1000usize), (1, 37), (512, 488), (513, 200)] {
-            let mut acc = vec![0u64; len];
-            add_pairwise_mask_assign(&mut acc, &key, offset, true, bits);
-            assert_eq!(acc, whole[offset..offset + len], "offset {offset}");
+        for bits in [18u32, 32, 33] {
+            let whole = pairwise_mask(&key, 1000, bits);
+            for (offset, len) in [
+                (0usize, 1000usize),
+                (1, 37),
+                (15, 2),
+                (16, 600),
+                (17, 16),
+                (512, 488),
+                (513, 200),
+            ] {
+                let mut acc = vec![0u64; len];
+                add_pairwise_mask_assign(&mut acc, &key, offset, true, bits);
+                assert_eq!(
+                    acc,
+                    whole[offset..offset + len],
+                    "bits {bits}, offset {offset}"
+                );
+            }
         }
     }
 }
