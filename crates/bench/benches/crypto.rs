@@ -2,14 +2,15 @@
 //!
 //! These are the numbers behind the `UnitCosts::rust_native` calibration
 //! of the simulator's cost model: PRG (mask) expansion throughput, key
-//! agreement, signatures, Shamir, and AEAD.
+//! agreement, signatures and the VRF, Shamir, and AEAD.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dordis_crypto::ed25519::SigningKey;
+use dordis_crypto::ed25519::{Point, Scalar, SigningKey};
 use dordis_crypto::field::Fe;
 use dordis_crypto::ka::KeyPair;
 use dordis_crypto::prg::Prg;
 use dordis_crypto::sha256::sha256;
+use dordis_crypto::vrf::VrfSecretKey;
 use dordis_crypto::{aead, shamir};
 use rand::SeedableRng;
 
@@ -78,12 +79,37 @@ fn bench_x25519(c: &mut Criterion) {
 }
 
 fn bench_signatures(c: &mut Criterion) {
+    // The three multiplications under everything below: the fixed-base
+    // comb (key derivation, nonces), the constant-time windowed one (Γ =
+    // x·H) and the variable-time interleaved pair (verification only).
+    let s = Scalar::from_bytes_mod_l(&[0x5au8; 32]);
+    let t = Scalar::from_bytes_mod_l(&[0x33u8; 32]);
+    let p = Point::mul_base(&t);
+    c.bench_function("ed25519_mul_base", |b| {
+        b.iter(|| Point::mul_base(black_box(&s)));
+    });
+    c.bench_function("ed25519_mul_scalar", |b| {
+        b.iter(|| black_box(&p).mul_scalar(black_box(&s)));
+    });
+    c.bench_function("ed25519_vartime_double_mul", |b| {
+        b.iter(|| Point::vartime_double_mul_base(black_box(&s), black_box(&t), black_box(&p)));
+    });
+
     let sk = SigningKey::from_seed(&[3u8; 32]);
     let vk = sk.verifying_key();
     let msg = b"round 12 consistency check over U3";
     let sig = sk.sign(msg);
     c.bench_function("ed25519_sign", |b| b.iter(|| sk.sign(msg)));
     c.bench_function("ed25519_verify", |b| b.iter(|| vk.verify(msg, &sig)));
+
+    // One client's self-selection and the server's check of its claim.
+    let vrf = VrfSecretKey::from_seed(&[4u8; 32]);
+    let input = b"dordis.sampling.round\x07\0\0\0\0\0\0\0";
+    let (_, proof) = vrf.evaluate(input);
+    c.bench_function("vrf_evaluate", |b| b.iter(|| vrf.evaluate(input)));
+    c.bench_function("vrf_verify", |b| {
+        b.iter(|| vrf.public_key().verify(input, &proof));
+    });
 }
 
 fn bench_shamir(c: &mut Criterion) {

@@ -342,6 +342,26 @@ mod tests {
         assert!(decode_claim(&bytes[..131]).is_err());
     }
 
+    /// The 132 claim bytes a client puts on the wire, recorded at commit
+    /// cf51982: client 1 is the first to self-select in round 11.
+    #[test]
+    fn encode_claim_golden() {
+        let claim = self_select(&key_for(1), 1, 11, &cfg()).expect("client 1 self-selects");
+        let hex: String = encode_claim(&claim)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "010000001c322bba6463111ab20577073cefdecf838e53a6fee75276b91f74aaa51605a7\
+             1316a1424e4427a844d8a0693fab01116fad473572ab2b13e74c17fe3ae8f731\
+             70e7e08b7fae0b300be1ffa4b38d7fea5c1c8ccb6fcd8f9d7fea6a3b2f0a0d88\
+             d6d9f103e25d68fb80b4b92a7286f2a031c44c9e9cacdb723d78fc1c31f04c02"
+        );
+        assert!(self_select(&key_for(0), 0, 11, &cfg()).is_none());
+        assert_eq!(seat_claims(&[claim], &registry, 11, &cfg()).seated, [1]);
+    }
+
     #[test]
     fn seat_claims_rejects_forgeries_without_discarding_honest_claims() {
         // verify_and_trim is all-or-nothing: one forged claim aborts the

@@ -228,23 +228,36 @@ pub fn vrf_key_for(seed: u64, id: ClientId) -> VrfSecretKey {
     VrfSecretKey::from_seed(&s)
 }
 
-/// The VRF public-key registry both verifier and tests use.
+/// A lookup over the population's public keys, each taken from a key
+/// pair derived once.
+fn registry_of(keys: &[VrfSecretKey]) -> impl Fn(ClientId) -> Option<VrfPublicKey> {
+    let public: Vec<VrfPublicKey> = keys.iter().map(VrfSecretKey::public_key).collect();
+    move |id| public.get(id as usize).copied()
+}
+
+/// The VRF public-key registry both verifier and tests use. Every key
+/// is derived here, once, not on each lookup.
 pub fn vrf_registry(seed: u64, population: u32) -> impl Fn(ClientId) -> Option<VrfPublicKey> {
-    move |id| (id < population).then(|| vrf_key_for(seed, id).public_key())
+    let keys: Vec<VrfSecretKey> = (0..population).map(|id| vrf_key_for(seed, id)).collect();
+    registry_of(&keys)
 }
 
 /// The cohort each round will seat, computed offline (VRF outputs are
 /// deterministic) — how tests script per-round droppers.
 #[must_use]
 pub fn planned_cohorts(spec: &TaskSpec, opts: &FlSessionOptions) -> Vec<Vec<ClientId>> {
-    let keys = vrf_registry(spec.seed, spec.population as u32);
+    let keys: Vec<VrfSecretKey> = (0..spec.population as u32)
+        .map(|id| vrf_key_for(spec.seed, id))
+        .collect();
+    let registry = registry_of(&keys);
     (0..opts.rounds)
         .map(|i| {
             let r = wire_round(i);
-            let claims: Vec<_> = (0..spec.population as u32)
-                .filter_map(|id| self_select(&vrf_key_for(spec.seed, id), id, r, &opts.sample))
+            let claims: Vec<_> = (0u32..)
+                .zip(&keys)
+                .filter_map(|(id, sk)| self_select(sk, id, r, &opts.sample))
                 .collect();
-            seat_claims(&claims, &keys, r, &opts.sample).seated
+            seat_claims(&claims, &registry, r, &opts.sample).seated
         })
         .collect()
 }

@@ -12,6 +12,29 @@
 //! the textbook Schnorr signature over a prime-order group, unforgeable
 //! under the discrete-log assumption in the random-oracle model; it is not
 //! wire-compatible with RFC 8032.
+//!
+//! # Scalar multiplication and its timing
+//!
+//! There are three multiplications, and which one a caller uses is
+//! decided by whether its scalar is secret:
+//!
+//! - [`Point::mul_base`] (`s·B`, fixed-base comb) and
+//!   [`Point::mul_scalar`] (`s·P`, signed radix-16 windows) are
+//!   **constant-time in the scalar**: the same doublings and additions
+//!   for every scalar, table entries picked by a masked scan of the whole
+//!   table. They carry every secret — signing and VRF keys, nonces,
+//!   `Γ = x·H`. `mul_scalar` is not constant-time in the *point*, which
+//!   is public everywhere it is used.
+//! - [`Point::vartime_double_mul`] and
+//!   [`Point::vartime_double_mul_base`] (`a·P + b·Q`, Straus over
+//!   width-5 NAFs) branch on and index by both scalars. They take
+//!   **public inputs only**; the two call sites are
+//!   [`VerifyingKey::verify`] and `VrfPublicKey::verify`, and
+//!   `tests/constant_time_surface.rs` fails on a third.
+//!
+//! [`Scalar`] arithmetic modulo `l` (`add`, `mul`, the reductions) still
+//! compares and branches on its values and is not constant-time; neither
+//! is [`Point::decompress`], which only ever sees public encodings.
 
 use std::sync::OnceLock;
 
@@ -195,12 +218,53 @@ impl Scalar {
 
 /// A point on edwards25519 in extended homogeneous coordinates
 /// `(X : Y : Z : T)` with `x = X/Z`, `y = Y/Z`, `T = XY/Z`.
+///
+/// Every coordinate is *tight* (see [`crate::field`]): each one is a
+/// constant, a `mul` result or a `neg` of one.
 #[derive(Clone, Copy, Debug)]
 pub struct Point {
     x: Fe,
     y: Fe,
     z: Fe,
     t: Fe,
+}
+
+/// `(X : Y : Z)` without `T`: all a doubling reads, so a run of
+/// doublings never pays the multiplication that would produce `T`.
+/// Coordinates are tight.
+struct Projective {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+}
+
+/// An addition or doubling before its closing multiplications:
+/// `X = E·F`, `Y = G·H`, `Z = F·G`, `T = E·H`. The fields are *loose*
+/// (carry-free sums and differences of tight values) and are only ever
+/// multiplied, which is what the limb-bound contract allows.
+struct Completed {
+    e: Fe,
+    f: Fe,
+    g: Fe,
+    h: Fe,
+}
+
+/// What an addition multiplies its first operand by, `(Y+X, Y−X, 2d·T)`
+/// of the second, all tight. On its own it stands for a point with
+/// `Z = 1` — the affine `(y+x, y−x, 2d·xy)` entries of the base comb —
+/// whose addition takes seven multiplications instead of eight.
+#[derive(Clone, Copy)]
+struct Niels {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    t2d: Fe,
+}
+
+/// A point of any `Z` prepared as the second operand of an addition.
+#[derive(Clone, Copy)]
+struct Cached {
+    niels: Niels,
+    z: Fe,
 }
 
 struct Constants {
@@ -229,6 +293,247 @@ fn constants() -> &'static Constants {
             base,
         }
     })
+}
+
+/// The precomputed multiples of the base point `B`.
+struct BaseTables {
+    /// `comb[i][j] = (j+1)·16^i·B`: one row per radix-16 digit of a
+    /// scalar, so `s·B` is 64 additions and no doubling (61 440 bytes).
+    comb: Vec<[Niels; 8]>,
+    /// `odd[j] = (2j+1)·B`, what a width-5 NAF indexes.
+    odd: [Cached; 8],
+}
+
+/// Built on first use and only by the callers of [`Point::mul_base`] and
+/// [`Point::vartime_double_mul_base`]: ≈ 0.25 ms in a cold process, the
+/// 512 affine entries normalised through one shared inversion.
+fn base_tables() -> &'static BaseTables {
+    static TABLES: OnceLock<BaseTables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut multiples = Vec::with_capacity(64 * 8);
+        let mut row_base = Point::base();
+        for _ in 0..64 {
+            let row = row_base.progression(&row_base);
+            multiples.extend(row);
+            // 2 · 8 · 16^i · B opens the next row.
+            row_base = row[7].double();
+        }
+        let mut z_inv: Vec<Fe> = multiples.iter().map(|p| p.z).collect();
+        batch_invert(&mut z_inv);
+        let d2 = constants().d2;
+        let normalise = |p: &Point, z_inv: Fe| {
+            let (x, y) = (p.x.mul(z_inv), p.y.mul(z_inv));
+            Niels {
+                y_plus_x: y.add(x),
+                y_minus_x: y.sub(x),
+                t2d: x.mul(y).mul(d2),
+            }
+        };
+        BaseTables {
+            comb: multiples
+                .chunks_exact(8)
+                .zip(z_inv.chunks_exact(8))
+                .map(|(row, inv)| std::array::from_fn(|j| normalise(&row[j], inv[j])))
+                .collect(),
+            odd: Point::base().odd_multiples(),
+        }
+    })
+}
+
+/// Replaces every element by its inverse with one field inversion
+/// (Montgomery's trick: invert the running product, then peel it back
+/// off). No element may be zero — one zero would zero them all; a `Z`
+/// coordinate never is.
+fn batch_invert(elems: &mut [Fe]) {
+    let mut acc = Fe::ONE;
+    let mut prefixes = Vec::with_capacity(elems.len());
+    for &e in elems.iter() {
+        prefixes.push(acc);
+        acc = acc.mul(e);
+    }
+    let mut inv = acc.invert();
+    for (e, prefix) in elems.iter_mut().zip(prefixes).rev() {
+        let e_inv = inv.mul(prefix);
+        inv = inv.mul(*e);
+        *e = e_inv;
+    }
+}
+
+/// All ones where `a == b`, zero otherwise, without branching on either.
+fn mask_eq(a: u8, b: u8) -> u64 {
+    let diff = u64::from(a ^ b);
+    0u64.wrapping_sub(diff.wrapping_sub(1) >> 63)
+}
+
+/// `a = b` where `mask` is all ones, `a` unchanged where it is zero (the
+/// `cswap` idiom of [`crate::x25519`]).
+fn cmov(a: &mut Fe, b: &Fe, mask: u64) {
+    for i in 0..5 {
+        a.0[i] ^= mask & (a.0[i] ^ b.0[i]);
+    }
+}
+
+/// What [`select`] needs of a table entry.
+trait TableEntry: Copy {
+    /// The identity element in this representation.
+    const IDENTITY: Self;
+    /// `self = other` where `mask` is all ones.
+    fn cmov(&mut self, other: &Self, mask: u64);
+    /// The negated point.
+    fn neg(&self) -> Self;
+}
+
+impl TableEntry for Niels {
+    const IDENTITY: Niels = Niels {
+        y_plus_x: Fe::ONE,
+        y_minus_x: Fe::ONE,
+        t2d: Fe::ZERO,
+    };
+
+    fn cmov(&mut self, other: &Niels, mask: u64) {
+        cmov(&mut self.y_plus_x, &other.y_plus_x, mask);
+        cmov(&mut self.y_minus_x, &other.y_minus_x, mask);
+        cmov(&mut self.t2d, &other.t2d, mask);
+    }
+
+    fn neg(&self) -> Niels {
+        Niels {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            t2d: self.t2d.neg(),
+        }
+    }
+}
+
+impl TableEntry for Cached {
+    const IDENTITY: Cached = Cached {
+        niels: Niels::IDENTITY,
+        z: Fe::ONE,
+    };
+
+    fn cmov(&mut self, other: &Cached, mask: u64) {
+        self.niels.cmov(&other.niels, mask);
+        cmov(&mut self.z, &other.z, mask);
+    }
+
+    fn neg(&self) -> Cached {
+        Cached {
+            niels: self.niels.neg(),
+            z: self.z,
+        }
+    }
+}
+
+/// `digit · P` from `table[j] = (j+1)·P`, for a digit in `[-8, 8]`:
+/// a masked scan of all eight entries and a masked negation, so neither
+/// the branches taken nor the addresses loaded depend on the digit.
+fn select<E: TableEntry>(table: &[E; 8], digit: i8) -> E {
+    let negative = (digit >> 7) as u8; // 0xff or 0
+    let magnitude = (digit as u8 ^ negative).wrapping_sub(negative);
+    let mut entry = E::IDENTITY;
+    for (j, multiple) in (1u8..).zip(table) {
+        entry.cmov(multiple, mask_eq(magnitude, j));
+    }
+    let negated = entry.neg();
+    entry.cmov(&negated, mask_eq(negative, 0xff));
+    entry
+}
+
+/// Signed radix-16 digits of a little-endian integer below 2^255:
+/// `Σ d_i·16^i` with every `d_i` in `[-8, 8)` and the top one in
+/// `[0, 8]`. No branch on the value.
+fn radix16(bytes: &[u8; 32]) -> [i8; 64] {
+    debug_assert!(bytes[31] < 128);
+    let mut digits = [0i8; 64];
+    for (pair, byte) in digits.chunks_exact_mut(2).zip(bytes) {
+        pair[0] = (byte & 15) as i8;
+        pair[1] = (byte >> 4) as i8;
+    }
+    let mut carry = 0i8;
+    for digit in &mut digits[..63] {
+        *digit += carry;
+        carry = (*digit + 8) >> 4;
+        *digit -= carry << 4;
+    }
+    digits[63] += carry;
+    digits
+}
+
+/// Width-5 non-adjacent form of a reduced scalar: `Σ d_i·2^i`, every
+/// nonzero `d_i` odd in `[-15, 15]` and followed by at least four zeros,
+/// so a 253-bit scalar has ≈ 42 of them. Variable time.
+fn naf5(scalar: &Scalar) -> [i8; 256] {
+    let s = &scalar.0;
+    let limbs = [s[0], s[1], s[2], s[3], 0];
+    let mut naf = [0i8; 256];
+    let mut carry = 0u64;
+    let mut pos = 0;
+    while pos < 256 {
+        let (limb, bit) = (pos / 64, pos % 64);
+        let mut window = limbs[limb] >> bit;
+        if bit > 59 {
+            window |= limbs[limb + 1] << (64 - bit);
+        }
+        let window = carry + (window & 31);
+        if window & 1 == 0 {
+            // Zero digit; a pending carry rides on to the next bit.
+            pos += 1;
+            continue;
+        }
+        carry = window >> 4;
+        naf[pos] = window as i8 - ((carry as i8) << 5);
+        pos += 5;
+    }
+    // A scalar below l < 2^253 leaves room for the last carry.
+    debug_assert_eq!(carry, 0);
+    naf
+}
+
+impl Projective {
+    /// Doubling ("dbl-2008-hwcd" for a = -1 with `F` and `H` negated,
+    /// which is the same projective point): 4 squarings.
+    fn double(&self) -> Completed {
+        let xx = self.x.square();
+        let yy = self.y.square();
+        let zz = self.z.square();
+        // Tight, because the lazy differences below subtract them.
+        let h = yy.add(xx);
+        let g = yy.sub(xx);
+        Completed {
+            e: self.x.add_lazy(self.y).square().sub_lazy(h), // 2XY
+            f: zz.add(zz).sub_lazy(g),
+            g,
+            h,
+        }
+    }
+}
+
+impl Completed {
+    const IDENTITY: Completed = Completed {
+        e: Fe::ZERO,
+        f: Fe::ONE,
+        g: Fe::ONE,
+        h: Fe::ONE,
+    };
+
+    /// Three multiplications: enough for a doubling to follow.
+    fn to_projective(&self) -> Projective {
+        Projective {
+            x: self.e.mul(self.f),
+            y: self.g.mul(self.h),
+            z: self.f.mul(self.g),
+        }
+    }
+
+    /// Four multiplications: an addition reads `T` as well.
+    fn to_extended(&self) -> Point {
+        Point {
+            x: self.e.mul(self.f),
+            y: self.g.mul(self.h),
+            z: self.f.mul(self.g),
+            t: self.e.mul(self.h),
+        }
+    }
 }
 
 impl Point {
@@ -283,46 +588,63 @@ impl Point {
         })
     }
 
-    /// Point addition (complete unified formula "add-2008-hwcd-3" for
-    /// a = -1 twisted Edwards curves; also valid for doubling, which is
-    /// what pins [`Point::double`]).
-    #[must_use]
-    pub fn add(&self, other: &Point) -> Point {
-        let c = constants();
-        let a = self.y.sub(self.x).mul(other.y.sub(other.x));
-        let b = self.y.add(self.x).mul(other.y.add(other.x));
-        let cc = self.t.mul(c.d2).mul(other.t);
-        let dd = self.z.add(self.z).mul(other.z);
-        let e = b.sub(a);
-        let f = dd.sub(cc);
-        let g = dd.add(cc);
-        let h = b.add(a);
-        Point {
-            x: e.mul(f),
-            y: g.mul(h),
-            z: f.mul(g),
-            t: e.mul(h),
+    fn to_projective(self) -> Projective {
+        Projective {
+            x: self.x,
+            y: self.y,
+            z: self.z,
         }
     }
 
-    /// Point doubling ("dbl-2008-hwcd" for a = -1, every coordinate
-    /// negated, which is the same projective point): 4 squarings and
-    /// 4 multiplications against the 9 multiplications of `add`.
+    fn to_cached(self) -> Cached {
+        Cached {
+            niels: Niels {
+                y_plus_x: self.y.add(self.x),
+                y_minus_x: self.y.sub(self.x),
+                t2d: self.t.mul(constants().d2),
+            },
+            z: self.z,
+        }
+    }
+
+    /// The complete unified addition "add-2008-hwcd-3" for a = -1
+    /// twisted Edwards curves, up to its closing multiplications, given
+    /// `2·Z1·Z2` (tight) beside the second operand. Valid for every pair
+    /// of curve points, doubling and the small-order points included.
+    fn add_niels(&self, other: &Niels, zz2: Fe) -> Completed {
+        let a = self.y.sub_lazy(self.x).mul(other.y_minus_x);
+        let b = self.y.add_lazy(self.x).mul(other.y_plus_x);
+        let c = self.t.mul(other.t2d);
+        Completed {
+            e: b.sub_lazy(a),
+            f: zz2.sub_lazy(c),
+            g: zz2.add_lazy(c),
+            h: b.add_lazy(a),
+        }
+    }
+
+    fn add_cached(&self, other: &Cached) -> Completed {
+        let zz = self.z.mul(other.z);
+        self.add_niels(&other.niels, zz.add(zz))
+    }
+
+    /// [`Point::add_cached`] for `Z2 = 1` ("madd-2008-hwcd-3").
+    fn add_affine(&self, other: &Niels) -> Completed {
+        self.add_niels(other, self.z.add(self.z))
+    }
+
+    /// Point addition (complete: also valid for doubling, which is what
+    /// pins [`Point::double`]).
+    #[must_use]
+    pub fn add(&self, other: &Point) -> Point {
+        self.add_cached(&other.to_cached()).to_extended()
+    }
+
+    /// Point doubling: 4 squarings and 4 multiplications against the 9
+    /// multiplications of `add`.
     #[must_use]
     pub fn double(&self) -> Point {
-        let xx = self.x.square();
-        let yy = self.y.square();
-        let zz = self.z.square();
-        let e = self.x.add(self.y).square().sub(xx).sub(yy); // 2XY
-        let g = yy.sub(xx);
-        let f = zz.add(zz).sub(g);
-        let h = yy.add(xx);
-        Point {
-            x: e.mul(f),
-            y: g.mul(h),
-            z: f.mul(g),
-            t: e.mul(h),
-        }
+        self.to_projective().double().to_extended()
     }
 
     /// Point negation.
@@ -336,9 +658,11 @@ impl Point {
         }
     }
 
-    /// Scalar multiplication by an arbitrary 256-bit (little-endian) scalar.
-    #[must_use]
-    pub fn mul_bytes(&self, scalar: &[u8; 32]) -> Point {
+    /// Scalar multiplication by an arbitrary 256-bit (little-endian)
+    /// scalar, bit by bit: the oracle the table-driven multiplications
+    /// are tested against.
+    #[cfg(test)]
+    fn mul_bytes(&self, scalar: &[u8; 32]) -> Point {
         let mut acc = Point::identity();
         for bit in (0..256).rev() {
             acc = acc.double();
@@ -349,21 +673,120 @@ impl Point {
         acc
     }
 
-    /// Scalar multiplication by a reduced scalar.
+    /// `scalar · B`, constant-time in the scalar: one masked lookup and
+    /// one seven-multiplication addition per radix-16 digit from the
+    /// precomputed comb, no doubling.
+    #[must_use]
+    pub fn mul_base(scalar: &Scalar) -> Point {
+        let digits = radix16(&scalar.to_bytes());
+        let mut acc = Point::identity();
+        for (row, &digit) in base_tables().comb.iter().zip(&digits) {
+            acc = acc.add_affine(&select(row, digit)).to_extended();
+        }
+        acc
+    }
+
+    /// `scalar · self`, constant-time in the scalar (not in the point):
+    /// signed radix-16 windows over a table of `P..8P`, i.e. per digit
+    /// four doublings — only the last of which produces `T` — and one
+    /// addition of a masked-lookup entry.
     #[must_use]
     pub fn mul_scalar(&self, scalar: &Scalar) -> Point {
-        self.mul_bytes(&scalar.to_bytes())
+        let table = self.progression(self).map(Point::to_cached);
+        let digits = radix16(&scalar.to_bytes());
+        let mut acc = Point::identity().add_cached(&select(&table, digits[63]));
+        for &digit in digits[..63].iter().rev() {
+            let mut window = acc.to_projective();
+            for _ in 0..3 {
+                window = window.double().to_projective();
+            }
+            acc = window
+                .double()
+                .to_extended()
+                .add_cached(&select(&table, digit));
+        }
+        acc.to_extended()
+    }
+
+    /// `self + j·step` for `j = 0..8`: with `step = self` the multiples
+    /// `P..8P` a radix-16 digit selects from.
+    fn progression(&self, step: &Point) -> [Point; 8] {
+        let step = step.to_cached();
+        let mut next = *self;
+        std::array::from_fn(|j| {
+            if j > 0 {
+                next = next.add_cached(&step).to_extended();
+            }
+            next
+        })
+    }
+
+    /// `P, 3P, .. 15P`: the table a width-5 NAF indexes.
+    fn odd_multiples(&self) -> [Cached; 8] {
+        self.progression(&self.double()).map(Point::to_cached)
+    }
+
+    /// Straus' interleaving over two width-5 NAFs: one shared chain of
+    /// doublings, an addition wherever either scalar has a nonzero
+    /// digit. Branches on, and indexes by, both scalars.
+    fn vartime_straus(
+        a: &Scalar,
+        table_a: &[Cached; 8],
+        b: &Scalar,
+        table_b: &[Cached; 8],
+    ) -> Point {
+        let terms = [(naf5(a), table_a), (naf5(b), table_b)];
+        let mut acc = Completed::IDENTITY;
+        for i in (0..256).rev() {
+            acc = acc.to_projective().double();
+            for (naf, table) in &terms {
+                let digit = naf[i];
+                if digit != 0 {
+                    let multiple = table[usize::from(digit.unsigned_abs() / 2)];
+                    let signed = if digit < 0 { multiple.neg() } else { multiple };
+                    acc = acc.to_extended().add_cached(&signed);
+                }
+            }
+        }
+        acc.to_extended()
+    }
+
+    /// `a·P + b·Q` in variable time: **public inputs only** — the two
+    /// sides of a verification equation, never a secret key or nonce.
+    #[must_use]
+    pub fn vartime_double_mul(a: &Scalar, p: &Point, b: &Scalar, q: &Point) -> Point {
+        Point::vartime_straus(a, &p.odd_multiples(), b, &q.odd_multiples())
+    }
+
+    /// `a·B + b·Q` in variable time over the static odd multiples of
+    /// `B`: **public inputs only**, as [`Point::vartime_double_mul`].
+    #[must_use]
+    pub fn vartime_double_mul_base(a: &Scalar, b: &Scalar, q: &Point) -> Point {
+        Point::vartime_straus(a, &base_tables().odd, b, &q.odd_multiples())
+    }
+
+    /// `y` with the parity of `x` in bit 255, given `1/Z`.
+    fn compress_with(&self, z_inv: Fe) -> [u8; 32] {
+        let x = self.x.mul(z_inv);
+        let y = self.y.mul(z_inv);
+        let mut out = y.to_bytes();
+        out[31] |= x.parity() << 7;
+        out
     }
 
     /// Compresses to 32 bytes: `y` with the parity of `x` in bit 255.
     #[must_use]
     pub fn compress(&self) -> [u8; 32] {
-        let zinv = self.z.invert();
-        let x = self.x.mul(zinv);
-        let y = self.y.mul(zinv);
-        let mut out = y.to_bytes();
-        out[31] |= x.parity() << 7;
-        out
+        self.compress_with(self.z.invert())
+    }
+
+    /// [`Point::compress`] of every point, element-wise, for one field
+    /// inversion in total (Montgomery's trick).
+    #[must_use]
+    pub fn compress_batch<const N: usize>(points: &[Point; N]) -> [[u8; 32]; N] {
+        let mut z_inv = points.map(|p| p.z);
+        batch_invert(&mut z_inv);
+        std::array::from_fn(|i| points[i].compress_with(z_inv[i]))
     }
 
     /// Decompresses a 32-byte encoding, validating the curve equation.
@@ -458,7 +881,7 @@ impl SigningKey {
         let scalar = Scalar::from_bytes_mod_l(&scalar_bytes);
         let mut prefix = [0u8; 32];
         prefix.copy_from_slice(&expanded[32..]);
-        let public = VerifyingKey(Point::base().mul_scalar(&scalar).compress());
+        let public = VerifyingKey(Point::mul_base(&scalar).compress());
         SigningKey {
             scalar,
             prefix,
@@ -479,7 +902,7 @@ impl SigningKey {
         // A zero nonce would leak the key; derive an alternative in the
         // (cryptographically unreachable) case.
         let r = if r.is_zero() { Scalar::ONE } else { r };
-        let r_point = Point::base().mul_scalar(&r).compress();
+        let r_point = Point::mul_base(&r).compress();
         let k = Scalar::from_wide_bytes(&hash64(&[b"chal", &r_point, &self.public.0, message]));
         let s = r.add(k.mul(self.scalar));
         let mut sig = [0u8; 64];
@@ -492,7 +915,7 @@ impl SigningKey {
 impl VerifyingKey {
     /// Verifies `signature` over `message`.
     ///
-    /// Checks `s·B == R + k·A` with `k = H(R, A, message)`, rejecting
+    /// Checks `s·B − k·A == R` with `k = H(R, A, message)`, rejecting
     /// non-canonical scalars and invalid point encodings.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), CryptoError> {
         let mut r_bytes = [0u8; 32];
@@ -503,9 +926,9 @@ impl VerifyingKey {
         let r_point = Point::decompress(&r_bytes).map_err(|_| CryptoError::BadSignature)?;
         let a_point = Point::decompress(&self.0).map_err(|_| CryptoError::BadSignature)?;
         let k = Scalar::from_wide_bytes(&hash64(&[b"chal", &r_bytes, &self.0, message]));
-        let lhs = Point::base().mul_scalar(&s);
-        let rhs = r_point.add(&a_point.mul_scalar(&k));
-        if lhs.equals(&rhs) {
+        // Signature and key are public: s·B − k·A in one interleaved pass.
+        let lhs = Point::vartime_double_mul_base(&s, &k, &a_point.neg());
+        if lhs.equals(&r_point) {
             Ok(())
         } else {
             Err(CryptoError::BadSignature)
@@ -570,6 +993,235 @@ mod tests {
         minus_one[31] = 0x7f;
         let order2 = Point::decompress(&minus_one).unwrap();
         assert!(!order2.is_identity() && order2.double().is_identity());
+    }
+
+    /// A full-width reduced scalar from 32 random bytes.
+    fn random_scalar(rng: &mut impl rand::Rng) -> Scalar {
+        let mut bytes = [0u8; 32];
+        rng.fill(&mut bytes[..]);
+        Scalar::from_bytes_mod_l(&bytes)
+    }
+
+    /// Every nibble of the low 252 bits equal to `nibble`: the largest
+    /// such pattern a reduced scalar (< l, just above 2^252) can hold.
+    fn all_nibbles(nibble: u64) -> Scalar {
+        let word = nibble * 0x1111_1111_1111_1111;
+        Scalar([word, word, word, word >> 4])
+    }
+
+    /// 0, 1, l − 1, 2^252, and the radix-16 patterns where every digit
+    /// borrows from the next (all 8s) or none does (all 7s).
+    fn edge_scalars() -> Vec<Scalar> {
+        vec![
+            Scalar::ZERO,
+            Scalar::ONE,
+            Scalar::ZERO.sub(Scalar::ONE),
+            Scalar([0, 0, 0, 1 << 60]),
+            all_nibbles(8),
+            all_nibbles(7),
+        ]
+    }
+
+    /// All four table-driven multiplications against the bitwise oracle.
+    #[track_caller]
+    fn check_against_oracle(s: &Scalar, p: &Point, t: &Scalar, q: &Point) {
+        let same = |got: Point, want: Point| {
+            assert!(got.on_curve());
+            assert_eq!(got.compress(), want.compress());
+            // T is not part of the encoding but the next addition reads it.
+            assert!(got.add(p).equals(&want.add(p)));
+        };
+        let s_base = Point::base().mul_bytes(&s.to_bytes());
+        let s_p = p.mul_bytes(&s.to_bytes());
+        let t_q = q.mul_bytes(&t.to_bytes());
+        same(Point::mul_base(s), s_base);
+        same(p.mul_scalar(s), s_p);
+        same(Point::vartime_double_mul(s, p, t, q), s_p.add(&t_q));
+        same(Point::vartime_double_mul_base(s, t, q), s_base.add(&t_q));
+    }
+
+    #[test]
+    fn multiplications_match_the_bitwise_oracle_on_random_scalars() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xed25);
+        let (mut p, mut q) = (Point::base().double(), Point::base());
+        for _ in 0..1024 {
+            let (s, t) = (random_scalar(&mut rng), random_scalar(&mut rng));
+            check_against_oracle(&s, &p, &t, &q);
+            // Walk to fresh points with Z != 1.
+            (p, q) = (q.mul_scalar(&s), p.add(&q));
+        }
+    }
+
+    #[test]
+    fn multiplications_match_the_bitwise_oracle_on_edge_scalars() {
+        let p = Point::base().mul_scalar(&Scalar::from_u64(0xd0b1));
+        let q = p.double().add(&Point::base());
+        let edges = edge_scalars();
+        for s in &edges {
+            for t in &edges {
+                check_against_oracle(s, &p, t, &q);
+            }
+        }
+        assert!(Point::mul_base(&Scalar::ZERO).is_identity());
+        assert!(p.mul_scalar(&Scalar::ZERO).is_identity());
+        assert!(Point::mul_base(&edges[2]).equals(&Point::base().neg()));
+    }
+
+    /// The identity and one point each of order 2, 4 and 8: `l·P` of a
+    /// hashed-to point lands in the torsion subgroup, on an element of
+    /// full order 8 half the time.
+    fn small_order_points() -> [Point; 4] {
+        let l_bytes = Scalar(L).to_bytes();
+        let order8 = (0u8..)
+            .filter_map(|i| Point::decompress(&crate::sha256::sha256(&[i])).ok())
+            .map(|p| p.mul_bytes(&l_bytes))
+            .find(|t| !t.double().double().is_identity())
+            .expect("some hashed point has a torsion component of order 8");
+        let order4 = order8.double();
+        let order2 = order4.double();
+        assert!(!order2.is_identity() && order2.double().is_identity());
+        [Point::identity(), order2, order4, order8]
+    }
+
+    #[test]
+    fn multiplications_accept_the_identity_and_small_order_points() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let p = Point::base().mul_scalar(&Scalar::from_u64(3));
+        for q in small_order_points() {
+            let mut scalars = edge_scalars();
+            scalars.extend((0..8).map(|_| random_scalar(&mut rng)));
+            for t in &scalars {
+                // Q on either side of the double multiplication, and
+                // under the windowed one.
+                check_against_oracle(t, &q, &scalars[5], &p);
+                check_against_oracle(&scalars[5], &p, t, &q);
+            }
+        }
+    }
+
+    #[test]
+    fn compress_batch_equals_compress() {
+        let b = Point::base();
+        let points = [
+            b.mul_scalar(&Scalar::from_u64(77)),
+            Point::identity(),
+            b,
+            b.double().add(&b).neg(),
+        ];
+        assert_eq!(Point::compress_batch(&points), points.map(|p| p.compress()));
+        assert_eq!(Point::compress_batch(&[points[0]]), [points[0].compress()]);
+        assert_eq!(Point::compress_batch::<0>(&[]), [[0u8; 32]; 0]);
+    }
+
+    #[test]
+    fn base_comb_is_affine_multiples_of_sixteen_powers() {
+        let tables = base_tables();
+        assert_eq!(tables.comb.len(), 64);
+        assert!(std::mem::size_of_val(&tables.comb[..]) < 64 << 10);
+        let d2 = constants().d2;
+        let mut row_base = Point::base();
+        for row in &tables.comb {
+            let mut multiple = row_base;
+            for entry in row {
+                let z_inv = multiple.z.invert();
+                let (x, y) = (multiple.x.mul(z_inv), multiple.y.mul(z_inv));
+                assert!(entry.y_plus_x.equals(y.add(x)));
+                assert!(entry.y_minus_x.equals(y.sub(x)));
+                assert!(entry.t2d.equals(x.mul(y).mul(d2)));
+                multiple = multiple.add(&row_base);
+            }
+            row_base = row_base.mul_bytes(&Scalar::from_u64(16).to_bytes());
+        }
+    }
+
+    #[test]
+    fn select_returns_every_signed_multiple() {
+        let p = Point::base().double();
+        let table = p.progression(&p).map(Point::to_cached);
+        let q = Point::base();
+        for digit in -8i8..=8 {
+            let want = if digit < 0 {
+                p.mul_scalar(&Scalar::from_u64(u64::from(digit.unsigned_abs())))
+                    .neg()
+            } else {
+                p.mul_scalar(&Scalar::from_u64(digit as u64))
+            };
+            let got = q.add_cached(&select(&table, digit)).to_extended();
+            assert!(got.equals(&q.add(&want)), "digit {digit}");
+        }
+    }
+
+    /// `acc += magnitude · 2^bit` over five 64-bit words.
+    fn add_shifted(acc: &mut [u64; 5], magnitude: u8, bit: usize) {
+        let wide = u128::from(magnitude) << (bit % 64);
+        let mut carry = 0u128;
+        for (k, word) in acc.iter_mut().enumerate().skip(bit / 64) {
+            let part = match k - bit / 64 {
+                0 => wide as u64,
+                1 => (wide >> 64) as u64,
+                _ => 0,
+            };
+            let sum = u128::from(*word) + u128::from(part) + carry;
+            *word = sum as u64;
+            carry = sum >> 64;
+        }
+        assert_eq!(carry, 0);
+    }
+
+    /// Asserts `Σ digits[i] · 2^(step·i)` is exactly the integer `value`,
+    /// by comparing the positive digits against value + negative digits.
+    #[track_caller]
+    fn assert_recomposes(digits: &[i8], step: usize, value: &[u64; 4]) {
+        let mut positive = [0u64; 5];
+        let mut negative = [value[0], value[1], value[2], value[3], 0];
+        for (i, &digit) in digits.iter().enumerate() {
+            let side = if digit < 0 {
+                &mut negative
+            } else {
+                &mut positive
+            };
+            add_shifted(side, digit.unsigned_abs(), step * i);
+        }
+        assert_eq!(positive, negative);
+    }
+
+    fn check_radix16(limbs: [u64; 4]) {
+        let digits = radix16(&Scalar(limbs).to_bytes());
+        assert!(digits[..63].iter().all(|d| (-8..8).contains(d)));
+        assert!((0..=8).contains(&digits[63]));
+        assert_recomposes(&digits, 4, &limbs);
+    }
+
+    fn check_naf5(scalar: Scalar) {
+        let naf = naf5(&scalar);
+        for (i, &digit) in naf.iter().enumerate() {
+            if digit != 0 {
+                assert!(digit & 1 == 1 && (-15..=15).contains(&digit));
+                assert!(naf[i + 1..].iter().take(4).all(|&d| d == 0));
+            }
+        }
+        assert_recomposes(&naf, 1, &scalar.0);
+    }
+
+    #[test]
+    fn recodings_recompose_on_edge_scalars() {
+        for s in edge_scalars() {
+            check_radix16(s.0);
+            check_naf5(s);
+        }
+        // radix16 takes any integer below 2^255, reduced or not.
+        check_radix16([u64::MAX, u64::MAX, u64::MAX, u64::MAX >> 1]);
+        check_radix16([
+            0x8888_8888_8888_8888,
+            0x8888_8888_8888_8888,
+            0x8888_8888_8888_8888,
+            0x7888_8888_8888_8888,
+        ]);
+        assert_eq!(radix16(&all_nibbles(8).to_bytes())[0], -8);
+        assert_eq!(radix16(&all_nibbles(8).to_bytes())[63], 1);
+        assert_eq!(radix16(&all_nibbles(7).to_bytes())[..63], [7i8; 63]);
     }
 
     #[test]
@@ -688,5 +1340,22 @@ mod tests {
         let sk = SigningKey::from_seed(&[9u8; 32]);
         assert_eq!(sk.sign(b"x"), sk.sign(b"x"));
         assert_ne!(sk.sign(b"x"), sk.sign(b"y"));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_radix16_recomposes(bytes in proptest::prelude::any::<[u8; 32]>()) {
+            let mut limbs = [0u64; 4];
+            for (limb, chunk) in limbs.iter_mut().zip(bytes.chunks_exact(8)) {
+                *limb = u64::from_le_bytes(chunk.try_into().unwrap());
+            }
+            limbs[3] >>= 1;
+            check_radix16(limbs);
+        }
+
+        #[test]
+        fn prop_naf5_recomposes(bytes in proptest::prelude::any::<[u8; 32]>()) {
+            check_naf5(Scalar::from_bytes_mod_l(&bytes));
+        }
     }
 }

@@ -17,6 +17,14 @@
 //! this is a from-scratch implementation that is *not* wire-compatible
 //! with RFC 9381, but carries the same uniqueness + pseudorandomness
 //! structure.
+//!
+//! Timing: [`VrfSecretKey::from_seed`] and [`VrfSecretKey::evaluate`]
+//! multiply by the secret scalar and the proof nonce only through
+//! `Point::mul_base` / `Point::mul_scalar`, which are constant-time in
+//! the scalar (see [`crate::ed25519`]; the scalar arithmetic `s = k + c·x`
+//! is not). [`VrfPublicKey::verify`] sees public values only — key,
+//! input, proof — and is the one place here allowed to call the
+//! variable-time `Point::vartime_*` forms.
 
 use crate::ed25519::{Point, Scalar};
 use crate::hmac::hkdf;
@@ -58,7 +66,7 @@ impl VrfSecretKey {
         } else {
             scalar
         };
-        let public = VrfPublicKey(Point::base().mul_scalar(&scalar).compress());
+        let public = VrfPublicKey(Point::mul_base(&scalar).compress());
         VrfSecretKey { scalar, public }
     }
 
@@ -89,10 +97,9 @@ impl VrfSecretKey {
                 k
             }
         };
-        let kb = Point::base().mul_scalar(&k).compress();
-        let kh = h.mul_scalar(&k).compress();
-        let gamma_c = gamma.compress();
-        let c_bytes = challenge(&self.public.0, &h.compress(), &gamma_c, &kb, &kh);
+        let [h_c, gamma_c, kb, kh] =
+            Point::compress_batch(&[h, gamma, Point::mul_base(&k), h.mul_scalar(&k)]);
+        let c_bytes = challenge(&self.public.0, &h_c, &gamma_c, &kb, &kh);
         let c = Scalar::from_bytes_mod_l(&c_bytes);
         let s = k.add(c.mul(self.scalar));
         let output = vrf_output(&gamma_c);
@@ -119,13 +126,12 @@ impl VrfPublicKey {
         let h = hash_to_curve(input);
         let c = Scalar::from_bytes_mod_l(&proof.c);
         let s = Scalar::from_canonical_bytes(&proof.s)?;
-        // Recompute commitments: k·B = s·B − c·PK, k·H = s·H − c·Γ.
-        let kb = Point::base()
-            .mul_scalar(&s)
-            .add(&pk.mul_scalar(&c).neg())
-            .compress();
-        let kh = h.mul_scalar(&s).add(&gamma.mul_scalar(&c).neg()).compress();
-        let expected_c = challenge(&self.0, &h.compress(), &proof.gamma, &kb, &kh);
+        // Recompute commitments: k·B = s·B − c·PK, k·H = s·H − c·Γ. Key,
+        // input and proof are all public.
+        let kb = Point::vartime_double_mul_base(&s, &c, &pk.neg());
+        let kh = Point::vartime_double_mul(&s, &h, &c, &gamma.neg());
+        let [h_c, kb, kh] = Point::compress_batch(&[h, kb, kh]);
+        let expected_c = challenge(&self.0, &h_c, &proof.gamma, &kb, &kh);
         if expected_c != proof.c {
             return Err(CryptoError::BadSignature);
         }
@@ -175,6 +181,101 @@ mod tests {
         let (out, proof) = sk.evaluate(b"round 42");
         let verified = sk.public_key().verify(b"round 42", &proof).unwrap();
         assert_eq!(out, verified);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The VRF input `core::sampling` evaluates for a round.
+    fn sampling_input(round: u64) -> Vec<u8> {
+        [&b"dordis.sampling.round"[..], &round.to_le_bytes()].concat()
+    }
+
+    /// No released key, proof or signature changes: (VRF public key,
+    /// output, `Γ‖c‖s`) on the round-7 sampling input and (verifying key,
+    /// signature) per seed, recorded at commit cf51982 — before the
+    /// group arithmetic under them was replaced — plus a digest of the
+    /// same for 64 more keys.
+    #[test]
+    fn released_proofs_and_signatures_golden() {
+        use crate::ed25519::SigningKey;
+        let golden = [
+            (
+                [0x00u8; 32],
+                "1ea378173da5f2301c520ec8978a94b3473b3a5626dfafe1b5fae6b16e22c470",
+                "2e6579e7ef989616e75f3d9f5c0db0a4ca43c51e3016f1f95d8aa55a522d4803",
+                "f607da201203902409233a6c29296a6534d01e7cfd84f7073c332077a67e9714\
+                 161129f8169ce352930e7e888b30c0a9fb30dfe5d0e29851cddb54e7675377d1\
+                 32324231a1f2c183d41d6c3bfb9559cdacc78430b16bc727e376db35eb419d07",
+                "3eef4441b644cad0a4fb052a792bba88184af786716a6ab13db2a5f3f0e17c69",
+                "6790605dc750bffcd91b791a1498c858299fdf467a0517d6935886dfbbd492e9\
+                 579d377299888e349dbb0847c1010526be00d146bb256e81e315fe01b7cc3007",
+            ),
+            (
+                [0x42u8; 32],
+                "65724446f0971189cd7c748b0fdf63c27b852b0e139d081e451abc095f6b63bb",
+                "3d0265dd66536f8d48da7a20335e422fe5b567f3cc0351dd905f0d896856b204",
+                "6e72e8c2cc012a917d226e8b39f17b09e48f6f998ea5d6772c33a9bfa661b100\
+                 12d80b94649e4dd1486a95d181187d5c0da92388abc7833876e2cdefa25a351d\
+                 091a06aed08e9d6c4d00d0f234391742c34b0087b3d047dd3e541e43ad3aa206",
+                "d2cdb509bdf3e9aba0ce82cc02e276209cf2de1e2387806e5acfa19ec39233f1",
+                "b9f6624b0fac8ddf12e85c419e816daf39ba2a774a8eb2d339c2623f0083b3e2\
+                 a8718e5303498ab6bfda377dbe83573e5409df03e6a11ab3e4bf2386bba72507",
+            ),
+            (
+                [0xffu8; 32],
+                "e633f8a797428e5c24a2e4539780a814c30340f5b8f27517662e5379a7dba272",
+                "f52470205d3bb9d0b97812653294bcd2887d4264bc96c3c123070450eecb2054",
+                "3f4f4d45599d9edd403767ee26c794cb3d2fec056e338c3c3e6159eb7744e413\
+                 6fbe9a97f0bd55c62e82bc2d289dc400d0311a427b8d17bb713064d0f493608d\
+                 2cd9e042f47eea0734e525724bcd454f8b85707966d02d741db0d999265b3106",
+                "4809c3f7286174b524bf0298228580387e36353fcbf595d76329417962fc5927",
+                "59a6a22dc3839af4d5009a84b6a48c9a88eb880c4db585b03c8567710f7a5cf4\
+                 b18b6d243ab520926783d80ec5130fc859fa7333e18839096a50cbaac29c440a",
+            ),
+        ];
+        let message = b"round 12 consistency check over U3";
+        for (seed, pk, out, proof_hex, vk, sig_hex) in golden {
+            let sk = VrfSecretKey::from_seed(&seed);
+            let (output, proof) = sk.evaluate(&sampling_input(7));
+            assert_eq!(hex(&sk.public_key().0), pk);
+            assert_eq!(hex(&output), out);
+            assert_eq!(hex(&[proof.gamma, proof.c, proof.s].concat()), proof_hex);
+            assert_eq!(
+                sk.public_key().verify(&sampling_input(7), &proof),
+                Ok(output)
+            );
+            let signer = SigningKey::from_seed(&seed);
+            let signature = signer.sign(message);
+            assert_eq!(hex(&signer.verifying_key().0), vk);
+            assert_eq!(hex(&signature.0), sig_hex);
+            assert_eq!(signer.verifying_key().verify(message, &signature), Ok(()));
+        }
+
+        let mut all = Vec::new();
+        for i in 0..64u8 {
+            let mut seed = [i; 32];
+            seed[31] = 0xa5;
+            let sk = VrfSecretKey::from_seed(&seed);
+            let (output, proof) = sk.evaluate(&sampling_input(u64::from(i)));
+            let signer = SigningKey::from_seed(&seed);
+            for part in [
+                &sk.public_key().0[..],
+                &output,
+                &proof.gamma,
+                &proof.c,
+                &proof.s,
+                &signer.verifying_key().0,
+                &signer.sign(&seed).0,
+            ] {
+                all.extend_from_slice(part);
+            }
+        }
+        assert_eq!(
+            hex(&crate::sha256::sha256(&all)),
+            "954ec490c05df088faf14008eb1511abb8f8e0c8d7e4c7d553cf6ca38f806d46"
+        );
     }
 
     #[test]
