@@ -30,7 +30,7 @@ fn bench_mask_expansion(c: &mut Criterion) {
     // The dominant SecAgg cost: expanding masks in Z_2^b. One `u32`
     // keystream word per element up to 32 bits, one `u64` above, so 32
     // and 33 sit on the two sides of the lane boundary; 64 is the
-    // Skellam sampler's word source.
+    // widest ring.
     const ELEMS: usize = 100_000;
     let mut out = vec![0u64; ELEMS];
     let mut g = c.benchmark_group("prg/fill_mod2b");

@@ -10,13 +10,16 @@ use dordis_dp::planner::{plan, PlannerConfig};
 fn bench_skellam(c: &mut Criterion) {
     let mut g = c.benchmark_group("skellam_vector");
     // small/large, then the reference plan's components (fl_xnoise32:
-    // k = 0, a middle k, k = T).
+    // k = 0, a middle k, k = T — the last is the plan's peak, σ ≈ 50),
+    // then the widest table, where a draw most often needs its
+    // refinement word (≈ 20 % of draws).
     for (label, variance) in [
         ("small_var", 4.0),
         ("large_var", 4000.0),
         ("plan_86", 86.0),
         ("plan_312", 312.0),
         ("plan_2496", 2496.0),
+        ("near_cap", 7.4e6),
     ] {
         g.throughput(Throughput::Elements(10_000));
         g.bench_with_input(BenchmarkId::from_parameter(label), &variance, |b, &v| {

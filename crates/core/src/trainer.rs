@@ -559,14 +559,18 @@ mod tests {
 
     #[test]
     fn private_training_still_learns() {
-        let mut spec = TaskSpec::tiny_for_tests(11);
-        spec.rounds = 20;
-        let report = train(&spec).unwrap();
-        assert!(
-            report.final_accuracy > 0.4,
-            "accuracy {}",
-            report.final_accuracy
-        );
+        // The median over a handful of seeds: one seed's accuracy is
+        // one noise realisation (0.14–0.89 across seeds 11–22), and the
+        // claim is about learning.
+        let mut accuracies: Vec<f64> = (11..=15)
+            .map(|seed| {
+                let mut spec = TaskSpec::tiny_for_tests(seed);
+                spec.rounds = 20;
+                train(&spec).unwrap().final_accuracy
+            })
+            .collect();
+        accuracies.sort_by(f64::total_cmp);
+        assert!(accuracies[2] > 0.4, "accuracies {accuracies:?}");
     }
 }
 

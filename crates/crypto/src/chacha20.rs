@@ -181,6 +181,13 @@ impl KeyStream {
         u32::from_le_bytes(self.next_bytes())
     }
 
+    /// Returns the next keystream `u16` (little-endian): the lane the
+    /// Skellam sampler spends per draw.
+    #[inline]
+    pub fn next_u16(&mut self) -> u16 {
+        u16::from_le_bytes(self.next_bytes())
+    }
+
     /// Fills `out` with the next keystream `u64`s (little-endian),
     /// generating whole blocks straight into the caller's buffer.
     ///
@@ -188,8 +195,8 @@ impl KeyStream {
     /// times — it consumes exactly `8 × out.len()` stream bytes from the
     /// current position — but skips the per-word byte shuffling: aligned
     /// spans are produced 8 words (one block) at a time directly into
-    /// `out`. This is the word source of the Skellam sampler and of
-    /// mask expansion in rings wider than 32 bits (`Prg::fill_mod2b`).
+    /// `out`. This is the word source of mask expansion in rings wider
+    /// than 32 bits (`Prg::fill_mod2b`).
     pub fn fill_u64(&mut self, out: &mut [u64]) {
         let mut rest = out;
         // Drain the buffered block word by word until the stream is
@@ -378,6 +385,34 @@ mod tests {
             a.fill_u32(&mut batched);
             let legacy: Vec<u32> = (0..71).map(|_| b.next_u32()).collect();
             assert_eq!(batched, legacy, "misalign {misalign}");
+            assert_eq!(a.next_u64(), b.next_u64(), "misalign {misalign}");
+        }
+    }
+
+    #[test]
+    fn next_u16_matches_byte_stream_across_alignments() {
+        let key = [15u8; KEY_LEN];
+        let nonce = [9u8; NONCE_LEN];
+        // The `u16` twin: odd misalignments make lanes straddle the
+        // block boundaries at bytes 64 and 128; an 8-byte read in
+        // between (a Skellam refinement) keeps the stream byte-exact.
+        for misalign in 0..=9usize {
+            let mut a = KeyStream::new(key, nonce);
+            let mut b = KeyStream::new(key, nonce);
+            let mut skip = vec![0u8; misalign];
+            a.fill(&mut skip);
+            b.fill(&mut skip);
+            let mut bytes = [0u8; 2 * 40 + 8 + 2 * 31];
+            b.fill(&mut bytes);
+            let lane = |at: usize| u16::from_le_bytes([bytes[at], bytes[at + 1]]);
+            for i in 0..40 {
+                assert_eq!(a.next_u16(), lane(2 * i), "misalign {misalign}, lane {i}");
+            }
+            let word = u64::from_le_bytes(bytes[80..88].try_into().expect("8 bytes"));
+            assert_eq!(a.next_u64(), word, "misalign {misalign}");
+            for i in 0..31 {
+                assert_eq!(a.next_u16(), lane(88 + 2 * i), "misalign {misalign}");
+            }
             assert_eq!(a.next_u64(), b.next_u64(), "misalign {misalign}");
         }
     }

@@ -102,6 +102,12 @@ impl Prg {
         self.stream.next_u32()
     }
 
+    /// Returns the next pseudorandom `u16`.
+    #[inline]
+    pub fn next_u16(&mut self) -> u16 {
+        self.stream.next_u16()
+    }
+
     /// Returns a uniform value in `[0, bound)` by rejection sampling.
     ///
     /// # Panics

@@ -8,10 +8,20 @@
 //!
 //! Noise generation is XNoise's runtime cost (every client draws `T + 1`
 //! components, the server redraws the removable ones), so Skellam vectors
-//! come from [`SkellamSampler`]: one inverse-CDF table per variance, one
-//! PRG word per draw. [`skellam`] (a difference of two rejection-sampled
-//! Poissons) serves variances whose table would not fit in cache and is
-//! the reference the table is tested against.
+//! come from [`SkellamSampler`]: one inverse-CDF table per variance,
+//! inverted at a uniform 63-bit `u` of which a draw reads only as much
+//! as it needs. A draw is one 16-bit keystream lane — the sign and the
+//! top 15 bits of `u` — and, only when those leave the magnitude
+//! undecided, the 8 bytes that follow it, whose top 48 bits are the rest
+//! of `u` (see [`SkellamTable`]). Keystream per draw, measured:
+//!
+//! | σ | 2 | 9 | 50 | 316 | 2 650 (table cap) |
+//! |---|---|---|---|---|---|
+//! | bytes | 2.002 | 2.009 | 2.05 | 2.25 | 3.6 |
+//!
+//! [`skellam`] (a difference of two rejection-sampled Poissons) serves
+//! variances whose table would not fit in cache and is the reference the
+//! table is tested against.
 
 use dordis_crypto::prg::{Prg, Seed};
 
@@ -131,11 +141,15 @@ pub fn skellam(prg: &mut Prg, variance: f64) -> i64 {
 /// `σ ≲ 2 700`. Wider distributions are drawn as Poisson differences.
 const TABLE_CAP: usize = 1 << 16;
 
-/// Draws per strip: PRG words are expanded and inverted in place in a
-/// buffer small enough to stay in L1 next to the table.
+/// Bits of `u` a draw's 16-bit lane leaves to its refinement word.
+const LOW_BITS: u32 = 48;
+const LOW_MASK: u64 = (1 << LOW_BITS) - 1;
+
+/// Draws per strip: a buffer small enough to stay in L1 next to the
+/// table.
 const STRIP: usize = 512;
 
-/// A symmetric Skellam sampler for one variance: one PRG word per draw.
+/// A symmetric Skellam sampler for one variance.
 ///
 /// Up to [`TABLE_CAP`] the sampler inverts a precomputed survival
 /// function of `|X|` (see [`SkellamTable`]); above it, where the table
@@ -177,13 +191,15 @@ impl SkellamSampler {
         }
     }
 
-    /// Overwrites `out` with the stream's next `out.len()` draws; draw
-    /// `i` of the table regime is a function of stream word `i` alone.
+    /// Overwrites `out` with the stream's next `out.len()` draws. The
+    /// stream is read strictly in order — a draw's lane, its refinement
+    /// word if it needs one, the next draw's lane — so the draws do not
+    /// depend on how a vector is cut into `out`s.
     fn fill_ring(&self, prg: &mut Prg, out: &mut [u64]) {
         if let Some(table) = &self.table {
-            prg.fill_mod2b(64, out);
-            for word in out {
-                *word = table.draw(*word) as u64;
+            for slot in out {
+                let lane = prg.next_u16();
+                *slot = table.draw_lane(lane, || prg.next_u64()) as u64;
             }
         } else {
             for slot in out {
@@ -196,11 +212,18 @@ impl SkellamSampler {
 /// Guide-table inversion of the symmetric Skellam distribution
 /// `P(X = k) = e^{-2μ} I_|k|(2μ)`, truncated to `|k| ≤ reach`.
 ///
-/// A draw spends one 64-bit word: the low bit is the sign, the other 63
-/// bits are a uniform `u` inverted through the survival function of
-/// `|X|`. Small `u` maps to large magnitudes, so the tail thresholds are
-/// small integers held at full relative precision, and the output is
-/// symmetric by construction.
+/// A draw is a sign bit and a uniform 63-bit `u` inverted through the
+/// survival function of `|X|`. Small `u` maps to large magnitudes, so the
+/// tail thresholds are small integers held at full relative precision,
+/// and the output is symmetric by construction.
+///
+/// The stream layout ([`SkellamTable::draw_lane`]): a draw reads the next
+/// 2 keystream bytes as a little-endian lane — bit 0 the sign, bits
+/// 1..=15 the top 15 bits of `u`. When every `u` with those top bits
+/// inverts to the same magnitude, that is the draw. Otherwise it reads
+/// the next 8 bytes as a little-endian word whose top 48 bits are the
+/// low 48 bits of `u`. The lane and the word are disjoint keystream, so
+/// `u` is uniform on 63 bits either way.
 struct SkellamTable {
     /// `survival[m] = 2^63 · P(|X| ≥ m)` for `m ∈ 0..=reach + 1`:
     /// `2^63` at 0, non-increasing, 0 at `reach + 1`.
@@ -271,7 +294,39 @@ impl SkellamTable {
         }
     }
 
+    /// The smallest magnitude at or above `m` that `u` maps to.
     #[inline]
+    fn walk(&self, mut m: usize, u: u64) -> usize {
+        while u < self.survival[m + 1] {
+            m += 1;
+        }
+        m
+    }
+
+    /// One draw from its 16-bit `lane`; `refine` supplies the stream's
+    /// next 64-bit word and is called only when the lane leaves the
+    /// magnitude undecided.
+    #[inline]
+    fn draw_lane(&self, lane: u16, refine: impl FnOnce() -> u64) -> i64 {
+        // Every `u` the lane can still become lies in `lo..=hi`. The
+        // magnitude is non-increasing in `u`, so `hi` gives the
+        // interval's smallest one, and the lane decides the draw when
+        // `lo` does not cross the next threshold either.
+        let lo = u64::from(lane >> 1) << LOW_BITS;
+        let hi = lo | LOW_MASK;
+        let mut m = self.walk(usize::from(self.guide[(hi >> self.shift) as usize]), hi);
+        if lo < self.survival[m + 1] {
+            m = self.walk(m, lo | (refine() >> (64 - LOW_BITS)));
+        }
+        let negative = i64::from(lane & 1);
+        (m as i64 ^ -negative) + negative
+    }
+
+    /// The whole draw from one 64-bit word — bit 0 the sign, the other
+    /// 63 bits `u` — sharing no step with [`SkellamTable::draw_lane`],
+    /// which must compute the same function when its lane and refinement
+    /// compose to `word`.
+    #[cfg(test)]
     fn draw(&self, word: u64) -> i64 {
         let u = word >> 1;
         let mut m = usize::from(self.guide[(u >> self.shift) as usize]);
@@ -556,15 +611,67 @@ mod tests {
         }
     }
 
+    /// The 64-bit word a lane and the low 48 bits of `u` compose to.
+    fn composed(lane: u16, low: u64) -> u64 {
+        assert!(low <= LOW_MASK);
+        ((u64::from(lane >> 1) << LOW_BITS | low) << 1) | u64::from(lane & 1)
+    }
+
+    /// A refinement word carrying `low`; its bottom 16 bits are not read.
+    fn refinement(low: u64) -> u64 {
+        low << 16 | 0xa5a5
+    }
+
+    #[test]
+    fn every_lane_agrees_with_the_word_oracle() {
+        for variance in [0.5, 4.0, 86.0, 312.0, 2496.0, UNDER_CAP] {
+            let table = SkellamSampler::new(variance).table.unwrap();
+            for lane in 0..=u16::MAX {
+                let at_lo = table.draw(composed(lane, 0));
+                let at_hi = table.draw(composed(lane, LOW_MASK));
+                let mut refined = false;
+                let got = table.draw_lane(lane, || {
+                    refined = true;
+                    refinement(0)
+                });
+                assert_eq!(got, at_lo, "{variance}, lane {lane}");
+                // Undecided exactly when the interval's two ends differ.
+                assert_eq!(refined, at_lo != at_hi, "{variance}, lane {lane}");
+                if !refined {
+                    continue;
+                }
+                // Both ends of the interval and both sides of every
+                // threshold inside it.
+                let lo = u64::from(lane >> 1) << LOW_BITS;
+                let (near, far) = (at_hi.unsigned_abs() as usize, at_lo.unsigned_abs() as usize);
+                let lows = (near + 1..=far)
+                    .map(|m| table.survival[m] - lo)
+                    .flat_map(|t| [t - 1, t, (t + 1).min(LOW_MASK)])
+                    .chain([0, LOW_MASK]);
+                for low in lows {
+                    assert_eq!(
+                        table.draw_lane(lane, || refinement(low)),
+                        table.draw(composed(lane, low)),
+                        "{variance}, lane {lane}, low {low}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn draws_are_exactly_symmetric() {
-        // Flipping the sign bit of every word negates the vector.
-        for variance in [0.5, 86.0, 2496.0] {
+        // Flipping the sign bit of every lane negates the vector,
+        // refined draws included.
+        for variance in [0.5, 86.0, 2496.0, UNDER_CAP] {
             let table = SkellamSampler::new(variance).table.unwrap();
-            let mut words = vec![0u64; 4096];
-            Prg::new(&[41u8; 32], b"sym").fill_mod2b(64, &mut words);
-            for w in words {
-                assert_eq!(table.draw(w ^ 1), -table.draw(w));
+            let mut prg = Prg::new(&[41u8; 32], b"sym");
+            for _ in 0..4096 {
+                let (lane, word) = (prg.next_u16(), prg.next_u64());
+                assert_eq!(
+                    table.draw_lane(lane ^ 1, || word),
+                    -table.draw_lane(lane, || word)
+                );
             }
         }
     }
@@ -583,26 +690,77 @@ mod tests {
             variance *= 1.05;
         }
         assert!(variance > UNDER_CAP);
-        // And the extreme words stay inside the truncated support.
+        // And the extreme lanes stay inside the truncated support.
         for variance in [0.0, 1e-300, 0.5, 2496.0, UNDER_CAP] {
             let table = SkellamSampler::new(variance).table.unwrap();
             let reach = table.survival.len() as i64 - 2;
-            assert_eq!(table.draw(u64::MAX), 0);
-            for word in [0, 1, 2, 3] {
-                assert!(table.draw(word).abs() <= reach, "{variance}, word {word}");
+            assert_eq!(table.draw_lane(u16::MAX, || u64::MAX), 0);
+            for (lane, low) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+                let x = table.draw_lane(lane, || refinement(low));
+                assert!(x.abs() <= reach, "{variance}, lane {lane}, low {low}");
             }
-            assert_eq!(table.draw(0) > 0, variance >= 0.5, "smallest u is the tail");
+            let smallest_u = table.draw_lane(0, || refinement(0));
+            assert_eq!(smallest_u > 0, variance >= 0.5, "smallest u is the tail");
         }
     }
 
     #[test]
     fn skellam_vector_golden() {
-        // Pins the stream layout (word i → draw i, low bit = sign): a
-        // change here changes every client's noise for a given seed.
+        // Pins the stream layout (one 16-bit lane per draw, bit 0 the
+        // sign): a change here changes every client's noise for a given
+        // seed, and is a `WIRE_VERSION` bump.
         assert_eq!(
             skellam_vector(&[7u8; 32], b"golden", 8, 312.0),
-            [15, -6, -25, -20, -3, 39, 4, -17]
+            [3, -1, -9, 15, -29, 2, 19, -6]
         );
+    }
+
+    #[test]
+    fn refinement_layout_golden() {
+        // 4096 draws at σ ≈ 50 hold 23 refinements, so which 48
+        // bits a refinement takes, and where the next lane then sits, is
+        // pinned as bytes too.
+        let draws = skellam_vector(&[7u8; 32], b"golden", 4096, 2496.0);
+        let bytes: Vec<u8> = draws.iter().flat_map(|x| x.to_le_bytes()).collect();
+        let digest: String = dordis_crypto::sha256::sha256(&bytes)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            digest,
+            "c47a458965132dc89db7adf260180d84c6f9a834939ffeeebbc320db92dc49eb"
+        );
+    }
+
+    #[test]
+    fn draws_consume_two_bytes_and_eight_per_refinement() {
+        const N: usize = 100_000;
+        for (variance, most_refined) in [(86.0, 0.002), (2496.0, 0.01), (UNDER_CAP, 0.25)] {
+            let sampler = SkellamSampler::new(variance);
+            let table = sampler.table.as_ref().unwrap();
+            let mut prg = Prg::new(&[6u8; 32], b"bytes");
+            let mut got = Vec::with_capacity(N);
+            sampler.for_each_strip(&mut prg, N, |_, strip| got.extend_from_slice(strip));
+
+            // The word oracle reading the same stream by the layout rule.
+            let mut replay = Prg::new(&[6u8; 32], b"bytes");
+            let mut refinements = 0;
+            for (i, &x) in got.iter().enumerate() {
+                let lane = replay.next_u16();
+                let mut word = composed(lane, 0);
+                if table.draw(word) != table.draw(composed(lane, LOW_MASK)) {
+                    refinements += 1;
+                    word = composed(lane, replay.next_u64() >> 16);
+                }
+                assert_eq!(x as i64, table.draw(word), "{variance}, draw {i}");
+            }
+            let share = refinements as f64 / N as f64;
+            assert!(share > 0.0 && share < most_refined, "{variance}: {share}");
+
+            let mut skipped = Prg::new(&[6u8; 32], b"bytes");
+            skipped.fill_bytes(&mut vec![0u8; 2 * N + 8 * refinements]);
+            assert_eq!(prg.next_u64(), skipped.next_u64(), "{variance}");
+        }
     }
 
     #[test]

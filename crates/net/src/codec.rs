@@ -28,7 +28,13 @@ use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 
 use crate::NetError;
 
-/// Wire protocol version; bumped on any incompatible layout change.
+/// Wire protocol version. A version pins everything two peers must
+/// agree on for the aggregate to come out right: the frame format, the
+/// mask stream layout and the noise stream layout. The last two change
+/// no frame, but masks expanded under two layouts do not cancel, and
+/// noise a client adds under one rule and the server removes under
+/// another stays in the aggregate — silently, so the version is bumped
+/// and the peer refused at its first frame instead.
 /// v2: the envelope header gained a `chunk u16` field and masked inputs
 /// travel as one frame per [`ChunkPlan`] chunk.
 /// v3: multi-round sessions — three session-control stages
@@ -51,7 +57,11 @@ use crate::NetError;
 /// `u32` keystream word per ring element up to 32 bits, was one `u64`).
 /// Masks from the two layouts do not cancel and the aggregate would be
 /// silently wrong, so a v5 peer is refused at its first frame instead.
-pub const WIRE_VERSION: u8 = 6;
+/// v7: no frame changed — the noise stream layout did
+/// (`dordis_dp::mechanism`: a table-regime Skellam draw reads a 16-bit
+/// lane and, when undecided, a 64-bit refinement word; was one `u64`
+/// per draw).
+pub const WIRE_VERSION: u8 = 7;
 
 /// Envelope header bytes: version, stage, round, chunk.
 pub const HEADER_BYTES: usize = 1 + 1 + 8 + 2;
