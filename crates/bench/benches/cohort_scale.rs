@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use dordis_net::coordinator::{run_coordinator, CollectMode, CoordinatorConfig};
+use dordis_net::coordinator::{run_coordinator, CoordinatorConfig};
 use dordis_net::runtime::{run_client, ClientOptions};
 use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::{Client, ClientInput};
@@ -147,8 +147,7 @@ fn timed_round(n: u32, graph: MaskingGraph) -> RunResult {
         STAGE_TIMEOUT,
         CHUNKS,
         None,
-    )
-    .with_mode(CollectMode::Reactor);
+    );
     let cpu0 = thread_cpu();
     let start = Instant::now();
     let report = run_coordinator(&mut acceptor, &cfg).expect("coordinator");
@@ -181,12 +180,11 @@ fn timed_round(n: u32, graph: MaskingGraph) -> RunResult {
         "n={n}: removal seeds diverge"
     );
 
-    let (polls, events) = report.reactor.map_or((0, 0), |s| (s.polls, s.events));
     RunResult {
         wall,
         cpu,
-        polls,
-        events,
+        polls: report.reactor.polls,
+        events: report.reactor.events,
     }
 }
 

@@ -34,7 +34,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use dordis_net::coordinator::{CollectMode, CoordinatorConfig};
+use dordis_net::coordinator::CoordinatorConfig;
 use dordis_net::faults::FaultPlan;
 use dordis_net::runtime::{round_rng_seed, run_session_client, SessionClientOptions};
 use dordis_net::session::{Seating, Session, SessionConfig};
@@ -142,9 +142,6 @@ fn coordinator_child(s: &Scale) {
         chunks: s.chunks,
         chunk_compute: None,
         tick: CoordinatorConfig::DEFAULT_TICK,
-        mode: CollectMode::Reactor,
-        workers: 0,
-        shards: 1,
         ingress_budget: s.budget,
         announce: true,
         population: (0..s.clients).collect(),
@@ -166,10 +163,7 @@ fn coordinator_child(s: &Scale) {
     session.finish();
 
     let snap = telemetry.snapshot().expect("enabled telemetry");
-    let (polls, events) = report
-        .reactor
-        .as_ref()
-        .map_or((0, 0), |r| (r.polls, r.events));
+    let (polls, events) = (report.reactor.polls, report.reactor.events);
     println!(
         "RESULT peak_rss_kib={} survivors={} sum_hash={:#x} wall_ms={} \
          broadcast_encodes={} frames_recycled={} frames_allocated={} pauses={} \

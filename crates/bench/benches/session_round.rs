@@ -22,7 +22,7 @@
 
 use std::time::{Duration, Instant};
 
-use dordis_net::coordinator::{run_coordinator, CollectMode, CoordinatorConfig};
+use dordis_net::coordinator::{run_coordinator, CoordinatorConfig};
 use dordis_net::faults::FaultPlan;
 use dordis_net::runtime::{
     round_rng_seed, run_client, run_session_client, ClientOptions, SessionClientOptions,
@@ -103,9 +103,6 @@ fn persistent(rounds: u64, dim: usize, telemetry: Telemetry) -> Duration {
         chunks: CHUNKS,
         chunk_compute: None,
         tick: CoordinatorConfig::DEFAULT_TICK,
-        mode: CollectMode::Reactor,
-        workers: 0,
-        shards: 1,
         ingress_budget: 0,
         announce: true,
         population: (0..N).collect(),

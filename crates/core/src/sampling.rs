@@ -187,17 +187,6 @@ pub fn seat_claims(
     }
 }
 
-/// Partitions a seated cohort across `shards` parallel aggregation
-/// shards — the same hash partition the `dordis-net` session
-/// coordinator applies (`dordis_net::session::shard_of`), re-exported
-/// at the sampling layer so planners and tests can predict which shard
-/// will host a seated client without constructing a session. Seating
-/// order is preserved within each shard roster.
-#[must_use]
-pub fn shard_cohort(seated: &[u32], shards: usize) -> Vec<Vec<u32>> {
-    dordis_net::session::shard_rosters(seated, shards)
-}
-
 /// Wire encoding of a [`ParticipationClaim`] (132 bytes: client id,
 /// VRF output, proof `(Γ, c, s)`) — the claim bytes a session client
 /// sends inside its per-round Join frame.

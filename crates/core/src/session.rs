@@ -37,7 +37,6 @@ use dordis_dp::planner::{plan, PlannerConfig};
 use dordis_fl::data::{dirichlet_partition, synthetic_classification, train_test_split, Dataset};
 use dordis_fl::eval::{accuracy, perplexity};
 use dordis_fl::fedavg::apply_update;
-use dordis_net::coordinator::CollectMode;
 use dordis_net::faults::{FaultPlan, KillPoint};
 use dordis_net::reactor::EventedChannel;
 use dordis_net::replication::{run_backup, BackupOutcome};
@@ -90,15 +89,6 @@ pub struct FlSessionOptions {
     pub sample: SamplingConfig,
     /// Requested chunk count for the networked data plane.
     pub chunks: usize,
-    /// Collection engine for the networked path.
-    pub mode: CollectMode,
-    /// Compute-plane worker threads for the networked coordinator
-    /// (`0` = serial unmasking; results are bit-equal either way).
-    pub workers: usize,
-    /// Aggregation shard count `S` for the networked coordinator
-    /// (`1` = the classic single round machine; results are bit-equal
-    /// for any `S` — see `dordis-net`'s session module docs).
-    pub shards: usize,
     /// Scripted mid-stream dropouts.
     pub droppers: Vec<MidStreamDrop>,
     /// Join/claim window per round (networked path).
@@ -121,9 +111,6 @@ impl FlSessionOptions {
             rounds,
             sample,
             chunks: 4,
-            mode: CollectMode::default(),
-            workers: 0,
-            shards: 1,
             droppers: Vec::new(),
             join_timeout: Duration::from_secs(20),
             stage_timeout: Duration::from_secs(20),
@@ -750,9 +737,6 @@ fn networked_session_cfg(
         chunks: opts.chunks,
         chunk_compute: None,
         tick: dordis_net::coordinator::CoordinatorConfig::DEFAULT_TICK,
-        mode: opts.mode,
-        workers: opts.workers,
-        shards: opts.shards,
         ingress_budget: opts.ingress_budget,
         announce: true,
         population: (0..population).collect(),
@@ -883,10 +867,7 @@ pub fn train_session_networked(
                         let global = bytes_to_global(payload)?;
                         let i = (r - 1) as u32;
                         // XNoise planning and encoding key off the
-                        // *union* cohort size from Setup: in a sharded
-                        // round `params.clients` is just this client's
-                        // shard roster, and a shard-sized noise plan
-                        // would corrupt the privacy accounting.
+                        // cohort size from Setup.
                         let n = usize::from(cohort);
                         let update = client_update(&st, i, id, &global);
                         let xplan = xplan_for(&st, n)

@@ -2,7 +2,7 @@
 //! persistent connections, per-round VRF resampling, one mid-stream
 //! dropout and one rejoin per round — produces per-round aggregates
 //! bit-equal to the in-memory driver path, and the identical
-//! `TrainingReport`, under both collection engines.
+//! `TrainingReport`.
 
 use dordis_core::config::TaskSpec;
 use dordis_core::sampling::SamplingConfig;
@@ -10,7 +10,6 @@ use dordis_core::session::{
     planned_cohorts, train_session, train_session_networked, FlSessionOptions, FlSessionReport,
     MidStreamDrop,
 };
-use dordis_net::coordinator::CollectMode;
 
 const ROUNDS: u32 = 5;
 
@@ -18,18 +17,16 @@ fn spec() -> TaskSpec {
     TaskSpec::tiny_for_tests(20_240_517)
 }
 
-fn opts(mode: CollectMode) -> FlSessionOptions {
+fn opts() -> FlSessionOptions {
     let spec = spec();
-    let mut opts = FlSessionOptions::new(
+    FlSessionOptions::new(
         ROUNDS,
         SamplingConfig {
             target_sample: 8,
             population: spec.population,
             over_selection: 1.5,
         },
-    );
-    opts.mode = mode;
-    opts
+    )
 }
 
 /// One scripted mid-stream dropout per round: the last seated cohort
@@ -93,7 +90,7 @@ fn assert_reports_equal(net: &FlSessionReport, mem: &FlSessionReport, label: &st
 
 #[test]
 fn session_cohorts_resample_across_rounds() {
-    let cohorts = planned_cohorts(&spec(), &opts(CollectMode::Reactor));
+    let cohorts = planned_cohorts(&spec(), &opts());
     assert_eq!(cohorts.len(), ROUNDS as usize);
     for cohort in &cohorts {
         assert!(cohort.len() >= 4, "cohort too small: {cohort:?}");
@@ -111,7 +108,7 @@ fn session_cohorts_resample_across_rounds() {
 /// and one rejoin, bit-equal to the in-memory driver path.
 #[test]
 fn networked_session_with_dropout_and_rejoin_matches_in_memory_reactor() {
-    let o = with_droppers(opts(CollectMode::Reactor));
+    let o = with_droppers(opts());
     let mem = train_session(&spec(), &o).expect("in-memory session");
     // Every round lost exactly its scripted dropper...
     for (i, round) in mem.rounds.iter().enumerate() {
@@ -132,34 +129,9 @@ fn networked_session_with_dropout_and_rejoin_matches_in_memory_reactor() {
 }
 
 #[test]
-fn networked_session_with_dropout_and_rejoin_matches_in_memory_sweep() {
-    let o = with_droppers(opts(CollectMode::PollSweep));
-    let mem = train_session(&spec(), &o).expect("in-memory session");
-    let net = train_session_networked(&spec(), &o).expect("networked session");
-    assert_reports_equal(&net, &mem, "sweep");
-}
-
-/// Pooled unmasking (the dordis-compute worker plane) across the full
-/// session stack — VRF resampling, XNoise encoding, dropout recovery,
-/// FedAvg — must stay bit-equal to the serial in-memory reference.
-#[test]
-fn networked_session_pooled_unmask_matches_in_memory() {
-    let mut o = with_droppers(opts(CollectMode::Reactor));
-    o.workers = 2;
-    let mem = train_session(&spec(), &o).expect("in-memory session");
-    let net = train_session_networked(&spec(), &o).expect("networked session");
-    assert_reports_equal(&net, &mem, "reactor+pooled");
-
-    let mut o = with_droppers(opts(CollectMode::PollSweep));
-    o.workers = 2;
-    let net = train_session_networked(&spec(), &o).expect("networked session");
-    assert_reports_equal(&net, &mem, "sweep+pooled");
-}
-
-#[test]
 fn clean_session_matches_in_memory() {
     // No dropouts: the pure resampling + persistent-connection path.
-    let o = opts(CollectMode::Reactor);
+    let o = opts();
     let mem = train_session(&spec(), &o).expect("in-memory session");
     for round in &mem.rounds {
         assert!(round.dropped.is_empty());

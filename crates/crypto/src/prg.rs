@@ -54,11 +54,9 @@ impl Prg {
     /// after a [`Prg::fill_mod2b`] of `elem_offset` elements at the same
     /// `bits`, for the cost of at most one ChaCha20 block.
     ///
-    /// This is the compute plane's entry point for partial mask
-    /// expansion: a worker unmasking chunk `c` seeks every mask stream
-    /// to the chunk's first element instead of generating (and
-    /// discarding) the prefix, so parallelizing by chunk costs no extra
-    /// PRG work.
+    /// This is the entry point for partial mask expansion: expanding
+    /// a chunk seeks the mask stream to the chunk's first element
+    /// instead of generating (and discarding) the prefix.
     ///
     /// # Panics
     ///

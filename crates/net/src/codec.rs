@@ -43,11 +43,11 @@ use crate::NetError;
 /// claim after the client id, and Setup bodies carry an opaque
 /// application payload (e.g. the current global model) after the chunk
 /// count.
-/// v4: sharded coordinators — Setup bodies carry the *union* cohort
-/// size (`cohort u16`) between the chunk count and the payload, so a
-/// client seated in one aggregation shard still derives its XNoise
-/// plan and encoding from the full sampled cohort, not the shard
-/// roster in `RoundParams::clients`.
+/// v4: Setup bodies carry the seated cohort size (`cohort u16`)
+/// between the chunk count and the payload; clients derive their XNoise
+/// plan and encoding from it. (Introduced for in-process aggregation
+/// shards, since removed; the coordinator now always sends
+/// `RoundParams::clients.len()`.)
 /// v5: coordinator replication — three replication-control stages
 /// ([`StageTag::CheckpointInstall`], [`StageTag::CheckpointAck`],
 /// [`StageTag::ViewChange`]) carry round-boundary session checkpoints
@@ -952,10 +952,9 @@ pub fn encode_params(p: &RoundParams) -> Vec<u8> {
 /// by calling `ChunkPlan::aligned` with this count and the round's
 /// (vector_len, bit_width) — the requested count travels, not the
 /// realized bounds, so alignment clamping cannot diverge between
-/// coordinator and clients. The cohort size is the full sampled cohort
-/// across every aggregation shard (equal to `p.clients.len()` for
-/// unsharded rounds): XNoise planning and update encoding key off it,
-/// not the shard roster.
+/// coordinator and clients. The cohort size is the round's seated
+/// cohort (the coordinator sends `p.clients.len()`): XNoise planning
+/// and update encoding key off it.
 #[must_use]
 pub fn encode_setup(p: &RoundParams, chunks: u16, cohort: u16, payload: &[u8]) -> Vec<u8> {
     let mut out = encode_params(p);

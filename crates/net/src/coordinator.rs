@@ -40,30 +40,22 @@
 //!
 //! ## Readiness-driven collection
 //!
-//! By default ([`CollectMode::Reactor`]) the collection loops are driven
-//! by [`reactor`](crate::reactor) events: the coordinator thread sleeps
-//! in `epoll_pwait` until a frame, a disconnect, or a deadline is
-//! actually ready, so one thread serves hundreds of chunk-streaming
-//! clients with `O(events)` wake-ups. The legacy round-robin sweep over
-//! blocking channels (`recv_deadline` in [`CoordinatorConfig::tick`]
-//! slices, `O(clients × ticks)`) survives as
-//! [`CollectMode::PollSweep`] for the comparison benches. Both modes run
-//! the identical chunk state machine and produce bit-equal outcomes.
+//! The collection loops are driven by [`reactor`](crate::reactor)
+//! events: the coordinator thread sleeps in `epoll_pwait` until a frame,
+//! a disconnect, or a deadline is actually ready, so one thread serves
+//! hundreds of chunk-streaming clients with `O(events)` wake-ups.
 //!
 //! [`DropoutSchedule`]: dordis_secagg::driver::DropoutSchedule
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dordis_compute::JobOutcome;
 use dordis_pipeline::ChunkPlan;
 use dordis_secagg::driver::{RoundStats, StageTraffic};
-use dordis_secagg::server::{unmask_chunk_task, RoundOutcome, Server};
+use dordis_secagg::server::{RoundOutcome, Server};
 use dordis_secagg::{ClientId, RoundParams, SecAggError, ThreatModel};
 use dordis_telemetry::{MetricsSnapshot, Telemetry};
 
-use crate::compute::ComputePlane;
 use crate::faults::{FaultPlan, KillPoint};
 
 use crate::codec::{
@@ -75,19 +67,6 @@ use crate::reactor::{Event, EventedChannel, Reactor, ReactorStats, Token};
 use crate::session::{Seating, Session, SessionConfig};
 use crate::transport::{send_env, wire_message, Acceptor};
 use crate::NetError;
-
-/// How the coordinator discovers frames and deadlines.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CollectMode {
-    /// Readiness-driven: one `epoll_pwait` sleep per batch of events —
-    /// `O(events)` wake-ups per round. The default.
-    #[default]
-    Reactor,
-    /// The legacy round-robin sweep: one blocking `recv_deadline` slice
-    /// per pending client per tick — `O(clients × ticks)`. Kept for the
-    /// `reactor_scale` comparison bench and as a fallback.
-    PollSweep,
-}
 
 /// Configuration of one coordinated round.
 pub struct CoordinatorConfig {
@@ -116,29 +95,12 @@ pub struct CoordinatorConfig {
     /// can realize Figure 12's comm/compute overlap on a loopback
     /// transport. `None` injects nothing (production).
     pub chunk_compute: Option<Duration>,
-    /// Scheduling granularity: the reactor's timer-wheel tick, and the
-    /// poll-slice length of the legacy sweep (formerly three scattered
-    /// 10 ms constants).
+    /// Scheduling granularity: the reactor's timer-wheel tick.
     pub tick: Duration,
-    /// Which collection engine drives the round.
-    pub mode: CollectMode,
-    /// Compute-plane worker threads for per-chunk unmask jobs. `0`
-    /// (the default) keeps the serial reference path: mask expansion
-    /// and chunk aggregation run inline on the coordinator thread.
-    /// With `N > 0` those jobs run on `N` pooled workers and their
-    /// completions are drained between polls — bit-equal outcomes,
-    /// pinned by the equivalence suites.
-    pub workers: usize,
     /// Observability sink: span timeline + metrics registry. The
     /// default ([`Telemetry::disabled`]) makes every instrumentation
     /// point a no-op.
     pub telemetry: Telemetry,
-    /// The *union* cohort size broadcast in Setup. Equal to
-    /// `params.clients.len()` for an unsharded round; a sharded session
-    /// overrides it with the full seated-cohort size so clients derive
-    /// XNoise planning and update encoding from the cohort the privacy
-    /// ledger sees, not from their shard's roster.
-    pub cohort: u16,
     /// Global ingress budget in bytes for the reactor's shared frame
     /// pool ([`crate::pool::BytePool`]). `0` (the default) disables
     /// backpressure — unlimited buffering, the bit-equal reference.
@@ -156,7 +118,7 @@ impl CoordinatorConfig {
     /// Default scheduling granularity (see [`CoordinatorConfig::tick`]).
     pub const DEFAULT_TICK: Duration = Duration::from_millis(10);
 
-    /// A config with the default tick and collection mode.
+    /// A config with the default tick.
     #[must_use]
     pub fn new(
         params: RoundParams,
@@ -165,7 +127,6 @@ impl CoordinatorConfig {
         chunks: usize,
         chunk_compute: Option<Duration>,
     ) -> Self {
-        let cohort = params.clients.len().min(usize::from(u16::MAX)) as u16;
         CoordinatorConfig {
             params,
             join_timeout,
@@ -173,10 +134,7 @@ impl CoordinatorConfig {
             chunks,
             chunk_compute,
             tick: Self::DEFAULT_TICK,
-            mode: CollectMode::default(),
-            workers: 0,
             telemetry: Telemetry::disabled(),
-            cohort,
             ingress_budget: 0,
             faults: FaultPlan::none(),
         }
@@ -189,33 +147,10 @@ impl CoordinatorConfig {
         Self::new(params, join_timeout, stage_timeout, 1, None)
     }
 
-    /// Overrides the collection engine (builder-style).
-    #[must_use]
-    pub fn with_mode(mut self, mode: CollectMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Overrides the compute-plane worker count (builder-style).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// Installs a telemetry sink (builder-style).
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Overrides the union cohort size broadcast in Setup
-    /// (builder-style) — sharded sessions pass the full seated-cohort
-    /// size here while `params.clients` holds the shard roster.
-    #[must_use]
-    pub fn with_cohort(mut self, cohort: u16) -> Self {
-        self.cohort = cohort;
         self
     }
 
@@ -277,16 +212,14 @@ pub struct NetRoundReport {
     /// [`NetError::StaleRound`] check instead of being parsed into this
     /// round's state.
     pub stale_frames: u64,
-    /// Event-loop wake-up accounting ([`CollectMode::Reactor`] only),
-    /// as a **per-round delta**: only the polls/events/timer fires this
-    /// round produced (join phase included when the round ran inside a
-    /// [`Session`]). The scale tests assert `polls` stays `O(events)`,
-    /// not `O(clients × ticks)`.
-    pub reactor: Option<ReactorStats>,
+    /// Event-loop wake-up accounting as a **per-round delta**: only the
+    /// polls/events/timer fires this round produced (join phase
+    /// included when the round ran inside a [`Session`]). The scale
+    /// tests assert `polls` stays `O(events)`, not `O(clients × ticks)`.
+    pub reactor: ReactorStats,
     /// The same counters cumulative since the session's reactor was
-    /// built — the pre-existing semantics, kept for whole-session
-    /// accounting.
-    pub reactor_session: Option<ReactorStats>,
+    /// built, for whole-session accounting.
+    pub reactor_session: ReactorStats,
     /// Per-round delta of every registered metrics series (keyed by
     /// canonical series id), when the round ran with enabled telemetry
     /// inside a [`Session`]. One schema for the session driver, the
@@ -362,9 +295,6 @@ pub fn run_coordinator(
         chunks: cfg.chunks,
         chunk_compute: cfg.chunk_compute,
         tick: cfg.tick,
-        mode: cfg.mode,
-        workers: cfg.workers,
-        shards: 1,
         ingress_budget: cfg.ingress_budget,
         telemetry: cfg.telemetry.clone(),
         metrics_addr: None,
@@ -440,21 +370,14 @@ impl RoundMachine {
     /// connections that survived the round; the session parks them for
     /// the next one.
     ///
-    /// With a `compute` plane, the unmasking stage's CPU work — mask
-    /// expansion and per-chunk aggregation — runs as pooled per-chunk
-    /// jobs whose completions are installed between polls, so the
-    /// coordinator thread keeps serving frames while workers burn CPU;
-    /// without one it runs inline (the serial reference, bit-equal).
-    ///
     /// # Errors
     ///
     /// [`NetError::SecAgg`] when the protocol aborts (below threshold,
-    /// tampering); engine failures. Individual client failures are
+    /// tampering); reactor failures. Individual client failures are
     /// dropouts, not errors.
     pub fn run(
         mut self,
-        mut engine: Option<&mut Reactor>,
-        compute: Option<&mut ComputePlane>,
+        reactor: &mut Reactor,
         peers: &mut Peers,
         cfg: &CoordinatorConfig,
         payload: &[u8],
@@ -463,7 +386,7 @@ impl RoundMachine {
         // Per-round reactor accounting: the report's `reactor` field is
         // the delta over this machine's run (the session widens the
         // base to include its join phase).
-        let reactor_base = engine.as_deref().map(|r| r.stats);
+        let reactor_base = reactor.stats;
         let round_span = cfg.telemetry.span("round", "round", round, None);
         for &id in &cfg.params.clients {
             if !peers.contains_key(&id) {
@@ -479,19 +402,14 @@ impl RoundMachine {
 
         // ---- Setup broadcast (params + chunk count + payload). ----
         let stage_span = cfg.telemetry.span("stage", "Setup", round, None);
+        let cohort = cfg.params.clients.len().min(usize::from(u16::MAX)) as u16;
         let setup = Envelope::new(
             StageTag::Setup,
             round,
-            codec::encode_setup(&cfg.params, self.requested_chunks, cfg.cohort, payload),
+            codec::encode_setup(&cfg.params, self.requested_chunks, cohort, payload),
         );
         broadcast(peers, &setup, &mut self.dropouts, "Setup", &cfg.telemetry);
-        flush_sends(
-            engine.as_deref_mut(),
-            peers,
-            &mut self.dropouts,
-            "Setup",
-            cfg,
-        );
+        flush_sends(reactor, peers, &mut self.dropouts, "Setup", cfg);
         // Fault hook: the primary dies right after the Setup broadcast
         // reached every seated client — they hold round state the
         // coordinator loses. Propagated directly (never through the
@@ -506,7 +424,7 @@ impl RoundMachine {
         let mut up = Traffic::default();
         let bodies = self
             .collect_stage(
-                engine.as_deref_mut(),
+                reactor,
                 peers,
                 &joined,
                 StageTag::AdvertiseKeys,
@@ -542,13 +460,7 @@ impl RoundMachine {
             "AdvertiseKeys",
             &cfg.telemetry,
         );
-        flush_sends(
-            engine.as_deref_mut(),
-            peers,
-            &mut self.dropouts,
-            "AdvertiseKeys",
-            cfg,
-        );
+        flush_sends(reactor, peers, &mut self.dropouts, "AdvertiseKeys", cfg);
         push_stage(&mut self.stats, &cfg.telemetry, "AdvertiseKeys", &up, down);
         drop(stage_span);
 
@@ -562,7 +474,7 @@ impl RoundMachine {
         let mut up = Traffic::default();
         let bodies = self
             .collect_stage(
-                engine.as_deref_mut(),
+                reactor,
                 peers,
                 &expected,
                 StageTag::ShareKeys,
@@ -598,13 +510,7 @@ impl RoundMachine {
             down.add(env.encode().len() as u64);
             send_or_drop(peers, id, &env, "ShareKeys", &mut self.dropouts);
         }
-        flush_sends(
-            engine.as_deref_mut(),
-            peers,
-            &mut self.dropouts,
-            "ShareKeys",
-            cfg,
-        );
+        flush_sends(reactor, peers, &mut self.dropouts, "ShareKeys", cfg);
         push_stage(&mut self.stats, &cfg.telemetry, "ShareKeys", &up, down);
         drop(stage_span);
 
@@ -618,11 +524,9 @@ impl RoundMachine {
         // mid-flight — the hardest crash, nothing of this round exists
         // outside the dying process.
         cfg.faults.trip(KillPoint::MidMaskedStage, round)?;
-        let up = match engine.as_deref_mut() {
-            Some(reactor) => self.collect_masked_chunks_reactor(reactor, peers, &expected, cfg),
-            None => self.collect_masked_chunks_sweep(peers, &expected, cfg),
-        }
-        .map_err(|e| abort_round(peers, round, e))?;
+        let up = self
+            .collect_masked_chunks(reactor, peers, &expected, cfg)
+            .map_err(|e| abort_round(peers, round, e))?;
         let u3 = self.server.finalize_masked().map_err(|e| {
             abort_all(peers, round, &e);
             NetError::SecAgg(e)
@@ -640,7 +544,7 @@ impl RoundMachine {
             &cfg.telemetry,
         );
         flush_sends(
-            engine.as_deref_mut(),
+            reactor,
             peers,
             &mut self.dropouts,
             "MaskedInputCollection",
@@ -666,7 +570,7 @@ impl RoundMachine {
             let mut up = Traffic::default();
             let bodies = self
                 .collect_stage(
-                    engine.as_deref_mut(),
+                    reactor,
                     peers,
                     &expected,
                     StageTag::ConsistencySig,
@@ -706,13 +610,7 @@ impl RoundMachine {
                 "ConsistencyCheck",
                 &cfg.telemetry,
             );
-            flush_sends(
-                engine.as_deref_mut(),
-                peers,
-                &mut self.dropouts,
-                "ConsistencyCheck",
-                cfg,
-            );
+            flush_sends(reactor, peers, &mut self.dropouts, "ConsistencyCheck", cfg);
             push_stage(
                 &mut self.stats,
                 &cfg.telemetry,
@@ -732,7 +630,7 @@ impl RoundMachine {
         let mut up = Traffic::default();
         let bodies = self
             .collect_stage(
-                engine.as_deref_mut(),
+                reactor,
                 peers,
                 &expected,
                 StageTag::Unmasking,
@@ -756,11 +654,15 @@ impl RoundMachine {
                 ),
             }
         }
-        // ---- Unmask execution plan: serial (inline full-length
-        // correction, the reference) or pooled (reconstruction and
-        // privacy bookkeeping stay here; the `O(dropped × neighbors ×
-        // d)` mask expansion fans out as one job per chunk, each
-        // seeking every mask stream to its chunk's element offset). ----
+        self.server.reconstruct_unmasking(responses).map_err(|e| {
+            abort_all(peers, round, &e);
+            NetError::SecAgg(e)
+        })?;
+        let u5 = self.server.u5().to_vec();
+
+        // Per-chunk unmask progress advances between noise-share polls:
+        // the next chunk is unmasked inline while the shares are still
+        // in flight.
         let total_chunks = self.plan.chunks();
         let chunk_compute = cfg.chunk_compute;
         let plan = self.plan.clone();
@@ -768,83 +670,19 @@ impl RoundMachine {
         let job_hist = cfg
             .telemetry
             .histogram("dordis_unmask_job_duration_ns", &[]);
-        let mut compute = compute;
-        if let Some(plane) = compute.as_deref_mut() {
-            // A previous round that aborted mid-unmask may have left
-            // its chunk sums queued (or still running) in the
-            // session-warm pool; their chunk indices would alias this
-            // round's. Flush them before submitting.
-            plane.discard_stale();
-            let jobs = self.server.plan_unmasking(responses).map_err(|e| {
-                abort_all(peers, round, &e);
-                NetError::SecAgg(e)
-            })?;
-            let jobs = Arc::new(jobs);
-            for c in 0..total_chunks {
-                let inputs = self.server.take_chunk_inputs(c).map_err(|e| {
-                    abort_all(peers, round, &e);
-                    NetError::SecAgg(e)
-                })?;
-                let jobs = Arc::clone(&jobs);
-                let range = self.plan.range(c);
-                let bits = self.plan.bit_width();
-                let plan = plan.clone();
-                let telem = telem.clone();
-                let job_hist = job_hist.clone();
-                plane.submit(c, move || {
-                    // The span/histogram record from the worker thread,
-                    // so the trace shows the job on its worker's track.
-                    let span = telem.span("compute", "unmask_job", round, Some(c as u16));
-                    let t0 = telem.now_ns();
-                    let sum = unmask_chunk_task(&inputs, &jobs, range.start, range.len(), bits);
-                    chunk_sleep(chunk_compute, &plan, c);
-                    job_hist.observe(telem.now_ns().saturating_sub(t0));
-                    drop(span);
-                    sum
-                });
-            }
-        } else {
-            self.server.reconstruct_unmasking(responses).map_err(|e| {
-                abort_all(peers, round, &e);
-                NetError::SecAgg(e)
-            })?;
-        }
-        let u5 = self.server.u5().to_vec();
-
-        // Per-chunk unmask progress advances between noise-share polls:
-        // serial mode unmasks the next chunk inline (chunk c + 1 can be
-        // collected while chunk c's compute runs); pooled mode installs
-        // whatever the workers have finished (their completions also
-        // wake the reactor via COMPUTE_TOKEN, so the thread sleeps in
-        // the poller, never polling the pool).
-        let mut next_unmask = 0usize; // serial cursor
-        let mut installed = 0usize; // pooled install count
+        let mut next_unmask = 0usize;
         let mut unmask_step = |server: &mut Server| -> Result<bool, SecAggError> {
-            match compute.as_deref_mut() {
-                Some(plane) => {
-                    let mut did = false;
-                    while let Some((c, outcome)) = plane.try_complete() {
-                        install_chunk(server, c, outcome)?;
-                        installed += 1;
-                        did = true;
-                    }
-                    Ok(did)
-                }
-                None => {
-                    if next_unmask < total_chunks {
-                        let span =
-                            telem.span("compute", "unmask_chunk", round, Some(next_unmask as u16));
-                        let t0 = telem.now_ns();
-                        server.unmask_chunk(next_unmask)?;
-                        chunk_sleep(chunk_compute, &plan, next_unmask);
-                        job_hist.observe(telem.now_ns().saturating_sub(t0));
-                        drop(span);
-                        next_unmask += 1;
-                        Ok(true)
-                    } else {
-                        Ok(false)
-                    }
-                }
+            if next_unmask < total_chunks {
+                let span = telem.span("compute", "unmask_chunk", round, Some(next_unmask as u16));
+                let t0 = telem.now_ns();
+                server.unmask_chunk(next_unmask)?;
+                chunk_sleep(chunk_compute, &plan, next_unmask);
+                job_hist.observe(telem.now_ns().saturating_sub(t0));
+                drop(span);
+                next_unmask += 1;
+                Ok(true)
+            } else {
+                Ok(false)
             }
         };
 
@@ -866,13 +704,7 @@ impl RoundMachine {
                 "Unmasking",
                 &cfg.telemetry,
             );
-            flush_sends(
-                engine.as_deref_mut(),
-                peers,
-                &mut self.dropouts,
-                "Unmasking",
-                cfg,
-            );
+            flush_sends(reactor, peers, &mut self.dropouts, "Unmasking", cfg);
             push_stage(&mut self.stats, &cfg.telemetry, "Unmasking", &up, down);
             drop(stage_span);
             let _stage_span = cfg
@@ -887,7 +719,7 @@ impl RoundMachine {
             let mut up = Traffic::default();
             let bodies = self
                 .collect_stage(
-                    engine.as_deref_mut(),
+                    reactor,
                     peers,
                     &expected,
                     StageTag::NoiseShares,
@@ -924,35 +756,12 @@ impl RoundMachine {
             );
         }
 
-        // Unmask whatever chunks the idle interleaving did not reach
-        // (serial: run them inline; pooled: drain anything already
-        // queued without blocking).
+        // Unmask whatever chunks the idle interleaving did not reach.
         for _ in 0..total_chunks {
             unmask_step(&mut self.server).map_err(|e| {
                 abort_all(peers, round, &e);
                 NetError::SecAgg(e)
             })?;
-        }
-        // Pooled barrier: await the chunks still on the workers. The
-        // block is pure wait — the expansions keep running on other
-        // cores — and only the tail of the round ever reaches it.
-        // (`unmask_step`'s borrow of `compute` and `installed` ends
-        // with its last call above.)
-        if let Some(plane) = compute {
-            while installed < total_chunks {
-                let Some((c, outcome)) = plane.wait_complete() else {
-                    return Err(NetError::Protocol(format!(
-                        "compute plane lost {} unmask job(s)",
-                        total_chunks - installed
-                    )));
-                };
-                install_chunk(&mut self.server, c, outcome).map_err(|e| {
-                    abort_all(peers, round, &e);
-                    NetError::SecAgg(e)
-                })?;
-                installed += 1;
-            }
-            plane.sync_metrics(&cfg.telemetry);
         }
 
         // ---- Finished broadcast. ----
@@ -962,13 +771,7 @@ impl RoundMachine {
             dordis_secagg::messages::IdList(u3.clone()).encoded(),
         );
         broadcast(peers, &fin, &mut self.dropouts, "Finished", &cfg.telemetry);
-        flush_sends(
-            engine.as_deref_mut(),
-            peers,
-            &mut self.dropouts,
-            "Finished",
-            cfg,
-        );
+        flush_sends(reactor, peers, &mut self.dropouts, "Finished", cfg);
 
         debug_assert!(self.server.privacy_invariant_holds());
         for d in &self.dropouts {
@@ -997,7 +800,7 @@ impl RoundMachine {
                 .add(self.stale_frames);
         }
         drop(round_span);
-        let reactor_now = engine.map(|r| r.stats);
+        let reactor_now = reactor.stats;
         Ok(NetRoundReport {
             round,
             outcome: self.server.finish(),
@@ -1005,10 +808,7 @@ impl RoundMachine {
             dropouts: self.dropouts,
             chunks: total_chunks,
             stale_frames: self.stale_frames,
-            reactor: match (reactor_now, reactor_base) {
-                (Some(now), Some(base)) => Some(now.delta_since(base)),
-                (now, _) => now,
-            },
+            reactor: reactor_now.delta_since(reactor_base),
             reactor_session: reactor_now,
             metrics: None,
         })
@@ -1131,91 +931,16 @@ impl RoundMachine {
         st.active += 1;
     }
 
-    /// The per-(stage, chunk) masked-input collector — blocking-sweep
-    /// engine. Chunk `c + 1`'s frames accumulate (from fast clients and
-    /// channel buffers) while chunk `c` is decoded, validated, and
-    /// aggregated into the server's per-chunk state; the stage deadline
-    /// restarts per chunk. A client whose stream stops — disconnect,
-    /// garbage, or silence past the active chunk's deadline — is dropped
-    /// from every remaining chunk; its partial deliveries never reach a
-    /// sum because U3 requires all chunks.
-    fn collect_masked_chunks_sweep(
-        &mut self,
-        peers: &mut Peers,
-        expected: &[ClientId],
-        cfg: &CoordinatorConfig,
-    ) -> Result<Traffic, NetError> {
-        let m = self.plan.chunks();
-        let stage_name = "MaskedInputCollection";
-        let mut st = ChunkCollect::new(expected, peers, m);
-        let mut deadline = Instant::now() + cfg.stage_timeout;
-
-        while st.active < m {
-            st.pendings[st.active].retain(|id| peers.contains_key(id));
-            if st.pendings[st.active].is_empty() {
-                // Chunk complete: aggregate it while later chunks keep
-                // arriving into the transport buffers.
-                self.aggregate_active(&mut st, cfg);
-                deadline = Instant::now() + cfg.stage_timeout;
-                continue;
-            }
-            if Instant::now() >= deadline {
-                let late: Vec<ClientId> = st.pendings[st.active].iter().copied().collect();
-                for id in late {
-                    let chunk = st.active as u16;
-                    st.remove_everywhere(id);
-                    drop_peer(
-                        peers,
-                        id,
-                        stage_name,
-                        Some(chunk),
-                        DropKind::DeadlineMissed,
-                        &mut self.dropouts,
-                    );
-                }
-                continue;
-            }
-            let ids: Vec<ClientId> = st.pendings[st.active].iter().copied().collect();
-            for id in ids {
-                let Some(chan) = peers.get_mut(&id) else {
-                    st.remove_everywhere(id);
-                    continue;
-                };
-                let slice = (Instant::now() + cfg.tick).min(deadline);
-                match chan.recv_deadline(slice) {
-                    Ok(frame) => {
-                        let (_, frame) = self.file_chunk_frame(&mut st, peers, id, frame)?;
-                        // Decoded (or rejected) at arrival either way:
-                        // the allocation goes straight back to the pool.
-                        if let Some(chan) = peers.get_mut(&id) {
-                            chan.recycle_frame(frame);
-                        }
-                    }
-                    Err(NetError::Timeout) => {}
-                    Err(_) => {
-                        let chunk = st.died_at(id);
-                        st.remove_everywhere(id);
-                        drop_peer(
-                            peers,
-                            id,
-                            stage_name,
-                            Some(chunk),
-                            DropKind::Disconnected,
-                            &mut self.dropouts,
-                        );
-                    }
-                }
-            }
-        }
-        Ok(st.uplink())
-    }
-
-    /// The per-(stage, chunk) masked-input collector — reactor engine.
-    /// Same state machine, but frames, disconnects, and per-chunk
-    /// deadlines arrive as events: the thread sleeps in the poller while
-    /// clients stream, instead of sweeping every pending channel per
-    /// tick.
-    fn collect_masked_chunks_reactor(
+    /// The per-(stage, chunk) masked-input collector. Chunk `c + 1`'s
+    /// frames accumulate (from fast clients and channel buffers) while
+    /// chunk `c` is aggregated into the server's per-chunk state; the
+    /// stage deadline restarts per chunk. A client whose stream stops —
+    /// disconnect, garbage, or silence past the active chunk's deadline
+    /// — is dropped from every remaining chunk; its partial deliveries
+    /// never reach a sum because U3 requires all chunks. Frames,
+    /// disconnects, and deadlines arrive as reactor events: the thread
+    /// sleeps in the poller while clients stream.
+    fn collect_masked_chunks(
         &mut self,
         reactor: &mut Reactor,
         peers: &mut Peers,
@@ -1371,35 +1096,6 @@ impl RoundMachine {
     // Round-global stage collection.
     // -----------------------------------------------------------------
 
-    /// Collects exactly one body per expected client for `want`, until
-    /// the per-stage deadline. Silent or disconnected clients become
-    /// detected dropouts and are removed from `peers`. `idle` runs once
-    /// per loop turn so pending per-chunk work (unmasking) overlaps the
-    /// wait.
-    ///
-    /// # Errors
-    ///
-    /// Only `idle` failures (protocol aborts) — per-client failures are
-    /// dropouts, not errors.
-    #[allow(clippy::too_many_arguments)]
-    fn collect_stage(
-        &mut self,
-        engine: Option<&mut Reactor>,
-        peers: &mut Peers,
-        expected: &[ClientId],
-        want: StageTag,
-        cfg: &CoordinatorConfig,
-        stage_name: &'static str,
-        up: &mut Traffic,
-        idle: &mut IdleWork<'_>,
-    ) -> Result<BTreeMap<ClientId, Vec<u8>>, NetError> {
-        match engine {
-            Some(reactor) => self
-                .collect_stage_reactor(reactor, peers, expected, want, cfg, stage_name, up, idle),
-            None => self.collect_stage_sweep(peers, expected, want, cfg, stage_name, up, idle),
-        }
-    }
-
     /// Files one round-global stage frame; returns `false` if the client
     /// was dropped.
     #[allow(clippy::too_many_arguments)]
@@ -1479,92 +1175,21 @@ impl RoundMachine {
         }
     }
 
-    /// Blocking-sweep engine for [`RoundMachine::collect_stage`].
+    /// Collects exactly one body per expected client for `want`, until
+    /// the per-stage deadline. Silent or disconnected clients become
+    /// detected dropouts and are removed from `peers`. The thread sleeps
+    /// in the poller until frames, disconnects, or the stage deadline
+    /// are ready; `idle` runs between polls so pending per-chunk work
+    /// (unmasking) overlaps the wait (non-blocking polls while it
+    /// reports more work, so collection stays responsive during long
+    /// interleaves).
+    ///
+    /// # Errors
+    ///
+    /// Only `idle` failures (protocol aborts) and poller failures —
+    /// per-client failures are dropouts, not errors.
     #[allow(clippy::too_many_arguments)]
-    fn collect_stage_sweep(
-        &mut self,
-        peers: &mut Peers,
-        expected: &[ClientId],
-        want: StageTag,
-        cfg: &CoordinatorConfig,
-        stage_name: &'static str,
-        up: &mut Traffic,
-        idle: &mut IdleWork<'_>,
-    ) -> Result<BTreeMap<ClientId, Vec<u8>>, NetError> {
-        let mut deadline = Instant::now() + cfg.stage_timeout;
-        let mut pending: BTreeSet<ClientId> = expected
-            .iter()
-            .copied()
-            .filter(|id| peers.contains_key(id))
-            .collect();
-        let mut bodies: BTreeMap<ClientId, Vec<u8>> = BTreeMap::new();
-        while !pending.is_empty() && Instant::now() < deadline {
-            // Interleaved background work (per-chunk unmasking, possibly
-            // with injected compute) must not eat the peers' response
-            // window: credit its wall time back to the stage deadline.
-            let idle_start = Instant::now();
-            idle(&mut self.server).map_err(NetError::SecAgg)?;
-            deadline += idle_start.elapsed();
-            let ids: Vec<ClientId> = pending.iter().copied().collect();
-            for id in ids {
-                let Some(chan) = peers.get_mut(&id) else {
-                    pending.remove(&id);
-                    continue;
-                };
-                let slice = (Instant::now() + cfg.tick).min(deadline);
-                match chan.recv_deadline(slice) {
-                    Ok(frame) => {
-                        self.file_stage_frame(
-                            peers,
-                            &mut pending,
-                            &mut bodies,
-                            id,
-                            &frame,
-                            want,
-                            stage_name,
-                            up,
-                        );
-                        // The body was copied out during decode; the
-                        // frame allocation goes back to the pool.
-                        if let Some(chan) = peers.get_mut(&id) {
-                            chan.recycle_frame(frame);
-                        }
-                    }
-                    Err(NetError::Timeout) => {}
-                    Err(_) => {
-                        pending.remove(&id);
-                        drop_peer(
-                            peers,
-                            id,
-                            stage_name,
-                            None,
-                            DropKind::Disconnected,
-                            &mut self.dropouts,
-                        );
-                    }
-                }
-            }
-        }
-        for id in pending {
-            drop_peer(
-                peers,
-                id,
-                stage_name,
-                None,
-                DropKind::DeadlineMissed,
-                &mut self.dropouts,
-            );
-        }
-        Ok(bodies)
-    }
-
-    /// Reactor engine for [`RoundMachine::collect_stage`]: the thread
-    /// sleeps in the poller until frames, disconnects, or the stage
-    /// deadline are ready. Idle work runs between polls (non-blocking
-    /// polls while it reports more work, so collection stays responsive
-    /// during long interleaves).
-    #[allow(clippy::too_many_arguments)]
-    fn collect_stage_reactor(
+    fn collect_stage(
         &mut self,
         reactor: &mut Reactor,
         peers: &mut Peers,
@@ -1695,22 +1320,6 @@ impl RoundMachine {
                 }
             }
         }
-    }
-}
-
-/// Installs one pooled chunk completion into the server; a worker
-/// panic is surfaced as a protocol abort (the chunk sum is
-/// unrecoverable without re-running the job).
-fn install_chunk(
-    server: &mut Server,
-    chunk: usize,
-    outcome: JobOutcome<Vec<u64>>,
-) -> Result<(), SecAggError> {
-    match outcome {
-        JobOutcome::Done(sum) => server.install_chunk_sum(chunk, sum),
-        JobOutcome::Panicked(msg) => Err(SecAggError::Config(format!(
-            "compute worker panicked unmasking chunk {chunk}: {msg}"
-        ))),
     }
 }
 
@@ -1932,8 +1541,8 @@ pub(crate) fn drop_peer(
 
 /// Broadcasts an envelope to every live peer; send failures become
 /// detected dropouts (a write timeout is a deadline miss, anything else
-/// a disconnect). On the reactor engine the sends only queue — callers
-/// follow up with [`flush_sends`]. Returns downlink traffic.
+/// a disconnect). The sends only queue — callers follow up with
+/// [`flush_sends`]. Returns downlink traffic.
 ///
 /// The frame is encoded exactly **once** per broadcast (counted in
 /// `dordis_broadcast_encodes_total`) into a refcounted wire message;
@@ -1989,18 +1598,16 @@ fn send_failure_kind(e: &NetError) -> DropKind {
     }
 }
 
-/// Reactor engine only: drives write readiness until every queued
-/// broadcast frame has drained (peers that cannot absorb theirs within
-/// the stage timeout become detected dropouts). No-op on the sweep
-/// engine, whose sends are blocking.
+/// Drives write readiness until every queued broadcast frame has
+/// drained (peers that cannot absorb theirs within the stage timeout
+/// become detected dropouts).
 pub(crate) fn flush_sends(
-    engine: Option<&mut Reactor>,
+    reactor: &mut Reactor,
     peers: &mut Peers,
     dropouts: &mut Vec<DetectedDropout>,
     stage: &'static str,
     cfg: &CoordinatorConfig,
 ) {
-    let Some(reactor) = engine else { return };
     let deadline = Instant::now() + cfg.stage_timeout;
     let (mut events, mut expired) = (Vec::new(), Vec::new());
     loop {

@@ -28,23 +28,16 @@
 //! - [`reactor`]: a readiness-driven event loop (direct-syscall epoll
 //!   poller, deadline timer wheel, loopback waker) so one coordinator
 //!   thread serves hundreds of chunk-streaming clients with `O(events)`
-//!   wake-ups instead of the legacy `O(clients × ticks)` poll sweep.
-//! - [`compute`]: the coordinator's compute plane — a
-//!   [`dordis_compute::Pool`] of worker threads running per-chunk
-//!   unmask jobs (mask expansion sliced to each chunk's element offset
-//!   via the seekable PRG), with completions published back into the
-//!   reactor through the `WakeQueue` under
-//!   [`compute::COMPUTE_TOKEN`], so a finished chunk wakes the
-//!   coordinator exactly like network readiness.
+//!   wake-ups.
 //! - [`coordinator`]: the server task. It drives
 //!   [`dordis_secagg::server::Server`] over any transport with a
 //!   per-(stage, chunk) state machine: chunk `c` is aggregated while
 //!   chunk `c+1` is still on the wire, per-stage deadlines apply per
 //!   chunk, and a peer that goes silent or disconnects (or stops its
 //!   chunk stream partway) becomes a *detected* dropout, replacing the
-//!   driver's scripted `DropoutSchedule`. Collection is reactor-driven
-//!   by default; the legacy poll sweep survives as
-//!   [`coordinator::CollectMode::PollSweep`] for comparison benches.
+//!   driver's scripted `DropoutSchedule`. Collection is
+//!   reactor-driven, and each chunk is unmasked inline on the
+//!   coordinator thread between polls.
 //! - [`runtime`]: the symmetric client task driving
 //!   [`dordis_secagg::client::Client`], streaming its masked input one
 //!   chunk frame at a time, with optional fail injection (disconnect or
@@ -60,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod compute;
 pub mod coordinator;
 pub mod faults;
 pub mod figure12;

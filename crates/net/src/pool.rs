@@ -59,7 +59,7 @@ const DEFAULT_RETAIN_CAP: u64 = 8 * 1024 * 1024;
 /// connection still parks at a frame boundary. (A higher floor defeats
 /// tight budgets at large cohorts: `floor × connections` becomes the
 /// real memory ceiling.)
-pub const MIN_FAIR_SHARE: u64 = 16 * 1024;
+const MIN_FAIR_SHARE: u64 = 16 * 1024;
 
 /// Size-classed recycled allocations, cleared and ready for reuse.
 #[derive(Debug, Default)]

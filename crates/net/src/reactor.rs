@@ -146,7 +146,6 @@ mod sys {
     }
 
     pub const EPOLL_CTL_ADD: usize = 1;
-    pub const EPOLL_CTL_DEL: usize = 2;
     pub const EPOLL_CTL_MOD: usize = 3;
 
     pub const EPOLLIN: u32 = 0x001;
@@ -359,15 +358,6 @@ impl PollerHandle {
             }),
         )
         .map_err(NetError::from)
-    }
-
-    /// Removes `fd`. (Closing the fd also removes it implicitly.)
-    ///
-    /// # Errors
-    ///
-    /// Propagates the kernel's `epoll_ctl` failure.
-    pub fn deregister(&self, fd: i32) -> Result<(), NetError> {
-        sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, None).map_err(NetError::from)
     }
 }
 
@@ -592,8 +582,7 @@ const METRICS_CONN_BASE: u64 = u64::MAX - (1 << 20);
 
 /// Wake-up accounting, to prove the event loop does `O(events)` work:
 /// the scale tests assert `polls` stays within a small factor of
-/// `events + timer_fires`, where the old sweep did
-/// `O(clients × ticks)` receive attempts.
+/// `events + timer_fires`, never `O(clients × ticks)`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReactorStats {
     /// `epoll_pwait` invocations (each is one coordinator wake-up).
@@ -1002,8 +991,8 @@ impl Drop for Reactor {
 /// The readiness-driven side of a [`Channel`].
 ///
 /// Before [`register`](EventedChannel::register) is called, the blocking
-/// [`Channel`] API behaves exactly as before (clients and the legacy
-/// poll-sweep coordinator use it unchanged). After registration the
+/// [`Channel`] API behaves exactly as before (clients and the
+/// replication link use it unchanged). After registration the
 /// channel becomes non-blocking: `send` enqueues into a backpressure
 /// buffer and flushes opportunistically, `try_recv` reassembles frames
 /// from whatever bytes are available, and `try_flush` drains the buffer
@@ -1018,21 +1007,6 @@ pub trait EventedChannel: Channel {
     ///
     /// Propagates registration failures.
     fn register(&mut self, reactor: &mut Reactor, token: Token) -> Result<(), NetError>;
-
-    /// Detaches this channel from whatever reactor it is registered
-    /// with, clearing the stored registration so the next
-    /// [`register`](EventedChannel::register) call binds fresh. This is
-    /// how a session hands a connection to a *different* reactor (a
-    /// shard's) and back: re-registering without deregistering would
-    /// re-key the fd on the *old* reactor's poller. Channels with no
-    /// registration state need not implement it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates deregistration failures.
-    fn deregister(&mut self) -> Result<(), NetError> {
-        Ok(())
-    }
 
     /// Non-blocking receive: the next fully reassembled frame, or `None`
     /// when more bytes are needed.

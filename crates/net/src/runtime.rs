@@ -198,9 +198,8 @@ where
     // hostile bit_width/vector_len could otherwise panic or OOM us)
     // before building anything from them.
     params.validate().map_err(NetError::SecAgg)?;
-    // The union cohort size can only exceed this round's client set
-    // (sharded rounds: `params.clients` is one shard's roster, the
-    // cohort is the full sampled set every shard partitions).
+    // The cohort size XNoise plans from can never be smaller than the
+    // round's own client set.
     if usize::from(cohort) < params.clients.len() {
         return Err(NetError::Protocol(format!(
             "Setup cohort {cohort} smaller than its own client set ({})",
@@ -472,9 +471,8 @@ pub struct SessionClientReport {
 /// bytes (`None` declines); in roster (claim-free) sessions the client
 /// always joins. When seated, `input_for(r, params, cohort, payload)`
 /// builds the round's input from the Setup payload (e.g. the current
-/// global model) — `cohort` is the *union* seated-cohort size, which in
-/// a sharded round exceeds `params.clients.len()` (the shard roster)
-/// and is what XNoise planning must key off — and `fail_for(r)` may
+/// global model) — `cohort` is the seated-cohort size from the Setup
+/// frame, which XNoise planning must key off — and `fail_for(r)` may
 /// inject a scripted failure.
 ///
 /// # Errors

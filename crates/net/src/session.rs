@@ -9,7 +9,7 @@
 //! A [`Session`] owns what outlives a round:
 //!
 //! - the collection engine (one [`Reactor`] serving every round's
-//!   timers and channels, or the legacy poll sweep),
+//!   timers and channels),
 //! - the *parked* connections: every authenticated client channel,
 //!   registered once and kept across rounds,
 //! - the round counter stamped into every envelope, and
@@ -47,49 +47,21 @@
 //!    gone — those clients can reconnect and re-join in a later round.
 //! 5. After the last round, [`Session::finish`] broadcasts
 //!    [`StageTag::SessionEnd`].
-//!
-//! ## Sharded rounds
-//!
-//! With [`SessionConfig::shards`] `S > 1` the seated cohort is
-//! partitioned by [`shard_of`] (a hash of the client id) into `S`
-//! rosters, each hosting its own [`RoundMachine`] — fresh secagg
-//! server, fresh chunk plan — on its own thread, with its own reactor
-//! under [`CollectMode::Reactor`]. Join, seating, and the parked set
-//! stay global; only the aggregation data plane fans out. Afterwards
-//! the per-shard outcomes merge: chunk sums add element-wise in
-//! `Z_{2^b}`, survivor sets union (sorted, exactly as the unsharded
-//! server reports them), and dropped clients are recomputed against
-//! the *union* cohort in cohort order — so a sharded round is
-//! bit-equal to the unsharded one over the same cohort and inputs.
-//!
-//! Two invariants keep the XNoise privacy ledger honest under
-//! sharding. Every Setup frame carries the *union* cohort size (wire
-//! v4), so clients derive their noise plan from the full sampled
-//! cohort, never their shard roster; and each shard keeps the union's
-//! `noise_components`, so its removal-seed reconstruction covers a
-//! superset of the union removal range — downstream excess-noise
-//! removal keys off the union dropout count and ignores the extras.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use dordis_secagg::driver::RoundStats;
-use dordis_secagg::graph::MaskingGraph;
-use dordis_secagg::server::{merge_shard_outcomes, RoundOutcome};
 use dordis_secagg::{ClientId, RoundParams};
 use dordis_telemetry::Telemetry;
 
 use crate::codec::{self, Envelope, StageTag};
-use crate::compute::ComputePlane;
 use crate::coordinator::{
-    client_of, client_token, CollectMode, CoordinatorConfig, NetRoundReport, Peers, RoundMachine,
-    JOIN_BASE,
+    client_of, client_token, CoordinatorConfig, NetRoundReport, Peers, RoundMachine, JOIN_BASE,
 };
 use crate::faults::FaultPlan;
-use crate::reactor::{EventedChannel, Reactor, ReactorStats, Token};
+use crate::reactor::{EventedChannel, Reactor, Token};
 use crate::replication::{Primary, SessionCheckpoint};
-use crate::transport::{recv_env, send_env, wire_message, Acceptor};
+use crate::transport::{send_env, wire_message, Acceptor};
 use crate::NetError;
 
 /// Who a round's seating verifier admitted and who it threw out.
@@ -146,26 +118,11 @@ pub struct SessionConfig<'a> {
     /// Injected per-chunk s-comp cost (see
     /// [`CoordinatorConfig::chunk_compute`]).
     pub chunk_compute: Option<Duration>,
-    /// Scheduling granularity (reactor tick / sweep poll slice).
+    /// Scheduling granularity (the reactor's timer-wheel tick).
     pub tick: Duration,
-    /// Collection engine for every round.
-    pub mode: CollectMode,
-    /// Compute-plane worker threads shared by every round (`0` =
-    /// serial unmasking on the coordinator thread; see
-    /// [`CoordinatorConfig::workers`]). Workers stay warm across
-    /// rounds.
-    pub workers: usize,
-    /// Aggregation shard count `S`. `0` or `1` runs the classic single
-    /// machine; `S > 1` partitions each round's seated cohort by
-    /// [`shard_of`] into `S` parallel [`RoundMachine`]s whose outcomes
-    /// merge bit-equal to the unsharded round (see the module docs).
-    /// A partition that would leave any shard below the secagg minimum
-    /// of 2 clients falls back to the single machine for that round.
-    pub shards: usize,
     /// Global ingress budget in bytes for the reactor's shared frame
     /// pool (`0` = unlimited, the bit-equal reference; see
-    /// [`CoordinatorConfig::ingress_budget`]). A sharded round splits
-    /// the budget evenly across the shard reactors.
+    /// [`CoordinatorConfig::ingress_budget`]).
     pub ingress_budget: u64,
     /// Whether to broadcast [`StageTag::RoundAnnounce`] at each round
     /// start (required for multi-round sessions; the single-round
@@ -179,14 +136,12 @@ pub struct SessionConfig<'a> {
     pub seating: Seating<'a>,
     /// Per-round parameter builder.
     pub params_for: ParamsFor<'a>,
-    /// Telemetry handle shared by the reactor, the compute plane, and
-    /// every round machine. [`Telemetry::disabled`] (the usual default)
-    /// turns every probe into a no-op.
+    /// Telemetry handle shared by the reactor and every round machine.
+    /// [`Telemetry::disabled`] (the usual default) turns every probe
+    /// into a no-op.
     pub telemetry: Telemetry,
     /// Bind address (`host:port`) for the Prometheus scrape endpoint,
     /// served by the reactor itself as one more epoll registration.
-    /// Requires [`CollectMode::Reactor`]; the sweep has no poller to
-    /// hang a listener on.
     pub metrics_addr: Option<String>,
     /// Dedicated channel to a backup coordinator. When set, every
     /// [`Session::commit_round`] ships a [`SessionCheckpoint`] and
@@ -208,10 +163,7 @@ type Answer = Option<Vec<u8>>;
 pub struct Session<'a> {
     acceptor: &'a mut dyn Acceptor,
     cfg: SessionConfig<'a>,
-    engine: Option<Reactor>,
-    /// Worker pool for pooled unmasking (kept warm across rounds);
-    /// `None` runs the serial reference path.
-    compute: Option<ComputePlane>,
+    engine: Reactor,
     /// Authenticated connections not currently inside a round.
     parked: Peers,
     next_round: u64,
@@ -252,8 +204,7 @@ impl<'a> Session<'a> {
     ///
     /// # Errors
     ///
-    /// Reactor construction failures, scrape-listener bind failures,
-    /// and a `metrics_addr` configured without the reactor engine.
+    /// Reactor construction and scrape-listener bind failures.
     pub fn new(
         acceptor: &'a mut dyn Acceptor,
         mut cfg: SessionConfig<'a>,
@@ -262,38 +213,22 @@ impl<'a> Session<'a> {
         // The replication link stays *unregistered*: checkpoint traffic
         // happens at round boundaries, where the session thread is
         // between collection loops, so the blocking Channel API is
-        // exactly right (and works identically under both engines).
+        // exactly right.
         let replica = cfg.replica.take().map(|chan| ReplicaLink {
             chan,
             role: Some(Primary::new()),
         });
-        let mut engine = match cfg.mode {
-            CollectMode::Reactor => Some(Reactor::with_telemetry(cfg.tick, cfg.telemetry.clone())?),
-            CollectMode::PollSweep => None,
+        let mut engine = Reactor::with_telemetry(cfg.tick, cfg.telemetry.clone())?;
+        engine.set_ingress_budget(cfg.ingress_budget);
+        let metrics_bound = match &cfg.metrics_addr {
+            Some(addr) => Some(engine.serve_metrics(addr)?),
+            None => None,
         };
-        if let Some(reactor) = engine.as_ref() {
-            reactor.set_ingress_budget(cfg.ingress_budget);
-        }
-        let metrics_bound = match (&cfg.metrics_addr, engine.as_mut()) {
-            (Some(addr), Some(reactor)) => Some(reactor.serve_metrics(addr)?),
-            (Some(_), None) => {
-                return Err(NetError::Protocol(
-                    "metrics endpoint needs the reactor engine (mode: Reactor)".into(),
-                ));
-            }
-            (None, _) => None,
-        };
-        // The compute plane publishes completions through the reactor's
-        // waker when there is one; under the sweep, completions queue
-        // and are drained in the idle slots.
-        let compute = (cfg.workers > 0)
-            .then(|| ComputePlane::new(cfg.workers, engine.as_ref().map(Reactor::waker)));
         let next_round = cfg.first_round;
         Ok(Session {
             acceptor,
             cfg,
             engine,
-            compute,
             parked: BTreeMap::new(),
             next_round,
             rounds_done: 0,
@@ -427,7 +362,7 @@ impl<'a> Session<'a> {
                 self.cfg.telemetry.now_ns(),
             );
         }
-        let reactor_base = self.engine.as_ref().map(|r| r.stats);
+        let reactor_base = self.engine.stats;
         let metrics_base = self.cfg.telemetry.snapshot();
         let join_span = self.cfg.telemetry.span("session", "join", round, None);
         // Roster seating needs the sampled set up front to vet joins.
@@ -480,44 +415,22 @@ impl<'a> Session<'a> {
         }
         drop(seat_span);
 
-        let cohort = params.clients.len().min(usize::from(u16::MAX)) as u16;
-        let rosters = shard_rosters(&params.clients, self.cfg.shards);
-        // A shard below the secagg minimum (2 clients) cannot host a
-        // round machine; fall back to the single machine for this
-        // round rather than abort.
-        let sharded = rosters.len() > 1 && rosters.iter().all(|r| r.len() >= 2);
-        let mut shard_reactor: Option<ReactorStats> = None;
-        let result = if sharded {
-            let result =
-                self.run_shards(round, &params, rosters, cohort, &mut round_peers, payload);
-            if let Ok(report) = &result {
-                shard_reactor = report.reactor;
-            }
-            result
-        } else {
-            let cc = CoordinatorConfig {
-                params,
-                join_timeout: self.cfg.join_timeout,
-                stage_timeout: self.cfg.stage_timeout,
-                chunks: self.cfg.chunks,
-                chunk_compute: self.cfg.chunk_compute,
-                tick: self.cfg.tick,
-                mode: self.cfg.mode,
-                workers: self.cfg.workers,
-                telemetry: self.cfg.telemetry.clone(),
-                cohort,
-                ingress_budget: self.cfg.ingress_budget,
-                faults: self.cfg.faults.clone(),
-            };
-            let machine = RoundMachine::new(&cc)?;
-            machine.run(
-                self.engine.as_mut(),
-                self.compute.as_mut(),
-                &mut round_peers,
-                &cc,
-                payload,
-            )
+        // A round that cannot be seated (invalid parameters, an
+        // unrealizable chunk plan) fails like any other round error:
+        // below, after the cohort's connections are parked again.
+        let cc = CoordinatorConfig {
+            params,
+            join_timeout: self.cfg.join_timeout,
+            stage_timeout: self.cfg.stage_timeout,
+            chunks: self.cfg.chunks,
+            chunk_compute: self.cfg.chunk_compute,
+            tick: self.cfg.tick,
+            telemetry: self.cfg.telemetry.clone(),
+            ingress_budget: self.cfg.ingress_budget,
+            faults: self.cfg.faults.clone(),
         };
+        let result = RoundMachine::new(&cc)
+            .and_then(|machine| machine.run(&mut self.engine, &mut round_peers, &cc, payload));
 
         // Survivors' connections return to the parked set regardless of
         // how the round ended.
@@ -533,26 +446,8 @@ impl<'a> Session<'a> {
                 // Widen the machine's per-round reactor delta to cover
                 // the join phase too, and attach the round's metrics
                 // delta; cumulative reactor counters ride alongside.
-                let reactor_now = self.engine.as_ref().map(|r| r.stats);
-                report.reactor = match (reactor_now, reactor_base) {
-                    (Some(now), Some(base)) => Some(now.delta_since(base)),
-                    (now, _) => now,
-                };
-                // A sharded round's wake-up work happened on the shard
-                // reactors; add it to the session reactor's own delta
-                // (join phase + completion waiting) so `reactor` stays
-                // "everything this round cost", sharded or not.
-                if let Some(extra) = shard_reactor {
-                    report.reactor = Some(match report.reactor {
-                        Some(own) => ReactorStats {
-                            polls: own.polls + extra.polls,
-                            events: own.events + extra.events,
-                            timer_fires: own.timer_fires + extra.timer_fires,
-                        },
-                        None => extra,
-                    });
-                }
-                report.reactor_session = reactor_now;
+                report.reactor = self.engine.stats.delta_since(reactor_base);
+                report.reactor_session = self.engine.stats;
                 report.metrics = match (self.cfg.telemetry.snapshot(), &metrics_base) {
                     (Some(now), Some(base)) => Some(now.delta(base)),
                     _ => None,
@@ -571,186 +466,6 @@ impl<'a> Session<'a> {
                 Err(e)
             }
         }
-    }
-
-    /// Runs one round partitioned across `rosters.len()` aggregation
-    /// shards: each shard hosts a fresh [`RoundMachine`] over its
-    /// roster on its own thread (with its own reactor and compute
-    /// plane when so configured), then the per-shard reports merge
-    /// into one union report. See the module docs' *Sharded rounds*
-    /// section for the bit-equality and privacy-ledger arguments.
-    fn run_shards(
-        &mut self,
-        round: u64,
-        params: &RoundParams,
-        rosters: Vec<Vec<ClientId>>,
-        cohort: u16,
-        round_peers: &mut Peers,
-        payload: &[u8],
-    ) -> Result<NetRoundReport, NetError> {
-        let shards = rosters.len();
-        let shards_span = self.cfg.telemetry.span("session", "shards", round, None);
-
-        // Build each shard's config and peel its channels off the
-        // cohort on this thread. Channels must leave the session poller
-        // before they cross to a shard thread (re-registering without
-        // deregistering would re-key the fd on the *old* poller); one
-        // that cannot is dropped and becomes a detected dropout.
-        let mut work: Vec<(CoordinatorConfig, Peers)> = Vec::with_capacity(shards);
-        // Each shard reactor gets an even slice of the session budget
-        // (floored at the fair-share minimum so a tiny budget over many
-        // shards cannot silently become "unlimited").
-        let shard_budget = if self.cfg.ingress_budget == 0 {
-            0
-        } else {
-            (self.cfg.ingress_budget / shards as u64).max(crate::pool::MIN_FAIR_SHARE)
-        };
-        for (s, roster) in rosters.iter().enumerate() {
-            let cc = CoordinatorConfig {
-                params: shard_params(params, roster),
-                join_timeout: self.cfg.join_timeout,
-                stage_timeout: self.cfg.stage_timeout,
-                chunks: self.cfg.chunks,
-                chunk_compute: self.cfg.chunk_compute,
-                tick: self.cfg.tick,
-                mode: self.cfg.mode,
-                workers: self.cfg.workers,
-                telemetry: self.cfg.telemetry.shard_scope(s as u16),
-                cohort,
-                ingress_budget: shard_budget,
-                faults: self.cfg.faults.clone(),
-            };
-            let mut peers: Peers = BTreeMap::new();
-            for &id in roster {
-                if let Some(mut chan) = round_peers.remove(&id) {
-                    if chan.deregister().is_ok() {
-                        peers.insert(id, chan);
-                    }
-                }
-            }
-            work.push((cc, peers));
-        }
-
-        let waker = self.engine.as_ref().map(Reactor::waker);
-        let results: Mutex<Vec<ShardSlot>> = Mutex::new((0..shards).map(|_| None).collect());
-
-        std::thread::scope(|scope| -> Result<(), NetError> {
-            for (s, (cc, mut peers)) in work.into_iter().enumerate() {
-                let results = &results;
-                let waker = waker.clone();
-                std::thread::Builder::new()
-                    // The thread name becomes the span track name in
-                    // the Chrome-tracing export.
-                    .name(format!("dordis-shard{s}"))
-                    .spawn_scoped(scope, move || {
-                        let outcome = run_one_shard(&cc, &mut peers, payload);
-                        if let Ok(mut slots) = results.lock() {
-                            slots[s] = Some((outcome, peers));
-                        }
-                        if let Some(w) = &waker {
-                            w.wake(Token(SHARD_DONE_BASE + s as u64));
-                        }
-                    })
-                    .map_err(|e| NetError::Io(format!("spawn shard {s}: {e}")))?;
-            }
-            // Keep the session reactor turning while the shards run, so
-            // the scrape endpoint stays responsive mid-round; each
-            // shard's completion wake cuts the poll short. The sweep
-            // has no poller — there the scope's implicit join below is
-            // the barrier.
-            if let Some(reactor) = self.engine.as_mut() {
-                let (mut events, mut expired) = (Vec::new(), Vec::new());
-                loop {
-                    let done = results
-                        .lock()
-                        .map_or(shards, |slots| slots.iter().filter(|s| s.is_some()).count());
-                    if done == shards {
-                        break;
-                    }
-                    reactor.poll(&mut events, &mut expired, self.cfg.tick)?;
-                }
-            }
-            Ok(())
-        })?;
-        drop(shards_span);
-
-        let merge_span = self.cfg.telemetry.span("session", "merge", round, None);
-        let slots = results
-            .into_inner()
-            .map_err(|_| NetError::Protocol("shard result lock poisoned".into()))?;
-        let mut first_err: Option<NetError> = None;
-        let mut reports: Vec<NetRoundReport> = Vec::with_capacity(shards);
-        for slot in slots {
-            let Some((result, mut peers)) = slot else {
-                first_err.get_or_insert(NetError::Protocol("shard thread died".into()));
-                continue;
-            };
-            // Re-home survivors on the session poller *before* any
-            // error can propagate: a channel left unregistered would
-            // stall the next round's join.
-            if let Some(reactor) = self.engine.as_mut() {
-                let ids: Vec<ClientId> = peers.keys().copied().collect();
-                for id in ids {
-                    let registered = peers
-                        .get_mut(&id)
-                        .is_some_and(|chan| chan.register(reactor, client_token(id)).is_ok());
-                    if !registered {
-                        peers.remove(&id);
-                    }
-                }
-            }
-            round_peers.append(&mut peers);
-            match result {
-                Ok(report) => reports.push(report),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-
-        // Merge. Chunk sums add element-wise in `Z_{2^b}` and survivor
-        // sets union inside `merge_shard_outcomes`; removal seeds
-        // concatenate (each shard reconstructed a superset of the union
-        // removal range — excess-noise removal downstream keys off the
-        // union dropout count and ignores the extras). Traffic stats
-        // fold per stage; every shard realizes the identical chunk
-        // plan, so the chunk count carries over from any one of them.
-        let mut outcomes: Vec<RoundOutcome> = Vec::with_capacity(reports.len());
-        let mut stats = RoundStats::default();
-        let mut dropouts = Vec::new();
-        let mut chunks = 0;
-        let mut stale_frames = 0;
-        let mut reactor: Option<ReactorStats> = None;
-        for report in reports {
-            outcomes.push(report.outcome);
-            merge_stats_into(&mut stats, report.stats);
-            dropouts.extend(report.dropouts);
-            chunks = report.chunks;
-            stale_frames += report.stale_frames;
-            if let Some(delta) = report.reactor {
-                let acc = reactor.get_or_insert_with(ReactorStats::default);
-                acc.polls += delta.polls;
-                acc.events += delta.events;
-                acc.timer_fires += delta.timer_fires;
-            }
-        }
-        stats.aborted.sort_unstable();
-        let outcome = merge_shard_outcomes(&params.clients, outcomes).map_err(NetError::SecAgg)?;
-        drop(merge_span);
-        Ok(NetRoundReport {
-            round,
-            outcome,
-            stats,
-            dropouts,
-            chunks,
-            stale_frames,
-            reactor,
-            reactor_session: None,
-            metrics: None,
-        })
     }
 
     /// Ends the session: broadcasts [`StageTag::SessionEnd`] to every
@@ -828,10 +543,7 @@ impl<'a> Session<'a> {
             }
         }
 
-        match self.engine.is_some() {
-            true => self.join_reactor(round, roster, claims_mode, &mut answers, &mut stale)?,
-            false => self.join_sweep(round, roster, claims_mode, &mut answers, &mut stale)?,
-        }
+        self.join_reactor(round, roster, claims_mode, &mut answers, &mut stale)?;
         self.seen.extend(answers.keys().copied());
         Ok((answers, stale))
     }
@@ -906,7 +618,7 @@ impl<'a> Session<'a> {
                     Ok(mut chan) => {
                         let token = Token(self.next_provisional);
                         self.next_provisional += 1;
-                        let reactor = self.engine.as_mut().expect("reactor engine");
+                        let reactor = &mut self.engine;
                         chan.register(reactor, token)?;
                         reactor.arm_deadline(
                             token,
@@ -927,8 +639,7 @@ impl<'a> Session<'a> {
                     break;
                 }
             }
-            let reactor = self.engine.as_mut().expect("reactor engine");
-            reactor.poll(&mut events, &mut expired, self.cfg.tick)?;
+            self.engine.poll(&mut events, &mut expired, self.cfg.tick)?;
             for ev in &events {
                 if let Some(mut chan) = awaiting.remove(&ev.token.0) {
                     // Drain *through* stale frames: an eager `Join(0)`
@@ -953,7 +664,7 @@ impl<'a> Session<'a> {
                                 chan.recycle_frame(frame);
                                 match verdict {
                                     Verdict::Admit(id, answer) => {
-                                        let reactor = self.engine.as_mut().expect("reactor engine");
+                                        let reactor = &mut self.engine;
                                         reactor.cancel_deadline(ev.token);
                                         chan.register(reactor, client_token(id))?;
                                         answers.insert(id, answer);
@@ -961,8 +672,7 @@ impl<'a> Session<'a> {
                                         break;
                                     }
                                     Verdict::Reject(reply) => {
-                                        let reactor = self.engine.as_mut().expect("reactor engine");
-                                        reactor.cancel_deadline(ev.token);
+                                        self.engine.cancel_deadline(ev.token);
                                         let _ = send_env(chan.as_mut(), &reply);
                                         let _ = chan.try_flush();
                                         break;
@@ -973,8 +683,7 @@ impl<'a> Session<'a> {
                                         // answer may be right behind.
                                     }
                                     Verdict::Discard => {
-                                        let reactor = self.engine.as_mut().expect("reactor engine");
-                                        reactor.cancel_deadline(ev.token);
+                                        self.engine.cancel_deadline(ev.token);
                                         break;
                                     }
                                 }
@@ -986,8 +695,7 @@ impl<'a> Session<'a> {
                                 break;
                             }
                             Err(_) => {
-                                let reactor = self.engine.as_mut().expect("reactor engine");
-                                reactor.cancel_deadline(ev.token);
+                                self.engine.cancel_deadline(ev.token);
                                 break;
                             }
                         }
@@ -1017,9 +725,7 @@ impl<'a> Session<'a> {
         // rejected peer hears *why* instead of hanging.
         let leftovers: Vec<(u64, Box<dyn EventedChannel>)> = awaiting.into_iter().collect();
         for (token, mut chan) in leftovers {
-            if let Some(reactor) = self.engine.as_mut() {
-                reactor.cancel_deadline(Token(token));
-            }
+            self.engine.cancel_deadline(Token(token));
             // Drain through stale frames here too (see the loop above).
             while let Ok(Some(frame)) = chan.try_recv() {
                 let verdict = self.vet_first_frame(
@@ -1033,8 +739,7 @@ impl<'a> Session<'a> {
                 chan.recycle_frame(frame);
                 match verdict {
                     Verdict::Admit(id, answer) => {
-                        let reactor = self.engine.as_mut().expect("reactor engine");
-                        chan.register(reactor, client_token(id))?;
+                        chan.register(&mut self.engine, client_token(id))?;
                         answers.insert(id, answer);
                         self.parked.insert(id, chan);
                         break;
@@ -1047,104 +752,6 @@ impl<'a> Session<'a> {
                     Verdict::Stale => {
                         *stale += 1;
                         continue;
-                    }
-                    Verdict::Discard => break,
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Sweep-driven join phase: parked peers are polled in tick slices
-    /// between accepts; each provisional connection's first frame is
-    /// read with a blocking deadline (the legacy behaviour the
-    /// `reactor_scale` bench measures against).
-    fn join_sweep(
-        &mut self,
-        round: u64,
-        roster: Option<&BTreeSet<ClientId>>,
-        claims_mode: bool,
-        answers: &mut BTreeMap<ClientId, Answer>,
-        stale: &mut u64,
-    ) -> Result<(), NetError> {
-        let deadline = Instant::now() + self.cfg.join_timeout;
-        while !self.join_complete(roster, answers) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            // Service parked peers that have not answered yet.
-            let waiting: Vec<ClientId> = self
-                .parked
-                .keys()
-                .copied()
-                .filter(|id| !answers.contains_key(id))
-                .collect();
-            for id in &waiting {
-                let Some(chan) = self.parked.get_mut(id) else {
-                    continue;
-                };
-                let slice = (Instant::now() + self.cfg.tick).min(deadline);
-                match chan.recv_deadline(slice) {
-                    Ok(frame) => {
-                        self.file_parked_frame(round, *id, &frame, answers, stale);
-                        if let Some(chan) = self.parked.get_mut(id) {
-                            chan.recycle_frame(frame);
-                        }
-                    }
-                    Err(NetError::Timeout) => {}
-                    Err(_) => {
-                        self.parked.remove(id);
-                    }
-                }
-            }
-            // Accept: block the full window only when nothing else needs
-            // service (the legacy single-round behaviour); otherwise one
-            // tick.
-            let accept_deadline = if waiting.is_empty() && !self.cfg.announce {
-                deadline
-            } else {
-                (Instant::now() + self.cfg.tick).min(deadline)
-            };
-            let mut chan = match self.acceptor.accept(accept_deadline) {
-                Ok(c) => c,
-                Err(NetError::Timeout) => continue,
-                Err(e) => return Err(e),
-            };
-            if self.cfg.announce && chan.send(&announce_frame(round, claims_mode)).is_err() {
-                continue;
-            }
-            // The first frame must arrive promptly once connected.
-            let first_deadline = Instant::now()
-                + self
-                    .cfg
-                    .stage_timeout
-                    .min(deadline.saturating_duration_since(Instant::now()));
-            loop {
-                match self.vet_first_frame(
-                    recv_env(chan.as_mut(), first_deadline),
-                    round,
-                    roster,
-                    claims_mode,
-                    answers,
-                    stale,
-                ) {
-                    Verdict::Admit(id, answer) => {
-                        answers.insert(id, answer);
-                        self.parked.insert(id, chan);
-                        break;
-                    }
-                    Verdict::Reject(reply) => {
-                        let _ = send_env(chan.as_mut(), &reply);
-                        break;
-                    }
-                    Verdict::Stale => {
-                        *stale += 1;
-                        if Instant::now() >= first_deadline {
-                            break;
-                        }
-                        // Keep reading: the current-round frame may be
-                        // right behind the stale one.
                     }
                     Verdict::Discard => break,
                 }
@@ -1338,11 +945,7 @@ impl<'a> Session<'a> {
 
     /// Probes whether `id`'s parked channel is still alive. Any
     /// buffered frame the probe consumes is re-filed (it may be the
-    /// peer's answer for this round), never discarded. Only the reactor
-    /// engine probes: its channels are registered (non-blocking); sweep
-    /// channels may still be in blocking mode, and the sweep's
-    /// `recv_deadline` pass culls dead parked channels itself, so a
-    /// still-present one is treated as live.
+    /// peer's answer for this round), never discarded.
     fn parked_alive(
         &mut self,
         round: u64,
@@ -1350,9 +953,6 @@ impl<'a> Session<'a> {
         answers: &mut BTreeMap<ClientId, Answer>,
         stale: &mut u64,
     ) -> bool {
-        if self.engine.is_none() {
-            return true;
-        }
         loop {
             match self.parked.get_mut(&id).map(|c| c.try_recv()) {
                 Some(Ok(Some(frame))) => {
@@ -1369,141 +969,6 @@ impl<'a> Session<'a> {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Sharded rounds.
-// ---------------------------------------------------------------------
-
-/// One shard thread's deposit: its round result plus the surviving
-/// channels to re-park on the session reactor.
-type ShardSlot = Option<(Result<NetRoundReport, NetError>, Peers)>;
-
-/// Wake-token namespace for shard-completion notifications posted to
-/// the *session* reactor: shard `s` wakes `SHARD_DONE_BASE + s`. Sits
-/// below the reactor's internal metrics-connection namespace and far
-/// above client ids and provisional join tokens ([`JOIN_BASE`]).
-pub const SHARD_DONE_BASE: u64 = u64::MAX - (2 << 20);
-
-/// Which aggregation shard a client belongs to, for a cohort
-/// partitioned into `shards` shards: a splitmix64-style finalizer over
-/// the client id, reduced mod `shards`. Deterministic across
-/// coordinator and tests; well-mixed, so adjacent ids spread instead of
-/// clumping.
-#[must_use]
-pub fn shard_of(id: ClientId, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let mut x = u64::from(id).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    (x % shards as u64) as usize
-}
-
-/// Partitions a cohort into per-shard rosters by [`shard_of`],
-/// preserving cohort order within each roster (the order becomes the
-/// shard's `RoundParams::clients`). `shards <= 1` yields one roster:
-/// the cohort itself.
-#[must_use]
-pub fn shard_rosters(cohort: &[ClientId], shards: usize) -> Vec<Vec<ClientId>> {
-    let shards = shards.max(1);
-    let mut rosters = vec![Vec::new(); shards];
-    for &id in cohort {
-        rosters[shard_of(id, shards)].push(id);
-    }
-    rosters
-}
-
-/// Derives one shard's [`RoundParams`] from the union round's.
-///
-/// The roster is the shard's slice of the cohort (cohort order); the
-/// dropout threshold scales proportionally, rounded up (which preserves
-/// the malicious model's `2t > |U|` invariant) and clamped to
-/// `2..=roster`. `noise_components` stays the *union*'s `T`, so the
-/// shard server reconstructs removal seeds over a superset of the union
-/// removal range — the privacy ledger accounts dropouts against the
-/// full cohort, never a shard roster. The masking graph is re-derived
-/// from the roster size ([`MaskingGraph::recommended`]): rosters are
-/// hash-partitioned slices with no meaningful neighbor structure to
-/// inherit, and pairwise masks only ever cancel within a shard anyway —
-/// small shards keep the complete graph (bit-identical to the old
-/// pinned behaviour), while large shards get the sparse Harary graph,
-/// which with neighborhood-scoped Shamir indexing is what lets a single
-/// shard seat rosters past 255 clients.
-fn shard_params(union: &RoundParams, roster: &[ClientId]) -> RoundParams {
-    let threshold = (union.threshold * roster.len())
-        .div_ceil(union.clients.len().max(1))
-        .max(2)
-        .min(roster.len());
-    RoundParams {
-        round: union.round,
-        clients: roster.to_vec(),
-        threshold,
-        bit_width: union.bit_width,
-        vector_len: union.vector_len,
-        noise_components: union.noise_components,
-        threat_model: union.threat_model,
-        graph: MaskingGraph::recommended(roster.len()),
-    }
-}
-
-/// One shard's round, on the shard's thread: a fresh engine (its own
-/// reactor under [`CollectMode::Reactor`]; the sweep needs none), a
-/// fresh compute plane when workers are configured, and a fresh
-/// [`RoundMachine`] over the shard roster. Channels arrive deregistered
-/// and leave deregistered — the session re-homes survivors on its own
-/// poller afterwards.
-fn run_one_shard(
-    cc: &CoordinatorConfig,
-    peers: &mut Peers,
-    payload: &[u8],
-) -> Result<NetRoundReport, NetError> {
-    let mut engine = match cc.mode {
-        CollectMode::Reactor => Some(Reactor::with_telemetry(cc.tick, cc.telemetry.clone())?),
-        CollectMode::PollSweep => None,
-    };
-    if let Some(reactor) = engine.as_ref() {
-        reactor.set_ingress_budget(cc.ingress_budget);
-    }
-    let mut compute = (cc.workers > 0)
-        .then(|| ComputePlane::new(cc.workers, engine.as_ref().map(Reactor::waker)));
-    if let Some(reactor) = engine.as_mut() {
-        let ids: Vec<ClientId> = peers.keys().copied().collect();
-        for id in ids {
-            let registered = peers
-                .get_mut(&id)
-                .is_some_and(|chan| chan.register(reactor, client_token(id)).is_ok());
-            if !registered {
-                peers.remove(&id);
-            }
-        }
-    }
-    let machine = RoundMachine::new(cc)?;
-    let result = machine.run(engine.as_mut(), compute.as_mut(), peers, cc, payload);
-    for chan in peers.values_mut() {
-        let _ = chan.deregister();
-    }
-    result
-}
-
-/// Folds one shard's per-stage traffic into the union report's: totals
-/// add, per-client maxima take the max (the heaviest client in any
-/// shard is the heaviest client overall).
-fn merge_stats_into(into: &mut RoundStats, from: RoundStats) {
-    for stage in from.stages {
-        match into.stages.iter_mut().find(|s| s.stage == stage.stage) {
-            Some(acc) => {
-                acc.uplink_total += stage.uplink_total;
-                acc.uplink_max = acc.uplink_max.max(stage.uplink_max);
-                acc.downlink_total += stage.downlink_total;
-                acc.downlink_max = acc.downlink_max.max(stage.downlink_max);
-            }
-            None => into.stages.push(stage),
-        }
-    }
-    into.aborted.extend(from.aborted);
 }
 
 /// The RoundAnnounce frame for a round, encoded once per use site so

@@ -663,17 +663,6 @@ impl EventedChannel for TcpChannel {
         Ok(())
     }
 
-    fn deregister(&mut self) -> Result<(), NetError> {
-        if let Some(reg) = self.registration.take() {
-            reg.handle.deregister(self.stream.as_raw_fd())?;
-        }
-        // The stream stays non-blocking: a deregistered channel is in
-        // transit between reactors, and the next `register` call binds
-        // it fresh on the destination's poller. The account stays too —
-        // re-registration on a different reactor rebinds it.
-        Ok(())
-    }
-
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
         // Drain the kernel buffer first so level-triggered epoll goes
         // quiet once everything available has been reassembled. A

@@ -3,12 +3,12 @@
 //! in-memory loopback implementation used by tests and the in-process
 //! networked round.
 //!
-//! Every accepted channel is an [`EventedChannel`], so the coordinator
-//! can drive it either through the blocking [`Channel`] API (the legacy
-//! poll sweep) or through reactor readiness. The loopback transport has
-//! no file descriptor; its readiness travels through the reactor's
-//! [`WakeQueue`](crate::reactor::WakeQueue) — a sender publishes the
-//! receiving end's token and pokes the wake pipe.
+//! Every accepted channel is an [`EventedChannel`]: the coordinator
+//! drives it through reactor readiness, while clients and the
+//! replication link use the blocking [`Channel`] API. The loopback
+//! transport has no file descriptor; its readiness travels through the
+//! reactor's [`WakeQueue`](crate::reactor::WakeQueue) — a sender
+//! publishes the receiving end's token and pokes the wake pipe.
 
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -281,16 +281,6 @@ impl EventedChannel for LoopbackChannel {
         // Frames sent before registration produced no wake; schedule an
         // initial sweep so they are discovered on the next poll.
         waker.wake(token);
-        Ok(())
-    }
-
-    fn deregister(&mut self) -> Result<(), NetError> {
-        // Clearing the slot stops the peer waking a reactor this
-        // channel no longer belongs to (e.g. a shard reactor that has
-        // since shut down).
-        if let Ok(mut guard) = self.my_reg.lock() {
-            *guard = None;
-        }
         Ok(())
     }
 

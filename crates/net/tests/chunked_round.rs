@@ -10,9 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dordis_net::coordinator::{
-    run_coordinator, CollectMode, CoordinatorConfig, DropKind, NetRoundReport,
-};
+use dordis_net::coordinator::{run_coordinator, CoordinatorConfig, DropKind, NetRoundReport};
 use dordis_net::runtime::{run_client, ClientOptions, FailAction, FailPoint, FailStage};
 use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::{ClientInput, Identity};
@@ -20,9 +18,6 @@ use dordis_secagg::driver::{run_round, signing_key_for, DropStage, DropoutSchedu
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::server::RoundOutcome;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
-
-mod common;
-use common::ENGINES;
 
 const BITS: u32 = 16;
 const DIM: usize = 48;
@@ -87,7 +82,6 @@ fn net_round(
     fails: &BTreeMap<ClientId, FailPoint>,
     chunks: usize,
     stage_timeout: Duration,
-    (mode, workers): (CollectMode, usize),
 ) -> NetRoundReport {
     let (hub, mut acceptor) = LoopbackHub::new();
     let registry: Option<Arc<BTreeMap<ClientId, _>>> =
@@ -138,9 +132,7 @@ fn net_round(
             stage_timeout,
             chunks,
             None,
-        )
-        .with_mode(mode)
-        .with_workers(workers),
+        ),
     )
     .expect("coordinator");
     for h in handles {
@@ -166,30 +158,21 @@ fn assert_equivalent(driver: &RoundOutcome, net: &NetRoundReport) {
 
 #[test]
 fn chunked_rounds_match_unchunked_driver_across_m() {
-    // m ∈ {1, 4, 8} × both collection engines: the realized per-chunk
-    // wire/aggregation path must reproduce the unchunked driver bit for
-    // bit (XNoise bookkeeping included — every client carries noise
-    // seeds here), whether frames are discovered by reactor readiness
-    // or by the legacy poll sweep.
+    // m ∈ {1, 4, 8}: the realized per-chunk wire/aggregation path must
+    // reproduce the unchunked driver bit for bit (XNoise bookkeeping
+    // included — every client carries noise seeds here).
     let p = params(8, 5, 2);
     let ins = inputs(8, 2);
     let d = driver_round(&p, &ins, &[]);
-    for mode in ENGINES {
-        for m in [1usize, 4, 8] {
-            let n = net_round(&p, &ins, &BTreeMap::new(), m, Duration::from_secs(5), mode);
-            assert_equivalent(&d, &n);
-            assert!(
-                n.chunks >= 1 && n.chunks <= m,
-                "realized {} of {m}",
-                n.chunks
-            );
-            assert!(n.dropouts.is_empty(), "{mode:?} m={m}: {:?}", n.dropouts);
-            assert_eq!(
-                n.reactor.is_some(),
-                mode.0 == CollectMode::Reactor,
-                "stats reported by the wrong engine"
-            );
-        }
+    for m in [1usize, 4, 8] {
+        let n = net_round(&p, &ins, &BTreeMap::new(), m, Duration::from_secs(5));
+        assert_equivalent(&d, &n);
+        assert!(
+            n.chunks >= 1 && n.chunks <= m,
+            "realized {} of {m}",
+            n.chunks
+        );
+        assert!(n.dropouts.is_empty(), "m={m}: {:?}", n.dropouts);
     }
 }
 
@@ -210,23 +193,17 @@ fn midstream_disconnect_is_a_detected_chunk_dropout() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &[(2, DropStage::BeforeMaskedInput)]);
-    for mode in ENGINES {
-        let n = net_round(&p, &ins, &fails, 4, Duration::from_secs(5), mode);
-        assert_equivalent(&d, &n);
-        assert_eq!(n.outcome.dropped, vec![2]);
-        let det = n
-            .dropouts
-            .iter()
-            .find(|x| x.client == 2)
-            .expect("client 2 detected");
-        assert_eq!(det.kind, DropKind::Disconnected);
-        assert_eq!(det.stage, "MaskedInputCollection");
-        assert_eq!(
-            det.chunk,
-            Some(2),
-            "{mode:?}: detected at the chunk the stream died"
-        );
-    }
+    let n = net_round(&p, &ins, &fails, 4, Duration::from_secs(5));
+    assert_equivalent(&d, &n);
+    assert_eq!(n.outcome.dropped, vec![2]);
+    let det = n
+        .dropouts
+        .iter()
+        .find(|x| x.client == 2)
+        .expect("client 2 detected");
+    assert_eq!(det.kind, DropKind::Disconnected);
+    assert_eq!(det.stage, "MaskedInputCollection");
+    assert_eq!(det.chunk, Some(2), "detected at the chunk the stream died");
 }
 
 #[test]
@@ -245,18 +222,16 @@ fn midstream_silence_hits_the_per_chunk_deadline() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &[(3, DropStage::BeforeMaskedInput)]);
-    for mode in ENGINES {
-        let n = net_round(&p, &ins, &fails, 4, Duration::from_millis(700), mode);
-        assert_equivalent(&d, &n);
-        let det = n
-            .dropouts
-            .iter()
-            .find(|x| x.client == 3)
-            .expect("client 3 detected");
-        assert_eq!(det.kind, DropKind::DeadlineMissed, "{mode:?}");
-        assert_eq!(det.stage, "MaskedInputCollection");
-        assert_eq!(det.chunk, Some(1));
-    }
+    let n = net_round(&p, &ins, &fails, 4, Duration::from_millis(700));
+    assert_equivalent(&d, &n);
+    let det = n
+        .dropouts
+        .iter()
+        .find(|x| x.client == 3)
+        .expect("client 3 detected");
+    assert_eq!(det.kind, DropKind::DeadlineMissed);
+    assert_eq!(det.stage, "MaskedInputCollection");
+    assert_eq!(det.chunk, Some(1));
 }
 
 #[test]
@@ -276,11 +251,9 @@ fn chunked_xnoise_recovery_with_unmasking_dropout() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &[(4, DropStage::BeforeUnmasking)]);
-    for mode in ENGINES {
-        let n = net_round(&p, &ins, &fails, 4, Duration::from_secs(5), mode);
-        assert_equivalent(&d, &n);
-        // Client 4 is in U3 (its chunks all arrived) but not in U5.
-        assert!(n.outcome.survivors.contains(&4));
-        assert!(n.stats.stage("ExcessiveNoiseRemoval").is_some());
-    }
+    let n = net_round(&p, &ins, &fails, 4, Duration::from_secs(5));
+    assert_equivalent(&d, &n);
+    // Client 4 is in U3 (its chunks all arrived) but not in U5.
+    assert!(n.outcome.survivors.contains(&4));
+    assert!(n.stats.stage("ExcessiveNoiseRemoval").is_some());
 }

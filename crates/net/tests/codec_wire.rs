@@ -355,7 +355,7 @@ fn setup_body_carries_requested_chunk_count() {
         assert_eq!(back.clients, p.clients);
     }
     // The application payload travels opaquely after the counters, and
-    // the union cohort may exceed the (shard-local) client set.
+    // the cohort field may exceed the round's own client set.
     let (_, m, cohort, payload) = decode_setup(&encode_setup(&p, 4, 128, &[9, 8, 7])).unwrap();
     assert_eq!(m, 4);
     assert_eq!(cohort, 128);

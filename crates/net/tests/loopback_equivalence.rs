@@ -10,9 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dordis_net::coordinator::{
-    run_coordinator, CollectMode, CoordinatorConfig, DropKind, NetRoundReport,
-};
+use dordis_net::coordinator::{run_coordinator, CoordinatorConfig, DropKind, NetRoundReport};
 use dordis_net::runtime::{run_client, ClientOptions, FailAction, FailPoint, FailStage};
 use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::{ClientInput, Identity};
@@ -20,9 +18,6 @@ use dordis_secagg::driver::{run_round, signing_key_for, DropStage, DropoutSchedu
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::server::RoundOutcome;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
-
-mod common;
-use common::ENGINES;
 
 const BITS: u32 = 16;
 const DIM: usize = 12;
@@ -83,8 +78,6 @@ fn net_round(
     inputs: &BTreeMap<ClientId, ClientInput>,
     fails: &BTreeMap<ClientId, FailPoint>,
     stage_timeout: Duration,
-    mode: CollectMode,
-    workers: usize,
 ) -> NetRoundReport {
     let (hub, mut acceptor) = LoopbackHub::new();
     let registry: Option<Arc<BTreeMap<ClientId, _>>> =
@@ -130,9 +123,7 @@ fn net_round(
     }
     let report = run_coordinator(
         &mut acceptor,
-        &CoordinatorConfig::single(params.clone(), Duration::from_secs(10), stage_timeout)
-            .with_mode(mode)
-            .with_workers(workers),
+        &CoordinatorConfig::single(params.clone(), Duration::from_secs(10), stage_timeout),
     )
     .expect("coordinator");
     for h in handles {
@@ -178,22 +169,13 @@ fn equivalent_no_dropout_xnoise_round() {
     let p = params(8, 5, MaskingGraph::Complete, ThreatModel::SemiHonest);
     let ins = inputs(8);
     let d = driver_round(&p, &ins, &[]);
-    for (mode, workers) in ENGINES {
-        let n = net_round(
-            &p,
-            &ins,
-            &BTreeMap::new(),
-            Duration::from_secs(5),
-            mode,
-            workers,
-        );
-        assert_equivalent(&d, &n);
-        assert_eq!(d.sum, expected_sum(&ins, &d.survivors));
-        assert_eq!(n.outcome.survivors.len(), 8);
-        assert!(n.dropouts.is_empty(), "{mode:?}: {:?}", n.dropouts);
-        // Every survivor's seeds for components 1..=2 were recovered.
-        assert_eq!(sorted_seeds(&n.outcome).len(), 16);
-    }
+    let n = net_round(&p, &ins, &BTreeMap::new(), Duration::from_secs(5));
+    assert_equivalent(&d, &n);
+    assert_eq!(d.sum, expected_sum(&ins, &d.survivors));
+    assert_eq!(n.outcome.survivors.len(), 8);
+    assert!(n.dropouts.is_empty(), "{:?}", n.dropouts);
+    // Every survivor's seeds for components 1..=2 were recovered.
+    assert_eq!(sorted_seeds(&n.outcome).len(), 16);
 }
 
 #[test]
@@ -217,15 +199,13 @@ fn equivalent_with_disconnect_dropouts() {
         })
         .collect();
     let d = driver_round(&p, &ins, &drops);
-    for (mode, workers) in ENGINES {
-        let n = net_round(&p, &ins, &fails, Duration::from_secs(5), mode, workers);
-        assert_equivalent(&d, &n);
-        assert_eq!(n.outcome.dropped, vec![2, 6]);
-        assert!(n
-            .dropouts
-            .iter()
-            .any(|x| x.client == 2 && x.kind == DropKind::Disconnected));
-    }
+    let n = net_round(&p, &ins, &fails, Duration::from_secs(5));
+    assert_equivalent(&d, &n);
+    assert_eq!(n.outcome.dropped, vec![2, 6]);
+    assert!(n
+        .dropouts
+        .iter()
+        .any(|x| x.client == 2 && x.kind == DropKind::Disconnected));
 }
 
 #[test]
@@ -243,10 +223,8 @@ fn equivalent_secagg_plus_sparse_graph() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &drops);
-    for (mode, workers) in ENGINES {
-        let n = net_round(&p, &ins, &fails, Duration::from_secs(5), mode, workers);
-        assert_equivalent(&d, &n);
-    }
+    let n = net_round(&p, &ins, &fails, Duration::from_secs(5));
+    assert_equivalent(&d, &n);
 }
 
 #[test]
@@ -264,11 +242,9 @@ fn equivalent_malicious_model_round() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &drops);
-    for (mode, workers) in ENGINES {
-        let n = net_round(&p, &ins, &fails, Duration::from_secs(5), mode, workers);
-        assert_equivalent(&d, &n);
-        assert!(n.stats.stage("ConsistencyCheck").is_some());
-    }
+    let n = net_round(&p, &ins, &fails, Duration::from_secs(5));
+    assert_equivalent(&d, &n);
+    assert!(n.stats.stage("ConsistencyCheck").is_some());
 }
 
 #[test]
@@ -287,17 +263,15 @@ fn silent_client_detected_by_stage_deadline() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &[(3, DropStage::BeforeMaskedInput)]);
-    for (mode, workers) in ENGINES {
-        let n = net_round(&p, &ins, &fails, Duration::from_millis(900), mode, workers);
-        assert_equivalent(&d, &n);
-        let detection = n
-            .dropouts
-            .iter()
-            .find(|x| x.client == 3)
-            .expect("client 3 detected");
-        assert_eq!(detection.kind, DropKind::DeadlineMissed, "{mode:?}");
-        assert_eq!(detection.stage, "MaskedInputCollection");
-    }
+    let n = net_round(&p, &ins, &fails, Duration::from_millis(900));
+    assert_equivalent(&d, &n);
+    let detection = n
+        .dropouts
+        .iter()
+        .find(|x| x.client == 3)
+        .expect("client 3 detected");
+    assert_eq!(detection.kind, DropKind::DeadlineMissed);
+    assert_eq!(detection.stage, "MaskedInputCollection");
 }
 
 #[test]

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dordis_net::coordinator::{CollectMode, CoordinatorConfig};
+use dordis_net::coordinator::CoordinatorConfig;
 use dordis_net::faults::FaultPlan;
 use dordis_net::runtime::{run_session_client, SessionClientOptions, SessionEndKind};
 use dordis_net::session::{Seating, Session, SessionConfig};
@@ -98,14 +98,9 @@ fn live_scrape_mid_round_with_full_trace_coverage() {
         join_timeout: Duration::from_secs(10),
         stage_timeout: Duration::from_secs(10),
         chunks: CHUNKS,
-        // Slow the unmask barrier down so the scraper provably lands
-        // mid-round, and route the jobs through the worker pool so the
-        // timeline gets spans from worker threads too.
+        // Slow the rounds down so the scraper provably lands mid-round.
         chunk_compute: Some(Duration::from_millis(25)),
         tick: CoordinatorConfig::DEFAULT_TICK,
-        mode: CollectMode::Reactor,
-        workers: 2,
-        shards: 1,
         ingress_budget: 0,
         announce: true,
         population: (0..N).collect(),
@@ -163,11 +158,7 @@ fn live_scrape_mid_round_with_full_trace_coverage() {
     // epoll loop: every scrape connection's readiness is itself an
     // event, so polls stay bounded by events + timer fires (plus the
     // join phases' idle ticks).
-    let stats = reports
-        .last()
-        .expect("reports")
-        .reactor_session
-        .expect("reactor engine");
+    let stats = reports.last().expect("reports").reactor_session;
     assert!(
         stats.polls <= stats.events + stats.timer_fires + 64,
         "polls {} outgrew events {} + timer fires {}",
@@ -184,8 +175,8 @@ fn live_scrape_mid_round_with_full_trace_coverage() {
         .expect("numeric scrape count");
     assert_eq!(scrapes, pages, "every GET is counted exactly once");
 
-    // ---- Trace coverage: every (round, stage, chunk) plus compute
-    // jobs and the session phases. ----
+    // ---- Trace coverage: every (round, stage, chunk) plus the
+    // per-chunk unmask steps and the session phases. ----
     let spans = telemetry.spans();
     let has = |cat: &str, name: &str, round: u64, chunk: Option<u16>| {
         spans
@@ -218,8 +209,8 @@ fn live_scrape_mid_round_with_full_trace_coverage() {
                 "chunk {chunk} span missing in round {round}"
             );
             assert!(
-                has("compute", "unmask_job", round, Some(chunk as u16)),
-                "unmask job span missing for chunk {chunk} in round {round}"
+                has("compute", "unmask_chunk", round, Some(chunk as u16)),
+                "unmask span missing for chunk {chunk} in round {round}"
             );
         }
     }
@@ -232,151 +223,4 @@ fn live_scrape_mid_round_with_full_trace_coverage() {
     assert!(trace.starts_with("{\"traceEvents\":["));
     assert!(trace.contains("\"ph\":\"X\""));
     assert!(trace.contains("\"name\":\"MaskedInputCollection\""));
-}
-
-#[test]
-fn sharded_session_federates_shard_metrics_through_one_endpoint() {
-    // Two aggregation shards share the session's telemetry registry:
-    // the single reactor-served scrape endpoint must answer while the
-    // shard threads run, the rendered page must carry per-shard label
-    // coverage, and the span timeline must place each shard's stage
-    // work under its own trace process (pid).
-    const SN: u32 = 6; // splitmix64 splits 0..6 into {2,4,5} / {0,1,3}
-    let telemetry = Telemetry::enabled();
-    let (hub, mut acceptor) = LoopbackHub::new();
-    let mut client_handles = Vec::new();
-    for id in 0..SN {
-        let hub = hub.clone();
-        client_handles.push(std::thread::spawn(move || {
-            let mut chan = hub.connect(&format!("c{id}")).expect("connect");
-            let opts = SessionClientOptions {
-                id,
-                rng_seed: SEED,
-                recv_timeout: Duration::from_secs(30),
-                silent_linger: Duration::from_secs(1),
-            };
-            let report = run_session_client(
-                &mut chan,
-                &opts,
-                |_| None,
-                |_| None,
-                |r, _params, _cohort, _payload| Ok(input_for(id, r)),
-                |_| None,
-            )
-            .expect("session client");
-            assert!(matches!(report.end, SessionEndKind::Ended));
-        }));
-    }
-
-    let cfg = SessionConfig {
-        first_round: 1,
-        rounds: ROUNDS,
-        join_timeout: Duration::from_secs(10),
-        stage_timeout: Duration::from_secs(10),
-        chunks: CHUNKS,
-        chunk_compute: Some(Duration::from_millis(10)),
-        tick: CoordinatorConfig::DEFAULT_TICK,
-        mode: CollectMode::Reactor,
-        workers: 0,
-        shards: 2,
-        ingress_budget: 0,
-        announce: true,
-        population: (0..SN).collect(),
-        seating: Seating::Roster,
-        params_for: Box::new(|round, _| RoundParams {
-            round,
-            clients: (0..SN).collect(),
-            threshold: SN as usize / 2 + 1,
-            bit_width: BITS,
-            vector_len: DIM,
-            noise_components: 0,
-            threat_model: ThreatModel::SemiHonest,
-            graph: MaskingGraph::Complete,
-        }),
-        telemetry: telemetry.clone(),
-        metrics_addr: Some("127.0.0.1:0".to_string()),
-        replica: None,
-        faults: FaultPlan::none(),
-    };
-    let mut session = Session::new(&mut acceptor, cfg).expect("session");
-    let addr = session.metrics_addr().expect("scrape endpoint bound");
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let scraper = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut pages = 0u64;
-            while !stop.load(Ordering::SeqCst) {
-                let page = scrape(addr);
-                assert!(page.starts_with("HTTP/1.1 200 OK"), "bad response");
-                pages += 1;
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            pages
-        })
-    };
-
-    session.run_round(&[]).expect("round 1");
-    stop.store(true, Ordering::SeqCst);
-    session.run_round(&[]).expect("round 2");
-    let pages = scraper.join().expect("scraper thread");
-    session.finish();
-    for h in client_handles {
-        h.join().expect("client thread");
-    }
-    assert!(pages > 0, "the endpoint never answered while shards ran");
-
-    // Per-shard label coverage on the (shared) rendered page: the
-    // shard reactors and machines record through shard-scoped handles,
-    // so both shards' frame counters must be visible with their label.
-    let page = telemetry.render_prometheus();
-    for shard in ["shard=\"0\"", "shard=\"1\""] {
-        assert!(page.contains(shard), "no {shard} metrics on the page");
-    }
-
-    // Span timeline: session phases stay on the session process
-    // (pid 1); each shard's protocol stages run under its own pid.
-    let spans = telemetry.spans();
-    assert!(
-        spans
-            .iter()
-            .any(|s| s.cat == "session" && s.name == "join" && s.pid == 1),
-        "join span not on the session process"
-    );
-    assert!(
-        spans
-            .iter()
-            .any(|s| s.cat == "session" && s.name == "shards" && s.pid == 1),
-        "shard fan-out span missing"
-    );
-    assert!(
-        spans
-            .iter()
-            .any(|s| s.cat == "session" && s.name == "merge" && s.pid == 1),
-        "cross-shard merge span missing"
-    );
-    for pid in [2u32, 3] {
-        assert!(
-            spans.iter().any(|s| s.cat == "stage" && s.pid == pid),
-            "no stage spans for shard process pid {pid}"
-        );
-        assert!(
-            spans.iter().any(|s| s.cat == "chunk" && s.pid == pid),
-            "no chunk spans for shard process pid {pid}"
-        );
-    }
-
-    // The Chrome-tracing export names the shard processes and keys
-    // their slices to the right pid.
-    let trace = telemetry.export_chrome_trace();
-    assert!(
-        trace.contains("\"name\":\"shard-0\""),
-        "shard-0 process metadata"
-    );
-    assert!(
-        trace.contains("\"name\":\"shard-1\""),
-        "shard-1 process metadata"
-    );
-    assert!(trace.contains("\"pid\":2"), "no slices on shard pid 2");
-    assert!(trace.contains("\"pid\":3"), "no slices on shard pid 3");
 }

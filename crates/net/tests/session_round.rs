@@ -8,15 +8,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dordis_net::codec::{Envelope, StageTag};
-use dordis_net::coordinator::{
-    run_coordinator, CollectMode, CoordinatorConfig, DropKind, NetRoundReport,
-};
+use dordis_net::coordinator::{run_coordinator, CoordinatorConfig, DropKind, NetRoundReport};
 use dordis_net::faults::FaultPlan;
 use dordis_net::runtime::{
     round_rng_seed, run_client, run_session_client, ClientOptions, ClientRunOutcome, FailAction,
     FailPoint, FailStage, SessionClientOptions, SessionEndKind,
 };
-use dordis_net::session::{Seating, Session, SessionConfig};
+use dordis_net::session::{Seating, SeatingOutcome, Session, SessionConfig};
 use dordis_net::transport::{Channel, LoopbackChannel, LoopbackHub, LossProfile, ThrottledChannel};
 use dordis_net::NetError;
 use dordis_secagg::client::ClientInput;
@@ -25,9 +23,6 @@ use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::server::RoundOutcome;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 use dordis_telemetry::Telemetry;
-
-mod common;
-use common::ENGINES;
 
 const BITS: u32 = 16;
 const DIM: usize = 16;
@@ -84,8 +79,6 @@ fn driver_round(round: u64, drops: &[ClientId]) -> RoundOutcome {
 /// (it reconnects and re-joins the next round).
 fn run_session(
     rounds: u64,
-    mode: CollectMode,
-    workers: usize,
     dropper: impl Fn(u64) -> Option<(ClientId, u16)> + Send + Sync + 'static,
 ) -> Vec<NetRoundReport> {
     let (hub, mut acceptor) = LoopbackHub::new();
@@ -140,16 +133,13 @@ fn run_session(
         chunks: CHUNKS,
         chunk_compute: None,
         tick: CoordinatorConfig::DEFAULT_TICK,
-        mode,
-        workers,
-        shards: 1,
         ingress_budget: 0,
         announce: true,
         population: (0..N).collect(),
         seating: Seating::Roster,
         params_for: Box::new(|round, _| params_for_round(round)),
-        // Enabled so every engine combination exercises the span /
-        // metrics probes alongside the protocol itself.
+        // Enabled so the span / metrics probes run alongside the
+        // protocol itself.
         telemetry: Telemetry::enabled(),
         metrics_addr: None,
         replica: None,
@@ -169,103 +159,84 @@ fn run_session(
 
 #[test]
 fn multi_round_session_matches_per_round_driver() {
-    // Both collection engines × serial and pooled unmasking: all four
-    // must stay bit-equal to the in-memory driver.
-    for (mode, workers) in ENGINES {
-        let reports = run_session(3, mode, workers, |_| None);
-        assert_eq!(reports.len(), 3);
-        for (i, report) in reports.iter().enumerate() {
-            let round = i as u64 + 1;
-            // The round counter comes from the session, not a config
-            // constant.
-            assert_eq!(report.round, round, "{mode:?}");
-            let mem = driver_round(round, &[]);
-            assert_eq!(
-                report.outcome.sum, mem.sum,
-                "{mode:?}/{workers}w round {round}"
-            );
-            assert_eq!(report.outcome.survivors, mem.survivors);
-            assert!(
-                report.dropouts.is_empty(),
-                "{mode:?}: {:?}",
-                report.dropouts
-            );
-        }
-        // Distinct rounds produce distinct aggregates (fresh per-round
-        // state, per-round seeds).
-        assert_ne!(reports[0].outcome.sum, reports[1].outcome.sum);
-
-        // Per-round accounting rides in every report: the metrics
-        // snapshot is this round's *delta*, so each round must show its
-        // own uplink bytes and unmask jobs rather than a running total.
-        for report in &reports {
-            let m = report.metrics.as_ref().expect("metrics delta");
-            assert!(
-                m.get("dordis_frame_bytes_total{direction=\"in\",stage=\"MaskedInputCollection\"}")
-                    > 0,
-                "{mode:?}/{workers}w round {}: no uplink bytes in the delta",
-                report.round
-            );
-            assert!(
-                m.get("dordis_unmask_job_duration_ns::count") >= report.chunks as u64,
-                "{mode:?}/{workers}w round {}: unmask jobs missing from the delta",
-                report.round
-            );
-        }
-        // The reactor counters in the report are per-round deltas; the
-        // session-cumulative view rides alongside and must dominate
-        // their sum.
-        if matches!(mode, CollectMode::Reactor) {
-            let cumulative = reports.last().unwrap().reactor_session.expect("cumulative");
-            let mut summed = 0u64;
-            for report in &reports {
-                let delta = report.reactor.expect("per-round delta");
-                assert!(delta.polls > 0, "{mode:?} round {}", report.round);
-                summed += delta.polls;
-            }
-            assert!(
-                summed <= cumulative.polls,
-                "{mode:?}: per-round deltas ({summed}) exceed the cumulative count ({})",
-                cumulative.polls
-            );
-        }
+    let reports = run_session(3, |_| None);
+    assert_eq!(reports.len(), 3);
+    for (i, report) in reports.iter().enumerate() {
+        let round = i as u64 + 1;
+        // The round counter comes from the session, not a config
+        // constant.
+        assert_eq!(report.round, round);
+        let mem = driver_round(round, &[]);
+        assert_eq!(report.outcome.sum, mem.sum, "round {round}");
+        assert_eq!(report.outcome.survivors, mem.survivors);
+        assert!(report.dropouts.is_empty(), "{:?}", report.dropouts);
     }
+    // Distinct rounds produce distinct aggregates (fresh per-round
+    // state, per-round seeds).
+    assert_ne!(reports[0].outcome.sum, reports[1].outcome.sum);
+
+    // Per-round accounting rides in every report: the metrics
+    // snapshot is this round's *delta*, so each round must show its
+    // own uplink bytes and unmask jobs rather than a running total.
+    for report in &reports {
+        let m = report.metrics.as_ref().expect("metrics delta");
+        assert!(
+            m.get("dordis_frame_bytes_total{direction=\"in\",stage=\"MaskedInputCollection\"}") > 0,
+            "round {}: no uplink bytes in the delta",
+            report.round
+        );
+        assert!(
+            m.get("dordis_unmask_job_duration_ns::count") >= report.chunks as u64,
+            "round {}: unmask jobs missing from the delta",
+            report.round
+        );
+    }
+    // The reactor counters in the report are per-round deltas; the
+    // session-cumulative view rides alongside and must dominate
+    // their sum.
+    let cumulative = reports.last().unwrap().reactor_session;
+    let mut summed = 0u64;
+    for report in &reports {
+        assert!(report.reactor.polls > 0, "round {}", report.round);
+        summed += report.reactor.polls;
+    }
+    assert!(
+        summed <= cumulative.polls,
+        "per-round deltas ({summed}) exceed the cumulative count ({})",
+        cumulative.polls
+    );
 }
 
 #[test]
 fn dropout_then_rejoin_completes_next_round() {
     // Client 3 drops mid-chunk-stream in round 1 (after 1 of 4 chunk
-    // frames), reconnects, and completes rounds 2 and 3. Pooled
-    // unmasking must survive the dropout-recovery path too (that is
-    // where the pairwise re-expansion jobs come from).
-    for (mode, workers) in ENGINES {
-        let reports = run_session(3, mode, workers, |r| (r == 1).then_some((3, 1)));
+    // frames), reconnects, and completes rounds 2 and 3.
+    let reports = run_session(3, |r| (r == 1).then_some((3, 1)));
 
-        let r1 = &reports[0];
-        assert!(!r1.outcome.survivors.contains(&3), "{mode:?}");
-        assert_eq!(r1.outcome.dropped, vec![3], "{mode:?}");
-        let detected = r1
-            .dropouts
-            .iter()
-            .find(|d| d.client == 3)
-            .expect("detected dropout");
-        assert_eq!(detected.stage, "MaskedInputCollection");
-        assert_eq!(detected.kind, DropKind::Disconnected);
-        let mem1 = driver_round(1, &[3]);
-        assert_eq!(r1.outcome.sum, mem1.sum, "{mode:?} dropout round");
-        assert_eq!(r1.outcome.survivors, mem1.survivors);
+    let r1 = &reports[0];
+    assert!(!r1.outcome.survivors.contains(&3));
+    assert_eq!(r1.outcome.dropped, vec![3]);
+    let detected = r1
+        .dropouts
+        .iter()
+        .find(|d| d.client == 3)
+        .expect("detected dropout");
+    assert_eq!(detected.stage, "MaskedInputCollection");
+    assert_eq!(detected.kind, DropKind::Disconnected);
+    let mem1 = driver_round(1, &[3]);
+    assert_eq!(r1.outcome.sum, mem1.sum, "dropout round");
+    assert_eq!(r1.outcome.survivors, mem1.survivors);
 
-        // Rejoined over a fresh connection: full cohort again, bit-equal
-        // to the full-roster driver round.
-        for (i, report) in reports.iter().enumerate().skip(1) {
-            let round = i as u64 + 1;
-            assert!(
-                report.outcome.survivors.contains(&3),
-                "{mode:?}: client 3 did not rejoin round {round}"
-            );
-            let mem = driver_round(round, &[]);
-            assert_eq!(report.outcome.sum, mem.sum, "{mode:?} round {round}");
-        }
+    // Rejoined over a fresh connection: full cohort again, bit-equal
+    // to the full-roster driver round.
+    for (i, report) in reports.iter().enumerate().skip(1) {
+        let round = i as u64 + 1;
+        assert!(
+            report.outcome.survivors.contains(&3),
+            "client 3 did not rejoin round {round}"
+        );
+        let mem = driver_round(round, &[]);
+        assert_eq!(report.outcome.sum, mem.sum, "round {round}");
     }
 }
 
@@ -334,9 +305,6 @@ fn session_rounds_complete_under_packet_loss_and_reorder() {
         chunks: CHUNKS,
         chunk_compute: None,
         tick: CoordinatorConfig::DEFAULT_TICK,
-        mode: CollectMode::Reactor,
-        workers: 0,
-        shards: 1,
         ingress_budget: 0,
         announce: true,
         population: (0..N).collect(),
@@ -398,6 +366,96 @@ fn session_rounds_complete_under_packet_loss_and_reorder() {
         total_dropped >= 1,
         "no dropouts under 5% loss — the injector did not fire"
     );
+}
+
+/// A round whose parameters cannot be seated (here: a claims round
+/// whose threshold exceeds the seated cohort) fails like any other round
+/// error: the round counter advances and the cohort's connections stay
+/// parked, so the next round runs over the *same* connections.
+#[test]
+fn unseatable_round_keeps_the_cohort_parked_for_the_next_round() {
+    let (hub, mut acceptor) = LoopbackHub::new();
+    let mut handles = Vec::new();
+    for id in 0..N {
+        let hub = hub.clone();
+        handles.push(std::thread::spawn(move || -> Result<Vec<u64>, String> {
+            let mut chan = hub
+                .connect(&format!("c{id}"))
+                .map_err(|e| format!("connect: {e}"))?;
+            let opts = SessionClientOptions {
+                id,
+                rng_seed: SEED,
+                recv_timeout: Duration::from_secs(30),
+                silent_linger: Duration::from_secs(1),
+            };
+            let report = run_session_client(
+                &mut chan,
+                &opts,
+                |_| Some(Vec::new()),
+                |_| None,
+                |r, _params, _cohort, _payload| Ok(input_for(id, r)),
+                |_| None,
+            )
+            .map_err(|e| format!("client {id}: {e}"))?;
+            match report.end {
+                SessionEndKind::Ended => Ok(report.rounds.iter().map(|r| r.round).collect()),
+                other => Err(format!("client {id}: unexpected end {other:?}")),
+            }
+        }));
+    }
+
+    let telemetry = Telemetry::enabled();
+    let cfg = SessionConfig {
+        first_round: 1,
+        rounds: 2,
+        join_timeout: Duration::from_secs(10),
+        stage_timeout: Duration::from_secs(10),
+        chunks: CHUNKS,
+        chunk_compute: None,
+        tick: CoordinatorConfig::DEFAULT_TICK,
+        ingress_budget: 0,
+        announce: true,
+        population: (0..N).collect(),
+        seating: Seating::Claims(Box::new(|_, claims| SeatingOutcome {
+            seated: claims.iter().map(|(id, _)| *id).collect(),
+            rejected: Vec::new(),
+        })),
+        params_for: Box::new(|round, cohort| {
+            let mut p = params_for_round(round);
+            p.clients = cohort.to_vec();
+            if round == 1 {
+                p.threshold = cohort.len() + 1;
+            }
+            p
+        }),
+        telemetry: telemetry.clone(),
+        metrics_addr: None,
+        replica: None,
+        faults: FaultPlan::none(),
+    };
+    let mut session = Session::new(&mut acceptor, cfg).expect("session");
+    assert_eq!(session.current_round(), 1);
+    let err = session
+        .run_round(&[])
+        .err()
+        .expect("threshold > clients must fail the round");
+    assert!(matches!(err, NetError::SecAgg(_)), "{err}");
+    assert_eq!(session.current_round(), 2, "the failed round still counts");
+    assert_eq!(session.rounds_remaining(), 1);
+
+    let report = session.run_round(&[]).expect("round 2");
+    assert_eq!(report.round, 2);
+    assert!(report.dropouts.is_empty(), "{:?}", report.dropouts);
+    let mem = driver_round(2, &[]);
+    assert_eq!(report.outcome.sum, mem.sum);
+    assert_eq!(report.outcome.survivors, mem.survivors);
+    session.finish();
+    for h in handles {
+        let played = h.join().expect("client thread").expect("client result");
+        assert_eq!(played, vec![2], "one connection, round 2 only");
+    }
+    let metrics = telemetry.snapshot().expect("enabled");
+    assert_eq!(metrics.get("dordis_rejoins_total"), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -488,55 +546,48 @@ impl Channel for StaleInjector {
 
 #[test]
 fn coordinator_discards_stale_frames_without_dropping_the_peer() {
-    for mode in [CollectMode::Reactor, CollectMode::PollSweep] {
-        let (hub, mut acceptor) = LoopbackHub::new();
-        let injected = Arc::new(AtomicU32::new(0));
-        let mut handles = Vec::new();
-        for id in 0..N {
-            let hub = hub.clone();
-            let injected = Arc::clone(&injected);
-            handles.push(std::thread::spawn(move || {
-                let inner = hub.connect(&format!("c{id}")).expect("connect");
-                let opts = ClientOptions {
-                    id,
-                    rng_seed: SEED,
-                    fail: None,
-                    recv_timeout: Duration::from_secs(20),
-                    silent_linger: Duration::from_secs(1),
-                };
-                if id == 2 {
-                    let mut chan = StaleInjector { inner, injected };
-                    run_client(&mut chan, &opts, move |_| Ok(input_for(id, 5)), |_| None)
-                } else {
-                    let mut chan = inner;
-                    run_client(&mut chan, &opts, move |_| Ok(input_for(id, 5)), |_| None)
-                }
-            }));
-        }
-        let report = run_coordinator(
-            &mut acceptor,
-            &CoordinatorConfig::new(
-                params_for_round(5),
-                Duration::from_secs(10),
-                Duration::from_secs(10),
-                1,
-                None,
-            )
-            .with_mode(mode),
-        )
-        .expect("round");
-        for h in handles {
-            let outcome = h.join().expect("client thread").expect("client run");
-            assert!(matches!(outcome, ClientRunOutcome::Finished { .. }));
-        }
-        assert_eq!(report.stale_frames, 1, "{mode:?}");
-        assert!(
-            report.dropouts.is_empty(),
-            "{mode:?}: {:?}",
-            report.dropouts
-        );
-        let mem = driver_round(5, &[]);
-        assert_eq!(report.outcome.sum, mem.sum, "{mode:?}");
-        assert_eq!(report.outcome.survivors, mem.survivors, "{mode:?}");
+    let (hub, mut acceptor) = LoopbackHub::new();
+    let injected = Arc::new(AtomicU32::new(0));
+    let mut handles = Vec::new();
+    for id in 0..N {
+        let hub = hub.clone();
+        let injected = Arc::clone(&injected);
+        handles.push(std::thread::spawn(move || {
+            let inner = hub.connect(&format!("c{id}")).expect("connect");
+            let opts = ClientOptions {
+                id,
+                rng_seed: SEED,
+                fail: None,
+                recv_timeout: Duration::from_secs(20),
+                silent_linger: Duration::from_secs(1),
+            };
+            if id == 2 {
+                let mut chan = StaleInjector { inner, injected };
+                run_client(&mut chan, &opts, move |_| Ok(input_for(id, 5)), |_| None)
+            } else {
+                let mut chan = inner;
+                run_client(&mut chan, &opts, move |_| Ok(input_for(id, 5)), |_| None)
+            }
+        }));
     }
+    let report = run_coordinator(
+        &mut acceptor,
+        &CoordinatorConfig::new(
+            params_for_round(5),
+            Duration::from_secs(10),
+            Duration::from_secs(10),
+            1,
+            None,
+        ),
+    )
+    .expect("round");
+    for h in handles {
+        let outcome = h.join().expect("client thread").expect("client run");
+        assert!(matches!(outcome, ClientRunOutcome::Finished { .. }));
+    }
+    assert_eq!(report.stale_frames, 1);
+    assert!(report.dropouts.is_empty(), "{:?}", report.dropouts);
+    let mem = driver_round(5, &[]);
+    assert_eq!(report.outcome.sum, mem.sum);
+    assert_eq!(report.outcome.survivors, mem.survivors);
 }

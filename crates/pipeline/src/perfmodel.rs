@@ -28,50 +28,6 @@ impl StageModel {
     pub fn predict(&self, m: usize) -> f64 {
         self.beta1 * self.d / m as f64 + self.beta2 * m as f64 + self.beta3
     }
-
-    /// Predicted latency at chunk count `m` with a `workers`-thread
-    /// compute plane:
-    /// `τ_s(m, W) = β₁ · d / (m · W_eff) + β₂ · m + β₃`.
-    ///
-    /// Only the work term parallelizes — a chunk's `β₁ · d/m` expansion
-    /// splits across workers, while the per-chunk intervention `β₂ · m`
-    /// (scheduling, completion hand-off, cache interference) and the
-    /// constant `β₃` (RTTs, reconstruction) stay serial, Amdahl-style.
-    /// `W_eff = min(W, m)` because a round fans out at most one job per
-    /// chunk: extra workers beyond the chunk count idle. `workers = 0`
-    /// (serial) predicts identically to [`StageModel::predict`].
-    #[must_use]
-    pub fn predict_parallel(&self, m: usize, workers: usize) -> f64 {
-        // Not `clamp(1, m)`: m = 0 would panic (min > max); this form
-        // degrades to the same ±inf `predict(0)` does.
-        let w_eff = workers.max(1).min(m.max(1)) as f64;
-        self.beta1 * self.d / (m as f64 * w_eff) + self.beta2 * m as f64 + self.beta3
-    }
-
-    /// Predicted latency at chunk count `m` with a `workers`-thread
-    /// compute plane on each of `shards` aggregation shards:
-    /// `τ_s(m, W, S) = β₁ · d / (m · L) + β₂ · (S − 1) + β₂ · m + β₃`,
-    /// with lane count `L = min(S · W_eff, m)`.
-    ///
-    /// Sharding multiplies the compute lanes — `S` coordinators, each
-    /// with `W_eff = min(max(W, 1), m)` workers — but the lane count
-    /// still caps at `m`: a round fans out at most one unmask job per
-    /// chunk, whichever shard hosts it. `β₂ · (S − 1)` is the
-    /// cross-shard merge: folding `S` partial outcomes into the union
-    /// report is `S − 1` serial completion hand-offs on the session
-    /// thread — the same intervention class `β₂` already prices per
-    /// chunk, and far cheaper than re-expanding masks (the element-wise
-    /// modular adds are a vanishing fraction of a β₁ work unit).
-    /// `shards <= 1` predicts identically to
-    /// [`StageModel::predict_parallel`].
-    #[must_use]
-    pub fn predict_sharded(&self, m: usize, workers: usize, shards: usize) -> f64 {
-        let s = shards.max(1);
-        let w_eff = workers.max(1).min(m.max(1));
-        let lanes = (s * w_eff).min(m.max(1)) as f64;
-        let merge = self.beta2 * (s - 1) as f64;
-        self.beta1 * self.d / (m as f64 * lanes) + merge + self.beta2 * m as f64 + self.beta3
-    }
 }
 
 /// One profiling observation: chunk count and measured latency.
@@ -241,72 +197,6 @@ mod tests {
         let t40 = model.predict(40);
         assert!(t4 < t1);
         assert!(t40 > t4);
-    }
-
-    #[test]
-    fn parallel_prediction_shape() {
-        let model = StageModel {
-            beta1: 1e-6,
-            beta2: 0.2,
-            beta3: 1.0,
-            d: 1e7,
-        };
-        // Serial and 1-worker agree with the base model.
-        for m in [1usize, 4, 16] {
-            assert_eq!(model.predict_parallel(m, 0), model.predict(m));
-            assert_eq!(model.predict_parallel(m, 1), model.predict(m));
-        }
-        // More workers monotonically shrink the work term...
-        assert!(model.predict_parallel(8, 4) < model.predict_parallel(8, 2));
-        assert!(model.predict_parallel(8, 2) < model.predict_parallel(8, 1));
-        // ...but never below the serial floor β₂·m + β₃ (Amdahl).
-        let floor = 0.2 * 8.0 + 1.0;
-        assert!(model.predict_parallel(8, 1_000_000) > floor);
-        // Workers beyond the chunk count are wasted: one job per chunk.
-        assert_eq!(model.predict_parallel(4, 4), model.predict_parallel(4, 64));
-        // Degenerate m = 0 degrades like predict(0) instead of
-        // panicking in clamp.
-        assert!(model.predict_parallel(0, 4).is_infinite());
-    }
-
-    #[test]
-    fn sharded_prediction_shape() {
-        let model = StageModel {
-            beta1: 1e-6,
-            beta2: 0.02,
-            beta3: 1.0,
-            d: 1e7,
-        };
-        // One shard is exactly the parallel model — no merge, same lanes.
-        for m in [1usize, 4, 16] {
-            for w in [0usize, 1, 2, 8] {
-                assert_eq!(model.predict_sharded(m, w, 0), model.predict_parallel(m, w));
-                assert_eq!(model.predict_sharded(m, w, 1), model.predict_parallel(m, w));
-            }
-        }
-        // Work-dominated regime: more shards shrink the work term
-        // faster than the merge hand-offs grow.
-        assert!(model.predict_sharded(16, 1, 2) < model.predict_sharded(16, 1, 1));
-        assert!(model.predict_sharded(16, 1, 4) < model.predict_sharded(16, 1, 2));
-        // Lanes cap at the chunk count: with S·W ≥ m already, extra
-        // shards only add merge cost.
-        let capped = model.predict_sharded(4, 4, 1);
-        assert!(model.predict_sharded(4, 4, 2) > capped);
-        // exactly one extra hand-off
-        assert!((model.predict_sharded(4, 4, 2) - capped - model.beta2).abs() < 1e-12);
-        // Shards × workers compose into one lane pool: 2 shards of 2
-        // workers expand the same 4 lanes as 1 shard of 4 workers, plus
-        // the merge hand-off.
-        assert!(
-            (model.predict_sharded(16, 2, 2) - model.beta2 - model.predict_parallel(16, 4)).abs()
-                < 1e-12
-        );
-        // Never below the serial floor (Amdahl).
-        let floor = model.beta2 * 8.0 + model.beta3;
-        assert!(model.predict_sharded(8, 1_000, 1_000) > floor);
-        // Degenerate m = 0 degrades like predict(0) instead of
-        // panicking.
-        assert!(model.predict_sharded(0, 4, 4).is_infinite());
     }
 
     #[test]

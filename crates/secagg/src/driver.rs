@@ -350,79 +350,6 @@ pub fn run_round(spec: RoundSpec) -> Result<(RoundOutcome, RoundStats), SecAggEr
     Ok((server.finish(), stats))
 }
 
-/// Drives a semi-honest round through stages 0–4 up to (and including)
-/// the survivors' unmasking *responses*, without consuming them:
-/// returns the server, the responses, and U3. `dropped` clients vanish
-/// just before the masked input — the expensive recovery case — and
-/// `input_for` builds each client's input.
-///
-/// This is the setup harness shared by the pooled-unmask equivalence
-/// test and the `unmask_cpu` bench: both need to run the *same*
-/// unmasking work through two different execution paths, which
-/// [`run_round`]'s single-call shape cannot express.
-///
-/// # Errors
-///
-/// Rejects malicious-model parameters (the consistency stage is not
-/// driven here) and propagates any stage failure.
-pub fn run_until_unmasking(
-    params: &RoundParams,
-    plan: &dordis_pipeline::ChunkPlan,
-    dropped: &[ClientId],
-    rng_seed: u64,
-    mut input_for: impl FnMut(ClientId) -> ClientInput,
-) -> Result<
-    (
-        Server,
-        Vec<crate::messages::UnmaskingResponse>,
-        Vec<ClientId>,
-    ),
-    SecAggError,
-> {
-    if params.threat_model == ThreatModel::Malicious {
-        return Err(SecAggError::Config(
-            "run_until_unmasking drives semi-honest rounds only".into(),
-        ));
-    }
-    let mut clients: BTreeMap<ClientId, Client> = BTreeMap::new();
-    for &id in &params.clients {
-        let mut rng = client_rng(rng_seed, id);
-        clients.insert(
-            id,
-            Client::new(params.clone(), id, input_for(id), None, &mut rng)?,
-        );
-    }
-    let mut server = Server::with_chunks(params.clone(), plan.clone())?;
-
-    let advs = clients
-        .values_mut()
-        .map(Client::advertise_keys)
-        .collect::<Result<Vec<_>, _>>()?;
-    let roster = server.collect_advertisements(advs)?;
-
-    let mut all_cts = Vec::new();
-    for (&id, c) in clients.iter_mut() {
-        all_cts.extend(c.share_keys(&roster, &mut share_keys_rng(rng_seed, id))?);
-    }
-    let mut inboxes = server.route_shares(all_cts)?;
-
-    let mut masked = Vec::new();
-    for (&id, c) in clients.iter_mut() {
-        let inbox = inboxes.remove(&id).unwrap_or_default();
-        let m = c.masked_input(inbox)?;
-        if !dropped.contains(&id) {
-            masked.push(m);
-        }
-    }
-    let u3 = server.collect_masked(masked)?;
-
-    let mut responses = Vec::new();
-    for id in &u3 {
-        responses.push(clients.get_mut(id).expect("sampled").unmask(&u3, None)?);
-    }
-    Ok((server, responses, u3))
-}
-
 /// Derives one round's protocol seed from a session-level base seed.
 ///
 /// A multi-round session must reset every per-round secret — self-mask

@@ -37,78 +37,6 @@ use crate::messages::{
 };
 use crate::{share_threshold, ClientId, RoundParams, SecAggError};
 
-/// One full-dimension mask expansion owed by unmasking recovery,
-/// produced by [`Server::plan_unmasking`]: a survivor's self-mask to
-/// subtract, or a pairwise mask (re-derived from a reconstructed
-/// dropout key) to cancel. The job carries only the 32-byte secret and
-/// a sign, so it is `Send` and cheap to clone — the expensive part, the
-/// `O(d)` PRG expansion, runs wherever [`MaskJob::apply`] is called
-/// (inline on the coordinator, or sliced per chunk on a worker thread).
-#[derive(Clone, Copy, Debug)]
-pub struct MaskJob {
-    /// Which PRG domain the mask lives in.
-    pub kind: MaskKind,
-    /// The seed / agreed key expanding to the mask.
-    pub seed: Seed,
-    /// Whether the mask is added (`true`) or subtracted.
-    pub positive: bool,
-}
-
-/// The PRG domain of a [`MaskJob`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MaskKind {
-    /// A survivor's self-mask `PRG(b_u)`.
-    SelfMask,
-    /// A pairwise mask `PRG(s_{u,v})` of a mid-round dropout edge.
-    Pairwise,
-}
-
-impl MaskJob {
-    /// Accumulates this job's mask slice
-    /// `[elem_offset, elem_offset + acc.len())` into `acc` (mod `2^b`),
-    /// seeking the PRG stream instead of expanding the prefix.
-    pub fn apply(&self, acc: &mut [u64], elem_offset: usize, bit_width: u32) {
-        match self.kind {
-            MaskKind::SelfMask => {
-                mask::add_self_mask_assign(acc, &self.seed, elem_offset, self.positive, bit_width);
-            }
-            MaskKind::Pairwise => {
-                mask::add_pairwise_mask_assign(
-                    acc,
-                    &self.seed,
-                    elem_offset,
-                    self.positive,
-                    bit_width,
-                );
-            }
-        }
-    }
-}
-
-/// One chunk's unmask computation, as a pure function runnable on any
-/// thread: sums the survivors' masked chunk vectors and folds in every
-/// recovery mask's slice at the chunk's element offset. Because every
-/// operation is a coordinate-wise add in `Z_{2^b}`, the result is
-/// bit-identical to slicing a whole-vector correction — this is what
-/// makes pooled unmasking bit-equal to the serial path.
-#[must_use]
-pub fn unmask_chunk_task(
-    inputs: &[Vec<u64>],
-    jobs: &[MaskJob],
-    elem_offset: usize,
-    len: usize,
-    bit_width: u32,
-) -> Vec<u64> {
-    let mut sum = vec![0u64; len];
-    for v in inputs {
-        mask::add_signed_assign(&mut sum, v, true, bit_width);
-    }
-    for job in jobs {
-        job.apply(&mut sum, elem_offset, bit_width);
-    }
-    sum
-}
-
 /// The result of a completed aggregation round.
 #[derive(Clone, Debug)]
 pub struct RoundOutcome {
@@ -123,70 +51,6 @@ pub struct RoundOutcome {
     pub removal_seeds: Vec<(ClientId, usize, Seed)>,
     /// Ring bit width of `sum`.
     pub bit_width: u32,
-}
-
-/// Merges per-shard [`RoundOutcome`]s of the same logical round into
-/// the union outcome a single coordinator would have produced.
-///
-/// Each shard aggregates a disjoint subset of the sampled cohort, so
-/// after unmasking the shard sums are plain sums of survivor vectors in
-/// `Z_{2^b}` — merging is element-wise modular addition. Survivors are
-/// the sorted union of the shard survivor sets (each shard's are
-/// already sorted; a client sits in exactly one shard). Dropped clients
-/// are re-derived in `union_clients` order, matching the unsharded
-/// server's cohort-order accounting. Removal seeds concatenate: seed
-/// keys are `(owner, component)` and owners are shard-disjoint, so no
-/// duplicates arise — the privacy ledger sees the union cohort's seeds,
-/// never a per-shard view.
-///
-/// # Errors
-///
-/// [`SecAggError::Config`] when the shard list is empty or the shards
-/// disagree on bit width or vector length.
-pub fn merge_shard_outcomes(
-    union_clients: &[ClientId],
-    shards: Vec<RoundOutcome>,
-) -> Result<RoundOutcome, SecAggError> {
-    let Some(first) = shards.first() else {
-        return Err(SecAggError::Config("no shard outcomes to merge".into()));
-    };
-    let bit_width = first.bit_width;
-    let len = first.sum.len();
-    let mask = if bit_width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bit_width) - 1
-    };
-    let mut sum = vec![0u64; len];
-    let mut survivors = Vec::new();
-    let mut removal_seeds = Vec::new();
-    for shard in shards {
-        if shard.bit_width != bit_width || shard.sum.len() != len {
-            return Err(SecAggError::Config(format!(
-                "shard outcome shape mismatch: ({}, {}) vs ({bit_width}, {len})",
-                shard.bit_width,
-                shard.sum.len()
-            )));
-        }
-        for (acc, v) in sum.iter_mut().zip(&shard.sum) {
-            *acc = acc.wrapping_add(*v) & mask;
-        }
-        survivors.extend(shard.survivors);
-        removal_seeds.extend(shard.removal_seeds);
-    }
-    survivors.sort_unstable();
-    let dropped: Vec<ClientId> = union_clients
-        .iter()
-        .copied()
-        .filter(|c| !survivors.contains(c))
-        .collect();
-    Ok(RoundOutcome {
-        sum,
-        survivors,
-        dropped,
-        removal_seeds,
-        bit_width,
-    })
 }
 
 /// Server state machine.
@@ -491,39 +355,13 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// See [`Server::plan_unmasking`].
+    /// Aborts below threshold (response count or per-secret share
+    /// count), and on a reconstructed key that contradicts the
+    /// advertised public key.
     pub fn reconstruct_unmasking(
         &mut self,
         responses: Vec<UnmaskingResponse>,
     ) -> Result<(), SecAggError> {
-        let jobs = self.plan_unmasking(responses)?;
-        let bits = self.params.bit_width;
-        let mut correction = vec![0u64; self.params.vector_len];
-        for job in &jobs {
-            job.apply(&mut correction, 0, bits);
-        }
-        self.correction = Some(correction);
-        Ok(())
-    }
-
-    /// Stage 4, round-global, compute-plane form: everything
-    /// [`Server::reconstruct_unmasking`] does *except* the `O(dropped ×
-    /// neighbors × d)` mask expansion — share pooling, Shamir
-    /// reconstruction, key-consistency checks, and the privacy
-    /// bookkeeping — returning the expansion as a list of [`MaskJob`]s.
-    /// The caller either applies them inline (what
-    /// `reconstruct_unmasking` does) or fans them out per chunk via
-    /// [`unmask_chunk_task`] + [`Server::install_chunk_sum`].
-    ///
-    /// # Errors
-    ///
-    /// Aborts below threshold (response count or per-secret share
-    /// count), and on a reconstructed key that contradicts the
-    /// advertised public key.
-    pub fn plan_unmasking(
-        &mut self,
-        responses: Vec<UnmaskingResponse>,
-    ) -> Result<Vec<MaskJob>, SecAggError> {
         if responses.len() < self.params.threshold {
             return Err(SecAggError::BelowThreshold {
                 stage: "Unmasking",
@@ -562,7 +400,8 @@ impl Server {
         self.u5.dedup();
 
         let t_eff = share_threshold(&self.params);
-        let mut jobs = Vec::new();
+        let bits = self.params.bit_width;
+        let mut correction = vec![0u64; self.params.vector_len];
 
         // Remove self-masks of surviving clients.
         for &u in &self.u3.clone() {
@@ -578,11 +417,7 @@ impl Server {
             let mut b = [0u8; 32];
             b.copy_from_slice(&b_bytes);
             self.recon_b.insert(u);
-            jobs.push(MaskJob {
-                kind: MaskKind::SelfMask,
-                seed: b,
-                positive: false,
-            });
+            mask::add_self_mask_assign(&mut correction, &b, 0, false, bits);
         }
 
         // Cancel pairwise masks of clients that dropped between ShareKeys
@@ -626,63 +461,10 @@ impl Server {
                 let (_, s_pk_u) = (self.roster[&u].c_pk, self.roster[&u].s_pk);
                 let s_vu = v_kp.agree(&s_pk_u);
                 // u added sign(u > v); cancel with sign(v > u).
-                jobs.push(MaskJob {
-                    kind: MaskKind::Pairwise,
-                    seed: s_vu,
-                    positive: v > u,
-                });
+                mask::add_pairwise_mask_assign(&mut correction, &s_vu, 0, v > u, bits);
             }
         }
-        Ok(jobs)
-    }
-
-    /// Compute-plane form of [`Server::unmask_chunk`], step 1: moves
-    /// the survivors' folded chunk-`c` running sum out of the server so
-    /// a worker thread can own it (every U3 member's vector was already
-    /// folded in at collection time). Pair with [`unmask_chunk_task`]
-    /// and [`Server::install_chunk_sum`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on an out-of-range chunk or if called before
-    /// [`Server::plan_unmasking`] fixed U5 (same sequencing as the
-    /// serial path).
-    pub fn take_chunk_inputs(&mut self, chunk: usize) -> Result<Vec<Vec<u64>>, SecAggError> {
-        if chunk >= self.plan.chunks() {
-            return Err(SecAggError::Config(format!(
-                "chunk {chunk} out of range ({} chunks)",
-                self.plan.chunks()
-            )));
-        }
-        if self.u5.is_empty() {
-            return Err(SecAggError::Config(
-                "take_chunk_inputs before plan_unmasking".into(),
-            ));
-        }
-        Ok(vec![std::mem::take(&mut self.fold_sums[chunk])])
-    }
-
-    /// Compute-plane form of [`Server::unmask_chunk`], step 3: installs
-    /// a worker-computed chunk aggregate.
-    ///
-    /// # Errors
-    ///
-    /// Rejects out-of-range chunks and wrong-length sums.
-    pub fn install_chunk_sum(&mut self, chunk: usize, sum: Vec<u64>) -> Result<(), SecAggError> {
-        if chunk >= self.plan.chunks() {
-            return Err(SecAggError::Config(format!(
-                "chunk {chunk} out of range ({} chunks)",
-                self.plan.chunks()
-            )));
-        }
-        if sum.len() != self.plan.chunk_len(chunk) {
-            return Err(SecAggError::Config(format!(
-                "chunk {chunk} sum has length {}, plan says {}",
-                sum.len(),
-                self.plan.chunk_len(chunk)
-            )));
-        }
-        self.chunk_sums[chunk] = Some(sum);
+        self.correction = Some(correction);
         Ok(())
     }
 

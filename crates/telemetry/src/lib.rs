@@ -4,8 +4,8 @@
 //! Two instruments behind one handle:
 //!
 //! - a **span timeline**: monotonic-clock spans opened/closed at every
-//!   (round, stage, chunk) boundary, around each compute-plane unmask
-//!   job, and around session join/seating/park phases, kept in a
+//!   (round, stage, chunk) boundary, around each per-chunk unmask
+//!   step, and around session join/seating/park phases, kept in a
 //!   fixed-capacity overwrite-oldest ring and exportable as
 //!   Chrome-tracing JSON ([`Telemetry::export_chrome_trace`]) for
 //!   Perfetto / `chrome://tracing`;
@@ -45,22 +45,11 @@ struct Inner {
 }
 
 /// The telemetry handle threaded through reactor, coordinator, session,
-/// compute plane, and transports. Cloning is cheap (one `Arc` bump or a
-/// `None` copy); every clone shares the same registry and span ring.
-///
-/// A handle may be *scoped* ([`Telemetry::shard_scope`]): scoped clones
-/// share the same registry and span ring but stamp every metric series
-/// with extra labels and every span with a distinct Chrome-tracing pid,
-/// so per-shard instrumentation federates through one scrape endpoint
-/// and one exported timeline without any instrument-site changes.
+/// and transports. Cloning is cheap (one `Arc` bump or a `None` copy);
+/// every clone shares the same registry and span ring.
 #[derive(Clone, Debug)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
-    /// Labels merged into every series this handle registers.
-    scope_labels: Vec<(String, String)>,
-    /// Chrome-tracing process id spans recorded through this handle
-    /// carry (1 = the unscoped session process).
-    pid: u32,
 }
 
 impl Default for Telemetry {
@@ -74,11 +63,7 @@ impl Telemetry {
     /// returns empty. This is the default everywhere.
     #[must_use]
     pub fn disabled() -> Telemetry {
-        Telemetry {
-            inner: None,
-            scope_labels: Vec::new(),
-            pid: 1,
-        }
+        Telemetry { inner: None }
     }
 
     /// An enabled handle with the default span-ring capacity.
@@ -97,8 +82,6 @@ impl Telemetry {
                 registry: Registry::default(),
                 spans: SpanSink::new(capacity.max(1)),
             })),
-            scope_labels: Vec::new(),
-            pid: 1,
         }
     }
 
@@ -108,44 +91,12 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// A shard-scoped view of this handle: same registry and span ring,
-    /// but every series gains a `shard` label and every span the
-    /// shard's own Chrome-tracing pid (named `shard-{s}` in the
-    /// export). Disabled handles stay disabled.
-    #[must_use]
-    pub fn shard_scope(&self, shard: u16) -> Telemetry {
-        let pid = u32::from(shard) + 2; // pid 1 is the session process
-        if let Some(inner) = &self.inner {
-            inner.spans.set_process_name(pid, &format!("shard-{shard}"));
-        }
-        let mut scope_labels = self.scope_labels.clone();
-        scope_labels.push(("shard".to_string(), shard.to_string()));
-        Telemetry {
-            inner: self.inner.clone(),
-            scope_labels,
-            pid,
-        }
-    }
-
-    /// The given labels merged with this handle's scope labels.
-    fn merged<'a>(&'a self, labels: &[(&'a str, &'a str)]) -> Vec<(&'a str, &'a str)> {
-        let mut out: Vec<(&str, &str)> = Vec::with_capacity(labels.len() + self.scope_labels.len());
-        out.extend_from_slice(labels);
-        out.extend(
-            self.scope_labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str())),
-        );
-        out
-    }
-
     /// Registers (or re-resolves) a counter series. Call once and keep
     /// the handle; the handle's `inc`/`add` are the hot path.
     #[must_use]
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         match &self.inner {
-            Some(inner) if self.scope_labels.is_empty() => inner.registry.counter(name, labels),
-            Some(inner) => inner.registry.counter(name, &self.merged(labels)),
+            Some(inner) => inner.registry.counter(name, labels),
             None => Counter::default(),
         }
     }
@@ -154,8 +105,7 @@ impl Telemetry {
     #[must_use]
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         match &self.inner {
-            Some(inner) if self.scope_labels.is_empty() => inner.registry.gauge(name, labels),
-            Some(inner) => inner.registry.gauge(name, &self.merged(labels)),
+            Some(inner) => inner.registry.gauge(name, labels),
             None => Gauge::default(),
         }
     }
@@ -164,8 +114,7 @@ impl Telemetry {
     #[must_use]
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         match &self.inner {
-            Some(inner) if self.scope_labels.is_empty() => inner.registry.histogram(name, labels),
-            Some(inner) => inner.registry.histogram(name, &self.merged(labels)),
+            Some(inner) => inner.registry.histogram(name, labels),
             None => Histogram::default(),
         }
     }
@@ -199,7 +148,6 @@ impl Telemetry {
                 round,
                 chunk,
                 start_ns: u64::try_from(inner.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                pid: self.pid,
             },
             None => SpanGuard {
                 inner: None,
@@ -208,7 +156,6 @@ impl Telemetry {
                 round,
                 chunk,
                 start_ns: 0,
-                pid: self.pid,
             },
         }
     }
@@ -228,7 +175,7 @@ impl Telemetry {
         if let Some(inner) = &self.inner {
             inner
                 .spans
-                .record(cat, name, round, chunk, start_ns, end_ns, self.pid);
+                .record(cat, name, round, chunk, start_ns, end_ns);
         }
     }
 
@@ -294,7 +241,6 @@ pub struct SpanGuard {
     round: u64,
     chunk: Option<u16>,
     start_ns: u64,
-    pid: u32,
 }
 
 impl Drop for SpanGuard {
@@ -308,7 +254,6 @@ impl Drop for SpanGuard {
                 self.chunk,
                 self.start_ns,
                 end_ns,
-                self.pid,
             );
         }
     }
@@ -362,38 +307,6 @@ mod tests {
         let t2 = t.clone();
         t.counter("shared_total", &[]).inc();
         assert_eq!(t2.snapshot().expect("enabled").get("shared_total"), 1);
-    }
-
-    #[test]
-    fn shard_scope_labels_series_and_stamps_pids() {
-        let t = Telemetry::enabled();
-        let s0 = t.shard_scope(0);
-        let s1 = t.shard_scope(1);
-        t.counter("frames_total", &[("dir", "in")]).inc();
-        s0.counter("frames_total", &[("dir", "in")]).add(2);
-        s1.counter("frames_total", &[("dir", "in")]).add(3);
-        let page = t.render_prometheus();
-        assert!(page.contains("frames_total{dir=\"in\"} 1"), "{page}");
-        assert!(
-            page.contains("frames_total{dir=\"in\",shard=\"0\"} 2"),
-            "{page}"
-        );
-        assert!(
-            page.contains("frames_total{dir=\"in\",shard=\"1\"} 3"),
-            "{page}"
-        );
-        {
-            let _a = t.span("stage", "Setup", 1, None);
-        }
-        {
-            let _b = s1.span("stage", "Setup", 1, None);
-        }
-        let spans = t.spans();
-        assert_eq!(spans.len(), 2);
-        assert!(spans.iter().any(|s| s.pid == 1));
-        assert!(spans.iter().any(|s| s.pid == 3), "shard 1 → pid 3");
-        let trace = t.export_chrome_trace();
-        assert!(trace.contains("\"name\":\"shard-1\""), "{trace}");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! Recording a span is one short mutex hold over a pre-allocated ring —
 //! the coordinator closes at most a few spans per (round, stage, chunk)
-//! boundary, and compute workers one per job, so contention is nil and
-//! nothing allocates on the hot path (track names are interned once per
-//! thread). When the ring fills, the oldest spans are overwritten: the
-//! exported timeline always shows the most recent window.
+//! boundary, so contention is nil and nothing allocates on the hot path
+//! (track names are interned once per thread). When the ring fills, the
+//! oldest spans are overwritten: the exported timeline always shows the
+//! most recent window.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -29,7 +29,7 @@ thread_local! {
 pub struct SpanRecord {
     /// Category (`"stage"`, `"chunk"`, `"compute"`, `"session"`).
     pub cat: &'static str,
-    /// Event name (stage name, `"unmask_job"`, `"join"` ...).
+    /// Event name (stage name, `"unmask_chunk"`, `"join"` ...).
     pub name: &'static str,
     /// Session round the span belongs to.
     pub round: u64,
@@ -41,10 +41,6 @@ pub struct SpanRecord {
     pub end_ns: u64,
     /// Track (thread) id the span was recorded on.
     pub track: u32,
-    /// Chrome-tracing process id: 1 for the session itself, one per
-    /// aggregation shard (via `Telemetry::shard_scope`) so a round's
-    /// critical path stays visible across shards.
-    pub pid: u32,
 }
 
 #[derive(Debug, Default)]
@@ -52,13 +48,8 @@ struct Ring {
     /// Overwrite-oldest storage: `slots[next % capacity]`.
     slots: Vec<SpanRecord>,
     next: usize,
-    /// Track id → (pid, thread name), captured at first span per
-    /// thread. A track belongs to the process that first recorded on
-    /// it — shard worker threads are born inside their shard scope, so
-    /// first-pid-wins groups them correctly.
-    tracks: BTreeMap<u32, (u32, String)>,
-    /// Pid → process name, for `ph:M` `process_name` metadata.
-    processes: BTreeMap<u32, String>,
+    /// Track id → thread name, captured at first span per thread.
+    tracks: BTreeMap<u32, String>,
 }
 
 /// Where closed spans land. Shared by every instrumented layer through
@@ -79,7 +70,7 @@ impl SpanSink {
 
     /// Stable per-thread track id, allocating (and naming the track)
     /// on this thread's first span.
-    fn track_id(&self, ring: &mut Ring, pid: u32) -> u32 {
+    fn track_id(&self, ring: &mut Ring) -> u32 {
         TRACK_ID.with(|slot| {
             let mut id = slot.get();
             if id == u32::MAX {
@@ -87,31 +78,15 @@ impl SpanSink {
                 slot.set(id);
             }
             ring.tracks.entry(id).or_insert_with(|| {
-                (
-                    pid,
-                    std::thread::current()
-                        .name()
-                        .unwrap_or("unnamed")
-                        .to_string(),
-                )
+                std::thread::current()
+                    .name()
+                    .unwrap_or("unnamed")
+                    .to_string()
             });
             id
         })
     }
 
-    /// Names a Chrome-tracing process (shard scopes call this once so
-    /// the exported timeline labels each shard's track group).
-    pub(crate) fn set_process_name(&self, pid: u32, name: &str) {
-        let mut ring = self.ring.lock().expect("span ring poisoned");
-        ring.processes
-            .entry(pid)
-            .or_insert_with(|| name.to_string());
-    }
-
-    // A span is genuinely seven-dimensional (cat/name/round/chunk ×
-    // the time pair × the trace process); a builder here would only
-    // add allocation to the hot path.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn record(
         &self,
         cat: &'static str,
@@ -120,10 +95,9 @@ impl SpanSink {
         chunk: Option<u16>,
         start_ns: u64,
         end_ns: u64,
-        pid: u32,
     ) {
         let mut ring = self.ring.lock().expect("span ring poisoned");
-        let track = self.track_id(&mut ring, pid);
+        let track = self.track_id(&mut ring);
         let rec = SpanRecord {
             cat,
             name,
@@ -132,7 +106,6 @@ impl SpanSink {
             start_ns,
             end_ns,
             track,
-            pid,
         };
         if ring.slots.len() < self.capacity {
             ring.slots.push(rec);
@@ -178,24 +151,13 @@ impl SpanSink {
         };
         let mut out = String::from("{\"traceEvents\":[");
         let mut first = true;
-        for (pid, name) in &ring.processes {
+        for (tid, name) in &ring.tracks {
             if !first {
                 out.push(',');
             }
             first = false;
             out.push_str(&format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape_json(name)
-            ));
-        }
-        for (tid, (pid, name)) in &ring.tracks {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
+                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
                  \"args\":{{\"name\":\"{}\"}}}}",
                 escape_json(name)
             ));
@@ -208,9 +170,8 @@ impl SpanSink {
             let ts_us = s.start_ns / 1_000;
             let dur_us = (s.end_ns.saturating_sub(s.start_ns)).max(1_000) / 1_000;
             out.push_str(&format!(
-                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"cat\":\"{}\",\"name\":\"{}\",\
+                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"cat\":\"{}\",\"name\":\"{}\",\
                  \"ts\":{ts_us},\"dur\":{dur_us},\"args\":{{\"round\":{}",
-                s.pid,
                 s.track,
                 escape_json(s.cat),
                 escape_json(s.name),
@@ -250,7 +211,7 @@ mod tests {
     fn ring_overwrites_oldest() {
         let sink = SpanSink::new(4);
         for i in 0..6u64 {
-            sink.record("t", "s", i, None, i * 10, i * 10 + 5, 1);
+            sink.record("t", "s", i, None, i * 10, i * 10 + 5);
         }
         let spans = sink.collect();
         assert_eq!(spans.len(), 4);
@@ -263,8 +224,8 @@ mod tests {
     #[test]
     fn chrome_trace_shape() {
         let sink = SpanSink::new(16);
-        sink.record("stage", "Setup", 3, None, 1_000_000, 2_000_000, 1);
-        sink.record("chunk", "chunk", 3, Some(2), 2_000_000, 3_500_000, 1);
+        sink.record("stage", "Setup", 3, None, 1_000_000, 2_000_000);
+        sink.record("chunk", "chunk", 3, Some(2), 2_000_000, 3_500_000);
         let json = sink.export_chrome_trace();
         assert!(json.starts_with("{\"traceEvents\":["), "{json}");
         assert!(json.ends_with("]}"), "{json}");
@@ -278,23 +239,9 @@ mod tests {
     #[test]
     fn sub_microsecond_spans_get_min_duration() {
         let sink = SpanSink::new(4);
-        sink.record("t", "tiny", 0, None, 100, 200, 1);
+        sink.record("t", "tiny", 0, None, 100, 200);
         let json = sink.export_chrome_trace();
         // 100ns would floor to dur 0 and vanish in Perfetto; clamp up.
         assert!(json.contains("\"dur\":1,"), "{json}");
-    }
-
-    #[test]
-    fn spans_carry_their_process_id() {
-        let sink = SpanSink::new(8);
-        sink.set_process_name(2, "shard-0");
-        sink.record("stage", "Setup", 1, None, 1_000_000, 2_000_000, 2);
-        let json = sink.export_chrome_trace();
-        assert!(
-            json.contains("\"name\":\"process_name\""),
-            "process metadata missing: {json}"
-        );
-        assert!(json.contains("\"name\":\"shard-0\""), "{json}");
-        assert!(json.contains("\"ph\":\"X\",\"pid\":2,"), "{json}");
     }
 }
