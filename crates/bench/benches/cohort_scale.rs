@@ -32,8 +32,8 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use dordis_net::coordinator::{run_coordinator, CoordinatorConfig};
-use dordis_net::runtime::{run_client, ClientOptions};
+use dordis_net::runtime::{round_rng_seed, run_session_client, SessionClientOptions};
+use dordis_net::session::{Seating, Session, SessionConfig};
 use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::{Client, ClientInput};
 use dordis_secagg::driver::{client_rng, run_round, share_keys_rng, DropoutSchedule, RoundSpec};
@@ -131,28 +131,35 @@ fn timed_round(n: u32, graph: MaskingGraph) -> RunResult {
         let hub = hub.clone();
         handles.push(std::thread::spawn(move || {
             let mut chan = hub.connect(&format!("c{id}")).expect("connect");
-            let opts = ClientOptions {
+            let opts = SessionClientOptions {
                 id,
                 rng_seed: SEED,
-                fail: None,
                 recv_timeout: Duration::from_secs(600),
                 silent_linger: Duration::from_secs(1),
             };
-            run_client(&mut chan, &opts, move |_| Ok(input_for(id)), |_| None)
+            run_session_client(
+                &mut chan,
+                &opts,
+                |_| None,
+                |_| None,
+                |_, _, _, _| Ok(input_for(id)),
+                |_| None,
+            )
         }));
     }
-    let cfg = CoordinatorConfig::new(
-        params(n, graph),
-        Duration::from_secs(300),
-        STAGE_TIMEOUT,
-        CHUNKS,
-        None,
-    );
+    let cfg = SessionConfig {
+        join_timeout: Duration::from_secs(300),
+        stage_timeout: STAGE_TIMEOUT,
+        chunks: CHUNKS,
+        ..SessionConfig::new(1, Seating::Roster, Box::new(move |_, _| params(n, graph)))
+    };
+    let mut session = Session::new(&mut acceptor, cfg).expect("session");
     let cpu0 = thread_cpu();
     let start = Instant::now();
-    let report = run_coordinator(&mut acceptor, &cfg).expect("coordinator");
+    let report = session.run_round(&[]).expect("coordinator");
     let wall = start.elapsed();
     let cpu = thread_cpu().saturating_sub(cpu0);
+    session.finish();
     assert!(
         report.dropouts.is_empty(),
         "clean round expected: {:?}",
@@ -170,7 +177,7 @@ fn timed_round(n: u32, graph: MaskingGraph) -> RunResult {
         params: params(n, graph),
         inputs,
         dropout: DropoutSchedule::none(),
-        rng_seed: SEED,
+        rng_seed: round_rng_seed(SEED, 1),
     })
     .expect("driver round");
     assert_eq!(report.outcome.sum, mem.sum, "n={n}: sum diverges");

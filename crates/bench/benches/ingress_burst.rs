@@ -34,8 +34,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use dordis_net::coordinator::CoordinatorConfig;
-use dordis_net::faults::FaultPlan;
 use dordis_net::runtime::{round_rng_seed, run_session_client, SessionClientOptions};
 use dordis_net::session::{Seating, Session, SessionConfig};
 use dordis_net::tcp::{TcpAcceptor, TcpChannel};
@@ -136,25 +134,13 @@ fn coordinator_child(s: &Scale) {
     let s2 = s.clone();
     let cfg = SessionConfig {
         first_round: ROUND,
-        rounds: 1,
         join_timeout: Duration::from_secs(120),
         stage_timeout: Duration::from_secs(240),
         chunks: s.chunks,
-        chunk_compute: None,
-        tick: CoordinatorConfig::DEFAULT_TICK,
         ingress_budget: s.budget,
-        announce: true,
         population: (0..s.clients).collect(),
-        seating: Seating::Roster,
-        params_for: Box::new(move |round, _| {
-            let mut p = params(&s2);
-            p.round = round;
-            p
-        }),
         telemetry: telemetry.clone(),
-        metrics_addr: None,
-        replica: None,
-        faults: FaultPlan::none(),
+        ..SessionConfig::new(1, Seating::Roster, Box::new(move |_, _| params(&s2)))
     };
     let mut session = Session::new(&mut acceptor, cfg).expect("session");
     let start = Instant::now();

@@ -7,8 +7,9 @@
 //!
 //! Subcommands: `fig1a fig1bc fig1d fig2 fig8 fig9 table2 table3 fig10
 //! chunks collusion all`. Absolute numbers come from the simulated
-//! testbed (see DESIGN.md for the substitution table); the shapes are the
-//! reproduction targets, and EXPERIMENTS.md records both.
+//! testbed (`dordis-sim`'s cost model and `dordis-fl`'s synthetic
+//! datasets stand in for the paper's EC2 cluster and real datasets); the
+//! shapes are the reproduction targets.
 
 use dordis_bench::{eval_tasks, fig10_scenarios, fig2_scenarios, with_variant, Scale, Table};
 use dordis_core::config::{TaskSpec, Variant};
@@ -290,7 +291,7 @@ fn fig9(scale: Scale) {
     println!("paper shape: the two curves coincide — XNoise costs no convergence.");
     println!("note: absolute accuracies here sit at a few multiples of chance — the");
     println!("synthetic models are small and DP noise at ε=6 dominates; compare the");
-    println!("two columns, not the magnitudes (see EXPERIMENTS.md).");
+    println!("two columns, not the magnitudes.");
 }
 
 /// Table 2: final accuracy across dropout rates.

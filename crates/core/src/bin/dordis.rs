@@ -26,8 +26,7 @@ use dordis_core::protocol::demo_update;
 use dordis_core::trainer::train;
 use dordis_dp::accountant::Mechanism;
 use dordis_dp::planner::{plan, PlannerConfig};
-use dordis_net::coordinator::{CoordinatorConfig, NetRoundReport};
-use dordis_net::faults::FaultPlan;
+use dordis_net::coordinator::NetRoundReport;
 use dordis_net::reactor::EventedChannel;
 use dordis_net::replication::{run_backup, BackupOutcome};
 use dordis_net::runtime::{
@@ -268,25 +267,19 @@ fn serve_inner(args: &[String]) -> Result<ExitCode, String> {
 
     let cfg = SessionConfig {
         first_round,
-        rounds,
         join_timeout: Duration::from_millis(join_timeout),
         stage_timeout: Duration::from_millis(stage_timeout),
         chunks,
-        chunk_compute: None,
-        tick: CoordinatorConfig::DEFAULT_TICK,
         ingress_budget,
-        announce: true,
         population: (0..clients).collect(),
-        seating: Seating::Roster,
-        params_for: Box::new(move |round, _| {
-            let mut p = params.clone();
-            p.round = round;
-            p
-        }),
         telemetry: telemetry.clone(),
         metrics_addr,
         replica,
-        faults: FaultPlan::none(),
+        ..SessionConfig::new(
+            rounds,
+            Seating::Roster,
+            Box::new(move |_, _| params.clone()),
+        )
     };
     let mut session = Session::new(&mut acceptor, cfg).map_err(|e| e.to_string())?;
     if let Some(addr) = session.metrics_addr() {

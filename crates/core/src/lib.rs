@@ -14,7 +14,7 @@
 //!    FedAvg model refinement, with privacy accounted by
 //!    [`dordis_dp::ledger`].
 //!
-//! Two execution paths are provided:
+//! Three execution paths are provided, plus a round-time estimator:
 //!
 //! - [`trainer`]: the *semantic* path used for utility/privacy
 //!   experiments (Figures 1, 8, 9, Table 2) — it performs the exact
@@ -23,6 +23,9 @@
 //! - [`protocol`]: the *full-protocol* path that runs the actual SecAgg /
 //!   SecAgg+ state machines end to end, used for integration testing and
 //!   small-scale runs.
+//! - [`session`]: multi-round FL sessions — the trainer's per-round
+//!   semantics over the full protocol, in memory or over `dordis-net`
+//!   with per-round VRF cohort sampling.
 //! - [`timing`]: round-time estimation (plain vs pipelined) on the
 //!   simulated cluster (Figures 2 and 10).
 //!

@@ -10,7 +10,9 @@ use std::collections::BTreeMap;
 
 use dordis_crypto::prg::Seed;
 use dordis_secagg::client::ClientInput;
-use dordis_secagg::driver::{run_round, DropStage, DropoutSchedule, RoundSpec, RoundStats};
+use dordis_secagg::driver::{
+    round_rng_seed, run_round, DropStage, DropoutSchedule, RoundSpec, RoundStats,
+};
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 use dordis_xnoise::decomposition::XNoisePlan;
@@ -161,17 +163,19 @@ pub fn run_protocol_round(
         params,
         inputs,
         dropout,
-        rng_seed: cfg.seed,
+        // The networked path's per-round derivation, so the two paths
+        // stay bit-equal.
+        rng_seed: round_rng_seed(cfg.seed, cfg.round),
     })?;
     finish_round(cfg, n, outcome, stats)
 }
 
-/// Runs the same aggregation round through `dordis-net`: a loopback
-/// deployment with a real coordinator, client runtimes on threads, a
-/// wire codec in between, and dropout *detected* by the coordinator
-/// rather than scripted. Produces the same [`ProtocolRoundOutcome`] as
-/// [`run_protocol_round`] — the equivalence tests pin the two paths to
-/// identical sums and survivor sets.
+/// Runs the same aggregation round through `dordis-net`: a one-round
+/// loopback session with a real coordinator, client runtimes on
+/// threads, a wire codec in between, and dropout *detected* by the
+/// coordinator rather than scripted. Produces the same
+/// [`ProtocolRoundOutcome`] as [`run_protocol_round`] — the equivalence
+/// tests pin the two paths to identical sums and survivor sets.
 ///
 /// `drop_before_masking` clients disconnect just before sending their
 /// masked input (the networked analogue of the paper's dropout model).
@@ -185,8 +189,10 @@ pub fn run_protocol_round_networked(
     updates: &BTreeMap<ClientId, Vec<u64>>,
     drop_before_masking: &[ClientId],
 ) -> Result<ProtocolRoundOutcome, DordisError> {
-    use dordis_net::coordinator::{run_coordinator, CoordinatorConfig};
-    use dordis_net::runtime::{run_client, ClientOptions, FailAction, FailPoint, FailStage};
+    use dordis_net::runtime::{
+        run_session_client, FailAction, FailPoint, FailStage, SessionClientOptions,
+    };
+    use dordis_net::session::{Seating, Session, SessionConfig};
     use dordis_net::transport::LoopbackHub;
     use std::sync::Arc;
     use std::time::Duration;
@@ -229,19 +235,20 @@ pub fn run_protocol_round_networked(
             let mut chan = hub
                 .connect(&format!("client-{id}"))
                 .map_err(|e| format!("connect: {e}"))?;
-            let opts = ClientOptions {
+            let opts = SessionClientOptions {
                 id,
                 rng_seed: seed,
-                fail,
                 recv_timeout: Duration::from_secs(60),
                 silent_linger: Duration::from_secs(1),
             };
-            run_client(
+            run_session_client(
                 &mut chan,
                 &opts,
-                move |_| Ok(input),
-                move |_| {
-                    registry.map(|reg| dordis_secagg::client::Identity {
+                |_| None,
+                |_| fail,
+                |_, _, _, _| Ok(input.clone()),
+                |_| {
+                    registry.clone().map(|reg| dordis_secagg::client::Identity {
                         signing: dordis_secagg::driver::signing_key_for(seed, id),
                         registry: reg,
                     })
@@ -251,17 +258,18 @@ pub fn run_protocol_round_networked(
         }));
     }
 
-    let report = run_coordinator(
-        &mut acceptor,
-        &CoordinatorConfig::new(
-            params,
-            Duration::from_secs(30),
-            Duration::from_secs(30),
-            chunks,
-            None,
-        ),
-    )
-    .map_err(|e| DordisError::Config(format!("networked round: {e}")))?;
+    let session_cfg = SessionConfig {
+        first_round: params.round,
+        join_timeout: Duration::from_secs(30),
+        stage_timeout: Duration::from_secs(30),
+        chunks,
+        ..SessionConfig::new(1, Seating::Roster, Box::new(move |_, _| params.clone()))
+    };
+    let mut session = Session::new(&mut acceptor, session_cfg)
+        .map_err(|e| DordisError::Config(format!("networked round: {e}")))?;
+    let report = session.run_round(&[]);
+    session.finish();
+    let report = report.map_err(|e| DordisError::Config(format!("networked round: {e}")))?;
     for h in handles {
         h.join()
             .map_err(|_| DordisError::Config("client thread panicked".into()))?

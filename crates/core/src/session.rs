@@ -16,7 +16,12 @@
 //!   announce with a VRF participation claim (or a decline), receives
 //!   the current global model in the Setup payload, trains locally, and
 //!   streams its masked update. Scripted droppers fail mid-chunk-stream
-//!   and *reconnect* to re-join the next round.
+//!   and *reconnect* to re-join the next round. The driver never plans
+//!   the cohort itself: it takes what the coordinator seated from the
+//!   claims it verified (the server holds the public VRF registry only,
+//!   §7) and derives the noise plan, removal and ledger entry from that.
+//!   ([`train_session_networked_failover`] is this path behind a
+//!   replicated coordinator pair.)
 //!
 //! Both paths derive every random artefact (VRF keys, per-round protocol
 //! seeds, encoding rotations, noise seeds) from the same
@@ -42,16 +47,15 @@ use dordis_net::reactor::EventedChannel;
 use dordis_net::replication::{run_backup, BackupOutcome};
 use dordis_net::runtime::{
     run_session_client, Backoff, FailAction, FailPoint, FailStage, SessionClientOptions,
-    SessionEndKind,
+    SessionClientReport, SessionEndKind,
 };
 use dordis_net::session::{Seating, SeatingOutcome, Session, SessionConfig};
-use dordis_net::transport::{LoopbackChannel, LoopbackHub};
+use dordis_net::transport::{Channel, LoopbackChannel, LoopbackHub};
 use dordis_net::NetError;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::driver::{round_rng_seed, run_round, DropStage, DropoutSchedule, RoundSpec};
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
-use dordis_telemetry::Telemetry;
 use dordis_xnoise::decomposition::XNoisePlan;
 use dordis_xnoise::enforcement::{derive_component_seeds, perturb, remove_excess};
 use serde::{Deserialize, Serialize};
@@ -91,16 +95,6 @@ pub struct FlSessionOptions {
     pub chunks: usize,
     /// Scripted mid-stream dropouts.
     pub droppers: Vec<MidStreamDrop>,
-    /// Join/claim window per round (networked path).
-    pub join_timeout: Duration,
-    /// Per-stage deadline within a round (networked path).
-    pub stage_timeout: Duration,
-    /// Telemetry handle threaded through the networked session (spans
-    /// and metrics); the default disabled handle costs nothing.
-    pub telemetry: Telemetry,
-    /// Ingress byte budget for the coordinator reactor's shared frame
-    /// pool (`0` = unlimited, the bit-equal reference path).
-    pub ingress_budget: u64,
 }
 
 impl FlSessionOptions {
@@ -112,13 +106,14 @@ impl FlSessionOptions {
             sample,
             chunks: 4,
             droppers: Vec::new(),
-            join_timeout: Duration::from_secs(20),
-            stage_timeout: Duration::from_secs(20),
-            telemetry: Telemetry::disabled(),
-            ingress_budget: 0,
         }
     }
 }
+
+/// Join/claim window and per-stage deadline of the in-process networked
+/// coordinator: generous, because the whole population shares this
+/// process's cores.
+const NET_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// One session round's aggregate-level outcome (the bit-equality
 /// surface of the equivalence tests).
@@ -126,8 +121,8 @@ impl FlSessionOptions {
 pub struct SessionRoundOutcome {
     /// 0-based round index.
     pub round: u32,
-    /// Round id on the wire (`round + 1`; round 0 is reserved for
-    /// eager legacy joins).
+    /// Round id on the wire (`round + 1`; round 0 is reserved for the
+    /// session client's connect-time join).
     pub wire_round: u64,
     /// The VRF-seated cohort, in seating order.
     pub cohort: Vec<ClientId>,
@@ -427,7 +422,10 @@ fn round_params(st: &Statics, r: u64, cohort: &[ClientId]) -> RoundParams {
     RoundParams {
         round: r,
         clients: cohort.to_vec(),
-        threshold: n / 2 + 1,
+        // Never below 2: a cohort of one has no aggregate to hide in,
+        // and this makes its parameters fail validation before any
+        // input is collected.
+        threshold: (n / 2 + 1).max(2),
         bit_width: st.spec.privacy.encoding.bit_width,
         vector_len: Encoder::padded_len(st.dim),
         noise_components: xnoise_tolerance(st.spec.variant, n),
@@ -438,6 +436,10 @@ fn round_params(st: &Statics, r: u64, cohort: &[ClientId]) -> RoundParams {
 
 /// What a round execution engine must hand back to the shared driver.
 struct RoundNet {
+    /// The cohort the round ran with, in seating order: the VRF plan for
+    /// the in-memory engine, what the coordinator seated for the
+    /// networked ones. Everything downstream is sized from this.
+    cohort: Vec<ClientId>,
     /// The modular aggregate before excess removal.
     sum: Vec<u64>,
     /// Survivors (U3), in outcome order.
@@ -452,54 +454,34 @@ struct RoundNet {
 // The shared session driver.
 // ---------------------------------------------------------------------
 
-/// Runs the full session given a per-round execution engine; everything
-/// else — VRF cohorts, removal, decode, FedAvg, evaluation, the privacy
-/// ledger — is this one code path for both engines.
-fn run_fl_session(
-    st: &Statics,
-    opts: &FlSessionOptions,
-    exec: impl FnMut(
-        &Statics,
-        u32,
-        u64,
-        &[ClientId],
-        Option<&XNoisePlan>,
-        &[f32],
-    ) -> Result<RoundNet, DordisError>,
-) -> Result<FlSessionReport, DordisError> {
-    run_fl_session_at(st, opts, None, None, exec)
-}
-
 /// Round-commit callback: `(wire_round, serialized candidate
 /// checkpoint)`; an `Err` unwinds the round before it takes effect.
 type CommitFn<'a> = &'a mut dyn FnMut(u64, &[u8]) -> Result<(), DordisError>;
 
-/// The resumable driver behind [`run_fl_session`]: optionally starts
-/// from a restored [`DriverCheckpoint`] instead of round 0, and
-/// optionally gates every round on a `commit` callback (checkpoint
-/// replication). The commit is called with the serialized candidate
-/// state *before* that state is installed — a round whose commit errors
-/// leaves no trace in the ledger, the model, or the records, which is
-/// exactly the crash-consistency contract the failover path relies on.
+/// Runs the full session given a per-round execution engine — `exec(round
+/// index, wire round, global model)` returns the round's cohort and raw
+/// aggregate; everything else (removal, decode, FedAvg, evaluation, the
+/// privacy ledger) is this one code path for every engine, and all of
+/// it is sized from the cohort the engine hands back.
+///
+/// Optionally starts from a restored [`DriverCheckpoint`] instead of
+/// round 0, and optionally gates every round on a `commit` callback
+/// (checkpoint replication). The commit is called with the serialized
+/// candidate state *before* that state is installed — a round whose
+/// commit errors leaves no trace in the ledger, the model, or the
+/// records, which is exactly the crash-consistency contract the
+/// failover path relies on.
 fn run_fl_session_at(
     st: &Statics,
     opts: &FlSessionOptions,
     resume: Option<DriverCheckpoint>,
     mut commit: Option<CommitFn<'_>>,
-    mut exec: impl FnMut(
-        &Statics,
-        u32,
-        u64,
-        &[ClientId],
-        Option<&XNoisePlan>,
-        &[f32],
-    ) -> Result<RoundNet, DordisError>,
+    mut exec: impl FnMut(u32, u64, &[f32]) -> Result<RoundNet, DordisError>,
 ) -> Result<FlSessionReport, DordisError> {
     let spec = &st.spec;
     let enc_cfg = &spec.privacy.encoding;
     let bits = enc_cfg.bit_width;
     let rate = opts.sample.target_sample as f64 / spec.population as f64;
-    let cohorts = planned_cohorts(spec, opts);
 
     let mut model = build_model(spec, &st.data);
     let (start, mut ledger, mut global, mut records, mut rounds) = match resume {
@@ -529,15 +511,11 @@ fn run_fl_session_at(
 
     for i in start..opts.rounds {
         let r = wire_round(i);
-        let cohort = &cohorts[i as usize];
-        if cohort.len() < 2 {
-            return Err(DordisError::Config(format!(
-                "round {i}: VRF seated only {} client(s); raise over_selection or population",
-                cohort.len()
-            )));
-        }
+        let net = exec(i, r, &global)?;
+        let cohort = net.cohort;
+        // The plan the cohort's clients perturbed under: they sized it
+        // from the Setup `cohort` field, which is this length.
         let xplan = xplan_for(st, cohort.len())?;
-        let net = exec(st, i, r, cohort, xplan.as_ref(), &global)?;
         let dropped_ct = cohort.len() - net.survivors.len();
         let mut sum = net.sum;
         if let Some(plan) = &xplan {
@@ -594,7 +572,7 @@ fn run_fl_session_at(
         rounds.push(SessionRoundOutcome {
             round: i,
             wire_round: r,
-            cohort: cohort.clone(),
+            cohort,
             survivors: net.survivors,
             dropped,
             sum,
@@ -633,18 +611,50 @@ fn run_fl_session_at(
     })
 }
 
-/// The droppers that fire in round `i` *and* are seated in its cohort.
-fn round_droppers(opts: &FlSessionOptions, i: u32, cohort: &[ClientId]) -> Vec<MidStreamDrop> {
-    opts.droppers
-        .iter()
-        .copied()
-        .filter(|d| d.round == i && cohort.contains(&d.client))
-        .collect()
-}
-
 // ---------------------------------------------------------------------
 // In-memory reference path.
 // ---------------------------------------------------------------------
+
+/// One round of `cohort` through the in-memory secagg *driver*, with
+/// the round's scripted droppers that are seated in it.
+fn memory_round(
+    st: &Statics,
+    opts: &FlSessionOptions,
+    i: u32,
+    cohort: &[ClientId],
+    global: &[f32],
+) -> Result<RoundNet, DordisError> {
+    let r = wire_round(i);
+    let xplan = xplan_for(st, cohort.len())?;
+    let mut inputs = std::collections::BTreeMap::new();
+    for &id in cohort {
+        let update = client_update(st, i, id, global);
+        let input = encoded_input(st, r, id, &update, cohort.len(), xplan.as_ref())?;
+        inputs.insert(id, input);
+    }
+    let mut dropout = DropoutSchedule::none();
+    for d in &opts.droppers {
+        if d.round == i && cohort.contains(&d.client) {
+            // A mid-chunk-stream failure never reaches U3: in the
+            // driver's stage model that is a BeforeMaskedInput drop.
+            dropout.drop_at(d.client, DropStage::BeforeMaskedInput);
+        }
+    }
+    let (outcome, _stats) = run_round(RoundSpec {
+        params: round_params(st, r, cohort),
+        inputs,
+        dropout,
+        rng_seed: round_rng_seed(st.spec.seed, r),
+    })
+    .map_err(DordisError::SecAgg)?;
+    Ok(RoundNet {
+        cohort: cohort.to_vec(),
+        sum: outcome.sum,
+        survivors: outcome.survivors,
+        removal_seeds: outcome.removal_seeds,
+        stale_frames: 0,
+    })
+}
 
 /// Runs the session fully in memory: per-round VRF cohorts, the secagg
 /// *driver* with scripted dropouts, and the shared FedAvg/ledger tail.
@@ -657,31 +667,9 @@ pub fn train_session(
     opts: &FlSessionOptions,
 ) -> Result<FlSessionReport, DordisError> {
     let st = statics(spec, opts)?;
-    run_fl_session(&st, opts, |st, i, r, cohort, xplan, global| {
-        let mut inputs = std::collections::BTreeMap::new();
-        for &id in cohort {
-            let update = client_update(st, i, id, global);
-            inputs.insert(id, encoded_input(st, r, id, &update, cohort.len(), xplan)?);
-        }
-        let mut dropout = DropoutSchedule::none();
-        for d in round_droppers(opts, i, cohort) {
-            // A mid-chunk-stream failure never reaches U3: in the
-            // driver's stage model that is a BeforeMaskedInput drop.
-            dropout.drop_at(d.client, DropStage::BeforeMaskedInput);
-        }
-        let (outcome, _stats) = run_round(RoundSpec {
-            params: round_params(st, r, cohort),
-            inputs,
-            dropout,
-            rng_seed: round_rng_seed(st.spec.seed, r),
-        })
-        .map_err(DordisError::SecAgg)?;
-        Ok(RoundNet {
-            sum: outcome.sum,
-            survivors: outcome.survivors,
-            removal_seeds: outcome.removal_seeds,
-            stale_frames: 0,
-        })
+    let cohorts = planned_cohorts(spec, opts);
+    run_fl_session_at(&st, opts, None, None, |i, _r, global| {
+        memory_round(&st, opts, i, &cohorts[i as usize], global)
     })
 }
 
@@ -727,58 +715,45 @@ fn networked_session_cfg(
 ) -> SessionConfig<'static> {
     let population = st.spec.population as u32;
     let sample = opts.sample;
+    // The coordinator's whole view of the VRF keys: the public registry.
     let registry = vrf_registry(st.spec.seed, population);
     let params_st = Arc::clone(st);
+    let seating = Seating::Claims(Box::new(move |r, raw_claims| {
+        let mut claims = Vec::new();
+        let mut rejected = Vec::new();
+        for (id, bytes) in raw_claims {
+            match decode_claim(bytes) {
+                Ok(c) if c.client == *id => claims.push(c),
+                Ok(_) => rejected.push((*id, "claim names another client".to_string())),
+                Err(why) => rejected.push((*id, why)),
+            }
+        }
+        let SeatedCohort {
+            seated,
+            rejected: invalid,
+        } = seat_claims(&claims, &registry, r, &sample);
+        rejected.extend(invalid);
+        SeatingOutcome { seated, rejected }
+    }));
     SessionConfig {
         first_round: wire_round(first_index),
-        rounds: u64::from(opts.rounds - first_index),
-        join_timeout: opts.join_timeout,
-        stage_timeout: opts.stage_timeout,
+        join_timeout: NET_TIMEOUT,
+        stage_timeout: NET_TIMEOUT,
         chunks: opts.chunks,
-        chunk_compute: None,
-        tick: dordis_net::coordinator::CoordinatorConfig::DEFAULT_TICK,
-        ingress_budget: opts.ingress_budget,
-        announce: true,
         population: (0..population).collect(),
-        seating: Seating::Claims(Box::new(move |r, raw_claims| {
-            let mut claims = Vec::new();
-            let mut rejected = Vec::new();
-            for (id, bytes) in raw_claims {
-                match decode_claim(bytes) {
-                    Ok(c) if c.client == *id => claims.push(c),
-                    Ok(_) => rejected.push((*id, "claim names another client".to_string())),
-                    Err(why) => rejected.push((*id, why)),
-                }
-            }
-            let SeatedCohort {
-                seated,
-                rejected: invalid,
-            } = seat_claims(&claims, &registry, r, &sample);
-            rejected.extend(invalid);
-            SeatingOutcome { seated, rejected }
-        })),
-        params_for: Box::new(move |r, seated| round_params(&params_st, r, seated)),
-        telemetry: opts.telemetry.clone(),
-        metrics_addr: None,
         replica,
         faults,
+        ..SessionConfig::new(
+            u64::from(opts.rounds - first_index),
+            seating,
+            Box::new(move |r, seated| round_params(&params_st, r, seated)),
+        )
     }
 }
 
-/// Executes one networked round through `session` and validates what
-/// the coordinator seated against the driver's planned VRF cohort.
-///
-/// The driver's noise plan, removal, and ledger entry are all derived
-/// from the *planned* cohort — if the coordinator seated anything else
-/// (a slow claim missed the join window), those derivations are wrong
-/// for what actually ran, so fail loudly instead of recording a
-/// corrupted round.
-fn networked_round(
-    session: &mut Session,
-    r: u64,
-    cohort: &[ClientId],
-    global: &[f32],
-) -> Result<RoundNet, NetError> {
+/// Executes one networked round through `session` and hands back the
+/// cohort the coordinator seated with the aggregate.
+fn networked_round(session: &mut Session, r: u64, global: &[f32]) -> Result<RoundNet, NetError> {
     let report = session.run_round(&global_to_bytes(global))?;
     if report.round != r {
         return Err(NetError::Protocol(format!(
@@ -786,28 +761,60 @@ fn networked_round(
             report.round
         )));
     }
-    let mut seated: Vec<ClientId> = report
-        .outcome
-        .survivors
-        .iter()
-        .chain(report.outcome.dropped.iter())
-        .copied()
-        .collect();
-    seated.sort_unstable();
-    let mut planned = cohort.to_vec();
-    planned.sort_unstable();
-    if seated != planned {
-        return Err(NetError::Protocol(format!(
-            "round {r}: seated cohort {seated:?} diverged from the planned VRF cohort \
-             {planned:?} (a claim missed the join window?)"
-        )));
-    }
     Ok(RoundNet {
+        cohort: report.cohort,
         sum: report.outcome.sum,
         survivors: report.outcome.survivors,
         removal_seeds: report.outcome.removal_seeds,
         stale_frames: report.stale_frames,
     })
+}
+
+/// One population member's session over one connection: a VRF claim (or
+/// a decline) per announce, the scripted mid-stream failure if one names
+/// this client and round, and — when seated — local training from the
+/// Setup payload's global model, encoded and perturbed under the plan
+/// for the Setup frame's cohort size.
+fn session_client(
+    chan: &mut dyn Channel,
+    st: &Statics,
+    sample: &SamplingConfig,
+    droppers: &[MidStreamDrop],
+    id: ClientId,
+    recv_timeout: Duration,
+) -> Result<SessionClientReport, NetError> {
+    let key = vrf_key_for(st.spec.seed, id);
+    let client_opts = SessionClientOptions {
+        id,
+        rng_seed: st.spec.seed,
+        recv_timeout,
+        silent_linger: Duration::from_secs(1),
+    };
+    run_session_client(
+        chan,
+        &client_opts,
+        |r| self_select(&key, id, r, sample).map(|c| encode_claim(&c)),
+        |r| {
+            droppers
+                .iter()
+                .find(|d| wire_round(d.round) == r && d.client == id)
+                .map(|d| FailPoint {
+                    stage: FailStage::MaskedInputAfterChunks(d.after_chunks),
+                    action: FailAction::Disconnect,
+                })
+        },
+        |r, _params, cohort, payload| {
+            let global = bytes_to_global(payload)?;
+            let i = (r - 1) as u32;
+            let n = usize::from(cohort);
+            let update = client_update(st, i, id, &global);
+            let xplan =
+                xplan_for(st, n).map_err(|e| NetError::Protocol(format!("xnoise plan: {e}")))?;
+            encoded_input(st, r, id, &update, n, xplan.as_ref())
+                .map_err(|e| NetError::Protocol(format!("encode: {e}")))
+        },
+        |_| None,
+    )
 }
 
 /// Runs the session over `dordis-net`: a session coordinator on this
@@ -827,7 +834,6 @@ pub fn train_session_networked(
     let st = Arc::new(statics(spec, opts)?);
     let population = spec.population as u32;
     let sample = opts.sample;
-    let seed = spec.seed;
     let droppers: Arc<Vec<MidStreamDrop>> = Arc::new(opts.droppers.clone());
     let (hub, mut acceptor) = LoopbackHub::new();
 
@@ -839,45 +845,13 @@ pub fn train_session_networked(
         let st = Arc::clone(&st);
         let droppers = Arc::clone(&droppers);
         handles.push(std::thread::spawn(move || -> Result<(), String> {
-            let key = vrf_key_for(seed, id);
             loop {
                 let mut chan = hub
                     .connect(&format!("client-{id}"))
                     .map_err(|e| format!("client {id} connect: {e}"))?;
-                let client_opts = SessionClientOptions {
-                    id,
-                    rng_seed: seed,
-                    recv_timeout: Duration::from_secs(120),
-                    silent_linger: Duration::from_secs(1),
-                };
-                let report = run_session_client(
-                    &mut chan,
-                    &client_opts,
-                    |r| self_select(&key, id, r, &sample).map(|c| encode_claim(&c)),
-                    |r| {
-                        droppers
-                            .iter()
-                            .find(|d| wire_round(d.round) == r && d.client == id)
-                            .map(|d| FailPoint {
-                                stage: FailStage::MaskedInputAfterChunks(d.after_chunks),
-                                action: FailAction::Disconnect,
-                            })
-                    },
-                    |r, _params, cohort, payload| {
-                        let global = bytes_to_global(payload)?;
-                        let i = (r - 1) as u32;
-                        // XNoise planning and encoding key off the
-                        // cohort size from Setup.
-                        let n = usize::from(cohort);
-                        let update = client_update(&st, i, id, &global);
-                        let xplan = xplan_for(&st, n)
-                            .map_err(|e| NetError::Protocol(format!("xnoise plan: {e}")))?;
-                        encoded_input(&st, r, id, &update, n, xplan.as_ref())
-                            .map_err(|e| NetError::Protocol(format!("encode: {e}")))
-                    },
-                    |_| None,
-                )
-                .map_err(|e| format!("client {id}: {e}"))?;
+                let recv_timeout = Duration::from_secs(120);
+                let report = session_client(&mut chan, &st, &sample, &droppers, id, recv_timeout)
+                    .map_err(|e| format!("client {id}: {e}"))?;
                 match report.end {
                     SessionEndKind::Ended => return Ok(()),
                     // Scripted dropout: reconnect and re-join from the
@@ -899,8 +873,8 @@ pub fn train_session_networked(
     let mut session = Session::new(&mut acceptor, session_cfg)
         .map_err(|e| DordisError::Config(format!("session: {e}")))?;
 
-    let result = run_fl_session(&st, opts, |_st, _i, r, cohort, _xplan, global| {
-        networked_round(&mut session, r, cohort, global)
+    let result = run_fl_session_at(&st, opts, None, None, |_i, r, global| {
+        networked_round(&mut session, r, global)
             .map_err(|e| DordisError::Config(format!("networked round {r}: {e}")))
     });
     session.finish();
@@ -956,7 +930,6 @@ pub fn train_session_networked_failover(
     let st = Arc::new(statics(spec, opts)?);
     let population = spec.population as u32;
     let sample = opts.sample;
-    let seed = spec.seed;
     let droppers: Arc<Vec<MidStreamDrop>> = Arc::new(opts.droppers.clone());
     let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
@@ -967,10 +940,14 @@ pub fn train_session_networked_failover(
     // ---- The backup coordinator's watch thread. The lease is generous
     // — takeover here is driven by the replication channel closing with
     // the crashed primary, which the backup sees immediately. ----
-    let lease = opts.join_timeout + opts.stage_timeout * 4;
-    let backup_telemetry = opts.telemetry.clone();
-    let backup_handle =
-        std::thread::spawn(move || run_backup(&mut repl_backup, lease, &backup_telemetry));
+    let lease = NET_TIMEOUT * 5;
+    let backup_handle = std::thread::spawn(move || {
+        run_backup(
+            &mut repl_backup,
+            lease,
+            &dordis_telemetry::Telemetry::disabled(),
+        )
+    });
 
     // ---- Client threads: redial with jittered backoff, flipping
     // between the two coordinator addresses on every connect failure or
@@ -984,7 +961,6 @@ pub fn train_session_networked_failover(
         let droppers = Arc::clone(&droppers);
         let shutdown = Arc::clone(&shutdown);
         handles.push(std::thread::spawn(move || -> Result<(), String> {
-            let key = vrf_key_for(seed, id);
             let mut on_backup = false;
             let mut backoff = Backoff::new(
                 u64::from(id),
@@ -1007,40 +983,11 @@ pub fn train_session_networked_failover(
                         continue;
                     }
                 };
-                let client_opts = SessionClientOptions {
-                    id,
-                    rng_seed: seed,
-                    // Short enough that a client parked on a dead-but-
-                    // accepting address re-enters the redial loop well
-                    // inside the takeover window.
-                    recv_timeout: Duration::from_secs(5),
-                    silent_linger: Duration::from_secs(1),
-                };
-                let outcome = run_session_client(
-                    &mut chan,
-                    &client_opts,
-                    |r| self_select(&key, id, r, &sample).map(|c| encode_claim(&c)),
-                    |r| {
-                        droppers
-                            .iter()
-                            .find(|d| wire_round(d.round) == r && d.client == id)
-                            .map(|d| FailPoint {
-                                stage: FailStage::MaskedInputAfterChunks(d.after_chunks),
-                                action: FailAction::Disconnect,
-                            })
-                    },
-                    |r, _params, cohort, payload| {
-                        let global = bytes_to_global(payload)?;
-                        let i = (r - 1) as u32;
-                        let n = usize::from(cohort);
-                        let update = client_update(&st, i, id, &global);
-                        let xplan = xplan_for(&st, n)
-                            .map_err(|e| NetError::Protocol(format!("xnoise plan: {e}")))?;
-                        encoded_input(&st, r, id, &update, n, xplan.as_ref())
-                            .map_err(|e| NetError::Protocol(format!("encode: {e}")))
-                    },
-                    |_| None,
-                );
+                // Short enough that a client parked on a dead-but-
+                // accepting address re-enters the redial loop well
+                // inside the takeover window.
+                let recv_timeout = Duration::from_secs(5);
+                let outcome = session_client(&mut chan, &st, &sample, &droppers, id, recv_timeout);
                 match outcome {
                     Ok(report) => match report.end {
                         SessionEndKind::Ended => return Ok(()),
@@ -1106,20 +1053,15 @@ pub fn train_session_networked_failover(
                     DordisError::Config(format!("{e}"))
                 })
         };
-        let primary_run = run_fl_session_at(
-            &st,
-            opts,
-            None,
-            Some(&mut commit_cb),
-            |_st, _i, r, cohort, _xplan, global| {
-                networked_round(&mut session.borrow_mut(), r, cohort, global).map_err(|e| {
+        let primary_run =
+            run_fl_session_at(&st, opts, None, Some(&mut commit_cb), |_i, r, global| {
+                networked_round(&mut session.borrow_mut(), r, global).map_err(|e| {
                     if FaultPlan::is_injected(&e) {
                         crashed.set(true);
                     }
                     DordisError::Config(format!("networked round {r}: {e}"))
                 })
-            },
-        );
+            });
         match primary_run {
             Ok(report) => {
                 // Clean end: retire the primary role (the backup sees
@@ -1164,16 +1106,10 @@ pub fn train_session_networked_failover(
             Session::new(&mut acceptor_b, cfg_b)
                 .map_err(|e| DordisError::Config(format!("successor session: {e}")))?,
         );
-        let result = run_fl_session_at(
-            &st,
-            opts,
-            resume,
-            None,
-            |_st, _i, r, cohort, _xplan, global| {
-                networked_round(&mut session_b.borrow_mut(), r, cohort, global)
-                    .map_err(|e| DordisError::Config(format!("failover round {r}: {e}")))
-            },
-        );
+        let result = run_fl_session_at(&st, opts, resume, None, |_i, r, global| {
+            networked_round(&mut session_b.borrow_mut(), r, global)
+                .map_err(|e| DordisError::Config(format!("failover round {r}: {e}")))
+        });
         if result.is_ok() {
             session_b.into_inner().finish();
         }
@@ -1192,4 +1128,74 @@ pub fn train_session_networked_failover(
         }
     }
     outcome
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The driver plans nothing itself: handed a cohort one client short
+    /// of the VRF plan, the reported cohort and droppers, the XNoise plan
+    /// removal runs under and the ledger's achieved multiplier all follow
+    /// the cohort that came back.
+    #[test]
+    fn driver_follows_the_cohort_the_engine_hands_back() {
+        let mut spec = TaskSpec::tiny_for_tests(77);
+        let sample = SamplingConfig {
+            target_sample: 8,
+            population: spec.population,
+            over_selection: 1.5,
+        };
+        let mut opts = FlSessionOptions::new(1, sample);
+        let planned = planned_cohorts(&spec, &opts).remove(0);
+        let seated = planned[..planned.len() - 1].to_vec();
+        // Tolerance 1 at both cohort sizes, so the one scripted dropper
+        // is within tolerance of what was seated — while bookkeeping on
+        // the planned cohort would count two clients missing.
+        spec.variant = Variant::XNoise {
+            tolerance_frac: 1.5 / planned.len() as f64,
+            collusion_frac: 0.0,
+        };
+        opts.droppers = vec![MidStreamDrop {
+            round: 0,
+            client: seated[0],
+            after_chunks: 1,
+        }];
+        let st = statics(&spec, &opts).unwrap();
+
+        let raw = RefCell::new(None);
+        let report = run_fl_session_at(&st, &opts, None, None, |i, _r, global| {
+            let net = memory_round(&st, &opts, i, &seated, global)?;
+            *raw.borrow_mut() = Some((net.sum.clone(), net.removal_seeds.clone()));
+            Ok(net)
+        })
+        .unwrap();
+
+        let round = &report.rounds[0];
+        assert_eq!(round.cohort, seated);
+        assert_eq!(round.dropped, vec![seated[0]]);
+        let record = &report.training.records[0];
+        assert_eq!(record.dropped, 1);
+
+        // Removal ran under the plan for the seated cohort's size.
+        let plan = xplan_for(&st, seated.len()).unwrap().unwrap();
+        assert_eq!(plan.dropout_tolerance, 1);
+        let (mut sum, seeds) = raw.into_inner().unwrap();
+        let bits = spec.privacy.encoding.bit_width;
+        remove_excess(&mut sum, &seeds, &round.survivors, &plan, bits).unwrap();
+        assert_eq!(round.sum, sum);
+
+        // One dropout within tolerance: exactly the planned multiplier —
+        // not the shortfall the planned cohort's size would have booked.
+        assert_eq!(record.achieved_multiplier, st.z_star);
+        let by_plan = achieved_noise_multiplier(
+            spec.variant,
+            st.z_star,
+            st.target_variance,
+            planned.len(),
+            round.survivors.len(),
+            xplan_for(&st, planned.len()).unwrap().as_ref(),
+        );
+        assert_ne!(record.achieved_multiplier, by_plan);
+    }
 }

@@ -1,8 +1,8 @@
 //! Synthetic datasets and non-IID partitioning.
 //!
 //! Stand-ins for the paper's CIFAR-10/100, FEMNIST, and Reddit workloads
-//! (see DESIGN.md §1 for the substitution rationale): Gaussian class
-//! prototypes give a classification task whose difficulty is controlled by
+//! (the reproduction is self-contained, so no real dataset is read):
+//! Gaussian class prototypes give a classification task whose difficulty is controlled by
 //! `noise`, and a Dirichlet (LDA) partitioner reproduces the label skew the
 //! paper configures with concentration `α = 1.0`.
 

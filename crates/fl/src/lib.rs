@@ -8,8 +8,7 @@
 //! - [`model`]: linear and MLP classifiers with manual backprop,
 //! - [`optim`]: mini-batch SGD with momentum and AdamW,
 //! - [`data`]: synthetic classification/LM datasets with Dirichlet
-//!   (LDA-style) non-IID partitioning, standing in for the real datasets
-//!   (see DESIGN.md for the substitution argument),
+//!   (LDA-style) non-IID partitioning, standing in for the real datasets,
 //! - [`fedavg`]: local training, update clipping, and FedAvg aggregation,
 //! - [`eval`]: accuracy and perplexity.
 

@@ -12,11 +12,10 @@
 //!
 //! All per-round state — the secagg [`Server`], the [`ChunkPlan`], the
 //! traffic/dropout accounting, and the round id every frame is checked
-//! against — lives in a [`RoundMachine`]. A
-//! [`Session`](crate::session::Session) constructs one machine per
-//! round and runs them back to back over the same persistent
-//! connections; [`run_coordinator`] is the single-round convenience
-//! wrapper (one session, one round). A frame whose envelope carries a
+//! against — lives in a `RoundMachine`. A
+//! [`Session`](crate::session::Session) — the only way to run a round —
+//! constructs one machine per round and runs them back to back over the
+//! same persistent connections. A frame whose envelope carries a
 //! *different* round id than the machine's is never parsed into the
 //! round's state: frames from older rounds (a slow peer catching up
 //! after a session transition) are discarded and counted in
@@ -56,112 +55,16 @@ use dordis_secagg::server::{RoundOutcome, Server};
 use dordis_secagg::{ClientId, RoundParams, SecAggError, ThreatModel};
 use dordis_telemetry::{MetricsSnapshot, Telemetry};
 
-use crate::faults::{FaultPlan, KillPoint};
-
 use crate::codec::{
     self, decode_advertised_keys, decode_consistency_signature, decode_encrypted_shares,
     decode_list, decode_masked_input, decode_noise_share_response, decode_unmasking_response,
     encode_list, Encode, Envelope, EnvelopeView, FrameContext, StageTag, HEADER_BYTES,
 };
+use crate::faults::KillPoint;
 use crate::reactor::{Event, EventedChannel, Reactor, ReactorStats, Token};
-use crate::session::{Seating, Session, SessionConfig};
-use crate::transport::{send_env, wire_message, Acceptor};
+use crate::session::SessionConfig;
+use crate::transport::{send_env, wire_message};
 use crate::NetError;
-
-/// Configuration of one coordinated round.
-pub struct CoordinatorConfig {
-    /// Protocol parameters; `params.clients` is the round's cohort — ids
-    /// that never join are advertise-stage dropouts. In a session the
-    /// cohort (and `params.round`) come from the session's per-round
-    /// seating, not from a fixed roster.
-    pub params: RoundParams,
-    /// How long to wait for the full sampled set to join before starting
-    /// with whoever arrived.
-    pub join_timeout: Duration,
-    /// Per-stage response deadline; a silent client past this is a
-    /// detected dropout. During masked-input collection the deadline
-    /// applies *per chunk*: the clock restarts whenever a chunk
-    /// completes.
-    pub stage_timeout: Duration,
-    /// Requested chunk count `m` for the data plane (clamped to ≥ 1).
-    /// The realized count after byte alignment may be smaller; clients
-    /// re-derive the identical plan from this count via the Setup
-    /// broadcast.
-    pub chunks: usize,
-    /// Injected s-comp cost for the *whole vector*, spread over chunks
-    /// proportionally to their element counts and spent once per chunk
-    /// at aggregation and once at unmasking. Emulates the server-side
-    /// compute of models too large to run in-repo, so benches and tests
-    /// can realize Figure 12's comm/compute overlap on a loopback
-    /// transport. `None` injects nothing (production).
-    pub chunk_compute: Option<Duration>,
-    /// Scheduling granularity: the reactor's timer-wheel tick.
-    pub tick: Duration,
-    /// Observability sink: span timeline + metrics registry. The
-    /// default ([`Telemetry::disabled`]) makes every instrumentation
-    /// point a no-op.
-    pub telemetry: Telemetry,
-    /// Global ingress budget in bytes for the reactor's shared frame
-    /// pool ([`crate::pool::BytePool`]). `0` (the default) disables
-    /// backpressure — unlimited buffering, the bit-equal reference.
-    /// With a budget, a connection whose buffered bytes cross its fair
-    /// share has its read interest dropped until the coordinator's
-    /// recycles drain it below the low-water mark, so a frame burst
-    /// degrades to pacing instead of unbounded memory.
-    pub ingress_budget: u64,
-    /// Injected coordinator crashes for the failover test harness
-    /// ([`FaultPlan::none`], the default, is a no-op on every hook).
-    pub faults: FaultPlan,
-}
-
-impl CoordinatorConfig {
-    /// Default scheduling granularity (see [`CoordinatorConfig::tick`]).
-    pub const DEFAULT_TICK: Duration = Duration::from_millis(10);
-
-    /// A config with the default tick.
-    #[must_use]
-    pub fn new(
-        params: RoundParams,
-        join_timeout: Duration,
-        stage_timeout: Duration,
-        chunks: usize,
-        chunk_compute: Option<Duration>,
-    ) -> Self {
-        CoordinatorConfig {
-            params,
-            join_timeout,
-            stage_timeout,
-            chunks,
-            chunk_compute,
-            tick: Self::DEFAULT_TICK,
-            telemetry: Telemetry::disabled(),
-            ingress_budget: 0,
-            faults: FaultPlan::none(),
-        }
-    }
-
-    /// An unchunked config with no injected compute — the pre-chunking
-    /// behaviour.
-    #[must_use]
-    pub fn single(params: RoundParams, join_timeout: Duration, stage_timeout: Duration) -> Self {
-        Self::new(params, join_timeout, stage_timeout, 1, None)
-    }
-
-    /// Installs a telemetry sink (builder-style).
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Sets the reactor's global ingress budget in bytes
-    /// (builder-style); `0` disables backpressure.
-    #[must_use]
-    pub fn with_ingress_budget(mut self, bytes: u64) -> Self {
-        self.ingress_budget = bytes;
-        self
-    }
-}
 
 /// What the coordinator observed about one departed client.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -198,6 +101,9 @@ pub struct NetRoundReport {
     /// The round this report describes (the session's counter; the id
     /// every frame of the round carried).
     pub round: u64,
+    /// The cohort the session seated, in seating order (the round's
+    /// `params.clients`): survivors and dropouts alike.
+    pub cohort: Vec<ClientId>,
     /// The protocol outcome (same type the in-memory driver returns).
     pub outcome: RoundOutcome,
     /// Per-stage traffic, measured as actual framed bytes on the wire
@@ -214,24 +120,21 @@ pub struct NetRoundReport {
     pub stale_frames: u64,
     /// Event-loop wake-up accounting as a **per-round delta**: only the
     /// polls/events/timer fires this round produced (join phase
-    /// included when the round ran inside a [`Session`]). The scale
+    /// included). The scale
     /// tests assert `polls` stays `O(events)`, not `O(clients × ticks)`.
     pub reactor: ReactorStats,
     /// The same counters cumulative since the session's reactor was
     /// built, for whole-session accounting.
     pub reactor_session: ReactorStats,
     /// Per-round delta of every registered metrics series (keyed by
-    /// canonical series id), when the round ran with enabled telemetry
-    /// inside a [`Session`]. One schema for the session driver, the
-    /// benches, and the tests.
-    ///
-    /// [`Session`]: crate::session::Session
+    /// canonical series id), when the session's telemetry is enabled.
+    /// One schema for the session driver, the benches, and the tests.
     pub metrics: Option<MetricsSnapshot>,
 }
 
 /// Per-stage uplink accumulator.
 #[derive(Default)]
-pub(crate) struct Traffic {
+struct Traffic {
     total: u64,
     max: u64,
 }
@@ -258,7 +161,7 @@ type IdleWork<'a> = dyn FnMut(&mut Server) -> Result<bool, SecAggError> + 'a;
 pub(crate) const JOIN_BASE: u64 = 1 << 40;
 
 /// Timer token for the active stage/chunk deadline.
-pub(crate) const STAGE_TOKEN: Token = Token(u64::MAX - 2);
+const STAGE_TOKEN: Token = Token(u64::MAX - 2);
 
 pub(crate) fn client_token(id: ClientId) -> Token {
     Token(u64::from(id))
@@ -268,47 +171,6 @@ pub(crate) fn client_of(token: Token) -> Option<ClientId> {
     (token.0 < JOIN_BASE).then_some(token.0 as ClientId)
 }
 
-/// Runs one full round over `acceptor` — the single-round convenience
-/// wrapper around a one-round [`Session`] with legacy (roster,
-/// eager-join) seating.
-///
-/// Accepts joins until every sampled client is present or
-/// `join_timeout` passes, then drives the stages. Clients that vanish
-/// mid-round are detected per stage (per chunk, on the data plane) and
-/// the protocol continues as long as the threshold holds.
-///
-/// # Errors
-///
-/// [`NetError::SecAgg`] when the protocol aborts (e.g. below
-/// threshold); transport errors only for coordinator-side failures
-/// (individual client failures are dropouts, not errors).
-pub fn run_coordinator(
-    acceptor: &mut dyn Acceptor,
-    cfg: &CoordinatorConfig,
-) -> Result<NetRoundReport, NetError> {
-    let params = cfg.params.clone();
-    let session_cfg = SessionConfig {
-        first_round: params.round,
-        rounds: 1,
-        join_timeout: cfg.join_timeout,
-        stage_timeout: cfg.stage_timeout,
-        chunks: cfg.chunks,
-        chunk_compute: cfg.chunk_compute,
-        tick: cfg.tick,
-        ingress_budget: cfg.ingress_budget,
-        telemetry: cfg.telemetry.clone(),
-        metrics_addr: None,
-        announce: false,
-        population: Vec::new(),
-        seating: Seating::Roster,
-        params_for: Box::new(move |_, _| params.clone()),
-        replica: None,
-        faults: cfg.faults.clone(),
-    };
-    let mut session = Session::new(acceptor, session_cfg)?;
-    session.run_round(&[])
-}
-
 // ---------------------------------------------------------------------
 // The per-round state machine.
 // ---------------------------------------------------------------------
@@ -316,9 +178,12 @@ pub fn run_coordinator(
 /// All state belonging to one protocol round: the secagg server, the
 /// chunk plan, the round id every envelope is checked against, and the
 /// traffic / dropout / stale-frame accounting. Constructed fresh per
-/// round by the [`Session`], so nothing can leak between rounds.
-pub struct RoundMachine {
-    round: u64,
+/// round by the [`Session`](crate::session::Session), so nothing can
+/// leak between rounds.
+pub(crate) struct RoundMachine<'c> {
+    /// The session's configuration, borrowed for the round.
+    cfg: &'c SessionConfig<'c>,
+    params: RoundParams,
     plan: ChunkPlan,
     requested_chunks: u16,
     server: Server,
@@ -327,26 +192,30 @@ pub struct RoundMachine {
     stale_frames: u64,
 }
 
-impl RoundMachine {
-    /// Builds the machine for `cfg`'s round: validates the parameters,
-    /// derives the chunk plan, and resets the secagg server state.
+impl<'c> RoundMachine<'c> {
+    /// Builds the machine for the seated `params` under the session's
+    /// `cfg`: validates the parameters, derives the chunk plan from the
+    /// requested count, and resets the secagg server state.
     ///
     /// # Errors
     ///
     /// Invalid round parameters or an unrealizable chunk plan.
-    pub fn new(cfg: &CoordinatorConfig) -> Result<RoundMachine, NetError> {
-        cfg.params.validate().map_err(NetError::SecAgg)?;
+    pub(crate) fn new(
+        params: RoundParams,
+        cfg: &'c SessionConfig<'c>,
+    ) -> Result<RoundMachine<'c>, NetError> {
+        params.validate().map_err(NetError::SecAgg)?;
         let requested_chunks = cfg.chunks.clamp(1, usize::from(u16::MAX)) as u16;
         let plan = ChunkPlan::aligned(
-            cfg.params.vector_len,
+            params.vector_len,
             usize::from(requested_chunks),
-            cfg.params.bit_width,
+            params.bit_width,
         )
         .map_err(|e| NetError::Protocol(format!("chunk plan: {e}")))?;
-        let server =
-            Server::with_chunks(cfg.params.clone(), plan.clone()).map_err(NetError::SecAgg)?;
+        let server = Server::with_chunks(params.clone(), plan.clone()).map_err(NetError::SecAgg)?;
         Ok(RoundMachine {
-            round: cfg.params.round,
+            cfg,
+            params,
             plan,
             requested_chunks,
             server,
@@ -356,39 +225,30 @@ impl RoundMachine {
         })
     }
 
-    /// The round id this machine executes; every envelope is checked
-    /// against it.
-    #[must_use]
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// Drives the whole round over the already-seated `peers`:
     /// Setup broadcast (carrying `payload`), the five protocol stages
     /// with per-stage (per-chunk on the data plane) dropout detection,
     /// and the Finished broadcast. On return `peers` holds exactly the
     /// connections that survived the round; the session parks them for
-    /// the next one.
+    /// the next one. `reactor_base` is the reactor's counters when the
+    /// round's accounting window opened (before its join phase).
     ///
     /// # Errors
     ///
     /// [`NetError::SecAgg`] when the protocol aborts (below threshold,
     /// tampering); reactor failures. Individual client failures are
     /// dropouts, not errors.
-    pub fn run(
+    pub(crate) fn run(
         mut self,
         reactor: &mut Reactor,
         peers: &mut Peers,
-        cfg: &CoordinatorConfig,
         payload: &[u8],
+        reactor_base: ReactorStats,
     ) -> Result<NetRoundReport, NetError> {
-        let round = self.round;
-        // Per-round reactor accounting: the report's `reactor` field is
-        // the delta over this machine's run (the session widens the
-        // base to include its join phase).
-        let reactor_base = reactor.stats;
+        let cfg = self.cfg;
+        let round = self.params.round;
         let round_span = cfg.telemetry.span("round", "round", round, None);
-        for &id in &cfg.params.clients {
+        for &id in &self.params.clients {
             if !peers.contains_key(&id) {
                 self.dropouts.push(DetectedDropout {
                     client: id,
@@ -402,14 +262,13 @@ impl RoundMachine {
 
         // ---- Setup broadcast (params + chunk count + payload). ----
         let stage_span = cfg.telemetry.span("stage", "Setup", round, None);
-        let cohort = cfg.params.clients.len().min(usize::from(u16::MAX)) as u16;
+        let cohort = self.params.clients.len().min(usize::from(u16::MAX)) as u16;
         let setup = Envelope::new(
             StageTag::Setup,
             round,
-            codec::encode_setup(&cfg.params, self.requested_chunks, cohort, payload),
+            codec::encode_setup(&self.params, self.requested_chunks, cohort, payload),
         );
-        broadcast(peers, &setup, &mut self.dropouts, "Setup", &cfg.telemetry);
-        flush_sends(reactor, peers, &mut self.dropouts, "Setup", cfg);
+        self.broadcast(reactor, peers, "Setup", &setup);
         // Fault hook: the primary dies right after the Setup broadcast
         // reached every seated client — they hold round state the
         // coordinator loses. Propagated directly (never through the
@@ -421,87 +280,44 @@ impl RoundMachine {
 
         // ---- Stage 0: AdvertiseKeys. ----
         let stage_span = cfg.telemetry.span("stage", "AdvertiseKeys", round, None);
-        let mut up = Traffic::default();
-        let bodies = self
-            .collect_stage(
-                reactor,
-                peers,
-                &joined,
-                StageTag::AdvertiseKeys,
-                cfg,
-                "AdvertiseKeys",
-                &mut up,
-                &mut no_idle,
-            )
-            .map_err(|e| abort_round(peers, round, e))?;
-        let mut advs = Vec::with_capacity(bodies.len());
-        for (id, body) in &bodies {
-            match decode_advertised_keys(body) {
-                Ok(a) if a.client == *id => advs.push(a),
-                _ => drop_peer(
-                    peers,
-                    *id,
-                    "AdvertiseKeys",
-                    None,
-                    DropKind::ProtocolViolation,
-                    &mut self.dropouts,
-                ),
-            }
-        }
-        let roster = self.server.collect_advertisements(advs).map_err(|e| {
-            abort_all(peers, round, &e);
-            NetError::SecAgg(e)
-        })?;
-        let roster_env = Envelope::new(StageTag::Roster, round, encode_list(&roster));
-        let down = broadcast(
+        let (advs, up) = self.collect_stage(
+            reactor,
             peers,
-            &roster_env,
-            &mut self.dropouts,
+            &joined,
+            StageTag::AdvertiseKeys,
             "AdvertiseKeys",
-            &cfg.telemetry,
-        );
-        flush_sends(reactor, peers, &mut self.dropouts, "AdvertiseKeys", cfg);
-        push_stage(&mut self.stats, &cfg.telemetry, "AdvertiseKeys", &up, down);
+            &mut no_idle,
+            |id, body| decode_advertised_keys(body).ok().filter(|a| a.client == id),
+        )?;
+        let roster = self
+            .server
+            .collect_advertisements(advs)
+            .map_err(|e| abort_secagg(peers, round, e))?;
+        let roster_env = Envelope::new(StageTag::Roster, round, encode_list(&roster));
+        let down = self.broadcast(reactor, peers, "AdvertiseKeys", &roster_env);
+        self.push_stage("AdvertiseKeys", &up, down);
         drop(stage_span);
 
         // ---- Stage 1: ShareKeys. ----
         let stage_span = cfg.telemetry.span("stage", "ShareKeys", round, None);
-        let expected: Vec<ClientId> = roster
-            .iter()
-            .map(|a| a.client)
-            .filter(|id| peers.contains_key(id))
-            .collect();
-        let mut up = Traffic::default();
-        let bodies = self
-            .collect_stage(
-                reactor,
-                peers,
-                &expected,
-                StageTag::ShareKeys,
-                cfg,
-                "ShareKeys",
-                &mut up,
-                &mut no_idle,
-            )
-            .map_err(|e| abort_round(peers, round, e))?;
-        let mut all_cts = Vec::new();
-        for (id, body) in &bodies {
-            match decode_list(body, decode_encrypted_shares) {
-                Ok(cts) if cts.iter().all(|ct| ct.from == *id) => all_cts.extend(cts),
-                _ => drop_peer(
-                    peers,
-                    *id,
-                    "ShareKeys",
-                    None,
-                    DropKind::ProtocolViolation,
-                    &mut self.dropouts,
-                ),
-            }
-        }
-        let mut inboxes = self.server.route_shares(all_cts).map_err(|e| {
-            abort_all(peers, round, &e);
-            NetError::SecAgg(e)
-        })?;
+        let expected: Vec<ClientId> = roster.iter().map(|a| a.client).collect();
+        let (cts, up) = self.collect_stage(
+            reactor,
+            peers,
+            &expected,
+            StageTag::ShareKeys,
+            "ShareKeys",
+            &mut no_idle,
+            |id, body| {
+                let cts = decode_list(body, decode_encrypted_shares).ok()?;
+                cts.iter().all(|ct| ct.from == id).then_some(cts)
+            },
+        )?;
+        let all_cts = cts.into_iter().flatten().collect();
+        let mut inboxes = self
+            .server
+            .route_shares(all_cts)
+            .map_err(|e| abort_secagg(peers, round, e))?;
         let mut down = Traffic::default();
         let inbox_ids: Vec<ClientId> = peers.keys().copied().collect();
         for id in inbox_ids {
@@ -511,7 +327,7 @@ impl RoundMachine {
             send_or_drop(peers, id, &env, "ShareKeys", &mut self.dropouts);
         }
         flush_sends(reactor, peers, &mut self.dropouts, "ShareKeys", cfg);
-        push_stage(&mut self.stats, &cfg.telemetry, "ShareKeys", &up, down);
+        self.push_stage("ShareKeys", &up, down);
         drop(stage_span);
 
         // ---- Stage 2: MaskedInputCollection, per (stage, chunk). ----
@@ -524,140 +340,67 @@ impl RoundMachine {
         // mid-flight — the hardest crash, nothing of this round exists
         // outside the dying process.
         cfg.faults.trip(KillPoint::MidMaskedStage, round)?;
-        let up = self
-            .collect_masked_chunks(reactor, peers, &expected, cfg)
-            .map_err(|e| abort_round(peers, round, e))?;
-        let u3 = self.server.finalize_masked().map_err(|e| {
-            abort_all(peers, round, &e);
-            NetError::SecAgg(e)
-        })?;
+        let up = self.collect_masked_chunks(reactor, peers, &expected)?;
+        let u3 = self
+            .server
+            .finalize_masked()
+            .map_err(|e| abort_secagg(peers, round, e))?;
         let u3_env = Envelope::new(
             StageTag::SurvivorSet,
             round,
             dordis_secagg::messages::IdList(u3.clone()).encoded(),
         );
-        let down = broadcast(
-            peers,
-            &u3_env,
-            &mut self.dropouts,
-            "MaskedInputCollection",
-            &cfg.telemetry,
-        );
-        flush_sends(
-            reactor,
-            peers,
-            &mut self.dropouts,
-            "MaskedInputCollection",
-            cfg,
-        );
-        push_stage(
-            &mut self.stats,
-            &cfg.telemetry,
-            "MaskedInputCollection",
-            &up,
-            down,
-        );
+        let down = self.broadcast(reactor, peers, "MaskedInputCollection", &u3_env);
+        self.push_stage("MaskedInputCollection", &up, down);
         drop(stage_span);
 
         // ---- Stage 3: ConsistencyCheck (malicious only). ----
-        if cfg.params.threat_model == ThreatModel::Malicious {
+        if self.params.threat_model == ThreatModel::Malicious {
             let _stage_span = cfg.telemetry.span("stage", "ConsistencyCheck", round, None);
-            let expected: Vec<ClientId> = u3
-                .iter()
-                .copied()
-                .filter(|v| peers.contains_key(v))
-                .collect();
-            let mut up = Traffic::default();
-            let bodies = self
-                .collect_stage(
-                    reactor,
-                    peers,
-                    &expected,
-                    StageTag::ConsistencySig,
-                    cfg,
-                    "ConsistencyCheck",
-                    &mut up,
-                    &mut no_idle,
-                )
-                .map_err(|e| abort_round(peers, round, e))?;
-            let mut sigs = Vec::new();
-            for (id, body) in &bodies {
-                match decode_consistency_signature(body) {
-                    Ok(s) if s.client == *id => sigs.push(s),
-                    _ => drop_peer(
-                        peers,
-                        *id,
-                        "ConsistencyCheck",
-                        None,
-                        DropKind::ProtocolViolation,
-                        &mut self.dropouts,
-                    ),
-                }
-            }
-            let list = self.server.collect_consistency(sigs).map_err(|e| {
-                abort_all(peers, round, &e);
-                NetError::SecAgg(e)
-            })?;
+            let (sigs, up) = self.collect_stage(
+                reactor,
+                peers,
+                &u3,
+                StageTag::ConsistencySig,
+                "ConsistencyCheck",
+                &mut no_idle,
+                |id, body| {
+                    decode_consistency_signature(body)
+                        .ok()
+                        .filter(|s| s.client == id)
+                },
+            )?;
+            let list = self
+                .server
+                .collect_consistency(sigs)
+                .map_err(|e| abort_secagg(peers, round, e))?;
             let env = Envelope::new(
                 StageTag::SignatureList,
                 round,
                 codec::encode_signature_list(&list),
             );
-            let down = broadcast(
-                peers,
-                &env,
-                &mut self.dropouts,
-                "ConsistencyCheck",
-                &cfg.telemetry,
-            );
-            flush_sends(reactor, peers, &mut self.dropouts, "ConsistencyCheck", cfg);
-            push_stage(
-                &mut self.stats,
-                &cfg.telemetry,
-                "ConsistencyCheck",
-                &up,
-                down,
-            );
+            let down = self.broadcast(reactor, peers, "ConsistencyCheck", &env);
+            self.push_stage("ConsistencyCheck", &up, down);
         }
 
         // ---- Stage 4: Unmasking (share collection is round-global). ----
         let stage_span = cfg.telemetry.span("stage", "Unmasking", round, None);
-        let expected: Vec<ClientId> = u3
-            .iter()
-            .copied()
-            .filter(|v| peers.contains_key(v))
-            .collect();
-        let mut up = Traffic::default();
-        let bodies = self
-            .collect_stage(
-                reactor,
-                peers,
-                &expected,
-                StageTag::Unmasking,
-                cfg,
-                "Unmasking",
-                &mut up,
-                &mut no_idle,
-            )
-            .map_err(|e| abort_round(peers, round, e))?;
-        let mut responses = Vec::new();
-        for (id, body) in &bodies {
-            match decode_unmasking_response(body) {
-                Ok(r) if r.client == *id => responses.push(r),
-                _ => drop_peer(
-                    peers,
-                    *id,
-                    "Unmasking",
-                    None,
-                    DropKind::ProtocolViolation,
-                    &mut self.dropouts,
-                ),
-            }
-        }
-        self.server.reconstruct_unmasking(responses).map_err(|e| {
-            abort_all(peers, round, &e);
-            NetError::SecAgg(e)
-        })?;
+        let (responses, up) = self.collect_stage(
+            reactor,
+            peers,
+            &u3,
+            StageTag::Unmasking,
+            "Unmasking",
+            &mut no_idle,
+            |id, body| {
+                decode_unmasking_response(body)
+                    .ok()
+                    .filter(|r| r.client == id)
+            },
+        )?;
+        self.server
+            .reconstruct_unmasking(responses)
+            .map_err(|e| abort_secagg(peers, round, e))?;
         let u5 = self.server.u5().to_vec();
 
         // Per-chunk unmask progress advances between noise-share polls:
@@ -688,8 +431,7 @@ impl RoundMachine {
 
         // ---- Stage 5: ExcessiveNoiseRemoval (only if needed). ----
         if self.server.pending_seed_owners().is_empty() {
-            let down_u5 = Traffic::default();
-            push_stage(&mut self.stats, &cfg.telemetry, "Unmasking", &up, down_u5);
+            self.push_stage("Unmasking", &up, Traffic::default());
             drop(stage_span);
         } else {
             let u5_env = Envelope::new(
@@ -697,71 +439,35 @@ impl RoundMachine {
                 round,
                 dordis_secagg::messages::IdList(u5.clone()).encoded(),
             );
-            let down = broadcast(
-                peers,
-                &u5_env,
-                &mut self.dropouts,
-                "Unmasking",
-                &cfg.telemetry,
-            );
-            flush_sends(reactor, peers, &mut self.dropouts, "Unmasking", cfg);
-            push_stage(&mut self.stats, &cfg.telemetry, "Unmasking", &up, down);
+            let down = self.broadcast(reactor, peers, "Unmasking", &u5_env);
+            self.push_stage("Unmasking", &up, down);
             drop(stage_span);
             let _stage_span = cfg
                 .telemetry
                 .span("stage", "ExcessiveNoiseRemoval", round, None);
 
-            let expected: Vec<ClientId> = u5
-                .iter()
-                .copied()
-                .filter(|v| peers.contains_key(v))
-                .collect();
-            let mut up = Traffic::default();
-            let bodies = self
-                .collect_stage(
-                    reactor,
-                    peers,
-                    &expected,
-                    StageTag::NoiseShares,
-                    cfg,
-                    "ExcessiveNoiseRemoval",
-                    &mut up,
-                    &mut unmask_step,
-                )
-                .map_err(|e| abort_round(peers, round, e))?;
-            let mut responses = Vec::new();
-            for (id, body) in &bodies {
-                match decode_noise_share_response(body) {
-                    Ok(r) if r.client == *id => responses.push(r),
-                    _ => drop_peer(
-                        peers,
-                        *id,
-                        "ExcessiveNoiseRemoval",
-                        None,
-                        DropKind::ProtocolViolation,
-                        &mut self.dropouts,
-                    ),
-                }
-            }
-            self.server.collect_noise_shares(responses).map_err(|e| {
-                abort_all(peers, round, &e);
-                NetError::SecAgg(e)
-            })?;
-            push_stage(
-                &mut self.stats,
-                &cfg.telemetry,
+            let (responses, up) = self.collect_stage(
+                reactor,
+                peers,
+                &u5,
+                StageTag::NoiseShares,
                 "ExcessiveNoiseRemoval",
-                &up,
-                Traffic::default(),
-            );
+                &mut unmask_step,
+                |id, body| {
+                    decode_noise_share_response(body)
+                        .ok()
+                        .filter(|r| r.client == id)
+                },
+            )?;
+            self.server
+                .collect_noise_shares(responses)
+                .map_err(|e| abort_secagg(peers, round, e))?;
+            self.push_stage("ExcessiveNoiseRemoval", &up, Traffic::default());
         }
 
         // Unmask whatever chunks the idle interleaving did not reach.
         for _ in 0..total_chunks {
-            unmask_step(&mut self.server).map_err(|e| {
-                abort_all(peers, round, &e);
-                NetError::SecAgg(e)
-            })?;
+            unmask_step(&mut self.server).map_err(|e| abort_secagg(peers, round, e))?;
         }
 
         // ---- Finished broadcast. ----
@@ -770,8 +476,7 @@ impl RoundMachine {
             round,
             dordis_secagg::messages::IdList(u3.clone()).encoded(),
         );
-        broadcast(peers, &fin, &mut self.dropouts, "Finished", &cfg.telemetry);
-        flush_sends(reactor, peers, &mut self.dropouts, "Finished", cfg);
+        self.broadcast(reactor, peers, "Finished", &fin);
 
         debug_assert!(self.server.privacy_invariant_holds());
         for d in &self.dropouts {
@@ -803,6 +508,7 @@ impl RoundMachine {
         let reactor_now = reactor.stats;
         Ok(NetRoundReport {
             round,
+            cohort: self.params.clients,
             outcome: self.server.finish(),
             stats: self.stats,
             dropouts: self.dropouts,
@@ -812,6 +518,42 @@ impl RoundMachine {
             reactor_session: reactor_now,
             metrics: None,
         })
+    }
+
+    /// Broadcasts `env` to every live peer and drives the queued sends
+    /// out; peers that cannot take theirs become `stage` dropouts.
+    /// Returns the downlink traffic.
+    fn broadcast(
+        &mut self,
+        reactor: &mut Reactor,
+        peers: &mut Peers,
+        stage: &'static str,
+        env: &Envelope,
+    ) -> Traffic {
+        let down = broadcast(peers, env, &mut self.dropouts, stage, &self.cfg.telemetry);
+        flush_sends(reactor, peers, &mut self.dropouts, stage, self.cfg);
+        down
+    }
+
+    /// Records a finished stage's traffic in the round stats and the
+    /// frame-byte counters.
+    fn push_stage(&mut self, name: &'static str, up: &Traffic, down: Traffic) {
+        for (direction, bytes) in [("in", up.total), ("out", down.total)] {
+            self.cfg
+                .telemetry
+                .counter(
+                    "dordis_frame_bytes_total",
+                    &[("direction", direction), ("stage", name)],
+                )
+                .add(bytes);
+        }
+        self.stats.stages.push(StageTraffic {
+            stage: name,
+            uplink_total: up.total,
+            uplink_max: up.max,
+            downlink_total: down.total,
+            downlink_max: down.max,
+        });
     }
 
     // -----------------------------------------------------------------
@@ -851,8 +593,8 @@ impl RoundMachine {
         }
         // Same round gate as `Envelope::check_round` (aborts already
         // handled above, so a round mismatch here is never abort-exempt).
-        if frame_round != self.round {
-            if frame_round < self.round {
+        if frame_round != self.params.round {
+            if frame_round < self.params.round {
                 // A leftover frame from an earlier round: discard it
                 // rather than misparse it into this round's state. The
                 // client's current-round stream continues.
@@ -862,11 +604,18 @@ impl RoundMachine {
             let alive = self.drop_from_chunks(st, peers, id, DropKind::ProtocolViolation);
             return Ok((alive, frame));
         }
-        if stage == StageTag::MaskedInput && usize::from(chunk) < m {
+        // Only the stage's expected set (the live part of U2) may stream:
+        // a chunk frame from any other connected peer — one that never
+        // shared keys, say — is that peer's violation alone, not a
+        // server-side collection failure that would abort the round.
+        if stage == StageTag::MaskedInput
+            && usize::from(chunk) < m
+            && st.remaining.contains_key(&id)
+        {
             let c = usize::from(chunk);
             let ctx = FrameContext {
                 stage: StageTag::MaskedInput,
-                round: self.round,
+                round: self.params.round,
                 chunk,
             };
             match decode_masked_input(
@@ -878,7 +627,7 @@ impl RoundMachine {
                 Ok(mi) if mi.client == id => {
                     self.server
                         .collect_masked_chunk(c, vec![mi])
-                        .map_err(NetError::SecAgg)?;
+                        .map_err(|e| abort_secagg(peers, self.params.round, e))?;
                     if st.pendings[c].remove(&id) {
                         if let Some(left) = st.remaining.get_mut(&id) {
                             *left = left.saturating_sub(1);
@@ -923,10 +672,11 @@ impl RoundMachine {
     /// advances to the next one. The chunk's frames were decoded and
     /// fed to the server at arrival, so only the pipeline bookkeeping
     /// remains: the chunk span and the injected per-chunk compute cost.
-    fn aggregate_active(&mut self, st: &mut ChunkCollect, cfg: &CoordinatorConfig) {
+    fn aggregate_active(&mut self, st: &mut ChunkCollect) {
+        let cfg = self.cfg;
         let _span = cfg
             .telemetry
-            .span("chunk", "chunk", self.round, Some(st.active as u16));
+            .span("chunk", "chunk", self.params.round, Some(st.active as u16));
         chunk_sleep(cfg.chunk_compute, &self.plan, st.active);
         st.active += 1;
     }
@@ -945,8 +695,8 @@ impl RoundMachine {
         reactor: &mut Reactor,
         peers: &mut Peers,
         expected: &[ClientId],
-        cfg: &CoordinatorConfig,
     ) -> Result<Traffic, NetError> {
+        let cfg = self.cfg;
         let m = self.plan.chunks();
         let stage_name = "MaskedInputCollection";
         let mut st = ChunkCollect::new(expected, peers, m);
@@ -979,7 +729,7 @@ impl RoundMachine {
                 if !st.pendings[st.active].is_empty() {
                     break;
                 }
-                self.aggregate_active(&mut st, cfg);
+                self.aggregate_active(&mut st);
                 aggregated = true;
             }
             if st.active == m {
@@ -1111,75 +861,38 @@ impl RoundMachine {
         up: &mut Traffic,
     ) -> bool {
         up.add(frame.len() as u64);
-        let env = match Envelope::decode(frame) {
-            Ok(env) => env,
-            Err(_) => {
-                pending.remove(&id);
-                drop_peer(
-                    peers,
-                    id,
-                    stage_name,
-                    None,
-                    DropKind::ProtocolViolation,
-                    &mut self.dropouts,
-                );
-                return false;
-            }
-        };
-        if env.stage == StageTag::Abort {
-            pending.remove(&id);
-            drop_peer(
-                peers,
-                id,
-                stage_name,
-                None,
-                DropKind::Aborted,
-                &mut self.dropouts,
-            );
-            return false;
-        }
-        if let Err(NetError::StaleRound { got, expected }) = env.check_round(self.round) {
-            if got < expected {
+        let round = self.params.round;
+        // Same round gate as `Envelope::check_round`, aborts first (they
+        // are round-free).
+        let kind = match Envelope::decode(frame) {
+            Err(_) => DropKind::ProtocolViolation,
+            Ok(env) if env.stage == StageTag::Abort => DropKind::Aborted,
+            Ok(env) if env.round < round => {
                 // Typed stale-frame rejection: discard, never file.
                 self.stale_frames += 1;
                 return true;
             }
-            pending.remove(&id);
-            drop_peer(
-                peers,
-                id,
-                stage_name,
-                None,
-                DropKind::ProtocolViolation,
-                &mut self.dropouts,
-            );
-            return false;
-        }
-        if env.stage == want && pending.contains(&id) {
-            bodies.insert(id, env.body);
-            pending.remove(&id);
-            true
-        } else {
-            // A frame for a client that already answered (and is not an
-            // abort) is out-of-protocol.
-            pending.remove(&id);
-            drop_peer(
-                peers,
-                id,
-                stage_name,
-                None,
-                DropKind::ProtocolViolation,
-                &mut self.dropouts,
-            );
-            false
-        }
+            Ok(env) if env.round == round && env.stage == want && pending.remove(&id) => {
+                bodies.insert(id, env.body);
+                return true;
+            }
+            // A future round, a wrong stage, or a second frame from a
+            // client that already answered: out of protocol.
+            Ok(_) => DropKind::ProtocolViolation,
+        };
+        pending.remove(&id);
+        drop_peer(peers, id, stage_name, None, kind, &mut self.dropouts);
+        false
     }
 
-    /// Collects exactly one body per expected client for `want`, until
-    /// the per-stage deadline. Silent or disconnected clients become
-    /// detected dropouts and are removed from `peers`. The thread sleeps
-    /// in the poller until frames, disconnects, or the stage deadline
-    /// are ready; `idle` runs between polls so pending per-chunk work
+    /// Collects exactly one `want` message per still-connected expected
+    /// client, until the per-stage deadline, and returns them with the
+    /// stage's uplink traffic. `decode(id, body)` parses a body and vets
+    /// that it names its sender; `None` is that sender's protocol
+    /// violation. Silent or disconnected clients become detected
+    /// dropouts and are removed from `peers`. The thread sleeps in the
+    /// poller until frames, disconnects, or the stage deadline are
+    /// ready; `idle` runs between polls so pending per-chunk work
     /// (unmasking) overlaps the wait (non-blocking polls while it
     /// reports more work, so collection stays responsive during long
     /// interleaves).
@@ -1189,17 +902,18 @@ impl RoundMachine {
     /// Only `idle` failures (protocol aborts) and poller failures —
     /// per-client failures are dropouts, not errors.
     #[allow(clippy::too_many_arguments)]
-    fn collect_stage(
+    fn collect_stage<T>(
         &mut self,
         reactor: &mut Reactor,
         peers: &mut Peers,
         expected: &[ClientId],
         want: StageTag,
-        cfg: &CoordinatorConfig,
         stage_name: &'static str,
-        up: &mut Traffic,
         idle: &mut IdleWork<'_>,
-    ) -> Result<BTreeMap<ClientId, Vec<u8>>, NetError> {
+        decode: impl Fn(ClientId, &[u8]) -> Option<T>,
+    ) -> Result<(Vec<T>, Traffic), NetError> {
+        let cfg = self.cfg;
+        let mut up = Traffic::default();
         let mut deadline = Instant::now() + cfg.stage_timeout;
         let mut pending: BTreeSet<ClientId> = expected
             .iter()
@@ -1214,7 +928,15 @@ impl RoundMachine {
         // during a broadcast flush).
         let ids: Vec<ClientId> = pending.iter().copied().collect();
         for id in ids {
-            self.drain_stage_frames(peers, &mut pending, &mut bodies, id, want, stage_name, up);
+            self.drain_stage_frames(
+                peers,
+                &mut pending,
+                &mut bodies,
+                id,
+                want,
+                stage_name,
+                &mut up,
+            );
         }
 
         let (mut events, mut expired) = (Vec::new(), Vec::new());
@@ -1223,7 +945,8 @@ impl RoundMachine {
             // response window: credit its wall time back to the stage
             // deadline.
             let idle_start = Instant::now();
-            let did_work = idle(&mut self.server).map_err(NetError::SecAgg)?;
+            let did_work =
+                idle(&mut self.server).map_err(|e| abort_secagg(peers, self.params.round, e))?;
             let spent = idle_start.elapsed();
             if !spent.is_zero() {
                 deadline += spent;
@@ -1246,7 +969,15 @@ impl RoundMachine {
                 if !(ev.readable || ev.closed) || !peers.contains_key(&id) {
                     continue;
                 }
-                self.drain_stage_frames(peers, &mut pending, &mut bodies, id, want, stage_name, up);
+                self.drain_stage_frames(
+                    peers,
+                    &mut pending,
+                    &mut bodies,
+                    id,
+                    want,
+                    stage_name,
+                    &mut up,
+                );
             }
             // A write-event failure (or any other path) may have dropped
             // a peer without touching `pending` — retain, so the stage
@@ -1270,7 +1001,21 @@ impl RoundMachine {
                 );
             }
         }
-        Ok(bodies)
+        let mut msgs = Vec::with_capacity(bodies.len());
+        for (id, body) in &bodies {
+            match decode(*id, body) {
+                Some(msg) => msgs.push(msg),
+                None => drop_peer(
+                    peers,
+                    *id,
+                    stage_name,
+                    None,
+                    DropKind::ProtocolViolation,
+                    &mut self.dropouts,
+                ),
+            }
+        }
+        Ok((msgs, up))
     }
 
     /// Drains every currently available frame from `id` during a
@@ -1323,13 +1068,11 @@ impl RoundMachine {
     }
 }
 
-/// Maps a failed stage to a round abort (notifying live peers when the
-/// failure is a protocol-level one).
-fn abort_round(peers: &mut Peers, round: u64, e: NetError) -> NetError {
-    if let NetError::SecAgg(err) = &e {
-        abort_all(peers, round, err);
-    }
-    e
+/// A protocol-level failure aborts the round: everyone still connected
+/// is told why, then the round fails.
+fn abort_secagg(peers: &mut Peers, round: u64, e: SecAggError) -> NetError {
+    abort_all(peers, round, &e);
+    NetError::SecAgg(e)
 }
 
 /// Sleeps the injected per-chunk s-comp cost: the whole-vector cost
@@ -1495,7 +1238,7 @@ impl Admission {
 }
 
 /// Flushes a backlogged write surfaced by a write-readiness event.
-pub(crate) fn handle_write_event(
+fn handle_write_event(
     peers: &mut Peers,
     ev: &Event,
     stage_name: &'static str,
@@ -1522,7 +1265,7 @@ pub(crate) fn handle_write_event(
 }
 
 /// Removes a peer and records the detection.
-pub(crate) fn drop_peer(
+fn drop_peer(
     peers: &mut Peers,
     id: ClientId,
     stage: &'static str,
@@ -1549,7 +1292,7 @@ pub(crate) fn drop_peer(
 /// reactor-registered TCP channels queue the shared allocation instead
 /// of copying it per peer, so a Setup carrying the model payload costs
 /// one encoding for the whole cohort.
-pub(crate) fn broadcast(
+fn broadcast(
     peers: &mut Peers,
     env: &Envelope,
     dropouts: &mut Vec<DetectedDropout>,
@@ -1601,12 +1344,12 @@ fn send_failure_kind(e: &NetError) -> DropKind {
 /// Drives write readiness until every queued broadcast frame has
 /// drained (peers that cannot absorb theirs within the stage timeout
 /// become detected dropouts).
-pub(crate) fn flush_sends(
+fn flush_sends(
     reactor: &mut Reactor,
     peers: &mut Peers,
     dropouts: &mut Vec<DetectedDropout>,
     stage: &'static str,
-    cfg: &CoordinatorConfig,
+    cfg: &SessionConfig<'_>,
 ) {
     let deadline = Instant::now() + cfg.stage_timeout;
     let (mut events, mut expired) = (Vec::new(), Vec::new());
@@ -1657,34 +1400,4 @@ fn abort_all(peers: &mut Peers, round: u64, err: &SecAggError) {
         let _ = chan.send_wire_shared(&wire);
         let _ = chan.try_flush();
     }
-}
-
-fn push_stage(
-    stats: &mut RoundStats,
-    telemetry: &Telemetry,
-    name: &'static str,
-    up: &Traffic,
-    down: Traffic,
-) {
-    if telemetry.is_enabled() {
-        telemetry
-            .counter(
-                "dordis_frame_bytes_total",
-                &[("direction", "in"), ("stage", name)],
-            )
-            .add(up.total);
-        telemetry
-            .counter(
-                "dordis_frame_bytes_total",
-                &[("direction", "out"), ("stage", name)],
-            )
-            .add(down.total);
-    }
-    stats.stages.push(StageTraffic {
-        stage: name,
-        uplink_total: up.total,
-        uplink_max: up.max,
-        downlink_total: down.total,
-        downlink_max: down.max,
-    });
 }

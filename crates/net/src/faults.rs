@@ -4,8 +4,7 @@
 //! *precisely* chosen moments — mid-masked-stage, during a broadcast,
 //! between the backup's checkpoint ack and the local commit — and then
 //! assert the backup finishes the session with a bit-equal model and
-//! ledger. A [`FaultPlan`] is threaded through
-//! [`CoordinatorConfig`](crate::coordinator::CoordinatorConfig) /
+//! ledger. A [`FaultPlan`] rides in the
 //! [`SessionConfig`](crate::session::SessionConfig); at each named
 //! [`KillPoint`] the round machine calls [`FaultPlan::trip`], which
 //! either does nothing (the default, compiled down to a no-op `None`

@@ -17,8 +17,9 @@ use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{RoundParams, ThreatModel};
 
-use crate::coordinator::{run_coordinator, CoordinatorConfig, NetRoundReport};
-use crate::runtime::{run_client, ClientOptions};
+use crate::coordinator::NetRoundReport;
+use crate::runtime::{run_session_client, SessionClientOptions};
+use crate::session::{Seating, Session, SessionConfig};
 use crate::transport::{LoopbackHub, ThrottledChannel};
 
 /// One injected-latency overlap experiment: its round shape and its
@@ -123,10 +124,9 @@ impl OverlapScenario {
                     scenario.uplink_bytes_per_sec,
                     Duration::ZERO,
                 );
-                let opts = ClientOptions {
+                let opts = SessionClientOptions {
                     id,
                     rng_seed: 5,
-                    fail: None,
                     recv_timeout: Duration::from_secs(30),
                     silent_linger: Duration::from_secs(1),
                 };
@@ -137,22 +137,27 @@ impl OverlapScenario {
                         .collect(),
                     noise_seeds: Vec::new(),
                 };
-                run_client(&mut chan, &opts, move |_| Ok(input), |_| None)
+                run_session_client(
+                    &mut chan,
+                    &opts,
+                    |_| None,
+                    |_| None,
+                    |_, _, _, _| Ok(input.clone()),
+                    |_| None,
+                )
             }));
         }
+        let params = self.params();
+        let cfg = SessionConfig {
+            chunks,
+            chunk_compute: Some(self.compute),
+            ..SessionConfig::new(1, Seating::Roster, Box::new(move |_, _| params.clone()))
+        };
+        let mut session = Session::new(&mut acceptor, cfg).expect("session");
         let start = Instant::now();
-        let report = run_coordinator(
-            &mut acceptor,
-            &CoordinatorConfig::new(
-                self.params(),
-                Duration::from_secs(10),
-                Duration::from_secs(10),
-                chunks,
-                Some(self.compute),
-            ),
-        )
-        .expect("coordinator");
+        let report = session.run_round(&[]).expect("coordinator");
         let elapsed = start.elapsed();
+        session.finish();
         for h in handles {
             h.join().expect("client thread").expect("client run");
         }

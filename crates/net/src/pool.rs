@@ -20,7 +20,7 @@
 //!    `charges − credits` is exactly the reactor's live buffered bytes.
 //!
 //! Backpressure keys off the ledger: with a non-zero budget
-//! (`CoordinatorConfig::ingress_budget`), a connection whose ingress
+//! (`SessionConfig::ingress_budget`), a connection whose ingress
 //! charge crosses its fair share — or any charged connection while the
 //! reactor is past its global budget — reports
 //! [`ChannelAccount::should_pause`], and the owning channel drops its

@@ -14,9 +14,8 @@
 //!   drain-until-`WouldBlock` discipline of
 //!   [`EventedChannel::try_recv`].
 //! - [`TimerWheel`]: a coarse hashed wheel holding per-token deadlines
-//!   at the coordinator's tick granularity
-//!   (`CoordinatorConfig::tick`) — stage and per-chunk dropout
-//!   deadlines cost O(1) to arm, cancel, and harvest.
+//!   at the coordinator's tick granularity ([`TICK`]) — stage and
+//!   per-chunk dropout deadlines cost O(1) to arm, cancel, and harvest.
 //! - [`WakeQueue`]: a cross-thread waker (non-blocking pipe + ready-token
 //!   queue) for channels whose readiness is not observable through a
 //!   file descriptor. The in-memory loopback transport publishes its
@@ -34,7 +33,6 @@
 //! `O(clients × ticks)`.
 //!
 //! [`Channel`]: crate::transport::Channel
-//! [`CoordinatorConfig::tick`]: crate::coordinator::CoordinatorConfig::tick
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -45,6 +43,11 @@ use dordis_telemetry::{Counter, Telemetry};
 use crate::pool::BytePool;
 use crate::transport::Channel;
 use crate::NetError;
+
+/// The coordinator's scheduling granularity: the timer-wheel tick of a
+/// session's reactor, and the longest its join loop sleeps between
+/// accept sweeps.
+pub const TICK: Duration = Duration::from_millis(10);
 
 /// Direct-syscall wrappers for the five kernel facilities the reactor
 /// needs: `epoll_create1`, `epoll_ctl`, `epoll_pwait`, `pipe2`, and

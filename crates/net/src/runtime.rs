@@ -2,18 +2,15 @@
 //! symmetrically to the [`coordinator`](crate::coordinator), over any
 //! [`Channel`].
 //!
-//! Two entry points:
-//!
-//! - [`run_client`]: the single-round runtime. Joins eagerly, receives
-//!   the round setup, computes its input via a caller-supplied closure
-//!   (the update only exists once the round parameters are known), and
-//!   answers each server broadcast.
-//! - [`run_session_client`]: the multi-round session runtime. Answers
-//!   every [`StageTag::RoundAnnounce`] with a participation claim (or a
-//!   decline), participates in each round it is seated for — building a
-//!   **fresh** per-round protocol state machine with per-round
-//!   randomness ([`round_rng_seed`]) — and keeps the connection warm
-//!   between rounds until the server's `SessionEnd`.
+//! One entry point, [`run_session_client`]: it answers every
+//! [`StageTag::RoundAnnounce`] with a participation claim (or a
+//! decline), participates in each round it is seated for — receiving
+//! the round setup, computing its input via a caller-supplied closure
+//! (the update only exists once the round parameters are known),
+//! building a **fresh** per-round protocol state machine with per-round
+//! randomness ([`round_rng_seed`]), and answering each server broadcast
+//! — and keeps the connection warm between rounds until the server's
+//! `SessionEnd`.
 //!
 //! A detected inconsistency makes the state machine abort; the runtime
 //! forwards that as an explicit `Abort` envelope and goes silent, which
@@ -82,26 +79,7 @@ pub struct FailPoint {
     pub action: FailAction,
 }
 
-/// Client-side options for one round.
-pub struct ClientOptions {
-    /// This client's id (must be in the sampled set).
-    pub id: ClientId,
-    /// Seed for protocol randomness. The derivation below matches the
-    /// in-memory driver's, so a loopback round reproduces a driver round
-    /// bit for bit.
-    pub rng_seed: u64,
-    /// Optional scripted failure.
-    pub fail: Option<FailPoint>,
-    /// How long to wait for each server broadcast (must comfortably
-    /// exceed the server's per-stage deadline).
-    pub recv_timeout: Duration,
-    /// For [`FailAction::Silent`]: how long to keep the connection open
-    /// while unresponsive. Set this past the server's stage deadline so
-    /// the dropout is detected by timeout rather than by disconnect.
-    pub silent_linger: Duration,
-}
-
-/// How a client run ended.
+/// How one round ended for a client.
 #[derive(Clone, Debug)]
 pub enum ClientRunOutcome {
     /// Round finished; the server reported these survivors.
@@ -126,53 +104,6 @@ pub enum ClientRunOutcome {
     },
 }
 
-/// Joins a round and participates until it completes (or fails).
-///
-/// `input_for` builds the (already DP-perturbed) input once the round
-/// parameters are known; `identity_for` supplies the PKI identity in the
-/// malicious model.
-///
-/// # Errors
-///
-/// Transport failures, codec failures, and protocol violations by the
-/// server. Scripted failures and state-machine aborts are *outcomes*,
-/// not errors.
-pub fn run_client<FIn, FId>(
-    chan: &mut dyn Channel,
-    opts: &ClientOptions,
-    input_for: FIn,
-    identity_for: FId,
-) -> Result<ClientRunOutcome, NetError>
-where
-    FIn: FnOnce(&RoundParams) -> Result<ClientInput, NetError>,
-    FId: FnOnce(&RoundParams) -> Option<Identity>,
-{
-    // ---- Join. ----
-    // Eager joins carry round 0: the client learns the real round id
-    // from the Setup broadcast.
-    send_env(
-        chan,
-        &Envelope::new(StageTag::Join, 0, codec::encode_join(opts.id)),
-    )?;
-
-    // ---- Setup. ----
-    let env = recv_until(chan, opts.recv_timeout)?;
-    match env.stage {
-        StageTag::Setup => participate(
-            chan,
-            opts,
-            env.round,
-            &env.body,
-            |params, _cohort, _payload| input_for(params),
-            identity_for,
-        ),
-        StageTag::Abort => Ok(ClientRunOutcome::ServerAborted {
-            reason: codec::decode_abort(&env.body),
-        }),
-        other => Err(NetError::Protocol(format!("expected Setup, got {other:?}"))),
-    }
-}
-
 /// Executes one round from its Setup body onward: builds a fresh
 /// protocol state machine for the round and serves broadcasts until
 /// Finished (or a failure outcome).
@@ -183,7 +114,8 @@ where
 /// [`NetError::StaleRound`] when a broadcast carries the wrong round id.
 fn participate<FIn, FId>(
     chan: &mut dyn Channel,
-    opts: &ClientOptions,
+    opts: &SessionClientOptions,
+    fail: Option<FailPoint>,
     env_round: u64,
     setup_body: &[u8],
     input_for: FIn,
@@ -232,12 +164,13 @@ where
             "malicious round requires a PKI identity".into(),
         ));
     }
-    let mut rng = client_rng(opts.rng_seed, opts.id);
+    let rng_seed = round_rng_seed(opts.rng_seed, round);
+    let mut rng = client_rng(rng_seed, opts.id);
     let mut client = Client::new(params.clone(), opts.id, input, identity, &mut rng)
         .map_err(NetError::SecAgg)?;
 
     // ---- Stage 0: AdvertiseKeys. ----
-    if let Some(out) = maybe_fail(chan, opts, FailStage::Advertise) {
+    if let Some(out) = maybe_fail(fail, opts, FailStage::Advertise) {
         return Ok(out);
     }
     match client.advertise_keys() {
@@ -255,11 +188,11 @@ where
         env.check_round(round)?;
         match env.stage {
             StageTag::Roster => {
-                if let Some(out) = maybe_fail(chan, opts, FailStage::ShareKeys) {
+                if let Some(out) = maybe_fail(fail, opts, FailStage::ShareKeys) {
                     return Ok(out);
                 }
                 let roster = decode_list(&env.body, codec::decode_advertised_keys)?;
-                let mut rng = share_keys_rng(opts.rng_seed, opts.id);
+                let mut rng = share_keys_rng(rng_seed, opts.id);
                 match client.share_keys(&roster, &mut rng) {
                     Ok(cts) => send_env(
                         chan,
@@ -269,7 +202,7 @@ where
                 }
             }
             StageTag::Inbox => {
-                if let Some(out) = maybe_fail(chan, opts, FailStage::MaskedInput) {
+                if let Some(out) = maybe_fail(fail, opts, FailStage::MaskedInput) {
                     return Ok(out);
                 }
                 let inbox = decode_list(&env.body, codec::decode_encrypted_shares)?;
@@ -280,7 +213,7 @@ where
                         // the coordinator aggregate chunk c while chunk
                         // c+1 is still on the wire.
                         let parts = split_masked_input(&m, &plan)?;
-                        let partial = match opts.fail {
+                        let partial = match fail {
                             Some(FailPoint {
                                 stage: FailStage::MaskedInputAfterChunks(k),
                                 action,
@@ -330,7 +263,7 @@ where
                 let IdList(u3) = codec::decode_id_list(&env.body)?;
                 last_u3 = u3.clone();
                 if params.threat_model == ThreatModel::Malicious {
-                    if let Some(out) = maybe_fail(chan, opts, FailStage::Consistency) {
+                    if let Some(out) = maybe_fail(fail, opts, FailStage::Consistency) {
                         return Ok(out);
                     }
                     match client.consistency_check(&u3) {
@@ -341,7 +274,7 @@ where
                         Err(e) => return abort(chan, round, &e),
                     }
                 } else {
-                    if let Some(out) = maybe_fail(chan, opts, FailStage::Unmasking) {
+                    if let Some(out) = maybe_fail(fail, opts, FailStage::Unmasking) {
                         return Ok(out);
                     }
                     match client.unmask(&u3, None) {
@@ -355,7 +288,7 @@ where
             }
             StageTag::SignatureList => {
                 // Malicious model: U3 was fixed at consistency_check.
-                if let Some(out) = maybe_fail(chan, opts, FailStage::Unmasking) {
+                if let Some(out) = maybe_fail(fail, opts, FailStage::Unmasking) {
                     return Ok(out);
                 }
                 let sigs = codec::decode_signature_list(&env.body)?;
@@ -368,7 +301,7 @@ where
                 }
             }
             StageTag::ReadySet => {
-                if let Some(out) = maybe_fail(chan, opts, FailStage::NoiseShares) {
+                if let Some(out) = maybe_fail(fail, opts, FailStage::NoiseShares) {
                     return Ok(out);
                 }
                 let IdList(u5) = codec::decode_id_list(&env.body)?;
@@ -410,11 +343,14 @@ pub struct SessionClientOptions {
     /// masks never repeat across rounds and each round reproduces the
     /// in-memory driver round with the same derived seed bit for bit.
     pub rng_seed: u64,
-    /// How long to wait for each server frame. Between rounds this must
+    /// How long to wait for each server frame (must comfortably exceed
+    /// the server's per-stage deadline). Between rounds this must
     /// cover a whole round the client is *not* seated in (it hears
     /// nothing until the next announce).
     pub recv_timeout: Duration,
-    /// See [`ClientOptions::silent_linger`].
+    /// For [`FailAction::Silent`]: how long to keep the connection open
+    /// while unresponsive. Set this past the server's stage deadline so
+    /// the dropout is detected by timeout rather than by disconnect.
     pub silent_linger: Duration,
 }
 
@@ -496,10 +432,9 @@ where
 {
     let mut rounds: Vec<SessionRoundResult> = Vec::new();
     // Eager join: announce-then-answer costs a round-trip before the
-    // session's *first* round can even be seated, which is exactly the
-    // overhead a one-round session pays over the legacy eager
-    // `run_client`. So the client joins optimistically at connect time,
-    // stamped round 0 (round ids start at 1): a roster session admits
+    // session's *first* round can even be seated. So the client joins
+    // optimistically at connect time, stamped round 0 (round ids start
+    // at 1): a roster session admits
     // it immediately — its first RoundAnnounce is then answered by this
     // already-filed join, no extra round-trip — while a claims session
     // discards it as typed-stale and waits for the real claim after the
@@ -564,16 +499,10 @@ where
             }
             StageTag::Setup => {
                 let round = env.round;
-                let ropts = ClientOptions {
-                    id: opts.id,
-                    rng_seed: round_rng_seed(opts.rng_seed, round),
-                    fail: fail_for(round),
-                    recv_timeout: opts.recv_timeout,
-                    silent_linger: opts.silent_linger,
-                };
                 let outcome = participate(
                     chan,
-                    &ropts,
+                    opts,
+                    fail_for(round),
                     round,
                     &env.body,
                     |params, cohort, payload| input_for(round, params, cohort, payload),
@@ -710,20 +639,19 @@ fn recv_until(chan: &mut dyn Channel, timeout: Duration) -> Result<Envelope, Net
 
 /// Fires the fail point if configured for `stage`.
 fn maybe_fail(
-    chan: &mut dyn Channel,
-    opts: &ClientOptions,
+    fail: Option<FailPoint>,
+    opts: &SessionClientOptions,
     stage: FailStage,
 ) -> Option<ClientRunOutcome> {
-    let fail = opts.fail?;
+    let fail = fail?;
     if fail.stage != stage {
         return None;
     }
     if fail.action == FailAction::Silent {
         // Stay connected but unresponsive past the server's stage
         // deadline, so the dropout is detected by timeout (a real
-        // partitioned client would hang indefinitely). `chan` is held by
-        // the caller, so merely sleeping keeps it open.
-        let _ = &chan;
+        // partitioned client would hang indefinitely). The caller holds
+        // the channel, so merely sleeping keeps it open.
         std::thread::sleep(opts.silent_linger);
     }
     Some(ClientRunOutcome::Failed { stage })

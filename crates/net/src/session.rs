@@ -1,10 +1,10 @@
 //! Multi-round FL sessions over persistent connections.
 //!
-//! `dordis serve` used to run exactly one networked round and exit; a
-//! *session* makes the round a repeated unit of execution, the way the
-//! paper's training experiments (Figures 1, 8, 9, Table 2) actually run:
-//! many SecAgg+XNoise rounds back to back, each with a freshly sampled
-//! cohort, over connections that stay warm between rounds.
+//! A *session* is the only way to run a networked round: the round is a
+//! repeated unit of execution, the way the paper's training experiments
+//! (Figures 1, 8, 9, Table 2) actually run — many SecAgg+XNoise rounds
+//! back to back, each with a freshly sampled cohort, over connections
+//! that stay warm between rounds. A single round is a one-round session.
 //!
 //! A [`Session`] owns what outlives a round:
 //!
@@ -15,16 +15,16 @@
 //! - the round counter stamped into every envelope, and
 //! - the seating policy deciding who participates in each round.
 //!
-//! Everything per-round lives in a fresh
-//! [`RoundMachine`](crate::coordinator::RoundMachine) (secagg server,
-//! chunk plan, traffic/dropout accounting), so no protocol state can
+//! Everything per-round lives in a fresh `RoundMachine`
+//! ([`coordinator`](crate::coordinator): secagg server, chunk plan,
+//! traffic/dropout accounting), so no protocol state can
 //! leak between rounds, and a frame carrying an old round id is
 //! discarded by the typed [`NetError::StaleRound`] check instead of
 //! being parsed into the current round.
 //!
 //! ## Round lifecycle
 //!
-//! 1. **Announce** (`announce: true`): the session broadcasts
+//! 1. **Announce**: the session broadcasts
 //!    [`StageTag::RoundAnnounce`] with the new round id to every parked
 //!    connection, and to every newly accepted one.
 //! 2. **Join / claim**: each client answers with [`StageTag::Join`] —
@@ -35,12 +35,11 @@
 //!    window closes early once every id in
 //!    [`SessionConfig::population`] has answered.
 //! 3. **Seating**: under [`Seating::Roster`] the cohort is the fixed
-//!    `params.clients` roster (first-come joins, as in the single-round
-//!    coordinator). Under [`Seating::Claims`] the collected claims go to
-//!    the verifier — for Dordis, `dordis-core`'s VRF
-//!    `verify_and_trim` (§7) — which seats a cohort and rejects forged
-//!    claims; valid-but-trimmed claimants stay parked for the next
-//!    round.
+//!    `params.clients` roster (first-come joins). Under
+//!    [`Seating::Claims`] the collected claims go to the verifier — for
+//!    Dordis, `dordis-core`'s VRF `verify_and_trim` (§7) — which seats a
+//!    cohort and rejects forged claims; valid-but-trimmed claimants stay
+//!    parked for the next round.
 //! 4. **Round execution**: a fresh `RoundMachine` drives the seated
 //!    cohort's connections through the SecAgg stages. Survivors'
 //!    channels return to the parked set; detected dropouts' channels are
@@ -49,17 +48,16 @@
 //!    [`StageTag::SessionEnd`].
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dordis_secagg::{ClientId, RoundParams};
 use dordis_telemetry::Telemetry;
 
 use crate::codec::{self, Envelope, StageTag};
-use crate::coordinator::{
-    client_of, client_token, CoordinatorConfig, NetRoundReport, Peers, RoundMachine, JOIN_BASE,
-};
+use crate::coordinator::{client_of, client_token, NetRoundReport, Peers, RoundMachine, JOIN_BASE};
 use crate::faults::FaultPlan;
-use crate::reactor::{EventedChannel, Reactor, Token};
+use crate::reactor::{EventedChannel, Reactor, Token, TICK};
 use crate::replication::{Primary, SessionCheckpoint};
 use crate::transport::{send_env, wire_message, Acceptor};
 use crate::NetError;
@@ -85,8 +83,7 @@ pub type SeatingVerifier<'a> = Box<dyn FnMut(u64, &[(ClientId, Vec<u8>)]) -> Sea
 /// How a session decides each round's cohort.
 pub enum Seating<'a> {
     /// The cohort is the fixed `params.clients` roster; a join is a
-    /// first-come seat claim, exactly as in the single-round
-    /// coordinator.
+    /// first-come seat claim.
     Roster,
     /// Clients present a participation claim per round (for Dordis, a
     /// VRF self-selection proof, §7) and the verifier seats the cohort —
@@ -102,32 +99,42 @@ pub enum Seating<'a> {
 /// counter comes from the session, never from the callback.
 pub type ParamsFor<'a> = Box<dyn FnMut(u64, &[ClientId]) -> RoundParams + 'a>;
 
-/// Configuration of a multi-round session.
+/// Configuration of a session. [`SessionConfig::new`] fills in every
+/// default; callers override the fields they change.
 pub struct SessionConfig<'a> {
     /// Round id of the first round (stamped into every envelope; later
     /// rounds increment it).
     pub first_round: u64,
     /// How many rounds the session runs.
     pub rounds: u64,
-    /// Join/claim window per round.
+    /// Join/claim window per round: how long to wait for the cohort to
+    /// join before starting with whoever arrived.
     pub join_timeout: Duration,
-    /// Per-stage response deadline within a round.
+    /// Per-stage response deadline within a round; a silent client past
+    /// this is a detected dropout. During masked-input collection the
+    /// deadline applies *per chunk*: the clock restarts whenever a
+    /// chunk completes.
     pub stage_timeout: Duration,
-    /// Requested chunk count `m` for every round's data plane.
+    /// Requested chunk count `m` for every round's data plane (clamped
+    /// to ≥ 1). The realized count after byte alignment may be smaller;
+    /// clients re-derive the identical plan from this count via the
+    /// Setup broadcast.
     pub chunks: usize,
-    /// Injected per-chunk s-comp cost (see
-    /// [`CoordinatorConfig::chunk_compute`]).
+    /// Injected s-comp cost for the *whole vector*, spread over chunks
+    /// proportionally to their element counts and spent once per chunk
+    /// at aggregation and once at unmasking. Emulates the server-side
+    /// compute of models too large to run in-repo, so benches and tests
+    /// can realize Figure 12's comm/compute overlap on a loopback
+    /// transport. `None` injects nothing (production).
     pub chunk_compute: Option<Duration>,
-    /// Scheduling granularity (the reactor's timer-wheel tick).
-    pub tick: Duration,
     /// Global ingress budget in bytes for the reactor's shared frame
-    /// pool (`0` = unlimited, the bit-equal reference; see
-    /// [`CoordinatorConfig::ingress_budget`]).
+    /// pool ([`crate::pool::BytePool`]). `0` disables backpressure —
+    /// unlimited buffering, the bit-equal reference. With a budget, a
+    /// connection whose buffered bytes cross its fair share has its
+    /// read interest dropped until the coordinator's recycles drain it
+    /// below the low-water mark, so a frame burst degrades to pacing
+    /// instead of unbounded memory.
     pub ingress_budget: u64,
-    /// Whether to broadcast [`StageTag::RoundAnnounce`] at each round
-    /// start (required for multi-round sessions; the single-round
-    /// legacy wrapper runs without it, clients join eagerly).
-    pub announce: bool,
     /// Known client population, used to close the join window early
     /// once everyone has answered (claimed or declined). Empty = always
     /// wait out `join_timeout` unless the roster fills.
@@ -137,8 +144,7 @@ pub struct SessionConfig<'a> {
     /// Per-round parameter builder.
     pub params_for: ParamsFor<'a>,
     /// Telemetry handle shared by the reactor and every round machine.
-    /// [`Telemetry::disabled`] (the usual default) turns every probe
-    /// into a no-op.
+    /// [`Telemetry::disabled`] turns every probe into a no-op.
     pub telemetry: Telemetry,
     /// Bind address (`host:port`) for the Prometheus scrape endpoint,
     /// served by the reactor itself as one more epoll registration.
@@ -146,13 +152,39 @@ pub struct SessionConfig<'a> {
     /// Dedicated channel to a backup coordinator. When set, every
     /// [`Session::commit_round`] ships a [`SessionCheckpoint`] and
     /// blocks until the backup's ack — the checkpoint-then-commit
-    /// ordering that makes the privacy ledger failover-safe. `None`
-    /// (the default everywhere) is the bit-equal zero-overhead
-    /// reference: `commit_round` returns immediately.
+    /// ordering that makes the privacy ledger failover-safe. `None` is
+    /// the bit-equal zero-overhead reference: `commit_round` returns
+    /// immediately.
     pub replica: Option<Box<dyn EventedChannel>>,
     /// Injected coordinator crashes for the failover harness
     /// ([`FaultPlan::none`] is a no-op on every hook).
     pub faults: FaultPlan,
+}
+
+impl<'a> SessionConfig<'a> {
+    /// A session of `rounds` rounds starting at round id 1, with 10 s
+    /// join and stage windows, an unchunked data plane, open
+    /// enrollment, and no injected compute, ingress budget, telemetry,
+    /// scrape endpoint, replica or faults.
+    #[must_use]
+    pub fn new(rounds: u64, seating: Seating<'a>, params_for: ParamsFor<'a>) -> Self {
+        SessionConfig {
+            first_round: 1,
+            rounds,
+            join_timeout: Duration::from_secs(10),
+            stage_timeout: Duration::from_secs(10),
+            chunks: 1,
+            chunk_compute: None,
+            ingress_budget: 0,
+            population: Vec::new(),
+            seating,
+            params_for,
+            telemetry: Telemetry::disabled(),
+            metrics_addr: None,
+            replica: None,
+            faults: FaultPlan::none(),
+        }
+    }
 }
 
 /// A client's answer to one round's announce: a claim (empty bytes for
@@ -218,7 +250,7 @@ impl<'a> Session<'a> {
             chan,
             role: Some(Primary::new()),
         });
-        let mut engine = Reactor::with_telemetry(cfg.tick, cfg.telemetry.clone())?;
+        let mut engine = Reactor::with_telemetry(TICK, cfg.telemetry.clone())?;
         engine.set_ingress_budget(cfg.ingress_budget);
         let metrics_bound = match &cfg.metrics_addr {
             Some(addr) => Some(engine.serve_metrics(addr)?),
@@ -239,13 +271,6 @@ impl<'a> Session<'a> {
             parked_since: None,
             replica,
         })
-    }
-
-    /// Whether this session ships round-boundary checkpoints to a
-    /// backup (and therefore gates every commit on its ack).
-    #[must_use]
-    pub fn is_replicated(&self) -> bool {
-        self.replica.is_some()
     }
 
     /// Commits the round that just completed: ships a
@@ -316,12 +341,6 @@ impl<'a> Session<'a> {
         self.metrics_bound
     }
 
-    /// The session's telemetry handle.
-    #[must_use]
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.cfg.telemetry
-    }
-
     /// The round id the next [`Session::run_round`] call will execute.
     #[must_use]
     pub fn current_round(&self) -> u64 {
@@ -365,13 +384,12 @@ impl<'a> Session<'a> {
         let reactor_base = self.engine.stats;
         let metrics_base = self.cfg.telemetry.snapshot();
         let join_span = self.cfg.telemetry.span("session", "join", round, None);
-        // Roster seating needs the sampled set up front to vet joins.
+        // Roster seating fixes the cohort before anyone joins — joins
+        // are vetted against it — so its params are built here, once;
+        // claims seating builds them below from whoever the verifier
+        // seats.
         let roster_params = match self.cfg.seating {
-            Seating::Roster => {
-                let mut p = (self.cfg.params_for)(round, &[]);
-                p.round = round;
-                Some(p)
-            }
+            Seating::Roster => Some((self.cfg.params_for)(round, &[])),
             Seating::Claims(_) => None,
         };
         let roster: Option<BTreeSet<ClientId>> = roster_params
@@ -383,27 +401,27 @@ impl<'a> Session<'a> {
         let seat_span = self.cfg.telemetry.span("session", "seating", round, None);
 
         // ---- Seat the cohort. ----
-        let params = match (&mut self.cfg.seating, roster_params) {
-            (Seating::Roster, Some(p)) => p,
-            (Seating::Claims(verifier), _) => {
-                let claims: Vec<(ClientId, Vec<u8>)> = answers
-                    .iter()
-                    .filter_map(|(&id, a)| a.clone().map(|claim| (id, claim)))
-                    .collect();
-                let outcome = verifier(round, &claims);
-                for (id, why) in &outcome.rejected {
-                    if let Some(mut chan) = self.parked.remove(id) {
-                        let env = Envelope::new(StageTag::Abort, round, codec::encode_abort(why));
-                        let _ = send_env(chan.as_mut(), &env);
-                        let _ = chan.try_flush();
-                    }
+        let mut seated = Vec::new();
+        if let Seating::Claims(verifier) = &mut self.cfg.seating {
+            let claims: Vec<(ClientId, Vec<u8>)> = answers
+                .iter()
+                .filter_map(|(&id, a)| a.clone().map(|claim| (id, claim)))
+                .collect();
+            let outcome = verifier(round, &claims);
+            for (id, why) in &outcome.rejected {
+                if let Some(mut chan) = self.parked.remove(id) {
+                    let env = Envelope::new(StageTag::Abort, round, codec::encode_abort(why));
+                    let _ = send_env(chan.as_mut(), &env);
+                    let _ = chan.try_flush();
                 }
-                let mut p = (self.cfg.params_for)(round, &outcome.seated);
-                p.round = round;
-                p
             }
-            (Seating::Roster, None) => unreachable!("roster params built above"),
+            seated = outcome.seated;
+        }
+        let mut params = match roster_params {
+            Some(p) => p,
+            None => (self.cfg.params_for)(round, &seated),
         };
+        params.round = round;
 
         // Move the cohort's channels out of the parked set; everyone
         // else (declined, trimmed, late) stays parked for later rounds.
@@ -418,19 +436,9 @@ impl<'a> Session<'a> {
         // A round that cannot be seated (invalid parameters, an
         // unrealizable chunk plan) fails like any other round error:
         // below, after the cohort's connections are parked again.
-        let cc = CoordinatorConfig {
-            params,
-            join_timeout: self.cfg.join_timeout,
-            stage_timeout: self.cfg.stage_timeout,
-            chunks: self.cfg.chunks,
-            chunk_compute: self.cfg.chunk_compute,
-            tick: self.cfg.tick,
-            telemetry: self.cfg.telemetry.clone(),
-            ingress_budget: self.cfg.ingress_budget,
-            faults: self.cfg.faults.clone(),
-        };
-        let result = RoundMachine::new(&cc)
-            .and_then(|machine| machine.run(&mut self.engine, &mut round_peers, &cc, payload));
+        let result = RoundMachine::new(params, &self.cfg).and_then(|machine| {
+            machine.run(&mut self.engine, &mut round_peers, payload, reactor_base)
+        });
 
         // Survivors' connections return to the parked set regardless of
         // how the round ended.
@@ -443,11 +451,6 @@ impl<'a> Session<'a> {
         match result {
             Ok(mut report) => {
                 report.stale_frames += join_stale;
-                // Widen the machine's per-round reactor delta to cover
-                // the join phase too, and attach the round's metrics
-                // delta; cumulative reactor counters ride alongside.
-                report.reactor = self.engine.stats.delta_since(reactor_base);
-                report.reactor_session = self.engine.stats;
                 report.metrics = match (self.cfg.telemetry.snapshot(), &metrics_base) {
                     (Some(now), Some(base)) => Some(now.delta(base)),
                     _ => None,
@@ -498,7 +501,7 @@ impl<'a> Session<'a> {
         // tick-length wait for stragglers is only held open when some
         // round actually lost someone.
         let drain_deadline = if self.finish_grace {
-            Instant::now() + self.cfg.tick
+            Instant::now() + TICK
         } else {
             Instant::now()
         };
@@ -512,7 +515,7 @@ impl<'a> Session<'a> {
     // Join / claim phase.
     // -----------------------------------------------------------------
 
-    /// Announces `round` (when configured), collects Join/Decline
+    /// Announces `round`, collects Join/Decline
     /// answers from parked peers, and accepts new connections, until
     /// everyone answered or the join window closes. Returns the answers
     /// and the number of stale frames discarded.
@@ -525,25 +528,31 @@ impl<'a> Session<'a> {
         let mut answers: BTreeMap<ClientId, Answer> = BTreeMap::new();
         let mut stale = 0u64;
 
-        if self.cfg.announce {
-            // Encoded once per round; every parked peer queues the same
-            // refcounted wire message.
-            let wire = wire_message(&announce_frame(round, claims_mode));
-            self.cfg
-                .telemetry
-                .counter("dordis_broadcast_encodes_total", &[])
-                .inc();
-            let ids: Vec<ClientId> = self.parked.keys().copied().collect();
-            for id in ids {
-                if let Some(chan) = self.parked.get_mut(&id) {
-                    if chan.send_wire_shared(&wire).is_err() || chan.try_flush().is_err() {
-                        self.parked.remove(&id);
-                    }
+        // Encoded once per round; every parked peer — and, in the join
+        // loop, every newly accepted connection — queues the same
+        // refcounted wire message.
+        let announce = wire_message(&announce_frame(round, claims_mode));
+        self.cfg
+            .telemetry
+            .counter("dordis_broadcast_encodes_total", &[])
+            .inc();
+        let ids: Vec<ClientId> = self.parked.keys().copied().collect();
+        for id in ids {
+            if let Some(chan) = self.parked.get_mut(&id) {
+                if chan.send_wire_shared(&announce).is_err() || chan.try_flush().is_err() {
+                    self.parked.remove(&id);
                 }
             }
         }
 
-        self.join_reactor(round, roster, claims_mode, &mut answers, &mut stale)?;
+        self.join_reactor(
+            round,
+            roster,
+            claims_mode,
+            &announce,
+            &mut answers,
+            &mut stale,
+        )?;
         self.seen.extend(answers.keys().copied());
         Ok((answers, stale))
     }
@@ -576,16 +585,12 @@ impl<'a> Session<'a> {
         round: u64,
         roster: Option<&BTreeSet<ClientId>>,
         claims_mode: bool,
+        announce: &Arc<[u8]>,
         answers: &mut BTreeMap<ClientId, Answer>,
         stale: &mut u64,
     ) -> Result<(), NetError> {
         let deadline = Instant::now() + self.cfg.join_timeout;
         let mut awaiting: BTreeMap<u64, Box<dyn EventedChannel>> = BTreeMap::new();
-        // One announce encoding covers every (re)connection this round.
-        let announce_wire = self
-            .cfg
-            .announce
-            .then(|| wire_message(&announce_frame(round, claims_mode)));
 
         // Initial sweep of parked peers: answers may already be buffered
         // and their readiness consumed by a previous round's poll.
@@ -600,7 +605,7 @@ impl<'a> Session<'a> {
         // channels wake it immediately), so a session round's join
         // phase costs microseconds once everyone has answered instead
         // of a full accept tick.
-        let accept_slice = Duration::from_millis(1).min(self.cfg.tick);
+        let accept_slice = Duration::from_millis(1);
         while !self.join_complete(roster, answers) {
             let now = Instant::now();
             if now >= deadline {
@@ -624,12 +629,10 @@ impl<'a> Session<'a> {
                             token,
                             (Instant::now() + self.cfg.stage_timeout).min(deadline),
                         );
-                        if let Some(wire) = &announce_wire {
-                            if chan.send_wire_shared(wire).is_err() {
-                                continue; // connection already dead
-                            }
-                            let _ = chan.try_flush();
+                        if chan.send_wire_shared(announce).is_err() {
+                            continue; // connection already dead
                         }
+                        let _ = chan.try_flush();
                         awaiting.insert(token.0, chan);
                     }
                     Err(NetError::Timeout) => break,
@@ -639,66 +642,17 @@ impl<'a> Session<'a> {
                     break;
                 }
             }
-            self.engine.poll(&mut events, &mut expired, self.cfg.tick)?;
+            self.engine.poll(&mut events, &mut expired, TICK)?;
             for ev in &events {
-                if let Some(mut chan) = awaiting.remove(&ev.token.0) {
-                    // Drain *through* stale frames: an eager `Join(0)`
-                    // and the real claim can both be buffered before a
-                    // single wake, and a wake — unlike level-triggered
-                    // fd readiness — is consumed whole. Stopping at the
-                    // stale frame would strand the claim until the
-                    // provisional deadline kills the connection.
-                    loop {
-                        match chan.try_recv() {
-                            Ok(Some(frame)) => {
-                                let verdict = self.vet_first_frame(
-                                    Envelope::decode(&frame),
-                                    round,
-                                    roster,
-                                    claims_mode,
-                                    answers,
-                                    stale,
-                                );
-                                // The decode copied the body out; the
-                                // frame allocation goes back to the pool.
-                                chan.recycle_frame(frame);
-                                match verdict {
-                                    Verdict::Admit(id, answer) => {
-                                        let reactor = &mut self.engine;
-                                        reactor.cancel_deadline(ev.token);
-                                        chan.register(reactor, client_token(id))?;
-                                        answers.insert(id, answer);
-                                        self.parked.insert(id, chan);
-                                        break;
-                                    }
-                                    Verdict::Reject(reply) => {
-                                        self.engine.cancel_deadline(ev.token);
-                                        let _ = send_env(chan.as_mut(), &reply);
-                                        let _ = chan.try_flush();
-                                        break;
-                                    }
-                                    Verdict::Stale => {
-                                        *stale += 1;
-                                        // Keep draining: the real
-                                        // answer may be right behind.
-                                    }
-                                    Verdict::Discard => {
-                                        self.engine.cancel_deadline(ev.token);
-                                        break;
-                                    }
-                                }
-                            }
-                            Ok(None) => {
-                                // No (further) complete frame yet: keep
-                                // waiting.
-                                awaiting.insert(ev.token.0, chan);
-                                break;
-                            }
-                            Err(_) => {
-                                self.engine.cancel_deadline(ev.token);
-                                break;
-                            }
+                if let Some(chan) = awaiting.remove(&ev.token.0) {
+                    let unsettled =
+                        self.settle_provisional(chan, round, roster, claims_mode, answers, stale)?;
+                    match unsettled {
+                        // No (further) complete frame yet: keep waiting.
+                        Some(chan) => {
+                            awaiting.insert(ev.token.0, chan);
                         }
+                        None => self.engine.cancel_deadline(ev.token),
                     }
                 } else if let Some(id) = client_of(ev.token) {
                     if ev.writable {
@@ -723,41 +677,69 @@ impl<'a> Session<'a> {
         // The window closed with some connections still awaiting a
         // verdict. Any first frame already on the wire gets vetted so a
         // rejected peer hears *why* instead of hanging.
-        let leftovers: Vec<(u64, Box<dyn EventedChannel>)> = awaiting.into_iter().collect();
-        for (token, mut chan) in leftovers {
+        for (token, chan) in awaiting {
             self.engine.cancel_deadline(Token(token));
-            // Drain through stale frames here too (see the loop above).
-            while let Ok(Some(frame)) = chan.try_recv() {
-                let verdict = self.vet_first_frame(
-                    Envelope::decode(&frame),
-                    round,
-                    roster,
-                    claims_mode,
-                    answers,
-                    stale,
-                );
-                chan.recycle_frame(frame);
-                match verdict {
-                    Verdict::Admit(id, answer) => {
-                        chan.register(&mut self.engine, client_token(id))?;
-                        answers.insert(id, answer);
-                        self.parked.insert(id, chan);
-                        break;
-                    }
-                    Verdict::Reject(reply) => {
-                        let _ = send_env(chan.as_mut(), &reply);
-                        let _ = chan.try_flush();
-                        break;
-                    }
-                    Verdict::Stale => {
-                        *stale += 1;
-                        continue;
-                    }
-                    Verdict::Discard => break,
-                }
-            }
+            self.settle_provisional(chan, round, roster, claims_mode, answers, stale)?;
         }
         Ok(())
+    }
+
+    /// Vets a provisional connection's buffered frames up to its first
+    /// verdict: admitted connections are parked under their client
+    /// token, rejected ones hear why, garbage and dead ones are dropped
+    /// (all `None`). Returns the channel when no complete frame settled
+    /// it yet.
+    ///
+    /// Drains *through* stale frames: an eager `Join(0)` and the real
+    /// claim can both be buffered before a single wake, and a wake —
+    /// unlike level-triggered fd readiness — is consumed whole. Stopping
+    /// at the stale frame would strand the claim until the provisional
+    /// deadline kills the connection.
+    fn settle_provisional(
+        &mut self,
+        mut chan: Box<dyn EventedChannel>,
+        round: u64,
+        roster: Option<&BTreeSet<ClientId>>,
+        claims_mode: bool,
+        answers: &mut BTreeMap<ClientId, Answer>,
+        stale: &mut u64,
+    ) -> Result<Option<Box<dyn EventedChannel>>, NetError> {
+        loop {
+            let frame = match chan.try_recv() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return Ok(Some(chan)),
+                Err(_) => return Ok(None),
+            };
+            let verdict = self.vet_first_frame(
+                Envelope::decode(&frame),
+                round,
+                roster,
+                claims_mode,
+                answers,
+                stale,
+            );
+            // The decode copied the body out; the frame allocation goes
+            // back to the pool.
+            chan.recycle_frame(frame);
+            match verdict {
+                Verdict::Admit(id, answer) => {
+                    chan.register(&mut self.engine, client_token(id))?;
+                    answers.insert(id, answer);
+                    self.parked.insert(id, chan);
+                }
+                Verdict::Reject(reply) => {
+                    let _ = send_env(chan.as_mut(), &reply);
+                    let _ = chan.try_flush();
+                }
+                // Keep draining: the real answer may be right behind.
+                Verdict::Stale => {
+                    *stale += 1;
+                    continue;
+                }
+                Verdict::Discard => {}
+            }
+            return Ok(None);
+        }
     }
 
     /// Drains every buffered frame from a parked peer during the join
@@ -874,8 +856,9 @@ impl<'a> Session<'a> {
         };
         // Answers are round-bound in claims mode: a Join or Decline for
         // an older round is stale (the client will re-answer after the
-        // announce). Roster joins are round-agnostic (legacy clients
-        // join with round 0 and learn the real id from Setup).
+        // announce). Roster joins are round-agnostic (the session
+        // client's connect-time Join carries round 0; it learns the
+        // real id from Setup).
         if claims_mode
             && matches!(env.stage, StageTag::Join | StageTag::Decline)
             && env.round != round
@@ -971,9 +954,7 @@ impl<'a> Session<'a> {
     }
 }
 
-/// The RoundAnnounce frame for a round, encoded once per use site so
-/// parked peers and newly accepted connections always receive the
-/// identical announce.
+/// The RoundAnnounce frame for a round.
 fn announce_frame(round: u64, claims_mode: bool) -> Vec<u8> {
     Envelope::new(
         StageTag::RoundAnnounce,

@@ -6,16 +6,20 @@
 //! mid-stream never reaches U3, exactly like a missed single-frame
 //! masked input.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Duration;
+mod common;
 
-use dordis_net::coordinator::{run_coordinator, CoordinatorConfig, DropKind, NetRoundReport};
-use dordis_net::runtime::{run_client, ClientOptions, FailAction, FailPoint, FailStage};
-use dordis_net::transport::LoopbackHub;
-use dordis_secagg::client::{ClientInput, Identity};
-use dordis_secagg::driver::{run_round, signing_key_for, DropStage, DropoutSchedule, RoundSpec};
+use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
+
+use dordis_net::codec::{self, encode_list, Encode, Envelope, StageTag};
+use dordis_net::coordinator::{DropKind, NetRoundReport};
+use dordis_net::runtime::{round_rng_seed, ClientRunOutcome, FailAction, FailPoint, FailStage};
+use dordis_net::session::SessionConfig;
+use dordis_net::transport::{recv_env, send_env, Channel, LoopbackHub, ThrottledChannel};
+use dordis_secagg::client::{Client, ClientInput};
+use dordis_secagg::driver::{client_rng, run_round, DropStage, DropoutSchedule, RoundSpec};
 use dordis_secagg::graph::MaskingGraph;
+use dordis_secagg::messages::{EncryptedShares, MaskedInput};
 use dordis_secagg::server::RoundOutcome;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 
@@ -70,7 +74,7 @@ fn driver_round(
         params: params.clone(),
         inputs: inputs.clone(),
         dropout,
-        rng_seed: SEED,
+        rng_seed: round_rng_seed(SEED, params.round),
     })
     .expect("driver round");
     outcome
@@ -84,61 +88,28 @@ fn net_round(
     stage_timeout: Duration,
 ) -> NetRoundReport {
     let (hub, mut acceptor) = LoopbackHub::new();
-    let registry: Option<Arc<BTreeMap<ClientId, _>>> =
-        if params.threat_model == ThreatModel::Malicious {
-            Some(Arc::new(
-                params
-                    .clients
-                    .iter()
-                    .map(|&id| (id, signing_key_for(SEED, id).verifying_key()))
-                    .collect(),
-            ))
-        } else {
-            None
-        };
-    let mut handles = Vec::new();
-    for &id in &params.clients {
-        let hub = hub.clone();
-        let input = inputs[&id].clone();
-        let fail = fails.get(&id).copied();
-        let registry = registry.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut chan = hub.connect(&format!("c{id}")).expect("connect");
-            let opts = ClientOptions {
-                id,
-                rng_seed: SEED,
-                fail,
-                recv_timeout: Duration::from_secs(20),
-                silent_linger: Duration::from_secs(2),
-            };
-            run_client(
-                &mut chan,
-                &opts,
-                move |_| Ok(input),
-                move |_| {
-                    registry.map(|reg| Identity {
-                        signing: signing_key_for(SEED, id),
-                        registry: reg,
-                    })
-                },
-            )
-        }));
-    }
-    let report = run_coordinator(
-        &mut acceptor,
-        &CoordinatorConfig::new(
-            params.clone(),
-            Duration::from_secs(10),
-            stage_timeout,
-            chunks,
+    let cfg = SessionConfig {
+        stage_timeout,
+        chunks,
+        ..common::one_round(params.clone())
+    };
+    let (inputs, fails) = (inputs.clone(), fails.clone());
+    let ids = params.clients.clone();
+    let (mut reports, clients) = common::run_session(&mut acceptor, cfg, ids, move |id| {
+        let mut chan = hub.connect(&format!("c{id}")).expect("connect");
+        common::roster_client(
+            &mut chan,
+            id,
+            SEED,
+            |_| fails.get(&id).copied(),
+            |_| inputs[&id].clone(),
             None,
-        ),
-    )
-    .expect("coordinator");
-    for h in handles {
-        h.join().expect("client thread").expect("client run");
+        )
+    });
+    for (id, run) in clients {
+        run.unwrap_or_else(|e| panic!("client {id}: {e}"));
     }
-    report
+    reports.pop().expect("one round")
 }
 
 fn assert_equivalent(driver: &RoundOutcome, net: &NetRoundReport) {
@@ -256,4 +227,103 @@ fn chunked_xnoise_recovery_with_unmasking_dropout() {
     // Client 4 is in U3 (its chunks all arrived) but not in U5.
     assert!(n.outcome.survivors.contains(&4));
     assert!(n.stats.stage("ExcessiveNoiseRemoval").is_some());
+}
+
+/// A connected client that shares no keys (an *empty* `ShareKeys` list
+/// keeps it a peer but outside U2) and then streams a well-formed
+/// masked-input chunk anyway. That frame is its own protocol violation
+/// and must cost the round exactly one dropout — it used to reach the
+/// secagg server, whose "outside U2" rejection aborted the round for
+/// every honest client.
+fn run_keyless_streamer(mut chan: impl Channel, id: ClientId) {
+    let far = || Instant::now() + Duration::from_secs(30);
+    let join = Envelope::new(StageTag::Join, 0, codec::encode_join(id));
+    send_env(&mut chan, &join).expect("join");
+    let setup = loop {
+        let env = recv_env(&mut chan, far()).expect("announce or setup");
+        if env.stage == StageTag::Setup {
+            break env;
+        }
+    };
+    let round = setup.round;
+    let (params, _chunks, _cohort, _payload) = codec::decode_setup(&setup.body).expect("setup");
+    let input = ClientInput {
+        vector: vec![0; params.vector_len],
+        noise_seeds: vec![[9; 32]; params.noise_components + 1],
+    };
+    let mut rng = client_rng(round_rng_seed(SEED, round), id);
+    let mut client = Client::new(params.clone(), id, input, None, &mut rng).expect("client");
+    let adv = client.advertise_keys().expect("advertise");
+    let adv = Envelope::new(StageTag::AdvertiseKeys, round, adv.encoded());
+    send_env(&mut chan, &adv).expect("advertise");
+
+    assert_eq!(
+        recv_env(&mut chan, far()).expect("roster").stage,
+        StageTag::Roster
+    );
+    let no_shares = encode_list::<EncryptedShares>(&[]);
+    send_env(
+        &mut chan,
+        &Envelope::new(StageTag::ShareKeys, round, no_shares),
+    )
+    .expect("share keys");
+
+    assert_eq!(
+        recv_env(&mut chan, far()).expect("inbox").stage,
+        StageTag::Inbox
+    );
+    let masked = MaskedInput {
+        client: id,
+        vector: vec![1; params.vector_len],
+        bit_width: params.bit_width,
+    };
+    let frame = Envelope::chunked(StageTag::MaskedInput, round, 0, masked.encoded());
+    send_env(&mut chan, &frame).expect("masked input");
+    // The coordinator hangs up on the violation.
+    while recv_env(&mut chan, far()).is_ok() {}
+}
+
+#[test]
+fn masked_chunk_from_outside_u2_drops_that_peer_only() {
+    const HOSTILE: ClientId = 4;
+    let p = params(5, 3, 2);
+    let ins = inputs(5, 2);
+    let d = driver_round(&p, &ins, &[(HOSTILE, DropStage::BeforeShareKeys)]);
+
+    let (hub, mut acceptor) = LoopbackHub::new();
+    let inputs = ins.clone();
+    let (mut reports, clients) = common::run_session(
+        &mut acceptor,
+        common::one_round(p.clone()),
+        0..5,
+        move |id| {
+            let raw = hub.connect(&format!("c{id}")).expect("connect");
+            if id == HOSTILE {
+                run_keyless_streamer(raw, id);
+                return None;
+            }
+            // Honest uplinks pay 100 ms a frame, so the hostile chunk is
+            // on the coordinator's desk while it still collects theirs.
+            let mut chan =
+                ThrottledChannel::new(Box::new(raw), u64::MAX, Duration::from_millis(100));
+            let run =
+                common::roster_client(&mut chan, id, SEED, |_| None, |_| inputs[&id].clone(), None);
+            Some(run.unwrap_or_else(|e| panic!("client {id}: {e}")))
+        },
+    );
+    let n = reports.pop().expect("one round");
+
+    assert_equivalent(&d, &n);
+    assert_eq!(n.outcome.dropped, vec![HOSTILE]);
+    assert_eq!(n.dropouts.len(), 1, "{:?}", n.dropouts);
+    assert_eq!(n.dropouts[0].client, HOSTILE);
+    assert_eq!(n.dropouts[0].kind, DropKind::ProtocolViolation);
+    for (id, run) in clients {
+        let Some(run) = run else { continue };
+        assert!(
+            matches!(run.rounds[0].outcome, ClientRunOutcome::Finished { .. }),
+            "honest client {id}: {:?}",
+            run.rounds[0].outcome
+        );
+    }
 }

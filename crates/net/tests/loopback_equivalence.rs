@@ -6,12 +6,15 @@
 //! The client runtime derives its per-client RNGs exactly as the driver
 //! does, so the equivalence is bit-for-bit, not just distributional.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dordis_net::coordinator::{run_coordinator, CoordinatorConfig, DropKind, NetRoundReport};
-use dordis_net::runtime::{run_client, ClientOptions, FailAction, FailPoint, FailStage};
+use dordis_net::coordinator::{DropKind, NetRoundReport};
+use dordis_net::runtime::{round_rng_seed, FailAction, FailPoint, FailStage};
+use dordis_net::session::SessionConfig;
 use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::{ClientInput, Identity};
 use dordis_secagg::driver::{run_round, signing_key_for, DropStage, DropoutSchedule, RoundSpec};
@@ -22,6 +25,7 @@ use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 const BITS: u32 = 16;
 const DIM: usize = 12;
 const SEED: u64 = 424_242;
+const JOIN: Duration = Duration::from_secs(10);
 
 fn params(n: u32, threshold: usize, graph: MaskingGraph, threat: ThreatModel) -> RoundParams {
     RoundParams {
@@ -66,17 +70,20 @@ fn driver_round(
         params: params.clone(),
         inputs: inputs.clone(),
         dropout,
-        rng_seed: SEED,
+        rng_seed: round_rng_seed(SEED, params.round),
     })
     .expect("driver round");
     outcome
 }
 
-/// Runs the identical round through loopback dordis-net.
+/// Runs the identical round through loopback dordis-net: a one-round
+/// session joined by every id in `inputs` (a sampled id without an
+/// input never connects).
 fn net_round(
     params: &RoundParams,
     inputs: &BTreeMap<ClientId, ClientInput>,
     fails: &BTreeMap<ClientId, FailPoint>,
+    join_timeout: Duration,
     stage_timeout: Duration,
 ) -> NetRoundReport {
     let (hub, mut acceptor) = LoopbackHub::new();
@@ -92,44 +99,32 @@ fn net_round(
         } else {
             None
         };
-
-    let mut handles = Vec::new();
-    for &id in &params.clients {
-        let hub = hub.clone();
-        let input = inputs[&id].clone();
-        let fail = fails.get(&id).copied();
-        let registry = registry.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut chan = hub.connect(&format!("c{id}")).expect("connect");
-            let opts = ClientOptions {
-                id,
-                rng_seed: SEED,
-                fail,
-                recv_timeout: Duration::from_secs(20),
-                silent_linger: Duration::from_secs(4),
-            };
-            run_client(
-                &mut chan,
-                &opts,
-                move |_| Ok(input),
-                move |_| {
-                    registry.map(|reg| Identity {
-                        signing: signing_key_for(SEED, id),
-                        registry: reg,
-                    })
-                },
-            )
-        }));
+    let cfg = SessionConfig {
+        join_timeout,
+        stage_timeout,
+        ..common::one_round(params.clone())
+    };
+    let (inputs, fails) = (inputs.clone(), fails.clone());
+    let ids: Vec<ClientId> = inputs.keys().copied().collect();
+    let (mut reports, clients) = common::run_session(&mut acceptor, cfg, ids, move |id| {
+        let mut chan = hub.connect(&format!("c{id}")).expect("connect");
+        let identity = registry.clone().map(|reg| Identity {
+            signing: signing_key_for(SEED, id),
+            registry: reg,
+        });
+        common::roster_client(
+            &mut chan,
+            id,
+            SEED,
+            |_| fails.get(&id).copied(),
+            |_| inputs[&id].clone(),
+            identity,
+        )
+    });
+    for (id, run) in clients {
+        run.unwrap_or_else(|e| panic!("client {id}: {e}"));
     }
-    let report = run_coordinator(
-        &mut acceptor,
-        &CoordinatorConfig::single(params.clone(), Duration::from_secs(10), stage_timeout),
-    )
-    .expect("coordinator");
-    for h in handles {
-        h.join().expect("client thread").expect("client run");
-    }
-    report
+    reports.pop().expect("one round")
 }
 
 fn sorted_seeds(outcome: &RoundOutcome) -> Vec<(ClientId, usize, [u8; 32])> {
@@ -169,7 +164,7 @@ fn equivalent_no_dropout_xnoise_round() {
     let p = params(8, 5, MaskingGraph::Complete, ThreatModel::SemiHonest);
     let ins = inputs(8);
     let d = driver_round(&p, &ins, &[]);
-    let n = net_round(&p, &ins, &BTreeMap::new(), Duration::from_secs(5));
+    let n = net_round(&p, &ins, &BTreeMap::new(), JOIN, Duration::from_secs(5));
     assert_equivalent(&d, &n);
     assert_eq!(d.sum, expected_sum(&ins, &d.survivors));
     assert_eq!(n.outcome.survivors.len(), 8);
@@ -199,7 +194,7 @@ fn equivalent_with_disconnect_dropouts() {
         })
         .collect();
     let d = driver_round(&p, &ins, &drops);
-    let n = net_round(&p, &ins, &fails, Duration::from_secs(5));
+    let n = net_round(&p, &ins, &fails, JOIN, Duration::from_secs(5));
     assert_equivalent(&d, &n);
     assert_eq!(n.outcome.dropped, vec![2, 6]);
     assert!(n
@@ -223,7 +218,7 @@ fn equivalent_secagg_plus_sparse_graph() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &drops);
-    let n = net_round(&p, &ins, &fails, Duration::from_secs(5));
+    let n = net_round(&p, &ins, &fails, JOIN, Duration::from_secs(5));
     assert_equivalent(&d, &n);
 }
 
@@ -242,7 +237,7 @@ fn equivalent_malicious_model_round() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &drops);
-    let n = net_round(&p, &ins, &fails, Duration::from_secs(5));
+    let n = net_round(&p, &ins, &fails, JOIN, Duration::from_secs(5));
     assert_equivalent(&d, &n);
     assert!(n.stats.stage("ConsistencyCheck").is_some());
 }
@@ -263,7 +258,7 @@ fn silent_client_detected_by_stage_deadline() {
     .into_iter()
     .collect();
     let d = driver_round(&p, &ins, &[(3, DropStage::BeforeMaskedInput)]);
-    let n = net_round(&p, &ins, &fails, Duration::from_millis(900));
+    let n = net_round(&p, &ins, &fails, JOIN, Duration::from_millis(900));
     assert_equivalent(&d, &n);
     let detection = n
         .dropouts
@@ -280,38 +275,15 @@ fn never_joining_client_is_an_advertise_dropout() {
     let p = params(6, 4, MaskingGraph::Complete, ThreatModel::SemiHonest);
     let ins = inputs(6);
 
-    let (hub, mut acceptor) = LoopbackHub::new();
-    let mut handles = Vec::new();
-    for &id in &p.clients {
-        if id == 5 {
-            continue;
-        }
-        let hub = hub.clone();
-        let input = ins[&id].clone();
-        handles.push(std::thread::spawn(move || {
-            let mut chan = hub.connect(&format!("c{id}")).expect("connect");
-            let opts = ClientOptions {
-                id,
-                rng_seed: SEED,
-                fail: None,
-                recv_timeout: Duration::from_secs(20),
-                silent_linger: Duration::from_secs(1),
-            };
-            run_client(&mut chan, &opts, move |_| Ok(input), |_| None)
-        }));
-    }
-    let report = run_coordinator(
-        &mut acceptor,
-        &CoordinatorConfig::single(
-            p.clone(),
-            Duration::from_millis(800),
-            Duration::from_secs(5),
-        ),
-    )
-    .expect("coordinator");
-    for h in handles {
-        h.join().unwrap().unwrap();
-    }
+    let mut joining = ins.clone();
+    joining.remove(&5);
+    let report = net_round(
+        &p,
+        &joining,
+        &BTreeMap::new(),
+        Duration::from_millis(800),
+        Duration::from_secs(5),
+    );
     assert_eq!(report.outcome.dropped, vec![5]);
     assert!(report
         .dropouts

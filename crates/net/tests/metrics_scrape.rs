@@ -10,8 +10,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dordis_net::coordinator::CoordinatorConfig;
-use dordis_net::faults::FaultPlan;
 use dordis_net::runtime::{run_session_client, SessionClientOptions, SessionEndKind};
 use dordis_net::session::{Seating, Session, SessionConfig};
 use dordis_net::transport::LoopbackHub;
@@ -93,23 +91,17 @@ fn live_scrape_mid_round_with_full_trace_coverage() {
     }
 
     let cfg = SessionConfig {
-        first_round: 1,
-        rounds: ROUNDS,
-        join_timeout: Duration::from_secs(10),
-        stage_timeout: Duration::from_secs(10),
         chunks: CHUNKS,
         // Slow the rounds down so the scraper provably lands mid-round.
         chunk_compute: Some(Duration::from_millis(25)),
-        tick: CoordinatorConfig::DEFAULT_TICK,
-        ingress_budget: 0,
-        announce: true,
         population: (0..N).collect(),
-        seating: Seating::Roster,
-        params_for: Box::new(|round, _| params_for_round(round)),
         telemetry: telemetry.clone(),
         metrics_addr: Some("127.0.0.1:0".to_string()),
-        replica: None,
-        faults: FaultPlan::none(),
+        ..SessionConfig::new(
+            ROUNDS,
+            Seating::Roster,
+            Box::new(|round, _| params_for_round(round)),
+        )
     };
     let mut session = Session::new(&mut acceptor, cfg).expect("session");
     let addr = session.metrics_addr().expect("scrape endpoint bound");

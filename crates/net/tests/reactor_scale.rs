@@ -1,6 +1,6 @@
 //! Scale: one coordinator thread serves hundreds of chunk-streaming
 //! loopback clients, with wake-ups that stay `O(events)` — not the
-//! `O(clients × ticks)` receive attempts of the legacy poll sweep.
+//! `O(clients × ticks)` receive attempts of a per-client poll sweep.
 //!
 //! The round runs a 255-client cohort (the old GF(256) cap — still the
 //! ceiling for *complete-graph* rounds, though neighborhood-scoped
@@ -12,13 +12,14 @@
 //! several clients disconnect mid-stream, so the per-(stage, chunk)
 //! dropout machinery runs at scale too.
 
-use std::collections::BTreeMap;
+mod common;
+
 use std::time::{Duration, Instant};
 
-use dordis_net::coordinator::{run_coordinator, CoordinatorConfig, DropKind};
-use dordis_net::runtime::{
-    run_client, ClientOptions, ClientRunOutcome, FailAction, FailPoint, FailStage,
-};
+use dordis_net::coordinator::DropKind;
+use dordis_net::reactor::TICK;
+use dordis_net::runtime::{ClientRunOutcome, FailAction, FailPoint, FailStage, SessionEndKind};
+use dordis_net::session::SessionConfig;
 use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
@@ -63,54 +64,32 @@ fn single_thread_serves_256_connections_with_o_events_wakeups() {
     // at join while everyone else proceeds. Connected *first* (the
     // acceptor hands connections out FIFO) so its rejection is
     // deterministically processed while the join loop is still running.
-    let mut crasher_chan = hub.connect("extra").expect("connect");
-    let crasher = std::thread::spawn(move || {
-        let opts = ClientOptions {
-            id: 999,
-            rng_seed: SEED,
-            fail: None,
-            recv_timeout: Duration::from_secs(300),
-            silent_linger: Duration::from_secs(1),
-        };
-        run_client(
-            &mut crasher_chan,
-            &opts,
-            move |_| Ok(input_for(999)),
-            |_| None,
-        )
-    });
+    const EXTRA: ClientId = 999;
+    let extra_chan = std::sync::Mutex::new(Some(hub.connect("extra").expect("connect")));
 
-    let mut handles = Vec::new();
-    for id in 0..N {
-        let hub = hub.clone();
+    // Generous deadlines: 255 debug-build clients share this machine's
+    // cores, and the assertion below is about wake-ups, not wall-clock.
+    let cfg = SessionConfig {
+        join_timeout: Duration::from_secs(240),
+        stage_timeout: Duration::from_secs(240),
+        chunks: CHUNKS,
+        ..common::one_round(params)
+    };
+    let start = Instant::now();
+    let ids = std::iter::once(EXTRA).chain(0..N);
+    let (mut reports, mut clients) = common::run_session(&mut acceptor, cfg, ids, move |id| {
+        let mut chan = match id {
+            EXTRA => extra_chan.lock().expect("extra").take().expect("once"),
+            _ => hub.connect(&format!("c{id}")).expect("connect"),
+        };
         let fail = MIDSTREAM_DROPS.contains(&id).then_some(FailPoint {
             stage: FailStage::MaskedInputAfterChunks((id % CHUNKS as u32) as u16),
             action: FailAction::Disconnect,
         });
-        handles.push(std::thread::spawn(move || {
-            let mut chan = hub.connect(&format!("c{id}")).expect("connect");
-            let opts = ClientOptions {
-                id,
-                rng_seed: SEED,
-                fail,
-                recv_timeout: Duration::from_secs(300),
-                silent_linger: Duration::from_secs(1),
-            };
-            run_client(&mut chan, &opts, move |_| Ok(input_for(id)), |_| None)
-        }));
-    }
-    // Generous deadlines: 255 debug-build clients share this machine's
-    // cores, and the assertion below is about wake-ups, not wall-clock.
-    let cfg = CoordinatorConfig::new(
-        params,
-        Duration::from_secs(240),
-        Duration::from_secs(240),
-        CHUNKS,
-        None,
-    );
-    let start = Instant::now();
-    let report = run_coordinator(&mut acceptor, &cfg).expect("coordinator");
+        common::roster_client(&mut chan, id, SEED, |_| fail, |_| input_for(id), None).expect("run")
+    });
     let elapsed = start.elapsed();
+    let report = reports.pop().expect("one round");
 
     // --- Protocol outcome at scale. ---
     let expected_dropped: Vec<ClientId> = MIDSTREAM_DROPS.to_vec();
@@ -145,21 +124,14 @@ fn single_thread_serves_256_connections_with_o_events_wakeups() {
     assert_eq!(report.outcome.sum, expected);
 
     // The unsampled 256th connection was told why it can't play.
-    match crasher
-        .join()
-        .expect("crasher thread")
-        .expect("crasher run")
-    {
-        ClientRunOutcome::ServerAborted { reason } => {
+    match clients.remove(&EXTRA).expect("extra client").end {
+        SessionEndKind::ServerAborted { reason } => {
             assert!(reason.contains("not in the sampled set"), "{reason}");
         }
         other => panic!("extra client should be rejected, got {other:?}"),
     }
-    let mut outcomes = BTreeMap::new();
-    for (id, h) in handles.into_iter().enumerate() {
-        outcomes.insert(id as u32, h.join().expect("client thread").expect("run"));
-    }
-    for (id, outcome) in outcomes {
+    for (id, run) in clients {
+        let outcome = &run.rounds[0].outcome;
         if MIDSTREAM_DROPS.contains(&id) {
             assert!(matches!(outcome, ClientRunOutcome::Failed { .. }), "{id}");
         } else {
@@ -172,7 +144,7 @@ fn single_thread_serves_256_connections_with_o_events_wakeups() {
 
     // --- The reactor claim: wake-ups are O(events), not O(clients × ticks). ---
     let stats = report.reactor;
-    let ticks = (elapsed.as_millis() / cfg.tick.as_millis()).max(1) as u64;
+    let ticks = (elapsed.as_millis() / TICK.as_millis()).max(1) as u64;
     // Every poll is caused by an event batch, a timer tick during the
     // accept window, or one accept turn — never by per-client sweeping.
     let o_events_bound = stats.events + ticks + u64::from(N) + 64;

@@ -2,17 +2,18 @@
 //! connections, per-round state isolation, dropout-then-rejoin, and
 //! typed stale-frame rejection on both sides of the wire.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dordis_net::codec::{Envelope, StageTag};
-use dordis_net::coordinator::{run_coordinator, CoordinatorConfig, DropKind, NetRoundReport};
-use dordis_net::faults::FaultPlan;
+use dordis_net::coordinator::{DropKind, NetRoundReport};
 use dordis_net::runtime::{
-    round_rng_seed, run_client, run_session_client, ClientOptions, ClientRunOutcome, FailAction,
-    FailPoint, FailStage, SessionClientOptions, SessionEndKind,
+    round_rng_seed, run_session_client, ClientRunOutcome, FailAction, FailPoint, FailStage,
+    SessionClientOptions, SessionEndKind,
 };
 use dordis_net::session::{Seating, SeatingOutcome, Session, SessionConfig};
 use dordis_net::transport::{Channel, LoopbackChannel, LoopbackHub, LossProfile, ThrottledChannel};
@@ -74,6 +75,21 @@ fn driver_round(round: u64, drops: &[ClientId]) -> RoundOutcome {
     outcome
 }
 
+/// An R-round roster session of the five clients, telemetry enabled so
+/// the span / metrics probes run alongside the protocol itself.
+fn roster_cfg(rounds: u64) -> SessionConfig<'static> {
+    SessionConfig {
+        chunks: CHUNKS,
+        population: (0..N).collect(),
+        telemetry: Telemetry::enabled(),
+        ..SessionConfig::new(
+            rounds,
+            Seating::Roster,
+            Box::new(|round, _| params_for_round(round)),
+        )
+    }
+}
+
 /// Runs an R-round roster session over persistent loopback connections;
 /// `dropper(round)` names the client that fails mid-stream that round
 /// (it reconnects and re-joins the next round).
@@ -82,77 +98,36 @@ fn run_session(
     dropper: impl Fn(u64) -> Option<(ClientId, u16)> + Send + Sync + 'static,
 ) -> Vec<NetRoundReport> {
     let (hub, mut acceptor) = LoopbackHub::new();
-    let dropper = Arc::new(dropper);
-    let mut handles = Vec::new();
-    for id in 0..N {
-        let hub = hub.clone();
-        let dropper = Arc::clone(&dropper);
-        handles.push(std::thread::spawn(move || -> Result<u32, String> {
-            let mut participated = 0u32;
-            loop {
-                let mut chan = hub
-                    .connect(&format!("c{id}"))
-                    .map_err(|e| format!("connect: {e}"))?;
-                let opts = SessionClientOptions {
-                    id,
-                    rng_seed: SEED,
-                    recv_timeout: Duration::from_secs(30),
-                    silent_linger: Duration::from_secs(1),
-                };
-                let report = run_session_client(
-                    &mut chan,
-                    &opts,
-                    |_| None,
-                    |r| {
-                        dropper(r).and_then(|(who, k)| {
-                            (who == id).then_some(FailPoint {
-                                stage: FailStage::MaskedInputAfterChunks(k),
-                                action: FailAction::Disconnect,
-                            })
+    let (reports, clients) =
+        common::run_session(&mut acceptor, roster_cfg(rounds), 0..N, move |id| loop {
+            let mut chan = hub
+                .connect(&format!("c{id}"))
+                .map_err(|e| format!("connect: {e}"))?;
+            let report = common::roster_client(
+                &mut chan,
+                id,
+                SEED,
+                |r| {
+                    dropper(r).and_then(|(who, k)| {
+                        (who == id).then_some(FailPoint {
+                            stage: FailStage::MaskedInputAfterChunks(k),
+                            action: FailAction::Disconnect,
                         })
-                    },
-                    |r, _params, _cohort, _payload| Ok(input_for(id, r)),
-                    |_| None,
-                )
-                .map_err(|e| format!("client {id}: {e}"))?;
-                participated += report.rounds.len() as u32;
-                match report.end {
-                    SessionEndKind::Ended => return Ok(participated),
-                    SessionEndKind::Failed { .. } => continue, // rejoin
-                    other => return Err(format!("client {id}: unexpected end {other:?}")),
-                }
+                    })
+                },
+                |r| input_for(id, r),
+                None,
+            )
+            .map_err(|e| format!("client {id}: {e}"))?;
+            match report.end {
+                SessionEndKind::Ended => return Ok(()),
+                SessionEndKind::Failed { .. } => continue, // rejoin
+                other => return Err(format!("client {id}: unexpected end {other:?}")),
             }
-        }));
-    }
-
-    let cfg = SessionConfig {
-        first_round: 1,
-        rounds,
-        join_timeout: Duration::from_secs(10),
-        stage_timeout: Duration::from_secs(10),
-        chunks: CHUNKS,
-        chunk_compute: None,
-        tick: CoordinatorConfig::DEFAULT_TICK,
-        ingress_budget: 0,
-        announce: true,
-        population: (0..N).collect(),
-        seating: Seating::Roster,
-        params_for: Box::new(|round, _| params_for_round(round)),
-        // Enabled so the span / metrics probes run alongside the
-        // protocol itself.
-        telemetry: Telemetry::enabled(),
-        metrics_addr: None,
-        replica: None,
-        faults: FaultPlan::none(),
-    };
-    let mut session = Session::new(&mut acceptor, cfg).expect("session");
-    let mut reports = Vec::new();
-    for _ in 0..rounds {
-        reports.push(session.run_round(&[]).expect("round"));
-    }
-    session.finish();
-    for h in handles {
-        h.join().expect("client thread").expect("client result");
+        });
+    for run in clients.into_values() {
+        let run: Result<(), String> = run;
+        run.expect("client result");
     }
     reports
 }
@@ -166,6 +141,8 @@ fn multi_round_session_matches_per_round_driver() {
         // The round counter comes from the session, not a config
         // constant.
         assert_eq!(report.round, round);
+        // A roster session seats `params.clients` as given.
+        assert_eq!(report.cohort, params_for_round(round).clients);
         let mem = driver_round(round, &[]);
         assert_eq!(report.outcome.sum, mem.sum, "round {round}");
         assert_eq!(report.outcome.survivors, mem.survivors);
@@ -251,78 +228,38 @@ fn dropout_then_rejoin_completes_next_round() {
 fn session_rounds_complete_under_packet_loss_and_reorder() {
     const ROUNDS: u64 = 3;
     let (hub, mut acceptor) = LoopbackHub::new();
-    let mut handles = Vec::new();
-    for id in 0..N {
-        let hub = hub.clone();
-        handles.push(std::thread::spawn(move || -> Result<(), String> {
-            loop {
-                let raw = hub
-                    .connect(&format!("c{id}"))
-                    .map_err(|e| format!("connect: {e}"))?;
-                let mut chan = ThrottledChannel::new(Box::new(raw), u64::MAX, Duration::ZERO)
-                    .with_loss(LossProfile {
-                        drop_prob: 0.05,
-                        reorder_prob: 0.05,
-                        seed: 1_000 + u64::from(id),
-                    });
-                let opts = SessionClientOptions {
-                    id,
-                    rng_seed: SEED,
-                    recv_timeout: Duration::from_secs(30),
-                    silent_linger: Duration::from_secs(1),
-                };
-                let outcome = run_session_client(
-                    &mut chan,
-                    &opts,
-                    |_| None,
-                    |_| None,
-                    |r, _params, _cohort, _payload| Ok(input_for(id, r)),
-                    |_| None,
-                );
-                match outcome {
-                    Ok(report) => match report.end {
-                        SessionEndKind::Ended => return Ok(()),
-                        SessionEndKind::Failed { .. } => continue,
-                        other => return Err(format!("client {id}: unexpected end {other:?}")),
-                    },
-                    // A lost chunk gets this client dropped from the
-                    // round; the coordinator closes its connection and
-                    // the client redials to rejoin the next announce.
-                    Err(NetError::Closed | NetError::Timeout) => continue,
-                    Err(e) => return Err(format!("client {id}: {e}")),
-                }
-            }
-        }));
-    }
-
     let cfg = SessionConfig {
-        first_round: 1,
-        rounds: ROUNDS,
-        join_timeout: Duration::from_secs(10),
         // Short: every lost chunk costs the coordinator exactly one
         // masked-stage deadline wait before the dropout is declared.
         stage_timeout: Duration::from_secs(3),
-        chunks: CHUNKS,
-        chunk_compute: None,
-        tick: CoordinatorConfig::DEFAULT_TICK,
-        ingress_budget: 0,
-        announce: true,
-        population: (0..N).collect(),
-        seating: Seating::Roster,
-        params_for: Box::new(|round, _| params_for_round(round)),
-        telemetry: Telemetry::enabled(),
-        metrics_addr: None,
-        replica: None,
-        faults: FaultPlan::none(),
+        ..roster_cfg(ROUNDS)
     };
-    let mut session = Session::new(&mut acceptor, cfg).expect("session");
-    let mut reports = Vec::new();
-    for _ in 0..ROUNDS {
-        reports.push(session.run_round(&[]).expect("lossy round"));
-    }
-    session.finish();
-    for h in handles {
-        h.join().expect("client thread").expect("client result");
+    let (reports, clients) = common::run_session(&mut acceptor, cfg, 0..N, move |id| loop {
+        let raw = hub
+            .connect(&format!("c{id}"))
+            .map_err(|e| format!("connect: {e}"))?;
+        let mut chan =
+            ThrottledChannel::new(Box::new(raw), u64::MAX, Duration::ZERO).with_loss(LossProfile {
+                drop_prob: 0.05,
+                reorder_prob: 0.05,
+                seed: 1_000 + u64::from(id),
+            });
+        match common::roster_client(&mut chan, id, SEED, |_| None, |r| input_for(id, r), None) {
+            Ok(report) => match report.end {
+                SessionEndKind::Ended => return Ok(()),
+                SessionEndKind::Failed { .. } => continue,
+                other => return Err(format!("client {id}: unexpected end {other:?}")),
+            },
+            // A lost chunk gets this client dropped from the
+            // round; the coordinator closes its connection and
+            // the client redials to rejoin the next announce.
+            Err(NetError::Closed | NetError::Timeout) => continue,
+            Err(e) => return Err(format!("client {id}: {e}")),
+        }
+    });
+    for run in clients.into_values() {
+        let run: Result<(), String> = run;
+        run.expect("client result");
     }
 
     let mut total_dropped = 0usize;
@@ -406,32 +343,26 @@ fn unseatable_round_keeps_the_cohort_parked_for_the_next_round() {
 
     let telemetry = Telemetry::enabled();
     let cfg = SessionConfig {
-        first_round: 1,
-        rounds: 2,
-        join_timeout: Duration::from_secs(10),
-        stage_timeout: Duration::from_secs(10),
         chunks: CHUNKS,
-        chunk_compute: None,
-        tick: CoordinatorConfig::DEFAULT_TICK,
-        ingress_budget: 0,
-        announce: true,
         population: (0..N).collect(),
-        seating: Seating::Claims(Box::new(|_, claims| SeatingOutcome {
-            seated: claims.iter().map(|(id, _)| *id).collect(),
-            rejected: Vec::new(),
-        })),
-        params_for: Box::new(|round, cohort| {
-            let mut p = params_for_round(round);
-            p.clients = cohort.to_vec();
-            if round == 1 {
-                p.threshold = cohort.len() + 1;
-            }
-            p
-        }),
         telemetry: telemetry.clone(),
-        metrics_addr: None,
-        replica: None,
-        faults: FaultPlan::none(),
+        ..SessionConfig::new(
+            2,
+            // Seats every claimant, highest id first: the report must
+            // hand the cohort back in *this* order.
+            Seating::Claims(Box::new(|_, claims| SeatingOutcome {
+                seated: claims.iter().rev().map(|(id, _)| *id).collect(),
+                rejected: Vec::new(),
+            })),
+            Box::new(|round, cohort| {
+                let mut p = params_for_round(round);
+                p.clients = cohort.to_vec();
+                if round == 1 {
+                    p.threshold = cohort.len() + 1;
+                }
+                p
+            }),
+        )
     };
     let mut session = Session::new(&mut acceptor, cfg).expect("session");
     assert_eq!(session.current_round(), 1);
@@ -445,6 +376,7 @@ fn unseatable_round_keeps_the_cohort_parked_for_the_next_round() {
 
     let report = session.run_round(&[]).expect("round 2");
     assert_eq!(report.round, 2);
+    assert_eq!(report.cohort, (0..N).rev().collect::<Vec<_>>());
     assert!(report.dropouts.is_empty(), "{:?}", report.dropouts);
     let mem = driver_round(2, &[]);
     assert_eq!(report.outcome.sum, mem.sum);
@@ -466,14 +398,14 @@ fn unseatable_round_keeps_the_cohort_parked_for_the_next_round() {
 fn client_rejects_stale_round_frame_with_typed_error() {
     let (mut server_end, mut client_end) = LoopbackChannel::pair("stale");
     let client = std::thread::spawn(move || {
-        let opts = ClientOptions {
-            id: 0,
-            rng_seed: SEED,
-            fail: None,
-            recv_timeout: Duration::from_secs(5),
-            silent_linger: Duration::from_secs(1),
-        };
-        run_client(&mut client_end, &opts, |_| Ok(input_for(0, 5)), |_| None)
+        common::roster_client(
+            &mut client_end,
+            0,
+            SEED,
+            |_| None,
+            |r| input_for(0, r),
+            None,
+        )
     });
 
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -548,41 +480,27 @@ impl Channel for StaleInjector {
 fn coordinator_discards_stale_frames_without_dropping_the_peer() {
     let (hub, mut acceptor) = LoopbackHub::new();
     let injected = Arc::new(AtomicU32::new(0));
-    let mut handles = Vec::new();
-    for id in 0..N {
-        let hub = hub.clone();
-        let injected = Arc::clone(&injected);
-        handles.push(std::thread::spawn(move || {
-            let inner = hub.connect(&format!("c{id}")).expect("connect");
-            let opts = ClientOptions {
-                id,
-                rng_seed: SEED,
-                fail: None,
-                recv_timeout: Duration::from_secs(20),
-                silent_linger: Duration::from_secs(1),
-            };
-            if id == 2 {
-                let mut chan = StaleInjector { inner, injected };
-                run_client(&mut chan, &opts, move |_| Ok(input_for(id, 5)), |_| None)
-            } else {
-                let mut chan = inner;
-                run_client(&mut chan, &opts, move |_| Ok(input_for(id, 5)), |_| None)
-            }
-        }));
-    }
-    let report = run_coordinator(
-        &mut acceptor,
-        &CoordinatorConfig::new(
-            params_for_round(5),
-            Duration::from_secs(10),
-            Duration::from_secs(10),
-            1,
+    let cfg = common::one_round(params_for_round(5));
+    let (mut reports, clients) = common::run_session(&mut acceptor, cfg, 0..N, move |id| {
+        let inner = hub.connect(&format!("c{id}")).expect("connect");
+        let mut chan: Box<dyn Channel> = if id == 2 {
+            let injected = Arc::clone(&injected);
+            Box::new(StaleInjector { inner, injected })
+        } else {
+            Box::new(inner)
+        };
+        common::roster_client(
+            chan.as_mut(),
+            id,
+            SEED,
+            |_| None,
+            |r| input_for(id, r),
             None,
-        ),
-    )
-    .expect("round");
-    for h in handles {
-        let outcome = h.join().expect("client thread").expect("client run");
+        )
+    });
+    let report = reports.pop().expect("one round");
+    for run in clients.into_values() {
+        let outcome = &run.expect("client run").rounds[0].outcome;
         assert!(matches!(outcome, ClientRunOutcome::Finished { .. }));
     }
     assert_eq!(report.stale_frames, 1);

@@ -2,11 +2,14 @@
 //! client disconnecting mid-round (the "killed client" scenario), and
 //! the outcome checked against the expected survivor aggregate.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use dordis_net::coordinator::{run_coordinator, CoordinatorConfig, DropKind};
-use dordis_net::runtime::{run_client, ClientOptions, FailAction, FailPoint, FailStage};
+use dordis_net::coordinator::DropKind;
+use dordis_net::runtime::{FailAction, FailPoint, FailStage};
+use dordis_net::session::SessionConfig;
 use dordis_net::tcp::{TcpAcceptor, TcpChannel};
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
@@ -41,36 +44,24 @@ fn tcp_secagg_plus_round_with_mid_round_kill() {
     let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
     let addr = dordis_net::transport::Acceptor::local_addr(&acceptor);
 
-    let mut handles = Vec::new();
-    for id in 0..N {
-        let addr = addr.clone();
+    let cfg = SessionConfig {
+        join_timeout: Duration::from_secs(15),
+        stage_timeout: Duration::from_secs(8),
+        ..common::one_round(params)
+    };
+    let (mut reports, clients) = common::run_session(&mut acceptor, cfg, 0..N, move |id| {
+        let mut chan = TcpChannel::connect(&addr).expect("connect");
         // Client 2 "dies" just before sending its masked input.
         let fail = (id == 2).then_some(FailPoint {
             stage: FailStage::MaskedInput,
             action: FailAction::Disconnect,
         });
-        handles.push(std::thread::spawn(move || {
-            let mut chan = TcpChannel::connect(addr).expect("connect");
-            let opts = ClientOptions {
-                id,
-                rng_seed: 9,
-                fail,
-                recv_timeout: Duration::from_secs(30),
-                silent_linger: Duration::from_secs(1),
-            };
-            run_client(&mut chan, &opts, move |_| Ok(input_for(id)), |_| None)
-        }));
+        common::roster_client(&mut chan, id, 9, |_| fail, |_| input_for(id), None)
+    });
+    for (id, run) in clients {
+        run.unwrap_or_else(|e| panic!("client {id}: {e}"));
     }
-
-    let report = run_coordinator(
-        &mut acceptor,
-        &CoordinatorConfig::single(params, Duration::from_secs(15), Duration::from_secs(8)),
-    )
-    .expect("coordinator");
-
-    for h in handles {
-        h.join().expect("thread").expect("client");
-    }
+    let report = reports.pop().expect("one round");
 
     // Client 2 was detected (as a disconnect) and excluded.
     assert_eq!(report.outcome.dropped, vec![2]);

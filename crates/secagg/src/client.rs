@@ -820,13 +820,15 @@ mod tests {
                 masked.push(c.masked_input(inbox).unwrap());
             }
         }
-        let u3 = server.collect_masked(masked).unwrap();
+        server.collect_masked_chunk(0, masked).unwrap();
+        let u3 = server.finalize_masked().unwrap();
         let mut unmask = BTreeMap::new();
         for &id in u3.iter().filter(|id| !gone_before_unmask.contains(id)) {
             unmask.insert(id, clients.get_mut(&id).unwrap().unmask(&u3, None));
         }
         let responses = unmask.values().filter_map(|r| r.clone().ok()).collect();
-        server.collect_unmasking(responses).unwrap();
+        server.reconstruct_unmasking(responses).unwrap();
+        server.unmask_chunk(0).unwrap();
         let u5 = server.u5().to_vec();
         let mut noise = Vec::new();
         if !server.pending_seed_owners().is_empty() {

@@ -248,7 +248,8 @@ pub fn run_round(spec: RoundSpec) -> Result<(RoundOutcome, RoundStats), SecAggEr
             Err(e) => return Err(e),
         }
     }
-    let u3 = server.collect_masked(masked)?;
+    server.collect_masked_chunk(0, masked)?;
+    let u3 = server.finalize_masked()?;
     let u3_bytes = IdList(u3.clone()).wire_bytes();
     stats.stages.push(StageTraffic {
         stage: "MaskedInputCollection",
@@ -307,7 +308,8 @@ pub fn run_round(spec: RoundSpec) -> Result<(RoundOutcome, RoundStats), SecAggEr
             Err(e) => return Err(e),
         }
     }
-    server.collect_unmasking(responses)?;
+    server.reconstruct_unmasking(responses)?;
+    server.unmask_chunk(0)?;
     let u5 = server.u5().to_vec();
     let u5_bytes = IdList(u5.clone()).wire_bytes();
     stats.stages.push(StageTraffic {

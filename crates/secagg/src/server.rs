@@ -14,12 +14,10 @@
 //! independently ([`Server::unmask_chunk`]), and the final sum is the
 //! concatenation. Key/share/consistency state stays **round-global** —
 //! only the data-plane stages pipeline, exactly as in the paper. The
-//! whole-round methods ([`Server::collect_masked`],
-//! [`Server::collect_unmasking`]) remain as the single-call path the
-//! in-memory driver uses; with the default single-chunk plan they are
-//! bit-identical to the pre-chunking behaviour, and with any plan the
-//! concatenated chunk sums equal the whole-vector computation because
-//! every mask operation is coordinate-wise.
+//! in-memory driver runs the same methods on the single-chunk plan
+//! [`Server::new`] builds; with any plan the concatenated chunk sums
+//! equal the whole-vector computation because every mask operation is
+//! coordinate-wise.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -295,42 +293,6 @@ impl Server {
         Ok(self.u3.clone())
     }
 
-    /// Stage 2, whole-vector path (the in-memory driver): splits each
-    /// input by the chunk plan, records every chunk, and finalizes U3.
-    ///
-    /// # Errors
-    ///
-    /// Rejects wrong-length vectors and senders outside U2; aborts below
-    /// threshold.
-    pub fn collect_masked(&mut self, msgs: Vec<MaskedInput>) -> Result<Vec<ClientId>, SecAggError> {
-        for m in msgs {
-            if m.vector.len() != self.params.vector_len {
-                return Err(SecAggError::Config(format!(
-                    "masked input from {} has wrong length",
-                    m.client
-                )));
-            }
-            let pieces: Vec<Vec<u64>> = self
-                .plan
-                .split(&m.vector)
-                .map_err(|e| SecAggError::Config(e.to_string()))?
-                .into_iter()
-                .map(<[u64]>::to_vec)
-                .collect();
-            for (c, piece) in pieces.into_iter().enumerate() {
-                self.collect_masked_chunk(
-                    c,
-                    vec![MaskedInput {
-                        client: m.client,
-                        vector: piece,
-                        bit_width: m.bit_width,
-                    }],
-                )?;
-            }
-        }
-        self.finalize_masked()
-    }
-
     /// Stage 3 (malicious): collects consistency signatures (U4).
     pub fn collect_consistency(
         &mut self,
@@ -497,23 +459,6 @@ impl Server {
         let mut sum = std::mem::take(&mut self.fold_sums[chunk]);
         mask::add_signed_assign(&mut sum, &correction[range], true, bits);
         self.chunk_sums[chunk] = Some(sum);
-        Ok(())
-    }
-
-    /// Stage 4, whole-round path: reconstructs secrets and unmasks every
-    /// chunk in schedule order.
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::reconstruct_unmasking`] and [`Server::unmask_chunk`].
-    pub fn collect_unmasking(
-        &mut self,
-        responses: Vec<UnmaskingResponse>,
-    ) -> Result<(), SecAggError> {
-        self.reconstruct_unmasking(responses)?;
-        for c in 0..self.plan.chunks() {
-            self.unmask_chunk(c)?;
-        }
         Ok(())
     }
 

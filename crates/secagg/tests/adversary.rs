@@ -255,13 +255,14 @@ fn understating_dropout_yields_garbage_aggregate() {
     let mut server = Server::new(bed.params.clone()).unwrap();
     server.collect_advertisements(roster).unwrap();
     server.route_shares(cts).unwrap();
-    server.collect_masked(masked).unwrap();
+    server.collect_masked_chunk(0, masked).unwrap();
+    server.finalize_masked().unwrap();
     // Server lies to itself consistently: mark client 4 as alive by
     // injecting a fake masked input of zeros.
-    // (collect_masked only accepted 4 inputs; the "lie" manifests as the
+    // (Collection only accepted 4 inputs; the "lie" manifests as the
     // server trying to unmask a sum missing client 4's mask cancellation.)
-    server.collect_unmasking(responses).unwrap_err();
-    // collect_unmasking fails: without sk-shares for client 4 the
+    server.reconstruct_unmasking(responses).unwrap_err();
+    // Reconstruction fails: without sk-shares for client 4 the
     // pairwise masks cannot be reconstructed. The aggregate stays hidden.
 }
 

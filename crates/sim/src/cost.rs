@@ -13,7 +13,8 @@
 //!
 //! Either way, the *shape* of the results (SecAgg dominance, XNoise
 //! overhead shrinking with dropout, pipeline speedups growing with model
-//! size) is calibration-independent; see EXPERIMENTS.md.
+//! size) is calibration-independent; `tests/reproduction_shapes.rs` at
+//! the workspace root pins those shapes.
 
 use serde::{Deserialize, Serialize};
 

@@ -9,7 +9,7 @@
 //!   from the paper's Zipf distributions,
 //! - [`dropout`]: per-round dropout models (fixed rate, Bernoulli, and a
 //!   synthetic user-behaviour trace standing in for the 136k-device trace
-//!   of Yang et al. — see DESIGN.md),
+//!   of Yang et al.),
 //! - [`cost`]: a per-stage cost model for distributed-DP rounds (crypto
 //!   op unit costs × protocol op counts, bytes ÷ bandwidth), which feeds
 //!   the plain and pipelined round-time estimates of Figures 2 and 10,
