@@ -6,13 +6,14 @@
 use std::collections::BTreeMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dordis_pipeline::ChunkPlan;
 use dordis_secagg::client::{Client, ClientInput};
 use dordis_secagg::driver::{
     client_rng, run_round, share_keys_rng, DropStage, DropoutSchedule, RoundSpec,
 };
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::mask::add_pairwise_mask_assign;
-use dordis_secagg::{ClientId, RoundParams, ThreatModel};
+use dordis_secagg::{pack, ClientId, RoundParams, ThreatModel};
 
 const DIM: usize = 256;
 
@@ -160,9 +161,104 @@ fn bench_expand_and_add(c: &mut Criterion) {
     g.finish();
 }
 
+/// MaskedInputCollection for one client of a `tcp_vector1m`-shaped
+/// round (16 clients, complete graph, 20 bits) at dim 2^18: the whole
+/// vector in one call against the same vector walked as 2 and 8 chunks.
+/// Every pass pays the 15 key agreements of `begin_masked_input`.
+fn bench_masked_input(c: &mut Criterion) {
+    const SEED: u64 = 5;
+    const DIM: usize = 1 << 18;
+    let params = RoundParams {
+        round: 1,
+        clients: (0..16).collect(),
+        threshold: 9,
+        bit_width: 20,
+        vector_len: DIM,
+        noise_components: 0,
+        threat_model: ThreatModel::SemiHonest,
+        graph: MaskingGraph::Complete,
+    };
+    let mut clients: Vec<Client> = (0..16u32)
+        .map(|id| {
+            let input = ClientInput {
+                vector: vec![u64::from(id) + 1; DIM],
+                noise_seeds: vec![],
+            };
+            Client::new(params.clone(), id, input, None, &mut client_rng(SEED, id)).unwrap()
+        })
+        .collect();
+    let roster: Vec<_> = clients
+        .iter_mut()
+        .map(|c| c.advertise_keys().unwrap())
+        .collect();
+    let inbox: Vec<_> = clients
+        .iter_mut()
+        .flat_map(|c| {
+            c.share_keys(&roster, &mut share_keys_rng(SEED, c.id()))
+                .unwrap()
+        })
+        .filter(|ct| ct.to == 0)
+        .collect();
+    let me = &mut clients[0];
+    let mut g = c.benchmark_group("masked_input");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(DIM as u64));
+    g.bench_function("whole", |b| {
+        b.iter(|| me.masked_input(inbox.clone()).unwrap());
+    });
+    for m in [2usize, 8] {
+        let plan = ChunkPlan::aligned(DIM, m, params.bit_width).unwrap();
+        g.bench_function(format!("cursor_m{m}"), |b| {
+            b.iter(|| {
+                let cursor = me.begin_masked_input(inbox.clone()).unwrap();
+                (0..plan.chunks())
+                    .map(|c| cursor.chunk(plan.range(c)).vector[0])
+                    .sum::<u64>()
+            });
+        });
+    }
+    g.finish();
+}
+
+/// The masked-input pack kernel at 20 bits: the encode and decode the
+/// codec runs per chunk frame, and the fused unpack-accumulate the
+/// server folds a parked chunk with.
+fn bench_pack(c: &mut Criterion) {
+    const ELEMS: usize = 1 << 18;
+    const BITS: u32 = 20;
+    let values: Vec<u64> = (0..ELEMS as u64)
+        .map(|i| (i * 2_654_435_761) & 0xf_ffff)
+        .collect();
+    let mut packed = Vec::new();
+    pack::pack_into(&values, BITS, &mut packed);
+    let mut acc = vec![0u64; ELEMS];
+    let mut g = c.benchmark_group("pack");
+    g.throughput(Throughput::Elements(ELEMS as u64));
+    g.bench_function("encode", |b| {
+        let mut out = Vec::new();
+        b.iter(|| {
+            out.clear();
+            pack::pack_into(&values, BITS, &mut out);
+            out[0]
+        });
+    });
+    g.bench_function("decode", |b| {
+        b.iter(|| pack::unpack(&packed, BITS, ELEMS));
+    });
+    g.bench_function("unpack_add", |b| {
+        b.iter(|| {
+            pack::unpack_add(&packed, BITS, &mut acc);
+            acc[0]
+        });
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_expand_and_add,
+    bench_masked_input,
+    bench_pack,
     bench_secagg_round,
     bench_secagg_with_dropout,
     bench_client_round

@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use dordis_core::config::TaskSpec;
-use dordis_core::protocol::demo_update;
+use dordis_core::protocol::{demo_element, demo_update};
 use dordis_core::trainer::train;
 use dordis_dp::accountant::Mechanism;
 use dordis_dp::planner::{plan, PlannerConfig};
@@ -352,8 +352,8 @@ fn print_round(report: &NetRoundReport, dim: usize, bits: u32, verify_demo: bool
         let mut expected = vec![0u64; dim];
         let mask = (1u64 << bits) - 1;
         for &id in &report.outcome.survivors {
-            for (e, v) in expected.iter_mut().zip(demo_update(id, dim, bits)) {
-                *e = (*e + v) & mask;
+            for (i, e) in expected.iter_mut().enumerate() {
+                *e = (*e + demo_element(id, i, mask)) & mask;
             }
         }
         if expected == report.outcome.sum {

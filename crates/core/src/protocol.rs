@@ -284,10 +284,15 @@ pub fn run_protocol_round_networked(
 /// update.
 #[must_use]
 pub fn demo_update(client: ClientId, dim: usize, bit_width: u32) -> Vec<u64> {
-    let mask = (1u64 << bit_width) - 1;
-    (0..dim)
-        .map(|i| (u64::from(client) * 1009 + i as u64 * 31 + 7) & mask)
-        .collect()
+    let ring = (1u64 << bit_width) - 1;
+    (0..dim).map(|i| demo_element(client, i, ring)).collect()
+}
+
+/// Element `i` of [`demo_update`] in the ring `Z_{ring + 1}` — for a
+/// verifier that folds the survivors' updates without building them.
+#[must_use]
+pub fn demo_element(client: ClientId, i: usize, ring: u64) -> u64 {
+    (u64::from(client) * 1009 + i as u64 * 31 + 7) & ring
 }
 
 /// The deterministic per-(run, round, client) seed used for noise

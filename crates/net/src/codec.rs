@@ -24,7 +24,7 @@ use dordis_secagg::messages::{
     AdvertisedKeys, ConsistencySignature, EncryptedShares, IdList, MaskedInput, NoiseShareResponse,
     UnmaskingResponse,
 };
-use dordis_secagg::{ClientId, RoundParams, ThreatModel};
+use dordis_secagg::{pack, ClientId, RoundParams, ThreatModel};
 
 use crate::NetError;
 
@@ -521,24 +521,8 @@ pub fn decode_encrypted_shares(body: &[u8]) -> Result<EncryptedShares, NetError>
 impl Encode for MaskedInput {
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.client.to_le_bytes());
-        // Pack each coordinate at `bit_width` bits, LSB first.
-        let b = self.bit_width;
-        debug_assert!((1..=62).contains(&b));
-        let mask = (1u64 << b) - 1;
-        let mut acc: u128 = 0;
-        let mut nbits: u32 = 0;
-        for &v in &self.vector {
-            acc |= u128::from(v & mask) << nbits;
-            nbits += b;
-            while nbits >= 8 {
-                out.push((acc & 0xff) as u8);
-                acc >>= 8;
-                nbits -= 8;
-            }
-        }
-        if nbits > 0 {
-            out.push((acc & 0xff) as u8);
-        }
+        // Each coordinate at `bit_width` bits, LSB first.
+        pack::pack_into(&self.vector, self.bit_width, out);
     }
 }
 
@@ -567,21 +551,7 @@ pub fn decode_masked_input(
             r.remaining()
         )));
     }
-    let packed = r.take(expect)?;
-    let mut vector = Vec::with_capacity(vector_len);
-    let mut acc: u128 = 0;
-    let mut nbits: u32 = 0;
-    let mut next = packed.iter();
-    for _ in 0..vector_len {
-        while nbits < bit_width {
-            acc |= u128::from(*next.next().expect("length checked")) << nbits;
-            nbits += 8;
-        }
-        let mask = (1u128 << bit_width) - 1;
-        vector.push((acc & mask) as u64);
-        acc >>= bit_width;
-        nbits -= bit_width;
-    }
+    let vector = pack::unpack(r.take(expect)?, bit_width, vector_len);
     Ok(MaskedInput {
         client,
         vector,

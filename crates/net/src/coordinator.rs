@@ -712,7 +712,7 @@ impl<'c> RoundMachine<'c> {
 
         // Budget-driven admission: with an ingress budget set, only a
         // window of clients streams its masked input at a time — a
-        // stream's decoded chunks are retained until it completes and
+        // stream's chunks are retained (packed) until it completes and
         // folds into the running sums, so concurrent streams (not wire
         // buffering, which the byte accounts already bound) are what
         // set the coordinator's peak memory during the burst.
@@ -1147,11 +1147,16 @@ impl ChunkCollect {
 
 /// Budget-driven admission window over the masked-input burst.
 ///
-/// Wire buffering is already bounded by the byte accounts, but a
-/// client's *decoded* chunks are retained (8 B/element) until its whole
-/// stream lands and folds into the running sums. With every client
-/// streaming at once that retention peaks at `cohort x vector x 8`
-/// bytes regardless of budget. The window caps how many streams are in
+/// Wire buffering is already bounded by the byte accounts, but the
+/// server keeps a client's chunks until its whole stream lands and
+/// folds into the running sums: bit-packed while they wait
+/// (`bit_width / 8` B/element), one chunk at a time decoded to 8
+/// B/element on its way in. With every client streaming at once that
+/// retention approaches `cohort x vector x bit_width / 8` bytes
+/// regardless of budget. The window is still sized at the decoded 8
+/// B/element — since packed custody an over-estimate (2.5–4x at 16–20
+/// bits), kept because a window too small only admits fewer streams at
+/// a time. It caps how many streams are in
 /// flight: held clients keep their ingress paused
 /// ([`EventedChannel::set_ingress_hold`]) — their uploads sit in kernel
 /// socket buffers, pushed back by TCP flow control — and each is
@@ -1175,7 +1180,8 @@ impl Admission {
         if budget == 0 {
             return None;
         }
-        // Decoded retention cost of one in-flight stream.
+        // Retention cost of one in-flight stream, as if it waited
+        // decoded (the conservative side of what it costs packed).
         let per_client = (vector_len as u64).saturating_mul(8).max(1);
         let window = usize::try_from((budget / per_client).max(1)).unwrap_or(usize::MAX);
         let roster: Vec<ClientId> = st.remaining.keys().copied().collect();

@@ -34,7 +34,7 @@ use dordis_secagg::{ClientId, RoundParams, SecAggError, ThreatModel};
 
 pub use dordis_secagg::driver::{client_rng, round_rng_seed, share_keys_rng};
 
-use crate::codec::{self, decode_list, split_masked_input, Encode, Envelope, StageTag};
+use crate::codec::{self, decode_list, Encode, Envelope, StageTag};
 use crate::transport::{recv_env, send_env, Channel};
 use crate::NetError;
 
@@ -206,57 +206,51 @@ where
                     return Ok(out);
                 }
                 let inbox = decode_list(&env.body, codec::decode_encrypted_shares)?;
-                match client.masked_input(inbox) {
-                    Ok(m) => {
-                        // Stream the masked input one chunk frame at a
-                        // time, in schedule order — this is what lets
-                        // the coordinator aggregate chunk c while chunk
-                        // c+1 is still on the wire.
-                        let parts = split_masked_input(&m, &plan)?;
-                        let partial = match fail {
-                            Some(FailPoint {
-                                stage: FailStage::MaskedInputAfterChunks(k),
-                                action,
-                            }) => Some((usize::from(k), action)),
-                            _ => None,
-                        };
-                        // A fail point that cannot fire would silently
-                        // validate nothing — reject it loudly instead
-                        // of completing the round as a healthy client.
-                        if let Some((k, _)) = partial {
-                            if k >= parts.len() {
-                                return Err(NetError::Protocol(format!(
-                                    "fail point MaskedInputAfterChunks({k}) cannot fire: \
-                                     the round realizes only {} chunk(s)",
-                                    parts.len()
-                                )));
+                let partial = match fail {
+                    Some(FailPoint {
+                        stage: FailStage::MaskedInputAfterChunks(k),
+                        action,
+                    }) => Some((usize::from(k), action)),
+                    _ => None,
+                };
+                let cursor = match client.begin_masked_input(inbox) {
+                    Ok(cursor) => cursor,
+                    Err(e) => return abort(chan, round, &e),
+                };
+                // A fail point that cannot fire would silently
+                // validate nothing — reject it loudly instead of
+                // completing the round as a healthy client.
+                if let Some((k, _)) = partial {
+                    if k >= plan.chunks() {
+                        return Err(NetError::Protocol(format!(
+                            "fail point MaskedInputAfterChunks({k}) cannot fire: \
+                             the round realizes only {} chunk(s)",
+                            plan.chunks()
+                        )));
+                    }
+                }
+                // Mask one chunk, put it on the wire, mask the next
+                // while the kernel and the coordinator work on the
+                // first — the coordinator aggregates chunk c while
+                // chunk c+1 does not exist yet.
+                for c in 0..plan.chunks() {
+                    if let Some((k, action)) = partial {
+                        if c == k {
+                            // Mid-stream failure: k chunks are already
+                            // out, the rest are never even masked.
+                            if action == FailAction::Silent {
+                                std::thread::sleep(opts.silent_linger);
                             }
-                        }
-                        for (c, part) in parts.iter().enumerate() {
-                            if let Some((k, action)) = partial {
-                                if c == k {
-                                    // Mid-stream failure: k chunks are
-                                    // already out, the rest never leave.
-                                    if action == FailAction::Silent {
-                                        std::thread::sleep(opts.silent_linger);
-                                    }
-                                    return Ok(ClientRunOutcome::Failed {
-                                        stage: FailStage::MaskedInputAfterChunks(k as u16),
-                                    });
-                                }
-                            }
-                            send_env(
-                                chan,
-                                &Envelope::chunked(
-                                    StageTag::MaskedInput,
-                                    round,
-                                    c as u16,
-                                    part.encoded(),
-                                ),
-                            )?;
+                            return Ok(ClientRunOutcome::Failed {
+                                stage: FailStage::MaskedInputAfterChunks(k as u16),
+                            });
                         }
                     }
-                    Err(e) => return abort(chan, round, &e),
+                    let part = cursor.chunk(plan.range(c));
+                    send_env(
+                        chan,
+                        &Envelope::chunked(StageTag::MaskedInput, round, c as u16, part.encoded()),
+                    )?;
                 }
             }
             StageTag::SurvivorSet => {

@@ -81,6 +81,12 @@ const FRAME_POOL_MAX: usize = 8;
 /// (below it, the memmove costs more than the memory is worth).
 const COMPACT_THRESHOLD: usize = 16 * 1024;
 
+/// Stream-buffer capacity a drained [`FrameBuffer`] keeps. Control
+/// frames (a few KiB even at 256 clients) never grow past it, so they
+/// never re-allocate; a masked-input burst grows the buffer to
+/// megabytes, and that is released when the burst has been consumed.
+const RELEASE_CAPACITY: usize = 64 * 1024;
+
 impl FrameBuffer {
     /// An empty buffer.
     #[must_use]
@@ -183,8 +189,15 @@ impl FrameBuffer {
         frame.extend_from_slice(&self.buf[p + 4..p + 4 + len]);
         self.pos += 4 + len;
         if self.pos == self.buf.len() {
-            // Fully consumed: reset in place, keeping the capacity.
-            self.buf.clear();
+            // Fully consumed: reset in place. Ordinary traffic keeps its
+            // capacity; what a bulk burst grew goes back to the
+            // allocator, or every connection would hold its share of
+            // the round's largest burst for the rest of the session.
+            if self.buf.capacity() > RELEASE_CAPACITY {
+                self.buf = Vec::new();
+            } else {
+                self.buf.clear();
+            }
             self.pos = 0;
         }
         // The frame's bytes move from stream custody to decoded-frame
@@ -844,6 +857,75 @@ mod tests {
         assert!(buf.take_frame().unwrap().is_none());
     }
 
+    /// Length-prefixes `frames` into one stream.
+    fn framed(frames: &[Vec<u8>]) -> Vec<u8> {
+        let mut stream = Vec::new();
+        for f in frames {
+            stream.extend_from_slice(&(f.len() as u32).to_le_bytes());
+            stream.extend_from_slice(f);
+        }
+        stream
+    }
+
+    #[test]
+    fn frame_buffer_releases_a_drained_burst_and_nothing_else() {
+        // Two 1.25 MiB chunk frames behind a small control frame,
+        // arriving in socket-read-sized pieces while the consumer lags
+        // (nothing is taken until the whole burst is buffered).
+        let frames: Vec<Vec<u8>> = [100usize, 1_310_724, 1_310_724]
+            .iter()
+            .enumerate()
+            .map(|(k, &len)| (0..len).map(|i| (i * 31 + k) as u8).collect())
+            .collect();
+        let pool = crate::pool::BytePool::new(0);
+        let account = pool.account();
+        let mut buf = FrameBuffer::new();
+        buf.attach_account(account.clone());
+        let stream = framed(&frames);
+        for piece in stream.chunks(64 * 1024) {
+            buf.push(piece);
+        }
+        assert!(buf.buf.capacity() >= stream.len());
+        assert_eq!(account.charged_ingress(), stream.len() as u64);
+        let mut outstanding = 0u64;
+        for want in &frames {
+            let got = buf.take_frame().unwrap().expect("whole frame buffered");
+            assert_eq!(&got, want);
+            outstanding += want.len() as u64;
+            // Stream custody became decoded-frame custody; only the
+            // prefixes left the ledger.
+            assert_eq!(
+                account.charged_ingress(),
+                buf.len() as u64 + outstanding,
+                "ledger is by length, not capacity"
+            );
+            buf.recycle(got);
+            outstanding -= want.len() as u64;
+        }
+        assert!(buf.is_empty() && buf.take_frame().unwrap().is_none());
+        assert_eq!(account.charged_ingress(), 0);
+        assert!(
+            buf.buf.capacity() <= RELEASE_CAPACITY,
+            "burst capacity kept: {}",
+            buf.buf.capacity()
+        );
+
+        // The released buffer keeps working, and control-sized traffic
+        // (tcp_cohort256's frames are ≈ 3 KiB) keeps its allocation.
+        let small: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 3000]).collect();
+        let mut kept = None;
+        for f in &small {
+            buf.push(&framed(std::slice::from_ref(f)));
+            let got = buf.take_frame().unwrap().expect("frame");
+            assert_eq!(&got, f);
+            buf.recycle(got);
+            let at = (buf.buf.as_ptr(), buf.buf.capacity());
+            assert!(at.1 > 0 && at.1 <= RELEASE_CAPACITY);
+            assert_eq!(*kept.get_or_insert(at), at, "small traffic re-allocated");
+        }
+        assert_eq!(account.charged_ingress(), 0);
+    }
+
     #[test]
     fn frame_buffer_cursor_survives_interleaved_push_and_take() {
         // Frames are consumed via the read cursor while later bytes
@@ -852,11 +934,7 @@ mod tests {
         let frames: Vec<Vec<u8>> = (0..50u8)
             .map(|i| vec![i; 1 + usize::from(i) * 7 % 40])
             .collect();
-        let mut stream = Vec::new();
-        for f in &frames {
-            stream.extend_from_slice(&(f.len() as u32).to_le_bytes());
-            stream.extend_from_slice(f);
-        }
+        let stream = framed(&frames);
         let mut buf = FrameBuffer::new();
         let mut got = Vec::new();
         let mut pos = 0;

@@ -351,11 +351,15 @@ impl Client {
     // Stage 2: MaskedInputCollection.
     // ------------------------------------------------------------------
 
-    /// Consumes routed ciphertexts; returns the masked input `y_u`.
-    pub fn masked_input(
+    /// Consumes routed ciphertexts and starts the stage: the routing,
+    /// U2 and quorum checks and the one key agreement per live neighbor
+    /// happen here, once; the returned cursor then produces `y_u` one
+    /// chunk at a time, so a sender can put chunk `c` on the wire
+    /// before chunk `c + 1` has been masked (paper §4's client half).
+    pub fn begin_masked_input(
         &mut self,
         ciphertexts: Vec<EncryptedShares>,
-    ) -> Result<MaskedInput, SecAggError> {
+    ) -> Result<MaskedInputCursor<'_>, SecAggError> {
         self.check_live()?;
         for ct in ciphertexts {
             if ct.to != self.id {
@@ -380,28 +384,34 @@ impl Client {
         }
         self.u2 = u2;
 
-        let bits = self.params.bit_width;
-        let mut y = self.input.vector.clone();
-        // Self mask, fused: the keystream accumulates straight into `y`
-        // (no per-mask vector is materialized; bit-equal by
-        // `mask::tests::fused_expansion_equals_materialized`).
-        mask::add_self_mask_assign(&mut y, &self.b_seed, 0, true, bits);
         // Pairwise masks with every live neighbor.
-        let neighbors = self.neighbors_in(&self.u2.clone());
+        let neighbors = self.neighbors_in(&self.u2);
+        let mut pairwise = Vec::with_capacity(neighbors.len());
         for v in neighbors {
             let (_, s_pk_v) = self.u1[&v];
-            let s_uv = self.s_kp.agree(&s_pk_v);
+            pairwise.push((self.s_kp.agree(&s_pk_v), self.id > v));
             #[cfg(test)]
             {
                 self.agreements += 1;
             }
-            mask::add_pairwise_mask_assign(&mut y, &s_uv, 0, self.id > v, bits);
         }
-        Ok(MaskedInput {
+        Ok(MaskedInputCursor {
             client: self.id,
-            vector: y,
-            bit_width: bits,
+            bit_width: self.params.bit_width,
+            input: &self.input.vector,
+            b_seed: &self.b_seed,
+            pairwise,
         })
+    }
+
+    /// Consumes routed ciphertexts; returns the masked input `y_u` —
+    /// the single-chunk walk of [`Client::begin_masked_input`].
+    pub fn masked_input(
+        &mut self,
+        ciphertexts: Vec<EncryptedShares>,
+    ) -> Result<MaskedInput, SecAggError> {
+        let len = self.params.vector_len;
+        Ok(self.begin_masked_input(ciphertexts)?.chunk(0..len))
     }
 
     /// Minimum ciphertexts a client must receive before proceeding: `t-1`
@@ -642,6 +652,56 @@ impl Client {
     }
 }
 
+/// Elements per outer strip of [`MaskedInputCursor::chunk`]: 16 KiB of
+/// `u64`s, so a strip stays in L1 while every mask is applied to it.
+const CURSOR_STRIP: usize = 2048;
+
+/// A started MaskedInputCollection stage
+/// ([`Client::begin_masked_input`]): the client's input and the seed of
+/// every mask it carries, from which any range of `y_u` can be produced
+/// independently. Addition in `Z_{2^b}` commutes and every mask stream
+/// seeks, so the chunks of any partition, requested in any order,
+/// concatenate to the whole-vector `y_u` bit for bit.
+pub struct MaskedInputCursor<'a> {
+    client: ClientId,
+    bit_width: u32,
+    input: &'a [u64],
+    b_seed: &'a Seed,
+    /// `(s_{u,v}, u > v)` per live neighbor `v`.
+    pairwise: Vec<([u8; 32], bool)>,
+}
+
+impl MaskedInputCursor<'_> {
+    /// Masks `input[range]`: strip-outer, mask-inner — the self mask and
+    /// every pairwise mask are added to one [`CURSOR_STRIP`] of the
+    /// chunk before the next strip is touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is not within the round's vector.
+    #[must_use]
+    pub fn chunk(&self, range: std::ops::Range<usize>) -> MaskedInput {
+        let bits = self.bit_width;
+        let start = range.start;
+        let mut y = self.input[range].to_vec();
+        let mut masks = Vec::with_capacity(self.pairwise.len() + 1);
+        masks.push((mask::self_mask_prg_at(self.b_seed, bits, start), true));
+        for (s_uv, positive) in &self.pairwise {
+            masks.push((mask::pairwise_prg_at(s_uv, bits, start), *positive));
+        }
+        for strip in y.chunks_mut(CURSOR_STRIP) {
+            for (prg, positive) in &mut masks {
+                mask::expand_and_add(prg, strip, *positive, bits);
+            }
+        }
+        MaskedInput {
+            client: self.client,
+            vector: y,
+            bit_width: bits,
+        }
+    }
+}
+
 fn self_abort_err(client: ClientId, reason: &str) -> SecAggError {
     SecAggError::ClientAbort {
         client,
@@ -754,6 +814,7 @@ mod tests {
 
     use crate::driver::{client_rng, share_keys_rng};
     use crate::server::Server;
+    use dordis_pipeline::ChunkPlan;
 
     const SEED: u64 = 0x15_5eed;
 
@@ -772,16 +833,16 @@ mod tests {
         noise: Vec<NoiseShareResponse>,
     }
 
-    /// A semi-honest round in which `gone_before_masked` vanish just
-    /// before MaskedInputCollection and `gone_before_unmask` just before
-    /// Unmasking; `tamper` plays the network between ShareKeys and the
-    /// clients' inboxes.
-    fn drive(
+    /// Clients, server and routed inboxes of a semi-honest round that
+    /// has finished ShareKeys; client `id` holds `input_for(id)`.
+    fn staged_to_inboxes(
         params: &RoundParams,
-        gone_before_masked: &[ClientId],
-        gone_before_unmask: &[ClientId],
-        tamper: impl FnOnce(&mut BTreeMap<ClientId, Vec<EncryptedShares>>),
-    ) -> Staged {
+        input_for: impl Fn(ClientId) -> Vec<u64>,
+    ) -> (
+        BTreeMap<ClientId, Client>,
+        Server,
+        BTreeMap<ClientId, Vec<EncryptedShares>>,
+    ) {
         let mut clients = BTreeMap::new();
         for &id in &params.clients {
             let noise_seeds = if params.noise_components == 0 {
@@ -792,7 +853,7 @@ mod tests {
                     .collect()
             };
             let input = ClientInput {
-                vector: vec![u64::from(id) + 1; params.vector_len],
+                vector: input_for(id),
                 noise_seeds,
             };
             let c = Client::new(params.clone(), id, input, None, &mut client_rng(SEED, id));
@@ -811,7 +872,22 @@ mod tests {
                     .unwrap(),
             );
         }
-        let mut inboxes = server.route_shares(cts).unwrap();
+        let inboxes = server.route_shares(cts).unwrap();
+        (clients, server, inboxes)
+    }
+
+    /// A semi-honest round in which `gone_before_masked` vanish just
+    /// before MaskedInputCollection and `gone_before_unmask` just before
+    /// Unmasking; `tamper` plays the network between ShareKeys and the
+    /// clients' inboxes.
+    fn drive(
+        params: &RoundParams,
+        gone_before_masked: &[ClientId],
+        gone_before_unmask: &[ClientId],
+        tamper: impl FnOnce(&mut BTreeMap<ClientId, Vec<EncryptedShares>>),
+    ) -> Staged {
+        let (mut clients, mut server, mut inboxes) =
+            staged_to_inboxes(params, |id| vec![u64::from(id) + 1; params.vector_len]);
         tamper(&mut inboxes);
         let mut masked = Vec::new();
         for (&id, c) in clients.iter_mut() {
@@ -944,6 +1020,88 @@ mod tests {
         }
         assert!(staged.unmask[&2].is_err());
         assert!(staged.clients[&2].aborted);
+    }
+
+    /// The whole-vector, one-pass-per-mask loop `masked_input` ran
+    /// before the cursor existed — what every chunk must be a slice of.
+    fn whole_vector_oracle(cursor: &MaskedInputCursor<'_>) -> Vec<u64> {
+        let bits = cursor.bit_width;
+        let mut y = cursor.input.to_vec();
+        mask::add_self_mask_assign(&mut y, cursor.b_seed, 0, true, bits);
+        for (s_uv, positive) in &cursor.pairwise {
+            mask::add_pairwise_mask_assign(&mut y, s_uv, 0, *positive, bits);
+        }
+        y
+    }
+
+    #[test]
+    fn cursor_chunks_are_slices_of_the_whole_vector_masking() {
+        // Three outer strips and a ragged tail.
+        let dim = 3 * CURSOR_STRIP + 1000;
+        let graphs = [
+            (6u32, MaskingGraph::Complete),
+            (9, MaskingGraph::Harary { half_degree: 2 }),
+        ];
+        // 32 / 33 bits sit on the two sides of the PRG lane boundary.
+        for bits in [16u32, 20, 32, 33, 62] {
+            for (n, graph) in graphs {
+                let p = RoundParams {
+                    bit_width: bits,
+                    vector_len: dim,
+                    ..round(n, 4, graph, 0)
+                };
+                let ring = p.ring_mask();
+                let (mut clients, _, mut inboxes) = staged_to_inboxes(&p, |id| {
+                    (0..dim as u64)
+                        .map(|i| (u64::from(id) * 1009 + i * 31 + 7) & ring)
+                        .collect()
+                });
+                let degree = graph.degree(n as usize);
+                for (&id, c) in clients.iter_mut() {
+                    let cursor = c.begin_masked_input(inboxes.remove(&id).unwrap()).unwrap();
+                    let want = whole_vector_oracle(&cursor);
+                    assert_ne!(want, cursor.input, "masked at all");
+                    let mut partitions: Vec<Vec<std::ops::Range<usize>>> = [1usize, 2, 4, 8]
+                        .iter()
+                        .map(|&m| {
+                            let plan = ChunkPlan::aligned(dim, m, bits).unwrap();
+                            assert_eq!(plan.chunks(), m);
+                            (0..m).map(|c| plan.range(c)).collect()
+                        })
+                        .collect();
+                    // Chunk starts on neither a strip nor a PRG block.
+                    partitions.push(vec![0..1, 1..CURSOR_STRIP + 1, CURSOR_STRIP + 1..dim]);
+                    for ranges in partitions {
+                        let mut in_order = Vec::with_capacity(dim);
+                        for r in &ranges {
+                            let part = cursor.chunk(r.clone());
+                            assert_eq!((part.client, part.bit_width), (id, bits));
+                            in_order.extend(part.vector);
+                        }
+                        assert_eq!(in_order, want, "bits {bits}, {graph:?}, {ranges:?}");
+                        let mut reversed = vec![0u64; dim];
+                        for r in ranges.iter().rev() {
+                            reversed[r.clone()].copy_from_slice(&cursor.chunk(r.clone()).vector);
+                        }
+                        assert_eq!(reversed, want, "reversed; bits {bits}, {graph:?}");
+                    }
+                    // One agreement per neighbor at `begin`, none per chunk.
+                    assert_eq!(cursor.pairwise.len(), degree);
+                    assert_eq!(c.agreements, 2 * degree, "client {id}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masked_input_is_the_single_chunk_walk() {
+        let p = round(6, 4, MaskingGraph::Complete, 0);
+        let (mut clients, _, inboxes) = staged_to_inboxes(&p, |id| vec![u64::from(id); 4]);
+        let c = clients.get_mut(&3).unwrap();
+        let whole = c.masked_input(inboxes[&3].clone()).unwrap();
+        let cursor = c.begin_masked_input(inboxes[&3].clone()).unwrap();
+        assert_eq!(whole.vector, whole_vector_oracle(&cursor));
+        assert_eq!(whole, cursor.chunk(0..4));
     }
 
     #[test]

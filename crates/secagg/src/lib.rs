@@ -19,6 +19,8 @@
 //! Structure:
 //! - [`graph`]: complete and Harary k-regular masking graphs,
 //! - [`messages`]: wire messages with byte-size accounting,
+//! - [`pack`]: the `b`-bits-per-element packing masked inputs travel
+//!   and wait in,
 //! - [`client`], [`server`]: per-party state machines, one method per
 //!   stage,
 //! - [`driver`]: in-memory round executor with a configurable dropout
@@ -33,6 +35,7 @@ pub mod driver;
 pub mod graph;
 pub mod mask;
 pub mod messages;
+pub mod pack;
 pub mod plain;
 pub mod server;
 

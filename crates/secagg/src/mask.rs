@@ -48,6 +48,20 @@ pub fn self_mask(seed: &Seed, len: usize, bit_width: u32) -> Vec<u64> {
     out
 }
 
+/// The pairwise mask stream `PRG(s_{u,v})`, positioned at element
+/// `elem_offset` — for callers that walk one mask in several
+/// [`expand_and_add`] steps.
+#[must_use]
+pub fn pairwise_prg_at(shared_key: &[u8; 32], bit_width: u32, elem_offset: usize) -> Prg {
+    Prg::new_at(shared_key, DOMAIN_PAIRWISE, bit_width, elem_offset)
+}
+
+/// The self-mask stream `PRG(b_u)`, positioned at element `elem_offset`.
+#[must_use]
+pub fn self_mask_prg_at(seed: &Seed, bit_width: u32, elem_offset: usize) -> Prg {
+    Prg::new_at(seed, DOMAIN_SELFMASK, bit_width, elem_offset)
+}
+
 /// Fused expand-and-accumulate: `acc ± PRG-stream (mod 2^b)`, strip by
 /// strip, without materializing the mask vector. `prg` must already be
 /// positioned at the stream element corresponding to `acc[0]`.
@@ -71,7 +85,7 @@ pub fn add_pairwise_mask_assign(
     positive: bool,
     bit_width: u32,
 ) {
-    let mut prg = Prg::new_at(shared_key, DOMAIN_PAIRWISE, bit_width, elem_offset);
+    let mut prg = pairwise_prg_at(shared_key, bit_width, elem_offset);
     expand_and_add(&mut prg, acc, positive, bit_width);
 }
 
@@ -84,7 +98,7 @@ pub fn add_self_mask_assign(
     positive: bool,
     bit_width: u32,
 ) {
-    let mut prg = Prg::new_at(seed, DOMAIN_SELFMASK, bit_width, elem_offset);
+    let mut prg = self_mask_prg_at(seed, bit_width, elem_offset);
     expand_and_add(&mut prg, acc, positive, bit_width);
 }
 

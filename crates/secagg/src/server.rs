@@ -28,12 +28,11 @@ use dordis_crypto::shamir::{self, Share};
 use dordis_crypto::x25519;
 use dordis_pipeline::ChunkPlan;
 
-use crate::mask;
 use crate::messages::{
     AdvertisedKeys, ConsistencySignature, EncryptedShares, MaskedInput, NoiseShareResponse,
     UnmaskingResponse,
 };
-use crate::{share_threshold, ClientId, RoundParams, SecAggError};
+use crate::{mask, pack, share_threshold, ClientId, RoundParams, SecAggError};
 
 /// The result of a completed aggregation round.
 #[derive(Clone, Debug)]
@@ -64,12 +63,14 @@ pub struct Server {
     u5: Vec<ClientId>,
     /// Per-chunk masked inputs of clients whose streams are still
     /// *incomplete*: `masked[c][client]` is the client's chunk-`c`
-    /// slice. Once every chunk has arrived the client's vectors are
-    /// folded into [`Server::fold_sums`] and freed — so this map never
-    /// holds more than the in-flight streams, not the whole cohort's
-    /// decoded upload. Partial deliveries linger here but never reach
-    /// a sum; `finalize_masked` discards them.
-    masked: Vec<BTreeMap<ClientId, Vec<u64>>>,
+    /// slice, bit-packed ([`pack`]) at the ring width — a quarter to a
+    /// third of its decoded size at 16–20 bits, which matters because
+    /// chunk-lazy clients leave every stream incomplete for most of the
+    /// stage. The chunk that completes a stream is never parked: it
+    /// folds into [`Server::fold_sums`] with the parked ones and all
+    /// are freed. Partial deliveries linger here but never reach a sum;
+    /// `finalize_masked` discards them.
+    masked: Vec<BTreeMap<ClientId, Vec<u8>>>,
     /// Clients whose complete masked input has been folded into
     /// [`Server::fold_sums`]. This *is* U3 at `finalize_masked` time.
     folded: BTreeSet<ClientId>,
@@ -216,10 +217,11 @@ impl Server {
     /// chunk `c+1` is still in flight.
     ///
     /// The moment a client's *last* outstanding chunk lands, its whole
-    /// vector is folded into the per-chunk running sums and its decoded
+    /// vector is folded into the per-chunk running sums and its parked
     /// chunks are freed — the server never holds the full cohort's
-    /// decoded upload at once. A frame arriving for an already-folded
-    /// client (a duplicate) is discarded.
+    /// decoded upload at once; until then a chunk waits bit-packed. A
+    /// frame arriving for an already-folded client (a duplicate) is
+    /// discarded.
     ///
     /// # Errors
     ///
@@ -254,14 +256,27 @@ impl Server {
                 continue;
             }
             let client = m.client;
-            self.masked[chunk].insert(client, m.vector);
-            if self.masked.iter().all(|c| c.contains_key(&client)) {
-                for (c, store) in self.masked.iter_mut().enumerate() {
-                    let v = store.remove(&client).expect("all chunks present");
-                    mask::add_signed_assign(&mut self.fold_sums[c], &v, true, bits);
-                }
-                self.folded.insert(client);
+            let completes = self
+                .masked
+                .iter()
+                .enumerate()
+                .all(|(c, store)| c == chunk || store.contains_key(&client));
+            if !completes {
+                let mut packed = Vec::new();
+                pack::pack_into(&m.vector, bits, &mut packed);
+                self.masked[chunk].insert(client, packed);
+                continue;
             }
+            for (c, store) in self.masked.iter_mut().enumerate() {
+                let parked = store.remove(&client);
+                if c == chunk {
+                    mask::add_signed_assign(&mut self.fold_sums[c], &m.vector, true, bits);
+                } else {
+                    let parked = parked.expect("every other chunk parked");
+                    pack::unpack_add(&parked, bits, &mut self.fold_sums[c]);
+                }
+            }
+            self.folded.insert(client);
         }
         Ok(())
     }
