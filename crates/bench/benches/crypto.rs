@@ -64,6 +64,26 @@ fn bench_field(c: &mut Criterion) {
     });
     g.finish();
     c.bench_function("fe_invert", |b| b.iter(|| black_box(x).invert()));
+
+    // The same two rows for the radix-2^25.5 arithmetic of the 8-lane
+    // ladder, per lane: a chain of 1 000 advances eight elements. Absent
+    // on a host without AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    {
+        use dordis_crypto::x25519_avx512::field_chain8;
+        let (f, y) = ([[0x5au8; 32]; 8], [[0x33u8; 32]; 8]);
+        if field_chain8(&f, &y, 0, 0).is_some() {
+            let mut g = c.benchmark_group("field25");
+            g.throughput(Throughput::Elements(8 * CHAIN));
+            g.bench_function("mul", |b| {
+                b.iter(|| field_chain8(black_box(&f), black_box(&y), CHAIN as u32, 0));
+            });
+            g.bench_function("square", |b| {
+                b.iter(|| field_chain8(black_box(&f), &y, 0, CHAIN as u32));
+            });
+            g.finish();
+        }
+    }
 }
 
 fn bench_x25519(c: &mut Criterion) {
@@ -76,6 +96,21 @@ fn bench_x25519(c: &mut Criterion) {
     c.bench_function("x25519_keygen", |b| {
         b.iter(|| KeyPair::generate(&mut rng).public);
     });
+    // One secret against a neighbourhood, per peer: 4 is the smallest
+    // wide batch, 8 a full one, 16 / 20 / 31 the degrees of the reference
+    // workloads (2, 3 and 4 batches). On a host without AVX-512F every
+    // row reads `x25519_agree`.
+    let mut g = c.benchmark_group("x25519_agree_many");
+    for peers in [4usize, 8, 16, 20, 31] {
+        let pks: Vec<[u8; 32]> = (0..peers)
+            .map(|_| KeyPair::generate(&mut rng).public)
+            .collect();
+        g.throughput(Throughput::Elements(peers as u64));
+        g.bench_with_input(BenchmarkId::from_parameter(peers), &pks, |b, pks| {
+            b.iter(|| a.agree_many(pks));
+        });
+    }
+    g.finish();
 }
 
 fn bench_signatures(c: &mut Criterion) {

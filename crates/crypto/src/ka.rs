@@ -49,6 +49,25 @@ impl KeyPair {
     #[must_use]
     pub fn agree(&self, their_public: &x25519::PublicKey) -> [u8; 32] {
         let raw = x25519::shared_secret(&self.secret, their_public);
+        self.derive(their_public, &raw)
+    }
+
+    /// `self.agree(peer)` for every peer, in order and byte for byte: the
+    /// DH outputs come from [`x25519::x25519_many`], which runs the
+    /// ladders of one secret side by side where the CPU allows it.
+    #[must_use]
+    pub fn agree_many(&self, peers: &[x25519::PublicKey]) -> Vec<[u8; 32]> {
+        let raws = x25519::x25519_many(&self.secret, peers);
+        peers
+            .iter()
+            .zip(&raws)
+            .map(|(peer, raw)| self.derive(peer, raw))
+            .collect()
+    }
+
+    /// The hash half of `KA.agree`: the raw DH output with `their_public`
+    /// through HKDF, bound to both public keys.
+    fn derive(&self, their_public: &x25519::PublicKey, raw: &[u8; 32]) -> [u8; 32] {
         let (lo, hi) = if self.public <= *their_public {
             (self.public, *their_public)
         } else {
@@ -57,7 +76,7 @@ impl KeyPair {
         let mut info = Vec::with_capacity(64);
         info.extend_from_slice(&lo);
         info.extend_from_slice(&hi);
-        let okm = hkdf(b"dordis.ka.agree", &raw, &info, 32);
+        let okm = hkdf(b"dordis.ka.agree", raw, &info, 32);
         let mut out = [0u8; 32];
         out.copy_from_slice(&okm);
         out
@@ -75,6 +94,31 @@ mod tests {
         let a = KeyPair::generate(&mut rng);
         let b = KeyPair::generate(&mut rng);
         assert_eq!(a.agree(&b.public), b.agree(&a.public));
+    }
+
+    #[test]
+    fn agree_many_is_agree_peer_by_peer() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let me = KeyPair::generate(&mut rng);
+        let mut peers: Vec<x25519::PublicKey> = (0..21)
+            .map(|_| KeyPair::generate(&mut rng).public)
+            .collect();
+        // The HKDF info sorts the two public keys: peers on both sides
+        // of `me.public`, the nearest possible ones included.
+        let (mut below, mut above) = (me.public, me.public);
+        below[31] = below[31].wrapping_sub(1);
+        above[31] = above[31].wrapping_add(1);
+        assert!(below < me.public && me.public < above);
+        peers.extend([below, above, [0u8; 32], [0xff; 32], me.public]);
+        for len in [0, 1, 3, 4, 8, 9, peers.len()] {
+            let want: Vec<[u8; 32]> = peers[..len].iter().map(|p| me.agree(p)).collect();
+            assert_eq!(me.agree_many(&peers[..len]), want, "{len} peers");
+        }
+        // And the far end derives the same key from its side.
+        let other = KeyPair::generate(&mut rng);
+        assert_eq!(me.agree_many(&[other.public])[0], other.agree(&me.public));
+        let many = me.agree_many(&[other.public; 8]);
+        assert_eq!(many, other.agree_many(&[me.public; 8]));
     }
 
     #[test]

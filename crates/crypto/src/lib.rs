@@ -13,7 +13,13 @@
 //! - [`chacha20`]: RFC 8439 ChaCha20 block function and stream cipher.
 //! - [`prg`]: a seeded, forkable pseudorandom generator on top of ChaCha20.
 //! - [`field`]: arithmetic in GF(2^255 - 19) with 51-bit limbs.
-//! - [`x25519`]: RFC 7748 Montgomery-ladder Diffie–Hellman.
+//! - [`x25519`]: RFC 7748 Montgomery-ladder Diffie–Hellman, one ladder
+//!   at a time (`x25519`) or one secret against many peers
+//!   (`x25519_many`).
+//! - `x25519_avx512` (x86-64 only): eight of those ladders in the lanes
+//!   of AVX-512F registers, radix 2^25.5 — the kernel `x25519_many` runs
+//!   its batches on where the CPU has it, and the crate's one `unsafe`
+//!   module.
 //! - [`ed25519`]: edwards25519 group operations and a Schnorr signature
 //!   scheme over that group (UF-CMA under standard assumptions).
 //! - [`shamir`]: t-of-n Shamir secret sharing over GF(256).
@@ -24,12 +30,13 @@
 //! - [`vrf`]: an EC-VRF over edwards25519 for verifiable client sampling
 //!   (the paper's §7 extension).
 //!
-//! The implementations favour clarity over speed, but all hot paths used by
-//! the aggregation protocols (hashing, ChaCha20 mask expansion, the X25519
-//! ladder over the lazily reduced [`field`]) are efficient enough to
-//! aggregate multi-million-parameter updates in the benchmarks.
+//! Hashing, MACs and secret sharing favour clarity over speed; the hot
+//! paths the aggregation protocols' round time is made of (ChaCha20 mask
+//! expansion, the X25519 ladder over the lazily reduced [`field`], the
+//! Edwards multiplications under signatures and the VRF) are written for
+//! speed, each with a plain reference it is tested bit-equal against.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aead;
@@ -43,6 +50,9 @@ pub mod sha256;
 pub mod shamir;
 pub mod vrf;
 pub mod x25519;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+pub mod x25519_avx512;
 
 /// Errors produced by cryptographic operations in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -4,6 +4,13 @@
 //! keypair, advertises the public key through the server, and agrees on a
 //! shared secret with every other client. The Montgomery ladder operates on
 //! u-coordinates only.
+//!
+//! A client agrees with all of its neighbours under the same secret, so
+//! there are two entry points: [`x25519`] walks one ladder, and
+//! [`x25519_many`] takes one scalar and any number of base points and
+//! hands them, eight at a time, to the lane-parallel ladder of
+//! `x25519_avx512` where the CPU has AVX-512F. Every output of either is
+//! bit-equal to [`x25519`], which is the fallback on every other host.
 
 use crate::field::Fe;
 
@@ -79,6 +86,51 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     cswap(swap, &mut x2, &mut x3);
     cswap(swap, &mut z2, &mut z3);
     x2.mul(z2.invert()).to_bytes()
+}
+
+/// `x25519(scalar, u)` for every `u` of `us`, in order.
+///
+/// While at least four points remain, up to eight go through one
+/// `x25519_avx512::ladder8` batch (unused lanes padded with
+/// [`BASE_POINT`]); the rest, and everything on a host without AVX-512F,
+/// goes through [`x25519`] one by one. Which points share a batch depends
+/// on `us.len()` alone.
+#[must_use]
+pub fn x25519_many(scalar: &[u8; 32], us: &[[u8; 32]]) -> Vec<[u8; 32]> {
+    let mut out = Vec::with_capacity(us.len());
+    #[cfg(target_arch = "x86_64")]
+    let us = wide_batches(scalar, us, &mut out);
+    out.extend(x25519_many_portable(scalar, us));
+    out
+}
+
+/// Appends the leading points of `us` that the batching rule gives to the
+/// wide kernel and returns the points left over.
+#[cfg(target_arch = "x86_64")]
+fn wide_batches<'a>(
+    scalar: &[u8; 32],
+    mut us: &'a [[u8; 32]],
+    out: &mut Vec<[u8; 32]>,
+) -> &'a [[u8; 32]] {
+    /// Fewest points worth a batch: eight lanes cost about as much as
+    /// 3.5–3.7 scalar ladders, however many of them are padding.
+    const WIDE_BATCH_MIN: usize = 4;
+    while us.len() >= WIDE_BATCH_MIN {
+        let (batch, rest) = us.split_at(us.len().min(8));
+        let mut lanes = [BASE_POINT; 8];
+        lanes[..batch.len()].copy_from_slice(batch);
+        let Some(shared) = crate::x25519_avx512::ladder8(scalar, &lanes) else {
+            break;
+        };
+        out.extend_from_slice(&shared[..batch.len()]);
+        us = rest;
+    }
+    us
+}
+
+/// [`x25519_many`] without the wide kernel: one scalar ladder per point.
+fn x25519_many_portable(scalar: &[u8; 32], us: &[[u8; 32]]) -> Vec<[u8; 32]> {
+    us.iter().map(|u| x25519(scalar, u)).collect()
 }
 
 /// Derives the public key for a secret key.
@@ -193,6 +245,71 @@ mod tests {
         for secret in [[0x42u8; 32], [0xffu8; 32], BASE_POINT] {
             for u in low_order {
                 assert_eq!(shared_secret(&secret, &unhex32(u)), [0u8; 32], "u = {u}");
+            }
+        }
+    }
+
+    /// Edge encodings of a peer's u-coordinate: 0, 1, p − 1, p, p + 1,
+    /// 2^255 − 1, bit 255 set (ignored on decode), and the low-order
+    /// points.
+    fn edge_points() -> Vec<[u8; 32]> {
+        [
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0100000000000000000000000000000000000000000000000000000000000000",
+            "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+            "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+            "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+            "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+            "0900000000000000000000000000000000000000000000000000000000000080",
+            "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1ccc",
+            "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+            "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+            "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+        ]
+        .map(unhex32)
+        .to_vec()
+    }
+
+    fn random32(rng: &mut impl rand::Rng) -> [u8; 32] {
+        let mut b = [0u8; 32];
+        rng.fill(&mut b[..]);
+        b
+    }
+
+    /// Every batch, padding and tail shape of the dispatcher — and, called
+    /// directly, of the portable path, so a host with AVX-512F still
+    /// covers the ladder everyone else runs.
+    #[test]
+    fn many_matches_one_by_one_at_every_length() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        for len in 0..=33 {
+            let scalar = random32(&mut rng);
+            let us: Vec<[u8; 32]> = (0..len).map(|_| random32(&mut rng)).collect();
+            let want: Vec<[u8; 32]> = us.iter().map(|u| x25519(&scalar, u)).collect();
+            assert_eq!(x25519_many(&scalar, &us), want, "len {len}");
+            assert_eq!(
+                x25519_many_portable(&scalar, &us),
+                want,
+                "portable, len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn many_matches_one_by_one_on_edge_points() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        // 11 edges and 5 random points make two full batches: eight
+        // rotations by one walk every edge through every lane.
+        let mut us = edge_points();
+        us.extend((0..5).map(|_| random32(&mut rng)));
+        for secret in [[0x42u8; 32], [0xffu8; 32], random32(&mut rng)] {
+            for _ in 0..8 {
+                us.rotate_left(1);
+                let want: Vec<[u8; 32]> = us.iter().map(|u| x25519(&secret, u)).collect();
+                assert_eq!(x25519_many(&secret, &us), want);
+                assert_eq!(x25519_many_portable(&secret, &us), want);
             }
         }
     }

@@ -5,7 +5,7 @@
 //! consistency check fails (in which case the client aborts for the rest
 //! of the round — honest clients never continue past a detected attack).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use dordis_crypto::aead;
@@ -47,6 +47,9 @@ pub struct Identity {
 pub struct Client {
     params: RoundParams,
     id: ClientId,
+    /// Position of every sampled id in `params.clients` (stable across
+    /// parties; what the masking graph is defined over).
+    index: HashMap<ClientId, usize>,
     input: ClientInput,
     identity: Option<Identity>,
     c_kp: KeyPair,
@@ -120,7 +123,13 @@ impl Client {
                 "malicious model requires a PKI identity".into(),
             ));
         }
-        if !params.clients.contains(&id) {
+        let index: HashMap<ClientId, usize> = params
+            .clients
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (c, i))
+            .collect();
+        if !index.contains_key(&id) {
             return Err(SecAggError::Config(format!("client {id} not sampled")));
         }
         let mut b_seed = [0u8; 32];
@@ -128,6 +137,7 @@ impl Client {
         Ok(Client {
             params,
             id,
+            index,
             input,
             identity,
             c_kp: KeyPair::generate(rng),
@@ -173,22 +183,26 @@ impl Client {
 
     /// Index of a client id in the sampled set (stable across parties).
     fn index_of(&self, id: ClientId) -> Option<usize> {
-        self.params.clients.iter().position(|&c| c == id)
+        self.index.get(&id).copied()
     }
 
-    /// Neighbor ids in the masking graph, restricted to a live set.
+    /// Neighbor ids in the masking graph, restricted to a live set
+    /// (sorted ascending, as U1 and U2 are), in ascending id order: share
+    /// slots and the order of the pairwise masks follow it.
     fn neighbors_in(&self, live: &[ClientId]) -> Vec<ClientId> {
+        debug_assert!(live.windows(2).all(|w| w[0] < w[1]));
         let n = self.params.clients.len();
         let my_idx = self.index_of(self.id).expect("own id sampled");
-        live.iter()
-            .copied()
-            .filter(|&v| {
-                v != self.id
-                    && self
-                        .index_of(v)
-                        .is_some_and(|vi| self.params.graph.are_neighbors(n, my_idx, vi))
-            })
-            .collect()
+        let mut out: Vec<ClientId> = self
+            .params
+            .graph
+            .neighbors(n, my_idx)
+            .into_iter()
+            .map(|i| self.params.clients[i])
+            .filter(|v| live.binary_search(v).is_ok())
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// The AEAD key of the channel to `peer` (who must be in U1), agreed
@@ -205,6 +219,22 @@ impl Client {
         }
         self.channel_keys.insert(peer, key);
         key
+    }
+
+    /// Agrees the channel keys of all of `peers` (who must be in U1) that
+    /// are not cached yet, in one `agree_many` under `c_sk`.
+    fn agree_channel_keys(&mut self, peers: &[ClientId]) {
+        let (missing, c_pks): (Vec<ClientId>, Vec<[u8; 32]>) = peers
+            .iter()
+            .filter(|peer| !self.channel_keys.contains_key(peer))
+            .map(|peer| (*peer, self.u1[peer].0))
+            .unzip();
+        let keys = self.c_kp.agree_many(&c_pks);
+        #[cfg(test)]
+        {
+            self.agreements += keys.len();
+        }
+        self.channel_keys.extend(missing.into_iter().zip(keys));
     }
 
     // ------------------------------------------------------------------
@@ -321,6 +351,7 @@ impl Client {
             }
         }
 
+        self.agree_channel_keys(&recipients);
         let mut out = Vec::with_capacity(recipients.len());
         for &to in recipients.iter() {
             let slot = self
@@ -335,7 +366,7 @@ impl Client {
                 b_share: b_shares[slot].clone(),
                 seed_shares: seed_share_lists.iter().map(|l| l[slot].clone()).collect(),
             };
-            let key = self.channel_key(to);
+            let key = self.channel_keys[&to];
             let aad = aad_for(self.params.round, self.id, to);
             let ciphertext = aead::seal(&key, &aad, &bundle.encode(), rng);
             out.push(EncryptedShares {
@@ -384,16 +415,20 @@ impl Client {
         }
         self.u2 = u2;
 
-        // Pairwise masks with every live neighbor.
+        // Pairwise masks with every live neighbor: one `agree_many`
+        // under `s_sk`.
         let neighbors = self.neighbors_in(&self.u2);
-        let mut pairwise = Vec::with_capacity(neighbors.len());
-        for v in neighbors {
-            let (_, s_pk_v) = self.u1[&v];
-            pairwise.push((self.s_kp.agree(&s_pk_v), self.id > v));
-            #[cfg(test)]
-            {
-                self.agreements += 1;
-            }
+        let s_pks: Vec<[u8; 32]> = neighbors.iter().map(|v| self.u1[v].1).collect();
+        let pairwise: Vec<([u8; 32], bool)> = self
+            .s_kp
+            .agree_many(&s_pks)
+            .into_iter()
+            .zip(&neighbors)
+            .map(|(s_uv, &v)| (s_uv, self.id > v))
+            .collect();
+        #[cfg(test)]
+        {
+            self.agreements += pairwise.len();
         }
         Ok(MaskedInputCursor {
             client: self.id,
@@ -843,6 +878,20 @@ mod tests {
         Server,
         BTreeMap<ClientId, Vec<EncryptedShares>>,
     ) {
+        staged_to_inboxes_with(params, input_for, |_, _| {})
+    }
+
+    /// [`staged_to_inboxes`], with `before_share_keys` run on every client
+    /// once the roster is known.
+    fn staged_to_inboxes_with(
+        params: &RoundParams,
+        input_for: impl Fn(ClientId) -> Vec<u64>,
+        before_share_keys: impl Fn(&mut Client, &[AdvertisedKeys]),
+    ) -> (
+        BTreeMap<ClientId, Client>,
+        Server,
+        BTreeMap<ClientId, Vec<EncryptedShares>>,
+    ) {
         let mut clients = BTreeMap::new();
         for &id in &params.clients {
             let noise_seeds = if params.noise_components == 0 {
@@ -867,6 +916,7 @@ mod tests {
         let roster = server.collect_advertisements(advs).unwrap();
         let mut cts = Vec::new();
         for (&id, c) in clients.iter_mut() {
+            before_share_keys(c, &roster);
             cts.extend(
                 c.share_keys(&roster, &mut share_keys_rng(SEED, id))
                     .unwrap(),
@@ -1089,6 +1139,129 @@ mod tests {
                     assert_eq!(cursor.pairwise.len(), degree);
                     assert_eq!(c.agreements, 2 * degree, "client {id}");
                 }
+            }
+        }
+    }
+
+    /// The masking graph's degrees on both sides of every batch shape of
+    /// `agree_many` (scalar only, one padded batch, one full batch, a full
+    /// batch and a scalar tail, three batches), each round built twice:
+    /// as shipped, and with every key agreed one `agree` at a time — the
+    /// channel keys through the cache-miss path `channel_key`, before
+    /// `share_keys` can batch them, the pairwise keys here.
+    #[test]
+    fn batched_agreements_build_the_round_agree_alone_builds() {
+        let complete = MaskingGraph::Complete;
+        let harary = |half_degree| MaskingGraph::Harary { half_degree };
+        let shapes = [
+            (4u32, complete, 3usize),
+            (9, harary(2), 4),
+            (12, harary(4), 8),
+            (10, complete, 9),
+            (24, harary(10), 20),
+        ];
+        for (n, graph, degree) in shapes {
+            assert_eq!(graph.degree(n as usize), degree);
+            let p = round(n, 3, graph, 0);
+            let input_for = |id: ClientId| vec![u64::from(id) + 1; 4];
+            let (mut clients, mut server, mut inboxes) = staged_to_inboxes(&p, input_for);
+            let (oracle, _, oracle_inboxes) = staged_to_inboxes_with(&p, input_for, |c, roster| {
+                for adv in roster {
+                    c.u1.insert(adv.client, (adv.c_pk, adv.s_pk));
+                }
+                let u1: Vec<ClientId> = c.u1.keys().copied().collect();
+                for v in c.neighbors_in(&u1) {
+                    c.channel_key(v);
+                }
+            });
+            assert_eq!(inboxes, oracle_inboxes, "degree {degree}: ciphertexts");
+            assert_eq!(
+                inboxes.values().map(Vec::len).sum::<usize>(),
+                n as usize * degree
+            );
+
+            let mut masked = Vec::new();
+            for (&id, c) in clients.iter_mut() {
+                let (s_kp, u1) = (c.s_kp.clone(), c.u1.clone());
+                let cursor = c.begin_masked_input(inboxes.remove(&id).unwrap()).unwrap();
+                let want: Vec<([u8; 32], bool)> = oracle[&id]
+                    .neighbors_in(&u1.keys().copied().collect::<Vec<_>>())
+                    .into_iter()
+                    .map(|v| (s_kp.agree(&u1[&v].1), id > v))
+                    .collect();
+                assert_eq!(cursor.pairwise, want, "degree {degree}: client {id}");
+                masked.push(cursor.chunk(0..4));
+                assert_eq!(c.agreements, 2 * degree);
+                assert_eq!(oracle[&id].agreements, degree);
+            }
+            server.collect_masked_chunk(0, masked).unwrap();
+            let u3 = server.finalize_masked().unwrap();
+            let responses = u3
+                .iter()
+                .map(|id| clients.get_mut(id).unwrap().unmask(&u3, None).unwrap())
+                .collect();
+            server.reconstruct_unmasking(responses).unwrap();
+            server.unmask_chunk(0).unwrap();
+            let want = u64::from(n) * (u64::from(n) + 1) / 2;
+            assert_eq!(server.finish().sum, vec![want; 4], "degree {degree}");
+        }
+    }
+
+    /// `neighbors_in` before the id → index map: one scan of `live`, two
+    /// of `clients` per entry.
+    fn neighbors_in_reference(c: &Client, live: &[ClientId]) -> Vec<ClientId> {
+        let position = |id| c.params.clients.iter().position(|&x| x == id);
+        let (n, me) = (c.params.clients.len(), position(c.id).unwrap());
+        live.iter()
+            .copied()
+            .filter(|&v| {
+                v != c.id && position(v).is_some_and(|vi| c.params.graph.are_neighbors(n, me, vi))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn neighbors_come_in_ascending_id_order_on_an_unsorted_cohort() {
+        // Index order is not id order, so walking the graph's neighbor
+        // indices yields ids out of order; share slots, the `pairwise`
+        // order and with them every frame need them ascending.
+        let ids: Vec<ClientId> = vec![40, 7, 19, 3, 88, 61, 12, 5, 30, 2, 77];
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        let without = |gone: &[ClientId]| -> Vec<ClientId> {
+            sorted
+                .iter()
+                .copied()
+                .filter(|v| !gone.contains(v))
+                .collect()
+        };
+        let lives = [
+            sorted.clone(),
+            without(&[3, 88]),
+            without(&[40, 7, 19, 61, 2]),
+            vec![],
+        ];
+        for graph in [
+            MaskingGraph::Complete,
+            MaskingGraph::Harary { half_degree: 2 },
+        ] {
+            for &id in &ids {
+                let p = RoundParams {
+                    clients: ids.clone(),
+                    ..round(0, 4, graph, 0)
+                };
+                let mut rng = rand::rngs::StdRng::seed_from_u64(u64::from(id));
+                let c = Client::new(p, id, input(&[0; 4]), None, &mut rng).unwrap();
+                for live in &lives {
+                    let got = c.neighbors_in(live);
+                    assert_eq!(
+                        got,
+                        neighbors_in_reference(&c, live),
+                        "{graph:?}, client {id}"
+                    );
+                    assert!(got.windows(2).all(|w| w[0] < w[1]));
+                }
+                assert_eq!(c.neighbors_in(&sorted).len(), graph.degree(ids.len()));
             }
         }
     }

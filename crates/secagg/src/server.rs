@@ -381,8 +381,8 @@ impl Server {
         let mut correction = vec![0u64; self.params.vector_len];
 
         // Remove self-masks of surviving clients.
-        for &u in &self.u3.clone() {
-            let shares = self.b_share_pool.get(&u).cloned().unwrap_or_default();
+        for &u in &self.u3 {
+            let shares = self.b_share_pool.get(&u).map_or(&[][..], Vec::as_slice);
             if shares.len() < t_eff {
                 return Err(SecAggError::BelowThreshold {
                     stage: "Unmasking(b-recon)",
@@ -390,7 +390,7 @@ impl Server {
                     threshold: t_eff,
                 });
             }
-            let b_bytes = shamir::reconstruct(&shares, t_eff)?;
+            let b_bytes = shamir::reconstruct(shares, t_eff)?;
             let mut b = [0u8; 32];
             b.copy_from_slice(&b_bytes);
             self.recon_b.insert(u);
@@ -399,14 +399,8 @@ impl Server {
 
         // Cancel pairwise masks of clients that dropped between ShareKeys
         // and MaskedInputCollection (v ∈ U2 \ U3).
-        let dropped_mid: Vec<ClientId> = self
-            .u2
-            .iter()
-            .copied()
-            .filter(|v| !u3.contains(v))
-            .collect();
-        for v in dropped_mid {
-            let shares = self.sk_share_pool.get(&v).cloned().unwrap_or_default();
+        for &v in self.u2.iter().filter(|v| !u3.contains(v)) {
+            let shares = self.sk_share_pool.get(&v).map_or(&[][..], Vec::as_slice);
             if shares.len() < t_eff {
                 return Err(SecAggError::BelowThreshold {
                     stage: "Unmasking(sk-recon)",
@@ -414,7 +408,7 @@ impl Server {
                     threshold: t_eff,
                 });
             }
-            let sk_bytes = shamir::reconstruct(&shares, t_eff)?;
+            let sk_bytes = shamir::reconstruct(shares, t_eff)?;
             let mut sk = [0u8; 32];
             sk.copy_from_slice(&sk_bytes);
             self.recon_sk.insert(v);
@@ -430,13 +424,15 @@ impl Server {
                 public: expected_pk,
             };
             // Cancel the residual γ_{u,v}·PRG(s_{u,v}) left by every
-            // survivor u that had applied a mask towards v.
-            for &u in &self.u3.clone() {
-                if !self.routed.contains(&(v, u)) {
-                    continue;
-                }
-                let (_, s_pk_u) = (self.roster[&u].c_pk, self.roster[&u].s_pk);
-                let s_vu = v_kp.agree(&s_pk_u);
+            // survivor u that had applied a mask towards v: one
+            // `agree_many` under the reconstructed `s_sk`.
+            let (masked_towards_v, s_pks): (Vec<ClientId>, Vec<[u8; 32]>) = self
+                .u3
+                .iter()
+                .filter(|&&u| self.routed.contains(&(v, u)))
+                .map(|&u| (u, self.roster[&u].s_pk))
+                .unzip();
+            for (u, s_vu) in masked_towards_v.into_iter().zip(v_kp.agree_many(&s_pks)) {
                 // u added sign(u > v); cancel with sign(v > u).
                 mask::add_pairwise_mask_assign(&mut correction, &s_vu, 0, v > u, bits);
             }
