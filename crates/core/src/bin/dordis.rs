@@ -61,8 +61,7 @@ const USAGE: &str = "usage:\n  dordis example-config\n  dordis train <task.json>
      dordis plan <epsilon> <delta> <rounds> <sample_rate>\n  \
      dordis serve --listen <addr> --clients <n> --threshold <t> [--rounds R] \
      [--dim D] [--bits B] [--graph auto|complete|harary] [--round R0] \
-     [--noise-components T] [--chunks M] \
-     [--ingress-budget BYTES] [--stage-timeout-ms MS] \
+     [--noise-components T] [--chunks M] [--stage-timeout-ms MS] \
      [--join-timeout-ms MS] [--verify-demo] \
      [--trace FILE] [--metrics-addr ADDR] \
      [--replica ADDR | --backup ADDR] [--lease-ms MS]\n  \
@@ -71,26 +70,38 @@ const USAGE: &str = "usage:\n  dordis example-config\n  dordis train <task.json>
      [--drop-at advertise|share-keys|masked-input|consistency|unmasking|noise-shares] \
      [--drop-after-chunks K] [--drop-mode disconnect|silent] [--timeout-ms MS]";
 
-/// Rejects any `--flag` that `cmd`'s line of [`USAGE`] does not name.
-/// [`flag_value`] only looks up the flags it is asked for, so a typo or
-/// a removed knob would otherwise be ignored and the command would run
+/// Rejects any `--flag` that `cmd`'s line of [`USAGE`] does not name,
+/// and any value flag with no value after it (end of arguments, or
+/// another `--flag`). [`flag_value`] only looks up the flags it is asked
+/// for and takes whatever follows one, so a typo, a removed knob or a
+/// forgotten value would otherwise be ignored and the command would run
 /// with a default the operator did not choose.
 fn reject_unknown_flags(cmd: &str, args: &[String]) -> Result<(), String> {
     let line = USAGE
         .lines()
         .find(|l| l.trim_start().starts_with(&format!("dordis {cmd} ")))
         .expect("every command has a usage line");
-    let known: Vec<&str> = line
-        .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+    // (flag, takes a value): the usage line closes a boolean flag
+    // straight after its name (`[--verify-demo]`) and follows a value
+    // flag with its placeholder.
+    let known: Vec<(&str, bool)> = line
+        .split_whitespace()
+        .map(|t| t.trim_start_matches('['))
         .filter(|t| t.starts_with("--"))
+        .map(|t| (t.trim_end_matches(']'), !t.ends_with(']')))
         .collect();
-    match args
-        .iter()
-        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
-    {
-        Some(flag) => Err(format!("unknown flag `{flag}`\n{USAGE}")),
-        None => Ok(()),
+    for (i, arg) in args.iter().enumerate() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        let Some(&(_, takes_value)) = known.iter().find(|(flag, _)| flag == arg) else {
+            return Err(format!("unknown flag `{arg}`\n{USAGE}"));
+        };
+        if takes_value && args.get(i + 1).is_none_or(|v| v.starts_with("--")) {
+            return Err(format!("flag `{arg}` needs a value\n{USAGE}"));
+        }
     }
+    Ok(())
 }
 
 /// Pulls `--flag value` out of an argument list.
@@ -132,11 +143,6 @@ fn serve_inner(args: &[String]) -> Result<ExitCode, String> {
     let noise_components: usize = flag_parse(args, "--noise-components", 0)?;
     // 0 = planner-chosen (§4.2 cost-model sweep).
     let chunks_flag: usize = flag_parse(args, "--chunks", 0)?;
-    // 0 = unlimited (the bit-equal reference); a byte count caps how
-    // much decoded-but-unprocessed ingress the reactor's shared frame
-    // pool holds before over-budget connections are paused (TCP flow
-    // control pushes back until the backlog drains).
-    let ingress_budget: u64 = flag_parse(args, "--ingress-budget", 0)?;
     let stage_timeout: u64 = flag_parse(args, "--stage-timeout-ms", 5000)?;
     let join_timeout: u64 = flag_parse(args, "--join-timeout-ms", 15000)?;
     let verify_demo = args.iter().any(|a| a == "--verify-demo");
@@ -260,9 +266,6 @@ fn serve_inner(args: &[String]) -> Result<ExitCode, String> {
     let replicated = replica.is_some();
 
     println!("session:   {rounds} round(s), {chunks} chunk(s) requested");
-    if ingress_budget > 0 {
-        println!("ingress:   {ingress_budget} byte budget (over-budget connections pause)");
-    }
     let _ = std::io::stdout().flush();
 
     let cfg = SessionConfig {
@@ -270,7 +273,6 @@ fn serve_inner(args: &[String]) -> Result<ExitCode, String> {
         join_timeout: Duration::from_millis(join_timeout),
         stage_timeout: Duration::from_millis(stage_timeout),
         chunks,
-        ingress_budget,
         population: (0..clients).collect(),
         telemetry: telemetry.clone(),
         metrics_addr,
@@ -648,7 +650,7 @@ mod tests {
         // Everything the reference harness and `failover_smoke.sh` pass.
         let accepted = args(
             "--listen 127.0.0.1:0 --clients 3 --threshold 2 --rounds 2 --round 1 --dim 64 \
-             --bits 20 --graph harary --noise-components 2 --chunks 4 --ingress-budget 0 \
+             --bits 20 --graph harary --noise-components 2 --chunks 4 \
              --stage-timeout-ms 4000 --join-timeout-ms 4000 --verify-demo --trace t.json \
              --metrics-addr 127.0.0.1:0 --replica 127.0.0.1:1 --backup 127.0.0.1:2 \
              --lease-ms 100",
@@ -657,7 +659,13 @@ mod tests {
         // A removed knob and a typo both fail, naming the flag. (The
         // removed names are spelled in pieces so CI's "must not
         // reappear" grep passes over this file.)
-        let removed = ["workers", "shards", "collect"].map(|knob| format!("--{knob}"));
+        let removed = [
+            "workers",
+            "shards",
+            "collect",
+            concat!("ingress", "-budget"),
+        ]
+        .map(|knob| format!("--{knob}"));
         for bad in removed.iter().map(String::as_str).chain(["--thresold"]) {
             let err = reject_unknown_flags(
                 "serve",
@@ -674,6 +682,24 @@ mod tests {
             ))),
             ExitCode::FAILURE
         );
+        // A value flag with nothing after it, or with the next flag
+        // where its value belongs, fails too — it must not start an
+        // unreplicated primary or write a trace named `--metrics-addr`.
+        for (line, flag) in [
+            ("--listen 127.0.0.1:0 --replica", "--replica"),
+            (
+                "--listen 127.0.0.1:0 --trace --metrics-addr 127.0.0.1:0",
+                "--trace",
+            ),
+        ] {
+            let err = reject_unknown_flags("serve", &args(line)).expect_err(line);
+            assert!(
+                err.contains(&format!("flag `{flag}` needs a value")),
+                "{err}"
+            );
+            assert!(err.contains("usage:"), "{err}");
+            assert_eq!(serve_cmd(&args(line)), ExitCode::FAILURE);
+        }
     }
 
     #[test]
@@ -697,5 +723,10 @@ mod tests {
             join_cmd(&args("--connect 127.0.0.1:1 --id 0 --sed 7")),
             ExitCode::FAILURE
         );
+        // A trailing value flag must not join with no failover address.
+        let line = "--connect a --id 0 --failover";
+        let err = reject_unknown_flags("join", &args(line)).expect_err(line);
+        assert!(err.contains("flag `--failover` needs a value"), "{err}");
+        assert_eq!(join_cmd(&args(line)), ExitCode::FAILURE);
     }
 }

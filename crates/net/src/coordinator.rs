@@ -46,7 +46,7 @@
 //!
 //! [`DropoutSchedule`]: dordis_secagg::driver::DropoutSchedule
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use dordis_pipeline::ChunkPlan;
@@ -608,10 +608,7 @@ impl<'c> RoundMachine<'c> {
         // a chunk frame from any other connected peer — one that never
         // shared keys, say — is that peer's violation alone, not a
         // server-side collection failure that would abort the round.
-        if stage == StageTag::MaskedInput
-            && usize::from(chunk) < m
-            && st.remaining.contains_key(&id)
-        {
+        if stage == StageTag::MaskedInput && usize::from(chunk) < m && st.expected.contains(&id) {
             let c = usize::from(chunk);
             let ctx = FrameContext {
                 stage: StageTag::MaskedInput,
@@ -628,11 +625,7 @@ impl<'c> RoundMachine<'c> {
                     self.server
                         .collect_masked_chunk(c, vec![mi])
                         .map_err(|e| abort_secagg(peers, self.params.round, e))?;
-                    if st.pendings[c].remove(&id) {
-                        if let Some(left) = st.remaining.get_mut(&id) {
-                            *left = left.saturating_sub(1);
-                        }
-                    }
+                    st.pendings[c].remove(&id);
                     Ok((true, frame))
                 }
                 _ => {
@@ -710,15 +703,6 @@ impl<'c> RoundMachine<'c> {
             self.drain_chunk_frames(&mut st, peers, id)?;
         }
 
-        // Budget-driven admission: with an ingress budget set, only a
-        // window of clients streams its masked input at a time — a
-        // stream's chunks are retained (packed) until it completes and
-        // folds into the running sums, so concurrent streams (not wire
-        // buffering, which the byte accounts already bound) are what
-        // set the coordinator's peak memory during the burst.
-        let mut admission =
-            Admission::start(cfg.ingress_budget, self.plan.vector_len(), &st, peers);
-
         let (mut events, mut expired) = (Vec::new(), Vec::new());
         loop {
             // Aggregate every chunk whose pending set has emptied; the
@@ -739,7 +723,6 @@ impl<'c> RoundMachine<'c> {
                 reactor.arm_deadline(STAGE_TOKEN, Instant::now() + cfg.stage_timeout);
             }
             reactor.poll(&mut events, &mut expired, cfg.stage_timeout)?;
-            let mut admitted_more = false;
             for ev in &events {
                 handle_write_event(peers, ev, stage_name, &mut self.dropouts);
                 let Some(id) = client_of(ev.token) else {
@@ -748,27 +731,9 @@ impl<'c> RoundMachine<'c> {
                 if (ev.readable || ev.closed) && peers.contains_key(&id) {
                     self.drain_chunk_frames(&mut st, peers, id)?;
                 }
-                if let Some(adm) = &mut admission {
-                    if st.completed(id) || !peers.contains_key(&id) {
-                        admitted_more |= adm.settle(id, &st, peers);
-                    }
-                }
-            }
-            if admitted_more {
-                // The admission window advanced: the stage is making
-                // progress, so the deadline restarts like a completed
-                // chunk would restart it.
-                reactor.arm_deadline(STAGE_TOKEN, Instant::now() + cfg.stage_timeout);
             }
             if expired.contains(&STAGE_TOKEN) {
-                // Under admission only the *admitted* laggards are at
-                // fault — clients still held by the window were never
-                // allowed to stream.
-                let late: Vec<ClientId> = st.pendings[st.active]
-                    .iter()
-                    .copied()
-                    .filter(|&id| admission.as_ref().is_none_or(|a| a.is_admitted(id)))
-                    .collect();
+                let late: Vec<ClientId> = st.pendings[st.active].iter().copied().collect();
                 for id in late {
                     let chunk = st.active as u16;
                     st.remove_everywhere(id);
@@ -780,15 +745,9 @@ impl<'c> RoundMachine<'c> {
                         DropKind::DeadlineMissed,
                         &mut self.dropouts,
                     );
-                    if let Some(adm) = &mut admission {
-                        adm.settle(id, &st, peers);
-                    }
                 }
                 reactor.arm_deadline(STAGE_TOKEN, Instant::now() + cfg.stage_timeout);
             }
-        }
-        if let Some(adm) = admission {
-            adm.finish(peers);
         }
         reactor.cancel_deadline(STAGE_TOKEN);
         Ok(st.uplink())
@@ -1091,9 +1050,9 @@ fn chunk_sleep(chunk_compute: Option<Duration>, plan: &ChunkPlan, chunk: usize) 
 struct ChunkCollect {
     /// Clients still owing each chunk.
     pendings: Vec<BTreeSet<ClientId>>,
-    /// Distinct chunks each live client still owes; `0` means the whole
-    /// stream landed (feeds the budget admission window).
-    remaining: BTreeMap<ClientId, usize>,
+    /// The stage's expected set (the live part of U2 at stage start);
+    /// only these clients may stream.
+    expected: BTreeSet<ClientId>,
     /// Uplink bytes per client (the per-stage max is over whole chunk
     /// streams, not individual frames).
     per_client: BTreeMap<ClientId, u64>,
@@ -1109,16 +1068,11 @@ impl ChunkCollect {
             .filter(|id| peers.contains_key(id))
             .collect();
         ChunkCollect {
-            remaining: base.iter().map(|&id| (id, m)).collect(),
-            pendings: vec![base; m],
+            pendings: vec![base.clone(); m],
+            expected: base,
             per_client: BTreeMap::new(),
             active: 0,
         }
-    }
-
-    /// Whether `id`'s whole chunk stream has been filed.
-    fn completed(&self, id: ClientId) -> bool {
-        self.remaining.get(&id) == Some(&0)
     }
 
     /// First chunk `id` still owes (where its stream died), for dropout
@@ -1142,104 +1096,6 @@ impl ChunkCollect {
             up.add(bytes);
         }
         up
-    }
-}
-
-/// Budget-driven admission window over the masked-input burst.
-///
-/// Wire buffering is already bounded by the byte accounts, but the
-/// server keeps a client's chunks until its whole stream lands and
-/// folds into the running sums: bit-packed while they wait
-/// (`bit_width / 8` B/element), one chunk at a time decoded to 8
-/// B/element on its way in. With every client streaming at once that
-/// retention approaches `cohort x vector x bit_width / 8` bytes
-/// regardless of budget. The window is still sized at the decoded 8
-/// B/element — since packed custody an over-estimate (2.5–4x at 16–20
-/// bits), kept because a window too small only admits fewer streams at
-/// a time. It caps how many streams are in
-/// flight: held clients keep their ingress paused
-/// ([`EventedChannel::set_ingress_hold`]) — their uploads sit in kernel
-/// socket buffers, pushed back by TCP flow control — and each is
-/// released as an admitted stream completes (or its client drops).
-struct Admission {
-    /// Clients not yet admitted; their ingress is held.
-    queue: VecDeque<ClientId>,
-    /// Admitted clients whose streams are still incomplete.
-    admitted: BTreeSet<ClientId>,
-}
-
-impl Admission {
-    /// Builds the window and holds everyone outside it. `None` (no
-    /// admission) when there is no budget or the whole cohort fits.
-    fn start(
-        budget: u64,
-        vector_len: usize,
-        st: &ChunkCollect,
-        peers: &mut Peers,
-    ) -> Option<Admission> {
-        if budget == 0 {
-            return None;
-        }
-        // Retention cost of one in-flight stream, as if it waited
-        // decoded (the conservative side of what it costs packed).
-        let per_client = (vector_len as u64).saturating_mul(8).max(1);
-        let window = usize::try_from((budget / per_client).max(1)).unwrap_or(usize::MAX);
-        let roster: Vec<ClientId> = st.remaining.keys().copied().collect();
-        if window >= roster.len() {
-            return None;
-        }
-        let mut adm = Admission {
-            queue: roster.into_iter().collect(),
-            admitted: BTreeSet::new(),
-        };
-        for _ in 0..window {
-            adm.admit_next(st, peers);
-        }
-        for &id in &adm.queue {
-            if let Some(chan) = peers.get_mut(&id) {
-                let _ = chan.set_ingress_hold(true);
-            }
-        }
-        Some(adm)
-    }
-
-    fn is_admitted(&self, id: ClientId) -> bool {
-        self.admitted.contains(&id)
-    }
-
-    /// Retires `id` from the window (stream complete or client gone)
-    /// and backfills its slot. Returns whether the window advanced.
-    fn settle(&mut self, id: ClientId, st: &ChunkCollect, peers: &mut Peers) -> bool {
-        if !self.admitted.remove(&id) {
-            return false;
-        }
-        self.admit_next(st, peers)
-    }
-
-    fn admit_next(&mut self, st: &ChunkCollect, peers: &mut Peers) -> bool {
-        while let Some(id) = self.queue.pop_front() {
-            if st.completed(id) {
-                // Streamed through despite the hold (a transport that
-                // doesn't implement holds, or frames already buffered).
-                continue;
-            }
-            let Some(chan) = peers.get_mut(&id) else {
-                continue; // dropped while held
-            };
-            let _ = chan.set_ingress_hold(false);
-            self.admitted.insert(id);
-            return true;
-        }
-        false
-    }
-
-    /// Releases every hold still outstanding (stage end).
-    fn finish(self, peers: &mut Peers) {
-        for id in self.queue {
-            if let Some(chan) = peers.get_mut(&id) {
-                let _ = chan.set_ingress_hold(false);
-            }
-        }
     }
 }
 

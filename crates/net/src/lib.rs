@@ -21,10 +21,7 @@
 //!   backpressure buffers after).
 //! - [`pool`]: the reactor's memory plane — one shared, size-classed,
 //!   byte-accounted frame pool per reactor, with per-connection
-//!   accounting handles. With a non-zero ingress budget, a connection
-//!   that crosses its fair share is read-paused (its `Interest` drops
-//!   `readable`) until the coordinator drains below the low-water mark,
-//!   so bursts degrade to pacing instead of unbounded buffering.
+//!   accounting handles.
 //! - [`reactor`]: a readiness-driven event loop (direct-syscall epoll
 //!   poller, deadline timer wheel, loopback waker) so one coordinator
 //!   thread serves hundreds of chunk-streaming clients with `O(events)`

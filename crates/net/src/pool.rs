@@ -3,34 +3,19 @@
 //! handles ([`ChannelAccount`]) every registered channel charges its
 //! buffered bytes through.
 //!
-//! Before this module, each connection owned a private recycle pool of
-//! at most 8 frames and nothing bounded the *total* bytes a reactor
-//! could buffer: a burst of early masked-input frames from 1k clients
-//! multiplied the round's vector size by the cohort and ballooned the
-//! process. Now one pool per reactor is both
+//! One pool per reactor is both
 //!
 //! 1. the **allocation reservoir**: recycled frame `Vec`s land in
 //!    size-classed free lists shared by every connection, so a drain
 //!    burst on one channel reuses the allocations another channel just
-//!    released (bounded by [`BytePool::retain_cap`]); and
+//!    released (bounded by an 8 MiB retain cap); and
 //! 2. the **byte ledger**: every buffered ingress byte (stream buffer +
 //!    decoded frames in flight) and egress byte (write backlog) is
 //!    charged to the owning connection's [`ChannelAccount`] and credited
 //!    back when consumed, recycled, or the channel drops — so
 //!    `charges − credits` is exactly the reactor's live buffered bytes.
-//!
-//! Backpressure keys off the ledger: with a non-zero budget
-//! (`SessionConfig::ingress_budget`), a connection whose ingress
-//! charge crosses its fair share — or any charged connection while the
-//! reactor is past its global budget — reports
-//! [`ChannelAccount::should_pause`], and the owning channel drops its
-//! read [`Interest`](crate::reactor::Interest) so TCP flow control
-//! pushes back on the peer. Credits re-arm it below the low-water mark
-//! ([`ChannelAccount::should_resume`]). Budget `0` disables pausing but
-//! keeps the ledger running, so the unlimited path stays the bit-equal
-//! reference while the gauges still tell the truth.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dordis_telemetry::{Counter, Gauge, Telemetry};
@@ -48,18 +33,8 @@ const CLASS_SIZES: [usize; 7] = [
     1 << 20,
 ];
 
-/// Retained free-list bytes never exceed this when no budget is set
-/// (with a budget, the cap is the budget itself — the reservoir should
-/// never hold more than the reactor is allowed to buffer).
+/// Retained free-list bytes never exceed this.
 const DEFAULT_RETAIN_CAP: u64 = 8 * 1024 * 1024;
-
-/// A connection's fair share never drops below this, however many
-/// connections share the budget — one socket read's worth of headroom,
-/// so control-plane stage messages always get through while a paused
-/// connection still parks at a frame boundary. (A higher floor defeats
-/// tight budgets at large cohorts: `floor × connections` becomes the
-/// real memory ceiling.)
-const MIN_FAIR_SHARE: u64 = 16 * 1024;
 
 /// Size-classed recycled allocations, cleared and ready for reuse.
 #[derive(Debug, Default)]
@@ -73,8 +48,6 @@ struct FreeList {
 /// [`ChannelAccount`] on the reactor.
 #[derive(Debug)]
 struct PoolShared {
-    /// Ingress byte budget; `0` means unlimited (accounting only).
-    budget: AtomicU64,
     /// Live buffered ingress bytes (stream buffers + decoded frames).
     live_in: AtomicU64,
     /// Live buffered egress bytes (write backlogs).
@@ -82,20 +55,14 @@ struct PoolShared {
     /// High-water marks of the two ledgers.
     hw_in: AtomicU64,
     hw_out: AtomicU64,
-    /// Open accounts (≈ registered connections) — the fair-share divisor.
-    conns: AtomicU64,
-    /// Accounts currently read-paused by backpressure.
-    paused: AtomicU64,
     free: Mutex<FreeList>,
     // Registry cells (no-op when telemetry is disabled).
     g_live_in: Gauge,
     g_live_out: Gauge,
     g_hw_in: Gauge,
     g_hw_out: Gauge,
-    g_paused: Gauge,
     c_hits: Counter,
     c_misses: Counter,
-    c_pauses: Counter,
 }
 
 /// Cheap (`Arc`) handle to a reactor's shared frame pool and byte
@@ -105,26 +72,28 @@ pub struct BytePool {
     shared: Arc<PoolShared>,
 }
 
+impl Default for BytePool {
+    fn default() -> BytePool {
+        BytePool::new()
+    }
+}
+
 impl BytePool {
-    /// A pool with `budget` ingress bytes (`0` = unlimited) and no
-    /// telemetry.
+    /// A pool with no telemetry.
     #[must_use]
-    pub fn new(budget: u64) -> BytePool {
-        BytePool::with_telemetry(budget, &Telemetry::disabled())
+    pub fn new() -> BytePool {
+        BytePool::with_telemetry(&Telemetry::disabled())
     }
 
     /// A pool whose gauges and counters record into `telemetry`.
     #[must_use]
-    pub fn with_telemetry(budget: u64, telemetry: &Telemetry) -> BytePool {
+    pub fn with_telemetry(telemetry: &Telemetry) -> BytePool {
         BytePool {
             shared: Arc::new(PoolShared {
-                budget: AtomicU64::new(budget),
                 live_in: AtomicU64::new(0),
                 live_out: AtomicU64::new(0),
                 hw_in: AtomicU64::new(0),
                 hw_out: AtomicU64::new(0),
-                conns: AtomicU64::new(0),
-                paused: AtomicU64::new(0),
                 free: Mutex::new(FreeList::default()),
                 g_live_in: telemetry.gauge("dordis_buffered_bytes", &[("direction", "in")]),
                 g_live_out: telemetry.gauge("dordis_buffered_bytes", &[("direction", "out")]),
@@ -132,24 +101,10 @@ impl BytePool {
                     .gauge("dordis_buffered_bytes_high_water", &[("direction", "in")]),
                 g_hw_out: telemetry
                     .gauge("dordis_buffered_bytes_high_water", &[("direction", "out")]),
-                g_paused: telemetry.gauge("dordis_paused_connections", &[]),
                 c_hits: telemetry.counter("dordis_frames_recycled_total", &[]),
                 c_misses: telemetry.counter("dordis_frames_allocated_total", &[]),
-                c_pauses: telemetry.counter("dordis_ingress_pauses_total", &[]),
             }),
         }
-    }
-
-    /// Replaces the ingress budget (`0` = unlimited). Existing accounts
-    /// observe the new value on their next charge/credit.
-    pub fn set_budget(&self, budget: u64) {
-        self.shared.budget.store(budget, Ordering::Relaxed);
-    }
-
-    /// The ingress budget (`0` = unlimited).
-    #[must_use]
-    pub fn budget(&self) -> u64 {
-        self.shared.budget.load(Ordering::Relaxed)
     }
 
     /// True when both handles point at the same shared reservoir —
@@ -162,13 +117,11 @@ impl BytePool {
     /// Opens a per-connection accounting handle.
     #[must_use]
     pub fn account(&self) -> ChannelAccount {
-        self.shared.conns.fetch_add(1, Ordering::Relaxed);
         ChannelAccount {
             inner: Arc::new(AccountInner {
                 pool: self.clone(),
                 charged_in: AtomicU64::new(0),
                 charged_out: AtomicU64::new(0),
-                paused: AtomicBool::new(false),
             }),
         }
     }
@@ -195,8 +148,8 @@ impl BytePool {
     }
 
     /// Returns a buffer to the reservoir (cleared). Buffers that would
-    /// push retained bytes past [`retain_cap`](BytePool::retain_cap),
-    /// or are too small to classify, are dropped.
+    /// push retained bytes past the 8 MiB retain cap, or are too small
+    /// to classify, are dropped.
     pub fn put(&self, mut buf: Vec<u8>) {
         buf.clear();
         let cap = buf.capacity();
@@ -208,22 +161,11 @@ impl BytePool {
             return;
         };
         let cap = cap as u64;
-        let retain = self.retain_cap();
         if let Ok(mut free) = self.shared.free.lock() {
-            if free.bytes + cap <= retain {
+            if free.bytes + cap <= DEFAULT_RETAIN_CAP {
                 free.bytes += cap;
                 free.classes[class].push(buf);
             }
-        }
-    }
-
-    /// Bound on retained free-list bytes: the budget when one is set,
-    /// otherwise a fixed default.
-    #[must_use]
-    pub fn retain_cap(&self) -> u64 {
-        match self.budget() {
-            0 => DEFAULT_RETAIN_CAP,
-            b => b.max(MIN_FAIR_SHARE),
         }
     }
 
@@ -249,18 +191,6 @@ impl BytePool {
     #[must_use]
     pub fn high_water_ingress(&self) -> u64 {
         self.shared.hw_in.load(Ordering::Relaxed)
-    }
-
-    /// Open accounts (≈ registered connections).
-    #[must_use]
-    pub fn connections(&self) -> u64 {
-        self.shared.conns.load(Ordering::Relaxed)
-    }
-
-    /// Connections currently read-paused by backpressure.
-    #[must_use]
-    pub fn paused_connections(&self) -> u64 {
-        self.shared.paused.load(Ordering::Relaxed)
     }
 
     fn charge(&self, ledger: Ledger, n: u64) {
@@ -314,32 +244,24 @@ struct AccountInner {
     pool: BytePool,
     charged_in: AtomicU64,
     charged_out: AtomicU64,
-    paused: AtomicBool,
 }
 
 impl Drop for AccountInner {
     fn drop(&mut self) {
         // No leak on channel drop: whatever this connection still has
         // charged (unconsumed stream bytes, un-recycled decoded frames,
-        // backlogged writes) is credited back, and a paused connection
-        // stops counting as paused.
+        // backlogged writes) is credited back.
         self.pool
             .credit(Ledger::In, self.charged_in.load(Ordering::Relaxed));
         self.pool
             .credit(Ledger::Out, self.charged_out.load(Ordering::Relaxed));
-        if self.paused.swap(false, Ordering::Relaxed) {
-            let s = &self.pool.shared;
-            let prev = s.paused.fetch_sub(1, Ordering::Relaxed);
-            s.g_paused.set(prev.saturating_sub(1));
-        }
-        self.pool.shared.conns.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 /// One connection's handle into the reactor's [`BytePool`]: charge and
-/// credit buffered bytes, draw/return frame allocations, and consult
-/// the backpressure thresholds. Clones share the same account (a
-/// channel and its frame buffer hold one each).
+/// credit buffered bytes and draw/return frame allocations. Clones
+/// share the same account (a channel and its frame buffer hold one
+/// each).
 #[derive(Clone, Debug)]
 pub struct ChannelAccount {
     inner: Arc<AccountInner>,
@@ -392,72 +314,6 @@ impl ChannelAccount {
         self.inner.charged_out.load(Ordering::Relaxed)
     }
 
-    /// This connection's ingress byte allowance: an equal split of the
-    /// budget across open accounts, floored at [`MIN_FAIR_SHARE`].
-    #[must_use]
-    pub fn fair_share(&self) -> u64 {
-        let budget = self.inner.pool.budget();
-        if budget == 0 {
-            return u64::MAX;
-        }
-        let conns = self.inner.pool.connections().max(1);
-        (budget / conns).max(MIN_FAIR_SHARE)
-    }
-
-    /// True when backpressure should drop this connection's read
-    /// interest: its own charge crossed its fair share, or the reactor
-    /// is past its global budget and this connection is carrying a
-    /// meaningful part of it. Always false with budget `0`.
-    #[must_use]
-    pub fn should_pause(&self) -> bool {
-        let pool = &self.inner.pool;
-        let budget = pool.budget();
-        if budget == 0 {
-            return false;
-        }
-        let share = self.fair_share();
-        let own = self.charged_ingress();
-        own > share || (pool.live_ingress() > budget && own > share / 2)
-    }
-
-    /// True when a paused connection has drained below the low-water
-    /// mark (a quarter of its fair share) and should re-arm its read
-    /// interest.
-    ///
-    /// Deliberately a **local** condition: a resume check only fires
-    /// when one of *this* connection's frames is recycled, so a global
-    /// "pool back under budget" clause would strand any connection
-    /// whose own custody drained to zero while the pool was still over
-    /// budget — nothing would ever re-check it. The global budget
-    /// instead acts on the pause side ([`Self::should_pause`]'s second
-    /// clause tightens every connection's allowance to half its share
-    /// while the pool is over), and the quarter-share low-water mark
-    /// gives that clause hysteresis.
-    #[must_use]
-    pub fn should_resume(&self) -> bool {
-        if self.inner.pool.budget() == 0 {
-            return true;
-        }
-        self.charged_ingress() <= self.fair_share() / 4
-    }
-
-    /// Records this connection's pause state (idempotent); keeps the
-    /// pool's paused-connection gauge and pause counter in sync.
-    pub fn set_paused(&self, paused: bool) {
-        if self.inner.paused.swap(paused, Ordering::Relaxed) == paused {
-            return;
-        }
-        let s = &self.inner.pool.shared;
-        if paused {
-            let now = s.paused.fetch_add(1, Ordering::Relaxed) + 1;
-            s.g_paused.set(now);
-            s.c_pauses.inc();
-        } else {
-            let prev = s.paused.fetch_sub(1, Ordering::Relaxed);
-            s.g_paused.set(prev.saturating_sub(1));
-        }
-    }
-
     /// Pops a cleared buffer of capacity ≥ `min` from the shared
     /// reservoir (see [`BytePool::get`]).
     #[must_use]
@@ -490,7 +346,7 @@ mod tests {
 
     #[test]
     fn ledger_balances_and_tracks_high_water() {
-        let pool = BytePool::new(0);
+        let pool = BytePool::new();
         let a = pool.account();
         let b = pool.account();
         a.charge_ingress(100);
@@ -502,12 +358,11 @@ mod tests {
         assert_eq!(pool.high_water_ingress(), 150, "high water is sticky");
         drop(b);
         assert_eq!(pool.live_ingress(), 0, "drop settles the ledger");
-        assert_eq!(pool.connections(), 1);
     }
 
     #[test]
     fn credit_saturates_instead_of_underflowing() {
-        let pool = BytePool::new(0);
+        let pool = BytePool::new();
         let a = pool.account();
         a.charge_ingress(10);
         a.credit_ingress(1000);
@@ -517,22 +372,22 @@ mod tests {
 
     #[test]
     fn reservoir_reuses_and_respects_retain_cap() {
-        let pool = BytePool::new(0);
+        let pool = BytePool::new();
         pool.put(Vec::with_capacity(4096));
         assert_eq!(pool.pooled_bytes(), 4096);
         let buf = pool.get(1000);
         assert!(buf.capacity() >= 4096, "reused the pooled allocation");
         assert_eq!(pool.pooled_bytes(), 0);
         // A too-big buffer for the remaining cap is dropped, not pooled.
-        let tiny = BytePool::new(1024);
-        assert_eq!(tiny.retain_cap(), MIN_FAIR_SHARE);
-        tiny.put(Vec::with_capacity(2 * MIN_FAIR_SHARE as usize));
-        assert_eq!(tiny.pooled_bytes(), 0);
+        pool.put(Vec::with_capacity(DEFAULT_RETAIN_CAP as usize - 4096));
+        assert_eq!(pool.pooled_bytes(), DEFAULT_RETAIN_CAP - 4096);
+        pool.put(Vec::with_capacity(8192));
+        assert_eq!(pool.pooled_bytes(), DEFAULT_RETAIN_CAP - 4096);
     }
 
     #[test]
     fn get_never_returns_undersized_buffers() {
-        let pool = BytePool::new(0);
+        let pool = BytePool::new();
         pool.put(Vec::with_capacity(512));
         let buf = pool.get(100_000);
         assert!(buf.capacity() >= 100_000);
@@ -540,44 +395,5 @@ mod tests {
         assert_eq!(pool.pooled_bytes(), 512);
         assert!(pool.get(256).capacity() >= 256);
         assert_eq!(pool.pooled_bytes(), 0);
-    }
-
-    #[test]
-    fn pause_thresholds_follow_budget_and_fair_share() {
-        let pool = BytePool::new(1 << 20);
-        let a = pool.account();
-        let _b = pool.account();
-        // share = max(1MiB / 2, MIN_FAIR_SHARE) = 512 KiB.
-        assert_eq!(a.fair_share(), 512 * 1024);
-        assert!(!a.should_pause());
-        a.charge_ingress(512 * 1024 + 1);
-        assert!(a.should_pause());
-        assert!(!a.should_resume());
-        a.credit_ingress(512 * 1024 + 1 - 200 * 1024);
-        assert!(
-            !a.should_resume(),
-            "200 KiB is still above the quarter-share low-water mark"
-        );
-        a.credit_ingress(100 * 1024);
-        assert!(a.should_resume(), "below a quarter of the share");
-        // Budget 0: never pause, always resume.
-        pool.set_budget(0);
-        a.charge_ingress(10 << 20);
-        assert!(!a.should_pause());
-        assert!(a.should_resume());
-    }
-
-    #[test]
-    fn paused_gauge_is_idempotent_and_settles_on_drop() {
-        let pool = BytePool::new(1);
-        let a = pool.account();
-        a.set_paused(true);
-        a.set_paused(true);
-        assert_eq!(pool.paused_connections(), 1);
-        let a2 = a.clone();
-        drop(a);
-        assert_eq!(pool.paused_connections(), 1, "clone keeps the account");
-        drop(a2);
-        assert_eq!(pool.paused_connections(), 0);
     }
 }

@@ -664,7 +664,7 @@ impl Reactor {
         let m_polls = telemetry.counter("dordis_reactor_polls_total", &[]);
         let m_events = telemetry.counter("dordis_reactor_events_total", &[]);
         let m_timer_fires = telemetry.counter("dordis_reactor_timer_fires_total", &[]);
-        let pool = BytePool::with_telemetry(0, &telemetry);
+        let pool = BytePool::with_telemetry(&telemetry);
         Ok(Reactor {
             poller,
             wheel: TimerWheel::new(tick),
@@ -686,13 +686,6 @@ impl Reactor {
     #[must_use]
     pub fn pool(&self) -> BytePool {
         self.pool.clone()
-    }
-
-    /// Sets the reactor's ingress byte budget (`0` = unlimited): past
-    /// it, charged connections drop their read interest and TCP flow
-    /// control paces the peers (see [`crate::pool`]).
-    pub fn set_ingress_budget(&self, bytes: u64) {
-        self.pool.set_budget(bytes);
     }
 
     /// The telemetry handle this reactor records into (disabled unless
@@ -1030,22 +1023,6 @@ pub trait EventedChannel: Channel {
 
     /// Whether backlogged bytes are waiting on write readiness.
     fn wants_write(&self) -> bool;
-
-    /// Administratively holds (or releases) this connection's ingress.
-    /// While held, read interest stays dropped regardless of the byte
-    /// account's thresholds, and release re-arms it immediately — the
-    /// coordinator's budget-driven admission window uses this to bound
-    /// how many clients stream a bulk upload concurrently. Transports
-    /// without evented flow control may ignore it (the default): a
-    /// hold is a memory optimization, never a correctness requirement.
-    ///
-    /// # Errors
-    ///
-    /// Propagates poller re-registration failures.
-    fn set_ingress_hold(&mut self, hold: bool) -> Result<(), NetError> {
-        let _ = hold;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -127,14 +127,6 @@ pub struct SessionConfig<'a> {
     /// can realize Figure 12's comm/compute overlap on a loopback
     /// transport. `None` injects nothing (production).
     pub chunk_compute: Option<Duration>,
-    /// Global ingress budget in bytes for the reactor's shared frame
-    /// pool ([`crate::pool::BytePool`]). `0` disables backpressure —
-    /// unlimited buffering, the bit-equal reference. With a budget, a
-    /// connection whose buffered bytes cross its fair share has its
-    /// read interest dropped until the coordinator's recycles drain it
-    /// below the low-water mark, so a frame burst degrades to pacing
-    /// instead of unbounded memory.
-    pub ingress_budget: u64,
     /// Known client population, used to close the join window early
     /// once everyone has answered (claimed or declined). Empty = always
     /// wait out `join_timeout` unless the roster fills.
@@ -164,7 +156,7 @@ pub struct SessionConfig<'a> {
 impl<'a> SessionConfig<'a> {
     /// A session of `rounds` rounds starting at round id 1, with 10 s
     /// join and stage windows, an unchunked data plane, open
-    /// enrollment, and no injected compute, ingress budget, telemetry,
+    /// enrollment, and no injected compute, telemetry,
     /// scrape endpoint, replica or faults.
     #[must_use]
     pub fn new(rounds: u64, seating: Seating<'a>, params_for: ParamsFor<'a>) -> Self {
@@ -175,7 +167,6 @@ impl<'a> SessionConfig<'a> {
             stage_timeout: Duration::from_secs(10),
             chunks: 1,
             chunk_compute: None,
-            ingress_budget: 0,
             population: Vec::new(),
             seating,
             params_for,
@@ -251,7 +242,6 @@ impl<'a> Session<'a> {
             role: Some(Primary::new()),
         });
         let mut engine = Reactor::with_telemetry(TICK, cfg.telemetry.clone())?;
-        engine.set_ingress_budget(cfg.ingress_budget);
         let metrics_bound = match &cfg.metrics_addr {
             Some(addr) => Some(engine.serve_metrics(addr)?),
             None => None,

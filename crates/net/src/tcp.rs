@@ -8,10 +8,7 @@
 //! ([`crate::pool`]): every buffered ingress byte (stream buffer +
 //! decoded frames in flight) and egress byte (write backlog) is charged
 //! to the connection's [`ChannelAccount`], frame allocations come from
-//! the reactor-shared [`BytePool`](crate::pool::BytePool) reservoir, and
-//! with a non-zero ingress budget a connection that crosses its fair
-//! share drops its read interest — TCP flow control paces the peer —
-//! until the coordinator's recycles drain it below the low-water mark.
+//! the reactor-shared [`BytePool`](crate::pool::BytePool) reservoir.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -348,9 +345,9 @@ impl WriteBuffer {
 struct Registration {
     handle: PollerHandle,
     token: Token,
-    /// Interest currently installed in the poller (write interest is
-    /// flipped on outbox empty↔backlogged transitions, read interest on
-    /// backpressure pause↔resume).
+    /// Interest currently installed in the poller. Read interest is
+    /// `true` for the life of a registration; write interest is flipped
+    /// on outbox empty↔backlogged transitions.
     interest: Interest,
 }
 
@@ -369,13 +366,6 @@ pub struct TcpChannel {
     /// Peer hung up: serve remaining buffered frames, then `Closed`.
     eof: bool,
     write_timeout: Duration,
-    /// Shared-pool account, opened at registration.
-    account: Option<ChannelAccount>,
-    /// Read interest dropped by backpressure; re-armed by recycles.
-    paused: bool,
-    /// Administrative ingress hold (admission window): keeps the pause
-    /// latched until explicitly released, regardless of the account.
-    held: bool,
 }
 
 impl TcpChannel {
@@ -415,9 +405,6 @@ impl TcpChannel {
             registration: None,
             eof: false,
             write_timeout: DEFAULT_WRITE_TIMEOUT,
-            account: None,
-            paused: false,
-            held: false,
         })
     }
 
@@ -425,13 +412,6 @@ impl TcpChannel {
     /// [`DEFAULT_WRITE_TIMEOUT`]).
     pub fn set_write_timeout(&mut self, timeout: Duration) {
         self.write_timeout = timeout;
-    }
-
-    /// True while backpressure has this connection's read interest
-    /// dropped (diagnostics/tests).
-    #[must_use]
-    pub fn is_paused(&self) -> bool {
-        self.paused
     }
 
     /// Reads toward a target `inbox` length, returning `false` on a
@@ -463,55 +443,17 @@ impl TcpChannel {
         Ok(true)
     }
 
-    /// Installs `interest` in the poller if it changed.
-    fn set_interest(&mut self, interest: Interest) -> Result<(), NetError> {
+    /// Installs the interest the outbox backlog implies, if it changed.
+    fn sync_interest(&mut self) -> Result<(), NetError> {
+        let interest = Interest {
+            readable: true,
+            writable: !self.outbox.is_empty(),
+        };
         if let Some(reg) = &mut self.registration {
             if reg.interest != interest {
                 reg.handle
                     .reregister(self.stream.as_raw_fd(), reg.token, interest)?;
                 reg.interest = interest;
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-derives and installs the interest implied by the current
-    /// pause state and outbox backlog.
-    fn sync_interest(&mut self) -> Result<(), NetError> {
-        self.set_interest(Interest {
-            readable: !self.paused,
-            writable: !self.outbox.is_empty(),
-        })
-    }
-
-    /// Drops read interest if the connection's ingress charge crossed
-    /// its budget thresholds (see [`ChannelAccount::should_pause`]).
-    fn maybe_pause(&mut self) -> Result<(), NetError> {
-        if self.paused || self.registration.is_none() {
-            return Ok(());
-        }
-        if let Some(acct) = &self.account {
-            if acct.should_pause() {
-                acct.set_paused(true);
-                self.paused = true;
-                self.sync_interest()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-arms read interest once a paused connection has drained below
-    /// the low-water mark. An administrative hold keeps the pause
-    /// latched no matter what the account says.
-    fn maybe_resume(&mut self) -> Result<(), NetError> {
-        if !self.paused || self.held {
-            return Ok(());
-        }
-        if let Some(acct) = &self.account {
-            if acct.should_resume() {
-                acct.set_paused(false);
-                self.paused = false;
-                self.sync_interest()?;
             }
         }
         Ok(())
@@ -615,10 +557,6 @@ impl Channel for TcpChannel {
 
     fn recycle_frame(&mut self, frame: Vec<u8>) {
         self.inbox.recycle(frame);
-        // Recycles are the credit stream that re-arms a paused
-        // connection; a reregister failure here means the fd is broken
-        // and the next poll/IO on it will surface the real error.
-        let _ = self.maybe_resume();
     }
 
     fn peer(&self) -> String {
@@ -629,7 +567,7 @@ impl Channel for TcpChannel {
 impl EventedChannel for TcpChannel {
     fn register(&mut self, reactor: &mut Reactor, token: Token) -> Result<(), NetError> {
         let pool = reactor.pool();
-        let fresh = match &self.account {
+        let fresh = match &self.inbox.account {
             Some(acct) => !acct.pool().same_as(&pool),
             None => true,
         };
@@ -640,20 +578,13 @@ impl EventedChannel for TcpChannel {
             // drop with the old buffers' handles, crediting the pool
             // they came from — no double counting, no leak.
             let acct = pool.account();
-            if self.paused {
-                self.paused = false;
-            }
-            // A leaked hold must not survive a reactor handoff — the
-            // replaced account settles the old pool's paused gauge.
-            self.held = false;
             self.inbox.attach_account(acct.clone());
-            self.outbox.attach_account(acct.clone());
-            self.account = Some(acct);
+            self.outbox.attach_account(acct);
         }
         self.stream.set_nonblocking(true)?;
         let fd = self.stream.as_raw_fd();
         let interest = Interest {
-            readable: !self.paused,
+            readable: true,
             writable: !self.outbox.is_empty(),
         };
         match &mut self.registration {
@@ -678,27 +609,12 @@ impl EventedChannel for TcpChannel {
 
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
         // Drain the kernel buffer first so level-triggered epoll goes
-        // quiet once everything available has been reassembled. A
-        // paused connection only finishes the frame in flight (so the
-        // stream parks at a frame boundary and every charged byte can
-        // be recycled back), then leaves the rest to TCP flow control.
+        // quiet once everything available has been reassembled.
         let mut buf = [0u8; 16 * 1024];
         while !self.eof {
-            let want = if self.paused {
-                let buffered = self.inbox.len();
-                if buffered == 0 || buffered >= self.inbox.needed() {
-                    break;
-                }
-                (self.inbox.needed() - buffered).min(buf.len())
-            } else {
-                buf.len()
-            };
-            match self.stream.read(&mut buf[..want]) {
+            match self.stream.read(&mut buf) {
                 Ok(0) => self.eof = true,
-                Ok(n) => {
-                    self.inbox.push(&buf[..n]);
-                    self.maybe_pause()?;
-                }
+                Ok(n) => self.inbox.push(&buf[..n]),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if is_disconnect(&e) => self.eof = true,
@@ -720,39 +636,6 @@ impl EventedChannel for TcpChannel {
 
     fn wants_write(&self) -> bool {
         !self.outbox.is_empty()
-    }
-
-    fn set_ingress_hold(&mut self, hold: bool) -> Result<(), NetError> {
-        if self.held == hold {
-            return Ok(());
-        }
-        self.held = hold;
-        if hold {
-            // Latch the pause through the same plumbing backpressure
-            // uses, so the pool's paused gauge stays truthful.
-            if !self.paused {
-                if let Some(acct) = &self.account {
-                    acct.set_paused(true);
-                }
-                self.paused = true;
-                self.sync_interest()?;
-            }
-        } else if self.paused {
-            // Release re-arms immediately unless the byte account still
-            // has this connection over its own low-water mark.
-            let over_water = self
-                .account
-                .as_ref()
-                .is_some_and(|acct| !acct.should_resume());
-            if !over_water {
-                if let Some(acct) = &self.account {
-                    acct.set_paused(false);
-                }
-                self.paused = false;
-                self.sync_interest()?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -877,7 +760,7 @@ mod tests {
             .enumerate()
             .map(|(k, &len)| (0..len).map(|i| (i * 31 + k) as u8).collect())
             .collect();
-        let pool = crate::pool::BytePool::new(0);
+        let pool = crate::pool::BytePool::new();
         let account = pool.account();
         let mut buf = FrameBuffer::new();
         buf.attach_account(account.clone());
@@ -955,7 +838,7 @@ mod tests {
     fn frame_buffer_accounts_custody_through_shared_pool() {
         use crate::pool::BytePool;
 
-        let pool = BytePool::new(0);
+        let pool = BytePool::new();
         let mut buf = FrameBuffer::new();
         buf.attach_account(pool.account());
         let payload = vec![7u8; 100];
@@ -1177,146 +1060,5 @@ mod tests {
             server.try_flush().unwrap();
         }
         assert_eq!(client.join().unwrap(), b"echo");
-    }
-
-    #[test]
-    fn backpressure_pauses_and_rearms_without_losing_frames() {
-        use crate::reactor::{Reactor, Token};
-
-        const FRAMES: usize = 64;
-        const LEN: usize = 8 * 1024;
-        // Budget well below the burst (64 × 8 KiB = 512 KiB), above the
-        // fair-share floor so one connection's share is the budget.
-        const BUDGET: u64 = 96 * 1024;
-
-        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr();
-        let client = std::thread::spawn(move || {
-            let mut chan = TcpChannel::connect(addr).unwrap();
-            // Backpressure stalls the kernel send path on purpose; the
-            // write deadline just has to outlive the test.
-            chan.set_write_timeout(Duration::from_secs(30));
-            for i in 0..FRAMES {
-                let frame = vec![i as u8; LEN];
-                chan.send(&frame).unwrap();
-            }
-            // Hold the connection open until the server confirms.
-            chan.recv_deadline(deadline_in(Duration::from_secs(30)))
-                .unwrap()
-        });
-
-        let mut reactor = Reactor::new(Duration::from_millis(5)).unwrap();
-        reactor.set_ingress_budget(BUDGET);
-        let pool = reactor.pool();
-        let mut server = acceptor
-            .accept(deadline_in(Duration::from_secs(5)))
-            .unwrap();
-        server.register(&mut reactor, Token(1)).unwrap();
-        // Phase 1: drain *without recycling* until backpressure trips
-        // (the pool's paused gauge is the public view of the channel's
-        // pause state).
-        let (mut events, mut expired) = (Vec::new(), Vec::new());
-        let mut held: Vec<Vec<u8>> = Vec::new();
-        let start = Instant::now();
-        while pool.paused_connections() == 0 {
-            assert!(
-                start.elapsed() < Duration::from_secs(10),
-                "backpressure never paused the connection \
-                 ({} frames drained, {} live bytes)",
-                held.len(),
-                pool.live_ingress()
-            );
-            reactor
-                .poll(&mut events, &mut expired, Duration::from_millis(50))
-                .unwrap();
-            for ev in &events {
-                if ev.readable {
-                    while let Some(f) = server.try_recv().unwrap() {
-                        held.push(f);
-                    }
-                }
-            }
-        }
-        assert!(
-            held.len() < FRAMES,
-            "paused only after the whole burst was buffered"
-        );
-        assert!(pool.live_ingress() > BUDGET / 2);
-
-        // Phase 2: a paused connection produces no further events even
-        // though the client is still pushing — the reactor's polls stay
-        // O(events), it does not spin on suppressed readiness.
-        for _ in 0..3 {
-            reactor
-                .poll(&mut events, &mut expired, Duration::from_millis(30))
-                .unwrap();
-            assert!(
-                events.is_empty(),
-                "paused connection leaked events: {events:?}"
-            );
-        }
-
-        // Phase 3: verify + recycle everything held so far — the credit
-        // stream must re-arm read interest.
-        let verified = held.len();
-        for (i, frame) in held.drain(..).enumerate() {
-            assert_eq!(frame.len(), LEN);
-            assert!(
-                frame.iter().all(|&b| b == i as u8),
-                "frame {i} corrupted across the pause"
-            );
-            server.recycle_frame(frame);
-        }
-        assert_eq!(
-            pool.paused_connections(),
-            0,
-            "recycling everything did not re-arm the connection"
-        );
-
-        // Phase 4: the rest of the burst arrives, in order — nothing
-        // lost or duplicated across the pause/resume cycle. Recycle as
-        // we go so the connection stays under budget.
-        let mut next = verified;
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while next < FRAMES {
-            assert!(
-                Instant::now() < deadline,
-                "burst stalled after resume at frame {next}"
-            );
-            reactor
-                .poll(&mut events, &mut expired, Duration::from_millis(50))
-                .unwrap();
-            for ev in &events {
-                if ev.readable {
-                    while let Some(frame) = server.try_recv().unwrap() {
-                        assert_eq!(frame.len(), LEN);
-                        assert!(
-                            frame.iter().all(|&b| b == next as u8),
-                            "frame {next} lost or reordered across the pause"
-                        );
-                        next += 1;
-                        server.recycle_frame(frame);
-                    }
-                }
-            }
-        }
-
-        // Release the client and make sure the ledger settled.
-        server.send(b"done").unwrap();
-        assert_eq!(client.join().unwrap(), b"done");
-        drop(server);
-        assert_eq!(pool.live_ingress(), 0, "ingress ledger leaked");
-        assert_eq!(pool.paused_connections(), 0);
-
-        // Backpressure must not degrade the reactor to spinning: the
-        // poll count stays in the order of delivered events.
-        let stats = reactor.stats;
-        assert!(
-            stats.polls <= stats.events + stats.timer_fires + 64,
-            "polls {} not O(events {} + timer fires {})",
-            stats.polls,
-            stats.events,
-            stats.timer_fires
-        );
     }
 }

@@ -146,15 +146,11 @@ pub struct LoopbackChannel {
     /// The peer end's registration (we wake it on send/drop).
     peer_reg: RegSlot,
     /// Shared-pool account, opened at reactor registration — loopback
-    /// charges the same ingress budget as TCP so driver-equivalence
-    /// tests and loopback benches exercise the backpressure path.
+    /// charges delivered-frame custody to the same ledger as TCP, so
+    /// the gauges and the accounting identity hold on both transports.
     account: Option<ChannelAccount>,
     /// Bytes of delivered frames not yet recycled.
     outstanding: usize,
-    /// Backpressure: `try_recv` refuses to pull until recycles drain
-    /// the charge below the low-water mark (the loopback analogue of
-    /// dropping read interest).
-    paused: bool,
 }
 
 impl LoopbackChannel {
@@ -174,7 +170,6 @@ impl LoopbackChannel {
                 peer_reg: Arc::clone(&b_reg),
                 account: None,
                 outstanding: 0,
-                paused: false,
             },
             LoopbackChannel {
                 tx: Some(b_tx),
@@ -184,7 +179,6 @@ impl LoopbackChannel {
                 peer_reg: a_reg,
                 account: None,
                 outstanding: 0,
-                paused: false,
             },
         )
     }
@@ -198,17 +192,7 @@ impl LoopbackChannel {
         }
     }
 
-    /// Wakes *this* end's reactor — used on backpressure resume, when
-    /// frames may already sit in the queue with no new send coming.
-    fn wake_self(&self) {
-        if let Ok(guard) = self.my_reg.lock() {
-            if let Some((waker, token)) = guard.as_ref() {
-                waker.wake(*token);
-            }
-        }
-    }
-
-    /// Records a delivered frame against the ingress budget.
+    /// Charges a delivered frame to the ingress ledger.
     fn charge_delivery(&mut self, len: usize) {
         if let Some(acct) = &self.account {
             acct.charge_ingress(len);
@@ -244,13 +228,6 @@ impl Channel for LoopbackChannel {
         if let Some(acct) = &self.account {
             acct.credit_ingress(credit);
             acct.put(frame);
-            if self.paused && acct.should_resume() {
-                acct.set_paused(false);
-                self.paused = false;
-                // Frames may already be queued with no new send coming:
-                // schedule our own readiness sweep.
-                self.wake_self();
-            }
         }
     }
 
@@ -271,7 +248,6 @@ impl EventedChannel for LoopbackChannel {
             // the new pool; the replaced account's drop credits the old.
             let acct = pool.account();
             acct.charge_ingress(self.outstanding);
-            self.paused = false;
             self.account = Some(acct);
         }
         let waker = reactor.waker();
@@ -285,20 +261,9 @@ impl EventedChannel for LoopbackChannel {
     }
 
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        if self.paused {
-            // Backpressure: leave queued frames where they are until
-            // recycles drain the charge (recycle_frame re-arms us).
-            return Ok(None);
-        }
         match self.rx.try_recv() {
             Ok(frame) => {
                 self.charge_delivery(frame.len());
-                if let Some(acct) = &self.account {
-                    if acct.should_pause() {
-                        acct.set_paused(true);
-                        self.paused = true;
-                    }
-                }
                 Ok(Some(frame))
             }
             Err(mpsc::TryRecvError::Empty) => Ok(None),
@@ -648,69 +613,5 @@ mod tests {
             chunks.windows(2).any(|w| w[0] > w[1]),
             "nothing was reordered"
         );
-    }
-
-    #[test]
-    fn budgeted_loopback_pauses_and_resumes() {
-        const FRAMES: usize = 40;
-        const LEN: usize = 4 * 1024;
-
-        let mut reactor = Reactor::new(Duration::from_millis(5)).unwrap();
-        // One connection → fair share = max(budget, floor) = 64 KiB,
-        // well below the 160 KiB burst.
-        reactor.set_ingress_budget(64 * 1024);
-        let pool = reactor.pool();
-        let (mut client, mut server) = LoopbackChannel::pair("budget");
-        server.register(&mut reactor, Token(1)).unwrap();
-        for i in 0..FRAMES {
-            client.send(&vec![i as u8; LEN]).unwrap();
-        }
-
-        // Drain without recycling: the charge crosses the budget and
-        // the channel pauses with frames still queued.
-        let mut held = Vec::new();
-        while let Some(frame) = server.try_recv().unwrap() {
-            held.push(frame);
-        }
-        assert!(
-            held.len() < FRAMES,
-            "loopback never paused ({} frames pulled)",
-            held.len()
-        );
-        assert_eq!(pool.paused_connections(), 1);
-        assert!(pool.live_ingress() > 64 * 1024 / 2);
-
-        // Recycling re-arms the channel and self-wakes the reactor.
-        let mut next = 0usize;
-        for frame in held.drain(..) {
-            assert!(frame.iter().all(|&b| b == next as u8));
-            next += 1;
-            server.recycle_frame(frame);
-        }
-        assert_eq!(pool.paused_connections(), 0, "recycles did not re-arm");
-
-        // The self-wake surfaces the queued remainder through a poll.
-        let (mut events, mut expired) = (Vec::new(), Vec::new());
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while next < FRAMES {
-            assert!(Instant::now() < deadline, "stalled at frame {next}");
-            reactor
-                .poll(&mut events, &mut expired, Duration::from_millis(50))
-                .unwrap();
-            for ev in &events {
-                assert_eq!(ev.token, Token(1));
-                while let Some(frame) = server.try_recv().unwrap() {
-                    assert!(
-                        frame.iter().all(|&b| b == next as u8),
-                        "frame {next} lost or reordered across the pause"
-                    );
-                    next += 1;
-                    server.recycle_frame(frame);
-                }
-            }
-        }
-        drop(client);
-        drop(server);
-        assert_eq!(pool.live_ingress(), 0, "loopback ledger leaked");
     }
 }

@@ -5,13 +5,16 @@
 use dordis_crypto::ed25519::Signature;
 use dordis_crypto::shamir::Share;
 use dordis_net::codec::{
-    decode_abort, decode_advertised_keys, decode_consistency_signature, decode_encrypted_shares,
-    decode_id_list, decode_join, decode_list, decode_masked_input, decode_noise_share_response,
-    decode_params, decode_setup, decode_signature_list, decode_unmasking_response, encode_abort,
-    encode_join, encode_list, encode_params, encode_setup, encode_signature_list,
+    decode_abort, decode_advertised_keys, decode_announce, decode_consistency_signature,
+    decode_encrypted_shares, decode_id_list, decode_join, decode_join_claim, decode_list,
+    decode_masked_input, decode_noise_share_response, decode_params, decode_setup,
+    decode_signature_list, decode_unmasking_response, encode_abort, encode_announce, encode_join,
+    encode_join_claim, encode_list, encode_params, encode_setup, encode_signature_list,
     reassemble_masked_input, split_masked_input, Encode, Envelope, EnvelopeView, FrameContext,
-    StageTag, HEADER_BYTES, WIRE_VERSION,
+    StageTag, HEADER_BYTES, MAX_FRAME_BYTES, WIRE_VERSION,
 };
+use dordis_net::pool::BytePool;
+use dordis_net::tcp::FrameBuffer;
 use dordis_net::NetError;
 use dordis_pipeline::ChunkPlan;
 use dordis_secagg::graph::MaskingGraph;
@@ -489,6 +492,214 @@ mod chunked_frame_props {
                 let v = EnvelopeView::decode(truncated);
                 prop_assert_eq!(o.is_err(), v.is_err());
             }
+        }
+    }
+}
+
+/// Hostile bytes: whatever a peer puts on the wire, every decoder and
+/// the stream reassembler return a value or a typed [`NetError`] — they
+/// never panic, and a garbage length prefix never sizes an allocation.
+/// This input check, the per-stage deadlines and the kernel's socket
+/// buffers are what bound a misbehaving peer.
+mod hostile_bytes {
+    use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
+
+    /// Packing parameters of the valid `MaskedInput` frame below.
+    const BITS: u32 = 20;
+    const LEN: usize = 24;
+
+    /// One well-formed body of every kind the runtime or the coordinator
+    /// sends.
+    fn valid_bodies() -> Vec<Vec<u8>> {
+        let keys = AdvertisedKeys {
+            client: 3,
+            c_pk: [1u8; 32],
+            s_pk: [2u8; 32],
+            signature: Some(Signature([7u8; 64])),
+        };
+        let shares = EncryptedShares {
+            from: 3,
+            to: 4,
+            ciphertext: vec![0xab; 40],
+        };
+        let params = RoundParams {
+            round: 3,
+            clients: (0..6).collect(),
+            threshold: 4,
+            bit_width: BITS,
+            vector_len: LEN,
+            noise_components: 2,
+            threat_model: ThreatModel::Malicious,
+            graph: MaskingGraph::Harary { half_degree: 2 },
+        };
+        let masked = MaskedInput {
+            client: 3,
+            vector: (0..LEN as u64).map(|i| i * 0x9e37).collect(),
+            bit_width: BITS,
+        };
+        let unmasking = UnmaskingResponse {
+            client: 3,
+            sk_shares: vec![(1, share(2, 32))],
+            b_shares: vec![(2, share(2, 32)), (4, share(2, 32))],
+            own_seeds: vec![(1, [0xcd; 32])],
+        };
+        let noise = NoiseShareResponse {
+            client: 3,
+            seed_shares: vec![(1, 1, share(5, 32)), (4, 2, share(5, 32))],
+        };
+        let signed = (3, Signature([9u8; 64]));
+        vec![
+            encode_join_claim(5, b"claim"),
+            encode_setup(&params, 4, 6, &[9, 8, 7]),
+            keys.encoded(),
+            encode_list(&[keys.clone(), keys]),
+            encode_list(&[shares.clone(), shares]),
+            masked.encoded(),
+            IdList((0..6).collect()).encoded(),
+            ConsistencySignature {
+                client: signed.0,
+                signature: signed.1,
+            }
+            .encoded(),
+            encode_signature_list(&[signed, signed]),
+            unmasking.encoded(),
+            noise.encoded(),
+            encode_abort("below threshold"),
+            encode_announce(true),
+            Vec::new(),
+        ]
+    }
+
+    /// A valid frame for every [`StageTag`], between them carrying every
+    /// body kind.
+    fn valid_frames() -> Vec<Vec<u8>> {
+        let bodies = valid_bodies();
+        (0..=u8::MAX)
+            .filter_map(StageTag::from_u8)
+            .zip(bodies.iter().cycle())
+            .map(|(stage, body)| Envelope::chunked(stage, 3, 1, body.clone()).encode())
+            .collect()
+    }
+
+    /// Flips the bits `flips` selects and truncates or extends the tail
+    /// as `tail` says (`tail % 3`: leave, cut, append).
+    fn mutate(bytes: &mut Vec<u8>, flips: &[u64], tail: u64) {
+        for &f in flips {
+            if !bytes.is_empty() {
+                let bit = (f % (bytes.len() as u64 * 8)) as usize;
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        let amount = (tail >> 8) as usize;
+        match tail % 3 {
+            1 => bytes.truncate(amount % (bytes.len() + 1)),
+            2 => bytes.extend((0..amount % 17).map(|i| (tail >> (i % 8)) as u8)),
+            _ => {}
+        }
+    }
+
+    /// Every public decoder over `frame`, read as a frame and — whole
+    /// and past the header — as a body. Returning at all is the
+    /// property: an `Err` is a typed `NetError` by signature.
+    fn decode_everything(frame: &[u8]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(
+            Envelope::decode(frame).is_err(),
+            EnvelopeView::decode(frame).is_err()
+        );
+        for body in [frame, frame.get(HEADER_BYTES..).unwrap_or_default()] {
+            let _ = decode_advertised_keys(body);
+            let _ = decode_encrypted_shares(body);
+            let _ = decode_consistency_signature(body);
+            let _ = decode_unmasking_response(body);
+            let _ = decode_noise_share_response(body);
+            let _ = decode_id_list(body);
+            let _ = decode_list(body, decode_advertised_keys);
+            let _ = decode_list(body, decode_encrypted_shares);
+            let _ = decode_join(body);
+            let _ = decode_join_claim(body);
+            let _ = decode_announce(body);
+            let _ = decode_setup(body);
+            let _ = decode_params(body);
+            let _ = decode_signature_list(body);
+            let _ = decode_abort(body);
+            // The round's own packing, and widths whose element count
+            // is sized to the payload so the unpacker runs on it.
+            let _ = decode_masked_input(body, BITS, LEN, ctx());
+            let payload_bits = body.len().saturating_sub(4) * 8;
+            for bits in [1u32, 8, 20, 62] {
+                let _ = decode_masked_input(body, bits, payload_bits / bits as usize, ctx());
+            }
+        }
+        Ok(())
+    }
+
+    /// Feeds `stream` to a pooled [`FrameBuffer`] in the pieces `splits`
+    /// cuts (then the rest at once); returns the frames delivered and
+    /// whether a length prefix poisoned the stream — which must stick,
+    /// and must not have drawn a buffer.
+    fn reassemble(stream: &[u8], splits: &[usize]) -> Result<(Vec<Vec<u8>>, bool), TestCaseError> {
+        let telemetry = dordis_telemetry::Telemetry::enabled();
+        let mut buf = FrameBuffer::new();
+        buf.attach_account(BytePool::with_telemetry(&telemetry).account());
+        let (mut taken, mut poisoned, mut rest) = (Vec::new(), false, stream);
+        let mut cuts = splits.iter().copied();
+        while !rest.is_empty() && !poisoned {
+            let (piece, tail) = rest.split_at(cuts.next().unwrap_or(usize::MAX).min(rest.len()));
+            buf.push(piece);
+            rest = tail;
+            while !poisoned {
+                match buf.take_frame() {
+                    Ok(Some(frame)) => taken.push(frame),
+                    Ok(None) => break,
+                    Err(_) => poisoned = true,
+                }
+            }
+        }
+        prop_assert!(buf.take_frame().is_err() == poisoned, "poison must stick");
+        let snap = telemetry.snapshot().expect("enabled telemetry");
+        let drawn =
+            snap.get("dordis_frames_allocated_total") + snap.get("dordis_frames_recycled_total");
+        prop_assert_eq!(drawn, taken.len() as u64);
+        Ok((taken, poisoned))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn hostile_bytes_yield_typed_errors_never_panics(
+            arbitrary in collection::vec(any::<u8>(), 0..300),
+            flips in collection::vec(any::<u64>(), 1..9),
+            tail in any::<u64>(),
+            splits in collection::vec(1usize..200, 0..40),
+            oversize in (MAX_FRAME_BYTES as u64 + 1)..(1u64 << 32),
+        ) {
+            // What comes out of a stream never depends on how it was cut.
+            decode_everything(&arbitrary)?;
+            prop_assert_eq!(reassemble(&arbitrary, &splits)?, reassemble(&arbitrary, &[])?);
+
+            // Every stage's valid frame, damaged.
+            let frames = valid_frames();
+            let mut stream = Vec::new();
+            for frame in &frames {
+                prop_assert!(Envelope::decode(frame).is_ok());
+                stream.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+                stream.extend_from_slice(frame);
+                let mut damaged = frame.clone();
+                mutate(&mut damaged, &flips, tail);
+                decode_everything(&damaged)?;
+            }
+            // The same frames as one stream, then a prefix past the
+            // frame cap: they are delivered, then the stream is poisoned.
+            let mut capped = stream.clone();
+            capped.extend_from_slice(&(oversize as u32).to_le_bytes());
+            capped.extend_from_slice(&arbitrary);
+            prop_assert_eq!(reassemble(&capped, &splits)?, (frames, true));
+            // And that stream damaged anywhere.
+            mutate(&mut stream, &flips, tail);
+            prop_assert_eq!(reassemble(&stream, &splits)?, reassemble(&stream, &[])?);
         }
     }
 }

@@ -4,15 +4,18 @@
 //! point in time, the pool's live ingress gauge equals the bytes each
 //! connection genuinely holds custody of (stream buffer + decoded
 //! frames not yet recycled), no matter how pushes, frame takes,
-//! recycles, pauses, and disconnects interleave — and a dropped
-//! connection settles its whole ledger, so nothing leaks. These
-//! properties drive the backpressure decisions (`should_pause`), so a
-//! drift here silently turns the budget into fiction.
+//! recycles, and disconnects interleave — and a dropped connection
+//! settles its whole ledger, so nothing leaks. The
+//! `dordis_buffered_bytes` gauges read this ledger, so a drift here
+//! silently turns them into fiction.
 
-use dordis_net::pool::{BytePool, ChannelAccount};
+use dordis_net::pool::BytePool;
 use dordis_net::tcp::FrameBuffer;
 use proptest::collection;
 use proptest::prelude::*;
+
+/// The pool's bound on retained free-list bytes (8 MiB).
+const RETAIN_CAP: u64 = 8 << 20;
 
 /// Deterministic payload bytes for frame `i` of length `len`.
 fn payload(seed: u64, i: usize, len: usize) -> Vec<u8> {
@@ -41,7 +44,6 @@ fn stream_of(frames: &[Vec<u8>]) -> Vec<u8> {
 /// `ChannelAccount`, plus the test's shadow ledger.
 struct Conn {
     buf: FrameBuffer,
-    acct: ChannelAccount,
     /// Scripted wire bytes not yet pushed.
     stream: Vec<u8>,
     fed: usize,
@@ -49,23 +51,19 @@ struct Conn {
     held: Vec<Vec<u8>>,
     /// Shadow ledger: what this connection should have charged.
     live: u64,
-    paused: bool,
 }
 
 impl Conn {
     fn new(pool: &BytePool, seed: u64, frames: &[Vec<u8>]) -> Conn {
-        let acct = pool.account();
         let mut buf = FrameBuffer::new();
-        buf.attach_account(acct.clone());
+        buf.attach_account(pool.account());
         let _ = seed;
         Conn {
             buf,
-            acct,
             stream: stream_of(frames),
             fed: 0,
             held: Vec::new(),
             live: 0,
-            paused: false,
         }
     }
 }
@@ -74,10 +72,10 @@ impl Conn {
 /// has no tuple strategies): `(connection index, op, size hint)`.
 ///
 /// op 0..=2: push up to `hint` scripted bytes; 3: take one frame;
-/// 4: recycle the oldest held frame; 5: toggle pause; 6: disconnect.
+/// 4: recycle the oldest held frame; 5: disconnect.
 fn decode_op(x: u64) -> (usize, u8, usize) {
     let idx = (x & 0xFF) as usize;
-    let op = ((x >> 8) % 7) as u8;
+    let op = ((x >> 8) % 6) as u8;
     let hint = ((x >> 16) & 0x1FF) as usize + 1;
     (idx, op, hint)
 }
@@ -85,23 +83,19 @@ fn decode_op(x: u64) -> (usize, u8, usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Arbitrary interleavings of push / take / recycle / park /
-    /// disconnect keep the pool's ledger balanced: live ingress always
-    /// equals the surviving connections' shadow ledgers, retained pool
-    /// bytes never exceed the retain cap, the paused gauge tracks the
-    /// paused set, and dropping every connection settles to zero.
+    /// Arbitrary interleavings of push / take / recycle / disconnect
+    /// keep the pool's ledger balanced: live ingress always equals the
+    /// surviving connections' shadow ledgers, retained pool bytes never
+    /// exceed the retain cap, and dropping every connection settles to
+    /// zero.
     #[test]
     fn interleaved_custody_keeps_the_ledger_balanced(
         seed in any::<u64>(),
-        budget_raw in 0u64..262_144,
         per_conn_lens in collection::vec(
             collection::vec(0usize..400, 1..6), 2..5),
         raw_ops in collection::vec(any::<u64>(), 1..120),
     ) {
-        // Small draws collapse to 0 = unlimited, so both budget regimes
-        // are exercised.
-        let budget = if budget_raw < 1024 { 0 } else { budget_raw };
-        let pool = BytePool::new(budget);
+        let pool = BytePool::new();
         let mut conns: Vec<Option<Conn>> = per_conn_lens
             .iter()
             .enumerate()
@@ -145,15 +139,11 @@ proptest! {
                     }
                 }
                 5 => {
-                    conn.paused = !conn.paused;
-                    conn.acct.set_paused(conn.paused);
-                }
-                6 => {
                     // Disconnect with frames still held and bytes still
                     // buffered: the account drop must settle it all.
                     conns[slot] = None;
                 }
-                _ => unreachable!("op range is 0..7"),
+                _ => unreachable!("op range is 0..6"),
             }
 
             let expected: u64 = conns
@@ -163,25 +153,17 @@ proptest! {
                 .sum();
             prop_assert_eq!(pool.live_ingress(), expected);
             prop_assert!(
-                pool.pooled_bytes() <= pool.retain_cap(),
+                pool.pooled_bytes() <= RETAIN_CAP,
                 "retained {} bytes exceeds cap {}",
                 pool.pooled_bytes(),
-                pool.retain_cap()
+                RETAIN_CAP
             );
-            let paused: u64 = conns
-                .iter()
-                .flatten()
-                .filter(|c| c.paused)
-                .count() as u64;
-            prop_assert_eq!(pool.paused_connections(), paused);
         }
 
         // Everything disconnects — even with un-recycled frames and
         // half-parsed streams in flight, the ledger settles to zero.
         conns.clear();
         prop_assert_eq!(pool.live_ingress(), 0);
-        prop_assert_eq!(pool.connections(), 0);
-        prop_assert_eq!(pool.paused_connections(), 0);
     }
 }
 
@@ -191,7 +173,7 @@ proptest! {
 /// held frame never went back.
 #[test]
 fn late_drop_of_held_frames_settles_ledger() {
-    let pool = BytePool::new(0);
+    let pool = BytePool::new();
     let acct = pool.account();
     let mut buf = FrameBuffer::new();
     buf.attach_account(acct.clone());
@@ -211,6 +193,5 @@ fn late_drop_of_held_frames_settles_ledger() {
     );
     drop(acct); // last clone: settles buffered and held custody alike
     assert_eq!(pool.live_ingress(), 0, "leak on account drop");
-    assert_eq!(pool.connections(), 0);
     drop(first);
 }

@@ -24,6 +24,7 @@ use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
+use dordis_telemetry::Telemetry;
 
 const N: u32 = 255; // The complete-graph (GF(256)) ceiling; sparse rounds go higher.
 const DIM: usize = 64;
@@ -42,6 +43,30 @@ fn input_for(id: ClientId) -> ClientInput {
             .collect(),
         noise_seeds: Vec::new(),
     }
+}
+
+/// `dordis_broadcast_encodes_total` of the same one-round session at a
+/// 3-client cohort: the reference the 256-connection run must equal.
+fn broadcast_encodes_at_three_clients(shape: &RoundParams) -> u64 {
+    let params = RoundParams {
+        clients: (0..3).collect(),
+        threshold: 2,
+        graph: MaskingGraph::harary_for(3),
+        ..shape.clone()
+    };
+    let (hub, mut acceptor) = LoopbackHub::new();
+    let telemetry = Telemetry::enabled();
+    let cfg = SessionConfig {
+        chunks: CHUNKS,
+        telemetry: telemetry.clone(),
+        ..common::one_round(params)
+    };
+    common::run_session(&mut acceptor, cfg, 0..3, move |id| {
+        let mut chan = hub.connect(&format!("c{id}")).expect("connect");
+        common::roster_client(&mut chan, id, SEED, |_| None, |_| input_for(id), None).expect("run")
+    });
+    let snap = telemetry.snapshot().expect("enabled telemetry");
+    snap.get("dordis_broadcast_encodes_total")
 }
 
 #[test]
@@ -69,11 +94,13 @@ fn single_thread_serves_256_connections_with_o_events_wakeups() {
 
     // Generous deadlines: 255 debug-build clients share this machine's
     // cores, and the assertion below is about wake-ups, not wall-clock.
+    let telemetry = Telemetry::enabled();
     let cfg = SessionConfig {
         join_timeout: Duration::from_secs(240),
         stage_timeout: Duration::from_secs(240),
         chunks: CHUNKS,
-        ..common::one_round(params)
+        telemetry: telemetry.clone(),
+        ..common::one_round(params.clone())
     };
     let start = Instant::now();
     let ids = std::iter::once(EXTRA).chain(0..N);
@@ -141,6 +168,16 @@ fn single_thread_serves_256_connections_with_o_events_wakeups() {
             );
         }
     }
+
+    // --- Encode-once broadcast: O(1) encodes in the cohort size. ---
+    let snap = telemetry.snapshot().expect("enabled telemetry");
+    let encodes = snap.get("dordis_broadcast_encodes_total");
+    assert!(encodes > 0, "no broadcast was counted");
+    assert_eq!(
+        encodes,
+        broadcast_encodes_at_three_clients(&params),
+        "broadcast encodes grew with the cohort"
+    );
 
     // --- The reactor claim: wake-ups are O(events), not O(clients × ticks). ---
     let stats = report.reactor;

@@ -14,6 +14,7 @@ use dordis_net::tcp::{TcpAcceptor, TcpChannel};
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
+use dordis_telemetry::Telemetry;
 
 const BITS: u32 = 18;
 const DIM: usize = 32;
@@ -44,9 +45,11 @@ fn tcp_secagg_plus_round_with_mid_round_kill() {
     let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
     let addr = dordis_net::transport::Acceptor::local_addr(&acceptor);
 
+    let telemetry = Telemetry::enabled();
     let cfg = SessionConfig {
         join_timeout: Duration::from_secs(15),
         stage_timeout: Duration::from_secs(8),
+        telemetry: telemetry.clone(),
         ..common::one_round(params)
     };
     let (mut reports, clients) = common::run_session(&mut acceptor, cfg, 0..N, move |id| {
@@ -94,4 +97,11 @@ fn tcp_secagg_plus_round_with_mid_round_kill() {
         assert!(survivors.contains_key(owner));
         assert!(*k >= 1 && *k <= 2);
     }
+
+    // The shared free list served recycled allocations: only
+    // `tcp::FrameBuffer` draws from it (loopback frames arrive as the
+    // sender's `Vec` and are only ever put back), so real sockets are
+    // where this is observable.
+    let snap = telemetry.snapshot().expect("enabled telemetry");
+    assert!(snap.get("dordis_frames_recycled_total") > 0);
 }
