@@ -2,14 +2,16 @@
 //!
 //! These are the numbers behind the `UnitCosts::rust_native` calibration
 //! of the simulator's cost model: PRG (mask) expansion throughput, key
-//! agreement, signatures and the VRF, Shamir, and AEAD.
+//! agreement, signatures and the VRF, Shamir, AEAD, and the hash plane
+//! under key derivation and AEAD tags.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dordis_crypto::ed25519::{Point, Scalar, SigningKey};
 use dordis_crypto::field::Fe;
+use dordis_crypto::hmac::hkdf;
 use dordis_crypto::ka::KeyPair;
 use dordis_crypto::prg::Prg;
-use dordis_crypto::sha256::sha256;
+use dordis_crypto::sha256::{compress, sha256};
 use dordis_crypto::vrf::VrfSecretKey;
 use dordis_crypto::{aead, shamir};
 use rand::SeedableRng;
@@ -23,6 +25,58 @@ fn bench_sha256(c: &mut Criterion) {
             b.iter(|| sha256(d));
         });
     }
+    // One compression function call, the unit every hash-plane row below
+    // is made of: the SHA-NI kernel where the CPU has it, the portable
+    // rounds elsewhere.
+    let (mut state, block) = ([0x6a09_e667u32; 8], [[0xabu8; 64]]);
+    g.throughput(Throughput::Bytes(64)).sample_size(1_000_000);
+    g.bench_function("compress", |b| {
+        b.iter(|| {
+            compress(black_box(&mut state), black_box(&block));
+            state[0]
+        });
+    });
+    g.finish();
+}
+
+fn bench_hash_plane(c: &mut Criterion) {
+    // At the sizes the reference workloads run: the hash half of
+    // `KA.agree` (32-byte DH output, both public keys as info, one
+    // 32-byte key), a mask PRG's key derivation, and the share bundles
+    // sealed and opened in ShareKeys / Unmasking — 110 bytes under
+    // `tcp_cohort256`, ≈ 600 under `fl_xnoise32` — with the 16-byte
+    // `round || from || to` associated data.
+    const ITERS: usize = 100_000;
+    let mut g = c.benchmark_group("hkdf");
+    g.sample_size(ITERS);
+    let (raw, info) = ([0x5au8; 32], [0x33u8; 64]);
+    g.bench_function("ka_agree", |b| {
+        b.iter(|| hkdf::<32>(b"dordis.ka.agree", black_box(&raw), black_box(&info)));
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("prg");
+    g.sample_size(ITERS);
+    g.bench_function("new", |b| {
+        b.iter(|| Prg::new(black_box(&raw), b"secagg.pairwise"));
+    });
+    g.finish();
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+    let (key, aad) = ([5u8; 32], [7u8; 16]);
+    let mut g = c.benchmark_group("aead");
+    g.sample_size(ITERS);
+    let (cohort, xnoise) = (vec![0u8; 110], vec![0u8; 600]);
+    let ct = aead::seal(&key, &aad, &cohort, &mut rng);
+    g.bench_function("seal_110B", |b| {
+        b.iter(|| aead::seal(&key, &aad, black_box(&cohort), &mut rng));
+    });
+    g.bench_function("open_110B", |b| {
+        b.iter(|| aead::open(&key, &aad, black_box(&ct)).expect("authentic"));
+    });
+    g.bench_function("seal_600B", |b| {
+        b.iter(|| aead::seal(&key, &aad, black_box(&xnoise), &mut rng));
+    });
     g.finish();
 }
 
@@ -181,6 +235,7 @@ fn bench_aead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sha256,
+    bench_hash_plane,
     bench_mask_expansion,
     bench_field,
     bench_x25519,

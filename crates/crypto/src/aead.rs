@@ -22,7 +22,7 @@ pub const TAG_LEN: usize = 32;
 pub const OVERHEAD: usize = NONCE_LEN + TAG_LEN;
 
 fn derive_keys(key: &[u8]) -> ([u8; 32], [u8; 32]) {
-    let okm = hkdf(b"dordis.aead", key, b"enc|mac", 64);
+    let okm: [u8; 64] = hkdf(b"dordis.aead", key, b"enc|mac");
     let mut enc = [0u8; 32];
     let mut mac = [0u8; 32];
     enc.copy_from_slice(&okm[..32]);

@@ -870,7 +870,7 @@ impl SigningKey {
     /// Derives a signing key deterministically from a 32-byte seed.
     #[must_use]
     pub fn from_seed(seed: &[u8; 32]) -> SigningKey {
-        let expanded = hkdf(b"dordis.sig.keygen", seed, b"expand", 64);
+        let expanded: [u8; 64] = hkdf(b"dordis.sig.keygen", seed, b"expand");
         let mut scalar_bytes = [0u8; 32];
         scalar_bytes.copy_from_slice(&expanded[..32]);
         // Ed25519-style clamping keeps the scalar in the prime-order

@@ -33,9 +33,7 @@ impl KeyPair {
     /// reproducible protocol tests).
     #[must_use]
     pub fn from_seed(seed: &[u8; 32]) -> KeyPair {
-        let okm = hkdf(b"dordis.ka.keygen", seed, b"sk", 32);
-        let mut secret = [0u8; 32];
-        secret.copy_from_slice(&okm);
+        let secret = hkdf(b"dordis.ka.keygen", seed, b"sk");
         let public = x25519::public_key(&secret);
         KeyPair { secret, public }
     }
@@ -73,13 +71,10 @@ impl KeyPair {
         } else {
             (*their_public, self.public)
         };
-        let mut info = Vec::with_capacity(64);
-        info.extend_from_slice(&lo);
-        info.extend_from_slice(&hi);
-        let okm = hkdf(b"dordis.ka.agree", raw, &info, 32);
-        let mut out = [0u8; 32];
-        out.copy_from_slice(&okm);
-        out
+        let mut info = [0u8; 64];
+        info[..32].copy_from_slice(&lo);
+        info[32..].copy_from_slice(&hi);
+        hkdf(b"dordis.ka.agree", raw, &info)
     }
 }
 

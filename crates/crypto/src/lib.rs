@@ -8,8 +8,13 @@
 //! encryption scheme. No third-party crypto crates are available offline, so
 //! this crate implements all of them directly:
 //!
-//! - [`sha256`]: FIPS 180-4 SHA-256.
-//! - [`hmac`]: RFC 2104 HMAC-SHA256 and RFC 5869 HKDF.
+//! - [`sha256`]: FIPS 180-4 SHA-256, every block through one compression
+//!   function.
+//! - `sha256_ni` (x86-64 only): that compression function on the SHA
+//!   extensions — the kernel `sha256::compress` runs on where the CPU
+//!   has them, bit-equal to the portable rounds it falls back to.
+//! - [`hmac`]: RFC 2104 HMAC-SHA256 keyed once into two midstates, and
+//!   RFC 5869 HKDF into fixed-size outputs.
 //! - [`chacha20`]: RFC 8439 ChaCha20 block function and stream cipher.
 //! - [`prg`]: a seeded, forkable pseudorandom generator on top of ChaCha20.
 //! - [`field`]: arithmetic in GF(2^255 - 19) with 51-bit limbs.
@@ -18,8 +23,7 @@
 //!   (`x25519_many`).
 //! - `x25519_avx512` (x86-64 only): eight of those ladders in the lanes
 //!   of AVX-512F registers, radix 2^25.5 — the kernel `x25519_many` runs
-//!   its batches on where the CPU has it, and the crate's one `unsafe`
-//!   module.
+//!   its batches on where the CPU has it.
 //! - [`ed25519`]: edwards25519 group operations and a Schnorr signature
 //!   scheme over that group (UF-CMA under standard assumptions).
 //! - [`shamir`]: t-of-n Shamir secret sharing over GF(256).
@@ -30,11 +34,14 @@
 //! - [`vrf`]: an EC-VRF over edwards25519 for verifiable client sampling
 //!   (the paper's §7 extension).
 //!
-//! Hashing, MACs and secret sharing favour clarity over speed; the hot
-//! paths the aggregation protocols' round time is made of (ChaCha20 mask
+//! Secret sharing favours clarity over speed; the hot paths the
+//! aggregation protocols' round time is made of (ChaCha20 mask
 //! expansion, the X25519 ladder over the lazily reduced [`field`], the
-//! Edwards multiplications under signatures and the VRF) are written for
-//! speed, each with a plain reference it is tested bit-equal against.
+//! Edwards multiplications under signatures and the VRF, the SHA-256
+//! under every key derivation and AEAD tag) are written for speed, each
+//! with a plain reference it is tested bit-equal against. `unsafe` is
+//! denied crate-wide and allowed on exactly two modules, one per kernel:
+//! `x25519_avx512` and `sha256_ni`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,6 +54,9 @@ pub mod hmac;
 pub mod ka;
 pub mod prg;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sha256_ni;
 pub mod shamir;
 pub mod vrf;
 pub mod x25519;

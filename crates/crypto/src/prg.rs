@@ -39,7 +39,7 @@ impl Prg {
     pub fn new(seed: &Seed, domain: &[u8]) -> Self {
         // Derive (key, nonce) from the seed so that the raw seed is never
         // used directly as cipher key material across domains.
-        let okm = hkdf(b"dordis.prg", seed, domain, KEY_LEN + NONCE_LEN);
+        let okm: [u8; KEY_LEN + NONCE_LEN] = hkdf(b"dordis.prg", seed, domain);
         let mut key = [0u8; KEY_LEN];
         let mut nonce = [0u8; NONCE_LEN];
         key.copy_from_slice(&okm[..KEY_LEN]);
@@ -79,10 +79,7 @@ impl Prg {
         let mut info = Vec::with_capacity(domain.len() + 8);
         info.extend_from_slice(domain);
         info.extend_from_slice(&index.to_le_bytes());
-        let okm = hkdf(b"dordis.prg.fork", seed, &info, 32);
-        let mut out = [0u8; 32];
-        out.copy_from_slice(&okm);
-        out
+        hkdf(b"dordis.prg.fork", seed, &info)
     }
 
     /// Fills `out` with pseudorandom bytes.

@@ -1,15 +1,19 @@
 //! FIPS 180-4 SHA-256.
 //!
 //! Streaming implementation with an incremental [`Sha256`] context plus the
-//! one-shot [`sha256`] convenience function. Verified against the FIPS/NIST
-//! short-message test vectors in the unit tests.
+//! one-shot [`sha256`] convenience function. Every block goes through one
+//! compression function, [`compress`]: on x86-64 hosts with the SHA
+//! extensions it runs on `crate::sha256_ni`, everywhere else on the
+//! portable rounds below, which also stay the oracle the SHA-NI kernel is
+//! tested against. Verified against the FIPS/NIST short-message test
+//! vectors in the unit tests.
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
 /// Internal block size of SHA-256 in bytes.
 pub const BLOCK_LEN: usize = 64;
 
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -39,8 +43,8 @@ const H0: [u32; 8] = [
 #[derive(Clone)]
 pub struct Sha256 {
     state: [u32; 8],
+    /// The first `total_len % BLOCK_LEN` bytes are the unabsorbed tail.
     buf: [u8; BLOCK_LEN],
-    buf_len: usize,
     total_len: u64,
 }
 
@@ -57,71 +61,88 @@ impl Sha256 {
         Sha256 {
             state: H0,
             buf: [0u8; BLOCK_LEN],
-            buf_len: 0,
             total_len: 0,
         }
     }
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut rest = data;
-        if self.buf_len > 0 {
-            let take = (BLOCK_LEN - self.buf_len).min(rest.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
-            self.buf_len += take;
-            rest = &rest[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while rest.len() >= BLOCK_LEN {
-            let (block, tail) = rest.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        self.absorb(data, compress);
     }
 
     /// Finishes hashing and returns the 32-byte digest.
     #[must_use]
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian message length.
-        self.update_pad(&[0x80]);
-        while self.buf_len != 56 {
-            self.update_pad(&[0x00]);
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        self.finish(compress)
+    }
+
+    fn buffered(&self) -> usize {
+        (self.total_len % BLOCK_LEN as u64) as usize
+    }
+
+    /// `update` over a given compression function: whole blocks of
+    /// `data` go to `compress` in one call, straight from the slice.
+    #[inline(always)]
+    fn absorb(&mut self, data: &[u8], compress: impl Fn(&mut [u32; 8], &[[u8; BLOCK_LEN]])) {
+        let buffered = self.buffered();
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
+        let mut rest = data;
+        if buffered > 0 {
+            let take = (BLOCK_LEN - buffered).min(rest.len());
+            self.buf[buffered..buffered + take].copy_from_slice(&rest[..take]);
+            if buffered + take < BLOCK_LEN {
+                return;
+            }
+            compress(&mut self.state, core::slice::from_ref(&self.buf));
+            rest = &rest[take..];
         }
-        self.update_pad(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        let (blocks, tail) = rest.as_chunks::<BLOCK_LEN>();
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
+        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+    }
+
+    /// `finalize` over a given compression function. The padding — 0x80,
+    /// zeros, then the 64-bit big-endian message length — is written into
+    /// the buffered block in place: one compression, or two when the
+    /// length no longer fits behind the tail.
+    #[inline(always)]
+    fn finish(mut self, compress: impl Fn(&mut [u32; 8], &[[u8; BLOCK_LEN]])) -> [u8; DIGEST_LEN] {
+        let bit_len = self.total_len.wrapping_mul(8);
+        let buffered = self.buffered();
+        self.buf[buffered] = 0x80;
+        self.buf[buffered + 1..].fill(0);
+        if buffered >= BLOCK_LEN - 8 {
+            compress(&mut self.state, core::slice::from_ref(&self.buf));
+            self.buf = [0u8; BLOCK_LEN];
+        }
+        self.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, core::slice::from_ref(&self.buf));
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    /// Like `update` but does not advance `total_len` (used by padding).
-    fn update_pad(&mut self, data: &[u8]) {
-        for &byte in data {
-            self.buf[self.buf_len] = byte;
-            self.buf_len += 1;
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
+/// The SHA-256 compression function over whole blocks: the SHA-NI kernel
+/// where the CPU has it, the portable rounds everywhere else. Exposed for
+/// the `sha256/compress` microbench row.
+#[doc(hidden)]
+pub fn compress(state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha256_ni::compress(state, blocks) {
+        return;
     }
+    portable(state, blocks);
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
+/// FIPS 180-4's rounds, one block at a time: the fallback of
+/// [`compress`] and the oracle of the SHA-NI kernel's tests.
+pub(crate) fn portable(state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -134,7 +155,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -155,14 +176,9 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(v);
+        }
     }
 }
 
@@ -189,9 +205,30 @@ pub fn sha256_concat(parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    type Compress = fn(&mut [u32; 8], &[[u8; BLOCK_LEN]]);
+
+    /// The dispatching compression function (SHA-NI where the CPU has
+    /// it) and the portable one: every streaming test runs on both.
+    const PATHS: [(&str, Compress); 2] = [("compress", compress), ("portable", portable)];
+
+    /// `data` through one context on `path`, cut at every point in `cuts`.
+    fn streamed(path: Compress, data: &[u8], cuts: &[usize]) -> [u8; DIGEST_LEN] {
+        let mut h = Sha256::new();
+        let mut from = 0;
+        for &cut in cuts {
+            let to = cut.clamp(from, data.len());
+            h.absorb(&data[from..to], path);
+            from = to;
+        }
+        h.absorb(&data[from..], path);
+        h.finish(path)
     }
 
     #[test]
@@ -239,6 +276,64 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), want, "split at {split}");
+        }
+    }
+
+    #[test]
+    fn padding_boundaries_on_both_paths() {
+        // All-`a` messages whose tails are 55 bytes (the length fits
+        // behind the 0x80), 56 and 63 (it spills into a second padding
+        // block) and 0 after one or two whole blocks.
+        for (len, want) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ] {
+            for (name, path) in PATHS {
+                let got = streamed(path, &vec![b'a'; len], &[]);
+                assert_eq!(hex(&got), want, "{name}, {len} bytes");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any message, cut anywhere, hashes to the one-shot digest on
+        /// both paths.
+        #[test]
+        fn streaming_splits_agree_on_both_paths(
+            data in collection::vec(any::<u8>(), 0..400),
+            cuts in collection::vec(0usize..400, 0..6),
+        ) {
+            let mut cuts = cuts;
+            cuts.sort_unstable();
+            let want = sha256(&data);
+            for (name, path) in PATHS {
+                let got = streamed(path, &data, &cuts);
+                prop_assert!(got == want, "{} path, cuts {:?}", name, cuts);
+            }
         }
     }
 

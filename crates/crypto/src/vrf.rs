@@ -57,9 +57,7 @@ impl VrfSecretKey {
     /// Derives a VRF key from a 32-byte seed.
     #[must_use]
     pub fn from_seed(seed: &[u8; 32]) -> VrfSecretKey {
-        let okm = hkdf(b"dordis.vrf.keygen", seed, b"scalar", 64);
-        let mut wide = [0u8; 64];
-        wide.copy_from_slice(&okm);
+        let wide = hkdf(b"dordis.vrf.keygen", seed, b"scalar");
         let scalar = Scalar::from_wide_bytes(&wide);
         let scalar = if scalar.is_zero() {
             Scalar::ONE
@@ -87,9 +85,7 @@ impl VrfSecretKey {
         let k = {
             let mut material = self.scalar.to_bytes().to_vec();
             material.extend_from_slice(input);
-            let okm = hkdf(b"dordis.vrf.nonce", &material, b"k", 64);
-            let mut wide = [0u8; 64];
-            wide.copy_from_slice(&okm);
+            let wide = hkdf(b"dordis.vrf.nonce", &material, b"k");
             let k = Scalar::from_wide_bytes(&wide);
             if k.is_zero() {
                 Scalar::ONE

@@ -6,9 +6,10 @@
 //! ladder exactly as [`crate::x25519::x25519`] does, on its own base
 //! point — so every lane's output is bit-equal to the scalar function,
 //! which stays the fallback on every other host and the oracle of the
-//! tests below. This is the crate's one `unsafe` module: it holds the
-//! intrinsics, one unaligned store, and the two calls from safe code
-//! into `#[target_feature]` code, each behind a runtime
+//! tests below. This is one of the crate's two `unsafe` modules, one per
+//! kernel (the other is `sha256_ni`): it holds the intrinsics, one
+//! unaligned store, and the two calls from safe code into
+//! `#[target_feature]` code, each behind a runtime
 //! `is_x86_feature_detected!("avx512f")`. Everything it exports is safe.
 //!
 //! # Representation and limb bounds

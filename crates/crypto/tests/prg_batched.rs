@@ -34,7 +34,7 @@ fn reference_mask(
     offset: usize,
     len: usize,
 ) -> Vec<u64> {
-    let okm = hkdf(b"dordis.prg", seed, domain, KEY_LEN + NONCE_LEN);
+    let okm: [u8; KEY_LEN + NONCE_LEN] = hkdf(b"dordis.prg", seed, domain);
     let key: [u8; KEY_LEN] = okm[..KEY_LEN].try_into().expect("key");
     let nonce: [u8; NONCE_LEN] = okm[KEY_LEN..].try_into().expect("nonce");
     let lane = if bits <= 32 { 4 } else { 8 };

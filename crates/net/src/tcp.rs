@@ -32,6 +32,10 @@ use crate::NetError;
 /// the peer becomes a detected dropout.
 pub const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Longest sleep between polls of an empty listener in
+/// [`TcpAcceptor::accept`]; a nearer deadline shortens it.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
 /// Incremental decoder for the `u32`-length-prefixed frame stream: bytes
 /// go in in arbitrary splits ([`push`](FrameBuffer::push)), whole frames
 /// come out ([`take_frame`](FrameBuffer::take_frame)). A deadline (or
@@ -685,10 +689,13 @@ impl Acceptor for TcpAcceptor {
                     return Ok(Box::new(TcpChannel::from_stream(stream)?));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
+                    let now = Instant::now();
+                    if now >= deadline {
                         return Err(NetError::Timeout);
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    // Never sleep past the deadline: the session's join
+                    // loop passes 1 ms slices.
+                    std::thread::sleep(ACCEPT_POLL.min(deadline - now));
                 }
                 Err(e) => {
                     self.rejections.inc();
@@ -901,6 +908,24 @@ mod tests {
         );
         server.send(b"from-server").unwrap();
         assert_eq!(handle.join().unwrap(), b"from-server");
+    }
+
+    #[test]
+    fn idle_accept_honours_a_near_deadline() {
+        // The session's join loop accepts in 1 ms slices: an empty
+        // listener must give the slice back at its deadline, not after a
+        // whole poll sleep. The median tolerates a descheduled call.
+        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let mut took: Vec<Duration> = (0..20)
+            .map(|_| {
+                let start = Instant::now();
+                let res = acceptor.accept(start + Duration::from_millis(1));
+                assert!(matches!(res, Err(NetError::Timeout)));
+                start.elapsed()
+            })
+            .collect();
+        took.sort_unstable();
+        assert!(took[10] < Duration::from_millis(3), "median {:?}", took[10]);
     }
 
     #[test]
