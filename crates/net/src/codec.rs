@@ -241,67 +241,76 @@ impl Envelope {
     }
 
     /// Checks the frame's round id against the round a state machine is
-    /// executing. `Abort` frames pass regardless (they are round-free by
-    /// construction: a peer may abort with stale state).
+    /// executing, through [`round_gate`]. `Abort` frames pass regardless
+    /// (they are round-free by construction: a peer may abort with stale
+    /// state).
     ///
     /// # Errors
     ///
     /// [`NetError::StaleRound`] on any mismatch, so a leftover frame
     /// from round `r` can never be parsed into round `r + 1`'s state.
     pub fn check_round(&self, expected: u64) -> Result<(), NetError> {
-        if self.round == expected || self.stage == StageTag::Abort {
-            Ok(())
-        } else {
-            Err(NetError::StaleRound {
+        match round_gate(self.stage, self.round, expected) {
+            RoundGate::Abort | RoundGate::Current => Ok(()),
+            RoundGate::Stale | RoundGate::Future => Err(NetError::StaleRound {
                 got: self.round,
                 expected,
-            })
+            }),
         }
     }
 
-    /// Parses a frame.
+    /// Parses a frame: [`EnvelopeView::decode`]'s header parse, with the
+    /// body copied out.
     ///
     /// # Errors
     ///
     /// Rejects short frames, unknown stage tags, and — with the typed
     /// [`NetError::Version`] — mismatched protocol versions.
     pub fn decode(frame: &[u8]) -> Result<Envelope, NetError> {
-        if frame.is_empty() {
-            return Err(NetError::Codec("empty frame".into()));
-        }
-        // Version is checked before the length so a short v1 frame is
-        // reported as the version mismatch it is.
-        let version = frame[0];
-        if version != WIRE_VERSION {
-            return Err(NetError::Version {
-                got: version,
-                expected: WIRE_VERSION,
-            });
-        }
-        if frame.len() < HEADER_BYTES {
-            return Err(NetError::Codec(format!("frame too short: {}", frame.len())));
-        }
-        let stage = StageTag::from_u8(frame[1])
-            .ok_or_else(|| NetError::Codec(format!("unknown stage tag {}", frame[1])))?;
-        let round = u64::from_le_bytes(frame[2..10].try_into().expect("8 bytes"));
-        let chunk = u16::from_le_bytes(frame[10..12].try_into().expect("2 bytes"));
+        let view = EnvelopeView::decode(frame)?;
         Ok(Envelope {
-            version,
-            stage,
-            round,
-            chunk,
-            body: frame[HEADER_BYTES..].to_vec(),
+            version: view.version,
+            stage: view.stage,
+            round: view.round,
+            chunk: view.chunk,
+            body: view.body.to_vec(),
         })
     }
 }
 
-/// A zero-copy view of a framed message: same header parse as
-/// [`Envelope::decode`], but the body *borrows* the frame buffer
-/// instead of cloning it. The data plane uses this to steal whole
-/// masked-input frames (decoding the bit-packed payload straight out of
-/// the frame at `frame[HEADER_BYTES..]`) so the per-chunk body copy
-/// never happens; the frame itself is recycled to its channel once the
-/// chunk is aggregated.
+/// Where a frame stands against the round a receiver is executing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RoundGate {
+    /// An `Abort`: round-free, whatever id it carries.
+    Abort,
+    /// An older round's leftover: discard it, never parse it.
+    Stale,
+    /// A round not begun yet: the sender's protocol violation.
+    Future,
+    /// The round being executed.
+    Current,
+}
+
+/// The round gate — the one place a frame's round id is compared with
+/// the round being executed. Aborts first, then older = stale, newer =
+/// future, else current.
+pub(crate) fn round_gate(stage: StageTag, got: u64, round: u64) -> RoundGate {
+    use std::cmp::Ordering;
+    if stage == StageTag::Abort {
+        return RoundGate::Abort;
+    }
+    match got.cmp(&round) {
+        Ordering::Less => RoundGate::Stale,
+        Ordering::Greater => RoundGate::Future,
+        Ordering::Equal => RoundGate::Current,
+    }
+}
+
+/// A zero-copy view of a framed message: the body *borrows* the frame
+/// buffer instead of cloning it. The coordinator decodes every uplink
+/// frame this way — a masked-input chunk's bit-packed payload straight
+/// out of the frame at `frame[HEADER_BYTES..]` — and recycles the frame
+/// to its channel once the body is decoded.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnvelopeView<'a> {
     /// Wire version ([`WIRE_VERSION`]).
@@ -321,12 +330,14 @@ impl<'a> EnvelopeView<'a> {
     ///
     /// # Errors
     ///
-    /// Rejects exactly what [`Envelope::decode`] rejects: short frames,
-    /// unknown stage tags, and mismatched protocol versions.
+    /// Rejects short frames, unknown stage tags, and — with the typed
+    /// [`NetError::Version`] — mismatched protocol versions.
     pub fn decode(frame: &'a [u8]) -> Result<EnvelopeView<'a>, NetError> {
         if frame.is_empty() {
             return Err(NetError::Codec("empty frame".into()));
         }
+        // Version is checked before the length so a short v1 frame is
+        // reported as the version mismatch it is.
         let version = frame[0];
         if version != WIRE_VERSION {
             return Err(NetError::Version {

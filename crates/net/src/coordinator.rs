@@ -17,31 +17,36 @@
 //! constructs one machine per round and runs them back to back over the
 //! same persistent connections. A frame whose envelope carries a
 //! *different* round id than the machine's is never parsed into the
-//! round's state: frames from older rounds (a slow peer catching up
-//! after a session transition) are discarded and counted in
-//! [`NetRoundReport::stale_frames`]; frames claiming future rounds are
-//! protocol violations.
+//! round's state: the round gate ([`codec`]'s one comparison of a
+//! frame's round with the current one) discards frames from older
+//! rounds (a slow peer catching up after a session transition) and
+//! counts them in [`NetRoundReport::stale_frames`]; frames claiming
+//! future rounds are protocol violations.
 //!
 //! ## The per-(stage, chunk) data plane
 //!
-//! Control-plane stages (key advertisement, share routing, consistency,
-//! share collection) are round-global. The data plane is chunked
-//! (§4.1): masked inputs arrive as one frame per [`ChunkPlan`] chunk,
-//! collected by a per-(stage, chunk) state machine — chunk `c`'s frames
-//! are decoded, validated, and aggregated into the server's per-chunk
-//! state *while chunk `c+1`'s frames are still in flight*, and the
-//! per-stage deadline applies per chunk (the clock restarts when a chunk
-//! completes). Symmetrically, per-chunk unmasking is interleaved with
-//! the noise-share collection when XNoise seed recovery is needed, so
-//! the s-comp and comm resources overlap end to end as in Figure 12. A
-//! client whose chunk stream stops partway is a detected dropout: U3
-//! only admits clients that delivered *every* chunk.
+//! Every stage is a (stage, chunk) task (§4.1), and one collector runs
+//! them all. The masked-input stage has one frame per [`ChunkPlan`]
+//! chunk; a control stage (key advertisement, share routing,
+//! consistency, share collection) is a one-chunk stage. Each frame is
+//! decoded from the borrowed envelope on arrival: a control message is
+//! filed by sender id, so the server sees it in id order, and chunk
+//! `c`'s masked inputs are aggregated into the server's per-chunk state
+//! *while chunk `c+1`'s frames are still in flight*. The stage deadline
+//! applies per chunk (the clock restarts when a chunk closes). A second
+//! frame for a chunk a client already delivered is that client's
+//! protocol violation, as is a chunk id outside the plan. Per-chunk
+//! unmasking is interleaved with the noise-share collection when XNoise
+//! seed recovery is needed, so the s-comp and comm resources overlap end
+//! to end as in Figure 12. A client whose chunk stream stops partway is
+//! a detected dropout: U3 only admits clients that delivered *every*
+//! chunk.
 //!
 //! ## Readiness-driven collection
 //!
-//! The collection loops are driven by [`reactor`](crate::reactor)
-//! events: the coordinator thread sleeps in `epoll_pwait` until a frame,
-//! a disconnect, or a deadline is actually ready, so one thread serves
+//! The collector is driven by [`reactor`](crate::reactor) events: the
+//! coordinator thread sleeps in `epoll_pwait` until a frame, a
+//! disconnect, or a deadline is actually ready, so one thread serves
 //! hundreds of chunk-streaming clients with `O(events)` wake-ups.
 //!
 //! [`DropoutSchedule`]: dordis_secagg::driver::DropoutSchedule
@@ -58,7 +63,7 @@ use dordis_telemetry::{MetricsSnapshot, Telemetry};
 use crate::codec::{
     self, decode_advertised_keys, decode_consistency_signature, decode_encrypted_shares,
     decode_list, decode_masked_input, decode_noise_share_response, decode_unmasking_response,
-    encode_list, Encode, Envelope, EnvelopeView, FrameContext, StageTag, HEADER_BYTES,
+    encode_list, round_gate, Encode, Envelope, EnvelopeView, RoundGate, StageTag,
 };
 use crate::faults::KillPoint;
 use crate::reactor::{Event, EventedChannel, Reactor, ReactorStats, Token};
@@ -89,8 +94,8 @@ pub struct DetectedDropout {
     pub client: ClientId,
     /// Stage name at which the departure was detected.
     pub stage: &'static str,
-    /// Chunk the collection machine was on when it detected the
-    /// departure (None for round-global stages).
+    /// Chunk the collector was on when it detected the departure (None
+    /// outside the masked-input stage).
     pub chunk: Option<u16>,
     /// What was observed.
     pub kind: DropKind,
@@ -280,14 +285,18 @@ impl<'c> RoundMachine<'c> {
 
         // ---- Stage 0: AdvertiseKeys. ----
         let stage_span = cfg.telemetry.span("stage", "AdvertiseKeys", round, None);
-        let (advs, up) = self.collect_stage(
+        let (advs, up) = self.collect(
             reactor,
             peers,
             &joined,
             StageTag::AdvertiseKeys,
             "AdvertiseKeys",
             &mut no_idle,
-            |id, body| decode_advertised_keys(body).ok().filter(|a| a.client == id),
+            &mut |_, id, env| {
+                decode_advertised_keys(env.body)
+                    .ok()
+                    .filter(|a| a.client == id)
+            },
         )?;
         let roster = self
             .server
@@ -301,15 +310,15 @@ impl<'c> RoundMachine<'c> {
         // ---- Stage 1: ShareKeys. ----
         let stage_span = cfg.telemetry.span("stage", "ShareKeys", round, None);
         let expected: Vec<ClientId> = roster.iter().map(|a| a.client).collect();
-        let (cts, up) = self.collect_stage(
+        let (cts, up) = self.collect(
             reactor,
             peers,
             &expected,
             StageTag::ShareKeys,
             "ShareKeys",
             &mut no_idle,
-            |id, body| {
-                let cts = decode_list(body, decode_encrypted_shares).ok()?;
+            &mut |_, id, env| {
+                let cts = decode_list(env.body, decode_encrypted_shares).ok()?;
                 cts.iter().all(|ct| ct.from == id).then_some(cts)
             },
         )?;
@@ -340,7 +349,27 @@ impl<'c> RoundMachine<'c> {
         // mid-flight — the hardest crash, nothing of this round exists
         // outside the dying process.
         cfg.faults.trip(KillPoint::MidMaskedStage, round)?;
-        let up = self.collect_masked_chunks(reactor, peers, &expected)?;
+        // Each chunk frame is decoded on arrival and fed straight into
+        // the server's per-chunk state, where a completed stream folds
+        // into the running sums. A frame the server refuses is its
+        // sender's violation, never a round abort.
+        let (_, up) = self.collect(
+            reactor,
+            peers,
+            &expected,
+            StageTag::MaskedInput,
+            "MaskedInputCollection",
+            &mut no_idle,
+            &mut |server, id, env| {
+                let c = usize::from(env.chunk);
+                let plan = server.chunk_plan();
+                let (bits, len) = (plan.bit_width(), plan.chunk_len(c));
+                let mi = decode_masked_input(env.body, bits, len, env.context())
+                    .ok()
+                    .filter(|mi| mi.client == id)?;
+                server.collect_masked_chunk(c, vec![mi]).ok()
+            },
+        )?;
         let u3 = self
             .server
             .finalize_masked()
@@ -357,15 +386,15 @@ impl<'c> RoundMachine<'c> {
         // ---- Stage 3: ConsistencyCheck (malicious only). ----
         if self.params.threat_model == ThreatModel::Malicious {
             let _stage_span = cfg.telemetry.span("stage", "ConsistencyCheck", round, None);
-            let (sigs, up) = self.collect_stage(
+            let (sigs, up) = self.collect(
                 reactor,
                 peers,
                 &u3,
                 StageTag::ConsistencySig,
                 "ConsistencyCheck",
                 &mut no_idle,
-                |id, body| {
-                    decode_consistency_signature(body)
+                &mut |_, id, env| {
+                    decode_consistency_signature(env.body)
                         .ok()
                         .filter(|s| s.client == id)
                 },
@@ -385,15 +414,15 @@ impl<'c> RoundMachine<'c> {
 
         // ---- Stage 4: Unmasking (share collection is round-global). ----
         let stage_span = cfg.telemetry.span("stage", "Unmasking", round, None);
-        let (responses, up) = self.collect_stage(
+        let (responses, up) = self.collect(
             reactor,
             peers,
             &u3,
             StageTag::Unmasking,
             "Unmasking",
             &mut no_idle,
-            |id, body| {
-                decode_unmasking_response(body)
+            &mut |_, id, env| {
+                decode_unmasking_response(env.body)
                     .ok()
                     .filter(|r| r.client == id)
             },
@@ -446,15 +475,15 @@ impl<'c> RoundMachine<'c> {
                 .telemetry
                 .span("stage", "ExcessiveNoiseRemoval", round, None);
 
-            let (responses, up) = self.collect_stage(
+            let (responses, up) = self.collect(
                 reactor,
                 peers,
                 &u5,
                 StageTag::NoiseShares,
                 "ExcessiveNoiseRemoval",
                 &mut unmask_step,
-                |id, body| {
-                    decode_noise_share_response(body)
+                &mut |_, id, env| {
+                    decode_noise_share_response(env.body)
                         .ok()
                         .filter(|r| r.client == id)
                 },
@@ -557,473 +586,181 @@ impl<'c> RoundMachine<'c> {
     }
 
     // -----------------------------------------------------------------
-    // Masked-input collection (per stage, chunk).
+    // Collection: one loop over (stage, chunk).
     // -----------------------------------------------------------------
 
-    /// Files one already-received chunk frame: the bit-packed payload
-    /// is decoded in place past the envelope header and fed straight
-    /// into the server's per-chunk state, where a completed stream
-    /// folds into the running chunk sums — the frame allocation goes
-    /// back to the pool immediately instead of parking until a chunk
-    /// barrier. Returns whether the client's stream is still alive,
-    /// plus the frame for the caller to recycle.
+    /// The one collector. Every stage of a round is a (stage, chunk)
+    /// task (§4.1): the masked-input stage has the round's `m` chunks, a
+    /// control stage is one chunk. Collects one `want` frame per chunk
+    /// from every still-connected `expected` client and returns what
+    /// `on_frame` accepted, in id order, with the stage's uplink traffic
+    /// (counted per client stream).
     ///
-    /// # Errors
-    ///
-    /// Propagates server-side collection failures (protocol aborts).
-    fn file_chunk_frame(
-        &mut self,
-        st: &mut ChunkCollect,
-        peers: &mut Peers,
-        id: ClientId,
-        frame: Vec<u8>,
-    ) -> Result<(bool, Vec<u8>), NetError> {
-        let m = self.plan.chunks();
-        *st.per_client.entry(id).or_default() += frame.len() as u64;
-        let (stage, frame_round, chunk) = match EnvelopeView::decode(&frame) {
-            Ok(env) => (env.stage, env.round, env.chunk),
-            Err(_) => {
-                let alive = self.drop_from_chunks(st, peers, id, DropKind::ProtocolViolation);
-                return Ok((alive, frame));
-            }
-        };
-        if stage == StageTag::Abort {
-            let alive = self.drop_from_chunks(st, peers, id, DropKind::Aborted);
-            return Ok((alive, frame));
-        }
-        // Same round gate as `Envelope::check_round` (aborts already
-        // handled above, so a round mismatch here is never abort-exempt).
-        if frame_round != self.params.round {
-            if frame_round < self.params.round {
-                // A leftover frame from an earlier round: discard it
-                // rather than misparse it into this round's state. The
-                // client's current-round stream continues.
-                self.stale_frames += 1;
-                return Ok((true, frame));
-            }
-            let alive = self.drop_from_chunks(st, peers, id, DropKind::ProtocolViolation);
-            return Ok((alive, frame));
-        }
-        // Only the stage's expected set (the live part of U2) may stream:
-        // a chunk frame from any other connected peer — one that never
-        // shared keys, say — is that peer's violation alone, not a
-        // server-side collection failure that would abort the round.
-        if stage == StageTag::MaskedInput && usize::from(chunk) < m && st.expected.contains(&id) {
-            let c = usize::from(chunk);
-            let ctx = FrameContext {
-                stage: StageTag::MaskedInput,
-                round: self.params.round,
-                chunk,
-            };
-            match decode_masked_input(
-                &frame[HEADER_BYTES..],
-                self.plan.bit_width(),
-                self.plan.chunk_len(c),
-                ctx,
-            ) {
-                Ok(mi) if mi.client == id => {
-                    self.server
-                        .collect_masked_chunk(c, vec![mi])
-                        .map_err(|e| abort_secagg(peers, self.params.round, e))?;
-                    st.pendings[c].remove(&id);
-                    Ok((true, frame))
-                }
-                _ => {
-                    let alive = self.drop_from_chunks(st, peers, id, DropKind::ProtocolViolation);
-                    Ok((alive, frame))
-                }
-            }
-        } else {
-            let alive = self.drop_from_chunks(st, peers, id, DropKind::ProtocolViolation);
-            Ok((alive, frame))
-        }
-    }
-
-    /// Drops `id` from every remaining chunk, attributing the departure
-    /// to the active chunk. Always returns `false` (stream dead).
-    fn drop_from_chunks(
-        &mut self,
-        st: &mut ChunkCollect,
-        peers: &mut Peers,
-        id: ClientId,
-        kind: DropKind,
-    ) -> bool {
-        let chunk = st.active as u16;
-        st.remove_everywhere(id);
-        drop_peer(
-            peers,
-            id,
-            "MaskedInputCollection",
-            Some(chunk),
-            kind,
-            &mut self.dropouts,
-        );
-        false
-    }
-
-    /// Closes the active chunk (its pending set must be empty) and
-    /// advances to the next one. The chunk's frames were decoded and
-    /// fed to the server at arrival, so only the pipeline bookkeeping
-    /// remains: the chunk span and the injected per-chunk compute cost.
-    fn aggregate_active(&mut self, st: &mut ChunkCollect) {
-        let cfg = self.cfg;
-        let _span = cfg
-            .telemetry
-            .span("chunk", "chunk", self.params.round, Some(st.active as u16));
-        chunk_sleep(cfg.chunk_compute, &self.plan, st.active);
-        st.active += 1;
-    }
-
-    /// The per-(stage, chunk) masked-input collector. Chunk `c + 1`'s
-    /// frames accumulate (from fast clients and channel buffers) while
-    /// chunk `c` is aggregated into the server's per-chunk state; the
-    /// stage deadline restarts per chunk. A client whose stream stops —
-    /// disconnect, garbage, or silence past the active chunk's deadline
-    /// — is dropped from every remaining chunk; its partial deliveries
-    /// never reach a sum because U3 requires all chunks. Frames,
-    /// disconnects, and deadlines arrive as reactor events: the thread
-    /// sleeps in the poller while clients stream.
-    fn collect_masked_chunks(
-        &mut self,
-        reactor: &mut Reactor,
-        peers: &mut Peers,
-        expected: &[ClientId],
-    ) -> Result<Traffic, NetError> {
-        let cfg = self.cfg;
-        let m = self.plan.chunks();
-        let stage_name = "MaskedInputCollection";
-        let mut st = ChunkCollect::new(expected, peers, m);
-        reactor.arm_deadline(STAGE_TOKEN, Instant::now() + cfg.stage_timeout);
-
-        // Initial sweep: frames may already be buffered (sent between
-        // the Inbox flush and this loop), and their readiness may have
-        // been consumed by an earlier poll.
-        let ids: Vec<ClientId> = st.pendings[0].iter().copied().collect();
-        for id in ids {
-            self.drain_chunk_frames(&mut st, peers, id)?;
-        }
-
-        let (mut events, mut expired) = (Vec::new(), Vec::new());
-        loop {
-            // Aggregate every chunk whose pending set has emptied; the
-            // deadline clock restarts per completed chunk.
-            let mut aggregated = false;
-            while st.active < m {
-                st.pendings[st.active].retain(|id| peers.contains_key(id));
-                if !st.pendings[st.active].is_empty() {
-                    break;
-                }
-                self.aggregate_active(&mut st);
-                aggregated = true;
-            }
-            if st.active == m {
-                break;
-            }
-            if aggregated {
-                reactor.arm_deadline(STAGE_TOKEN, Instant::now() + cfg.stage_timeout);
-            }
-            reactor.poll(&mut events, &mut expired, cfg.stage_timeout)?;
-            for ev in &events {
-                handle_write_event(peers, ev, stage_name, &mut self.dropouts);
-                let Some(id) = client_of(ev.token) else {
-                    continue;
-                };
-                if (ev.readable || ev.closed) && peers.contains_key(&id) {
-                    self.drain_chunk_frames(&mut st, peers, id)?;
-                }
-            }
-            if expired.contains(&STAGE_TOKEN) {
-                let late: Vec<ClientId> = st.pendings[st.active].iter().copied().collect();
-                for id in late {
-                    let chunk = st.active as u16;
-                    st.remove_everywhere(id);
-                    drop_peer(
-                        peers,
-                        id,
-                        stage_name,
-                        Some(chunk),
-                        DropKind::DeadlineMissed,
-                        &mut self.dropouts,
-                    );
-                }
-                reactor.arm_deadline(STAGE_TOKEN, Instant::now() + cfg.stage_timeout);
-            }
-        }
-        reactor.cancel_deadline(STAGE_TOKEN);
-        Ok(st.uplink())
-    }
-
-    /// Drains every currently available frame from `id`'s channel into
-    /// the chunk state, detecting stream death (disconnect / abort /
-    /// garbage).
-    ///
-    /// # Errors
-    ///
-    /// Propagates server-side collection failures (protocol aborts).
-    fn drain_chunk_frames(
-        &mut self,
-        st: &mut ChunkCollect,
-        peers: &mut Peers,
-        id: ClientId,
-    ) -> Result<(), NetError> {
-        loop {
-            let Some(chan) = peers.get_mut(&id) else {
-                return Ok(());
-            };
-            match chan.try_recv() {
-                Ok(Some(frame)) => {
-                    let (alive, frame) = self.file_chunk_frame(st, peers, id, frame)?;
-                    // The decode copied the payload into the server's
-                    // chunk state (or the frame was rejected); the
-                    // allocation goes straight back to the pool.
-                    if let Some(chan) = peers.get_mut(&id) {
-                        chan.recycle_frame(frame);
-                    }
-                    if !alive {
-                        return Ok(());
-                    }
-                }
-                Ok(None) => return Ok(()),
-                Err(_) => {
-                    let chunk = st.died_at(id);
-                    st.remove_everywhere(id);
-                    drop_peer(
-                        peers,
-                        id,
-                        "MaskedInputCollection",
-                        Some(chunk),
-                        DropKind::Disconnected,
-                        &mut self.dropouts,
-                    );
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Round-global stage collection.
-    // -----------------------------------------------------------------
-
-    /// Files one round-global stage frame; returns `false` if the client
-    /// was dropped.
-    #[allow(clippy::too_many_arguments)]
-    fn file_stage_frame(
-        &mut self,
-        peers: &mut Peers,
-        pending: &mut BTreeSet<ClientId>,
-        bodies: &mut BTreeMap<ClientId, Vec<u8>>,
-        id: ClientId,
-        frame: &[u8],
-        want: StageTag,
-        stage_name: &'static str,
-        up: &mut Traffic,
-    ) -> bool {
-        up.add(frame.len() as u64);
-        let round = self.params.round;
-        // Same round gate as `Envelope::check_round`, aborts first (they
-        // are round-free).
-        let kind = match Envelope::decode(frame) {
-            Err(_) => DropKind::ProtocolViolation,
-            Ok(env) if env.stage == StageTag::Abort => DropKind::Aborted,
-            Ok(env) if env.round < round => {
-                // Typed stale-frame rejection: discard, never file.
-                self.stale_frames += 1;
-                return true;
-            }
-            Ok(env) if env.round == round && env.stage == want && pending.remove(&id) => {
-                bodies.insert(id, env.body);
-                return true;
-            }
-            // A future round, a wrong stage, or a second frame from a
-            // client that already answered: out of protocol.
-            Ok(_) => DropKind::ProtocolViolation,
-        };
-        pending.remove(&id);
-        drop_peer(peers, id, stage_name, None, kind, &mut self.dropouts);
-        false
-    }
-
-    /// Collects exactly one `want` message per still-connected expected
-    /// client, until the per-stage deadline, and returns them with the
-    /// stage's uplink traffic. `decode(id, body)` parses a body and vets
-    /// that it names its sender; `None` is that sender's protocol
-    /// violation. Silent or disconnected clients become detected
-    /// dropouts and are removed from `peers`. The thread sleeps in the
-    /// poller until frames, disconnects, or the stage deadline are
-    /// ready; `idle` runs between polls so pending per-chunk work
-    /// (unmasking) overlaps the wait (non-blocking polls while it
-    /// reports more work, so collection stays responsive during long
-    /// interleaves).
+    /// Chunk `c + 1`'s frames are filed while chunk `c` is still open;
+    /// the stage deadline restarts when a chunk closes. A client that
+    /// disconnects, aborts, sends garbage, or stays silent past the open
+    /// chunk's deadline is dropped from every chunk it still owes, so a
+    /// partial stream never reaches a sum (U3 requires all chunks). The
+    /// thread sleeps in the poller until frames, disconnects, or the
+    /// deadline are ready; `idle` runs between polls so pending
+    /// per-chunk work (unmasking) overlaps the wait, non-blocking while
+    /// it reports more work.
     ///
     /// # Errors
     ///
     /// Only `idle` failures (protocol aborts) and poller failures —
     /// per-client failures are dropouts, not errors.
     #[allow(clippy::too_many_arguments)]
-    fn collect_stage<T>(
+    fn collect<T>(
         &mut self,
         reactor: &mut Reactor,
         peers: &mut Peers,
         expected: &[ClientId],
         want: StageTag,
-        stage_name: &'static str,
+        name: &'static str,
         idle: &mut IdleWork<'_>,
-        decode: impl Fn(ClientId, &[u8]) -> Option<T>,
+        on_frame: &mut OnFrame<'_, T>,
     ) -> Result<(Vec<T>, Traffic), NetError> {
-        let cfg = self.cfg;
-        let mut up = Traffic::default();
-        let mut deadline = Instant::now() + cfg.stage_timeout;
-        let mut pending: BTreeSet<ClientId> = expected
+        let (round, timeout) = (self.params.round, self.cfg.stage_timeout);
+        let data_plane = want == StageTag::MaskedInput;
+        let chunks = if data_plane { self.plan.chunks() } else { 1 };
+        let owed: BTreeSet<ClientId> = expected
             .iter()
             .copied()
             .filter(|id| peers.contains_key(id))
             .collect();
-        let mut bodies: BTreeMap<ClientId, Vec<u8>> = BTreeMap::new();
+        let mut st = Collect {
+            want,
+            name,
+            pendings: vec![owed; chunks],
+            active: 0,
+            uplink: BTreeMap::new(),
+            filed: BTreeMap::new(),
+            on_frame,
+        };
+        let mut deadline = Instant::now() + timeout;
         reactor.arm_deadline(STAGE_TOKEN, deadline);
 
-        // Initial sweep: responses may already be buffered, and their
+        // Initial sweep: frames may already be buffered, and their
         // readiness may have been consumed by an earlier poll (e.g.
         // during a broadcast flush).
-        let ids: Vec<ClientId> = pending.iter().copied().collect();
-        for id in ids {
-            self.drain_stage_frames(
-                peers,
-                &mut pending,
-                &mut bodies,
-                id,
-                want,
-                stage_name,
-                &mut up,
-            );
+        for id in st.pendings[0].clone() {
+            self.read_peer(&mut st, peers, id);
         }
 
         let (mut events, mut expired) = (Vec::new(), Vec::new());
-        'collect: while !pending.is_empty() {
-            // Interleaved background work must not eat the peers'
-            // response window: credit its wall time back to the stage
-            // deadline.
-            let idle_start = Instant::now();
-            let did_work =
-                idle(&mut self.server).map_err(|e| abort_secagg(peers, self.params.round, e))?;
-            let spent = idle_start.elapsed();
-            if !spent.is_zero() {
-                deadline += spent;
+        loop {
+            // Close every chunk nobody owes any more (a write failure
+            // may have dropped a peer behind the collector's back); the
+            // deadline restarts per closed chunk.
+            let mut closed = false;
+            while let Some(pending) = st.pendings.get_mut(st.active) {
+                pending.retain(|id| peers.contains_key(id));
+                if !pending.is_empty() {
+                    break;
+                }
+                if data_plane {
+                    let chunk = Some(st.active as u16);
+                    let _span = self.cfg.telemetry.span("chunk", "chunk", round, chunk);
+                    chunk_sleep(self.cfg.chunk_compute, &self.plan, st.active);
+                }
+                st.active += 1;
+                closed = true;
+            }
+            if st.active == chunks {
+                break;
+            }
+            if closed {
+                deadline = Instant::now() + timeout;
                 reactor.arm_deadline(STAGE_TOKEN, deadline);
             }
-            // With idle work in flight, poll without blocking and come
-            // straight back; otherwise sleep until an event or the
-            // deadline.
+            // Interleaved background work must not eat the peers'
+            // response window: its wall time is credited back to the
+            // deadline, and while it reports more work the poll does not
+            // block.
+            let idle_start = Instant::now();
+            let did_work = idle(&mut self.server).map_err(|e| abort_secagg(peers, round, e))?;
             let wait = if did_work {
+                deadline += idle_start.elapsed();
+                reactor.arm_deadline(STAGE_TOKEN, deadline);
                 Duration::ZERO
             } else {
-                cfg.stage_timeout
+                timeout
             };
             reactor.poll(&mut events, &mut expired, wait)?;
             for ev in &events {
-                handle_write_event(peers, ev, stage_name, &mut self.dropouts);
-                let Some(id) = client_of(ev.token) else {
-                    continue;
-                };
-                if !(ev.readable || ev.closed) || !peers.contains_key(&id) {
-                    continue;
+                handle_write_event(peers, ev, name, &mut self.dropouts);
+                match client_of(ev.token) {
+                    Some(id) if (ev.readable || ev.closed) && peers.contains_key(&id) => {
+                        self.read_peer(&mut st, peers, id);
+                    }
+                    _ => {}
                 }
-                self.drain_stage_frames(
-                    peers,
-                    &mut pending,
-                    &mut bodies,
-                    id,
-                    want,
-                    stage_name,
-                    &mut up,
-                );
             }
-            // A write-event failure (or any other path) may have dropped
-            // a peer without touching `pending` — retain, so the stage
-            // can complete and the leftover loop below can't
-            // double-record.
-            pending.retain(|id| peers.contains_key(id));
             if expired.contains(&STAGE_TOKEN) {
-                break 'collect;
+                let at = st.active;
+                for id in std::mem::take(&mut st.pendings[at]) {
+                    if peers.contains_key(&id) {
+                        st.drop_client(peers, id, at, DropKind::DeadlineMissed, &mut self.dropouts);
+                    }
+                }
             }
         }
         reactor.cancel_deadline(STAGE_TOKEN);
-        for id in pending {
-            if peers.contains_key(&id) {
-                drop_peer(
-                    peers,
-                    id,
-                    stage_name,
-                    None,
-                    DropKind::DeadlineMissed,
-                    &mut self.dropouts,
-                );
-            }
+        let mut up = Traffic::default();
+        for &bytes in st.uplink.values() {
+            up.add(bytes);
         }
-        let mut msgs = Vec::with_capacity(bodies.len());
-        for (id, body) in &bodies {
-            match decode(*id, body) {
-                Some(msg) => msgs.push(msg),
-                None => drop_peer(
-                    peers,
-                    *id,
-                    stage_name,
-                    None,
-                    DropKind::ProtocolViolation,
-                    &mut self.dropouts,
-                ),
-            }
-        }
-        Ok((msgs, up))
+        Ok((st.filed.into_values().collect(), up))
     }
 
-    /// Drains every currently available frame from `id` during a
-    /// round-global stage.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_stage_frames(
-        &mut self,
-        peers: &mut Peers,
-        pending: &mut BTreeSet<ClientId>,
-        bodies: &mut BTreeMap<ClientId, Vec<u8>>,
-        id: ClientId,
-        want: StageTag,
-        stage_name: &'static str,
-        up: &mut Traffic,
-    ) {
-        loop {
-            let Some(chan) = peers.get_mut(&id) else {
-                return;
-            };
-            match chan.try_recv() {
-                Ok(Some(frame)) => {
-                    if !self
-                        .file_stage_frame(peers, pending, bodies, id, &frame, want, stage_name, up)
-                    {
-                        return;
-                    }
-                    if let Some(chan) = peers.get_mut(&id) {
-                        chan.recycle_frame(frame);
-                    }
-                }
-                Ok(None) => return,
-                Err(_) => {
-                    if pending.remove(&id) {
-                        drop_peer(
-                            peers,
-                            id,
-                            stage_name,
-                            None,
-                            DropKind::Disconnected,
-                            &mut self.dropouts,
-                        );
-                    } else {
-                        // Already answered this stage; the disconnect
-                        // will be observed when it next matters.
-                    }
-                    return;
-                }
+    /// Files every frame `id` has buffered. A disconnect drops `id` at
+    /// the first chunk it still owes; a client that owes nothing has
+    /// answered, and its disconnect is observed when it next matters.
+    fn read_peer<T>(&mut self, st: &mut Collect<'_, T>, peers: &mut Peers, id: ClientId) {
+        let closed = drain_frames(peers, id, |peers, frame| {
+            self.file(st, peers, id, frame);
+            true
+        });
+        if closed {
+            if let Some(at) = st.pendings.iter().position(|p| p.contains(&id)) {
+                st.drop_client(peers, id, at, DropKind::Disconnected, &mut self.dropouts);
             }
         }
+    }
+
+    /// Files one frame from `id`: the round gate first (a stale frame
+    /// is counted and discarded, the stream goes on), then `on_frame`
+    /// for a `want` frame of a chunk `id` still owes. Anything else — an
+    /// abort, garbage, a future round, another stage, a chunk out of
+    /// range or already delivered, a body `on_frame` refuses — drops
+    /// `id` from the stage.
+    fn file<T>(&mut self, st: &mut Collect<'_, T>, peers: &mut Peers, id: ClientId, frame: &[u8]) {
+        *st.uplink.entry(id).or_default() += frame.len() as u64;
+        let kind = match EnvelopeView::decode(frame) {
+            Err(_) => DropKind::ProtocolViolation,
+            Ok(env) => match round_gate(env.stage, env.round, self.params.round) {
+                RoundGate::Abort => DropKind::Aborted,
+                RoundGate::Stale => {
+                    self.stale_frames += 1;
+                    return;
+                }
+                RoundGate::Future => DropKind::ProtocolViolation,
+                RoundGate::Current => {
+                    let c = usize::from(env.chunk);
+                    if env.stage == st.want && st.pendings.get(c).is_some_and(|p| p.contains(&id)) {
+                        if let Some(msg) = (st.on_frame)(&mut self.server, id, &env) {
+                            st.pendings[c].remove(&id);
+                            st.filed.insert(id, msg);
+                            return;
+                        }
+                    }
+                    DropKind::ProtocolViolation
+                }
+            },
+        };
+        let at = st.active;
+        st.drop_client(peers, id, at, kind, &mut self.dropouts);
     }
 }
 
@@ -1046,57 +783,72 @@ fn chunk_sleep(chunk_compute: Option<Duration>, plan: &ChunkPlan, chunk: usize) 
     }
 }
 
-/// Shared per-chunk collection state.
-struct ChunkCollect {
+/// A stage's per-frame callback: decodes the body from the borrowed
+/// envelope as the frame arrives and vets that it names its sender.
+/// `None` is the sender's protocol violation.
+type OnFrame<'a, T> = dyn FnMut(&mut Server, ClientId, &EnvelopeView<'_>) -> Option<T> + 'a;
+
+/// One stage's collection state. A control stage is one chunk.
+struct Collect<'a, T> {
+    /// The uplink tag the stage collects.
+    want: StageTag,
+    /// The stage's name in reports.
+    name: &'static str,
     /// Clients still owing each chunk.
     pendings: Vec<BTreeSet<ClientId>>,
-    /// The stage's expected set (the live part of U2 at stage start);
-    /// only these clients may stream.
-    expected: BTreeSet<ClientId>,
-    /// Uplink bytes per client (the per-stage max is over whole chunk
-    /// streams, not individual frames).
-    per_client: BTreeMap<ClientId, u64>,
-    /// Chunk currently being collected/aggregated.
+    /// The open chunk: the first one some client still owes.
     active: usize,
+    /// Uplink bytes per client stream (the stage's max is over whole
+    /// streams, not individual frames).
+    uplink: BTreeMap<ClientId, u64>,
+    /// What `on_frame` accepted, by sender.
+    filed: BTreeMap<ClientId, T>,
+    on_frame: &'a mut OnFrame<'a, T>,
 }
 
-impl ChunkCollect {
-    fn new(expected: &[ClientId], peers: &Peers, m: usize) -> ChunkCollect {
-        let base: BTreeSet<ClientId> = expected
-            .iter()
-            .copied()
-            .filter(|id| peers.contains_key(id))
-            .collect();
-        ChunkCollect {
-            pendings: vec![base.clone(); m],
-            expected: base,
-            per_client: BTreeMap::new(),
-            active: 0,
+impl<T> Collect<'_, T> {
+    /// Drops `id` from every chunk it still owes and records the
+    /// departure at chunk `at` (labelled on the masked-input stage only).
+    fn drop_client(
+        &mut self,
+        peers: &mut Peers,
+        id: ClientId,
+        at: usize,
+        kind: DropKind,
+        dropouts: &mut Vec<DetectedDropout>,
+    ) {
+        for pending in &mut self.pendings {
+            pending.remove(&id);
+        }
+        let chunk = (self.want == StageTag::MaskedInput).then_some(at as u16);
+        drop_peer(peers, id, self.name, chunk, kind, dropouts);
+    }
+}
+
+/// Drains the frames `key`'s channel has buffered, in arrival order:
+/// `file` sees each one (with the map, so it may unmap the channel) and
+/// says whether to keep reading, and the frame then goes back to its
+/// channel's pool. Returns whether the channel reported closed.
+pub(crate) fn drain_frames<K: Ord>(
+    chans: &mut BTreeMap<K, Box<dyn EventedChannel>>,
+    key: K,
+    mut file: impl FnMut(&mut BTreeMap<K, Box<dyn EventedChannel>>, &[u8]) -> bool,
+) -> bool {
+    while let Some(chan) = chans.get_mut(&key) {
+        let frame = match chan.try_recv() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break,
+            Err(_) => return true,
+        };
+        let more = file(chans, &frame);
+        if let Some(chan) = chans.get_mut(&key) {
+            chan.recycle_frame(frame);
+        }
+        if !more {
+            break;
         }
     }
-
-    /// First chunk `id` still owes (where its stream died), for dropout
-    /// attribution; falls back to the active chunk.
-    fn died_at(&self, id: ClientId) -> u16 {
-        self.pendings
-            .iter()
-            .position(|p| p.contains(&id))
-            .unwrap_or(self.active) as u16
-    }
-
-    fn remove_everywhere(&mut self, id: ClientId) {
-        for p in &mut self.pendings {
-            p.remove(&id);
-        }
-    }
-
-    fn uplink(&self) -> Traffic {
-        let mut up = Traffic::default();
-        for &bytes in self.per_client.values() {
-            up.add(bytes);
-        }
-        up
-    }
+    false
 }
 
 /// Flushes a backlogged write surfaced by a write-readiness event.

@@ -27,8 +27,9 @@
 //!   thread serves hundreds of chunk-streaming clients with `O(events)`
 //!   wake-ups.
 //! - [`coordinator`]: the server task. It drives
-//!   [`dordis_secagg::server::Server`] over any transport with a
-//!   per-(stage, chunk) state machine: chunk `c` is aggregated while
+//!   [`dordis_secagg::server::Server`] over any transport with one
+//!   (stage, chunk) collector, a control stage being one chunk: chunk
+//!   `c` is aggregated while
 //!   chunk `c+1` is still on the wire, per-stage deadlines apply per
 //!   chunk, and a peer that goes silent or disconnects (or stops its
 //!   chunk stream partway) becomes a *detected* dropout, replacing the

@@ -27,8 +27,8 @@
 //!   (`try_recv`) and buffer partial writes under backpressure
 //!   (`try_flush`), so the event loop never blocks on one peer.
 //!
-//! The coordinator's per-(stage, chunk) state machine is unchanged — the
-//! reactor only replaces *how* frames and deadlines are discovered, so
+//! The reactor only decides *when* the coordinator's (stage, chunk)
+//! collector looks at frames and deadlines, so
 //! one thread now wakes `O(events)` times per round instead of
 //! `O(clients × ticks)`.
 //!

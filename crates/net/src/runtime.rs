@@ -170,15 +170,11 @@ where
         .map_err(NetError::SecAgg)?;
 
     // ---- Stage 0: AdvertiseKeys. ----
-    if let Some(out) = maybe_fail(fail, opts, FailStage::Advertise) {
+    let replies = Replies { fail, opts, round };
+    if let Some(out) = replies.send(chan, FailStage::Advertise, StageTag::AdvertiseKeys, || {
+        client.advertise_keys().map(|adv| adv.encoded())
+    })? {
         return Ok(out);
-    }
-    match client.advertise_keys() {
-        Ok(adv) => send_env(
-            chan,
-            &Envelope::new(StageTag::AdvertiseKeys, round, adv.encoded()),
-        )?,
-        Err(e) => return abort(chan, round, &e),
     }
 
     // ---- Serve broadcasts until Finished. ----
@@ -186,23 +182,17 @@ where
     loop {
         let env = recv_until(chan, opts.recv_timeout)?;
         env.check_round(round)?;
-        match env.stage {
+        let ended = match env.stage {
             StageTag::Roster => {
-                if let Some(out) = maybe_fail(fail, opts, FailStage::ShareKeys) {
-                    return Ok(out);
-                }
                 let roster = decode_list(&env.body, codec::decode_advertised_keys)?;
                 let mut rng = share_keys_rng(rng_seed, opts.id);
-                match client.share_keys(&roster, &mut rng) {
-                    Ok(cts) => send_env(
-                        chan,
-                        &Envelope::new(StageTag::ShareKeys, round, codec::encode_list(&cts)),
-                    )?,
-                    Err(e) => return abort(chan, round, &e),
-                }
+                replies.send(chan, FailStage::ShareKeys, StageTag::ShareKeys, || {
+                    let cts = client.share_keys(&roster, &mut rng)?;
+                    Ok(codec::encode_list(&cts))
+                })?
             }
             StageTag::Inbox => {
-                if let Some(out) = maybe_fail(fail, opts, FailStage::MaskedInput) {
+                if let Some(out) = replies.fire(FailStage::MaskedInput) {
                     return Ok(out);
                 }
                 let inbox = decode_list(&env.body, codec::decode_encrypted_shares)?;
@@ -215,7 +205,7 @@ where
                 };
                 let cursor = match client.begin_masked_input(inbox) {
                     Ok(cursor) => cursor,
-                    Err(e) => return abort(chan, round, &e),
+                    Err(e) => return Ok(abort(chan, round, &e)),
                 };
                 // A fail point that cannot fire would silently
                 // validate nothing — reject it loudly instead of
@@ -252,75 +242,52 @@ where
                         &Envelope::chunked(StageTag::MaskedInput, round, c as u16, part.encoded()),
                     )?;
                 }
+                None
             }
             StageTag::SurvivorSet => {
                 let IdList(u3) = codec::decode_id_list(&env.body)?;
                 last_u3 = u3.clone();
                 if params.threat_model == ThreatModel::Malicious {
-                    if let Some(out) = maybe_fail(fail, opts, FailStage::Consistency) {
-                        return Ok(out);
-                    }
-                    match client.consistency_check(&u3) {
-                        Ok(sig) => send_env(
-                            chan,
-                            &Envelope::new(StageTag::ConsistencySig, round, sig.encoded()),
-                        )?,
-                        Err(e) => return abort(chan, round, &e),
-                    }
+                    replies.send(
+                        chan,
+                        FailStage::Consistency,
+                        StageTag::ConsistencySig,
+                        || client.consistency_check(&u3).map(|sig| sig.encoded()),
+                    )?
                 } else {
-                    if let Some(out) = maybe_fail(fail, opts, FailStage::Unmasking) {
-                        return Ok(out);
-                    }
-                    match client.unmask(&u3, None) {
-                        Ok(r) => send_env(
-                            chan,
-                            &Envelope::new(StageTag::Unmasking, round, r.encoded()),
-                        )?,
-                        Err(e) => return abort(chan, round, &e),
-                    }
+                    replies.send(chan, FailStage::Unmasking, StageTag::Unmasking, || {
+                        client.unmask(&u3, None).map(|r| r.encoded())
+                    })?
                 }
             }
             StageTag::SignatureList => {
                 // Malicious model: U3 was fixed at consistency_check.
-                if let Some(out) = maybe_fail(fail, opts, FailStage::Unmasking) {
-                    return Ok(out);
-                }
                 let sigs = codec::decode_signature_list(&env.body)?;
-                match client.unmask(&last_u3, Some(&sigs)) {
-                    Ok(r) => send_env(
-                        chan,
-                        &Envelope::new(StageTag::Unmasking, round, r.encoded()),
-                    )?,
-                    Err(e) => return abort(chan, round, &e),
-                }
+                replies.send(chan, FailStage::Unmasking, StageTag::Unmasking, || {
+                    client.unmask(&last_u3, Some(&sigs)).map(|r| r.encoded())
+                })?
             }
             StageTag::ReadySet => {
-                if let Some(out) = maybe_fail(fail, opts, FailStage::NoiseShares) {
-                    return Ok(out);
-                }
                 let IdList(u5) = codec::decode_id_list(&env.body)?;
-                match client.noise_shares(&u5) {
-                    Ok(r) => send_env(
-                        chan,
-                        &Envelope::new(StageTag::NoiseShares, round, r.encoded()),
-                    )?,
-                    Err(e) => return abort(chan, round, &e),
-                }
+                replies.send(chan, FailStage::NoiseShares, StageTag::NoiseShares, || {
+                    client.noise_shares(&u5).map(|r| r.encoded())
+                })?
             }
             StageTag::Finished => {
                 let IdList(survivors) = codec::decode_id_list(&env.body)?;
-                return Ok(ClientRunOutcome::Finished { survivors });
+                Some(ClientRunOutcome::Finished { survivors })
             }
-            StageTag::Abort => {
-                return Ok(ClientRunOutcome::ServerAborted {
-                    reason: codec::decode_abort(&env.body),
-                });
-            }
+            StageTag::Abort => Some(ClientRunOutcome::ServerAborted {
+                reason: codec::decode_abort(&env.body),
+            }),
             other => {
                 return Err(NetError::Protocol(format!(
                     "unexpected server stage {other:?}"
                 )))
             }
+        };
+        if let Some(out) = ended {
+            return Ok(out);
         }
     }
 }
@@ -631,38 +598,60 @@ fn recv_until(chan: &mut dyn Channel, timeout: Duration) -> Result<Envelope, Net
     recv_env(chan, Instant::now() + timeout)
 }
 
-/// Fires the fail point if configured for `stage`.
-fn maybe_fail(
+/// One round's replies to the server's broadcasts: where a scripted
+/// failure fires, and the round id every reply carries.
+struct Replies<'o> {
     fail: Option<FailPoint>,
-    opts: &SessionClientOptions,
-    stage: FailStage,
-) -> Option<ClientRunOutcome> {
-    let fail = fail?;
-    if fail.stage != stage {
-        return None;
+    opts: &'o SessionClientOptions,
+    round: u64,
+}
+
+impl Replies<'_> {
+    /// Fires the fail point if configured for `stage`.
+    fn fire(&self, stage: FailStage) -> Option<ClientRunOutcome> {
+        let fail = self.fail?;
+        if fail.stage != stage {
+            return None;
+        }
+        if fail.action == FailAction::Silent {
+            // Stay connected but unresponsive past the server's stage
+            // deadline, so the dropout is detected by timeout (a real
+            // partitioned client would hang indefinitely). The caller
+            // holds the channel, so merely sleeping keeps it open.
+            std::thread::sleep(self.opts.silent_linger);
+        }
+        Some(ClientRunOutcome::Failed { stage })
     }
-    if fail.action == FailAction::Silent {
-        // Stay connected but unresponsive past the server's stage
-        // deadline, so the dropout is detected by timeout (a real
-        // partitioned client would hang indefinitely). The caller holds
-        // the channel, so merely sleeping keeps it open.
-        std::thread::sleep(opts.silent_linger);
+
+    /// Answers one broadcast: the fail point scripted for `stage` fires
+    /// first; otherwise `step` runs the state machine and its message
+    /// goes out as a `tag` frame — or, when the step detects an
+    /// inconsistency, the round ends in an abort. `Some` ends the round.
+    fn send(
+        &self,
+        chan: &mut dyn Channel,
+        stage: FailStage,
+        tag: StageTag,
+        step: impl FnOnce() -> Result<Vec<u8>, SecAggError>,
+    ) -> Result<Option<ClientRunOutcome>, NetError> {
+        if let Some(out) = self.fire(stage) {
+            return Ok(Some(out));
+        }
+        match step() {
+            Ok(body) => send_env(chan, &Envelope::new(tag, self.round, body)).map(|()| None),
+            Err(e) => Ok(Some(abort(chan, self.round, &e))),
+        }
     }
-    Some(ClientRunOutcome::Failed { stage })
 }
 
 /// Reports a state-machine abort to the server and ends the run.
-fn abort(
-    chan: &mut dyn Channel,
-    round: u64,
-    e: &SecAggError,
-) -> Result<ClientRunOutcome, NetError> {
+fn abort(chan: &mut dyn Channel, round: u64, e: &SecAggError) -> ClientRunOutcome {
     let reason = e.to_string();
     let _ = send_env(
         chan,
         &Envelope::new(StageTag::Abort, round, codec::encode_abort(&reason)),
     );
-    Ok(ClientRunOutcome::Aborted { reason })
+    ClientRunOutcome::Aborted { reason }
 }
 
 #[cfg(test)]

@@ -48,14 +48,15 @@
 //!    [`StageTag::SessionEnd`].
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dordis_secagg::{ClientId, RoundParams};
 use dordis_telemetry::Telemetry;
 
-use crate::codec::{self, Envelope, StageTag};
-use crate::coordinator::{client_of, client_token, NetRoundReport, Peers, RoundMachine, JOIN_BASE};
+use crate::codec::{self, round_gate, Envelope, EnvelopeView, RoundGate, StageTag};
+use crate::coordinator::{
+    client_of, client_token, drain_frames, NetRoundReport, Peers, RoundMachine, JOIN_BASE,
+};
 use crate::faults::FaultPlan;
 use crate::reactor::{EventedChannel, Reactor, Token, TICK};
 use crate::replication::{Primary, SessionCheckpoint};
@@ -505,88 +506,52 @@ impl<'a> Session<'a> {
     // Join / claim phase.
     // -----------------------------------------------------------------
 
-    /// Announces `round`, collects Join/Decline
-    /// answers from parked peers, and accepts new connections, until
-    /// everyone answered or the join window closes. Returns the answers
-    /// and the number of stale frames discarded.
+    /// Announces `round`, collects Join/Decline answers from parked
+    /// peers, and accepts new connections, until everyone answered or
+    /// the join window closes. Parked peers' answers and provisional
+    /// connections' first frames arrive as readiness events, so one slow
+    /// joiner never serializes the others. Returns the answers and the
+    /// number of stale frames discarded.
     fn join_phase(
         &mut self,
         round: u64,
         roster: Option<&BTreeSet<ClientId>>,
     ) -> Result<(BTreeMap<ClientId, Answer>, u64), NetError> {
-        let claims_mode = matches!(self.cfg.seating, Seating::Claims(_));
-        let mut answers: BTreeMap<ClientId, Answer> = BTreeMap::new();
-        let mut stale = 0u64;
+        let mut w = JoinWindow {
+            round,
+            roster,
+            claims_mode: matches!(self.cfg.seating, Seating::Claims(_)),
+            answers: BTreeMap::new(),
+            stale: 0,
+        };
+        let deadline = Instant::now() + self.cfg.join_timeout;
+        let mut awaiting: BTreeMap<u64, Box<dyn EventedChannel>> = BTreeMap::new();
 
         // Encoded once per round; every parked peer — and, in the join
         // loop, every newly accepted connection — queues the same
         // refcounted wire message.
-        let announce = wire_message(&announce_frame(round, claims_mode));
+        let announce = Envelope::new(
+            StageTag::RoundAnnounce,
+            round,
+            codec::encode_announce(w.claims_mode),
+        );
+        let announce = wire_message(&announce.encode());
         self.cfg
             .telemetry
             .counter("dordis_broadcast_encodes_total", &[])
             .inc();
         let ids: Vec<ClientId> = self.parked.keys().copied().collect();
-        for id in ids {
+        for &id in &ids {
             if let Some(chan) = self.parked.get_mut(&id) {
                 if chan.send_wire_shared(&announce).is_err() || chan.try_flush().is_err() {
                     self.parked.remove(&id);
                 }
             }
         }
-
-        self.join_reactor(
-            round,
-            roster,
-            claims_mode,
-            &announce,
-            &mut answers,
-            &mut stale,
-        )?;
-        self.seen.extend(answers.keys().copied());
-        Ok((answers, stale))
-    }
-
-    /// Whether the join window can close early: the roster is fully
-    /// seated, or the whole known population has answered.
-    fn join_complete(
-        &self,
-        roster: Option<&BTreeSet<ClientId>>,
-        answers: &BTreeMap<ClientId, Answer>,
-    ) -> bool {
-        match roster {
-            Some(sampled) => sampled.iter().all(|id| answers.contains_key(id)),
-            None => {
-                !self.cfg.population.is_empty()
-                    && self
-                        .cfg
-                        .population
-                        .iter()
-                        .all(|id| answers.contains_key(id))
-            }
-        }
-    }
-
-    /// Reactor-driven join phase: parked peers' answers and provisional
-    /// connections' first frames arrive as readiness events, so one slow
-    /// joiner never serializes the others.
-    fn join_reactor(
-        &mut self,
-        round: u64,
-        roster: Option<&BTreeSet<ClientId>>,
-        claims_mode: bool,
-        announce: &Arc<[u8]>,
-        answers: &mut BTreeMap<ClientId, Answer>,
-        stale: &mut u64,
-    ) -> Result<(), NetError> {
-        let deadline = Instant::now() + self.cfg.join_timeout;
-        let mut awaiting: BTreeMap<u64, Box<dyn EventedChannel>> = BTreeMap::new();
-
         // Initial sweep of parked peers: answers may already be buffered
         // and their readiness consumed by a previous round's poll.
-        let ids: Vec<ClientId> = self.parked.keys().copied().collect();
         for id in ids {
-            self.drain_parked(round, id, answers, stale);
+            self.read_parked(id, &mut w);
         }
 
         let (mut events, mut expired) = (Vec::new(), Vec::new());
@@ -596,7 +561,7 @@ impl<'a> Session<'a> {
         // phase costs microseconds once everyone has answered instead
         // of a full accept tick.
         let accept_slice = Duration::from_millis(1);
-        while !self.join_complete(roster, answers) {
+        while !self.join_complete(&w) {
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -619,7 +584,7 @@ impl<'a> Session<'a> {
                             token,
                             (Instant::now() + self.cfg.stage_timeout).min(deadline),
                         );
-                        if chan.send_wire_shared(announce).is_err() {
+                        if chan.send_wire_shared(&announce).is_err() {
                             continue; // connection already dead
                         }
                         let _ = chan.try_flush();
@@ -634,16 +599,8 @@ impl<'a> Session<'a> {
             }
             self.engine.poll(&mut events, &mut expired, TICK)?;
             for ev in &events {
-                if let Some(chan) = awaiting.remove(&ev.token.0) {
-                    let unsettled =
-                        self.settle_provisional(chan, round, roster, claims_mode, answers, stale)?;
-                    match unsettled {
-                        // No (further) complete frame yet: keep waiting.
-                        Some(chan) => {
-                            awaiting.insert(ev.token.0, chan);
-                        }
-                        None => self.engine.cancel_deadline(ev.token),
-                    }
+                if awaiting.contains_key(&ev.token.0) {
+                    self.settle_provisional(&mut awaiting, ev.token.0, &mut w)?;
                 } else if let Some(id) = client_of(ev.token) {
                     if ev.writable {
                         if let Some(chan) = self.parked.get_mut(&id) {
@@ -654,7 +611,7 @@ impl<'a> Session<'a> {
                         }
                     }
                     if (ev.readable || ev.closed) && self.parked.contains_key(&id) {
-                        self.drain_parked(round, id, answers, stale);
+                        self.read_parked(id, &mut w);
                     }
                 }
             }
@@ -667,18 +624,35 @@ impl<'a> Session<'a> {
         // The window closed with some connections still awaiting a
         // verdict. Any first frame already on the wire gets vetted so a
         // rejected peer hears *why* instead of hanging.
-        for (token, chan) in awaiting {
+        let tokens: Vec<u64> = awaiting.keys().copied().collect();
+        for token in tokens {
             self.engine.cancel_deadline(Token(token));
-            self.settle_provisional(chan, round, roster, claims_mode, answers, stale)?;
+            self.settle_provisional(&mut awaiting, token, &mut w)?;
         }
-        Ok(())
+        self.seen.extend(w.answers.keys().copied());
+        Ok((w.answers, w.stale))
+    }
+
+    /// Whether the join window can close early: the roster is fully
+    /// seated, or the whole known population has answered.
+    fn join_complete(&self, w: &JoinWindow<'_>) -> bool {
+        match w.roster {
+            Some(sampled) => sampled.iter().all(|id| w.answers.contains_key(id)),
+            None => {
+                !self.cfg.population.is_empty()
+                    && self
+                        .cfg
+                        .population
+                        .iter()
+                        .all(|id| w.answers.contains_key(id))
+            }
+        }
     }
 
     /// Vets a provisional connection's buffered frames up to its first
     /// verdict: admitted connections are parked under their client
-    /// token, rejected ones hear why, garbage and dead ones are dropped
-    /// (all `None`). Returns the channel when no complete frame settled
-    /// it yet.
+    /// token, rejected ones hear why, garbage and dead ones are dropped.
+    /// One with no complete frame yet stays in `awaiting`.
     ///
     /// Drains *through* stale frames: an eager `Join(0)` and the real
     /// claim can both be buffered before a single wake, and a wake —
@@ -687,142 +661,73 @@ impl<'a> Session<'a> {
     /// deadline kills the connection.
     fn settle_provisional(
         &mut self,
-        mut chan: Box<dyn EventedChannel>,
-        round: u64,
-        roster: Option<&BTreeSet<ClientId>>,
-        claims_mode: bool,
-        answers: &mut BTreeMap<ClientId, Answer>,
-        stale: &mut u64,
-    ) -> Result<Option<Box<dyn EventedChannel>>, NetError> {
-        loop {
-            let frame = match chan.try_recv() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => return Ok(Some(chan)),
-                Err(_) => return Ok(None),
-            };
-            let verdict = self.vet_first_frame(
-                Envelope::decode(&frame),
-                round,
-                roster,
-                claims_mode,
-                answers,
-                stale,
-            );
-            // The decode copied the body out; the frame allocation goes
-            // back to the pool.
-            chan.recycle_frame(frame);
-            match verdict {
-                Verdict::Admit(id, answer) => {
-                    chan.register(&mut self.engine, client_token(id))?;
-                    answers.insert(id, answer);
-                    self.parked.insert(id, chan);
-                }
-                Verdict::Reject(reply) => {
-                    let _ = send_env(chan.as_mut(), &reply);
-                    let _ = chan.try_flush();
-                }
+        awaiting: &mut BTreeMap<u64, Box<dyn EventedChannel>>,
+        token: u64,
+        w: &mut JoinWindow<'_>,
+    ) -> Result<(), NetError> {
+        let mut verdict = None;
+        let closed = drain_frames(awaiting, token, |_, frame| {
+            match self.vet_first_frame(EnvelopeView::decode(frame), w) {
                 // Keep draining: the real answer may be right behind.
                 Verdict::Stale => {
-                    *stale += 1;
-                    continue;
+                    w.stale += 1;
+                    true
                 }
-                Verdict::Discard => {}
+                settled => {
+                    verdict = Some(settled);
+                    false
+                }
             }
-            return Ok(None);
+        });
+        if verdict.is_none() && !closed {
+            return Ok(()); // No (further) complete frame yet: keep waiting.
         }
-    }
-
-    /// Drains every buffered frame from a parked peer during the join
-    /// window.
-    fn drain_parked(
-        &mut self,
-        round: u64,
-        id: ClientId,
-        answers: &mut BTreeMap<ClientId, Answer>,
-        stale: &mut u64,
-    ) {
-        loop {
-            let Some(chan) = self.parked.get_mut(&id) else {
-                return;
-            };
-            match chan.try_recv() {
-                Ok(Some(frame)) => {
-                    self.file_parked_frame(round, id, &frame, answers, stale);
-                    if let Some(chan) = self.parked.get_mut(&id) {
-                        chan.recycle_frame(frame);
-                    }
-                }
-                Ok(None) => return,
-                Err(_) => {
-                    self.parked.remove(&id);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Files one frame from a parked (already-authenticated) peer:
-    /// a Join (claim) or Decline for the current round, a stale frame
-    /// from an earlier round (discarded, typed), or a violation.
-    fn file_parked_frame(
-        &mut self,
-        round: u64,
-        id: ClientId,
-        frame: &[u8],
-        answers: &mut BTreeMap<ClientId, Answer>,
-        stale: &mut u64,
-    ) {
-        let env = match Envelope::decode(frame) {
-            Ok(env) => env,
-            Err(_) => {
-                self.parked.remove(&id);
-                return;
-            }
+        self.engine.cancel_deadline(Token(token));
+        let Some(mut chan) = awaiting.remove(&token) else {
+            return Ok(());
         };
-        if env.stage == StageTag::Abort {
+        match verdict {
+            Some(Verdict::Admit(id, answer)) => {
+                chan.register(&mut self.engine, client_token(id))?;
+                w.answers.insert(id, answer);
+                self.parked.insert(id, chan);
+            }
+            Some(Verdict::Reject(reply)) => {
+                let _ = send_env(chan.as_mut(), &reply);
+                let _ = chan.try_flush();
+            }
+            // Garbage, or closed before any verdict.
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Files every frame a parked peer has buffered — its answer,
+    /// typed-stale leftovers, or a violation that unparks it — and
+    /// unparks it if its channel closed. Returns whether it is still
+    /// parked, so this is also the liveness probe for a duplicate join:
+    /// a frame the probe consumes is filed, never discarded.
+    fn read_parked(&mut self, id: ClientId, w: &mut JoinWindow<'_>) -> bool {
+        let closed = drain_frames(&mut self.parked, id, |parked, frame| {
+            if !w.file_parked_frame(id, frame) {
+                parked.remove(&id);
+            }
+            true
+        });
+        if closed {
             self.parked.remove(&id);
-            return;
         }
-        if let Err(NetError::StaleRound { got, expected }) = env.check_round(round) {
-            if got < expected {
-                // e.g. a claim for round r arriving after round r's
-                // window closed: discard, never treat as a claim for
-                // the current round.
-                *stale += 1;
-                return;
-            }
-            self.parked.remove(&id);
-            return;
-        }
-        match env.stage {
-            StageTag::Join => match codec::decode_join_claim(&env.body) {
-                Ok((claimed, claim)) if claimed == id => {
-                    answers.insert(id, Some(claim));
-                }
-                _ => {
-                    self.parked.remove(&id);
-                }
-            },
-            StageTag::Decline => {
-                answers.insert(id, None);
-            }
-            _ => {
-                self.parked.remove(&id);
-            }
-        }
+        self.parked.contains_key(&id)
     }
 
     /// Validates the first frame of a provisional connection.
     fn vet_first_frame(
         &mut self,
-        env_result: Result<Envelope, NetError>,
-        round: u64,
-        roster: Option<&BTreeSet<ClientId>>,
-        claims_mode: bool,
-        answers: &mut BTreeMap<ClientId, Answer>,
-        stale: &mut u64,
+        env: Result<EnvelopeView<'_>, NetError>,
+        w: &mut JoinWindow<'_>,
     ) -> Verdict {
-        let env = match env_result {
+        let round = w.round;
+        let env = match env {
             Ok(env) => env,
             Err(NetError::Version { got, expected }) => {
                 // A peer speaking another wire version must be told to
@@ -849,31 +754,26 @@ impl<'a> Session<'a> {
         // announce). Roster joins are round-agnostic (the session
         // client's connect-time Join carries round 0; it learns the
         // real id from Setup).
-        if claims_mode
-            && matches!(env.stage, StageTag::Join | StageTag::Decline)
-            && env.round != round
-        {
-            if env.round < round {
-                return Verdict::Stale;
+        if w.claims_mode && matches!(env.stage, StageTag::Join | StageTag::Decline) {
+            match round_gate(env.stage, env.round, round) {
+                RoundGate::Stale => return Verdict::Stale,
+                RoundGate::Future => return reject("future round"),
+                RoundGate::Abort | RoundGate::Current => {}
             }
-            return reject("future round");
         }
         match env.stage {
             StageTag::Join => {
-                let Ok((id, claim)) = codec::decode_join_claim(&env.body) else {
+                let Ok((id, claim)) = codec::decode_join_claim(env.body) else {
                     return Verdict::Discard; // unidentifiable garbage
                 };
-                if !self.id_admissible(id, roster) {
+                if !self.id_admissible(id, w.roster) {
                     return reject("not in the sampled set");
                 }
-                if self.parked.contains_key(&id) {
-                    // A reconnect is only legitimate if the old channel
-                    // is actually dead (the client dropped and came
-                    // back); a live duplicate is rejected as before.
-                    if self.parked_alive(round, id, answers, stale) {
-                        return reject("duplicate join");
-                    }
-                    self.parked.remove(&id);
+                // A reconnect is only legitimate if the old channel is
+                // actually dead (the client dropped and came back); a
+                // live duplicate is rejected.
+                if self.parked.contains_key(&id) && self.read_parked(id, w) {
+                    return reject("duplicate join");
                 }
                 // A fresh connection from an id this session has seen
                 // before is a dropout coming back.
@@ -890,11 +790,11 @@ impl<'a> Session<'a> {
                 // seating), so gate them by roster/population like
                 // joins — otherwise anyone could park a connection
                 // under an arbitrary id and block that id's real join.
-                let Ok((id, _)) = codec::decode_join_claim(&env.body) else {
+                let Ok((id, _)) = codec::decode_join_claim(env.body) else {
                     return Verdict::Discard;
                 };
-                if !self.id_admissible(id, roster)
-                    || answers.contains_key(&id)
+                if !self.id_admissible(id, w.roster)
+                    || w.answers.contains_key(&id)
                     || self.parked.contains_key(&id)
                 {
                     return Verdict::Discard;
@@ -915,43 +815,54 @@ impl<'a> Session<'a> {
             None => self.cfg.population.is_empty() || self.cfg.population.contains(&id),
         }
     }
-
-    /// Probes whether `id`'s parked channel is still alive. Any
-    /// buffered frame the probe consumes is re-filed (it may be the
-    /// peer's answer for this round), never discarded.
-    fn parked_alive(
-        &mut self,
-        round: u64,
-        id: ClientId,
-        answers: &mut BTreeMap<ClientId, Answer>,
-        stale: &mut u64,
-    ) -> bool {
-        loop {
-            match self.parked.get_mut(&id).map(|c| c.try_recv()) {
-                Some(Ok(Some(frame))) => {
-                    self.file_parked_frame(round, id, &frame, answers, stale);
-                    if !self.parked.contains_key(&id) {
-                        return false; // the frame itself was fatal
-                    }
-                    if let Some(chan) = self.parked.get_mut(&id) {
-                        chan.recycle_frame(frame);
-                    }
-                }
-                Some(Ok(None)) => return true,
-                Some(Err(_)) | None => return false,
-            }
-        }
-    }
 }
 
-/// The RoundAnnounce frame for a round.
-fn announce_frame(round: u64, claims_mode: bool) -> Vec<u8> {
-    Envelope::new(
-        StageTag::RoundAnnounce,
-        round,
-        codec::encode_announce(claims_mode),
-    )
-    .encode()
+/// One round's join window: what its frames are vetted against, and
+/// what it collected.
+struct JoinWindow<'r> {
+    round: u64,
+    /// The fixed cohort, under roster seating.
+    roster: Option<&'r BTreeSet<ClientId>>,
+    claims_mode: bool,
+    answers: BTreeMap<ClientId, Answer>,
+    /// Frames from older rounds, discarded.
+    stale: u64,
+}
+
+impl JoinWindow<'_> {
+    /// Files one frame from a parked (already-authenticated) peer: a
+    /// Join (claim) or Decline for the current round, or a stale frame
+    /// from an earlier round (discarded, typed). Returns `false` on a
+    /// violation.
+    fn file_parked_frame(&mut self, id: ClientId, frame: &[u8]) -> bool {
+        let Ok(env) = EnvelopeView::decode(frame) else {
+            return false;
+        };
+        match round_gate(env.stage, env.round, self.round) {
+            RoundGate::Abort | RoundGate::Future => false,
+            // e.g. a claim for round r arriving after round r's window
+            // closed: discard, never treat as a claim for the current
+            // round.
+            RoundGate::Stale => {
+                self.stale += 1;
+                true
+            }
+            RoundGate::Current => match env.stage {
+                StageTag::Join => match codec::decode_join_claim(env.body) {
+                    Ok((claimed, claim)) if claimed == id => {
+                        self.answers.insert(id, Some(claim));
+                        true
+                    }
+                    _ => false,
+                },
+                StageTag::Decline => {
+                    self.answers.insert(id, None);
+                    true
+                }
+                _ => false,
+            },
+        }
+    }
 }
 
 /// Outcome of vetting a provisional connection's first frame.

@@ -16,6 +16,7 @@ use dordis_net::coordinator::{DropKind, NetRoundReport};
 use dordis_net::runtime::{round_rng_seed, ClientRunOutcome, FailAction, FailPoint, FailStage};
 use dordis_net::session::SessionConfig;
 use dordis_net::transport::{recv_env, send_env, Channel, LoopbackHub, ThrottledChannel};
+use dordis_net::NetError;
 use dordis_secagg::client::{Client, ClientInput};
 use dordis_secagg::driver::{client_rng, run_round, DropStage, DropoutSchedule, RoundSpec};
 use dordis_secagg::graph::MaskingGraph;
@@ -283,23 +284,94 @@ fn run_keyless_streamer(mut chan: impl Channel, id: ClientId) {
     while recv_env(&mut chan, far()).is_ok() {}
 }
 
+/// How the hostile peer of `masked_chunk_from_outside_u2_drops_that_peer_only`
+/// breaks its masked-input stream.
+#[derive(Clone, Copy, Debug)]
+enum Hostile {
+    /// Shares no keys, so it sits outside U2, then streams a chunk.
+    OutsideU2,
+    /// Sends its first chunk frame twice.
+    RepeatChunk,
+    /// Labels its first chunk frame with a chunk id one past the plan.
+    ChunkPastEnd(u16),
+}
+
+/// An honest client's channel that breaks the first masked-input chunk
+/// frame it sends: repeats it, or relabels it as chunk `relabel`.
+struct Tamper {
+    inner: Box<dyn Channel>,
+    relabel: Option<u16>,
+    tampered: bool,
+}
+
+impl Channel for Tamper {
+    fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        let env = Envelope::decode(frame).expect("own frame");
+        if self.tampered || env.stage != StageTag::MaskedInput {
+            return self.inner.send(frame);
+        }
+        self.tampered = true;
+        match self.relabel {
+            Some(chunk) => self.inner.send(&Envelope { chunk, ..env }.encode()),
+            None => {
+                self.inner.send(frame)?;
+                self.inner.send(frame)
+            }
+        }
+    }
+
+    fn recv_deadline(&mut self, deadline: Instant) -> Result<Vec<u8>, NetError> {
+        self.inner.recv_deadline(deadline)
+    }
+
+    fn peer(&self) -> String {
+        self.inner.peer()
+    }
+}
+
 #[test]
 fn masked_chunk_from_outside_u2_drops_that_peer_only() {
     const HOSTILE: ClientId = 4;
+    // Each hostile stream, the chunk count it runs at, and the driver
+    // drop it is equivalent to. A repeated chunk must land before the
+    // stream's last one, so that row runs at m = 4; a peer that never
+    // completes its stream never folds, so it drops before its masked
+    // input.
+    let table = [
+        (Hostile::OutsideU2, 1, DropStage::BeforeShareKeys),
+        (Hostile::RepeatChunk, 4, DropStage::BeforeMaskedInput),
+        (Hostile::ChunkPastEnd(4), 4, DropStage::BeforeMaskedInput),
+    ];
     let p = params(5, 3, 2);
     let ins = inputs(5, 2);
-    let d = driver_round(&p, &ins, &[(HOSTILE, DropStage::BeforeShareKeys)]);
+    for (hostile, chunks, drop) in table {
+        let d = driver_round(&p, &ins, &[(HOSTILE, drop)]);
 
-    let (hub, mut acceptor) = LoopbackHub::new();
-    let inputs = ins.clone();
-    let (mut reports, clients) = common::run_session(
-        &mut acceptor,
-        common::one_round(p.clone()),
-        0..5,
-        move |id| {
+        let (hub, mut acceptor) = LoopbackHub::new();
+        let inputs = ins.clone();
+        let cfg = SessionConfig {
+            chunks,
+            ..common::one_round(p.clone())
+        };
+        let (mut reports, clients) = common::run_session(&mut acceptor, cfg, 0..5, move |id| {
             let raw = hub.connect(&format!("c{id}")).expect("connect");
             if id == HOSTILE {
-                run_keyless_streamer(raw, id);
+                let relabel = match hostile {
+                    Hostile::OutsideU2 => {
+                        run_keyless_streamer(raw, id);
+                        return None;
+                    }
+                    Hostile::RepeatChunk => None,
+                    Hostile::ChunkPastEnd(chunk) => Some(chunk),
+                };
+                let mut chan = Tamper {
+                    inner: Box::new(raw),
+                    relabel,
+                    tampered: false,
+                };
+                // Dropped mid-round: its run ends on a closed channel.
+                let input = |_| inputs[&id].clone();
+                let _ = common::roster_client(&mut chan, id, SEED, |_| None, input, None);
                 return None;
             }
             // Honest uplinks pay 100 ms a frame, so the hostile chunk is
@@ -309,21 +381,21 @@ fn masked_chunk_from_outside_u2_drops_that_peer_only() {
             let run =
                 common::roster_client(&mut chan, id, SEED, |_| None, |_| inputs[&id].clone(), None);
             Some(run.unwrap_or_else(|e| panic!("client {id}: {e}")))
-        },
-    );
-    let n = reports.pop().expect("one round");
+        });
+        let n = reports.pop().expect("one round");
 
-    assert_equivalent(&d, &n);
-    assert_eq!(n.outcome.dropped, vec![HOSTILE]);
-    assert_eq!(n.dropouts.len(), 1, "{:?}", n.dropouts);
-    assert_eq!(n.dropouts[0].client, HOSTILE);
-    assert_eq!(n.dropouts[0].kind, DropKind::ProtocolViolation);
-    for (id, run) in clients {
-        let Some(run) = run else { continue };
-        assert!(
-            matches!(run.rounds[0].outcome, ClientRunOutcome::Finished { .. }),
-            "honest client {id}: {:?}",
-            run.rounds[0].outcome
-        );
+        assert_equivalent(&d, &n);
+        assert_eq!(n.outcome.dropped, vec![HOSTILE], "{hostile:?}");
+        assert_eq!(n.dropouts.len(), 1, "{hostile:?}: {:?}", n.dropouts);
+        assert_eq!(n.dropouts[0].client, HOSTILE);
+        assert_eq!(n.dropouts[0].kind, DropKind::ProtocolViolation);
+        for (id, run) in clients {
+            let Some(run) = run else { continue };
+            assert!(
+                matches!(run.rounds[0].outcome, ClientRunOutcome::Finished { .. }),
+                "honest client {id}: {:?}",
+                run.rounds[0].outcome
+            );
+        }
     }
 }

@@ -444,12 +444,13 @@ fn client_rejects_stale_round_frame_with_typed_error() {
     }
 }
 
-/// A channel wrapper that duplicates the client's first AdvertiseKeys
-/// frame with a *stale* round id just before the real one — the
-/// coordinator must discard the stale copy (typed, counted) and file
-/// the real frame, completing the round bit-equal to a clean run.
+/// A channel wrapper that duplicates the client's first `stage` frame
+/// with a *stale* round id just before the real one — the coordinator
+/// must discard the stale copy (typed, counted) and file the real frame,
+/// completing the round bit-equal to a clean run.
 struct StaleInjector {
     inner: LoopbackChannel,
+    stage: StageTag,
     injected: Arc<AtomicU32>,
 }
 
@@ -457,9 +458,12 @@ impl Channel for StaleInjector {
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
         if self.injected.load(Ordering::SeqCst) == 0 {
             if let Ok(env) = Envelope::decode(frame) {
-                if env.stage == StageTag::AdvertiseKeys {
+                if env.stage == self.stage {
                     self.injected.store(1, Ordering::SeqCst);
-                    let stale = Envelope::new(StageTag::AdvertiseKeys, env.round - 1, env.body);
+                    let stale = Envelope {
+                        round: env.round - 1,
+                        ..env
+                    };
                     self.inner.send(&stale.encode())?;
                 }
             }
@@ -478,34 +482,41 @@ impl Channel for StaleInjector {
 
 #[test]
 fn coordinator_discards_stale_frames_without_dropping_the_peer() {
-    let (hub, mut acceptor) = LoopbackHub::new();
-    let injected = Arc::new(AtomicU32::new(0));
-    let cfg = common::one_round(params_for_round(5));
-    let (mut reports, clients) = common::run_session(&mut acceptor, cfg, 0..N, move |id| {
-        let inner = hub.connect(&format!("c{id}")).expect("connect");
-        let mut chan: Box<dyn Channel> = if id == 2 {
-            let injected = Arc::clone(&injected);
-            Box::new(StaleInjector { inner, injected })
-        } else {
-            Box::new(inner)
-        };
-        common::roster_client(
-            chan.as_mut(),
-            id,
-            SEED,
-            |_| None,
-            |r| input_for(id, r),
-            None,
-        )
-    });
-    let report = reports.pop().expect("one round");
-    for run in clients.into_values() {
-        let outcome = &run.expect("client run").rounds[0].outcome;
-        assert!(matches!(outcome, ClientRunOutcome::Finished { .. }));
+    // A control-stage frame, and the first masked-input chunk frame.
+    for stage in [StageTag::AdvertiseKeys, StageTag::MaskedInput] {
+        let (hub, mut acceptor) = LoopbackHub::new();
+        let injected = Arc::new(AtomicU32::new(0));
+        let cfg = common::one_round(params_for_round(5));
+        let (mut reports, clients) = common::run_session(&mut acceptor, cfg, 0..N, move |id| {
+            let inner = hub.connect(&format!("c{id}")).expect("connect");
+            let mut chan: Box<dyn Channel> = if id == 2 {
+                let injected = Arc::clone(&injected);
+                Box::new(StaleInjector {
+                    inner,
+                    stage,
+                    injected,
+                })
+            } else {
+                Box::new(inner)
+            };
+            common::roster_client(
+                chan.as_mut(),
+                id,
+                SEED,
+                |_| None,
+                |r| input_for(id, r),
+                None,
+            )
+        });
+        let report = reports.pop().expect("one round");
+        for run in clients.into_values() {
+            let outcome = &run.expect("client run").rounds[0].outcome;
+            assert!(matches!(outcome, ClientRunOutcome::Finished { .. }));
+        }
+        assert_eq!(report.stale_frames, 1, "{stage:?}");
+        assert!(report.dropouts.is_empty(), "{:?}", report.dropouts);
+        let mem = driver_round(5, &[]);
+        assert_eq!(report.outcome.sum, mem.sum);
+        assert_eq!(report.outcome.survivors, mem.survivors);
     }
-    assert_eq!(report.stale_frames, 1);
-    assert!(report.dropouts.is_empty(), "{:?}", report.dropouts);
-    let mem = driver_round(5, &[]);
-    assert_eq!(report.outcome.sum, mem.sum);
-    assert_eq!(report.outcome.survivors, mem.survivors);
 }
