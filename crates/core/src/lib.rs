@@ -14,18 +14,19 @@
 //!    FedAvg model refinement, with privacy accounted by
 //!    [`dordis_dp::ledger`].
 //!
-//! Three execution paths are provided, plus a round-time estimator:
+//! Multi-round training has one round loop, in [`session`], driven over
+//! three engines; single rounds and round times have their own modules:
 //!
-//! - [`trainer`]: the *semantic* path used for utility/privacy
-//!   experiments (Figures 1, 8, 9, Table 2) — it performs the exact
-//!   DP-relevant vector math (encode, perturb, modular-sum, remove,
-//!   decode) without paying for masking crypto, which cancels out anyway.
-//! - [`protocol`]: the *full-protocol* path that runs the actual SecAgg /
-//!   SecAgg+ state machines end to end, used for integration testing and
-//!   small-scale runs.
-//! - [`session`]: multi-round FL sessions — the trainer's per-round
-//!   semantics over the full protocol, in memory or over `dordis-net`
-//!   with per-round VRF cohort sampling.
+//! - [`trainer`]: [`trainer::train`], the loop over the *plain* engine
+//!   used for utility/privacy experiments (Figures 1, 8, 9, Table 2) —
+//!   the exact DP-relevant vector math (encode, perturb, modular-sum,
+//!   remove, decode) without paying for masking crypto, which cancels
+//!   out anyway.
+//! - [`session`]: the same loop over the full protocol, in memory or
+//!   over `dordis-net` with per-round VRF cohort sampling.
+//! - [`protocol`]: the *full-protocol* single round that runs the actual
+//!   SecAgg / SecAgg+ state machines end to end, used for integration
+//!   testing and small-scale runs.
 //! - [`timing`]: round-time estimation (plain vs pipelined) on the
 //!   simulated cluster (Figures 2 and 10).
 //!

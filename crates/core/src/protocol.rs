@@ -296,8 +296,8 @@ pub fn demo_element(client: ClientId, i: usize, ring: u64) -> u64 {
 }
 
 /// The deterministic per-(run, round, client) seed used for noise
-/// derivation — shared with the semantic path so the two can be compared
-/// bit for bit.
+/// derivation — shared with every engine of the FL round loop
+/// ([`crate::session`]) so they can be compared bit for bit.
 #[must_use]
 pub fn client_round_seed(run_seed: u64, round: u64, client: ClientId) -> Seed {
     let mut s = [0u8; 32];

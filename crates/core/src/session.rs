@@ -1,10 +1,16 @@
-//! Multi-round federated training sessions: the trainer's per-round
-//! semantics (local train → clip → encode → perturb → aggregate →
-//! excess removal → decode → FedAvg → privacy ledger) driven over
-//! `dordis-net` sessions with per-round VRF cohort resampling (§7).
+//! Multi-round federated training: the one FL round loop (local train →
+//! clip → encode → perturb → aggregate → excess removal → decode →
+//! FedAvg → privacy ledger) and the engines it drives.
 //!
-//! Two execution paths produce the identical [`TrainingReport`]:
+//! Three engines, one loop. An engine runs one round's cohort and hands
+//! back the raw modular aggregate; the removal, decode, ledger entry,
+//! FedAvg step and evaluation run once, in the shared driver, for every
+//! engine:
 //!
+//! - the plain engine behind [`crate::trainer::train`]: the task's
+//!   seeded cohort shuffle and dropout model, survivors summed through
+//!   `secagg::plain` — the DP-relevant math without the masking crypto,
+//!   whose cancellation the protocol tests pin separately;
 //! - [`train_session`]: the in-memory reference. Each round's cohort is
 //!   sampled by VRF self-selection + [`seat_claims`] verify-and-trim,
 //!   and the round itself runs through the in-memory secagg *driver*
@@ -23,13 +29,16 @@
 //!   ([`train_session_networked_failover`] is this path behind a
 //!   replicated coordinator pair.)
 //!
-//! Both paths derive every random artefact (VRF keys, per-round protocol
-//! seeds, encoding rotations, noise seeds) from the same
-//! `(spec.seed, round)` functions, so the per-round modular aggregates
-//! are bit-equal and the reports match field for field — the
+//! Every engine derives every random artefact (per-round protocol seeds,
+//! encoding rotations, noise seeds) from the same `(spec.seed, round)`
+//! functions, so the two session engines' per-round modular aggregates
+//! are bit-equal and their reports match field for field — the
 //! session-level analogue of the single-round equivalence pins.
 
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,9 +64,12 @@ use dordis_net::NetError;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::driver::{round_rng_seed, run_round, DropStage, DropoutSchedule, RoundSpec};
 use dordis_secagg::graph::MaskingGraph;
-use dordis_secagg::{ClientId, RoundParams, ThreatModel};
+use dordis_secagg::{plain, ClientId, RoundParams, ThreatModel};
 use dordis_xnoise::decomposition::XNoisePlan;
 use dordis_xnoise::enforcement::{derive_component_seeds, perturb, remove_excess};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{TaskSpec, Variant};
@@ -245,13 +257,17 @@ pub fn planned_cohorts(spec: &TaskSpec, opts: &FlSessionOptions) -> Vec<Vec<Clie
 }
 
 // ---------------------------------------------------------------------
-// Shared deterministic derivations (both execution paths).
+// Shared deterministic derivations (every engine).
 // ---------------------------------------------------------------------
 
-/// Everything both paths derive identically before the first round.
-struct Statics {
+/// Everything every engine derives identically before the first round.
+pub(crate) struct Statics {
     spec: TaskSpec,
     root: Seed,
+    /// The planned horizon.
+    rounds: u32,
+    /// Per-round sampling probability the planner and the ledger use.
+    sample_rate: f64,
     z_star: f64,
     target_variance: f64,
     /// Model parameter count (the decode length).
@@ -262,22 +278,15 @@ struct Statics {
     shards: Vec<Vec<usize>>,
 }
 
-fn statics(spec: &TaskSpec, opts: &FlSessionOptions) -> Result<Statics, DordisError> {
+/// Derives the statics of a `rounds`-round run that samples clients at
+/// `sample_rate` (the non-private baseline plans no noise).
+pub(crate) fn statics(
+    spec: &TaskSpec,
+    rounds: u32,
+    sample_rate: f64,
+) -> Result<Statics, DordisError> {
     spec.validate().map_err(DordisError::Config)?;
-    if spec.variant == Variant::NonPrivate {
-        return Err(DordisError::Config(
-            "sessions aggregate through secagg and need an integer encoding; \
-             use a DP variant"
-                .into(),
-        ));
-    }
-    if opts.sample.population != spec.population {
-        return Err(DordisError::Config(format!(
-            "sampling population {} disagrees with task population {}",
-            opts.sample.population, spec.population
-        )));
-    }
-    if opts.rounds == 0 {
+    if rounds == 0 {
         return Err(DordisError::Config(
             "sessions need at least one round".into(),
         ));
@@ -291,19 +300,25 @@ fn statics(spec: &TaskSpec, opts: &FlSessionOptions) -> Result<Statics, DordisEr
     let mechanism = Mechanism::Skellam {
         l1_per_l2: enc_cfg.l1_per_l2(dim),
     };
-    let noise_plan = plan(&PlannerConfig {
-        epsilon: spec.privacy.epsilon,
-        delta: spec.privacy.delta,
-        rounds: opts.rounds,
-        sample_rate: opts.sample.target_sample as f64 / spec.population as f64,
-        mechanism,
-    })?;
-    let delta2 = enc_cfg.l2_sensitivity(dim);
-    let sigma = noise_plan.noise_multiplier * delta2;
+    let z_star = if spec.variant == Variant::NonPrivate {
+        0.0
+    } else {
+        plan(&PlannerConfig {
+            epsilon: spec.privacy.epsilon,
+            delta: spec.privacy.delta,
+            rounds,
+            sample_rate,
+            mechanism,
+        })?
+        .noise_multiplier
+    };
+    let sigma = z_star * enc_cfg.l2_sensitivity(dim);
     Ok(Statics {
         spec: spec.clone(),
         root: master_seed(spec),
-        z_star: noise_plan.noise_multiplier,
+        rounds,
+        sample_rate,
+        z_star,
         target_variance: sigma * sigma,
         dim,
         data,
@@ -313,8 +328,21 @@ fn statics(spec: &TaskSpec, opts: &FlSessionOptions) -> Result<Statics, DordisEr
     })
 }
 
+/// The statics of a session: `opts.rounds` rounds at the VRF target
+/// sampling rate.
+fn session_statics(spec: &TaskSpec, opts: &FlSessionOptions) -> Result<Statics, DordisError> {
+    if opts.sample.population != spec.population {
+        return Err(DordisError::Config(format!(
+            "sampling population {} disagrees with task population {}",
+            opts.sample.population, spec.population
+        )));
+    }
+    let rate = opts.sample.target_sample as f64 / spec.population as f64;
+    statics(spec, opts.rounds, rate)
+}
+
 /// Per-round encoding rotation seed.
-fn rotation_for(root: &Seed, r: u64) -> Seed {
+pub(crate) fn rotation_for(root: &Seed, r: u64) -> Seed {
     Prg::fork(root, b"session.rotation", r)
 }
 
@@ -404,7 +432,7 @@ fn encoded_input(
             perturb(&mut enc, &seeds, plan, bits)?;
             seeds
         }
-        // `NonPrivate` is rejected in statics().
+        Variant::NonPrivate => Vec::new(),
         variant => {
             add_share_noise(&mut enc, variant, &round_seed, st.target_variance, n, bits);
             Vec::new()
@@ -435,18 +463,20 @@ fn round_params(st: &Statics, r: u64, cohort: &[ClientId]) -> RoundParams {
 }
 
 /// What a round execution engine must hand back to the shared driver.
-struct RoundNet {
-    /// The cohort the round ran with, in seating order: the VRF plan for
-    /// the in-memory engine, what the coordinator seated for the
-    /// networked ones. Everything downstream is sized from this.
+pub(crate) struct RoundNet {
+    /// The cohort the round ran with, in seating order: the task's
+    /// shuffle for the plain engine, the VRF plan for the in-memory
+    /// engine, what the coordinator seated for the networked ones.
+    /// Everything downstream is sized from this.
     cohort: Vec<ClientId>,
-    /// The modular aggregate before excess removal.
+    /// The modular aggregate before excess removal (empty when nobody
+    /// survived).
     sum: Vec<u64>,
     /// Survivors (U3), in outcome order.
     survivors: Vec<ClientId>,
     /// Recovered XNoise removal seeds.
     removal_seeds: Vec<(ClientId, usize, Seed)>,
-    /// Stale frames discarded (0 for the in-memory engine).
+    /// Stale frames discarded (0 for the in-process engines).
     stale_frames: u64,
 }
 
@@ -458,11 +488,17 @@ struct RoundNet {
 /// checkpoint)`; an `Err` unwinds the round before it takes effect.
 type CommitFn<'a> = &'a mut dyn FnMut(u64, &[u8]) -> Result<(), DordisError>;
 
-/// Runs the full session given a per-round execution engine — `exec(round
-/// index, wire round, global model)` returns the round's cohort and raw
-/// aggregate; everything else (removal, decode, FedAvg, evaluation, the
-/// privacy ledger) is this one code path for every engine, and all of
-/// it is sized from the cohort the engine hands back.
+/// The one FL round loop: runs `st.rounds` rounds given a per-round
+/// execution engine — `exec(round index, wire round, global model)`
+/// returns the round's cohort and raw aggregate; everything else
+/// (removal, decode, FedAvg, evaluation, the privacy ledger) is this one
+/// code path for every engine, and all of it is sized from the cohort
+/// the engine hands back.
+///
+/// `Early` stops before the first round that would start on an
+/// exhausted budget. A round nobody survived releases nothing: no
+/// ledger entry, no model step. The non-private baseline records
+/// nothing in the ledger.
 ///
 /// Optionally starts from a restored [`DriverCheckpoint`] instead of
 /// round 0, and optionally gates every round on a `commit` callback
@@ -471,9 +507,8 @@ type CommitFn<'a> = &'a mut dyn FnMut(u64, &[u8]) -> Result<(), DordisError>;
 /// commit errors leaves no trace in the ledger, the model, or the
 /// records, which is exactly the crash-consistency contract the
 /// failover path relies on.
-fn run_fl_session_at(
+pub(crate) fn run_fl_session_at(
     st: &Statics,
-    opts: &FlSessionOptions,
     resume: Option<DriverCheckpoint>,
     mut commit: Option<CommitFn<'_>>,
     mut exec: impl FnMut(u32, u64, &[f32]) -> Result<RoundNet, DordisError>,
@@ -481,15 +516,14 @@ fn run_fl_session_at(
     let spec = &st.spec;
     let enc_cfg = &spec.privacy.encoding;
     let bits = enc_cfg.bit_width;
-    let rate = opts.sample.target_sample as f64 / spec.population as f64;
 
     let mut model = build_model(spec, &st.data);
     let (start, mut ledger, mut global, mut records, mut rounds) = match resume {
         Some(ckpt) => {
-            if ckpt.next_round > opts.rounds {
+            if ckpt.next_round > st.rounds {
                 return Err(DordisError::Config(format!(
                     "checkpoint resumes at round {} past the {}-round horizon",
-                    ckpt.next_round, opts.rounds
+                    ckpt.next_round, st.rounds
                 )));
             }
             (
@@ -509,7 +543,12 @@ fn run_fl_session_at(
         }
     };
 
-    for i in start..opts.rounds {
+    let mut stopped_early = false;
+    for i in start..st.rounds {
+        if spec.variant == Variant::Early && ledger.exhausted() {
+            stopped_early = true;
+            break;
+        }
         let r = wire_round(i);
         let net = exec(i, r, &global)?;
         let cohort = net.cohort;
@@ -518,36 +557,44 @@ fn run_fl_session_at(
         let xplan = xplan_for(st, cohort.len())?;
         let dropped_ct = cohort.len() - net.survivors.len();
         let mut sum = net.sum;
-        if let Some(plan) = &xplan {
-            if dropped_ct <= plan.dropout_tolerance {
-                remove_excess(&mut sum, &net.removal_seeds, &net.survivors, plan, bits)?;
+        let achieved = if net.survivors.is_empty() {
+            0.0
+        } else {
+            if let Some(plan) = &xplan {
+                if dropped_ct <= plan.dropout_tolerance {
+                    remove_excess(&mut sum, &net.removal_seeds, &net.survivors, plan, bits)?;
+                }
             }
-        }
-        let encoder = Encoder::new(enc_cfg, rotation_for(&st.root, r));
-        let decoded = encoder.decode(&sum, st.dim);
-        let achieved = achieved_noise_multiplier(
-            spec.variant,
-            st.z_star,
-            st.target_variance,
-            cohort.len(),
-            net.survivors.len(),
-            xplan.as_ref(),
-        );
-        // The watermark-guarded record: a resumed driver that replayed
-        // an already-committed round would be rejected here instead of
-        // double-counting privacy budget.
-        ledger
-            .record_round_at(r, rate, achieved)
-            .map_err(DordisError::Dp)?;
+            let encoder = Encoder::new(enc_cfg, rotation_for(&st.root, r));
+            let decoded = encoder.decode(&sum, st.dim);
+            let achieved = achieved_noise_multiplier(
+                spec.variant,
+                st.z_star,
+                st.target_variance,
+                cohort.len(),
+                net.survivors.len(),
+                xplan.as_ref(),
+            );
+            // The watermark-guarded record: a resumed driver that
+            // replayed an already-committed round would be rejected
+            // here instead of double-counting privacy budget.
+            if spec.variant != Variant::NonPrivate {
+                ledger
+                    .record_round_at(r, st.sample_rate, achieved)
+                    .map_err(DordisError::Dp)?;
+            }
+            // FedAvg over survivors.
+            let mean: Vec<f32> = decoded
+                .iter()
+                .map(|&v| (v / net.survivors.len() as f64) as f32)
+                .collect();
+            apply_update(&mut global, &mean, 1.0);
+            achieved
+        };
 
-        // FedAvg over survivors, then evaluate on the cadence.
-        let mean: Vec<f32> = decoded
-            .iter()
-            .map(|&v| (v / net.survivors.len() as f64) as f32)
-            .collect();
-        apply_update(&mut global, &mean, 1.0);
+        // Evaluate on the cadence.
         model.set_params(&global);
-        let evaluate = i % spec.eval_every == spec.eval_every - 1 || i + 1 == opts.rounds;
+        let evaluate = i % spec.eval_every == spec.eval_every - 1 || i + 1 == st.rounds;
         let (acc, ppl) = if evaluate {
             (
                 Some(accuracy(model.as_ref(), &st.test_set)),
@@ -600,14 +647,89 @@ fn run_fl_session_at(
     Ok(FlSessionReport {
         training: TrainingReport {
             task: spec.name.clone(),
-            rounds_completed: opts.rounds,
+            rounds_completed: records.len() as u32,
             epsilon_consumed: ledger.realized_epsilon(),
             final_accuracy: accuracy(model.as_ref(), &st.test_set),
             final_perplexity: perplexity(model.as_ref(), &st.test_set),
-            stopped_early: false,
+            stopped_early,
             records,
         },
         rounds,
+    })
+}
+
+// ---------------------------------------------------------------------
+// Plain engine.
+// ---------------------------------------------------------------------
+
+/// One round of the plain engine behind [`crate::trainer::train`]: the
+/// task's seeded cohort shuffle and dropout draw (after sampling, before
+/// the upload), the survivors trained and encoded in scoped threads, and
+/// their inputs summed through `secagg::plain` with no masking. Each
+/// survivor hands over the XNoise seeds the round's dropouts leave
+/// removable — what the secagg engines recover through Shamir shares.
+pub(crate) fn plain_round(st: &Statics, i: u32, global: &[f32]) -> Result<RoundNet, DordisError> {
+    let spec = &st.spec;
+    let n = spec.sampled_per_round;
+    let mut rng = StdRng::seed_from_u64(spec.seed ^ (u64::from(i) << 32));
+    let mut pool: Vec<usize> = (0..spec.population).collect();
+    pool.shuffle(&mut rng);
+    let cohort: Vec<ClientId> = pool[..n].iter().map(|&c| c as ClientId).collect();
+    let dropped = spec
+        .dropout
+        .sample_dropouts(i as usize, n, None, spec.seed ^ 0xd409);
+    let survivors: Vec<ClientId> = (0..n)
+        .filter(|pos| !dropped.contains(pos))
+        .map(|pos| cohort[pos])
+        .collect();
+
+    let r = wire_round(i);
+    let xplan = xplan_for(st, n)?;
+    let xplan = xplan.as_ref();
+    let workers = std::thread::available_parallelism().map_or(4, NonZeroUsize::get);
+    let per_worker = survivors.len().div_ceil(workers).max(1);
+    let inputs = std::thread::scope(|scope| {
+        let handles: Vec<_> = survivors
+            .chunks(per_worker)
+            .map(|part| {
+                scope.spawn(move || {
+                    part.iter()
+                        .map(|&id| {
+                            let update = client_update(st, i, id, global);
+                            encoded_input(st, r, id, &update, n, xplan)
+                        })
+                        .collect::<Result<Vec<_>, _>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("training thread panicked"))
+            .collect::<Result<Vec<_>, _>>()
+    })?;
+
+    let mut vectors = BTreeMap::new();
+    let mut removal_seeds = Vec::new();
+    for (&id, input) in survivors.iter().zip(inputs.into_iter().flatten()) {
+        let removable = input
+            .noise_seeds
+            .iter()
+            .enumerate()
+            .skip(n - survivors.len() + 1);
+        removal_seeds.extend(removable.map(|(k, seed)| (id, k, *seed)));
+        vectors.insert(id, input.vector);
+    }
+    let sum = if vectors.is_empty() {
+        Vec::new()
+    } else {
+        plain::aggregate(&vectors, spec.privacy.encoding.bit_width).map_err(DordisError::SecAgg)?
+    };
+    Ok(RoundNet {
+        cohort,
+        sum,
+        survivors,
+        removal_seeds,
+        stale_frames: 0,
     })
 }
 
@@ -666,9 +788,9 @@ pub fn train_session(
     spec: &TaskSpec,
     opts: &FlSessionOptions,
 ) -> Result<FlSessionReport, DordisError> {
-    let st = statics(spec, opts)?;
+    let st = session_statics(spec, opts)?;
     let cohorts = planned_cohorts(spec, opts);
-    run_fl_session_at(&st, opts, None, None, |i, _r, global| {
+    run_fl_session_at(&st, None, None, |i, _r, global| {
         memory_round(&st, opts, i, &cohorts[i as usize], global)
     })
 }
@@ -817,6 +939,107 @@ fn session_client(
     )
 }
 
+/// Runs `coordinator` on this thread with one [`loopback_client`]
+/// thread per population member, then reaps the clients. A client error
+/// surfaces only when the coordinator side succeeded.
+fn with_loopback_clients(
+    st: &Arc<Statics>,
+    opts: &FlSessionOptions,
+    hubs: &[LoopbackHub],
+    coordinator: impl FnOnce() -> Result<FlSessionReport, DordisError>,
+) -> Result<FlSessionReport, DordisError> {
+    let droppers: Arc<[MidStreamDrop]> = opts.droppers.clone().into();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let handles: Vec<_> = (0..st.spec.population as ClientId)
+        .map(|id| {
+            let (st, droppers, shutdown) =
+                (Arc::clone(st), Arc::clone(&droppers), Arc::clone(&shutdown));
+            let (hubs, sample) = (hubs.to_vec(), opts.sample);
+            std::thread::spawn(move || {
+                loopback_client(id, &hubs, &st, &sample, &droppers, &shutdown)
+            })
+        })
+        .collect();
+
+    let outcome = coordinator();
+    // Coordinator-side resources are gone; release any still-dialing
+    // clients and reap the threads.
+    shutdown.store(true, Ordering::Relaxed);
+    for h in handles {
+        let joined = h
+            .join()
+            .map_err(|_| DordisError::Config("client thread panicked".into()))?;
+        if outcome.is_ok() {
+            joined.map_err(DordisError::Config)?;
+        }
+    }
+    outcome
+}
+
+/// One population member on loopback: dials `hubs[0]` and, after a
+/// scripted dropout, redials the same hub to re-join from the next
+/// round's announce. With more than one hub (the failover harness) a
+/// connect failure or a transport death flips it to the next hub after a
+/// jittered [`Backoff`] step, so orphans of a coordinator crash find the
+/// successor; a single-hub list is the plain networked session. Once
+/// `shutdown` is set, a client that cannot connect retires.
+fn loopback_client(
+    id: ClientId,
+    hubs: &[LoopbackHub],
+    st: &Statics,
+    sample: &SamplingConfig,
+    droppers: &[MidStreamDrop],
+    shutdown: &AtomicBool,
+) -> Result<(), String> {
+    let failover = hubs.len() > 1;
+    // Short enough under failover that a client parked on a dead-but-
+    // accepting address re-enters the redial loop well inside the
+    // takeover window.
+    let recv_timeout = Duration::from_secs(if failover { 5 } else { 120 });
+    let mut at = 0;
+    let mut backoff = Backoff::new(
+        u64::from(id),
+        Duration::from_millis(2),
+        Duration::from_millis(200),
+    );
+    loop {
+        if backoff.attempts() > 2_000 {
+            return Err(format!("client {id}: no coordinator reachable"));
+        }
+        let mut chan = match hubs[at].connect(&format!("client-{id}")) {
+            Ok(chan) => chan,
+            Err(_) if shutdown.load(Ordering::Relaxed) => return Ok(()),
+            Err(e) if !failover => return Err(format!("client {id} connect: {e}")),
+            Err(_) => {
+                at = (at + 1) % hubs.len();
+                backoff.sleep();
+                continue;
+            }
+        };
+        match session_client(&mut chan, st, sample, droppers, id, recv_timeout) {
+            Ok(report) => match report.end {
+                SessionEndKind::Ended => return Ok(()),
+                // Scripted dropout: rejoin the same coordinator from the
+                // next round's announce.
+                SessionEndKind::Failed { .. } => {}
+                SessionEndKind::Aborted { round, reason } => {
+                    return Err(format!("client {id} aborted in round {round}: {reason}"))
+                }
+                SessionEndKind::ServerAborted { reason } => {
+                    return Err(format!("client {id}: server aborted: {reason}"))
+                }
+            },
+            // The coordinator died under us (or we out-waited a takeover
+            // window): flip addresses and redial.
+            Err(NetError::Closed | NetError::Timeout | NetError::Unavailable) if failover => {
+                at = (at + 1) % hubs.len();
+                backoff.sleep();
+            }
+            Err(e) => return Err(format!("client {id}: {e}")),
+        }
+    }
+}
+
 /// Runs the session over `dordis-net`: a session coordinator on this
 /// thread, one persistent loopback connection per population member,
 /// per-round VRF claims verified-and-trimmed at the join stage, the
@@ -831,59 +1054,19 @@ pub fn train_session_networked(
     spec: &TaskSpec,
     opts: &FlSessionOptions,
 ) -> Result<FlSessionReport, DordisError> {
-    let st = Arc::new(statics(spec, opts)?);
-    let population = spec.population as u32;
-    let sample = opts.sample;
-    let droppers: Arc<Vec<MidStreamDrop>> = Arc::new(opts.droppers.clone());
+    let st = Arc::new(session_statics(spec, opts)?);
     let (hub, mut acceptor) = LoopbackHub::new();
-
-    // ---- Client threads: one persistent connection each, reconnect
-    // after scripted failures. ----
-    let mut handles = Vec::new();
-    for id in 0..population {
-        let hub = hub.clone();
-        let st = Arc::clone(&st);
-        let droppers = Arc::clone(&droppers);
-        handles.push(std::thread::spawn(move || -> Result<(), String> {
-            loop {
-                let mut chan = hub
-                    .connect(&format!("client-{id}"))
-                    .map_err(|e| format!("client {id} connect: {e}"))?;
-                let recv_timeout = Duration::from_secs(120);
-                let report = session_client(&mut chan, &st, &sample, &droppers, id, recv_timeout)
-                    .map_err(|e| format!("client {id}: {e}"))?;
-                match report.end {
-                    SessionEndKind::Ended => return Ok(()),
-                    // Scripted dropout: reconnect and re-join from the
-                    // next round's announce.
-                    SessionEndKind::Failed { .. } => continue,
-                    SessionEndKind::Aborted { round, reason } => {
-                        return Err(format!("client {id} aborted in round {round}: {reason}"))
-                    }
-                    SessionEndKind::ServerAborted { reason } => {
-                        return Err(format!("client {id}: server aborted: {reason}"))
-                    }
-                }
-            }
-        }));
-    }
-
-    // ---- The session coordinator. ----
-    let session_cfg = networked_session_cfg(&st, opts, 0, None, FaultPlan::none());
-    let mut session = Session::new(&mut acceptor, session_cfg)
-        .map_err(|e| DordisError::Config(format!("session: {e}")))?;
-
-    let result = run_fl_session_at(&st, opts, None, None, |_i, r, global| {
-        networked_round(&mut session, r, global)
-            .map_err(|e| DordisError::Config(format!("networked round {r}: {e}")))
-    });
-    session.finish();
-    for h in handles {
-        h.join()
-            .map_err(|_| DordisError::Config("client thread panicked".into()))?
-            .map_err(DordisError::Config)?;
-    }
-    result
+    with_loopback_clients(&st, opts, &[hub], || {
+        let session_cfg = networked_session_cfg(&st, opts, 0, None, FaultPlan::none());
+        let mut session = Session::new(&mut acceptor, session_cfg)
+            .map_err(|e| DordisError::Config(format!("session: {e}")))?;
+        let result = run_fl_session_at(&st, None, None, |_i, r, global| {
+            networked_round(&mut session, r, global)
+                .map_err(|e| DordisError::Config(format!("networked round {r}: {e}")))
+        });
+        session.finish();
+        result
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -927,12 +1110,7 @@ pub fn train_session_networked_failover(
     opts: &FlSessionOptions,
     crash: Option<CrashSpec>,
 ) -> Result<FlSessionReport, DordisError> {
-    let st = Arc::new(statics(spec, opts)?);
-    let population = spec.population as u32;
-    let sample = opts.sample;
-    let droppers: Arc<Vec<MidStreamDrop>> = Arc::new(opts.droppers.clone());
-    let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
-
+    let st = Arc::new(session_statics(spec, opts)?);
     let (hub_a, mut acceptor_a) = LoopbackHub::new();
     let (hub_b, mut acceptor_b) = LoopbackHub::new();
     let (repl_primary, mut repl_backup) = LoopbackChannel::pair("replication");
@@ -949,76 +1127,12 @@ pub fn train_session_networked_failover(
         )
     });
 
-    // ---- Client threads: redial with jittered backoff, flipping
-    // between the two coordinator addresses on every connect failure or
-    // transport death, so orphans of the crash find the successor
-    // within a few backoff steps. ----
-    let mut handles = Vec::new();
-    for id in 0..population {
-        let hub_a = hub_a.clone();
-        let hub_b = hub_b.clone();
-        let st = Arc::clone(&st);
-        let droppers = Arc::clone(&droppers);
-        let shutdown = Arc::clone(&shutdown);
-        handles.push(std::thread::spawn(move || -> Result<(), String> {
-            let mut on_backup = false;
-            let mut backoff = Backoff::new(
-                u64::from(id),
-                Duration::from_millis(2),
-                Duration::from_millis(200),
-            );
-            loop {
-                if backoff.attempts() > 2_000 {
-                    return Err(format!("client {id}: no coordinator reachable"));
-                }
-                let hub = if on_backup { &hub_b } else { &hub_a };
-                let mut chan = match hub.connect(&format!("client-{id}")) {
-                    Ok(c) => c,
-                    Err(_) => {
-                        if shutdown.load(std::sync::atomic::Ordering::Relaxed) {
-                            return Ok(());
-                        }
-                        on_backup = !on_backup;
-                        backoff.sleep();
-                        continue;
-                    }
-                };
-                // Short enough that a client parked on a dead-but-
-                // accepting address re-enters the redial loop well
-                // inside the takeover window.
-                let recv_timeout = Duration::from_secs(5);
-                let outcome = session_client(&mut chan, &st, &sample, &droppers, id, recv_timeout);
-                match outcome {
-                    Ok(report) => match report.end {
-                        SessionEndKind::Ended => return Ok(()),
-                        // Scripted dropout: rejoin the same coordinator
-                        // from the next round's announce.
-                        SessionEndKind::Failed { .. } => continue,
-                        SessionEndKind::Aborted { round, reason } => {
-                            return Err(format!("client {id} aborted in round {round}: {reason}"))
-                        }
-                        SessionEndKind::ServerAborted { reason } => {
-                            return Err(format!("client {id}: server aborted: {reason}"))
-                        }
-                    },
-                    // The coordinator died under us (or we out-waited a
-                    // takeover window): flip addresses and redial.
-                    Err(NetError::Closed | NetError::Timeout | NetError::Unavailable) => {
-                        on_backup = !on_backup;
-                        backoff.sleep();
-                        continue;
-                    }
-                    Err(e) => return Err(format!("client {id}: {e}")),
-                }
-            }
-        }));
-    }
-
-    // ---- Primary, then (after a scripted crash) the successor. Runs
-    // in a move closure so every coordinator-side resource is dropped
-    // by the time the client threads are reaped below. ----
+    // ---- Primary, then (after a scripted crash) the successor, with
+    // clients that flip between the two addresses. The closure owns the
+    // primary's resources, so all of them are dropped by the time the
+    // client threads are reaped. ----
     let backup_res = std::cell::OnceCell::new();
-    let outcome = (|| -> Result<FlSessionReport, DordisError> {
+    with_loopback_clients(&st, opts, &[hub_a, hub_b], || {
         let crashed = Cell::new(false);
         let coord_faults = match crash {
             Some(CrashSpec { round, point }) if point != KillPoint::BetweenAckAndCommit => {
@@ -1053,15 +1167,14 @@ pub fn train_session_networked_failover(
                     DordisError::Config(format!("{e}"))
                 })
         };
-        let primary_run =
-            run_fl_session_at(&st, opts, None, Some(&mut commit_cb), |_i, r, global| {
-                networked_round(&mut session.borrow_mut(), r, global).map_err(|e| {
-                    if FaultPlan::is_injected(&e) {
-                        crashed.set(true);
-                    }
-                    DordisError::Config(format!("networked round {r}: {e}"))
-                })
-            });
+        let primary_run = run_fl_session_at(&st, None, Some(&mut commit_cb), |_i, r, global| {
+            networked_round(&mut session.borrow_mut(), r, global).map_err(|e| {
+                if FaultPlan::is_injected(&e) {
+                    crashed.set(true);
+                }
+                DordisError::Config(format!("networked round {r}: {e}"))
+            })
+        });
         match primary_run {
             Ok(report) => {
                 // Clean end: retire the primary role (the backup sees
@@ -1106,7 +1219,7 @@ pub fn train_session_networked_failover(
             Session::new(&mut acceptor_b, cfg_b)
                 .map_err(|e| DordisError::Config(format!("successor session: {e}")))?,
         );
-        let result = run_fl_session_at(&st, opts, resume, None, |_i, r, global| {
+        let result = run_fl_session_at(&st, resume, None, |_i, r, global| {
             networked_round(&mut session_b.borrow_mut(), r, global)
                 .map_err(|e| DordisError::Config(format!("failover round {r}: {e}")))
         });
@@ -1114,20 +1227,7 @@ pub fn train_session_networked_failover(
             session_b.into_inner().finish();
         }
         result
-    })();
-
-    // Coordinator-side resources are gone; release any still-dialing
-    // clients and reap the threads.
-    shutdown.store(true, std::sync::atomic::Ordering::Relaxed);
-    for h in handles {
-        let joined = h
-            .join()
-            .map_err(|_| DordisError::Config("client thread panicked".into()))?;
-        if outcome.is_ok() {
-            joined.map_err(DordisError::Config)?;
-        }
-    }
-    outcome
+    })
 }
 
 #[cfg(test)]
@@ -1161,10 +1261,10 @@ mod tests {
             client: seated[0],
             after_chunks: 1,
         }];
-        let st = statics(&spec, &opts).unwrap();
+        let st = session_statics(&spec, &opts).unwrap();
 
         let raw = RefCell::new(None);
-        let report = run_fl_session_at(&st, &opts, None, None, |i, _r, global| {
+        let report = run_fl_session_at(&st, None, None, |i, _r, global| {
             let net = memory_round(&st, &opts, i, &seated, global)?;
             *raw.borrow_mut() = Some((net.sum.clone(), net.removal_seeds.clone()));
             Ok(net)
@@ -1197,5 +1297,44 @@ mod tests {
             xplan_for(&st, planned.len()).unwrap().as_ref(),
         );
         assert_ne!(record.achieved_multiplier, by_plan);
+    }
+
+    /// `Early` stops before the first round that would start on a spent
+    /// budget on the session engines too, and reports that it did.
+    #[test]
+    fn early_session_stops_once_the_budget_is_spent() {
+        let mut spec = TaskSpec::tiny_for_tests(31);
+        spec.variant = Variant::Early;
+        let rounds = 12;
+        let sample = SamplingConfig {
+            target_sample: 8,
+            population: spec.population,
+            over_selection: 1.5,
+        };
+        let mut opts = FlSessionOptions::new(rounds, sample);
+        // Every round loses all but a threshold of its cohort.
+        opts.droppers = planned_cohorts(&spec, &opts)
+            .iter()
+            .zip(0..)
+            .flat_map(|(cohort, round)| {
+                cohort[cohort.len() / 2 + 1..]
+                    .iter()
+                    .map(move |&client| MidStreamDrop {
+                        round,
+                        client,
+                        after_chunks: 1,
+                    })
+            })
+            .collect();
+        let report = train_session(&spec, &opts).unwrap();
+        let training = &report.training;
+        assert!(training.stopped_early);
+        assert!(training.rounds_completed < rounds);
+        assert_eq!(training.records.len(), training.rounds_completed as usize);
+        assert_eq!(report.rounds.len(), training.rounds_completed as usize);
+        // It stopped because the budget was spent, and not a round early.
+        let budget = spec.privacy.epsilon;
+        assert!(training.epsilon_consumed >= budget);
+        assert!(training.records[training.records.len() - 2].epsilon < budget);
     }
 }

@@ -1,36 +1,30 @@
-//! The semantic training loop: federated training under distributed DP
-//! with every variant from the paper's evaluation.
+//! Federated training under distributed DP with every variant from the
+//! paper's evaluation: [`train`] runs a task through the one FL round
+//! loop in [`crate::session`] over its plain engine.
 //!
-//! This path performs the exact DP-relevant computation — clipping,
+//! Each round performs the exact DP-relevant computation — clipping,
 //! DSkellam encoding, per-client Skellam noise (decomposed for XNoise),
 //! modular aggregation over survivors, server-side excess removal,
-//! decoding, FedAvg — while skipping the masking crypto, whose
-//! correctness (masks cancel exactly) is verified separately by the
-//! protocol tests in `dordis-secagg` and [`crate::protocol`]. The privacy
-//! ledger records the *achieved* central noise level of every released
+//! decoding, FedAvg. The plain engine sums the survivors' inputs with no
+//! masking, whose cancellation is verified separately by the protocol
+//! tests in `dordis-secagg` and [`crate::protocol`]; everything after
+//! the sum is the code the secagg sessions run. The privacy ledger
+//! records the *achieved* central noise level of every released
 //! aggregate, reproducing Figures 1, 8, 9 and Table 2.
 
 use dordis_crypto::prg::{Prg, Seed};
-use dordis_dp::accountant::Mechanism;
-use dordis_dp::encoding::{add_mod, Encoder};
-use dordis_dp::ledger::PrivacyLedger;
 use dordis_dp::mechanism::SkellamSampler;
-use dordis_dp::planner::{plan, PlannerConfig};
-use dordis_fl::data::{dirichlet_partition, synthetic_classification, train_test_split, Dataset};
-use dordis_fl::eval::{accuracy, perplexity};
-use dordis_fl::fedavg::{apply_update, local_train, LocalTrainConfig};
+use dordis_fl::data::Dataset;
+use dordis_fl::fedavg::{local_train, LocalTrainConfig};
 use dordis_fl::model::{Linear, Mlp, Model};
 use dordis_fl::optim::{AdamW, Optimizer, Sgd};
 use dordis_fl::tensor::clip_l2;
 use dordis_xnoise::decomposition::XNoisePlan;
-use dordis_xnoise::enforcement::{
-    add_noise_stream, derive_component_seeds, perturb, remove_excess,
-};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use dordis_xnoise::enforcement::add_noise_stream;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{ModelSpec, OptimizerSpec, TaskSpec, Variant};
+use crate::session::{plain_round, run_fl_session_at, statics};
 use crate::DordisError;
 
 /// Per-round training record.
@@ -93,10 +87,10 @@ pub(crate) fn master_seed(spec: &TaskSpec) -> Seed {
 }
 
 /// One client's clipped local-training delta for one round — the
-/// client-side semantic step both the in-memory trainer and the
-/// networked session trainer run. `client_key` keys the local-training
-/// RNG (the client's population index on every path, so the same
-/// `(round, client)` pair yields the same delta everywhere).
+/// client-side semantic step every engine runs. `client_key` keys the
+/// local-training RNG (the client's population index on every engine,
+/// so the same `(round, client)` pair yields the same delta
+/// everywhere).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn clipped_local_delta(
     spec: &TaskSpec,
@@ -155,282 +149,17 @@ pub(crate) fn achieved_noise_multiplier(
     }
 }
 
-/// Runs a full training task and reports utility and privacy.
+/// Runs a full training task and reports utility and privacy: the
+/// shared session driver over the plain engine, for `spec.rounds`
+/// rounds at the task's sampling rate.
 ///
 /// # Errors
 ///
 /// Fails on invalid configuration or infeasible privacy budgets.
 pub fn train(spec: &TaskSpec) -> Result<TrainingReport, DordisError> {
-    spec.validate().map_err(DordisError::Config)?;
-    let data = synthetic_classification(&spec.dataset);
-    let (train_set, test_set) = train_test_split(&data, spec.test_fraction);
-    let shards = dirichlet_partition(&train_set, spec.population, spec.dirichlet_alpha, spec.seed);
-    let mut model = build_model(spec, &data);
-    let dim = model.num_params();
-    let n = spec.sampled_per_round;
-    let enc_cfg = &spec.privacy.encoding;
-    let root = master_seed(spec);
-
-    // Offline planning (skipped for the non-private baseline).
-    let dp = spec.variant != Variant::NonPrivate;
-    let mechanism = Mechanism::Skellam {
-        l1_per_l2: enc_cfg.l1_per_l2(dim),
-    };
-    let (z_star, target_variance, mut ledger) = if dp {
-        let noise_plan = plan(&PlannerConfig {
-            epsilon: spec.privacy.epsilon,
-            delta: spec.privacy.delta,
-            rounds: spec.rounds,
-            sample_rate: spec.sample_rate(),
-            mechanism,
-        })?;
-        let delta2 = enc_cfg.l2_sensitivity(dim);
-        let sigma = noise_plan.noise_multiplier * delta2;
-        let ledger = PrivacyLedger::new(mechanism, spec.privacy.epsilon, spec.privacy.delta)?;
-        (noise_plan.noise_multiplier, sigma * sigma, Some(ledger))
-    } else {
-        (0.0, 0.0, None)
-    };
-
-    // XNoise static plan.
-    let xnoise_plan = if let Variant::XNoise {
-        tolerance_frac,
-        collusion_frac,
-    } = spec.variant
-    {
-        let tolerance = ((n as f64) * tolerance_frac).floor() as usize;
-        let threshold = n / 2 + 1;
-        let collusion = ((threshold as f64) * collusion_frac).floor() as usize;
-        Some(XNoisePlan::new(
-            target_variance,
-            n,
-            tolerance.min(n - 1),
-            collusion,
-            threshold,
-        )?)
-    } else {
-        None
-    };
-
-    let mut global = model.params();
-    let mut records = Vec::new();
-    let mut stopped_early = false;
-    let mut rounds_completed = 0u32;
-
-    for round in 0..spec.rounds {
-        if spec.variant == Variant::Early {
-            if let Some(ledger) = &ledger {
-                if ledger.exhausted() {
-                    stopped_early = true;
-                    break;
-                }
-            }
-        }
-
-        // Client sampling.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(spec.seed ^ (u64::from(round) << 32));
-        let mut pool: Vec<usize> = (0..spec.population).collect();
-        pool.shuffle(&mut rng);
-        let sampled: Vec<usize> = pool[..n].to_vec();
-
-        // Dropout outcome (the paper's model: after sampling, before
-        // reporting the masked update).
-        let dropped_pos = spec
-            .dropout
-            .sample_dropouts(round as usize, n, None, spec.seed ^ 0xd409);
-        let survivors: Vec<usize> = (0..n).filter(|i| !dropped_pos.contains(i)).collect();
-        if survivors.is_empty() {
-            // Nothing aggregated this round; nothing released either.
-            records.push(RoundRecord {
-                round,
-                epsilon: ledger.as_ref().map_or(0.0, PrivacyLedger::realized_epsilon),
-                dropped: dropped_pos.len(),
-                achieved_multiplier: 0.0,
-                accuracy: None,
-                perplexity: None,
-            });
-            rounds_completed += 1;
-            continue;
-        }
-
-        // Local training for surviving clients (dropped clients' work is
-        // lost, so we skip computing it). Clients are independent, so
-        // train them in parallel with per-thread model/optimizer clones.
-        let rotation_seed = Prg::fork(&root, b"rotation", u64::from(round));
-        let encoder = Encoder::new(enc_cfg, rotation_seed);
-        let updates_f32: Vec<Vec<f32>> = std::thread::scope(|scope| {
-            let workers = std::thread::available_parallelism()
-                .map_or(4, std::num::NonZeroUsize::get)
-                .min(survivors.len().max(1));
-            let chunk = survivors.len().div_ceil(workers);
-            let mut handles = Vec::new();
-            for part in survivors.chunks(chunk.max(1)) {
-                let mut local_model = model.clone_box();
-                let mut local_opt = build_optimizer(spec);
-                let global = &global;
-                let train_set = &train_set;
-                let shards = &shards;
-                let sampled = &sampled;
-                handles.push(scope.spawn(move || {
-                    part.iter()
-                        .map(|&pos| {
-                            let client = sampled[pos];
-                            clipped_local_delta(
-                                spec,
-                                local_model.as_mut(),
-                                local_opt.as_mut(),
-                                global,
-                                train_set,
-                                &shards[client],
-                                round,
-                                client as u64,
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("training thread panicked"))
-                .collect()
-        });
-
-        let (aggregate, achieved_multiplier) = if dp {
-            aggregate_private(
-                spec,
-                &encoder,
-                &root,
-                round,
-                &survivors,
-                &updates_f32,
-                target_variance,
-                z_star,
-                xnoise_plan.as_ref(),
-                dim,
-            )?
-        } else {
-            // Non-private: plain f32 mean.
-            let mut sum = vec![0.0f64; dim];
-            for u in &updates_f32 {
-                for (s, &v) in sum.iter_mut().zip(u.iter()) {
-                    *s += f64::from(v);
-                }
-            }
-            (sum, 0.0)
-        };
-
-        if let Some(ledger) = ledger.as_mut() {
-            ledger.record_round(spec.sample_rate(), achieved_multiplier);
-        }
-
-        // FedAvg: mean of survivor deltas applied to the global model.
-        let mean: Vec<f32> = aggregate
-            .iter()
-            .map(|&v| (v / survivors.len() as f64) as f32)
-            .collect();
-        apply_update(&mut global, &mean, 1.0);
-        model.set_params(&global);
-        rounds_completed += 1;
-
-        let evaluate = round % spec.eval_every == spec.eval_every - 1 || round + 1 == spec.rounds;
-        let (acc, ppl) = if evaluate {
-            (
-                Some(accuracy(model.as_ref(), &test_set)),
-                Some(perplexity(model.as_ref(), &test_set)),
-            )
-        } else {
-            (None, None)
-        };
-        records.push(RoundRecord {
-            round,
-            epsilon: ledger.as_ref().map_or(0.0, PrivacyLedger::realized_epsilon),
-            dropped: dropped_pos.len(),
-            achieved_multiplier,
-            accuracy: acc,
-            perplexity: ppl,
-        });
-    }
-
-    model.set_params(&global);
-    Ok(TrainingReport {
-        task: spec.name.clone(),
-        rounds_completed,
-        epsilon_consumed: ledger.as_ref().map_or(0.0, PrivacyLedger::realized_epsilon),
-        final_accuracy: accuracy(model.as_ref(), &test_set),
-        final_perplexity: perplexity(model.as_ref(), &test_set),
-        stopped_early,
-        records,
-    })
-}
-
-/// Encodes survivor updates, applies the variant's noise, aggregates in
-/// `Z_{2^b}`, removes excess (XNoise), and decodes. Returns the decoded
-/// *sum* of updates plus the achieved central noise multiplier.
-#[allow(clippy::too_many_arguments)]
-fn aggregate_private(
-    spec: &TaskSpec,
-    encoder: &Encoder<'_>,
-    root: &Seed,
-    round: u32,
-    survivors: &[usize],
-    updates_f32: &[Vec<f32>],
-    target_variance: f64,
-    z_star: f64,
-    xnoise_plan: Option<&XNoisePlan>,
-    dim: usize,
-) -> Result<(Vec<f64>, f64), DordisError> {
-    let enc_cfg = &spec.privacy.encoding;
-    let bits = enc_cfg.bit_width;
-    let n = spec.sampled_per_round;
-    let surv = survivors.len();
-    let dropped = n - surv;
-
-    // Encode and perturb each survivor's update.
-    let mut encoded: Vec<Vec<u64>> = Vec::with_capacity(surv);
-    let mut removal_seeds: Vec<(u32, usize, Seed)> = Vec::new();
-    for (slot, &pos) in survivors.iter().enumerate() {
-        let update_f64: Vec<f64> = updates_f32[slot].iter().map(|&x| f64::from(x)).collect();
-        let round_seed = Prg::fork(root, b"client.round", (u64::from(round) << 16) ^ pos as u64);
-        let mut enc = encoder
-            .encode(&update_f64, &round_seed)
-            .map_err(DordisError::Dp)?;
-        match spec.variant {
-            Variant::XNoise { .. } => {
-                let plan = xnoise_plan.expect("xnoise plan built");
-                let seeds = derive_component_seeds(&round_seed, plan.dropout_tolerance);
-                perturb(&mut enc, &seeds, plan, bits)?;
-                // Seeds the server will use for removal (in the protocol
-                // path these arrive via SecAgg; here we hand them over
-                // directly, which is the same information flow).
-                if dropped <= plan.dropout_tolerance {
-                    for k in (dropped + 1)..=plan.dropout_tolerance {
-                        removal_seeds.push((pos as u32, k, seeds[k]));
-                    }
-                }
-            }
-            variant => add_share_noise(&mut enc, variant, &round_seed, target_variance, n, bits),
-        }
-        encoded.push(enc);
-    }
-
-    // Modular aggregation over survivors.
-    let mut sum = encoded[0].clone();
-    for e in &encoded[1..] {
-        sum = add_mod(&sum, e, bits);
-    }
-
-    // Excess-noise removal.
-    if let Variant::XNoise { .. } = spec.variant {
-        let plan = xnoise_plan.expect("xnoise plan built");
-        if dropped <= plan.dropout_tolerance {
-            let ids: Vec<u32> = survivors.iter().map(|&p| p as u32).collect();
-            remove_excess(&mut sum, &removal_seeds, &ids, plan, bits)?;
-        }
-    }
-    let achieved =
-        achieved_noise_multiplier(spec.variant, z_star, target_variance, n, surv, xnoise_plan);
-
-    Ok((encoder.decode(&sum, dim), achieved))
+    let st = statics(spec, spec.rounds, spec.sample_rate())?;
+    let report = run_fl_session_at(&st, None, None, |i, _r, global| plain_round(&st, i, global))?;
+    Ok(report.training)
 }
 
 /// Adds the one noise share of a variant without removal machinery:
@@ -460,6 +189,8 @@ pub(crate) fn add_share_noise(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dordis_fl::data::{synthetic_classification, train_test_split};
+    use dordis_fl::eval::{accuracy, perplexity};
     use dordis_sim::dropout::DropoutModel;
 
     #[test]
@@ -572,12 +303,37 @@ mod tests {
         accuracies.sort_by(f64::total_cmp);
         assert!(accuracies[2] > 0.4, "accuracies {accuracies:?}");
     }
+
+    #[test]
+    fn round_whose_whole_cohort_drops_releases_nothing() {
+        let mut spec = TaskSpec::tiny_for_tests(16);
+        spec.dropout = DropoutModel::FixedRate { rate: 1.0 };
+        let report = train(&spec).unwrap();
+        assert_eq!(report.rounds_completed, spec.rounds);
+        // No ledger entry...
+        assert_eq!(report.epsilon_consumed, 0.0);
+        for record in &report.records {
+            assert_eq!(record.epsilon, 0.0);
+            assert_eq!(record.dropped, spec.sampled_per_round);
+            assert_eq!(record.achieved_multiplier, 0.0);
+        }
+        // ...and no model step: the final model is the initial one.
+        let data = synthetic_classification(&spec.dataset);
+        let (_, test_set) = train_test_split(&data, spec.test_fraction);
+        let initial = build_model(&spec, &data);
+        assert_eq!(report.final_accuracy, accuracy(initial.as_ref(), &test_set));
+        assert_eq!(
+            report.final_perplexity,
+            perplexity(initial.as_ref(), &test_set)
+        );
+    }
 }
 
 #[cfg(test)]
 mod noise_probe_tests {
     use super::*;
-    use crate::config::{TaskSpec, Variant};
+    use crate::session::rotation_for;
+    use dordis_dp::encoding::Encoder;
 
     fn variance(xs: &[f64]) -> f64 {
         let n = xs.len() as f64;
@@ -585,51 +341,26 @@ mod noise_probe_tests {
         xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0)
     }
 
-    /// Measures the decoded aggregate-noise variance through the real
-    /// trainer aggregation path with zero updates.
+    /// Measures the decoded aggregate-noise variance through the plain
+    /// engine and the shared driver. A clip bound of 0 zeroes every
+    /// update, so each released aggregate is pure noise.
     fn decoded_noise_variance(variant: Variant, dim: usize, rounds_of_coords: u32) -> f64 {
         let mut spec = TaskSpec::tiny_for_tests(3);
         spec.sampled_per_round = 16;
         spec.variant = variant;
-        let n = spec.sampled_per_round;
-        let enc_cfg = spec.privacy.encoding;
-        let z = 0.45;
-        let delta2 = enc_cfg.l2_sensitivity(dim);
-        let target_variance = (z * delta2) * (z * delta2);
-        let xplan = match variant {
-            Variant::XNoise { tolerance_frac, .. } => Some(
-                XNoisePlan::new(
-                    target_variance,
-                    n,
-                    ((n as f64) * tolerance_frac) as usize,
-                    0,
-                    n / 2 + 1,
-                )
-                .unwrap(),
-            ),
-            _ => None,
-        };
-        let root = [9u8; 32];
-        let survivors: Vec<usize> = (0..n).collect();
-        let zeros = vec![vec![0.0f32; dim]; n];
+        spec.privacy.clip = 0.0;
+        // A linear model of `dim` parameters: (features + 1) × 10 classes.
+        spec.dataset.classes = 10;
+        spec.dataset.dim = dim / 10 - 1;
+        let st = statics(&spec, rounds_of_coords, spec.sample_rate()).unwrap();
+        let report =
+            run_fl_session_at(&st, None, None, |i, _r, global| plain_round(&st, i, global))
+                .unwrap();
         let mut all = Vec::new();
-        for round in 0..rounds_of_coords {
-            let rotation = Prg::fork(&root, b"rot", u64::from(round));
-            let encoder = Encoder::new(&spec.privacy.encoding, rotation);
-            let (agg, _) = aggregate_private(
-                &spec,
-                &encoder,
-                &root,
-                round,
-                &survivors,
-                &zeros,
-                target_variance,
-                z,
-                xplan.as_ref(),
-                dim,
-            )
-            .unwrap();
-            all.extend(agg);
+        for round in &report.rounds {
+            assert_eq!(round.sum.len(), Encoder::padded_len(dim));
+            let rotation = rotation_for(&master_seed(&spec), round.wire_round);
+            all.extend(Encoder::new(&spec.privacy.encoding, rotation).decode(&round.sum, dim));
         }
         variance(&all)
     }

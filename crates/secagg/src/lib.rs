@@ -25,7 +25,7 @@
 //!   stage,
 //! - [`driver`]: in-memory round executor with a configurable dropout
 //!   schedule and full traffic/crypto-op statistics,
-//! - [`plain`]: the no-crypto baseline aggregator (for cost comparisons).
+//! - [`plain`]: the no-crypto aggregator behind the trainer's plain engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

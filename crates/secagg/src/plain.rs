@@ -1,8 +1,8 @@
 //! Plain (insecure) aggregation baseline.
 //!
-//! Sums client vectors in `Z_{2^b}` with no masking at all. Used by the
-//! evaluation to separate the cost of secure aggregation from the cost of
-//! moving updates (the "w/o DP"/non-private baselines of Figures 2/10).
+//! Sums client vectors in `Z_{2^b}` with no masking at all: the sum the
+//! plain engine of `dordis_core::trainer::train` releases, which the
+//! masked protocol reproduces once its masks cancel.
 
 use std::collections::BTreeMap;
 
@@ -32,12 +32,6 @@ pub fn aggregate(
     Ok(sum)
 }
 
-/// Uplink bytes for a plain round (packed coordinates).
-#[must_use]
-pub fn uplink_bytes(vector_len: usize, bit_width: u32, clients: usize) -> u64 {
-    (vector_len as u64 * u64::from(bit_width)).div_ceil(8) * clients as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,10 +52,5 @@ mod tests {
         inputs.insert(0, vec![1u64]);
         inputs.insert(1, vec![1u64, 2]);
         assert!(aggregate(&inputs, 10).is_err());
-    }
-
-    #[test]
-    fn uplink_packs_bits() {
-        assert_eq!(uplink_bytes(1000, 20, 4), 2500 * 4);
     }
 }
