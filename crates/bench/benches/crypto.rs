@@ -119,15 +119,15 @@ fn bench_field(c: &mut Criterion) {
     g.finish();
     c.bench_function("fe_invert", |b| b.iter(|| black_box(x).invert()));
 
-    // The same two rows for the radix-2^25.5 arithmetic of the 8-lane
+    // The same two rows for the radix-2^51 IFMA arithmetic of the 8-lane
     // ladder, per lane: a chain of 1 000 advances eight elements. Absent
-    // on a host without AVX-512F.
+    // on a host without AVX-512IFMA.
     #[cfg(target_arch = "x86_64")]
     {
         use dordis_crypto::x25519_avx512::field_chain8;
         let (f, y) = ([[0x5au8; 32]; 8], [[0x33u8; 32]; 8]);
         if field_chain8(&f, &y, 0, 0).is_some() {
-            let mut g = c.benchmark_group("field25");
+            let mut g = c.benchmark_group("field51x8");
             g.throughput(Throughput::Elements(8 * CHAIN));
             g.bench_function("mul", |b| {
                 b.iter(|| field_chain8(black_box(&f), black_box(&y), CHAIN as u32, 0));
@@ -150,12 +150,12 @@ fn bench_x25519(c: &mut Criterion) {
     c.bench_function("x25519_keygen", |b| {
         b.iter(|| KeyPair::generate(&mut rng).public);
     });
-    // One secret against a neighbourhood, per peer: 4 is the smallest
-    // wide batch, 8 a full one, 16 / 20 / 31 the degrees of the reference
-    // workloads (2, 3 and 4 batches). On a host without AVX-512F every
-    // row reads `x25519_agree`.
+    // One secret against a neighbourhood, per peer: 2 is the smallest
+    // wide batch, 3 and 4 mostly padding, 8 a full batch, 16 / 20 / 31
+    // the degrees of the reference workloads (2, 3 and 4 batches). On a
+    // host without AVX-512IFMA every row reads `x25519_agree`.
     let mut g = c.benchmark_group("x25519_agree_many");
-    for peers in [4usize, 8, 16, 20, 31] {
+    for peers in [2usize, 3, 4, 8, 16, 20, 31] {
         let pks: Vec<[u8; 32]> = (0..peers)
             .map(|_| KeyPair::generate(&mut rng).public)
             .collect();

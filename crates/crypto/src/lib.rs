@@ -22,8 +22,8 @@
 //!   at a time (`x25519`) or one secret against many peers
 //!   (`x25519_many`).
 //! - `x25519_avx512` (x86-64 only): eight of those ladders in the lanes
-//!   of AVX-512F registers, radix 2^25.5 — the kernel `x25519_many` runs
-//!   its batches on where the CPU has it.
+//!   of AVX-512 registers, radix 2^51 on AVX-512IFMA multiply-adds — the
+//!   kernel `x25519_many` runs its batches on where the CPU has it.
 //! - [`ed25519`]: edwards25519 group operations and a Schnorr signature
 //!   scheme over that group (UF-CMA under standard assumptions).
 //! - [`shamir`]: t-of-n Shamir secret sharing over GF(256).

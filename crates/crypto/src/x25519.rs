@@ -9,8 +9,9 @@
 //! there are two entry points: [`x25519`] walks one ladder, and
 //! [`x25519_many`] takes one scalar and any number of base points and
 //! hands them, eight at a time, to the lane-parallel ladder of
-//! `x25519_avx512` where the CPU has AVX-512F. Every output of either is
-//! bit-equal to [`x25519`], which is the fallback on every other host.
+//! `x25519_avx512` (radix 2^51 on AVX-512IFMA multiply-adds) where the
+//! CPU has AVX-512IFMA. Every output of either is bit-equal to
+//! [`x25519`], which is the fallback on every other host.
 
 use crate::field::Fe;
 
@@ -90,11 +91,11 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
 
 /// `x25519(scalar, u)` for every `u` of `us`, in order.
 ///
-/// While at least four points remain, up to eight go through one
+/// While at least two points remain, up to eight go through one
 /// `x25519_avx512::ladder8` batch (unused lanes padded with
-/// [`BASE_POINT`]); the rest, and everything on a host without AVX-512F,
-/// goes through [`x25519`] one by one. Which points share a batch depends
-/// on `us.len()` alone.
+/// [`BASE_POINT`]); the rest, and everything on a host without
+/// AVX-512IFMA, goes through [`x25519`] one by one. Which points share a
+/// batch depends on `us.len()` alone.
 #[must_use]
 pub fn x25519_many(scalar: &[u8; 32], us: &[[u8; 32]]) -> Vec<[u8; 32]> {
     let mut out = Vec::with_capacity(us.len());
@@ -113,8 +114,8 @@ fn wide_batches<'a>(
     out: &mut Vec<[u8; 32]>,
 ) -> &'a [[u8; 32]] {
     /// Fewest points worth a batch: eight lanes cost about as much as
-    /// 3.5–3.7 scalar ladders, however many of them are padding.
-    const WIDE_BATCH_MIN: usize = 4;
+    /// 1.6 scalar ladders, however many of them are padding.
+    const WIDE_BATCH_MIN: usize = 2;
     while us.len() >= WIDE_BATCH_MIN {
         let (batch, rest) = us.split_at(us.len().min(8));
         let mut lanes = [BASE_POINT; 8];

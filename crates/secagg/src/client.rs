@@ -1144,8 +1144,8 @@ mod tests {
     }
 
     /// The masking graph's degrees on both sides of every batch shape of
-    /// `agree_many` (scalar only, one padded batch, one full batch, a full
-    /// batch and a scalar tail, three batches), each round built twice:
+    /// `agree_many` (one padded batch of 3 and of 4, one full batch, a
+    /// full batch and a scalar tail, three batches), each round built twice:
     /// as shipped, and with every key agreed one `agree` at a time — the
     /// channel keys through the cache-miss path `channel_key`, before
     /// `share_keys` can batch them, the pairwise keys here.
