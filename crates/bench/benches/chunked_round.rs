@@ -1,5 +1,5 @@
-//! Figure 12 end to end: a networked SecAgg round on a loopback
-//! transport with injected per-stage latency (bandwidth-throttled
+//! Figure 12 end to end: a networked SecAgg round on 127.0.0.1
+//! with injected per-stage latency (bandwidth-throttled
 //! uplinks, emulated per-chunk server compute), at m = 1 versus the
 //! planner-chosen chunk count. The scenario is the shared
 //! [`dordis_net::figure12::OverlapScenario`] harness — the same

@@ -13,7 +13,7 @@
 //!    the `n/deg` win the re-indexing buys; ≥ 5x is asserted outside
 //!    smoke mode.
 //! 2. **Full rounds at n ∈ {255, 512, 1024}** on the sparse graph —
-//!    loopback reactor coordinator, measuring wall clock and
+//!    reactor coordinator over 127.0.0.1, measuring wall clock and
 //!    coordinator-thread CPU (`/proc/thread-self/stat`), with every
 //!    cohort's outcome pinned bit-equal to the in-memory driver. The
 //!    1024-client row is the first single-process round past the old
@@ -34,7 +34,8 @@ use std::time::{Duration, Instant};
 
 use dordis_net::runtime::{round_rng_seed, run_session_client, SessionClientOptions};
 use dordis_net::session::{Seating, Session, SessionConfig};
-use dordis_net::transport::LoopbackHub;
+use dordis_net::tcp::{TcpAcceptor, TcpChannel};
+use dordis_net::transport::Acceptor as _;
 use dordis_secagg::client::{Client, ClientInput};
 use dordis_secagg::driver::{client_rng, run_round, share_keys_rng, DropoutSchedule, RoundSpec};
 use dordis_secagg::graph::MaskingGraph;
@@ -122,15 +123,15 @@ struct RunResult {
     events: u64,
 }
 
-/// One full loopback round at `n` clients under `graph` (reactor
-/// coordinator), pinned bit-equal to the in-memory driver.
+/// One full round at `n` clients under `graph` (reactor coordinator,
+/// 127.0.0.1), pinned bit-equal to the in-memory driver.
 fn timed_round(n: u32, graph: MaskingGraph) -> RunResult {
-    let (hub, mut acceptor) = LoopbackHub::new();
+    let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
     let mut handles = Vec::new();
     for id in 0..n {
-        let hub = hub.clone();
+        let addr = acceptor.local_addr();
         handles.push(std::thread::spawn(move || {
-            let mut chan = hub.connect(&format!("c{id}")).expect("connect");
+            let mut chan = TcpChannel::connect(addr.as_str()).expect("connect");
             let opts = SessionClientOptions {
                 id,
                 rng_seed: SEED,

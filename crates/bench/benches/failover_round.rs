@@ -2,8 +2,8 @@
 //! plane cost when nothing fails, and what does a `kill -9` cost when
 //! it does?
 //!
-//! Three scenarios over the full networked FL driver (loopback
-//! transport, VRF-sampled cohorts, privacy ledger):
+//! Three scenarios over the full networked FL driver (TCP on
+//! 127.0.0.1, VRF-sampled cohorts, privacy ledger):
 //!
 //! 1. `baseline` — replication disabled: the zero-overhead reference.
 //! 2. `replicated` — a standby installs a checkpoint at every round
@@ -196,7 +196,7 @@ fn main() {
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"failover_round\",\n  \"transport\": \"loopback\",\n  \
+        "{{\n  \"bench\": \"failover_round\",\n  \"transport\": \"tcp\",\n  \
          \"rounds\": {rounds},\n  \"crash_round\": {crash_round},\n  \
          \"replication_overhead_pct\": {overhead_pct:.2},\n  \"scenarios\": [\n{entries}\n  ]\n}}\n"
     );

@@ -27,7 +27,6 @@ use dordis_core::trainer::train;
 use dordis_dp::accountant::Mechanism;
 use dordis_dp::planner::{plan, PlannerConfig};
 use dordis_net::coordinator::NetRoundReport;
-use dordis_net::reactor::EventedChannel;
 use dordis_net::replication::{run_backup, BackupOutcome};
 use dordis_net::runtime::{
     run_session_client, Backoff, FailAction, FailPoint, FailStage, SessionClientOptions,
@@ -216,7 +215,7 @@ fn serve_inner(args: &[String]) -> Result<ExitCode, String> {
         let mut link = repl_acceptor
             .accept(deadline_in(Duration::from_secs(600)))
             .map_err(|e| format!("awaiting primary: {e}"))?;
-        match run_backup(&mut *link, Duration::from_millis(lease_ms), &telemetry)
+        match run_backup(&mut link, Duration::from_millis(lease_ms), &telemetry)
             .map_err(|e| e.to_string())?
         {
             BackupOutcome::SessionEnded(_) => {
@@ -244,7 +243,7 @@ fn serve_inner(args: &[String]) -> Result<ExitCode, String> {
 
     // Primary role: dial the standby (briefly retried — the pair races
     // at startup) and gate every round commit on its checkpoint ack.
-    let replica: Option<Box<dyn EventedChannel>> = match replica_addr {
+    let replica: Option<TcpChannel> = match replica_addr {
         None => None,
         Some(addr) => {
             let mut dial = Backoff::new(
@@ -260,7 +259,7 @@ fn serve_inner(args: &[String]) -> Result<ExitCode, String> {
                 }
             };
             println!("replica:   checkpointing to {addr} (commits gated on its ack)");
-            Some(Box::new(chan))
+            Some(chan)
         }
     };
     let replicated = replica.is_some();

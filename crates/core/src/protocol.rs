@@ -171,7 +171,7 @@ pub fn run_protocol_round(
 }
 
 /// Runs the same aggregation round through `dordis-net`: a one-round
-/// loopback session with a real coordinator, client runtimes on
+/// session over 127.0.0.1 with a real coordinator, client runtimes on
 /// threads, a wire codec in between, and dropout *detected* by the
 /// coordinator rather than scripted. Produces the same
 /// [`ProtocolRoundOutcome`] as [`run_protocol_round`] — the equivalence
@@ -193,7 +193,8 @@ pub fn run_protocol_round_networked(
         run_session_client, FailAction, FailPoint, FailStage, SessionClientOptions,
     };
     use dordis_net::session::{Seating, Session, SessionConfig};
-    use dordis_net::transport::LoopbackHub;
+    use dordis_net::tcp::{TcpAcceptor, TcpChannel};
+    use dordis_net::transport::Acceptor as _;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -220,10 +221,12 @@ pub fn run_protocol_round_networked(
         )
     });
 
-    let (hub, mut acceptor) = LoopbackHub::new();
+    let mut acceptor = TcpAcceptor::bind("127.0.0.1:0")
+        .map_err(|e| DordisError::Config(format!("networked round: {e}")))?;
+    let addr = acceptor.local_addr();
     let mut handles = Vec::new();
     for (&id, input) in &inputs {
-        let hub = hub.clone();
+        let addr = addr.clone();
         let input = input.clone();
         let fail = drop_before_masking.contains(&id).then_some(FailPoint {
             stage: FailStage::MaskedInput,
@@ -232,9 +235,8 @@ pub fn run_protocol_round_networked(
         let registry = registry.clone();
         let seed = cfg.seed;
         handles.push(std::thread::spawn(move || {
-            let mut chan = hub
-                .connect(&format!("client-{id}"))
-                .map_err(|e| format!("connect: {e}"))?;
+            let mut chan =
+                TcpChannel::connect(addr.as_str()).map_err(|e| format!("connect: {e}"))?;
             let opts = SessionClientOptions {
                 id,
                 rng_seed: seed,

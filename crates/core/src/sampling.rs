@@ -23,8 +23,6 @@
 use dordis_crypto::vrf::{VrfProof, VrfPublicKey, VrfSecretKey};
 use serde::{Deserialize, Serialize};
 
-use crate::DordisError;
-
 /// Public sampling parameters for a round.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SamplingConfig {
@@ -124,46 +122,23 @@ pub fn verify_claim(
     Ok(value)
 }
 
-/// Verifier side (server or peer): validate claims, reject invalid ones,
-/// and trim to the target size by ascending selection value.
-///
-/// # Errors
-///
-/// Fails if any claim's proof does not verify, if a claimed output does
-/// not match the proof, or if a claimant's value exceeds the threshold
-/// (an invalid self-selection the server should never have accepted).
-pub fn verify_and_trim(
-    claims: &[ParticipationClaim],
-    keys: &dyn Fn(u32) -> Option<VrfPublicKey>,
-    round: u64,
-    cfg: &SamplingConfig,
-) -> Result<Vec<u32>, DordisError> {
-    let mut valid: Vec<(u64, u32)> = Vec::with_capacity(claims.len());
-    for claim in claims {
-        let value = verify_claim(claim, keys, round, cfg).map_err(DordisError::Config)?;
-        valid.push((value, claim.client));
-    }
-    // Indiscriminate trimming: smallest selection values win.
-    valid.sort_unstable();
-    valid.truncate(cfg.target_sample);
-    Ok(valid.into_iter().map(|(_, c)| c).collect())
-}
-
 /// A round's seating decision over a batch of claims.
 #[derive(Clone, Debug, Default)]
 pub struct SeatedCohort {
     /// The seated cohort, by ascending selection value (the order
     /// becomes the round's client list on both execution paths).
     pub seated: Vec<u32>,
-    /// Claims that failed verification, with reasons. Valid claimants
-    /// that merely lost the trim are in neither list.
+    /// Claims that failed verification or repeated an already-valid
+    /// claimant, with reasons. Valid claimants that merely lost the trim
+    /// are in neither list.
     pub rejected: Vec<(u32, String)>,
 }
 
-/// The session-coordinator seating rule: verify every claim
-/// individually — a forged claim costs only its sender a seat, unlike
-/// [`verify_and_trim`]'s all-or-nothing contract — then trim the valid
-/// ones to the target size by ascending selection value.
+/// Verifier side (server or any peer): verify every claim individually —
+/// a forged, replayed or tampered claim costs only its sender a seat and
+/// lands in [`SeatedCohort::rejected`] — then trim the valid ones to the
+/// target size by ascending selection value (indiscriminate trimming on
+/// the claimants' own randomness).
 #[must_use]
 pub fn seat_claims(
     claims: &[ParticipationClaim],
@@ -175,6 +150,14 @@ pub fn seat_claims(
     let mut rejected = Vec::new();
     for claim in claims {
         match verify_claim(claim, keys, round, cfg) {
+            // One seat per claimant: a resubmitted valid claim is a
+            // duplicate, not a second lottery ticket.
+            Ok(_) if valid.iter().any(|&(_, c)| c == claim.client) => {
+                rejected.push((
+                    claim.client,
+                    format!("client {}: duplicate claim", claim.client),
+                ));
+            }
             Ok(value) => valid.push((value, claim.client)),
             Err(why) => rejected.push((claim.client, why)),
         }
@@ -259,24 +242,39 @@ mod tests {
         assert!((19.0..29.0).contains(&mean), "mean selected {mean}");
     }
 
+    /// Seats `claims` for `round` and returns the cohort.
+    fn seat(claims: &[ParticipationClaim], round: u64) -> SeatedCohort {
+        seat_claims(claims, &registry, round, &cfg())
+    }
+
+    /// `claims` seats all but its first claimant, which lands alone in
+    /// `rejected`.
+    fn assert_only_first_rejected(claims: &[ParticipationClaim], round: u64) {
+        let cohort = seat(claims, round);
+        let rejected: Vec<u32> = cohort.rejected.iter().map(|(id, _)| *id).collect();
+        assert_eq!(rejected, [claims[0].client]);
+        assert_eq!(cohort.seated.len(), (claims.len() - 1).min(16));
+        assert!(!cohort.seated.contains(&claims[0].client));
+    }
+
     #[test]
     fn verification_accepts_honest_claims_and_trims() {
         let claims = claims_for_round(7);
-        let sampled = verify_and_trim(&claims, &registry, 7, &cfg()).unwrap();
-        assert!(sampled.len() <= 16);
+        let cohort = seat(&claims, 7);
+        assert!(cohort.rejected.is_empty(), "{:?}", cohort.rejected);
+        assert_eq!(cohort.seated.len(), claims.len().min(16));
         // The sampled set must be a subset of claimants.
-        for id in &sampled {
+        for id in &cohort.seated {
             assert!(claims.iter().any(|c| c.client == *id));
         }
         // Deterministic.
-        let again = verify_and_trim(&claims, &registry, 7, &cfg()).unwrap();
-        assert_eq!(sampled, again);
+        assert_eq!(cohort.seated, seat(&claims, 7).seated);
     }
 
     #[test]
     fn samples_vary_across_rounds() {
-        let s1 = verify_and_trim(&claims_for_round(1), &registry, 1, &cfg()).unwrap();
-        let s2 = verify_and_trim(&claims_for_round(2), &registry, 2, &cfg()).unwrap();
+        let s1 = seat(&claims_for_round(1), 1).seated;
+        let s2 = seat(&claims_for_round(2), 2).seated;
         assert_ne!(s1, s2);
     }
 
@@ -291,30 +289,48 @@ mod tests {
         // Reuse another claimant's proof under the outsider's id.
         let mut forged = claims[0].clone();
         forged.client = outsider;
-        claims.push(forged);
-        assert!(verify_and_trim(&claims, &registry, 3, &cfg()).is_err());
+        claims.insert(0, forged);
+        assert_only_first_rejected(&claims, 3);
     }
 
     #[test]
     fn replayed_round_rejected() {
         // A claim from round 3 cannot be replayed in round 4.
-        let claims3 = claims_for_round(3);
-        let err = verify_and_trim(&claims3, &registry, 4, &cfg());
-        assert!(err.is_err());
+        let mut claims = claims_for_round(4);
+        let stale = claims_for_round(3)
+            .into_iter()
+            .find(|old| claims.iter().all(|c| c.client != old.client))
+            .expect("a round-3 claimant sits out round 4");
+        claims.insert(0, stale);
+        assert_only_first_rejected(&claims, 4);
     }
 
     #[test]
     fn tampered_output_rejected() {
         let mut claims = claims_for_round(5);
         claims[0].output[0] ^= 1;
-        assert!(verify_and_trim(&claims, &registry, 5, &cfg()).is_err());
+        assert_only_first_rejected(&claims, 5);
     }
 
     #[test]
     fn unknown_client_rejected() {
         let mut claims = claims_for_round(6);
         claims[0].client = 1000;
-        assert!(verify_and_trim(&claims, &registry, 6, &cfg()).is_err());
+        assert_only_first_rejected(&claims, 6);
+    }
+
+    #[test]
+    fn duplicate_claim_rejected() {
+        // A claim seats its sender once: a resubmitted copy (same
+        // client, same proof) must not take a second seat.
+        let mut claims = claims_for_round(8);
+        let dup = seat(&claims, 8).seated[0];
+        let copy = claims.iter().find(|c| c.client == dup).cloned();
+        claims.extend(copy);
+        let cohort = seat(&claims, 8);
+        assert_eq!(cohort.seated.iter().filter(|&&id| id == dup).count(), 1);
+        assert_eq!(cohort.rejected.len(), 1);
+        assert_eq!(cohort.rejected[0].0, dup);
     }
 
     #[test]
@@ -353,9 +369,8 @@ mod tests {
 
     #[test]
     fn seat_claims_rejects_forgeries_without_discarding_honest_claims() {
-        // verify_and_trim is all-or-nothing: one forged claim aborts the
-        // whole batch. seat_claims must instead seat the honest cohort
-        // and name the forger.
+        // One forged claim must not abort the whole batch: seat_claims
+        // seats the honest cohort and names the forger.
         let mut claims = claims_for_round(9);
         let honest = claims.len();
         let outsider = (0..100u32)
@@ -365,15 +380,15 @@ mod tests {
         forged.client = outsider;
         claims.push(forged);
 
-        assert!(verify_and_trim(&claims, &registry, 9, &cfg()).is_err());
         let cohort = seat_claims(&claims, &registry, 9, &cfg());
         assert_eq!(cohort.rejected.len(), 1);
         assert_eq!(cohort.rejected[0].0, outsider);
         assert_eq!(cohort.seated.len(), honest.min(16));
         assert!(!cohort.seated.contains(&outsider));
-        // Where both accept, they agree (same trim rule).
+        // The forgery costs nobody else anything: the honest batch
+        // alone seats the identical cohort.
         let honest_claims = claims_for_round(9);
-        let trimmed = verify_and_trim(&honest_claims, &registry, 9, &cfg()).unwrap();
+        let trimmed = seat_claims(&honest_claims, &registry, 9, &cfg()).seated;
         assert_eq!(cohort.seated, trimmed);
     }
 
@@ -398,8 +413,7 @@ mod tests {
         let mut dishonest_sampled = 0usize;
         let mut total_sampled = 0usize;
         for round in 0..15u64 {
-            let sampled =
-                verify_and_trim(&claims_for_round(round), &registry, round, &cfg()).unwrap();
+            let sampled = seat_claims(&claims_for_round(round), &registry, round, &cfg()).seated;
             total_sampled += sampled.len();
             dishonest_sampled += sampled.iter().filter(|c| dishonest.contains(c)).count();
         }

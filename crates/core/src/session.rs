@@ -17,8 +17,8 @@
 //!   ([`run_round`]) with scripted dropouts.
 //! - [`train_session_networked`]: the deployed shape. A
 //!   [`Session`](dordis_net::session::Session) coordinator runs R
-//!   rounds back to back over persistent loopback connections; every
-//!   population member keeps one connection open, answers each round's
+//!   rounds back to back over persistent TCP connections on 127.0.0.1;
+//!   every population member keeps one connection open, answers each round's
 //!   announce with a VRF participation claim (or a decline), receives
 //!   the current global model in the Setup payload, trains locally, and
 //!   streams its masked update. Scripted droppers fail mid-chunk-stream
@@ -52,14 +52,14 @@ use dordis_fl::data::{dirichlet_partition, synthetic_classification, train_test_
 use dordis_fl::eval::{accuracy, perplexity};
 use dordis_fl::fedavg::apply_update;
 use dordis_net::faults::{FaultPlan, KillPoint};
-use dordis_net::reactor::EventedChannel;
 use dordis_net::replication::{run_backup, BackupOutcome};
 use dordis_net::runtime::{
     run_session_client, Backoff, FailAction, FailPoint, FailStage, SessionClientOptions,
     SessionClientReport, SessionEndKind,
 };
 use dordis_net::session::{Seating, SeatingOutcome, Session, SessionConfig};
-use dordis_net::transport::{Channel, LoopbackChannel, LoopbackHub};
+use dordis_net::tcp::{TcpAcceptor, TcpChannel};
+use dordis_net::transport::{Acceptor as _, Channel};
 use dordis_net::NetError;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::driver::{round_rng_seed, run_round, DropStage, DropoutSchedule, RoundSpec};
@@ -832,7 +832,7 @@ fn networked_session_cfg(
     st: &Arc<Statics>,
     opts: &FlSessionOptions,
     first_index: u32,
-    replica: Option<Box<dyn EventedChannel>>,
+    replica: Option<TcpChannel>,
     faults: FaultPlan,
 ) -> SessionConfig<'static> {
     let population = st.spec.population as u32;
@@ -939,13 +939,18 @@ fn session_client(
     )
 }
 
-/// Runs `coordinator` on this thread with one [`loopback_client`]
-/// thread per population member, then reaps the clients. A client error
+/// A coordinator listener on an OS-assigned 127.0.0.1 port.
+fn bind_local() -> Result<TcpAcceptor, DordisError> {
+    TcpAcceptor::bind("127.0.0.1:0").map_err(|e| DordisError::Config(format!("bind: {e}")))
+}
+
+/// Runs `coordinator` on this thread with one [`local_client`] thread
+/// per population member, then reaps the clients. A client error
 /// surfaces only when the coordinator side succeeded.
-fn with_loopback_clients(
+fn with_local_clients(
     st: &Arc<Statics>,
     opts: &FlSessionOptions,
-    hubs: &[LoopbackHub],
+    addrs: &[String],
     coordinator: impl FnOnce() -> Result<FlSessionReport, DordisError>,
 ) -> Result<FlSessionReport, DordisError> {
     let droppers: Arc<[MidStreamDrop]> = opts.droppers.clone().into();
@@ -954,10 +959,8 @@ fn with_loopback_clients(
         .map(|id| {
             let (st, droppers, shutdown) =
                 (Arc::clone(st), Arc::clone(&droppers), Arc::clone(&shutdown));
-            let (hubs, sample) = (hubs.to_vec(), opts.sample);
-            std::thread::spawn(move || {
-                loopback_client(id, &hubs, &st, &sample, &droppers, &shutdown)
-            })
+            let (addrs, sample) = (addrs.to_vec(), opts.sample);
+            std::thread::spawn(move || local_client(id, &addrs, &st, &sample, &droppers, &shutdown))
         })
         .collect();
 
@@ -976,22 +979,22 @@ fn with_loopback_clients(
     outcome
 }
 
-/// One population member on loopback: dials `hubs[0]` and, after a
-/// scripted dropout, redials the same hub to re-join from the next
-/// round's announce. With more than one hub (the failover harness) a
-/// connect failure or a transport death flips it to the next hub after a
-/// jittered [`Backoff`] step, so orphans of a coordinator crash find the
-/// successor; a single-hub list is the plain networked session. Once
-/// `shutdown` is set, a client that cannot connect retires.
-fn loopback_client(
+/// One population member on 127.0.0.1: dials `addrs[0]` and, after a
+/// scripted dropout, redials the same address to re-join from the next
+/// round's announce. With more than one address (the failover harness) a
+/// connect failure or a transport death flips it to the next address
+/// after a jittered [`Backoff`] step, so orphans of a coordinator crash
+/// find the successor; a single-address list is the plain networked
+/// session. Once `shutdown` is set, a client that cannot connect retires.
+fn local_client(
     id: ClientId,
-    hubs: &[LoopbackHub],
+    addrs: &[String],
     st: &Statics,
     sample: &SamplingConfig,
     droppers: &[MidStreamDrop],
     shutdown: &AtomicBool,
 ) -> Result<(), String> {
-    let failover = hubs.len() > 1;
+    let failover = addrs.len() > 1;
     // Short enough under failover that a client parked on a dead-but-
     // accepting address re-enters the redial loop well inside the
     // takeover window.
@@ -1006,12 +1009,12 @@ fn loopback_client(
         if backoff.attempts() > 2_000 {
             return Err(format!("client {id}: no coordinator reachable"));
         }
-        let mut chan = match hubs[at].connect(&format!("client-{id}")) {
+        let mut chan = match TcpChannel::connect(addrs[at].as_str()) {
             Ok(chan) => chan,
             Err(_) if shutdown.load(Ordering::Relaxed) => return Ok(()),
             Err(e) if !failover => return Err(format!("client {id} connect: {e}")),
             Err(_) => {
-                at = (at + 1) % hubs.len();
+                at = (at + 1) % addrs.len();
                 backoff.sleep();
                 continue;
             }
@@ -1032,7 +1035,7 @@ fn loopback_client(
             // The coordinator died under us (or we out-waited a takeover
             // window): flip addresses and redial.
             Err(NetError::Closed | NetError::Timeout | NetError::Unavailable) if failover => {
-                at = (at + 1) % hubs.len();
+                at = (at + 1) % addrs.len();
                 backoff.sleep();
             }
             Err(e) => return Err(format!("client {id}: {e}")),
@@ -1041,7 +1044,7 @@ fn loopback_client(
 }
 
 /// Runs the session over `dordis-net`: a session coordinator on this
-/// thread, one persistent loopback connection per population member,
+/// thread, one persistent 127.0.0.1 TCP connection per population member,
 /// per-round VRF claims verified-and-trimmed at the join stage, the
 /// global model broadcast in each Setup payload, and scripted
 /// mid-stream droppers that reconnect and re-join the next round.
@@ -1055,8 +1058,8 @@ pub fn train_session_networked(
     opts: &FlSessionOptions,
 ) -> Result<FlSessionReport, DordisError> {
     let st = Arc::new(session_statics(spec, opts)?);
-    let (hub, mut acceptor) = LoopbackHub::new();
-    with_loopback_clients(&st, opts, &[hub], || {
+    let mut acceptor = bind_local()?;
+    with_local_clients(&st, opts, &[acceptor.local_addr()], || {
         let session_cfg = networked_session_cfg(&st, opts, 0, None, FaultPlan::none());
         let mut session = Session::new(&mut acceptor, session_cfg)
             .map_err(|e| DordisError::Config(format!("session: {e}")))?;
@@ -1083,7 +1086,7 @@ pub struct CrashSpec {
 }
 
 /// Runs a *replicated* networked session and (optionally) kills the
-/// primary coordinator partway through: a primary on one loopback
+/// primary coordinator partway through: a primary on one 127.0.0.1
 /// address ships a [`DriverCheckpoint`] to a backup at every round
 /// boundary through [`Session::commit_round`]; clients redial with
 /// bounded jittered [`Backoff`], flipping between the two addresses
@@ -1111,9 +1114,11 @@ pub fn train_session_networked_failover(
     crash: Option<CrashSpec>,
 ) -> Result<FlSessionReport, DordisError> {
     let st = Arc::new(session_statics(spec, opts)?);
-    let (hub_a, mut acceptor_a) = LoopbackHub::new();
-    let (hub_b, mut acceptor_b) = LoopbackHub::new();
-    let (repl_primary, mut repl_backup) = LoopbackChannel::pair("replication");
+    let mut acceptor_a = bind_local()?;
+    let mut acceptor_b = bind_local()?;
+    let addrs = [acceptor_a.local_addr(), acceptor_b.local_addr()];
+    let (repl_primary, mut repl_backup) =
+        TcpChannel::pair().map_err(|e| DordisError::Config(format!("replication link: {e}")))?;
 
     // ---- The backup coordinator's watch thread. The lease is generous
     // — takeover here is driven by the replication channel closing with
@@ -1132,7 +1137,7 @@ pub fn train_session_networked_failover(
     // primary's resources, so all of them are dropped by the time the
     // client threads are reaped. ----
     let backup_res = std::cell::OnceCell::new();
-    with_loopback_clients(&st, opts, &[hub_a, hub_b], || {
+    with_local_clients(&st, opts, &addrs, || {
         let crashed = Cell::new(false);
         let coord_faults = match crash {
             Some(CrashSpec { round, point }) if point != KillPoint::BetweenAckAndCommit => {
@@ -1147,7 +1152,7 @@ pub fn train_session_networked_failover(
             }) => FaultPlan::kill_at(wire_round(round), KillPoint::BetweenAckAndCommit),
             _ => FaultPlan::none(),
         };
-        let cfg_a = networked_session_cfg(&st, opts, 0, Some(Box::new(repl_primary)), coord_faults);
+        let cfg_a = networked_session_cfg(&st, opts, 0, Some(repl_primary), coord_faults);
         let session = RefCell::new(
             Session::new(&mut acceptor_a, cfg_a)
                 .map_err(|e| DordisError::Config(format!("primary session: {e}")))?,

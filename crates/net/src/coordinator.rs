@@ -66,8 +66,9 @@ use crate::codec::{
     encode_list, round_gate, Encode, Envelope, EnvelopeView, RoundGate, StageTag,
 };
 use crate::faults::KillPoint;
-use crate::reactor::{Event, EventedChannel, Reactor, ReactorStats, Token};
+use crate::reactor::{Event, Reactor, ReactorStats, Token};
 use crate::session::SessionConfig;
+use crate::tcp::TcpChannel;
 use crate::transport::{send_env, wire_message};
 use crate::NetError;
 
@@ -152,7 +153,7 @@ impl Traffic {
 }
 
 /// Live connections, keyed by authenticated-at-join client id.
-pub(crate) type Peers = BTreeMap<ClientId, Box<dyn EventedChannel>>;
+pub(crate) type Peers = BTreeMap<ClientId, TcpChannel>;
 
 /// Background work a collection loop interleaves between polls (chunk
 /// unmasking during noise-share collection). Returns whether it did
@@ -830,9 +831,9 @@ impl<T> Collect<'_, T> {
 /// says whether to keep reading, and the frame then goes back to its
 /// channel's pool. Returns whether the channel reported closed.
 pub(crate) fn drain_frames<K: Ord>(
-    chans: &mut BTreeMap<K, Box<dyn EventedChannel>>,
+    chans: &mut BTreeMap<K, TcpChannel>,
     key: K,
-    mut file: impl FnMut(&mut BTreeMap<K, Box<dyn EventedChannel>>, &[u8]) -> bool,
+    mut file: impl FnMut(&mut BTreeMap<K, TcpChannel>, &[u8]) -> bool,
 ) -> bool {
     while let Some(chan) = chans.get_mut(&key) {
         let frame = match chan.try_recv() {
@@ -940,7 +941,7 @@ fn send_or_drop(
     dropouts: &mut Vec<DetectedDropout>,
 ) {
     if let Some(chan) = peers.get_mut(&id) {
-        if let Err(e) = send_env(chan.as_mut(), env) {
+        if let Err(e) = send_env(chan, env) {
             drop_peer(peers, id, stage, None, send_failure_kind(&e), dropouts);
         }
     }

@@ -1,4 +1,4 @@
-//! The shared Figure 12 experiment harness: a loopback round with
+//! The shared Figure 12 experiment harness: a 127.0.0.1 round with
 //! injected per-stage latency (bandwidth-throttled client uplinks +
 //! emulated per-chunk server compute), plus the analytic stage models
 //! that let the §4.2 planner choose the chunk count for exactly the
@@ -20,7 +20,8 @@ use dordis_secagg::{RoundParams, ThreatModel};
 use crate::coordinator::NetRoundReport;
 use crate::runtime::{run_session_client, SessionClientOptions};
 use crate::session::{Seating, Session, SessionConfig};
-use crate::transport::{LoopbackHub, ThrottledChannel};
+use crate::tcp::{TcpAcceptor, TcpChannel};
+use crate::transport::{Acceptor as _, ThrottledChannel};
 
 /// One injected-latency overlap experiment: its round shape and its
 /// per-stage costs.
@@ -45,7 +46,7 @@ pub struct OverlapScenario {
 }
 
 impl OverlapScenario {
-    /// The default loopback experiment: upload ≈ compute ≈ 200 ms, so
+    /// The default in-process experiment: upload ≈ compute ≈ 200 ms, so
     /// pipelining can overlap most of one of them.
     #[must_use]
     pub fn default_loopback() -> OverlapScenario {
@@ -102,8 +103,7 @@ impl OverlapScenario {
         plan(&models, &resources, 20).chunks
     }
 
-    /// Runs one full round at the given chunk count over a loopback
-    /// transport with the scenario's latency injected; returns the
+    /// Runs one full round at the given chunk count over 127.0.0.1 with the scenario's latency injected; returns the
     /// report and the coordinator's wall-clock time.
     ///
     /// # Panics
@@ -112,13 +112,13 @@ impl OverlapScenario {
     /// production).
     #[must_use]
     pub fn timed_round(&self, chunks: usize) -> (NetRoundReport, Duration) {
-        let (hub, mut acceptor) = LoopbackHub::new();
+        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
         let mut handles = Vec::new();
         for id in 0..self.clients {
-            let hub = hub.clone();
+            let addr = acceptor.local_addr();
             let scenario = *self;
             handles.push(std::thread::spawn(move || {
-                let inner = hub.connect(&format!("c{id}")).expect("connect");
+                let inner = TcpChannel::connect(addr.as_str()).expect("connect");
                 let mut chan = ThrottledChannel::new(
                     Box::new(inner),
                     scenario.uplink_bytes_per_sec,

@@ -12,18 +12,19 @@
 //!   single-frame packing. The codec is the ground truth for
 //!   [`WireSize::wire_bytes`] — the test suite asserts byte-for-byte
 //!   agreement.
-//! - [`transport`]: the [`transport::Channel`] / [`transport::Acceptor`]
-//!   abstraction, with a deterministic channel-backed loopback
-//!   implementation for tests and in-process use.
-//! - [`tcp`]: the TCP implementation (one connection per client;
-//!   blocking I/O with deadlines until registered with the reactor,
-//!   non-blocking with partial-read frame reassembly and partial-write
-//!   backpressure buffers after).
+//! - [`transport`]: the client-side [`transport::Channel`] view and the
+//!   [`transport::Acceptor`], plus the uplink-shaping
+//!   [`transport::ThrottledChannel`].
+//! - [`tcp`]: the one transport (one connection per client; blocking
+//!   I/O with deadlines until registered with the reactor, non-blocking
+//!   with partial-read frame reassembly and partial-write backpressure
+//!   buffers after). In-process sessions, tests and benches dial
+//!   127.0.0.1, so every suite exercises the sockets that ship.
 //! - [`pool`]: the reactor's memory plane — one shared, size-classed,
 //!   byte-accounted frame pool per reactor, with per-connection
 //!   accounting handles.
 //! - [`reactor`]: a readiness-driven event loop (direct-syscall epoll
-//!   poller, deadline timer wheel, loopback waker) so one coordinator
+//!   poller, per-token deadlines) so one coordinator
 //!   thread serves hundreds of chunk-streaming clients with `O(events)`
 //!   wake-ups.
 //! - [`coordinator`]: the server task. It drives

@@ -1,7 +1,7 @@
 //! dordis-reactor: a readiness-driven event loop so one coordinator
 //! thread serves hundreds of chunk-streaming clients.
 //!
-//! The pre-reactor coordinator swept its blocking [`Channel`]s
+//! The pre-reactor coordinator swept its blocking [`Channel`](crate::transport::Channel)s
 //! round-robin in fixed `recv_deadline` slices, so both per-round
 //! latency and syscall count scaled as `O(clients × ticks)`. This module
 //! replaces the sweep with a small mio-style reactor:
@@ -12,72 +12,53 @@
 //!   [`sys`]). Registrations are [`Token`]-keyed with read/write
 //!   [`Interest`]; events are level-triggered, which composes with the
 //!   drain-until-`WouldBlock` discipline of
-//!   [`EventedChannel::try_recv`].
-//! - [`TimerWheel`]: a coarse hashed wheel holding per-token deadlines
-//!   at the coordinator's tick granularity ([`TICK`]) — stage and
-//!   per-chunk dropout deadlines cost O(1) to arm, cancel, and harvest.
-//! - [`WakeQueue`]: a cross-thread waker (non-blocking pipe + ready-token
-//!   queue) for channels whose readiness is not observable through a
-//!   file descriptor. The in-memory loopback transport publishes its
-//!   mpsc readiness through this: a sender pushes the receiver's token
-//!   and writes one wake byte, and the reactor converts that into an
-//!   ordinary readable [`Event`].
-//! - [`EventedChannel`]: the readiness-driven side of a [`Channel`].
-//!   Implementations reassemble frames across partial reads
-//!   (`try_recv`) and buffer partial writes under backpressure
-//!   (`try_flush`), so the event loop never blocks on one peer.
+//!   [`TcpChannel::try_recv`](crate::tcp::TcpChannel::try_recv).
+//! - [`Deadlines`]: one per-token deadline map — stage and per-chunk
+//!   dropout deadlines are armed, cancelled and harvested by token, and
+//!   the earliest one bounds each poll's wait.
 //!
-//! The reactor only decides *when* the coordinator's (stage, chunk)
-//! collector looks at frames and deadlines, so
-//! one thread now wakes `O(events)` times per round instead of
-//! `O(clients × ticks)`.
-//!
-//! [`Channel`]: crate::transport::Channel
+//! Every channel the reactor serves is a
+//! [`TcpChannel`](crate::tcp::TcpChannel) — in-process sessions and
+//! tests dial 127.0.0.1 — so all readiness comes from the kernel through
+//! one epoll instance. The reactor only decides *when* the coordinator's
+//! (stage, chunk) collector looks at frames and deadlines, so one thread
+//! wakes `O(events)` times per round instead of `O(clients × ticks)`.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dordis_telemetry::{Counter, Telemetry};
 
 use crate::pool::BytePool;
-use crate::transport::Channel;
 use crate::NetError;
 
-/// The coordinator's scheduling granularity: the timer-wheel tick of a
-/// session's reactor, and the longest its join loop sleeps between
-/// accept sweeps.
+/// The longest a session's join loop sleeps in one poll between accept
+/// sweeps.
 pub const TICK: Duration = Duration::from_millis(10);
 
-/// Direct-syscall wrappers for the five kernel facilities the reactor
-/// needs: `epoll_create1`, `epoll_ctl`, `epoll_pwait`, `pipe2`, and
-/// `read`/`write`/`close` on the wake pipe. No `libc` crate exists in
-/// this container, so the syscalls are issued with inline `syscall` /
-/// `svc` instructions; a negative return value is `-errno`.
+/// Direct-syscall wrappers for the epoll facilities the reactor needs:
+/// `epoll_create1`, `epoll_ctl`, `epoll_pwait` and `close`. No `libc`
+/// crate exists in this container, so the syscalls are issued with
+/// inline `syscall` / `svc` instructions; a negative return value is
+/// `-errno`.
 #[allow(unsafe_code)]
 mod sys {
     use std::io;
 
     #[cfg(target_arch = "x86_64")]
     mod nr {
-        pub const READ: usize = 0;
-        pub const WRITE: usize = 1;
         pub const CLOSE: usize = 3;
         pub const EPOLL_CTL: usize = 233;
         pub const EPOLL_PWAIT: usize = 281;
         pub const EPOLL_CREATE1: usize = 291;
-        pub const PIPE2: usize = 293;
     }
 
     #[cfg(target_arch = "aarch64")]
     mod nr {
-        pub const READ: usize = 63;
-        pub const WRITE: usize = 64;
         pub const CLOSE: usize = 57;
         pub const EPOLL_CTL: usize = 21;
         pub const EPOLL_PWAIT: usize = 22;
         pub const EPOLL_CREATE1: usize = 20;
-        pub const PIPE2: usize = 59;
     }
 
     #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
@@ -158,8 +139,6 @@ mod sys {
     pub const EPOLLRDHUP: u32 = 0x2000;
 
     const EPOLL_CLOEXEC: usize = 0o2000000;
-    const O_NONBLOCK: usize = 0o4000;
-    const O_CLOEXEC: usize = 0o2000000;
 
     /// The kernel's epoll event record. Packed on x86_64 (the kernel ABI
     /// there has no padding between `events` and `data`); naturally
@@ -208,63 +187,13 @@ mod sys {
         check(ret)
     }
 
-    /// A non-blocking, close-on-exec pipe: `(read_fd, write_fd)`.
-    pub fn pipe2_nonblocking() -> io::Result<(i32, i32)> {
-        let mut fds = [0i32; 2];
-        // SAFETY: the kernel writes exactly two fds into `fds`.
-        let ret = unsafe {
-            syscall6(
-                nr::PIPE2,
-                fds.as_mut_ptr() as usize,
-                O_NONBLOCK | O_CLOEXEC,
-                0,
-                0,
-                0,
-                0,
-            )
-        };
-        check(ret).map(|_| (fds[0], fds[1]))
-    }
-
-    pub fn read(fd: i32, buf: &mut [u8]) -> io::Result<usize> {
-        // SAFETY: the buffer is exclusively borrowed for the call.
-        let ret = unsafe {
-            syscall6(
-                nr::READ,
-                fd as usize,
-                buf.as_mut_ptr() as usize,
-                buf.len(),
-                0,
-                0,
-                0,
-            )
-        };
-        check(ret)
-    }
-
-    pub fn write(fd: i32, buf: &[u8]) -> io::Result<usize> {
-        // SAFETY: the buffer is borrowed for the call.
-        let ret = unsafe {
-            syscall6(
-                nr::WRITE,
-                fd as usize,
-                buf.as_ptr() as usize,
-                buf.len(),
-                0,
-                0,
-                0,
-            )
-        };
-        check(ret)
-    }
-
     pub fn close(fd: i32) {
         // SAFETY: we only close fds this module opened and owns.
         let _ = unsafe { syscall6(nr::CLOSE, fd as usize, 0, 0, 0, 0, 0) };
     }
 }
 
-/// Identifies one registration (a channel, a timer, or the waker) across
+/// Identifies one registration (a channel or a timer) across
 /// the reactor's APIs. The value travels through the kernel as epoll
 /// userdata, so it must stay meaningful without any side table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -435,55 +364,28 @@ impl Drop for Poller {
 }
 
 // ---------------------------------------------------------------------
-// Timer wheel.
+// Deadlines.
 // ---------------------------------------------------------------------
 
-/// Wheel slot count. Deadlines further out than `SLOTS × tick` stay in
-/// their slot across revolutions and are simply re-inspected when the
-/// cursor comes around — correctness never depends on the horizon.
-const WHEEL_SLOTS: usize = 512;
-
-/// A hashed timer wheel at the coordinator's tick granularity: O(1)
-/// arm/cancel/harvest for the per-(stage, chunk) dropout deadlines. One
-/// deadline per token; re-arming replaces the previous one.
-#[derive(Debug)]
-pub struct TimerWheel {
-    tick: Duration,
-    start: Instant,
-    /// `slots[abs_tick % WHEEL_SLOTS]` holds `(abs_tick, token)` entries.
-    slots: Vec<Vec<(u64, Token)>>,
-    /// Authoritative armed set: token → absolute tick. Wheel entries not
-    /// matching this map are stale (cancelled or re-armed) and are
-    /// dropped lazily during harvest.
-    armed: BTreeMap<Token, u64>,
-    /// Next tick the harvester has not yet visited.
-    cursor: u64,
+/// The per-(stage, chunk) dropout deadlines and the join window's
+/// per-connection ones, one per token: re-arming replaces the previous
+/// deadline. At most one per connection is armed, so a map scanned per
+/// poll is all the structure they need.
+#[derive(Debug, Default)]
+pub struct Deadlines {
+    armed: BTreeMap<Token, Instant>,
 }
 
-impl TimerWheel {
-    /// A wheel with `tick` granularity starting now.
+impl Deadlines {
+    /// No deadline armed.
     #[must_use]
-    pub fn new(tick: Duration) -> TimerWheel {
-        TimerWheel {
-            tick: tick.max(Duration::from_millis(1)),
-            start: Instant::now(),
-            slots: vec![Vec::new(); WHEEL_SLOTS],
-            armed: BTreeMap::new(),
-            cursor: 0,
-        }
-    }
-
-    /// Absolute tick at which a deadline at `t` fires (never early).
-    fn tick_of(&self, t: Instant) -> u64 {
-        let ns = t.saturating_duration_since(self.start).as_nanos();
-        ns.div_ceil(self.tick.as_nanos()).min(u64::MAX as u128) as u64
+    pub fn new() -> Deadlines {
+        Deadlines::default()
     }
 
     /// Arms (or re-arms) `token` to fire at `deadline`.
     pub fn schedule(&mut self, token: Token, deadline: Instant) {
-        let abs = self.tick_of(deadline).max(self.cursor);
-        self.armed.insert(token, abs);
-        self.slots[(abs % WHEEL_SLOTS as u64) as usize].push((abs, token));
+        self.armed.insert(token, deadline);
     }
 
     /// Disarms `token` (no-op if not armed).
@@ -491,88 +393,28 @@ impl TimerWheel {
         self.armed.remove(&token);
     }
 
-    /// The earliest armed deadline, as an `Instant`.
+    /// The earliest armed deadline.
     #[must_use]
     pub fn next_deadline(&self) -> Option<Instant> {
-        self.armed
-            .values()
-            .min()
-            .map(|&abs| self.start + self.tick.saturating_mul(abs.min(u32::MAX as u64) as u32))
+        self.armed.values().min().copied()
     }
 
-    /// Harvests every deadline due at `now` into `expired`.
+    /// Harvests every deadline at or before `now` into `expired` (in
+    /// token order); a deadline never fires early, and fires once.
     pub fn advance(&mut self, now: Instant, expired: &mut Vec<Token>) {
-        let now_tick = now.saturating_duration_since(self.start).as_nanos() / self.tick.as_nanos();
-        let now_tick = now_tick.min(u64::MAX as u128) as u64;
-        // Visit at most one revolution: beyond that every slot has been
-        // inspected once already.
-        let last = now_tick.min(self.cursor + WHEEL_SLOTS as u64);
-        while self.cursor <= last {
-            let slot = &mut self.slots[(self.cursor % WHEEL_SLOTS as u64) as usize];
-            let mut keep = Vec::new();
-            for (abs, token) in slot.drain(..) {
-                if self.armed.get(&token) != Some(&abs) {
-                    continue; // stale: cancelled or re-armed
-                }
-                if abs <= now_tick {
-                    self.armed.remove(&token);
-                    expired.push(token);
-                } else {
-                    keep.push((abs, token));
-                }
+        self.armed.retain(|&token, &mut at| {
+            let due = at <= now;
+            if due {
+                expired.push(token);
             }
-            *slot = keep;
-            if self.cursor == last {
-                break;
-            }
-            self.cursor += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Waker.
-// ---------------------------------------------------------------------
-
-/// Cross-thread readiness injection for channels without a pollable fd
-/// (the in-memory loopback). A sender pushes the receiver's token and
-/// writes one byte into a non-blocking pipe whose read end the reactor
-/// polls; a full pipe means a wake is already pending, so `EAGAIN` is
-/// success.
-#[derive(Debug)]
-pub struct WakeQueue {
-    write_fd: i32,
-    ready: Mutex<Vec<Token>>,
-}
-
-impl WakeQueue {
-    /// Marks `token` readable and wakes the reactor.
-    pub fn wake(&self, token: Token) {
-        if let Ok(mut q) = self.ready.lock() {
-            q.push(token);
-        }
-        let _ = sys::write(self.write_fd, &[1u8]);
-    }
-
-    fn drain(&self, out: &mut Vec<Token>) {
-        if let Ok(mut q) = self.ready.lock() {
-            out.append(&mut q);
-        }
-    }
-}
-
-impl Drop for WakeQueue {
-    fn drop(&mut self) {
-        sys::close(self.write_fd);
+            !due
+        });
     }
 }
 
 // ---------------------------------------------------------------------
 // Reactor.
 // ---------------------------------------------------------------------
-
-/// The wake pipe's registration token (reserved; never surfaced).
-const WAKE_TOKEN: Token = Token(u64::MAX);
 
 /// The metrics scrape listener's registration token (reserved; its
 /// events are consumed inside [`Reactor::poll`], never surfaced).
@@ -590,7 +432,7 @@ const METRICS_CONN_BASE: u64 = u64::MAX - (1 << 20);
 pub struct ReactorStats {
     /// `epoll_pwait` invocations (each is one coordinator wake-up).
     pub polls: u64,
-    /// Readiness events delivered (fd events + loopback wakes).
+    /// Readiness events delivered.
     pub events: u64,
     /// Deadline timers fired.
     pub timer_fires: u64,
@@ -613,15 +455,13 @@ impl ReactorStats {
     }
 }
 
-/// The event loop facade the coordinator drives: epoll + timer wheel +
-/// loopback waker, with wake-up accounting and (optionally) a metrics
-/// scrape endpoint serviced on the same epoll loop.
+/// The event loop facade the coordinator drives: epoll + deadlines, with
+/// wake-up accounting and (optionally) a metrics scrape endpoint
+/// serviced on the same epoll loop.
 #[derive(Debug)]
 pub struct Reactor {
     poller: Poller,
-    wheel: TimerWheel,
-    wake_rx: i32,
-    waker: Arc<WakeQueue>,
+    deadlines: Deadlines,
     /// Wake-up counters (see [`ReactorStats`]).
     pub stats: ReactorStats,
     telemetry: Telemetry,
@@ -637,14 +477,13 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Builds a reactor whose timers run at `tick` granularity, with
-    /// telemetry disabled.
+    /// Builds a reactor with telemetry disabled.
     ///
     /// # Errors
     ///
-    /// Propagates epoll/pipe creation failures.
-    pub fn new(tick: Duration) -> Result<Reactor, NetError> {
-        Reactor::with_telemetry(tick, Telemetry::disabled())
+    /// Propagates epoll creation failure.
+    pub fn new() -> Result<Reactor, NetError> {
+        Reactor::with_telemetry(Telemetry::disabled())
     }
 
     /// Builds a reactor that counts its wake-ups into `telemetry`
@@ -652,24 +491,16 @@ impl Reactor {
     ///
     /// # Errors
     ///
-    /// Propagates epoll/pipe creation failures.
-    pub fn with_telemetry(tick: Duration, telemetry: Telemetry) -> Result<Reactor, NetError> {
+    /// Propagates epoll creation failure.
+    pub fn with_telemetry(telemetry: Telemetry) -> Result<Reactor, NetError> {
         let poller = Poller::new()?;
-        let (rx, tx) = sys::pipe2_nonblocking()?;
-        let waker = Arc::new(WakeQueue {
-            write_fd: tx,
-            ready: Mutex::new(Vec::new()),
-        });
-        poller.handle().register(rx, WAKE_TOKEN, Interest::READ)?;
         let m_polls = telemetry.counter("dordis_reactor_polls_total", &[]);
         let m_events = telemetry.counter("dordis_reactor_events_total", &[]);
         let m_timer_fires = telemetry.counter("dordis_reactor_timer_fires_total", &[]);
         let pool = BytePool::with_telemetry(&telemetry);
         Ok(Reactor {
             poller,
-            wheel: TimerWheel::new(tick),
-            wake_rx: rx,
-            waker,
+            deadlines: Deadlines::new(),
             stats: ReactorStats::default(),
             telemetry,
             m_polls,
@@ -681,7 +512,8 @@ impl Reactor {
     }
 
     /// A handle to this reactor's shared frame pool / byte ledger.
-    /// Channels call this at [`EventedChannel::register`] time to open
+    /// Channels call this at
+    /// [`TcpChannel::register`](crate::tcp::TcpChannel::register) time to open
     /// their [`ChannelAccount`](crate::pool::ChannelAccount).
     #[must_use]
     pub fn pool(&self) -> BytePool {
@@ -724,29 +556,23 @@ impl Reactor {
         Ok(local)
     }
 
-    /// Handle for fd-backed channels to manage their own registration.
+    /// Handle for channels to manage their own registration.
     #[must_use]
     pub fn handle(&self) -> PollerHandle {
         self.poller.handle()
     }
 
-    /// The shared waker for channels without a pollable fd.
-    #[must_use]
-    pub fn waker(&self) -> Arc<WakeQueue> {
-        Arc::clone(&self.waker)
-    }
-
     /// Arms (or re-arms) a deadline for `token`.
     pub fn arm_deadline(&mut self, token: Token, deadline: Instant) {
-        self.wheel.schedule(token, deadline);
+        self.deadlines.schedule(token, deadline);
     }
 
     /// Disarms `token`'s deadline.
     pub fn cancel_deadline(&mut self, token: Token) {
-        self.wheel.cancel(token);
+        self.deadlines.cancel(token);
     }
 
-    /// One event-loop turn: blocks until readiness, a wake, or the
+    /// One event-loop turn: blocks until readiness or the
     /// earliest of (`max_wait`, the next armed deadline); then fills
     /// `events` with readiness and `expired` with due deadline tokens.
     /// Both output vectors are cleared first.
@@ -764,43 +590,13 @@ impl Reactor {
         expired.clear();
         let now = Instant::now();
         let mut wait = max_wait;
-        if let Some(next) = self.wheel.next_deadline() {
+        if let Some(next) = self.deadlines.next_deadline() {
             wait = wait.min(next.saturating_duration_since(now));
         }
         self.stats.polls += 1;
         self.m_polls.inc();
         self.poller.wait(events, Some(wait))?;
-        // Translate waker hits into readable events for queued tokens.
-        let mut woke = false;
-        events.retain(|ev| {
-            if ev.token == WAKE_TOKEN {
-                woke = true;
-                false
-            } else {
-                true
-            }
-        });
-        if woke {
-            let mut buf = [0u8; 64];
-            while let Ok(n) = sys::read(self.wake_rx, &mut buf) {
-                if n < buf.len() {
-                    break;
-                }
-            }
-            let mut tokens = Vec::new();
-            self.waker.drain(&mut tokens);
-            tokens.sort_unstable();
-            tokens.dedup();
-            for token in tokens {
-                events.push(Event {
-                    token,
-                    readable: true,
-                    writable: false,
-                    closed: false,
-                });
-            }
-        }
-        self.wheel.advance(Instant::now(), expired);
+        self.deadlines.advance(Instant::now(), expired);
         // Count events *before* filtering scrape traffic out: a poll
         // woken only by a scrape still delivered >= 1 counted event, so
         // the `polls = O(events)` accounting the scale tests assert
@@ -974,57 +770,6 @@ impl MetricsServer {
     }
 }
 
-impl Drop for Reactor {
-    fn drop(&mut self) {
-        sys::close(self.wake_rx);
-    }
-}
-
-// ---------------------------------------------------------------------
-// EventedChannel.
-// ---------------------------------------------------------------------
-
-/// The readiness-driven side of a [`Channel`].
-///
-/// Before [`register`](EventedChannel::register) is called, the blocking
-/// [`Channel`] API behaves exactly as before (clients and the
-/// replication link use it unchanged). After registration the
-/// channel becomes non-blocking: `send` enqueues into a backpressure
-/// buffer and flushes opportunistically, `try_recv` reassembles frames
-/// from whatever bytes are available, and `try_flush` drains the buffer
-/// under write readiness.
-pub trait EventedChannel: Channel {
-    /// Registers (or re-keys) this channel with the reactor under
-    /// `token` and switches it to non-blocking operation. Calling again
-    /// with a new token re-registers — the join loop uses this to swap a
-    /// provisional token for the authenticated client id.
-    ///
-    /// # Errors
-    ///
-    /// Propagates registration failures.
-    fn register(&mut self, reactor: &mut Reactor, token: Token) -> Result<(), NetError>;
-
-    /// Non-blocking receive: the next fully reassembled frame, or `None`
-    /// when more bytes are needed.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Closed`] once the peer is gone *and* every buffered
-    /// frame has been returned; codec errors for oversized frames.
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError>;
-
-    /// Drains backlogged writes as far as readiness allows. `Ok(true)`
-    /// means the outbox is empty.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Closed`] when the peer is gone.
-    fn try_flush(&mut self) -> Result<bool, NetError>;
-
-    /// Whether backlogged bytes are waiting on write readiness.
-    fn wants_write(&self) -> bool;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1032,28 +777,8 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn waker_turns_queue_into_events() {
-        let mut r = Reactor::new(Duration::from_millis(5)).unwrap();
-        let w = r.waker();
-        let t = std::thread::spawn(move || {
-            w.wake(Token(7));
-            w.wake(Token(9));
-            w.wake(Token(7));
-        });
-        t.join().unwrap();
-        let (mut events, mut expired) = (Vec::new(), Vec::new());
-        r.poll(&mut events, &mut expired, Duration::from_secs(2))
-            .unwrap();
-        let mut tokens: Vec<u64> = events.iter().map(|e| e.token.0).collect();
-        tokens.sort_unstable();
-        assert_eq!(tokens, vec![7, 9], "deduped wake tokens");
-        assert!(events.iter().all(|e| e.readable));
-        assert!(expired.is_empty());
-    }
-
-    #[test]
     fn timer_wheel_fires_once_and_rearms() {
-        let mut r = Reactor::new(Duration::from_millis(2)).unwrap();
+        let mut r = Reactor::new().unwrap();
         r.arm_deadline(Token(1), Instant::now() + Duration::from_millis(20));
         let (mut events, mut expired) = (Vec::new(), Vec::new());
         let start = Instant::now();
@@ -1080,19 +805,37 @@ mod tests {
         r.poll(&mut events, &mut expired, Duration::from_millis(40))
             .unwrap();
         assert!(expired.is_empty(), "{expired:?}");
+        // Re-arming replaces the old deadline: a far one pulled near
+        // fires at the new instant, and only once.
+        r.arm_deadline(Token(3), Instant::now() + Duration::from_secs(3600));
+        r.arm_deadline(Token(3), Instant::now() + Duration::from_millis(5));
+        r.poll(&mut events, &mut expired, Duration::from_secs(2))
+            .unwrap();
+        assert_eq!(expired, vec![Token(3)]);
+        r.poll(&mut events, &mut expired, Duration::from_millis(10))
+            .unwrap();
+        assert!(expired.is_empty(), "fired twice: {expired:?}");
     }
 
     #[test]
     fn far_deadlines_survive_wheel_revolutions() {
-        let mut w = TimerWheel::new(Duration::from_millis(1));
-        // Beyond one revolution of the 512-slot wheel.
-        let far = Instant::now() + Duration::from_millis(700);
-        w.schedule(Token(3), far);
+        // A deadline far past many earlier harvests stays armed through
+        // all of them and fires at its instant — never early, once.
+        let mut d = Deadlines::new();
+        let now = Instant::now();
+        d.schedule(Token(3), now + Duration::from_millis(700));
+        d.schedule(Token(4), now + Duration::from_millis(5));
         let mut out = Vec::new();
-        w.advance(Instant::now() + Duration::from_millis(600), &mut out);
-        assert!(out.is_empty(), "fired {out:?} before its deadline");
-        w.advance(Instant::now() + Duration::from_millis(800), &mut out);
-        assert_eq!(out, vec![Token(3)]);
+        for ms in (0..700).step_by(7) {
+            d.advance(now + Duration::from_millis(ms), &mut out);
+        }
+        assert_eq!(out, vec![Token(4)], "only the near deadline is due");
+        assert_eq!(d.next_deadline(), Some(now + Duration::from_millis(700)));
+        d.advance(now + Duration::from_millis(700), &mut out);
+        assert_eq!(out, vec![Token(4), Token(3)]);
+        d.advance(now + Duration::from_millis(800), &mut out);
+        assert_eq!(out.len(), 2, "a harvested deadline fires once");
+        assert_eq!(d.next_deadline(), None);
     }
 
     #[test]
@@ -1103,7 +846,7 @@ mod tests {
         telemetry
             .counter("demo_total", &[("stage", "Setup")])
             .add(3);
-        let mut r = Reactor::with_telemetry(Duration::from_millis(2), telemetry).unwrap();
+        let mut r = Reactor::with_telemetry(telemetry).unwrap();
         let addr = r.serve_metrics("127.0.0.1:0").unwrap();
 
         let scraper = std::thread::spawn(move || {

@@ -388,7 +388,7 @@ pub fn run_backup(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::LoopbackChannel;
+    use crate::tcp::TcpChannel;
 
     fn ckpt(round: u64) -> SessionCheckpoint {
         SessionCheckpoint {
@@ -429,7 +429,7 @@ mod tests {
 
     #[test]
     fn ship_install_ack_cycle() {
-        let (mut p_chan, mut b_chan) = LoopbackChannel::pair("repl");
+        let (mut p_chan, mut b_chan) = TcpChannel::pair().unwrap();
         let primary = Primary::new();
         let waiting = primary.ship(&ckpt(1), &mut p_chan).unwrap();
         assert_eq!(waiting.round(), 1);
@@ -455,7 +455,7 @@ mod tests {
 
     #[test]
     fn view_change_deposes_waiting_primary() {
-        let (mut p_chan, mut b_chan) = LoopbackChannel::pair("depose");
+        let (mut p_chan, mut b_chan) = TcpChannel::pair().unwrap();
         let waiting = Primary::new().ship(&ckpt(2), &mut p_chan).unwrap();
         // The backup never acks: it promotes and announces instead.
         let takeover = Backup::new().promote().take_over(&mut b_chan);
@@ -471,7 +471,7 @@ mod tests {
 
     #[test]
     fn mismatched_ack_round_is_a_protocol_error() {
-        let (mut p_chan, _b) = LoopbackChannel::pair("mismatch");
+        let (mut p_chan, _b) = TcpChannel::pair().unwrap();
         let waiting = Primary::new().ship(&ckpt(4), &mut p_chan).unwrap();
         let stale = Envelope::new(StageTag::CheckpointAck, 3, Vec::new());
         assert!(matches!(
@@ -482,7 +482,7 @@ mod tests {
 
     #[test]
     fn run_backup_takes_over_on_disconnect_with_latest_state() {
-        let (mut p_chan, mut b_chan) = LoopbackChannel::pair("takeover");
+        let (mut p_chan, mut b_chan) = TcpChannel::pair().unwrap();
         let driver = std::thread::spawn(move || {
             let mut primary = Primary::new();
             for r in 1..=3u64 {
@@ -510,7 +510,7 @@ mod tests {
 
     #[test]
     fn run_backup_honors_clean_retirement() {
-        let (mut p_chan, mut b_chan) = LoopbackChannel::pair("retire");
+        let (mut p_chan, mut b_chan) = TcpChannel::pair().unwrap();
         let driver = std::thread::spawn(move || {
             let waiting = Primary::new().ship(&ckpt(1), &mut p_chan).unwrap();
             let frame = p_chan
@@ -535,7 +535,7 @@ mod tests {
 
     #[test]
     fn run_backup_takes_over_on_lease_expiry() {
-        let (p_chan, mut b_chan) = LoopbackChannel::pair("lease");
+        let (p_chan, mut b_chan) = TcpChannel::pair().unwrap();
         // Primary alive but silent: the lease must expire.
         let outcome = run_backup(
             &mut b_chan,

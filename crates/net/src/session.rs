@@ -37,9 +37,9 @@
 //! 3. **Seating**: under [`Seating::Roster`] the cohort is the fixed
 //!    `params.clients` roster (first-come joins). Under
 //!    [`Seating::Claims`] the collected claims go to the verifier — for
-//!    Dordis, `dordis-core`'s VRF `verify_and_trim` (§7) — which seats a
-//!    cohort and rejects forged claims; valid-but-trimmed claimants stay
-//!    parked for the next round.
+//!    Dordis, `dordis-core`'s VRF `seat_claims` (§7) — which seats a
+//!    cohort and rejects forged, stale and duplicate claims;
+//!    valid-but-trimmed claimants stay parked for the next round.
 //! 4. **Round execution**: a fresh `RoundMachine` drives the seated
 //!    cohort's connections through the SecAgg stages. Survivors'
 //!    channels return to the parked set; detected dropouts' channels are
@@ -58,9 +58,10 @@ use crate::coordinator::{
     client_of, client_token, drain_frames, NetRoundReport, Peers, RoundMachine, JOIN_BASE,
 };
 use crate::faults::FaultPlan;
-use crate::reactor::{EventedChannel, Reactor, Token, TICK};
+use crate::reactor::{Reactor, Token, TICK};
 use crate::replication::{Primary, SessionCheckpoint};
-use crate::transport::{send_env, wire_message, Acceptor};
+use crate::tcp::TcpChannel;
+use crate::transport::{send_env, wire_message, Acceptor, Channel as _};
 use crate::NetError;
 
 /// Who a round's seating verifier admitted and who it threw out.
@@ -125,8 +126,8 @@ pub struct SessionConfig<'a> {
     /// proportionally to their element counts and spent once per chunk
     /// at aggregation and once at unmasking. Emulates the server-side
     /// compute of models too large to run in-repo, so benches and tests
-    /// can realize Figure 12's comm/compute overlap on a loopback
-    /// transport. `None` injects nothing (production).
+    /// can realize Figure 12's comm/compute overlap on 127.0.0.1.
+    /// `None` injects nothing (production).
     pub chunk_compute: Option<Duration>,
     /// Known client population, used to close the join window early
     /// once everyone has answered (claimed or declined). Empty = always
@@ -148,7 +149,7 @@ pub struct SessionConfig<'a> {
     /// ordering that makes the privacy ledger failover-safe. `None` is
     /// the bit-equal zero-overhead reference: `commit_round` returns
     /// immediately.
-    pub replica: Option<Box<dyn EventedChannel>>,
+    pub replica: Option<TcpChannel>,
     /// Injected coordinator crashes for the failover harness
     /// ([`FaultPlan::none`] is a no-op on every hook).
     pub faults: FaultPlan,
@@ -218,7 +219,7 @@ pub struct Session<'a> {
 /// The primary's half of the replication protocol: the channel to the
 /// backup and the typed role that gates every commit.
 struct ReplicaLink {
-    chan: Box<dyn EventedChannel>,
+    chan: TcpChannel,
     role: Option<Primary>,
 }
 
@@ -242,7 +243,7 @@ impl<'a> Session<'a> {
             chan,
             role: Some(Primary::new()),
         });
-        let mut engine = Reactor::with_telemetry(TICK, cfg.telemetry.clone())?;
+        let mut engine = Reactor::with_telemetry(cfg.telemetry.clone())?;
         let metrics_bound = match &cfg.metrics_addr {
             Some(addr) => Some(engine.serve_metrics(addr)?),
             None => None,
@@ -310,7 +311,7 @@ impl<'a> Session<'a> {
         // Typed hand-off: `ship` consumes the Primary, so nothing can
         // commit until `complete` returns it — and a ViewChange frame
         // destroys it instead.
-        let waiting = role.ship(&ckpt, link.chan.as_mut())?;
+        let waiting = role.ship(&ckpt, &mut link.chan)?;
         let frame = link
             .chan
             .recv_deadline(Instant::now() + self.cfg.stage_timeout)?;
@@ -402,7 +403,7 @@ impl<'a> Session<'a> {
             for (id, why) in &outcome.rejected {
                 if let Some(mut chan) = self.parked.remove(id) {
                     let env = Envelope::new(StageTag::Abort, round, codec::encode_abort(why));
-                    let _ = send_env(chan.as_mut(), &env);
+                    let _ = send_env(&mut chan, &env);
                     let _ = chan.try_flush();
                 }
             }
@@ -473,7 +474,7 @@ impl<'a> Session<'a> {
         // replication channel drops with this session.
         if let Some(mut link) = self.replica.take() {
             if let Some(role) = link.role.take() {
-                role.retire(link.chan.as_mut());
+                role.retire(&mut link.chan);
             }
         }
         let env = Envelope::new(StageTag::SessionEnd, self.next_round, Vec::new());
@@ -525,7 +526,7 @@ impl<'a> Session<'a> {
             stale: 0,
         };
         let deadline = Instant::now() + self.cfg.join_timeout;
-        let mut awaiting: BTreeMap<u64, Box<dyn EventedChannel>> = BTreeMap::new();
+        let mut awaiting: BTreeMap<u64, TcpChannel> = BTreeMap::new();
 
         // Encoded once per round; every parked peer — and, in the join
         // loop, every newly accepted connection — queues the same
@@ -655,13 +656,12 @@ impl<'a> Session<'a> {
     /// One with no complete frame yet stays in `awaiting`.
     ///
     /// Drains *through* stale frames: an eager `Join(0)` and the real
-    /// claim can both be buffered before a single wake, and a wake —
-    /// unlike level-triggered fd readiness — is consumed whole. Stopping
-    /// at the stale frame would strand the claim until the provisional
-    /// deadline kills the connection.
+    /// claim can both be buffered before a single readiness event, and
+    /// the claim must be filed now, not after the provisional deadline
+    /// has killed the connection.
     fn settle_provisional(
         &mut self,
-        awaiting: &mut BTreeMap<u64, Box<dyn EventedChannel>>,
+        awaiting: &mut BTreeMap<u64, TcpChannel>,
         token: u64,
         w: &mut JoinWindow<'_>,
     ) -> Result<(), NetError> {
@@ -693,7 +693,7 @@ impl<'a> Session<'a> {
                 self.parked.insert(id, chan);
             }
             Some(Verdict::Reject(reply)) => {
-                let _ = send_env(chan.as_mut(), &reply);
+                let _ = send_env(&mut chan, &reply);
                 let _ = chan.try_flush();
             }
             // Garbage, or closed before any verdict.

@@ -1,8 +1,15 @@
-//! TCP transport: one connection per client, `u32` length-prefixed
-//! frames. Blocking I/O with deadlines until the channel is registered
-//! with the [`reactor`](crate::reactor); non-blocking afterwards, with
+//! TCP transport — the only one: one connection per client, `u32`
+//! length-prefixed frames, 127.0.0.1 for in-process sessions and tests.
+//! Blocking I/O with deadlines until the channel is registered with the
+//! [`reactor`](crate::reactor); non-blocking afterwards, with
 //! partial-read frame reassembly ([`FrameBuffer`]) and partial-write
 //! backpressure buffering ([`WriteBuffer`]).
+//!
+//! The blocking path (clients, the replication link) reads each frame
+//! straight into the stream buffer, exactly [`FrameBuffer::needed`] bytes
+//! at a time, and hands that buffer out as the frame: no bounce buffer
+//! and no copy, so a hundred in-process client threads hold one
+//! allocation per frame in flight.
 //!
 //! Registered channels participate in the reactor's memory plane
 //! ([`crate::pool`]): every buffered ingress byte (stream buffer +
@@ -21,7 +28,7 @@ use dordis_telemetry::{Counter, Telemetry};
 
 use crate::codec::MAX_FRAME_BYTES;
 use crate::pool::ChannelAccount;
-use crate::reactor::{EventedChannel, Interest, PollerHandle, Reactor, Token};
+use crate::reactor::{Interest, PollerHandle, Reactor, Token};
 use crate::transport::{Acceptor, Channel};
 use crate::NetError;
 
@@ -48,10 +55,11 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// Allocation reuse: consumed bytes advance a read cursor instead of
 /// `drain`-shifting the stream buffer per frame, and frames handed back
 /// via [`recycle`](FrameBuffer::recycle) return to the reactor-shared
-/// [`BytePool`](crate::pool::BytePool) once an account is attached (a
-/// small local pool covers the unregistered blocking path) — a
+/// [`BytePool`](crate::pool::BytePool) once an account is attached — a
 /// coordinator that recycles after decoding stops allocating a fresh
-/// `Vec` per chunk frame per client.
+/// `Vec` per chunk frame per client. Without an account (the blocking
+/// path) a buffer holding exactly one frame hands out its own
+/// allocation as that frame.
 ///
 /// Accounting: with an attached [`ChannelAccount`], `push` charges the
 /// arriving bytes, `take_frame` moves a frame's bytes from stream
@@ -66,17 +74,11 @@ pub struct FrameBuffer {
     buf: Vec<u8>,
     /// Read cursor into `buf`.
     pos: usize,
-    /// Local recycled-frame fallback for unregistered channels.
-    local_pool: Vec<Vec<u8>>,
     /// Bytes of decoded frames handed out and not yet recycled.
     outstanding: usize,
     /// Shared-pool account (attached at reactor registration).
     account: Option<ChannelAccount>,
 }
-
-/// Local fallback pool bound: enough to cover a drain burst, small
-/// enough that a dropped peer's buffers don't linger.
-const FRAME_POOL_MAX: usize = 8;
 
 /// Consumed-prefix length at which `push` compacts the stream buffer
 /// (below it, the memmove costs more than the memory is worth).
@@ -95,16 +97,57 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
-    /// Appends raw stream bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
+    /// Drops the consumed prefix once it is all there is, or once it
+    /// is worth the memmove.
+    fn compact(&mut self) {
         if self.pos > 0 && (self.pos == self.buf.len() || self.pos >= COMPACT_THRESHOLD) {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
+    }
+
+    /// Appends raw stream bytes.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.compact();
         self.buf.extend_from_slice(bytes);
         if let Some(acct) = &self.account {
             acct.charge_ingress(bytes.len());
         }
+    }
+
+    /// One read from `r` straight into the stream buffer, of at most the
+    /// bytes still missing toward [`needed`](FrameBuffer::needed) — the
+    /// blocking path's reader, so the buffer never runs past the frame
+    /// being assembled. Returns the bytes read; `Ok(0)` is end of
+    /// stream (or nothing missing).
+    ///
+    /// # Errors
+    ///
+    /// Propagates `r`'s error (`WouldBlock` included); nothing is
+    /// buffered from a failed read.
+    pub fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        let want = self.needed().saturating_sub(self.len());
+        if want == 0 {
+            return Ok(0);
+        }
+        if want > 4 + MAX_FRAME_BYTES {
+            // Never size the buffer from a length `take_frame` refuses.
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidData,
+                "oversized frame",
+            ));
+        }
+        self.compact();
+        let start = self.buf.len();
+        self.buf.reserve_exact(want);
+        self.buf.resize(start + want, 0);
+        let got = r.read(&mut self.buf[start..]);
+        let n = *got.as_ref().unwrap_or(&0);
+        self.buf.truncate(start + n);
+        if let Some(acct) = &self.account {
+            acct.charge_ingress(n);
+        }
+        got
     }
 
     /// Stream position target for the next read: enough for the length
@@ -147,16 +190,9 @@ impl FrameBuffer {
     pub fn recycle(&mut self, frame: Vec<u8>) {
         let credit = frame.len().min(self.outstanding);
         self.outstanding -= credit;
-        match &self.account {
-            Some(acct) => {
-                acct.credit_ingress(credit);
-                acct.put(frame);
-            }
-            None => {
-                if self.local_pool.len() < FRAME_POOL_MAX && frame.capacity() > 0 {
-                    self.local_pool.push(frame);
-                }
-            }
+        if let Some(acct) = &self.account {
+            acct.credit_ingress(credit);
+            acct.put(frame);
         }
     }
 
@@ -179,15 +215,25 @@ impl FrameBuffer {
         if self.len() < 4 + len {
             return Ok(None);
         }
-        let mut frame = match &self.account {
-            Some(acct) => acct.get(len),
-            None => {
-                let mut local = self.local_pool.pop().unwrap_or_default();
-                local.clear();
-                local
+        self.outstanding += len;
+        let Some(acct) = &self.account else {
+            if p + 4 + len == self.buf.len() {
+                // The buffer is this frame and nothing else: hand out
+                // the allocation itself, minus the prefix.
+                let mut frame = std::mem::take(&mut self.buf);
+                frame.drain(..p + 4);
+                self.pos = 0;
+                return Ok(Some(frame));
             }
+            let frame = self.buf[p + 4..p + 4 + len].to_vec();
+            self.pos += 4 + len;
+            return Ok(Some(frame));
         };
+        let mut frame = acct.get(len);
         frame.extend_from_slice(&self.buf[p + 4..p + 4 + len]);
+        // The frame's bytes move from stream custody to decoded-frame
+        // custody; only the length prefix leaves the ledger.
+        acct.credit_ingress(4);
         self.pos += 4 + len;
         if self.pos == self.buf.len() {
             // Fully consumed: reset in place. Ordinary traffic keeps its
@@ -200,12 +246,6 @@ impl FrameBuffer {
                 self.buf.clear();
             }
             self.pos = 0;
-        }
-        // The frame's bytes move from stream custody to decoded-frame
-        // custody; only the length prefix leaves the ledger.
-        self.outstanding += len;
-        if let Some(acct) = &self.account {
-            acct.credit_ingress(4);
         }
         Ok(Some(frame))
     }
@@ -418,10 +458,23 @@ impl TcpChannel {
         self.write_timeout = timeout;
     }
 
+    /// A connected pair over 127.0.0.1: `(dialer, accepted)`, both
+    /// blocking — the in-process stand-in for a link between two
+    /// processes (the failover harness's replication link, unit tests).
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind, connect and accept failures.
+    pub fn pair() -> Result<(TcpChannel, TcpChannel), NetError> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let dialer = TcpChannel::connect(listener.local_addr()?)?;
+        let (stream, _) = listener.accept()?;
+        Ok((dialer, TcpChannel::from_stream(stream)?))
+    }
+
     /// Reads toward a target `inbox` length, returning `false` on a
     /// clean timeout. Blocking path only.
     fn fill_until(&mut self, target: usize, deadline: Instant) -> Result<bool, NetError> {
-        let mut buf = [0u8; 16 * 1024];
         while self.inbox.len() < target {
             let now = Instant::now();
             if now >= deadline {
@@ -432,10 +485,9 @@ impl TcpChannel {
             let budget = deadline - now;
             self.stream
                 .set_read_timeout(Some(budget.max(Duration::from_millis(1))))?;
-            let want = (target - self.inbox.len()).min(buf.len());
-            match self.stream.read(&mut buf[..want]) {
+            match self.inbox.read_from(&mut self.stream) {
                 Ok(0) => return Err(NetError::Closed),
-                Ok(n) => self.inbox.push(&buf[..n]),
+                Ok(_) => {}
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     return Ok(false);
                 }
@@ -534,17 +586,6 @@ impl Channel for TcpChannel {
         Ok(())
     }
 
-    fn send_wire_shared(&mut self, msg: &Arc<[u8]>) -> Result<(), NetError> {
-        if self.registration.is_some() {
-            // Zero-copy broadcast: the shared encoding is queued by
-            // refcount, not copied into a per-connection buffer.
-            self.outbox.queue_shared(msg);
-            self.flush_outbox()?;
-            return Ok(());
-        }
-        self.send(&msg[4..])
-    }
-
     fn recv_deadline(&mut self, deadline: Instant) -> Result<Vec<u8>, NetError> {
         loop {
             if let Some(frame) = self.inbox.take_frame()? {
@@ -559,17 +600,55 @@ impl Channel for TcpChannel {
         }
     }
 
-    fn recycle_frame(&mut self, frame: Vec<u8>) {
-        self.inbox.recycle(frame);
-    }
-
     fn peer(&self) -> String {
         self.peer.clone()
     }
 }
 
-impl EventedChannel for TcpChannel {
-    fn register(&mut self, reactor: &mut Reactor, token: Token) -> Result<(), NetError> {
+/// The readiness-driven side, used by the coordinator. Before
+/// [`register`](TcpChannel::register) the blocking [`Channel`] API
+/// applies (clients and the replication link use nothing else); after
+/// it the channel is non-blocking: `send` enqueues into a backpressure
+/// buffer and flushes opportunistically, [`try_recv`](TcpChannel::try_recv)
+/// reassembles frames from whatever bytes are available, and
+/// [`try_flush`](TcpChannel::try_flush) drains the buffer under write
+/// readiness.
+impl TcpChannel {
+    /// Sends an already-encoded wire message — 4-byte little-endian
+    /// length prefix followed by the frame (see
+    /// [`wire_message`](crate::transport::wire_message)). The broadcast
+    /// path encodes a frame *once* and calls this on every channel; a
+    /// registered channel queues the shared allocation by refcount
+    /// instead of copying it N times.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Channel::send`].
+    pub fn send_wire_shared(&mut self, msg: &Arc<[u8]>) -> Result<(), NetError> {
+        if self.registration.is_some() {
+            self.outbox.queue_shared(msg);
+            self.flush_outbox()?;
+            return Ok(());
+        }
+        self.send(&msg[4..])
+    }
+
+    /// Hands a received frame's allocation back once the caller is done
+    /// with it, so the next reassembled frame can reuse it instead of
+    /// allocating, and credits its bytes back to the ledger.
+    pub fn recycle_frame(&mut self, frame: Vec<u8>) {
+        self.inbox.recycle(frame);
+    }
+
+    /// Registers (or re-keys) this channel with the reactor under
+    /// `token` and switches it to non-blocking operation. Calling again
+    /// with a new token re-registers — the join loop uses this to swap a
+    /// provisional token for the authenticated client id.
+    ///
+    /// # Errors
+    ///
+    /// Propagates registration failures.
+    pub fn register(&mut self, reactor: &mut Reactor, token: Token) -> Result<(), NetError> {
         let pool = reactor.pool();
         let fresh = match &self.inbox.account {
             Some(acct) => !acct.pool().same_as(&pool),
@@ -611,7 +690,14 @@ impl EventedChannel for TcpChannel {
         Ok(())
     }
 
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
+    /// Non-blocking receive: the next fully reassembled frame, or `None`
+    /// when more bytes are needed.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Closed`] once the peer is gone *and* every buffered
+    /// frame has been returned; codec errors for oversized frames.
+    pub fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
         // Drain the kernel buffer first so level-triggered epoll goes
         // quiet once everything available has been reassembled.
         let mut buf = [0u8; 16 * 1024];
@@ -634,11 +720,19 @@ impl EventedChannel for TcpChannel {
         Ok(None)
     }
 
-    fn try_flush(&mut self) -> Result<bool, NetError> {
+    /// Drains backlogged writes as far as readiness allows. `Ok(true)`
+    /// means the outbox is empty.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Closed`] when the peer is gone.
+    pub fn try_flush(&mut self) -> Result<bool, NetError> {
         self.flush_outbox()
     }
 
-    fn wants_write(&self) -> bool {
+    /// Whether backlogged bytes are waiting on write readiness.
+    #[must_use]
+    pub fn wants_write(&self) -> bool {
         !self.outbox.is_empty()
     }
 }
@@ -678,7 +772,7 @@ impl TcpAcceptor {
 }
 
 impl Acceptor for TcpAcceptor {
-    fn accept(&mut self, deadline: Instant) -> Result<Box<dyn EventedChannel>, NetError> {
+    fn accept(&mut self, deadline: Instant) -> Result<TcpChannel, NetError> {
         // Poll with a short accept window so the deadline is honored
         // without platform-specific listener timeouts.
         loop {
@@ -686,7 +780,7 @@ impl Acceptor for TcpAcceptor {
                 Ok((stream, _)) => {
                     stream.set_nonblocking(false)?;
                     self.accepts.inc();
-                    return Ok(Box::new(TcpChannel::from_stream(stream)?));
+                    return TcpChannel::from_stream(stream);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     let now = Instant::now();
@@ -722,29 +816,33 @@ mod tests {
 
     #[test]
     fn frame_buffer_reuses_recycled_allocations() {
+        // With an attached pool account, a recycled frame's allocation
+        // comes back as the next frame of its size class.
+        let pool = crate::pool::BytePool::new();
         let mut buf = FrameBuffer::new();
-        // Recycle a buffer with a recognizable (over-sized) capacity.
-        buf.recycle(Vec::with_capacity(4096));
+        buf.attach_account(pool.account());
         let mut stream = Vec::new();
-        for payload in [&b"abc"[..], b"defgh"] {
+        for payload in [&b"abc"[..], b"defgh", b"ijklmn"] {
             stream.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             stream.extend_from_slice(payload);
         }
         buf.push(&stream);
         let first = buf.take_frame().unwrap().expect("first frame");
         assert_eq!(first, b"abc");
-        assert!(
-            first.capacity() >= 4096,
-            "pooled allocation not reused (capacity {})",
-            first.capacity()
-        );
-        // Recycle it again: the next frame rides the same allocation.
+        let at = first.as_ptr();
         buf.recycle(first);
         let second = buf.take_frame().unwrap().expect("second frame");
         assert_eq!(second, b"defgh");
-        assert!(second.capacity() >= 4096);
+        assert_eq!(second.as_ptr(), at, "recycled allocation not reused");
+        // Recycle it again: the next frame rides the same allocation.
+        buf.recycle(second);
+        let third = buf.take_frame().unwrap().expect("third frame");
+        assert_eq!(third, b"ijklmn");
+        assert_eq!(third.as_ptr(), at);
         assert!(buf.is_empty(), "stream fully consumed");
         assert!(buf.take_frame().unwrap().is_none());
+        buf.recycle(third);
+        assert_eq!(pool.live_ingress(), 0, "recycle settles the ledger");
     }
 
     /// Length-prefixes `frames` into one stream.
@@ -1050,7 +1148,7 @@ mod tests {
                 .unwrap()
         });
 
-        let mut reactor = Reactor::new(Duration::from_millis(5)).unwrap();
+        let mut reactor = Reactor::new().unwrap();
         let mut server = acceptor
             .accept(deadline_in(Duration::from_secs(2)))
             .unwrap();

@@ -15,7 +15,7 @@ use dordis_net::codec::{self, encode_list, Encode, Envelope, StageTag};
 use dordis_net::coordinator::{DropKind, NetRoundReport};
 use dordis_net::runtime::{round_rng_seed, ClientRunOutcome, FailAction, FailPoint, FailStage};
 use dordis_net::session::SessionConfig;
-use dordis_net::transport::{recv_env, send_env, Channel, LoopbackHub, ThrottledChannel};
+use dordis_net::transport::{recv_env, send_env, Channel, ThrottledChannel};
 use dordis_net::NetError;
 use dordis_secagg::client::{Client, ClientInput};
 use dordis_secagg::driver::{client_rng, run_round, DropStage, DropoutSchedule, RoundSpec};
@@ -88,7 +88,7 @@ fn net_round(
     chunks: usize,
     stage_timeout: Duration,
 ) -> NetRoundReport {
-    let (hub, mut acceptor) = LoopbackHub::new();
+    let (mut acceptor, addr) = common::listen();
     let cfg = SessionConfig {
         stage_timeout,
         chunks,
@@ -97,7 +97,7 @@ fn net_round(
     let (inputs, fails) = (inputs.clone(), fails.clone());
     let ids = params.clients.clone();
     let (mut reports, clients) = common::run_session(&mut acceptor, cfg, ids, move |id| {
-        let mut chan = hub.connect(&format!("c{id}")).expect("connect");
+        let mut chan = common::dial(&addr);
         common::roster_client(
             &mut chan,
             id,
@@ -347,14 +347,14 @@ fn masked_chunk_from_outside_u2_drops_that_peer_only() {
     for (hostile, chunks, drop) in table {
         let d = driver_round(&p, &ins, &[(HOSTILE, drop)]);
 
-        let (hub, mut acceptor) = LoopbackHub::new();
+        let (mut acceptor, addr) = common::listen();
         let inputs = ins.clone();
         let cfg = SessionConfig {
             chunks,
             ..common::one_round(p.clone())
         };
         let (mut reports, clients) = common::run_session(&mut acceptor, cfg, 0..5, move |id| {
-            let raw = hub.connect(&format!("c{id}")).expect("connect");
+            let raw = common::dial(&addr);
             if id == HOSTILE {
                 let relabel = match hostile {
                     Hostile::OutsideU2 => {

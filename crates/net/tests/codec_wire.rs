@@ -400,6 +400,36 @@ fn control_payloads_roundtrip() {
         }
     }
 
+    // Each fixed-width Setup field round-trips at its maximum, and
+    // `validate` refuses one past it instead of letting the wire
+    // truncate it.
+    let wide = RoundParams {
+        round: 9,
+        clients: (0..10).collect(),
+        threshold: 6,
+        bit_width: 20,
+        vector_len: u32::MAX as usize,
+        noise_components: usize::from(u16::MAX),
+        threat_model: ThreatModel::SemiHonest,
+        graph: MaskingGraph::Complete,
+    };
+    wide.validate().expect("wire maxima are valid");
+    let back = decode_params(&encode_params(&wide)).unwrap();
+    assert_eq!(back.vector_len, wide.vector_len);
+    assert_eq!(back.noise_components, wide.noise_components);
+    for past in [
+        RoundParams {
+            vector_len: wide.vector_len + 1,
+            ..wide.clone()
+        },
+        RoundParams {
+            noise_components: wide.noise_components + 1,
+            ..wide.clone()
+        },
+    ] {
+        assert!(past.validate().is_err(), "{past:?}");
+    }
+
     let sigs = vec![(1u32, Signature([3u8; 64])), (2, Signature([4u8; 64]))];
     assert_eq!(
         decode_signature_list(&encode_signature_list(&sigs)).unwrap(),

@@ -1,6 +1,6 @@
 //! The round harness the `dordis-net` integration tests share: a
 //! session coordinator on the calling thread, one client thread per id,
-//! over whatever transport the caller's acceptor and dial closure use.
+//! every connection a TCP socket on 127.0.0.1.
 
 // Each test binary uses its own subset.
 #![allow(dead_code)]
@@ -14,10 +14,24 @@ use dordis_net::runtime::{
     run_session_client, FailPoint, SessionClientOptions, SessionClientReport,
 };
 use dordis_net::session::{Seating, Session, SessionConfig};
+use dordis_net::tcp::{TcpAcceptor, TcpChannel};
 use dordis_net::transport::{Acceptor, Channel};
 use dordis_net::NetError;
 use dordis_secagg::client::{ClientInput, Identity};
 use dordis_secagg::{ClientId, RoundParams};
+
+/// A coordinator listener on an OS-assigned 127.0.0.1 port, and the
+/// address clients dial.
+pub fn listen() -> (TcpAcceptor, String) {
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind 127.0.0.1");
+    let addr = acceptor.local_addr();
+    (acceptor, addr)
+}
+
+/// A client connection to `addr`.
+pub fn dial(addr: &str) -> TcpChannel {
+    TcpChannel::connect(addr).expect("connect")
+}
 
 /// A one-round roster session for `params` (round id included), with
 /// [`SessionConfig::new`]'s defaults for everything else.

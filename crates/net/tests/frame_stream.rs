@@ -4,9 +4,11 @@
 //! partial writes into the identical stream no matter how the socket
 //! slices (or `WouldBlock`s) the writes. These two buffers are what the
 //! reactor-mode `TcpChannel` runs on, so their invariants are the wire
-//! correctness of the event loop.
+//! correctness of the event loop. The blocking path reads straight into
+//! the `FrameBuffer` and hands its allocation out as the frame; that
+//! path gets the same arbitrary-split treatment.
 
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 
 use dordis_net::tcp::{FrameBuffer, WriteBuffer};
 use dordis_net::NetError;
@@ -84,8 +86,87 @@ impl Write for DribbleWriter {
     }
 }
 
+/// A reader serving `stream` at most `splits[i]` bytes on the `i`-th
+/// call (cycling), surfacing `WouldBlock` when the split is zero — a
+/// socket under a read timeout — and remembering where in memory it
+/// last wrote.
+struct SplitReader {
+    stream: Vec<u8>,
+    pos: usize,
+    splits: Vec<usize>,
+    call: usize,
+    last_dst: usize,
+}
+
+impl Read for SplitReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let cap = self.splits[self.call % self.splits.len()];
+        self.call += 1;
+        if cap == 0 {
+            return Err(std::io::Error::new(ErrorKind::WouldBlock, "timed out"));
+        }
+        let n = cap.min(buf.len()).min(self.stream.len() - self.pos);
+        buf[..n].copy_from_slice(&self.stream[self.pos..self.pos + n]);
+        self.pos += n;
+        if n > 0 {
+            self.last_dst = buf.as_ptr() as usize;
+        }
+        Ok(n)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Blocking reads (`FrameBuffer::read_from`) through arbitrary
+    /// splits and `WouldBlock`s reassemble byte-equal frames, and every
+    /// frame handed out *is* the stream buffer the reads landed in — no
+    /// copy into a second allocation.
+    #[test]
+    fn blocking_reads_hand_out_the_stream_buffer(
+        seed in any::<u64>(),
+        lens in collection::vec(0usize..200, 1..7),
+        splits in collection::vec(0usize..17, 1..32),
+    ) {
+        let mut splits = splits;
+        if splits.iter().all(|&c| c == 0) {
+            splits.push(5);
+        }
+        let frames: Vec<Vec<u8>> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| payload(seed, i, len))
+            .collect();
+        let mut reader = SplitReader {
+            stream: stream_of(&frames),
+            pos: 0,
+            splits,
+            call: 0,
+            last_dst: 0,
+        };
+        let mut buf = FrameBuffer::new();
+        let mut got = Vec::new();
+        for _ in 0..100_000 {
+            if let Some(frame) = buf.take_frame().expect("valid stream") {
+                let at = frame.as_ptr() as usize;
+                prop_assert!(
+                    (at..at + frame.capacity()).contains(&reader.last_dst),
+                    "frame {} was copied out of the stream buffer",
+                    got.len()
+                );
+                got.push(frame);
+                continue;
+            }
+            match buf.read_from(&mut reader) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                Err(e) => panic!("{e}"),
+            }
+        }
+        prop_assert_eq!(&got, &frames);
+        prop_assert!(buf.is_empty(), "stream fully consumed");
+    }
 
     /// A frame delivered in arbitrary byte-split sequences reassembles
     /// byte-equal to the whole-frame read.
@@ -161,6 +242,9 @@ fn oversized_frame_poisons_the_stream() {
     buf.push(&u32::MAX.to_le_bytes());
     buf.push(&[0u8; 8]);
     assert!(matches!(buf.take_frame(), Err(NetError::Codec(_))));
+    // The blocking reader refuses to size its buffer from that length.
+    let err = buf.read_from(&mut &[0u8; 64][..]).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
 }
 
 #[test]

@@ -14,7 +14,7 @@ use dordis_net::codec::{EnvelopeView, StageTag};
 use dordis_net::coordinator::DropKind;
 use dordis_net::runtime::{round_rng_seed, FailAction, FailPoint, FailStage};
 use dordis_net::session::SessionConfig;
-use dordis_net::transport::{Channel, LoopbackHub};
+use dordis_net::transport::Channel;
 use dordis_net::NetError;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::driver::{run_round, DropStage, DropoutSchedule, RoundSpec};
@@ -78,7 +78,7 @@ fn a_dropper_after_one_of_four_chunks_sends_exactly_one_chunk_frame() {
         .collect();
     let logs: BTreeMap<ClientId, Sent> = (0..6).map(|id| (id, Sent::default())).collect();
 
-    let (hub, mut acceptor) = LoopbackHub::new();
+    let (mut acceptor, addr) = common::listen();
     let cfg = SessionConfig {
         stage_timeout: Duration::from_secs(5),
         chunks: 4,
@@ -87,7 +87,7 @@ fn a_dropper_after_one_of_four_chunks_sends_exactly_one_chunk_frame() {
     let (client_inputs, client_logs) = (inputs.clone(), logs.clone());
     let (mut reports, clients) = common::run_session(&mut acceptor, cfg, 0..6, move |id| {
         let mut chan = FrameLog {
-            inner: hub.connect(&format!("c{id}")).expect("connect"),
+            inner: common::dial(&addr),
             sent: Arc::clone(&client_logs[&id]),
         };
         let fail = (id == DROPPER).then_some(FailPoint {

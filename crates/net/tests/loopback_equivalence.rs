@@ -1,6 +1,6 @@
 //! Transport equivalence: the same round (same seed, same inputs, same
 //! dropout pattern) executed through the in-memory driver and through a
-//! loopback `dordis-net` deployment must produce the identical aggregate
+//! `dordis-net` deployment on 127.0.0.1 must produce the identical aggregate
 //! sum, survivor set, and recovered XNoise removal seeds.
 //!
 //! The client runtime derives its per-client RNGs exactly as the driver
@@ -15,7 +15,6 @@ use std::time::Duration;
 use dordis_net::coordinator::{DropKind, NetRoundReport};
 use dordis_net::runtime::{round_rng_seed, FailAction, FailPoint, FailStage};
 use dordis_net::session::SessionConfig;
-use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::{ClientInput, Identity};
 use dordis_secagg::driver::{run_round, signing_key_for, DropStage, DropoutSchedule, RoundSpec};
 use dordis_secagg::graph::MaskingGraph;
@@ -76,7 +75,7 @@ fn driver_round(
     outcome
 }
 
-/// Runs the identical round through loopback dordis-net: a one-round
+/// Runs the identical round through dordis-net on 127.0.0.1: a one-round
 /// session joined by every id in `inputs` (a sampled id without an
 /// input never connects).
 fn net_round(
@@ -86,7 +85,7 @@ fn net_round(
     join_timeout: Duration,
     stage_timeout: Duration,
 ) -> NetRoundReport {
-    let (hub, mut acceptor) = LoopbackHub::new();
+    let (mut acceptor, addr) = common::listen();
     let registry: Option<Arc<BTreeMap<ClientId, _>>> =
         if params.threat_model == ThreatModel::Malicious {
             Some(Arc::new(
@@ -107,7 +106,7 @@ fn net_round(
     let (inputs, fails) = (inputs.clone(), fails.clone());
     let ids: Vec<ClientId> = inputs.keys().copied().collect();
     let (mut reports, clients) = common::run_session(&mut acceptor, cfg, ids, move |id| {
-        let mut chan = hub.connect(&format!("c{id}")).expect("connect");
+        let mut chan = common::dial(&addr);
         let identity = registry.clone().map(|reg| Identity {
             signing: signing_key_for(SEED, id),
             registry: reg,

@@ -12,7 +12,8 @@ use std::time::Duration;
 
 use dordis_net::runtime::{run_session_client, SessionClientOptions, SessionEndKind};
 use dordis_net::session::{Seating, Session, SessionConfig};
-use dordis_net::transport::LoopbackHub;
+use dordis_net::tcp::{TcpAcceptor, TcpChannel};
+use dordis_net::transport::Acceptor as _;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
@@ -65,12 +66,12 @@ fn scrape(addr: SocketAddr) -> String {
 #[test]
 fn live_scrape_mid_round_with_full_trace_coverage() {
     let telemetry = Telemetry::enabled();
-    let (hub, mut acceptor) = LoopbackHub::new();
+    let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
     let mut client_handles = Vec::new();
     for id in 0..N {
-        let hub = hub.clone();
+        let addr = acceptor.local_addr();
         client_handles.push(std::thread::spawn(move || {
-            let mut chan = hub.connect(&format!("c{id}")).expect("connect");
+            let mut chan = TcpChannel::connect(addr.as_str()).expect("connect");
             let opts = SessionClientOptions {
                 id,
                 rng_seed: SEED,

@@ -1,4 +1,4 @@
-//! Figure 12 realized on a loopback transport: with per-stage latency
+//! Figure 12 realized on 127.0.0.1: with per-stage latency
 //! injected (bandwidth-throttled client uplinks + emulated server-side
 //! per-chunk aggregation compute), the planner-chosen chunk count must
 //! beat m = 1 wall-clock — chunk `c+1`'s upload overlaps chunk `c`'s

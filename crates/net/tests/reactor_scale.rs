@@ -1,5 +1,5 @@
 //! Scale: one coordinator thread serves hundreds of chunk-streaming
-//! loopback clients, with wake-ups that stay `O(events)` — not the
+//! clients over 127.0.0.1 TCP, with wake-ups that stay `O(events)` — not the
 //! `O(clients × ticks)` receive attempts of a per-client poll sweep.
 //!
 //! The round runs a 255-client cohort (the old GF(256) cap — still the
@@ -20,7 +20,6 @@ use dordis_net::coordinator::DropKind;
 use dordis_net::reactor::TICK;
 use dordis_net::runtime::{ClientRunOutcome, FailAction, FailPoint, FailStage, SessionEndKind};
 use dordis_net::session::SessionConfig;
-use dordis_net::transport::LoopbackHub;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
@@ -54,7 +53,7 @@ fn broadcast_encodes_at_three_clients(shape: &RoundParams) -> u64 {
         graph: MaskingGraph::harary_for(3),
         ..shape.clone()
     };
-    let (hub, mut acceptor) = LoopbackHub::new();
+    let (mut acceptor, addr) = common::listen();
     let telemetry = Telemetry::enabled();
     let cfg = SessionConfig {
         chunks: CHUNKS,
@@ -62,7 +61,7 @@ fn broadcast_encodes_at_three_clients(shape: &RoundParams) -> u64 {
         ..common::one_round(params)
     };
     common::run_session(&mut acceptor, cfg, 0..3, move |id| {
-        let mut chan = hub.connect(&format!("c{id}")).expect("connect");
+        let mut chan = common::dial(&addr);
         common::roster_client(&mut chan, id, SEED, |_| None, |_| input_for(id), None).expect("run")
     });
     let snap = telemetry.snapshot().expect("enabled telemetry");
@@ -83,14 +82,14 @@ fn single_thread_serves_256_connections_with_o_events_wakeups() {
     };
     params.validate().expect("valid scale params");
 
-    let (hub, mut acceptor) = LoopbackHub::new();
+    let (mut acceptor, addr) = common::listen();
 
     // The 256th connection: not in the sampled set, must be turned away
     // at join while everyone else proceeds. Connected *first* (the
-    // acceptor hands connections out FIFO) so its rejection is
+    // listen queue hands connections out FIFO) so its rejection is
     // deterministically processed while the join loop is still running.
     const EXTRA: ClientId = 999;
-    let extra_chan = std::sync::Mutex::new(Some(hub.connect("extra").expect("connect")));
+    let extra_chan = std::sync::Mutex::new(Some(common::dial(&addr)));
 
     // Generous deadlines: 255 debug-build clients share this machine's
     // cores, and the assertion below is about wake-ups, not wall-clock.
@@ -107,7 +106,7 @@ fn single_thread_serves_256_connections_with_o_events_wakeups() {
     let (mut reports, mut clients) = common::run_session(&mut acceptor, cfg, ids, move |id| {
         let mut chan = match id {
             EXTRA => extra_chan.lock().expect("extra").take().expect("once"),
-            _ => hub.connect(&format!("c{id}")).expect("connect"),
+            _ => common::dial(&addr),
         };
         let fail = MIDSTREAM_DROPS.contains(&id).then_some(FailPoint {
             stage: FailStage::MaskedInputAfterChunks((id % CHUNKS as u32) as u16),

@@ -16,7 +16,8 @@ use dordis_net::runtime::{
     SessionClientOptions, SessionEndKind,
 };
 use dordis_net::session::{Seating, SeatingOutcome, Session, SessionConfig};
-use dordis_net::transport::{Channel, LoopbackChannel, LoopbackHub, LossProfile, ThrottledChannel};
+use dordis_net::tcp::TcpChannel;
+use dordis_net::transport::{Channel, LossProfile, ThrottledChannel};
 use dordis_net::NetError;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::driver::{run_round, DropStage, DropoutSchedule, RoundSpec};
@@ -90,19 +91,18 @@ fn roster_cfg(rounds: u64) -> SessionConfig<'static> {
     }
 }
 
-/// Runs an R-round roster session over persistent loopback connections;
+/// Runs an R-round roster session over persistent 127.0.0.1 connections;
 /// `dropper(round)` names the client that fails mid-stream that round
 /// (it reconnects and re-joins the next round).
 fn run_session(
     rounds: u64,
     dropper: impl Fn(u64) -> Option<(ClientId, u16)> + Send + Sync + 'static,
 ) -> Vec<NetRoundReport> {
-    let (hub, mut acceptor) = LoopbackHub::new();
+    let (mut acceptor, addr) = common::listen();
     let (reports, clients) =
         common::run_session(&mut acceptor, roster_cfg(rounds), 0..N, move |id| loop {
-            let mut chan = hub
-                .connect(&format!("c{id}"))
-                .map_err(|e| format!("connect: {e}"))?;
+            let mut chan =
+                TcpChannel::connect(addr.as_str()).map_err(|e| format!("connect: {e}"))?;
             let report = common::roster_client(
                 &mut chan,
                 id,
@@ -227,7 +227,7 @@ fn dropout_then_rejoin_completes_next_round() {
 #[test]
 fn session_rounds_complete_under_packet_loss_and_reorder() {
     const ROUNDS: u64 = 3;
-    let (hub, mut acceptor) = LoopbackHub::new();
+    let (mut acceptor, addr) = common::listen();
     let cfg = SessionConfig {
         // Short: every lost chunk costs the coordinator exactly one
         // masked-stage deadline wait before the dropout is declared.
@@ -235,9 +235,7 @@ fn session_rounds_complete_under_packet_loss_and_reorder() {
         ..roster_cfg(ROUNDS)
     };
     let (reports, clients) = common::run_session(&mut acceptor, cfg, 0..N, move |id| loop {
-        let raw = hub
-            .connect(&format!("c{id}"))
-            .map_err(|e| format!("connect: {e}"))?;
+        let raw = TcpChannel::connect(addr.as_str()).map_err(|e| format!("connect: {e}"))?;
         let mut chan =
             ThrottledChannel::new(Box::new(raw), u64::MAX, Duration::ZERO).with_loss(LossProfile {
                 drop_prob: 0.05,
@@ -311,14 +309,13 @@ fn session_rounds_complete_under_packet_loss_and_reorder() {
 /// parked, so the next round runs over the *same* connections.
 #[test]
 fn unseatable_round_keeps_the_cohort_parked_for_the_next_round() {
-    let (hub, mut acceptor) = LoopbackHub::new();
+    let (mut acceptor, addr) = common::listen();
     let mut handles = Vec::new();
     for id in 0..N {
-        let hub = hub.clone();
+        let addr = addr.clone();
         handles.push(std::thread::spawn(move || -> Result<Vec<u64>, String> {
-            let mut chan = hub
-                .connect(&format!("c{id}"))
-                .map_err(|e| format!("connect: {e}"))?;
+            let mut chan =
+                TcpChannel::connect(addr.as_str()).map_err(|e| format!("connect: {e}"))?;
             let opts = SessionClientOptions {
                 id,
                 rng_seed: SEED,
@@ -396,7 +393,7 @@ fn unseatable_round_keeps_the_cohort_parked_for_the_next_round() {
 
 #[test]
 fn client_rejects_stale_round_frame_with_typed_error() {
-    let (mut server_end, mut client_end) = LoopbackChannel::pair("stale");
+    let (mut server_end, mut client_end) = TcpChannel::pair().expect("pair");
     let client = std::thread::spawn(move || {
         common::roster_client(
             &mut client_end,
@@ -449,7 +446,7 @@ fn client_rejects_stale_round_frame_with_typed_error() {
 /// must discard the stale copy (typed, counted) and file the real frame,
 /// completing the round bit-equal to a clean run.
 struct StaleInjector {
-    inner: LoopbackChannel,
+    inner: TcpChannel,
     stage: StageTag,
     injected: Arc<AtomicU32>,
 }
@@ -484,11 +481,11 @@ impl Channel for StaleInjector {
 fn coordinator_discards_stale_frames_without_dropping_the_peer() {
     // A control-stage frame, and the first masked-input chunk frame.
     for stage in [StageTag::AdvertiseKeys, StageTag::MaskedInput] {
-        let (hub, mut acceptor) = LoopbackHub::new();
+        let (mut acceptor, addr) = common::listen();
         let injected = Arc::new(AtomicU32::new(0));
         let cfg = common::one_round(params_for_round(5));
         let (mut reports, clients) = common::run_session(&mut acceptor, cfg, 0..N, move |id| {
-            let inner = hub.connect(&format!("c{id}")).expect("connect");
+            let inner = common::dial(&addr);
             let mut chan: Box<dyn Channel> = if id == 2 {
                 let injected = Arc::clone(&injected);
                 Box::new(StaleInjector {

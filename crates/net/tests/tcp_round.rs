@@ -10,7 +10,6 @@ use std::time::Duration;
 use dordis_net::coordinator::DropKind;
 use dordis_net::runtime::{FailAction, FailPoint, FailStage};
 use dordis_net::session::SessionConfig;
-use dordis_net::tcp::{TcpAcceptor, TcpChannel};
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
@@ -42,8 +41,7 @@ fn tcp_secagg_plus_round_with_mid_round_kill() {
         graph: MaskingGraph::harary_for(N as usize),
     };
 
-    let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
-    let addr = dordis_net::transport::Acceptor::local_addr(&acceptor);
+    let (mut acceptor, addr) = common::listen();
 
     let telemetry = Telemetry::enabled();
     let cfg = SessionConfig {
@@ -53,7 +51,7 @@ fn tcp_secagg_plus_round_with_mid_round_kill() {
         ..common::one_round(params)
     };
     let (mut reports, clients) = common::run_session(&mut acceptor, cfg, 0..N, move |id| {
-        let mut chan = TcpChannel::connect(&addr).expect("connect");
+        let mut chan = common::dial(&addr);
         // Client 2 "dies" just before sending its masked input.
         let fail = (id == 2).then_some(FailPoint {
             stage: FailStage::MaskedInput,
@@ -98,10 +96,8 @@ fn tcp_secagg_plus_round_with_mid_round_kill() {
         assert!(*k >= 1 && *k <= 2);
     }
 
-    // The shared free list served recycled allocations: only
-    // `tcp::FrameBuffer` draws from it (loopback frames arrive as the
-    // sender's `Vec` and are only ever put back), so real sockets are
-    // where this is observable.
+    // The shared free list served recycled allocations: the registered
+    // channels' `tcp::FrameBuffer`s draw from it.
     let snap = telemetry.snapshot().expect("enabled telemetry");
     assert!(snap.get("dordis_frames_recycled_total") > 0);
 }

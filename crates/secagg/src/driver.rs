@@ -367,7 +367,7 @@ pub fn round_rng_seed(base: u64, round: u64) -> u64 {
 }
 
 /// The per-client RNG for [`Client::new`]. Exported so the networked
-/// runtime (`dordis-net`) derives identical randomness and a loopback
+/// runtime (`dordis-net`) derives identical randomness and a networked
 /// round reproduces a driver round bit for bit.
 #[must_use]
 pub fn client_rng(seed: u64, id: ClientId) -> rand::rngs::StdRng {

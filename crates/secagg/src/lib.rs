@@ -135,7 +135,8 @@ impl RoundParams {
     /// # Errors
     ///
     /// Returns [`SecAggError::Config`] on duplicate ids, out-of-range
-    /// threshold, or an unusable masking graph.
+    /// threshold, a vector length or noise-component count past its
+    /// Setup-frame width, or an unusable masking graph.
     pub fn validate(&self) -> Result<(), SecAggError> {
         let n = self.clients.len();
         if n == 0 {
@@ -178,6 +179,20 @@ impl RoundParams {
         }
         if self.bit_width == 0 || self.bit_width > 62 {
             return Err(SecAggError::Config("bit width must be in 1..=62".into()));
+        }
+        // The Setup frame carries these at fixed widths; a value past the
+        // width would reach every client truncated and still validate.
+        if u32::try_from(self.vector_len).is_err() {
+            return Err(SecAggError::Config(format!(
+                "vector length {} exceeds the wire's u32",
+                self.vector_len
+            )));
+        }
+        if u16::try_from(self.noise_components).is_err() {
+            return Err(SecAggError::Config(format!(
+                "{} noise components exceed the wire's u16",
+                self.noise_components
+            )));
         }
         self.graph.validate(n)?;
         Ok(())

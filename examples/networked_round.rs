@@ -44,7 +44,7 @@ fn main() {
     };
     let dropouts = [3u32, 8];
 
-    println!("== networked path (loopback transport, detected dropout) ==");
+    println!("== networked path (TCP on 127.0.0.1, detected dropout) ==");
     let net = run_protocol_round_networked(&cfg, &updates, &dropouts).unwrap();
     println!("survivors: {:?}", net.survivors);
     println!("dropped:   {:?}", net.dropped);

@@ -1,4 +1,4 @@
-//! A 3-round networked FL session: persistent loopback connections,
+//! A 3-round networked FL session: persistent 127.0.0.1 connections,
 //! per-round VRF cohort resampling (§7), the global model travelling in
 //! each round's Setup payload, one scripted mid-stream dropout with a
 //! rejoin — and the same session through the in-memory driver, to show
@@ -40,7 +40,7 @@ fn main() {
         after_chunks: 1,
     }];
 
-    println!("== networked session (loopback, persistent connections) ==");
+    println!("== networked session (127.0.0.1, persistent connections) ==");
     let net = train_session_networked(&spec, &opts).expect("networked session");
     for round in &net.rounds {
         println!(

@@ -5,7 +5,7 @@
 //! cargo run --release --example vrf_sampling
 //! ```
 
-use dordis_core::sampling::{self_select, verify_and_trim, SamplingConfig};
+use dordis_core::sampling::{seat_claims, self_select, SamplingConfig};
 use dordis_crypto::vrf::{VrfPublicKey, VrfSecretKey};
 
 fn key_for(id: u32) -> VrfSecretKey {
@@ -32,11 +32,12 @@ fn main() {
             .collect();
         // The server (or any peer) verifies all proofs and trims to the
         // target sample by the claimants' own randomness.
-        let sampled =
-            verify_and_trim(&claims, &registry, round, &cfg).expect("honest claims verify");
+        let cohort = seat_claims(&claims, &registry, round, &cfg);
+        assert!(cohort.rejected.is_empty(), "honest claims verify");
         println!(
-            "round {round}: {} self-selected, sampled after trim: {sampled:?}",
-            claims.len()
+            "round {round}: {} self-selected, sampled after trim: {:?}",
+            claims.len(),
+            cohort.seated
         );
     }
 
@@ -52,8 +53,9 @@ fn main() {
     let mut forged = claims[0].clone();
     forged.client = outsider;
     claims.push(forged);
-    match verify_and_trim(&claims, &registry, round, &cfg) {
-        Err(e) => println!("\nforged participation for client {outsider} rejected: {e}"),
-        Ok(_) => unreachable!("forgery must not verify"),
+    let cohort = seat_claims(&claims, &registry, round, &cfg);
+    assert!(!cohort.seated.contains(&outsider), "forgery must not seat");
+    for (id, why) in &cohort.rejected {
+        println!("\nforged participation for client {id} rejected: {why}");
     }
 }
