@@ -32,10 +32,9 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use dordis_net::runtime::{round_rng_seed, run_session_client, SessionClientOptions};
+use dordis_net::local;
+use dordis_net::runtime::round_rng_seed;
 use dordis_net::session::{Seating, Session, SessionConfig};
-use dordis_net::tcp::{TcpAcceptor, TcpChannel};
-use dordis_net::transport::Acceptor as _;
 use dordis_secagg::client::{Client, ClientInput};
 use dordis_secagg::driver::{client_rng, run_round, share_keys_rng, DropoutSchedule, RoundSpec};
 use dordis_secagg::graph::MaskingGraph;
@@ -126,28 +125,12 @@ struct RunResult {
 /// One full round at `n` clients under `graph` (reactor coordinator,
 /// 127.0.0.1), pinned bit-equal to the in-memory driver.
 fn timed_round(n: u32, graph: MaskingGraph) -> RunResult {
-    let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
-    let mut handles = Vec::new();
-    for id in 0..n {
-        let addr = acceptor.local_addr();
-        handles.push(std::thread::spawn(move || {
-            let mut chan = TcpChannel::connect(addr.as_str()).expect("connect");
-            let opts = SessionClientOptions {
-                id,
-                rng_seed: SEED,
-                recv_timeout: Duration::from_secs(600),
-                silent_linger: Duration::from_secs(1),
-            };
-            run_session_client(
-                &mut chan,
-                &opts,
-                |_| None,
-                |_| None,
-                |_, _, _, _| Ok(input_for(id)),
-                |_| None,
-            )
-        }));
-    }
+    let (mut acceptor, addr) = local::listen();
+    let cohort = local::spawn(0..n, move |id| {
+        let mut chan = local::dial(&addr);
+        local::roster_client(&mut chan, id, SEED, |_| None, |_| input_for(id), None)
+            .expect("client run")
+    });
     let cfg = SessionConfig {
         join_timeout: Duration::from_secs(300),
         stage_timeout: STAGE_TIMEOUT,
@@ -167,9 +150,7 @@ fn timed_round(n: u32, graph: MaskingGraph) -> RunResult {
         report.dropouts
     );
     assert_eq!(report.outcome.survivors.len(), n as usize);
-    for h in handles {
-        h.join().expect("client thread").expect("client run");
-    }
+    cohort.reap().expect("client thread");
 
     // Bit-equality pin against the serial in-memory driver: same
     // params, same seeds, so sums and removal seeds must be identical.

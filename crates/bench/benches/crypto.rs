@@ -1,9 +1,6 @@
-//! Microbenchmarks of the cryptographic substrate.
-//!
-//! These are the numbers behind the `UnitCosts::rust_native` calibration
-//! of the simulator's cost model: PRG (mask) expansion throughput, key
-//! agreement, signatures and the VRF, Shamir, AEAD, and the hash plane
-//! under key derivation and AEAD tags.
+//! Microbenchmarks of the cryptographic substrate: PRG (mask) expansion
+//! throughput, key agreement, signatures and the VRF, Shamir, AEAD, and
+//! the hash plane under key derivation and AEAD tags.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dordis_crypto::ed25519::{Point, Scalar, SigningKey};

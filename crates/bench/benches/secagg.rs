@@ -1,7 +1,6 @@
 //! Full-protocol benchmarks: complete SecAgg / SecAgg+ rounds in memory,
 //! with and without dropout. These measure this repository's Rust
-//! implementation (the `rust_native` cost regime), complementing the
-//! simulated paper-testbed figures.
+//! implementation, complementing the simulated paper-testbed figures.
 
 use std::collections::BTreeMap;
 

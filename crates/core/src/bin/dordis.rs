@@ -29,13 +29,11 @@ use dordis_dp::planner::{plan, PlannerConfig};
 use dordis_net::coordinator::NetRoundReport;
 use dordis_net::replication::{run_backup, BackupOutcome};
 use dordis_net::runtime::{
-    run_session_client, Backoff, FailAction, FailPoint, FailStage, SessionClientOptions,
-    SessionEndKind,
+    Backoff, FailAction, FailPoint, FailStage, Redial, SessionClientOptions, SessionEndKind,
 };
 use dordis_net::session::{Seating, Session, SessionConfig};
 use dordis_net::tcp::{TcpAcceptor, TcpChannel};
 use dordis_net::transport::{deadline_in, Acceptor as _};
-use dordis_net::NetError;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{RoundParams, ThreatModel};
@@ -436,75 +434,50 @@ fn join_inner(args: &[String]) -> Result<ExitCode, String> {
         id,
         rng_seed: seed,
         recv_timeout: Duration::from_millis(timeout),
-        silent_linger: Duration::from_millis(timeout),
     };
-    let mut addrs = vec![connect];
-    addrs.extend(failover);
-    let mut redial = Backoff::new(
+    let mut addrs = vec![connect.to_string()];
+    addrs.extend(failover.map(str::to_string));
+    let backoff = Backoff::new(
         u64::from(id),
         Duration::from_millis(50),
         Duration::from_millis(2000),
     );
-    let mut which = 0usize;
-    let report = loop {
-        if redial.attempts() > 400 {
-            return Err(format!(
-                "giving up after {} dial attempts",
-                redial.attempts()
-            ));
-        }
-        let addr = addrs[which % addrs.len()];
-        let mut chan = match TcpChannel::connect(addr) {
-            Ok(c) => c,
-            Err(e) => {
-                if failover.is_none() {
-                    return Err(e.to_string());
-                }
-                which += 1;
-                redial.sleep();
-                continue;
-            }
-        };
-        let outcome = run_session_client(
-            &mut chan,
-            &opts,
-            |_| None, // roster sessions are claim-free
-            |round| fail.filter(|_| round == fail_round),
-            |round, params, _cohort, _payload| {
-                println!("client {id}: seated in round {round}");
-                Ok(ClientInput {
-                    vector: demo_update(id, params.vector_len, params.bit_width),
-                    noise_seeds: if params.noise_components == 0 {
-                        Vec::new()
-                    } else {
-                        (0..=params.noise_components)
-                            .map(|k| {
-                                let mut s = [0u8; 32];
-                                s[..8].copy_from_slice(&seed.to_le_bytes());
-                                s[8..12].copy_from_slice(&id.to_le_bytes());
-                                s[12] = k as u8;
-                                s[31] = 0xd3;
-                                s
-                            })
-                            .collect()
-                    },
-                })
-            },
-            |_| None,
-        );
-        match outcome {
-            Ok(report) => break report,
-            // A dead coordinator, not a protocol failure: flip to the
-            // other address and try again.
-            Err(NetError::Closed | NetError::Timeout | NetError::Unavailable)
-                if failover.is_some() =>
-            {
-                println!("client {id}: coordinator at {addr} lost; failing over");
-                which += 1;
-                redial.sleep();
-            }
-            Err(e) => return Err(e.to_string()),
-        }
+    let run = Redial::new(opts, addrs, backoff, 400).run(
+        || false,
+        |r| {
+            println!(
+                "client {id}: coordinator at {} lost; failing over",
+                r.addr()
+            )
+        },
+        |_| None, // roster sessions are claim-free
+        |round| fail.filter(|_| round == fail_round),
+        |round, params, _cohort, _payload| {
+            println!("client {id}: seated in round {round}");
+            Ok(ClientInput {
+                vector: demo_update(id, params.vector_len, params.bit_width),
+                noise_seeds: if params.noise_components == 0 {
+                    Vec::new()
+                } else {
+                    (0..=params.noise_components)
+                        .map(|k| {
+                            let mut s = [0u8; 32];
+                            s[..8].copy_from_slice(&seed.to_le_bytes());
+                            s[8..12].copy_from_slice(&id.to_le_bytes());
+                            s[12] = k as u8;
+                            s[31] = 0xd3;
+                            s
+                        })
+                        .collect()
+                },
+            })
+        },
+        |_| None,
+    );
+    let report = match run {
+        Ok(Some(report)) => report,
+        Ok(None) => unreachable!("join never stops redialing on its own"),
+        Err(e) => return Err(e.to_string()),
     };
 
     for r in &report.rounds {

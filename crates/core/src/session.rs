@@ -52,14 +52,14 @@ use dordis_fl::data::{dirichlet_partition, synthetic_classification, train_test_
 use dordis_fl::eval::{accuracy, perplexity};
 use dordis_fl::fedavg::apply_update;
 use dordis_net::faults::{FaultPlan, KillPoint};
+use dordis_net::local;
 use dordis_net::replication::{run_backup, BackupOutcome};
 use dordis_net::runtime::{
-    run_session_client, Backoff, FailAction, FailPoint, FailStage, SessionClientOptions,
-    SessionClientReport, SessionEndKind,
+    Backoff, FailAction, FailPoint, FailStage, Redial, SessionClientOptions, SessionEndKind,
 };
 use dordis_net::session::{Seating, SeatingOutcome, Session, SessionConfig};
 use dordis_net::tcp::{TcpAcceptor, TcpChannel};
-use dordis_net::transport::{Acceptor as _, Channel};
+use dordis_net::transport::Acceptor as _;
 use dordis_net::NetError;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::driver::{round_rng_seed, run_round, DropStage, DropoutSchedule, RoundSpec};
@@ -892,53 +892,6 @@ fn networked_round(session: &mut Session, r: u64, global: &[f32]) -> Result<Roun
     })
 }
 
-/// One population member's session over one connection: a VRF claim (or
-/// a decline) per announce, the scripted mid-stream failure if one names
-/// this client and round, and — when seated — local training from the
-/// Setup payload's global model, encoded and perturbed under the plan
-/// for the Setup frame's cohort size.
-fn session_client(
-    chan: &mut dyn Channel,
-    st: &Statics,
-    sample: &SamplingConfig,
-    droppers: &[MidStreamDrop],
-    id: ClientId,
-    recv_timeout: Duration,
-) -> Result<SessionClientReport, NetError> {
-    let key = vrf_key_for(st.spec.seed, id);
-    let client_opts = SessionClientOptions {
-        id,
-        rng_seed: st.spec.seed,
-        recv_timeout,
-        silent_linger: Duration::from_secs(1),
-    };
-    run_session_client(
-        chan,
-        &client_opts,
-        |r| self_select(&key, id, r, sample).map(|c| encode_claim(&c)),
-        |r| {
-            droppers
-                .iter()
-                .find(|d| wire_round(d.round) == r && d.client == id)
-                .map(|d| FailPoint {
-                    stage: FailStage::MaskedInputAfterChunks(d.after_chunks),
-                    action: FailAction::Disconnect,
-                })
-        },
-        |r, _params, cohort, payload| {
-            let global = bytes_to_global(payload)?;
-            let i = (r - 1) as u32;
-            let n = usize::from(cohort);
-            let update = client_update(st, i, id, &global);
-            let xplan =
-                xplan_for(st, n).map_err(|e| NetError::Protocol(format!("xnoise plan: {e}")))?;
-            encoded_input(st, r, id, &update, n, xplan.as_ref())
-                .map_err(|e| NetError::Protocol(format!("encode: {e}")))
-        },
-        |_| None,
-    )
-}
-
 /// A coordinator listener on an OS-assigned 127.0.0.1 port.
 fn bind_local() -> Result<TcpAcceptor, DordisError> {
     TcpAcceptor::bind("127.0.0.1:0").map_err(|e| DordisError::Config(format!("bind: {e}")))
@@ -955,37 +908,41 @@ fn with_local_clients(
 ) -> Result<FlSessionReport, DordisError> {
     let droppers: Arc<[MidStreamDrop]> = opts.droppers.clone().into();
     let shutdown = Arc::new(AtomicBool::new(false));
-    let handles: Vec<_> = (0..st.spec.population as ClientId)
-        .map(|id| {
-            let (st, droppers, shutdown) =
-                (Arc::clone(st), Arc::clone(&droppers), Arc::clone(&shutdown));
-            let (addrs, sample) = (addrs.to_vec(), opts.sample);
-            std::thread::spawn(move || local_client(id, &addrs, &st, &sample, &droppers, &shutdown))
+    let cohort = {
+        let (st, shutdown) = (Arc::clone(st), Arc::clone(&shutdown));
+        let (addrs, sample) = (addrs.to_vec(), opts.sample);
+        local::spawn(0..st.spec.population as ClientId, move |id| {
+            local_client(id, &addrs, &st, &sample, &droppers, &shutdown)
         })
-        .collect();
+    };
 
     let outcome = coordinator();
     // Coordinator-side resources are gone; release any still-dialing
     // clients and reap the threads.
     shutdown.store(true, Ordering::Relaxed);
-    for h in handles {
-        let joined = h
-            .join()
-            .map_err(|_| DordisError::Config("client thread panicked".into()))?;
-        if outcome.is_ok() {
-            joined.map_err(DordisError::Config)?;
+    let joined = cohort
+        .reap()
+        .map_err(|_| DordisError::Config("client thread panicked".into()))?;
+    if outcome.is_ok() {
+        for run in joined.into_values() {
+            run.map_err(DordisError::Config)?;
         }
     }
     outcome
 }
 
-/// One population member on 127.0.0.1: dials `addrs[0]` and, after a
-/// scripted dropout, redials the same address to re-join from the next
-/// round's announce. With more than one address (the failover harness) a
-/// connect failure or a transport death flips it to the next address
-/// after a jittered [`Backoff`] step, so orphans of a coordinator crash
-/// find the successor; a single-address list is the plain networked
-/// session. Once `shutdown` is set, a client that cannot connect retires.
+/// One population member on 127.0.0.1: a VRF claim (or a decline) per
+/// announce, the scripted mid-stream failure if one names this client
+/// and round, and — when seated — local training from the Setup
+/// payload's global model, encoded and perturbed under the plan for the
+/// Setup frame's cohort size.
+///
+/// It dials `addrs[0]` and, after a scripted dropout, redials the same
+/// address to re-join from the next round's announce. With more than one
+/// address (the failover harness) a lost coordinator sends it to the
+/// next address through [`Redial`], so orphans of a coordinator crash
+/// find the successor. Once `shutdown` is set, a client that cannot
+/// connect retires.
 fn local_client(
     id: ClientId,
     addrs: &[String],
@@ -995,50 +952,63 @@ fn local_client(
     shutdown: &AtomicBool,
 ) -> Result<(), String> {
     let failover = addrs.len() > 1;
-    // Short enough under failover that a client parked on a dead-but-
-    // accepting address re-enters the redial loop well inside the
-    // takeover window.
-    let recv_timeout = Duration::from_secs(if failover { 5 } else { 120 });
-    let mut at = 0;
-    let mut backoff = Backoff::new(
+    let key = vrf_key_for(st.spec.seed, id);
+    let opts = SessionClientOptions {
+        id,
+        rng_seed: st.spec.seed,
+        // Short enough under failover that a client parked on a
+        // dead-but-accepting address re-enters the redial loop well
+        // inside the takeover window.
+        recv_timeout: Duration::from_secs(if failover { 5 } else { 120 }),
+    };
+    let backoff = Backoff::new(
         u64::from(id),
         Duration::from_millis(2),
         Duration::from_millis(200),
     );
+    let mut redial = Redial::new(opts, addrs.to_vec(), backoff, 2_000);
     loop {
-        if backoff.attempts() > 2_000 {
-            return Err(format!("client {id}: no coordinator reachable"));
-        }
-        let mut chan = match TcpChannel::connect(addrs[at].as_str()) {
-            Ok(chan) => chan,
-            Err(_) if shutdown.load(Ordering::Relaxed) => return Ok(()),
-            Err(e) if !failover => return Err(format!("client {id} connect: {e}")),
-            Err(_) => {
-                at = (at + 1) % addrs.len();
-                backoff.sleep();
-                continue;
-            }
-        };
-        match session_client(&mut chan, st, sample, droppers, id, recv_timeout) {
-            Ok(report) => match report.end {
-                SessionEndKind::Ended => return Ok(()),
-                // Scripted dropout: rejoin the same coordinator from the
-                // next round's announce.
-                SessionEndKind::Failed { .. } => {}
-                SessionEndKind::Aborted { round, reason } => {
-                    return Err(format!("client {id} aborted in round {round}: {reason}"))
-                }
-                SessionEndKind::ServerAborted { reason } => {
-                    return Err(format!("client {id}: server aborted: {reason}"))
-                }
+        let run = redial.run(
+            || shutdown.load(Ordering::Relaxed),
+            |_| {},
+            |r| self_select(&key, id, r, sample).map(|c| encode_claim(&c)),
+            |r| {
+                droppers
+                    .iter()
+                    .find(|d| wire_round(d.round) == r && d.client == id)
+                    .map(|d| FailPoint {
+                        stage: FailStage::MaskedInputAfterChunks(d.after_chunks),
+                        action: FailAction::Disconnect,
+                    })
             },
-            // The coordinator died under us (or we out-waited a takeover
-            // window): flip addresses and redial.
-            Err(NetError::Closed | NetError::Timeout | NetError::Unavailable) if failover => {
-                at = (at + 1) % addrs.len();
-                backoff.sleep();
-            }
+            |r, _params, cohort, payload| {
+                let global = bytes_to_global(payload)?;
+                let i = (r - 1) as u32;
+                let n = usize::from(cohort);
+                let update = client_update(st, i, id, &global);
+                let xplan = xplan_for(st, n)
+                    .map_err(|e| NetError::Protocol(format!("xnoise plan: {e}")))?;
+                encoded_input(st, r, id, &update, n, xplan.as_ref())
+                    .map_err(|e| NetError::Protocol(format!("encode: {e}")))
+            },
+            |_| None,
+        );
+        let report = match run {
+            Ok(Some(report)) => report,
+            Ok(None) => return Ok(()),
             Err(e) => return Err(format!("client {id}: {e}")),
+        };
+        match report.end {
+            SessionEndKind::Ended => return Ok(()),
+            // Scripted dropout: rejoin the same coordinator from the
+            // next round's announce.
+            SessionEndKind::Failed { .. } => {}
+            SessionEndKind::Aborted { round, reason } => {
+                return Err(format!("client {id} aborted in round {round}: {reason}"))
+            }
+            SessionEndKind::ServerAborted { reason } => {
+                return Err(format!("client {id}: server aborted: {reason}"))
+            }
         }
     }
 }

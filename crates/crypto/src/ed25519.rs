@@ -35,6 +35,12 @@
 //! [`Scalar`] arithmetic modulo `l` (`add`, `mul`, the reductions) still
 //! compares and branches on its values and is not constant-time; neither
 //! is [`Point::decompress`], which only ever sees public encodings.
+//!
+//! All of them compute the same group elements as the bitwise
+//! double-and-add they replaced, which the tests keep as the oracle
+//! (`mul_bytes`, compiled for tests only), so keys, VRF outputs, proofs
+//! and signatures are bit-identical to it; goldens recorded from it pin
+//! released proofs, signatures and claims.
 
 use std::sync::OnceLock;
 

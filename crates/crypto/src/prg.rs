@@ -6,6 +6,16 @@
 //! string deterministically identifies each stream, so a server that later
 //! learns a seed (directly or via Shamir reconstruction) regenerates exactly
 //! the same vector the client used.
+//!
+//! This module alone knows how a mask lies in the keystream (see
+//! [`Prg::fill_mod2b`]): element `i` is word `i` of the narrowest
+//! power-of-two width that holds the ring. Power-of-two lanes keep every
+//! element inside one block, aligned, so seeking to element `k`
+//! ([`Prg::new_at`]) is a shift; packing `⌊64/b⌋` elements per word
+//! would save blocks but straddle them and divide on every seek. Both
+//! ends of a mask regenerate it from this code and nothing stores one,
+//! but two builds on different layouts would produce masks that do not
+//! cancel, so the layout is part of what the wire version pins.
 
 use crate::chacha20::{KeyStream, KEY_LEN, NONCE_LEN};
 use crate::hmac::hkdf;

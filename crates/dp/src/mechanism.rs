@@ -22,6 +22,13 @@
 //! [`skellam`] (a difference of two rejection-sampled Poissons) serves
 //! variances whose table would not fit in cache and is the reference the
 //! table is tested against.
+//!
+//! The stream is read strictly in order (lane, its refinement if any,
+//! next lane), so draws do not depend on strip boundaries. A client
+//! adding noise under one stream layout and a server removing it under
+//! another would leave the difference in the aggregate, so the layout is
+//! part of what the wire version pins; `skellam_vector_golden` and
+//! `refinement_layout_golden` make a change to it loud.
 
 use dordis_crypto::prg::{Prg, Seed};
 

@@ -41,7 +41,10 @@
 //!   [`dordis_secagg::client::Client`], streaming its masked input one
 //!   chunk frame at a time, with optional fail injection (disconnect or
 //!   go silent at a chosen stage, or mid-chunk-stream) for tests and
-//!   demos.
+//!   demos, and redial with failover after a lost coordinator.
+//! - [`local`]: the local cohort — a coordinator plus one client thread
+//!   per id on 127.0.0.1, the one harness every in-process session,
+//!   test and bench runs.
 //!
 //! [`WireSize::wire_bytes`]: dordis_secagg::messages::WireSize::wire_bytes
 
@@ -54,7 +57,7 @@
 pub mod codec;
 pub mod coordinator;
 pub mod faults;
-pub mod figure12;
+pub mod local;
 pub mod pool;
 pub mod reactor;
 pub mod replication;

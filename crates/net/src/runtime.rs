@@ -10,7 +10,9 @@
 //! building a **fresh** per-round protocol state machine with per-round
 //! randomness ([`round_rng_seed`]), and answering each server broadcast
 //! — and keeps the connection warm between rounds until the server's
-//! `SessionEnd`.
+//! `SessionEnd`. [`Redial`] runs it over a TCP connection it dials,
+//! and dials again (failing over to a standby) after a lost
+//! coordinator.
 //!
 //! A detected inconsistency makes the state machine abort; the runtime
 //! forwards that as an explicit `Abort` envelope and goes silent, which
@@ -35,6 +37,7 @@ use dordis_secagg::{ClientId, RoundParams, SecAggError, ThreatModel};
 pub use dordis_secagg::driver::{client_rng, round_rng_seed, share_keys_rng};
 
 use crate::codec::{self, decode_list, Encode, Envelope, StageTag};
+use crate::tcp::TcpChannel;
 use crate::transport::{recv_env, send_env, Channel};
 use crate::NetError;
 
@@ -66,7 +69,9 @@ pub enum FailAction {
     /// Close the connection (crash / kill): the server sees `Closed`.
     Disconnect,
     /// Stay connected but stop responding: the server must detect the
-    /// dropout via its stage deadline.
+    /// dropout via its stage deadline. The client discards whatever
+    /// arrives until the coordinator hangs up (it drops a peer that
+    /// misses its deadline) or its receive window passes.
     Silent,
 }
 
@@ -192,7 +197,7 @@ where
                 })?
             }
             StageTag::Inbox => {
-                if let Some(out) = replies.fire(FailStage::MaskedInput) {
+                if let Some(out) = replies.fire(chan, FailStage::MaskedInput) {
                     return Ok(out);
                 }
                 let inbox = decode_list(&env.body, codec::decode_encrypted_shares)?;
@@ -229,7 +234,7 @@ where
                             // Mid-stream failure: k chunks are already
                             // out, the rest are never even masked.
                             if action == FailAction::Silent {
-                                std::thread::sleep(opts.silent_linger);
+                                go_silent(chan, opts.recv_timeout);
                             }
                             return Ok(ClientRunOutcome::Failed {
                                 stage: FailStage::MaskedInputAfterChunks(k as u16),
@@ -307,12 +312,10 @@ pub struct SessionClientOptions {
     /// How long to wait for each server frame (must comfortably exceed
     /// the server's per-stage deadline). Between rounds this must
     /// cover a whole round the client is *not* seated in (it hears
-    /// nothing until the next announce).
+    /// nothing until the next announce). It also bounds how long a
+    /// [`FailAction::Silent`] client waits for the coordinator to hang
+    /// up on it.
     pub recv_timeout: Duration,
-    /// For [`FailAction::Silent`]: how long to keep the connection open
-    /// while unresponsive. Set this past the server's stage deadline so
-    /// the dropout is detected by timeout rather than by disconnect.
-    pub silent_linger: Duration,
 }
 
 /// One round's result from the session client's perspective.
@@ -560,7 +563,8 @@ impl Backoff {
         self.attempt
     }
 
-    /// Forgets the attempt count — call after a successful connection,
+    /// Forgets the attempt count — call once the connection is back
+    /// (as [`Redial`] does when a coordinator seats the client again),
     /// so a much later disconnect starts fresh from `base`.
     pub fn reset(&mut self) {
         self.attempt = 0;
@@ -594,8 +598,150 @@ impl Backoff {
     }
 }
 
+// ---------------------------------------------------------------------
+// Redial with failover.
+// ---------------------------------------------------------------------
+
+/// A session client's options, where it dials, and how it comes back
+/// after losing its coordinator.
+///
+/// With one address, a failed dial or a lost connection ends the run as
+/// an error. With several (a primary and its standby), either moves the
+/// client to the next address after a jittered [`Backoff`] step until
+/// one of them seats it again. The attempt count is per outage: it
+/// restarts when a coordinator seats the client (its first `Setup`
+/// arrives), and an outage that takes more than `max_attempts` backoff
+/// steps is an error.
+pub struct Redial {
+    opts: SessionClientOptions,
+    addrs: Vec<String>,
+    at: usize,
+    backoff: Backoff,
+    max_attempts: u32,
+}
+
+impl Redial {
+    /// Dials `addrs[0]` first; see the type docs for the rest.
+    ///
+    /// # Panics
+    ///
+    /// If `addrs` is empty.
+    #[must_use]
+    pub fn new(
+        opts: SessionClientOptions,
+        addrs: Vec<String>,
+        backoff: Backoff,
+        max_attempts: u32,
+    ) -> Redial {
+        assert!(!addrs.is_empty(), "a client needs a coordinator address");
+        Redial {
+            opts,
+            addrs,
+            at: 0,
+            backoff,
+            max_attempts,
+        }
+    }
+
+    /// The address the next dial goes to.
+    #[must_use]
+    pub fn addr(&self) -> &str {
+        &self.addrs[self.at]
+    }
+
+    /// The backoff schedule: its attempt count is the backoff steps taken
+    /// since the client was last seated.
+    #[must_use]
+    pub fn backoff(&self) -> &Backoff {
+        &self.backoff
+    }
+
+    fn fail_over(&mut self) {
+        self.at = (self.at + 1) % self.addrs.len();
+        self.backoff.sleep();
+    }
+
+    /// Runs [`run_session_client`] (with these closures) over a
+    /// connection to [`Redial::addr`], redialing as the type docs say;
+    /// `on_lost` hears each lost connection before the failover step.
+    /// A later call dials the address the last one ended on, so a client
+    /// re-joining after a scripted failure finds the coordinator that
+    /// seated it.
+    ///
+    /// Returns the session's report, or `None` when `stop()` held after
+    /// a failed dial.
+    ///
+    /// # Errors
+    ///
+    /// A failed dial or lost connection without a second address, an
+    /// outage past `max_attempts` steps ([`NetError::Unavailable`]), and
+    /// every other error of [`run_session_client`].
+    pub fn run<FSel, FFail, FIn, FId>(
+        &mut self,
+        stop: impl Fn() -> bool,
+        mut on_lost: impl FnMut(&Redial),
+        mut select: FSel,
+        mut fail_for: FFail,
+        mut input_for: FIn,
+        mut identity_for: FId,
+    ) -> Result<Option<SessionClientReport>, NetError>
+    where
+        FSel: FnMut(u64) -> Option<Vec<u8>>,
+        FFail: FnMut(u64) -> Option<FailPoint>,
+        FIn: FnMut(u64, &RoundParams, u16, &[u8]) -> Result<ClientInput, NetError>,
+        FId: FnMut(&RoundParams) -> Option<Identity>,
+    {
+        let failover = self.addrs.len() > 1;
+        loop {
+            if self.backoff.attempts() > self.max_attempts {
+                return Err(NetError::Unavailable);
+            }
+            let mut chan = match TcpChannel::connect(self.addr()) {
+                Ok(chan) => chan,
+                Err(_) if stop() => return Ok(None),
+                Err(e) if !failover => return Err(e),
+                Err(_) => {
+                    self.fail_over();
+                    continue;
+                }
+            };
+            let backoff = &mut self.backoff;
+            let run = run_session_client(
+                &mut chan,
+                &self.opts,
+                &mut select,
+                &mut fail_for,
+                |round, params, cohort, payload| {
+                    // Seated again: the outage is over.
+                    backoff.reset();
+                    input_for(round, params, cohort, payload)
+                },
+                &mut identity_for,
+            );
+            match run {
+                Ok(report) => return Ok(Some(report)),
+                // A dead coordinator, not a protocol failure.
+                Err(NetError::Closed | NetError::Timeout | NetError::Unavailable) if failover => {
+                    on_lost(self);
+                    self.fail_over();
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
 fn recv_until(chan: &mut dyn Channel, timeout: Duration) -> Result<Envelope, NetError> {
     recv_env(chan, Instant::now() + timeout)
+}
+
+/// A [`FailAction::Silent`] failure: stays connected and unresponsive,
+/// discarding every frame, until the coordinator hangs up on the missed
+/// deadline or `timeout` passes — so the dropout is detected by the
+/// deadline, as a partitioned client's would be.
+fn go_silent(chan: &mut dyn Channel, timeout: Duration) {
+    let deadline = Instant::now() + timeout;
+    while recv_env(chan, deadline).is_ok() {}
 }
 
 /// One round's replies to the server's broadcasts: where a scripted
@@ -608,17 +754,13 @@ struct Replies<'o> {
 
 impl Replies<'_> {
     /// Fires the fail point if configured for `stage`.
-    fn fire(&self, stage: FailStage) -> Option<ClientRunOutcome> {
+    fn fire(&self, chan: &mut dyn Channel, stage: FailStage) -> Option<ClientRunOutcome> {
         let fail = self.fail?;
         if fail.stage != stage {
             return None;
         }
         if fail.action == FailAction::Silent {
-            // Stay connected but unresponsive past the server's stage
-            // deadline, so the dropout is detected by timeout (a real
-            // partitioned client would hang indefinitely). The caller
-            // holds the channel, so merely sleeping keeps it open.
-            std::thread::sleep(self.opts.silent_linger);
+            go_silent(chan, self.opts.recv_timeout);
         }
         Some(ClientRunOutcome::Failed { stage })
     }
@@ -634,7 +776,7 @@ impl Replies<'_> {
         tag: StageTag,
         step: impl FnOnce() -> Result<Vec<u8>, SecAggError>,
     ) -> Result<Option<ClientRunOutcome>, NetError> {
-        if let Some(out) = self.fire(stage) {
+        if let Some(out) = self.fire(chan, stage) {
             return Ok(Some(out));
         }
         match step() {

@@ -6,13 +6,12 @@
 //! mid-stream never reaches U3, exactly like a missed single-frame
 //! masked input.
 
-mod common;
-
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use dordis_net::codec::{self, encode_list, Encode, Envelope, StageTag};
 use dordis_net::coordinator::{DropKind, NetRoundReport};
+use dordis_net::local;
 use dordis_net::runtime::{round_rng_seed, ClientRunOutcome, FailAction, FailPoint, FailStage};
 use dordis_net::session::SessionConfig;
 use dordis_net::transport::{recv_env, send_env, Channel, ThrottledChannel};
@@ -88,17 +87,17 @@ fn net_round(
     chunks: usize,
     stage_timeout: Duration,
 ) -> NetRoundReport {
-    let (mut acceptor, addr) = common::listen();
+    let (mut acceptor, addr) = local::listen();
     let cfg = SessionConfig {
         stage_timeout,
         chunks,
-        ..common::one_round(params.clone())
+        ..local::one_round(params.clone())
     };
     let (inputs, fails) = (inputs.clone(), fails.clone());
     let ids = params.clients.clone();
-    let (mut reports, clients) = common::run_session(&mut acceptor, cfg, ids, move |id| {
-        let mut chan = common::dial(&addr);
-        common::roster_client(
+    let (mut reports, clients) = local::run_session(&mut acceptor, cfg, ids, move |id| {
+        let mut chan = local::dial(&addr);
+        local::roster_client(
             &mut chan,
             id,
             SEED,
@@ -347,14 +346,14 @@ fn masked_chunk_from_outside_u2_drops_that_peer_only() {
     for (hostile, chunks, drop) in table {
         let d = driver_round(&p, &ins, &[(HOSTILE, drop)]);
 
-        let (mut acceptor, addr) = common::listen();
+        let (mut acceptor, addr) = local::listen();
         let inputs = ins.clone();
         let cfg = SessionConfig {
             chunks,
-            ..common::one_round(p.clone())
+            ..local::one_round(p.clone())
         };
-        let (mut reports, clients) = common::run_session(&mut acceptor, cfg, 0..5, move |id| {
-            let raw = common::dial(&addr);
+        let (mut reports, clients) = local::run_session(&mut acceptor, cfg, 0..5, move |id| {
+            let raw = local::dial(&addr);
             if id == HOSTILE {
                 let relabel = match hostile {
                     Hostile::OutsideU2 => {
@@ -371,7 +370,7 @@ fn masked_chunk_from_outside_u2_drops_that_peer_only() {
                 };
                 // Dropped mid-round: its run ends on a closed channel.
                 let input = |_| inputs[&id].clone();
-                let _ = common::roster_client(&mut chan, id, SEED, |_| None, input, None);
+                let _ = local::roster_client(&mut chan, id, SEED, |_| None, input, None);
                 return None;
             }
             // Honest uplinks pay 100 ms a frame, so the hostile chunk is
@@ -379,7 +378,7 @@ fn masked_chunk_from_outside_u2_drops_that_peer_only() {
             let mut chan =
                 ThrottledChannel::new(Box::new(raw), u64::MAX, Duration::from_millis(100));
             let run =
-                common::roster_client(&mut chan, id, SEED, |_| None, |_| inputs[&id].clone(), None);
+                local::roster_client(&mut chan, id, SEED, |_| None, |_| inputs[&id].clone(), None);
             Some(run.unwrap_or_else(|e| panic!("client {id}: {e}")))
         });
         let n = reports.pop().expect("one round");

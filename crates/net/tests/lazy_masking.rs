@@ -4,14 +4,13 @@
 //! because they were never computed — and a healthy client's frames
 //! leave in schedule order.
 
-mod common;
-
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dordis_net::codec::{EnvelopeView, StageTag};
 use dordis_net::coordinator::DropKind;
+use dordis_net::local;
 use dordis_net::runtime::{round_rng_seed, FailAction, FailPoint, FailStage};
 use dordis_net::session::SessionConfig;
 use dordis_net::transport::Channel;
@@ -78,23 +77,23 @@ fn a_dropper_after_one_of_four_chunks_sends_exactly_one_chunk_frame() {
         .collect();
     let logs: BTreeMap<ClientId, Sent> = (0..6).map(|id| (id, Sent::default())).collect();
 
-    let (mut acceptor, addr) = common::listen();
+    let (mut acceptor, addr) = local::listen();
     let cfg = SessionConfig {
         stage_timeout: Duration::from_secs(5),
         chunks: 4,
-        ..common::one_round(params.clone())
+        ..local::one_round(params.clone())
     };
     let (client_inputs, client_logs) = (inputs.clone(), logs.clone());
-    let (mut reports, clients) = common::run_session(&mut acceptor, cfg, 0..6, move |id| {
+    let (mut reports, clients) = local::run_session(&mut acceptor, cfg, 0..6, move |id| {
         let mut chan = FrameLog {
-            inner: common::dial(&addr),
+            inner: local::dial(&addr),
             sent: Arc::clone(&client_logs[&id]),
         };
         let fail = (id == DROPPER).then_some(FailPoint {
             stage: FailStage::MaskedInputAfterChunks(1),
             action: FailAction::Disconnect,
         });
-        common::roster_client(
+        local::roster_client(
             &mut chan,
             id,
             SEED,

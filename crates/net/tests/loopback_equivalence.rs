@@ -6,13 +6,12 @@
 //! The client runtime derives its per-client RNGs exactly as the driver
 //! does, so the equivalence is bit-for-bit, not just distributional.
 
-mod common;
-
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use dordis_net::coordinator::{DropKind, NetRoundReport};
+use dordis_net::local;
 use dordis_net::runtime::{round_rng_seed, FailAction, FailPoint, FailStage};
 use dordis_net::session::SessionConfig;
 use dordis_secagg::client::{ClientInput, Identity};
@@ -85,7 +84,7 @@ fn net_round(
     join_timeout: Duration,
     stage_timeout: Duration,
 ) -> NetRoundReport {
-    let (mut acceptor, addr) = common::listen();
+    let (mut acceptor, addr) = local::listen();
     let registry: Option<Arc<BTreeMap<ClientId, _>>> =
         if params.threat_model == ThreatModel::Malicious {
             Some(Arc::new(
@@ -101,17 +100,17 @@ fn net_round(
     let cfg = SessionConfig {
         join_timeout,
         stage_timeout,
-        ..common::one_round(params.clone())
+        ..local::one_round(params.clone())
     };
     let (inputs, fails) = (inputs.clone(), fails.clone());
     let ids: Vec<ClientId> = inputs.keys().copied().collect();
-    let (mut reports, clients) = common::run_session(&mut acceptor, cfg, ids, move |id| {
-        let mut chan = common::dial(&addr);
+    let (mut reports, clients) = local::run_session(&mut acceptor, cfg, ids, move |id| {
+        let mut chan = local::dial(&addr);
         let identity = registry.clone().map(|reg| Identity {
             signing: signing_key_for(SEED, id),
             registry: reg,
         });
-        common::roster_client(
+        local::roster_client(
             &mut chan,
             id,
             SEED,

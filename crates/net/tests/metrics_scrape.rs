@@ -10,10 +10,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dordis_net::runtime::{run_session_client, SessionClientOptions, SessionEndKind};
+use dordis_net::local;
+use dordis_net::runtime::SessionEndKind;
 use dordis_net::session::{Seating, Session, SessionConfig};
-use dordis_net::tcp::{TcpAcceptor, TcpChannel};
-use dordis_net::transport::Acceptor as _;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
@@ -66,30 +65,14 @@ fn scrape(addr: SocketAddr) -> String {
 #[test]
 fn live_scrape_mid_round_with_full_trace_coverage() {
     let telemetry = Telemetry::enabled();
-    let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
-    let mut client_handles = Vec::new();
-    for id in 0..N {
-        let addr = acceptor.local_addr();
-        client_handles.push(std::thread::spawn(move || {
-            let mut chan = TcpChannel::connect(addr.as_str()).expect("connect");
-            let opts = SessionClientOptions {
-                id,
-                rng_seed: SEED,
-                recv_timeout: Duration::from_secs(30),
-                silent_linger: Duration::from_secs(1),
-            };
-            let report = run_session_client(
-                &mut chan,
-                &opts,
-                |_| None,
-                |_| None,
-                |r, _params, _cohort, _payload| Ok(input_for(id, r)),
-                |_| None,
-            )
-            .expect("session client");
-            assert!(matches!(report.end, SessionEndKind::Ended));
-        }));
-    }
+    let (mut acceptor, addr) = local::listen();
+    let cohort = local::spawn(0..N, move |id| {
+        let mut chan = local::dial(&addr);
+        let report =
+            local::roster_client(&mut chan, id, SEED, |_| None, |r| input_for(id, r), None)
+                .expect("session client");
+        assert!(matches!(report.end, SessionEndKind::Ended));
+    });
 
     let cfg = SessionConfig {
         chunks: CHUNKS,
@@ -142,9 +125,7 @@ fn live_scrape_mid_round_with_full_trace_coverage() {
     reports.push(session.run_round(&[]).expect("round 2"));
     let pages = scraper.join().expect("scraper thread");
     session.finish();
-    for h in client_handles {
-        h.join().expect("client thread");
-    }
+    cohort.reap().expect("client thread");
     assert!(pages > 0, "the scraper never completed a GET");
 
     // O(events) must survive the scrape listener riding on the same

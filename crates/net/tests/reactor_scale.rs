@@ -12,11 +12,10 @@
 //! several clients disconnect mid-stream, so the per-(stage, chunk)
 //! dropout machinery runs at scale too.
 
-mod common;
-
 use std::time::{Duration, Instant};
 
 use dordis_net::coordinator::DropKind;
+use dordis_net::local;
 use dordis_net::reactor::TICK;
 use dordis_net::runtime::{ClientRunOutcome, FailAction, FailPoint, FailStage, SessionEndKind};
 use dordis_net::session::SessionConfig;
@@ -53,16 +52,16 @@ fn broadcast_encodes_at_three_clients(shape: &RoundParams) -> u64 {
         graph: MaskingGraph::harary_for(3),
         ..shape.clone()
     };
-    let (mut acceptor, addr) = common::listen();
+    let (mut acceptor, addr) = local::listen();
     let telemetry = Telemetry::enabled();
     let cfg = SessionConfig {
         chunks: CHUNKS,
         telemetry: telemetry.clone(),
-        ..common::one_round(params)
+        ..local::one_round(params)
     };
-    common::run_session(&mut acceptor, cfg, 0..3, move |id| {
-        let mut chan = common::dial(&addr);
-        common::roster_client(&mut chan, id, SEED, |_| None, |_| input_for(id), None).expect("run")
+    local::run_session(&mut acceptor, cfg, 0..3, move |id| {
+        let mut chan = local::dial(&addr);
+        local::roster_client(&mut chan, id, SEED, |_| None, |_| input_for(id), None).expect("run")
     });
     let snap = telemetry.snapshot().expect("enabled telemetry");
     snap.get("dordis_broadcast_encodes_total")
@@ -82,14 +81,14 @@ fn single_thread_serves_256_connections_with_o_events_wakeups() {
     };
     params.validate().expect("valid scale params");
 
-    let (mut acceptor, addr) = common::listen();
+    let (mut acceptor, addr) = local::listen();
 
     // The 256th connection: not in the sampled set, must be turned away
     // at join while everyone else proceeds. Connected *first* (the
     // listen queue hands connections out FIFO) so its rejection is
     // deterministically processed while the join loop is still running.
     const EXTRA: ClientId = 999;
-    let extra_chan = std::sync::Mutex::new(Some(common::dial(&addr)));
+    let extra_chan = std::sync::Mutex::new(Some(local::dial(&addr)));
 
     // Generous deadlines: 255 debug-build clients share this machine's
     // cores, and the assertion below is about wake-ups, not wall-clock.
@@ -99,20 +98,20 @@ fn single_thread_serves_256_connections_with_o_events_wakeups() {
         stage_timeout: Duration::from_secs(240),
         chunks: CHUNKS,
         telemetry: telemetry.clone(),
-        ..common::one_round(params.clone())
+        ..local::one_round(params.clone())
     };
     let start = Instant::now();
     let ids = std::iter::once(EXTRA).chain(0..N);
-    let (mut reports, mut clients) = common::run_session(&mut acceptor, cfg, ids, move |id| {
+    let (mut reports, mut clients) = local::run_session(&mut acceptor, cfg, ids, move |id| {
         let mut chan = match id {
             EXTRA => extra_chan.lock().expect("extra").take().expect("once"),
-            _ => common::dial(&addr),
+            _ => local::dial(&addr),
         };
         let fail = MIDSTREAM_DROPS.contains(&id).then_some(FailPoint {
             stage: FailStage::MaskedInputAfterChunks((id % CHUNKS as u32) as u16),
             action: FailAction::Disconnect,
         });
-        common::roster_client(&mut chan, id, SEED, |_| fail, |_| input_for(id), None).expect("run")
+        local::roster_client(&mut chan, id, SEED, |_| fail, |_| input_for(id), None).expect("run")
     });
     let elapsed = start.elapsed();
     let report = reports.pop().expect("one round");

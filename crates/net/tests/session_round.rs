@@ -1,8 +1,7 @@
 //! Session-layer tests: multi-round execution over persistent
-//! connections, per-round state isolation, dropout-then-rejoin, and
-//! typed stale-frame rejection on both sides of the wire.
-
-mod common;
+//! connections, per-round state isolation, dropout-then-rejoin, typed
+//! stale-frame rejection on both sides of the wire, silent failures and
+//! redialing after a lost coordinator.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -11,12 +10,13 @@ use std::time::{Duration, Instant};
 
 use dordis_net::codec::{Envelope, StageTag};
 use dordis_net::coordinator::{DropKind, NetRoundReport};
+use dordis_net::local;
 use dordis_net::runtime::{
-    round_rng_seed, run_session_client, ClientRunOutcome, FailAction, FailPoint, FailStage,
-    SessionClientOptions, SessionEndKind,
+    round_rng_seed, Backoff, ClientRunOutcome, FailAction, FailPoint, FailStage, Redial,
+    SessionEndKind,
 };
 use dordis_net::session::{Seating, SeatingOutcome, Session, SessionConfig};
-use dordis_net::tcp::TcpChannel;
+use dordis_net::tcp::{TcpAcceptor, TcpChannel};
 use dordis_net::transport::{Channel, LossProfile, ThrottledChannel};
 use dordis_net::NetError;
 use dordis_secagg::client::ClientInput;
@@ -98,12 +98,12 @@ fn run_session(
     rounds: u64,
     dropper: impl Fn(u64) -> Option<(ClientId, u16)> + Send + Sync + 'static,
 ) -> Vec<NetRoundReport> {
-    let (mut acceptor, addr) = common::listen();
+    let (mut acceptor, addr) = local::listen();
     let (reports, clients) =
-        common::run_session(&mut acceptor, roster_cfg(rounds), 0..N, move |id| loop {
+        local::run_session(&mut acceptor, roster_cfg(rounds), 0..N, move |id| loop {
             let mut chan =
                 TcpChannel::connect(addr.as_str()).map_err(|e| format!("connect: {e}"))?;
-            let report = common::roster_client(
+            let report = local::roster_client(
                 &mut chan,
                 id,
                 SEED,
@@ -227,14 +227,14 @@ fn dropout_then_rejoin_completes_next_round() {
 #[test]
 fn session_rounds_complete_under_packet_loss_and_reorder() {
     const ROUNDS: u64 = 3;
-    let (mut acceptor, addr) = common::listen();
+    let (mut acceptor, addr) = local::listen();
     let cfg = SessionConfig {
         // Short: every lost chunk costs the coordinator exactly one
         // masked-stage deadline wait before the dropout is declared.
         stage_timeout: Duration::from_secs(3),
         ..roster_cfg(ROUNDS)
     };
-    let (reports, clients) = common::run_session(&mut acceptor, cfg, 0..N, move |id| loop {
+    let (reports, clients) = local::run_session(&mut acceptor, cfg, 0..N, move |id| loop {
         let raw = TcpChannel::connect(addr.as_str()).map_err(|e| format!("connect: {e}"))?;
         let mut chan =
             ThrottledChannel::new(Box::new(raw), u64::MAX, Duration::ZERO).with_loss(LossProfile {
@@ -242,7 +242,7 @@ fn session_rounds_complete_under_packet_loss_and_reorder() {
                 reorder_prob: 0.05,
                 seed: 1_000 + u64::from(id),
             });
-        match common::roster_client(&mut chan, id, SEED, |_| None, |r| input_for(id, r), None) {
+        match local::roster_client(&mut chan, id, SEED, |_| None, |r| input_for(id, r), None) {
             Ok(report) => match report.end {
                 SessionEndKind::Ended => return Ok(()),
                 SessionEndKind::Failed { .. } => continue,
@@ -309,34 +309,17 @@ fn session_rounds_complete_under_packet_loss_and_reorder() {
 /// parked, so the next round runs over the *same* connections.
 #[test]
 fn unseatable_round_keeps_the_cohort_parked_for_the_next_round() {
-    let (mut acceptor, addr) = common::listen();
-    let mut handles = Vec::new();
-    for id in 0..N {
-        let addr = addr.clone();
-        handles.push(std::thread::spawn(move || -> Result<Vec<u64>, String> {
-            let mut chan =
-                TcpChannel::connect(addr.as_str()).map_err(|e| format!("connect: {e}"))?;
-            let opts = SessionClientOptions {
-                id,
-                rng_seed: SEED,
-                recv_timeout: Duration::from_secs(30),
-                silent_linger: Duration::from_secs(1),
-            };
-            let report = run_session_client(
-                &mut chan,
-                &opts,
-                |_| Some(Vec::new()),
-                |_| None,
-                |r, _params, _cohort, _payload| Ok(input_for(id, r)),
-                |_| None,
-            )
-            .map_err(|e| format!("client {id}: {e}"))?;
-            match report.end {
-                SessionEndKind::Ended => Ok(report.rounds.iter().map(|r| r.round).collect()),
-                other => Err(format!("client {id}: unexpected end {other:?}")),
-            }
-        }));
-    }
+    let (mut acceptor, addr) = local::listen();
+    let cohort = local::spawn(0..N, move |id| -> Result<Vec<u64>, String> {
+        let mut chan = local::dial(&addr);
+        let report =
+            local::roster_client(&mut chan, id, SEED, |_| None, |r| input_for(id, r), None)
+                .map_err(|e| format!("client {id}: {e}"))?;
+        match report.end {
+            SessionEndKind::Ended => Ok(report.rounds.iter().map(|r| r.round).collect()),
+            other => Err(format!("client {id}: unexpected end {other:?}")),
+        }
+    });
 
     let telemetry = Telemetry::enabled();
     let cfg = SessionConfig {
@@ -379,9 +362,12 @@ fn unseatable_round_keeps_the_cohort_parked_for_the_next_round() {
     assert_eq!(report.outcome.sum, mem.sum);
     assert_eq!(report.outcome.survivors, mem.survivors);
     session.finish();
-    for h in handles {
-        let played = h.join().expect("client thread").expect("client result");
-        assert_eq!(played, vec![2], "one connection, round 2 only");
+    for played in cohort.reap().expect("client thread").into_values() {
+        assert_eq!(
+            played.expect("client result"),
+            vec![2],
+            "one connection, round 2 only"
+        );
     }
     let metrics = telemetry.snapshot().expect("enabled");
     assert_eq!(metrics.get("dordis_rejoins_total"), 0);
@@ -395,7 +381,7 @@ fn unseatable_round_keeps_the_cohort_parked_for_the_next_round() {
 fn client_rejects_stale_round_frame_with_typed_error() {
     let (mut server_end, mut client_end) = TcpChannel::pair().expect("pair");
     let client = std::thread::spawn(move || {
-        common::roster_client(
+        local::roster_client(
             &mut client_end,
             0,
             SEED,
@@ -481,11 +467,11 @@ impl Channel for StaleInjector {
 fn coordinator_discards_stale_frames_without_dropping_the_peer() {
     // A control-stage frame, and the first masked-input chunk frame.
     for stage in [StageTag::AdvertiseKeys, StageTag::MaskedInput] {
-        let (mut acceptor, addr) = common::listen();
+        let (mut acceptor, addr) = local::listen();
         let injected = Arc::new(AtomicU32::new(0));
-        let cfg = common::one_round(params_for_round(5));
-        let (mut reports, clients) = common::run_session(&mut acceptor, cfg, 0..N, move |id| {
-            let inner = common::dial(&addr);
+        let cfg = local::one_round(params_for_round(5));
+        let (mut reports, clients) = local::run_session(&mut acceptor, cfg, 0..N, move |id| {
+            let inner = local::dial(&addr);
             let mut chan: Box<dyn Channel> = if id == 2 {
                 let injected = Arc::clone(&injected);
                 Box::new(StaleInjector {
@@ -496,7 +482,7 @@ fn coordinator_discards_stale_frames_without_dropping_the_peer() {
             } else {
                 Box::new(inner)
             };
-            common::roster_client(
+            local::roster_client(
                 chan.as_mut(),
                 id,
                 SEED,
@@ -515,5 +501,124 @@ fn coordinator_discards_stale_frames_without_dropping_the_peer() {
         let mem = driver_round(5, &[]);
         assert_eq!(report.outcome.sum, mem.sum);
         assert_eq!(report.outcome.survivors, mem.survivors);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Silent failures and redialing.
+// ---------------------------------------------------------------------
+
+/// A silent client holds its connection until the coordinator hangs up
+/// on the missed deadline, so it returns `Failed` just after the 500 ms
+/// masked-stage deadline instead of after a linger of its own.
+#[test]
+fn silent_client_returns_when_the_coordinator_hangs_up() {
+    let (mut acceptor, addr) = local::listen();
+    let cfg = SessionConfig {
+        stage_timeout: Duration::from_millis(500),
+        ..local::one_round(params_for_round(1))
+    };
+    let (reports, mut clients) = local::run_session(&mut acceptor, cfg, 0..N, move |id| {
+        let start = Instant::now();
+        let mut chan = local::dial(&addr);
+        let fail = (id == 2).then_some(FailPoint {
+            stage: FailStage::MaskedInput,
+            action: FailAction::Silent,
+        });
+        let report =
+            local::roster_client(&mut chan, id, SEED, |_| fail, |r| input_for(id, r), None)
+                .expect("client run");
+        (report, start.elapsed())
+    });
+    assert_eq!(reports[0].outcome.dropped, vec![2]);
+    assert!(reports[0]
+        .dropouts
+        .iter()
+        .any(|d| d.client == 2 && d.kind == DropKind::DeadlineMissed));
+    let (report, waited) = clients.remove(&2).expect("client 2");
+    assert!(
+        matches!(
+            report.end,
+            SessionEndKind::Failed {
+                stage: FailStage::MaskedInput,
+                ..
+            }
+        ),
+        "{:?}",
+        report.end
+    );
+    assert!(
+        waited < Duration::from_millis(1500),
+        "the silent client outlived its hang-up: {waited:?}"
+    );
+}
+
+/// A two-client roster round on `first_round`.
+fn pair_cfg(first_round: u64) -> SessionConfig<'static> {
+    SessionConfig {
+        first_round,
+        population: vec![0, 1],
+        ..SessionConfig::new(
+            1,
+            Seating::Roster,
+            Box::new(|round, _| RoundParams {
+                clients: vec![0, 1],
+                threshold: 2,
+                ..params_for_round(round)
+            }),
+        )
+    }
+}
+
+/// Each outage counts its dials from zero: a client that the standby
+/// seated after one outage meets the next with a fresh backoff, not with
+/// the first outage's attempts piled on.
+#[test]
+fn redial_backoff_restarts_once_reseated() {
+    let (mut primary, primary_addr) = local::listen();
+    // The standby is down until the primary has died.
+    let (standby, standby_addr) = local::listen();
+    drop(standby);
+    let addrs = vec![primary_addr, standby_addr.clone()];
+    let cohort = local::spawn(0..2, move |id| {
+        let backoff = Backoff::new(
+            u64::from(id),
+            Duration::from_millis(2),
+            Duration::from_millis(20),
+        );
+        let mut losses = Vec::new();
+        let end = Redial::new(local::options(id, SEED), addrs.clone(), backoff, 50).run(
+            || false,
+            |redial| losses.push(redial.backoff().attempts()),
+            |_| None,
+            |_| None,
+            |r, _, _, _| Ok(input_for(id, r)),
+            |_| None,
+        );
+        (end, losses)
+    });
+
+    // Round 1 on the primary, which then dies without a SessionEnd.
+    let mut session = Session::new(&mut primary, pair_cfg(1)).expect("primary");
+    let round = session.run_round(&[]).expect("round 1");
+    assert_eq!(round.outcome.survivors, vec![0, 1]);
+    drop(session);
+    drop(primary);
+    // Outage 1: the clients dial the dead primary and the dead standby
+    // in turn, a few milliseconds apart, for 200 ms.
+    std::thread::sleep(Duration::from_millis(200));
+    let mut standby = TcpAcceptor::bind(standby_addr.as_str()).expect("rebind the standby");
+    let mut session = Session::new(&mut standby, pair_cfg(2)).expect("standby");
+    let round = session.run_round(&[]).expect("round 2");
+    assert_eq!(round.outcome.survivors, vec![0, 1]);
+    // Outage 2: nothing comes back, so the clients give up.
+    drop(session);
+    drop(standby);
+    for (id, (end, losses)) in cohort.reap().expect("client thread") {
+        assert!(
+            matches!(end, Err(NetError::Unavailable)),
+            "client {id}: {end:?}"
+        );
+        assert_eq!(losses, vec![0, 0], "client {id}");
     }
 }

@@ -2,12 +2,11 @@
 //! client disconnecting mid-round (the "killed client" scenario), and
 //! the outcome checked against the expected survivor aggregate.
 
-mod common;
-
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use dordis_net::coordinator::DropKind;
+use dordis_net::local;
 use dordis_net::runtime::{FailAction, FailPoint, FailStage};
 use dordis_net::session::SessionConfig;
 use dordis_secagg::client::ClientInput;
@@ -41,23 +40,23 @@ fn tcp_secagg_plus_round_with_mid_round_kill() {
         graph: MaskingGraph::harary_for(N as usize),
     };
 
-    let (mut acceptor, addr) = common::listen();
+    let (mut acceptor, addr) = local::listen();
 
     let telemetry = Telemetry::enabled();
     let cfg = SessionConfig {
         join_timeout: Duration::from_secs(15),
         stage_timeout: Duration::from_secs(8),
         telemetry: telemetry.clone(),
-        ..common::one_round(params)
+        ..local::one_round(params)
     };
-    let (mut reports, clients) = common::run_session(&mut acceptor, cfg, 0..N, move |id| {
-        let mut chan = common::dial(&addr);
+    let (mut reports, clients) = local::run_session(&mut acceptor, cfg, 0..N, move |id| {
+        let mut chan = local::dial(&addr);
         // Client 2 "dies" just before sending its masked input.
         let fail = (id == 2).then_some(FailPoint {
             stage: FailStage::MaskedInput,
             action: FailAction::Disconnect,
         });
-        common::roster_client(&mut chan, id, 9, |_| fail, |_| input_for(id), None)
+        local::roster_client(&mut chan, id, 9, |_| fail, |_| input_for(id), None)
     });
     for (id, run) in clients {
         run.unwrap_or_else(|e| panic!("client {id}: {e}"));

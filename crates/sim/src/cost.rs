@@ -2,16 +2,13 @@
 //!
 //! Computes the duration of each of Table 1's five stages from protocol
 //! op counts (masks expanded, secrets shared, seeds regenerated, bytes
-//! moved) times calibrated unit costs. Two calibrations ship:
+//! moved) times calibrated unit costs. One calibration ships,
+//! [`UnitCosts::paper_testbed`]: scaled to reproduce the magnitudes of
+//! the paper's Python/PyTorch prototype on throttled EC2 instances
+//! (Figures 2 and 10 of the paper live in this regime — per-element
+//! costs two orders of magnitude above native Rust).
 //!
-//! - [`UnitCosts::rust_native`]: microbenchmark-derived costs of *this*
-//!   repository's primitives on commodity x86 (what you would deploy),
-//! - [`UnitCosts::paper_testbed`]: scaled to reproduce the magnitudes of
-//!   the paper's Python/PyTorch prototype on throttled EC2 instances
-//!   (Figures 2 and 10 of the paper live in this regime — per-element
-//!   costs two orders of magnitude above native Rust).
-//!
-//! Either way, the *shape* of the results (SecAgg dominance, XNoise
+//! The *shape* of the results (SecAgg dominance, XNoise
 //! overhead shrinking with dropout, pipeline speedups growing with model
 //! size) is calibration-independent; `tests/reproduction_shapes.rs` at
 //! the workspace root pins those shapes.
@@ -81,28 +78,6 @@ pub struct UnitCosts {
 }
 
 impl UnitCosts {
-    /// Costs of this repository's Rust primitives on commodity x86.
-    #[must_use]
-    pub fn rust_native() -> Self {
-        UnitCosts {
-            prg_byte_ns: 6.0,
-            skellam_elem_ns: 60.0,
-            encode_elem_ns: 25.0,
-            decode_elem_ns: 20.0,
-            add_elem_ns: 2.0,
-            ka_keygen_us: 300.0,
-            ka_agree_us: 300.0,
-            shamir_share_us: 30.0,
-            shamir_recon_us: 200.0,
-            aead_byte_ns: 10.0,
-            sig_us: 500.0,
-            rtt_secs: 0.05,
-            server_speedup: 8.0,
-            server_bandwidth_mbps: 10_000.0,
-            intervention_secs: 0.15,
-        }
-    }
-
     /// Costs scaled to the paper's Python prototype on c5.xlarge clients
     /// (matching the Figure 2/10 magnitudes).
     #[must_use]
@@ -364,7 +339,7 @@ mod tests {
 
     #[test]
     fn five_stages_with_alternating_resources() {
-        let m = CostModel::new(UnitCosts::rust_native());
+        let m = CostModel::new(UnitCosts::paper_testbed());
         let stages = m.stage_costs(&input(1_000_000, 100, Protocol::SecAgg));
         assert_eq!(stages.len(), 5);
         let resources: Vec<Resource> = stages.iter().map(|s| s.resource).collect();
@@ -403,7 +378,7 @@ mod tests {
 
     #[test]
     fn plain_is_cheapest() {
-        let m = CostModel::new(UnitCosts::rust_native());
+        let m = CostModel::new(UnitCosts::paper_testbed());
         let (plain, _) = m.plain_round(&input(1_000_000, 64, Protocol::Plain));
         let (secagg, _) = m.plain_round(&input(1_000_000, 64, Protocol::SecAgg));
         assert!(plain < secagg);
@@ -458,7 +433,12 @@ mod tests {
 
     #[test]
     fn straggler_bandwidth_drives_comm() {
-        let m = CostModel::new(UnitCosts::rust_native());
+        // A server NIC that is not the bottleneck, so the straggler's
+        // uplink is.
+        let m = CostModel::new(UnitCosts {
+            server_bandwidth_mbps: 10_000.0,
+            ..UnitCosts::paper_testbed()
+        });
         let mut inp = input(11_000_000, 16, Protocol::SecAgg);
         let slow = m.stage_costs(&inp)[1].secs;
         inp.straggler.bandwidth_mbps = 210.0;

@@ -34,7 +34,6 @@ fn main() {
         graph: MaskingGraph::Complete,
         threat_model: ThreatModel::Malicious,
         xnoise: Some(plan),
-        chunks: Some(1),
         seed: 2024,
     };
 

@@ -36,7 +36,6 @@ fn config(round: u64) -> ProtocolRoundConfig {
         graph: MaskingGraph::Complete,
         threat_model: ThreatModel::SemiHonest,
         xnoise: None,
-        chunks: Some(1),
         seed: 11,
     }
 }

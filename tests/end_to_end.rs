@@ -76,7 +76,6 @@ fn protocol_path_matches_semantic_path_bit_for_bit() {
         graph: MaskingGraph::Complete,
         threat_model: ThreatModel::SemiHonest,
         xnoise: Some(plan),
-        chunks: Some(1),
         seed: 777,
     };
     let outcome = run_protocol_round(&cfg, &updates, &[1, 6]).unwrap();
@@ -97,7 +96,6 @@ fn protocol_path_matches_semantic_under_secagg_plus() {
         graph: MaskingGraph::harary_for(12),
         threat_model: ThreatModel::SemiHonest,
         xnoise: Some(plan),
-        chunks: Some(1),
         seed: 31,
     };
     let outcome = run_protocol_round(&cfg, &updates, &[0]).unwrap();
@@ -135,7 +133,6 @@ fn decoded_aggregate_approximates_true_mean() {
         graph: MaskingGraph::Complete,
         threat_model: ThreatModel::SemiHonest,
         xnoise: Some(plan),
-        chunks: Some(1),
         seed: 55,
     };
     let outcome = run_protocol_round(&cfg, &updates, &[]).unwrap();
@@ -163,7 +160,6 @@ fn malicious_protocol_with_xnoise_and_dropout_end_to_end() {
         graph: MaskingGraph::Complete,
         threat_model: ThreatModel::Malicious,
         xnoise: Some(plan),
-        chunks: Some(1),
         seed: 1234,
     };
     let outcome = run_protocol_round(&cfg, &updates, &[4, 8]).unwrap();
