@@ -180,13 +180,6 @@ impl Prg {
             }
         }
     }
-
-    /// Returns a fresh random seed drawn from this stream.
-    pub fn gen_seed(&mut self) -> Seed {
-        let mut s = [0u8; 32];
-        self.fill_bytes(&mut s);
-        s
-    }
 }
 
 /// Keystream bytes one element of a `Z_{2^bits}` mask vector occupies —
@@ -208,18 +201,6 @@ fn lane_bytes(bits: u32) -> u64 {
 /// `u32` keystream words [`Prg::fill_mod2b`] stages per widening pass:
 /// 16 blocks, 1 KiB of stack.
 const LANE_STRIP: usize = 256;
-
-/// Generates a random seed from an OS-independent entropy source.
-///
-/// Uses the `rand` crate's thread RNG; suitable for simulation and tests.
-/// Deployments with stronger requirements can substitute entropy and use
-/// [`Prg::fork`] for everything downstream.
-#[must_use]
-pub fn random_seed<R: rand::Rng>(rng: &mut R) -> Seed {
-    let mut s = [0u8; 32];
-    rng.fill(&mut s[..]);
-    s
-}
 
 #[cfg(test)]
 mod tests {

@@ -78,18 +78,6 @@ impl SyntheticConfig {
         }
     }
 
-    /// A CIFAR-100-like task: 100 classes, hard.
-    #[must_use]
-    pub fn cifar100_like(samples: usize, seed: u64) -> Self {
-        SyntheticConfig {
-            samples,
-            dim: 48,
-            classes: 100,
-            noise: 1.1,
-            seed,
-        }
-    }
-
     /// A FEMNIST-like task: 62 classes, moderately hard.
     #[must_use]
     pub fn femnist_like(samples: usize, seed: u64) -> Self {

@@ -35,12 +35,11 @@
 //! *while chunk `c+1`'s frames are still in flight*. The stage deadline
 //! applies per chunk (the clock restarts when a chunk closes). A second
 //! frame for a chunk a client already delivered is that client's
-//! protocol violation, as is a chunk id outside the plan. Per-chunk
-//! unmasking is interleaved with the noise-share collection when XNoise
-//! seed recovery is needed, so the s-comp and comm resources overlap end
-//! to end as in Figure 12. A client whose chunk stream stops partway is
-//! a detected dropout: U3 only admits clients that delivered *every*
-//! chunk.
+//! protocol violation, as is a chunk id outside the plan. A client
+//! whose chunk stream stops partway is a detected dropout: U3 only
+//! admits clients that delivered *every* chunk. Once the last share
+//! stage has closed, the round unmasks chunk by chunk, each chunk
+//! expanding only its own range of every mask to cancel.
 //!
 //! ## Readiness-driven collection
 //!
@@ -155,12 +154,6 @@ impl Traffic {
 /// Live connections, keyed by authenticated-at-join client id.
 pub(crate) type Peers = BTreeMap<ClientId, TcpChannel>;
 
-/// Background work a collection loop interleaves between polls (chunk
-/// unmasking during noise-share collection). Returns whether it did
-/// work (so the reactor knows to poll non-blockingly and come back).
-/// Errors abort the round.
-type IdleWork<'a> = dyn FnMut(&mut Server) -> Result<bool, SecAggError> + 'a;
-
 /// Reactor token namespace: client tokens are the id itself; tokens at
 /// or above `JOIN_BASE` are provisional (unauthenticated) connections;
 /// the topmost values are reserved for the stage timer and the waker.
@@ -264,7 +257,6 @@ impl<'c> RoundMachine<'c> {
                 });
             }
         }
-        let mut no_idle = |_: &mut Server| Ok(false);
 
         // ---- Setup broadcast (params + chunk count + payload). ----
         let stage_span = cfg.telemetry.span("stage", "Setup", round, None);
@@ -292,7 +284,6 @@ impl<'c> RoundMachine<'c> {
             &joined,
             StageTag::AdvertiseKeys,
             "AdvertiseKeys",
-            &mut no_idle,
             &mut |_, id, env| {
                 decode_advertised_keys(env.body)
                     .ok()
@@ -317,7 +308,6 @@ impl<'c> RoundMachine<'c> {
             &expected,
             StageTag::ShareKeys,
             "ShareKeys",
-            &mut no_idle,
             &mut |_, id, env| {
                 let cts = decode_list(env.body, decode_encrypted_shares).ok()?;
                 cts.iter().all(|ct| ct.from == id).then_some(cts)
@@ -360,7 +350,6 @@ impl<'c> RoundMachine<'c> {
             &expected,
             StageTag::MaskedInput,
             "MaskedInputCollection",
-            &mut no_idle,
             &mut |server, id, env| {
                 let c = usize::from(env.chunk);
                 let plan = server.chunk_plan();
@@ -393,7 +382,6 @@ impl<'c> RoundMachine<'c> {
                 &u3,
                 StageTag::ConsistencySig,
                 "ConsistencyCheck",
-                &mut no_idle,
                 &mut |_, id, env| {
                     decode_consistency_signature(env.body)
                         .ok()
@@ -421,7 +409,6 @@ impl<'c> RoundMachine<'c> {
             &u3,
             StageTag::Unmasking,
             "Unmasking",
-            &mut no_idle,
             &mut |_, id, env| {
                 decode_unmasking_response(env.body)
                     .ok()
@@ -432,32 +419,6 @@ impl<'c> RoundMachine<'c> {
             .reconstruct_unmasking(responses)
             .map_err(|e| abort_secagg(peers, round, e))?;
         let u5 = self.server.u5().to_vec();
-
-        // Per-chunk unmask progress advances between noise-share polls:
-        // the next chunk is unmasked inline while the shares are still
-        // in flight.
-        let total_chunks = self.plan.chunks();
-        let chunk_compute = cfg.chunk_compute;
-        let plan = self.plan.clone();
-        let telem = cfg.telemetry.clone();
-        let job_hist = cfg
-            .telemetry
-            .histogram("dordis_unmask_job_duration_ns", &[]);
-        let mut next_unmask = 0usize;
-        let mut unmask_step = |server: &mut Server| -> Result<bool, SecAggError> {
-            if next_unmask < total_chunks {
-                let span = telem.span("compute", "unmask_chunk", round, Some(next_unmask as u16));
-                let t0 = telem.now_ns();
-                server.unmask_chunk(next_unmask)?;
-                chunk_sleep(chunk_compute, &plan, next_unmask);
-                job_hist.observe(telem.now_ns().saturating_sub(t0));
-                drop(span);
-                next_unmask += 1;
-                Ok(true)
-            } else {
-                Ok(false)
-            }
-        };
 
         // ---- Stage 5: ExcessiveNoiseRemoval (only if needed). ----
         if self.server.pending_seed_owners().is_empty() {
@@ -482,7 +443,6 @@ impl<'c> RoundMachine<'c> {
                 &u5,
                 StageTag::NoiseShares,
                 "ExcessiveNoiseRemoval",
-                &mut unmask_step,
                 &mut |_, id, env| {
                     decode_noise_share_response(env.body)
                         .ok()
@@ -495,9 +455,23 @@ impl<'c> RoundMachine<'c> {
             self.push_stage("ExcessiveNoiseRemoval", &up, Traffic::default());
         }
 
-        // Unmask whatever chunks the idle interleaving did not reach.
-        for _ in 0..total_chunks {
-            unmask_step(&mut self.server).map_err(|e| abort_secagg(peers, round, e))?;
+        // Every share is in: unmask chunk by chunk, each chunk expanding
+        // its own range of the mask streams `reconstruct_unmasking`
+        // recorded.
+        let total_chunks = self.plan.chunks();
+        let job_hist = cfg
+            .telemetry
+            .histogram("dordis_unmask_job_duration_ns", &[]);
+        for c in 0..total_chunks {
+            let _span = cfg
+                .telemetry
+                .span("compute", "unmask_chunk", round, Some(c as u16));
+            let t0 = cfg.telemetry.now_ns();
+            self.server
+                .unmask_chunk(c)
+                .map_err(|e| abort_secagg(peers, round, e))?;
+            chunk_sleep(cfg.chunk_compute, &self.plan, c);
+            job_hist.observe(cfg.telemetry.now_ns().saturating_sub(t0));
         }
 
         // ---- Finished broadcast. ----
@@ -603,15 +577,12 @@ impl<'c> RoundMachine<'c> {
     /// chunk's deadline is dropped from every chunk it still owes, so a
     /// partial stream never reaches a sum (U3 requires all chunks). The
     /// thread sleeps in the poller until frames, disconnects, or the
-    /// deadline are ready; `idle` runs between polls so pending
-    /// per-chunk work (unmasking) overlaps the wait, non-blocking while
-    /// it reports more work.
+    /// deadline are ready.
     ///
     /// # Errors
     ///
-    /// Only `idle` failures (protocol aborts) and poller failures —
-    /// per-client failures are dropouts, not errors.
-    #[allow(clippy::too_many_arguments)]
+    /// Only poller failures — per-client failures are dropouts, not
+    /// errors.
     fn collect<T>(
         &mut self,
         reactor: &mut Reactor,
@@ -619,7 +590,6 @@ impl<'c> RoundMachine<'c> {
         expected: &[ClientId],
         want: StageTag,
         name: &'static str,
-        idle: &mut IdleWork<'_>,
         on_frame: &mut OnFrame<'_, T>,
     ) -> Result<(Vec<T>, Traffic), NetError> {
         let (round, timeout) = (self.params.round, self.cfg.stage_timeout);
@@ -639,8 +609,7 @@ impl<'c> RoundMachine<'c> {
             filed: BTreeMap::new(),
             on_frame,
         };
-        let mut deadline = Instant::now() + timeout;
-        reactor.arm_deadline(STAGE_TOKEN, deadline);
+        reactor.arm_deadline(STAGE_TOKEN, Instant::now() + timeout);
 
         // Initial sweep: frames may already be buffered, and their
         // readiness may have been consumed by an earlier poll (e.g.
@@ -672,23 +641,9 @@ impl<'c> RoundMachine<'c> {
                 break;
             }
             if closed {
-                deadline = Instant::now() + timeout;
-                reactor.arm_deadline(STAGE_TOKEN, deadline);
+                reactor.arm_deadline(STAGE_TOKEN, Instant::now() + timeout);
             }
-            // Interleaved background work must not eat the peers'
-            // response window: its wall time is credited back to the
-            // deadline, and while it reports more work the poll does not
-            // block.
-            let idle_start = Instant::now();
-            let did_work = idle(&mut self.server).map_err(|e| abort_secagg(peers, round, e))?;
-            let wait = if did_work {
-                deadline += idle_start.elapsed();
-                reactor.arm_deadline(STAGE_TOKEN, deadline);
-                Duration::ZERO
-            } else {
-                timeout
-            };
-            reactor.poll(&mut events, &mut expired, wait)?;
+            reactor.poll(&mut events, &mut expired, timeout)?;
             for ev in &events {
                 handle_write_event(peers, ev, name, &mut self.dropouts);
                 match client_of(ev.token) {

@@ -208,8 +208,8 @@ fn midstream_silence_hits_the_per_chunk_deadline() {
 #[test]
 fn chunked_xnoise_recovery_with_unmasking_dropout() {
     // A client that vanishes *after* its full chunk stream but before
-    // unmasking exercises stage 5 (noise-seed recovery) — whose
-    // collection the coordinator interleaves with per-chunk unmasking.
+    // unmasking exercises stage 5 (noise-seed recovery), after which
+    // the coordinator unmasks the round chunk by chunk.
     let p = params(8, 5, 3);
     let ins = inputs(8, 3);
     let fails: BTreeMap<ClientId, FailPoint> = [(

@@ -15,7 +15,7 @@ use dordis_crypto::prg::Seed;
 use dordis_crypto::shamir::{self, Share};
 use rand::Rng;
 
-use crate::mask;
+use crate::mask::{self, OUTER_STRIP};
 use crate::messages::{
     AdvertisedKeys, ConsistencySignature, EncryptedShares, MaskedInput, NoiseShareResponse,
     ShareBundle, UnmaskingResponse,
@@ -687,10 +687,6 @@ impl Client {
     }
 }
 
-/// Elements per outer strip of [`MaskedInputCursor::chunk`]: 16 KiB of
-/// `u64`s, so a strip stays in L1 while every mask is applied to it.
-const CURSOR_STRIP: usize = 2048;
-
 /// A started MaskedInputCollection stage
 /// ([`Client::begin_masked_input`]): the client's input and the seed of
 /// every mask it carries, from which any range of `y_u` can be produced
@@ -708,7 +704,7 @@ pub struct MaskedInputCursor<'a> {
 
 impl MaskedInputCursor<'_> {
     /// Masks `input[range]`: strip-outer, mask-inner — the self mask and
-    /// every pairwise mask are added to one [`CURSOR_STRIP`] of the
+    /// every pairwise mask are added to one [`OUTER_STRIP`] of the
     /// chunk before the next strip is touched.
     ///
     /// # Panics
@@ -724,7 +720,7 @@ impl MaskedInputCursor<'_> {
         for (s_uv, positive) in &self.pairwise {
             masks.push((mask::pairwise_prg_at(s_uv, bits, start), *positive));
         }
-        for strip in y.chunks_mut(CURSOR_STRIP) {
+        for strip in y.chunks_mut(OUTER_STRIP) {
             for (prg, positive) in &mut masks {
                 mask::expand_and_add(prg, strip, *positive, bits);
             }
@@ -1087,7 +1083,7 @@ mod tests {
     #[test]
     fn cursor_chunks_are_slices_of_the_whole_vector_masking() {
         // Three outer strips and a ragged tail.
-        let dim = 3 * CURSOR_STRIP + 1000;
+        let dim = 3 * OUTER_STRIP + 1000;
         let graphs = [
             (6u32, MaskingGraph::Complete),
             (9, MaskingGraph::Harary { half_degree: 2 }),
@@ -1120,7 +1116,7 @@ mod tests {
                         })
                         .collect();
                     // Chunk starts on neither a strip nor a PRG block.
-                    partitions.push(vec![0..1, 1..CURSOR_STRIP + 1, CURSOR_STRIP + 1..dim]);
+                    partitions.push(vec![0..1, 1..OUTER_STRIP + 1, OUTER_STRIP + 1..dim]);
                     for ranges in partitions {
                         let mut in_order = Vec::with_capacity(dim);
                         for r in &ranges {

@@ -32,6 +32,12 @@ const DOMAIN_SELFMASK: &[u8] = b"secagg.selfmask";
 /// amortize the ChaCha20 block loop, small enough to stay in L1.
 const STRIP: usize = 512;
 
+/// Elements per outer strip where several masks are applied to one
+/// range, strip-outer and mask-inner (the client's
+/// `MaskedInputCursor::chunk`, the server's `unmask_chunk`): 16 KiB of
+/// `u64`s, so a strip stays in L1 while every mask is added to it.
+pub(crate) const OUTER_STRIP: usize = 2048;
+
 /// Expands a pairwise mask vector from an agreed key.
 #[must_use]
 pub fn pairwise_mask(shared_key: &[u8; 32], len: usize, bit_width: u32) -> Vec<u64> {

@@ -8,22 +8,22 @@
 //!
 //! ## Chunked data plane
 //!
-//! Masked-sum and unmasking state is held **per chunk** of a
-//! [`ChunkPlan`] (paper §4.1): masked inputs arrive per chunk
-//! ([`Server::collect_masked_chunk`]), each chunk's aggregate is computed
-//! independently ([`Server::unmask_chunk`]), and the final sum is the
-//! concatenation. Key/share/consistency state stays **round-global** —
-//! only the data-plane stages pipeline, exactly as in the paper. The
-//! in-memory driver runs the same methods on the single-chunk plan
-//! [`Server::new`] builds; with any plan the concatenated chunk sums
-//! equal the whole-vector computation because every mask operation is
-//! coordinate-wise.
+//! The data plane is partitioned by a [`ChunkPlan`] (paper §4.1):
+//! masked inputs arrive per chunk ([`Server::collect_masked_chunk`])
+//! and fold into one full-length running sum, and each chunk's range of
+//! that sum is unmasked on its own ([`Server::unmask_chunk`]), which
+//! expands exactly that range of every mask stream to cancel.
+//! Key/share/consistency state stays **round-global** — only the
+//! data-plane stages pipeline, exactly as in the paper. The in-memory
+//! driver runs the same methods on the single-chunk plan [`Server::new`]
+//! builds; with any plan the sum equals the whole-vector computation
+//! because every mask operation is coordinate-wise.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use dordis_crypto::ed25519::Signature;
 use dordis_crypto::ka::KeyPair;
-use dordis_crypto::prg::Seed;
+use dordis_crypto::prg::{Prg, Seed};
 use dordis_crypto::shamir::{self, Share};
 use dordis_crypto::x25519;
 use dordis_pipeline::ChunkPlan;
@@ -50,6 +50,11 @@ pub struct RoundOutcome {
     pub bit_width: u32,
 }
 
+/// A mask stream left in the sum: the seeking constructor of its PRG
+/// domain ([`mask::self_mask_prg_at`] or [`mask::pairwise_prg_at`]), its
+/// seed, and the sign that cancels it.
+type Cancel = (fn(&Seed, u32, usize) -> Prg, Seed, bool);
+
 /// Server state machine.
 pub struct Server {
     params: RoundParams,
@@ -67,25 +72,26 @@ pub struct Server {
     /// third of its decoded size at 16–20 bits, which matters because
     /// chunk-lazy clients leave every stream incomplete for most of the
     /// stage. The chunk that completes a stream is never parked: it
-    /// folds into [`Server::fold_sums`] with the parked ones and all
-    /// are freed. Partial deliveries linger here but never reach a sum;
+    /// folds into [`Server::sum`] with the parked ones and all are
+    /// freed. Partial deliveries linger here but never reach a sum;
     /// `finalize_masked` discards them.
     masked: Vec<BTreeMap<ClientId, Vec<u8>>>,
     /// Clients whose complete masked input has been folded into
-    /// [`Server::fold_sums`]. This *is* U3 at `finalize_masked` time.
+    /// [`Server::sum`]. This *is* U3 at `finalize_masked` time.
     folded: BTreeSet<ClientId>,
-    /// Per-chunk running sums (in `Z_{2^b}`) over the folded clients.
-    /// Addition in `Z_{2^b}` commutes, so folding clients in completion
-    /// order is bit-equal to summing them in sorted U3 order at unmask
-    /// time — while peak memory drops from the cohort's whole decoded
-    /// upload (`O(clients × dim)` u64s) to the running sums plus the
-    /// in-flight streams.
-    fold_sums: Vec<Vec<u64>>,
-    /// Per-chunk unmasked aggregates (None until `unmask_chunk`).
-    chunk_sums: Vec<Option<Vec<u64>>>,
-    /// Full-length mask correction (`−Σ p_u ± Σ PRG(s_{u,v})`) built by
-    /// `reconstruct_unmasking`; sliced per chunk by `unmask_chunk`.
-    correction: Option<Vec<u64>>,
+    /// The full-length running sum (in `Z_{2^b}`) over the folded
+    /// clients, unmasked in place chunk by chunk. Addition in `Z_{2^b}`
+    /// commutes, so folding clients in completion order is bit-equal to
+    /// summing them in sorted U3 order — while peak memory drops from
+    /// the cohort's whole decoded upload (`O(clients × dim)` u64s) to
+    /// this sum plus the in-flight streams.
+    sum: Vec<u64>,
+    /// Which chunks of `sum` [`Server::unmask_chunk`] has unmasked.
+    unmasked: Vec<bool>,
+    /// The mask streams left in `sum` (`p_u` of every survivor, the
+    /// residual `PRG(s_{u,v})` towards every mid-round dropout),
+    /// recorded by `reconstruct_unmasking`; None until then.
+    cancel: Option<Vec<Cancel>>,
     /// Reconstructed self-mask seeds (clients in U3).
     recon_b: BTreeSet<ClientId>,
     /// Reconstructed masking secret keys (clients in U2 \ U3).
@@ -130,8 +136,8 @@ impl Server {
             )));
         }
         let m = plan.chunks();
-        let fold_sums = (0..m).map(|c| vec![0u64; plan.chunk_len(c)]).collect();
         Ok(Server {
+            sum: vec![0u64; params.vector_len],
             params,
             plan,
             roster: BTreeMap::new(),
@@ -141,9 +147,8 @@ impl Server {
             u5: Vec::new(),
             masked: vec![BTreeMap::new(); m],
             folded: BTreeSet::new(),
-            fold_sums,
-            chunk_sums: vec![None; m],
-            correction: None,
+            unmasked: vec![false; m],
+            cancel: None,
             recon_b: BTreeSet::new(),
             recon_sk: BTreeSet::new(),
             removal_seeds: BTreeMap::new(),
@@ -217,7 +222,7 @@ impl Server {
     /// chunk `c+1` is still in flight.
     ///
     /// The moment a client's *last* outstanding chunk lands, its whole
-    /// vector is folded into the per-chunk running sums and its parked
+    /// vector is folded into the running sum and its parked
     /// chunks are freed — the server never holds the full cohort's
     /// decoded upload at once; until then a chunk waits bit-packed. A
     /// frame arriving for an already-folded client (a duplicate) is
@@ -269,11 +274,12 @@ impl Server {
             }
             for (c, store) in self.masked.iter_mut().enumerate() {
                 let parked = store.remove(&client);
+                let acc = &mut self.sum[self.plan.range(c)];
                 if c == chunk {
-                    mask::add_signed_assign(&mut self.fold_sums[c], &m.vector, true, bits);
+                    mask::add_signed_assign(acc, &m.vector, true, bits);
                 } else {
                     let parked = parked.expect("every other chunk parked");
-                    pack::unpack_add(&parked, bits, &mut self.fold_sums[c]);
+                    pack::unpack_add(&parked, bits, acc);
                 }
             }
             self.folded.insert(client);
@@ -299,8 +305,8 @@ impl Server {
                 threshold: self.params.threshold,
             });
         }
-        // Partial streams are dropouts: their chunks never reached a
-        // fold sum, and nothing reads them past this point.
+        // Partial streams are dropouts: their chunks never reached the
+        // sum, and nothing reads them past this point.
         for store in &mut self.masked {
             store.clear();
         }
@@ -325,10 +331,11 @@ impl Server {
 
     /// Stage 4, round-global: pools the share responses, reconstructs
     /// the survivors' self-mask seeds and the mid-round dropouts' masking
-    /// secret keys, and precomputes the full-length mask correction. No
-    /// chunk sum is touched — [`Server::unmask_chunk`] applies the
-    /// correction slice per chunk, so unmasking pipelines with whatever
-    /// collection the coordinator still has in flight.
+    /// secret keys, and records the mask streams they leave in the sum:
+    /// every survivor's self mask and, through one `agree_many` per
+    /// dropout, each pairwise mask a survivor applied towards it. Nothing
+    /// is expanded here — [`Server::unmask_chunk`] expands each stream
+    /// over one chunk's range.
     ///
     /// # Errors
     ///
@@ -377,8 +384,7 @@ impl Server {
         self.u5.dedup();
 
         let t_eff = share_threshold(&self.params);
-        let bits = self.params.bit_width;
-        let mut correction = vec![0u64; self.params.vector_len];
+        let mut cancel: Vec<Cancel> = Vec::new();
 
         // Remove self-masks of surviving clients.
         for &u in &self.u3 {
@@ -394,7 +400,7 @@ impl Server {
             let mut b = [0u8; 32];
             b.copy_from_slice(&b_bytes);
             self.recon_b.insert(u);
-            mask::add_self_mask_assign(&mut correction, &b, 0, false, bits);
+            cancel.push((mask::self_mask_prg_at, b, false));
         }
 
         // Cancel pairwise masks of clients that dropped between ShareKeys
@@ -434,22 +440,23 @@ impl Server {
                 .unzip();
             for (u, s_vu) in masked_towards_v.into_iter().zip(v_kp.agree_many(&s_pks)) {
                 // u added sign(u > v); cancel with sign(v > u).
-                mask::add_pairwise_mask_assign(&mut correction, &s_vu, 0, v > u, bits);
+                cancel.push((mask::pairwise_prg_at, s_vu, v > u));
             }
         }
-        self.correction = Some(correction);
+        self.cancel = Some(cancel);
         Ok(())
     }
 
-    /// Stage 4, per chunk: sums the survivors' chunk-`c` inputs and
-    /// applies the precomputed mask correction slice. All operations are
-    /// coordinate-wise in `Z_{2^b}`, so the concatenation over chunks is
-    /// bit-identical to the whole-vector computation.
+    /// Stage 4, per chunk: cancels every recorded mask stream over chunk
+    /// `c`'s range of the sum, strip-outer and mask-inner as the client
+    /// masks it. All operations are coordinate-wise in `Z_{2^b}` and
+    /// every stream seeks, so the chunks, unmasked in any order, give
+    /// the whole-vector aggregate bit for bit.
     ///
     /// # Errors
     ///
-    /// Fails on an out-of-range chunk or if called before
-    /// [`Server::reconstruct_unmasking`].
+    /// Fails on an out-of-range chunk, on a chunk already unmasked, or
+    /// if called before [`Server::reconstruct_unmasking`].
     pub fn unmask_chunk(&mut self, chunk: usize) -> Result<(), SecAggError> {
         if chunk >= self.plan.chunks() {
             return Err(SecAggError::Config(format!(
@@ -457,19 +464,28 @@ impl Server {
                 self.plan.chunks()
             )));
         }
-        let Some(correction) = &self.correction else {
+        let Some(cancel) = &self.cancel else {
             return Err(SecAggError::Config(
                 "unmask_chunk before reconstruct_unmasking".into(),
             ));
         };
+        if self.unmasked[chunk] {
+            return Err(SecAggError::Config(format!(
+                "chunk {chunk} already unmasked"
+            )));
+        }
         let bits = self.params.bit_width;
         let range = self.plan.range(chunk);
-        // Every U3 member's chunk was folded into the running sum at
-        // collection time (addition in `Z_{2^b}` commutes, so the fold
-        // order is immaterial); only the correction remains.
-        let mut sum = std::mem::take(&mut self.fold_sums[chunk]);
-        mask::add_signed_assign(&mut sum, &correction[range], true, bits);
-        self.chunk_sums[chunk] = Some(sum);
+        let mut streams: Vec<(Prg, bool)> = cancel
+            .iter()
+            .map(|(at, seed, positive)| (at(seed, bits, range.start), *positive))
+            .collect();
+        for strip in self.sum[range].chunks_mut(mask::OUTER_STRIP) {
+            for (prg, positive) in &mut streams {
+                mask::expand_and_add(prg, strip, *positive, bits);
+            }
+        }
+        self.unmasked[chunk] = true;
         Ok(())
     }
 
@@ -551,11 +567,10 @@ impl Server {
         Ok(())
     }
 
-    /// Finishes the round: concatenates the per-chunk aggregates (zeros
-    /// for chunks that were never unmasked, matching the pre-chunking
-    /// behaviour of finishing before unmasking).
+    /// Finishes the round: hands out the sum, with zeros over every chunk
+    /// that was never unmasked (its range still carries the masks).
     #[must_use]
-    pub fn finish(self) -> RoundOutcome {
+    pub fn finish(mut self) -> RoundOutcome {
         let survivors = self.u3.clone();
         let dropped: Vec<ClientId> = self
             .params
@@ -564,15 +579,11 @@ impl Server {
             .copied()
             .filter(|c| !survivors.contains(c))
             .collect();
-        let mut sum = Vec::with_capacity(self.params.vector_len);
-        for (c, chunk_sum) in self.chunk_sums.iter().enumerate() {
-            match chunk_sum {
-                Some(s) => sum.extend_from_slice(s),
-                None => sum.extend(std::iter::repeat_n(0u64, self.plan.chunk_len(c))),
-            }
+        for c in (0..self.plan.chunks()).filter(|&c| !self.unmasked[c]) {
+            self.sum[self.plan.range(c)].fill(0);
         }
         RoundOutcome {
-            sum,
+            sum: self.sum,
             survivors,
             dropped,
             removal_seeds: self
@@ -582,20 +593,6 @@ impl Server {
                 .collect(),
             bit_width: self.params.bit_width,
         }
-    }
-
-    /// Test/verification hook: ids for which the server reconstructed the
-    /// self-mask seed `b_u`.
-    #[must_use]
-    pub fn reconstructed_self_masks(&self) -> Vec<ClientId> {
-        self.recon_b.iter().copied().collect()
-    }
-
-    /// Test/verification hook: ids for which the server reconstructed the
-    /// masking secret key `s^SK_u`.
-    #[must_use]
-    pub fn reconstructed_secret_keys(&self) -> Vec<ClientId> {
-        self.recon_sk.iter().copied().collect()
     }
 
     /// The privacy invariant of SecAgg: the server must never hold both

@@ -2,7 +2,9 @@
 //! not complete its sender's stream waits bit-packed, the chunk that
 //! completes it folds the whole stream, and none of that is visible in
 //! the outcome — which must equal the in-memory driver's round with the
-//! same survivors bit for bit.
+//! same survivors bit for bit, whatever order the chunks are unmasked
+//! in. A chunk is unmasked once: a second call is refused, and a chunk
+//! never unmasked reads as zeros.
 
 use std::collections::BTreeMap;
 
@@ -12,7 +14,7 @@ use dordis_secagg::driver::{
     client_rng, run_round, share_keys_rng, DropStage, DropoutSchedule, RoundSpec,
 };
 use dordis_secagg::graph::MaskingGraph;
-use dordis_secagg::messages::MaskedInput;
+use dordis_secagg::messages::{MaskedInput, UnmaskingResponse};
 use dordis_secagg::server::Server;
 use dordis_secagg::{ClientId, RoundParams, SecAggError, ThreatModel};
 
@@ -57,10 +59,15 @@ fn inputs() -> BTreeMap<ClientId, ClientInput> {
         .collect()
 }
 
-#[test]
-fn parked_chunks_fold_only_when_their_stream_completes() {
+fn plan() -> ChunkPlan {
+    ChunkPlan::aligned(DIM, CHUNKS, BITS).unwrap()
+}
+
+/// Runs the round's custody script up to the unmasking responses:
+/// seeded throughout, so every call builds the same server state.
+fn custody_round() -> (Server, Vec<UnmaskingResponse>) {
     let params = params();
-    let plan = ChunkPlan::aligned(DIM, CHUNKS, BITS).unwrap();
+    let plan = plan();
     assert_eq!(plan.chunks(), CHUNKS);
     let mut server = Server::with_chunks(params.clone(), plan.clone()).unwrap();
     let mut clients: BTreeMap<ClientId, Client> = inputs()
@@ -135,17 +142,25 @@ fn parked_chunks_fold_only_when_their_stream_completes() {
         .iter()
         .map(|id| clients.get_mut(id).unwrap().unmask(&u3, None).unwrap())
         .collect();
+    (server, responses)
+}
+
+#[test]
+fn parked_chunks_fold_only_when_their_stream_completes() {
+    let (mut server, responses) = custody_round();
     server.reconstruct_unmasking(responses).unwrap();
-    for c in 0..CHUNKS {
+    for c in [2, 0, 3, 1] {
         server.unmask_chunk(c).unwrap();
     }
+    let again = server.unmask_chunk(2);
+    assert!(matches!(again, Err(SecAggError::Config(_))), "{again:?}");
     assert!(server.privacy_invariant_holds());
     let outcome = server.finish();
 
     let mut dropout = DropoutSchedule::none();
     dropout.drop_at(PARTIAL, DropStage::BeforeMaskedInput);
     let (reference, _) = run_round(RoundSpec {
-        params,
+        params: params(),
         inputs: inputs(),
         dropout,
         rng_seed: SEED,
@@ -161,4 +176,19 @@ fn parked_chunks_fold_only_when_their_stream_completes() {
         }
     }
     assert_eq!(outcome.sum, plain);
+
+    // The same round with chunk 1 never unmasked: its range reads zeros,
+    // every other chunk is unchanged.
+    let (mut copy, responses) = custody_round();
+    copy.reconstruct_unmasking(responses).unwrap();
+    for c in [2, 0, 3] {
+        copy.unmask_chunk(c).unwrap();
+    }
+    let partial = copy.finish();
+    let skipped = plan().range(1);
+    assert_eq!(partial.sum.len(), DIM);
+    for (i, (&got, &want)) in partial.sum.iter().zip(&outcome.sum).enumerate() {
+        let want = if skipped.contains(&i) { 0 } else { want };
+        assert_eq!(got, want, "element {i}");
+    }
 }
