@@ -1,4 +1,4 @@
-//! Noise samplers: Gaussian, Poisson, and the symmetric Skellam mechanism.
+//! Noise samplers: Poisson and the symmetric Skellam mechanism.
 //!
 //! All samplers draw from a [`Prg`] stream, so a 32-byte seed fully
 //! determines the noise vector. This is what makes XNoise work: a client
@@ -33,52 +33,6 @@
 use dordis_crypto::prg::{Prg, Seed};
 
 use crate::math::ln_factorial;
-
-/// A Gaussian sampler over a PRG stream (Box–Muller with caching).
-pub struct GaussianSampler {
-    prg: Prg,
-    spare: Option<f64>,
-}
-
-impl GaussianSampler {
-    /// Creates a sampler from a seed and domain string.
-    #[must_use]
-    pub fn new(seed: &Seed, domain: &[u8]) -> Self {
-        GaussianSampler {
-            prg: Prg::new(seed, domain),
-            spare: None,
-        }
-    }
-
-    /// Draws one `N(0, σ²)` sample.
-    pub fn sample(&mut self, sigma: f64) -> f64 {
-        self.standard() * sigma
-    }
-
-    /// Draws one standard normal sample.
-    pub fn standard(&mut self) -> f64 {
-        if let Some(z) = self.spare.take() {
-            return z;
-        }
-        // Box–Muller; u1 is kept away from zero to avoid ln(0).
-        let u1 = loop {
-            let u = self.prg.next_f64();
-            if u > 1e-300 {
-                break u;
-            }
-        };
-        let u2 = self.prg.next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.spare = Some(r * theta.sin());
-        r * theta.cos()
-    }
-
-    /// Fills a vector with `N(0, σ²)` samples.
-    pub fn sample_vec(&mut self, sigma: f64, len: usize) -> Vec<f64> {
-        (0..len).map(|_| self.sample(sigma)).collect()
-    }
-}
 
 /// Draws a Poisson(μ) sample from the PRG.
 ///
@@ -359,14 +313,6 @@ pub fn skellam_vector(seed: &Seed, domain: &[u8], len: usize, variance: f64) -> 
     out
 }
 
-/// Generates a full Gaussian noise vector from a seed (continuous analogue
-/// of [`skellam_vector`], used by the continuous-mechanism configurations).
-#[must_use]
-pub fn gaussian_vector(seed: &Seed, domain: &[u8], len: usize, sigma: f64) -> Vec<f64> {
-    let mut s = GaussianSampler::new(seed, domain);
-    s.sample_vec(sigma, len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,24 +322,6 @@ mod tests {
         let mean = xs.iter().sum::<f64>() / n;
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
         (mean, var)
-    }
-
-    #[test]
-    fn gaussian_moments() {
-        let mut s = GaussianSampler::new(&[1u8; 32], b"test");
-        let xs = s.sample_vec(3.0, 40_000);
-        let (mean, var) = mean_var(&xs);
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        assert!((var - 9.0).abs() < 0.5, "var {var}");
-    }
-
-    #[test]
-    fn gaussian_deterministic_by_seed() {
-        let a = gaussian_vector(&[2u8; 32], b"n", 100, 1.0);
-        let b = gaussian_vector(&[2u8; 32], b"n", 100, 1.0);
-        assert_eq!(a, b);
-        let c = gaussian_vector(&[3u8; 32], b"n", 100, 1.0);
-        assert_ne!(a, c);
     }
 
     #[test]

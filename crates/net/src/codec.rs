@@ -309,8 +309,8 @@ pub(crate) fn round_gate(stage: StageTag, got: u64, round: u64) -> RoundGate {
 /// A zero-copy view of a framed message: the body *borrows* the frame
 /// buffer instead of cloning it. The coordinator decodes every uplink
 /// frame this way — a masked-input chunk's bit-packed payload straight
-/// out of the frame at `frame[HEADER_BYTES..]` — and recycles the frame
-/// to its channel once the body is decoded.
+/// out of the frame at `frame[HEADER_BYTES..]` — and credits the frame
+/// back to its channel's ledger once the body is decoded.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnvelopeView<'a> {
     /// Wire version ([`WIRE_VERSION`]).

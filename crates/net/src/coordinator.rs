@@ -783,8 +783,9 @@ impl<T> Collect<'_, T> {
 
 /// Drains the frames `key`'s channel has buffered, in arrival order:
 /// `file` sees each one (with the map, so it may unmap the channel) and
-/// says whether to keep reading, and the frame then goes back to its
-/// channel's pool. Returns whether the channel reported closed.
+/// says whether to keep reading, and the frame's bytes are then credited
+/// back to its channel's ledger. Returns whether the channel reported
+/// closed.
 pub(crate) fn drain_frames<K: Ord>(
     chans: &mut BTreeMap<K, TcpChannel>,
     key: K,
@@ -798,7 +799,7 @@ pub(crate) fn drain_frames<K: Ord>(
         };
         let more = file(chans, &frame);
         if let Some(chan) = chans.get_mut(&key) {
-            chan.recycle_frame(frame);
+            chan.credit_frame(frame);
         }
         if !more {
             break;

@@ -20,9 +20,9 @@
 //!   with partial-read frame reassembly and partial-write backpressure
 //!   buffers after). In-process sessions, tests and benches dial
 //!   127.0.0.1, so every suite exercises the sockets that ship.
-//! - [`pool`]: the reactor's memory plane — one shared, size-classed,
-//!   byte-accounted frame pool per reactor, with per-connection
-//!   accounting handles.
+//! - [`pool`]: the reactor's memory plane — one byte ledger of
+//!   transport custody per reactor, with per-connection accounting
+//!   handles.
 //! - [`reactor`]: a readiness-driven event loop (direct-syscall epoll
 //!   poller, per-token deadlines) so one coordinator
 //!   thread serves hundreds of chunk-streaming clients with `O(events)`

@@ -1,48 +1,24 @@
-//! The reactor's memory plane: a shared, size-classed, byte-accounted
-//! frame pool ([`BytePool`]) plus the cheap per-connection accounting
-//! handles ([`ChannelAccount`]) every registered channel charges its
-//! buffered bytes through.
+//! The reactor's memory plane: a byte ledger ([`BytePool`]) plus the
+//! cheap per-connection accounting handles ([`ChannelAccount`]) every
+//! registered channel charges its buffered bytes through.
 //!
-//! One pool per reactor is both
+//! The ledger counts **transport custody**: every ingress byte a
+//! connection holds (unconsumed stream bytes plus decoded frames not
+//! yet released) and every egress byte it has backlogged is charged to
+//! the owning connection's [`ChannelAccount`] and credited back when
+//! consumed, released, or the channel drops — so `charges − credits` is
+//! exactly the reactor's live buffered bytes. It does not count what
+//! the round does with a frame after release (the secagg server's
+//! packed custody, decoded vectors), so the high-water gauge is a floor
+//! on the coordinator's memory, not its footprint.
 //!
-//! 1. the **allocation reservoir**: recycled frame `Vec`s land in
-//!    size-classed free lists shared by every connection, so a drain
-//!    burst on one channel reuses the allocations another channel just
-//!    released (bounded by an 8 MiB retain cap); and
-//! 2. the **byte ledger**: every buffered ingress byte (stream buffer +
-//!    decoded frames in flight) and egress byte (write backlog) is
-//!    charged to the owning connection's [`ChannelAccount`] and credited
-//!    back when consumed, recycled, or the channel drops — so
-//!    `charges − credits` is exactly the reactor's live buffered bytes.
+//! The pool holds no allocations: frames are plain `Vec`s, freed when
+//! the consumer drops them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use dordis_telemetry::{Counter, Gauge, Telemetry};
-
-/// Free-list size classes (by `Vec` capacity). A recycled buffer joins
-/// the largest class whose size its capacity covers; a `get` scans from
-/// the smallest class that guarantees the requested capacity upward.
-const CLASS_SIZES: [usize; 7] = [
-    256,
-    1 << 10,
-    4 << 10,
-    16 << 10,
-    64 << 10,
-    256 << 10,
-    1 << 20,
-];
-
-/// Retained free-list bytes never exceed this.
-const DEFAULT_RETAIN_CAP: u64 = 8 * 1024 * 1024;
-
-/// Size-classed recycled allocations, cleared and ready for reuse.
-#[derive(Debug, Default)]
-struct FreeList {
-    classes: [Vec<Vec<u8>>; CLASS_SIZES.len()],
-    /// Sum of retained capacities across all classes.
-    bytes: u64,
-}
+use dordis_telemetry::{Gauge, Telemetry};
 
 /// Shared state behind every [`BytePool`] clone and every
 /// [`ChannelAccount`] on the reactor.
@@ -55,18 +31,15 @@ struct PoolShared {
     /// High-water marks of the two ledgers.
     hw_in: AtomicU64,
     hw_out: AtomicU64,
-    free: Mutex<FreeList>,
     // Registry cells (no-op when telemetry is disabled).
     g_live_in: Gauge,
     g_live_out: Gauge,
     g_hw_in: Gauge,
     g_hw_out: Gauge,
-    c_hits: Counter,
-    c_misses: Counter,
 }
 
-/// Cheap (`Arc`) handle to a reactor's shared frame pool and byte
-/// ledger. Cloning shares the same pool.
+/// Cheap (`Arc`) handle to a reactor's shared byte ledger. Cloning
+/// shares the same ledger.
 #[derive(Clone, Debug)]
 pub struct BytePool {
     shared: Arc<PoolShared>,
@@ -85,7 +58,7 @@ impl BytePool {
         BytePool::with_telemetry(&Telemetry::disabled())
     }
 
-    /// A pool whose gauges and counters record into `telemetry`.
+    /// A pool whose gauges record into `telemetry`.
     #[must_use]
     pub fn with_telemetry(telemetry: &Telemetry) -> BytePool {
         BytePool {
@@ -94,20 +67,17 @@ impl BytePool {
                 live_out: AtomicU64::new(0),
                 hw_in: AtomicU64::new(0),
                 hw_out: AtomicU64::new(0),
-                free: Mutex::new(FreeList::default()),
                 g_live_in: telemetry.gauge("dordis_buffered_bytes", &[("direction", "in")]),
                 g_live_out: telemetry.gauge("dordis_buffered_bytes", &[("direction", "out")]),
                 g_hw_in: telemetry
                     .gauge("dordis_buffered_bytes_high_water", &[("direction", "in")]),
                 g_hw_out: telemetry
                     .gauge("dordis_buffered_bytes_high_water", &[("direction", "out")]),
-                c_hits: telemetry.counter("dordis_frames_recycled_total", &[]),
-                c_misses: telemetry.counter("dordis_frames_allocated_total", &[]),
             }),
         }
     }
 
-    /// True when both handles point at the same shared reservoir —
+    /// True when both handles point at the same shared ledger —
     /// used at re-registration to detect a channel crossing reactors.
     #[must_use]
     pub fn same_as(&self, other: &BytePool) -> bool {
@@ -124,55 +94,6 @@ impl BytePool {
                 charged_out: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// Pops a cleared buffer of capacity ≥ `min` from the reservoir, or
-    /// allocates fresh (counted as a miss).
-    #[must_use]
-    pub fn get(&self, min: usize) -> Vec<u8> {
-        let start = CLASS_SIZES.iter().position(|&s| s >= min);
-        if let Some(start) = start {
-            if let Ok(mut free) = self.shared.free.lock() {
-                for class in &mut free.classes[start..] {
-                    if let Some(buf) = class.pop() {
-                        let cap = buf.capacity() as u64;
-                        free.bytes = free.bytes.saturating_sub(cap);
-                        self.shared.c_hits.inc();
-                        return buf;
-                    }
-                }
-            }
-        }
-        self.shared.c_misses.inc();
-        Vec::with_capacity(min.max(CLASS_SIZES[0]))
-    }
-
-    /// Returns a buffer to the reservoir (cleared). Buffers that would
-    /// push retained bytes past the 8 MiB retain cap, or are too small
-    /// to classify, are dropped.
-    pub fn put(&self, mut buf: Vec<u8>) {
-        buf.clear();
-        let cap = buf.capacity();
-        let Some(class) = CLASS_SIZES
-            .iter()
-            .rposition(|&s| s <= cap)
-            .filter(|_| cap >= CLASS_SIZES[0])
-        else {
-            return;
-        };
-        let cap = cap as u64;
-        if let Ok(mut free) = self.shared.free.lock() {
-            if free.bytes + cap <= DEFAULT_RETAIN_CAP {
-                free.bytes += cap;
-                free.classes[class].push(buf);
-            }
-        }
-    }
-
-    /// Bytes currently retained in the free lists.
-    #[must_use]
-    pub fn pooled_bytes(&self) -> u64 {
-        self.shared.free.lock().map_or(0, |f| f.bytes)
     }
 
     /// Live buffered ingress bytes (charges − credits).
@@ -249,7 +170,7 @@ struct AccountInner {
 impl Drop for AccountInner {
     fn drop(&mut self) {
         // No leak on channel drop: whatever this connection still has
-        // charged (unconsumed stream bytes, un-recycled decoded frames,
+        // charged (unconsumed stream bytes, unreleased decoded frames,
         // backlogged writes) is credited back.
         self.pool
             .credit(Ledger::In, self.charged_in.load(Ordering::Relaxed));
@@ -259,9 +180,8 @@ impl Drop for AccountInner {
 }
 
 /// One connection's handle into the reactor's [`BytePool`]: charge and
-/// credit buffered bytes and draw/return frame allocations. Clones
-/// share the same account (a channel and its frame buffer hold one
-/// each).
+/// credit buffered bytes. Clones share the same account (a channel and
+/// its frame buffer hold one each).
 #[derive(Clone, Debug)]
 pub struct ChannelAccount {
     inner: Arc<AccountInner>,
@@ -281,7 +201,7 @@ impl ChannelAccount {
     }
 
     /// Credits `n` ingress bytes back (saturating: crediting more than
-    /// was charged settles at zero, so a stray recycle cannot corrupt
+    /// was charged settles at zero, so a stray release cannot corrupt
     /// the global ledger).
     pub fn credit_ingress(&self, n: usize) {
         let actual = saturating_take(&self.inner.charged_in, n as u64);
@@ -312,18 +232,6 @@ impl ChannelAccount {
     #[must_use]
     pub fn charged_egress(&self) -> u64 {
         self.inner.charged_out.load(Ordering::Relaxed)
-    }
-
-    /// Pops a cleared buffer of capacity ≥ `min` from the shared
-    /// reservoir (see [`BytePool::get`]).
-    #[must_use]
-    pub fn get(&self, min: usize) -> Vec<u8> {
-        self.inner.pool.get(min)
-    }
-
-    /// Returns a buffer to the shared reservoir (see [`BytePool::put`]).
-    pub fn put(&self, buf: Vec<u8>) {
-        self.inner.pool.put(buf);
     }
 }
 
@@ -368,32 +276,5 @@ mod tests {
         a.credit_ingress(1000);
         assert_eq!(pool.live_ingress(), 0);
         assert_eq!(a.charged_ingress(), 0);
-    }
-
-    #[test]
-    fn reservoir_reuses_and_respects_retain_cap() {
-        let pool = BytePool::new();
-        pool.put(Vec::with_capacity(4096));
-        assert_eq!(pool.pooled_bytes(), 4096);
-        let buf = pool.get(1000);
-        assert!(buf.capacity() >= 4096, "reused the pooled allocation");
-        assert_eq!(pool.pooled_bytes(), 0);
-        // A too-big buffer for the remaining cap is dropped, not pooled.
-        pool.put(Vec::with_capacity(DEFAULT_RETAIN_CAP as usize - 4096));
-        assert_eq!(pool.pooled_bytes(), DEFAULT_RETAIN_CAP - 4096);
-        pool.put(Vec::with_capacity(8192));
-        assert_eq!(pool.pooled_bytes(), DEFAULT_RETAIN_CAP - 4096);
-    }
-
-    #[test]
-    fn get_never_returns_undersized_buffers() {
-        let pool = BytePool::new();
-        pool.put(Vec::with_capacity(512));
-        let buf = pool.get(100_000);
-        assert!(buf.capacity() >= 100_000);
-        // The small pooled buffer is still there for a small request.
-        assert_eq!(pool.pooled_bytes(), 512);
-        assert!(pool.get(256).capacity() >= 256);
-        assert_eq!(pool.pooled_bytes(), 0);
     }
 }

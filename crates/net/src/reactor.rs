@@ -471,8 +471,8 @@ pub struct Reactor {
     m_events: Counter,
     m_timer_fires: Counter,
     metrics: Option<MetricsServer>,
-    /// The reactor's memory plane: shared frame reservoir + byte ledger
-    /// every registered channel draws an account from.
+    /// The reactor's memory plane: the byte ledger every registered
+    /// channel draws an account from.
     pool: BytePool,
 }
 
@@ -511,7 +511,7 @@ impl Reactor {
         })
     }
 
-    /// A handle to this reactor's shared frame pool / byte ledger.
+    /// A handle to this reactor's shared byte ledger.
     /// Channels call this at
     /// [`TcpChannel::register`](crate::tcp::TcpChannel::register) time to open
     /// their [`ChannelAccount`](crate::pool::ChannelAccount).

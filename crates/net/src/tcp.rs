@@ -9,13 +9,13 @@
 //! straight into the stream buffer, exactly [`FrameBuffer::needed`] bytes
 //! at a time, and hands that buffer out as the frame: no bounce buffer
 //! and no copy, so a hundred in-process client threads hold one
-//! allocation per frame in flight.
+//! allocation per frame in flight. The reactor path hands the stream
+//! buffer out the same way whenever it holds exactly one frame.
 //!
 //! Registered channels participate in the reactor's memory plane
 //! ([`crate::pool`]): every buffered ingress byte (stream buffer +
 //! decoded frames in flight) and egress byte (write backlog) is charged
-//! to the connection's [`ChannelAccount`], frame allocations come from
-//! the reactor-shared [`BytePool`](crate::pool::BytePool) reservoir.
+//! to the connection's [`ChannelAccount`].
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -52,21 +52,18 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// and the non-blocking (reactor) receive modes, so the proptests that
 /// feed it arbitrary split sequences cover both.
 ///
-/// Allocation reuse: consumed bytes advance a read cursor instead of
-/// `drain`-shifting the stream buffer per frame, and frames handed back
-/// via [`recycle`](FrameBuffer::recycle) return to the reactor-shared
-/// [`BytePool`](crate::pool::BytePool) once an account is attached — a
-/// coordinator that recycles after decoding stops allocating a fresh
-/// `Vec` per chunk frame per client. Without an account (the blocking
-/// path) a buffer holding exactly one frame hands out its own
-/// allocation as that frame.
+/// Allocations: consumed bytes advance a read cursor instead of
+/// `drain`-shifting the stream buffer per frame. A buffer holding
+/// exactly one frame hands out its own allocation as that frame (no
+/// copy); any other frame is copied out of the stream buffer.
 ///
 /// Accounting: with an attached [`ChannelAccount`], `push` charges the
 /// arriving bytes, `take_frame` moves a frame's bytes from stream
 /// custody to decoded-frame custody (crediting only the 4-byte prefix),
-/// and `recycle` credits the frame back — so the account's charge is
-/// always exactly `len() + outstanding decoded bytes`, and dropping the
-/// buffer settles the ledger.
+/// and [`credit_frame`](FrameBuffer::credit_frame) credits the frame
+/// back — so the account's charge is always exactly
+/// `len() + outstanding decoded bytes`, and dropping the buffer settles
+/// the ledger.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     /// Raw stream bytes (length prefixes included); everything before
@@ -74,7 +71,7 @@ pub struct FrameBuffer {
     buf: Vec<u8>,
     /// Read cursor into `buf`.
     pos: usize,
-    /// Bytes of decoded frames handed out and not yet recycled.
+    /// Bytes of decoded frames handed out and not yet credited back.
     outstanding: usize,
     /// Shared-pool account (attached at reactor registration).
     account: Option<ChannelAccount>,
@@ -83,12 +80,6 @@ pub struct FrameBuffer {
 /// Consumed-prefix length at which `push` compacts the stream buffer
 /// (below it, the memmove costs more than the memory is worth).
 const COMPACT_THRESHOLD: usize = 16 * 1024;
-
-/// Stream-buffer capacity a drained [`FrameBuffer`] keeps. Control
-/// frames (a few KiB even at 256 clients) never grow past it, so they
-/// never re-allocate; a masked-input burst grows the buffer to
-/// megabytes, and that is released when the burst has been consumed.
-const RELEASE_CAPACITY: usize = 64 * 1024;
 
 impl FrameBuffer {
     /// An empty buffer.
@@ -175,8 +166,8 @@ impl FrameBuffer {
         self.len() == 0
     }
 
-    /// Routes this buffer's accounting and allocation reuse through a
-    /// reactor's shared pool: current custody (unconsumed stream bytes +
+    /// Routes this buffer's accounting through a reactor's shared
+    /// ledger: current custody (unconsumed stream bytes +
     /// outstanding decoded frames) is charged to the new account, and
     /// the replaced account's drop credits the pool it came from — so a
     /// channel handed between reactors never double-counts.
@@ -185,14 +176,13 @@ impl FrameBuffer {
         self.account = Some(account);
     }
 
-    /// Returns a decoded frame's allocation to the pool and credits its
-    /// bytes back to the connection's ingress charge.
-    pub fn recycle(&mut self, frame: Vec<u8>) {
+    /// Credits a decoded frame's bytes back to the connection's ingress
+    /// charge once the caller is done with it; the frame is dropped.
+    pub fn credit_frame(&mut self, frame: Vec<u8>) {
         let credit = frame.len().min(self.outstanding);
         self.outstanding -= credit;
         if let Some(acct) = &self.account {
             acct.credit_ingress(credit);
-            acct.put(frame);
         }
     }
 
@@ -216,37 +206,21 @@ impl FrameBuffer {
             return Ok(None);
         }
         self.outstanding += len;
-        let Some(acct) = &self.account else {
-            if p + 4 + len == self.buf.len() {
-                // The buffer is this frame and nothing else: hand out
-                // the allocation itself, minus the prefix.
-                let mut frame = std::mem::take(&mut self.buf);
-                frame.drain(..p + 4);
-                self.pos = 0;
-                return Ok(Some(frame));
-            }
-            let frame = self.buf[p + 4..p + 4 + len].to_vec();
-            self.pos += 4 + len;
-            return Ok(Some(frame));
-        };
-        let mut frame = acct.get(len);
-        frame.extend_from_slice(&self.buf[p + 4..p + 4 + len]);
         // The frame's bytes move from stream custody to decoded-frame
         // custody; only the length prefix leaves the ledger.
-        acct.credit_ingress(4);
-        self.pos += 4 + len;
-        if self.pos == self.buf.len() {
-            // Fully consumed: reset in place. Ordinary traffic keeps its
-            // capacity; what a bulk burst grew goes back to the
-            // allocator, or every connection would hold its share of
-            // the round's largest burst for the rest of the session.
-            if self.buf.capacity() > RELEASE_CAPACITY {
-                self.buf = Vec::new();
-            } else {
-                self.buf.clear();
-            }
-            self.pos = 0;
+        if let Some(acct) = &self.account {
+            acct.credit_ingress(4);
         }
+        if p + 4 + len == self.buf.len() {
+            // The buffer is this frame and nothing else: hand out the
+            // allocation itself, minus the prefix.
+            let mut frame = std::mem::take(&mut self.buf);
+            frame.drain(..p + 4);
+            self.pos = 0;
+            return Ok(Some(frame));
+        }
+        let frame = self.buf[p + 4..p + 4 + len].to_vec();
+        self.pos += 4 + len;
         Ok(Some(frame))
     }
 }
@@ -633,11 +607,10 @@ impl TcpChannel {
         self.send(&msg[4..])
     }
 
-    /// Hands a received frame's allocation back once the caller is done
-    /// with it, so the next reassembled frame can reuse it instead of
-    /// allocating, and credits its bytes back to the ledger.
-    pub fn recycle_frame(&mut self, frame: Vec<u8>) {
-        self.inbox.recycle(frame);
+    /// Credits a received frame's bytes back to the ledger once the
+    /// caller is done with it (see [`FrameBuffer::credit_frame`]).
+    pub fn credit_frame(&mut self, frame: Vec<u8>) {
+        self.inbox.credit_frame(frame);
     }
 
     /// Registers (or re-keys) this channel with the reactor under
@@ -815,34 +788,28 @@ mod tests {
     use crate::transport::deadline_in;
 
     #[test]
-    fn frame_buffer_reuses_recycled_allocations() {
-        // With an attached pool account, a recycled frame's allocation
-        // comes back as the next frame of its size class.
+    fn frame_buffer_hands_out_a_lone_frame_without_copying() {
+        // With an attached pool account, a stream buffer holding exactly
+        // one frame hands its own allocation out as that frame; a frame
+        // with bytes behind it is copied out. Either way the ledger
+        // settles once the frames are credited back.
         let pool = crate::pool::BytePool::new();
+        let account = pool.account();
         let mut buf = FrameBuffer::new();
-        buf.attach_account(pool.account());
-        let mut stream = Vec::new();
-        for payload in [&b"abc"[..], b"defgh", b"ijklmn"] {
-            stream.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            stream.extend_from_slice(payload);
-        }
-        buf.push(&stream);
+        buf.attach_account(account.clone());
+        buf.push(&framed(&[b"abc".to_vec(), b"defgh".to_vec()]));
+        let at = buf.buf.as_ptr();
         let first = buf.take_frame().unwrap().expect("first frame");
         assert_eq!(first, b"abc");
-        let at = first.as_ptr();
-        buf.recycle(first);
         let second = buf.take_frame().unwrap().expect("second frame");
         assert_eq!(second, b"defgh");
-        assert_eq!(second.as_ptr(), at, "recycled allocation not reused");
-        // Recycle it again: the next frame rides the same allocation.
-        buf.recycle(second);
-        let third = buf.take_frame().unwrap().expect("third frame");
-        assert_eq!(third, b"ijklmn");
-        assert_eq!(third.as_ptr(), at);
-        assert!(buf.is_empty(), "stream fully consumed");
-        assert!(buf.take_frame().unwrap().is_none());
-        buf.recycle(third);
-        assert_eq!(pool.live_ingress(), 0, "recycle settles the ledger");
+        assert_eq!(second.as_ptr(), at, "the lone frame was copied");
+        assert!(buf.is_empty() && buf.take_frame().unwrap().is_none());
+        assert_eq!(account.charged_ingress(), 8, "both frames in custody");
+        buf.credit_frame(first);
+        buf.credit_frame(second);
+        assert_eq!(account.charged_ingress(), 0);
+        assert_eq!(pool.live_ingress(), 0, "credit settles the ledger");
     }
 
     /// Length-prefixes `frames` into one stream.
@@ -887,29 +854,30 @@ mod tests {
                 buf.len() as u64 + outstanding,
                 "ledger is by length, not capacity"
             );
-            buf.recycle(got);
+            buf.credit_frame(got);
             outstanding -= want.len() as u64;
         }
         assert!(buf.is_empty() && buf.take_frame().unwrap().is_none());
         assert_eq!(account.charged_ingress(), 0);
-        assert!(
-            buf.buf.capacity() <= RELEASE_CAPACITY,
-            "burst capacity kept: {}",
-            buf.buf.capacity()
+        assert_eq!(
+            buf.buf.capacity(),
+            0,
+            "burst capacity kept: the last frame should have taken it"
         );
 
         // The released buffer keeps working, and control-sized traffic
-        // (tcp_cohort256's frames are ≈ 3 KiB) keeps its allocation.
+        // (tcp_cohort256's frames are ≈ 3 KiB) arriving one frame at a
+        // time leaves with its frame: the buffer holds nothing between
+        // frames.
         let small: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 3000]).collect();
-        let mut kept = None;
         for f in &small {
             buf.push(&framed(std::slice::from_ref(f)));
+            let at = buf.buf.as_ptr();
             let got = buf.take_frame().unwrap().expect("frame");
             assert_eq!(&got, f);
-            buf.recycle(got);
-            let at = (buf.buf.as_ptr(), buf.buf.capacity());
-            assert!(at.1 > 0 && at.1 <= RELEASE_CAPACITY);
-            assert_eq!(*kept.get_or_insert(at), at, "small traffic re-allocated");
+            assert_eq!(got.as_ptr(), at, "lone control frame copied");
+            buf.credit_frame(got);
+            assert_eq!(buf.buf.capacity(), 0);
         }
         assert_eq!(account.charged_ingress(), 0);
     }
@@ -932,7 +900,7 @@ mod tests {
             pos += n;
             while let Some(frame) = buf.take_frame().unwrap() {
                 got.push(frame.clone());
-                buf.recycle(frame); // exercise reuse mid-stream
+                buf.credit_frame(frame);
             }
         }
         assert_eq!(got, frames);
@@ -957,9 +925,8 @@ mod tests {
             100,
             "prefix credited, frame still in custody"
         );
-        buf.recycle(frame);
-        assert_eq!(pool.live_ingress(), 0, "recycle settles the frame");
-        assert!(pool.pooled_bytes() > 0, "allocation joined the reservoir");
+        buf.credit_frame(frame);
+        assert_eq!(pool.live_ingress(), 0, "credit settles the frame");
     }
 
     #[test]

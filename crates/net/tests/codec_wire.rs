@@ -665,14 +665,16 @@ mod hostile_bytes {
         Ok(())
     }
 
-    /// Feeds `stream` to a pooled [`FrameBuffer`] in the pieces `splits`
-    /// cuts (then the rest at once); returns the frames delivered and
-    /// whether a length prefix poisoned the stream — which must stick,
-    /// and must not have drawn a buffer.
+    /// Feeds `stream` to an accounted [`FrameBuffer`] in the pieces
+    /// `splits` cuts (then the rest at once); returns the frames
+    /// delivered and whether a length prefix poisoned the stream — which
+    /// must stick, and must not have taken the refused frame into
+    /// custody: the account holds exactly the buffered stream bytes plus
+    /// the taken frames' bytes.
     fn reassemble(stream: &[u8], splits: &[usize]) -> Result<(Vec<Vec<u8>>, bool), TestCaseError> {
-        let telemetry = dordis_telemetry::Telemetry::enabled();
+        let account = BytePool::new().account();
         let mut buf = FrameBuffer::new();
-        buf.attach_account(BytePool::with_telemetry(&telemetry).account());
+        buf.attach_account(account.clone());
         let (mut taken, mut poisoned, mut rest) = (Vec::new(), false, stream);
         let mut cuts = splits.iter().copied();
         while !rest.is_empty() && !poisoned {
@@ -688,10 +690,8 @@ mod hostile_bytes {
             }
         }
         prop_assert!(buf.take_frame().is_err() == poisoned, "poison must stick");
-        let snap = telemetry.snapshot().expect("enabled telemetry");
-        let drawn =
-            snap.get("dordis_frames_allocated_total") + snap.get("dordis_frames_recycled_total");
-        prop_assert_eq!(drawn, taken.len() as u64);
+        let held: usize = taken.iter().map(Vec::len).sum();
+        prop_assert_eq!(account.charged_ingress(), (buf.len() + held) as u64);
         Ok((taken, poisoned))
     }
 

@@ -3,8 +3,8 @@
 //! The memory plane's core claim is an accounting identity: at every
 //! point in time, the pool's live ingress gauge equals the bytes each
 //! connection genuinely holds custody of (stream buffer + decoded
-//! frames not yet recycled), no matter how pushes, frame takes,
-//! recycles, and disconnects interleave — and a dropped connection
+//! frames not yet credited back), no matter how pushes, frame takes,
+//! credits, and disconnects interleave — and a dropped connection
 //! settles its whole ledger, so nothing leaks. The
 //! `dordis_buffered_bytes` gauges read this ledger, so a drift here
 //! silently turns them into fiction.
@@ -13,9 +13,6 @@ use dordis_net::pool::BytePool;
 use dordis_net::tcp::FrameBuffer;
 use proptest::collection;
 use proptest::prelude::*;
-
-/// The pool's bound on retained free-list bytes (8 MiB).
-const RETAIN_CAP: u64 = 8 << 20;
 
 /// Deterministic payload bytes for frame `i` of length `len`.
 fn payload(seed: u64, i: usize, len: usize) -> Vec<u8> {
@@ -47,7 +44,7 @@ struct Conn {
     /// Scripted wire bytes not yet pushed.
     stream: Vec<u8>,
     fed: usize,
-    /// Frames taken but not yet recycled (custody still charged).
+    /// Frames taken but not yet credited back (custody still charged).
     held: Vec<Vec<u8>>,
     /// Shadow ledger: what this connection should have charged.
     live: u64,
@@ -72,7 +69,7 @@ impl Conn {
 /// has no tuple strategies): `(connection index, op, size hint)`.
 ///
 /// op 0..=2: push up to `hint` scripted bytes; 3: take one frame;
-/// 4: recycle the oldest held frame; 5: disconnect.
+/// 4: credit back the oldest held frame; 5: disconnect.
 fn decode_op(x: u64) -> (usize, u8, usize) {
     let idx = (x & 0xFF) as usize;
     let op = ((x >> 8) % 6) as u8;
@@ -83,11 +80,10 @@ fn decode_op(x: u64) -> (usize, u8, usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Arbitrary interleavings of push / take / recycle / disconnect
+    /// Arbitrary interleavings of push / take / credit / disconnect
     /// keep the pool's ledger balanced: live ingress always equals the
-    /// surviving connections' shadow ledgers, retained pool bytes never
-    /// exceed the retain cap, and dropping every connection settles to
-    /// zero.
+    /// surviving connections' shadow ledgers, and dropping every
+    /// connection settles to zero.
     #[test]
     fn interleaved_custody_keeps_the_ledger_balanced(
         seed in any::<u64>(),
@@ -135,7 +131,7 @@ proptest! {
                     if !conn.held.is_empty() {
                         let frame = conn.held.remove(0);
                         conn.live -= frame.len() as u64;
-                        conn.buf.recycle(frame);
+                        conn.buf.credit_frame(frame);
                     }
                 }
                 5 => {
@@ -152,22 +148,16 @@ proptest! {
                 .map(|c| c.live)
                 .sum();
             prop_assert_eq!(pool.live_ingress(), expected);
-            prop_assert!(
-                pool.pooled_bytes() <= RETAIN_CAP,
-                "retained {} bytes exceeds cap {}",
-                pool.pooled_bytes(),
-                RETAIN_CAP
-            );
         }
 
-        // Everything disconnects — even with un-recycled frames and
+        // Everything disconnects — even with uncredited frames and
         // half-parsed streams in flight, the ledger settles to zero.
         conns.clear();
         prop_assert_eq!(pool.live_ingress(), 0);
     }
 }
 
-/// A taken frame recycled *after* its producing buffer is gone still
+/// A taken frame held *after* its producing buffer is gone still
 /// settles: the account outlives the `FrameBuffer` only through the
 /// test's clone, and dropping both zeroes the ledger even though the
 /// held frame never went back.

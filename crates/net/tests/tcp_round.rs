@@ -42,11 +42,10 @@ fn tcp_secagg_plus_round_with_mid_round_kill() {
 
     let (mut acceptor, addr) = local::listen();
 
-    let telemetry = Telemetry::enabled();
     let cfg = SessionConfig {
         join_timeout: Duration::from_secs(15),
         stage_timeout: Duration::from_secs(8),
-        telemetry: telemetry.clone(),
+        telemetry: Telemetry::enabled(),
         ..local::one_round(params)
     };
     let (mut reports, clients) = local::run_session(&mut acceptor, cfg, 0..N, move |id| {
@@ -94,9 +93,4 @@ fn tcp_secagg_plus_round_with_mid_round_kill() {
         assert!(survivors.contains_key(owner));
         assert!(*k >= 1 && *k <= 2);
     }
-
-    // The shared free list served recycled allocations: the registered
-    // channels' `tcp::FrameBuffer`s draw from it.
-    let snap = telemetry.snapshot().expect("enabled telemetry");
-    assert!(snap.get("dordis_frames_recycled_total") > 0);
 }
