@@ -113,27 +113,6 @@ impl Prg {
         self.stream.next_u16()
     }
 
-    /// Returns a uniform value in `[0, bound)` by rejection sampling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0`.
-    pub fn next_u64_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        if bound.is_power_of_two() {
-            return self.next_u64() & (bound - 1);
-        }
-        // Rejection sampling: reject the final partial range so the result
-        // is exactly uniform.
-        let zone = u64::MAX - (u64::MAX % bound);
-        loop {
-            let v = self.next_u64();
-            if v < zone {
-                return v % bound;
-            }
-        }
-    }
-
     /// Returns a uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -150,33 +129,112 @@ impl Prg {
     /// (16 elements per ChaCha20 block) for `bits ≤ 32`, a `u64` (8 per
     /// block) above. A fill consumes exactly that many stream bytes, so
     /// fills at one `bits` compose: any split of a fill equals the
-    /// whole.
+    /// whole. The word `out` holds the elements in ([`RingWord`]) does
+    /// not enter the layout: a `u32` fill reads the same stream words a
+    /// `u64` fill widens.
     ///
     /// # Panics
     ///
-    /// Panics if `bits == 0` or `bits > 64`.
-    pub fn fill_mod2b(&mut self, bits: u32, out: &mut [u64]) {
+    /// Panics if `bits` is outside `1..=W::BITS`.
+    pub fn fill_mod2b<W: RingWord>(&mut self, bits: u32, out: &mut [W]) {
+        W::fill_mod2b(&mut self.stream, bits, out);
+    }
+}
+
+/// A word a `Z_{2^b}` vector is held in: `u32` holds every ring of at
+/// most 32 bits, `u64` every ring. The mask layout ([`Prg::fill_mod2b`])
+/// is the same for both, so a vector held in the narrower word is the
+/// wider one's elements, truncated without loss.
+pub trait RingWord: Copy + Default + std::ops::BitAnd<Output = Self> {
+    /// Bits in the word.
+    const BITS: u32;
+
+    /// The ring mask `2^bits − 1` in this word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is outside `1..=Self::BITS`.
+    fn ring(bits: u32) -> Self;
+
+    /// The low [`RingWord::BITS`] bits of `v`.
+    fn truncate(v: u64) -> Self;
+
+    /// `self + rhs` modulo `2^BITS`.
+    fn wrapping_add(self, rhs: Self) -> Self;
+
+    /// `−self` modulo `2^BITS`.
+    fn wrapping_neg(self) -> Self;
+
+    /// [`Prg::fill_mod2b`] on the PRG's keystream.
+    #[doc(hidden)]
+    fn fill_mod2b(stream: &mut KeyStream, bits: u32, out: &mut [Self]);
+}
+
+macro_rules! ring_word_arith {
+    ($w:ty) => {
+        const BITS: u32 = <$w>::BITS;
+
+        fn ring(bits: u32) -> $w {
+            assert!(
+                (1..=Self::BITS).contains(&bits),
+                "bit width {bits} outside 1..={}",
+                Self::BITS
+            );
+            <$w>::MAX >> (Self::BITS - bits)
+        }
+
+        #[inline]
+        fn truncate(v: u64) -> $w {
+            v as $w
+        }
+
+        #[inline]
+        fn wrapping_add(self, rhs: $w) -> $w {
+            <$w>::wrapping_add(self, rhs)
+        }
+
+        #[inline]
+        fn wrapping_neg(self) -> $w {
+            <$w>::wrapping_neg(self)
+        }
+    };
+}
+
+impl RingWord for u32 {
+    ring_word_arith!(u32);
+
+    fn fill_mod2b(stream: &mut KeyStream, bits: u32, out: &mut [u32]) {
+        // Every ring a `u32` holds has the `u32` lane: the stream words
+        // are the elements.
+        let ring = u32::ring(bits);
+        stream.fill_u32(out);
+        for v in out.iter_mut() {
+            *v &= ring;
+        }
+    }
+}
+
+impl RingWord for u64 {
+    ring_word_arith!(u64);
+
+    fn fill_mod2b(stream: &mut KeyStream, bits: u32, out: &mut [u64]) {
         let lane = lane_bytes(bits);
-        let mask = if bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
+        let ring = u64::ring(bits);
         // Batched keystream generation (whole ChaCha20 blocks at a
         // time), then one masking pass.
         if lane == 4 {
             let mut lanes = [0u32; LANE_STRIP];
             for strip in out.chunks_mut(LANE_STRIP) {
                 let lanes = &mut lanes[..strip.len()];
-                self.stream.fill_u32(lanes);
+                stream.fill_u32(lanes);
                 for (v, &lane) in strip.iter_mut().zip(lanes.iter()) {
-                    *v = u64::from(lane) & mask;
+                    *v = u64::from(lane) & ring;
                 }
             }
         } else {
-            self.stream.fill_u64(out);
+            stream.fill_u64(out);
             for v in out.iter_mut() {
-                *v &= mask;
+                *v &= ring;
             }
         }
     }
@@ -230,28 +288,6 @@ mod tests {
         assert_eq!(Prg::fork(&seed, b"d", 0), Prg::fork(&seed, b"d", 0));
         assert_ne!(Prg::fork(&seed, b"d", 0), Prg::fork(&seed, b"d", 1));
         assert_ne!(Prg::fork(&seed, b"d", 0), Prg::fork(&seed, b"e", 0));
-    }
-
-    #[test]
-    fn below_respects_bound() {
-        let mut p = Prg::new(&[4u8; 32], b"t");
-        for bound in [1u64, 2, 3, 7, 100, 1 << 20, u64::MAX] {
-            for _ in 0..50 {
-                assert!(p.next_u64_below(bound) < bound);
-            }
-        }
-    }
-
-    #[test]
-    fn below_is_roughly_uniform() {
-        let mut p = Prg::new(&[5u8; 32], b"t");
-        let mut counts = [0usize; 10];
-        for _ in 0..10_000 {
-            counts[p.next_u64_below(10) as usize] += 1;
-        }
-        for &c in &counts {
-            assert!((800..1200).contains(&c), "count {c} far from uniform");
-        }
     }
 
     #[test]
@@ -316,6 +352,32 @@ mod tests {
                 assert_eq!(tail, whole[k..], "bits {bits}, offset {k}");
             }
         }
+    }
+
+    #[test]
+    fn narrow_fill_equals_the_wide_one() {
+        // A `u32` fill reads the stream words a `u64` fill widens, at
+        // every ring a `u32` holds, from any seek position and however
+        // it is split.
+        let seed = [13u8; 32];
+        for bits in [1u32, 7, 20, 31, 32] {
+            for offset in [0usize, 3, 16, 17] {
+                let mut wide = vec![0u64; 300];
+                Prg::new_at(&seed, b"narrow", bits, offset).fill_mod2b(bits, &mut wide);
+                let mut narrow = vec![0u32; 300];
+                let mut prg = Prg::new_at(&seed, b"narrow", bits, offset);
+                prg.fill_mod2b(bits, &mut narrow[..101]);
+                prg.fill_mod2b(bits, &mut narrow[101..]);
+                let widened: Vec<u64> = narrow.iter().map(|&v| u64::from(v)).collect();
+                assert_eq!(widened, wide, "bits {bits}, offset {offset}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bit width 33 outside 1..=32")]
+    fn narrow_fill_refuses_a_wide_ring() {
+        Prg::new(&[14u8; 32], b"narrow").fill_mod2b(33, &mut [0u32; 4]);
     }
 
     #[test]

@@ -553,21 +553,33 @@ pub fn decode_masked_input(
     vector_len: usize,
     ctx: FrameContext,
 ) -> Result<MaskedInput, NetError> {
-    let mut r = Reader::new(body);
-    let client = r.u32().map_err(|e| with_context(e, ctx))?;
-    let expect = (vector_len as u64 * u64::from(bit_width)).div_ceil(8) as usize;
-    if r.remaining() != expect {
+    let (client, payload) = masked_input_payload(body).map_err(|e| with_context(e, ctx))?;
+    let expect = pack::packed_len(vector_len, bit_width);
+    if payload.len() != expect {
         return Err(NetError::Codec(format!(
             "MaskedInput payload {} bytes, expected {expect} ({ctx}, client {client})",
-            r.remaining()
+            payload.len()
         )));
     }
-    let vector = pack::unpack(r.take(expect)?, bit_width, vector_len);
     Ok(MaskedInput {
         client,
-        vector,
+        vector: pack::unpack(payload, bit_width, vector_len),
         bit_width,
     })
+}
+
+/// Splits a [`MaskedInput`] body into its sender id and its packed
+/// payload, borrowed and unchecked: the payload's length and contents
+/// are the round's business
+/// (`dordis_secagg::server::Server::collect_masked_packed`).
+///
+/// # Errors
+///
+/// Rejects a body too short to hold the sender id.
+pub fn masked_input_payload(body: &[u8]) -> Result<(ClientId, &[u8]), NetError> {
+    let mut r = Reader::new(body);
+    let client = r.u32()?;
+    Ok((client, r.take(r.remaining())?))
 }
 
 /// Annotates a codec error with its frame coordinates.

@@ -29,10 +29,11 @@
 //! them all. The masked-input stage has one frame per [`ChunkPlan`]
 //! chunk; a control stage (key advertisement, share routing,
 //! consistency, share collection) is a one-chunk stage. Each frame is
-//! decoded from the borrowed envelope on arrival: a control message is
-//! filed by sender id, so the server sees it in id order, and chunk
-//! `c`'s masked inputs are aggregated into the server's per-chunk state
-//! *while chunk `c+1`'s frames are still in flight*. The stage deadline
+//! filed from the borrowed envelope on arrival: a control message is
+//! decoded and filed by sender id, so the server sees it in id order,
+//! and chunk `c`'s masked inputs go to the server as their packed wire
+//! payloads — never decoded — *while chunk `c+1`'s frames are still in
+//! flight*. The stage deadline
 //! applies per chunk (the clock restarts when a chunk closes). A second
 //! frame for a chunk a client already delivered is that client's
 //! protocol violation, as is a chunk id outside the plan. A client
@@ -57,12 +58,12 @@ use dordis_pipeline::ChunkPlan;
 use dordis_secagg::driver::{RoundStats, StageTraffic};
 use dordis_secagg::server::{RoundOutcome, Server};
 use dordis_secagg::{ClientId, RoundParams, SecAggError, ThreatModel};
-use dordis_telemetry::{MetricsSnapshot, Telemetry};
+use dordis_telemetry::{Gauge, MetricsSnapshot, Telemetry};
 
 use crate::codec::{
     self, decode_advertised_keys, decode_consistency_signature, decode_encrypted_shares,
-    decode_list, decode_masked_input, decode_noise_share_response, decode_unmasking_response,
-    encode_list, round_gate, Encode, Envelope, EnvelopeView, RoundGate, StageTag,
+    decode_list, decode_noise_share_response, decode_unmasking_response, encode_list, round_gate,
+    Encode, Envelope, EnvelopeView, RoundGate, StageTag,
 };
 use crate::faults::KillPoint;
 use crate::reactor::{Event, Reactor, ReactorStats, Token};
@@ -340,10 +341,12 @@ impl<'c> RoundMachine<'c> {
         // mid-flight — the hardest crash, nothing of this round exists
         // outside the dying process.
         cfg.faults.trip(KillPoint::MidMaskedStage, round)?;
-        // Each chunk frame is decoded on arrival and fed straight into
-        // the server's per-chunk state, where a completed stream folds
-        // into the running sums. A frame the server refuses is its
-        // sender's violation, never a round abort.
+        // Each chunk frame's packed payload goes to the server as it
+        // came off the wire: parked until its stream completes, then
+        // unpack-added into the running sum. A frame the server refuses
+        // is its sender's violation, never a round abort.
+        let custody = Custody::new(&cfg.telemetry);
+        custody.record(&self.server);
         let (_, up) = self.collect(
             reactor,
             peers,
@@ -351,19 +354,16 @@ impl<'c> RoundMachine<'c> {
             StageTag::MaskedInput,
             "MaskedInputCollection",
             &mut |server, id, env| {
-                let c = usize::from(env.chunk);
-                let plan = server.chunk_plan();
-                let (bits, len) = (plan.bit_width(), plan.chunk_len(c));
-                let mi = decode_masked_input(env.body, bits, len, env.context())
-                    .ok()
-                    .filter(|mi| mi.client == id)?;
-                server.collect_masked_chunk(c, vec![mi]).ok()
+                let filed = collect_masked_frame(server, id, env);
+                custody.record(server);
+                filed
             },
         )?;
         let u3 = self
             .server
             .finalize_masked()
             .map_err(|e| abort_secagg(peers, round, e))?;
+        custody.record(&self.server);
         let u3_env = Envelope::new(
             StageTag::SurvivorSet,
             round,
@@ -739,7 +739,55 @@ fn chunk_sleep(chunk_compute: Option<Duration>, plan: &ChunkPlan, chunk: usize) 
     }
 }
 
-/// A stage's per-frame callback: decodes the body from the borrowed
+/// Files one masked-input frame from `id`: once the body names its
+/// sender, the packed payload goes to the server as it came, with no
+/// decode. `None` — a body too short for the sender id, another
+/// sender's id, a payload the server refuses — is `id`'s protocol
+/// violation.
+fn collect_masked_frame(server: &mut Server, id: ClientId, env: &EnvelopeView<'_>) -> Option<()> {
+    let (sender, payload) = codec::masked_input_payload(env.body).ok()?;
+    if sender != id {
+        return None;
+    }
+    server
+        .collect_masked_packed(usize::from(env.chunk), id, payload)
+        .ok()
+}
+
+/// The secagg server's data-plane custody (parked chunk payloads plus
+/// the running sum) on the scrape, with its high water over the
+/// session — the part of coordinator memory the transport ledger
+/// ([`crate::pool`]) does not see.
+struct Custody {
+    live: Gauge,
+    high_water: Gauge,
+}
+
+impl Custody {
+    fn new(telemetry: &Telemetry) -> Custody {
+        Custody {
+            live: telemetry.gauge("dordis_server_custody_bytes", &[]),
+            high_water: telemetry.gauge("dordis_server_custody_bytes_high_water", &[]),
+        }
+    }
+
+    fn record(&self, server: &Server) {
+        let now = server.custody_bytes() as u64;
+        self.live.set(now);
+        if now > self.high_water.get() {
+            self.high_water.set(now);
+        }
+    }
+}
+
+impl Drop for Custody {
+    /// The round is over, and its server with it.
+    fn drop(&mut self) {
+        self.live.set(0);
+    }
+}
+
+/// A stage's per-frame callback: reads the body from the borrowed
 /// envelope as the frame arrives and vets that it names its sender.
 /// `None` is the sender's protocol violation.
 type OnFrame<'a, T> = dyn FnMut(&mut Server, ClientId, &EnvelopeView<'_>) -> Option<T> + 'a;

@@ -9,7 +9,8 @@
 //! consumed, released, or the channel drops — so `charges − credits` is
 //! exactly the reactor's live buffered bytes. It does not count what
 //! the round does with a frame after release (the secagg server's
-//! packed custody, decoded vectors), so the high-water gauge is a floor
+//! parked payloads and running sum, which the coordinator reports as
+//! `dordis_server_custody_bytes`), so the high-water gauge is a floor
 //! on the coordinator's memory, not its footprint.
 //!
 //! The pool holds no allocations: frames are plain `Vec`s, freed when

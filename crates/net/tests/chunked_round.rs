@@ -16,24 +16,35 @@ use dordis_net::runtime::{round_rng_seed, ClientRunOutcome, FailAction, FailPoin
 use dordis_net::session::SessionConfig;
 use dordis_net::transport::{recv_env, send_env, Channel, ThrottledChannel};
 use dordis_net::NetError;
+use dordis_pipeline::ChunkPlan;
 use dordis_secagg::client::{Client, ClientInput};
 use dordis_secagg::driver::{client_rng, run_round, DropStage, DropoutSchedule, RoundSpec};
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::messages::{EncryptedShares, MaskedInput};
 use dordis_secagg::server::RoundOutcome;
-use dordis_secagg::{ClientId, RoundParams, ThreatModel};
+use dordis_secagg::{pack, ClientId, RoundParams, ThreatModel};
 
 const BITS: u32 = 16;
 const DIM: usize = 48;
 const SEED: u64 = 31_337;
 
 fn params(n: u32, threshold: usize, noise_components: usize) -> RoundParams {
+    params_at(n, threshold, noise_components, BITS, DIM)
+}
+
+fn params_at(
+    n: u32,
+    threshold: usize,
+    noise_components: usize,
+    bit_width: u32,
+    vector_len: usize,
+) -> RoundParams {
     RoundParams {
         round: 9,
         clients: (0..n).collect(),
         threshold,
-        bit_width: BITS,
-        vector_len: DIM,
+        bit_width,
+        vector_len,
         noise_components,
         threat_model: ThreatModel::SemiHonest,
         graph: MaskingGraph::Complete,
@@ -41,18 +52,28 @@ fn params(n: u32, threshold: usize, noise_components: usize) -> RoundParams {
 }
 
 fn inputs(n: u32, noise_components: usize) -> BTreeMap<ClientId, ClientInput> {
+    inputs_at(n, noise_components, BITS, DIM)
+}
+
+fn inputs_at(
+    n: u32,
+    noise_components: usize,
+    bits: u32,
+    dim: usize,
+) -> BTreeMap<ClientId, ClientInput> {
     let seeds = if noise_components == 0 {
         0
     } else {
         noise_components + 1
     };
+    let ring = (1u64 << bits) - 1;
     (0..n)
         .map(|id| {
             (
                 id,
                 ClientInput {
-                    vector: (0..DIM)
-                        .map(|i| (u64::from(id) * 211 + i as u64 * 13) & ((1 << BITS) - 1))
+                    vector: (0..dim)
+                        .map(|i| (u64::from(id) * 211 + i as u64 * 13) & ring)
                         .collect(),
                     noise_seeds: vec![[id as u8 + 1; 32]; seeds],
                 },
@@ -283,40 +304,59 @@ fn run_keyless_streamer(mut chan: impl Channel, id: ClientId) {
     while recv_env(&mut chan, far()).is_ok() {}
 }
 
-/// How the hostile peer of `masked_chunk_from_outside_u2_drops_that_peer_only`
-/// breaks its masked-input stream.
+/// How the hostile peer of a hostile round breaks its masked-input
+/// stream.
 #[derive(Clone, Copy, Debug)]
 enum Hostile {
     /// Shares no keys, so it sits outside U2, then streams a chunk.
     OutsideU2,
     /// Sends its first chunk frame twice.
     RepeatChunk,
-    /// Labels its first chunk frame with a chunk id one past the plan.
+    /// Labels its first chunk frame with this chunk id, past the plan.
     ChunkPastEnd(u16),
+    /// Sends its first chunk frame's body one byte short.
+    Short,
+    /// Sends its first chunk frame's body one byte long.
+    Long,
+    /// Names this client as the sender of its first chunk frame.
+    WrongSender(ClientId),
+    /// Sets `bits` (the padding) in the final byte of chunk `chunk`'s
+    /// payload — no violation: the bits lie past the last element.
+    Padding { chunk: u16, bits: u8 },
 }
 
-/// An honest client's channel that breaks the first masked-input chunk
-/// frame it sends: repeats it, or relabels it as chunk `relabel`.
+/// An honest client's channel that breaks one masked-input chunk frame
+/// it sends, as its [`Hostile`] says.
 struct Tamper {
     inner: Box<dyn Channel>,
-    relabel: Option<u16>,
+    hostile: Hostile,
     tampered: bool,
 }
 
 impl Channel for Tamper {
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        let env = Envelope::decode(frame).expect("own frame");
+        let mut env = Envelope::decode(frame).expect("own frame");
         if self.tampered || env.stage != StageTag::MaskedInput {
             return self.inner.send(frame);
         }
-        self.tampered = true;
-        match self.relabel {
-            Some(chunk) => self.inner.send(&Envelope { chunk, ..env }.encode()),
-            None => {
-                self.inner.send(frame)?;
-                self.inner.send(frame)
+        match self.hostile {
+            Hostile::OutsideU2 => unreachable!("never masks an input"),
+            Hostile::RepeatChunk => self.inner.send(frame)?,
+            Hostile::ChunkPastEnd(chunk) => env.chunk = chunk,
+            Hostile::Short => {
+                env.body.pop();
+            }
+            Hostile::Long => env.body.push(0),
+            Hostile::WrongSender(other) => env.body[..4].copy_from_slice(&other.to_le_bytes()),
+            Hostile::Padding { chunk, bits } => {
+                if env.chunk != chunk {
+                    return self.inner.send(frame);
+                }
+                *env.body.last_mut().expect("a payload") |= bits;
             }
         }
+        self.tampered = true;
+        self.inner.send(&env.encode())
     }
 
     fn recv_deadline(&mut self, deadline: Instant) -> Result<Vec<u8>, NetError> {
@@ -328,9 +368,71 @@ impl Channel for Tamper {
     }
 }
 
+/// The client that breaks its masked-input stream in a hostile round.
+const HOSTILE: ClientId = 4;
+
+/// Runs one networked round at `chunks` chunks in which [`HOSTILE`]
+/// breaks its masked-input stream as `hostile` says and every other
+/// client is honest, its uplink paying `throttle` a frame. Every honest
+/// client must finish the round.
+fn hostile_round(
+    p: &RoundParams,
+    ins: &BTreeMap<ClientId, ClientInput>,
+    hostile: Hostile,
+    chunks: usize,
+    throttle: Duration,
+) -> NetRoundReport {
+    let (mut acceptor, addr) = local::listen();
+    let inputs = ins.clone();
+    let cfg = SessionConfig {
+        chunks,
+        ..local::one_round(p.clone())
+    };
+    let ids = p.clients.clone();
+    let (mut reports, clients) = local::run_session(&mut acceptor, cfg, ids, move |id| {
+        let raw = local::dial(&addr);
+        if id == HOSTILE {
+            if let Hostile::OutsideU2 = hostile {
+                run_keyless_streamer(raw, id);
+                return None;
+            }
+            let mut chan = Tamper {
+                inner: Box::new(raw),
+                hostile,
+                tampered: false,
+            };
+            // A violator's run ends on a closed channel.
+            let input = |_| inputs[&id].clone();
+            let _ = local::roster_client(&mut chan, id, SEED, |_| None, input, None);
+            return None;
+        }
+        let mut chan = ThrottledChannel::new(Box::new(raw), u64::MAX, throttle);
+        let run =
+            local::roster_client(&mut chan, id, SEED, |_| None, |_| inputs[&id].clone(), None);
+        Some(run.unwrap_or_else(|e| panic!("client {id}: {e}")))
+    });
+    for (id, run) in clients {
+        let Some(run) = run else { continue };
+        assert!(
+            matches!(run.rounds[0].outcome, ClientRunOutcome::Finished { .. }),
+            "{hostile:?}: honest client {id}: {:?}",
+            run.rounds[0].outcome
+        );
+    }
+    reports.pop().expect("one round")
+}
+
+/// The round dropped [`HOSTILE`], for a protocol violation, and no one
+/// else.
+fn assert_only_hostile_dropped(n: &NetRoundReport, hostile: Hostile) {
+    assert_eq!(n.outcome.dropped, vec![HOSTILE], "{hostile:?}");
+    assert_eq!(n.dropouts.len(), 1, "{hostile:?}: {:?}", n.dropouts);
+    assert_eq!(n.dropouts[0].client, HOSTILE);
+    assert_eq!(n.dropouts[0].kind, DropKind::ProtocolViolation);
+}
+
 #[test]
 fn masked_chunk_from_outside_u2_drops_that_peer_only() {
-    const HOSTILE: ClientId = 4;
     // Each hostile stream, the chunk count it runs at, and the driver
     // drop it is equivalent to. A repeated chunk must land before the
     // stream's last one, so that row runs at m = 4; a peer that never
@@ -345,56 +447,55 @@ fn masked_chunk_from_outside_u2_drops_that_peer_only() {
     let ins = inputs(5, 2);
     for (hostile, chunks, drop) in table {
         let d = driver_round(&p, &ins, &[(HOSTILE, drop)]);
-
-        let (mut acceptor, addr) = local::listen();
-        let inputs = ins.clone();
-        let cfg = SessionConfig {
-            chunks,
-            ..local::one_round(p.clone())
-        };
-        let (mut reports, clients) = local::run_session(&mut acceptor, cfg, 0..5, move |id| {
-            let raw = local::dial(&addr);
-            if id == HOSTILE {
-                let relabel = match hostile {
-                    Hostile::OutsideU2 => {
-                        run_keyless_streamer(raw, id);
-                        return None;
-                    }
-                    Hostile::RepeatChunk => None,
-                    Hostile::ChunkPastEnd(chunk) => Some(chunk),
-                };
-                let mut chan = Tamper {
-                    inner: Box::new(raw),
-                    relabel,
-                    tampered: false,
-                };
-                // Dropped mid-round: its run ends on a closed channel.
-                let input = |_| inputs[&id].clone();
-                let _ = local::roster_client(&mut chan, id, SEED, |_| None, input, None);
-                return None;
-            }
-            // Honest uplinks pay 100 ms a frame, so the hostile chunk is
-            // on the coordinator's desk while it still collects theirs.
-            let mut chan =
-                ThrottledChannel::new(Box::new(raw), u64::MAX, Duration::from_millis(100));
-            let run =
-                local::roster_client(&mut chan, id, SEED, |_| None, |_| inputs[&id].clone(), None);
-            Some(run.unwrap_or_else(|e| panic!("client {id}: {e}")))
-        });
-        let n = reports.pop().expect("one round");
-
+        // Honest uplinks pay 100 ms a frame, so the hostile chunk is on
+        // the coordinator's desk while it still collects theirs.
+        let n = hostile_round(&p, &ins, hostile, chunks, Duration::from_millis(100));
         assert_equivalent(&d, &n);
-        assert_eq!(n.outcome.dropped, vec![HOSTILE], "{hostile:?}");
-        assert_eq!(n.dropouts.len(), 1, "{hostile:?}: {:?}", n.dropouts);
-        assert_eq!(n.dropouts[0].client, HOSTILE);
-        assert_eq!(n.dropouts[0].kind, DropKind::ProtocolViolation);
-        for (id, run) in clients {
-            let Some(run) = run else { continue };
-            assert!(
-                matches!(run.rounds[0].outcome, ClientRunOutcome::Finished { .. }),
-                "honest client {id}: {:?}",
-                run.rounds[0].outcome
-            );
+        assert_only_hostile_dropped(&n, hostile);
+    }
+}
+
+#[test]
+fn hostile_masked_bodies_drop_only_their_sender_at_every_width() {
+    // A body one byte short or long, or naming another client as its
+    // sender, or a chunk past the plan, is its sender's violation and
+    // nothing else's at every width, on both sides of the server's
+    // 32-bit sum word: the server's packed entry refuses it before it
+    // reads an element. 45 elements end mid-byte at all but 8 and 32
+    // bits; there a stream whose last chunk has its padding bits set is
+    // honest, and the bits must not reach the sum.
+    const VECTOR_LEN: usize = 45;
+    const CHUNKS: usize = 2;
+    for bits in [1u32, 8, 20, 32, 33, 62] {
+        let p = params_at(5, 3, 0, bits, VECTOR_LEN);
+        let ins = inputs_at(5, 0, bits, VECTOR_LEN);
+        let plan = ChunkPlan::aligned(VECTOR_LEN, CHUNKS, bits).unwrap();
+        let last = plan.chunks() - 1;
+        let pad =
+            pack::packed_len(plan.chunk_len(last), bits) * 8 - plan.chunk_len(last) * bits as usize;
+        let clean = driver_round(&p, &ins, &[]);
+        let dropped = driver_round(&p, &ins, &[(HOSTILE, DropStage::BeforeMaskedInput)]);
+        let mut table = vec![
+            Hostile::Short,
+            Hostile::Long,
+            Hostile::WrongSender(0),
+            Hostile::ChunkPastEnd(plan.chunks() as u16),
+        ];
+        if pad > 0 {
+            table.push(Hostile::Padding {
+                chunk: last as u16,
+                bits: 0xffu8 << (8 - pad),
+            });
+        }
+        for hostile in table {
+            let n = hostile_round(&p, &ins, hostile, CHUNKS, Duration::from_millis(5));
+            if let Hostile::Padding { .. } = hostile {
+                assert_equivalent(&clean, &n);
+                assert!(n.dropouts.is_empty(), "{bits} bits: {:?}", n.dropouts);
+            } else {
+                assert_equivalent(&dropped, &n);
+                assert_only_hostile_dropped(&n, hostile);
+            }
         }
     }
 }

@@ -10,8 +10,8 @@ use dordis_net::codec::{
     decode_masked_input, decode_noise_share_response, decode_params, decode_setup,
     decode_signature_list, decode_unmasking_response, encode_abort, encode_announce, encode_join,
     encode_join_claim, encode_list, encode_params, encode_setup, encode_signature_list,
-    reassemble_masked_input, split_masked_input, Encode, Envelope, EnvelopeView, FrameContext,
-    StageTag, HEADER_BYTES, MAX_FRAME_BYTES, WIRE_VERSION,
+    masked_input_payload, reassemble_masked_input, split_masked_input, Encode, Envelope,
+    EnvelopeView, FrameContext, StageTag, HEADER_BYTES, MAX_FRAME_BYTES, WIRE_VERSION,
 };
 use dordis_net::pool::BytePool;
 use dordis_net::tcp::FrameBuffer;
@@ -658,8 +658,14 @@ mod hostile_bytes {
             // is sized to the payload so the unpacker runs on it.
             let _ = decode_masked_input(body, BITS, LEN, ctx());
             let payload_bits = body.len().saturating_sub(4) * 8;
-            for bits in [1u32, 8, 20, 62] {
+            for bits in [1u32, 8, 20, 32, 33, 62] {
                 let _ = decode_masked_input(body, bits, payload_bits / bits as usize, ctx());
+            }
+            // The coordinator's split: the sender id, then the rest
+            // borrowed as it is.
+            match masked_input_payload(body) {
+                Ok((_, payload)) => prop_assert_eq!(payload, &body[4..]),
+                Err(_) => prop_assert!(body.len() < 4),
             }
         }
         Ok(())

@@ -1,6 +1,8 @@
 //! A complete SecAgg+ round over real TCP sockets on localhost, with one
 //! client disconnecting mid-round (the "killed client" scenario), and
-//! the outcome checked against the expected survivor aggregate.
+//! the outcome checked against the expected survivor aggregate — and
+//! the secagg server's custody on the scrape checked against what the
+//! two-chunk round must have held.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -9,14 +11,16 @@ use dordis_net::coordinator::DropKind;
 use dordis_net::local;
 use dordis_net::runtime::{FailAction, FailPoint, FailStage};
 use dordis_net::session::SessionConfig;
+use dordis_pipeline::ChunkPlan;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
-use dordis_secagg::{ClientId, RoundParams, ThreatModel};
+use dordis_secagg::{pack, ClientId, RoundParams, ThreatModel};
 use dordis_telemetry::Telemetry;
 
 const BITS: u32 = 18;
 const DIM: usize = 32;
 const N: u32 = 7;
+const CHUNKS: usize = 2;
 
 fn input_for(id: ClientId) -> ClientInput {
     ClientInput {
@@ -42,10 +46,12 @@ fn tcp_secagg_plus_round_with_mid_round_kill() {
 
     let (mut acceptor, addr) = local::listen();
 
+    let telemetry = Telemetry::enabled();
     let cfg = SessionConfig {
         join_timeout: Duration::from_secs(15),
         stage_timeout: Duration::from_secs(8),
-        telemetry: Telemetry::enabled(),
+        chunks: CHUNKS,
+        telemetry: telemetry.clone(),
         ..local::one_round(params)
     };
     let (mut reports, clients) = local::run_session(&mut acceptor, cfg, 0..N, move |id| {
@@ -93,4 +99,27 @@ fn tcp_secagg_plus_round_with_mid_round_kill() {
         assert!(survivors.contains_key(owner));
         assert!(*k >= 1 && *k <= 2);
     }
+
+    // The server's custody peaked at its sum — one `u32` an element at
+    // 18 bits — plus whole chunk-0 payloads: every stream's first
+    // chunk waits parked, at least one of them before its stream
+    // completes, and a stream's last chunk is never parked. The live
+    // gauge falls to zero with the round's server.
+    let plan = ChunkPlan::aligned(DIM, CHUNKS, BITS).unwrap();
+    assert_eq!(plan.chunks(), CHUNKS);
+    let metrics = telemetry.snapshot().expect("telemetry enabled");
+    let sum_bytes = (DIM * 4) as u64;
+    let chunk0 = pack::packed_len(plan.chunk_len(0), BITS) as u64;
+    let parked = metrics.get("dordis_server_custody_bytes_high_water") - sum_bytes;
+    let streams = report.outcome.survivors.len() as u64;
+    assert_eq!(
+        parked % chunk0,
+        0,
+        "parked {parked} B, chunk 0 is {chunk0} B"
+    );
+    assert!(
+        (1..=streams).contains(&(parked / chunk0)),
+        "{parked} B parked, {streams} streams"
+    );
+    assert_eq!(metrics.get("dordis_server_custody_bytes"), 0);
 }

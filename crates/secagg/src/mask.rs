@@ -21,21 +21,22 @@
 //! `dordis_crypto::prg`'s business — `Prg::fill_mod2b` and
 //! `Prg::new_at` agree on it), and addition in `Z_{2^b}` commutes.
 
-use dordis_crypto::prg::{Prg, Seed};
+use dordis_crypto::prg::{Prg, RingWord, Seed};
 
 /// PRG domain for pairwise masks `PRG(s_{u,v})`.
 const DOMAIN_PAIRWISE: &[u8] = b"secagg.pairwise";
 /// PRG domain for self-masks `PRG(b_u)`.
 const DOMAIN_SELFMASK: &[u8] = b"secagg.selfmask";
 
-/// Strip length (in `u64`s) for fused expansion: large enough to
+/// Strip length (in words) for fused expansion: large enough to
 /// amortize the ChaCha20 block loop, small enough to stay in L1.
 const STRIP: usize = 512;
 
 /// Elements per outer strip where several masks are applied to one
 /// range, strip-outer and mask-inner (the client's
-/// `MaskedInputCursor::chunk`, the server's `unmask_chunk`): 16 KiB of
-/// `u64`s, so a strip stays in L1 while every mask is added to it.
+/// `MaskedInputCursor::chunk`, the server's `unmask_chunk`): at most
+/// 16 KiB of words, so a strip stays in L1 while every mask is added to
+/// it.
 pub(crate) const OUTER_STRIP: usize = 2048;
 
 /// Expands a pairwise mask vector from an agreed key.
@@ -70,9 +71,11 @@ pub fn self_mask_prg_at(seed: &Seed, bit_width: u32, elem_offset: usize) -> Prg 
 
 /// Fused expand-and-accumulate: `acc ± PRG-stream (mod 2^b)`, strip by
 /// strip, without materializing the mask vector. `prg` must already be
-/// positioned at the stream element corresponding to `acc[0]`.
-pub fn expand_and_add(prg: &mut Prg, acc: &mut [u64], positive: bool, bit_width: u32) {
-    let mut strip = [0u64; STRIP];
+/// positioned at the stream element corresponding to `acc[0]`. `acc`
+/// may be held in any word that holds the ring ([`RingWord`]): the
+/// elements are the same.
+pub fn expand_and_add<W: RingWord>(prg: &mut Prg, acc: &mut [W], positive: bool, bit_width: u32) {
+    let mut strip = [W::default(); STRIP];
     let mut rest = acc;
     while !rest.is_empty() {
         let n = rest.len().min(STRIP);
@@ -114,9 +117,13 @@ pub fn add_self_mask_assign(
 /// `wrapping_neg` before the ring mask, so each arm is pure adds), and
 /// the hot arms run in 4-element unrolled strips. Bit-equal to the
 /// naive branch-in-loop shape, pinned by `matches_reference_shape`.
-pub fn add_signed_assign(acc: &mut [u64], mask: &[u64], positive: bool, bit_width: u32) {
+///
+/// # Panics
+///
+/// Panics if `bit_width` is outside `1..=W::BITS`.
+pub fn add_signed_assign<W: RingWord>(acc: &mut [W], mask: &[W], positive: bool, bit_width: u32) {
     debug_assert_eq!(acc.len(), mask.len());
-    let ring = ring_mask(bit_width);
+    let ring = W::ring(bit_width);
     let n = acc.len().min(mask.len());
     let (a_strips, a_tail) = acc[..n].split_at_mut(n - n % 4);
     let (m_strips, m_tail) = mask[..n].split_at(n - n % 4);
@@ -300,6 +307,38 @@ mod tests {
             let p = self_mask(&seed, len, bits);
             add_signed_assign(&mut materialized, &p, positive, bits);
             assert_eq!(fused, materialized, "self, positive {positive}");
+        }
+    }
+
+    #[test]
+    fn narrow_expansion_equals_the_wide_one() {
+        // Expanding into a `u32` sum adds the elements a `u64` sum gets,
+        // with either sign, from any offset, at every ring a `u32`
+        // holds.
+        let key = [6u8; 32];
+        for bits in [1u32, 16, 20, 31, 32] {
+            for (offset, positive) in [(0usize, true), (5, false), (4097, true)] {
+                let ring = ring_mask(bits);
+                let mut wide: Vec<u64> = (0..1500u64).map(|i| (i * 2_654_435_761) & ring).collect();
+                let mut narrow: Vec<u32> = wide.iter().map(|&x| x as u32).collect();
+                expand_and_add(
+                    &mut pairwise_prg_at(&key, bits, offset),
+                    &mut wide,
+                    positive,
+                    bits,
+                );
+                expand_and_add(
+                    &mut pairwise_prg_at(&key, bits, offset),
+                    &mut narrow,
+                    positive,
+                    bits,
+                );
+                let widened: Vec<u64> = narrow.iter().map(|&x| u64::from(x)).collect();
+                assert_eq!(
+                    widened, wide,
+                    "bits {bits}, offset {offset}, positive {positive}"
+                );
+            }
         }
     }
 

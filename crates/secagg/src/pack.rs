@@ -1,17 +1,25 @@
 //! Bit-packing of `Z_{2^b}` vectors at `b` bits per element, LSB first.
 //!
 //! This is the masked-input wire layout (the body of a `MaskedInput`
-//! frame after the sender id) and the form the server parks an
-//! incomplete chunk stream in: element `i` occupies bits
-//! `[i·b, (i+1)·b)` of the byte string, the last byte zero-padded. One
-//! kernel serves both, moving 64-bit little-endian words through a
-//! `u64` accumulator; the byte-at-a-time loop it replaced is kept under
-//! `#[cfg(test)]` as the bit-equality oracle.
+//! frame after the sender id): element `i` occupies bits
+//! `[i·b, (i+1)·b)` of the byte string, the last byte zero-padded by
+//! the packer. The server keeps a chunk in this form from the wire to
+//! its sum: an incomplete stream's chunks are parked as the payloads
+//! that arrived, and [`unpack_add`] adds a payload straight into the
+//! ring-width running sum (`u32` or `u64` words), so no chunk is ever
+//! decoded into a vector of its own. The unpackers read exactly
+//! `len · b` bits: padding bits a sender set are never read. One
+//! kernel serves packing and unpacking, moving 64-bit little-endian
+//! words through a `u64` accumulator; the byte-at-a-time loop it
+//! replaced is kept under `#[cfg(test)]` as the bit-equality oracle.
 //!
 //! Every function panics on `bits` outside `1..=62` (the range
 //! `RoundParams::validate` admits), and the unpackers on a byte length
 //! other than [`packed_len`]`(len, bits)` — callers holding outside
-//! input check the length first and report it with their own context.
+//! input check the length first and report it with their own context
+//! (`Server::collect_masked_packed` does, before reading an element).
+
+use dordis_crypto::prg::RingWord;
 
 use crate::mask::ring_mask;
 
@@ -88,15 +96,16 @@ pub fn unpack(packed: &[u8], bits: u32, len: usize) -> Vec<u64> {
 }
 
 /// `acc[i] += element i (mod 2^bits)` without materializing the
-/// unpacked vector.
+/// unpacked vector, in whichever word `acc` holds the ring in.
 ///
 /// # Panics
 ///
-/// Panics unless `packed.len() == packed_len(acc.len(), bits)`.
-pub fn unpack_add(packed: &[u8], bits: u32, acc: &mut [u64]) {
-    let ring = ring_mask(bits);
+/// Panics unless `packed.len() == packed_len(acc.len(), bits)`, or if
+/// `bits` is outside `1..=W::BITS`.
+pub fn unpack_add<W: RingWord>(packed: &[u8], bits: u32, acc: &mut [W]) {
+    let ring = W::ring(bits);
     unpack_each(packed, bits, acc.len(), |i, v| {
-        acc[i] = acc[i].wrapping_add(v) & ring;
+        acc[i] = acc[i].wrapping_add(W::truncate(v)) & ring;
     });
 }
 
@@ -218,6 +227,25 @@ mod tests {
             let mut two_step = base;
             add_signed_assign(&mut two_step, &unpack(&packed, bits, len), true, bits);
             prop_assert_eq!(fused, two_step);
+        }
+
+        #[test]
+        fn narrow_unpack_add_equals_the_wide_one(
+            bits in 1u32..33,
+            len in 0usize..300,
+            seed in any::<u64>(),
+        ) {
+            // A `u32` sum is the `u64` sum's elements, for every ring a
+            // `u32` holds.
+            let ring = ring_mask(bits);
+            let mut packed = Vec::new();
+            pack_into(&values(len, seed), bits, &mut packed);
+            let mut wide: Vec<u64> = values(len, !seed).iter().map(|x| x & ring).collect();
+            let mut narrow: Vec<u32> = wide.iter().map(|&x| x as u32).collect();
+            unpack_add(&packed, bits, &mut wide);
+            unpack_add(&packed, bits, &mut narrow);
+            let widened: Vec<u64> = narrow.iter().map(|&x| u64::from(x)).collect();
+            prop_assert_eq!(widened, wide);
         }
     }
 }

@@ -9,17 +9,33 @@
 //! ## Chunked data plane
 //!
 //! The data plane is partitioned by a [`ChunkPlan`] (paper §4.1):
-//! masked inputs arrive per chunk ([`Server::collect_masked_chunk`])
-//! and fold into one full-length running sum, and each chunk's range of
-//! that sum is unmasked on its own ([`Server::unmask_chunk`]), which
-//! expands exactly that range of every mask stream to cancel.
-//! Key/share/consistency state stays **round-global** — only the
-//! data-plane stages pipeline, exactly as in the paper. The in-memory
-//! driver runs the same methods on the single-chunk plan [`Server::new`]
-//! builds; with any plan the sum equals the whole-vector computation
-//! because every mask operation is coordinate-wise.
+//! masked inputs arrive per chunk, as the wire carries them
+//! ([`Server::collect_masked_packed`]: the chunk's elements bit-packed
+//! at the ring width; [`Server::collect_masked_chunk`] packs decoded
+//! vectors and delegates), and fold into one full-length running sum,
+//! and each chunk's range of that sum is unmasked on its own
+//! ([`Server::unmask_chunk`]), which expands exactly that range of
+//! every mask stream to cancel. Key/share/consistency state stays
+//! **round-global** — only the data-plane stages pipeline, exactly as
+//! in the paper. The in-memory driver runs the same methods on the
+//! single-chunk plan [`Server::new`] builds; with any plan the sum
+//! equals the whole-vector computation because every mask operation is
+//! coordinate-wise.
+//!
+//! ## Custody at ring width
+//!
+//! Dropout resilience makes the server hold the early chunks of every
+//! incomplete stream: a client's input may enter the sum only once its
+//! whole stream has arrived. Those chunks wait as their wire payloads,
+//! and nothing else is held at more than the ring's width: the running
+//! sum is a `u32` per element for rings of up to 32 bits (a `u64`
+//! above), masks are expanded into it in that word, and
+//! [`Server::finish`] widens it once into [`RoundOutcome::sum`]. No
+//! chunk is ever decoded into a vector of its own.
+//! [`Server::custody_bytes`] is the parked payloads plus the sum.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use dordis_crypto::ed25519::Signature;
 use dordis_crypto::ka::KeyPair;
@@ -55,6 +71,69 @@ pub struct RoundOutcome {
 /// seed, and the sign that cancels it.
 type Cancel = (fn(&Seed, u32, usize) -> Prg, Seed, bool);
 
+/// The running sum in the narrowest word that holds the ring, chosen
+/// once per round: a `u32` halves the sum's memory and widens nothing
+/// for every ring up to 32 bits.
+enum RingSum {
+    /// Rings of at most 32 bits.
+    Narrow(Vec<u32>),
+    /// Rings of 33 to 62 bits.
+    Wide(Vec<u64>),
+}
+
+/// Runs `$body` with `$words` bound to the sum's word vector, whichever
+/// word it is held in.
+macro_rules! with_words {
+    ($sum:expr, $words:ident => $body:expr) => {
+        match $sum {
+            RingSum::Narrow($words) => $body,
+            RingSum::Wide($words) => $body,
+        }
+    };
+}
+
+impl RingSum {
+    fn new(len: usize, bits: u32) -> RingSum {
+        if bits <= u32::BITS {
+            RingSum::Narrow(vec![0; len])
+        } else {
+            RingSum::Wide(vec![0; len])
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        with_words!(self, words => std::mem::size_of_val(words.as_slice()))
+    }
+
+    /// `sum[range] += the packed elements (mod 2^bits)`.
+    fn unpack_add(&mut self, range: Range<usize>, packed: &[u8], bits: u32) {
+        with_words!(self, words => pack::unpack_add(packed, bits, &mut words[range]));
+    }
+
+    /// Adds every stream in `streams` to `sum[range]`, strip-outer and
+    /// mask-inner; each stream must be positioned at `range.start`.
+    fn cancel(&mut self, range: Range<usize>, streams: &mut [(Prg, bool)], bits: u32) {
+        with_words!(self, words => {
+            for strip in words[range].chunks_mut(mask::OUTER_STRIP) {
+                for (prg, positive) in streams.iter_mut() {
+                    mask::expand_and_add(prg, strip, *positive, bits);
+                }
+            }
+        });
+    }
+
+    fn zero(&mut self, range: Range<usize>) {
+        with_words!(self, words => words[range].fill(0));
+    }
+
+    fn widen(self) -> Vec<u64> {
+        match self {
+            RingSum::Narrow(words) => words.into_iter().map(u64::from).collect(),
+            RingSum::Wide(words) => words,
+        }
+    }
+}
+
 /// Server state machine.
 pub struct Server {
     params: RoundParams,
@@ -68,24 +147,27 @@ pub struct Server {
     u5: Vec<ClientId>,
     /// Per-chunk masked inputs of clients whose streams are still
     /// *incomplete*: `masked[c][client]` is the client's chunk-`c`
-    /// slice, bit-packed ([`pack`]) at the ring width — a quarter to a
-    /// third of its decoded size at 16–20 bits, which matters because
-    /// chunk-lazy clients leave every stream incomplete for most of the
-    /// stage. The chunk that completes a stream is never parked: it
-    /// folds into [`Server::sum`] with the parked ones and all are
-    /// freed. Partial deliveries linger here but never reach a sum;
-    /// `finalize_masked` discards them.
+    /// payload exactly as it came off the wire, bit-packed ([`pack`])
+    /// at the ring width — chunk-lazy clients leave every stream
+    /// incomplete for most of the stage, so this is most of the
+    /// server's custody. The chunk that completes a stream is never
+    /// parked: it is unpack-added into [`Server::sum`] with the parked
+    /// ones and all are freed. Partial deliveries linger here but never
+    /// reach a sum; `finalize_masked` discards them.
     masked: Vec<BTreeMap<ClientId, Vec<u8>>>,
+    /// Bytes parked in `masked`.
+    parked_bytes: usize,
     /// Clients whose complete masked input has been folded into
     /// [`Server::sum`]. This *is* U3 at `finalize_masked` time.
     folded: BTreeSet<ClientId>,
     /// The full-length running sum (in `Z_{2^b}`) over the folded
-    /// clients, unmasked in place chunk by chunk. Addition in `Z_{2^b}`
+    /// clients, unmasked in place chunk by chunk and held in the
+    /// narrowest word that holds the ring. Addition in `Z_{2^b}`
     /// commutes, so folding clients in completion order is bit-equal to
     /// summing them in sorted U3 order — while peak memory drops from
-    /// the cohort's whole decoded upload (`O(clients × dim)` u64s) to
+    /// the cohort's whole decoded upload (`O(clients × dim)` words) to
     /// this sum plus the in-flight streams.
-    sum: Vec<u64>,
+    sum: RingSum,
     /// Which chunks of `sum` [`Server::unmask_chunk`] has unmasked.
     unmasked: Vec<bool>,
     /// The mask streams left in `sum` (`p_u` of every survivor, the
@@ -137,7 +219,7 @@ impl Server {
         }
         let m = plan.chunks();
         Ok(Server {
-            sum: vec![0u64; params.vector_len],
+            sum: RingSum::new(params.vector_len, params.bit_width),
             params,
             plan,
             roster: BTreeMap::new(),
@@ -146,6 +228,7 @@ impl Server {
             u3: Vec::new(),
             u5: Vec::new(),
             masked: vec![BTreeMap::new(); m],
+            parked_bytes: 0,
             folded: BTreeSet::new(),
             unmasked: vec![false; m],
             cancel: None,
@@ -156,12 +239,6 @@ impl Server {
             b_share_pool: BTreeMap::new(),
             seed_share_pool: BTreeMap::new(),
         })
-    }
-
-    /// The chunk plan partitioning the data plane.
-    #[must_use]
-    pub fn chunk_plan(&self) -> &ChunkPlan {
-        &self.plan
     }
 
     fn index_of(&self, id: ClientId) -> Option<usize> {
@@ -216,75 +293,125 @@ impl Server {
         Ok(inboxes)
     }
 
-    /// Stage 2, chunked: records one chunk's masked inputs. Callable per
-    /// chunk in any order and interleaved with other chunks' collection —
-    /// this is the entry point the pipelined coordinator drives while
-    /// chunk `c+1` is still in flight.
+    /// Stage 2, chunked: records one client's chunk-`chunk` masked
+    /// input as it came off the wire — `payload` is the chunk's
+    /// elements bit-packed at the ring width ([`pack`], the
+    /// `MaskedInput` body after the sender id). Callable per chunk in
+    /// any order and interleaved with other chunks' collection — this is
+    /// the entry point the pipelined coordinator drives while chunk
+    /// `c+1` is still in flight.
     ///
-    /// The moment a client's *last* outstanding chunk lands, its whole
-    /// vector is folded into the running sum and its parked
-    /// chunks are freed — the server never holds the full cohort's
-    /// decoded upload at once; until then a chunk waits bit-packed. A
-    /// frame arriving for an already-folded client (a duplicate) is
-    /// discarded.
+    /// Until a client's stream is complete its chunks wait parked as
+    /// they came; the moment its *last* outstanding chunk lands, that
+    /// chunk and the parked ones are unpack-added into the running sum
+    /// and freed — the server never holds the cohort's decoded upload,
+    /// nor any decoded chunk. A frame arriving for an already-folded
+    /// client (a duplicate) is discarded; a re-sent parked chunk
+    /// replaces the parked one. Bits past the last element (the final
+    /// byte's padding) are never read.
     ///
     /// # Errors
     ///
-    /// Rejects unknown chunk indices, wrong chunk lengths, and senders
-    /// outside U2.
+    /// Rejects, in this order and before reading any element, an
+    /// unknown chunk index, a payload of any length other than the
+    /// chunk's packed length, and a sender outside U2.
+    pub fn collect_masked_packed(
+        &mut self,
+        chunk: usize,
+        client: ClientId,
+        payload: &[u8],
+    ) -> Result<(), SecAggError> {
+        let len = self.chunk_len(chunk)?;
+        let bits = self.params.bit_width;
+        if payload.len() != pack::packed_len(len, bits) {
+            return Err(SecAggError::Config(format!(
+                "masked input from {client} has {} bytes for chunk {chunk}, expected {}",
+                payload.len(),
+                pack::packed_len(len, bits)
+            )));
+        }
+        if !self.u2.contains(&client) {
+            return Err(SecAggError::Config(format!(
+                "masked input from {client} outside U2"
+            )));
+        }
+        if self.folded.contains(&client) {
+            return Ok(());
+        }
+        let completes = self
+            .masked
+            .iter()
+            .enumerate()
+            .all(|(c, store)| c == chunk || store.contains_key(&client));
+        if !completes {
+            self.parked_bytes += payload.len();
+            if let Some(old) = self.masked[chunk].insert(client, payload.to_vec()) {
+                self.parked_bytes -= old.len();
+            }
+            return Ok(());
+        }
+        for c in 0..self.masked.len() {
+            let parked = self.masked[c].remove(&client);
+            if let Some(p) = &parked {
+                self.parked_bytes -= p.len();
+            }
+            let packed = if c == chunk {
+                payload
+            } else {
+                parked.as_deref().expect("every other chunk parked")
+            };
+            self.sum.unpack_add(self.plan.range(c), packed, bits);
+        }
+        self.folded.insert(client);
+        Ok(())
+    }
+
+    /// Stage 2, chunked, decoded: [`Server::collect_masked_packed`] for
+    /// each of `msgs` in turn, packing its vector at the ring width
+    /// first — the entry for callers that hold chunk vectors rather
+    /// than wire payloads (the in-memory driver).
+    ///
+    /// # Errors
+    ///
+    /// As [`Server::collect_masked_packed`]; a vector of the wrong
+    /// length for the chunk is rejected before it is packed.
     pub fn collect_masked_chunk(
         &mut self,
         chunk: usize,
         msgs: Vec<MaskedInput>,
     ) -> Result<(), SecAggError> {
+        let len = self.chunk_len(chunk)?;
+        let mut packed = Vec::new();
+        for m in msgs {
+            if m.vector.len() != len {
+                return Err(SecAggError::Config(format!(
+                    "masked input from {} has wrong length for chunk {chunk}",
+                    m.client
+                )));
+            }
+            packed.clear();
+            pack::pack_into(&m.vector, self.params.bit_width, &mut packed);
+            self.collect_masked_packed(chunk, m.client, &packed)?;
+        }
+        Ok(())
+    }
+
+    /// Bytes the server holds for the data plane: the parked chunk
+    /// payloads plus the running sum.
+    #[must_use]
+    pub fn custody_bytes(&self) -> usize {
+        self.parked_bytes + self.sum.bytes()
+    }
+
+    /// Chunk `chunk`'s length, or the out-of-range error.
+    fn chunk_len(&self, chunk: usize) -> Result<usize, SecAggError> {
         if chunk >= self.plan.chunks() {
             return Err(SecAggError::Config(format!(
                 "chunk {chunk} out of range ({} chunks)",
                 self.plan.chunks()
             )));
         }
-        let bits = self.params.bit_width;
-        for m in msgs {
-            if m.vector.len() != self.plan.chunk_len(chunk) {
-                return Err(SecAggError::Config(format!(
-                    "masked input from {} has wrong length for chunk {chunk}",
-                    m.client
-                )));
-            }
-            if !self.u2.contains(&m.client) {
-                return Err(SecAggError::Config(format!(
-                    "masked input from {} outside U2",
-                    m.client
-                )));
-            }
-            if self.folded.contains(&m.client) {
-                continue;
-            }
-            let client = m.client;
-            let completes = self
-                .masked
-                .iter()
-                .enumerate()
-                .all(|(c, store)| c == chunk || store.contains_key(&client));
-            if !completes {
-                let mut packed = Vec::new();
-                pack::pack_into(&m.vector, bits, &mut packed);
-                self.masked[chunk].insert(client, packed);
-                continue;
-            }
-            for (c, store) in self.masked.iter_mut().enumerate() {
-                let parked = store.remove(&client);
-                let acc = &mut self.sum[self.plan.range(c)];
-                if c == chunk {
-                    mask::add_signed_assign(acc, &m.vector, true, bits);
-                } else {
-                    let parked = parked.expect("every other chunk parked");
-                    pack::unpack_add(&parked, bits, acc);
-                }
-            }
-            self.folded.insert(client);
-        }
-        Ok(())
+        Ok(self.plan.chunk_len(chunk))
     }
 
     /// Stage 2, closing: fixes U3 as the clients that delivered **every**
@@ -310,6 +437,7 @@ impl Server {
         for store in &mut self.masked {
             store.clear();
         }
+        self.parked_bytes = 0;
         self.u3 = u3;
         Ok(self.u3.clone())
     }
@@ -458,12 +586,7 @@ impl Server {
     /// Fails on an out-of-range chunk, on a chunk already unmasked, or
     /// if called before [`Server::reconstruct_unmasking`].
     pub fn unmask_chunk(&mut self, chunk: usize) -> Result<(), SecAggError> {
-        if chunk >= self.plan.chunks() {
-            return Err(SecAggError::Config(format!(
-                "chunk {chunk} out of range ({} chunks)",
-                self.plan.chunks()
-            )));
-        }
+        self.chunk_len(chunk)?;
         let Some(cancel) = &self.cancel else {
             return Err(SecAggError::Config(
                 "unmask_chunk before reconstruct_unmasking".into(),
@@ -480,11 +603,7 @@ impl Server {
             .iter()
             .map(|(at, seed, positive)| (at(seed, bits, range.start), *positive))
             .collect();
-        for strip in self.sum[range].chunks_mut(mask::OUTER_STRIP) {
-            for (prg, positive) in &mut streams {
-                mask::expand_and_add(prg, strip, *positive, bits);
-            }
-        }
+        self.sum.cancel(range, &mut streams, bits);
         self.unmasked[chunk] = true;
         Ok(())
     }
@@ -580,10 +699,10 @@ impl Server {
             .filter(|c| !survivors.contains(c))
             .collect();
         for c in (0..self.plan.chunks()).filter(|&c| !self.unmasked[c]) {
-            self.sum[self.plan.range(c)].fill(0);
+            self.sum.zero(self.plan.range(c));
         }
         RoundOutcome {
-            sum: self.sum,
+            sum: self.sum.widen(),
             survivors,
             dropped,
             removal_seeds: self
