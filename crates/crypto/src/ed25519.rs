@@ -42,8 +42,6 @@
 //! and signatures are bit-identical to it; goldens recorded from it pin
 //! released proofs, signatures and claims.
 
-use std::sync::OnceLock;
-
 use crate::field::Fe;
 use crate::hmac::hkdf;
 use crate::sha256::sha256_concat;
@@ -273,77 +271,29 @@ struct Cached {
     z: Fe,
 }
 
-struct Constants {
-    d: Fe,
-    d2: Fe,
-    sqrt_m1: Fe,
-    base: Point,
+// The curve constants `D`, `D2`, `SQRT_M1`, the base point `BASE`, its
+// fixed-base comb `BASE_COMB` and its odd multiples `BASE_ODD`: static
+// data, generated from the curve's definition and checked in, so no
+// process builds them at run time. The test
+// `static_tables_are_the_generated_source` regenerates the file and
+// fails if it differs.
+include!("ed25519_base.rs");
+
+/// A [`Niels`] table entry from its canonical limbs.
+const fn niels(y_plus_x: [u64; 5], y_minus_x: [u64; 5], t2d: [u64; 5]) -> Niels {
+    Niels {
+        y_plus_x: Fe(y_plus_x),
+        y_minus_x: Fe(y_minus_x),
+        t2d: Fe(t2d),
+    }
 }
 
-fn constants() -> &'static Constants {
-    static CONSTS: OnceLock<Constants> = OnceLock::new();
-    CONSTS.get_or_init(|| {
-        // d = -121665/121666 mod p.
-        let d = Fe::from_u64(121_665)
-            .neg()
-            .mul(Fe::from_u64(121_666).invert());
-        let d2 = d.add(d);
-        let sqrt_m1 = Fe::sqrt_m1();
-        // Base point: y = 4/5, x the even square root.
-        let y = Fe::from_u64(4).mul(Fe::from_u64(5).invert());
-        let base = Point::from_y_and_sign(y, 0, d, sqrt_m1).expect("base point must decompress");
-        Constants {
-            d,
-            d2,
-            sqrt_m1,
-            base,
-        }
-    })
-}
-
-/// The precomputed multiples of the base point `B`.
-struct BaseTables {
-    /// `comb[i][j] = (j+1)·16^i·B`: one row per radix-16 digit of a
-    /// scalar, so `s·B` is 64 additions and no doubling (61 440 bytes).
-    comb: Vec<[Niels; 8]>,
-    /// `odd[j] = (2j+1)·B`, what a width-5 NAF indexes.
-    odd: [Cached; 8],
-}
-
-/// Built on first use and only by the callers of [`Point::mul_base`] and
-/// [`Point::vartime_double_mul_base`]: ≈ 0.25 ms in a cold process, the
-/// 512 affine entries normalised through one shared inversion.
-fn base_tables() -> &'static BaseTables {
-    static TABLES: OnceLock<BaseTables> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut multiples = Vec::with_capacity(64 * 8);
-        let mut row_base = Point::base();
-        for _ in 0..64 {
-            let row = row_base.progression(&row_base);
-            multiples.extend(row);
-            // 2 · 8 · 16^i · B opens the next row.
-            row_base = row[7].double();
-        }
-        let mut z_inv: Vec<Fe> = multiples.iter().map(|p| p.z).collect();
-        batch_invert(&mut z_inv);
-        let d2 = constants().d2;
-        let normalise = |p: &Point, z_inv: Fe| {
-            let (x, y) = (p.x.mul(z_inv), p.y.mul(z_inv));
-            Niels {
-                y_plus_x: y.add(x),
-                y_minus_x: y.sub(x),
-                t2d: x.mul(y).mul(d2),
-            }
-        };
-        BaseTables {
-            comb: multiples
-                .chunks_exact(8)
-                .zip(z_inv.chunks_exact(8))
-                .map(|(row, inv)| std::array::from_fn(|j| normalise(&row[j], inv[j])))
-                .collect(),
-            odd: Point::base().odd_multiples(),
-        }
-    })
+/// A [`Cached`] table entry from its canonical limbs.
+const fn cached(y_plus_x: [u64; 5], y_minus_x: [u64; 5], t2d: [u64; 5], z: [u64; 5]) -> Cached {
+    Cached {
+        niels: niels(y_plus_x, y_minus_x, t2d),
+        z: Fe(z),
+    }
 }
 
 /// Replaces every element by its inverse with one field inversion
@@ -557,12 +507,12 @@ impl Point {
     /// The standard base point `B` (y = 4/5, even x).
     #[must_use]
     pub fn base() -> Point {
-        constants().base
+        BASE
     }
 
     /// Recovers a point from `y` and the sign (parity) of `x`. The curve
-    /// constants come as arguments because [`constants`] itself calls
-    /// this to build the base point.
+    /// constants come as arguments so that the table generator can
+    /// derive the base point without reading the tables it writes.
     fn from_y_and_sign(y: Fe, sign: u8, d: Fe, sqrt_m1: Fe) -> Result<Point, CryptoError> {
         // x^2 = (y^2 - 1) / (d y^2 + 1).
         let yy = y.square();
@@ -607,7 +557,7 @@ impl Point {
             niels: Niels {
                 y_plus_x: self.y.add(self.x),
                 y_minus_x: self.y.sub(self.x),
-                t2d: self.t.mul(constants().d2),
+                t2d: self.t.mul(D2),
             },
             z: self.z,
         }
@@ -681,15 +631,30 @@ impl Point {
 
     /// `scalar · B`, constant-time in the scalar: one masked lookup and
     /// one seven-multiplication addition per radix-16 digit from the
-    /// precomputed comb, no doubling.
+    /// static comb, no doubling.
     #[must_use]
     pub fn mul_base(scalar: &Scalar) -> Point {
-        let digits = radix16(&scalar.to_bytes());
+        Point::mul_base_bytes(&scalar.to_bytes())
+    }
+
+    /// [`Point::mul_base`] of any little-endian integer below 2^255,
+    /// reduced modulo `l` or not: what a clamped X25519 secret is.
+    pub(crate) fn mul_base_bytes(scalar: &[u8; 32]) -> Point {
+        let digits = radix16(scalar);
         let mut acc = Point::identity();
-        for (row, &digit) in base_tables().comb.iter().zip(&digits) {
+        for (row, &digit) in BASE_COMB.iter().zip(&digits) {
             acc = acc.add_affine(&select(row, digit)).to_extended();
         }
         acc
+    }
+
+    /// The u-coordinate of the birationally equivalent curve25519 point,
+    /// `u = (1+y)/(1−y) = (Z+Y)/(Z−Y)`, encoded as X25519 encodes it: one
+    /// inversion. The identity (`Z = Y`) encodes as zero, which is what
+    /// the ladder returns for it.
+    pub(crate) fn montgomery_u(&self) -> [u8; 32] {
+        let num = self.z.add_lazy(self.y);
+        num.mul(self.z.sub_lazy(self.y).invert()).to_bytes()
     }
 
     /// `scalar · self`, constant-time in the scalar (not in the point):
@@ -768,7 +733,7 @@ impl Point {
     /// `B`: **public inputs only**, as [`Point::vartime_double_mul`].
     #[must_use]
     pub fn vartime_double_mul_base(a: &Scalar, b: &Scalar, q: &Point) -> Point {
-        Point::vartime_straus(a, &base_tables().odd, b, &q.odd_multiples())
+        Point::vartime_straus(a, &BASE_ODD, b, &q.odd_multiples())
     }
 
     /// `y` with the parity of `x` in bit 255, given `1/Z`.
@@ -805,8 +770,7 @@ impl Point {
         if y.to_bytes() != y_bytes {
             return Err(CryptoError::InvalidPoint);
         }
-        let c = constants();
-        Point::from_y_and_sign(y, sign, c.d, c.sqrt_m1)
+        Point::from_y_and_sign(y, sign, D, SQRT_M1)
     }
 
     /// True if this is the identity element.
@@ -833,7 +797,7 @@ impl Point {
         let xx = x.square();
         let yy = y.square();
         let lhs = yy.sub(xx);
-        let rhs = Fe::ONE.add(constants().d.mul(xx).mul(yy));
+        let rhs = Fe::ONE.add(D.mul(xx).mul(yy));
         lhs.equals(rhs)
     }
 }
@@ -1123,23 +1087,142 @@ mod tests {
 
     #[test]
     fn base_comb_is_affine_multiples_of_sixteen_powers() {
-        let tables = base_tables();
-        assert_eq!(tables.comb.len(), 64);
-        assert!(std::mem::size_of_val(&tables.comb[..]) < 64 << 10);
-        let d2 = constants().d2;
+        assert!(std::mem::size_of_val(&BASE_COMB) < 64 << 10);
         let mut row_base = Point::base();
-        for row in &tables.comb {
+        for row in &BASE_COMB {
             let mut multiple = row_base;
             for entry in row {
                 let z_inv = multiple.z.invert();
                 let (x, y) = (multiple.x.mul(z_inv), multiple.y.mul(z_inv));
                 assert!(entry.y_plus_x.equals(y.add(x)));
                 assert!(entry.y_minus_x.equals(y.sub(x)));
-                assert!(entry.t2d.equals(x.mul(y).mul(d2)));
+                assert!(entry.t2d.equals(x.mul(y).mul(D2)));
                 multiple = multiple.add(&row_base);
             }
             row_base = row_base.mul_bytes(&Scalar::from_u64(16).to_bytes());
         }
+        for (j, entry) in (1u64..).step_by(2).zip(&BASE_ODD) {
+            let want = Point::base().mul_bytes(&Scalar::from_u64(j).to_bytes());
+            let got = Point::identity().add_cached(entry).to_extended();
+            assert!(got.equals(&want), "{j}·B");
+        }
+    }
+
+    /// The canonical limbs of `v`, as the table file spells an element.
+    fn limbs(v: Fe) -> String {
+        let [l0, l1, l2, l3, l4] = Fe::from_bytes(&v.to_bytes()).0;
+        format!("[{l0:#015x}, {l1:#015x}, {l2:#015x}, {l3:#015x}, {l4:#015x}]")
+    }
+
+    /// `ed25519_base.rs` from the curve's definition: each constant
+    /// computed from its formula, the comb built by additions from the
+    /// base point and made affine through one shared inversion.
+    fn generated_table_source() -> String {
+        use std::fmt::Write;
+        let d = Fe::from_u64(121_665)
+            .neg()
+            .mul(Fe::from_u64(121_666).invert());
+        let d2 = d.add(d);
+        let sqrt_m1 = Fe::sqrt_m1();
+        let y = Fe::from_u64(4).mul(Fe::from_u64(5).invert());
+        let base = Point::from_y_and_sign(y, 0, d, sqrt_m1).expect("base point must decompress");
+        let mut multiples = Vec::with_capacity(64 * 8);
+        let mut row_base = base;
+        for _ in 0..64 {
+            let row = row_base.progression(&row_base);
+            multiples.extend(row);
+            // 2 · 8 · 16^i · B opens the next row.
+            row_base = row[7].double();
+        }
+        let mut z_inv: Vec<Fe> = multiples.iter().map(|p| p.z).collect();
+        batch_invert(&mut z_inv);
+
+        let mut out = String::from(
+            "// Static tables of `crypto::ed25519`, included by `ed25519.rs`.\n\
+             //\n\
+             // Generated from the curve's definition by the test\n\
+             // `ed25519::tests::static_tables_are_the_generated_source`; do not\n\
+             // edit. After changing the generator, run that test with\n\
+             // `DORDIS_REGENERATE_TABLES=1` to rewrite this file. Every element\n\
+             // is its canonical representative in five radix-2^51 limbs.\n\n",
+        );
+        let mut constant = |doc: &str, name: &str, v: Fe| {
+            writeln!(out, "/// {doc}\nconst {name}: Fe = Fe({});\n", limbs(v)).unwrap();
+        };
+        constant("`d = −121665/121666`, the curve's constant.", "D", d);
+        constant("`2d`.", "D2", d2);
+        constant("A square root of −1.", "SQRT_M1", sqrt_m1);
+        writeln!(
+            out,
+            "/// The base point `B`: `y = 4/5`, `x` even, `Z = 1`.\n\
+             const BASE: Point = Point {{\n    \
+             x: Fe({}),\n    y: Fe({}),\n    z: Fe({}),\n    t: Fe({}),\n}};\n",
+            limbs(base.x),
+            limbs(base.y),
+            limbs(base.z),
+            limbs(base.t)
+        )
+        .unwrap();
+        out.push_str(
+            "/// `BASE_COMB[i][j] = (j+1)·16^i·B` as affine `(y+x, y−x, 2d·xy)`: one\n\
+             /// row per radix-16 digit of a scalar, so `s·B` is 64 additions and\n\
+             /// no doubling (61 440 bytes).\n\
+             static BASE_COMB: [[Niels; 8]; 64] = [\n",
+        );
+        for (i, (row, inv)) in multiples
+            .chunks_exact(8)
+            .zip(z_inv.chunks_exact(8))
+            .enumerate()
+        {
+            writeln!(out, "    // 16^{i}·B").unwrap();
+            out.push_str("    [\n");
+            for (p, &z_inv) in row.iter().zip(inv) {
+                let (x, y) = (p.x.mul(z_inv), p.y.mul(z_inv));
+                let (sum, diff, t2d) = (y.add(x), y.sub(x), x.mul(y).mul(d2));
+                writeln!(
+                    out,
+                    "        niels(\n            {},\n            {},\n            {},\n        ),",
+                    limbs(sum),
+                    limbs(diff),
+                    limbs(t2d)
+                )
+                .unwrap();
+            }
+            out.push_str("    ],\n");
+        }
+        out.push_str(
+            "];\n\n/// `BASE_ODD[j] = (2j+1)·B`, what a width-5 NAF indexes.\n\
+             static BASE_ODD: [Cached; 8] = [\n",
+        );
+        for entry in base.odd_multiples() {
+            let Cached { niels, z } = entry;
+            writeln!(
+                out,
+                "    cached(\n        {},\n        {},\n        {},\n        {},\n    ),",
+                limbs(niels.y_plus_x),
+                limbs(niels.y_minus_x),
+                limbs(niels.t2d),
+                limbs(z)
+            )
+            .unwrap();
+        }
+        out.push_str("];\n");
+        out
+    }
+
+    /// The checked-in tables are what the generator derives today: no
+    /// process builds them at run time, so this is what keeps them right.
+    #[test]
+    fn static_tables_are_the_generated_source() {
+        let source = generated_table_source();
+        if std::env::var_os("DORDIS_REGENERATE_TABLES").is_some() {
+            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/src/ed25519_base.rs");
+            std::fs::write(path, &source).expect("rewrite the table file");
+        }
+        assert!(
+            source == include_str!("ed25519_base.rs"),
+            "src/ed25519_base.rs is stale: rerun this test with DORDIS_REGENERATE_TABLES=1"
+        );
     }
 
     #[test]

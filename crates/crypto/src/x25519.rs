@@ -12,7 +12,14 @@
 //! `x25519_avx512` (radix 2^51 on AVX-512IFMA multiply-adds) where the
 //! CPU has AVX-512IFMA. Every output of either is bit-equal to
 //! [`x25519`], which is the fallback on every other host.
+//!
+//! Key generation ([`public_key`]) multiplies the fixed base point, so it
+//! takes the Edwards fixed-base comb of [`crate::ed25519`] (static
+//! tables, no doubling) and maps the result to its u-coordinate instead
+//! of walking a ladder from `u = 9`; its output is bit-equal to the
+//! ladder's.
 
+use crate::ed25519::Point;
 use crate::field::Fe;
 
 /// An x25519 secret key (clamped scalar).
@@ -134,10 +141,17 @@ fn x25519_many_portable(scalar: &[u8; 32], us: &[[u8; 32]]) -> Vec<[u8; 32]> {
     us.iter().map(|u| x25519(scalar, u)).collect()
 }
 
-/// Derives the public key for a secret key.
+/// Derives the public key for a secret key: `u(clamp(secret)·B)`.
+///
+/// The base point is fixed, so this is not a ladder: the Edwards
+/// fixed-base comb (`ed25519::Point::mul_base`, constant-time in the
+/// scalar, over static tables) computes the birationally equivalent
+/// point, and one inversion maps it to its u-coordinate. The result is
+/// bit-equal to `x25519(secret, &BASE_POINT)`, which the tests keep as
+/// the oracle.
 #[must_use]
 pub fn public_key(secret: &SecretKey) -> PublicKey {
-    x25519(secret, &BASE_POINT)
+    Point::mul_base_bytes(&clamp(*secret)).montgomery_u()
 }
 
 /// Computes the raw shared secret between `our_secret` and `their_public`.
@@ -328,6 +342,39 @@ mod tests {
             let kb = shared_secret(&b, &public_key(&a));
             assert_eq!(ka, kb);
             assert_ne!(ka, [0u8; 32]);
+        }
+    }
+
+    /// `public_key` through the comb against the ladder it replaced.
+    #[track_caller]
+    fn assert_keygen_is_the_ladder(secret: &[u8; 32]) {
+        assert_eq!(public_key(secret), x25519(secret, &BASE_POINT));
+    }
+
+    #[test]
+    fn comb_keygen_is_the_ladder_on_edge_secrets() {
+        // All-zero and all-one; the smallest and largest clamped scalars
+        // (2^254 and 2^255 − 8); bits that clamping clears set alone;
+        // and one bit set per byte position.
+        let mut edges = vec![[0u8; 32], [0xff; 32], clamp([0; 32]), clamp([0xff; 32])];
+        let mut cleared = [0u8; 32];
+        cleared[0] = 7;
+        cleared[31] = 0x80;
+        edges.push(cleared);
+        for byte in 0..32 {
+            let mut one = [0u8; 32];
+            one[byte] = 1 << (byte % 8);
+            edges.push(one);
+        }
+        for secret in &edges {
+            assert_keygen_is_the_ladder(secret);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_comb_keygen_is_the_ladder(secret in proptest::prelude::any::<[u8; 32]>()) {
+            assert_keygen_is_the_ladder(&secret);
         }
     }
 

@@ -69,7 +69,7 @@ use crate::faults::KillPoint;
 use crate::reactor::{Event, Reactor, ReactorStats, Token};
 use crate::session::SessionConfig;
 use crate::tcp::TcpChannel;
-use crate::transport::{send_env, wire_message};
+use crate::transport::{wire_message, Channel};
 use crate::NetError;
 
 /// What the coordinator observed about one departed client.
@@ -323,9 +323,9 @@ impl<'c> RoundMachine<'c> {
         let inbox_ids: Vec<ClientId> = peers.keys().copied().collect();
         for id in inbox_ids {
             let cts = inboxes.remove(&id).unwrap_or_default();
-            let env = Envelope::new(StageTag::Inbox, round, encode_list(&cts));
-            down.add(env.encode().len() as u64);
-            send_or_drop(peers, id, &env, "ShareKeys", &mut self.dropouts);
+            let frame = Envelope::new(StageTag::Inbox, round, encode_list(&cts)).encode();
+            down.add(frame.len() as u64);
+            send_or_drop(peers, id, &frame, "ShareKeys", &mut self.dropouts);
         }
         flush_sends(reactor, peers, &mut self.dropouts, "ShareKeys", cfg);
         self.push_stage("ShareKeys", &up, down);
@@ -936,16 +936,17 @@ fn broadcast(
     down
 }
 
-/// Sends to one peer; failure becomes a detected dropout.
+/// Sends an encoded frame to one peer; failure becomes a detected
+/// dropout.
 fn send_or_drop(
     peers: &mut Peers,
     id: ClientId,
-    env: &Envelope,
+    frame: &[u8],
     stage: &'static str,
     dropouts: &mut Vec<DetectedDropout>,
 ) {
     if let Some(chan) = peers.get_mut(&id) {
-        if let Err(e) = send_env(chan, env) {
+        if let Err(e) = chan.send(frame) {
             drop_peer(peers, id, stage, None, send_failure_kind(&e), dropouts);
         }
     }

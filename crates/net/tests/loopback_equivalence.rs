@@ -84,6 +84,18 @@ fn net_round(
     join_timeout: Duration,
     stage_timeout: Duration,
 ) -> NetRoundReport {
+    net_round_chunked(params, inputs, fails, join_timeout, stage_timeout, 1)
+}
+
+/// [`net_round`] with the masked input streamed in `chunks` frames.
+fn net_round_chunked(
+    params: &RoundParams,
+    inputs: &BTreeMap<ClientId, ClientInput>,
+    fails: &BTreeMap<ClientId, FailPoint>,
+    join_timeout: Duration,
+    stage_timeout: Duration,
+    chunks: usize,
+) -> NetRoundReport {
     let (mut acceptor, addr) = local::listen();
     let registry: Option<Arc<BTreeMap<ClientId, _>>> =
         if params.threat_model == ThreatModel::Malicious {
@@ -100,6 +112,7 @@ fn net_round(
     let cfg = SessionConfig {
         join_timeout,
         stage_timeout,
+        chunks,
         ..local::one_round(params.clone())
     };
     let (inputs, fails) = (inputs.clone(), fails.clone());
@@ -218,6 +231,57 @@ fn equivalent_secagg_plus_sparse_graph() {
     let d = driver_round(&p, &ins, &drops);
     let n = net_round(&p, &ins, &fails, JOIN, Duration::from_secs(5));
     assert_equivalent(&d, &n);
+}
+
+#[test]
+fn equivalent_sparse_round_with_holder_only_u1() {
+    // Each client's holder set is itself and 6 neighbours out of 40, so
+    // U1 holds 7 of the roster's 40 entries. XNoise on and the input
+    // streamed in chunks: client 10 dies after its first chunk frame,
+    // client 12 (a neighbour of 10) after a complete stream, before
+    // unmasking, so its self-mask seed and noise seeds come back
+    // through the holders.
+    let graph = MaskingGraph::Harary { half_degree: 3 };
+    let p = params(40, 4, graph, ThreatModel::SemiHonest);
+    let ins = inputs(40);
+    let drops = [
+        (10, DropStage::BeforeMaskedInput),
+        (12, DropStage::BeforeUnmasking),
+    ];
+    let fails: BTreeMap<ClientId, FailPoint> = [
+        (10u32, FailStage::MaskedInputAfterChunks(1)),
+        (12, FailStage::Unmasking),
+    ]
+    .into_iter()
+    .map(|(id, stage)| {
+        (
+            id,
+            FailPoint {
+                stage,
+                action: FailAction::Disconnect,
+            },
+        )
+    })
+    .collect();
+    let d = driver_round(&p, &ins, &drops);
+    let n = net_round_chunked(&p, &ins, &fails, JOIN, Duration::from_secs(5), 3);
+    assert_equivalent(&d, &n);
+    assert_eq!(n.outcome.dropped, vec![10]);
+    let survivors: Vec<ClientId> = (0..40).filter(|&id| id != 10).collect();
+    assert_eq!(n.outcome.survivors, survivors);
+    assert_eq!(n.outcome.sum, expected_sum(&ins, &survivors));
+    let mid_stream = n
+        .dropouts
+        .iter()
+        .find(|x| x.client == 10)
+        .expect("client 10 detected");
+    assert_eq!(mid_stream.stage, "MaskedInputCollection");
+    assert_eq!(
+        mid_stream.chunk,
+        Some(1),
+        "died after its first chunk frame"
+    );
+    assert!(n.dropouts.iter().any(|x| x.client == 12));
 }
 
 #[test]

@@ -55,11 +55,14 @@ pub struct Client {
     c_kp: KeyPair,
     s_kp: KeyPair,
     b_seed: Seed,
-    /// Roster after AdvertiseKeys: id -> (c_pk, s_pk).
+    /// U1 restricted to this client's holder set (itself and its masking
+    /// neighbours): id -> (c_pk, s_pk). Only these keys are ever agreed
+    /// with, so `share_keys` checks the whole roster and stores these.
     u1: BTreeMap<ClientId, ([u8; 32], [u8; 32])>,
     /// Clients whose ciphertexts we received (U2), in id order.
     u2: Vec<ClientId>,
-    /// Ciphertexts received, keyed by sender.
+    /// Ciphertexts received, keyed by sender; every sender is a
+    /// neighbour in `u1` (`begin_masked_input` aborts on any other).
     inbox: BTreeMap<ClientId, Vec<u8>>,
     /// This round's channel keys `KA.agree(c_sk, c_pk_v)`, keyed by peer:
     /// filled when `share_keys` seals to `v`, read when `unmask` opens
@@ -274,13 +277,7 @@ impl Client {
             return Err(self.abort(format!("|U1| = {} < t", roster.len())));
         }
         // All public keys must be distinct (Figure 5 assertion).
-        let mut all_keys: Vec<[u8; 32]> = Vec::with_capacity(roster.len() * 2);
-        for adv in roster {
-            all_keys.push(adv.c_pk);
-            all_keys.push(adv.s_pk);
-        }
-        all_keys.sort_unstable();
-        if all_keys.windows(2).any(|w| w[0] == w[1]) {
+        if !keys_distinct(roster) {
             return Err(self.abort("duplicate public keys in roster"));
         }
         // Verify identity signatures in the malicious model.
@@ -301,20 +298,26 @@ impl Client {
                 }
             }
         }
+        // Every id must be sampled; of U1 only the holder set is kept.
+        let n = self.params.clients.len();
+        let my_idx = self.index_of(self.id).expect("own id sampled");
+        let holders = self.params.graph.holders(n, my_idx);
         for adv in roster {
-            if self.index_of(adv.client).is_none() {
+            let Some(idx) = self.index_of(adv.client) else {
                 return Err(self.abort(format!("roster contains unsampled id {}", adv.client)));
+            };
+            if holders.binary_search(&idx).is_ok() {
+                self.u1.insert(adv.client, (adv.c_pk, adv.s_pk));
             }
-            self.u1.insert(adv.client, (adv.c_pk, adv.s_pk));
         }
         if !self.u1.contains_key(&self.id) {
             return Err(self.abort("own advertisement missing from roster"));
         }
 
         // Determine recipients: masking-graph neighbors that are in U1.
-        let u1_ids: Vec<ClientId> = self.u1.keys().copied().collect();
-        let recipients = self.neighbors_in(&u1_ids);
-        if recipients.is_empty() && u1_ids.len() > 1 {
+        let u1_holders: Vec<ClientId> = self.u1.keys().copied().collect();
+        let recipients = self.neighbors_in(&u1_holders);
+        if recipients.is_empty() && roster.iter().any(|adv| adv.client != self.id) {
             return Err(self.abort("no live masking neighbors"));
         }
 
@@ -335,9 +338,6 @@ impl Client {
         // Unmasking, per Figure 5's `b_{v,u}` for all `v ∈ U3`). The
         // effective threshold is capped at the masking-graph degree so
         // sparse-graph (SecAgg+) reconstruction remains possible.
-        let n = self.params.clients.len();
-        let my_idx = self.index_of(self.id).expect("own id sampled");
-        let holders = self.params.graph.holders(n, my_idx);
         let local_slot = |idx: usize| holders.binary_search(&idx).ok();
         let t = crate::share_threshold(&self.params);
         let sk_shares = shamir::share(&self.s_kp.secret, t, holders.len(), rng)?;
@@ -395,6 +395,14 @@ impl Client {
         for ct in ciphertexts {
             if ct.to != self.id {
                 return Err(self.abort("misrouted ciphertext"));
+            }
+            // Only a neighbour in U1 shares keys with this client: no
+            // other sender has a channel key or a mask here.
+            if ct.from == self.id || !self.u1.contains_key(&ct.from) {
+                return Err(self.abort(format!(
+                    "ciphertext from {}, who is not a neighbour in U1",
+                    ct.from
+                )));
             }
             self.inbox.insert(ct.from, ct.ciphertext);
         }
@@ -740,6 +748,29 @@ fn self_abort_err(client: ClientId, reason: &str) -> SecAggError {
     }
 }
 
+/// True if no two of the roster's public keys are equal (Figure 5's
+/// assertion): a sort of their 8-byte prefixes, and a comparison of
+/// whole keys only among those whose prefixes tie.
+fn keys_distinct(roster: &[AdvertisedKeys]) -> bool {
+    let keys = || roster.iter().flat_map(|adv| [&adv.c_pk, &adv.s_pk]);
+    let prefix = |key: &[u8; 32]| u64::from_le_bytes(key[..8].try_into().expect("8 bytes"));
+    let mut prefixes: Vec<u64> = keys().map(prefix).collect();
+    prefixes.sort_unstable();
+    let tied: Vec<u64> = prefixes
+        .windows(2)
+        .filter(|w| w[0] == w[1])
+        .map(|w| w[0])
+        .collect();
+    if tied.is_empty() {
+        return true;
+    }
+    let mut suspects: Vec<&[u8; 32]> = keys()
+        .filter(|key| tied.binary_search(&prefix(key)).is_ok())
+        .collect();
+    suspects.sort_unstable();
+    suspects.windows(2).all(|w| w[0] != w[1])
+}
+
 /// AEAD associated data binding a ciphertext to (round, from, to).
 fn aad_for(round: u64, from: ClientId, to: ClientId) -> Vec<u8> {
     let mut aad = Vec::with_capacity(16);
@@ -826,6 +857,66 @@ mod tests {
         dup.client = 1;
         let err = a.share_keys(&[adv_a, dup], &mut rng);
         assert!(matches!(err, Err(SecAggError::ClientAbort { .. })));
+    }
+
+    #[test]
+    fn key_check_compares_whole_keys_on_prefix_ties() {
+        let adv = |client, c_pk, s_pk| AdvertisedKeys {
+            client,
+            c_pk,
+            s_pk,
+            signature: None,
+        };
+        let key = |prefix: u8, tail: u8| {
+            let mut k = [tail; 32];
+            k[..8].fill(prefix);
+            k
+        };
+        // Three keys share a prefix and differ after it: distinct.
+        let tied = [
+            adv(0, key(1, 1), key(2, 0)),
+            adv(1, key(1, 2), key(3, 0)),
+            adv(2, key(1, 3), key(4, 0)),
+        ];
+        assert!(keys_distinct(&tied));
+        // The same key as one client's c_pk and another's s_pk, with
+        // and without other keys on its prefix.
+        let mut repeated = tied.to_vec();
+        repeated[2].s_pk = repeated[0].c_pk;
+        assert!(!keys_distinct(&repeated));
+        repeated[1].c_pk = key(9, 9);
+        assert!(!keys_distinct(&repeated));
+        assert!(keys_distinct(&[]));
+        assert!(!keys_distinct(&[adv(0, key(5, 5), key(5, 5))]));
+    }
+
+    #[test]
+    fn u1_is_the_holder_set_of_the_roster() {
+        for graph in [
+            MaskingGraph::Harary { half_degree: 2 },
+            MaskingGraph::Complete,
+        ] {
+            let p = RoundParams {
+                graph,
+                ..params(12, 3)
+            };
+            let mut clients: Vec<Client> = (0..12)
+                .map(|id| {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(u64::from(id));
+                    Client::new(p.clone(), id, input(&[0; 4]), None, &mut rng).unwrap()
+                })
+                .collect();
+            let roster: Vec<AdvertisedKeys> = clients
+                .iter_mut()
+                .map(|c| c.advertise_keys().unwrap())
+                .collect();
+            for (i, c) in clients.iter_mut().enumerate() {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(100 + i as u64);
+                c.share_keys(&roster, &mut rng).unwrap();
+                let held: Vec<usize> = c.u1.keys().map(|&id| id as usize).collect();
+                assert_eq!(held, graph.holders(12, i), "{graph:?}, client {i}");
+            }
+        }
     }
 
     #[test]

@@ -401,3 +401,30 @@ fn too_few_consistency_signatures_abort() {
         .unwrap_err();
     assert!(matches!(err, SecAggError::ClientAbort { client: 0, .. }));
 }
+
+#[test]
+fn ciphertext_from_outside_the_roster_aborts_instead_of_panicking() {
+    // Everyone shared keys under the full roster, but the server hands
+    // a fresh copy of client 0 a roster without client 4 and still
+    // routes it 4's ciphertext: U1 holds no keys of 4, so client 0 must
+    // abort cleanly.
+    let mut bed = setup(5, 3);
+    let (roster, cts) = honest_setup(&mut bed);
+    let short: Vec<AdvertisedKeys> = roster.into_iter().filter(|a| a.client != 4).collect();
+    let mut fresh = setup(5, 3);
+    let c0 = fresh.clients.get_mut(&0).unwrap();
+    c0.share_keys(&short, &mut rng(1000)).unwrap();
+    let inbox = route(&cts, 0);
+    assert!(inbox.iter().any(|ct| ct.from == 4));
+    let err = c0.masked_input(inbox).unwrap_err();
+    assert!(
+        matches!(err, SecAggError::ClientAbort { client: 0, ref reason } if reason.contains('4')),
+        "unexpected: {err:?}"
+    );
+    // The abort sticks: unmasking refuses instead of reading the inbox.
+    let u3: Vec<ClientId> = (0..4).collect();
+    assert!(matches!(
+        c0.unmask(&u3, None),
+        Err(SecAggError::ClientAbort { client: 0, .. })
+    ));
+}
