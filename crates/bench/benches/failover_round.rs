@@ -13,11 +13,14 @@
 //!
 //! Every scenario must stay bit-equal to the in-memory reference
 //! ([`train_session`]) — this bench prices the mechanisms, the test
-//! matrix in `crates/core/tests/failover.rs` proves them. Recovery
-//! cost is reported as wall time over the `replicated` run plus the
-//! rounds re-executed (1 for a mid-round kill, whose uncommitted work
-//! is lost; 0 for a kill after the backup's ack, where the successor
-//! resumes past the committed round).
+//! matrix in `crates/core/tests/failover.rs` proves them. The
+//! scenarios run interleaved, [`RUNS`] sessions each, and every row is
+//! a median with its interquartile range. Replication overhead is the
+//! median over runs of each replicated session against the baseline
+//! session beside it. Recovery cost is a failover row's median over the
+//! `replicated` median, plus the rounds re-executed (1 for a mid-round
+//! kill, whose uncommitted work is lost; 0 for a kill after the
+//! backup's ack, where the successor resumes past the committed round).
 //!
 //! Results land in `BENCH_failover_round.json` at the workspace root;
 //! `FAILOVER_ROUND_SMOKE=1` shrinks the schedule for CI and skips the
@@ -28,7 +31,7 @@
 //! FAILOVER_ROUND_SMOKE=1 cargo bench -p dordis-bench --bench failover_round
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dordis_core::config::TaskSpec;
 use dordis_core::sampling::SamplingConfig;
@@ -68,107 +71,128 @@ fn assert_matches(got: &FlSessionReport, want: &FlSessionReport, label: &str) {
     );
 }
 
+/// Sessions per scenario in a full run: enough for a median and an
+/// interquartile range that one noisy session cannot move.
+const RUNS: usize = 21;
+
 struct Scenario {
     label: &'static str,
-    wall: Duration,
+    /// Whether a backup installs every round's checkpoint.
+    replicated: bool,
+    /// Where the primary dies, if it does.
+    kill: Option<KillPoint>,
     rounds_reexecuted: u32,
+    /// Wall time of each session, in run order.
+    walls: Vec<f64>,
 }
 
-fn timed(
-    label: &'static str,
-    rounds_reexecuted: u32,
-    want: &FlSessionReport,
-    run: impl Fn() -> FlSessionReport,
-    best_of: u32,
-) -> Scenario {
-    let mut wall = Duration::MAX;
-    for _ in 0..best_of {
-        let start = Instant::now();
-        let report = run();
-        wall = wall.min(start.elapsed());
-        assert_matches(&report, want, label);
-    }
-    Scenario {
-        label,
-        wall,
-        rounds_reexecuted,
-    }
+/// `(q1, median, q3)` of `xs`, by linear interpolation.
+fn quartiles(xs: &[f64]) -> (f64, f64, f64) {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let x = q * (v.len() - 1) as f64;
+        let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+        v[lo] + (v[hi] - v[lo]) * (x - lo as f64)
+    };
+    (at(0.25), at(0.5), at(0.75))
 }
 
 fn main() {
     let smoke = std::env::var("FAILOVER_ROUND_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
     let rounds: u32 = if smoke { 3 } else { 6 };
-    let best_of = if smoke { 1 } else { 2 };
+    let runs = if smoke { 1 } else { RUNS };
     let crash_round = rounds / 2;
 
     let (spec, o) = opts(rounds);
     let want = train_session(&spec, &o).expect("in-memory reference");
 
-    let kill_points = [
-        ("failover:mid-masked-stage", KillPoint::MidMaskedStage, 1),
-        ("failover:during-broadcast", KillPoint::DuringBroadcast, 1),
-        (
+    let scenario = |label, replicated, kill, rounds_reexecuted| Scenario {
+        label,
+        replicated,
+        kill,
+        rounds_reexecuted,
+        walls: Vec::with_capacity(runs),
+    };
+    let mut rows = [
+        scenario("baseline", false, None, 0),
+        scenario("replicated", true, None, 0),
+        scenario(
+            "failover:mid-masked-stage",
+            true,
+            Some(KillPoint::MidMaskedStage),
+            1,
+        ),
+        scenario(
+            "failover:during-broadcast",
+            true,
+            Some(KillPoint::DuringBroadcast),
+            1,
+        ),
+        scenario(
             "failover:between-ack-and-commit",
-            KillPoint::BetweenAckAndCommit,
+            true,
+            Some(KillPoint::BetweenAckAndCommit),
             0,
         ),
     ];
 
-    let mut rows = Vec::new();
-    rows.push(timed(
-        "baseline",
-        0,
-        &want,
-        || train_session_networked(&spec, &o).expect("baseline"),
-        best_of,
-    ));
-    rows.push(timed(
-        "replicated",
-        0,
-        &want,
-        || train_session_networked_failover(&spec, &o, None).expect("replicated"),
-        best_of,
-    ));
-    for (label, point, reexec) in kill_points {
-        rows.push(timed(
-            label,
-            reexec,
-            &want,
-            || {
-                train_session_networked_failover(
-                    &spec,
-                    &o,
-                    Some(CrashSpec {
-                        round: crash_round,
-                        point,
-                    }),
-                )
-                .expect(label)
-            },
-            best_of,
-        ));
+    // Interleaved: every run takes one session of each scenario, so
+    // host load drifts over all of them alike.
+    for _ in 0..runs {
+        for row in &mut rows {
+            let crash = row.kill.map(|point| CrashSpec {
+                round: crash_round,
+                point,
+            });
+            let start = Instant::now();
+            let report = if row.replicated {
+                train_session_networked_failover(&spec, &o, crash)
+            } else {
+                train_session_networked(&spec, &o)
+            }
+            .expect(row.label);
+            row.walls.push(start.elapsed().as_secs_f64() * 1e3);
+            assert_matches(&report, &want, row.label);
+        }
     }
 
-    let baseline = rows[0].wall;
-    let replicated = rows[1].wall;
+    let replicated = quartiles(&rows[1].walls).1;
+    // Overhead per run, each replicated session against the baseline
+    // session next to it.
+    let overheads: Vec<f64> = rows[0]
+        .walls
+        .iter()
+        .zip(&rows[1].walls)
+        .map(|(b, r)| (r / b - 1.0) * 100.0)
+        .collect();
+    let (oq1, overhead_pct, oq3) = quartiles(&overheads);
+    let mut entries = Vec::new();
     for row in &rows {
-        let recovery = row.wall.saturating_sub(replicated);
+        let (q1, median, q3) = quartiles(&row.walls);
+        let recovery = if row.kill.is_some() {
+            median - replicated
+        } else {
+            0.0
+        };
         println!(
-            "{:32} {:8.2} ms wall | {:+7.2} ms over replicated | {} round(s) re-executed",
+            "{:32} median {:8.2} ms (IQR {:6.2} ms) | {:+7.2} ms over replicated | {} round(s) re-executed",
             row.label,
-            row.wall.as_secs_f64() * 1e3,
-            if row.label.starts_with("failover") {
-                recovery.as_secs_f64() * 1e3
-            } else {
-                0.0
-            },
+            median,
+            q3 - q1,
+            recovery,
             row.rounds_reexecuted,
         );
+        entries.push(format!(
+            "    {{\n      \"scenario\": \"{}\",\n      \"median_ms\": {median:.3},\n      \
+             \"q1_ms\": {q1:.3},\n      \"q3_ms\": {q3:.3},\n      \"recovery_ms\": {recovery:.3},\n      \
+             \"rounds_reexecuted\": {}\n    }}",
+            row.label, row.rounds_reexecuted,
+        ));
     }
-    let overhead_pct = (replicated.as_secs_f64() / baseline.as_secs_f64().max(1e-9) - 1.0) * 100.0;
     println!(
-        "replication overhead (no crash): {overhead_pct:+.1}% over the unreplicated baseline \
-         ({rounds} round(s), ack-gated commits)"
+        "replication overhead (no crash): median {overhead_pct:+.1}% (IQR {oq1:+.1} .. {oq3:+.1}%) \
+         over the unreplicated baseline ({runs} interleaved pair(s), {rounds} round(s), ack-gated commits)"
     );
 
     if smoke {
@@ -176,29 +200,13 @@ fn main() {
         return;
     }
 
-    let mut entries = String::new();
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            entries.push_str(",\n");
-        }
-        let recovery_ms = if row.label.starts_with("failover") {
-            row.wall.saturating_sub(replicated).as_secs_f64() * 1e3
-        } else {
-            0.0
-        };
-        entries.push_str(&format!(
-            "    {{\n      \"scenario\": \"{}\",\n      \"wall_ms\": {:.3},\n      \
-             \"recovery_ms\": {:.3},\n      \"rounds_reexecuted\": {}\n    }}",
-            row.label,
-            row.wall.as_secs_f64() * 1e3,
-            recovery_ms,
-            row.rounds_reexecuted,
-        ));
-    }
+    let host_cores = std::thread::available_parallelism().map_or(0, usize::from);
     let json = format!(
         "{{\n  \"bench\": \"failover_round\",\n  \"transport\": \"tcp\",\n  \
-         \"rounds\": {rounds},\n  \"crash_round\": {crash_round},\n  \
-         \"replication_overhead_pct\": {overhead_pct:.2},\n  \"scenarios\": [\n{entries}\n  ]\n}}\n"
+         \"host_cores\": {host_cores},\n  \"rounds\": {rounds},\n  \"crash_round\": {crash_round},\n  \
+         \"runs\": {runs},\n  \"replication_overhead_pct\": {overhead_pct:.2},\n  \
+         \"replication_overhead_iqr_pct\": [{oq1:.2}, {oq3:.2}],\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        entries.join(",\n")
     );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -335,5 +335,7 @@ mod tests {
         let mut s = TaskSpec::tiny_for_tests(1);
         s.variant = Variant::Conservative { est_dropout: -0.2 };
         assert!(s.validate().is_err());
+        s.variant = Variant::Conservative { est_dropout: 1.0 };
+        assert!(s.validate().is_err());
     }
 }

@@ -643,14 +643,29 @@ pub(crate) fn run_fl_session_at(
         }
     }
 
-    model.set_params(&global);
+    // The last record evaluated `global` as it stands, unless its round
+    // fell off the eval cadence (an `Early` stop) or none exists.
+    let (final_accuracy, final_perplexity) = match records.last() {
+        Some(&RoundRecord {
+            accuracy: Some(acc),
+            perplexity: Some(ppl),
+            ..
+        }) => (acc, ppl),
+        _ => {
+            model.set_params(&global);
+            (
+                accuracy(model.as_ref(), &st.test_set),
+                perplexity(model.as_ref(), &st.test_set),
+            )
+        }
+    };
     Ok(FlSessionReport {
         training: TrainingReport {
             task: spec.name.clone(),
             rounds_completed: records.len() as u32,
             epsilon_consumed: ledger.realized_epsilon(),
-            final_accuracy: accuracy(model.as_ref(), &st.test_set),
-            final_perplexity: perplexity(model.as_ref(), &st.test_set),
+            final_accuracy,
+            final_perplexity,
             stopped_early,
             records,
         },

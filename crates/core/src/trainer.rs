@@ -272,6 +272,15 @@ mod tests {
             "ε = {} should be well under budget",
             report.epsilon_consumed
         );
+        // The multiplier Con5 realizes out of 10 sampled clients.
+        let z = 1.3;
+        let con5 = |surv| achieved_noise_multiplier(spec.variant, z, 1.0, 10, surv, None);
+        // Exactly as estimated: on target.
+        assert!((con5(5) - z).abs() < 1e-12);
+        // No dropout: over-noised by sqrt(2).
+        assert!((con5(10) - z * 2f64.sqrt()).abs() < 1e-12);
+        // Worse than estimated: under-noised -> privacy overrun.
+        assert!(con5(2) < z);
     }
 
     #[test]
@@ -282,6 +291,10 @@ mod tests {
         // Eval happens at the configured cadence.
         assert!(report.records[4].accuracy.is_some());
         assert!(report.records[0].accuracy.is_none());
+        // The final metrics are the last round's evaluation.
+        let last = report.records.last().unwrap();
+        assert_eq!(last.accuracy, Some(report.final_accuracy));
+        assert_eq!(last.perplexity, Some(report.final_perplexity));
         // Epsilon is monotone.
         for w in report.records.windows(2) {
             assert!(w[1].epsilon >= w[0].epsilon);

@@ -166,3 +166,122 @@ fn kill_before_first_checkpoint_restarts_from_scratch() {
     .expect("failover session");
     assert_reports_equal(&got, &want, "first-round-crash");
 }
+
+/// Hostile bytes for what a process restores: a backup decodes the
+/// checkpoint its primary ships (`SessionCheckpoint`, then the
+/// `DriverCheckpoint` and ledger inside it), and a session decodes
+/// every claim a client sends. Valid encodings, damaged the way
+/// `codec_wire.rs`'s hostile-bytes harness damages frames, must come
+/// back as a value or a typed error — never a panic or an abort.
+mod hostile_restore {
+    use dordis_core::sampling::{decode_claim, encode_claim, ParticipationClaim};
+    use dordis_core::session::{vrf_key_for, DriverCheckpoint, SessionRoundOutcome};
+    use dordis_core::trainer::RoundRecord;
+    use dordis_dp::accountant::Mechanism;
+    use dordis_dp::ledger::PrivacyLedger;
+    use dordis_net::replication::SessionCheckpoint;
+    use proptest::collection;
+    use proptest::prelude::*;
+
+    /// One valid encoding for each of the four restore decoders, in
+    /// the order `decode_all` tries them.
+    fn valid_encodings() -> Vec<Vec<u8>> {
+        let mut ledger = PrivacyLedger::new(Mechanism::Skellam { l1_per_l2: 3.0 }, 6.0, 1e-2)
+            .expect("valid budget");
+        ledger.record_round_at(1, 0.1, 1.2).expect("fresh round");
+        ledger.record_round_at(2, 0.1, 0.9).expect("fresh round");
+        let driver = DriverCheckpoint {
+            next_round: 2,
+            ledger: ledger.clone(),
+            global: vec![0.5, -1.25, 3e-7],
+            records: vec![RoundRecord {
+                round: 1,
+                epsilon: 0.75,
+                dropped: 1,
+                achieved_multiplier: 0.9,
+                accuracy: Some(0.5),
+                perplexity: None,
+            }],
+            rounds: vec![SessionRoundOutcome {
+                round: 1,
+                wire_round: 2,
+                cohort: vec![1, 4, 9],
+                survivors: vec![1, 9],
+                dropped: vec![4],
+                sum: vec![7, 0, u64::MAX],
+                stale_frames: 0,
+            }],
+        };
+        let session = SessionCheckpoint {
+            round: 2,
+            rounds_done: 2,
+            view: 1,
+            parked: vec![1, 4, 9],
+            app_state: driver.to_bytes(),
+        };
+        let (output, proof) = vrf_key_for(7, 3).evaluate(b"round 2");
+        let claim = ParticipationClaim {
+            client: 3,
+            output,
+            proof,
+        };
+        vec![
+            session.encode(),
+            driver.to_bytes(),
+            ledger.to_bytes(),
+            encode_claim(&claim),
+        ]
+    }
+
+    /// Flips the bits `flips` selects and truncates or extends the tail
+    /// as `tail` says (`tail % 3`: leave, cut, append) — the mutation of
+    /// `codec_wire.rs`'s hostile-bytes harness.
+    fn mutate(bytes: &mut Vec<u8>, flips: &[u64], tail: u64) {
+        for &f in flips {
+            if !bytes.is_empty() {
+                let bit = (f % (bytes.len() as u64 * 8)) as usize;
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        let amount = (tail >> 8) as usize;
+        match tail % 3 {
+            1 => bytes.truncate(amount % (bytes.len() + 1)),
+            2 => bytes.extend((0..amount % 17).map(|i| (tail >> (i % 8)) as u8)),
+            _ => {}
+        }
+    }
+
+    /// Every restore decoder over `bytes` (and a decoded session
+    /// checkpoint's driver state); returns which of them accepted it.
+    fn decode_all(bytes: &[u8]) -> [bool; 4] {
+        let session = SessionCheckpoint::decode(bytes);
+        if let Ok(ckpt) = &session {
+            let _ = DriverCheckpoint::from_bytes(&ckpt.app_state);
+        }
+        [
+            session.is_ok(),
+            DriverCheckpoint::from_bytes(bytes).is_ok(),
+            PrivacyLedger::from_bytes(bytes).is_ok(),
+            decode_claim(bytes).is_ok(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn damaged_restore_bytes_yield_typed_errors_never_panics(
+            arbitrary in collection::vec(any::<u8>(), 0..300),
+            flips in collection::vec(any::<u64>(), 1..9),
+            tail in any::<u64>(),
+        ) {
+            decode_all(&arbitrary);
+            for (k, valid) in valid_encodings().into_iter().enumerate() {
+                prop_assert!(decode_all(&valid)[k], "encoding {} must decode", k);
+                let mut damaged = valid;
+                mutate(&mut damaged, &flips, tail);
+                decode_all(&damaged);
+            }
+        }
+    }
+}

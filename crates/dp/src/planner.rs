@@ -36,15 +36,6 @@ pub struct NoisePlan {
     pub realized_epsilon: f64,
 }
 
-impl NoisePlan {
-    /// Central noise standard deviation for updates with L2 sensitivity
-    /// (clipping bound) `clip`.
-    #[must_use]
-    pub fn central_sigma(&self, clip: f64) -> f64 {
-        self.noise_multiplier * clip
-    }
-}
-
 /// Plans the minimum per-round noise for the given budget.
 ///
 /// # Errors
@@ -104,58 +95,6 @@ pub fn plan(cfg: &PlannerConfig) -> Result<NoisePlan, DpError> {
         noise_multiplier: hi,
         realized_epsilon: eps_at(hi),
     })
-}
-
-/// Plans noise assuming a conservatively *estimated* per-round dropout
-/// rate (the paper's `ConX` baselines, §2.3.1).
-///
-/// If a fraction `est_dropout` of sampled clients is expected to vanish,
-/// each client inflates its share so the *surviving* noise still meets the
-/// plan: the per-client share grows by `1/(1 - est_dropout)`, and when
-/// actual dropout is lower than estimated, the aggregate is over-noised
-/// (utility loss); when higher, the budget is overrun.
-pub fn plan_conservative(
-    cfg: &PlannerConfig,
-    est_dropout: f64,
-) -> Result<ConservativePlan, DpError> {
-    if !(0.0..1.0).contains(&est_dropout) {
-        return Err(DpError::BadParameter("est_dropout must be in [0,1)"));
-    }
-    let base = plan(cfg)?;
-    Ok(ConservativePlan { base, est_dropout })
-}
-
-/// A `ConX`-style plan: the base minimum plan plus a dropout estimate.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct ConservativePlan {
-    /// The underlying minimum-noise plan.
-    pub base: NoisePlan,
-    /// The assumed per-round dropout fraction.
-    pub est_dropout: f64,
-}
-
-impl ConservativePlan {
-    /// Per-client noise variance share when `n` clients are sampled,
-    /// inflated for the assumed dropout.
-    #[must_use]
-    pub fn per_client_variance(&self, clip: f64, n: usize) -> f64 {
-        let sigma = self.base.central_sigma(clip);
-        let survivors = ((n as f64) * (1.0 - self.est_dropout)).max(1.0);
-        sigma * sigma / survivors
-    }
-
-    /// The central noise multiplier actually realized when the true
-    /// dropout rate is `actual_dropout`.
-    ///
-    /// Each surviving client contributes variance `z²/(n(1-est))`, so the
-    /// aggregate variance is `z² (1-actual)/(1-est)`: over-noised when the
-    /// estimate was pessimistic, under-noised (privacy overrun) when it
-    /// was optimistic.
-    #[must_use]
-    pub fn realized_multiplier(&self, actual_dropout: f64) -> f64 {
-        let ratio = (1.0 - actual_dropout).max(0.0) / (1.0 - self.est_dropout);
-        self.base.noise_multiplier * ratio.sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -225,12 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn central_sigma_scales_with_clip() {
-        let p = plan(&cfg()).unwrap();
-        assert!((p.central_sigma(3.0) - 3.0 * p.noise_multiplier).abs() < 1e-12);
-    }
-
-    #[test]
     fn invalid_parameters_rejected() {
         assert!(plan(&PlannerConfig {
             epsilon: 0.0,
@@ -253,33 +186,5 @@ mod tests {
             ..cfg()
         })
         .is_err());
-    }
-
-    #[test]
-    fn conservative_plan_inflates_per_client_share() {
-        let base = plan_conservative(&cfg(), 0.0).unwrap();
-        let con5 = plan_conservative(&cfg(), 0.5).unwrap();
-        let n = 16;
-        let v0 = base.per_client_variance(1.0, n);
-        let v5 = con5.per_client_variance(1.0, n);
-        assert!(v5 > v0 * 1.9 && v5 < v0 * 2.1, "v0={v0} v5={v5}");
-    }
-
-    #[test]
-    fn conservative_bad_estimate_rejected() {
-        assert!(plan_conservative(&cfg(), 1.0).is_err());
-        assert!(plan_conservative(&cfg(), -0.1).is_err());
-    }
-
-    #[test]
-    fn conservative_realized_multiplier_cases() {
-        let con5 = plan_conservative(&cfg(), 0.5).unwrap();
-        let z = con5.base.noise_multiplier;
-        // Exactly as estimated: on target.
-        assert!((con5.realized_multiplier(0.5) - z).abs() < 1e-12);
-        // No dropout: over-noised by sqrt(2).
-        assert!((con5.realized_multiplier(0.0) - z * 2f64.sqrt()).abs() < 1e-12);
-        // Worse than estimated: under-noised -> privacy overrun.
-        assert!(con5.realized_multiplier(0.8) < z);
     }
 }

@@ -107,3 +107,11 @@ proptest! {
         prop_assert_eq!(restored.watermark(), watermark + 1);
     }
 }
+
+/// Ten thousand nested `[` (20 KB) is a parse error, not a stack
+/// overflow that aborts the restoring process.
+#[test]
+fn deeply_nested_checkpoint_is_an_error_not_an_abort() {
+    let hostile = "[".repeat(10_000) + &"]".repeat(10_000);
+    assert!(PrivacyLedger::from_bytes(hostile.as_bytes()).is_err());
+}

@@ -2,9 +2,9 @@
 //!
 //! Each sampled client downloads the global parameters, runs `local_epochs`
 //! of mini-batch SGD on its shard, and reports the parameter *delta*. The
-//! server aggregates deltas (weighted by example counts in plain FedAvg;
-//! uniformly when secure aggregation/DP is in the loop, since weights leak
-//! example counts) and applies the mean to the global model.
+//! server averages the deltas uniformly (secure aggregation releases only
+//! their sum, and per-client weights would leak example counts) and
+//! applies the mean to the global model with [`apply_update`].
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -77,42 +77,6 @@ pub fn local_train(
         delta,
         examples: shard.len(),
     }
-}
-
-/// Uniform (unweighted) FedAvg over deltas — the aggregation distributed
-/// DP uses, since per-client weights would leak data sizes.
-///
-/// # Panics
-///
-/// Panics if `updates` is empty or lengths disagree.
-#[must_use]
-pub fn aggregate_uniform(updates: &[ClientUpdate]) -> Vec<f32> {
-    assert!(!updates.is_empty(), "cannot aggregate zero updates");
-    let n = updates.len() as f32;
-    let len = updates[0].delta.len();
-    let mut out = vec![0.0f32; len];
-    for u in updates {
-        assert_eq!(u.delta.len(), len);
-        tensor::axpy(1.0 / n, &u.delta, &mut out);
-    }
-    out
-}
-
-/// Example-count-weighted FedAvg (the classic McMahan et al. rule), used
-/// by the non-private baseline.
-#[must_use]
-pub fn aggregate_weighted(updates: &[ClientUpdate]) -> Vec<f32> {
-    assert!(!updates.is_empty(), "cannot aggregate zero updates");
-    let total: usize = updates.iter().map(|u| u.examples).sum();
-    let len = updates[0].delta.len();
-    let mut out = vec![0.0f32; len];
-    if total == 0 {
-        return out;
-    }
-    for u in updates {
-        tensor::axpy(u.examples as f32 / total as f32, &u.delta, &mut out);
-    }
-    out
 }
 
 /// Applies an aggregated delta to the global parameters.
@@ -200,42 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_aggregation_is_mean() {
-        let ups = vec![
-            ClientUpdate {
-                delta: vec![1.0, 2.0],
-                examples: 10,
-            },
-            ClientUpdate {
-                delta: vec![3.0, 4.0],
-                examples: 90,
-            },
-        ];
-        assert_eq!(aggregate_uniform(&ups), vec![2.0, 3.0]);
-    }
-
-    #[test]
-    fn weighted_aggregation_respects_examples() {
-        let ups = vec![
-            ClientUpdate {
-                delta: vec![1.0],
-                examples: 1,
-            },
-            ClientUpdate {
-                delta: vec![5.0],
-                examples: 3,
-            },
-        ];
-        assert_eq!(aggregate_weighted(&ups), vec![4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero updates")]
-    fn aggregate_empty_panics() {
-        let _ = aggregate_uniform(&[]);
-    }
-
-    #[test]
     fn federated_training_converges() {
         // 5 clients, Dirichlet split, 15 rounds of FedAvg: accuracy on the
         // training data should be far above chance (25%).
@@ -260,8 +188,11 @@ mod tests {
                     },
                 ));
             }
-            let agg = aggregate_uniform(&updates);
-            apply_update(&mut global, &agg, 1.0);
+            // Uniform FedAvg: every delta at weight 1/n.
+            let weight = 1.0 / updates.len() as f32;
+            for u in &updates {
+                apply_update(&mut global, &u.delta, weight);
+            }
         }
         model.set_params(&global);
         let correct = data

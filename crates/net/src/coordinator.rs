@@ -157,7 +157,8 @@ pub(crate) type Peers = BTreeMap<ClientId, TcpChannel>;
 
 /// Reactor token namespace: client tokens are the id itself; tokens at
 /// or above `JOIN_BASE` are provisional (unauthenticated) connections;
-/// the topmost values are reserved for the stage timer and the waker.
+/// the topmost values are reserved for the stage timer and the
+/// reactor's metrics endpoint.
 pub(crate) const JOIN_BASE: u64 = 1 << 40;
 
 /// Timer token for the active stage/chunk deadline.

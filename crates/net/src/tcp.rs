@@ -6,11 +6,12 @@
 //! backpressure buffering ([`WriteBuffer`]).
 //!
 //! The blocking path (clients, the replication link) reads each frame
-//! straight into the stream buffer, exactly [`FrameBuffer::needed`] bytes
-//! at a time, and hands that buffer out as the frame: no bounce buffer
-//! and no copy, so a hundred in-process client threads hold one
-//! allocation per frame in flight. The reactor path hands the stream
-//! buffer out the same way whenever it holds exactly one frame.
+//! straight into the stream buffer, never past [`FrameBuffer::needed`],
+//! and hands that buffer out as the frame: no bounce buffer and no copy,
+//! so a hundred in-process client threads hold one allocation per frame
+//! in flight. The buffer grows with the bytes that arrive, not with the
+//! length the peer announces. The reactor path hands the stream buffer
+//! out the same way whenever it holds exactly one frame.
 //!
 //! Registered channels participate in the reactor's memory plane
 //! ([`crate::pool`]): every buffered ingress byte (stream buffer +
@@ -66,11 +67,15 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// the ledger.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
-    /// Raw stream bytes (length prefixes included); everything before
-    /// `pos` is already consumed.
+    /// Raw stream bytes (length prefixes included) up to `end`;
+    /// everything before `pos` is already consumed, and everything from
+    /// `end` on is zeroed room [`read_from`](FrameBuffer::read_from)
+    /// reads into.
     buf: Vec<u8>,
     /// Read cursor into `buf`.
     pos: usize,
+    /// End of the stream bytes in `buf`.
+    end: usize,
     /// Bytes of decoded frames handed out and not yet credited back.
     outstanding: usize,
     /// Shared-pool account (attached at reactor registration).
@@ -80,6 +85,11 @@ pub struct FrameBuffer {
 /// Consumed-prefix length at which `push` compacts the stream buffer
 /// (below it, the memmove costs more than the memory is worth).
 const COMPACT_THRESHOLD: usize = 16 * 1024;
+
+/// Room [`FrameBuffer::read_from`] may zero ahead of the bytes received
+/// while it assembles a frame: past this, room only doubles what
+/// arrived.
+const READ_ROOM: usize = 64 * 1024;
 
 impl FrameBuffer {
     /// An empty buffer.
@@ -91,8 +101,9 @@ impl FrameBuffer {
     /// Drops the consumed prefix once it is all there is, or once it
     /// is worth the memmove.
     fn compact(&mut self) {
-        if self.pos > 0 && (self.pos == self.buf.len() || self.pos >= COMPACT_THRESHOLD) {
+        if self.pos > 0 && (self.pos == self.end || self.pos >= COMPACT_THRESHOLD) {
             self.buf.drain(..self.pos);
+            self.end -= self.pos;
             self.pos = 0;
         }
     }
@@ -100,7 +111,9 @@ impl FrameBuffer {
     /// Appends raw stream bytes.
     pub fn push(&mut self, bytes: &[u8]) {
         self.compact();
+        self.buf.truncate(self.end);
         self.buf.extend_from_slice(bytes);
+        self.end = self.buf.len();
         if let Some(acct) = &self.account {
             acct.charge_ingress(bytes.len());
         }
@@ -111,6 +124,13 @@ impl FrameBuffer {
     /// blocking path's reader, so the buffer never runs past the frame
     /// being assembled. Returns the bytes read; `Ok(0)` is end of
     /// stream (or nothing missing).
+    ///
+    /// The room a read lands in grows with what arrived, never with
+    /// what the prefix announced: the buffer holds at most
+    /// `max(2 × len(), 64 KiB)` and never more than the frame, and each
+    /// byte of room is zeroed once. A four-byte prefix announcing
+    /// [`MAX_FRAME_BYTES`] costs 64 KiB, and a peer that trickles the
+    /// body costs a read per byte, not a memset of the frame.
     ///
     /// # Errors
     ///
@@ -129,12 +149,18 @@ impl FrameBuffer {
             ));
         }
         self.compact();
-        let start = self.buf.len();
-        self.buf.reserve_exact(want);
-        self.buf.resize(start + want, 0);
-        let got = r.read(&mut self.buf[start..]);
+        let frame_end = self.end + want;
+        if self.buf.len() == self.end {
+            // Out of room: double what arrived (at least `READ_ROOM`),
+            // never past the frame.
+            let room = frame_end.min(self.pos + (2 * self.len()).max(READ_ROOM));
+            self.buf.reserve_exact(room - self.end);
+            self.buf.resize(room, 0);
+        }
+        let room = frame_end.min(self.buf.len());
+        let got = r.read(&mut self.buf[self.end..room]);
         let n = *got.as_ref().unwrap_or(&0);
-        self.buf.truncate(start + n);
+        self.end += n;
         if let Some(acct) = &self.account {
             acct.charge_ingress(n);
         }
@@ -157,7 +183,7 @@ impl FrameBuffer {
     /// Unconsumed byte count (for diagnostics/tests).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
     /// True when no unconsumed bytes are buffered.
@@ -211,12 +237,14 @@ impl FrameBuffer {
         if let Some(acct) = &self.account {
             acct.credit_ingress(4);
         }
-        if p + 4 + len == self.buf.len() {
+        if p + 4 + len == self.end {
             // The buffer is this frame and nothing else: hand out the
             // allocation itself, minus the prefix.
             let mut frame = std::mem::take(&mut self.buf);
+            frame.truncate(self.end);
             frame.drain(..p + 4);
             self.pos = 0;
+            self.end = 0;
             return Ok(Some(frame));
         }
         let frame = self.buf[p + 4..p + 4 + len].to_vec();
@@ -880,6 +908,62 @@ mod tests {
             assert_eq!(buf.buf.capacity(), 0);
         }
         assert_eq!(account.charged_ingress(), 0);
+    }
+
+    /// A reader that hands out one byte of `stream` per call and
+    /// records how large a buffer each call was offered.
+    struct OneByte<'a> {
+        stream: &'a [u8],
+        offered: usize,
+    }
+
+    impl Read for OneByte<'_> {
+        fn read(&mut self, dst: &mut [u8]) -> std::io::Result<usize> {
+            self.offered = dst.len();
+            let Some((&b, rest)) = self.stream.split_first() else {
+                return Ok(0);
+            };
+            dst[0] = b;
+            self.stream = rest;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn blocking_reader_grows_with_the_bytes_that_arrive() {
+        // A prefix announcing the largest legal frame, then a body that
+        // trickles in a byte per read: no read is offered, and the
+        // buffer never holds, more than max(2 × received, 64 KiB).
+        let mut stream = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        stream.extend((0..300 * 1024).map(|i| i as u8));
+        let mut reader = OneByte {
+            stream: &stream,
+            offered: 0,
+        };
+        let mut buf = FrameBuffer::new();
+        while buf.read_from(&mut reader).unwrap() == 1 {
+            let bound = (2 * buf.len()).max(READ_ROOM);
+            assert!(reader.offered <= bound, "offered {}", reader.offered);
+            assert!(buf.buf.capacity() <= bound, "holds {}", buf.buf.capacity());
+        }
+        assert_eq!(buf.len(), stream.len());
+        assert!(buf.take_frame().unwrap().is_none(), "frame incomplete");
+
+        // A frame that fits in the first room is read into exactly its
+        // own size, and handed out as it is.
+        let mut stream = 5u32.to_le_bytes().to_vec();
+        stream.extend_from_slice(b"hello");
+        let mut reader = OneByte {
+            stream: &stream,
+            offered: 0,
+        };
+        let mut buf = FrameBuffer::new();
+        while buf.read_from(&mut reader).unwrap() == 1 {
+            assert!(buf.buf.capacity() <= stream.len());
+        }
+        let frame = buf.take_frame().unwrap().expect("whole frame");
+        assert_eq!(frame, b"hello");
+        assert!(frame.capacity() <= stream.len());
     }
 
     #[test]

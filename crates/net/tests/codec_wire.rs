@@ -701,8 +701,80 @@ mod hostile_bytes {
         Ok((taken, poisoned))
     }
 
+    /// Hands out at most `sizes[call % len]` bytes of `stream` per read
+    /// (a trickling peer) and records the largest buffer it was offered.
+    struct Trickle<'a> {
+        stream: &'a [u8],
+        sizes: &'a [usize],
+        call: usize,
+        offered: usize,
+    }
+
+    impl std::io::Read for Trickle<'_> {
+        fn read(&mut self, dst: &mut [u8]) -> std::io::Result<usize> {
+            self.offered = self.offered.max(dst.len());
+            let n = self.sizes[self.call % self.sizes.len()]
+                .min(dst.len())
+                .min(self.stream.len());
+            self.call += 1;
+            dst[..n].copy_from_slice(&self.stream[..n]);
+            self.stream = &self.stream[n..];
+            Ok(n)
+        }
+    }
+
+    /// Feeds `stream` to a [`FrameBuffer`] through blocking reads of
+    /// the sizes `sizes` cycles through; returns the frames delivered
+    /// and the bytes of the unfinished frame. No read may be offered
+    /// more than `max(2 × buffered, 64 KiB)` bytes, whatever length the
+    /// stream's prefixes announce.
+    fn trickle(stream: &[u8], sizes: &[usize]) -> Result<(Vec<Vec<u8>>, usize), TestCaseError> {
+        let mut reader = Trickle {
+            stream,
+            sizes,
+            call: 0,
+            offered: 0,
+        };
+        let mut buf = FrameBuffer::new();
+        let mut taken = Vec::new();
+        loop {
+            while let Some(frame) = buf.take_frame().expect("frames within the cap") {
+                taken.push(frame);
+            }
+            let bound = (2 * buf.len()).max(64 * 1024);
+            reader.offered = 0;
+            if buf.read_from(&mut reader).expect("in-memory reads") == 0 {
+                return Ok((taken, buf.len()));
+            }
+            prop_assert!(
+                reader.offered <= bound,
+                "offered {} of {bound}",
+                reader.offered
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn trickled_frames_never_size_the_reader_from_the_prefix(
+            body in collection::vec(any::<u8>(), 0..300),
+            sizes in collection::vec(1usize..200, 1..40),
+        ) {
+            // Every stage's valid frame, then a prefix announcing the
+            // largest legal frame and a body that never completes it.
+            let frames = valid_frames();
+            let mut stream = Vec::new();
+            for frame in &frames {
+                stream.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+                stream.extend_from_slice(frame);
+            }
+            stream.extend_from_slice(&(MAX_FRAME_BYTES as u32).to_le_bytes());
+            stream.extend_from_slice(&body);
+            prop_assert_eq!(trickle(&stream, &sizes)?, (frames.clone(), 4 + body.len()));
+            prop_assert_eq!(trickle(&stream, &[1])?, (frames, 4 + body.len()));
+        }
 
         #[test]
         fn hostile_bytes_yield_typed_errors_never_panics(

@@ -123,15 +123,6 @@ pub fn remove_excess(
     Ok(())
 }
 
-/// The `Orig` baseline (Definition 1): each client adds a single
-/// `σ²∗ / |U|` share of the target noise, with no removal machinery.
-/// Returns the noise vector so callers can model dropout by simply not
-/// adding some clients' shares.
-#[must_use]
-pub fn orig_noise(seed: &Seed, len: usize, target_variance: f64, clients: usize) -> Vec<i64> {
-    skellam_vector(seed, NOISE_DOMAIN, len, target_variance / clients as f64)
-}
-
 /// Centered interpretation of a ring element (for analysis/tests):
 /// sign-extends bit `b - 1`, for any `1 ≤ b ≤ 64`.
 #[must_use]
@@ -210,16 +201,14 @@ mod tests {
     #[test]
     fn orig_under_noises_with_dropout() {
         // The contrast experiment: Orig's residual with 2/8 dropped is
-        // (6/8)·σ²∗ — visibly below target.
-        let len = 30_000;
-        let mut acc = vec![0i64; len];
+        // (6/8)·σ²∗ — visibly below target. Each client's single share
+        // has variance σ²∗/n.
+        let sampler = SkellamSampler::new(100.0 / 8.0);
+        let mut acc = vec![0u64; 30_000];
         for c in 2..8u32 {
-            let noise = orig_noise(&[c as u8; 32], len, 100.0, 8);
-            for (a, z) in acc.iter_mut().zip(noise.iter()) {
-                *a += z;
-            }
+            add_noise_stream(&mut acc, &sampler, &[c as u8; 32], NOISE_DOMAIN, true, BITS);
         }
-        let v = variance(&acc);
+        let v = variance(&acc.iter().map(|&a| center(a, BITS)).collect::<Vec<_>>());
         assert!((v - 75.0).abs() < 5.0, "orig residual {v}");
     }
 

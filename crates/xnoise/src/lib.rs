@@ -20,9 +20,10 @@
 //! tolerance (Theorem 1; tested here both algebraically and
 //! statistically).
 //!
-//! The crate also implements the 'rebasing' alternative of Baek et al.
-//! ([`rebasing`]) — whole-vector noise adjustment — and the network
-//! footprint model comparing the two ([`footprint`], Table 3).
+//! The 'rebasing' alternative of Baek et al. (§3.1) — each survivor
+//! ships a whole model-sized noise adjustment — appears only in the
+//! network-footprint model that compares it with XNoise ([`footprint`],
+//! Table 3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +31,6 @@
 pub mod decomposition;
 pub mod enforcement;
 pub mod footprint;
-pub mod rebasing;
 
 /// Errors from noise enforcement.
 #[derive(Debug, Clone, PartialEq)]
