@@ -1,8 +1,10 @@
-//! Microbenchmarks of the cryptographic substrate: PRG (mask) expansion
-//! throughput, key agreement, signatures and the VRF, Shamir, AEAD, and
-//! the hash plane under key derivation and AEAD tags.
+//! Microbenchmarks of the cryptographic substrate: the ChaCha20 block
+//! function and its sixteen-block pass, PRG (mask) expansion throughput,
+//! key agreement, signatures and the VRF, Shamir, AEAD, and the hash
+//! plane under key derivation and AEAD tags.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dordis_crypto::chacha20::{block_words, PASS_BLOCKS, PASS_LEN};
 use dordis_crypto::ed25519::{Point, Scalar, SigningKey};
 use dordis_crypto::field::Fe;
 use dordis_crypto::hmac::hkdf;
@@ -74,6 +76,38 @@ fn bench_hash_plane(c: &mut Criterion) {
     g.bench_function("seal_600B", |b| {
         b.iter(|| aead::seal(&key, &aad, black_box(&xnoise), &mut rng));
     });
+    g.finish();
+}
+
+fn bench_chacha20(c: &mut Criterion) {
+    // One refill of the noise streams' word reader: sixteen keystream
+    // blocks, as one pass of the AVX-512F kernel against sixteen scalar
+    // blocks (the fallback and the oracle). The pass row is absent on a
+    // host without AVX-512F.
+    let (key, nonce) = ([7u8; 32], [3u8; 12]);
+    let mut g = c.benchmark_group("chacha20");
+    g.throughput(Throughput::Bytes(PASS_LEN as u64))
+        .sample_size(200_000);
+    g.bench_function("block×16", |b| {
+        b.iter(|| {
+            (0..PASS_BLOCKS as u32).fold(0, |acc, ctr| {
+                acc ^ block_words(black_box(&key), black_box(ctr), &nonce)[0]
+            })
+        });
+    });
+    #[cfg(target_arch = "x86_64")]
+    {
+        use dordis_crypto::chacha20_avx512::pass;
+        let mut out = [0u8; PASS_LEN];
+        if pass(&key, 0, &nonce, &mut out) {
+            g.bench_function("pass16", |b| {
+                b.iter(|| {
+                    pass(black_box(&key), black_box(0), &nonce, &mut out);
+                    out[0]
+                });
+            });
+        }
+    }
     g.finish();
 }
 
@@ -233,6 +267,7 @@ criterion_group!(
     benches,
     bench_sha256,
     bench_hash_plane,
+    bench_chacha20,
     bench_mask_expansion,
     bench_field,
     bench_x25519,

@@ -2,9 +2,10 @@
 //! encoding/decoding, and privacy accounting.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dordis_crypto::prg::Prg;
 use dordis_dp::accountant::{Mechanism, RdpAccountant};
 use dordis_dp::encoding::{Encoder, EncodingConfig};
-use dordis_dp::mechanism::skellam_vector;
+use dordis_dp::mechanism::{skellam_vector, SkellamSampler};
 use dordis_dp::planner::{plan, PlannerConfig};
 
 fn bench_skellam(c: &mut Criterion) {
@@ -26,6 +27,28 @@ fn bench_skellam(c: &mut Criterion) {
             b.iter(|| skellam_vector(&[1u8; 32], b"bench", 10_000, v));
         });
     }
+    g.finish();
+
+    // One draw a row, from one long stream at the reference plan's
+    // middle component: the sampler's table walk and its two keystream
+    // bytes (the word reader's refills amortised), without the key
+    // derivation and the allocation a `skellam_vector` call adds.
+    let sampler = SkellamSampler::new(312.0);
+    let mut prg = Prg::new(&[1u8; 32], b"bench");
+    let (mut drawn, mut next) = (Vec::with_capacity(512), 0);
+    let mut g = c.benchmark_group("skellam");
+    g.sample_size(2_000_000);
+    g.bench_function("draw", |b| {
+        b.iter(|| {
+            if next == drawn.len() {
+                drawn.clear();
+                sampler.for_each_strip(&mut prg, 512, |_, strip| drawn.extend_from_slice(strip));
+                next = 0;
+            }
+            next += 1;
+            drawn[next - 1]
+        });
+    });
     g.finish();
 }
 

@@ -26,11 +26,13 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
-/// Computes one keystream block as its 16 little-endian `u32` state
-/// words — the allocation-free core that [`block`] and [`KeyStream`]
-/// share.
-#[must_use]
-pub fn block_words(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
+/// The block function's input: constants, key, `counter` and nonce as
+/// the 16 state words every block of a stream starts from.
+pub(crate) fn initial_state(
+    key: &[u8; KEY_LEN],
+    counter: u32,
+    nonce: &[u8; NONCE_LEN],
+) -> [u32; 16] {
     let mut state = [0u32; 16];
     state[..4].copy_from_slice(&SIGMA);
     for i in 0..8 {
@@ -46,6 +48,15 @@ pub fn block_words(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -
             nonce[4 * i + 3],
         ]);
     }
+    state
+}
+
+/// Computes one keystream block as its 16 little-endian `u32` state
+/// words — the allocation-free core that [`block`] and [`KeyStream`]
+/// share, and the oracle of the sixteen-block pass.
+#[must_use]
+pub fn block_words(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
+    let mut state = initial_state(key, counter, nonce);
     let initial = state;
     for _ in 0..10 {
         // Column rounds.
@@ -95,17 +106,55 @@ pub fn xor_stream(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, da
     }
 }
 
+/// Blocks a 32-bit counter addresses: the keystream ends after block
+/// 2^32 − 1, at byte 2^38.
+const END_BLOCK: u64 = 1 << 32;
+
+/// Blocks one pass of the wide kernel computes.
+pub const PASS_BLOCKS: usize = 16;
+/// Keystream bytes one pass of the wide kernel computes: 1 KiB.
+pub const PASS_LEN: usize = PASS_BLOCKS * BLOCK_LEN;
+
+/// Panics for a read or seek at `byte`, at or past the end of the
+/// keystream: a 32-bit counter wrapping there would serve keystream
+/// already used.
+#[cold]
+fn past_the_end(what: &str, byte: u64) -> ! {
+    panic!("{what} byte {byte} is past the 2^38-byte ChaCha20 keystream")
+}
+
 /// A resumable ChaCha20 keystream reader.
 ///
-/// Produces an unbounded byte stream determined by `(key, nonce)`; used as
-/// the backing generator for [`crate::prg::Prg`].
+/// Produces the byte stream determined by `(key, nonce)`, from block 0
+/// up to the last block a 32-bit counter addresses; used as the backing
+/// generator for [`crate::prg::Prg`]. Every read that would run past
+/// that block panics, as a [`KeyStream::seek`] there does.
+///
+/// Keystream reaches the caller two ways, with the same bytes:
+///
+/// - the word reader ([`KeyStream::fill`], `next_u16/u32/u64`,
+///   [`KeyStream::read_buffered`]) reads a buffer it refills with one
+///   sixteen-block pass of
+///   `chacha20_avx512` where the CPU has AVX-512F (and sixteen blocks
+///   remain), one [`block_words`] block elsewhere. The 1 KiB pass
+///   buffer is allocated at the first such refill, so a stream that
+///   never refills through the word reader does not hold it;
+/// - [`KeyStream::fill_u32`] / [`KeyStream::fill_u64`] generate the
+///   whole blocks they consume straight into the caller's buffer, and a
+///   partial head or tail through a one-block refill.
 #[derive(Clone)]
 pub struct KeyStream {
     key: [u8; KEY_LEN],
     nonce: [u8; NONCE_LEN],
-    counter: u32,
-    buf: [u8; BLOCK_LEN],
-    buf_pos: usize,
+    /// The block the next refill starts at: at most [`END_BLOCK`].
+    counter: u64,
+    /// The buffered keystream while no pass buffer is allocated.
+    block: [u8; BLOCK_LEN],
+    /// The pass buffer: once allocated, the buffer of every refill.
+    pass: Option<Box<[u8; PASS_LEN]>>,
+    /// The unread bytes of the buffer are `pos..end`.
+    pos: usize,
+    end: usize,
     /// Blocks generated so far — the cost of everything read from this
     /// stream, as a count.
     #[cfg(test)]
@@ -120,72 +169,156 @@ impl KeyStream {
             key,
             nonce,
             counter: 0,
-            buf: [0u8; BLOCK_LEN],
-            buf_pos: BLOCK_LEN,
+            block: [0u8; BLOCK_LEN],
+            pass: None,
+            pos: 0,
+            end: 0,
             #[cfg(test)]
             blocks: 0,
         }
     }
 
+    /// The buffered keystream not read yet.
+    #[inline]
+    fn buffered(&self) -> &[u8] {
+        let buf = match &self.pass {
+            Some(pass) => &pass[..],
+            None => &self.block[..],
+        };
+        &buf[self.pos..self.end]
+    }
+
     /// Generates the block at the current counter and advances past it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last block has been generated already.
     #[inline]
     fn next_block(&mut self) -> [u32; 16] {
-        let words = block_words(&self.key, self.counter, &self.nonce);
-        self.counter = self.counter.wrapping_add(1);
+        let Ok(counter) = u32::try_from(self.counter) else {
+            past_the_end("read at", END_BLOCK * BLOCK_LEN as u64)
+        };
+        self.counter += 1;
         #[cfg(test)]
         {
             self.blocks += 1;
         }
-        words
+        block_words(&self.key, counter, &self.nonce)
     }
 
-    /// Buffers the next block for byte- and word-wise reads.
+    /// Buffers the next block: the refill of a seek and of the partial
+    /// head or tail of a `fill_u32` / `fill_u64`.
+    fn refill_block(&mut self) {
+        let bytes = words_to_bytes(&self.next_block());
+        match &mut self.pass {
+            Some(pass) => pass[..BLOCK_LEN].copy_from_slice(&bytes),
+            None => self.block = bytes,
+        }
+        self.pos = 0;
+        self.end = BLOCK_LEN;
+    }
+
+    /// Buffers the word reader's next keystream: one sixteen-block pass
+    /// where the CPU runs it and sixteen blocks remain, one block
+    /// elsewhere.
     fn refill(&mut self) {
-        self.buf = words_to_bytes(&self.next_block());
-        self.buf_pos = 0;
+        #[cfg(target_arch = "x86_64")]
+        if self.counter + PASS_BLOCKS as u64 <= END_BLOCK && crate::chacha20_avx512::detected() {
+            let pass = self.pass.get_or_insert_with(|| Box::new([0u8; PASS_LEN]));
+            // The counter is below 2^32 − 15 here.
+            if crate::chacha20_avx512::pass(&self.key, self.counter as u32, &self.nonce, pass) {
+                self.counter += PASS_BLOCKS as u64;
+                self.pos = 0;
+                self.end = PASS_LEN;
+                #[cfg(test)]
+                {
+                    self.blocks += PASS_BLOCKS;
+                }
+                return;
+            }
+        }
+        self.refill_block();
     }
 
-    /// The next `N` keystream bytes: straight from the buffered block
-    /// when it holds them all; the byte path handles refills and
+    /// Copies the next `out.len()` keystream bytes to `out`, through
+    /// the word reader's refill when `wide`, a one-block refill
+    /// otherwise.
+    fn read(&mut self, out: &mut [u8], wide: bool) {
+        let mut out = out;
+        while !out.is_empty() {
+            if self.pos == self.end {
+                if wide {
+                    self.refill();
+                } else {
+                    self.refill_block();
+                }
+            }
+            let buffered = self.buffered();
+            let n = buffered.len().min(out.len());
+            out[..n].copy_from_slice(&buffered[..n]);
+            self.pos += n;
+            out = &mut out[n..];
+        }
+    }
+
+    /// The next `N` keystream bytes: straight from the buffer when it
+    /// holds them all; [`KeyStream::read`] handles refills and
     /// straddles.
-    fn next_bytes<const N: usize>(&mut self) -> [u8; N] {
+    #[inline]
+    fn next_bytes<const N: usize>(&mut self, wide: bool) -> [u8; N] {
         let mut b = [0u8; N];
-        match self.buf.get(self.buf_pos..self.buf_pos + N) {
+        match self.buffered().get(..N) {
             Some(word) => {
                 b.copy_from_slice(word);
-                self.buf_pos += N;
+                self.pos += N;
             }
-            None => self.fill(&mut b),
+            None => self.read(&mut b, wide),
         }
         b
     }
 
+    /// Hands `read` the buffered keystream not read yet — refilled
+    /// through the word reader first when it is empty, so never empty —
+    /// and advances past the bytes `read` says it used. Those are the
+    /// stream's next bytes, as any other read would return them; this is
+    /// how a caller reads many short lanes without a call apiece.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `read` reports more bytes than it was handed.
+    #[inline]
+    pub fn read_buffered(&mut self, read: impl FnOnce(&[u8]) -> usize) {
+        if self.pos == self.end {
+            self.refill();
+        }
+        let used = read(self.buffered());
+        assert!(
+            used <= self.end - self.pos,
+            "read past the buffered keystream"
+        );
+        self.pos += used;
+    }
+
     /// Fills `out` with the next keystream bytes.
     pub fn fill(&mut self, out: &mut [u8]) {
-        for byte in out.iter_mut() {
-            if self.buf_pos == BLOCK_LEN {
-                self.refill();
-            }
-            *byte = self.buf[self.buf_pos];
-            self.buf_pos += 1;
-        }
+        self.read(out, true);
     }
 
     /// Returns the next keystream `u64` (little-endian).
     pub fn next_u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.next_bytes())
+        u64::from_le_bytes(self.next_bytes(true))
     }
 
     /// Returns the next keystream `u32` (little-endian).
     pub fn next_u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.next_bytes())
+        u32::from_le_bytes(self.next_bytes(true))
     }
 
     /// Returns the next keystream `u16` (little-endian): the lane the
     /// Skellam sampler spends per draw.
     #[inline]
     pub fn next_u16(&mut self) -> u16 {
-        u16::from_le_bytes(self.next_bytes())
+        u16::from_le_bytes(self.next_bytes(true))
     }
 
     /// Fills `out` with the next keystream `u64`s (little-endian),
@@ -195,14 +328,15 @@ impl KeyStream {
     /// times — it consumes exactly `8 × out.len()` stream bytes from the
     /// current position — but skips the per-word byte shuffling: aligned
     /// spans are produced 8 words (one block) at a time directly into
-    /// `out`. This is the word source of mask expansion in rings wider
-    /// than 32 bits (`Prg::fill_mod2b`).
+    /// `out`, and only the blocks consumed are generated. This is the
+    /// word source of mask expansion in rings wider than 32 bits
+    /// (`Prg::fill_mod2b`).
     pub fn fill_u64(&mut self, out: &mut [u64]) {
         let mut rest = out;
-        // Drain the buffered block word by word until the stream is
+        // Drain the buffer word by word until the stream is
         // block-aligned.
-        while !rest.is_empty() && self.buf_pos != BLOCK_LEN {
-            rest[0] = self.next_u64();
+        while !rest.is_empty() && self.pos != self.end {
+            rest[0] = u64::from_le_bytes(self.next_bytes(false));
             rest = &mut rest[1..];
         }
         // Whole blocks straight into the caller's buffer: two
@@ -218,7 +352,7 @@ impl KeyStream {
         // Partial final block: read through the buffer, so the unread
         // remainder stays available to later reads.
         for t in chunks.into_remainder() {
-            *t = self.next_u64();
+            *t = u64::from_le_bytes(self.next_bytes(false));
         }
     }
 
@@ -231,8 +365,8 @@ impl KeyStream {
     /// 32 bits (`Prg::fill_mod2b`).
     pub fn fill_u32(&mut self, out: &mut [u32]) {
         let mut rest = out;
-        while !rest.is_empty() && self.buf_pos != BLOCK_LEN {
-            rest[0] = self.next_u32();
+        while !rest.is_empty() && self.pos != self.end {
+            rest[0] = u32::from_le_bytes(self.next_bytes(false));
             rest = &mut rest[1..];
         }
         let mut chunks = rest.chunks_exact_mut(BLOCK_LEN / 4);
@@ -240,7 +374,7 @@ impl KeyStream {
             chunk.copy_from_slice(&self.next_block());
         }
         for t in chunks.into_remainder() {
-            *t = self.next_u32();
+            *t = u32::from_le_bytes(self.next_bytes(false));
         }
     }
 
@@ -259,15 +393,18 @@ impl KeyStream {
     /// keystream a 32-bit block counter addresses — wrapping there would
     /// serve keystream already used.
     pub fn seek(&mut self, byte_offset: u64) {
+        let block = byte_offset / BLOCK_LEN as u64;
+        if block >= END_BLOCK {
+            past_the_end("seek to", byte_offset);
+        }
+        self.counter = block;
+        // Empty: the next read generates the block.
+        self.pos = 0;
+        self.end = 0;
         let within = (byte_offset % BLOCK_LEN as u64) as usize;
-        self.counter = u32::try_from(byte_offset / BLOCK_LEN as u64).unwrap_or_else(|_| {
-            panic!("seek to byte {byte_offset} is past the 2^38-byte ChaCha20 keystream")
-        });
-        if within == 0 {
-            self.buf_pos = BLOCK_LEN; // next read generates the block
-        } else {
-            self.refill();
-            self.buf_pos = within;
+        if within != 0 {
+            self.refill_block();
+            self.pos = within;
         }
     }
 }
@@ -467,6 +604,58 @@ mod tests {
         // Block 2^32 would truncate to counter 0 and re-serve the
         // stream's first bytes.
         KeyStream::new([14u8; KEY_LEN], [8u8; NONCE_LEN]).seek(1 << 38);
+    }
+
+    #[test]
+    fn every_read_path_stops_at_the_end_of_the_keystream() {
+        let key = [16u8; KEY_LEN];
+        let nonce = [10u8; NONCE_LEN];
+        let end = (u64::from(u32::MAX) + 1) * BLOCK_LEN as u64;
+        // The last 20 blocks: the word reader's refills cross the point
+        // where fewer than sixteen blocks remain.
+        let tail: Vec<u8> = (u32::MAX - 19..=u32::MAX)
+            .flat_map(|c| block(&key, c, &nonce))
+            .collect();
+        type Read = fn(&mut KeyStream);
+        let reads: [(&str, Read); 7] = [
+            ("fill", |ks| ks.fill(&mut [0u8; 2])),
+            ("next_u16", |ks| {
+                let _ = ks.next_u16();
+            }),
+            ("next_u32", |ks| {
+                let _ = ks.next_u32();
+            }),
+            ("next_u64", |ks| {
+                let _ = ks.next_u64();
+            }),
+            ("fill_u32", |ks| ks.fill_u32(&mut [0u32; 1])),
+            ("fill_u64", |ks| ks.fill_u64(&mut [0u64; 1])),
+            ("read_buffered", |ks| {
+                // What is left, then a read that must refill.
+                ks.read_buffered(|bytes| bytes.len());
+                ks.read_buffered(|bytes| bytes.len());
+            }),
+        ];
+        for (name, read) in reads {
+            // Up to the end and up to one byte before it, then a read
+            // that needs more: a wrapping counter would serve block 0
+            // again there.
+            for left in [0, 1] {
+                let mut ks = KeyStream::new(key, nonce);
+                ks.seek(end - tail.len() as u64);
+                let mut got = vec![0u8; tail.len() - left];
+                ks.fill(&mut got);
+                assert_eq!(got, tail[..got.len()], "{name}, {left} bytes left");
+                let panic =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| read(&mut ks)))
+                        .expect_err(name);
+                let message = panic.downcast_ref::<String>().expect("formatted message");
+                assert_eq!(
+                    message, "read at byte 274877906944 is past the 2^38-byte ChaCha20 keystream",
+                    "{name}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //! - [`hmac`]: RFC 2104 HMAC-SHA256 keyed once into two midstates, and
 //!   RFC 5869 HKDF into fixed-size outputs.
 //! - [`chacha20`]: RFC 8439 ChaCha20 block function and stream cipher.
+//! - `chacha20_avx512` (x86-64 only): sixteen of those blocks per pass
+//!   in the lanes of AVX-512 registers — the kernel the keystream's word
+//!   reader (the noise and rounding draws) refills from where the CPU
+//!   has AVX-512F.
 //! - [`prg`]: a seeded, forkable pseudorandom generator on top of ChaCha20.
 //! - [`field`]: arithmetic in GF(2^255 - 19) with 51-bit limbs.
 //! - [`x25519`]: RFC 7748 Montgomery-ladder Diffie–Hellman, one ladder
@@ -34,20 +38,23 @@
 //! - [`vrf`]: an EC-VRF over edwards25519 for verifiable client sampling
 //!   (the paper's §7 extension).
 //!
-//! Secret sharing favours clarity over speed; the hot paths the
-//! aggregation protocols' round time is made of (ChaCha20 mask
-//! expansion, the X25519 ladder over the lazily reduced [`field`], the
-//! Edwards multiplications under signatures and the VRF, the SHA-256
-//! under every key derivation and AEAD tag) are written for speed, each
+//! The hot paths the aggregation protocols' round time is made of
+//! (ChaCha20 mask expansion and noise streams, the X25519 ladder over
+//! the lazily reduced [`field`], the Edwards multiplications under
+//! signatures and the VRF, the SHA-256 under every key derivation and
+//! AEAD tag, Shamir's byte-parallel sharing) are written for speed, each
 //! with a plain reference it is tested bit-equal against. `unsafe` is
-//! denied crate-wide and allowed on exactly two modules, one per kernel:
-//! `x25519_avx512` and `sha256_ni`.
+//! denied crate-wide and allowed on exactly three modules, one per
+//! kernel: `chacha20_avx512`, `x25519_avx512` and `sha256_ni`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aead;
 pub mod chacha20;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+pub mod chacha20_avx512;
 pub mod ed25519;
 pub mod field;
 pub mod hmac;

@@ -113,6 +113,14 @@ impl Prg {
         self.stream.next_u16()
     }
 
+    /// Hands `read` the stream's next bytes, as many as are buffered,
+    /// and advances past the ones it says it used (see
+    /// [`KeyStream::read_buffered`]).
+    #[inline]
+    pub fn read_buffered(&mut self, read: impl FnOnce(&[u8]) -> usize) {
+        self.stream.read_buffered(read);
+    }
+
     /// Returns a uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

@@ -158,9 +158,35 @@ impl SkellamSampler {
     /// depend on how a vector is cut into `out`s.
     fn fill_ring(&self, prg: &mut Prg, out: &mut [u64]) {
         if let Some(table) = &self.table {
-            for slot in out {
-                let lane = prg.next_u16();
-                *slot = table.draw_lane(lane, || prg.next_u64()) as u64;
+            let mut drawn = 0;
+            while drawn < out.len() {
+                // Whole draws straight out of the buffered keystream,
+                // with no call a lane, while a lane and a refinement
+                // word both fit.
+                prg.read_buffered(|bytes| {
+                    let mut at = 0;
+                    for slot in &mut out[drawn..] {
+                        let Some(draw) = bytes.get(at..at + 2 + 8) else {
+                            break;
+                        };
+                        let mut used = 2;
+                        let lane = u16::from_le_bytes([draw[0], draw[1]]);
+                        *slot = table.draw_lane(lane, || {
+                            used = 2 + 8;
+                            u64::from_le_bytes(draw[2..].try_into().expect("8 bytes"))
+                        }) as u64;
+                        at += used;
+                        drawn += 1;
+                    }
+                    at
+                });
+                // Near the buffer's end a draw may straddle it: one draw
+                // through the word reader.
+                if let Some(slot) = out.get_mut(drawn) {
+                    let lane = prg.next_u16();
+                    *slot = table.draw_lane(lane, || prg.next_u64()) as u64;
+                    drawn += 1;
+                }
             }
         } else {
             for slot in out {
