@@ -52,6 +52,7 @@
 //! [`DropoutSchedule`]: dordis_secagg::driver::DropoutSchedule
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dordis_pipeline::ChunkPlan;
@@ -295,7 +296,7 @@ impl<'c> RoundMachine<'c> {
         let roster = self
             .server
             .collect_advertisements(advs)
-            .map_err(|e| abort_secagg(peers, round, e))?;
+            .map_err(|e| abort_secagg(peers, &cfg.telemetry, round, e))?;
         let roster_env = Envelope::new(StageTag::Roster, round, encode_list(&roster));
         let down = self.broadcast(reactor, peers, "AdvertiseKeys", &roster_env);
         self.push_stage("AdvertiseKeys", &up, down);
@@ -319,7 +320,7 @@ impl<'c> RoundMachine<'c> {
         let mut inboxes = self
             .server
             .route_shares(all_cts)
-            .map_err(|e| abort_secagg(peers, round, e))?;
+            .map_err(|e| abort_secagg(peers, &cfg.telemetry, round, e))?;
         let mut down = Traffic::default();
         let inbox_ids: Vec<ClientId> = peers.keys().copied().collect();
         for id in inbox_ids {
@@ -363,7 +364,7 @@ impl<'c> RoundMachine<'c> {
         let u3 = self
             .server
             .finalize_masked()
-            .map_err(|e| abort_secagg(peers, round, e))?;
+            .map_err(|e| abort_secagg(peers, &cfg.telemetry, round, e))?;
         custody.record(&self.server);
         let u3_env = Envelope::new(
             StageTag::SurvivorSet,
@@ -392,7 +393,7 @@ impl<'c> RoundMachine<'c> {
             let list = self
                 .server
                 .collect_consistency(sigs)
-                .map_err(|e| abort_secagg(peers, round, e))?;
+                .map_err(|e| abort_secagg(peers, &cfg.telemetry, round, e))?;
             let env = Envelope::new(
                 StageTag::SignatureList,
                 round,
@@ -418,7 +419,7 @@ impl<'c> RoundMachine<'c> {
         )?;
         self.server
             .reconstruct_unmasking(responses)
-            .map_err(|e| abort_secagg(peers, round, e))?;
+            .map_err(|e| abort_secagg(peers, &cfg.telemetry, round, e))?;
         let u5 = self.server.u5().to_vec();
 
         // ---- Stage 5: ExcessiveNoiseRemoval (only if needed). ----
@@ -452,7 +453,7 @@ impl<'c> RoundMachine<'c> {
             )?;
             self.server
                 .collect_noise_shares(responses)
-                .map_err(|e| abort_secagg(peers, round, e))?;
+                .map_err(|e| abort_secagg(peers, &cfg.telemetry, round, e))?;
             self.push_stage("ExcessiveNoiseRemoval", &up, Traffic::default());
         }
 
@@ -470,7 +471,7 @@ impl<'c> RoundMachine<'c> {
             let t0 = cfg.telemetry.now_ns();
             self.server
                 .unmask_chunk(c)
-                .map_err(|e| abort_secagg(peers, round, e))?;
+                .map_err(|e| abort_secagg(peers, &cfg.telemetry, round, e))?;
             chunk_sleep(cfg.chunk_compute, &self.plan, c);
             job_hist.observe(cfg.telemetry.now_ns().saturating_sub(t0));
         }
@@ -526,7 +527,8 @@ impl<'c> RoundMachine<'c> {
     }
 
     /// Broadcasts `env` to every live peer and drives the queued sends
-    /// out; peers that cannot take theirs become `stage` dropouts.
+    /// out; peers that cannot take theirs become `stage` dropouts (a
+    /// write timeout is a deadline miss, anything else a disconnect).
     /// Returns the downlink traffic.
     fn broadcast(
         &mut self,
@@ -535,7 +537,15 @@ impl<'c> RoundMachine<'c> {
         stage: &'static str,
         env: &Envelope,
     ) -> Traffic {
-        let down = broadcast(peers, env, &mut self.dropouts, stage, &self.cfg.telemetry);
+        let sent = broadcast(peers, env, &self.cfg.telemetry);
+        for (id, e) in sent.failed {
+            let kind = send_failure_kind(&e);
+            drop_peer(peers, id, stage, None, kind, &mut self.dropouts);
+        }
+        let mut down = Traffic::default();
+        for _ in 0..peers.len() {
+            down.add((sent.wire.len() - 4) as u64);
+        }
         flush_sends(reactor, peers, &mut self.dropouts, stage, self.cfg);
         down
     }
@@ -646,7 +656,16 @@ impl<'c> RoundMachine<'c> {
             }
             reactor.poll(&mut events, &mut expired, timeout)?;
             for ev in &events {
-                handle_write_event(peers, ev, name, &mut self.dropouts);
+                if let Some(id) = handle_write_event(peers, ev) {
+                    drop_peer(
+                        peers,
+                        id,
+                        name,
+                        None,
+                        DropKind::Disconnected,
+                        &mut self.dropouts,
+                    );
+                }
                 match client_of(ev.token) {
                     Some(id) if (ev.readable || ev.closed) && peers.contains_key(&id) => {
                         self.read_peer(&mut st, peers, id);
@@ -722,9 +741,10 @@ impl<'c> RoundMachine<'c> {
 }
 
 /// A protocol-level failure aborts the round: everyone still connected
-/// is told why, then the round fails.
-fn abort_secagg(peers: &mut Peers, round: u64, e: SecAggError) -> NetError {
-    abort_all(peers, round, &e);
+/// is told why (best effort), then the round fails.
+fn abort_secagg(peers: &mut Peers, telemetry: &Telemetry, round: u64, e: SecAggError) -> NetError {
+    let env = Envelope::new(StageTag::Abort, round, codec::encode_abort(&e.to_string()));
+    broadcast(peers, &env, telemetry);
     NetError::SecAgg(e)
 }
 
@@ -857,31 +877,13 @@ pub(crate) fn drain_frames<K: Ord>(
     false
 }
 
-/// Flushes a backlogged write surfaced by a write-readiness event.
-fn handle_write_event(
-    peers: &mut Peers,
-    ev: &Event,
-    stage_name: &'static str,
-    dropouts: &mut Vec<DetectedDropout>,
-) {
-    if !ev.writable {
-        return;
-    }
-    let Some(id) = client_of(ev.token) else {
-        return;
-    };
-    if let Some(chan) = peers.get_mut(&id) {
-        if chan.try_flush().is_err() {
-            drop_peer(
-                peers,
-                id,
-                stage_name,
-                None,
-                DropKind::Disconnected,
-                dropouts,
-            );
-        }
-    }
+/// The one write-readiness handler (collection, broadcast flushes and
+/// the join window): flushes the backlog of the client channel `ev`
+/// names, and returns the client's id if its channel failed — the
+/// caller unmaps it.
+pub(crate) fn handle_write_event(peers: &mut Peers, ev: &Event) -> Option<ClientId> {
+    let id = client_of(ev.token).filter(|_| ev.writable)?;
+    peers.get_mut(&id)?.try_flush().err().map(|_| id)
 }
 
 /// Removes a peer and records the detection.
@@ -902,39 +904,37 @@ fn drop_peer(
     });
 }
 
-/// Broadcasts an envelope to every live peer; send failures become
-/// detected dropouts (a write timeout is a deadline miss, anything else
-/// a disconnect). The sends only queue — callers follow up with
-/// [`flush_sends`]. Returns downlink traffic.
-///
-/// The frame is encoded exactly **once** per broadcast (counted in
-/// `dordis_broadcast_encodes_total`) into a refcounted wire message;
-/// reactor-registered TCP channels queue the shared allocation instead
-/// of copying it per peer, so a Setup carrying the model payload costs
-/// one encoding for the whole cohort.
-fn broadcast(
-    peers: &mut Peers,
+/// What one [`broadcast`] did: the wire message it queued and the
+/// channels that could not take it.
+pub(crate) struct Broadcast<K> {
+    /// The encoded frame, length prefix included — for connections that
+    /// arrive after the broadcast.
+    pub(crate) wire: Arc<Vec<u8>>,
+    /// Channels whose send failed, with the failure; they stay mapped.
+    pub(crate) failed: Vec<(K, NetError)>,
+}
+
+/// The one broadcast (stage replies, aborts, round announces,
+/// `SessionEnd`): encodes `env` exactly **once** (counted in
+/// `dordis_broadcast_encodes_total`) into a refcounted wire message and
+/// queues that allocation on every channel of `chans` instead of copying
+/// it per peer, so a Setup carrying the model payload costs one encoding
+/// for the whole cohort. Registered channels flush what their sockets
+/// take now; the rest drains under write readiness ([`flush_sends`]).
+pub(crate) fn broadcast<K: Ord + Copy>(
+    chans: &mut BTreeMap<K, TcpChannel>,
     env: &Envelope,
-    dropouts: &mut Vec<DetectedDropout>,
-    stage: &'static str,
     telemetry: &Telemetry,
-) -> Traffic {
+) -> Broadcast<K> {
     let wire = wire_message(&env.encode());
     telemetry
         .counter("dordis_broadcast_encodes_total", &[])
         .inc();
-    let frame_len = (wire.len() - 4) as u64;
-    let mut down = Traffic::default();
-    let ids: Vec<ClientId> = peers.keys().copied().collect();
-    for id in ids {
-        if let Some(chan) = peers.get_mut(&id) {
-            match chan.send_wire_shared(&wire) {
-                Ok(()) => down.add(frame_len),
-                Err(e) => drop_peer(peers, id, stage, None, send_failure_kind(&e), dropouts),
-            }
-        }
-    }
-    down
+    let failed = chans
+        .iter_mut()
+        .filter_map(|(&key, chan)| Some((key, chan.send_wire_shared(&wire).err()?)))
+        .collect();
+    Broadcast { wire, failed }
 }
 
 /// Sends an encoded frame to one peer; failure becomes a detected
@@ -1004,21 +1004,9 @@ fn flush_sends(
             return;
         }
         for ev in &events {
-            handle_write_event(peers, ev, stage, dropouts);
+            if let Some(id) = handle_write_event(peers, ev) {
+                drop_peer(peers, id, stage, None, DropKind::Disconnected, dropouts);
+            }
         }
-    }
-}
-
-/// Best-effort abort notification to everyone still connected.
-fn abort_all(peers: &mut Peers, round: u64, err: &SecAggError) {
-    let env = Envelope::new(
-        StageTag::Abort,
-        round,
-        codec::encode_abort(&err.to_string()),
-    );
-    let wire = wire_message(&env.encode());
-    for chan in peers.values_mut() {
-        let _ = chan.send_wire_shared(&wire);
-        let _ = chan.try_flush();
     }
 }

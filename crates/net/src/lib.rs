@@ -17,9 +17,9 @@
 //!   [`transport::ThrottledChannel`].
 //! - [`tcp`]: the one transport (one connection per client; blocking
 //!   I/O with deadlines until registered with the reactor, non-blocking
-//!   with partial-read frame reassembly and partial-write backpressure
-//!   buffers after). In-process sessions, tests and benches dial
-//!   127.0.0.1, so every suite exercises the sockets that ship.
+//!   after, with one frame reader and one queued writer in both modes).
+//!   In-process sessions, tests and benches dial 127.0.0.1, so every
+//!   suite exercises the sockets that ship.
 //! - [`pool`]: the reactor's memory plane — one byte ledger of
 //!   transport custody per reactor, with per-connection accounting
 //!   handles.

@@ -3,8 +3,8 @@
 //! registered channel charges its buffered bytes through.
 //!
 //! The ledger counts **transport custody**: every ingress byte a
-//! connection holds (unconsumed stream bytes plus decoded frames not
-//! yet released) and every egress byte it has backlogged is charged to
+//! connection holds (the frame being read plus decoded frames not yet
+//! released) and every egress byte it has backlogged is charged to
 //! the owning connection's [`ChannelAccount`] and credited back when
 //! consumed, released, or the channel drops — so `charges − credits` is
 //! exactly the reactor's live buffered bytes. It does not count what

@@ -55,13 +55,14 @@ use dordis_telemetry::Telemetry;
 
 use crate::codec::{self, round_gate, Envelope, EnvelopeView, RoundGate, StageTag};
 use crate::coordinator::{
-    client_of, client_token, drain_frames, NetRoundReport, Peers, RoundMachine, JOIN_BASE,
+    broadcast, client_of, client_token, drain_frames, handle_write_event, NetRoundReport, Peers,
+    RoundMachine, JOIN_BASE,
 };
 use crate::faults::FaultPlan;
 use crate::reactor::{Reactor, Token, TICK};
 use crate::replication::{Primary, SessionCheckpoint};
 use crate::tcp::TcpChannel;
-use crate::transport::{send_env, wire_message, Acceptor, Channel as _};
+use crate::transport::{send_env, Acceptor, Channel as _};
 use crate::NetError;
 
 /// Who a round's seating verifier admitted and who it threw out.
@@ -404,7 +405,6 @@ impl<'a> Session<'a> {
                 if let Some(mut chan) = self.parked.remove(id) {
                     let env = Envelope::new(StageTag::Abort, round, codec::encode_abort(why));
                     let _ = send_env(&mut chan, &env);
-                    let _ = chan.try_flush();
                 }
             }
             seated = outcome.seated;
@@ -478,17 +478,7 @@ impl<'a> Session<'a> {
             }
         }
         let env = Envelope::new(StageTag::SessionEnd, self.next_round, Vec::new());
-        // One encode for the whole cohort: registered channels enqueue
-        // the shared frame by reference (see `wire_message`).
-        let wire = wire_message(&env.encode());
-        self.cfg
-            .telemetry
-            .counter("dordis_broadcast_encodes_total", &[])
-            .inc();
-        for chan in self.parked.values_mut() {
-            let _ = chan.send_wire_shared(&wire);
-            let _ = chan.try_flush();
-        }
+        let wire = broadcast(&mut self.parked, &env, &self.cfg.telemetry).wire;
         // Already-queued connections are drained either way; the
         // tick-length wait for stragglers is only held open when some
         // round actually lost someone.
@@ -499,7 +489,6 @@ impl<'a> Session<'a> {
         };
         while let Ok(mut chan) = self.acceptor.accept(drain_deadline) {
             let _ = chan.send_wire_shared(&wire);
-            let _ = chan.try_flush();
         }
     }
 
@@ -531,26 +520,19 @@ impl<'a> Session<'a> {
         // Encoded once per round; every parked peer — and, in the join
         // loop, every newly accepted connection — queues the same
         // refcounted wire message.
-        let announce = Envelope::new(
+        let env = Envelope::new(
             StageTag::RoundAnnounce,
             round,
             codec::encode_announce(w.claims_mode),
         );
-        let announce = wire_message(&announce.encode());
-        self.cfg
-            .telemetry
-            .counter("dordis_broadcast_encodes_total", &[])
-            .inc();
-        let ids: Vec<ClientId> = self.parked.keys().copied().collect();
-        for &id in &ids {
-            if let Some(chan) = self.parked.get_mut(&id) {
-                if chan.send_wire_shared(&announce).is_err() || chan.try_flush().is_err() {
-                    self.parked.remove(&id);
-                }
-            }
+        let sent = broadcast(&mut self.parked, &env, &self.cfg.telemetry);
+        for (id, _) in &sent.failed {
+            self.parked.remove(id);
         }
+        let announce = sent.wire;
         // Initial sweep of parked peers: answers may already be buffered
         // and their readiness consumed by a previous round's poll.
+        let ids: Vec<ClientId> = self.parked.keys().copied().collect();
         for id in ids {
             self.read_parked(id, &mut w);
         }
@@ -588,7 +570,6 @@ impl<'a> Session<'a> {
                         if chan.send_wire_shared(&announce).is_err() {
                             continue; // connection already dead
                         }
-                        let _ = chan.try_flush();
                         awaiting.insert(token.0, chan);
                     }
                     Err(NetError::Timeout) => break,
@@ -603,13 +584,9 @@ impl<'a> Session<'a> {
                 if awaiting.contains_key(&ev.token.0) {
                     self.settle_provisional(&mut awaiting, ev.token.0, &mut w)?;
                 } else if let Some(id) = client_of(ev.token) {
-                    if ev.writable {
-                        if let Some(chan) = self.parked.get_mut(&id) {
-                            if chan.try_flush().is_err() {
-                                self.parked.remove(&id);
-                                continue;
-                            }
-                        }
+                    if handle_write_event(&mut self.parked, ev).is_some() {
+                        self.parked.remove(&id);
+                        continue;
                     }
                     if (ev.readable || ev.closed) && self.parked.contains_key(&id) {
                         self.read_parked(id, &mut w);
@@ -694,7 +671,6 @@ impl<'a> Session<'a> {
             }
             Some(Verdict::Reject(reply)) => {
                 let _ = send_env(&mut chan, &reply);
-                let _ = chan.try_flush();
             }
             // Garbage, or closed before any verdict.
             _ => {}

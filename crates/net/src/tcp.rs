@@ -1,17 +1,22 @@
 //! TCP transport — the only one: one connection per client, `u32`
 //! length-prefixed frames, 127.0.0.1 for in-process sessions and tests.
 //! Blocking I/O with deadlines until the channel is registered with the
-//! [`reactor`](crate::reactor); non-blocking afterwards, with
-//! partial-read frame reassembly ([`FrameBuffer`]) and partial-write
-//! backpressure buffering ([`WriteBuffer`]).
+//! [`reactor`](crate::reactor); non-blocking afterwards. Either way
+//! there is one reader and one writer:
 //!
-//! The blocking path (clients, the replication link) reads each frame
-//! straight into the stream buffer, never past [`FrameBuffer::needed`],
-//! and hands that buffer out as the frame: no bounce buffer and no copy,
-//! so a hundred in-process client threads hold one allocation per frame
-//! in flight. The buffer grows with the bytes that arrive, not with the
-//! length the peer announces. The reactor path hands the stream buffer
-//! out the same way whenever it holds exactly one frame.
+//! - Every read goes through [`FrameBuffer::read_from`], straight into
+//!   the stream buffer and never past [`FrameBuffer::needed`], and the
+//!   whole frame is that buffer, handed out as it is: no bounce buffer
+//!   and no copy, so a hundred in-process client threads hold one
+//!   allocation per frame in flight, and a registered channel holds at
+//!   most the frame it is assembling whatever backlog the peer sent. The
+//!   buffer grows with the bytes that arrive, not with the length the
+//!   peer announces.
+//! - Every send is queued in the channel's [`WriteBuffer`] (one copy of
+//!   a frame, none of a shared broadcast message) and drained from
+//!   there: all of it under the write deadline while blocking, what the
+//!   socket takes now — the rest under write readiness — once
+//!   registered.
 //!
 //! Registered channels participate in the reactor's memory plane
 //! ([`crate::pool`]): every buffered ingress byte (stream buffer +
@@ -30,7 +35,7 @@ use dordis_telemetry::{Counter, Telemetry};
 use crate::codec::MAX_FRAME_BYTES;
 use crate::pool::ChannelAccount;
 use crate::reactor::{Interest, PollerHandle, Reactor, Token};
-use crate::transport::{Acceptor, Channel};
+use crate::transport::{wire_message, Acceptor, Channel};
 use crate::NetError;
 
 /// Default bound on how long a blocking [`TcpChannel::send`] may sit in
@@ -44,22 +49,21 @@ pub const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// [`TcpAcceptor::accept`]; a nearer deadline shortens it.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
-/// Incremental decoder for the `u32`-length-prefixed frame stream: bytes
-/// go in in arbitrary splits ([`push`](FrameBuffer::push)), whole frames
-/// come out ([`take_frame`](FrameBuffer::take_frame)). A deadline (or
+/// Incremental decoder for the `u32`-length-prefixed frame stream, the
+/// one reader of both the blocking and the reactor path:
+/// [`read_from`](FrameBuffer::read_from) reads the next frame's bytes
+/// straight into the stream buffer, never past the frame it is
+/// assembling, and [`take_frame`](FrameBuffer::take_frame) hands that
+/// buffer out as the frame once it is whole. A deadline (or
 /// `WouldBlock`) can interrupt a frame at any byte without losing the
-/// partial data — the next bytes resume exactly where the stream
-/// stopped. This is the single reassembly path for both the blocking
-/// and the non-blocking (reactor) receive modes, so the proptests that
-/// feed it arbitrary split sequences cover both.
+/// partial data — the next read resumes exactly where the stream
+/// stopped.
 ///
-/// Allocations: consumed bytes advance a read cursor instead of
-/// `drain`-shifting the stream buffer per frame. A buffer holding
-/// exactly one frame hands out its own allocation as that frame (no
-/// copy); any other frame is copied out of the stream buffer.
+/// Allocations: the buffer holds at most one frame, so every frame is
+/// handed out as its own allocation — no bounce buffer and no copy.
 ///
-/// Accounting: with an attached [`ChannelAccount`], `push` charges the
-/// arriving bytes, `take_frame` moves a frame's bytes from stream
+/// Accounting: with an attached [`ChannelAccount`], `read_from` charges
+/// the arriving bytes, `take_frame` moves a frame's bytes from stream
 /// custody to decoded-frame custody (crediting only the 4-byte prefix),
 /// and [`credit_frame`](FrameBuffer::credit_frame) credits the frame
 /// back — so the account's charge is always exactly
@@ -67,13 +71,10 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// the ledger.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
-    /// Raw stream bytes (length prefixes included) up to `end`;
-    /// everything before `pos` is already consumed, and everything from
-    /// `end` on is zeroed room [`read_from`](FrameBuffer::read_from)
-    /// reads into.
+    /// The frame being assembled (length prefix included) up to `end`;
+    /// everything from `end` on is zeroed room
+    /// [`read_from`](FrameBuffer::read_from) reads into.
     buf: Vec<u8>,
-    /// Read cursor into `buf`.
-    pos: usize,
     /// End of the stream bytes in `buf`.
     end: usize,
     /// Bytes of decoded frames handed out and not yet credited back.
@@ -81,10 +82,6 @@ pub struct FrameBuffer {
     /// Shared-pool account (attached at reactor registration).
     account: Option<ChannelAccount>,
 }
-
-/// Consumed-prefix length at which `push` compacts the stream buffer
-/// (below it, the memmove costs more than the memory is worth).
-const COMPACT_THRESHOLD: usize = 16 * 1024;
 
 /// Room [`FrameBuffer::read_from`] may zero ahead of the bytes received
 /// while it assembles a frame: past this, room only doubles what
@@ -98,32 +95,11 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
-    /// Drops the consumed prefix once it is all there is, or once it
-    /// is worth the memmove.
-    fn compact(&mut self) {
-        if self.pos > 0 && (self.pos == self.end || self.pos >= COMPACT_THRESHOLD) {
-            self.buf.drain(..self.pos);
-            self.end -= self.pos;
-            self.pos = 0;
-        }
-    }
-
-    /// Appends raw stream bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.compact();
-        self.buf.truncate(self.end);
-        self.buf.extend_from_slice(bytes);
-        self.end = self.buf.len();
-        if let Some(acct) = &self.account {
-            acct.charge_ingress(bytes.len());
-        }
-    }
-
     /// One read from `r` straight into the stream buffer, of at most the
-    /// bytes still missing toward [`needed`](FrameBuffer::needed) — the
-    /// blocking path's reader, so the buffer never runs past the frame
-    /// being assembled. Returns the bytes read; `Ok(0)` is end of
-    /// stream (or nothing missing).
+    /// bytes still missing toward [`needed`](FrameBuffer::needed), so
+    /// the buffer never runs past the frame being assembled. Returns the
+    /// bytes read; `Ok(0)` is end of stream (or nothing missing: a whole
+    /// frame waits for [`take_frame`](FrameBuffer::take_frame)).
     ///
     /// The room a read lands in grows with what arrived, never with
     /// what the prefix announced: the buffer holds at most
@@ -137,7 +113,7 @@ impl FrameBuffer {
     /// Propagates `r`'s error (`WouldBlock` included); nothing is
     /// buffered from a failed read.
     pub fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
-        let want = self.needed().saturating_sub(self.len());
+        let want = self.needed() - self.end;
         if want == 0 {
             return Ok(0);
         }
@@ -148,12 +124,11 @@ impl FrameBuffer {
                 "oversized frame",
             ));
         }
-        self.compact();
         let frame_end = self.end + want;
         if self.buf.len() == self.end {
             // Out of room: double what arrived (at least `READ_ROOM`),
             // never past the frame.
-            let room = frame_end.min(self.pos + (2 * self.len()).max(READ_ROOM));
+            let room = frame_end.min((2 * self.end).max(READ_ROOM));
             self.buf.reserve_exact(room - self.end);
             self.buf.resize(room, 0);
         }
@@ -171,34 +146,37 @@ impl FrameBuffer {
     /// prefix, then enough for the full frame.
     #[must_use]
     pub fn needed(&self) -> usize {
-        if self.len() < 4 {
-            4
-        } else {
-            let p = self.pos;
-            let len = u32::from_le_bytes(self.buf[p..p + 4].try_into().expect("4 bytes")) as usize;
-            4 + len
+        match self.announced() {
+            Some(len) => 4 + len,
+            None => 4,
         }
     }
 
-    /// Unconsumed byte count (for diagnostics/tests).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.end - self.pos
+    /// The length the buffered prefix announces, once it is all there.
+    fn announced(&self) -> Option<usize> {
+        (self.end >= 4)
+            .then(|| u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize)
     }
 
-    /// True when no unconsumed bytes are buffered.
+    /// Buffered byte count (for diagnostics/tests).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.end
+    }
+
+    /// True when no bytes are buffered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.end == 0
     }
 
     /// Routes this buffer's accounting through a reactor's shared
-    /// ledger: current custody (unconsumed stream bytes +
-    /// outstanding decoded frames) is charged to the new account, and
-    /// the replaced account's drop credits the pool it came from — so a
-    /// channel handed between reactors never double-counts.
+    /// ledger: current custody (buffered stream bytes + outstanding
+    /// decoded frames) is charged to the new account, and the replaced
+    /// account's drop credits the pool it came from — so a channel
+    /// handed between reactors never double-counts.
     pub fn attach_account(&mut self, account: ChannelAccount) {
-        account.charge_ingress(self.len() + self.outstanding);
+        account.charge_ingress(self.end + self.outstanding);
         self.account = Some(account);
     }
 
@@ -212,7 +190,8 @@ impl FrameBuffer {
         }
     }
 
-    /// Pops the next complete frame, or `None` if more bytes are needed.
+    /// Pops the frame once it is whole — the stream buffer itself, minus
+    /// the prefix — or `None` if more bytes are needed.
     ///
     /// # Errors
     ///
@@ -220,15 +199,13 @@ impl FrameBuffer {
     /// [`MAX_FRAME_BYTES`] — the stream is poisoned at that point and
     /// the connection should be dropped.
     pub fn take_frame(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        if self.len() < 4 {
+        let Some(len) = self.announced() else {
             return Ok(None);
-        }
-        let p = self.pos;
-        let len = u32::from_le_bytes(self.buf[p..p + 4].try_into().expect("4 bytes")) as usize;
+        };
         if len > MAX_FRAME_BYTES {
             return Err(NetError::Codec(format!("oversized frame: {len}")));
         }
-        if self.len() < 4 + len {
+        if self.end < 4 + len {
             return Ok(None);
         }
         self.outstanding += len;
@@ -237,18 +214,10 @@ impl FrameBuffer {
         if let Some(acct) = &self.account {
             acct.credit_ingress(4);
         }
-        if p + 4 + len == self.end {
-            // The buffer is this frame and nothing else: hand out the
-            // allocation itself, minus the prefix.
-            let mut frame = std::mem::take(&mut self.buf);
-            frame.truncate(self.end);
-            frame.drain(..p + 4);
-            self.pos = 0;
-            self.end = 0;
-            return Ok(Some(frame));
-        }
-        let frame = self.buf[p + 4..p + 4 + len].to_vec();
-        self.pos += 4 + len;
+        let mut frame = std::mem::take(&mut self.buf);
+        frame.truncate(self.end);
+        frame.drain(..4);
+        self.end = 0;
         Ok(Some(frame))
     }
 }
@@ -258,17 +227,16 @@ impl FrameBuffer {
 /// encoded once and the same `Arc` is queued on every channel.
 #[derive(Debug)]
 struct Segment {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     pos: usize,
 }
 
-/// Backpressure buffer for the non-blocking write path: a queue of
-/// refcounted segments drained with vectored writes. Frames queued via
-/// [`queue_frame`](WriteBuffer::queue_frame) are copied once (prefix +
-/// payload into one allocation); broadcast frames arrive pre-encoded
-/// via [`queue_shared`](WriteBuffer::queue_shared) and are shared across
-/// all channels — zero per-peer copies. Partial writes never tear a
-/// frame: the front segment's position is the stream cursor.
+/// The one write path of a [`TcpChannel`], blocking or registered: a
+/// queue of refcounted wire messages ([`wire_message`]: a frame's one
+/// copy, prefix + payload in one allocation) drained with vectored
+/// writes. A broadcast message is queued on every channel by reference
+/// count — zero per-peer copies. Partial writes never tear a frame: the
+/// front segment's position is the stream cursor.
 #[derive(Debug, Default)]
 pub struct WriteBuffer {
     segs: VecDeque<Segment>,
@@ -288,19 +256,10 @@ impl WriteBuffer {
         WriteBuffer::default()
     }
 
-    /// Queues one frame (length prefix + payload, copied into one owned
-    /// segment).
-    pub fn queue_frame(&mut self, frame: &[u8]) {
-        let mut msg = Vec::with_capacity(4 + frame.len());
-        msg.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        msg.extend_from_slice(frame);
-        self.queue_shared(&msg.into());
-    }
-
     /// Queues an already-encoded wire message (length prefix included)
     /// by reference count — the broadcast path queues one `Arc` on N
     /// channels instead of copying the frame N times.
-    pub fn queue_shared(&mut self, msg: &Arc<[u8]>) {
+    pub fn queue_shared(&mut self, msg: &Arc<Vec<u8>>) {
         self.len += msg.len();
         if let Some(acct) = &self.account {
             acct.charge_egress(msg.len());
@@ -517,11 +476,35 @@ impl TcpChannel {
         Ok(())
     }
 
-    /// Flushes the outbox and keeps write interest in sync with whether
-    /// a backlog remains.
+    /// Flushes the outbox. A registered channel writes what the socket
+    /// takes now and keeps write interest in sync with whether a
+    /// backlog remains. A blocking one drains it all, but never
+    /// unbounded: a peer that stops reading fills its socket buffer and
+    /// would otherwise park the caller in write(2) forever. The deadline
+    /// is *overall* (each write(2) is bounded by the remaining budget,
+    /// like `fill_until`), so a peer draining one byte per poll cannot
+    /// extend it; expiry surfaces as [`NetError::Timeout`] → a detected
+    /// dropout, with the rest of the frame still queued.
     fn flush_outbox(&mut self) -> Result<bool, NetError> {
-        let drained = match self.outbox.write_to(&mut self.stream) {
+        let written = match self.registration {
+            Some(_) => self.outbox.write_to(&mut self.stream),
+            None => {
+                let deadline = Instant::now() + self.write_timeout;
+                let mut sock = Deadlined {
+                    sock: &self.stream,
+                    deadline,
+                };
+                match self.outbox.write_to(&mut sock) {
+                    // A blocking write only stops short when the send
+                    // timeout — the deadline — expired.
+                    Ok(false) => Err(ErrorKind::TimedOut.into()),
+                    drained => drained,
+                }
+            }
+        };
+        let drained = match written {
             Ok(drained) => drained,
+            Err(e) if e.kind() == ErrorKind::TimedOut => return Err(NetError::Timeout),
             Err(e) if is_disconnect(&e) || e.kind() == ErrorKind::WriteZero => {
                 return Err(NetError::Closed)
             }
@@ -529,6 +512,35 @@ impl TcpChannel {
         };
         self.sync_interest()?;
         Ok(drained)
+    }
+}
+
+/// A blocking socket whose every write(2) is bounded by what is left of
+/// one overall deadline: the socket's send timeout then surfaces as
+/// `WouldBlock`, and a write past the deadline as `TimedOut`.
+struct Deadlined<'a> {
+    sock: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Write for Deadlined<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        let budget = self
+            .deadline
+            .checked_duration_since(Instant::now())
+            .filter(|b| !b.is_zero())
+            .ok_or(ErrorKind::TimedOut)?;
+        self.sock
+            .set_write_timeout(Some(budget.max(Duration::from_millis(1))))?;
+        self.sock.write_vectored(bufs)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
@@ -546,46 +558,7 @@ fn is_disconnect(e: &std::io::Error) -> bool {
 
 impl Channel for TcpChannel {
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        if self.registration.is_some() {
-            // Evented mode: enqueue and flush opportunistically; the
-            // event loop drains any backlog under write readiness.
-            self.outbox.queue_frame(frame);
-            self.flush_outbox()?;
-            return Ok(());
-        }
-        // Blocking mode, but never unbounded: a peer that stops reading
-        // fills its socket buffer and would otherwise park the
-        // coordinator in write(2) forever. The deadline is *overall*
-        // (each write(2) is bounded by the remaining budget, like
-        // `fill_until`), so a peer draining one byte per poll cannot
-        // extend it; expiry surfaces as NetError::Timeout → a detected
-        // dropout. (A timeout can tear a frame mid-write, so the
-        // connection must be dropped after.)
-        let deadline = Instant::now() + self.write_timeout;
-        let mut msg = Vec::with_capacity(4 + frame.len());
-        msg.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        msg.extend_from_slice(frame);
-        let mut written = 0;
-        while written < msg.len() {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::Timeout);
-            }
-            let budget = deadline - now;
-            self.stream
-                .set_write_timeout(Some(budget.max(Duration::from_millis(1))))?;
-            match self.stream.write(&msg[written..]) {
-                Ok(0) => return Err(NetError::Closed),
-                Ok(n) => written += n,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Err(NetError::Timeout);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if is_disconnect(&e) => return Err(NetError::Closed),
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
+        self.send_wire_shared(&wire_message(frame))
     }
 
     fn recv_deadline(&mut self, deadline: Instant) -> Result<Vec<u8>, NetError> {
@@ -610,29 +583,24 @@ impl Channel for TcpChannel {
 /// The readiness-driven side, used by the coordinator. Before
 /// [`register`](TcpChannel::register) the blocking [`Channel`] API
 /// applies (clients and the replication link use nothing else); after
-/// it the channel is non-blocking: `send` enqueues into a backpressure
-/// buffer and flushes opportunistically, [`try_recv`](TcpChannel::try_recv)
-/// reassembles frames from whatever bytes are available, and
-/// [`try_flush`](TcpChannel::try_flush) drains the buffer under write
+/// it the channel is non-blocking: `send` flushes what the socket takes
+/// now, [`try_recv`](TcpChannel::try_recv) reads toward the next frame
+/// from whatever bytes are available, and
+/// [`try_flush`](TcpChannel::try_flush) drains the backlog under write
 /// readiness.
 impl TcpChannel {
     /// Sends an already-encoded wire message — 4-byte little-endian
-    /// length prefix followed by the frame (see
-    /// [`wire_message`](crate::transport::wire_message)). The broadcast
-    /// path encodes a frame *once* and calls this on every channel; a
-    /// registered channel queues the shared allocation by refcount
-    /// instead of copying it N times.
+    /// length prefix followed by the frame (see [`wire_message`]). The
+    /// broadcast path encodes a frame *once* and calls this on every
+    /// channel, which queues the shared allocation by refcount instead
+    /// of copying it N times.
     ///
     /// # Errors
     ///
     /// Same contract as [`Channel::send`].
-    pub fn send_wire_shared(&mut self, msg: &Arc<[u8]>) -> Result<(), NetError> {
-        if self.registration.is_some() {
-            self.outbox.queue_shared(msg);
-            self.flush_outbox()?;
-            return Ok(());
-        }
-        self.send(&msg[4..])
+    pub fn send_wire_shared(&mut self, msg: &Arc<Vec<u8>>) -> Result<(), NetError> {
+        self.outbox.queue_shared(msg);
+        self.flush_outbox().map(drop)
     }
 
     /// Credits a received frame's bytes back to the ledger once the
@@ -699,26 +667,25 @@ impl TcpChannel {
     /// [`NetError::Closed`] once the peer is gone *and* every buffered
     /// frame has been returned; codec errors for oversized frames.
     pub fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        // Drain the kernel buffer first so level-triggered epoll goes
-        // quiet once everything available has been reassembled.
-        let mut buf = [0u8; 16 * 1024];
-        while !self.eof {
-            match self.stream.read(&mut buf) {
+        // Reads stop at the frame being assembled: what the peer sent
+        // behind it stays in the kernel (level-triggered epoll keeps
+        // reporting it) until the caller asks for the next frame.
+        loop {
+            if let Some(frame) = self.inbox.take_frame()? {
+                return Ok(Some(frame));
+            }
+            if self.eof {
+                return Err(NetError::Closed);
+            }
+            match self.inbox.read_from(&mut self.stream) {
                 Ok(0) => self.eof = true,
-                Ok(n) => self.inbox.push(&buf[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if is_disconnect(&e) => self.eof = true,
                 Err(e) => return Err(e.into()),
             }
         }
-        if let Some(frame) = self.inbox.take_frame()? {
-            return Ok(Some(frame));
-        }
-        if self.eof {
-            return Err(NetError::Closed);
-        }
-        Ok(None)
     }
 
     /// Drains backlogged writes as far as readiness allows. `Ok(true)`
@@ -817,21 +784,19 @@ mod tests {
 
     #[test]
     fn frame_buffer_hands_out_a_lone_frame_without_copying() {
-        // With an attached pool account, a stream buffer holding exactly
-        // one frame hands its own allocation out as that frame; a frame
-        // with bytes behind it is copied out. Either way the ledger
+        // With an attached pool account, every frame is handed out as
+        // the stream buffer its bytes were read into, and the ledger
         // settles once the frames are credited back.
         let pool = crate::pool::BytePool::new();
         let account = pool.account();
         let mut buf = FrameBuffer::new();
         buf.attach_account(account.clone());
-        buf.push(&framed(&[b"abc".to_vec(), b"defgh".to_vec()]));
-        let at = buf.buf.as_ptr();
-        let first = buf.take_frame().unwrap().expect("first frame");
+        let stream = framed(&[b"abc".to_vec(), b"defgh".to_vec()]);
+        let mut reader = &stream[..];
+        let first = next_frame(&mut buf, &mut reader);
         assert_eq!(first, b"abc");
-        let second = buf.take_frame().unwrap().expect("second frame");
+        let second = next_frame(&mut buf, &mut reader);
         assert_eq!(second, b"defgh");
-        assert_eq!(second.as_ptr(), at, "the lone frame was copied");
         assert!(buf.is_empty() && buf.take_frame().unwrap().is_none());
         assert_eq!(account.charged_ingress(), 8, "both frames in custody");
         buf.credit_frame(first);
@@ -850,11 +815,45 @@ mod tests {
         stream
     }
 
+    /// Reads from `r` until a frame is whole and takes it, checking
+    /// that the frame is the stream buffer the reads landed in and that
+    /// no read ran past it.
+    fn next_frame(buf: &mut FrameBuffer, r: &mut impl Read) -> Vec<u8> {
+        loop {
+            let at = buf.buf.as_ptr();
+            if let Some(frame) = buf.take_frame().unwrap() {
+                assert_eq!(frame.as_ptr(), at, "the frame was copied");
+                return frame;
+            }
+            assert!(buf.read_from(r).unwrap() > 0, "stream ended mid-frame");
+            assert!(buf.buf.capacity() <= buf.needed(), "read past the frame");
+        }
+    }
+
+    /// A reader serving `stream` in pieces of at most `piece(pos)`
+    /// bytes, `pos` being how far it has served.
+    struct Pieces<'a, F> {
+        stream: &'a [u8],
+        pos: usize,
+        piece: F,
+    }
+
+    impl<F: FnMut(usize) -> usize> Read for Pieces<'_, F> {
+        fn read(&mut self, dst: &mut [u8]) -> std::io::Result<usize> {
+            let n = (self.piece)(self.pos)
+                .min(dst.len())
+                .min(self.stream.len() - self.pos);
+            dst[..n].copy_from_slice(&self.stream[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
     #[test]
     fn frame_buffer_releases_a_drained_burst_and_nothing_else() {
-        // Two 1.25 MiB chunk frames behind a small control frame,
-        // arriving in socket-read-sized pieces while the consumer lags
-        // (nothing is taken until the whole burst is buffered).
+        // Two 1.25 MiB chunk frames behind a small control frame, all
+        // sent before the consumer looks, arriving in socket-read-sized
+        // pieces: the buffer only ever holds the frame it is assembling.
         let frames: Vec<Vec<u8>> = [100usize, 1_310_724, 1_310_724]
             .iter()
             .enumerate()
@@ -865,23 +864,25 @@ mod tests {
         let mut buf = FrameBuffer::new();
         buf.attach_account(account.clone());
         let stream = framed(&frames);
-        for piece in stream.chunks(64 * 1024) {
-            buf.push(piece);
-        }
-        assert!(buf.buf.capacity() >= stream.len());
-        assert_eq!(account.charged_ingress(), stream.len() as u64);
+        let mut reader = Pieces {
+            stream: &stream,
+            pos: 0,
+            piece: |_| 64 * 1024,
+        };
         let mut outstanding = 0u64;
         for want in &frames {
-            let got = buf.take_frame().unwrap().expect("whole frame buffered");
+            let got = next_frame(&mut buf, &mut reader);
             assert_eq!(&got, want);
             outstanding += want.len() as u64;
             // Stream custody became decoded-frame custody; only the
-            // prefixes left the ledger.
+            // prefix left the ledger, and nothing behind the frame was
+            // read.
             assert_eq!(
                 account.charged_ingress(),
                 buf.len() as u64 + outstanding,
                 "ledger is by length, not capacity"
             );
+            assert!(buf.is_empty(), "read past the frame");
             buf.credit_frame(got);
             outstanding -= want.len() as u64;
         }
@@ -894,16 +895,14 @@ mod tests {
         );
 
         // The released buffer keeps working, and control-sized traffic
-        // (tcp_cohort256's frames are ≈ 3 KiB) arriving one frame at a
-        // time leaves with its frame: the buffer holds nothing between
-        // frames.
+        // (tcp_cohort256's frames are ≈ 3 KiB) leaves with its frame:
+        // the buffer holds nothing between frames.
         let small: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 3000]).collect();
+        let stream = framed(&small);
+        let mut reader = &stream[..];
         for f in &small {
-            buf.push(&framed(std::slice::from_ref(f)));
-            let at = buf.buf.as_ptr();
-            let got = buf.take_frame().unwrap().expect("frame");
+            let got = next_frame(&mut buf, &mut reader);
             assert_eq!(&got, f);
-            assert_eq!(got.as_ptr(), at, "lone control frame copied");
             buf.credit_frame(got);
             assert_eq!(buf.buf.capacity(), 0);
         }
@@ -967,21 +966,22 @@ mod tests {
     }
 
     #[test]
-    fn frame_buffer_cursor_survives_interleaved_push_and_take() {
-        // Frames are consumed via the read cursor while later bytes
-        // keep arriving; the reassembly must stay byte-exact across
-        // compactions.
+    fn frame_buffer_reassembles_across_interleaved_reads_and_takes() {
+        // Frames are taken as soon as they are whole while later bytes
+        // keep arriving in odd pieces; the reassembly must stay
+        // byte-exact across frame boundaries.
         let frames: Vec<Vec<u8>> = (0..50u8)
             .map(|i| vec![i; 1 + usize::from(i) * 7 % 40])
             .collect();
         let stream = framed(&frames);
+        let mut reader = Pieces {
+            stream: &stream,
+            pos: 0,
+            piece: |pos| pos * 13 % 9 + 1,
+        };
         let mut buf = FrameBuffer::new();
         let mut got = Vec::new();
-        let mut pos = 0;
-        while pos < stream.len() {
-            let n = (pos * 13 % 9 + 1).min(stream.len() - pos);
-            buf.push(&stream[pos..pos + n]);
-            pos += n;
+        while buf.read_from(&mut reader).unwrap() > 0 {
             while let Some(frame) = buf.take_frame().unwrap() {
                 got.push(frame.clone());
                 buf.credit_frame(frame);
@@ -1001,7 +1001,8 @@ mod tests {
         let payload = vec![7u8; 100];
         let mut stream = (payload.len() as u32).to_le_bytes().to_vec();
         stream.extend_from_slice(&payload);
-        buf.push(&stream);
+        let mut reader = &stream[..];
+        while buf.read_from(&mut reader).unwrap() > 0 {}
         assert_eq!(pool.live_ingress(), 104, "stream bytes charged");
         let frame = buf.take_frame().unwrap().expect("frame");
         assert_eq!(
@@ -1014,6 +1015,42 @@ mod tests {
     }
 
     #[test]
+    fn registered_channel_holds_one_frame_of_a_backlog() {
+        // The peer sends sixteen 8 KiB frames before the registered end
+        // reads any. Each `try_recv` reads only toward the frame it
+        // returns, so the ledger holds one frame plus its prefix however
+        // deep the backlog, and the frames come out whole and in order.
+        let (mut near, mut far) = TcpChannel::pair().unwrap();
+        let mut reactor = Reactor::new().unwrap();
+        far.register(&mut reactor, Token(1)).unwrap();
+        let frames: Vec<Vec<u8>> = (0..16u8)
+            .map(|k| (0..8192usize).map(|i| (i * 7) as u8 ^ k).collect())
+            .collect();
+        for f in &frames {
+            near.send(f).unwrap();
+        }
+        let (mut events, mut expired) = (Vec::new(), Vec::new());
+        let mut got = Vec::new();
+        while got.len() < frames.len() {
+            reactor
+                .poll(&mut events, &mut expired, Duration::from_secs(2))
+                .unwrap();
+            assert!(!events.is_empty(), "backlog never became readable");
+            while let Some(frame) = far.try_recv().unwrap() {
+                let held = reactor.pool().live_ingress();
+                assert!(
+                    held <= 4 + 8192,
+                    "frame {} left {held} bytes in custody",
+                    got.len()
+                );
+                got.push(frame.clone());
+                far.credit_frame(frame);
+            }
+        }
+        assert_eq!(got, frames);
+    }
+
+    #[test]
     fn write_buffer_shares_broadcast_segments() {
         // One pre-encoded wire message queued on two buffers: both
         // drain the identical stream, and the bytes live in one shared
@@ -1021,7 +1058,7 @@ mod tests {
         let frame = b"broadcast-payload".to_vec();
         let mut msg = (frame.len() as u32).to_le_bytes().to_vec();
         msg.extend_from_slice(&frame);
-        let wire: Arc<[u8]> = msg.clone().into();
+        let wire = Arc::new(msg.clone());
         let mut a = WriteBuffer::new();
         let mut b = WriteBuffer::new();
         a.queue_shared(&wire);

@@ -33,8 +33,8 @@ pub trait Channel: Send {
     ///
     /// [`NetError::Closed`] if the peer is gone, [`NetError::Timeout`]
     /// if a blocking send stalled past the transport's write timeout
-    /// (the frame may be torn — drop the peer), [`NetError::Io`] on
-    /// transport failure.
+    /// (the rest of the frame stays queued behind a stalled peer — drop
+    /// it), [`NetError::Io`] on transport failure.
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError>;
 
     /// Receives the next frame, waiting until `deadline` at most.
@@ -50,14 +50,14 @@ pub trait Channel: Send {
 }
 
 /// Encodes a frame into its on-the-wire form (4-byte little-endian
-/// length prefix + payload) as a refcounted allocation, ready for
-/// [`TcpChannel::send_wire_shared`] fan-out.
+/// length prefix + payload) as a refcounted allocation — the frame's one
+/// copy — ready for [`TcpChannel::send_wire_shared`] fan-out.
 #[must_use]
-pub fn wire_message(frame: &[u8]) -> Arc<[u8]> {
+pub fn wire_message(frame: &[u8]) -> Arc<Vec<u8>> {
     let mut msg = Vec::with_capacity(4 + frame.len());
     msg.extend_from_slice(&(frame.len() as u32).to_le_bytes());
     msg.extend_from_slice(frame);
-    msg.into()
+    Arc::new(msg)
 }
 
 /// Server-side half of the transport: yields one [`TcpChannel`] per

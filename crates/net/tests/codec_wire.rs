@@ -671,12 +671,12 @@ mod hostile_bytes {
         Ok(())
     }
 
-    /// Feeds `stream` to an accounted [`FrameBuffer`] in the pieces
-    /// `splits` cuts (then the rest at once); returns the frames
-    /// delivered and whether a length prefix poisoned the stream — which
-    /// must stick, and must not have taken the refused frame into
-    /// custody: the account holds exactly the buffered stream bytes plus
-    /// the taken frames' bytes.
+    /// Feeds `stream` to an accounted [`FrameBuffer`] through reads of
+    /// at most the pieces `splits` cuts (then the rest at once); returns
+    /// the frames delivered and whether a length prefix poisoned the
+    /// stream — which must stick, and must not have taken the refused
+    /// frame into custody: the account holds exactly the buffered stream
+    /// bytes plus the taken frames' bytes.
     fn reassemble(stream: &[u8], splits: &[usize]) -> Result<(Vec<Vec<u8>>, bool), TestCaseError> {
         let account = BytePool::new().account();
         let mut buf = FrameBuffer::new();
@@ -684,9 +684,10 @@ mod hostile_bytes {
         let (mut taken, mut poisoned, mut rest) = (Vec::new(), false, stream);
         let mut cuts = splits.iter().copied();
         while !rest.is_empty() && !poisoned {
-            let (piece, tail) = rest.split_at(cuts.next().unwrap_or(usize::MAX).min(rest.len()));
-            buf.push(piece);
-            rest = tail;
+            let cut = cuts.next().unwrap_or(usize::MAX).min(rest.len());
+            let mut piece = &rest[..cut];
+            let n = buf.read_from(&mut piece).expect("in-memory reads");
+            rest = &rest[n..];
             while !poisoned {
                 match buf.take_frame() {
                     Ok(Some(frame)) => taken.push(frame),

@@ -1,16 +1,17 @@
-//! The non-blocking frame codec path: `FrameBuffer` must reassemble a
-//! frame stream byte-equal to the whole-frame read no matter how the
-//! bytes are split across reads, and `WriteBuffer` must drain interleaved
-//! partial writes into the identical stream no matter how the socket
-//! slices (or `WouldBlock`s) the writes. These two buffers are what the
-//! reactor-mode `TcpChannel` runs on, so their invariants are the wire
-//! correctness of the event loop. The blocking path reads straight into
-//! the `FrameBuffer` and hands its allocation out as the frame; that
-//! path gets the same arbitrary-split treatment.
+//! The frame codec path: `FrameBuffer` must reassemble a frame stream
+//! byte-equal to the whole-frame read no matter how the bytes are split
+//! across reads, and `WriteBuffer` must drain interleaved partial writes
+//! into the identical stream no matter how the socket slices (or
+//! `WouldBlock`s) the writes. These two buffers are the one reader and
+//! the one writer of every `TcpChannel`, blocking or registered with the
+//! reactor, so their invariants are the wire correctness of both. Reads
+//! land straight in the `FrameBuffer`, which hands its allocation out as
+//! the frame.
 
 use std::io::{ErrorKind, Read, Write};
 
 use dordis_net::tcp::{FrameBuffer, WriteBuffer};
+use dordis_net::transport::wire_message;
 use dordis_net::NetError;
 use proptest::collection;
 use proptest::prelude::*;
@@ -38,20 +39,25 @@ fn stream_of(frames: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-/// Feeds a raw stream into a `FrameBuffer` in the given byte splits
-/// (cycling through `cuts`), popping frames as they complete.
+/// Feeds a raw stream into a `FrameBuffer` through reads of at most the
+/// given byte splits (cycling through `cuts`, all non-zero), popping
+/// frames as they complete.
 fn reassemble(stream: &[u8], cuts: &[usize]) -> Vec<Vec<u8>> {
+    let mut reader = SplitReader {
+        stream: stream.to_vec(),
+        pos: 0,
+        splits: cuts.to_vec(),
+        call: 0,
+        last_dst: 0,
+    };
     let mut buf = FrameBuffer::new();
     let mut out = Vec::new();
-    let mut pos = 0;
-    let mut i = 0;
-    while pos < stream.len() {
-        let n = cuts[i % cuts.len()].min(stream.len() - pos);
-        i += 1;
-        buf.push(&stream[pos..pos + n]);
-        pos += n;
+    loop {
         while let Some(frame) = buf.take_frame().expect("valid stream") {
             out.push(frame);
+        }
+        if buf.read_from(&mut reader).expect("in-memory reads") == 0 {
+            break;
         }
     }
     assert!(buf.is_empty(), "stream fully consumed");
@@ -183,7 +189,7 @@ proptest! {
             .collect();
         let stream = stream_of(&frames);
 
-        // Ground truth: the whole stream in one push.
+        // Ground truth: the whole stream on offer at every read.
         let whole = reassemble(&stream, &[stream.len().max(1)]);
         prop_assert_eq!(&whole, &frames);
 
@@ -222,7 +228,7 @@ proptest! {
         // Interleave queueing with partial drains: frame k+1 is queued
         // while frame k may still sit half-written in the buffer.
         for f in &frames {
-            outbox.queue_frame(f);
+            outbox.queue_shared(&wire_message(f));
             let _ = outbox.write_to(&mut sink).expect("no real I/O error");
         }
         // Drive "write readiness" until fully drained.
@@ -239,8 +245,10 @@ proptest! {
 #[test]
 fn oversized_frame_poisons_the_stream() {
     let mut buf = FrameBuffer::new();
-    buf.push(&u32::MAX.to_le_bytes());
-    buf.push(&[0u8; 8]);
+    let mut stream = u32::MAX.to_le_bytes().to_vec();
+    stream.extend_from_slice(&[0u8; 8]);
+    let mut reader = &stream[..];
+    assert_eq!(buf.read_from(&mut reader).unwrap(), 4, "the prefix alone");
     assert!(matches!(buf.take_frame(), Err(NetError::Codec(_))));
     // The blocking reader refuses to size its buffer from that length.
     let err = buf.read_from(&mut &[0u8; 64][..]).unwrap_err();
@@ -251,11 +259,11 @@ fn oversized_frame_poisons_the_stream() {
 fn needed_tracks_header_then_body() {
     let mut buf = FrameBuffer::new();
     assert_eq!(buf.needed(), 4, "nothing buffered: need the prefix");
-    buf.push(&7u32.to_le_bytes());
+    buf.read_from(&mut &7u32.to_le_bytes()[..]).unwrap();
     assert_eq!(buf.needed(), 11, "prefix read: need 7 payload bytes");
-    buf.push(b"abc");
+    buf.read_from(&mut &b"abc"[..]).unwrap();
     assert!(buf.take_frame().unwrap().is_none(), "frame incomplete");
-    buf.push(b"defg");
+    buf.read_from(&mut &b"defg"[..]).unwrap();
     assert_eq!(buf.take_frame().unwrap().unwrap(), b"abcdefg");
     assert_eq!(buf.needed(), 4, "consumed: back to prefix");
 }

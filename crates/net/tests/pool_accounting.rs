@@ -3,7 +3,7 @@
 //! The memory plane's core claim is an accounting identity: at every
 //! point in time, the pool's live ingress gauge equals the bytes each
 //! connection genuinely holds custody of (stream buffer + decoded
-//! frames not yet credited back), no matter how pushes, frame takes,
+//! frames not yet credited back), no matter how reads, frame takes,
 //! credits, and disconnects interleave — and a dropped connection
 //! settles its whole ledger, so nothing leaks. The
 //! `dordis_buffered_bytes` gauges read this ledger, so a drift here
@@ -41,7 +41,7 @@ fn stream_of(frames: &[Vec<u8>]) -> Vec<u8> {
 /// `ChannelAccount`, plus the test's shadow ledger.
 struct Conn {
     buf: FrameBuffer,
-    /// Scripted wire bytes not yet pushed.
+    /// Scripted wire bytes, read up to `fed`.
     stream: Vec<u8>,
     fed: usize,
     /// Frames taken but not yet credited back (custody still charged).
@@ -68,8 +68,9 @@ impl Conn {
 /// Decodes one schedule step out of a raw u64 (the vendored proptest
 /// has no tuple strategies): `(connection index, op, size hint)`.
 ///
-/// op 0..=2: push up to `hint` scripted bytes; 3: take one frame;
-/// 4: credit back the oldest held frame; 5: disconnect.
+/// op 0..=2: read up to `hint` scripted bytes (the reader stops at the
+/// end of the frame being assembled); 3: take one frame; 4: credit back
+/// the oldest held frame; 5: disconnect.
 fn decode_op(x: u64) -> (usize, u8, usize) {
     let idx = (x & 0xFF) as usize;
     let op = ((x >> 8) % 6) as u8;
@@ -80,7 +81,7 @@ fn decode_op(x: u64) -> (usize, u8, usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Arbitrary interleavings of push / take / credit / disconnect
+    /// Arbitrary interleavings of read / take / credit / disconnect
     /// keep the pool's ledger balanced: live ingress always equals the
     /// surviving connections' shadow ledgers, and dropping every
     /// connection settles to zero.
@@ -112,12 +113,11 @@ proptest! {
             };
             match op {
                 0..=2 => {
-                    let n = hint.min(conn.stream.len() - conn.fed);
-                    if n > 0 {
-                        conn.buf.push(&conn.stream[conn.fed..conn.fed + n]);
-                        conn.fed += n;
-                        conn.live += n as u64;
-                    }
+                    let end = conn.stream.len().min(conn.fed + hint);
+                    let mut piece = &conn.stream[conn.fed..end];
+                    let n = conn.buf.read_from(&mut piece).expect("in-memory reads");
+                    conn.fed += n;
+                    conn.live += n as u64;
                 }
                 3 => {
                     if let Some(frame) = conn.buf.take_frame().expect("valid stream") {
@@ -169,10 +169,14 @@ fn late_drop_of_held_frames_settles_ledger() {
     buf.attach_account(acct.clone());
 
     let frames = vec![payload(7, 0, 100), payload(7, 1, 50)];
-    buf.push(&stream_of(&frames));
+    let stream = stream_of(&frames);
+    let mut reader = &stream[..];
+    while buf.read_from(&mut reader).unwrap() > 0 {}
     let first = buf.take_frame().unwrap().unwrap();
     assert_eq!(first, frames[0]);
-    // 158 pushed, one 4-byte prefix consumed.
+    while buf.read_from(&mut reader).unwrap() > 0 {}
+    assert!(reader.is_empty(), "both frames read");
+    // 158 read, one 4-byte prefix consumed.
     assert_eq!(pool.live_ingress(), 154);
 
     drop(buf); // second frame still buffered, first still held

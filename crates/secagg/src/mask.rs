@@ -1,25 +1,17 @@
 //! Mask expansion and modular vector arithmetic in `Z_{2^b}`.
 //!
-//! Two API layers:
-//!
-//! - The materializing layer ([`pairwise_mask`], [`self_mask`] +
-//!   [`add_signed_assign`]) builds a full mask vector and then folds it
-//!   in — the shape the original protocol code was written in.
-//! - The fused layer ([`expand_and_add`] and the
-//!   [`add_pairwise_mask_assign`] / [`add_self_mask_assign`] wrappers)
-//!   accumulates the PRG keystream **directly into the running sum** in
-//!   cache-sized strips, never materializing a `Vec<u64>` per mask per
-//!   neighbor — the dominant allocation in unmasking recovery, where a
-//!   dropout costs `O(neighbors)` full-dimension expansions. The
-//!   `elem_offset` parameter seeks the mask stream (ChaCha20 is
-//!   seekable), so a per-chunk compute job expands exactly its slice of
-//!   every mask.
-//!
-//! Both layers are bit-equal: element `i` of every mask is the same
-//! ring element whichever layer expands it and wherever the expansion
-//! starts (which keystream bytes it is read from is
-//! `dordis_crypto::prg`'s business — `Prg::fill_mod2b` and
-//! `Prg::new_at` agree on it), and addition in `Z_{2^b}` commutes.
+//! [`expand_and_add`] and the [`add_pairwise_mask_assign`] /
+//! [`add_self_mask_assign`] wrappers accumulate the PRG keystream
+//! **directly into the running sum** in cache-sized strips, never
+//! materializing a `Vec<u64>` per mask per neighbor — the dominant
+//! allocation in unmasking recovery, where a dropout costs
+//! `O(neighbors)` full-dimension expansions. The `elem_offset` parameter
+//! seeks the mask stream (ChaCha20 is seekable), so a per-chunk compute
+//! job expands exactly its slice of every mask: element `i` of every
+//! mask is the same ring element wherever the expansion starts (which
+//! keystream bytes it is read from is `dordis_crypto::prg`'s business —
+//! `Prg::fill_mod2b` and `Prg::new_at` agree on it). The tests pin the
+//! fused expansion to whole materialized mask vectors.
 
 use dordis_crypto::prg::{Prg, RingWord, Seed};
 
@@ -38,22 +30,6 @@ const STRIP: usize = 512;
 /// 16 KiB of words, so a strip stays in L1 while every mask is added to
 /// it.
 pub(crate) const OUTER_STRIP: usize = 2048;
-
-/// Expands a pairwise mask vector from an agreed key.
-#[must_use]
-pub fn pairwise_mask(shared_key: &[u8; 32], len: usize, bit_width: u32) -> Vec<u64> {
-    let mut out = vec![0u64; len];
-    Prg::new(shared_key, DOMAIN_PAIRWISE).fill_mod2b(bit_width, &mut out);
-    out
-}
-
-/// Expands a client's private self-mask `p_u = PRG(b_u)`.
-#[must_use]
-pub fn self_mask(seed: &Seed, len: usize, bit_width: u32) -> Vec<u64> {
-    let mut out = vec![0u64; len];
-    Prg::new(seed, DOMAIN_SELFMASK).fill_mod2b(bit_width, &mut out);
-    out
-}
 
 /// The pairwise mask stream `PRG(s_{u,v})`, positioned at element
 /// `elem_offset` — for callers that walk one mask in several
@@ -86,7 +62,8 @@ pub fn expand_and_add<W: RingWord>(prg: &mut Prg, acc: &mut [W], positive: bool,
 }
 
 /// `acc ± PRG(s_{u,v})[offset .. offset + acc.len()] (mod 2^b)` — the
-/// fused, seekable form of [`pairwise_mask`] + [`add_signed_assign`].
+/// fused, seekable form of expanding the whole mask `PRG(s_{u,v})` and
+/// folding it in with [`add_signed_assign`].
 pub fn add_pairwise_mask_assign(
     acc: &mut [u64],
     shared_key: &[u8; 32],
@@ -99,7 +76,8 @@ pub fn add_pairwise_mask_assign(
 }
 
 /// `acc ± PRG(b_u)[offset .. offset + acc.len()] (mod 2^b)` — the
-/// fused, seekable form of [`self_mask`] + [`add_signed_assign`].
+/// fused, seekable form of expanding the whole self-mask `PRG(b_u)` and
+/// folding it in with [`add_signed_assign`].
 pub fn add_self_mask_assign(
     acc: &mut [u64],
     seed: &Seed,
@@ -191,6 +169,21 @@ pub fn add_signed_ring(value: u64, delta: i64, ring: u64) -> u64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The oracle: a whole pairwise mask vector expanded from an agreed
+    /// key.
+    fn pairwise_mask(shared_key: &[u8; 32], len: usize, bit_width: u32) -> Vec<u64> {
+        let mut out = vec![0u64; len];
+        Prg::new(shared_key, DOMAIN_PAIRWISE).fill_mod2b(bit_width, &mut out);
+        out
+    }
+
+    /// The oracle: a client's whole private self-mask `p_u = PRG(b_u)`.
+    fn self_mask(seed: &Seed, len: usize, bit_width: u32) -> Vec<u64> {
+        let mut out = vec![0u64; len];
+        Prg::new(seed, DOMAIN_SELFMASK).fill_mod2b(bit_width, &mut out);
+        out
+    }
 
     proptest! {
         #[test]
