@@ -388,7 +388,7 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.remaining() {
             return Err(NetError::Codec(format!(
                 "truncated body: wanted {n} at offset {}, have {}",
                 self.pos,
@@ -441,6 +441,19 @@ impl<'a> Reader<'a> {
 
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
+    }
+
+    /// Room for `n` wire-counted items of at least `min_item` bytes each,
+    /// refused when they cannot fit in the bytes left: the count is
+    /// wire-controlled, so it reserves nothing before it is bounded.
+    fn vec_for<T>(&self, n: usize, min_item: usize) -> Result<Vec<T>, NetError> {
+        if n.saturating_mul(min_item) > self.remaining() {
+            return Err(NetError::Codec(format!(
+                "count {n} exceeds the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(Vec::with_capacity(n))
     }
 }
 
@@ -712,17 +725,17 @@ pub fn decode_unmasking_response(body: &[u8]) -> Result<UnmaskingResponse, NetEr
     let n_sk = r.u16()? as usize;
     let n_b = r.u16()? as usize;
     let n_seed = r.u16()? as usize;
-    let mut sk_shares = Vec::with_capacity(n_sk);
+    let mut sk_shares = r.vec_for(n_sk, 6)?;
     for _ in 0..n_sk {
         let owner = r.u32()?;
         sk_shares.push((owner, r.share()?));
     }
-    let mut b_shares = Vec::with_capacity(n_b);
+    let mut b_shares = r.vec_for(n_b, 6)?;
     for _ in 0..n_b {
         let owner = r.u32()?;
         b_shares.push((owner, r.share()?));
     }
-    let mut own_seeds = Vec::with_capacity(n_seed);
+    let mut own_seeds = r.vec_for(n_seed, 34)?;
     for _ in 0..n_seed {
         let k = r.u16()? as usize;
         own_seeds.push((k, r.seed()?));
@@ -757,7 +770,7 @@ pub fn decode_noise_share_response(body: &[u8]) -> Result<NoiseShareResponse, Ne
     let mut r = Reader::new(body);
     let client = r.u32()?;
     let n = r.u16()? as usize;
-    let mut seed_shares = Vec::with_capacity(n);
+    let mut seed_shares = r.vec_for(n, 8)?;
     for _ in 0..n {
         let owner = r.u32()?;
         let k = r.u16()? as usize;
@@ -787,15 +800,7 @@ impl Encode for IdList {
 pub fn decode_id_list(body: &[u8]) -> Result<IdList, NetError> {
     let mut r = Reader::new(body);
     let n = r.u32()? as usize;
-    // The count is wire-controlled: bound it by the actual payload
-    // before allocating.
-    if n * 4 != r.remaining() {
-        return Err(NetError::Codec(format!(
-            "IdList count {n} disagrees with {} payload bytes",
-            r.remaining()
-        )));
-    }
-    let mut ids = Vec::with_capacity(n);
+    let mut ids = r.vec_for(n, 4)?;
     for _ in 0..n {
         ids.push(r.u32()?);
     }
@@ -831,12 +836,9 @@ pub fn decode_list<T>(
 ) -> Result<Vec<T>, NetError> {
     let mut r = Reader::new(body);
     let n = r.u16()? as usize;
-    let mut items = Vec::with_capacity(n);
+    let mut items = r.vec_for(n, 4)?;
     for _ in 0..n {
         let len = r.u32()? as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(NetError::Codec(format!("oversized list item: {len}")));
-        }
         items.push(decode_item(r.take(len)?)?);
     }
     r.finish()?;
@@ -988,7 +990,7 @@ pub fn decode_params(body: &[u8]) -> Result<RoundParams, NetError> {
 fn decode_params_fields(r: &mut Reader<'_>) -> Result<RoundParams, NetError> {
     let round = r.u64()?;
     let n = r.u16()? as usize;
-    let mut clients = Vec::with_capacity(n);
+    let mut clients = r.vec_for(n, 4)?;
     for _ in 0..n {
         clients.push(r.u32()?);
     }
@@ -1040,7 +1042,7 @@ pub fn encode_signature_list(sigs: &[(ClientId, Signature)]) -> Vec<u8> {
 pub fn decode_signature_list(body: &[u8]) -> Result<Vec<(ClientId, Signature)>, NetError> {
     let mut r = Reader::new(body);
     let n = r.u16()? as usize;
-    let mut out = Vec::with_capacity(n);
+    let mut out = r.vec_for(n, 68)?;
     for _ in 0..n {
         let id = r.u32()?;
         out.push((id, Signature(r.take(64)?.try_into().expect("64"))));

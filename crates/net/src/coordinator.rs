@@ -8,15 +8,21 @@
 //! *detected* and excluded, exactly as in the deployed system the paper
 //! evaluates (§6.1 measures dropout as missed per-stage responses).
 //!
-//! ## The round machine
+//! ## Stage transitions over one I/O context
 //!
-//! All per-round state — the secagg [`Server`], the [`ChunkPlan`], the
-//! traffic/dropout accounting, and the round id every frame is checked
-//! against — lives in a `RoundMachine`. A
+//! A round is split in two. The stage transitions (`net::stages`) hold
+//! the protocol state — the secagg [`Server`], the [`ChunkPlan`], the
+//! seated parameters — and make every decision: whom a stage collects
+//! from, which tag, what the server does with the filed messages, what
+//! goes back and which stage comes next. `RoundIo`, the one I/O context,
+//! holds the reactor, the peers, the dropouts, the traffic, the spans
+//! and the fault hooks, and runs one `stage` step for every stage: open
+//! the span, `collect`, run the server step (an error becomes an abort
+//! broadcast), send the reply, record the traffic. A
 //! [`Session`](crate::session::Session) — the only way to run a round —
-//! constructs one machine per round and runs them back to back over the
+//! builds a fresh pair per round and runs them back to back over the
 //! same persistent connections. A frame whose envelope carries a
-//! *different* round id than the machine's is never parsed into the
+//! *different* round id than the round's is never parsed into the
 //! round's state: the round gate ([`codec`]'s one comparison of a
 //! frame's round with the current one) discards frames from older
 //! rounds (a slow peer catching up after a session transition) and
@@ -58,17 +64,14 @@ use std::time::{Duration, Instant};
 use dordis_pipeline::ChunkPlan;
 use dordis_secagg::driver::{RoundStats, StageTraffic};
 use dordis_secagg::server::{RoundOutcome, Server};
-use dordis_secagg::{ClientId, RoundParams, SecAggError, ThreatModel};
-use dordis_telemetry::{Gauge, MetricsSnapshot, Telemetry};
+use dordis_secagg::{ClientId, SecAggError};
+use dordis_telemetry::{Gauge, MetricsSnapshot, SpanGuard, Telemetry};
 
-use crate::codec::{
-    self, decode_advertised_keys, decode_consistency_signature, decode_encrypted_shares,
-    decode_list, decode_noise_share_response, decode_unmasking_response, encode_list, round_gate,
-    Encode, Envelope, EnvelopeView, RoundGate, StageTag,
-};
+use crate::codec::{self, round_gate, Envelope, EnvelopeView, RoundGate, StageTag};
 use crate::faults::KillPoint;
 use crate::reactor::{Event, Reactor, ReactorStats, Token};
 use crate::session::SessionConfig;
+use crate::stages::Round;
 use crate::tcp::TcpChannel;
 use crate::transport::{wire_message, Channel};
 use crate::NetError;
@@ -139,20 +142,6 @@ pub struct NetRoundReport {
     pub metrics: Option<MetricsSnapshot>,
 }
 
-/// Per-stage uplink accumulator.
-#[derive(Default)]
-struct Traffic {
-    total: u64,
-    max: u64,
-}
-
-impl Traffic {
-    fn add(&mut self, bytes: u64) {
-        self.total += bytes;
-        self.max = self.max.max(bytes);
-    }
-}
-
 /// Live connections, keyed by authenticated-at-join client id.
 pub(crate) type Peers = BTreeMap<ClientId, TcpChannel>;
 
@@ -174,401 +163,296 @@ pub(crate) fn client_of(token: Token) -> Option<ClientId> {
 }
 
 // ---------------------------------------------------------------------
-// The per-round state machine.
+// The round's one I/O context.
 // ---------------------------------------------------------------------
 
-/// All state belonging to one protocol round: the secagg server, the
-/// chunk plan, the round id every envelope is checked against, and the
-/// traffic / dropout / stale-frame accounting. Constructed fresh per
-/// round by the [`Session`](crate::session::Session), so nothing can
-/// leak between rounds.
-pub(crate) struct RoundMachine<'c> {
-    /// The session's configuration, borrowed for the round.
-    cfg: &'c SessionConfig<'c>,
-    params: RoundParams,
+/// What a stage sends back once the server has decided.
+pub(crate) enum Reply {
+    /// Nothing.
+    None,
+    /// One body for every live peer, encoded once.
+    All(StageTag, Vec<u8>),
+    /// Each live peer's own body, in id order.
+    Each(StageTag, Box<dyn FnMut(ClientId) -> Vec<u8>>),
+}
+
+/// The one I/O context of a round: the reactor, the seated peers and
+/// what the round observes of them — dropouts, traffic, stale frames,
+/// spans, custody — plus the fault hooks. The [`stages`](crate::stages)
+/// transitions reach the network only through it, and nothing in it
+/// decides protocol. When the round ends, `peers` holds exactly the
+/// connections that survived it.
+pub(crate) struct RoundIo<'r> {
+    cfg: &'r SessionConfig<'r>,
+    reactor: &'r mut Reactor,
+    peers: &'r mut Peers,
+    round: u64,
+    cohort: Vec<ClientId>,
     plan: ChunkPlan,
-    requested_chunks: u16,
-    server: Server,
     stats: RoundStats,
     dropouts: Vec<DetectedDropout>,
     stale_frames: u64,
+    /// The server's data-plane custody, from the masked-input stage on.
+    custody: Option<Custody>,
+    span: SpanGuard,
 }
 
-impl<'c> RoundMachine<'c> {
-    /// Builds the machine for the seated `params` under the session's
-    /// `cfg`: validates the parameters, derives the chunk plan from the
-    /// requested count, and resets the secagg server state.
-    ///
-    /// # Errors
-    ///
-    /// Invalid round parameters or an unrealizable chunk plan.
+impl<'r> RoundIo<'r> {
+    /// Opens `round`'s span and records every seated client without a
+    /// connection as never joined.
     pub(crate) fn new(
-        params: RoundParams,
-        cfg: &'c SessionConfig<'c>,
-    ) -> Result<RoundMachine<'c>, NetError> {
-        params.validate().map_err(NetError::SecAgg)?;
-        let requested_chunks = cfg.chunks.clamp(1, usize::from(u16::MAX)) as u16;
-        let plan = ChunkPlan::aligned(
-            params.vector_len,
-            usize::from(requested_chunks),
-            params.bit_width,
-        )
-        .map_err(|e| NetError::Protocol(format!("chunk plan: {e}")))?;
-        let server = Server::with_chunks(params.clone(), plan.clone()).map_err(NetError::SecAgg)?;
-        Ok(RoundMachine {
+        cfg: &'r SessionConfig<'r>,
+        reactor: &'r mut Reactor,
+        peers: &'r mut Peers,
+        round: &Round,
+    ) -> RoundIo<'r> {
+        let id = round.params.round;
+        let span = cfg.telemetry.span("round", "round", id, None);
+        let mut dropouts = Vec::new();
+        for &client in &round.params.clients {
+            if !peers.contains_key(&client) {
+                let kind = DropKind::NeverJoined;
+                drop_peer(peers, client, "Join", None, kind, &mut dropouts);
+            }
+        }
+        RoundIo {
             cfg,
-            params,
-            plan,
-            requested_chunks,
-            server,
+            reactor,
+            peers,
+            round: id,
+            cohort: round.params.clients.clone(),
+            plan: round.plan.clone(),
             stats: RoundStats::default(),
-            dropouts: Vec::new(),
+            dropouts,
             stale_frames: 0,
-        })
+            custody: None,
+            span,
+        }
     }
 
-    /// Drives the whole round over the already-seated `peers`:
-    /// Setup broadcast (carrying `payload`), the five protocol stages
-    /// with per-stage (per-chunk on the data plane) dropout detection,
-    /// and the Finished broadcast. On return `peers` holds exactly the
-    /// connections that survived the round; the session parks them for
-    /// the next one. `reactor_base` is the reactor's counters when the
-    /// round's accounting window opened (before its join phase).
+    /// The one stage step: opens the stage's span, collects one `want`
+    /// frame per chunk from every still-connected client of `from`
+    /// (`on_frame` vets and files each as it arrives), hands what was
+    /// filed to the server `step` — whose error aborts the round — sends
+    /// the reply it returns and records the stage's traffic under
+    /// `name`. Returns what `step` decided.
     ///
     /// # Errors
     ///
-    /// [`NetError::SecAgg`] when the protocol aborts (below threshold,
-    /// tampering); reactor failures. Individual client failures are
-    /// dropouts, not errors.
-    pub(crate) fn run(
-        mut self,
-        reactor: &mut Reactor,
-        peers: &mut Peers,
-        payload: &[u8],
-        reactor_base: ReactorStats,
-    ) -> Result<NetRoundReport, NetError> {
-        let cfg = self.cfg;
-        let round = self.params.round;
-        let round_span = cfg.telemetry.span("round", "round", round, None);
-        for &id in &self.params.clients {
-            if !peers.contains_key(&id) {
-                self.dropouts.push(DetectedDropout {
-                    client: id,
-                    stage: "Join",
-                    chunk: None,
-                    kind: DropKind::NeverJoined,
-                });
-            }
-        }
-
-        // ---- Setup broadcast (params + chunk count + payload). ----
-        let stage_span = cfg.telemetry.span("stage", "Setup", round, None);
-        let cohort = self.params.clients.len().min(usize::from(u16::MAX)) as u16;
-        let setup = Envelope::new(
-            StageTag::Setup,
-            round,
-            codec::encode_setup(&self.params, self.requested_chunks, cohort, payload),
-        );
-        self.broadcast(reactor, peers, "Setup", &setup);
-        // Fault hook: the primary dies right after the Setup broadcast
-        // reached every seated client — they hold round state the
-        // coordinator loses. Propagated directly (never through the
-        // abort path): an injected kill must look like crash silence.
-        cfg.faults.trip(KillPoint::DuringBroadcast, round)?;
-        drop(stage_span);
-
-        let joined: Vec<ClientId> = peers.keys().copied().collect();
-
-        // ---- Stage 0: AdvertiseKeys. ----
-        let stage_span = cfg.telemetry.span("stage", "AdvertiseKeys", round, None);
-        let (advs, up) = self.collect(
-            reactor,
-            peers,
-            &joined,
-            StageTag::AdvertiseKeys,
-            "AdvertiseKeys",
-            &mut |_, id, env| {
-                decode_advertised_keys(env.body)
-                    .ok()
-                    .filter(|a| a.client == id)
-            },
-        )?;
-        let roster = self
-            .server
-            .collect_advertisements(advs)
-            .map_err(|e| abort_secagg(peers, &cfg.telemetry, round, e))?;
-        let roster_env = Envelope::new(StageTag::Roster, round, encode_list(&roster));
-        let down = self.broadcast(reactor, peers, "AdvertiseKeys", &roster_env);
-        self.push_stage("AdvertiseKeys", &up, down);
-        drop(stage_span);
-
-        // ---- Stage 1: ShareKeys. ----
-        let stage_span = cfg.telemetry.span("stage", "ShareKeys", round, None);
-        let expected: Vec<ClientId> = roster.iter().map(|a| a.client).collect();
-        let (cts, up) = self.collect(
-            reactor,
-            peers,
-            &expected,
-            StageTag::ShareKeys,
-            "ShareKeys",
-            &mut |_, id, env| {
-                let cts = decode_list(env.body, decode_encrypted_shares).ok()?;
-                cts.iter().all(|ct| ct.from == id).then_some(cts)
-            },
-        )?;
-        let all_cts = cts.into_iter().flatten().collect();
-        let mut inboxes = self
-            .server
-            .route_shares(all_cts)
-            .map_err(|e| abort_secagg(peers, &cfg.telemetry, round, e))?;
-        let mut down = Traffic::default();
-        let inbox_ids: Vec<ClientId> = peers.keys().copied().collect();
-        for id in inbox_ids {
-            let cts = inboxes.remove(&id).unwrap_or_default();
-            let frame = Envelope::new(StageTag::Inbox, round, encode_list(&cts)).encode();
-            down.add(frame.len() as u64);
-            send_or_drop(peers, id, &frame, "ShareKeys", &mut self.dropouts);
-        }
-        flush_sends(reactor, peers, &mut self.dropouts, "ShareKeys", cfg);
-        self.push_stage("ShareKeys", &up, down);
-        drop(stage_span);
-
-        // ---- Stage 2: MaskedInputCollection, per (stage, chunk). ----
-        let stage_span = cfg
-            .telemetry
-            .span("stage", "MaskedInputCollection", round, None);
-        let u2: BTreeSet<ClientId> = self.server.u2().iter().copied().collect();
-        let expected: Vec<ClientId> = peers.keys().copied().filter(|id| u2.contains(id)).collect();
-        // Fault hook: the primary dies while the data plane is
-        // mid-flight — the hardest crash, nothing of this round exists
-        // outside the dying process.
-        cfg.faults.trip(KillPoint::MidMaskedStage, round)?;
-        // Each chunk frame's packed payload goes to the server as it
-        // came off the wire: parked until its stream completes, then
-        // unpack-added into the running sum. A frame the server refuses
-        // is its sender's violation, never a round abort.
-        let custody = Custody::new(&cfg.telemetry);
-        custody.record(&self.server);
-        let (_, up) = self.collect(
-            reactor,
-            peers,
-            &expected,
-            StageTag::MaskedInput,
-            "MaskedInputCollection",
-            &mut |server, id, env| {
-                let filed = collect_masked_frame(server, id, env);
-                custody.record(server);
-                filed
-            },
-        )?;
-        let u3 = self
-            .server
-            .finalize_masked()
-            .map_err(|e| abort_secagg(peers, &cfg.telemetry, round, e))?;
-        custody.record(&self.server);
-        let u3_env = Envelope::new(
-            StageTag::SurvivorSet,
-            round,
-            dordis_secagg::messages::IdList(u3.clone()).encoded(),
-        );
-        let down = self.broadcast(reactor, peers, "MaskedInputCollection", &u3_env);
-        self.push_stage("MaskedInputCollection", &up, down);
-        drop(stage_span);
-
-        // ---- Stage 3: ConsistencyCheck (malicious only). ----
-        if self.params.threat_model == ThreatModel::Malicious {
-            let _stage_span = cfg.telemetry.span("stage", "ConsistencyCheck", round, None);
-            let (sigs, up) = self.collect(
-                reactor,
-                peers,
-                &u3,
-                StageTag::ConsistencySig,
-                "ConsistencyCheck",
-                &mut |_, id, env| {
-                    decode_consistency_signature(env.body)
-                        .ok()
-                        .filter(|s| s.client == id)
-                },
-            )?;
-            let list = self
-                .server
-                .collect_consistency(sigs)
-                .map_err(|e| abort_secagg(peers, &cfg.telemetry, round, e))?;
-            let env = Envelope::new(
-                StageTag::SignatureList,
-                round,
-                codec::encode_signature_list(&list),
-            );
-            let down = self.broadcast(reactor, peers, "ConsistencyCheck", &env);
-            self.push_stage("ConsistencyCheck", &up, down);
-        }
-
-        // ---- Stage 4: Unmasking (share collection is round-global). ----
-        let stage_span = cfg.telemetry.span("stage", "Unmasking", round, None);
-        let (responses, up) = self.collect(
-            reactor,
-            peers,
-            &u3,
-            StageTag::Unmasking,
-            "Unmasking",
-            &mut |_, id, env| {
-                decode_unmasking_response(env.body)
-                    .ok()
-                    .filter(|r| r.client == id)
-            },
-        )?;
-        self.server
-            .reconstruct_unmasking(responses)
-            .map_err(|e| abort_secagg(peers, &cfg.telemetry, round, e))?;
-        let u5 = self.server.u5().to_vec();
-
-        // ---- Stage 5: ExcessiveNoiseRemoval (only if needed). ----
-        if self.server.pending_seed_owners().is_empty() {
-            self.push_stage("Unmasking", &up, Traffic::default());
-            drop(stage_span);
-        } else {
-            let u5_env = Envelope::new(
-                StageTag::ReadySet,
-                round,
-                dordis_secagg::messages::IdList(u5.clone()).encoded(),
-            );
-            let down = self.broadcast(reactor, peers, "Unmasking", &u5_env);
-            self.push_stage("Unmasking", &up, down);
-            drop(stage_span);
-            let _stage_span = cfg
-                .telemetry
-                .span("stage", "ExcessiveNoiseRemoval", round, None);
-
-            let (responses, up) = self.collect(
-                reactor,
-                peers,
-                &u5,
-                StageTag::NoiseShares,
-                "ExcessiveNoiseRemoval",
-                &mut |_, id, env| {
-                    decode_noise_share_response(env.body)
-                        .ok()
-                        .filter(|r| r.client == id)
-                },
-            )?;
-            self.server
-                .collect_noise_shares(responses)
-                .map_err(|e| abort_secagg(peers, &cfg.telemetry, round, e))?;
-            self.push_stage("ExcessiveNoiseRemoval", &up, Traffic::default());
-        }
-
-        // Every share is in: unmask chunk by chunk, each chunk expanding
-        // its own range of the mask streams `reconstruct_unmasking`
-        // recorded.
-        let total_chunks = self.plan.chunks();
-        let job_hist = cfg
-            .telemetry
-            .histogram("dordis_unmask_job_duration_ns", &[]);
-        for c in 0..total_chunks {
-            let _span = cfg
-                .telemetry
-                .span("compute", "unmask_chunk", round, Some(c as u16));
-            let t0 = cfg.telemetry.now_ns();
-            self.server
-                .unmask_chunk(c)
-                .map_err(|e| abort_secagg(peers, &cfg.telemetry, round, e))?;
-            chunk_sleep(cfg.chunk_compute, &self.plan, c);
-            job_hist.observe(cfg.telemetry.now_ns().saturating_sub(t0));
-        }
-
-        // ---- Finished broadcast. ----
-        let fin = Envelope::new(
-            StageTag::Finished,
-            round,
-            dordis_secagg::messages::IdList(u3.clone()).encoded(),
-        );
-        self.broadcast(reactor, peers, "Finished", &fin);
-
-        debug_assert!(self.server.privacy_invariant_holds());
-        for d in &self.dropouts {
-            if d.kind == DropKind::Aborted {
-                self.stats.aborted.push(d.client);
-            }
-        }
-        if cfg.telemetry.is_enabled() {
-            for d in &self.dropouts {
-                let kind = match d.kind {
-                    DropKind::NeverJoined => "never_joined",
-                    DropKind::Disconnected => "disconnected",
-                    DropKind::DeadlineMissed => "deadline_missed",
-                    DropKind::Aborted => "aborted",
-                    DropKind::ProtocolViolation => "protocol_violation",
-                };
-                cfg.telemetry
-                    .counter(
-                        "dordis_dropouts_total",
-                        &[("kind", kind), ("stage", d.stage)],
-                    )
-                    .inc();
-            }
-            cfg.telemetry
-                .counter("dordis_stale_frames_total", &[])
-                .add(self.stale_frames);
-        }
-        drop(round_span);
-        let reactor_now = reactor.stats;
-        Ok(NetRoundReport {
-            round,
-            cohort: self.params.clients,
-            outcome: self.server.finish(),
-            stats: self.stats,
-            dropouts: self.dropouts,
-            chunks: total_chunks,
-            stale_frames: self.stale_frames,
-            reactor: reactor_now.delta_since(reactor_base),
-            reactor_session: reactor_now,
-            metrics: None,
-        })
-    }
-
-    /// Broadcasts `env` to every live peer and drives the queued sends
-    /// out; peers that cannot take theirs become `stage` dropouts (a
-    /// write timeout is a deadline miss, anything else a disconnect).
-    /// Returns the downlink traffic.
-    fn broadcast(
+    /// The abort, an injected kill, a poller failure.
+    pub(crate) fn stage<T, N>(
         &mut self,
-        reactor: &mut Reactor,
-        peers: &mut Peers,
-        stage: &'static str,
-        env: &Envelope,
-    ) -> Traffic {
-        let sent = broadcast(peers, env, &self.cfg.telemetry);
-        for (id, e) in sent.failed {
-            let kind = send_failure_kind(&e);
-            drop_peer(peers, id, stage, None, kind, &mut self.dropouts);
+        server: &mut Server,
+        (name, want): (&'static str, StageTag),
+        from: &[ClientId],
+        on_frame: &mut OnFrame<'_, T>,
+        step: impl FnOnce(&mut Server, Vec<T>) -> Result<(N, Reply), SecAggError>,
+    ) -> Result<N, NetError> {
+        let _span = self.span(name);
+        let data_plane = want == StageTag::MaskedInput;
+        if data_plane {
+            // Fault hook: the primary dies while the data plane is
+            // mid-flight — the hardest crash, nothing of this round
+            // exists outside the dying process.
+            self.trip(KillPoint::MidMaskedStage)?;
+            let custody = Custody::new(&self.cfg.telemetry);
+            custody.record(server);
+            self.custody = Some(custody);
         }
-        let mut down = Traffic::default();
-        for _ in 0..peers.len() {
-            down.add((sent.wire.len() - 4) as u64);
+        let (filed, up) = self.collect(server, from, want, name, on_frame)?;
+        let (next, reply) = step(server, filed).map_err(|e| self.abort(e))?;
+        if let Some(custody) = self.custody.as_ref().filter(|_| data_plane) {
+            custody.record(server);
         }
-        flush_sends(reactor, peers, &mut self.dropouts, stage, self.cfg);
-        down
-    }
-
-    /// Records a finished stage's traffic in the round stats and the
-    /// frame-byte counters.
-    fn push_stage(&mut self, name: &'static str, up: &Traffic, down: Traffic) {
-        for (direction, bytes) in [("in", up.total), ("out", down.total)] {
-            self.cfg
-                .telemetry
-                .counter(
-                    "dordis_frame_bytes_total",
-                    &[("direction", direction), ("stage", name)],
-                )
-                .add(bytes);
+        let (uplink_total, uplink_max) = sum_max(&up);
+        let (downlink_total, downlink_max) = sum_max(&self.send(name, reply));
+        let telemetry = &self.cfg.telemetry;
+        for (direction, bytes) in [("in", uplink_total), ("out", downlink_total)] {
+            let labels = [("direction", direction), ("stage", name)];
+            let counter = telemetry.counter("dordis_frame_bytes_total", &labels);
+            counter.add(bytes);
         }
         self.stats.stages.push(StageTraffic {
             stage: name,
-            uplink_total: up.total,
-            uplink_max: up.max,
-            downlink_total: down.total,
-            downlink_max: down.max,
+            uplink_total,
+            uplink_max,
+            downlink_total,
+            downlink_max,
         });
+        Ok(next)
+    }
+
+    /// Sends `reply` to every live peer and drives the queued sends out;
+    /// peers that cannot take theirs become `stage` dropouts (a write
+    /// timeout is a deadline miss, anything else a disconnect). Returns
+    /// the frame bytes each peer was sent.
+    pub(crate) fn send(&mut self, stage: &'static str, reply: Reply) -> Vec<u64> {
+        let (sent, failed) = match reply {
+            Reply::None => return Vec::new(),
+            Reply::All(tag, body) => {
+                let env = Envelope::new(tag, self.round, body);
+                let queued = broadcast(self.peers, &env, &self.cfg.telemetry);
+                let taken = self.peers.len() - queued.failed.len();
+                (vec![(queued.wire.len() - 4) as u64; taken], queued.failed)
+            }
+            Reply::Each(tag, mut body_for) => {
+                let (mut sent, mut failed) = (Vec::new(), Vec::new());
+                for (&id, chan) in self.peers.iter_mut() {
+                    let frame = Envelope::new(tag, self.round, body_for(id)).encode();
+                    sent.push(frame.len() as u64);
+                    if let Err(e) = chan.send(&frame) {
+                        failed.push((id, e));
+                    }
+                }
+                (sent, failed)
+            }
+        };
+        for (id, e) in failed {
+            // A send that timed out hit a stalled-but-connected peer.
+            let kind = match e {
+                NetError::Timeout => DropKind::DeadlineMissed,
+                _ => DropKind::Disconnected,
+            };
+            self.depart(id, stage, kind);
+        }
+        self.flush(stage);
+        sent
+    }
+
+    /// Drives write readiness until every queued frame has drained;
+    /// peers that cannot absorb theirs within the stage timeout become
+    /// `stage` dropouts.
+    fn flush(&mut self, stage: &'static str) {
+        let deadline = Instant::now() + self.cfg.stage_timeout;
+        let (mut events, mut expired) = (Vec::new(), Vec::new());
+        loop {
+            let backlogged: Vec<ClientId> = self
+                .peers
+                .iter()
+                .filter(|(_, c)| c.wants_write())
+                .map(|(&id, _)| id)
+                .collect();
+            if backlogged.is_empty() {
+                return;
+            }
+            let now = Instant::now();
+            // Past the deadline the backlogged peers missed it. If the
+            // poller itself failed, readiness can no longer drive these
+            // drains, so they must be recorded as dropouts too —
+            // silently returning would let them be misattributed (or
+            // lost) at the next stage.
+            let kind = if now >= deadline {
+                DropKind::DeadlineMissed
+            } else if self
+                .reactor
+                .poll(&mut events, &mut expired, deadline - now)
+                .is_err()
+            {
+                DropKind::Disconnected
+            } else {
+                for ev in &events {
+                    if let Some(id) = handle_write_event(self.peers, ev) {
+                        self.depart(id, stage, DropKind::Disconnected);
+                    }
+                }
+                continue;
+            };
+            for id in backlogged {
+                self.depart(id, stage, kind.clone());
+            }
+            return;
+        }
+    }
+
+    /// Unmaps `id` and records its departure at `stage`.
+    fn depart(&mut self, id: ClientId, stage: &'static str, kind: DropKind) {
+        drop_peer(self.peers, id, stage, None, kind, &mut self.dropouts);
+    }
+
+    /// The round's closing compute, chunk by chunk: `job(c)` under its
+    /// span, timed into `dordis_unmask_job_duration_ns`, with the
+    /// injected per-chunk cost; a failed job aborts the round.
+    ///
+    /// # Errors
+    ///
+    /// The abort.
+    pub(crate) fn compute(
+        &mut self,
+        mut job: impl FnMut(usize) -> Result<(), SecAggError>,
+    ) -> Result<(), NetError> {
+        let (cfg, round) = (self.cfg, self.round);
+        let telemetry = &cfg.telemetry;
+        let hist = telemetry.histogram("dordis_unmask_job_duration_ns", &[]);
+        for c in 0..self.plan.chunks() {
+            let _span = telemetry.span("compute", "unmask_chunk", round, Some(c as u16));
+            let t0 = telemetry.now_ns();
+            job(c).map_err(|e| self.abort(e))?;
+            chunk_sleep(cfg.chunk_compute, &self.plan, c);
+            hist.observe(telemetry.now_ns().saturating_sub(t0));
+        }
+        Ok(())
+    }
+
+    /// A stage's span.
+    pub(crate) fn span(&self, name: &'static str) -> SpanGuard {
+        self.cfg.telemetry.span("stage", name, self.round, None)
+    }
+
+    /// Fires the round's fault hook `point`. An injected kill is
+    /// propagated as it is, never through the abort: it must look like
+    /// crash silence.
+    ///
+    /// # Errors
+    ///
+    /// The injected kill.
+    pub(crate) fn trip(&self, point: KillPoint) -> Result<(), NetError> {
+        self.cfg.faults.trip(point, self.round)
+    }
+
+    /// A protocol-level failure aborts the round: everyone still
+    /// connected is told why (best effort), then the round fails.
+    fn abort(&mut self, e: SecAggError) -> NetError {
+        let body = codec::encode_abort(&e.to_string());
+        let env = Envelope::new(StageTag::Abort, self.round, body);
+        broadcast(self.peers, &env, &self.cfg.telemetry);
+        NetError::SecAgg(e)
+    }
+
+    /// Closes the round's accounting — aborted clients into the stats,
+    /// dropouts and stale frames onto the scrape, then the round's span
+    /// — and reports it. `base` is the reactor's counters when
+    /// the round's accounting window opened (before its join phase).
+    pub(crate) fn report(mut self, outcome: RoundOutcome, base: ReactorStats) -> NetRoundReport {
+        let aborted = self.dropouts.iter().filter(|d| d.kind == DropKind::Aborted);
+        self.stats.aborted.extend(aborted.map(|d| d.client));
+        let telemetry = &self.cfg.telemetry;
+        for d in &self.dropouts {
+            let kind = match d.kind {
+                DropKind::NeverJoined => "never_joined",
+                DropKind::Disconnected => "disconnected",
+                DropKind::DeadlineMissed => "deadline_missed",
+                DropKind::Aborted => "aborted",
+                DropKind::ProtocolViolation => "protocol_violation",
+            };
+            let labels = [("kind", kind), ("stage", d.stage)];
+            telemetry.counter("dordis_dropouts_total", &labels).inc();
+        }
+        let stale = telemetry.counter("dordis_stale_frames_total", &[]);
+        stale.add(self.stale_frames);
+        drop(self.span);
+        let reactor_now = self.reactor.stats;
+        NetRoundReport {
+            round: self.round,
+            cohort: self.cohort,
+            outcome,
+            stats: self.stats,
+            dropouts: self.dropouts,
+            chunks: self.plan.chunks(),
+            stale_frames: self.stale_frames,
+            reactor: reactor_now.delta_since(base),
+            reactor_session: reactor_now,
+            metrics: None,
+        }
     }
 
     // -----------------------------------------------------------------
@@ -596,37 +480,43 @@ impl<'c> RoundMachine<'c> {
     /// errors.
     fn collect<T>(
         &mut self,
-        reactor: &mut Reactor,
-        peers: &mut Peers,
+        server: &mut Server,
         expected: &[ClientId],
         want: StageTag,
         name: &'static str,
         on_frame: &mut OnFrame<'_, T>,
-    ) -> Result<(Vec<T>, Traffic), NetError> {
-        let (round, timeout) = (self.params.round, self.cfg.stage_timeout);
+    ) -> Result<(Vec<T>, Vec<u64>), NetError> {
+        let (round, timeout) = (self.round, self.cfg.stage_timeout);
         let data_plane = want == StageTag::MaskedInput;
         let chunks = if data_plane { self.plan.chunks() } else { 1 };
+        let peers = &mut *self.peers;
         let owed: BTreeSet<ClientId> = expected
             .iter()
             .copied()
             .filter(|id| peers.contains_key(id))
             .collect();
         let mut st = Collect {
+            round,
             want,
             name,
             pendings: vec![owed; chunks],
             active: 0,
             uplink: BTreeMap::new(),
             filed: BTreeMap::new(),
+            server,
             on_frame,
+            custody: self.custody.as_ref().filter(|_| data_plane),
+            dropouts: &mut self.dropouts,
+            stale: 0,
         };
+        let reactor = &mut *self.reactor;
         reactor.arm_deadline(STAGE_TOKEN, Instant::now() + timeout);
 
         // Initial sweep: frames may already be buffered, and their
         // readiness may have been consumed by an earlier poll (e.g.
         // during a broadcast flush).
         for id in st.pendings[0].clone() {
-            self.read_peer(&mut st, peers, id);
+            st.read_peer(peers, id);
         }
 
         let (mut events, mut expired) = (Vec::new(), Vec::new());
@@ -657,18 +547,11 @@ impl<'c> RoundMachine<'c> {
             reactor.poll(&mut events, &mut expired, timeout)?;
             for ev in &events {
                 if let Some(id) = handle_write_event(peers, ev) {
-                    drop_peer(
-                        peers,
-                        id,
-                        name,
-                        None,
-                        DropKind::Disconnected,
-                        &mut self.dropouts,
-                    );
+                    drop_peer(peers, id, name, None, DropKind::Disconnected, st.dropouts);
                 }
                 match client_of(ev.token) {
                     Some(id) if (ev.readable || ev.closed) && peers.contains_key(&id) => {
-                        self.read_peer(&mut st, peers, id);
+                        st.read_peer(peers, id);
                     }
                     _ => {}
                 }
@@ -677,75 +560,21 @@ impl<'c> RoundMachine<'c> {
                 let at = st.active;
                 for id in std::mem::take(&mut st.pendings[at]) {
                     if peers.contains_key(&id) {
-                        st.drop_client(peers, id, at, DropKind::DeadlineMissed, &mut self.dropouts);
+                        st.drop_client(peers, id, at, DropKind::DeadlineMissed);
                     }
                 }
             }
         }
         reactor.cancel_deadline(STAGE_TOKEN);
-        let mut up = Traffic::default();
-        for &bytes in st.uplink.values() {
-            up.add(bytes);
-        }
-        Ok((st.filed.into_values().collect(), up))
-    }
-
-    /// Files every frame `id` has buffered. A disconnect drops `id` at
-    /// the first chunk it still owes; a client that owes nothing has
-    /// answered, and its disconnect is observed when it next matters.
-    fn read_peer<T>(&mut self, st: &mut Collect<'_, T>, peers: &mut Peers, id: ClientId) {
-        let closed = drain_frames(peers, id, |peers, frame| {
-            self.file(st, peers, id, frame);
-            true
-        });
-        if closed {
-            if let Some(at) = st.pendings.iter().position(|p| p.contains(&id)) {
-                st.drop_client(peers, id, at, DropKind::Disconnected, &mut self.dropouts);
-            }
-        }
-    }
-
-    /// Files one frame from `id`: the round gate first (a stale frame
-    /// is counted and discarded, the stream goes on), then `on_frame`
-    /// for a `want` frame of a chunk `id` still owes. Anything else — an
-    /// abort, garbage, a future round, another stage, a chunk out of
-    /// range or already delivered, a body `on_frame` refuses — drops
-    /// `id` from the stage.
-    fn file<T>(&mut self, st: &mut Collect<'_, T>, peers: &mut Peers, id: ClientId, frame: &[u8]) {
-        *st.uplink.entry(id).or_default() += frame.len() as u64;
-        let kind = match EnvelopeView::decode(frame) {
-            Err(_) => DropKind::ProtocolViolation,
-            Ok(env) => match round_gate(env.stage, env.round, self.params.round) {
-                RoundGate::Abort => DropKind::Aborted,
-                RoundGate::Stale => {
-                    self.stale_frames += 1;
-                    return;
-                }
-                RoundGate::Future => DropKind::ProtocolViolation,
-                RoundGate::Current => {
-                    let c = usize::from(env.chunk);
-                    if env.stage == st.want && st.pendings.get(c).is_some_and(|p| p.contains(&id)) {
-                        if let Some(msg) = (st.on_frame)(&mut self.server, id, &env) {
-                            st.pendings[c].remove(&id);
-                            st.filed.insert(id, msg);
-                            return;
-                        }
-                    }
-                    DropKind::ProtocolViolation
-                }
-            },
-        };
-        let at = st.active;
-        st.drop_client(peers, id, at, kind, &mut self.dropouts);
+        self.stale_frames += st.stale;
+        let uplink = st.uplink.into_values().collect();
+        Ok((st.filed.into_values().collect(), uplink))
     }
 }
 
-/// A protocol-level failure aborts the round: everyone still connected
-/// is told why (best effort), then the round fails.
-fn abort_secagg(peers: &mut Peers, telemetry: &Telemetry, round: u64, e: SecAggError) -> NetError {
-    let env = Envelope::new(StageTag::Abort, round, codec::encode_abort(&e.to_string()));
-    broadcast(peers, &env, telemetry);
-    NetError::SecAgg(e)
+/// Total and largest of per-peer byte counts.
+fn sum_max(bytes: &[u64]) -> (u64, u64) {
+    (bytes.iter().sum(), bytes.iter().copied().max().unwrap_or(0))
 }
 
 /// Sleeps the injected per-chunk s-comp cost: the whole-vector cost
@@ -758,21 +587,6 @@ fn chunk_sleep(chunk_compute: Option<Duration>, plan: &ChunkPlan, chunk: usize) 
     if !dur.is_zero() {
         std::thread::sleep(dur);
     }
-}
-
-/// Files one masked-input frame from `id`: once the body names its
-/// sender, the packed payload goes to the server as it came, with no
-/// decode. `None` — a body too short for the sender id, another
-/// sender's id, a payload the server refuses — is `id`'s protocol
-/// violation.
-fn collect_masked_frame(server: &mut Server, id: ClientId, env: &EnvelopeView<'_>) -> Option<()> {
-    let (sender, payload) = codec::masked_input_payload(env.body).ok()?;
-    if sender != id {
-        return None;
-    }
-    server
-        .collect_masked_packed(usize::from(env.chunk), id, payload)
-        .ok()
 }
 
 /// The secagg server's data-plane custody (parked chunk payloads plus
@@ -815,6 +629,8 @@ type OnFrame<'a, T> = dyn FnMut(&mut Server, ClientId, &EnvelopeView<'_>) -> Opt
 
 /// One stage's collection state. A control stage is one chunk.
 struct Collect<'a, T> {
+    /// The round every frame is gated against.
+    round: u64,
     /// The uplink tag the stage collects.
     want: StageTag,
     /// The stage's name in reports.
@@ -828,25 +644,78 @@ struct Collect<'a, T> {
     uplink: BTreeMap<ClientId, u64>,
     /// What `on_frame` accepted, by sender.
     filed: BTreeMap<ClientId, T>,
+    server: &'a mut Server,
     on_frame: &'a mut OnFrame<'a, T>,
+    /// Recorded after every data-plane frame the server sees.
+    custody: Option<&'a Custody>,
+    dropouts: &'a mut Vec<DetectedDropout>,
+    /// Frames from older rounds, discarded.
+    stale: u64,
 }
 
 impl<T> Collect<'_, T> {
+    /// Files every frame `id` has buffered. A disconnect drops `id` at
+    /// the first chunk it still owes; a client that owes nothing has
+    /// answered, and its disconnect is observed when it next matters.
+    fn read_peer(&mut self, peers: &mut Peers, id: ClientId) {
+        let closed = drain_frames(peers, id, |peers, frame| {
+            self.file(peers, id, frame);
+            true
+        });
+        if closed {
+            if let Some(at) = self.pendings.iter().position(|p| p.contains(&id)) {
+                self.drop_client(peers, id, at, DropKind::Disconnected);
+            }
+        }
+    }
+
+    /// Files one frame from `id`: the round gate first (a stale frame
+    /// is counted and discarded, the stream goes on), then `on_frame`
+    /// for a `want` frame of a chunk `id` still owes. Anything else — an
+    /// abort, garbage, a future round, another stage, a chunk out of
+    /// range or already delivered, a body `on_frame` refuses — drops
+    /// `id` from the stage.
+    fn file(&mut self, peers: &mut Peers, id: ClientId, frame: &[u8]) {
+        *self.uplink.entry(id).or_default() += frame.len() as u64;
+        let kind = match EnvelopeView::decode(frame) {
+            Err(_) => DropKind::ProtocolViolation,
+            Ok(env) => match round_gate(env.stage, env.round, self.round) {
+                RoundGate::Abort => DropKind::Aborted,
+                RoundGate::Stale => {
+                    self.stale += 1;
+                    return;
+                }
+                RoundGate::Future => DropKind::ProtocolViolation,
+                RoundGate::Current => {
+                    let c = usize::from(env.chunk);
+                    if env.stage == self.want
+                        && self.pendings.get(c).is_some_and(|p| p.contains(&id))
+                    {
+                        let filed = (self.on_frame)(self.server, id, &env);
+                        if let Some(custody) = self.custody {
+                            custody.record(self.server);
+                        }
+                        if let Some(msg) = filed {
+                            self.pendings[c].remove(&id);
+                            self.filed.insert(id, msg);
+                            return;
+                        }
+                    }
+                    DropKind::ProtocolViolation
+                }
+            },
+        };
+        self.drop_client(peers, id, self.active, kind);
+    }
+
     /// Drops `id` from every chunk it still owes and records the
     /// departure at chunk `at` (labelled on the masked-input stage only).
-    fn drop_client(
-        &mut self,
-        peers: &mut Peers,
-        id: ClientId,
-        at: usize,
-        kind: DropKind,
-        dropouts: &mut Vec<DetectedDropout>,
-    ) {
+    fn drop_client(&mut self, peers: &mut Peers, id: ClientId, at: usize, kind: DropKind) {
         for pending in &mut self.pendings {
             pending.remove(&id);
         }
         let chunk = (self.want == StageTag::MaskedInput).then_some(at as u16);
-        drop_peer(peers, id, self.name, chunk, kind, dropouts);
+        drop_peer(peers, id, self.name, chunk, kind, self.dropouts);
     }
 }
 
@@ -886,7 +755,7 @@ pub(crate) fn handle_write_event(peers: &mut Peers, ev: &Event) -> Option<Client
     peers.get_mut(&id)?.try_flush().err().map(|_| id)
 }
 
-/// Removes a peer and records the detection.
+/// Removes a peer, if it is still connected, and records the detection.
 fn drop_peer(
     peers: &mut Peers,
     id: ClientId,
@@ -935,78 +804,4 @@ pub(crate) fn broadcast<K: Ord + Copy>(
         .filter_map(|(&key, chan)| Some((key, chan.send_wire_shared(&wire).err()?)))
         .collect();
     Broadcast { wire, failed }
-}
-
-/// Sends an encoded frame to one peer; failure becomes a detected
-/// dropout.
-fn send_or_drop(
-    peers: &mut Peers,
-    id: ClientId,
-    frame: &[u8],
-    stage: &'static str,
-    dropouts: &mut Vec<DetectedDropout>,
-) {
-    if let Some(chan) = peers.get_mut(&id) {
-        if let Err(e) = chan.send(frame) {
-            drop_peer(peers, id, stage, None, send_failure_kind(&e), dropouts);
-        }
-    }
-}
-
-/// A send that timed out hit a stalled-but-connected peer (deadline
-/// miss); any other failure is a disconnect.
-fn send_failure_kind(e: &NetError) -> DropKind {
-    match e {
-        NetError::Timeout => DropKind::DeadlineMissed,
-        _ => DropKind::Disconnected,
-    }
-}
-
-/// Drives write readiness until every queued broadcast frame has
-/// drained (peers that cannot absorb theirs within the stage timeout
-/// become detected dropouts).
-fn flush_sends(
-    reactor: &mut Reactor,
-    peers: &mut Peers,
-    dropouts: &mut Vec<DetectedDropout>,
-    stage: &'static str,
-    cfg: &SessionConfig<'_>,
-) {
-    let deadline = Instant::now() + cfg.stage_timeout;
-    let (mut events, mut expired) = (Vec::new(), Vec::new());
-    loop {
-        let backlogged: Vec<ClientId> = peers
-            .iter()
-            .filter(|(_, c)| c.wants_write())
-            .map(|(&id, _)| id)
-            .collect();
-        if backlogged.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            for id in backlogged {
-                drop_peer(peers, id, stage, None, DropKind::DeadlineMissed, dropouts);
-            }
-            return;
-        }
-        if reactor
-            .poll(&mut events, &mut expired, deadline - now)
-            .is_err()
-        {
-            // The poller itself failed: readiness can no longer drive
-            // these drains, so the undelivered peers must be recorded
-            // as dropouts — silently returning would let them be
-            // misattributed (or lost) at the next stage.
-            for id in backlogged {
-                drop_peer(peers, id, stage, None, DropKind::Disconnected, dropouts);
-            }
-            return;
-        }
-        for ev in &events {
-            if let Some(id) = handle_write_event(peers, ev) {
-                drop_peer(peers, id, stage, None, DropKind::Disconnected, dropouts);
-            }
-        }
-    }
 }

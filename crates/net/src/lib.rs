@@ -63,6 +63,7 @@ pub mod reactor;
 pub mod replication;
 pub mod runtime;
 pub mod session;
+mod stages;
 pub mod tcp;
 pub mod transport;
 

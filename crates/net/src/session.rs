@@ -15,12 +15,13 @@
 //! - the round counter stamped into every envelope, and
 //! - the seating policy deciding who participates in each round.
 //!
-//! Everything per-round lives in a fresh `RoundMachine`
-//! ([`coordinator`](crate::coordinator): secagg server, chunk plan,
-//! traffic/dropout accounting), so no protocol state can
-//! leak between rounds, and a frame carrying an old round id is
-//! discarded by the typed [`NetError::StaleRound`] check instead of
-//! being parsed into the current round.
+//! Everything per-round lives in a fresh pair: the stage transitions'
+//! `Round` (secagg server, chunk plan, seated parameters) and the
+//! [`coordinator`](crate::coordinator)'s `RoundIo` (the round's use of
+//! the reactor and the peers, traffic/dropout accounting). So no
+//! protocol state can leak between rounds, and a frame carrying an old
+//! round id is discarded by the typed [`NetError::StaleRound`] check
+//! instead of being parsed into the current round.
 //!
 //! ## Round lifecycle
 //!
@@ -40,8 +41,9 @@
 //!    Dordis, `dordis-core`'s VRF `seat_claims` (§7) — which seats a
 //!    cohort and rejects forged, stale and duplicate claims;
 //!    valid-but-trimmed claimants stay parked for the next round.
-//! 4. **Round execution**: a fresh `RoundMachine` drives the seated
-//!    cohort's connections through the SecAgg stages. Survivors'
+//! 4. **Round execution**: the stage transitions drive the seated
+//!    cohort's connections through the SecAgg stages, every stage one
+//!    `stage` step of the round's `RoundIo`. Survivors'
 //!    channels return to the parked set; detected dropouts' channels are
 //!    gone — those clients can reconnect and re-join in a later round.
 //! 5. After the last round, [`Session::finish`] broadcasts
@@ -56,11 +58,12 @@ use dordis_telemetry::Telemetry;
 use crate::codec::{self, round_gate, Envelope, EnvelopeView, RoundGate, StageTag};
 use crate::coordinator::{
     broadcast, client_of, client_token, drain_frames, handle_write_event, NetRoundReport, Peers,
-    RoundMachine, JOIN_BASE,
+    RoundIo, JOIN_BASE,
 };
 use crate::faults::FaultPlan;
 use crate::reactor::{Reactor, Token, TICK};
 use crate::replication::{Primary, SessionCheckpoint};
+use crate::stages::Round;
 use crate::tcp::TcpChannel;
 use crate::transport::{send_env, Acceptor, Channel as _};
 use crate::NetError;
@@ -138,7 +141,7 @@ pub struct SessionConfig<'a> {
     pub seating: Seating<'a>,
     /// Per-round parameter builder.
     pub params_for: ParamsFor<'a>,
-    /// Telemetry handle shared by the reactor and every round machine.
+    /// Telemetry handle shared by the reactor and every round.
     /// [`Telemetry::disabled`] turns every probe into a no-op.
     pub telemetry: Telemetry,
     /// Bind address (`host:port`) for the Prometheus scrape endpoint,
@@ -362,7 +365,7 @@ impl<'a> Session<'a> {
         // Close the inter-round park window on the timeline, and open
         // the per-round accounting windows: the report's reactor and
         // metrics deltas are measured from *here*, so the join phase —
-        // which the round machine never sees — is part of the round's
+        // which the round's stages never see — is part of the round's
         // cost.
         if let Some(since) = self.parked_since.take() {
             self.cfg.telemetry.record_span(
@@ -417,19 +420,19 @@ impl<'a> Session<'a> {
 
         // Move the cohort's channels out of the parked set; everyone
         // else (declined, trimmed, late) stays parked for later rounds.
-        let mut round_peers: Peers = BTreeMap::new();
-        for &id in &params.clients {
-            if let Some(chan) = self.parked.remove(&id) {
-                round_peers.insert(id, chan);
-            }
-        }
+        let cohort = params.clients.iter();
+        let mut round_peers: Peers = cohort
+            .filter_map(|&id| Some((id, self.parked.remove(&id)?)))
+            .collect();
         drop(seat_span);
 
         // A round that cannot be seated (invalid parameters, an
         // unrealizable chunk plan) fails like any other round error:
         // below, after the cohort's connections are parked again.
-        let result = RoundMachine::new(params, &self.cfg).and_then(|machine| {
-            machine.run(&mut self.engine, &mut round_peers, payload, reactor_base)
+        let result = Round::new(params, self.cfg.chunks).and_then(|round| {
+            let mut io = RoundIo::new(&self.cfg, &mut self.engine, &mut round_peers, &round);
+            let outcome = round.run(&mut io, payload)?;
+            Ok(io.report(outcome, reactor_base))
         });
 
         // Survivors' connections return to the parked set regardless of
@@ -440,27 +443,19 @@ impl<'a> Session<'a> {
         if self.cfg.telemetry.is_enabled() {
             self.parked_since = Some(self.cfg.telemetry.now_ns());
         }
-        match result {
-            Ok(mut report) => {
-                report.stale_frames += join_stale;
-                report.metrics = match (self.cfg.telemetry.snapshot(), &metrics_base) {
-                    (Some(now), Some(base)) => Some(now.delta(base)),
-                    _ => None,
-                };
-                // Sticky: a client dropped in *any* round may still be
-                // mid-reconnect at finish (it need not have rejoined in
-                // between), so one dropout anywhere keeps the grace
-                // window armed for the session's teardown.
-                self.finish_grace |= !report.dropouts.is_empty();
-                Ok(report)
-            }
-            Err(e) => {
-                // Conservative: after an aborted round anyone might
-                // still be reconnecting.
-                self.finish_grace = true;
-                Err(e)
-            }
-        }
+        // Sticky: a client dropped in *any* round may still be
+        // mid-reconnect at finish (it need not have rejoined in between),
+        // so one dropout anywhere — or an aborted round, after which
+        // anyone might still be reconnecting — keeps the grace window
+        // armed for the session's teardown.
+        self.finish_grace |= !result.as_ref().is_ok_and(|r| r.dropouts.is_empty());
+        let mut report = result?;
+        report.stale_frames += join_stale;
+        report.metrics = match (self.cfg.telemetry.snapshot(), &metrics_base) {
+            (Some(now), Some(base)) => Some(now.delta(base)),
+            _ => None,
+        };
+        Ok(report)
     }
 
     /// Ends the session: broadcasts [`StageTag::SessionEnd`] to every

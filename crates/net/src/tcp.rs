@@ -59,8 +59,9 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// partial data — the next read resumes exactly where the stream
 /// stopped.
 ///
-/// Allocations: the buffer holds at most one frame, so every frame is
-/// handed out as its own allocation — no bounce buffer and no copy.
+/// Allocations: the length prefix is read into bytes of its own and the
+/// buffer holds at most one frame's body, so every frame is handed out
+/// as its own allocation — no bounce buffer, no copy and no shift.
 ///
 /// Accounting: with an attached [`ChannelAccount`], `read_from` charges
 /// the arriving bytes, `take_frame` moves a frame's bytes from stream
@@ -71,11 +72,12 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// the ledger.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
-    /// The frame being assembled (length prefix included) up to `end`;
-    /// everything from `end` on is zeroed room
+    /// The length prefix of the frame being assembled.
+    prefix: [u8; 4],
+    /// Its body, up to `end - 4`; everything after is zeroed room
     /// [`read_from`](FrameBuffer::read_from) reads into.
     buf: Vec<u8>,
-    /// End of the stream bytes in `buf`.
+    /// Stream bytes of the frame received so far, prefix included.
     end: usize,
     /// Bytes of decoded frames handed out and not yet credited back.
     outstanding: usize,
@@ -124,16 +126,20 @@ impl FrameBuffer {
                 "oversized frame",
             ));
         }
-        let frame_end = self.end + want;
-        if self.buf.len() == self.end {
-            // Out of room: double what arrived (at least `READ_ROOM`),
-            // never past the frame.
-            let room = frame_end.min((2 * self.end).max(READ_ROOM));
-            self.buf.reserve_exact(room - self.end);
-            self.buf.resize(room, 0);
-        }
-        let room = frame_end.min(self.buf.len());
-        let got = r.read(&mut self.buf[self.end..room]);
+        let got = if self.end < 4 {
+            r.read(&mut self.prefix[self.end..])
+        } else {
+            let (at, body_end) = (self.end - 4, self.end - 4 + want);
+            if self.buf.len() == at {
+                // Out of room: double what arrived (at least
+                // `READ_ROOM`), never past the frame.
+                let room = body_end.min((2 * at).max(READ_ROOM));
+                self.buf.reserve_exact(room - at);
+                self.buf.resize(room, 0);
+            }
+            let room = body_end.min(self.buf.len());
+            r.read(&mut self.buf[at..room])
+        };
         let n = *got.as_ref().unwrap_or(&0);
         self.end += n;
         if let Some(acct) = &self.account {
@@ -154,8 +160,7 @@ impl FrameBuffer {
 
     /// The length the buffered prefix announces, once it is all there.
     fn announced(&self) -> Option<usize> {
-        (self.end >= 4)
-            .then(|| u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize)
+        (self.end >= 4).then(|| u32::from_le_bytes(self.prefix) as usize)
     }
 
     /// Buffered byte count (for diagnostics/tests).
@@ -190,8 +195,8 @@ impl FrameBuffer {
         }
     }
 
-    /// Pops the frame once it is whole — the stream buffer itself, minus
-    /// the prefix — or `None` if more bytes are needed.
+    /// Pops the frame once it is whole — the body buffer itself, as it
+    /// is — or `None` if more bytes are needed.
     ///
     /// # Errors
     ///
@@ -214,11 +219,8 @@ impl FrameBuffer {
         if let Some(acct) = &self.account {
             acct.credit_ingress(4);
         }
-        let mut frame = std::mem::take(&mut self.buf);
-        frame.truncate(self.end);
-        frame.drain(..4);
         self.end = 0;
-        Ok(Some(frame))
+        Ok(Some(std::mem::take(&mut self.buf)))
     }
 }
 
