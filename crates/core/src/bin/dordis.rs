@@ -481,7 +481,10 @@ fn join_inner(args: &[String]) -> Result<ExitCode, String> {
     };
 
     for r in &report.rounds {
-        println!("client {id}: round {} -> {:?}", r.round, r.outcome);
+        println!(
+            "client {id}: round {} -> survivors {:?}",
+            r.round, r.survivors
+        );
     }
     match report.end {
         SessionEndKind::Ended => {

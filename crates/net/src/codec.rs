@@ -376,18 +376,20 @@ impl<'a> EnvelopeView<'a> {
 // Cursor.
 // ---------------------------------------------------------------------
 
-/// Little-endian read cursor over a body slice.
-struct Reader<'a> {
+/// Little-endian read cursor over a body slice: the one reader of
+/// hostile bytes, which checks every length and count against what is
+/// left before it takes or reserves anything.
+pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         Reader { bytes, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
         if n > self.remaining() {
             return Err(NetError::Codec(format!(
                 "truncated body: wanted {n} at offset {}, have {}",
@@ -408,11 +410,11 @@ impl<'a> Reader<'a> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
     }
 
-    fn u32(&mut self) -> Result<u32, NetError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, NetError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
-    fn u64(&mut self) -> Result<u64, NetError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, NetError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
@@ -429,7 +431,7 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn finish(&self) -> Result<(), NetError> {
+    pub(crate) fn finish(&self) -> Result<(), NetError> {
         if self.pos != self.bytes.len() {
             return Err(NetError::Codec(format!(
                 "{} trailing bytes",
@@ -446,7 +448,7 @@ impl<'a> Reader<'a> {
     /// Room for `n` wire-counted items of at least `min_item` bytes each,
     /// refused when they cannot fit in the bytes left: the count is
     /// wire-controlled, so it reserves nothing before it is bounded.
-    fn vec_for<T>(&self, n: usize, min_item: usize) -> Result<Vec<T>, NetError> {
+    pub(crate) fn vec_for<T>(&self, n: usize, min_item: usize) -> Result<Vec<T>, NetError> {
         if n.saturating_mul(min_item) > self.remaining() {
             return Err(NetError::Codec(format!(
                 "count {n} exceeds the {} bytes left",

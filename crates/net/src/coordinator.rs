@@ -285,21 +285,22 @@ impl<'r> RoundIo<'r> {
     /// Sends `reply` to every live peer and drives the queued sends out;
     /// peers that cannot take theirs become `stage` dropouts (a write
     /// timeout is a deadline miss, anything else a disconnect). Returns
-    /// the frame bytes each peer was sent.
+    /// the frame bytes of each peer that took its frame.
     pub(crate) fn send(&mut self, stage: &'static str, reply: Reply) -> Vec<u64> {
-        let (sent, failed) = match reply {
+        let (mut sent, failed) = match reply {
             Reply::None => return Vec::new(),
             Reply::All(tag, body) => {
                 let env = Envelope::new(tag, self.round, body);
                 let queued = broadcast(self.peers, &env, &self.cfg.telemetry);
-                let taken = self.peers.len() - queued.failed.len();
-                (vec![(queued.wire.len() - 4) as u64; taken], queued.failed)
+                let len = (queued.wire.len() - 4) as u64;
+                let sent = self.peers.keys().map(|&id| (id, len)).collect();
+                (sent, queued.failed)
             }
             Reply::Each(tag, mut body_for) => {
-                let (mut sent, mut failed) = (Vec::new(), Vec::new());
+                let (mut sent, mut failed) = (BTreeMap::new(), Vec::new());
                 for (&id, chan) in self.peers.iter_mut() {
                     let frame = Envelope::new(tag, self.round, body_for(id)).encode();
-                    sent.push(frame.len() as u64);
+                    sent.insert(id, frame.len() as u64);
                     if let Err(e) = chan.send(&frame) {
                         failed.push((id, e));
                     }
@@ -308,6 +309,7 @@ impl<'r> RoundIo<'r> {
             }
         };
         for (id, e) in failed {
+            sent.remove(&id);
             // A send that timed out hit a stalled-but-connected peer.
             let kind = match e {
                 NetError::Timeout => DropKind::DeadlineMissed,
@@ -316,7 +318,7 @@ impl<'r> RoundIo<'r> {
             self.depart(id, stage, kind);
         }
         self.flush(stage);
-        sent
+        sent.into_values().collect()
     }
 
     /// Drives write readiness until every queued frame has drained;

@@ -38,7 +38,9 @@
 //!   reactor-driven, and each chunk is unmasked inline on the
 //!   coordinator thread between polls.
 //! - [`runtime`]: the symmetric client task driving
-//!   [`dordis_secagg::client::Client`], streaming its masked input one
+//!   [`dordis_secagg::client::Client`] through one straight-line stage
+//!   sequence a round (each server stage answered once, in protocol
+//!   order), streaming its masked input one
 //!   chunk frame at a time, with optional fail injection (disconnect or
 //!   go silent at a chosen stage, or mid-chunk-stream) for tests and
 //!   demos, and redial with failover after a lost coordinator.
@@ -54,6 +56,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod client_stages;
 pub mod codec;
 pub mod coordinator;
 pub mod faults;

@@ -32,7 +32,7 @@ use std::time::Duration;
 use dordis_secagg::ClientId;
 use dordis_telemetry::Telemetry;
 
-use crate::codec::{Envelope, StageTag};
+use crate::codec::{Envelope, Reader, StageTag};
 use crate::transport::{deadline_in, Channel};
 use crate::NetError;
 
@@ -84,36 +84,18 @@ impl SessionCheckpoint {
     ///
     /// [`NetError::Codec`] on truncated or oversized input.
     pub fn decode(body: &[u8]) -> Result<SessionCheckpoint, NetError> {
-        fn take<'a>(body: &'a [u8], at: &mut usize, n: usize) -> Result<&'a [u8], NetError> {
-            let end = at
-                .checked_add(n)
-                .filter(|&e| e <= body.len())
-                .ok_or_else(|| NetError::Codec("checkpoint body truncated".into()))?;
-            let s = &body[*at..end];
-            *at = end;
-            Ok(s)
-        }
-        let mut at = 0usize;
-        let round = u64::from_le_bytes(take(body, &mut at, 8)?.try_into().unwrap());
-        let rounds_done = u64::from_le_bytes(take(body, &mut at, 8)?.try_into().unwrap());
-        let view = u64::from_le_bytes(take(body, &mut at, 8)?.try_into().unwrap());
-        let n_parked = u32::from_le_bytes(take(body, &mut at, 4)?.try_into().unwrap()) as usize;
-        if n_parked > body.len() / 4 + 1 {
-            return Err(NetError::Codec(
-                "checkpoint parked count implausible".into(),
-            ));
-        }
-        let mut parked = Vec::with_capacity(n_parked);
+        let mut r = Reader::new(body);
+        let round = r.u64()?;
+        let rounds_done = r.u64()?;
+        let view = r.u64()?;
+        let n_parked = r.u32()? as usize;
+        let mut parked = r.vec_for(n_parked, 4)?;
         for _ in 0..n_parked {
-            parked.push(u32::from_le_bytes(
-                take(body, &mut at, 4)?.try_into().unwrap(),
-            ));
+            parked.push(r.u32()?);
         }
-        let app_len = u32::from_le_bytes(take(body, &mut at, 4)?.try_into().unwrap()) as usize;
-        let app_state = take(body, &mut at, app_len)?.to_vec();
-        if at != body.len() {
-            return Err(NetError::Codec("checkpoint body has trailing bytes".into()));
-        }
+        let app_len = r.u32()? as usize;
+        let app_state = r.take(app_len)?.to_vec();
+        r.finish()?;
         Ok(SessionCheckpoint {
             round,
             rounds_done,

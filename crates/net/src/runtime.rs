@@ -4,21 +4,27 @@
 //!
 //! One entry point, [`run_session_client`]: it answers every
 //! [`StageTag::RoundAnnounce`] with a participation claim (or a
-//! decline), participates in each round it is seated for — receiving
-//! the round setup, computing its input via a caller-supplied closure
-//! (the update only exists once the round parameters are known),
-//! building a **fresh** per-round protocol state machine with per-round
-//! randomness ([`round_rng_seed`]), and answering each server broadcast
-//! — and keeps the connection warm between rounds until the server's
-//! `SessionEnd`. [`Redial`] runs it over a TCP connection it dials,
-//! and dials again (failing over to a standby) after a lost
-//! coordinator.
+//! decline), plays each round it is seated for and keeps the connection
+//! warm between rounds until the server's `SessionEnd`. [`Redial`] runs
+//! it over a TCP connection it dials, and dials again (failing over to
+//! a standby) after a lost coordinator.
 //!
-//! A detected inconsistency makes the state machine abort; the runtime
-//! forwards that as an explicit `Abort` envelope and goes silent, which
-//! is exactly how the driver models aborting clients. A frame whose
-//! round id differs from the round being executed surfaces as the typed
-//! [`NetError::StaleRound`], never as state of the wrong round.
+//! A seated round is one straight-line sequence of stage steps in
+//! protocol order (`client_stages`): it receives the round setup,
+//! computes its input via a caller-supplied closure (the update only
+//! exists once the round parameters are known), builds a **fresh**
+//! per-round protocol state machine with per-round randomness
+//! ([`round_rng_seed`]) and answers each server stage once. The steps
+//! decide; all their I/O goes through one context, `ClientIo`: the
+//! receive with its deadline and round check, the send, the fail point
+//! and the `Abort`. A frame whose round id differs from the round being
+//! executed surfaces as the typed [`NetError::StaleRound`], never as
+//! state of the wrong round; a tag the sequence does not expect next
+//! (a replay, a skipped stage) ends the run as [`NetError::Protocol`]
+//! with nothing sent for it. A detected inconsistency makes the state
+//! machine abort; the runtime forwards that as an explicit `Abort`
+//! envelope and stops, which is exactly how the driver models aborting
+//! clients.
 //!
 //! For tests and demos, a [`FailPoint`] makes the client misbehave on
 //! purpose: disconnect (process kill) or go silent while connected
@@ -29,14 +35,13 @@
 
 use std::time::{Duration, Instant};
 
-use dordis_pipeline::ChunkPlan;
-use dordis_secagg::client::{Client, ClientInput, Identity};
-use dordis_secagg::messages::IdList;
-use dordis_secagg::{ClientId, RoundParams, SecAggError, ThreatModel};
+use dordis_secagg::client::{ClientInput, Identity};
+use dordis_secagg::{ClientId, RoundParams, SecAggError};
 
 pub use dordis_secagg::driver::{client_rng, round_rng_seed, share_keys_rng};
 
-use crate::codec::{self, decode_list, Encode, Envelope, StageTag};
+use crate::client_stages;
+use crate::codec::{self, Envelope, StageTag};
 use crate::tcp::TcpChannel;
 use crate::transport::{recv_env, send_env, Channel};
 use crate::NetError;
@@ -84,219 +89,6 @@ pub struct FailPoint {
     pub action: FailAction,
 }
 
-/// How one round ended for a client.
-#[derive(Clone, Debug)]
-pub enum ClientRunOutcome {
-    /// Round finished; the server reported these survivors.
-    Finished {
-        /// Survivor set (U3) from the server's final broadcast.
-        survivors: Vec<ClientId>,
-    },
-    /// A scripted [`FailPoint`] fired.
-    Failed {
-        /// Which stage the failure preceded.
-        stage: FailStage,
-    },
-    /// The state machine detected an inconsistency and aborted.
-    Aborted {
-        /// The abort reason.
-        reason: String,
-    },
-    /// The server aborted the round.
-    ServerAborted {
-        /// The server's reason.
-        reason: String,
-    },
-}
-
-/// Executes one round from its Setup body onward: builds a fresh
-/// protocol state machine for the round and serves broadcasts until
-/// Finished (or a failure outcome).
-///
-/// # Errors
-///
-/// Transport/codec failures, server protocol violations, and — typed —
-/// [`NetError::StaleRound`] when a broadcast carries the wrong round id.
-fn participate<FIn, FId>(
-    chan: &mut dyn Channel,
-    opts: &SessionClientOptions,
-    fail: Option<FailPoint>,
-    env_round: u64,
-    setup_body: &[u8],
-    input_for: FIn,
-    identity_for: FId,
-) -> Result<ClientRunOutcome, NetError>
-where
-    FIn: FnOnce(&RoundParams, u16, &[u8]) -> Result<ClientInput, NetError>,
-    FId: FnOnce(&RoundParams) -> Option<Identity>,
-{
-    let (params, requested_chunks, cohort, payload) = codec::decode_setup(setup_body)?;
-    // The server is untrusted: reject malformed round parameters (a
-    // hostile bit_width/vector_len could otherwise panic or OOM us)
-    // before building anything from them.
-    params.validate().map_err(NetError::SecAgg)?;
-    // The cohort size XNoise plans from can never be smaller than the
-    // round's own client set.
-    if usize::from(cohort) < params.clients.len() {
-        return Err(NetError::Protocol(format!(
-            "Setup cohort {cohort} smaller than its own client set ({})",
-            params.clients.len()
-        )));
-    }
-    let round = params.round;
-    if round != env_round {
-        return Err(NetError::Protocol(format!(
-            "Setup round {round} disagrees with its envelope ({env_round})"
-        )));
-    }
-    // Re-derive the round's chunk plan from the requested count — the
-    // same deterministic alignment the coordinator ran, so both sides
-    // agree on every chunk boundary without the bounds traveling.
-    let plan = ChunkPlan::aligned(
-        params.vector_len,
-        usize::from(requested_chunks.max(1)),
-        params.bit_width,
-    )
-    .map_err(|e| NetError::Protocol(format!("chunk plan: {e}")))?;
-    if !params.clients.contains(&opts.id) {
-        return Err(NetError::Protocol("not in the sampled set".into()));
-    }
-
-    let input = input_for(&params, cohort, &payload)?;
-    let identity = identity_for(&params);
-    if params.threat_model == ThreatModel::Malicious && identity.is_none() {
-        return Err(NetError::Protocol(
-            "malicious round requires a PKI identity".into(),
-        ));
-    }
-    let rng_seed = round_rng_seed(opts.rng_seed, round);
-    let mut rng = client_rng(rng_seed, opts.id);
-    let mut client = Client::new(params.clone(), opts.id, input, identity, &mut rng)
-        .map_err(NetError::SecAgg)?;
-
-    // ---- Stage 0: AdvertiseKeys. ----
-    let replies = Replies { fail, opts, round };
-    if let Some(out) = replies.send(chan, FailStage::Advertise, StageTag::AdvertiseKeys, || {
-        client.advertise_keys().map(|adv| adv.encoded())
-    })? {
-        return Ok(out);
-    }
-
-    // ---- Serve broadcasts until Finished. ----
-    let mut last_u3: Vec<ClientId> = Vec::new();
-    loop {
-        let env = recv_until(chan, opts.recv_timeout)?;
-        env.check_round(round)?;
-        let ended = match env.stage {
-            StageTag::Roster => {
-                let roster = decode_list(&env.body, codec::decode_advertised_keys)?;
-                let mut rng = share_keys_rng(rng_seed, opts.id);
-                replies.send(chan, FailStage::ShareKeys, StageTag::ShareKeys, || {
-                    let cts = client.share_keys(&roster, &mut rng)?;
-                    Ok(codec::encode_list(&cts))
-                })?
-            }
-            StageTag::Inbox => {
-                if let Some(out) = replies.fire(chan, FailStage::MaskedInput) {
-                    return Ok(out);
-                }
-                let inbox = decode_list(&env.body, codec::decode_encrypted_shares)?;
-                let partial = match fail {
-                    Some(FailPoint {
-                        stage: FailStage::MaskedInputAfterChunks(k),
-                        action,
-                    }) => Some((usize::from(k), action)),
-                    _ => None,
-                };
-                let cursor = match client.begin_masked_input(inbox) {
-                    Ok(cursor) => cursor,
-                    Err(e) => return Ok(abort(chan, round, &e)),
-                };
-                // A fail point that cannot fire would silently
-                // validate nothing — reject it loudly instead of
-                // completing the round as a healthy client.
-                if let Some((k, _)) = partial {
-                    if k >= plan.chunks() {
-                        return Err(NetError::Protocol(format!(
-                            "fail point MaskedInputAfterChunks({k}) cannot fire: \
-                             the round realizes only {} chunk(s)",
-                            plan.chunks()
-                        )));
-                    }
-                }
-                // Mask one chunk, put it on the wire, mask the next
-                // while the kernel and the coordinator work on the
-                // first — the coordinator aggregates chunk c while
-                // chunk c+1 does not exist yet.
-                for c in 0..plan.chunks() {
-                    if let Some((k, action)) = partial {
-                        if c == k {
-                            // Mid-stream failure: k chunks are already
-                            // out, the rest are never even masked.
-                            if action == FailAction::Silent {
-                                go_silent(chan, opts.recv_timeout);
-                            }
-                            return Ok(ClientRunOutcome::Failed {
-                                stage: FailStage::MaskedInputAfterChunks(k as u16),
-                            });
-                        }
-                    }
-                    let part = cursor.chunk(plan.range(c));
-                    send_env(
-                        chan,
-                        &Envelope::chunked(StageTag::MaskedInput, round, c as u16, part.encoded()),
-                    )?;
-                }
-                None
-            }
-            StageTag::SurvivorSet => {
-                let IdList(u3) = codec::decode_id_list(&env.body)?;
-                last_u3 = u3.clone();
-                if params.threat_model == ThreatModel::Malicious {
-                    replies.send(
-                        chan,
-                        FailStage::Consistency,
-                        StageTag::ConsistencySig,
-                        || client.consistency_check(&u3).map(|sig| sig.encoded()),
-                    )?
-                } else {
-                    replies.send(chan, FailStage::Unmasking, StageTag::Unmasking, || {
-                        client.unmask(&u3, None).map(|r| r.encoded())
-                    })?
-                }
-            }
-            StageTag::SignatureList => {
-                // Malicious model: U3 was fixed at consistency_check.
-                let sigs = codec::decode_signature_list(&env.body)?;
-                replies.send(chan, FailStage::Unmasking, StageTag::Unmasking, || {
-                    client.unmask(&last_u3, Some(&sigs)).map(|r| r.encoded())
-                })?
-            }
-            StageTag::ReadySet => {
-                let IdList(u5) = codec::decode_id_list(&env.body)?;
-                replies.send(chan, FailStage::NoiseShares, StageTag::NoiseShares, || {
-                    client.noise_shares(&u5).map(|r| r.encoded())
-                })?
-            }
-            StageTag::Finished => {
-                let IdList(survivors) = codec::decode_id_list(&env.body)?;
-                Some(ClientRunOutcome::Finished { survivors })
-            }
-            StageTag::Abort => Some(ClientRunOutcome::ServerAborted {
-                reason: codec::decode_abort(&env.body),
-            }),
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "unexpected server stage {other:?}"
-                )))
-            }
-        };
-        if let Some(out) = ended {
-            return Ok(out);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // The session client.
 // ---------------------------------------------------------------------
@@ -318,13 +110,13 @@ pub struct SessionClientOptions {
     pub recv_timeout: Duration,
 }
 
-/// One round's result from the session client's perspective.
+/// A round the session client finished.
 #[derive(Clone, Debug)]
 pub struct SessionRoundResult {
     /// The round id.
     pub round: u64,
-    /// How participation ended.
-    pub outcome: ClientRunOutcome,
+    /// Survivor set (U3) from the server's `Finished` broadcast.
+    pub survivors: Vec<ClientId>,
 }
 
 /// Why the session client returned.
@@ -358,8 +150,7 @@ pub enum SessionEndKind {
 /// Everything a session client observed.
 #[derive(Debug)]
 pub struct SessionClientReport {
-    /// Per-round results, in order, for the rounds this client was
-    /// seated in.
+    /// The rounds this client finished, in order.
     pub rounds: Vec<SessionRoundResult>,
     /// Why the run ended.
     pub end: SessionEndKind,
@@ -394,6 +185,13 @@ where
     FIn: FnMut(u64, &RoundParams, u16, &[u8]) -> Result<ClientInput, NetError>,
     FId: FnMut(&RoundParams) -> Option<Identity>,
 {
+    let mut io = ClientIo {
+        chan,
+        recv_timeout: opts.recv_timeout,
+        round: 0,
+        fail: None,
+    };
+    let report = |rounds, end| Ok(SessionClientReport { rounds, end });
     let mut rounds: Vec<SessionRoundResult> = Vec::new();
     // Eager join: announce-then-answer costs a round-trip before the
     // session's *first* round can even be seated. So the client joins
@@ -403,10 +201,7 @@ where
     // already-filed join, no extra round-trip — while a claims session
     // discards it as typed-stale and waits for the real claim after the
     // announce.
-    send_env(
-        chan,
-        &Envelope::new(StageTag::Join, 0, codec::encode_join(opts.id)),
-    )?;
+    io.send(StageTag::Join, codec::encode_join(opts.id))?;
     let mut eager_join_pending = true;
     // The server is untrusted: rounds must advance strictly, or a
     // replayed announce/Setup for an already-played round would make
@@ -415,7 +210,7 @@ where
     // then unmask.
     let mut last_round: Option<u64> = None;
     loop {
-        let env = recv_until(chan, opts.recv_timeout)?;
+        let env = io.next()?;
         if matches!(env.stage, StageTag::RoundAnnounce | StageTag::Setup) {
             if let Some(prev) = last_round {
                 if env.round <= prev {
@@ -426,27 +221,20 @@ where
                 }
             }
         }
+        let round = env.round;
         match env.stage {
             StageTag::RoundAnnounce => {
                 let claims_required = codec::decode_announce(&env.body)?;
-                let round = env.round;
+                io.round = round;
                 if claims_required {
                     // The eager join (if any) was discarded as stale by
                     // the coordinator; answer with the real claim.
                     eager_join_pending = false;
                     match select(round) {
-                        Some(claim) => send_env(
-                            chan,
-                            &Envelope::new(
-                                StageTag::Join,
-                                round,
-                                codec::encode_join_claim(opts.id, &claim),
-                            ),
-                        )?,
-                        None => send_env(
-                            chan,
-                            &Envelope::new(StageTag::Decline, round, codec::encode_join(opts.id)),
-                        )?,
+                        Some(claim) => {
+                            io.send(StageTag::Join, codec::encode_join_claim(opts.id, &claim))?;
+                        }
+                        None => io.send(StageTag::Decline, codec::encode_join(opts.id))?,
                     }
                 } else if eager_join_pending {
                     // The first roster announce is already answered by
@@ -455,63 +243,30 @@ where
                     // collection and read as a protocol violation.
                     eager_join_pending = false;
                 } else {
-                    send_env(
-                        chan,
-                        &Envelope::new(StageTag::Join, round, codec::encode_join(opts.id)),
-                    )?;
+                    io.send(StageTag::Join, codec::encode_join(opts.id))?;
                 }
             }
             StageTag::Setup => {
-                let round = env.round;
-                let outcome = participate(
-                    chan,
+                io.round = round;
+                io.fail = fail_for(round);
+                let survivors = match client_stages::round(
+                    &mut io,
                     opts,
-                    fail_for(round),
-                    round,
-                    &env.body,
+                    &env,
                     |params, cohort, payload| input_for(round, params, cohort, payload),
                     &mut identity_for,
-                )?;
+                ) {
+                    Ok(survivors) => survivors,
+                    Err(Stop::End(end)) => return report(rounds, end),
+                    Err(Stop::Error(e)) => return Err(e),
+                };
                 last_round = Some(round);
-                rounds.push(SessionRoundResult {
-                    round,
-                    outcome: outcome.clone(),
-                });
-                match outcome {
-                    ClientRunOutcome::Finished { .. } => {}
-                    ClientRunOutcome::Failed { stage } => {
-                        return Ok(SessionClientReport {
-                            rounds,
-                            end: SessionEndKind::Failed { round, stage },
-                        });
-                    }
-                    ClientRunOutcome::Aborted { reason } => {
-                        return Ok(SessionClientReport {
-                            rounds,
-                            end: SessionEndKind::Aborted { round, reason },
-                        });
-                    }
-                    ClientRunOutcome::ServerAborted { reason } => {
-                        return Ok(SessionClientReport {
-                            rounds,
-                            end: SessionEndKind::ServerAborted { reason },
-                        });
-                    }
-                }
+                rounds.push(SessionRoundResult { round, survivors });
             }
-            StageTag::SessionEnd => {
-                return Ok(SessionClientReport {
-                    rounds,
-                    end: SessionEndKind::Ended,
-                });
-            }
+            StageTag::SessionEnd => return report(rounds, SessionEndKind::Ended),
             StageTag::Abort => {
-                return Ok(SessionClientReport {
-                    rounds,
-                    end: SessionEndKind::ServerAborted {
-                        reason: codec::decode_abort(&env.body),
-                    },
-                });
+                let reason = codec::decode_abort(&env.body);
+                return report(rounds, SessionEndKind::ServerAborted { reason });
             }
             other => {
                 return Err(NetError::Protocol(format!(
@@ -519,6 +274,116 @@ where
                 )))
             }
         }
+    }
+}
+
+/// Why a seated round stopped short of `Finished`.
+pub(crate) enum Stop {
+    /// The run ends and reports this.
+    End(SessionEndKind),
+    /// The run fails with this error.
+    Error(NetError),
+}
+
+impl From<NetError> for Stop {
+    fn from(e: NetError) -> Stop {
+        Stop::Error(e)
+    }
+}
+
+/// The session client's one I/O context: every receive (with its
+/// deadline and, in a round, the round check), every send, the scripted
+/// fail point and the `Abort` that reports a state-machine error. The
+/// stage steps in `client_stages` decide; this does what they decide.
+pub(crate) struct ClientIo<'c> {
+    chan: &'c mut dyn Channel,
+    recv_timeout: Duration,
+    /// The round the client's frames carry: the announced one between
+    /// rounds, the seated one in a round.
+    round: u64,
+    /// The fail point scripted for the seated round.
+    fail: Option<FailPoint>,
+}
+
+impl ClientIo<'_> {
+    /// The next frame within the receive window, of any round.
+    fn next(&mut self) -> Result<Envelope, NetError> {
+        recv_env(self.chan, Instant::now() + self.recv_timeout)
+    }
+
+    /// The next frame of the seated round. A server `Abort` ends the
+    /// run; a tag outside `expected` is a protocol error.
+    pub(crate) fn recv(&mut self, expected: &[StageTag]) -> Result<Envelope, Stop> {
+        let env = self.next()?;
+        env.check_round(self.round)?;
+        match env.stage {
+            StageTag::Abort => {
+                let reason = codec::decode_abort(&env.body);
+                Err(Stop::End(SessionEndKind::ServerAborted { reason }))
+            }
+            tag if expected.contains(&tag) => Ok(env),
+            got => Err(NetError::Protocol(format!(
+                "expected server stage {expected:?}, got {got:?}"
+            ))
+            .into()),
+        }
+    }
+
+    /// Sends a `tag` frame of the current round.
+    pub(crate) fn send(&mut self, tag: StageTag, body: Vec<u8>) -> Result<(), NetError> {
+        self.send_chunk(tag, 0, body)
+    }
+
+    /// Sends chunk `chunk` of the current round's `tag` stream.
+    pub(crate) fn send_chunk(
+        &mut self,
+        tag: StageTag,
+        chunk: u16,
+        body: Vec<u8>,
+    ) -> Result<(), NetError> {
+        send_env(self.chan, &Envelope::chunked(tag, self.round, chunk, body))
+    }
+
+    /// Fires the fail point if it is scripted for `stage`. A silent
+    /// failure stays connected and unresponsive, discarding every frame,
+    /// until the coordinator hangs up on the missed deadline or the
+    /// receive window passes — so the dropout is detected by the
+    /// deadline, as a partitioned client's would be.
+    pub(crate) fn fail(&mut self, stage: FailStage) -> Result<(), Stop> {
+        match self.fail {
+            Some(fail) if fail.stage == stage => {
+                if fail.action == FailAction::Silent {
+                    let deadline = Instant::now() + self.recv_timeout;
+                    while recv_env(self.chan, deadline).is_ok() {}
+                }
+                let round = self.round;
+                Err(Stop::End(SessionEndKind::Failed { round, stage }))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Refuses a mid-stream fail point the round's `chunks` cannot
+    /// reach: one that cannot fire would silently validate nothing and
+    /// complete the round as a healthy client.
+    pub(crate) fn check_fail_fires(&self, chunks: usize) -> Result<(), NetError> {
+        match self.fail.map(|f| f.stage) {
+            Some(FailStage::MaskedInputAfterChunks(k)) if usize::from(k) >= chunks => {
+                Err(NetError::Protocol(format!(
+                    "fail point MaskedInputAfterChunks({k}) cannot fire: \
+                     the round realizes only {chunks} chunk(s)"
+                )))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Reports a state-machine abort to the server and ends the run.
+    pub(crate) fn abort(&mut self, e: &SecAggError) -> Stop {
+        let reason = e.to_string();
+        let _ = self.send(StageTag::Abort, codec::encode_abort(&reason));
+        let round = self.round;
+        Stop::End(SessionEndKind::Aborted { round, reason })
     }
 }
 
@@ -729,71 +594,6 @@ impl Redial {
             }
         }
     }
-}
-
-fn recv_until(chan: &mut dyn Channel, timeout: Duration) -> Result<Envelope, NetError> {
-    recv_env(chan, Instant::now() + timeout)
-}
-
-/// A [`FailAction::Silent`] failure: stays connected and unresponsive,
-/// discarding every frame, until the coordinator hangs up on the missed
-/// deadline or `timeout` passes — so the dropout is detected by the
-/// deadline, as a partitioned client's would be.
-fn go_silent(chan: &mut dyn Channel, timeout: Duration) {
-    let deadline = Instant::now() + timeout;
-    while recv_env(chan, deadline).is_ok() {}
-}
-
-/// One round's replies to the server's broadcasts: where a scripted
-/// failure fires, and the round id every reply carries.
-struct Replies<'o> {
-    fail: Option<FailPoint>,
-    opts: &'o SessionClientOptions,
-    round: u64,
-}
-
-impl Replies<'_> {
-    /// Fires the fail point if configured for `stage`.
-    fn fire(&self, chan: &mut dyn Channel, stage: FailStage) -> Option<ClientRunOutcome> {
-        let fail = self.fail?;
-        if fail.stage != stage {
-            return None;
-        }
-        if fail.action == FailAction::Silent {
-            go_silent(chan, self.opts.recv_timeout);
-        }
-        Some(ClientRunOutcome::Failed { stage })
-    }
-
-    /// Answers one broadcast: the fail point scripted for `stage` fires
-    /// first; otherwise `step` runs the state machine and its message
-    /// goes out as a `tag` frame — or, when the step detects an
-    /// inconsistency, the round ends in an abort. `Some` ends the round.
-    fn send(
-        &self,
-        chan: &mut dyn Channel,
-        stage: FailStage,
-        tag: StageTag,
-        step: impl FnOnce() -> Result<Vec<u8>, SecAggError>,
-    ) -> Result<Option<ClientRunOutcome>, NetError> {
-        if let Some(out) = self.fire(chan, stage) {
-            return Ok(Some(out));
-        }
-        match step() {
-            Ok(body) => send_env(chan, &Envelope::new(tag, self.round, body)).map(|()| None),
-            Err(e) => Ok(Some(abort(chan, self.round, &e))),
-        }
-    }
-}
-
-/// Reports a state-machine abort to the server and ends the run.
-fn abort(chan: &mut dyn Channel, round: u64, e: &SecAggError) -> ClientRunOutcome {
-    let reason = e.to_string();
-    let _ = send_env(
-        chan,
-        &Envelope::new(StageTag::Abort, round, codec::encode_abort(&reason)),
-    );
-    ClientRunOutcome::Aborted { reason }
 }
 
 #[cfg(test)]

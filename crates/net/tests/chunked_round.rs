@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use dordis_net::codec::{self, encode_list, Encode, Envelope, StageTag};
 use dordis_net::coordinator::{DropKind, NetRoundReport};
 use dordis_net::local;
-use dordis_net::runtime::{round_rng_seed, ClientRunOutcome, FailAction, FailPoint, FailStage};
+use dordis_net::runtime::{round_rng_seed, FailAction, FailPoint, FailStage};
 use dordis_net::session::SessionConfig;
 use dordis_net::transport::{recv_env, send_env, Channel, ThrottledChannel};
 use dordis_net::NetError;
@@ -413,10 +413,12 @@ fn hostile_round(
     });
     for (id, run) in clients {
         let Some(run) = run else { continue };
-        assert!(
-            matches!(run.rounds[0].outcome, ClientRunOutcome::Finished { .. }),
+        // A finished round is an entry in `rounds`.
+        assert_eq!(
+            run.rounds.len(),
+            1,
             "{hostile:?}: honest client {id}: {:?}",
-            run.rounds[0].outcome
+            run.end
         );
     }
     reports.pop().expect("one round")

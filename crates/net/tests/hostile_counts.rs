@@ -12,6 +12,7 @@ use dordis_net::codec::{
     decode_noise_share_response, decode_params, decode_setup, decode_signature_list,
     decode_unmasking_response,
 };
+use dordis_net::replication::SessionCheckpoint;
 
 struct Counting;
 
@@ -103,6 +104,14 @@ fn coordinator_side_decoders_bound_their_counts() {
     });
     check("decode_id_list", || {
         decode_id_list(&[0xff, 0xff, 0xff, 0xff])
+    });
+    // A standby's checkpoint: round, rounds done, view, then one parked
+    // id more than the 40 000 bytes behind the count can hold.
+    let mut ckpt = vec![0; 24];
+    ckpt.extend_from_slice(&10_001u32.to_le_bytes());
+    ckpt.resize(ckpt.len() + 40_000, 0);
+    check("SessionCheckpoint::decode", || {
+        SessionCheckpoint::decode(&ckpt)
     });
 }
 

@@ -12,8 +12,7 @@ use dordis_net::codec::{Envelope, StageTag};
 use dordis_net::coordinator::{DropKind, NetRoundReport};
 use dordis_net::local;
 use dordis_net::runtime::{
-    round_rng_seed, Backoff, ClientRunOutcome, FailAction, FailPoint, FailStage, Redial,
-    SessionEndKind,
+    round_rng_seed, Backoff, FailAction, FailPoint, FailStage, Redial, SessionEndKind,
 };
 use dordis_net::session::{Seating, SeatingOutcome, Session, SessionConfig};
 use dordis_net::tcp::{TcpAcceptor, TcpChannel};
@@ -493,8 +492,8 @@ fn coordinator_discards_stale_frames_without_dropping_the_peer() {
         });
         let report = reports.pop().expect("one round");
         for run in clients.into_values() {
-            let outcome = &run.expect("client run").rounds[0].outcome;
-            assert!(matches!(outcome, ClientRunOutcome::Finished { .. }));
+            // A finished round is an entry in `rounds`.
+            assert_eq!(run.expect("client run").rounds.len(), 1);
         }
         assert_eq!(report.stale_frames, 1, "{stage:?}");
         assert!(report.dropouts.is_empty(), "{:?}", report.dropouts);
