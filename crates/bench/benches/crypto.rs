@@ -222,6 +222,20 @@ fn bench_signatures(c: &mut Criterion) {
     c.bench_function("ed25519_sign", |b| b.iter(|| sk.sign(msg)));
     c.bench_function("ed25519_verify", |b| b.iter(|| vk.verify(msg, &sig)));
 
+    // The two products under each VRF call: Γ = x·H with k·H (evaluate)
+    // and the two Straus chains s·B − c·PK, s·H − c·Γ (verify) — one
+    // pass of the IFMA Edwards pair where the CPU has it, the scalar
+    // forms above twice elsewhere.
+    let q = p.double();
+    let mut g = c.benchmark_group("ed25519_pair");
+    g.bench_function("mul_scalar2", |b| {
+        b.iter(|| black_box(&p).mul_scalar2(black_box(&s), black_box(&t)));
+    });
+    g.bench_function("straus2", |b| {
+        b.iter(|| Point::vartime_straus2(black_box(&s), black_box(&t), &p, &q, &p));
+    });
+    g.finish();
+
     // One client's self-selection and the server's check of its claim.
     let vrf = VrfSecretKey::from_seed(&[4u8; 32]);
     let input = b"dordis.sampling.round\x07\0\0\0\0\0\0\0";

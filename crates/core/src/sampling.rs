@@ -20,7 +20,7 @@
 //! excessive clients based on indiscriminate criteria on their
 //! randomness") yields a fixed sample size.
 
-use dordis_crypto::vrf::{VrfProof, VrfPublicKey, VrfSecretKey};
+use dordis_crypto::vrf::{VrfInput, VrfProof, VrfPublicKey, VrfSecretKey};
 use serde::{Deserialize, Serialize};
 
 /// Public sampling parameters for a round.
@@ -90,24 +90,24 @@ pub fn self_select(
     }
 }
 
-/// Verifies one claim and returns its selection value.
+/// Verifies one claim against its round's input and returns its
+/// selection value.
 ///
 /// # Errors
 ///
 /// A human-readable reason: unregistered key, non-verifying proof,
 /// output/proof mismatch, or a value above the threshold (an invalid
 /// self-selection the server should never have accepted).
-pub fn verify_claim(
+fn verify_claim(
     claim: &ParticipationClaim,
     keys: &dyn Fn(u32) -> Option<VrfPublicKey>,
-    round: u64,
+    input: &VrfInput,
     cfg: &SamplingConfig,
 ) -> Result<u64, String> {
-    let input = round_input(round);
     let pk = keys(claim.client)
         .ok_or_else(|| format!("no VRF key registered for client {}", claim.client))?;
     let output = pk
-        .verify(&input, &claim.proof)
+        .verify(input, &claim.proof)
         .map_err(|e| format!("client {}: bad VRF proof: {e}", claim.client))?;
     if output != claim.output {
         return Err(format!(
@@ -146,10 +146,12 @@ pub fn seat_claims(
     round: u64,
     cfg: &SamplingConfig,
 ) -> SeatedCohort {
+    // Every claim answers the same round input: hash it to the curve once.
+    let input = VrfInput::new(&round_input(round));
     let mut valid: Vec<(u64, u32)> = Vec::with_capacity(claims.len());
     let mut rejected = Vec::new();
     for claim in claims {
-        match verify_claim(claim, keys, round, cfg) {
+        match verify_claim(claim, keys, &input, cfg) {
             // One seat per claimant: a resubmitted valid claim is a
             // duplicate, not a second lottery ticket.
             Ok(_) if valid.iter().any(|&(_, c)| c == claim.client) => {
@@ -402,6 +404,95 @@ mod tests {
         // verification against it: all rejected, none seated.
         assert_eq!(cohort.seated.len(), 0, "no round-3 claim seats in round 4");
         assert_eq!(cohort.rejected.len(), claims3.len());
+    }
+
+    /// What an unselected client can build with its own key and the
+    /// public construction: `Γ + T` for a `T` of the given order (2 or 8)
+    /// whose output falls under the threshold, and a proof for it —
+    /// honest commitments, nonces retried until `c·T = O`, so that `s·H −
+    /// c·(Γ + T) = k·H` holds.
+    fn shifted_claim(round: u64, order: u32) -> ParticipationClaim {
+        use dordis_crypto::ed25519::{Point, Scalar};
+        use dordis_crypto::hmac::hkdf;
+        use dordis_crypto::sha256::{sha256, sha256_concat};
+        let input = round_input(round);
+        let h = (0u32..)
+            .filter_map(|ctr| {
+                let digest = sha256_concat(&[b"dordis.vrf.h2c", &ctr.to_le_bytes(), &input]);
+                Point::decompress(&digest).ok()
+            })
+            .map(|p| p.double().double().double())
+            .find(|p| !p.is_identity())
+            .expect("a counter hashes to the curve");
+        // Order 8 from l·P of a hashed-to point, then its multiples.
+        let l_minus_one = Scalar::ZERO.sub(Scalar::ONE);
+        let order8 = (0u8..)
+            .filter_map(|i| Point::decompress(&sha256(&[i])).ok())
+            .map(|p| p.mul_scalar(&l_minus_one).add(&p))
+            .find(|t| !t.double().double().is_identity())
+            .expect("some hashed point has a torsion component of order 8");
+        let shifts: Vec<Point> = match order {
+            2 => vec![order8.double().double()],
+            8 => [1, 3, 5, 7]
+                .map(|k| order8.mul_scalar(&Scalar::from_u64(k)))
+                .to_vec(),
+            _ => unreachable!("orders 2 and 8 only"),
+        };
+        for id in (0..100u32).filter(|&id| self_select(&key_for(id), id, round, &cfg()).is_none()) {
+            let mut seed = [0u8; 32];
+            seed[..4].copy_from_slice(&id.to_le_bytes());
+            seed[31] = 0xfe;
+            let x = Scalar::from_wide_bytes(&hkdf(b"dordis.vrf.keygen", &seed, b"scalar"));
+            let pk = key_for(id).public_key().0;
+            for t in &shifts {
+                let gamma = h.mul_scalar(&x).add(t).compress();
+                let output = sha256_concat(&[b"dordis.vrf.out", &gamma]);
+                if selection_value(&output) > cfg().threshold() {
+                    continue;
+                }
+                for attempt in 1u64.. {
+                    let k = Scalar::from_u64(attempt);
+                    let [kb, kh] = [Point::mul_base(&k), h.mul_scalar(&k)].map(|p| p.compress());
+                    let parts: [&[u8]; 6] =
+                        [b"dordis.vrf.chal", &pk, &h.compress(), &gamma, &kb, &kh];
+                    let c_bytes = sha256_concat(&parts);
+                    let c = Scalar::from_bytes_mod_l(&c_bytes);
+                    if t.mul_scalar(&c).is_identity() {
+                        let s = k.add(c.mul(x)).to_bytes();
+                        let proof = VrfProof {
+                            gamma,
+                            c: c_bytes,
+                            s,
+                        };
+                        return ParticipationClaim {
+                            client: id,
+                            output,
+                            proof,
+                        };
+                    }
+                }
+            }
+        }
+        unreachable!("some unselected client's shifted output self-selects")
+    }
+
+    #[test]
+    fn small_order_shifted_claims_rejected() {
+        // A VRF output must be unique: a Γ shifted by a small-order point
+        // would give an unselected client a second draw (up to eight with
+        // order 8), and its claim must cost it the seat, not the round.
+        for order in [2, 8] {
+            let mut claims = claims_for_round(10);
+            claims.insert(0, shifted_claim(10, order));
+            assert_only_first_rejected(&claims, 10);
+            let cohort = seat(&claims, 10);
+            assert!(
+                cohort.rejected[0].1.contains("bad VRF proof"),
+                "{:?}",
+                cohort.rejected
+            );
+            assert_eq!(cohort.seated, seat(&claims[1..], 10).seated);
+        }
     }
 
     #[test]

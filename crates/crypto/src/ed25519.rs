@@ -32,6 +32,16 @@
 //!   [`VerifyingKey::verify`] and `VrfPublicKey::verify`, and
 //!   `tests/constant_time_surface.rs` fails on a third.
 //!
+//! Two of them also come in pairs, for the VRF: [`Point::mul_scalar2`]
+//! (`[a·P, b·P]`, constant-time in both scalars: `Γ = x·H` and the nonce
+//! commitment `k·H`) and [`Point::vartime_straus2`] (`[a·B + b·Q, a·P +
+//! b·R]`, public inputs only: a verification's two chains). Where the CPU
+//! has AVX-512IFMA a pair is one pass of `x25519_avx512`'s Edwards
+//! kernel, its two products in two lane groups on the same schedule as
+//! the single form; elsewhere it is the single form twice.
+//! [`Point::is_torsion_free`] (`[l]·P = O`) runs `mul_scalar`'s chain
+//! over the digits of the public constant `l`, on the kernel too.
+//!
 //! [`Scalar`] arithmetic modulo `l` (`add`, `mul`, the reductions) still
 //! compares and branches on its values and is not constant-time; neither
 //! is [`Point::decompress`], which only ever sees public encodings.
@@ -663,8 +673,40 @@ impl Point {
     /// addition of a masked-lookup entry.
     #[must_use]
     pub fn mul_scalar(&self, scalar: &Scalar) -> Point {
+        self.mul_digits(&radix16(&scalar.to_bytes()))
+    }
+
+    /// `[a·self, b·self]`, constant-time in both scalars: where the CPU
+    /// has AVX-512IFMA, one pass of `x25519_avx512`'s Edwards pair runs
+    /// [`Point::mul_scalar`]'s schedule for both scalars in its two lane
+    /// groups over one table of `self`; elsewhere, `mul_scalar` twice.
+    #[must_use]
+    pub fn mul_scalar2(&self, a: &Scalar, b: &Scalar) -> [Point; 2] {
+        let digits = [a, b].map(|s| radix16(&s.to_bytes()));
+        #[cfg(target_arch = "x86_64")]
+        if let Some(out) = crate::x25519_avx512::mul_pair(&[self.coords(); 2], &digits) {
+            return out.map(Point::from_coords);
+        }
+        digits.map(|d| self.mul_digits(&d))
+    }
+
+    /// Whether `self` lies in the prime-order subgroup: `[l]·self = O`.
+    /// The chain is [`Point::mul_scalar`]'s over the digits of the public
+    /// constant `l` (on the Edwards pair where the CPU has it), the same
+    /// operations for every point.
+    #[must_use]
+    pub fn is_torsion_free(&self) -> bool {
+        let l = radix16(&Scalar(L).to_bytes());
+        #[cfg(target_arch = "x86_64")]
+        if let Some([lp, _]) = crate::x25519_avx512::mul_pair(&[self.coords(); 2], &[l; 2]) {
+            return Point::from_coords(lp).is_identity();
+        }
+        self.mul_digits(&l).is_identity()
+    }
+
+    /// The sum `Σ digits[i]·16^i·self` of signed radix-16 digits.
+    fn mul_digits(&self, digits: &[i8; 64]) -> Point {
         let table = self.progression(self).map(Point::to_cached);
-        let digits = radix16(&scalar.to_bytes());
         let mut acc = Point::identity().add_cached(&select(&table, digits[63]));
         for &digit in digits[..63].iter().rev() {
             let mut window = acc.to_projective();
@@ -734,6 +776,40 @@ impl Point {
     #[must_use]
     pub fn vartime_double_mul_base(a: &Scalar, b: &Scalar, q: &Point) -> Point {
         Point::vartime_straus(a, &BASE_ODD, b, &q.odd_multiples())
+    }
+
+    /// `[a·B + b·Q, a·P + b·R]` in variable time:
+    /// [`Point::vartime_double_mul_base`] and
+    /// [`Point::vartime_double_mul`] on one pair of scalars. Where the CPU
+    /// has AVX-512IFMA the two Straus chains run in the two lane groups
+    /// of one pass of `x25519_avx512`'s Edwards pair, sharing the NAFs of
+    /// `a` and `b`. **Public inputs only**.
+    #[must_use]
+    pub fn vartime_straus2(a: &Scalar, b: &Scalar, q: &Point, p: &Point, r: &Point) -> [Point; 2] {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(out) = crate::x25519_avx512::vartime_straus_pair(
+            &[BASE.coords(), p.coords()],
+            &[q.coords(), r.coords()],
+            [&naf5(a), &naf5(b)],
+        ) {
+            return out.map(Point::from_coords);
+        }
+        [
+            Point::vartime_double_mul_base(a, b, q),
+            Point::vartime_double_mul(a, p, b, r),
+        ]
+    }
+
+    /// The extended coordinates `(X, Y, Z, T)`, the Edwards pair's
+    /// layout.
+    fn coords(&self) -> [Fe; 4] {
+        [self.x, self.y, self.z, self.t]
+    }
+
+    /// A point from the Edwards pair: its coordinates are tight there,
+    /// so they are here.
+    fn from_coords([x, y, z, t]: [Fe; 4]) -> Point {
+        Point { x, y, z, t }
     }
 
     /// `y` with the parity of `x` in bit 255, given `1/Z`.
@@ -906,6 +982,32 @@ impl VerifyingKey {
     }
 }
 
+/// Runs `body` on the Edwards pair where this host has it (printing the
+/// skip line where it does not), then again with the pair switched off,
+/// on the scalar fallback.
+#[cfg(test)]
+pub(crate) fn on_both_paths(body: impl Fn()) {
+    #[cfg(target_arch = "x86_64")]
+    let runs =
+        crate::x25519_avx512::mul_pair(&[Point::identity().coords(); 2], &[[0; 64]; 2]).is_some();
+    #[cfg(not(target_arch = "x86_64"))]
+    let runs = false;
+    if !runs {
+        println!("ed25519 pair path: skipped (no avx512ifma)");
+    }
+    body();
+    with_scalar_pair(body);
+}
+
+/// Runs `body` with the Edwards pair switched off on this thread.
+#[cfg(test)]
+pub(crate) fn with_scalar_pair<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    return crate::x25519_avx512::with_scalar_pair(body);
+    #[cfg(not(target_arch = "x86_64"))]
+    body()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1069,6 +1171,96 @@ mod tests {
                 check_against_oracle(&scalars[5], &p, t, &q);
             }
         }
+    }
+
+    /// Both pair forms against the scalar forms the tests above pin to
+    /// the bitwise oracle, each product checked in its own lane group.
+    #[track_caller]
+    fn check_pair(a: &Scalar, b: &Scalar, p: &Point, q: &Point, r: &Point) {
+        let same = |got: [Point; 2], want: [Point; 2]| {
+            for (got, want) in got.iter().zip(&want) {
+                assert!(got.on_curve());
+                assert_eq!(got.compress(), want.compress());
+                // T is not part of the encoding but the next addition reads it.
+                assert!(got.add(p).equals(&want.add(p)));
+            }
+        };
+        same(p.mul_scalar2(a, b), [p.mul_scalar(a), p.mul_scalar(b)]);
+        same(
+            Point::vartime_straus2(a, b, q, p, r),
+            [
+                Point::vartime_double_mul_base(a, b, q),
+                Point::vartime_double_mul(a, p, b, r),
+            ],
+        );
+    }
+
+    /// [`edge_scalars`] and the all-high radix-16 digits (every nibble
+    /// 15: each digit −1 with a carry into the next).
+    fn pair_edge_scalars() -> Vec<Scalar> {
+        let mut edges = edge_scalars();
+        edges.push(all_nibbles(15));
+        edges
+    }
+
+    #[test]
+    fn pair_matches_the_scalar_forms_on_edge_and_random_scalars() {
+        use rand::SeedableRng;
+        on_both_paths(|| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x9a12);
+            let p = Point::base().mul_scalar(&random_scalar(&mut rng));
+            let q = p.double().add(&Point::base());
+            let r = q.mul_scalar(&random_scalar(&mut rng));
+            let edges = pair_edge_scalars();
+            for a in &edges {
+                for b in &edges {
+                    check_pair(a, b, &p, &q, &r);
+                }
+            }
+            let (mut p, mut q, mut r) = (p, q, r);
+            for _ in 0..32 {
+                let (a, b) = (random_scalar(&mut rng), random_scalar(&mut rng));
+                check_pair(&a, &b, &p, &q, &r);
+                (p, q, r) = (q.mul_scalar(&a), r.add(&p), p.double());
+            }
+        });
+    }
+
+    #[test]
+    fn pair_accepts_the_identity_and_small_order_points() {
+        use rand::SeedableRng;
+        on_both_paths(|| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x9a13);
+            let p = Point::base().mul_scalar(&Scalar::from_u64(5));
+            let mut scalars = pair_edge_scalars();
+            scalars.extend((0..4).map(|_| random_scalar(&mut rng)));
+            for t in small_order_points() {
+                for a in &scalars {
+                    let b = &scalars[5];
+                    // T under the windowed pair, and as either point of
+                    // either lane group's Straus chain.
+                    check_pair(a, b, &t, &p, &p);
+                    check_pair(b, a, &p, &t, &p);
+                    check_pair(a, b, &p, &p, &t);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn torsion_check_rejects_every_small_order_component() {
+        use rand::SeedableRng;
+        on_both_paths(|| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x9a14);
+            let p = Point::base().mul_scalar(&random_scalar(&mut rng));
+            for q in [Point::identity(), Point::base(), p, p.neg().double()] {
+                assert!(q.is_torsion_free());
+                for t in &small_order_points()[1..] {
+                    assert!(!t.is_torsion_free());
+                    assert!(!q.add(t).is_torsion_free());
+                }
+            }
+        });
     }
 
     #[test]

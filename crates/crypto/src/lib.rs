@@ -25,9 +25,12 @@
 //! - [`x25519`]: RFC 7748 Montgomery-ladder Diffie–Hellman, one ladder
 //!   at a time (`x25519`) or one secret against many peers
 //!   (`x25519_many`).
-//! - `x25519_avx512` (x86-64 only): eight of those ladders in the lanes
-//!   of AVX-512 registers, radix 2^51 on AVX-512IFMA multiply-adds — the
-//!   kernel `x25519_many` runs its batches on where the CPU has it.
+//! - `x25519_avx512` (x86-64 only): the IFMA kernels, radix 2^51 on
+//!   AVX-512IFMA multiply-adds in the lanes of AVX-512 registers: eight
+//!   of those ladders — what `x25519_many` runs its batches on where the
+//!   CPU has it — and the Edwards pair, two edwards25519 points × four
+//!   coordinates, what the VRF's two secret multiplications, its subgroup
+//!   check and its verification's two Straus chains run on there.
 //! - [`ed25519`]: edwards25519 group operations and a Schnorr signature
 //!   scheme over that group (UF-CMA under standard assumptions).
 //! - [`shamir`]: t-of-n Shamir secret sharing over GF(256).
@@ -44,8 +47,9 @@
 //! signatures and the VRF, the SHA-256 under every key derivation and
 //! AEAD tag, Shamir's byte-parallel sharing) are written for speed, each
 //! with a plain reference it is tested bit-equal against. `unsafe` is
-//! denied crate-wide and allowed on exactly three modules, one per
-//! kernel: `chacha20_avx512`, `x25519_avx512` and `sha256_ni`.
+//! denied crate-wide and allowed on exactly three kernel modules:
+//! `chacha20_avx512`, `x25519_avx512` (both IFMA kernels, on one field
+//! arithmetic) and `sha256_ni`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,18 +1,33 @@
-//! Eight X25519 ladders in the eight 64-bit lanes of AVX-512 registers,
-//! multiplied by AVX-512IFMA: one secret scalar, eight base points
-//! ([`crate::x25519::x25519_many`] is the caller and decides what goes in
-//! a batch).
+//! The crate's IFMA kernels: eight X25519 ladders, or two edwards25519
+//! points, in the eight 64-bit lanes of AVX-512 registers, multiplied by
+//! AVX-512IFMA. Both run on one field arithmetic, `Fe8`.
 //!
-//! Nothing is shared between the ladders — each lane walks RFC 7748's
-//! ladder exactly as [`crate::x25519::x25519`] does, on its own base
-//! point — so every lane's output is bit-equal to the scalar function,
-//! which stays the fallback on every other host (AVX-512F without IFMA
-//! included) and the oracle of the tests below. This is one of the
-//! crate's two `unsafe` modules, one per kernel (the other is
-//! `sha256_ni`): it holds the intrinsics, one unaligned store, and the
-//! two calls from safe code into `#[target_feature]` code, each behind a
-//! runtime `is_x86_feature_detected!` of `avx512f` and `avx512ifma`.
-//! Everything it exports is safe.
+//! - **Eight ladders** (`ladder8`): one secret scalar, eight base points
+//!   ([`crate::x25519::x25519_many`] is the caller and decides what goes
+//!   in a batch). Nothing is shared between the ladders — each lane walks
+//!   RFC 7748's ladder exactly as [`crate::x25519::x25519`] does, on its
+//!   own base point — so every lane's output is bit-equal to the scalar
+//!   function.
+//! - **The Edwards pair** (`mul_pair`, `vartime_straus_pair`): two points
+//!   × four extended coordinates `(X, Y, Z, T)`, one point per group of
+//!   four lanes, in the four-way formulas of Hisil–Wong–Carter–Dawson
+//!   (the arrangement of curve25519-dalek's IFMA backend): a doubling is
+//!   one squaring and one multiplication of all eight lanes, an addition
+//!   two multiplications, and lane permutes do the shuffles in between.
+//!   `crate::ed25519::Point::{mul_scalar2, is_torsion_free,
+//!   vartime_straus2}` are the callers: the VRF's two secret products
+//!   `x·H` and `k·H`, the subgroup check of `Γ`, and a verification's two
+//!   Straus chains. Every group computes the group element the scalar
+//!   forms compute, so encodings are bit-equal to theirs.
+//!
+//! The scalar forms stay the fallback on every other host (AVX-512F
+//! without IFMA included) and the oracle of the tests below. This is one
+//! of the crate's three `unsafe` modules (the others are
+//! `chacha20_avx512` and `sha256_ni`): it holds the intrinsics, one
+//! unaligned store, and the three calls from safe code into
+//! `#[target_feature]` code, each behind a runtime
+//! `is_x86_feature_detected!` of `avx512f` and `avx512ifma`. Everything
+//! it exports is safe.
 //!
 //! # Representation and limb bounds
 //!
@@ -48,18 +63,31 @@
 //! is below `267 · 2^52 < 2^62`, which a `const` assertion beside the
 //! bounds checks.
 //!
+//! The Edwards pair keeps the same contract: every sum and difference
+//! that feeds a product is carried, several of them at once where a lane
+//! adds and subtracts more than two terms (`combine`), and the curve
+//! constant enters as small multipliers (`Cached2`).
+//!
 //! # Constant time
 //!
-//! `cswap` stays a mask: the only data-dependent quantity in this
-//! module is `0 − bit` of the shared scalar, splatted across the lanes.
-//! No branch, index or lane choice depends on the scalar or on any field
+//! `cswap` stays a mask: the only data-dependent quantity in the ladder
+//! is `0 − bit` of the shared scalar, splatted across the lanes. No
+//! branch, index or lane choice depends on the scalar or on any field
 //! value; padding and batch boundaries (the caller's) depend on the
 //! public peer count alone.
+//!
+//! `mul_pair` runs `ed25519::Point::mul_scalar`'s schedule: the same
+//! doublings and additions for every pair of scalars, and each group's
+//! table entry picked by a masked scan of the whole table and a masked
+//! negation, the masks computed from the digits as data. No branch,
+//! index or lane choice depends on a digit. `vartime_straus_pair`
+//! branches on and indexes by its NAF digits: **public inputs only**.
 
 use core::arch::x86_64::{
     __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64,
-    _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512, _mm512_slli_epi64,
-    _mm512_srli_epi64, _mm512_storeu_si512, _mm512_sub_epi64, _mm512_xor_si512,
+    _mm512_permutex2var_epi64, _mm512_permutexvar_epi64, _mm512_set1_epi64, _mm512_set_epi64,
+    _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srai_epi64, _mm512_srli_epi64,
+    _mm512_storeu_si512, _mm512_sub_epi64, _mm512_xor_si512,
 };
 
 use crate::field::Fe;
@@ -210,26 +238,38 @@ impl Fe8 {
     #[inline]
     #[target_feature(enable = "avx512f,avx512ifma")]
     fn add(self, rhs: Fe8) -> Fe8 {
-        debug_assert!(self.within(TIGHT) && rhs.within(TIGHT));
-        let mut t = self.0;
-        for i in 0..5 {
-            t[i] = _mm512_add_epi64(t[i], rhs.0[i]);
-        }
-        carry(t)
+        Fe8::combine([self, rhs], [])
     }
 
-    /// Field subtraction `self + 2p − rhs`, carried: every limb of `2p`
-    /// is at least `2^52 − 38`, above any tight limb, so no lane goes
-    /// negative. Input: tight. Output: tight.
+    /// Field subtraction `self + 2p − rhs`, carried. Input: tight.
+    /// Output: tight.
     #[inline]
     #[target_feature(enable = "avx512f,avx512ifma")]
     fn sub(self, rhs: Fe8) -> Fe8 {
-        debug_assert!(self.within(TIGHT) && rhs.within(TIGHT));
+        Fe8::combine([self], [rhs])
+    }
+
+    /// `Σ plus − Σ minus`, carried once: each subtrahend comes with `2p`,
+    /// whose every limb covers a tight one, so no lane goes negative, and
+    /// eight tight terms with their offsets sum below `2^55`, far under
+    /// what `carry` takes. Input: tight. Output: tight.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn combine<const P: usize, const M: usize>(plus: [Fe8; P], minus: [Fe8; M]) -> Fe8 {
+        debug_assert!(P + M <= 8);
+        debug_assert!(plus.iter().chain(&minus).all(|x| x.within(TIGHT)));
         let (two_p0, two_p) = (splat(2 * (MASK51 - 18)), splat(2 * MASK51));
-        let mut t = self.0;
-        for i in 0..5 {
-            let bias = if i == 0 { two_p0 } else { two_p };
-            t[i] = _mm512_sub_epi64(_mm512_add_epi64(t[i], bias), rhs.0[i]);
+        let mut t = [_mm512_setzero_si512(); 5];
+        for x in &plus {
+            for i in 0..5 {
+                t[i] = _mm512_add_epi64(t[i], x.0[i]);
+            }
+        }
+        for x in &minus {
+            for i in 0..5 {
+                let bias = if i == 0 { two_p0 } else { two_p };
+                t[i] = _mm512_sub_epi64(_mm512_add_epi64(t[i], bias), x.0[i]);
+            }
         }
         carry(t)
     }
@@ -292,8 +332,15 @@ impl Fe8 {
     #[inline]
     #[target_feature(enable = "avx512f,avx512ifma")]
     fn mul_small(self, k: u32) -> Fe8 {
-        debug_assert!(self.within(REDUCED));
-        let k = splat(u64::from(k));
+        self.mul_lanes(splat(u64::from(k)))
+    }
+
+    /// Multiplication by a small constant per lane, each below 2^32.
+    /// Input: reduced. Output: tight.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn mul_lanes(self, k: __m512i) -> Fe8 {
+        debug_assert!(self.within(REDUCED) && all_below(&[k], 1 << 32));
         let mut once = [_mm512_setzero_si512(); 10];
         let mut twice = once;
         for i in 0..5 {
@@ -377,6 +424,281 @@ fn ladder(k: &[u8; 32], us: &[[u8; 32]; 8]) -> [[u8; 32]; 8] {
     x2.mul(z2.invert()).store().map(Fe::to_bytes)
 }
 
+// ---------------------------------------------------------------------------
+// Two edwards25519 points per pass.
+// ---------------------------------------------------------------------------
+
+/// The index vector that moves lane `from[c]` of each group to its lane
+/// `c`; an index of 4 or more reads lane `from[c] − 4` of a second
+/// operand (`_mm512_permutex2var_epi64` reads bit 3 of each index).
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn group_index(from: [u8; 4]) -> __m512i {
+    // Lane 4 + c of the result reads index 4 + from[c]: the second group
+    // of the same source, with the second-operand bit moved up to bit 3.
+    let at = |c: usize, g: u8| {
+        let (lane, second) = (from[c] % 4, from[c] / 4);
+        i64::from(8 * second + 4 * g + lane)
+    };
+    _mm512_set_epi64(
+        at(3, 1),
+        at(2, 1),
+        at(1, 1),
+        at(0, 1),
+        at(3, 0),
+        at(2, 0),
+        at(1, 0),
+        at(0, 0),
+    )
+}
+
+impl Fe8 {
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn zero() -> Fe8 {
+        Fe8([_mm512_setzero_si512(); 5])
+    }
+
+    /// Coordinate `c` of each group takes coordinate `from[c]` of the
+    /// same group.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn permute(self, from: [u8; 4]) -> Fe8 {
+        let idx = group_index(from);
+        let mut out = self.0;
+        for limb in &mut out {
+            *limb = _mm512_permutexvar_epi64(idx, *limb);
+        }
+        Fe8(out)
+    }
+
+    /// Coordinate `c` of each group from `self` (`from[c] < 4`) or from
+    /// `other` (`from[c] − 4`), same group.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn shuffle2(self, other: Fe8, from: [u8; 4]) -> Fe8 {
+        let idx = group_index(from);
+        let mut out = self.0;
+        for i in 0..5 {
+            out[i] = _mm512_permutex2var_epi64(self.0[i], idx, other.0[i]);
+        }
+        Fe8(out)
+    }
+
+    /// `other` in every lane where `mask` is all ones, `self` where it is
+    /// zero: the `cswap` idiom, no branch and no lane choice.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn cmov(self, mask: __m512i, other: Fe8) -> Fe8 {
+        let mut out = self.0;
+        for i in 0..5 {
+            let t = _mm512_and_si512(mask, _mm512_xor_si512(self.0[i], other.0[i]));
+            out[i] = _mm512_xor_si512(self.0[i], t);
+        }
+        Fe8(out)
+    }
+}
+
+/// Two edwards25519 points, one per lane group: lanes `4g..4g + 4` of
+/// every limb hold point `g`'s extended coordinates `(X, Y, Z, T)`.
+/// Tight.
+#[derive(Clone, Copy)]
+struct Ext2(Fe8);
+
+/// Two points prepared as the second operand of an addition: `λ·(Y − X,
+/// Y + X, 2Z, 2d·T)` per group with `λ = 121 666`, so that `2d·λ =
+/// −2 · 121 665` is a small constant. `λ` is a projective scale: a sum
+/// with it comes out scaled by `λ²` in all four coordinates, the same
+/// point. Tight.
+#[derive(Clone, Copy)]
+struct Cached2(Fe8);
+
+/// The identity `(0 : 1 : 1 : 0)`.
+const IDENTITY: [Fe; 4] = [Fe::ZERO, Fe::ONE, Fe::ONE, Fe::ZERO];
+
+impl Ext2 {
+    /// Input: every coordinate reduced (a [`Fe`] that [`crate::field`]
+    /// calls tight is). Output: the same points, tight.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn load(points: &[[Fe; 4]; 2]) -> Ext2 {
+        let [p, q] = points;
+        let fes = [p[0], p[1], p[2], p[3], q[0], q[1], q[2], q[3]];
+        Ext2(carry(Fe8::load(&fes).0))
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn store(self) -> [[Fe; 4]; 2] {
+        let [x0, y0, z0, t0, x1, y1, z1, t1] = self.0.store();
+        [[x0, y0, z0, t0], [x1, y1, z1, t1]]
+    }
+
+    /// `(Y − X, Y + X, Z, T)` per group.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn diff_sum(self) -> Fe8 {
+        let (p, zero) = (self.0, Fe8::zero());
+        // (Y, Y, Z, T) + (0, X, 0, 0) − (X, 0, 0, 0)
+        Fe8::combine(
+            [p.permute([1, 1, 2, 3]), p.shuffle2(zero, [4, 0, 4, 4])],
+            [p.shuffle2(zero, [0, 4, 4, 4])],
+        )
+    }
+
+    /// Doubling, "dbl-2008-hwcd" for a = −1 (Hisil–Wong–Carter–Dawson)
+    /// in the four-lane arrangement of curve25519-dalek's vector
+    /// backends: one squaring of `(X, Y, Z, X+Y)` and one multiplication. With `S1..S4` the four squares, `S5 = S1 +
+    /// S2`, `S6 = S1 − S2`, `S8 = S6 + 2·S3` and `S9 = S5 − S4`, the
+    /// result is `(S8·S9, S5·S6, S8·S6, S5·S9)` — `(E·F, G·H, F·G, E·H)`
+    /// with every factor negated, the same point. Valid for every point.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn double(self) -> Ext2 {
+        let (p, zero) = (self.0, Fe8::zero());
+        // (X, Y, Z, X) + (0, 0, 0, Y), squared.
+        let s = Fe8::combine(
+            [p.permute([0, 1, 2, 0]), p.shuffle2(zero, [4, 4, 4, 1])],
+            [],
+        )
+        .square();
+        // (S5, S6, S8, S9) = S1 + (S2, 0, 2·S3, S2) − (0, S2, S2, S4)
+        let s3 = s.shuffle2(zero, [4, 4, 2, 4]);
+        let t = Fe8::combine(
+            [s.permute([0; 4]), s.shuffle2(zero, [1, 4, 4, 1]), s3, s3],
+            [s.shuffle2(zero, [4, 1, 1, 3])],
+        );
+        // (S8, S5, S8, S5) · (S9, S6, S6, S9)
+        Ext2(t.permute([2, 0, 2, 0]).mul(t.permute([3, 1, 1, 3])))
+    }
+
+    /// The unified addition "add-2008-hwcd-3" in the four-lane
+    /// arrangement: `(Y1−X1, Y1+X1, Z1, T1) · (Y2−X2, Y2+X2, 2Z2, 2d·T2)`
+    /// gives `(A, B, D, C)`; `E = B − A`, `H = B + A`, `F = D − C` and
+    /// `G = D + C` come out of one difference and one sum, and
+    /// `(E, G, G, E) · (F, H, F, H)` is the sum. Valid for every pair of
+    /// curve points.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn add(self, q: &Cached2) -> Ext2 {
+        let m = self.diff_sum().mul(q.0);
+        let (x, y) = (m.permute([1, 1, 2, 2]), m.permute([0, 0, 3, 3]));
+        // (E, E, F, F) and (H, H, G, G): indices 4.. read the sums.
+        let (diff, sum) = (x.sub(y), x.add(y));
+        let left = diff.shuffle2(sum, [0, 6, 6, 0]);
+        let right = diff.shuffle2(sum, [2, 4, 2, 4]);
+        Ext2(left.mul(right))
+    }
+
+    /// The cached form `λ·(Y − X, Y + X, 2Z, 2d·T)`: a multiplication by
+    /// small constants per lane and a negation of the `T` lane.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn cache(self) -> Cached2 {
+        const LAMBDA: i64 = 121_666;
+        let k = _mm512_set_epi64(
+            2 * (LAMBDA - 1),
+            2 * LAMBDA,
+            LAMBDA,
+            LAMBDA,
+            2 * (LAMBDA - 1),
+            2 * LAMBDA,
+            LAMBDA,
+            LAMBDA,
+        );
+        let scaled = self.diff_sum().mul_lanes(k);
+        Cached2(scaled.shuffle2(Fe8::zero().sub(scaled), [0, 1, 2, 7]))
+    }
+
+    /// `self + j·step` for `j = 0..8`, cached.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn progression(self, step: &Cached2) -> [Cached2; 8] {
+        let mut next = self;
+        let mut table = [self.cache(); 8];
+        for entry in &mut table[1..] {
+            next = next.add(step);
+            *entry = next.cache();
+        }
+        table
+    }
+}
+
+impl Cached2 {
+    /// The negated points: `Y − X` and `Y + X` trade places, `T` flips.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn neg(self) -> Cached2 {
+        let c = self.0;
+        Cached2(c.shuffle2(Fe8::zero().sub(c), [1, 0, 2, 7]))
+    }
+}
+
+/// `digits[g] · P_g` from `table[j] = (j+1)·P` per group, for digits in
+/// `[−8, 8]`: every entry scanned under a mask and a masked negation, so
+/// neither the operations, the addresses loaded nor the lanes chosen
+/// depend on a digit (the masks are data, as in `cswap`).
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn select(table: &[Cached2; 8], identity: &Cached2, digits: [i8; 2]) -> Cached2 {
+    // Per digit: its sign as 0 or −1 and its magnitude, without a branch.
+    let sign = digits.map(|d| d >> 7);
+    let magnitude = [0, 1].map(|g| i64::from((digits[g] ^ sign[g]).wrapping_sub(sign[g])));
+    let per_group = |v: [i64; 2]| _mm512_set_epi64(v[1], v[1], v[1], v[1], v[0], v[0], v[0], v[0]);
+    let magnitude = per_group(magnitude);
+    let mut entry = identity.0;
+    for (j, multiple) in (1..).zip(table) {
+        // (m ^ j) − 1 has its top bit set iff m == j.
+        let hit = _mm512_srai_epi64::<63>(_mm512_sub_epi64(
+            _mm512_xor_si512(magnitude, splat(j)),
+            splat(1),
+        ));
+        entry = entry.cmov(hit, multiple.0);
+    }
+    let negative = per_group(sign.map(i64::from));
+    let entry = Cached2(entry);
+    Cached2(entry.0.cmov(negative, entry.neg().0))
+}
+
+/// [`mul_pair`]'s body: the schedule of `ed25519::Point::mul_scalar` in
+/// both groups at once.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn mul_pair_wide(points: &[[Fe; 4]; 2], digits: &[[i8; 64]; 2]) -> [[Fe; 4]; 2] {
+    let p = Ext2::load(points);
+    let table = p.progression(&p.cache());
+    let identity = Ext2::load(&[IDENTITY; 2]);
+    let cached_identity = identity.cache();
+    let digit = |i: usize| [digits[0][i], digits[1][i]];
+    let mut acc = identity.add(&select(&table, &cached_identity, digit(63)));
+    for i in (0..63).rev() {
+        let window = acc.double().double().double().double();
+        acc = window.add(&select(&table, &cached_identity, digit(i)));
+    }
+    acc.store()
+}
+
+/// [`vartime_straus_pair`]'s body.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn vartime_straus_wide(
+    firsts: &[[Fe; 4]; 2],
+    seconds: &[[Fe; 4]; 2],
+    nafs: [&[i8; 256]; 2],
+) -> [[Fe; 4]; 2] {
+    let odd_multiples = |points: &[[Fe; 4]; 2]| {
+        let p = Ext2::load(points);
+        p.progression(&p.double().cache())
+    };
+    let tables = [odd_multiples(firsts), odd_multiples(seconds)];
+    let mut acc = Ext2::load(&[IDENTITY; 2]);
+    for i in (0..256).rev() {
+        acc = acc.double();
+        for (naf, table) in nafs.iter().zip(&tables) {
+            let digit = naf[i];
+            if digit != 0 {
+                let multiple = table[usize::from(digit.unsigned_abs() / 2)];
+                let signed = if digit < 0 { multiple.neg() } else { multiple };
+                acc = acc.add(&signed);
+            }
+        }
+    }
+    acc.store()
+}
+
 /// Whether this CPU runs the kernel: AVX-512F for the registers, IFMA
 /// for the products.
 fn detected() -> bool {
@@ -422,6 +744,64 @@ pub fn field_chain8(
     Some(unsafe { chain(f, g, muls, squares) })
 }
 
+/// Whether this CPU runs the Edwards pair: [`detected`], unless a test
+/// on this thread has switched the pair off with [`with_scalar_pair`].
+fn pair_detected() -> bool {
+    #[cfg(test)]
+    if SCALAR_PAIR.with(core::cell::Cell::get) {
+        return false;
+    }
+    detected()
+}
+
+#[cfg(test)]
+thread_local! {
+    static SCALAR_PAIR: core::cell::Cell<bool> = const { core::cell::Cell::new(false) };
+}
+
+/// Runs `body` with the Edwards pair switched off on this thread, so the
+/// scalar fallback runs on an IFMA host too.
+#[cfg(test)]
+pub(crate) fn with_scalar_pair<R>(body: impl FnOnce() -> R) -> R {
+    SCALAR_PAIR.with(|off| off.set(true));
+    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+    SCALAR_PAIR.with(|off| off.set(false));
+    out.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// `[d_0·P_0, d_1·P_1]`, each point as extended coordinates `(X, Y, Z,
+/// T)` and each scalar as its 64 signed radix-16 digits in `[−8, 8]`
+/// (`ed25519::radix16`): `ed25519::Point::mul_scalar`'s schedule in both
+/// lane groups at once, constant-time in the digits. `None` on a host
+/// without AVX-512IFMA.
+#[must_use]
+pub(crate) fn mul_pair(points: &[[Fe; 4]; 2], digits: &[[i8; 64]; 2]) -> Option<[[Fe; 4]; 2]> {
+    if !pair_detected() {
+        return None;
+    }
+    // SAFETY: avx512f and avx512ifma were detected above.
+    Some(unsafe { mul_pair_wide(points, digits) })
+}
+
+/// `[a·P_0 + b·Q_0, a·P_1 + b·Q_1]` for `nafs = [a, b]` as width-5
+/// NAFs (`ed25519::naf5`), `firsts = [P_0, P_1]` and `seconds = [Q_0,
+/// Q_1]` as extended coordinates: `ed25519::Point::vartime_straus` in
+/// both lane groups at once. Both groups add where either NAF has a
+/// digit, so they never diverge; branches on and indexes by the digits,
+/// so **public inputs only**. `None` on a host without AVX-512IFMA.
+#[must_use]
+pub(crate) fn vartime_straus_pair(
+    firsts: &[[Fe; 4]; 2],
+    seconds: &[[Fe; 4]; 2],
+    nafs: [&[i8; 256]; 2],
+) -> Option<[[Fe; 4]; 2]> {
+    if !pair_detected() {
+        return None;
+    }
+    // SAFETY: avx512f and avx512ifma were detected above.
+    Some(unsafe { vartime_straus_wide(firsts, seconds, nafs) })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,8 +812,17 @@ mod tests {
 
     /// Runs `body` where the wide path can run at all.
     fn on_ifma(body: unsafe fn()) {
+        on_ifma_or(body, SKIPPED);
+    }
+
+    /// [`on_ifma`] for the Edwards pair's tests.
+    fn on_ifma_pair(body: unsafe fn()) {
+        on_ifma_or(body, "ed25519 pair path: skipped (no avx512ifma)");
+    }
+
+    fn on_ifma_or(body: unsafe fn(), skipped: &str) {
         if !detected() {
-            println!("{SKIPPED}");
+            println!("{skipped}");
             return;
         }
         // SAFETY: avx512f and avx512ifma were detected above.
@@ -628,6 +1017,129 @@ mod tests {
         let (x, y) = (Fe::from_bytes(&f[0]), Fe::from_bytes(&g[0]));
         let want = x.mul(y).mul(y).mul(y).square().square().to_bytes();
         assert_eq!(got, [want; 8]);
+    }
+
+    /// Coordinate `c` of group `g` of `limbs`, as a scalar element.
+    fn coords(limbs: &Limbs, g: usize) -> [Fe; 4] {
+        core::array::from_fn(|c| Fe(limbs[4 * g + c]))
+    }
+
+    /// "dbl-2008-hwcd" for a = −1 on the scalar field, as written.
+    fn double_oracle([x, y, z, _]: [Fe; 4]) -> [Fe; 4] {
+        let (a, b) = (x.square(), y.square());
+        let c = z.square().mul_small(2);
+        let e = x.add(y).square().sub(a).sub(b);
+        let g = b.sub(a);
+        let f = g.sub(c);
+        let h = a.add(b).neg();
+        [e.mul(f), g.mul(h), f.mul(g), e.mul(h)]
+    }
+
+    /// "add-2008-hwcd-3" with `k = 2d` on the scalar field, times `λ²`
+    /// (the cached operand carries `λ`).
+    fn add_oracle(p: [Fe; 4], q: [Fe; 4]) -> [Fe; 4] {
+        let lambda = Fe::from_u64(121_666);
+        let d2 = Fe::from_u64(2 * 121_665).neg().mul(lambda.invert());
+        let a = p[1].sub(p[0]).mul(q[1].sub(q[0]));
+        let b = p[1].add(p[0]).mul(q[1].add(q[0]));
+        let c = p[3].mul(d2).mul(q[3]);
+        let d = p[2].mul(q[2]).mul_small(2);
+        let (e, f, g, h) = (b.sub(a), d.sub(c), d.add(c), b.add(a));
+        [e.mul(f), g.mul(h), f.mul(g), e.mul(h)].map(|v| v.mul(lambda.square()))
+    }
+
+    #[track_caller]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn assert_pair(got: Fe8, want: impl Fn(usize) -> [Fe; 4], what: &str) {
+        assert_lanes(got, |lane| want(lane / 4)[lane % 4], what);
+    }
+
+    /// The doubling and the addition (of a cached operand and of its
+    /// negation) against the formulas on the scalar field: they are
+    /// polynomial identities, so any tight coordinates will do — the
+    /// tight edges walked through every lane, then random ones. In a
+    /// debug build every step also asserts its limb bounds.
+    #[test]
+    fn edwards_formulas_match_the_scalar_field() {
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn body() {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(30);
+            let mut a = tight_edges(&mut rng);
+            for round in 0..72 {
+                if round < 8 {
+                    a.rotate_left(1);
+                } else {
+                    a = core::array::from_fn(|_| below(TIGHT, &mut rng));
+                }
+                let b: Limbs = core::array::from_fn(|_| below(TIGHT, &mut rng));
+                let (p, q) = (Ext2(from_limbs(&a)), Ext2(from_limbs(&b)));
+                let neg = |[x, y, z, t]: [Fe; 4]| [x.neg(), y, z, t.neg()];
+                assert_pair(p.double().0, |g| double_oracle(coords(&a, g)), "double");
+                let sum = |g| add_oracle(coords(&a, g), coords(&b, g));
+                assert_pair(p.add(&q.cache()).0, sum, "add");
+                let difference = |g| add_oracle(coords(&a, g), neg(coords(&b, g)));
+                assert_pair(p.add(&q.cache().neg()).0, difference, "add −q");
+                assert_pair(
+                    p.add(&q.cache()).double().0,
+                    |g| double_oracle(sum(g)),
+                    "2(p + q)",
+                );
+            }
+        }
+        on_ifma_pair(body);
+    }
+
+    /// Every pair of digits in `[−8, 8]`, one per lane group, selects the
+    /// signed multiple it names (the identity for zero).
+    #[test]
+    fn select_returns_every_signed_multiple_in_both_groups() {
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn body() {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+            let p = Ext2(from_limbs(&core::array::from_fn(|_| {
+                below(TIGHT, &mut rng)
+            })));
+            let table = p.progression(&p.cache());
+            let identity = Ext2::load(&[IDENTITY; 2]).cache();
+            let want = |digit: i8| match digit {
+                0 => identity,
+                1..=8 => table[digit as usize - 1],
+                _ => table[digit.unsigned_abs() as usize - 1].neg(),
+            };
+            for d0 in -8i8..=8 {
+                for d1 in -8i8..=8 {
+                    let got = select(&table, &identity, [d0, d1]).0;
+                    let (w0, w1) = (want(d0).0.store(), want(d1).0.store());
+                    assert_lanes(
+                        got,
+                        |lane| if lane < 4 { w0[lane] } else { w1[lane] },
+                        "select",
+                    );
+                }
+            }
+        }
+        on_ifma_pair(body);
+    }
+
+    /// The pair's bounds are debug assertions too: a coordinate limb at
+    /// the tight bound must stop the doubling, the addition and the
+    /// caching, in either group.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn debug_builds_reject_a_coordinate_past_tight() {
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn body() {
+            for lane in [2, 6] {
+                let mut over = [all_limbs(TIGHT); 8];
+                over[lane][4] = TIGHT;
+                let p = Ext2(from_limbs(&over));
+                let q = Ext2(from_limbs(&[[1, 0, 0, 0, 0]; 8])).cache();
+                assert!(std::panic::catch_unwind(|| p.double().0.within(TIGHT)).is_err());
+                assert!(std::panic::catch_unwind(|| p.add(&q).0.within(TIGHT)).is_err());
+                assert!(std::panic::catch_unwind(|| p.cache().0.within(TIGHT)).is_err());
+            }
+        }
+        on_ifma_pair(body);
     }
 
     fn unhex32(s: &str) -> [u8; 32] {
