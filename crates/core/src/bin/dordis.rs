@@ -22,7 +22,6 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use dordis_core::config::TaskSpec;
-use dordis_core::protocol::{demo_element, demo_update};
 use dordis_core::trainer::train;
 use dordis_dp::accountant::Mechanism;
 use dordis_dp::planner::{plan, PlannerConfig};
@@ -36,7 +35,7 @@ use dordis_net::tcp::{TcpAcceptor, TcpChannel};
 use dordis_net::transport::{deadline_in, Acceptor as _};
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
-use dordis_secagg::{RoundParams, ThreatModel};
+use dordis_secagg::{ClientId, RoundParams, ThreatModel};
 use dordis_telemetry::Telemetry;
 
 fn main() -> ExitCode {
@@ -316,6 +315,21 @@ fn serve_inner(args: &[String]) -> Result<ExitCode, String> {
     } else {
         ExitCode::SUCCESS
     })
+}
+
+/// The deterministic demo update of `serve --verify-demo` / `join`:
+/// both sides derive it from the client id alone, so the server can
+/// verify the survivor aggregate without ever seeing an individual
+/// update.
+fn demo_update(client: ClientId, dim: usize, bit_width: u32) -> Vec<u64> {
+    let ring = (1u64 << bit_width) - 1;
+    (0..dim).map(|i| demo_element(client, i, ring)).collect()
+}
+
+/// Element `i` of [`demo_update`] in the ring `Z_{ring + 1}` — for a
+/// verifier that folds the survivors' updates without building them.
+fn demo_element(client: ClientId, i: usize, ring: u64) -> u64 {
+    (u64::from(client) * 1009 + i as u64 * 31 + 7) & ring
 }
 
 /// Prints one round's report; returns false when demo verification

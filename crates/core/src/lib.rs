@@ -15,7 +15,9 @@
 //!    [`dordis_dp::ledger`].
 //!
 //! Multi-round training has one round loop, in [`session`], driven over
-//! three engines; single rounds and round times have their own modules:
+//! three engines; round times have their own module. The one in-memory
+//! single round is [`dordis_secagg::driver::run_round`], the reference
+//! the networked engine is pinned bit-equal to.
 //!
 //! - [`trainer`]: [`trainer::train`], the loop over the *plain* engine
 //!   used for utility/privacy experiments (Figures 1, 8, 9, Table 2) —
@@ -24,9 +26,6 @@
 //!   out anyway.
 //! - [`session`]: the same loop over the full protocol, in memory or
 //!   over `dordis-net` with per-round VRF cohort sampling.
-//! - [`protocol`]: the *full-protocol* single round that runs the actual
-//!   SecAgg / SecAgg+ state machines end to end, used for integration
-//!   testing and small-scale runs.
 //! - [`timing`]: round-time estimation (plain vs pipelined) on the
 //!   simulated cluster (Figures 2 and 10).
 //!
@@ -49,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod protocol;
 pub mod sampling;
 pub mod session;
 pub mod timing;

@@ -73,7 +73,6 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{TaskSpec, Variant};
-use crate::protocol::client_round_seed;
 use crate::sampling::{
     decode_claim, encode_claim, seat_claims, self_select, SamplingConfig, SeatedCohort,
 };
@@ -351,6 +350,18 @@ fn encode_seed_for(root: &Seed, r: u64, id: ClientId) -> Seed {
     Prg::fork(root, b"session.client", (r << 20) ^ u64::from(id))
 }
 
+/// The deterministic per-(run, round, client) seed used for noise
+/// derivation — shared with every engine of the FL round loop so they
+/// can be compared bit for bit.
+fn client_round_seed(run_seed: u64, round: u64, client: ClientId) -> Seed {
+    let mut s = [0u8; 32];
+    s[..8].copy_from_slice(&run_seed.to_le_bytes());
+    s[8..16].copy_from_slice(&round.to_le_bytes());
+    s[16..20].copy_from_slice(&client.to_le_bytes());
+    s[31] = 0xc5;
+    s
+}
+
 /// The XNoise dropout tolerance for a cohort of `n` (must agree between
 /// the coordinator's `noise_components` and the clients' plans).
 fn xnoise_tolerance(variant: Variant, n: usize) -> usize {
@@ -423,7 +434,7 @@ fn encoded_input(
             let plan = xplan.expect("xnoise plan built for xnoise variant");
             // The seeds travel through secagg's Shamir backup, so the
             // server can recover exactly the removable components —
-            // keyed like the protocol path so the recovery is
+            // keyed per (run, round, client) so the recovery is
             // reproducible.
             let seeds = derive_component_seeds(
                 &client_round_seed(st.spec.seed, r, id),

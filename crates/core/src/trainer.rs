@@ -7,7 +7,7 @@
 //! modular aggregation over survivors, server-side excess removal,
 //! decoding, FedAvg. The plain engine sums the survivors' inputs with no
 //! masking, whose cancellation is verified separately by the protocol
-//! tests in `dordis-secagg` and [`crate::protocol`]; everything after
+//! tests in `dordis-secagg` and `tests/end_to_end.rs`; everything after
 //! the sum is the code the secagg sessions run. The privacy ledger
 //! records the *achieved* central noise level of every released
 //! aggregate, reproducing Figures 1, 8, 9 and Table 2.

@@ -103,12 +103,6 @@ impl BytePool {
         self.shared.live_in.load(Ordering::Relaxed)
     }
 
-    /// Live buffered egress bytes.
-    #[must_use]
-    pub fn live_egress(&self) -> u64 {
-        self.shared.live_out.load(Ordering::Relaxed)
-    }
-
     /// Ingress high-water mark.
     #[must_use]
     pub fn high_water_ingress(&self) -> u64 {
@@ -227,12 +221,6 @@ impl ChannelAccount {
     #[must_use]
     pub fn charged_ingress(&self) -> u64 {
         self.inner.charged_in.load(Ordering::Relaxed)
-    }
-
-    /// This connection's live egress charge.
-    #[must_use]
-    pub fn charged_egress(&self) -> u64 {
-        self.inner.charged_out.load(Ordering::Relaxed)
     }
 }
 

@@ -9,50 +9,72 @@
 
 use std::collections::BTreeMap;
 
-use dordis_core::protocol::{run_protocol_round, ProtocolRoundConfig};
+use dordis_secagg::client::ClientInput;
+use dordis_secagg::driver::{round_rng_seed, run_round, DropStage, DropoutSchedule, RoundSpec};
 use dordis_secagg::graph::MaskingGraph;
-use dordis_secagg::ThreatModel;
+use dordis_secagg::{RoundParams, ThreatModel};
 use dordis_xnoise::decomposition::XNoisePlan;
+use dordis_xnoise::enforcement::{center, derive_component_seeds, perturb, remove_excess};
 
 const BITS: u32 = 16;
 const DIM: usize = 8;
 
 fn main() {
     let n = 10u32;
-    // Each client contributes a small vector; client i's vector is
-    // [i+1, i+1, ...] so the expected sum is easy to eyeball.
-    let updates: BTreeMap<u32, Vec<u64>> = (0..n)
-        .map(|id| (id, vec![u64::from(id) + 1; DIM]))
-        .collect();
-
     // XNoise plan: target central variance 25 (σ = 5), tolerance T = 4.
     let plan = XNoisePlan::new(25.0, n as usize, 4, 0, 6).unwrap();
-    let cfg = ProtocolRoundConfig {
-        round: 1,
-        threshold: 6,
-        bit_width: BITS,
-        graph: MaskingGraph::Complete,
-        threat_model: ThreatModel::Malicious,
-        xnoise: Some(plan),
-        seed: 2024,
-    };
+
+    // Client i's vector is [i+1, i+1, ...] so the expected sum is easy to
+    // eyeball; each client perturbs it with its T + 1 noise components
+    // and backs the component seeds up through the protocol.
+    let inputs: BTreeMap<u32, ClientInput> = (0..n)
+        .map(|id| {
+            let mut vector = vec![u64::from(id) + 1; DIM];
+            let noise_seeds = derive_component_seeds(&[id as u8 + 1; 32], plan.dropout_tolerance);
+            perturb(&mut vector, &noise_seeds, &plan, BITS).unwrap();
+            (
+                id,
+                ClientInput {
+                    vector,
+                    noise_seeds,
+                },
+            )
+        })
+        .collect();
 
     // Clients 3 and 7 vanish after key sharing, before uploading.
-    let outcome = run_protocol_round(&cfg, &updates, &[3, 7]).expect("round should complete");
+    let mut dropout = DropoutSchedule::none();
+    dropout
+        .drop_at(3, DropStage::BeforeMaskedInput)
+        .drop_at(7, DropStage::BeforeMaskedInput);
+    let params = RoundParams {
+        round: 1,
+        clients: (0..n).collect(),
+        threshold: 6,
+        bit_width: BITS,
+        vector_len: DIM,
+        noise_components: plan.dropout_tolerance,
+        threat_model: ThreatModel::Malicious,
+        graph: MaskingGraph::Complete,
+    };
+    let (mut outcome, stats) = run_round(RoundSpec {
+        params,
+        inputs,
+        dropout,
+        rng_seed: round_rng_seed(2024, 1),
+    })
+    .expect("round should complete");
+    // The server strips the components that the two dropouts leave in
+    // excess, using the seeds the round recovered.
+    let (seeds, survivors) = (&outcome.removal_seeds, &outcome.survivors);
+    remove_excess(&mut outcome.sum, seeds, survivors, &plan, BITS).expect("within tolerance");
 
-    let expected: u64 = (0..n)
-        .filter(|id| outcome.survivors.contains(id))
-        .map(|id| u64::from(id) + 1)
-        .sum();
+    let expected: u64 = outcome.survivors.iter().map(|&id| u64::from(id) + 1).sum();
     println!("survivors: {:?}", outcome.survivors);
     println!("dropped:   {:?}", outcome.dropped);
     println!("\ncoordinate-wise: true sum = {expected}, server decoded:");
-    let half = 1i64 << (BITS - 1);
     for (i, &v) in outcome.sum.iter().enumerate() {
-        let mut centered = v as i64;
-        if centered >= half {
-            centered -= 1i64 << BITS;
-        }
+        let centered = center(v, BITS);
         let residual = centered - expected as i64;
         println!("  coord {i}: {centered} (residual noise {residual:+})");
     }
@@ -60,7 +82,7 @@ fn main() {
     println!("despite 2 of 10 clients dropping mid-protocol.");
 
     println!("\nper-stage traffic:");
-    for st in &outcome.stats.stages {
+    for st in &stats.stages {
         println!(
             "  {:<24} up {:>8} B  down {:>8} B",
             st.stage, st.uplink_total, st.downlink_total

@@ -1,25 +1,26 @@
 //! Cross-crate integration: the full Dordis stack from model deltas to a
-//! noised, decoded aggregate — semantic path vs protocol path, bit for
-//! bit.
+//! noised, decoded aggregate — a `secagg::driver` round vs the plain
+//! semantic sum, bit for bit, and Theorem 1 on a released round.
 
 use std::collections::BTreeMap;
 
-use dordis_core::protocol::{client_round_seed, run_protocol_round, ProtocolRoundConfig};
-use dordis_dp::encoding::{add_mod, Encoder, EncodingConfig};
+use dordis_dp::encoding::{Encoder, EncodingConfig};
+use dordis_secagg::client::ClientInput;
+use dordis_secagg::driver::{
+    round_rng_seed, run_round, DropStage, DropoutSchedule, RoundSpec, RoundStats,
+};
 use dordis_secagg::graph::MaskingGraph;
-use dordis_secagg::ThreatModel;
+use dordis_secagg::server::RoundOutcome;
+use dordis_secagg::{plain, ClientId, RoundParams, ThreatModel};
 use dordis_xnoise::decomposition::XNoisePlan;
-use dordis_xnoise::enforcement::{derive_component_seeds, perturb, remove_excess};
+use dordis_xnoise::enforcement::{center, derive_component_seeds, perturb, remove_excess};
 
 const BITS: u32 = 20;
-
-fn encoding() -> EncodingConfig {
-    EncodingConfig::default()
-}
+const SEED: u64 = 777;
 
 /// Builds encoded updates for `n` clients from synthetic float deltas.
-fn encoded_updates(n: u32, dim: usize, rotation: [u8; 32]) -> BTreeMap<u32, Vec<u64>> {
-    let cfg = encoding();
+fn encoded_updates(n: u32, dim: usize, rotation: [u8; 32]) -> BTreeMap<ClientId, Vec<u64>> {
+    let cfg = EncodingConfig::default();
     let enc = Encoder::new(&cfg, rotation);
     (0..n)
         .map(|id| {
@@ -32,74 +33,116 @@ fn encoded_updates(n: u32, dim: usize, rotation: [u8; 32]) -> BTreeMap<u32, Vec<
         .collect()
 }
 
-/// The semantic reference: perturb each survivor, modular-sum, remove.
-fn semantic_aggregate(
-    updates: &BTreeMap<u32, Vec<u64>>,
-    survivors: &[u32],
+/// Each client's round input: its update perturbed with the plan's
+/// `T + 1` noise components, and the component seeds it backs up.
+fn perturbed_inputs(
+    updates: &BTreeMap<ClientId, Vec<u64>>,
     plan: &XNoisePlan,
-    run_seed: u64,
-    round: u64,
-) -> Vec<u64> {
-    let mut sum: Option<Vec<u64>> = None;
-    let mut removal = Vec::new();
-    let dropped = plan.clients - survivors.len();
-    for &id in survivors {
-        let mut v = updates[&id].clone();
-        let seeds = derive_component_seeds(
-            &client_round_seed(run_seed, round, id),
-            plan.dropout_tolerance,
-        );
-        perturb(&mut v, &seeds, plan, BITS).unwrap();
-        for k in (dropped + 1)..=plan.dropout_tolerance {
-            removal.push((id, k, seeds[k]));
-        }
-        sum = Some(match sum {
-            None => v,
-            Some(acc) => add_mod(&acc, &v, BITS),
-        });
+) -> BTreeMap<ClientId, ClientInput> {
+    updates
+        .iter()
+        .map(|(&id, update)| {
+            let noise_seeds = derive_component_seeds(&[id as u8 + 1; 32], plan.dropout_tolerance);
+            let mut vector = update.clone();
+            perturb(&mut vector, &noise_seeds, plan, BITS).unwrap();
+            (
+                id,
+                ClientInput {
+                    vector,
+                    noise_seeds,
+                },
+            )
+        })
+        .collect()
+}
+
+/// A semi-honest SecAgg round over every client of `plan`, sized to
+/// their (encoded, so padded) inputs.
+fn params(plan: &XNoisePlan, round: u64, inputs: &BTreeMap<ClientId, ClientInput>) -> RoundParams {
+    RoundParams {
+        round,
+        clients: (0..plan.clients as ClientId).collect(),
+        threshold: plan.threshold,
+        bit_width: BITS,
+        vector_len: inputs[&0].vector.len(),
+        noise_components: plan.dropout_tolerance,
+        threat_model: ThreatModel::SemiHonest,
+        graph: MaskingGraph::Complete,
     }
-    let mut sum = sum.unwrap();
+}
+
+/// The protocol side: one `secagg::driver` round in which `drop` vanish
+/// after key sharing, then excess removal over the seeds the protocol
+/// recovered through Shamir.
+fn protocol_release(
+    params: RoundParams,
+    inputs: &BTreeMap<ClientId, ClientInput>,
+    plan: &XNoisePlan,
+    drop: &[ClientId],
+) -> (RoundOutcome, RoundStats) {
+    let mut dropout = DropoutSchedule::none();
+    for &id in drop {
+        dropout.drop_at(id, DropStage::BeforeMaskedInput);
+    }
+    let rng_seed = round_rng_seed(SEED, params.round);
+    let (mut outcome, stats) = run_round(RoundSpec {
+        params,
+        inputs: inputs.clone(),
+        dropout,
+        rng_seed,
+    })
+    .unwrap();
+    let (seeds, survivors) = (&outcome.removal_seeds, &outcome.survivors);
+    remove_excess(&mut outcome.sum, seeds, survivors, plan, BITS).unwrap();
+    (outcome, stats)
+}
+
+/// The semantic side: the plain modular sum of the survivors' perturbed
+/// inputs, then excess removal over the hand-derived seed set
+/// (components `|D| + 1 ..= T` of every survivor).
+fn semantic_release(
+    inputs: &BTreeMap<ClientId, ClientInput>,
+    survivors: &[ClientId],
+    plan: &XNoisePlan,
+) -> Vec<u64> {
+    let vectors = survivors
+        .iter()
+        .map(|&id| (id, inputs[&id].vector.clone()))
+        .collect();
+    let mut sum = plain::aggregate(&vectors, BITS).unwrap();
+    let dropped = plan.clients - survivors.len();
+    let removal: Vec<_> = survivors
+        .iter()
+        .flat_map(|&id| {
+            ((dropped + 1)..=plan.dropout_tolerance)
+                .map(move |k| (id, k, inputs[&id].noise_seeds[k]))
+        })
+        .collect();
     remove_excess(&mut sum, &removal, survivors, plan, BITS).unwrap();
     sum
 }
 
 #[test]
 fn protocol_path_matches_semantic_path_bit_for_bit() {
-    let n = 8u32;
     let dim = 40usize;
-    let updates = encoded_updates(n, dim, [9u8; 32]);
-    let plan = XNoisePlan::new(400.0, n as usize, 3, 0, 5).unwrap();
-    let cfg = ProtocolRoundConfig {
-        round: 4,
-        threshold: 5,
-        bit_width: BITS,
-        graph: MaskingGraph::Complete,
-        threat_model: ThreatModel::SemiHonest,
-        xnoise: Some(plan),
-        seed: 777,
-    };
-    let outcome = run_protocol_round(&cfg, &updates, &[1, 6]).unwrap();
-    let semantic = semantic_aggregate(&updates, &outcome.survivors, &plan, 777, 4);
+    let plan = XNoisePlan::new(400.0, 8, 3, 0, 5).unwrap();
+    let inputs = perturbed_inputs(&encoded_updates(8, dim, [9u8; 32]), &plan);
+    let (outcome, _) = protocol_release(params(&plan, 4, &inputs), &inputs, &plan, &[1, 6]);
+    let semantic = semantic_release(&inputs, &outcome.survivors, &plan);
     assert_eq!(outcome.sum, semantic, "masking must cancel exactly");
 }
 
 #[test]
 fn protocol_path_matches_semantic_under_secagg_plus() {
-    let n = 12u32;
     let dim = 24usize;
-    let updates = encoded_updates(n, dim, [4u8; 32]);
-    let plan = XNoisePlan::new(100.0, n as usize, 2, 0, 7).unwrap();
-    let cfg = ProtocolRoundConfig {
-        round: 9,
-        threshold: 7,
-        bit_width: BITS,
+    let plan = XNoisePlan::new(100.0, 12, 2, 0, 7).unwrap();
+    let inputs = perturbed_inputs(&encoded_updates(12, dim, [4u8; 32]), &plan);
+    let params = RoundParams {
         graph: MaskingGraph::harary_for(12),
-        threat_model: ThreatModel::SemiHonest,
-        xnoise: Some(plan),
-        seed: 31,
+        ..params(&plan, 9, &inputs)
     };
-    let outcome = run_protocol_round(&cfg, &updates, &[0]).unwrap();
-    let semantic = semantic_aggregate(&updates, &outcome.survivors, &plan, 31, 9);
+    let (outcome, _) = protocol_release(params, &inputs, &plan, &[0]);
+    let semantic = semantic_release(&inputs, &outcome.survivors, &plan);
     assert_eq!(outcome.sum, semantic);
 }
 
@@ -110,9 +153,8 @@ fn decoded_aggregate_approximates_true_mean() {
     // relative to the signal here).
     let n = 8u32;
     let dim = 40usize;
-    let cfg_enc = encoding();
-    let rotation = [6u8; 32];
-    let enc = Encoder::new(&cfg_enc, rotation);
+    let cfg_enc = EncodingConfig::default();
+    let enc = Encoder::new(&cfg_enc, [6u8; 32]);
     let deltas: Vec<Vec<f64>> = (0..n)
         .map(|id| {
             (0..dim)
@@ -120,22 +162,14 @@ fn decoded_aggregate_approximates_true_mean() {
                 .collect()
         })
         .collect();
-    let updates: BTreeMap<u32, Vec<u64>> = deltas
+    let updates: BTreeMap<ClientId, Vec<u64>> = deltas
         .iter()
         .enumerate()
         .map(|(id, d)| (id as u32, enc.encode(d, &[id as u8 + 80; 32]).unwrap()))
         .collect();
     let plan = XNoisePlan::new(16.0, n as usize, 3, 0, 5).unwrap();
-    let cfg = ProtocolRoundConfig {
-        round: 2,
-        threshold: 5,
-        bit_width: BITS,
-        graph: MaskingGraph::Complete,
-        threat_model: ThreatModel::SemiHonest,
-        xnoise: Some(plan),
-        seed: 55,
-    };
-    let outcome = run_protocol_round(&cfg, &updates, &[]).unwrap();
+    let inputs = perturbed_inputs(&updates, &plan);
+    let (outcome, _) = protocol_release(params(&plan, 2, &inputs), &inputs, &plan, &[]);
     let decoded = enc.decode(&outcome.sum, dim);
     for (i, d) in decoded.iter().enumerate() {
         let truth: f64 = deltas.iter().map(|v| v[i]).sum();
@@ -149,23 +183,48 @@ fn decoded_aggregate_approximates_true_mean() {
 
 #[test]
 fn malicious_protocol_with_xnoise_and_dropout_end_to_end() {
-    let n = 9u32;
     let dim = 16usize;
-    let updates = encoded_updates(n, dim, [2u8; 32]);
-    let plan = XNoisePlan::new(64.0, n as usize, 3, 1, 6).unwrap();
-    let cfg = ProtocolRoundConfig {
-        round: 12,
-        threshold: 6,
-        bit_width: BITS,
-        graph: MaskingGraph::Complete,
+    let plan = XNoisePlan::new(64.0, 9, 3, 1, 6).unwrap();
+    let inputs = perturbed_inputs(&encoded_updates(9, dim, [2u8; 32]), &plan);
+    let params = RoundParams {
         threat_model: ThreatModel::Malicious,
-        xnoise: Some(plan),
-        seed: 1234,
+        ..params(&plan, 12, &inputs)
     };
-    let outcome = run_protocol_round(&cfg, &updates, &[4, 8]).unwrap();
+    let (outcome, stats) = protocol_release(params, &inputs, &plan, &[4, 8]);
     assert_eq!(outcome.dropped, vec![4, 8]);
+    assert_eq!(
+        outcome.sum,
+        semantic_release(&inputs, &outcome.survivors, &plan)
+    );
     // With T_C = 1 the residual noise is inflated by t/(t-T_C) = 1.2 —
     // never *below* target, per Theorem 2.
     assert!(plan.inflation() > 1.19 && plan.inflation() < 1.21);
-    assert!(outcome.stats.stage("ConsistencyCheck").is_some());
+    assert!(stats.stage("ConsistencyCheck").is_some());
+}
+
+#[test]
+fn released_round_keeps_exactly_the_target_variance() {
+    // Theorem 1 on the protocol's own output: zero inputs, so the
+    // released aggregate IS the residual noise, and removal runs over the
+    // seeds the round recovered through Shamir — not a hand-built set.
+    let dim = 30_000usize;
+    let plan = XNoisePlan::new(100.0, 8, 3, 0, 5).unwrap();
+    let zeros = (0..8).map(|id| (id, vec![0u64; dim])).collect();
+    let inputs = perturbed_inputs(&zeros, &plan);
+    for drop in [0usize, 2, 3] {
+        let dropped = &[1, 4, 6][..drop];
+        let (outcome, _) = protocol_release(params(&plan, 3, &inputs), &inputs, &plan, dropped);
+        assert_eq!(outcome.dropped, dropped);
+        let xs: Vec<f64> = outcome
+            .sum
+            .iter()
+            .map(|&v| center(v, BITS) as f64)
+            .collect();
+        let mean = xs.iter().sum::<f64>() / dim as f64;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (dim as f64 - 1.0);
+        assert!(
+            (var - plan.target_variance).abs() < 6.0,
+            "{drop} dropped: released variance {var}"
+        );
+    }
 }
