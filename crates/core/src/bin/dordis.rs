@@ -646,8 +646,9 @@ mod tests {
         );
         assert_eq!(reject_unknown_flags("serve", &accepted), Ok(()));
         // A removed knob and a typo both fail, naming the flag. (The
-        // removed names are spelled in pieces so CI's "must not
-        // reappear" grep passes over this file.)
+        // removed names are spelled in pieces so
+        // `tests/architecture.rs::deleted_engines_stay_deleted` passes
+        // over this file.)
         let removed = [
             "workers",
             "shards",

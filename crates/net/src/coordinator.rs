@@ -807,3 +807,106 @@ pub(crate) fn broadcast<K: Ord + Copy>(
         .collect();
     Broadcast { wire, failed }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::local;
+    use dordis_secagg::graph::MaskingGraph;
+    use dordis_secagg::{RoundParams, ThreatModel};
+
+    const FAILED: ClientId = 1;
+
+    fn params() -> RoundParams {
+        RoundParams {
+            round: 4,
+            clients: vec![0, 1, 2],
+            threshold: 2,
+            bit_width: 16,
+            vector_len: 8,
+            noise_components: 0,
+            threat_model: ThreatModel::SemiHonest,
+            graph: MaskingGraph::Complete,
+        }
+    }
+
+    /// Runs a collection-free ShareKeys stage whose server step returns
+    /// `reply`, over three registered peers of which `FAILED`'s socket
+    /// already failed a send, and returns the stage's traffic, the
+    /// round's dropouts and the peers left.
+    fn share_keys_past_a_failed_peer(
+        reply: Reply,
+    ) -> (StageTraffic, Vec<DetectedDropout>, Vec<ClientId>) {
+        let cfg = local::one_round(params());
+        let mut reactor = Reactor::new().expect("reactor");
+        let mut peers = Peers::new();
+        let mut clients = Vec::new();
+        for id in params().clients {
+            let (client, mut chan) = TcpChannel::pair().expect("loopback pair");
+            chan.register(&mut reactor, client_token(id))
+                .expect("register");
+            peers.insert(id, chan);
+            clients.push(client);
+        }
+        // The failed peer hangs up; the first frame to it draws a reset
+        // and a later send fails.
+        drop(clients.remove(FAILED as usize));
+        let chan = peers.get_mut(&FAILED).expect("failed peer");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while chan.send(&[0; 16]).is_ok() {
+            assert!(
+                Instant::now() < deadline,
+                "send to a closed peer kept succeeding"
+            );
+        }
+
+        let round = Round::new(params(), 1).expect("round");
+        let mut server = Server::new(params()).expect("server");
+        let mut io = RoundIo::new(&cfg, &mut reactor, &mut peers, &round);
+        let mut no_frames = |_: &mut Server, _: ClientId, _: &EnvelopeView<'_>| None::<()>;
+        io.stage(
+            &mut server,
+            ("ShareKeys", StageTag::ShareKeys),
+            &[],
+            &mut no_frames,
+            |_, _| Ok(((), reply)),
+        )
+        .expect("stage");
+        let traffic = io.stats.stages.pop().expect("the stage's traffic");
+        let dropouts = std::mem::take(&mut io.dropouts);
+        drop(io);
+        (traffic, dropouts, peers.into_keys().collect())
+    }
+
+    fn frame_len(body: Vec<u8>) -> u64 {
+        Envelope::new(StageTag::Inbox, params().round, body)
+            .encode()
+            .len() as u64
+    }
+
+    #[test]
+    fn a_failed_send_leaves_the_peers_frame_out_of_the_downlink() {
+        let inbox = |id: ClientId| vec![id as u8; 40 + 10 * id as usize];
+        let each = Reply::Each(StageTag::Inbox, Box::new(inbox));
+        let (traffic, dropouts, peers) = share_keys_past_a_failed_peer(each);
+        let (first, last) = (frame_len(inbox(0)), frame_len(inbox(2)));
+        assert_eq!(
+            (traffic.downlink_total, traffic.downlink_max),
+            (first + last, last),
+            "ShareKeys inboxes counted a frame the failed peer never took"
+        );
+        assert_eq!(peers, [0, 2]);
+        let failed: Vec<_> = dropouts.iter().map(|d| (d.client, d.stage)).collect();
+        assert_eq!(failed, [(FAILED, "ShareKeys")]);
+        assert_eq!(dropouts[0].kind, DropKind::Disconnected);
+
+        let all = Reply::All(StageTag::Inbox, inbox(0));
+        let (traffic, dropouts, peers) = share_keys_past_a_failed_peer(all);
+        assert_eq!(
+            (traffic.downlink_total, traffic.downlink_max),
+            (2 * first, first)
+        );
+        assert_eq!(peers, [0, 2]);
+        assert_eq!(dropouts.len(), 1);
+    }
+}
