@@ -189,8 +189,10 @@ fn fig1d() {
             .expect("plan")
             .noise_multiplier;
             let mut ledger = PrivacyLedger::new(mech, budget, 1e-2).expect("ledger");
-            for _ in 0..rounds {
-                ledger.record_round(q, z * (1.0 - rate).sqrt());
+            for round in 1..=u64::from(rounds) {
+                ledger
+                    .record_round_at(round, q, z * (1.0 - rate).sqrt())
+                    .expect("fresh round");
             }
             cells.push(format!("{:.1}", ledger.realized_epsilon()));
         }
@@ -244,15 +246,17 @@ fn fig8() {
             let rate = rate_pc as f64 / 100.0;
             let orig = {
                 let mut ledger = PrivacyLedger::new(mech, 6.0, delta).expect("ledger");
-                for _ in 0..rounds {
-                    ledger.record_round(q, z * (1.0 - rate).sqrt());
+                for round in 1..=u64::from(rounds) {
+                    ledger
+                        .record_round_at(round, q, z * (1.0 - rate).sqrt())
+                        .expect("fresh round");
                 }
                 ledger.realized_epsilon()
             };
             let xnoise = {
                 let mut ledger = PrivacyLedger::new(mech, 6.0, delta).expect("ledger");
-                for _ in 0..rounds {
-                    ledger.record_round(q, z); // Enforced exactly.
+                for round in 1..=u64::from(rounds) {
+                    ledger.record_round_at(round, q, z).expect("fresh round"); // Enforced exactly.
                 }
                 ledger.realized_epsilon()
             };

@@ -56,7 +56,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:\n  dordis example-config\n  dordis train <task.json> [--json]\n  \
      dordis plan <epsilon> <delta> <rounds> <sample_rate>\n  \
      dordis serve --listen <addr> --clients <n> --threshold <t> [--rounds R] \
-     [--dim D] [--bits B] [--graph auto|complete|harary] [--round R0] \
+     [--dim D] [--bits B] [--graph auto|complete|harary] \
      [--noise-components T] [--chunks M] [--stage-timeout-ms MS] \
      [--join-timeout-ms MS] [--verify-demo] \
      [--trace FILE] [--metrics-addr ADDR] \
@@ -135,7 +135,6 @@ fn serve_inner(args: &[String]) -> Result<ExitCode, String> {
     let dim: usize = flag_parse(args, "--dim", 16)?;
     let bits: u32 = flag_parse(args, "--bits", 20)?;
     let rounds: u64 = flag_parse(args, "--rounds", 1)?;
-    let first_round: u64 = flag_parse(args, "--round", 1)?;
     let noise_components: usize = flag_parse(args, "--noise-components", 0)?;
     // 0 = planner-chosen (§4.2 cost-model sweep).
     let chunks_flag: usize = flag_parse(args, "--chunks", 0)?;
@@ -173,7 +172,7 @@ fn serve_inner(args: &[String]) -> Result<ExitCode, String> {
     )?;
 
     let params = RoundParams {
-        round: first_round,
+        round: 1,
         clients: (0..clients).collect(),
         threshold,
         bit_width: bits,
@@ -200,7 +199,7 @@ fn serve_inner(args: &[String]) -> Result<ExitCode, String> {
     // lease lapses, then take over the session from the last committed
     // round boundary. The client listener is already bound above, so
     // redialing clients find the socket the moment the view changes.
-    let mut first_round = first_round;
+    let mut first_round = 1;
     let mut rounds = rounds;
     if let Some(repl) = backup_listen {
         let mut repl_acceptor = TcpAcceptor::bind(repl).map_err(|e| e.to_string())?;
@@ -638,7 +637,7 @@ mod tests {
     fn serve_rejects_flags_outside_its_usage_line() {
         // Everything the reference harness and `failover_smoke.sh` pass.
         let accepted = args(
-            "--listen 127.0.0.1:0 --clients 3 --threshold 2 --rounds 2 --round 1 --dim 64 \
+            "--listen 127.0.0.1:0 --clients 3 --threshold 2 --rounds 2 --dim 64 \
              --bits 20 --graph harary --noise-components 2 --chunks 4 \
              --stage-timeout-ms 4000 --join-timeout-ms 4000 --verify-demo --trace t.json \
              --metrics-addr 127.0.0.1:0 --replica 127.0.0.1:1 --backup 127.0.0.1:2 \
@@ -654,6 +653,7 @@ mod tests {
             "shards",
             "collect",
             concat!("ingress", "-budget"),
+            "round",
         ]
         .map(|knob| format!("--{knob}"));
         for bad in removed.iter().map(String::as_str).chain(["--thresold"]) {

@@ -62,6 +62,9 @@ pub enum DordisError {
     XNoise(dordis_xnoise::XNoiseError),
     /// Secure aggregation failed.
     SecAgg(dordis_secagg::SecAggError),
+    /// A networked session failed: transport, protocol abort, or an
+    /// injected coordinator kill (`FaultPlan::is_injected`).
+    Net(dordis_net::NetError),
     /// Bad experiment configuration.
     Config(String),
 }
@@ -72,6 +75,7 @@ impl core::fmt::Display for DordisError {
             DordisError::Dp(e) => write!(f, "dp: {e}"),
             DordisError::XNoise(e) => write!(f, "xnoise: {e}"),
             DordisError::SecAgg(e) => write!(f, "secagg: {e}"),
+            DordisError::Net(e) => write!(f, "net: {e}"),
             DordisError::Config(why) => write!(f, "config: {why}"),
         }
     }

@@ -26,8 +26,15 @@
 //!   the cohort itself: it takes what the coordinator seated from the
 //!   claims it verified (the server holds the public VRF registry only,
 //!   §7) and derives the noise plan, removal and ledger entry from that.
-//!   ([`train_session_networked_failover`] is this path behind a
-//!   replicated coordinator pair.)
+//!
+//! One function, `coordinate`, is that networked coordinator: one
+//! `Session` over one acceptor, the driver from an optional
+//! [`DriverCheckpoint`], an optional replica link and one
+//! [`FaultPlan`]. [`train_session_networked`] calls it once;
+//! [`train_session_networked_failover`] calls it for a replicated
+//! primary and, after a scripted kill, for the successor that resumes
+//! from the backup's last acked checkpoint. It ends the session with
+//! `SessionEnd` unless the error is an injected kill.
 //!
 //! Every engine derives every random artefact (per-round protocol seeds,
 //! encoding rotations, noise seeds) from the same `(spec.seed, round)`
@@ -35,7 +42,7 @@
 //! are bit-equal and their reports match field for field — the
 //! session-level analogue of the single-round equivalence pins.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -848,19 +855,25 @@ fn bytes_to_global(payload: &[u8]) -> Result<Vec<f32>, NetError> {
         .collect())
 }
 
-/// Builds the coordinator `SessionConfig` shared by the networked
-/// drivers: VRF-claim seating, round params derived from the shared
-/// statics — and, for the failover path, a replication link plus an
-/// injected-crash plan. `first_index` is the 0-based session round the
-/// coordinator starts at (a takeover successor starts past the
-/// committed prefix).
-fn networked_session_cfg(
+/// The one networked FL coordinator: a [`Session`] over `acceptor` that
+/// runs the FL driver from `resume` (round 0 when `None`) to the
+/// horizon, seating each round from the VRF claims it verifies and
+/// deriving round params from the shared statics. With a `replica` link
+/// every round commits through [`Session::commit_round`] (checkpoint,
+/// then commit); without one the driver passes no commit hook and
+/// serialises nothing. A kill that `faults` injects drops the session
+/// the way a `SIGKILL` would; a clean end and every other error end it
+/// with [`Session::finish`], so no client waits out its receive window.
+fn coordinate(
     st: &Arc<Statics>,
     opts: &FlSessionOptions,
-    first_index: u32,
+    acceptor: &mut TcpAcceptor,
+    resume: Option<DriverCheckpoint>,
     replica: Option<TcpChannel>,
     faults: FaultPlan,
-) -> SessionConfig<'static> {
+) -> Result<FlSessionReport, DordisError> {
+    let first_index = resume.as_ref().map_or(0, |c| c.next_round);
+    let replicated = replica.is_some();
     let population = st.spec.population as u32;
     let sample = opts.sample;
     // The coordinator's whole view of the VRF keys: the public registry.
@@ -883,7 +896,7 @@ fn networked_session_cfg(
         rejected.extend(invalid);
         SeatingOutcome { seated, rejected }
     }));
-    SessionConfig {
+    let cfg = SessionConfig {
         first_round: wire_round(first_index),
         join_timeout: NET_TIMEOUT,
         stage_timeout: NET_TIMEOUT,
@@ -892,11 +905,31 @@ fn networked_session_cfg(
         replica,
         faults,
         ..SessionConfig::new(
-            u64::from(opts.rounds - first_index),
+            u64::from(opts.rounds.saturating_sub(first_index)),
             seating,
             Box::new(move |r, seated| round_params(&params_st, r, seated)),
         )
+    };
+    let session = RefCell::new(Session::new(acceptor, cfg).map_err(DordisError::Net)?);
+    let mut commit = |r: u64, state: &[u8]| {
+        session
+            .borrow_mut()
+            .commit_round(r, state)
+            .map_err(DordisError::Net)
+    };
+    let result = run_fl_session_at(
+        st,
+        resume,
+        replicated.then_some(&mut commit as CommitFn<'_>),
+        |_i, r, global| {
+            networked_round(&mut session.borrow_mut(), r, global).map_err(DordisError::Net)
+        },
+    );
+    match &result {
+        Err(DordisError::Net(e)) if FaultPlan::is_injected(e) => {}
+        _ => session.into_inner().finish(),
     }
+    result
 }
 
 /// Executes one networked round through `session` and hands back the
@@ -920,7 +953,7 @@ fn networked_round(session: &mut Session, r: u64, global: &[f32]) -> Result<Roun
 
 /// A coordinator listener on an OS-assigned 127.0.0.1 port.
 fn bind_local() -> Result<TcpAcceptor, DordisError> {
-    TcpAcceptor::bind("127.0.0.1:0").map_err(|e| DordisError::Config(format!("bind: {e}")))
+    TcpAcceptor::bind("127.0.0.1:0").map_err(DordisError::Net)
 }
 
 /// Runs `coordinator` on this thread with one [`local_client`] thread
@@ -1056,15 +1089,7 @@ pub fn train_session_networked(
     let st = Arc::new(session_statics(spec, opts)?);
     let mut acceptor = bind_local()?;
     with_local_clients(&st, opts, &[acceptor.local_addr()], || {
-        let session_cfg = networked_session_cfg(&st, opts, 0, None, FaultPlan::none());
-        let mut session = Session::new(&mut acceptor, session_cfg)
-            .map_err(|e| DordisError::Config(format!("session: {e}")))?;
-        let result = run_fl_session_at(&st, None, None, |_i, r, global| {
-            networked_round(&mut session, r, global)
-                .map_err(|e| DordisError::Config(format!("networked round {r}: {e}")))
-        });
-        session.finish();
-        result
+        coordinate(&st, opts, &mut acceptor, None, None, FaultPlan::none())
     })
 }
 
@@ -1102,137 +1127,75 @@ pub struct CrashSpec {
 ///
 /// # Errors
 ///
-/// Invalid configuration, unrecoverable protocol/transport failures,
-/// checkpoint corruption.
+/// Invalid configuration, unrecoverable protocol/transport failures
+/// ([`DordisError::Net`], after which the primary retires as it would
+/// at a clean end), checkpoint corruption.
 pub fn train_session_networked_failover(
     spec: &TaskSpec,
     opts: &FlSessionOptions,
     crash: Option<CrashSpec>,
 ) -> Result<FlSessionReport, DordisError> {
     let st = Arc::new(session_statics(spec, opts)?);
-    let mut acceptor_a = bind_local()?;
-    let mut acceptor_b = bind_local()?;
-    let addrs = [acceptor_a.local_addr(), acceptor_b.local_addr()];
-    let (repl_primary, mut repl_backup) =
-        TcpChannel::pair().map_err(|e| DordisError::Config(format!("replication link: {e}")))?;
+    let mut primary = bind_local()?;
+    let mut successor = bind_local()?;
+    let addrs = [primary.local_addr(), successor.local_addr()];
+    let (link, mut backup_link) = TcpChannel::pair().map_err(DordisError::Net)?;
 
     // ---- The backup coordinator's watch thread. The lease is generous
     // — takeover here is driven by the replication channel closing with
     // the crashed primary, which the backup sees immediately. ----
     let lease = NET_TIMEOUT * 5;
-    let backup_handle = std::thread::spawn(move || {
+    let backup = std::thread::spawn(move || {
         run_backup(
-            &mut repl_backup,
+            &mut backup_link,
             lease,
             &dordis_telemetry::Telemetry::disabled(),
         )
     });
+    let faults = crash.map_or_else(FaultPlan::none, |c| {
+        FaultPlan::kill_at(wire_round(c.round), c.point)
+    });
 
     // ---- Primary, then (after a scripted crash) the successor, with
-    // clients that flip between the two addresses. The closure owns the
-    // primary's resources, so all of them are dropped by the time the
-    // client threads are reaped. ----
-    let backup_res = std::cell::OnceCell::new();
+    // clients that flip between the two addresses. ----
     with_local_clients(&st, opts, &addrs, || {
-        let crashed = Cell::new(false);
-        let coord_faults = match crash {
-            Some(CrashSpec { round, point }) if point != KillPoint::BetweenAckAndCommit => {
-                FaultPlan::kill_at(wire_round(round), point)
-            }
-            _ => FaultPlan::none(),
-        };
-        let commit_faults = match crash {
-            Some(CrashSpec {
-                round,
-                point: KillPoint::BetweenAckAndCommit,
-            }) => FaultPlan::kill_at(wire_round(round), KillPoint::BetweenAckAndCommit),
-            _ => FaultPlan::none(),
-        };
-        let cfg_a = networked_session_cfg(&st, opts, 0, Some(repl_primary), coord_faults);
-        let session = RefCell::new(
-            Session::new(&mut acceptor_a, cfg_a)
-                .map_err(|e| DordisError::Config(format!("primary session: {e}")))?,
-        );
-        let mut commit_cb = |r: u64, bytes: &[u8]| -> Result<(), DordisError> {
-            session
-                .borrow_mut()
-                .commit_round(r, bytes)
-                .map_err(|e| DordisError::Config(format!("commit round {r}: {e}")))?;
-            // The ack is in: the backup now holds round `r`. A kill
-            // here proves the successor resumes *past* r instead of
-            // double-recording it.
-            commit_faults
-                .trip(KillPoint::BetweenAckAndCommit, r)
-                .map_err(|e| {
-                    crashed.set(true);
-                    DordisError::Config(format!("{e}"))
-                })
-        };
-        let primary_run = run_fl_session_at(&st, None, Some(&mut commit_cb), |_i, r, global| {
-            networked_round(&mut session.borrow_mut(), r, global).map_err(|e| {
-                if FaultPlan::is_injected(&e) {
-                    crashed.set(true);
-                }
-                DordisError::Config(format!("networked round {r}: {e}"))
-            })
-        });
-        match primary_run {
-            Ok(report) => {
-                // Clean end: retire the primary role (the backup sees
-                // SessionEnd, not a lease break) and wrap up.
-                session.into_inner().finish();
-                let _ = backup_res.set(backup_handle.join());
-                return Ok(report);
-            }
-            Err(e) if !crashed.get() => {
-                drop(session);
-                let _ = backup_res.set(backup_handle.join());
-                return Err(e);
-            }
-            Err(_) => {}
+        let run = coordinate(&st, opts, &mut primary, None, Some(link), faults);
+        // The primary retired its role or dropped the replication link,
+        // so the backup has returned or is about to.
+        drop(primary);
+        let backup = backup.join();
+        match run {
+            Err(DordisError::Net(e)) if FaultPlan::is_injected(&e) => {}
+            run => return run,
         }
 
-        // ---- Failover. Dropping the dead primary closes every client
-        // channel and the replication link — no SessionEnd, no retire:
-        // exactly what a SIGKILL looks like from the outside. ----
-        drop(session);
-        drop(acceptor_a);
-        let takeover = match backup_handle.join() {
+        // ---- Failover. The dead primary dropped every client channel
+        // and the replication link — no SessionEnd, no retire: exactly
+        // what a SIGKILL looks like from the outside. ----
+        let takeover = match backup {
             Ok(Ok(BackupOutcome::Takeover(t))) => t,
             Ok(Ok(BackupOutcome::SessionEnded(_))) => {
                 return Err(DordisError::Config(
                     "backup saw a clean session end after a scripted crash".into(),
                 ))
             }
-            Ok(Err(e)) => return Err(DordisError::Config(format!("backup failed: {e}"))),
+            Ok(Err(e)) => return Err(DordisError::Net(e)),
             Err(_) => return Err(DordisError::Config("backup thread panicked".into())),
         };
-        let resume = takeover
-            .checkpoint
-            .as_ref()
-            .map(|c| DriverCheckpoint::from_bytes(&c.app_state))
-            .transpose()?;
         // Died before the first commit ⇒ no checkpoint ⇒ the successor
         // starts the whole session from scratch.
-        let next = resume.as_ref().map_or(0, |c| c.next_round);
-        let cfg_b = networked_session_cfg(&st, opts, next, None, FaultPlan::none());
-        let session_b = RefCell::new(
-            Session::new(&mut acceptor_b, cfg_b)
-                .map_err(|e| DordisError::Config(format!("successor session: {e}")))?,
-        );
-        let result = run_fl_session_at(&st, resume, None, |_i, r, global| {
-            networked_round(&mut session_b.borrow_mut(), r, global)
-                .map_err(|e| DordisError::Config(format!("failover round {r}: {e}")))
-        });
-        if result.is_ok() {
-            session_b.into_inner().finish();
-        }
-        result
+        let resume = takeover
+            .checkpoint
+            .map(|c| DriverCheckpoint::from_bytes(&c.app_state))
+            .transpose()?;
+        coordinate(&st, opts, &mut successor, resume, None, FaultPlan::none())
     })
 }
 
 #[cfg(test)]
 mod tests {
+    use dordis_secagg::SecAggError;
+
     use super::*;
 
     /// The driver plans nothing itself: handed a cohort one client short
@@ -1298,6 +1261,47 @@ mod tests {
             xplan_for(&st, planned.len()).unwrap().as_ref(),
         );
         assert_ne!(record.achieved_multiplier, by_plan);
+    }
+
+    /// A round that falls below threshold ends both networked
+    /// coordinators with the same typed error, and the replicated one
+    /// ends its session with `SessionEnd` as well, so its parked and
+    /// re-joining clients leave at once instead of waiting out their
+    /// receive window.
+    #[test]
+    fn a_below_threshold_abort_ends_both_coordinators_alike() {
+        let spec = TaskSpec::tiny_for_tests(20_240_517);
+        let sample = SamplingConfig {
+            target_sample: 8,
+            population: spec.population,
+            over_selection: 1.5,
+        };
+        let mut opts = FlSessionOptions::new(3, sample);
+        let seated = planned_cohorts(&spec, &opts).remove(1);
+        assert_eq!(seated.len(), 8);
+        // Four of eight stay live against t = 5.
+        opts.droppers = seated[..4]
+            .iter()
+            .map(|&client| MidStreamDrop {
+                round: 1,
+                client,
+                after_chunks: 0,
+            })
+            .collect();
+        let below_threshold = |e: DordisError| match e {
+            DordisError::Net(NetError::SecAgg(e @ SecAggError::BelowThreshold { .. })) => e,
+            other => panic!("want a below-threshold abort, got {other}"),
+        };
+        let plain = below_threshold(train_session_networked(&spec, &opts).unwrap_err());
+        let started = std::time::Instant::now();
+        let replicated =
+            below_threshold(train_session_networked_failover(&spec, &opts, None).unwrap_err());
+        let took = started.elapsed();
+        assert_eq!(replicated, plain);
+        assert!(
+            took < Duration::from_secs(1),
+            "replicated abort took {took:?}"
+        );
     }
 
     /// `Early` stops before the first round that would start on a spent

@@ -40,9 +40,9 @@ pub struct LedgerEntry {
 /// let z = 1.0; // Planned per-round multiplier.
 /// let mut enforced = PrivacyLedger::new(Mechanism::Gaussian, 6.0, 1e-2).unwrap();
 /// let mut dropped = PrivacyLedger::new(Mechanism::Gaussian, 6.0, 1e-2).unwrap();
-/// for _ in 0..50 {
-///     enforced.record_round(0.16, z);
-///     dropped.record_round(0.16, z * 0.7f64.sqrt()); // 30% noise missing.
+/// for round in 1..=50 {
+///     enforced.record_round_at(round, 0.16, z).unwrap();
+///     dropped.record_round_at(round, 0.16, z * 0.7f64.sqrt()).unwrap(); // 30% noise missing.
 /// }
 /// assert!(dropped.realized_epsilon() > enforced.realized_epsilon());
 /// ```
@@ -84,25 +84,18 @@ impl PrivacyLedger {
         })
     }
 
-    /// Records a completed round.
+    /// Records a completed round pinned to an explicit wire round id.
     ///
     /// `achieved_multiplier` is the central noise multiplier of the round's
     /// released aggregate (`σ_achieved / Δ₂`). A zero multiplier (e.g. all
     /// noise lost) is recorded as (near-)infinite privacy loss.
-    pub fn record_round(&mut self, sample_rate: f64, achieved_multiplier: f64) {
-        let next = self.watermark + 1;
-        self.record_inner(sample_rate, achieved_multiplier);
-        self.watermark = next;
-    }
-
-    /// Records a completed round pinned to an explicit wire round id.
     ///
-    /// This is the failover-safe entry point: the coordinator passes the
-    /// round id it is committing, and the ledger refuses to account any
-    /// round at or below its watermark. Replaying an already-recorded
-    /// round — exactly what a naive restart after a crash between
-    /// checkpoint and commit would do — is rejected instead of silently
-    /// double-counting privacy loss.
+    /// This is the ledger's one entry point, and it is failover-safe: the
+    /// coordinator passes the round id it is committing, and the ledger
+    /// refuses to account any round at or below its watermark. Replaying
+    /// an already-recorded round — exactly what a naive restart after a
+    /// crash between checkpoint and commit would do — is rejected
+    /// instead of silently double-counting privacy loss.
     ///
     /// # Errors
     ///
@@ -119,12 +112,6 @@ impl PrivacyLedger {
                 "round already recorded in ledger (watermark replay guard)",
             ));
         }
-        self.record_inner(sample_rate, achieved_multiplier);
-        self.watermark = wire_round;
-        Ok(())
-    }
-
-    fn record_inner(&mut self, sample_rate: f64, achieved_multiplier: f64) {
         // Guard against a degenerate zero-noise release: clamp far below
         // any useful multiplier so ε blows up visibly but finitely.
         let z = achieved_multiplier.max(1e-6);
@@ -136,6 +123,8 @@ impl PrivacyLedger {
             achieved_multiplier,
             epsilon_after: eps,
         });
+        self.watermark = wire_round;
+        Ok(())
     }
 
     /// Highest wire round id recorded so far (0 = nothing recorded).
@@ -233,7 +222,9 @@ mod tests {
         let (cfg, z) = planned();
         let mut ledger = PrivacyLedger::new(cfg.mechanism, cfg.epsilon, cfg.delta).unwrap();
         for _ in 0..cfg.rounds {
-            ledger.record_round(cfg.sample_rate, z);
+            ledger
+                .record_round_at(ledger.watermark() + 1, cfg.sample_rate, z)
+                .unwrap();
         }
         let eps = ledger.realized_epsilon();
         assert!(eps <= cfg.epsilon + 1e-9, "eps {eps}");
@@ -247,7 +238,9 @@ mod tests {
         let (cfg, z) = planned();
         let mut ledger = PrivacyLedger::new(cfg.mechanism, cfg.epsilon, cfg.delta).unwrap();
         for _ in 0..cfg.rounds {
-            ledger.record_round(cfg.sample_rate, z * 0.7f64.sqrt());
+            ledger
+                .record_round_at(ledger.watermark() + 1, cfg.sample_rate, z * 0.7f64.sqrt())
+                .unwrap();
         }
         assert!(
             ledger.realized_epsilon() > cfg.epsilon,
@@ -263,7 +256,13 @@ mod tests {
         for drop in [0.0f64, 0.1, 0.2, 0.4] {
             let mut ledger = PrivacyLedger::new(cfg.mechanism, cfg.epsilon, cfg.delta).unwrap();
             for _ in 0..cfg.rounds {
-                ledger.record_round(cfg.sample_rate, z * (1.0 - drop).sqrt());
+                ledger
+                    .record_round_at(
+                        ledger.watermark() + 1,
+                        cfg.sample_rate,
+                        z * (1.0 - drop).sqrt(),
+                    )
+                    .unwrap();
             }
             let eps = ledger.realized_epsilon();
             assert!(eps > eps_prev, "drop={drop} eps={eps} prev={eps_prev}");
@@ -282,7 +281,9 @@ mod tests {
                 stopped_at = Some(r);
                 break;
             }
-            ledger.record_round(cfg.sample_rate, z * 0.6f64.sqrt());
+            ledger
+                .record_round_at(ledger.watermark() + 1, cfg.sample_rate, z * 0.6f64.sqrt())
+                .unwrap();
         }
         let r = stopped_at.expect("budget should run out early");
         assert!(r < cfg.rounds, "stopped at {r}");
@@ -294,7 +295,9 @@ mod tests {
         let (cfg, z) = planned();
         let mut ledger = PrivacyLedger::new(cfg.mechanism, cfg.epsilon, cfg.delta).unwrap();
         for _ in 0..10 {
-            ledger.record_round(cfg.sample_rate, z);
+            ledger
+                .record_round_at(ledger.watermark() + 1, cfg.sample_rate, z)
+                .unwrap();
         }
         let entries = ledger.entries();
         assert_eq!(entries.len(), 10);
@@ -307,7 +310,9 @@ mod tests {
     #[test]
     fn zero_multiplier_is_clamped_not_infinite() {
         let mut ledger = PrivacyLedger::new(Mechanism::Gaussian, 6.0, 1e-2).unwrap();
-        ledger.record_round(0.1, 0.0);
+        ledger
+            .record_round_at(ledger.watermark() + 1, 0.1, 0.0)
+            .unwrap();
         assert!(ledger.realized_epsilon().is_finite());
         assert!(ledger.exhausted());
     }

@@ -51,7 +51,7 @@ proptest! {
         let mut live = PrivacyLedger::new(mech, 6.0, 1e-2).unwrap();
         let cut = ((rounds.len() as f64) * cut_frac) as usize;
         for &(rate, z) in &rounds[..cut] {
-            live.record_round(rate, z);
+            live.record_round_at(live.watermark() + 1, rate, z).unwrap();
         }
 
         let mut restored = PrivacyLedger::from_bytes(&live.to_bytes()).unwrap();
@@ -60,8 +60,8 @@ proptest! {
                         live.realized_epsilon().to_bits());
 
         for &(rate, z) in &rounds[cut..] {
-            live.record_round(rate, z);
-            restored.record_round(rate, z);
+            live.record_round_at(live.watermark() + 1, rate, z).unwrap();
+            restored.record_round_at(restored.watermark() + 1, rate, z).unwrap();
         }
         prop_assert!(restored.realized_epsilon().to_bits() == live.realized_epsilon().to_bits(),
                      "restored ledger diverged after the cut");

@@ -5,15 +5,20 @@
 //! between the backup's checkpoint ack and the local commit — and then
 //! assert the backup finishes the session with a bit-equal model and
 //! ledger. A [`FaultPlan`] rides in the
-//! [`SessionConfig`](crate::session::SessionConfig); at each named
-//! [`KillPoint`] the round machine calls [`FaultPlan::trip`], which
-//! either does nothing (the default, compiled down to a no-op `None`
-//! check on every real deployment) or returns
-//! [`NetError::Injected`]. Crucially the injected error is *not* a
-//! [`NetError::SecAgg`] — the coordinator's abort path only broadcasts
-//! an `Abort` frame for SecAgg failures, so an injected kill propagates
-//! as crash-like silence: clients see a dead connection, exactly as if
-//! the process had taken a `SIGKILL`.
+//! [`SessionConfig`](crate::session::SessionConfig), and all three
+//! [`KillPoint`]s trip inside this crate: `MidMaskedStage` and
+//! `DuringBroadcast` in the round (`RoundIo::trip`), and
+//! `BetweenAckAndCommit` in
+//! [`Session::commit_round`](crate::session::Session::commit_round),
+//! right after the backup's ack. [`FaultPlan::trip`] either does
+//! nothing (the default, compiled down to a no-op `None` check on every
+//! real deployment) or returns [`NetError::Injected`]. Crucially the
+//! injected error is *not* a [`NetError::SecAgg`] — the coordinator's
+//! abort path only broadcasts an `Abort` frame for SecAgg failures, so
+//! an injected kill propagates as crash-like silence: clients see a
+//! dead connection, exactly as if the process had taken a `SIGKILL`.
+//! A driver tells that kill from a real failure with
+//! [`FaultPlan::is_injected`].
 
 use crate::NetError;
 
@@ -71,12 +76,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether this plan injects anything at all.
-    #[must_use]
-    pub fn is_none(&self) -> bool {
-        self.kill.is_none()
-    }
-
     /// Fires the hook named `point` for wire round `round`.
     ///
     /// # Errors
@@ -108,7 +107,6 @@ mod tests {
     #[test]
     fn empty_plan_never_fires() {
         let plan = FaultPlan::none();
-        assert!(plan.is_none());
         for round in 0..5 {
             for point in [
                 KillPoint::MidMaskedStage,

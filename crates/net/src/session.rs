@@ -60,7 +60,7 @@ use crate::coordinator::{
     broadcast, client_of, client_token, drain_frames, handle_write_event, NetRoundReport, Peers,
     RoundIo, JOIN_BASE,
 };
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, KillPoint};
 use crate::reactor::{Reactor, Token, TICK};
 use crate::replication::{Primary, SessionCheckpoint};
 use crate::stages::Round;
@@ -289,6 +289,8 @@ impl<'a> Session<'a> {
     /// - [`NetError::Timeout`] / [`NetError::Closed`] when the backup
     ///   is unreachable: the primary halts rather than advance
     ///   unreplicated state.
+    /// - [`NetError::Injected`] when [`SessionConfig::faults`] kills the
+    ///   primary at [`KillPoint::BetweenAckAndCommit`] of `round`.
     pub fn commit_round(&mut self, round: u64, app_state: &[u8]) -> Result<(), NetError> {
         let Some(link) = self.replica.as_mut() else {
             return Ok(());
@@ -322,6 +324,11 @@ impl<'a> Session<'a> {
         let primary = waiting.complete(&Envelope::decode(&frame)?)?;
         link.role = Some(primary);
         drop(span);
+        // Fault hook: the backup holds `round`, the primary dies before
+        // committing it — a successor must resume past it.
+        self.cfg
+            .faults
+            .trip(KillPoint::BetweenAckAndCommit, round)?;
         self.cfg
             .telemetry
             .counter("dordis_checkpoints_total", &[("role", "primary")])

@@ -652,6 +652,26 @@ fn one_cohort_decision_per_round() {
     forbid("One cohort decision per round", &hits);
 }
 
+/// One networked coordinator: `core::session` opens its coordinator
+/// `Session` in one function, which the unreplicated session, the
+/// failover primary and its successor all run, and kill points fire
+/// only inside `dordis-net`, so the FL driver sees an injected kill as
+/// one typed error.
+#[test]
+fn one_networked_coordinator() {
+    let rule = "One networked coordinator";
+    let session = [Source::read("crates/core/src/session.rs").without_tests()];
+    let opened = lines_with(&session, &[r"\bSession::new("]);
+    count(
+        rule,
+        "`Session::new(` in core/src/session.rs",
+        &opened,
+        1..=1,
+    );
+    let core = rust_files(walk(&["crates/core/src"]));
+    forbid(rule, &lines_with(&core, &[".trip("]));
+}
+
 // ---------------------------------------------------------------------
 // The helper, on inline source.
 // ---------------------------------------------------------------------
