@@ -5,15 +5,18 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use dordis_crypto::prg::Prg;
 use dordis_dp::accountant::{Mechanism, RdpAccountant};
 use dordis_dp::encoding::{Encoder, EncodingConfig};
-use dordis_dp::mechanism::{skellam_vector, SkellamSampler};
+use dordis_dp::mechanism::{skellam_vector, with_scalar_draws, SkellamSampler};
 use dordis_dp::planner::{plan, PlannerConfig};
+use dordis_xnoise::decomposition::XNoisePlan;
 
 fn bench_skellam(c: &mut Criterion) {
     let mut g = c.benchmark_group("skellam_vector");
-    // small/large, then the reference plan's components (fl_xnoise32:
-    // k = 0, a middle k, k = T — the last is the plan's peak, σ ≈ 50),
-    // then the widest table, where a draw most often needs its
-    // refinement word (≈ 20 % of draws).
+    // small/large, then three plan-sized variances (σ ≈ 9, 18, 50), then
+    // the widest table, where a draw most often needs its refinement
+    // word (≈ 20 % of draws). The reference workload's own components
+    // (`fl_xnoise32`: 74 869.6 over 32 clients, T = 16, so ≈ 2 340 at
+    // k = 0, 75.5 at k = 1 rising to 275 at k = T) are the `fill_8192`
+    // rows below.
     for (label, variance) in [
         ("small_var", 4.0),
         ("large_var", 4000.0),
@@ -49,6 +52,30 @@ fn bench_skellam(c: &mut Criterion) {
             drawn[next - 1]
         });
     });
+
+    // A whole 8 192-draw fill (sixteen strips) from one long stream, on
+    // the 8-lane kernel and on the scalar draws, at the two smallest
+    // component variances of the reference workload's plan (32 clients,
+    // T = 16: component 0 ≈ 2 340, component 1 ≈ 75.5). On a host
+    // without AVX-512F both rows are the scalar draws.
+    let xplan = XNoisePlan::new(74_869.6, 32, 16, 0, 17).expect("a valid plan");
+    g.sample_size(2_000);
+    g.throughput(Throughput::Elements(8192));
+    for k in [0, 1] {
+        let sampler = SkellamSampler::new(xplan.component_variance(k));
+        let mut prg = Prg::new(&[2u8; 32], b"bench");
+        let mut fill = move || {
+            let mut acc = 0u64;
+            sampler.for_each_strip(&mut prg, 8192, |_, strip| {
+                acc = strip.iter().fold(acc, |a, &z| a.wrapping_add(z));
+            });
+            acc
+        };
+        g.bench_function(format!("fill_8192/kernel_k{k}"), |b| b.iter(&mut fill));
+        g.bench_function(format!("fill_8192/scalar_k{k}"), |b| {
+            b.iter(|| with_scalar_draws(&mut fill));
+        });
+    }
     g.finish();
 }
 

@@ -18,8 +18,15 @@
 //! full DSkellam client encoding pipeline ([`encoding`]): L2 clipping,
 //! randomized Hadamard flattening, conditional randomized rounding, and
 //! modular arithmetic in `Z_{2^b}` compatible with secure aggregation.
+//!
+//! The sampler's table draws are XNoise's runtime cost (every client
+//! draws `T + 1` components, the server redraws the removable ones).
+//! `skellam_avx512` (x86-64 only) draws them eight lanes at a time with
+//! AVX-512F gathers where the CPU has it, bit-equal to the scalar draw
+//! it falls back to and is tested against ([`mechanism`]). `unsafe` is
+//! denied crate-wide and allowed on that one kernel module.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accountant;
@@ -29,6 +36,9 @@ pub mod math;
 pub mod mechanism;
 pub mod planner;
 pub mod rdp;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod skellam_avx512;
 
 /// Errors produced by DP planning and encoding.
 #[derive(Debug, Clone, PartialEq)]

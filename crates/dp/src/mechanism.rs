@@ -23,12 +23,21 @@
 //! variances whose table would not fit in cache and is the reference the
 //! table is tested against.
 //!
+//! Where the CPU has AVX-512F, the lanes are drawn eight at a time by the
+//! `skellam_avx512` kernel (gathers into the guide and the survival
+//! function); a lane that needs its refinement word is handed to the
+//! scalar draw. Elsewhere every lane is the scalar draw, the fallback
+//! and the kernel's oracle; both read the same bytes, so the draws are
+//! bit-equal.
+//!
 //! The stream is read strictly in order (lane, its refinement if any,
 //! next lane), so draws do not depend on strip boundaries. A client
 //! adding noise under one stream layout and a server removing it under
 //! another would leave the difference in the aggregate, so the layout is
 //! part of what the wire version pins; `skellam_vector_golden` and
 //! `refinement_layout_golden` make a change to it loud.
+
+use std::cell::Cell;
 
 use dordis_crypto::prg::{Prg, Seed};
 
@@ -103,7 +112,7 @@ pub fn skellam(prg: &mut Prg, variance: f64) -> i64 {
 const TABLE_CAP: usize = 1 << 16;
 
 /// Bits of `u` a draw's 16-bit lane leaves to its refinement word.
-const LOW_BITS: u32 = 48;
+pub(crate) const LOW_BITS: u32 = 48;
 const LOW_MASK: u64 = (1 << LOW_BITS) - 1;
 
 /// Draws per strip: a buffer small enough to stay in L1 next to the
@@ -119,7 +128,7 @@ const STRIP: usize = 512;
 /// client and the server regenerating its noise always agree on it.
 pub struct SkellamSampler {
     variance: f64,
-    table: Option<SkellamTable>,
+    pub(crate) table: Option<SkellamTable>,
 }
 
 impl SkellamSampler {
@@ -156,15 +165,22 @@ impl SkellamSampler {
     /// stream is read strictly in order — a draw's lane, its refinement
     /// word if it needs one, the next draw's lane — so the draws do not
     /// depend on how a vector is cut into `out`s.
-    fn fill_ring(&self, prg: &mut Prg, out: &mut [u64]) {
+    pub(crate) fn fill_ring(&self, prg: &mut Prg, out: &mut [u64]) {
         if let Some(table) = &self.table {
+            let wide = !SCALAR_DRAWS.with(Cell::get);
             let mut drawn = 0;
             while drawn < out.len() {
                 // Whole draws straight out of the buffered keystream,
-                // with no call a lane, while a lane and a refinement
-                // word both fit.
+                // with no call a lane: groups of eight on the kernel,
+                // then one at a time while a lane and a refinement word
+                // both fit.
                 prg.read_buffered(|bytes| {
-                    let mut at = 0;
+                    let (groups, mut at) = if wide {
+                        draw_groups(table, bytes, &mut out[drawn..])
+                    } else {
+                        (0, 0)
+                    };
+                    drawn += groups;
                     for slot in &mut out[drawn..] {
                         let Some(draw) = bytes.get(at..at + 2 + 8) else {
                             break;
@@ -196,6 +212,51 @@ impl SkellamSampler {
     }
 }
 
+/// The kernel's draws of whole groups of eight lanes from `bytes`
+/// (`skellam_avx512::draw_groups`), or none on a host without it.
+#[inline]
+fn draw_groups(table: &SkellamTable, bytes: &[u8], out: &mut [u64]) -> (usize, usize) {
+    #[cfg(target_arch = "x86_64")]
+    return crate::skellam_avx512::draw_groups(table, bytes, out).unwrap_or((0, 0));
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (table, bytes, out);
+        (0, 0)
+    }
+}
+
+thread_local! {
+    /// Set while [`with_scalar_draws`] runs its body on this thread.
+    static SCALAR_DRAWS: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `body` with the 8-lane kernel switched off on this thread, so
+/// the scalar draws run on an AVX-512F host too: the tests' and the
+/// microbenchmarks' way to reach the fallback. The draws are the same
+/// either way.
+#[doc(hidden)]
+pub fn with_scalar_draws<R>(body: impl FnOnce() -> R) -> R {
+    let was = SCALAR_DRAWS.with(|off| off.replace(true));
+    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+    SCALAR_DRAWS.with(|off| off.set(was));
+    out.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// Runs `body` on the 8-lane kernel where this host has it (printing the
+/// skip line where it does not), then again on the scalar draws.
+#[doc(hidden)]
+pub fn on_both_paths(body: impl Fn()) {
+    #[cfg(target_arch = "x86_64")]
+    let wide = crate::skellam_avx512::detected();
+    #[cfg(not(target_arch = "x86_64"))]
+    let wide = false;
+    if !wide {
+        println!("skellam wide path: skipped (no avx512f)");
+    }
+    body();
+    with_scalar_draws(body);
+}
+
 /// Guide-table inversion of the symmetric Skellam distribution
 /// `P(X = k) = e^{-2μ} I_|k|(2μ)`, truncated to `|k| ≤ reach`.
 ///
@@ -211,15 +272,17 @@ impl SkellamSampler {
 /// the next 8 bytes as a little-endian word whose top 48 bits are the
 /// low 48 bits of `u`. The lane and the word are disjoint keystream, so
 /// `u` is uniform on 63 bits either way.
-struct SkellamTable {
+pub(crate) struct SkellamTable {
     /// `survival[m] = 2^63 · P(|X| ≥ m)` for `m ∈ 0..=reach + 1`:
     /// `2^63` at 0, non-increasing, 0 at `reach + 1`.
-    survival: Vec<u64>,
+    pub(crate) survival: Vec<u64>,
     /// `guide[u >> shift]` is the smallest magnitude any `u` of that
     /// bucket maps to; the draw walks up from there (under 1/4 step on
     /// average: buckets are equiprobable and outnumber thresholds 4:1).
-    guide: Vec<u16>,
-    shift: u32,
+    /// One padding entry follows the last bucket's, so the kernel's
+    /// 32-bit gather at the last bucket stays inside the table.
+    pub(crate) guide: Vec<u16>,
+    pub(crate) shift: u32,
 }
 
 impl SkellamTable {
@@ -265,7 +328,7 @@ impl SkellamTable {
 
         let buckets = (4 * (reach + 1)).next_power_of_two();
         let shift = 63 - buckets.trailing_zeros();
-        let mut guide = Vec::with_capacity(buckets);
+        let mut guide = Vec::with_capacity(buckets + 1);
         let mut m = reach;
         for bucket in 1..=buckets as u64 {
             // The bucket's largest u is `(bucket << shift) - 1`.
@@ -274,6 +337,7 @@ impl SkellamTable {
             }
             guide.push(m as u16);
         }
+        guide.push(0);
         SkellamTable {
             survival,
             guide,
@@ -294,7 +358,7 @@ impl SkellamTable {
     /// next 64-bit word and is called only when the lane leaves the
     /// magnitude undecided.
     #[inline]
-    fn draw_lane(&self, lane: u16, refine: impl FnOnce() -> u64) -> i64 {
+    pub(crate) fn draw_lane(&self, lane: u16, refine: impl FnOnce() -> u64) -> i64 {
         // Every `u` the lane can still become lies in `lo..=hi`. The
         // magnitude is non-increasing in `u`, so `hi` gives the
         // interval's smallest one, and the lane decides the draw when
@@ -402,28 +466,32 @@ mod tests {
 
     #[test]
     fn skellam_vector_deterministic() {
-        let a = skellam_vector(&[9u8; 32], b"k0", 64, 4.0);
-        let b = skellam_vector(&[9u8; 32], b"k0", 64, 4.0);
-        assert_eq!(a, b);
-        let c = skellam_vector(&[9u8; 32], b"k1", 64, 4.0);
-        assert_ne!(a, c);
+        on_both_paths(|| {
+            let a = skellam_vector(&[9u8; 32], b"k0", 64, 4.0);
+            let b = skellam_vector(&[9u8; 32], b"k0", 64, 4.0);
+            assert_eq!(a, b);
+            let c = skellam_vector(&[9u8; 32], b"k1", 64, 4.0);
+            assert_ne!(a, c);
+        });
     }
 
     #[test]
     fn skellam_sum_variance_is_additive() {
-        // Sum of two independent Skellams with variances v1, v2 has
-        // variance v1 + v2 — the closure property in §3 of the paper.
-        let n = 20_000;
-        let a = skellam_vector(&[10u8; 32], b"a", n, 3.0);
-        let b = skellam_vector(&[11u8; 32], b"b", n, 5.0);
-        let sums: Vec<f64> = a
-            .iter()
-            .zip(b.iter())
-            .map(|(x, y)| (x + y) as f64)
-            .collect();
-        let (mean, var) = mean_var(&sums);
-        assert!(mean.abs() < 0.15, "mean {mean}");
-        assert!((var - 8.0).abs() < 0.5, "var {var}");
+        on_both_paths(|| {
+            // Sum of two independent Skellams with variances v1, v2 has
+            // variance v1 + v2 — the closure property in §3 of the paper.
+            let n = 20_000;
+            let a = skellam_vector(&[10u8; 32], b"a", n, 3.0);
+            let b = skellam_vector(&[11u8; 32], b"b", n, 5.0);
+            let sums: Vec<f64> = a
+                .iter()
+                .zip(b.iter())
+                .map(|(x, y)| (x + y) as f64)
+                .collect();
+            let (mean, var) = mean_var(&sums);
+            assert!(mean.abs() < 0.15, "mean {mean}");
+            assert!((var - 8.0).abs() < 0.5, "var {var}");
+        });
     }
 
     /// The reference plan's component variances, the extremes, and the
@@ -515,41 +583,45 @@ mod tests {
 
     #[test]
     fn skellam_vector_fits_convolved_pmf() {
-        // Both regimes against a pmf that shares no code with either.
-        const N: usize = 200_000;
-        for variance in VARIANCES {
-            let edges = bin_edges(variance);
-            let expected = expected_counts(variance, &edges, N);
-            assert!(expected.iter().all(|&e| e > 10.0), "{variance}: thin bin");
-            for seed in [21u8, 22, 23] {
-                let xs = skellam_vector(&[seed; 32], b"chi", N, variance);
-                let z = chi_square_z(&histogram(&edges, xs.into_iter()), &expected);
-                assert!(z < 4.0, "variance {variance}, seed {seed}: z = {z}");
+        on_both_paths(|| {
+            // Both regimes against a pmf that shares no code with either.
+            const N: usize = 200_000;
+            for variance in VARIANCES {
+                let edges = bin_edges(variance);
+                let expected = expected_counts(variance, &edges, N);
+                assert!(expected.iter().all(|&e| e > 10.0), "{variance}: thin bin");
+                for seed in [21u8, 22, 23] {
+                    let xs = skellam_vector(&[seed; 32], b"chi", N, variance);
+                    let z = chi_square_z(&histogram(&edges, xs.into_iter()), &expected);
+                    assert!(z < 4.0, "variance {variance}, seed {seed}: z = {z}");
+                }
             }
-        }
+        });
     }
 
     #[test]
     fn table_agrees_with_poisson_difference_oracle() {
-        const N: usize = 200_000;
-        for variance in [4.0, 86.0, 2496.0] {
-            let edges = bin_edges(variance);
-            let table = histogram(
-                &edges,
-                skellam_vector(&[31u8; 32], b"two", N, variance).into_iter(),
-            );
-            let mut prg = Prg::new(&[32u8; 32], b"two");
-            let oracle = histogram(&edges, (0..N).map(|_| skellam(&mut prg, variance)));
-            // Two-sample χ² with equal sample sizes.
-            let chi: f64 = table
-                .iter()
-                .zip(&oracle)
-                .map(|(a, b)| (a - b) * (a - b) / (a + b))
-                .sum();
-            let dof = edges.len() as f64;
-            let z = (chi - dof) / (2.0 * dof).sqrt();
-            assert!(z < 4.0, "variance {variance}: z = {z}");
-        }
+        on_both_paths(|| {
+            const N: usize = 200_000;
+            for variance in [4.0, 86.0, 2496.0] {
+                let edges = bin_edges(variance);
+                let table = histogram(
+                    &edges,
+                    skellam_vector(&[31u8; 32], b"two", N, variance).into_iter(),
+                );
+                let mut prg = Prg::new(&[32u8; 32], b"two");
+                let oracle = histogram(&edges, (0..N).map(|_| skellam(&mut prg, variance)));
+                // Two-sample χ² with equal sample sizes.
+                let chi: f64 = table
+                    .iter()
+                    .zip(&oracle)
+                    .map(|(a, b)| (a - b) * (a - b) / (a + b))
+                    .sum();
+                let dof = edges.len() as f64;
+                let z = (chi - dof) / (2.0 * dof).sqrt();
+                assert!(z < 4.0, "variance {variance}: z = {z}");
+            }
+        });
     }
 
     #[test]
@@ -667,81 +739,91 @@ mod tests {
 
     #[test]
     fn skellam_vector_golden() {
-        // Pins the stream layout (one 16-bit lane per draw, bit 0 the
-        // sign): a change here changes every client's noise for a given
-        // seed, and is a `WIRE_VERSION` bump.
-        assert_eq!(
-            skellam_vector(&[7u8; 32], b"golden", 8, 312.0),
-            [3, -1, -9, 15, -29, 2, 19, -6]
-        );
+        on_both_paths(|| {
+            // Pins the stream layout (one 16-bit lane per draw, bit 0 the
+            // sign): a change here changes every client's noise for a given
+            // seed, and is a `WIRE_VERSION` bump.
+            assert_eq!(
+                skellam_vector(&[7u8; 32], b"golden", 8, 312.0),
+                [3, -1, -9, 15, -29, 2, 19, -6]
+            );
+        });
     }
 
     #[test]
     fn refinement_layout_golden() {
-        // 4096 draws at σ ≈ 50 hold 23 refinements, so which 48
-        // bits a refinement takes, and where the next lane then sits, is
-        // pinned as bytes too.
-        let draws = skellam_vector(&[7u8; 32], b"golden", 4096, 2496.0);
-        let bytes: Vec<u8> = draws.iter().flat_map(|x| x.to_le_bytes()).collect();
-        let digest: String = dordis_crypto::sha256::sha256(&bytes)
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
-        assert_eq!(
-            digest,
-            "c47a458965132dc89db7adf260180d84c6f9a834939ffeeebbc320db92dc49eb"
-        );
+        on_both_paths(|| {
+            // 4096 draws at σ ≈ 50 hold 23 refinements, so which 48
+            // bits a refinement takes, and where the next lane then sits, is
+            // pinned as bytes too.
+            let draws = skellam_vector(&[7u8; 32], b"golden", 4096, 2496.0);
+            let bytes: Vec<u8> = draws.iter().flat_map(|x| x.to_le_bytes()).collect();
+            let digest: String = dordis_crypto::sha256::sha256(&bytes)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(
+                digest,
+                "c47a458965132dc89db7adf260180d84c6f9a834939ffeeebbc320db92dc49eb"
+            );
+        });
     }
 
     #[test]
     fn draws_consume_two_bytes_and_eight_per_refinement() {
-        const N: usize = 100_000;
-        for (variance, most_refined) in [(86.0, 0.002), (2496.0, 0.01), (UNDER_CAP, 0.25)] {
-            let sampler = SkellamSampler::new(variance);
-            let table = sampler.table.as_ref().unwrap();
-            let mut prg = Prg::new(&[6u8; 32], b"bytes");
-            let mut got = Vec::with_capacity(N);
-            sampler.for_each_strip(&mut prg, N, |_, strip| got.extend_from_slice(strip));
+        on_both_paths(|| {
+            const N: usize = 100_000;
+            for (variance, most_refined) in [(86.0, 0.002), (2496.0, 0.01), (UNDER_CAP, 0.25)] {
+                let sampler = SkellamSampler::new(variance);
+                let table = sampler.table.as_ref().unwrap();
+                let mut prg = Prg::new(&[6u8; 32], b"bytes");
+                let mut got = Vec::with_capacity(N);
+                sampler.for_each_strip(&mut prg, N, |_, strip| got.extend_from_slice(strip));
 
-            // The word oracle reading the same stream by the layout rule.
-            let mut replay = Prg::new(&[6u8; 32], b"bytes");
-            let mut refinements = 0;
-            for (i, &x) in got.iter().enumerate() {
-                let lane = replay.next_u16();
-                let mut word = composed(lane, 0);
-                if table.draw(word) != table.draw(composed(lane, LOW_MASK)) {
-                    refinements += 1;
-                    word = composed(lane, replay.next_u64() >> 16);
+                // The word oracle reading the same stream by the layout rule.
+                let mut replay = Prg::new(&[6u8; 32], b"bytes");
+                let mut refinements = 0;
+                for (i, &x) in got.iter().enumerate() {
+                    let lane = replay.next_u16();
+                    let mut word = composed(lane, 0);
+                    if table.draw(word) != table.draw(composed(lane, LOW_MASK)) {
+                        refinements += 1;
+                        word = composed(lane, replay.next_u64() >> 16);
+                    }
+                    assert_eq!(x as i64, table.draw(word), "{variance}, draw {i}");
                 }
-                assert_eq!(x as i64, table.draw(word), "{variance}, draw {i}");
-            }
-            let share = refinements as f64 / N as f64;
-            assert!(share > 0.0 && share < most_refined, "{variance}: {share}");
+                let share = refinements as f64 / N as f64;
+                assert!(share > 0.0 && share < most_refined, "{variance}: {share}");
 
-            let mut skipped = Prg::new(&[6u8; 32], b"bytes");
-            skipped.fill_bytes(&mut vec![0u8; 2 * N + 8 * refinements]);
-            assert_eq!(prg.next_u64(), skipped.next_u64(), "{variance}");
-        }
+                let mut skipped = Prg::new(&[6u8; 32], b"bytes");
+                skipped.fill_bytes(&mut vec![0u8; 2 * N + 8 * refinements]);
+                assert_eq!(prg.next_u64(), skipped.next_u64(), "{variance}");
+            }
+        });
     }
 
     #[test]
     fn draws_do_not_depend_on_strip_boundaries() {
-        for variance in [86.0, OVER_CAP] {
-            let whole = skellam_vector(&[5u8; 32], b"strip", 1500, variance);
-            let sampler = SkellamSampler::new(variance);
-            let mut prg = Prg::new(&[5u8; 32], b"strip");
-            let mut pieces = vec![0u64; 1500];
-            for piece in pieces.chunks_mut(97) {
-                sampler.fill_ring(&mut prg, piece);
+        on_both_paths(|| {
+            for variance in [86.0, OVER_CAP] {
+                let whole = skellam_vector(&[5u8; 32], b"strip", 1500, variance);
+                let sampler = SkellamSampler::new(variance);
+                let mut prg = Prg::new(&[5u8; 32], b"strip");
+                let mut pieces = vec![0u64; 1500];
+                for piece in pieces.chunks_mut(97) {
+                    sampler.fill_ring(&mut prg, piece);
+                }
+                let pieces: Vec<i64> = pieces.into_iter().map(|z| z as i64).collect();
+                assert_eq!(whole, pieces);
             }
-            let pieces: Vec<i64> = pieces.into_iter().map(|z| z as i64).collect();
-            assert_eq!(whole, pieces);
-        }
+        });
     }
 
     #[test]
     fn skellam_zero_variance() {
-        let v = skellam_vector(&[12u8; 32], b"z", 16, 0.0);
-        assert!(v.iter().all(|&x| x == 0));
+        on_both_paths(|| {
+            let v = skellam_vector(&[12u8; 32], b"z", 16, 0.0);
+            assert!(v.iter().all(|&x| x == 0));
+        });
     }
 }

@@ -134,6 +134,7 @@ pub fn center(value: u64, bit_width: u32) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dordis_dp::mechanism::{on_both_paths, with_scalar_draws};
     use dordis_secagg::mask::{add_signed_ring, ring_mask};
     use proptest::prelude::*;
 
@@ -188,8 +189,10 @@ mod tests {
 
     #[test]
     fn theorem1_statistical_partial_dropout() {
-        let v = variance(&residual_noise(8, 3, 2, 100.0, 30_000));
-        assert!((v - 100.0).abs() < 6.0, "residual variance {v}");
+        on_both_paths(|| {
+            let v = variance(&residual_noise(8, 3, 2, 100.0, 30_000));
+            assert!((v - 100.0).abs() < 6.0, "residual variance {v}");
+        });
     }
 
     #[test]
@@ -214,52 +217,54 @@ mod tests {
 
     #[test]
     fn removal_is_exact_not_just_distributional() {
-        // With inputs included, add-then-remove must return *exactly* the
-        // sum of inputs plus the non-removed components — check by
-        // removing every component and recovering the clean sum.
-        let plan = plan(4, 3, 50.0); // T = n - 1: removal can strip all.
-        let len = 64;
-        let ring = ring_mask(BITS);
-        let inputs: Vec<Vec<u64>> = (0..4u32)
-            .map(|c| {
-                (0..len)
-                    .map(|i| (u64::from(c) * 1000 + i as u64) & ring)
-                    .collect()
-            })
-            .collect();
-        let mut aggregate = vec![0u64; len];
-        for (c, input) in inputs.iter().enumerate() {
-            let mut update = input.clone();
-            perturb(&mut update, &seeds_for(c as u32, 3), &plan, BITS).unwrap();
-            for (a, u) in aggregate.iter_mut().zip(update.iter()) {
-                *a = (*a + *u) & ring;
+        on_both_paths(|| {
+            // With inputs included, add-then-remove must return *exactly* the
+            // sum of inputs plus the non-removed components — check by
+            // removing every component and recovering the clean sum.
+            let plan = plan(4, 3, 50.0); // T = n - 1: removal can strip all.
+            let len = 64;
+            let ring = ring_mask(BITS);
+            let inputs: Vec<Vec<u64>> = (0..4u32)
+                .map(|c| {
+                    (0..len)
+                        .map(|i| (u64::from(c) * 1000 + i as u64) & ring)
+                        .collect()
+                })
+                .collect();
+            let mut aggregate = vec![0u64; len];
+            for (c, input) in inputs.iter().enumerate() {
+                let mut update = input.clone();
+                perturb(&mut update, &seeds_for(c as u32, 3), &plan, BITS).unwrap();
+                for (a, u) in aggregate.iter_mut().zip(update.iter()) {
+                    *a = (*a + *u) & ring;
+                }
             }
-        }
-        // Remove components 1..=3 (|D| = 0), leaving only component 0 —
-        // then strip component 0 manually to verify exactness.
-        let survivors: Vec<u32> = (0..4).collect();
-        let mut removal = Vec::new();
-        for &c in &survivors {
-            let s = seeds_for(c, 3);
-            for k in 1..=3usize {
-                removal.push((c, k, s[k]));
+            // Remove components 1..=3 (|D| = 0), leaving only component 0 —
+            // then strip component 0 manually to verify exactness.
+            let survivors: Vec<u32> = (0..4).collect();
+            let mut removal = Vec::new();
+            for &c in &survivors {
+                let s = seeds_for(c, 3);
+                for k in 1..=3usize {
+                    removal.push((c, k, s[k]));
+                }
             }
-        }
-        remove_excess(&mut aggregate, &removal, &survivors, &plan, BITS).unwrap();
-        for &c in &survivors {
-            let s = seeds_for(c, 3);
-            let noise = component_noise(&s[0], len, plan.component_variance(0));
-            for (a, &z) in aggregate.iter_mut().zip(noise.iter()) {
-                *a = add_signed_ring(*a, -z, ring);
+            remove_excess(&mut aggregate, &removal, &survivors, &plan, BITS).unwrap();
+            for &c in &survivors {
+                let s = seeds_for(c, 3);
+                let noise = component_noise(&s[0], len, plan.component_variance(0));
+                for (a, &z) in aggregate.iter_mut().zip(noise.iter()) {
+                    *a = add_signed_ring(*a, -z, ring);
+                }
             }
-        }
-        let mut expect = vec![0u64; len];
-        for input in &inputs {
-            for (e, v) in expect.iter_mut().zip(input.iter()) {
-                *e = (*e + *v) & ring;
+            let mut expect = vec![0u64; len];
+            for input in &inputs {
+                for (e, v) in expect.iter_mut().zip(input.iter()) {
+                    *e = (*e + *v) & ring;
+                }
             }
-        }
-        assert_eq!(aggregate, expect);
+            assert_eq!(aggregate, expect);
+        });
     }
 
     #[test]
@@ -378,38 +383,42 @@ mod tests {
         fn streaming_perturb_equals_summed_component_noise(
             n in 2usize..7, t in 0usize..6, bits in 0usize..4, len in 0usize..1100,
         ) {
-            let (plan, bits, inputs) = round_shape(n, t, 0, bits, len);
-            let ring = ring_mask(bits);
-            for (client, input) in inputs {
-                let seeds = seeds_for(client, plan.dropout_tolerance);
-                let mut streamed = input.clone();
-                perturb(&mut streamed, &seeds, &plan, bits).unwrap();
-                let mut summed = input;
-                for (k, seed) in seeds.iter().enumerate() {
-                    let noise = component_noise(seed, len, plan.component_variance(k));
-                    for (v, z) in summed.iter_mut().zip(noise) {
-                        *v = add_signed_ring(*v, z, ring);
+            on_both_paths(|| {
+                let (plan, bits, inputs) = round_shape(n, t, 0, bits, len);
+                let ring = ring_mask(bits);
+                for (client, input) in inputs {
+                    let seeds = seeds_for(client, plan.dropout_tolerance);
+                    let mut streamed = input.clone();
+                    perturb(&mut streamed, &seeds, &plan, bits).unwrap();
+                    let mut summed = input;
+                    for (k, seed) in seeds.iter().enumerate() {
+                        let noise = component_noise(seed, len, plan.component_variance(k));
+                        for (v, z) in summed.iter_mut().zip(noise) {
+                            *v = add_signed_ring(*v, z, ring);
+                        }
                     }
+                    assert_eq!(streamed, summed);
                 }
-                prop_assert_eq!(streamed, summed);
-            }
+            });
         }
 
         #[test]
         fn perturb_then_removing_every_component_is_the_identity(
             n in 2usize..7, t in 0usize..6, bits in 0usize..4, len in 0usize..1100,
         ) {
-            let (plan, bits, inputs) = round_shape(n, t, 0, bits, len);
-            for (client, input) in inputs {
-                let seeds = seeds_for(client, plan.dropout_tolerance);
-                let mut update = input.clone();
-                perturb(&mut update, &seeds, &plan, bits).unwrap();
-                for (k, seed) in seeds.iter().enumerate() {
-                    let sampler = SkellamSampler::new(plan.component_variance(k));
-                    add_noise_stream(&mut update, &sampler, seed, NOISE_DOMAIN, false, bits);
+            on_both_paths(|| {
+                let (plan, bits, inputs) = round_shape(n, t, 0, bits, len);
+                for (client, input) in inputs {
+                    let seeds = seeds_for(client, plan.dropout_tolerance);
+                    let mut update = input.clone();
+                    perturb(&mut update, &seeds, &plan, bits).unwrap();
+                    for (k, seed) in seeds.iter().enumerate() {
+                        let sampler = SkellamSampler::new(plan.component_variance(k));
+                        add_noise_stream(&mut update, &sampler, seed, NOISE_DOMAIN, false, bits);
+                    }
+                    assert_eq!(update, input);
                 }
-                prop_assert_eq!(update, input);
-            }
+            });
         }
 
         #[test]
@@ -417,34 +426,68 @@ mod tests {
             n in 2usize..7, t in 0usize..6, dropped in 0usize..6, bits in 0usize..4,
             len in 0usize..1100,
         ) {
+            on_both_paths(|| {
+                let (plan, bits, inputs) = round_shape(n, t, dropped, bits, len);
+                let ring = ring_mask(bits);
+                let dropped = n - inputs.len();
+                let survivors: Vec<u32> = inputs.iter().map(|(c, _)| *c).collect();
+                let mut aggregate = vec![0u64; len];
+                let mut removal = Vec::new();
+                for (client, input) in inputs {
+                    let seeds = seeds_for(client, plan.dropout_tolerance);
+                    let mut update = input;
+                    perturb(&mut update, &seeds, &plan, bits).unwrap();
+                    for (a, u) in aggregate.iter_mut().zip(update) {
+                        *a = a.wrapping_add(u) & ring;
+                    }
+                    for k in dropped + 1..=plan.dropout_tolerance {
+                        removal.push((client, k, seeds[k]));
+                    }
+                }
+                // The parent's order: survivor-outer, one materialized
+                // vector per (survivor, component).
+                let mut reference = aggregate.clone();
+                for (_, k, seed) in &removal {
+                    let noise = component_noise(seed, len, plan.component_variance(*k));
+                    for (a, z) in reference.iter_mut().zip(noise) {
+                        *a = add_signed_ring(*a, -z, ring);
+                    }
+                }
+                remove_excess(&mut aggregate, &removal, &survivors, &plan, bits).unwrap();
+                assert_eq!(aggregate, reference);
+            });
+        }
+
+        #[test]
+        fn perturb_and_removal_agree_across_draw_paths(
+            n in 2usize..7, t in 0usize..6, dropped in 0usize..6, bits in 0usize..4,
+            len in 0usize..1100, sigma_sq in 0.5f64..2.0e7,
+        ) {
             let (plan, bits, inputs) = round_shape(n, t, dropped, bits, len);
-            let ring = ring_mask(bits);
+            let plan = XNoisePlan::new(sigma_sq, plan.clients, plan.dropout_tolerance, 0, plan.threshold).unwrap();
             let dropped = n - inputs.len();
             let survivors: Vec<u32> = inputs.iter().map(|(c, _)| *c).collect();
-            let mut aggregate = vec![0u64; len];
-            let mut removal = Vec::new();
-            for (client, input) in inputs {
-                let seeds = seeds_for(client, plan.dropout_tolerance);
-                let mut update = input;
-                perturb(&mut update, &seeds, &plan, bits).unwrap();
-                for (a, u) in aggregate.iter_mut().zip(update) {
-                    *a = a.wrapping_add(u) & ring;
+            let removal: Vec<(u32, usize, Seed)> = survivors
+                .iter()
+                .flat_map(|&c| {
+                    let seeds = seeds_for(c, plan.dropout_tolerance);
+                    (dropped + 1..=plan.dropout_tolerance).map(move |k| (c, k, seeds[k]))
+                })
+                .collect();
+            let round = || {
+                let mut aggregate = vec![0u64; len];
+                for (client, input) in &inputs {
+                    let mut update = input.clone();
+                    perturb(&mut update, &seeds_for(*client, plan.dropout_tolerance), &plan, bits)
+                        .unwrap();
+                    for (a, u) in aggregate.iter_mut().zip(update) {
+                        *a = a.wrapping_add(u) & ring_mask(bits);
+                    }
                 }
-                for k in dropped + 1..=plan.dropout_tolerance {
-                    removal.push((client, k, seeds[k]));
-                }
-            }
-            // The parent's order: survivor-outer, one materialized
-            // vector per (survivor, component).
-            let mut reference = aggregate.clone();
-            for (_, k, seed) in &removal {
-                let noise = component_noise(seed, len, plan.component_variance(*k));
-                for (a, z) in reference.iter_mut().zip(noise) {
-                    *a = add_signed_ring(*a, -z, ring);
-                }
-            }
-            remove_excess(&mut aggregate, &removal, &survivors, &plan, bits).unwrap();
-            prop_assert_eq!(aggregate, reference);
+                remove_excess(&mut aggregate, &removal, &survivors, &plan, bits).unwrap();
+                aggregate
+            };
+            prop_assert_eq!(round(), with_scalar_draws(round));
         }
     }
 }

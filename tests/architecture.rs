@@ -567,10 +567,11 @@ fn coordinator_data_plane_at_wire_width() {
 /// One module per kernel: `unsafe` and the intrinsics live in
 /// `crypto::chacha20_avx512` (sixteen ChaCha20 blocks per pass),
 /// `crypto::x25519_avx512` (the IFMA kernels on one field arithmetic:
-/// the 8-lane ladder and, second, the Edwards pair under the VRF) and
-/// `crypto::sha256_ni` (the SHA-256 compression function) alone (the
-/// crate denies `unsafe_code` and allows it on those three modules),
-/// the radix-2^25.5 ladder it replaced (`_mm512_mul_epu32` products)
+/// the 8-lane ladder and, second, the Edwards pair under the VRF),
+/// `crypto::sha256_ni` (the SHA-256 compression function) and
+/// `dp::skellam_avx512` (eight Skellam table draws per step) alone (each
+/// of the two crates denies `unsafe_code` and allows it on those
+/// modules), the radix-2^25.5 ladder it replaced (`_mm512_mul_epu32` products)
 /// stays deleted, and every same-secret run of agreements in `secagg`
 /// goes through `KeyPair::agree_many`: the one `.agree(` left outside
 /// tests is `Client::channel_key`, the cache-miss path.
@@ -581,10 +582,11 @@ fn one_module_per_kernel() {
         "crates/crypto/src/chacha20_avx512.rs",
         "crates/crypto/src/x25519_avx512.rs",
         "crates/crypto/src/sha256_ni.rs",
+        "crates/dp/src/skellam_avx512.rs",
     ];
     let crypto = walk(&["crates/crypto/src"]);
     forbid(rule, &lines_with(&crypto, &["_mm512_mul_epu32"]));
-    let outside: Vec<Source> = rust_files(crypto)
+    let outside: Vec<Source> = rust_files(walk(&["crates/crypto/src", "crates/dp/src"]))
         .into_iter()
         .filter(|s| !kernels.contains(&s.path.as_str()))
         .collect();
@@ -593,14 +595,16 @@ fn one_module_per_kernel() {
         rule,
         &grep(&outside, |l| unsafe_code.in_line(l) && !is_comment(l)),
     );
-    let lib = Source::read("crates/crypto/src/lib.rs");
-    let deny = lib.grep(|l| l.starts_with("#![deny(unsafe_code)]"));
-    count(
-        rule,
-        "`#![deny(unsafe_code)]` in crypto/src/lib.rs",
-        &deny,
-        1..=usize::MAX,
-    );
+    for crate_dir in ["crypto", "dp"] {
+        let lib = Source::read(&format!("crates/{crate_dir}/src/lib.rs"));
+        let deny = lib.grep(|l| l.starts_with("#![deny(unsafe_code)]"));
+        count(
+            rule,
+            &format!("`#![deny(unsafe_code)]` in {crate_dir}/src/lib.rs"),
+            &deny,
+            1..=usize::MAX,
+        );
+    }
     let agree = |l: &str| l.contains(".agree(") && !is_comment(l);
     let client = Source::read("crates/secagg/src/client.rs").without_tests();
     forbid(rule, &charged_outside(&client, agree, &["channel_key"]));
