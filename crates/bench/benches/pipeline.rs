@@ -3,10 +3,11 @@
 //! deployment (the paper runs it offline once per task).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dordis_core::timing::{cost_input, paper_hetero, TimingScenario};
+use dordis_pipeline::cost::{CostModel, Protocol, UnitCosts};
 use dordis_pipeline::planner::plan_from_cost_model;
 use dordis_pipeline::schedule::schedule;
-use dordis_sim::cost::{CostModel, Protocol, Resource, UnitCosts};
+use dordis_pipeline::timing::{cost_input, paper_hetero, TimingScenario};
+use dordis_pipeline::Resource;
 
 fn bench_schedule(c: &mut Criterion) {
     let tau = [12.0, 4.0, 9.0, 4.0, 2.0];

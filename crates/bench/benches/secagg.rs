@@ -5,14 +5,13 @@
 use std::collections::BTreeMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dordis_pipeline::ChunkPlan;
 use dordis_secagg::client::{Client, ClientInput};
 use dordis_secagg::driver::{
     client_rng, run_round, share_keys_rng, DropStage, DropoutSchedule, RoundSpec,
 };
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::mask::add_pairwise_mask_assign;
-use dordis_secagg::{pack, ClientId, RoundParams, ThreatModel};
+use dordis_secagg::{pack, ChunkPlan, ClientId, RoundParams, ThreatModel};
 
 const DIM: usize = 256;
 

@@ -7,20 +7,20 @@
 //!
 //! Subcommands: `fig1a fig1bc fig1d fig2 fig8 fig9 table2 table3 fig10
 //! chunks collusion all`. Absolute numbers come from the simulated
-//! testbed (`dordis-sim`'s cost model and `dordis-fl`'s synthetic
+//! testbed (`dordis-pipeline`'s cost model and `dordis-fl`'s synthetic
 //! datasets stand in for the paper's EC2 cluster and real datasets); the
 //! shapes are the reproduction targets.
 
 use dordis_bench::{eval_tasks, fig10_scenarios, fig2_scenarios, with_variant, Scale, Table};
 use dordis_core::config::{TaskSpec, Variant};
-use dordis_core::timing::estimate;
+use dordis_core::dropout::{DropoutModel, Trace, TraceConfig};
 use dordis_core::trainer::train;
 use dordis_dp::accountant::Mechanism;
 use dordis_dp::ledger::PrivacyLedger;
 use dordis_dp::planner::{plan, PlannerConfig};
+use dordis_pipeline::cost::{CostModel, UnitCosts};
 use dordis_pipeline::planner::plan_from_cost_model;
-use dordis_sim::cost::{CostModel, UnitCosts};
-use dordis_sim::dropout::{DropoutModel, Trace, TraceConfig};
+use dordis_pipeline::timing::estimate;
 use dordis_xnoise::decomposition::XNoisePlan;
 use dordis_xnoise::footprint::{default_tolerance, table3_row, FootprintScenario, WireSizes};
 
@@ -401,18 +401,19 @@ fn chunks() {
         ("resnet18-11M", 11_000_000),
         ("vgg19-20M", 20_000_000),
     ] {
-        let scen = dordis_core::timing::TimingScenario {
+        let scen = dordis_pipeline::timing::TimingScenario {
             name: name.into(),
             model_params: params,
             clients: 100,
-            protocol: dordis_sim::cost::Protocol::SecAgg,
+            protocol: dordis_pipeline::cost::Protocol::SecAgg,
             dp: true,
             xnoise: true,
             dropout_rate: 0.1,
             other_secs: 0.0,
             bit_width: 20,
         };
-        let input = dordis_core::timing::cost_input(&scen, &dordis_core::timing::paper_hetero(3));
+        let input =
+            dordis_pipeline::timing::cost_input(&scen, &dordis_pipeline::timing::paper_hetero(3));
         let plan = plan_from_cost_model(&cost, &input, 20, 3);
         let at = |m: usize| format!("{:.0}s", plan.sweep[m - 1]);
         t.row(vec![

@@ -9,8 +9,8 @@
 #![warn(missing_docs)]
 
 use dordis_core::config::{ModelSpec, TaskSpec, Variant};
-use dordis_core::timing::TimingScenario;
-use dordis_sim::cost::Protocol;
+use dordis_pipeline::cost::Protocol;
+use dordis_pipeline::timing::TimingScenario;
 
 /// Scale factor for training-based experiments: `quick` shrinks rounds
 /// so the whole figure suite completes in a couple of minutes.

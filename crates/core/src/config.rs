@@ -1,8 +1,8 @@
 //! Experiment configuration: tasks, privacy, dropout, and DP variants.
 
+use crate::dropout::DropoutModel;
 use dordis_dp::encoding::EncodingConfig;
 use dordis_fl::data::SyntheticConfig;
-use dordis_sim::dropout::DropoutModel;
 use serde::{Deserialize, Serialize};
 
 /// Which distributed-DP scheme the run uses (the paper's baselines plus

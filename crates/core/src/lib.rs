@@ -8,16 +8,16 @@
 //! 1. client sampling and local training ([`dordis_fl`]),
 //! 2. DP encoding ([`dordis_dp::encoding`]) and XNoise perturbation
 //!    ([`dordis_xnoise`]),
-//! 3. secure aggregation ([`dordis_secagg`]) with pipeline-parallel
-//!    execution planning ([`dordis_pipeline`]),
+//! 3. secure aggregation ([`dordis_secagg`]), cut into the chunks of a
+//!    [`dordis_secagg::ChunkPlan`],
 //! 4. server-side unmasking, excessive-noise removal, decoding, and
 //!    FedAvg model refinement, with privacy accounted by
 //!    [`dordis_dp::ledger`].
 //!
 //! Multi-round training has one round loop, in [`session`], driven over
-//! three engines; round times have their own module. The one in-memory
-//! single round is [`dordis_secagg::driver::run_round`], the reference
-//! the networked engine is pinned bit-equal to.
+//! three engines. The one in-memory single round is
+//! [`dordis_secagg::driver::run_round`], the reference the networked
+//! engine is pinned bit-equal to.
 //!
 //! - [`trainer`]: [`trainer::train`], the loop over the *plain* engine
 //!   used for utility/privacy experiments (Figures 1, 8, 9, Table 2) —
@@ -26,8 +26,11 @@
 //!   out anyway.
 //! - [`session`]: the same loop over the full protocol, in memory or
 //!   over `dordis-net` with per-round VRF cohort sampling.
-//! - [`timing`]: round-time estimation (plain vs pipelined) on the
-//!   simulated cluster (Figures 2 and 10).
+//! - [`dropout`]: the per-round dropout models a task config names.
+//!
+//! The paper's cost model and chunk-count planner (Figures 2 and 10,
+//! Appendix C) are `dordis_pipeline`; the CLI reads its
+//! `planned_chunk_count` for the default `--chunks`.
 //!
 //! # Examples
 //!
@@ -48,9 +51,9 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod dropout;
 pub mod sampling;
 pub mod session;
-pub mod timing;
 pub mod trainer;
 
 /// Errors surfaced by the end-to-end framework.

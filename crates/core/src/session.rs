@@ -284,6 +284,14 @@ pub(crate) struct Statics {
     shards: Vec<Vec<usize>>,
 }
 
+/// The mechanism a session plans its noise for and its ledger charges:
+/// Skellam at the encoder's ℓ1/ℓ2 ratio for a `dim`-parameter model.
+fn mechanism(spec: &TaskSpec, dim: usize) -> Mechanism {
+    Mechanism::Skellam {
+        l1_per_l2: spec.privacy.encoding.l1_per_l2(dim),
+    }
+}
+
 /// Derives the statics of a `rounds`-round run that samples clients at
 /// `sample_rate` (the non-private baseline plans no noise).
 pub(crate) fn statics(
@@ -303,9 +311,6 @@ pub(crate) fn statics(
     let model = build_model(spec, &data);
     let dim = model.num_params();
     let enc_cfg = &spec.privacy.encoding;
-    let mechanism = Mechanism::Skellam {
-        l1_per_l2: enc_cfg.l1_per_l2(dim),
-    };
     let z_star = if spec.variant == Variant::NonPrivate {
         0.0
     } else {
@@ -314,7 +319,7 @@ pub(crate) fn statics(
             delta: spec.privacy.delta,
             rounds,
             sample_rate,
-            mechanism,
+            mechanism: mechanism(spec, dim),
         })?
         .noise_multiplier
     };
@@ -553,10 +558,11 @@ pub(crate) fn run_fl_session_at(
             )
         }
         None => {
-            let mechanism = Mechanism::Skellam {
-                l1_per_l2: enc_cfg.l1_per_l2(st.dim),
-            };
-            let ledger = PrivacyLedger::new(mechanism, spec.privacy.epsilon, spec.privacy.delta)?;
+            let ledger = PrivacyLedger::new(
+                mechanism(spec, st.dim),
+                spec.privacy.epsilon,
+                spec.privacy.delta,
+            )?;
             (0, ledger, model.params(), Vec::new(), Vec::new())
         }
     };

@@ -189,9 +189,9 @@ pub(crate) fn add_share_noise(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dropout::DropoutModel;
     use dordis_fl::data::{synthetic_classification, train_test_split};
     use dordis_fl::eval::{accuracy, perplexity};
-    use dordis_sim::dropout::DropoutModel;
 
     #[test]
     fn non_private_training_learns() {

@@ -11,10 +11,9 @@
 //! ends it anywhere. Every receive, send, fail point and `Abort` goes
 //! through the one I/O context, [`ClientIo`].
 
-use dordis_pipeline::ChunkPlan;
 use dordis_secagg::client::{Client, ClientInput, Identity};
 use dordis_secagg::messages::IdList;
-use dordis_secagg::{ClientId, RoundParams, ThreatModel};
+use dordis_secagg::{ChunkPlan, ClientId, RoundParams, ThreatModel};
 
 use crate::codec::{self, decode_list, Encode, Envelope, StageTag};
 use crate::runtime::{

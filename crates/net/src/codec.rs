@@ -18,13 +18,12 @@
 use dordis_crypto::ed25519::Signature;
 use dordis_crypto::prg::Seed;
 use dordis_crypto::shamir::Share;
-use dordis_pipeline::ChunkPlan;
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::messages::{
     AdvertisedKeys, ConsistencySignature, EncryptedShares, IdList, MaskedInput, NoiseShareResponse,
     UnmaskingResponse,
 };
-use dordis_secagg::{pack, ClientId, RoundParams, ThreatModel};
+use dordis_secagg::{pack, ChunkPlan, ClientId, RoundParams, ThreatModel};
 
 use crate::NetError;
 

@@ -61,10 +61,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dordis_pipeline::ChunkPlan;
 use dordis_secagg::driver::{RoundStats, StageTraffic};
 use dordis_secagg::server::{RoundOutcome, Server};
-use dordis_secagg::{ClientId, SecAggError};
+use dordis_secagg::{ChunkPlan, ClientId, SecAggError};
 use dordis_telemetry::{Gauge, MetricsSnapshot, SpanGuard, Telemetry};
 
 use crate::codec::{self, round_gate, Envelope, EnvelopeView, RoundGate, StageTag};

@@ -15,10 +15,9 @@
 //! signatures in the malicious model only; Removing collects noise
 //! shares only when U3∖U5 left noise seeds to recover.
 
-use dordis_pipeline::ChunkPlan;
 use dordis_secagg::messages::IdList;
 use dordis_secagg::server::{RoundOutcome, Server};
-use dordis_secagg::{ClientId, RoundParams, ThreatModel};
+use dordis_secagg::{ChunkPlan, ClientId, RoundParams, ThreatModel};
 
 use crate::codec::{
     self, decode_advertised_keys, decode_consistency_signature, decode_encrypted_shares,

@@ -16,13 +16,12 @@ use dordis_net::runtime::{round_rng_seed, FailAction, FailPoint, FailStage};
 use dordis_net::session::SessionConfig;
 use dordis_net::transport::{recv_env, send_env, Channel, ThrottledChannel};
 use dordis_net::NetError;
-use dordis_pipeline::ChunkPlan;
 use dordis_secagg::client::{Client, ClientInput};
 use dordis_secagg::driver::{client_rng, run_round, DropStage, DropoutSchedule, RoundSpec};
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::messages::{EncryptedShares, MaskedInput};
 use dordis_secagg::server::RoundOutcome;
-use dordis_secagg::{pack, ClientId, RoundParams, ThreatModel};
+use dordis_secagg::{pack, ChunkPlan, ClientId, RoundParams, ThreatModel};
 
 const BITS: u32 = 16;
 const DIM: usize = 48;

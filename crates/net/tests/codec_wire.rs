@@ -16,13 +16,12 @@ use dordis_net::codec::{
 use dordis_net::pool::BytePool;
 use dordis_net::tcp::FrameBuffer;
 use dordis_net::NetError;
-use dordis_pipeline::ChunkPlan;
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::messages::{
     AdvertisedKeys, ConsistencySignature, EncryptedShares, IdList, MaskedInput, NoiseShareResponse,
     UnmaskingResponse, WireSize,
 };
-use dordis_secagg::{RoundParams, ThreatModel};
+use dordis_secagg::{ChunkPlan, RoundParams, ThreatModel};
 
 fn share(x: u8, len: usize) -> Share {
     Share {

@@ -11,10 +11,9 @@ use dordis_net::coordinator::DropKind;
 use dordis_net::local;
 use dordis_net::runtime::{FailAction, FailPoint, FailStage};
 use dordis_net::session::SessionConfig;
-use dordis_pipeline::ChunkPlan;
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
-use dordis_secagg::{pack, ClientId, RoundParams, ThreatModel};
+use dordis_secagg::{pack, ChunkPlan, ClientId, RoundParams, ThreatModel};
 use dordis_telemetry::Telemetry;
 
 const BITS: u32 = 18;

@@ -16,17 +16,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::hetero::ClientProfile;
-
-/// System resource a stage occupies (paper §4.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Resource {
-    /// Client compute.
-    CComp,
-    /// Server-client communication.
-    Comm,
-    /// Server compute.
-    SComp,
-}
+use crate::Resource;
 
 /// One stage's name, resource, and duration.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -5,13 +5,14 @@
 //! event-driven simulation — tasks queue on exclusive resources, a
 //! virtual clock advances event by event — providing an *independent*
 //! implementation to cross-check the recurrence (they must agree exactly;
-//! see the tests and `dordis-pipeline`). It also produces per-resource
-//! busy intervals for utilization analysis (§4's idle-time observation).
+//! see the tests and `schedule::cross_check_tests`). It also produces
+//! per-resource busy intervals for utilization analysis (§4's idle-time
+//! observation).
 
-use crate::cost::Resource;
+use crate::Resource;
 
 /// One executable unit: stage `stage` of chunk `chunk`, occupying
-/// `resource` for `duration` seconds.
+/// `resource`.
 #[derive(Clone, Copy, Debug)]
 pub struct Task {
     /// Stage index (0-based).
@@ -20,8 +21,6 @@ pub struct Task {
     pub chunk: usize,
     /// Resource the task occupies exclusively.
     pub resource: Resource,
-    /// Execution time in seconds.
-    pub duration: f64,
 }
 
 /// A completed task instance with its realized schedule.
@@ -136,7 +135,6 @@ pub fn simulate(tau: &[f64], resources: &[Resource], chunks: usize) -> SimOutcom
                 stage: s,
                 chunk: c,
                 resource: resources[s],
-                duration: tau[s],
             },
             start,
             finish: end,

@@ -6,11 +6,13 @@
 //! argmin. It also bridges the simulator's cost model into fitted stage
 //! models via profiling.
 
-use dordis_sim::cost::{CostModel, Resource, RoundCostInput};
 use serde::{Deserialize, Serialize};
 
+use crate::cost::{CostModel, Protocol, RoundCostInput, UnitCosts};
+use crate::hetero::ClientProfile;
 use crate::perfmodel::{fit, profile, StageModel};
 use crate::schedule::schedule;
+use crate::Resource;
 
 /// Result of planning.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -64,7 +66,7 @@ pub fn plan(models: &[StageModel], resources: &[Resource], max_chunks: usize) ->
 /// paper's offline micro-benchmarking: execute the protocol on proxy
 /// data at several chunk counts and regress).
 #[must_use]
-pub fn profile_cost_model(
+fn profile_cost_model(
     cost: &CostModel,
     input: &RoundCostInput,
     profile_noise: f64,
@@ -110,11 +112,35 @@ pub fn simulate_pipelined(cost: &CostModel, input: &RoundCostInput, m: usize) ->
     schedule(&tau, &resources, m).makespan
 }
 
+/// Planner-chosen chunk count for a networked round: profiles the
+/// paper-testbed cost model at the round's dimension/population and
+/// returns the makespan-minimizing `m ∈ [1, 20]` (§4.2). This is what
+/// `--chunks` defaults to when unspecified; tiny rounds come out at
+/// small `m` because the per-chunk intervention overhead (`β₂ m`)
+/// swamps the overlap gain.
+#[must_use]
+pub fn planned_chunk_count(vector_len: usize, clients: usize, bit_width: u32) -> usize {
+    let cost = CostModel::new(UnitCosts::paper_testbed());
+    let input = RoundCostInput {
+        clients: clients.max(2),
+        vector_len: vector_len.max(1),
+        protocol: Protocol::SecAgg,
+        dropout_rate: 0.1,
+        dp_enabled: true,
+        xnoise_components: 0,
+        bit_width,
+        straggler: ClientProfile {
+            compute_factor: 2.0,
+            bandwidth_mbps: 21.0,
+        },
+        other_secs: 0.0,
+    };
+    plan_from_cost_model(&cost, &input, 20, 1).chunks
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dordis_sim::cost::{Protocol, UnitCosts};
-    use dordis_sim::hetero::ClientProfile;
 
     /// The paper's Figure 10 regime: 100 sampled clients, moderate
     /// straggler, tolerance T = n/2.
@@ -201,5 +227,14 @@ mod tests {
         let at_4 = simulate_pipelined(&cost, &inp, 4);
         let at_200 = simulate_pipelined(&cost, &inp, 200);
         assert!(at_200 > at_4, "{at_200} !> {at_4}");
+    }
+
+    #[test]
+    fn planned_count_is_in_range_and_grows_with_dimension() {
+        let tiny = planned_chunk_count(1_000, 16, 20);
+        let big = planned_chunk_count(11_000_000, 100, 20);
+        assert!((1..=20).contains(&tiny));
+        assert!((1..=20).contains(&big));
+        assert!(big > 1, "large models must pipeline (got m={big})");
     }
 }

@@ -12,8 +12,9 @@
 //!
 //! The makespan is `f_{a-1,m-1}`.
 
-use dordis_sim::cost::Resource;
 use serde::{Deserialize, Serialize};
+
+use crate::Resource;
 
 /// A full pipeline schedule.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -76,37 +77,20 @@ pub fn schedule(tau: &[f64], resources: &[Resource], m: usize) -> Schedule {
     }
 }
 
-/// Serial (no-pipeline) execution time of `m` chunks: every chunk runs
-/// all stages before the next chunk starts... which for chunked-but-
-/// unpipelined execution equals `m · Σ τ_s`. With `m = 1` this is the
-/// plain execution time.
-#[must_use]
-pub fn serial_makespan(tau: &[f64], m: usize) -> f64 {
-    tau.iter().sum::<f64>() * m as f64
-}
-
-/// Resource busy fractions over the makespan (the §4 idle-time analysis:
-/// plain distributed DP leaves s-comp/c-comp/comm idle most of the time).
-#[must_use]
-pub fn utilization(tau: &[f64], resources: &[Resource], m: usize) -> Vec<(Resource, f64)> {
-    let sched = schedule(tau, resources, m);
-    let mut busy: Vec<(Resource, f64)> = Vec::new();
-    for (s, &r) in resources.iter().enumerate() {
-        let total = tau[s] * m as f64;
-        match busy.iter_mut().find(|(res, _)| *res == r) {
-            Some((_, b)) => *b += total,
-            None => busy.push((r, total)),
-        }
-    }
-    busy.iter().map(|&(r, b)| (r, b / sched.makespan)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use Resource::{CComp, Comm, SComp};
 
     const FIVE: [Resource; 5] = [CComp, Comm, SComp, Comm, CComp];
+
+    /// Serial (no-pipeline) execution time of `m` chunks: every chunk runs
+    /// all stages before the next chunk starts... which for chunked-but-
+    /// unpipelined execution equals `m · Σ τ_s`. With `m = 1` this is the
+    /// plain execution time.
+    fn serial_makespan(tau: &[f64], m: usize) -> f64 {
+        tau.iter().sum::<f64>() * m as f64
+    }
 
     #[test]
     fn single_chunk_is_serial() {
@@ -191,22 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_sums_reasonably() {
-        let tau = [1.0; 5];
-        let u = utilization(&tau, &FIVE, 4);
-        // Three resources, each with positive utilization ≤ 1.
-        assert_eq!(u.len(), 3);
-        for (_, frac) in &u {
-            assert!(*frac > 0.0 && *frac <= 1.0 + 1e-12, "frac {frac}");
-        }
-        // Plain execution (m=1) leaves every resource mostly idle.
-        let u1 = utilization(&tau, &FIVE, 1);
-        for (_, frac) in &u1 {
-            assert!(*frac <= 0.41, "m=1 frac {frac}");
-        }
-    }
-
-    #[test]
     #[should_panic]
     fn zero_chunks_panics() {
         let _ = schedule(&[1.0], &[CComp], 0);
@@ -216,7 +184,7 @@ mod tests {
 #[cfg(test)]
 mod cross_check_tests {
     use super::*;
-    use dordis_sim::event::simulate;
+    use crate::event::simulate;
     use proptest::prelude::*;
     use Resource::{CComp, Comm, SComp};
 

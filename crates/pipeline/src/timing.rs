@@ -5,10 +5,11 @@
 //! pipelined round time, broken into aggregation and "other" (local
 //! training) components, for each protocol × variant × dropout rate.
 
-use dordis_pipeline::planner::{plan_from_cost_model, simulate_pipelined};
-use dordis_sim::cost::{CostModel, Protocol, RoundCostInput, UnitCosts};
-use dordis_sim::hetero::{generate, straggler, HeteroConfig};
 use serde::{Deserialize, Serialize};
+
+use crate::cost::{CostModel, Protocol, RoundCostInput, UnitCosts};
+use crate::hetero::{generate, straggler, HeteroConfig};
+use crate::planner::{plan_from_cost_model, simulate_pipelined};
 
 /// A timing scenario (one bar group of Figure 10, or one bar of Figure 2).
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -21,12 +21,6 @@
 use core::fmt;
 use core::ops::Range;
 
-use dordis_sim::cost::{CostModel, Protocol, RoundCostInput, UnitCosts};
-use dordis_sim::hetero::ClientProfile;
-use serde::{Deserialize, Serialize};
-
-use crate::planner::plan_from_cost_model;
-
 /// Errors from chunk-plan construction or use.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ChunkPlanError {
@@ -69,7 +63,7 @@ impl std::error::Error for ChunkPlanError {}
 /// in the Setup broadcast, and re-derived identically by every client —
 /// both sides call [`ChunkPlan::aligned`] with the same round
 /// parameters, so the plan itself never travels on the wire.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkPlan {
     vector_len: usize,
     bit_width: u32,
@@ -236,32 +230,6 @@ impl ChunkPlan {
     }
 }
 
-/// Planner-chosen chunk count for a networked round: profiles the
-/// paper-testbed cost model at the round's dimension/population and
-/// returns the makespan-minimizing `m ∈ [1, 20]` (§4.2). This is what
-/// `--chunks` defaults to when unspecified; tiny rounds come out at
-/// small `m` because the per-chunk intervention overhead (`β₂ m`)
-/// swamps the overlap gain.
-#[must_use]
-pub fn planned_chunk_count(vector_len: usize, clients: usize, bit_width: u32) -> usize {
-    let cost = CostModel::new(UnitCosts::paper_testbed());
-    let input = RoundCostInput {
-        clients: clients.max(2),
-        vector_len: vector_len.max(1),
-        protocol: Protocol::SecAgg,
-        dropout_rate: 0.1,
-        dp_enabled: true,
-        xnoise_components: 0,
-        bit_width,
-        straggler: ClientProfile {
-            compute_factor: 2.0,
-            bandwidth_mbps: 21.0,
-        },
-        other_secs: 0.0,
-    };
-    plan_from_cost_model(&cost, &input, 20, 1).chunks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,15 +320,6 @@ mod tests {
             ChunkPlan::aligned(16, 2, 63),
             Err(ChunkPlanError::BadBitWidth(63))
         ));
-    }
-
-    #[test]
-    fn planned_count_is_in_range_and_grows_with_dimension() {
-        let tiny = planned_chunk_count(1_000, 16, 20);
-        let big = planned_chunk_count(11_000_000, 100, 20);
-        assert!((1..=20).contains(&tiny));
-        assert!((1..=20).contains(&big));
-        assert!(big > 1, "large models must pipeline (got m={big})");
     }
 }
 

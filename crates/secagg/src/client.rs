@@ -936,7 +936,7 @@ mod tests {
 
     use crate::driver::{client_rng, share_keys_rng};
     use crate::server::Server;
-    use dordis_pipeline::ChunkPlan;
+    use crate::ChunkPlan;
 
     const SEED: u64 = 0x15_5eed;
 

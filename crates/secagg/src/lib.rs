@@ -17,6 +17,9 @@
 //! the "self-contained and complementary" property claimed in §3.3.
 //!
 //! Structure:
+//! - [`chunkplan`]: the [`ChunkPlan`] every layer consumes — byte-aligned
+//!   per-chunk element ranges that make the chunk the unit of masking,
+//!   transmission, and aggregation,
 //! - [`graph`]: complete and Harary k-regular masking graphs,
 //! - [`messages`]: wire messages with byte-size accounting,
 //! - [`pack`]: the `b`-bits-per-element packing masked inputs travel
@@ -30,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chunkplan;
 pub mod client;
 pub mod driver;
 pub mod graph;
@@ -39,6 +43,7 @@ pub mod pack;
 pub mod plain;
 pub mod server;
 
+pub use chunkplan::{ChunkPlan, ChunkPlanError};
 use dordis_crypto::CryptoError;
 
 /// Client identifier within a round (index into the sampled set).

@@ -42,13 +42,12 @@ use dordis_crypto::ka::KeyPair;
 use dordis_crypto::prg::{Prg, Seed};
 use dordis_crypto::shamir::{self, Share};
 use dordis_crypto::x25519;
-use dordis_pipeline::ChunkPlan;
 
 use crate::messages::{
     AdvertisedKeys, ConsistencySignature, EncryptedShares, MaskedInput, NoiseShareResponse,
     UnmaskingResponse,
 };
-use crate::{mask, pack, share_threshold, ClientId, RoundParams, SecAggError};
+use crate::{mask, pack, share_threshold, ChunkPlan, ClientId, RoundParams, SecAggError};
 
 /// The result of a completed aggregation round.
 #[derive(Clone, Debug)]

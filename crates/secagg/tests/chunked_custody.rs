@@ -8,7 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use dordis_pipeline::ChunkPlan;
 use dordis_secagg::client::{Client, ClientInput};
 use dordis_secagg::driver::{
     client_rng, run_round, share_keys_rng, DropStage, DropoutSchedule, RoundSpec,
@@ -16,7 +15,7 @@ use dordis_secagg::driver::{
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::messages::{MaskedInput, UnmaskingResponse};
 use dordis_secagg::server::Server;
-use dordis_secagg::{ClientId, RoundParams, SecAggError, ThreatModel};
+use dordis_secagg::{ChunkPlan, ClientId, RoundParams, SecAggError, ThreatModel};
 
 const SEED: u64 = 0xc0_57_0d;
 const BITS: u32 = 20;

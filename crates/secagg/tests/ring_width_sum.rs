@@ -15,7 +15,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dordis_pipeline::ChunkPlan;
 use dordis_secagg::client::{Client, ClientInput};
 use dordis_secagg::driver::{
     client_rng, run_round, share_keys_rng, DropStage, DropoutSchedule, RoundSpec,
@@ -23,7 +22,9 @@ use dordis_secagg::driver::{
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::messages::{AdvertisedKeys, EncryptedShares, MaskedInput};
 use dordis_secagg::server::Server;
-use dordis_secagg::{mask, pack, plain, ClientId, RoundParams, SecAggError, ThreatModel};
+use dordis_secagg::{
+    mask, pack, plain, ChunkPlan, ClientId, RoundParams, SecAggError, ThreatModel,
+};
 use proptest::prelude::*;
 
 const SEED: u64 = 0x51_6e_a1;

@@ -12,8 +12,8 @@
 //! ```
 
 use dordis_core::config::{TaskSpec, Variant};
+use dordis_core::dropout::DropoutModel;
 use dordis_core::trainer::train;
-use dordis_sim::dropout::DropoutModel;
 
 fn run(variant: Variant, dropout: f64, seed: u64) -> (f64, f64, u32) {
     let mut spec = TaskSpec::tiny_for_tests(seed);

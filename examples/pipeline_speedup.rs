@@ -9,9 +9,9 @@
 //! cargo run --release --example pipeline_speedup
 //! ```
 
-use dordis_core::timing::{cost_input, estimate, paper_hetero, TimingScenario};
+use dordis_pipeline::cost::{CostModel, Protocol, UnitCosts};
 use dordis_pipeline::planner::{plan_from_cost_model, simulate_pipelined};
-use dordis_sim::cost::{CostModel, Protocol, UnitCosts};
+use dordis_pipeline::timing::{cost_input, estimate, paper_hetero, TimingScenario};
 
 fn scenario(name: &str, params: usize) -> TimingScenario {
     TimingScenario {

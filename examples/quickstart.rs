@@ -6,8 +6,8 @@
 //! ```
 
 use dordis_core::config::{TaskSpec, Variant};
+use dordis_core::dropout::DropoutModel;
 use dordis_core::trainer::train;
-use dordis_sim::dropout::DropoutModel;
 
 fn main() {
     // A CIFAR-10-like task in the paper's configuration: 100 clients,

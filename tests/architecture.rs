@@ -2,7 +2,8 @@
 //! structural decisions behind the stage architecture — one way to run
 //! a round, one collection loop, stage transitions and client stages
 //! that do no I/O, one masking path, one module per kernel, one cohort
-//! decision per round — checked as text over the source tree, so the
+//! decision per round, a protocol that does not link the paper's cost
+//! model — checked as text over the source tree and the manifests, so the
 //! plain `cargo test` fails as soon as a change breaks one. A failure
 //! names the rule, the file and the line.
 //!
@@ -357,6 +358,11 @@ const DELETED: &[&str] = &[
     r"\borig_noise\b",
     r"\baggregate_uniform\b",
     r"\baggregate_weighted\b",
+    // The cluster-simulation crate and the core module, both folded
+    // into the one cost-model crate, `dordis-pipeline`.
+    "dordis_sim",
+    "dordis-sim",
+    "dordis_core::timing",
 ];
 
 /// One way to run a round, one way into it: the engines, knobs and
@@ -674,6 +680,31 @@ fn one_networked_coordinator() {
     );
     let core = rust_files(walk(&["crates/core/src"]));
     forbid(rule, &lines_with(&core, &[".trip("]));
+}
+
+/// The protocol does not link the paper's model: what a round is cut
+/// into, `ChunkPlan`, is `dordis-secagg`'s, and the cost model that
+/// prices the cut and picks its chunk count, `dordis-pipeline`, is a
+/// dependency of no protocol crate, for its tests either.
+#[test]
+fn protocol_does_not_link_the_paper_model() {
+    let rule = "The protocol does not link the paper model";
+    let protocol = ["crypto", "dp", "secagg", "net", "xnoise", "fl", "telemetry"];
+    let model = Needles::new(&[r"\bdordis-pipeline\b"]);
+    for krate in protocol {
+        let manifest = Source::read(&format!("crates/{krate}/Cargo.toml"));
+        let mut table = String::new();
+        let links = manifest.grep(|line| {
+            if line.starts_with('[') {
+                table = line.trim().to_string();
+            }
+            let deps = ["[dependencies", "[dev-dependencies"].iter().any(|t| {
+                table.starts_with(&format!("{t}]")) || table.starts_with(&format!("{t}."))
+            });
+            deps && model.in_line(line)
+        });
+        forbid(rule, &links);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -5,8 +5,8 @@
 
 use dordis_bench::{eval_tasks, with_variant, Scale};
 use dordis_core::config::{TaskSpec, Variant};
+use dordis_core::dropout::DropoutModel;
 use dordis_core::trainer::train;
-use dordis_sim::dropout::DropoutModel;
 
 const XNOISE: Variant = Variant::XNoise {
     tolerance_frac: 0.5,

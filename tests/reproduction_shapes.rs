@@ -4,8 +4,8 @@
 //! calibration that would silently change a figure fails loudly.
 
 use dordis_bench::{fig10_scenarios, fig2_scenarios};
-use dordis_core::timing::estimate;
-use dordis_sim::cost::UnitCosts;
+use dordis_pipeline::cost::UnitCosts;
+use dordis_pipeline::timing::estimate;
 use dordis_xnoise::footprint::{
     default_tolerance, rebasing_extra_bytes, xnoise_extra_bytes, FootprintScenario, WireSizes,
 };
