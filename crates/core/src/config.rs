@@ -306,6 +306,7 @@ impl TaskSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dropout::TraceConfig;
 
     #[test]
     fn presets_validate() {
@@ -337,5 +338,28 @@ mod tests {
         assert!(s.validate().is_err());
         s.variant = Variant::Conservative { est_dropout: 1.0 };
         assert!(s.validate().is_err());
+    }
+
+    /// The file `dordis example-config` writes and `dordis train` reads:
+    /// every preset, and one with trace-driven dropout, survives
+    /// JSON → `TaskSpec` → JSON as identical text, so every type the
+    /// spec reaches keeps its serde derives.
+    #[test]
+    fn every_preset_survives_a_json_round_trip() {
+        let mut traced = TaskSpec::tiny_for_tests(5);
+        traced.dropout = DropoutModel::Trace(TraceConfig::default());
+        let presets = [
+            TaskSpec::cifar10_like(1),
+            TaskSpec::femnist_like(2),
+            TaskSpec::reddit_like(3),
+            TaskSpec::tiny_for_tests(4),
+            traced,
+        ];
+        for spec in presets {
+            let text = serde_json::to_string_pretty(&spec).unwrap();
+            let back: TaskSpec = serde_json::from_str(&text).unwrap();
+            let again = serde_json::to_string_pretty(&back).unwrap();
+            assert_eq!(again, text, "{}", spec.name);
+        }
     }
 }

@@ -21,10 +21,9 @@
 //! randomness") yields a fixed sample size.
 
 use dordis_crypto::vrf::{VrfInput, VrfProof, VrfPublicKey, VrfSecretKey};
-use serde::{Deserialize, Serialize};
 
 /// Public sampling parameters for a round.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SamplingConfig {
     /// Target number of participants.
     pub target_sample: usize,

@@ -16,7 +16,7 @@
 //!   and the round itself runs through the in-memory secagg *driver*
 //!   ([`run_round`]) with scripted dropouts.
 //! - [`train_session_networked`]: the deployed shape. A
-//!   [`Session`](dordis_net::session::Session) coordinator runs R
+//!   [`Session`] coordinator runs R
 //!   rounds back to back over persistent TCP connections on 127.0.0.1;
 //!   every population member keeps one connection open, answers each round's
 //!   announce with a VRF participation claim (or a decline), receives
@@ -237,7 +237,7 @@ fn registry_of(keys: &[VrfSecretKey]) -> impl Fn(ClientId) -> Option<VrfPublicKe
 
 /// The VRF public-key registry both verifier and tests use. Every key
 /// is derived here, once, not on each lookup.
-pub fn vrf_registry(seed: u64, population: u32) -> impl Fn(ClientId) -> Option<VrfPublicKey> {
+fn vrf_registry(seed: u64, population: u32) -> impl Fn(ClientId) -> Option<VrfPublicKey> {
     let keys: Vec<VrfSecretKey> = (0..population).map(|id| vrf_key_for(seed, id)).collect();
     registry_of(&keys)
 }

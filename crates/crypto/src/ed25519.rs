@@ -25,7 +25,7 @@
 //!   table. They carry every secret — signing and VRF keys, nonces,
 //!   `Γ = x·H`. `mul_scalar` is not constant-time in the *point*, which
 //!   is public everywhere it is used.
-//! - [`Point::vartime_double_mul`] and
+//! - `Point::vartime_double_mul` and
 //!   [`Point::vartime_double_mul_base`] (`a·P + b·Q`, Straus over
 //!   width-5 NAFs) branch on and index by both scalars. They take
 //!   **public inputs only**; the two call sites are
@@ -515,8 +515,9 @@ impl Point {
     }
 
     /// The standard base point `B` (y = 4/5, even x).
+    #[cfg(test)]
     #[must_use]
-    pub fn base() -> Point {
+    fn base() -> Point {
         BASE
     }
 
@@ -767,12 +768,12 @@ impl Point {
     /// `a·P + b·Q` in variable time: **public inputs only** — the two
     /// sides of a verification equation, never a secret key or nonce.
     #[must_use]
-    pub fn vartime_double_mul(a: &Scalar, p: &Point, b: &Scalar, q: &Point) -> Point {
+    fn vartime_double_mul(a: &Scalar, p: &Point, b: &Scalar, q: &Point) -> Point {
         Point::vartime_straus(a, &p.odd_multiples(), b, &q.odd_multiples())
     }
 
     /// `a·B + b·Q` in variable time over the static odd multiples of
-    /// `B`: **public inputs only**, as [`Point::vartime_double_mul`].
+    /// `B`: **public inputs only**, as `Point::vartime_double_mul`.
     #[must_use]
     pub fn vartime_double_mul_base(a: &Scalar, b: &Scalar, q: &Point) -> Point {
         Point::vartime_straus(a, &BASE_ODD, b, &q.odd_multiples())
@@ -780,7 +781,7 @@ impl Point {
 
     /// `[a·B + b·Q, a·P + b·R]` in variable time:
     /// [`Point::vartime_double_mul_base`] and
-    /// [`Point::vartime_double_mul`] on one pair of scalars. Where the CPU
+    /// `Point::vartime_double_mul` on one pair of scalars. Where the CPU
     /// has AVX-512IFMA the two Straus chains run in the two lane groups
     /// of one pass of `x25519_avx512`'s Edwards pair, sharing the NAFs of
     /// `a` and `b`. **Public inputs only**.
@@ -865,8 +866,9 @@ impl Point {
     }
 
     /// Checks the affine curve equation `-x^2 + y^2 = 1 + d x^2 y^2`.
+    #[cfg(test)]
     #[must_use]
-    pub fn on_curve(&self) -> bool {
+    pub(crate) fn on_curve(&self) -> bool {
         let zinv = self.z.invert();
         let x = self.x.mul(zinv);
         let y = self.y.mul(zinv);

@@ -79,8 +79,9 @@ impl Fe {
     pub const ONE: Fe = Fe([1, 0, 0, 0, 0]);
 
     /// Builds an element from a small integer.
+    #[cfg(test)]
     #[must_use]
-    pub const fn from_u64(v: u64) -> Fe {
+    pub(crate) const fn from_u64(v: u64) -> Fe {
         Fe([v & MASK51, (v >> 51) & MASK51, 0, 0, 0])
     }
 
@@ -277,7 +278,7 @@ impl Fe {
     }
 
     /// `(self^(2^250 - 1), self^11)`: the addition chain shared by
-    /// [`Fe::invert`], [`Fe::pow_p58`] and [`Fe::sqrt_m1`]: 249
+    /// [`Fe::invert`], [`Fe::pow_p58`] and `Fe::sqrt_m1`: 249
     /// squarings and 10 multiplications.
     fn pow22501(self) -> (Fe, Fe) {
         let x2 = self.square();
@@ -330,8 +331,9 @@ impl Fe {
     }
 
     /// Returns `sqrt(-1)` in the field (one of the two roots).
+    #[cfg(test)]
     #[must_use]
-    pub fn sqrt_m1() -> Fe {
+    pub(crate) fn sqrt_m1() -> Fe {
         // 2^((p-1)/4) is a square root of -1 because 2 is a non-square
         // mod p. (p-1)/4 = 2^253 - 5 = (2^250 - 1) · 2^3 + 3.
         let (e250, _) = Fe::from_u64(2).pow22501();

@@ -13,7 +13,7 @@ use crate::sha256::{sha256, Sha256, BLOCK_LEN, DIGEST_LEN};
 ///
 /// Keys longer than the SHA-256 block size are first hashed, per RFC 2104.
 #[must_use]
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
+fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
     let mut mac = HmacSha256::new(key);
     mac.update(message);
     mac.finalize()
@@ -23,7 +23,7 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
 ///
 /// Keying absorbs `key ⊕ ipad` into the inner hash and `key ⊕ opad` into
 /// the outer one, so the context holds the two midstates: a clone of a
-/// keyed context (what [`hkdf_expand`] makes per output block) MACs a
+/// keyed context (what HKDF-Expand makes per output block) MACs a
 /// message without touching the key again.
 #[derive(Clone)]
 pub struct HmacSha256 {
@@ -68,7 +68,7 @@ impl HmacSha256 {
 
 /// RFC 5869 HKDF-Extract: `PRK = HMAC(salt, ikm)`.
 #[must_use]
-pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
+fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
     hmac_sha256(salt, ikm)
 }
 
@@ -79,7 +79,7 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 ///
 /// Panics if more than `255 * 32` output bytes are requested, per the RFC
 /// limit; callers in this crate only ever derive a few keys at once.
-pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], out: &mut [u8]) {
+fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], out: &mut [u8]) {
     assert!(out.len() <= 255 * DIGEST_LEN, "HKDF output too long");
     let keyed = HmacSha256::new(prk);
     let mut t = [0u8; DIGEST_LEN];
@@ -100,7 +100,7 @@ pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], out: &mut [u8]) {
 ///
 /// # Panics
 ///
-/// Panics if `N > 255 * 32`, as [`hkdf_expand`] does.
+/// Panics if `N > 255 * 32`, the RFC 5869 limit on HKDF-Expand.
 #[must_use]
 pub fn hkdf<const N: usize>(salt: &[u8], ikm: &[u8], info: &[u8]) -> [u8; N] {
     let mut out = [0u8; N];

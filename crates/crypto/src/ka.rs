@@ -31,8 +31,9 @@ impl KeyPair {
 
     /// Derives a keypair deterministically from a seed (useful for
     /// reproducible protocol tests).
+    #[cfg(test)]
     #[must_use]
-    pub fn from_seed(seed: &[u8; 32]) -> KeyPair {
+    fn from_seed(seed: &[u8; 32]) -> KeyPair {
         let secret = hkdf(b"dordis.ka.keygen", seed, b"sk");
         let public = x25519::public_key(&secret);
         KeyPair { secret, public }

@@ -53,7 +53,7 @@ impl RdpAccountant {
 
     /// Creates an accountant over a custom order grid (all orders > 1).
     #[must_use]
-    pub fn with_orders(orders: Vec<f64>) -> Self {
+    fn with_orders(orders: Vec<f64>) -> Self {
         assert!(orders.iter().all(|&a| a > 1.0));
         let n = orders.len();
         RdpAccountant {
@@ -61,12 +61,6 @@ impl RdpAccountant {
             accum: vec![0.0; n],
             steps: 0,
         }
-    }
-
-    /// Number of recorded rounds.
-    #[must_use]
-    pub fn steps(&self) -> u32 {
-        self.steps
     }
 
     /// Records one round of the given mechanism.
@@ -183,6 +177,6 @@ mod tests {
         let mut acct = RdpAccountant::new();
         acct.record_round(Mechanism::Gaussian, 0.5, 1.0);
         acct.record_round(Mechanism::Gaussian, 0.5, 1.0);
-        assert_eq!(acct.steps(), 2);
+        assert_eq!(acct.steps, 2);
     }
 }

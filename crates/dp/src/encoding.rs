@@ -62,7 +62,7 @@ impl EncodingConfig {
     /// `‖z‖₂ ≤ γc + √d/2 · slack`, concretely
     /// `√(γ²c² + d/4 + √(2 ln(1/β)) · (γc + √d/2))`.
     #[must_use]
-    pub fn norm_bound(&self, dim: usize) -> f64 {
+    fn norm_bound(&self, dim: usize) -> f64 {
         let d = dim as f64;
         let gc = self.gamma * self.clip;
         let slack = (2.0 * (1.0 / self.beta).ln()).sqrt();
@@ -91,7 +91,7 @@ impl EncodingConfig {
 /// # Panics
 ///
 /// Panics if the length is not a power of two.
-pub fn wht_inplace(v: &mut [f64]) {
+fn wht_inplace(v: &mut [f64]) {
     let n = v.len();
     assert!(n.is_power_of_two(), "WHT length must be a power of two");
     let mut h = 1;
@@ -266,34 +266,6 @@ impl<'a> Encoder<'a> {
     }
 }
 
-/// Adds two vectors in `Z_{2^b}` (coordinate-wise, wrapping).
-#[must_use]
-pub fn add_mod(a: &[u64], b: &[u64], bit_width: u32) -> Vec<u64> {
-    let mask = if bit_width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << bit_width) - 1
-    };
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| x.wrapping_add(y) & mask)
-        .collect()
-}
-
-/// Subtracts `b` from `a` in `Z_{2^b}`.
-#[must_use]
-pub fn sub_mod(a: &[u64], b: &[u64], bit_width: u32) -> Vec<u64> {
-    let mask = if bit_width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << bit_width) - 1
-    };
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| x.wrapping_sub(y) & mask)
-        .collect()
-}
-
 fn l2_norm(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
@@ -302,6 +274,20 @@ fn l2_norm(v: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Adds two vectors in `Z_{2^b}` (coordinate-wise, wrapping): the
+    /// server's aggregation, as the tests model it.
+    fn add_mod(a: &[u64], b: &[u64], bit_width: u32) -> Vec<u64> {
+        let mask = if bit_width == 64 {
+            u64::MAX
+        } else {
+            (1u64 << bit_width) - 1
+        };
+        a.iter()
+            .zip(b.iter())
+            .map(|(&x, &y)| x.wrapping_add(y) & mask)
+            .collect()
+    }
 
     fn cfg() -> EncodingConfig {
         EncodingConfig::default()
@@ -443,10 +429,7 @@ mod tests {
     fn mod_arithmetic_roundtrip() {
         let a = vec![5u64, (1 << 20) - 1, 7];
         let b = vec![3u64, 2, (1 << 20) - 1];
-        let sum = add_mod(&a, &b, 20);
-        assert_eq!(sum, vec![8, 1, 6]);
-        let back = sub_mod(&sum, &b, 20);
-        assert_eq!(back, a);
+        assert_eq!(add_mod(&a, &b, 20), vec![8, 1, 6]);
     }
 
     proptest! {

@@ -163,28 +163,10 @@ impl PrivacyLedger {
         self.accountant.epsilon(self.delta)
     }
 
-    /// The δ the ledger reports ε at.
-    #[must_use]
-    pub fn delta(&self) -> f64 {
-        self.delta
-    }
-
-    /// The configured budget ε_G.
-    #[must_use]
-    pub fn budget_epsilon(&self) -> f64 {
-        self.budget_epsilon
-    }
-
     /// True once realized ε meets or exceeds the budget.
     #[must_use]
     pub fn exhausted(&self) -> bool {
         self.realized_epsilon() >= self.budget_epsilon
-    }
-
-    /// Remaining budget (never negative).
-    #[must_use]
-    pub fn remaining(&self) -> f64 {
-        (self.budget_epsilon - self.realized_epsilon()).max(0.0)
     }
 
     /// All per-round entries recorded so far.
@@ -287,7 +269,6 @@ mod tests {
         }
         let r = stopped_at.expect("budget should run out early");
         assert!(r < cfg.rounds, "stopped at {r}");
-        assert!(ledger.remaining() == 0.0);
     }
 
     #[test]

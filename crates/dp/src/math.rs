@@ -11,7 +11,7 @@
 ///
 /// Panics if `x <= 0` (the reflection branch is not needed here).
 #[must_use]
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma domain: x > 0");
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [

@@ -13,7 +13,7 @@
 //! as it needs. A draw is one 16-bit keystream lane — the sign and the
 //! top 15 bits of `u` — and, only when those leave the magnitude
 //! undecided, the 8 bytes that follow it, whose top 48 bits are the rest
-//! of `u` (see [`SkellamTable`]). Keystream per draw, measured:
+//! of `u` (see `SkellamTable`). Keystream per draw, measured:
 //!
 //! | σ | 2 | 9 | 50 | 316 | 2 650 (table cap) |
 //! |---|---|---|---|---|---|
@@ -47,7 +47,7 @@ use crate::math::ln_factorial;
 ///
 /// Small means use Knuth's product-of-uniforms method; large means use
 /// Atkinson's logistic-envelope rejection (exact, expected O(1) trials).
-pub fn poisson(prg: &mut Prg, mu: f64) -> u64 {
+fn poisson(prg: &mut Prg, mu: f64) -> u64 {
     assert!(mu >= 0.0, "Poisson mean must be non-negative");
     if mu == 0.0 {
         return 0;
@@ -121,8 +121,8 @@ const STRIP: usize = 512;
 
 /// A symmetric Skellam sampler for one variance.
 ///
-/// Up to [`TABLE_CAP`] the sampler inverts a precomputed survival
-/// function of `|X|` (see [`SkellamTable`]); above it, where the table
+/// Up to `TABLE_CAP` the sampler inverts a precomputed survival
+/// function of `|X|` (see `SkellamTable`); above it, where the table
 /// would no longer fit in cache, every draw is [`skellam`]'s Poisson
 /// difference. The regime is a function of `variance` alone, so a
 /// client and the server regenerating its noise always agree on it.
@@ -148,7 +148,7 @@ impl SkellamSampler {
     }
 
     /// Hands `sink` the stream's next `len` draws in order, as
-    /// `(offset, strip)` with at most [`STRIP`] draws per call, each a
+    /// `(offset, strip)` with at most `STRIP` draws per call, each a
     /// two's-complement `u64` — the form that adds into `Z_{2^b}` with a
     /// wrapping add and a ring mask. Nothing of length `len` is
     /// allocated.

@@ -7,13 +7,11 @@
 //! which is exactly why `Orig`-style under-noising (dropout) or
 //! conservative over-noising (the paper's `ConX` variants) are both bad.
 
-use serde::{Deserialize, Serialize};
-
 use crate::accountant::{Mechanism, RdpAccountant};
 use crate::DpError;
 
 /// Inputs to offline noise planning.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PlannerConfig {
     /// Global privacy budget ε_G.
     pub epsilon: f64,
@@ -28,7 +26,7 @@ pub struct PlannerConfig {
 }
 
 /// The result of offline noise planning.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NoisePlan {
     /// Minimum central noise multiplier `z∗ = σ∗ / Δ₂` per round.
     pub noise_multiplier: f64,

@@ -23,7 +23,7 @@ pub const DEFAULT_ORDERS: [f64; 20] = [
 /// RDP of the Gaussian mechanism with noise multiplier `z = σ/Δ₂` at
 /// order `α`: `ε(α) = α / (2 z²)`.
 #[must_use]
-pub fn gaussian_rdp(alpha: f64, noise_multiplier: f64) -> f64 {
+fn gaussian_rdp(alpha: f64, noise_multiplier: f64) -> f64 {
     assert!(noise_multiplier > 0.0);
     alpha / (2.0 * noise_multiplier * noise_multiplier)
 }

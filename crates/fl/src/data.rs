@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// An in-memory labelled dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Dataset {
     /// Feature vectors, all of equal dimension.
     pub features: Vec<Vec<f32>>,

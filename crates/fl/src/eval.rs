@@ -1,7 +1,13 @@
 //! Model evaluation: accuracy and perplexity.
+//!
+//! Each call runs one forward pass per example through
+//! [`Model::for_each_logits`], which reuses one set of buffers for the
+//! whole test set; the per-example arithmetic is that of
+//! [`Model::predict`] and [`Model::loss`].
 
 use crate::data::Dataset;
 use crate::model::Model;
+use crate::tensor::{argmax, softmax_inplace};
 
 /// Classification accuracy in `[0, 1]`.
 #[must_use]
@@ -9,27 +15,23 @@ pub fn accuracy(model: &dyn Model, data: &Dataset) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
-    let correct = data
-        .features
-        .iter()
-        .zip(data.labels.iter())
-        .filter(|(x, &y)| model.predict(x) == y)
-        .count();
+    let mut correct = 0usize;
+    model.for_each_logits(&data.features, &mut |i, logits| {
+        correct += usize::from(argmax(logits) == data.labels[i]);
+    });
     correct as f64 / data.len() as f64
 }
 
 /// Mean cross-entropy loss.
-#[must_use]
-pub fn mean_loss(model: &dyn Model, data: &Dataset) -> f64 {
+fn mean_loss(model: &dyn Model, data: &Dataset) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
-    let total: f64 = data
-        .features
-        .iter()
-        .zip(data.labels.iter())
-        .map(|(x, &y)| model.loss(x, y) as f64)
-        .sum();
+    let mut total = 0.0f64;
+    model.for_each_logits(&data.features, &mut |i, logits| {
+        softmax_inplace(logits);
+        total += f64::from(-(logits[data.labels[i]].max(1e-12)).ln());
+    });
     total / data.len() as f64
 }
 
@@ -44,7 +46,7 @@ pub fn perplexity(model: &dyn Model, data: &Dataset) -> f64 {
 mod tests {
     use super::*;
     use crate::data::{synthetic_classification, SyntheticConfig};
-    use crate::model::{Linear, Model};
+    use crate::model::{Linear, Mlp, Model};
 
     #[test]
     fn untrained_model_near_chance() {
@@ -63,6 +65,39 @@ mod tests {
         // Uniform probabilities => perplexity == classes.
         let ppl = perplexity(&m, &data);
         assert!((ppl - 5.0).abs() < 0.01, "ppl {ppl}");
+    }
+
+    /// The per-example forms the evaluation replaced: one
+    /// `Model::predict` / `Model::loss` call (and their buffers) per
+    /// example.
+    fn per_example(model: &dyn Model, data: &Dataset) -> (f64, f64) {
+        let pairs = || data.features.iter().zip(data.labels.iter());
+        let correct = pairs().filter(|(x, &y)| model.predict(x) == y).count();
+        let loss: f64 = pairs().map(|(x, &y)| f64::from(model.loss(x, y))).sum();
+        let n = data.len() as f64;
+        (correct as f64 / n, (loss / n).exp())
+    }
+
+    #[test]
+    fn one_buffer_evaluation_is_bit_equal_to_the_per_example_calls() {
+        let data = synthetic_classification(&SyntheticConfig {
+            samples: 300,
+            dim: 12,
+            classes: 4,
+            noise: 0.8,
+            seed: 9,
+        });
+        let mut linear = Linear::new(12, 4);
+        let trained: Vec<f32> = (0..linear.num_params())
+            .map(|i| ((i as f32) * 0.37).sin() * 0.4)
+            .collect();
+        linear.set_params(&trained);
+        let mlp = Mlp::new(12, 16, 4, 5);
+        for model in [&linear as &dyn Model, &mlp] {
+            let (acc, ppl) = per_example(model, &data);
+            assert_eq!(accuracy(model, &data).to_bits(), acc.to_bits());
+            assert_eq!(perplexity(model, &data).to_bits(), ppl.to_bits());
+        }
     }
 
     #[test]

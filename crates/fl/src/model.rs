@@ -37,6 +37,10 @@ pub trait Model: Send {
     fn predict(&self, x: &[f32]) -> usize;
     /// Cross-entropy loss of one example.
     fn loss(&self, x: &[f32], y: usize) -> f32;
+    /// Calls `visit(i, logits)` with the logits of each example `xs[i]`,
+    /// in order, all computed into one set of buffers. `visit` may
+    /// overwrite `logits`; the next example's pass rewrites them.
+    fn for_each_logits(&self, xs: &[Vec<f32>], visit: &mut dyn FnMut(usize, &mut [f32]));
     /// Boxed clone (object-safe).
     fn clone_box(&self) -> Box<dyn Model>;
 }
@@ -155,6 +159,15 @@ impl Model for Linear {
 
     fn loss(&self, x: &[f32], y: usize) -> f32 {
         -(self.probs(x)[y].max(1e-12)).ln()
+    }
+
+    fn for_each_logits(&self, xs: &[Vec<f32>], visit: &mut dyn FnMut(usize, &mut [f32])) {
+        let mut logits = vec![0.0f32; self.classes];
+        for (i, x) in xs.iter().enumerate() {
+            debug_assert_eq!(x.len(), self.input_dim);
+            affine(x, &self.wt, &self.params[self.wt.len()..], &mut logits);
+            visit(i, &mut logits);
+        }
     }
 
     fn clone_box(&self) -> Box<dyn Model> {
@@ -322,6 +335,14 @@ impl Model for Mlp {
         let (_, mut logits) = self.forward(x);
         softmax_inplace(&mut logits);
         -(logits[y].max(1e-12)).ln()
+    }
+
+    fn for_each_logits(&self, xs: &[Vec<f32>], visit: &mut dyn FnMut(usize, &mut [f32])) {
+        let (mut h, mut logits) = (vec![0.0f32; self.hidden], vec![0.0f32; self.classes]);
+        for (i, x) in xs.iter().enumerate() {
+            self.forward_into(x, &mut h, &mut logits);
+            visit(i, &mut logits);
+        }
     }
 
     fn clone_box(&self) -> Box<dyn Model> {

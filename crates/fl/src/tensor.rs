@@ -8,13 +8,6 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// Dot product.
-#[must_use]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-}
-
 /// Euclidean norm.
 #[must_use]
 pub fn l2_norm(v: &[f32]) -> f32 {
@@ -83,8 +76,7 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_norm() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
+    fn l2_norm_basic() {
         assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
     }
 

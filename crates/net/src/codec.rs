@@ -3,7 +3,8 @@
 //!
 //! Layout conventions: all integers are little-endian; collections carry
 //! explicit counts; Shamir shares encode as `x u8, len u8, y`. Message
-//! *bodies* encode exactly [`WireSize::wire_bytes`] bytes — the
+//! *bodies* encode exactly
+//! [`dordis_secagg::messages::WireSize::wire_bytes`] bytes — the
 //! `wire_size_agreement` test in this crate pins that equality for every
 //! message type, because those sizes feed the paper's Figure 2/10
 //! communication cost model. List framing and the envelope header are
@@ -240,7 +241,7 @@ impl Envelope {
     }
 
     /// Checks the frame's round id against the round a state machine is
-    /// executing, through [`round_gate`]. `Abort` frames pass regardless
+    /// executing, through `round_gate`. `Abort` frames pass regardless
     /// (they are round-free by construction: a peer may abort with stale
     /// state).
     ///

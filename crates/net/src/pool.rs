@@ -104,8 +104,9 @@ impl BytePool {
     }
 
     /// Ingress high-water mark.
+    #[cfg(test)]
     #[must_use]
-    pub fn high_water_ingress(&self) -> u64 {
+    fn high_water_ingress(&self) -> u64 {
         self.shared.hw_in.load(Ordering::Relaxed)
     }
 

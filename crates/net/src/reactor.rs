@@ -9,7 +9,7 @@
 //! - [`Poller`]: an epoll instance driven through direct `syscall`
 //!   instructions (the container has no crates.io access, so no `libc` /
 //!   `mio` — the handful of syscalls we need are wrapped by hand in
-//!   [`sys`]). Registrations are [`Token`]-keyed with read/write
+//!   `sys`). Registrations are [`Token`]-keyed with read/write
 //!   [`Interest`]; events are level-triggered, which composes with the
 //!   drain-until-`WouldBlock` discipline of
 //!   [`TcpChannel::try_recv`](crate::tcp::TcpChannel::try_recv).
@@ -151,13 +151,18 @@ mod sys {
         pub data: u64,
     }
 
-    pub fn epoll_create1() -> io::Result<i32> {
+    pub(super) fn epoll_create1() -> io::Result<i32> {
         // SAFETY: epoll_create1 takes a flags word and touches no memory.
         let ret = unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) };
         check(ret).map(|fd| fd as i32)
     }
 
-    pub fn epoll_ctl(epfd: i32, op: usize, fd: i32, event: Option<EpollEvent>) -> io::Result<()> {
+    pub(super) fn epoll_ctl(
+        epfd: i32,
+        op: usize,
+        fd: i32,
+        event: Option<EpollEvent>,
+    ) -> io::Result<()> {
         let mut ev = event.unwrap_or_default();
         let ptr = if event.is_some() {
             std::ptr::addr_of_mut!(ev) as usize
@@ -170,7 +175,11 @@ mod sys {
         check(ret).map(|_| ())
     }
 
-    pub fn epoll_pwait(epfd: i32, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+    pub(super) fn epoll_pwait(
+        epfd: i32,
+        events: &mut [EpollEvent],
+        timeout_ms: i32,
+    ) -> io::Result<usize> {
         // SAFETY: the events buffer is exclusively borrowed for the
         // duration of the call; a null sigmask leaves signals untouched.
         let ret = unsafe {
@@ -187,7 +196,7 @@ mod sys {
         check(ret)
     }
 
-    pub fn close(fd: i32) {
+    pub(super) fn close(fd: i32) {
         // SAFETY: we only close fds this module opened and owns.
         let _ = unsafe { syscall6(nr::CLOSE, fd as usize, 0, 0, 0, 0, 0) };
     }
@@ -395,13 +404,13 @@ impl Deadlines {
 
     /// The earliest armed deadline.
     #[must_use]
-    pub fn next_deadline(&self) -> Option<Instant> {
+    fn next_deadline(&self) -> Option<Instant> {
         self.armed.values().min().copied()
     }
 
     /// Harvests every deadline at or before `now` into `expired` (in
     /// token order); a deadline never fires early, and fires once.
-    pub fn advance(&mut self, now: Instant, expired: &mut Vec<Token>) {
+    fn advance(&mut self, now: Instant, expired: &mut Vec<Token>) {
         self.armed.retain(|&token, &mut at| {
             let due = at <= now;
             if due {
@@ -482,7 +491,8 @@ impl Reactor {
     /// # Errors
     ///
     /// Propagates epoll creation failure.
-    pub fn new() -> Result<Reactor, NetError> {
+    #[cfg(test)]
+    pub(crate) fn new() -> Result<Reactor, NetError> {
         Reactor::with_telemetry(Telemetry::disabled())
     }
 
@@ -522,8 +532,9 @@ impl Reactor {
 
     /// The telemetry handle this reactor records into (disabled unless
     /// built via [`Reactor::with_telemetry`]).
+    #[cfg(test)]
     #[must_use]
-    pub fn telemetry(&self) -> &Telemetry {
+    fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 

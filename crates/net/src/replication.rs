@@ -177,12 +177,6 @@ pub struct AwaitingAck {
 }
 
 impl AwaitingAck {
-    /// The wire round whose checkpoint is in flight.
-    #[must_use]
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// Consumes the wait on a frame from the backup.
     ///
     /// # Errors
@@ -232,12 +226,6 @@ impl Backup {
         }
     }
 
-    /// The last installed checkpoint, if any.
-    #[must_use]
-    pub fn installed(&self) -> Option<&SessionCheckpoint> {
-        self.installed.as_ref()
-    }
-
     /// Installs the checkpoint in `env` and acks it. The ack is emitted
     /// *by this transition* — there is no way to ack without installing
     /// first, so an acked round is always recoverable from this backup.
@@ -246,7 +234,7 @@ impl Backup {
     ///
     /// [`NetError::Codec`] when the body does not decode (nothing is
     /// acked); channel errors from the ack send.
-    pub fn install(self, env: &Envelope, chan: &mut dyn Channel) -> Result<Backup, NetError> {
+    fn install(self, env: &Envelope, chan: &mut dyn Channel) -> Result<Backup, NetError> {
         let ckpt = SessionCheckpoint::decode(&env.body)?;
         let ack = Envelope::new(StageTag::CheckpointAck, env.round, Vec::new());
         chan.send(&ack.encode())?;
@@ -258,7 +246,7 @@ impl Backup {
 
     /// The lease expired: this backup becomes a takeover candidate.
     #[must_use]
-    pub fn promote(self) -> Candidate {
+    fn promote(self) -> Candidate {
         Candidate {
             view: self.view,
             installed: self.installed,
@@ -283,7 +271,7 @@ impl Candidate {
     /// Announces the view change (best effort — the old primary is
     /// usually dead, but if it is merely partitioned the frame is what
     /// destroys its `Primary` value) and assumes leadership.
-    pub fn take_over(self, chan: &mut dyn Channel) -> Takeover {
+    fn take_over(self, chan: &mut dyn Channel) -> Takeover {
         let view = self.view + 1;
         let env = Envelope::new(StageTag::ViewChange, view, Vec::new());
         let _ = chan.send(&env.encode()); // the primary being gone is the common case
@@ -414,7 +402,7 @@ mod tests {
         let (mut p_chan, mut b_chan) = TcpChannel::pair().unwrap();
         let primary = Primary::new();
         let waiting = primary.ship(&ckpt(1), &mut p_chan).unwrap();
-        assert_eq!(waiting.round(), 1);
+        assert_eq!(waiting.round, 1);
 
         // Backup installs and acks in one typed transition.
         let frame = b_chan
@@ -423,7 +411,7 @@ mod tests {
         let env = Envelope::decode(&frame).unwrap();
         assert_eq!(env.stage, StageTag::CheckpointInstall);
         let backup = Backup::new().install(&env, &mut b_chan).unwrap();
-        assert_eq!(backup.installed().unwrap().round, 1);
+        assert_eq!(backup.installed.as_ref().unwrap().round, 1);
 
         // Primary completes against the ack and is a primary again.
         let frame = p_chan

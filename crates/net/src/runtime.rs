@@ -437,7 +437,7 @@ impl Backoff {
 
     /// The next wait in the schedule (advances the attempt counter).
     #[must_use]
-    pub fn next_delay(&mut self) -> Duration {
+    fn next_delay(&mut self) -> Duration {
         let exp = self.attempt.min(20); // 2^20 · base saturates any sane cap
         self.attempt = self.attempt.wrapping_add(1);
         let ceiling = self
@@ -457,7 +457,7 @@ impl Backoff {
         ceiling.mul_f64(frac)
     }
 
-    /// Sleeps for [`Backoff::next_delay`].
+    /// Sleeps for the next delay of the schedule.
     pub fn sleep(&mut self) {
         std::thread::sleep(self.next_delay());
     }

@@ -272,12 +272,6 @@ impl WriteBuffer {
         });
     }
 
-    /// Bytes still waiting to drain.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// True when everything has drained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -311,7 +305,7 @@ impl WriteBuffer {
     }
 
     /// Writes as much as `w` accepts, gathering up to
-    /// [`MAX_WRITEV_SEGMENTS`] segments per vectored write. `Ok(true)`
+    /// `MAX_WRITEV_SEGMENTS` segments per vectored write. `Ok(true)`
     /// means drained; `Ok(false)` means `w` signalled `WouldBlock` (or
     /// accepted only part) and the remainder waits for the next
     /// readiness event.
@@ -399,7 +393,7 @@ impl TcpChannel {
     /// # Errors
     ///
     /// Propagates socket-option failures.
-    pub fn from_stream(stream: TcpStream) -> Result<TcpChannel, NetError> {
+    fn from_stream(stream: TcpStream) -> Result<TcpChannel, NetError> {
         stream.set_nodelay(true)?;
         let peer = stream
             .peer_addr()
@@ -417,7 +411,8 @@ impl TcpChannel {
 
     /// Overrides the blocking-path write timeout (see
     /// [`DEFAULT_WRITE_TIMEOUT`]).
-    pub fn set_write_timeout(&mut self, timeout: Duration) {
+    #[cfg(test)]
+    fn set_write_timeout(&mut self, timeout: Duration) {
         self.write_timeout = timeout;
     }
 

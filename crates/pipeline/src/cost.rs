@@ -13,13 +13,11 @@
 //! size) is calibration-independent; `tests/reproduction_shapes.rs` at
 //! the workspace root pins those shapes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hetero::ClientProfile;
 use crate::Resource;
 
 /// One stage's name, resource, and duration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StageCost {
     /// Stage label (matching Table 1 groupings).
     pub name: &'static str,
@@ -31,7 +29,7 @@ pub struct StageCost {
 
 /// Calibrated unit costs (reference client; the straggler's
 /// `compute_factor` scales client-side work).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct UnitCosts {
     /// PRG expansion, ns per output byte (mask generation).
     pub prg_byte_ns: f64,
@@ -93,7 +91,7 @@ impl UnitCosts {
 }
 
 /// Which aggregation protocol a round runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Protocol {
     /// No masking at all (baseline).
     Plain,
@@ -119,7 +117,7 @@ impl Protocol {
 }
 
 /// Inputs describing one aggregation round for costing.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RoundCostInput {
     /// Sampled clients `n`.
     pub clients: usize,
@@ -152,7 +150,7 @@ impl RoundCostInput {
 }
 
 /// The cost model: unit costs plus the stage formulas.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Unit costs in effect.
     pub units: UnitCosts,

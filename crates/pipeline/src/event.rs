@@ -5,9 +5,7 @@
 //! event-driven simulation — tasks queue on exclusive resources, a
 //! virtual clock advances event by event — providing an *independent*
 //! implementation to cross-check the recurrence (they must agree exactly;
-//! see the tests and `schedule::cross_check_tests`). It also produces
-//! per-resource busy intervals for utilization analysis (§4's idle-time
-//! observation).
+//! see the tests and `schedule::cross_check_tests`).
 
 use crate::Resource;
 
@@ -41,23 +39,6 @@ pub struct SimOutcome {
     pub completed: Vec<Completed>,
     /// Total makespan.
     pub makespan: f64,
-}
-
-impl SimOutcome {
-    /// Fraction of the makespan during which `resource` was busy.
-    #[must_use]
-    pub fn utilization(&self, resource: Resource) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        let busy: f64 = self
-            .completed
-            .iter()
-            .filter(|c| c.task.resource == resource)
-            .map(|c| c.finish - c.start)
-            .sum();
-        busy / self.makespan
-    }
 }
 
 /// Executes a pipelined round as a discrete-event simulation.
@@ -209,15 +190,6 @@ mod tests {
             for c in 1..4 {
                 assert!(find(s, c).start >= find(s, c - 1).finish - 1e-12);
             }
-        }
-    }
-
-    #[test]
-    fn utilization_bounds() {
-        let out = simulate(&[1.0; 5], &FIVE, 4);
-        for r in [CComp, Comm, SComp] {
-            let u = out.utilization(r);
-            assert!(u > 0.0 && u <= 1.0 + 1e-12, "{r:?}: {u}");
         }
     }
 }

@@ -7,10 +7,9 @@
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A client's static performance profile.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ClientProfile {
     /// Compute slowdown factor (1.0 = fastest client in the cohort).
     pub compute_factor: f64,
@@ -27,7 +26,7 @@ impl ClientProfile {
 }
 
 /// Configuration of the heterogeneity generator.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HeteroConfig {
     /// Zipf exponent for compute (paper: 1.2).
     pub zipf_a: f64,

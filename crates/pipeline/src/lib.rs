@@ -36,8 +36,6 @@ pub mod planner;
 pub mod schedule;
 pub mod timing;
 
-use serde::{Deserialize, Serialize};
-
 pub use planner::planned_chunk_count;
 
 // Only `benchmark/` reads `ChunkPlan` under this path; the re-export
@@ -45,7 +43,7 @@ pub use planner::planned_chunk_count;
 pub use dordis_secagg::ChunkPlan;
 
 /// System resource a stage occupies (paper §4.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Resource {
     /// Client compute.
     CComp,

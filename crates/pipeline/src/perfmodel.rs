@@ -7,10 +7,8 @@
 //! (RTTs, key setup). The profiler fits the three coefficients from
 //! `(m, observed τ)` samples by solving the 3×3 normal equations.
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted per-stage model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct StageModel {
     /// Work coefficient (seconds per element · elements-of-d).
     pub beta1: f64,
@@ -31,7 +29,7 @@ impl StageModel {
 }
 
 /// One profiling observation: chunk count and measured latency.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Sample {
     /// Chunk count `m` of the observation.
     pub m: usize,

@@ -6,8 +6,6 @@
 //! argmin. It also bridges the simulator's cost model into fitted stage
 //! models via profiling.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::{CostModel, Protocol, RoundCostInput, UnitCosts};
 use crate::hetero::ClientProfile;
 use crate::perfmodel::{fit, profile, StageModel};
@@ -15,7 +13,7 @@ use crate::schedule::schedule;
 use crate::Resource;
 
 /// Result of planning.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PipelinePlan {
     /// Chosen chunk count `m*`.
     pub chunks: usize,
@@ -29,8 +27,9 @@ pub struct PipelinePlan {
 
 impl PipelinePlan {
     /// Speedup of the chosen plan over plain execution.
+    #[cfg(test)]
     #[must_use]
-    pub fn speedup(&self) -> f64 {
+    fn speedup(&self) -> f64 {
         self.plain / self.makespan
     }
 }

@@ -12,12 +12,10 @@
 //!
 //! The makespan is `f_{a-1,m-1}`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Resource;
 
 /// A full pipeline schedule.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Schedule {
     /// `begin[s][c]`: start time of stage `s` for chunk `c`.
     pub begin: Vec<Vec<f64>>,

@@ -5,14 +5,12 @@
 //! pipelined round time, broken into aggregation and "other" (local
 //! training) components, for each protocol × variant × dropout rate.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::{CostModel, Protocol, RoundCostInput, UnitCosts};
 use crate::hetero::{generate, straggler, HeteroConfig};
 use crate::planner::{plan_from_cost_model, simulate_pipelined};
 
 /// A timing scenario (one bar group of Figure 10, or one bar of Figure 2).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TimingScenario {
     /// Scenario label.
     pub name: String,
@@ -35,7 +33,7 @@ pub struct TimingScenario {
 }
 
 /// Estimated round time, plain and pipelined.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RoundTime {
     /// Aggregation seconds, plain execution.
     pub plain_agg: f64,

@@ -712,7 +712,7 @@ pub struct MaskedInputCursor<'a> {
 
 impl MaskedInputCursor<'_> {
     /// Masks `input[range]`: strip-outer, mask-inner — the self mask and
-    /// every pairwise mask are added to one [`OUTER_STRIP`] of the
+    /// every pairwise mask are added to one `OUTER_STRIP` of the
     /// chunk before the next strip is touched.
     ///
     /// # Panics

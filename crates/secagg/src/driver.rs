@@ -61,7 +61,7 @@ impl DropoutSchedule {
 
     /// True if the client is still alive at `stage`.
     #[must_use]
-    pub fn alive_at(&self, client: ClientId, stage: DropStage) -> bool {
+    fn alive_at(&self, client: ClientId, stage: DropStage) -> bool {
         match self.map.get(&client) {
             None => true,
             Some(&drop) => stage < drop,

@@ -1,7 +1,7 @@
 //! Mask expansion and modular vector arithmetic in `Z_{2^b}`.
 //!
-//! [`expand_and_add`] and the [`add_pairwise_mask_assign`] /
-//! [`add_self_mask_assign`] wrappers accumulate the PRG keystream
+//! [`expand_and_add`] and its [`add_pairwise_mask_assign`] wrapper
+//! (and, for the tests, `add_self_mask_assign`) accumulate the PRG keystream
 //! **directly into the running sum** in cache-sized strips, never
 //! materializing a `Vec<u64>` per mask per neighbor — the dominant
 //! allocation in unmasking recovery, where a dropout costs
@@ -78,7 +78,8 @@ pub fn add_pairwise_mask_assign(
 /// `acc ± PRG(b_u)[offset .. offset + acc.len()] (mod 2^b)` — the
 /// fused, seekable form of expanding the whole self-mask `PRG(b_u)` and
 /// folding it in with [`add_signed_assign`].
-pub fn add_self_mask_assign(
+#[cfg(test)]
+pub(crate) fn add_self_mask_assign(
     acc: &mut [u64],
     seed: &Seed,
     elem_offset: usize,

@@ -75,7 +75,7 @@ impl Telemetry {
     /// An enabled handle retaining at most `capacity` spans (oldest
     /// overwritten first).
     #[must_use]
-    pub fn with_span_capacity(capacity: usize) -> Telemetry {
+    fn with_span_capacity(capacity: usize) -> Telemetry {
         Telemetry {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),

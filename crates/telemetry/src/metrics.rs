@@ -35,8 +35,9 @@ impl Counter {
     }
 
     /// Current value (0 when disabled).
+    #[cfg(test)]
     #[must_use]
-    pub fn get(&self) -> u64 {
+    fn get(&self) -> u64 {
         self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
 }
@@ -130,8 +131,9 @@ impl Histogram {
     }
 
     /// Total observation count (0 when disabled).
+    #[cfg(test)]
     #[must_use]
-    pub fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.0
             .as_ref()
             .map_or(0, |c| c.count.load(Ordering::Relaxed))
@@ -369,12 +371,6 @@ impl MetricsSnapshot {
             .map(|(k, v)| (k.clone(), v.saturating_sub(base.get(k))))
             .collect();
         MetricsSnapshot { series }
-    }
-
-    /// True when no series are recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
     }
 }
 

@@ -13,8 +13,6 @@
 //! identity `Σ_k σ²_k = σ²∗ / (n - T)` and the removal identity of
 //! Theorem 1 are verified in the tests.
 
-use serde::{Deserialize, Serialize};
-
 use crate::XNoiseError;
 
 /// Static parameters of the XNoise scheme for one round.
@@ -36,7 +34,7 @@ use crate::XNoiseError;
 ///     assert!((plan.residual_variance(dropped).unwrap() - 1.0).abs() < 1e-9);
 /// }
 /// ```
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct XNoisePlan {
     /// Target central noise variance `σ²∗` (in the units of the encoded
     /// update domain — integer units for DSkellam).
@@ -119,36 +117,10 @@ impl XNoisePlan {
         base * self.inflation()
     }
 
-    /// All component variances, indices `0..=T`.
-    #[must_use]
-    pub fn component_variances(&self) -> Vec<f64> {
-        (0..=self.dropout_tolerance)
-            .map(|k| self.component_variance(k))
-            .collect()
-    }
-
     /// Total per-client noise level `σ²∗ / (n - T)` (times inflation).
     #[must_use]
     pub fn per_client_variance(&self) -> f64 {
         self.target_variance / (self.clients - self.dropout_tolerance) as f64 * self.inflation()
-    }
-
-    /// Excess noise level the server must remove when `dropped` clients
-    /// dropped (Equation 1): `(T - |D|) / (n - T) · σ²∗`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `dropped > T`.
-    pub fn excess_level(&self, dropped: usize) -> Result<f64, XNoiseError> {
-        if dropped > self.dropout_tolerance {
-            return Err(XNoiseError::ToleranceExceeded {
-                dropped,
-                tolerance: self.dropout_tolerance,
-            });
-        }
-        let n = self.clients as f64;
-        let t = self.dropout_tolerance as f64;
-        Ok((t - dropped as f64) / (n - t) * self.target_variance * self.inflation())
     }
 
     /// Component indices each *survivor* must have removed when `dropped`
@@ -212,7 +184,7 @@ mod tests {
     fn components_sum_to_per_client_level() {
         for (n, t) in [(4, 2), (10, 3), (16, 8), (100, 40), (7, 0)] {
             let p = plan(n, t);
-            let sum: f64 = p.component_variances().iter().sum();
+            let sum: f64 = (0..=t).map(|k| p.component_variance(k)).sum();
             assert!(
                 (sum - p.per_client_variance()).abs() < 1e-9,
                 "n={n} t={t}: {sum} vs {}",
@@ -239,14 +211,22 @@ mod tests {
 
     #[test]
     fn excess_matches_equation_1() {
+        // What the server removes, components |D|+1..=T of every one of
+        // the n - |D| survivors, is Equation 1's excess level
+        // (T - |D|) / (n - T) · σ²∗.
         let p = plan(16, 5);
         for d in 0..=5usize {
-            let lex = p.excess_level(d).unwrap();
+            let per_survivor: f64 = p
+                .removal_components(d)
+                .unwrap()
+                .map(|k| p.component_variance(k))
+                .sum();
+            let removed = (16 - d) as f64 * per_survivor;
             let expect = (5 - d) as f64 / (16.0 - 5.0);
-            assert!((lex - expect).abs() < 1e-12, "d={d}");
+            assert!((removed - expect).abs() < 1e-12, "d={d}");
         }
         // Zero excess at full-tolerance dropout.
-        assert_eq!(p.excess_level(5).unwrap(), 0.0);
+        assert!(p.removal_components(5).unwrap().is_empty());
     }
 
     #[test]
@@ -275,7 +255,7 @@ mod tests {
     #[test]
     fn zero_tolerance_means_orig_behaviour() {
         let p = plan(10, 0);
-        assert_eq!(p.component_variances().len(), 1);
+        assert!((p.component_variance(0) - p.per_client_variance()).abs() < 1e-12);
         assert!((p.per_client_variance() - 0.1).abs() < 1e-12);
         assert!(p.removal_components(0).unwrap().is_empty());
     }
@@ -308,8 +288,8 @@ mod tests {
         fn prop_component_variances_positive(n in 2usize..100, t_frac in 0.0f64..0.95) {
             let t = ((n as f64 - 1.0) * t_frac) as usize;
             let p = XNoisePlan::new(2.5, n, t, 0, n.div_ceil(2) + 1).unwrap();
-            for v in p.component_variances() {
-                prop_assert!(v > 0.0);
+            for k in 0..=t {
+                prop_assert!(p.component_variance(k) > 0.0);
             }
         }
     }

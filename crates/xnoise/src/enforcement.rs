@@ -6,11 +6,11 @@
 //! *exactly* the realized noise (not just noise of matching distribution)
 //! once it learns a seed — directly from a survivor, or via Shamir
 //! reconstruction for clients that dropped mid-protocol. Both directions
-//! stream the draws straight into the ring vector ([`add_noise_stream`]);
-//! [`component_noise`] is the materialized form of the same stream.
+//! stream the draws straight into the ring vector ([`add_noise_stream`]),
+//! never materializing a component's noise vector.
 
 use dordis_crypto::prg::{Prg, Seed};
-use dordis_dp::mechanism::{skellam_vector, SkellamSampler};
+use dordis_dp::mechanism::SkellamSampler;
 use dordis_secagg::mask::add_signed_assign;
 
 use crate::decomposition::XNoisePlan;
@@ -25,12 +25,6 @@ pub fn derive_component_seeds(round_seed: &Seed, components: usize) -> Vec<Seed>
     (0..=components)
         .map(|k| Prg::fork(round_seed, b"xnoise.seed", k as u64))
         .collect()
-}
-
-/// Generates the integer noise vector for one component.
-#[must_use]
-pub fn component_noise(seed: &Seed, len: usize, variance: f64) -> Vec<i64> {
-    skellam_vector(seed, NOISE_DOMAIN, len, variance)
 }
 
 /// `acc ± noise (mod 2^b)`, where `noise` is the vector
@@ -134,9 +128,15 @@ pub fn center(value: u64, bit_width: u32) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dordis_dp::mechanism::{on_both_paths, with_scalar_draws};
+    use dordis_dp::mechanism::{on_both_paths, skellam_vector, with_scalar_draws};
     use dordis_secagg::mask::{add_signed_ring, ring_mask};
     use proptest::prelude::*;
+
+    /// The materialized noise vector of one component: the oracle the
+    /// streamed add and removal must match.
+    fn component_noise(seed: &Seed, len: usize, variance: f64) -> Vec<i64> {
+        skellam_vector(seed, NOISE_DOMAIN, len, variance)
+    }
 
     const BITS: u32 = 24;
 

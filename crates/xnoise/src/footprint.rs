@@ -8,10 +8,8 @@
 //! XNoise's extra traffic is seeds and shares only — independent of the
 //! model size; rebasing ships a whole model-sized adjustment vector.
 
-use serde::{Deserialize, Serialize};
-
 /// Wire sizes used by the model (defaults match the paper's §6.3).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct WireSizes {
     /// Bytes per model weight on the wire.
     pub weight: f64,
@@ -35,7 +33,7 @@ impl Default for WireSizes {
 }
 
 /// Scenario parameters for the footprint comparison.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FootprintScenario {
     /// Model parameter count `d`.
     pub model_params: u64,
@@ -54,12 +52,6 @@ impl FootprintScenario {
     #[must_use]
     pub fn dropped(&self) -> usize {
         ((self.sampled as f64) * self.dropout_rate).round() as usize
-    }
-
-    /// Surviving clients.
-    #[must_use]
-    pub fn survivors(&self) -> usize {
-        self.sampled - self.dropped()
     }
 }
 

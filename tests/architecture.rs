@@ -3,19 +3,22 @@
 //! a round, one collection loop, stage transitions and client stages
 //! that do no I/O, one masking path, one module per kernel, one cohort
 //! decision per round, a protocol that does not link the paper's cost
-//! model — checked as text over the source tree and the manifests, so the
-//! plain `cargo test` fails as soon as a change breaks one. A failure
-//! names the rule, the file and the line.
+//! model, no public function without a reader — checked as text over
+//! the source tree and the manifests, so the plain `cargo test` fails as
+//! soon as a change breaks one. A failure names the rule, the file and
+//! the line.
 //!
 //! No regex crate is vendored, so the matching is three small parts:
 //! a `grep -r`-style file walk ([`walk`]), a needle matcher whose `\b`
 //! at either end asks for an identifier boundary ([`Needles`]), and one
-//! enclosing-function scanner ([`charged_outside`]). Test code is out
-//! of scope where a rule says so: [`Source::without_tests`] cuts a file
-//! at its first column-0 `#[cfg(test)]` or `mod tests` line.
+//! enclosing-function scanner ([`charged_outside`]); the public-surface
+//! rule reads each file's identifiers once ([`identifiers`]). Test code
+//! is out of scope where a rule says so: [`Source::without_tests`] cuts a
+//! file at its first column-0 `#[cfg(test)]` or `mod tests` line.
 //! `benchmark/tests/manifest.rs` enforces the deleted names inside
 //! `benchmark/` on its own.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::fs;
 use std::ops::RangeInclusive;
@@ -92,8 +95,8 @@ impl Source {
 }
 
 /// Every file under `roots` (a root may be a single file), as `grep -r`
-/// visits them: recursively, symlinks skipped, in name order, except
-/// this file.
+/// visits them: recursively, symlinks and `target/` build directories
+/// skipped, in name order, except this file.
 fn walk(roots: &[&str]) -> Vec<Source> {
     fn visit(path: &str, out: &mut Vec<Source>) {
         let full = Path::new(env!("CARGO_MANIFEST_DIR")).join(path);
@@ -109,8 +112,8 @@ fn walk(roots: &[&str]) -> Vec<Source> {
         entries.sort_by_key(|e| e.file_name());
         for entry in entries {
             let kind = entry.file_type().expect("stat a directory entry");
-            if kind.is_dir() || kind.is_file() {
-                let name = entry.file_name();
+            let name = entry.file_name();
+            if (kind.is_dir() && name != "target") || kind.is_file() {
                 visit(&format!("{path}/{}", name.to_string_lossy()), out);
             }
         }
@@ -215,6 +218,59 @@ fn declared_fn(line: &str) -> Option<&str> {
     let name = rest.strip_prefix("fn ")?.trim_start();
     let end = name.find(|c: char| !is_ident(c)).unwrap_or(name.len());
     (end > 0).then(|| &name[..end])
+}
+
+/// The function `line` declares if it is a plain `pub fn` (any of the
+/// qualifiers [`declared_fn`] reads; `pub(…)` is rustc's `dead_code`
+/// lint's to check, not this scanner's).
+fn declared_pub_fn(line: &str) -> Option<&str> {
+    declared_fn(line).filter(|_| line.trim_start().starts_with("pub "))
+}
+
+/// The identifiers on the non-comment lines of `src`.
+fn identifiers(src: &Source) -> HashSet<&str> {
+    src.text
+        .lines()
+        .filter(|l| !is_comment(l))
+        .flat_map(|l| l.split(|c: char| !is_ident(c)))
+        .filter(|word| !word.is_empty())
+        .collect()
+}
+
+/// Every plain `pub fn` that a `crates/*/src` file of `tree` declares
+/// outside its test tail and that no other file of `tree` mentions as a
+/// whole identifier on a non-comment line; the hit's `within` is its
+/// name.
+fn unread_pub_fns(tree: &[Source]) -> Vec<Hit> {
+    let idents: Vec<HashSet<&str>> = tree.iter().map(identifiers).collect();
+    let in_crate_src = |path: &str| {
+        let mut parts = path.split('/');
+        parts.next() == Some("crates") && parts.nth(1) == Some("src")
+    };
+    let mut hits = Vec::new();
+    for (at, src) in tree.iter().enumerate() {
+        if !in_crate_src(&src.path) {
+            continue;
+        }
+        for (i, text) in src.without_tests().text.lines().enumerate() {
+            let Some(name) = declared_pub_fn(text) else {
+                continue;
+            };
+            let read = idents
+                .iter()
+                .enumerate()
+                .any(|(other, words)| other != at && words.contains(name));
+            if !read {
+                hits.push(Hit {
+                    path: src.path.clone(),
+                    line: i + 1,
+                    text: text.to_string(),
+                    within: Some(name.to_string()),
+                });
+            }
+        }
+    }
+    hits
 }
 
 /// Every line of `src` that `pred` accepts and whose enclosing function
@@ -707,6 +763,51 @@ fn protocol_does_not_link_the_paper_model() {
     }
 }
 
+/// Every tree a reader of a public function may sit in.
+const READERS: &[&str] = &[
+    "crates",
+    "src",
+    "tests",
+    "examples",
+    "benchmark/src",
+    "benchmark/tests",
+];
+
+/// The `pub fn`s that may stay with no reader outside their file:
+/// (file, name, why).
+const UNREAD_PUB_FNS: &[(&str, &str, &str)] = &[(
+    "crates/dp/src/rdp.rs",
+    "skellam_rdp",
+    "ROADMAP item 14b makes the accountant call it",
+)];
+
+/// No public function without a reader: every plain `pub fn` in
+/// `crates/*/src` outside its file's test tail is named, as a whole
+/// identifier on a non-comment line, by some other Rust file of the
+/// tree — a caller in another module or crate, a test, an example or the
+/// reference benchmark — or is allow-listed above with its reason. A
+/// function only its own file reads is not `pub`; one only its own
+/// tests read is `#[cfg(test)]`, or goes.
+#[test]
+fn no_public_fn_without_a_reader() {
+    let rule = "No public fn without a reader";
+    let tree = rust_files(walk(READERS));
+    let is = |h: &Hit, path: &str, name: &str| h.path == path && h.within.as_deref() == Some(name);
+    let (listed, unread): (Vec<Hit>, Vec<Hit>) = unread_pub_fns(&tree).into_iter().partition(|h| {
+        UNREAD_PUB_FNS
+            .iter()
+            .any(|&(path, name, _)| is(h, path, name))
+    });
+    forbid(rule, &unread);
+    for &(path, name, why) in UNREAD_PUB_FNS {
+        assert!(
+            listed.iter().any(|h| is(h, path, name)),
+            "{rule}: `{name}` in {path} is allow-listed ({why}) but is no unread `pub fn` \
+             there any more: drop its entry"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // The helper, on inline source.
 // ---------------------------------------------------------------------
@@ -801,4 +902,62 @@ fn the_test_tail_is_cut_at_column_zero_only() {
         "fn a() {}\n    #[cfg(test)]\n    mod tests_inner {}\nfn b() {}\n#[cfg(test)]\nmod tests {}\n",
     );
     assert_eq!(src.without_tests().text.lines().count(), 4);
+}
+
+/// The names `unread_pub_fns` reports for `tree`.
+fn unread_names(tree: &[Source]) -> Vec<String> {
+    let hits = unread_pub_fns(tree);
+    hits.into_iter().filter_map(|h| h.within).collect()
+}
+
+#[test]
+fn a_pub_fn_read_only_in_its_own_file_is_unread() {
+    let lib = inline(
+        "crates/dp/src/math.rs",
+        "pub fn ln_gamma(x: f64) -> f64 { x }\n\
+         pub fn ln_factorial(n: u64) -> f64 { ln_gamma(n as f64 + 1.0) }\n",
+    );
+    let user = inline("crates/dp/src/rdp.rs", "use crate::math::ln_factorial;\n");
+    assert_eq!(unread_names(&[lib, user]), ["ln_gamma"]);
+}
+
+#[test]
+fn a_reader_under_benchmark_src_counts() {
+    let lib = || {
+        inline(
+            "crates/xnoise/src/enforcement.rs",
+            "    pub const fn perturb() {}\n",
+        )
+    };
+    let bench = inline("benchmark/src/fl.rs", "    enforcement::perturb();\n");
+    assert!(unread_names(&[lib(), bench]).is_empty());
+    assert_eq!(unread_names(&[lib()]), ["perturb"]);
+}
+
+#[test]
+fn a_mention_on_a_comment_line_is_no_reader() {
+    let lib = inline(
+        "crates/net/src/pool.rs",
+        "pub fn high_water() -> u64 { 0 }\n",
+    );
+    let doc = inline(
+        "crates/net/src/reactor.rs",
+        "/// See [`BytePool::high_water`].\n    // high_water() is sticky\n",
+    );
+    assert_eq!(unread_names(&[lib, doc]), ["high_water"]);
+}
+
+#[test]
+fn pub_crate_and_test_tail_fns_are_not_checked() {
+    let lib = inline(
+        "crates/fl/src/eval.rs",
+        "pub(crate) fn mean_loss() {}\n\
+         pub(super) fn helper() {}\n\
+         fn private() {}\n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+         \x20   pub fn oracle() {}\n\
+         }\n",
+    );
+    assert!(unread_names(&[lib]).is_empty());
 }
