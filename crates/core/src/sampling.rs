@@ -21,6 +21,7 @@
 //! randomness") yields a fixed sample size.
 
 use dordis_crypto::vrf::{VrfInput, VrfProof, VrfPublicKey, VrfSecretKey};
+use dordis_net::session::SeatingOutcome;
 
 /// Public sampling parameters for a round.
 #[derive(Clone, Copy, Debug)]
@@ -121,30 +122,20 @@ fn verify_claim(
     Ok(value)
 }
 
-/// A round's seating decision over a batch of claims.
-#[derive(Clone, Debug, Default)]
-pub struct SeatedCohort {
-    /// The seated cohort, by ascending selection value (the order
-    /// becomes the round's client list on both execution paths).
-    pub seated: Vec<u32>,
-    /// Claims that failed verification or repeated an already-valid
-    /// claimant, with reasons. Valid claimants that merely lost the trim
-    /// are in neither list.
-    pub rejected: Vec<(u32, String)>,
-}
-
 /// Verifier side (server or any peer): verify every claim individually —
-/// a forged, replayed or tampered claim costs only its sender a seat and
-/// lands in [`SeatedCohort::rejected`] — then trim the valid ones to the
-/// target size by ascending selection value (indiscriminate trimming on
-/// the claimants' own randomness).
+/// a forged, replayed or tampered claim, or a repeat of an already-valid
+/// claimant, costs only its sender a seat and lands in
+/// [`SeatingOutcome::rejected`] — then trim the valid ones to the target
+/// size by ascending selection value (indiscriminate trimming on the
+/// claimants' own randomness). The seated cohort is in that order, which
+/// becomes the round's client list on both execution paths.
 #[must_use]
 pub fn seat_claims(
     claims: &[ParticipationClaim],
     keys: &dyn Fn(u32) -> Option<VrfPublicKey>,
     round: u64,
     cfg: &SamplingConfig,
-) -> SeatedCohort {
+) -> SeatingOutcome {
     // Every claim answers the same round input: hash it to the curve once.
     let input = VrfInput::new(&round_input(round));
     let mut valid: Vec<(u64, u32)> = Vec::with_capacity(claims.len());
@@ -165,7 +156,7 @@ pub fn seat_claims(
     }
     valid.sort_unstable();
     valid.truncate(cfg.target_sample);
-    SeatedCohort {
+    SeatingOutcome {
         seated: valid.into_iter().map(|(_, c)| c).collect(),
         rejected,
     }
@@ -244,7 +235,7 @@ mod tests {
     }
 
     /// Seats `claims` for `round` and returns the cohort.
-    fn seat(claims: &[ParticipationClaim], round: u64) -> SeatedCohort {
+    fn seat(claims: &[ParticipationClaim], round: u64) -> SeatingOutcome {
         seat_claims(claims, &registry, round, &cfg())
     }
 

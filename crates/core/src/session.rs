@@ -64,7 +64,7 @@ use dordis_net::replication::{run_backup, BackupOutcome};
 use dordis_net::runtime::{
     Backoff, FailAction, FailPoint, FailStage, Redial, SessionClientOptions, SessionEndKind,
 };
-use dordis_net::session::{Seating, SeatingOutcome, Session, SessionConfig};
+use dordis_net::session::{Seating, Session, SessionConfig};
 use dordis_net::tcp::{TcpAcceptor, TcpChannel};
 use dordis_net::transport::Acceptor as _;
 use dordis_net::NetError;
@@ -80,9 +80,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{TaskSpec, Variant};
-use crate::sampling::{
-    decode_claim, encode_claim, seat_claims, self_select, SamplingConfig, SeatedCohort,
-};
+use crate::sampling::{decode_claim, encode_claim, seat_claims, self_select, SamplingConfig};
 use crate::trainer::{
     achieved_noise_multiplier, add_share_noise, build_model, build_optimizer, clipped_local_delta,
     master_seed, RoundRecord, TrainingReport,
@@ -801,7 +799,7 @@ fn memory_round(
             dropout.drop_at(d.client, DropStage::BeforeMaskedInput);
         }
     }
-    let (outcome, _stats) = run_round(RoundSpec {
+    let (outcome, _) = run_round(RoundSpec {
         params: round_params(st, r, cohort),
         inputs,
         dropout,
@@ -895,12 +893,10 @@ fn coordinate(
                 Err(why) => rejected.push((*id, why)),
             }
         }
-        let SeatedCohort {
-            seated,
-            rejected: invalid,
-        } = seat_claims(&claims, &registry, r, &sample);
-        rejected.extend(invalid);
-        SeatingOutcome { seated, rejected }
+        let mut outcome = seat_claims(&claims, &registry, r, &sample);
+        rejected.append(&mut outcome.rejected);
+        outcome.rejected = rejected;
+        outcome
     }));
     let cfg = SessionConfig {
         first_round: wire_round(first_index),

@@ -80,9 +80,7 @@ impl RdpAccountant {
                     // With Δ₂ normalized to 1, μ = z²/2 and Δ₁ = l1_per_l2.
                     let mu = noise_multiplier * noise_multiplier / 2.0;
                     let penalty = if mu > 0.0 {
-                        let c1 = (2.0 * alpha - 1.0) + 6.0 * l1_per_l2;
-                        let c2 = 3.0 * l1_per_l2;
-                        c1.min(c2) / (4.0 * mu * mu)
+                        rdp::skellam_penalty(alpha, 1.0, l1_per_l2, mu)
                     } else {
                         f64::INFINITY
                     };

@@ -80,9 +80,16 @@ pub fn subsampled_gaussian_rdp(alpha: u64, q: f64, noise_multiplier: f64) -> f64
 pub fn skellam_rdp(alpha: f64, delta2: f64, delta1: f64, mu: f64) -> f64 {
     assert!(mu > 0.0 && delta2 > 0.0 && delta1 > 0.0);
     let base = alpha * delta2 * delta2 / (4.0 * mu);
+    base + skellam_penalty(alpha, delta2, delta1, mu)
+}
+
+/// The discreteness penalty of the Skellam bound at order `α`:
+/// `min( (2α-1) Δ₂² + 6 Δ₁, 3 Δ₁ ) / (4 μ²)` (see [`skellam_rdp`]).
+#[must_use]
+pub(crate) fn skellam_penalty(alpha: f64, delta2: f64, delta1: f64, mu: f64) -> f64 {
     let c1 = (2.0 * alpha - 1.0) * delta2 * delta2 + 6.0 * delta1;
     let c2 = 3.0 * delta1;
-    base + c1.min(c2) / (4.0 * mu * mu)
+    c1.min(c2) / (4.0 * mu * mu)
 }
 
 /// Converts an RDP curve to `(ε, δ)` using the improved conversion of

@@ -2,13 +2,11 @@
 //! message, plus the framed [`Envelope`] that carries them.
 //!
 //! Layout conventions: all integers are little-endian; collections carry
-//! explicit counts; Shamir shares encode as `x u8, len u8, y`. Message
-//! *bodies* encode exactly
-//! [`dordis_secagg::messages::WireSize::wire_bytes`] bytes — the
-//! `wire_size_agreement` test in this crate pins that equality for every
-//! message type, because those sizes feed the paper's Figure 2/10
-//! communication cost model. List framing and the envelope header are
-//! transport overhead on top, accounted separately.
+//! explicit counts; Shamir shares encode as `x u8, len u8, y`. The
+//! `codec_wire` tests pin every message body's encoded length as a
+//! literal. A round's traffic is not computed from these layouts: the
+//! coordinator counts the framed bytes each stage moves, list framing
+//! and envelope headers included (`coordinator::RoundStats`).
 //!
 //! Two messages decode *contextually*: [`MaskedInput`] is bit-packed at
 //! `b` bits per coordinate, so the decoder needs the round's

@@ -61,7 +61,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dordis_secagg::driver::{RoundStats, StageTraffic};
 use dordis_secagg::server::{RoundOutcome, Server};
 use dordis_secagg::{ChunkPlan, ClientId, SecAggError};
 use dordis_telemetry::{Gauge, MetricsSnapshot, SpanGuard, Telemetry};
@@ -105,6 +104,46 @@ pub struct DetectedDropout {
     pub kind: DropKind,
 }
 
+/// Traffic one stage moved, in framed bytes on the wire (envelope
+/// headers included).
+#[derive(Clone, Debug, Default)]
+pub struct StageTraffic {
+    /// Stage name.
+    pub stage: &'static str,
+    /// Total client→server bytes.
+    pub uplink_total: u64,
+    /// Largest single client's uplink bytes.
+    pub uplink_max: u64,
+    /// Total server→client bytes.
+    pub downlink_total: u64,
+    /// Largest single client's downlink bytes.
+    pub downlink_max: u64,
+}
+
+/// A round's traffic, stage by stage.
+#[derive(Clone, Debug, Default)]
+pub struct RoundStats {
+    /// Per-stage traffic in execution order.
+    pub stages: Vec<StageTraffic>,
+}
+
+impl RoundStats {
+    /// Total bytes moved in the round.
+    #[must_use]
+    pub fn total_bytes(&self) -> u64 {
+        self.stages
+            .iter()
+            .map(|s| s.uplink_total + s.downlink_total)
+            .sum()
+    }
+
+    /// Finds a stage's traffic by name.
+    #[must_use]
+    pub fn stage(&self, name: &str) -> Option<&StageTraffic> {
+        self.stages.iter().find(|s| s.stage == name)
+    }
+}
+
 /// Result of a coordinated round.
 pub struct NetRoundReport {
     /// The round this report describes (the session's counter; the id
@@ -115,9 +154,8 @@ pub struct NetRoundReport {
     pub cohort: Vec<ClientId>,
     /// The protocol outcome (same type the in-memory driver returns).
     pub outcome: RoundOutcome,
-    /// Per-stage traffic, measured as actual framed bytes on the wire
-    /// (envelope headers included — unlike the driver's `wire_bytes()`
-    /// accounting, which counts message bodies only).
+    /// Per-stage traffic, measured as framed bytes on the wire
+    /// (envelope headers included): the one count of what a round moves.
     pub stats: RoundStats,
     /// Every detected departure, in detection order.
     pub dropouts: Vec<DetectedDropout>,
@@ -419,13 +457,11 @@ impl<'r> RoundIo<'r> {
         NetError::SecAgg(e)
     }
 
-    /// Closes the round's accounting — aborted clients into the stats,
-    /// dropouts and stale frames onto the scrape, then the round's span
-    /// — and reports it. `base` is the reactor's counters when
-    /// the round's accounting window opened (before its join phase).
-    pub(crate) fn report(mut self, outcome: RoundOutcome, base: ReactorStats) -> NetRoundReport {
-        let aborted = self.dropouts.iter().filter(|d| d.kind == DropKind::Aborted);
-        self.stats.aborted.extend(aborted.map(|d| d.client));
+    /// Closes the round's accounting — dropouts and stale frames onto
+    /// the scrape, then the round's span — and reports it. `base` is the
+    /// reactor's counters when the round's accounting window opened
+    /// (before its join phase).
+    pub(crate) fn report(self, outcome: RoundOutcome, base: ReactorStats) -> NetRoundReport {
         let telemetry = &self.cfg.telemetry;
         for d in &self.dropouts {
             let kind = match d.kind {

@@ -9,9 +9,8 @@
 //!   [`codec::Envelope`] carrying the round id, a stage tag, and a chunk
 //!   id — the data plane ships masked inputs as one frame per
 //!   `ChunkPlan` chunk, whose payloads are byte-identical slices of the
-//!   single-frame packing. The codec is the ground truth for
-//!   [`WireSize::wire_bytes`] — the test suite asserts byte-for-byte
-//!   agreement.
+//!   single-frame packing. Its test suite pins every message's encoded
+//!   length.
 //! - [`transport`]: the client-side [`transport::Channel`] view and the
 //!   [`transport::Acceptor`], plus the uplink-shaping
 //!   [`transport::ThrottledChannel`].
@@ -47,8 +46,6 @@
 //! - [`local`]: the local cohort — a coordinator plus one client thread
 //!   per id on 127.0.0.1, the one harness every in-process session,
 //!   test and bench runs.
-//!
-//! [`WireSize::wire_bytes`]: dordis_secagg::messages::WireSize::wire_bytes
 
 // `deny` rather than `forbid`: the reactor's syscall shim is the one
 // place allowed to opt in (no `libc` crate exists in this container, so

@@ -1,6 +1,5 @@
-//! Codec invariants: `decode(encode(m)) == m` for every message, and the
-//! encoded body length equals `WireSize::wire_bytes()` for every message
-//! type — the byte counts that feed the paper's Figure 2/10 cost model.
+//! Codec invariants: `decode(encode(m)) == m` for every message, and
+//! every message type's encoded body length, pinned as a literal.
 
 use dordis_crypto::ed25519::Signature;
 use dordis_crypto::shamir::Share;
@@ -19,7 +18,7 @@ use dordis_net::NetError;
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::messages::{
     AdvertisedKeys, ConsistencySignature, EncryptedShares, IdList, MaskedInput, NoiseShareResponse,
-    UnmaskingResponse, WireSize,
+    UnmaskingResponse,
 };
 use dordis_secagg::{ChunkPlan, RoundParams, ThreatModel};
 
@@ -38,24 +37,16 @@ fn ctx() -> FrameContext {
     }
 }
 
-fn assert_wire_agreement<T: Encode + WireSize>(m: &T, what: &str) {
-    assert_eq!(
-        m.encoded().len() as u64,
-        m.wire_bytes(),
-        "codec length != wire_bytes() for {what}"
-    );
-}
-
 #[test]
 fn advertised_keys_roundtrip_and_size() {
-    for signature in [None, Some(Signature([7u8; 64]))] {
+    for (signature, len) in [(None, 68), (Some(Signature([7u8; 64])), 132)] {
         let m = AdvertisedKeys {
             client: 42,
             c_pk: [1u8; 32],
             s_pk: [2u8; 32],
             signature,
         };
-        assert_wire_agreement(&m, "AdvertisedKeys");
+        assert_eq!(m.encoded().len(), len);
         assert_eq!(decode_advertised_keys(&m.encoded()).unwrap(), m);
     }
     // Bodies of any other tail length are rejected.
@@ -72,28 +63,39 @@ fn advertised_keys_roundtrip_and_size() {
 
 #[test]
 fn encrypted_shares_roundtrip_and_size() {
-    for ct_len in [0usize, 1, 200] {
+    for (ct_len, len) in [(0, 8), (1, 9), (200, 208)] {
         let m = EncryptedShares {
             from: 3,
             to: 9,
             ciphertext: vec![0xab; ct_len],
         };
-        assert_wire_agreement(&m, "EncryptedShares");
+        assert_eq!(m.encoded().len(), len);
         assert_eq!(decode_encrypted_shares(&m.encoded()).unwrap(), m);
     }
 }
 
 #[test]
 fn masked_input_roundtrip_and_size_across_bit_widths() {
-    for bits in [1u32, 7, 8, 16, 20, 33, 62] {
-        for len in [0usize, 1, 5, 64, 1000] {
+    // Encoded lengths at 0, 1, 5, 64 and 1000 coordinates: the sender id
+    // and the coordinates packed at `bits` bits each, rounded up to bytes.
+    let table = [
+        (1u32, [4, 5, 5, 12, 129]),
+        (7, [4, 5, 9, 60, 879]),
+        (8, [4, 5, 9, 68, 1004]),
+        (16, [4, 6, 14, 132, 2004]),
+        (20, [4, 7, 17, 164, 2504]),
+        (33, [4, 9, 25, 268, 4129]),
+        (62, [4, 12, 43, 500, 7754]),
+    ];
+    for (bits, lens) in table {
+        for (len, encoded) in [0usize, 1, 5, 64, 1000].into_iter().zip(lens) {
             let mask = (1u64 << bits) - 1;
             let m = MaskedInput {
                 client: 5,
                 vector: (0..len as u64).map(|i| (i * 0x9e37 + 11) & mask).collect(),
                 bit_width: bits,
             };
-            assert_wire_agreement(&m, "MaskedInput");
+            assert_eq!(m.encoded().len(), encoded, "bits={bits} len={len}");
             let back = decode_masked_input(&m.encoded(), bits, len, ctx()).unwrap();
             assert_eq!(back, m, "bits={bits} len={len}");
         }
@@ -202,7 +204,7 @@ fn consistency_signature_roundtrip_and_size() {
         client: 17,
         signature: Signature([9u8; 64]),
     };
-    assert_wire_agreement(&m, "ConsistencySignature");
+    assert_eq!(m.encoded().len(), 68);
     assert_eq!(decode_consistency_signature(&m.encoded()).unwrap(), m);
 }
 
@@ -214,7 +216,9 @@ fn unmasking_response_roundtrip_and_size() {
         b_shares: vec![(2, share(2, 32)), (3, share(2, 32)), (7, share(9, 32))],
         own_seeds: vec![(2, [0xcd; 32]), (3, [0xee; 32])],
     };
-    assert_wire_agreement(&m, "UnmaskingResponse");
+    // Sender id, three u16 section counts, five shares of (owner u32,
+    // x u8, len u8, 32-byte y), two seeds of (component u16, 32 bytes).
+    assert_eq!(m.encoded().len(), 4 + 6 + 5 * 38 + 2 * 34);
     assert_eq!(decode_unmasking_response(&m.encoded()).unwrap(), m);
 
     // Empty sections work too.
@@ -224,7 +228,7 @@ fn unmasking_response_roundtrip_and_size() {
         b_shares: vec![],
         own_seeds: vec![],
     };
-    assert_wire_agreement(&empty, "UnmaskingResponse(empty)");
+    assert_eq!(empty.encoded().len(), 10);
     assert_eq!(decode_unmasking_response(&empty.encoded()).unwrap(), empty);
 }
 
@@ -238,15 +242,17 @@ fn noise_share_response_roundtrip_and_size() {
             (9, 2, share(6, 17)),
         ],
     };
-    assert_wire_agreement(&m, "NoiseShareResponse");
+    // Sender id, u16 entry count, entries of (owner u32, component u16,
+    // x u8, len u8, y).
+    assert_eq!(m.encoded().len(), 6 + 40 + 40 + 25);
     assert_eq!(decode_noise_share_response(&m.encoded()).unwrap(), m);
 }
 
 #[test]
 fn id_list_roundtrip_and_size() {
-    for n in [0u32, 1, 100] {
+    for (n, len) in [(0u32, 4), (1, 8), (100, 404)] {
         let m = IdList((0..n).collect());
-        assert_wire_agreement(&m, "IdList");
+        assert_eq!(m.encoded().len(), len);
         assert_eq!(decode_id_list(&m.encoded()).unwrap(), m);
     }
 }

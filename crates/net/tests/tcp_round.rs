@@ -2,7 +2,8 @@
 //! client disconnecting mid-round (the "killed client" scenario), and
 //! the outcome checked against the expected survivor aggregate — and
 //! the secagg server's custody on the scrape checked against what the
-//! two-chunk round must have held.
+//! two-chunk round must have held. Also: SecAgg+'s sparse graph moves
+//! fewer measured key-sharing bytes than SecAgg's complete graph.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -121,4 +122,40 @@ fn tcp_secagg_plus_round_with_mid_round_kill() {
         "{parked} B parked, {streams} streams"
     );
     assert_eq!(metrics.get("dordis_server_custody_bytes"), 0);
+}
+
+/// The ShareKeys uplink bytes a clean 24-client round over `graph`
+/// measured on the wire.
+fn share_keys_uplink(graph: MaskingGraph) -> u64 {
+    let n = 24;
+    let params = RoundParams {
+        round: 8,
+        clients: (0..n).collect(),
+        threshold: 13,
+        bit_width: BITS,
+        vector_len: DIM,
+        noise_components: 2,
+        threat_model: ThreatModel::SemiHonest,
+        graph,
+    };
+    let (mut acceptor, addr) = local::listen();
+    let cfg = local::one_round(params);
+    let (mut reports, clients) = local::run_session(&mut acceptor, cfg, 0..n, move |id| {
+        let mut chan = local::dial(&addr);
+        local::roster_client(&mut chan, id, 8, |_| None, |_| input_for(id), None)
+    });
+    for (id, run) in clients {
+        run.unwrap_or_else(|e| panic!("client {id}: {e}"));
+    }
+    let report = reports.pop().expect("one round");
+    assert!(report.outcome.dropped.is_empty());
+    let share_keys = report.stats.stage("ShareKeys").expect("stage stats");
+    share_keys.uplink_total
+}
+
+#[test]
+fn secagg_plus_moves_fewer_bytes_than_secagg() {
+    let full = share_keys_uplink(MaskingGraph::Complete);
+    let sparse = share_keys_uplink(MaskingGraph::harary_for(24));
+    assert!(sparse < full, "sparse {sparse} !< full {full}");
 }

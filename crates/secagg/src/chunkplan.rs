@@ -16,7 +16,7 @@
 //! concatenation of per-chunk payloads is byte-identical to the
 //! single-frame packing (no re-padding anywhere except the final chunk,
 //! which carries the stream's own terminal padding). That is what keeps
-//! the chunked wire accounting byte-equal to the Figure 2/10 cost model.
+//! a chunked round's payload bytes equal to the single-frame round's.
 
 use core::fmt;
 use core::ops::Range;

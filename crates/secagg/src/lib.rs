@@ -21,13 +21,13 @@
 //!   per-chunk element ranges that make the chunk the unit of masking,
 //!   transmission, and aggregation,
 //! - [`graph`]: complete and Harary k-regular masking graphs,
-//! - [`messages`]: wire messages with byte-size accounting,
+//! - [`messages`]: the protocol's messages (`dordis-net` encodes them),
 //! - [`pack`]: the `b`-bits-per-element packing masked inputs travel
 //!   and wait in,
 //! - [`client`], [`server`]: per-party state machines, one method per
 //!   stage,
 //! - [`driver`]: in-memory round executor with a configurable dropout
-//!   schedule and full traffic/crypto-op statistics,
+//!   schedule,
 //! - [`plain`]: the no-crypto aggregator behind the trainer's plain engine.
 
 #![forbid(unsafe_code)]

@@ -1,26 +1,14 @@
 //! Wire messages exchanged between clients and the server.
 //!
-//! Every message knows its serialized size ([`WireSize::wire_bytes`]); the
-//! driver aggregates these into per-stage traffic statistics that feed the
-//! cluster simulator's communication cost model (Figures 2 and 10 of the
-//! paper are driven by exactly these counts).
-//!
-//! The `dordis-net` crate carries these messages over real transports;
-//! its codec is the ground truth for the sizes reported here, and its
-//! test suite asserts byte-for-byte agreement between `wire_bytes()` and
-//! the actual encoding of every message type.
+//! The `dordis-net` crate carries these messages over real transports.
+//! Its codec defines their encoded layout and sizes, and its coordinator
+//! counts the framed bytes each stage moves.
 
 use dordis_crypto::ed25519::Signature;
 use dordis_crypto::prg::Seed;
 use dordis_crypto::shamir::Share;
 
 use crate::ClientId;
-
-/// Anything with a well-defined on-the-wire size.
-pub trait WireSize {
-    /// Serialized size in bytes.
-    fn wire_bytes(&self) -> u64;
-}
 
 /// Stage 0: a client's advertised key pair (plus identity signature in the
 /// malicious model).
@@ -36,12 +24,6 @@ pub struct AdvertisedKeys {
     pub signature: Option<Signature>,
 }
 
-impl WireSize for AdvertisedKeys {
-    fn wire_bytes(&self) -> u64 {
-        4 + 32 + 32 + if self.signature.is_some() { 64 } else { 0 }
-    }
-}
-
 /// Stage 1: an encrypted share bundle addressed from one client to
 /// another, routed through the server.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,12 +34,6 @@ pub struct EncryptedShares {
     pub to: ClientId,
     /// AEAD ciphertext of the serialized [`ShareBundle`].
     pub ciphertext: Vec<u8>,
-}
-
-impl WireSize for EncryptedShares {
-    fn wire_bytes(&self) -> u64 {
-        4 + 4 + self.ciphertext.len() as u64
-    }
 }
 
 /// The plaintext carried inside [`EncryptedShares`]: the sender's Shamir
@@ -155,15 +131,8 @@ pub struct MaskedInput {
     pub client: ClientId,
     /// Vector in `Z_{2^b}`.
     pub vector: Vec<u64>,
-    /// Ring bit width, for size accounting.
+    /// Ring bit width: coordinates are packed at this many bits each.
     pub bit_width: u32,
-}
-
-impl WireSize for MaskedInput {
-    fn wire_bytes(&self) -> u64 {
-        // Coordinates are packed at b bits each on the wire.
-        4 + (self.vector.len() as u64 * self.bit_width as u64).div_ceil(8)
-    }
 }
 
 /// Stage 3 (malicious only): signature over `round ‖ U3`.
@@ -173,12 +142,6 @@ pub struct ConsistencySignature {
     pub client: ClientId,
     /// `SIG.sign(d^SK, round ‖ U3)`.
     pub signature: Signature,
-}
-
-impl WireSize for ConsistencySignature {
-    fn wire_bytes(&self) -> u64 {
-        4 + 64
-    }
 }
 
 /// Stage 4: a surviving client's unmasking response.
@@ -195,21 +158,6 @@ pub struct UnmaskingResponse {
     pub own_seeds: Vec<(usize, Seed)>,
 }
 
-impl WireSize for UnmaskingResponse {
-    fn wire_bytes(&self) -> u64 {
-        // Matches `dordis-net`'s codec: sender id, three u16 section
-        // counts, then per-share entries (owner u32, x u8, len u8, y)
-        // and per-seed entries (component u16, seed).
-        let shares: u64 = self
-            .sk_shares
-            .iter()
-            .chain(self.b_shares.iter())
-            .map(|(_, s)| 4 + 2 + s.y.len() as u64)
-            .sum();
-        4 + 6 + shares + self.own_seeds.len() as u64 * (2 + 32)
-    }
-}
-
 /// Stage 5: shares of noise seeds of clients that dropped between masking
 /// and unmasking (`v ∈ U3 \ U5`).
 #[derive(Clone, Debug, PartialEq)]
@@ -220,28 +168,9 @@ pub struct NoiseShareResponse {
     pub seed_shares: Vec<(ClientId, usize, Share)>,
 }
 
-impl WireSize for NoiseShareResponse {
-    fn wire_bytes(&self) -> u64 {
-        // Matches `dordis-net`'s codec: sender id, u16 entry count, then
-        // entries of (owner u32, component u16, x u8, len u8, y).
-        4 + 2
-            + self
-                .seed_shares
-                .iter()
-                .map(|(_, _, s)| 4 + 2 + 2 + s.y.len() as u64)
-                .sum::<u64>()
-    }
-}
-
-/// A broadcast list of client ids, for size accounting.
+/// A broadcast list of client ids, such as a survivor set.
 #[derive(Clone, Debug, PartialEq)]
 pub struct IdList(pub Vec<ClientId>);
-
-impl WireSize for IdList {
-    fn wire_bytes(&self) -> u64 {
-        4 + 4 * self.0.len() as u64
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -299,32 +228,16 @@ mod tests {
     fn masked_input_packs_bits() {
         let m = MaskedInput {
             client: 1,
-            vector: vec![0; 1000],
+            vector: (0..1000u64).map(|i| (i * 0x9e37 + 11) & 0xf_ffff).collect(),
             bit_width: 20,
         };
-        // 1000 coords * 20 bits = 2500 bytes + 4 header.
-        assert_eq!(m.wire_bytes(), 2504);
-    }
-
-    #[test]
-    fn advertised_keys_size() {
-        let a = AdvertisedKeys {
-            client: 0,
-            c_pk: [0; 32],
-            s_pk: [0; 32],
-            signature: None,
-        };
-        assert_eq!(a.wire_bytes(), 68);
-    }
-
-    #[test]
-    fn unmasking_response_size_counts_all_fields() {
-        let r = UnmaskingResponse {
-            client: 7,
-            sk_shares: vec![(1, share(2, 32))],
-            b_shares: vec![(2, share(2, 32)), (3, share(2, 32))],
-            own_seeds: vec![(2, [0u8; 32])],
-        };
-        assert_eq!(r.wire_bytes(), 4 + 6 + 3 * (4 + 2 + 32) + (2 + 32));
+        // 1000 coords * 20 bits = 2500 bytes, and they unpack unchanged.
+        let mut packed = Vec::new();
+        crate::pack::pack_into(&m.vector, m.bit_width, &mut packed);
+        assert_eq!(packed.len(), 2500);
+        assert_eq!(
+            crate::pack::unpack(&packed, m.bit_width, m.vector.len()),
+            m.vector
+        );
     }
 }

@@ -63,12 +63,11 @@ fn full_round_no_dropout() {
         dropout: DropoutSchedule::none(),
         rng_seed: 1,
     };
-    let (outcome, stats) = run_round(spec).unwrap();
+    let (outcome, aborted) = run_round(spec).unwrap();
     assert_eq!(outcome.survivors.len(), 8);
     assert!(outcome.dropped.is_empty());
     assert_eq!(outcome.sum, expected_sum(&(0..8).collect::<Vec<_>>()));
-    assert!(stats.aborted.is_empty());
-    assert!(stats.total_bytes() > 0);
+    assert!(aborted.is_empty());
 }
 
 #[test]
@@ -164,27 +163,6 @@ fn secagg_plus_with_dropout() {
 }
 
 #[test]
-fn secagg_plus_moves_fewer_bytes_than_secagg() {
-    let run = |graph: MaskingGraph| {
-        let spec = RoundSpec {
-            params: params(24, 13, graph, ThreatModel::SemiHonest),
-            inputs: inputs(24, 0),
-            dropout: DropoutSchedule::none(),
-            rng_seed: 8,
-        };
-        run_round(spec).unwrap().1
-    };
-    let full = run(MaskingGraph::Complete);
-    let sparse = run(MaskingGraph::harary_for(24));
-    let full_sharekeys = full.stage("ShareKeys").unwrap().uplink_total;
-    let sparse_sharekeys = sparse.stage("ShareKeys").unwrap().uplink_total;
-    assert!(
-        sparse_sharekeys < full_sharekeys,
-        "sparse {sparse_sharekeys} !< full {full_sharekeys}"
-    );
-}
-
-#[test]
 fn malicious_model_full_round() {
     let spec = RoundSpec {
         params: params(8, 5, MaskingGraph::Complete, ThreatModel::Malicious),
@@ -192,10 +170,9 @@ fn malicious_model_full_round() {
         dropout: DropoutSchedule::none(),
         rng_seed: 9,
     };
-    let (outcome, stats) = run_round(spec).unwrap();
+    let (outcome, aborted) = run_round(spec).unwrap();
     assert_eq!(outcome.sum, expected_sum(&(0..8).collect::<Vec<_>>()));
-    assert!(stats.stage("ConsistencyCheck").is_some());
-    assert!(stats.aborted.is_empty());
+    assert!(aborted.is_empty());
 }
 
 #[test]
@@ -264,8 +241,7 @@ fn xnoise_seed_recovery_via_stage5() {
         dropout,
         rng_seed: 12,
     };
-    let (outcome, stats) = run_round(spec).unwrap();
-    assert!(stats.stage("ExcessiveNoiseRemoval").is_some());
+    let (outcome, _) = run_round(spec).unwrap();
     // No client officially dropped (|D| = 0), so removal range is 1..=2,
     // including client 2's seeds recovered from shares.
     let ks: Vec<usize> = outcome

@@ -57,7 +57,7 @@ fn main() {
         threat_model: ThreatModel::Malicious,
         graph: MaskingGraph::Complete,
     };
-    let (mut outcome, stats) = run_round(RoundSpec {
+    let (mut outcome, _) = run_round(RoundSpec {
         params,
         inputs,
         dropout,
@@ -80,12 +80,6 @@ fn main() {
     }
     println!("\nresidual noise has variance σ²∗ = 25 exactly (Theorem 1),");
     println!("despite 2 of 10 clients dropping mid-protocol.");
-
-    println!("\nper-stage traffic:");
-    for st in &stats.stages {
-        println!(
-            "  {:<24} up {:>8} B  down {:>8} B",
-            st.stage, st.uplink_total, st.downlink_total
-        );
-    }
+    println!("\n(this round ran in memory; `dordis serve` prints the bytes a");
+    println!("networked round measured on the wire as its `traffic:` line.)");
 }

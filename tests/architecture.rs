@@ -419,6 +419,14 @@ const DELETED: &[&str] = &[
     "dordis_sim",
     "dordis-sim",
     "dordis_core::timing",
+    // The hand-kept second copy of the codec's sizes (traffic is counted
+    // once, on the wire, by the coordinator) and the second seating type.
+    // Not a bare `WireSize`: Table 3's `xnoise::footprint::WireSizes`
+    // paper model stays.
+    "trait WireSize",
+    "impl WireSize",
+    ".wire_bytes()",
+    r"\bSeatedCohort\b",
 ];
 
 /// One way to run a round, one way into it: the engines, knobs and
