@@ -11,7 +11,7 @@ use dordis_crypto::hmac::hkdf;
 use dordis_crypto::ka::KeyPair;
 use dordis_crypto::prg::Prg;
 use dordis_crypto::sha256::{compress, sha256};
-use dordis_crypto::vrf::VrfSecretKey;
+use dordis_crypto::vrf::{VrfInput, VrfProof, VrfSecretKey};
 use dordis_crypto::{aead, shamir};
 use rand::SeedableRng;
 
@@ -243,6 +243,24 @@ fn bench_signatures(c: &mut Criterion) {
     c.bench_function("vrf_evaluate", |b| b.iter(|| vrf.evaluate(input)));
     c.bench_function("vrf_verify", |b| {
         b.iter(|| vrf.public_key().verify(input, &proof));
+    });
+    // The same work with what a round shares done once: the input hashed
+    // for every key and claim, two claims' subgroup checks a pass, and a
+    // claim verified from its checked proof.
+    let prehashed = VrfInput::new(input);
+    c.bench_function("vrf_evaluate/prehashed", |b| {
+        b.iter(|| vrf.evaluate(&prehashed));
+    });
+    let pair = [proof.clone(), proof.clone()];
+    c.bench_function("vrf_check_all/2", |b| {
+        b.iter(|| VrfProof::check_all(black_box(&pair)));
+    });
+    let checked = VrfProof::check_all([&proof])
+        .pop()
+        .expect("one proof")
+        .expect("an honest proof checks");
+    c.bench_function("vrf_verify/checked", |b| {
+        b.iter(|| vrf.public_key().verify(&prehashed, &checked));
     });
 }
 

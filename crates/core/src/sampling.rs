@@ -20,7 +20,8 @@
 //! excessive clients based on indiscriminate criteria on their
 //! randomness") yields a fixed sample size.
 
-use dordis_crypto::vrf::{VrfInput, VrfProof, VrfPublicKey, VrfSecretKey};
+use dordis_crypto::vrf::{CheckedProof, VrfInput, VrfProof, VrfPublicKey, VrfSecretKey};
+use dordis_crypto::CryptoError;
 use dordis_net::session::SeatingOutcome;
 
 /// Public sampling parameters for a round.
@@ -65,6 +66,12 @@ fn round_input(round: u64) -> Vec<u8> {
     v
 }
 
+/// A round's VRF input hashed to the curve: every key that evaluates it
+/// and every claim that answers it shares the hash.
+pub(crate) fn round_vrf_input(round: u64) -> VrfInput {
+    VrfInput::new(&round_input(round))
+}
+
 /// First 8 bytes of a VRF output as the selection value.
 fn selection_value(output: &[u8; 32]) -> u64 {
     u64::from_le_bytes(output[..8].try_into().expect("8 bytes"))
@@ -78,7 +85,17 @@ pub fn self_select(
     round: u64,
     cfg: &SamplingConfig,
 ) -> Option<ParticipationClaim> {
-    let (output, proof) = sk.evaluate(&round_input(round));
+    self_select_at(sk, client, &round_vrf_input(round), cfg)
+}
+
+/// [`self_select`] against a round input hashed already.
+pub(crate) fn self_select_at(
+    sk: &VrfSecretKey,
+    client: u32,
+    input: &VrfInput,
+    cfg: &SamplingConfig,
+) -> Option<ParticipationClaim> {
+    let (output, proof) = sk.evaluate(input);
     if selection_value(&output) <= cfg.threshold() {
         Some(ParticipationClaim {
             client,
@@ -90,8 +107,9 @@ pub fn self_select(
     }
 }
 
-/// Verifies one claim against its round's input and returns its
-/// selection value.
+/// Verifies one claim, whose proof `checked` holds already parsed and
+/// subgroup-checked, against its round's input and returns its selection
+/// value.
 ///
 /// # Errors
 ///
@@ -100,14 +118,17 @@ pub fn self_select(
 /// self-selection the server should never have accepted).
 fn verify_claim(
     claim: &ParticipationClaim,
+    checked: &Result<CheckedProof, CryptoError>,
     keys: &dyn Fn(u32) -> Option<VrfPublicKey>,
     input: &VrfInput,
     cfg: &SamplingConfig,
 ) -> Result<u64, String> {
     let pk = keys(claim.client)
         .ok_or_else(|| format!("no VRF key registered for client {}", claim.client))?;
-    let output = pk
-        .verify(input, &claim.proof)
+    let output = checked
+        .as_ref()
+        .map_err(Clone::clone)
+        .and_then(|proof| pk.verify(input, proof))
         .map_err(|e| format!("client {}: bad VRF proof: {e}", claim.client))?;
     if output != claim.output {
         return Err(format!(
@@ -136,12 +157,24 @@ pub fn seat_claims(
     round: u64,
     cfg: &SamplingConfig,
 ) -> SeatingOutcome {
-    // Every claim answers the same round input: hash it to the curve once.
-    let input = VrfInput::new(&round_input(round));
+    seat_claims_at(claims, keys, &round_vrf_input(round), cfg)
+}
+
+/// [`seat_claims`] against a round input hashed already. The claims'
+/// `Γ`s are subgroup-checked two a pass first; each claim is then
+/// verified in order, with the checks in the order a lone verification
+/// makes them, so every rejection reads as it would alone.
+pub(crate) fn seat_claims_at(
+    claims: &[ParticipationClaim],
+    keys: &dyn Fn(u32) -> Option<VrfPublicKey>,
+    input: &VrfInput,
+    cfg: &SamplingConfig,
+) -> SeatingOutcome {
+    let checked = VrfProof::check_all(claims.iter().map(|c| &c.proof));
     let mut valid: Vec<(u64, u32)> = Vec::with_capacity(claims.len());
     let mut rejected = Vec::new();
-    for claim in claims {
-        match verify_claim(claim, keys, &input, cfg) {
+    for (claim, checked) in claims.iter().zip(&checked) {
+        match verify_claim(claim, checked, keys, input, cfg) {
             // One seat per claimant: a resubmitted valid claim is a
             // duplicate, not a second lottery ticket.
             Ok(_) if valid.iter().any(|&(_, c)| c == claim.client) => {
@@ -433,7 +466,7 @@ mod tests {
             seed[..4].copy_from_slice(&id.to_le_bytes());
             seed[31] = 0xfe;
             let x = Scalar::from_wide_bytes(&hkdf(b"dordis.vrf.keygen", &seed, b"scalar"));
-            let pk = key_for(id).public_key().0;
+            let pk = key_for(id).public_key().to_bytes();
             for t in &shifts {
                 let gamma = h.mul_scalar(&x).add(t).compress();
                 let output = sha256_concat(&[b"dordis.vrf.out", &gamma]);
@@ -482,6 +515,98 @@ mod tests {
                 cohort.rejected
             );
             assert_eq!(cohort.seated, seat(&claims[1..], 10).seated);
+        }
+    }
+
+    /// The seating oracle: each claim verified alone from its bytes, on
+    /// its own hash of the round input, in order — what `seat_claims`
+    /// did before it checked the claims' `Γ`s two a pass.
+    fn seat_one_by_one(claims: &[ParticipationClaim], round: u64) -> SeatingOutcome {
+        let mut valid: Vec<(u64, u32)> = Vec::new();
+        let mut rejected = Vec::new();
+        for claim in claims {
+            let verdict = registry(claim.client)
+                .ok_or_else(|| format!("no VRF key registered for client {}", claim.client))
+                .and_then(|pk| {
+                    pk.verify(&round_input(round), &claim.proof)
+                        .map_err(|e| format!("client {}: bad VRF proof: {e}", claim.client))
+                })
+                .and_then(|output| {
+                    if output != claim.output {
+                        Err(format!(
+                            "client {}: output does not match proof",
+                            claim.client
+                        ))
+                    } else if selection_value(&output) > cfg().threshold() {
+                        Err(format!("client {}: not actually selected", claim.client))
+                    } else {
+                        Ok(selection_value(&output))
+                    }
+                });
+            match verdict {
+                Ok(_) if valid.iter().any(|&(_, c)| c == claim.client) => rejected.push((
+                    claim.client,
+                    format!("client {}: duplicate claim", claim.client),
+                )),
+                Ok(value) => valid.push((value, claim.client)),
+                Err(why) => rejected.push((claim.client, why)),
+            }
+        }
+        valid.sort_unstable();
+        valid.truncate(cfg().target_sample);
+        SeatingOutcome {
+            seated: valid.into_iter().map(|(_, c)| c).collect(),
+            rejected,
+        }
+    }
+
+    /// `seat_claims` seats exactly what the one-by-one oracle seats, in
+    /// the same order and with the same rejections, on odd and even claim
+    /// counts with a forged, an order-2 and an order-8 shifted, an
+    /// unregistered (with an honest and with a shifted proof) and a
+    /// duplicate claim in either slot of a pair or last — so checking
+    /// `Γ`s two a pass changes no outcome.
+    #[test]
+    fn seat_claims_matches_the_one_by_one_oracle() {
+        let round = 10;
+        let honest = claims_for_round(round);
+        let outsider = (0..100u32)
+            .find(|&id| self_select(&key_for(id), id, round, &cfg()).is_none())
+            .expect("someone is unselected");
+        let mut forged = honest[0].clone();
+        forged.client = outsider;
+        let mut unregistered = honest[1].clone();
+        unregistered.client = 1000;
+        // Unregistered and shifted: the key lookup must still come first.
+        let mut unregistered_shifted = shifted_claim(round, 2);
+        unregistered_shifted.client = 1001;
+        let bad = [
+            forged,
+            shifted_claim(round, 2),
+            shifted_claim(round, 8),
+            unregistered,
+            unregistered_shifted,
+            honest[2].clone(),
+        ];
+        for len in [honest.len() - 1, honest.len()] {
+            for claim in &bad {
+                for at in [0, 1, 2, 3, len] {
+                    let mut claims = honest[..len].to_vec();
+                    claims.insert(at, claim.clone());
+                    let (got, want) = (seat(&claims, round), seat_one_by_one(&claims, round));
+                    assert_eq!(got.seated, want.seated, "{len} claims, bad one at {at}");
+                    assert_eq!(got.rejected, want.rejected, "{len} claims, bad one at {at}");
+                    assert!(!got.rejected.is_empty());
+                }
+            }
+            let mut all = honest[..len].to_vec();
+            all.splice(1..1, bad.iter().cloned());
+            let (got, want) = (seat(&all, round), seat_one_by_one(&all, round));
+            assert_eq!(got.seated, want.seated, "{len} claims and every bad one");
+            assert_eq!(
+                got.rejected, want.rejected,
+                "{len} claims and every bad one"
+            );
         }
     }
 

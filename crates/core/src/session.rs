@@ -80,7 +80,10 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{TaskSpec, Variant};
-use crate::sampling::{decode_claim, encode_claim, seat_claims, self_select, SamplingConfig};
+use crate::sampling::{
+    decode_claim, encode_claim, round_vrf_input, seat_claims, seat_claims_at, self_select,
+    self_select_at, SamplingConfig,
+};
 use crate::trainer::{
     achieved_noise_multiplier, add_share_noise, build_model, build_optimizer, clipped_local_delta,
     master_seed, RoundRecord, TrainingReport,
@@ -161,6 +164,8 @@ pub struct FlSessionReport {
     pub training: TrainingReport,
     /// Per-round aggregate outcomes.
     pub rounds: Vec<SessionRoundOutcome>,
+    /// The global model's parameters after the last round.
+    pub global: Vec<f32>,
 }
 
 /// Wire round id for a 0-based session round index.
@@ -250,12 +255,14 @@ pub fn planned_cohorts(spec: &TaskSpec, opts: &FlSessionOptions) -> Vec<Vec<Clie
     let registry = registry_of(&keys);
     (0..opts.rounds)
         .map(|i| {
-            let r = wire_round(i);
+            // One hash of the round's input for every evaluation and
+            // every claim check.
+            let input = round_vrf_input(wire_round(i));
             let claims: Vec<_> = (0u32..)
                 .zip(&keys)
-                .filter_map(|(id, sk)| self_select(sk, id, r, &opts.sample))
+                .filter_map(|(id, sk)| self_select_at(sk, id, &input, &opts.sample))
                 .collect();
-            seat_claims(&claims, &registry, r, &opts.sample).seated
+            seat_claims_at(&claims, &registry, &input, &opts.sample).seated
         })
         .collect()
 }
@@ -692,6 +699,7 @@ pub(crate) fn run_fl_session_at(
             records,
         },
         rounds,
+        global,
     })
 }
 

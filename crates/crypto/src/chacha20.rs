@@ -95,7 +95,12 @@ fn words_to_bytes(words: &[u32; 16]) -> [u8; BLOCK_LEN] {
 ///
 /// Applying the function twice with the same parameters recovers the
 /// original data, so this serves as both encryption and decryption.
-pub fn xor_stream(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
+pub(crate) fn xor_stream(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    counter: u32,
+    data: &mut [u8],
+) {
     let mut ctr = counter;
     for chunk in data.chunks_mut(BLOCK_LEN) {
         let ks = block(key, ctr, nonce);

@@ -39,8 +39,11 @@
 //! has AVX-512IFMA a pair is one pass of `x25519_avx512`'s Edwards
 //! kernel, its two products in two lane groups on the same schedule as
 //! the single form; elsewhere it is the single form twice.
-//! [`Point::is_torsion_free`] (`[l]·P = O`) runs `mul_scalar`'s chain
-//! over the digits of the public constant `l`, on the kernel too.
+//! The subgroup check `Point::are_torsion_free` (`[l]·P = O`) runs
+//! `mul_scalar`'s chain over the digits of the public constant `l`, on
+//! the kernel too, two points a pass: a batch of VRF proofs checks its
+//! `Γ`s in pairs, and `Point::is_torsion_free` is the pair check of one
+//! point.
 //!
 //! [`Scalar`] arithmetic modulo `l` (`add`, `mul`, the reductions) still
 //! compares and branches on its values and is not constant-time; neither
@@ -128,7 +131,7 @@ impl Scalar {
     }
 
     /// Parses 32 little-endian bytes, rejecting values `>= l`.
-    pub fn from_canonical_bytes(bytes: &[u8; 32]) -> Result<Scalar, CryptoError> {
+    pub(crate) fn from_canonical_bytes(bytes: &[u8; 32]) -> Result<Scalar, CryptoError> {
         let mut limbs = [0u64; 4];
         for i in 0..4 {
             let mut v = 0u64;
@@ -616,7 +619,7 @@ impl Point {
 
     /// Point negation.
     #[must_use]
-    pub fn neg(&self) -> Point {
+    pub(crate) fn neg(&self) -> Point {
         Point {
             x: self.x.neg(),
             y: self.y,
@@ -691,18 +694,34 @@ impl Point {
         digits.map(|d| self.mul_digits(&d))
     }
 
-    /// Whether `self` lies in the prime-order subgroup: `[l]·self = O`.
-    /// The chain is [`Point::mul_scalar`]'s over the digits of the public
-    /// constant `l` (on the Edwards pair where the CPU has it), the same
-    /// operations for every point.
+    /// Whether `self` lies in the prime-order subgroup: `[l]·self = O`,
+    /// as [`Point::are_torsion_free`] checks one point.
     #[must_use]
-    pub fn is_torsion_free(&self) -> bool {
+    pub(crate) fn is_torsion_free(&self) -> bool {
+        let [free] = Point::are_torsion_free(&[*self]);
+        free
+    }
+
+    /// Whether each of one or two points lies in the prime-order
+    /// subgroup: `[l]·P = O`. The chain is [`Point::mul_scalar`]'s over
+    /// the digits of the public constant `l`, the same operations for
+    /// every point. Where the CPU has AVX-512IFMA both points run in the
+    /// two lane groups of one pass of the Edwards pair (a lone point
+    /// fills both); elsewhere, the chain once a point.
+    #[must_use]
+    pub(crate) fn are_torsion_free<const N: usize>(points: &[Point; N]) -> [bool; N] {
+        assert!(
+            N == 1 || N == 2,
+            "one pass of the Edwards pair checks one or two points"
+        );
         let l = radix16(&Scalar(L).to_bytes());
         #[cfg(target_arch = "x86_64")]
-        if let Some([lp, _]) = crate::x25519_avx512::mul_pair(&[self.coords(); 2], &[l; 2]) {
-            return Point::from_coords(lp).is_identity();
+        if let Some(lp) =
+            crate::x25519_avx512::mul_pair(&[points[0].coords(), points[N - 1].coords()], &[l; 2])
+        {
+            return std::array::from_fn(|i| Point::from_coords(lp[i]).is_identity());
         }
-        self.mul_digits(&l).is_identity()
+        points.map(|p| p.mul_digits(&l).is_identity())
     }
 
     /// The sum `Σ digits[i]·16^i·self` of signed radix-16 digits.
@@ -831,7 +850,7 @@ impl Point {
     /// [`Point::compress`] of every point, element-wise, for one field
     /// inversion in total (Montgomery's trick).
     #[must_use]
-    pub fn compress_batch<const N: usize>(points: &[Point; N]) -> [[u8; 32]; N] {
+    pub(crate) fn compress_batch<const N: usize>(points: &[Point; N]) -> [[u8; 32]; N] {
         let mut z_inv = points.map(|p| p.z);
         batch_invert(&mut z_inv);
         std::array::from_fn(|i| points[i].compress_with(z_inv[i]))
@@ -1260,6 +1279,34 @@ mod tests {
                 for t in &small_order_points()[1..] {
                     assert!(!t.is_torsion_free());
                     assert!(!q.add(t).is_torsion_free());
+                }
+            }
+        });
+    }
+
+    /// The pair check answers for each lane slot what a single check and
+    /// the bitwise oracle answer for that point alone: honest points, the
+    /// identity, and honest points shifted by order 2, 4 and 8, in every
+    /// pairing and either slot.
+    #[test]
+    fn pair_torsion_check_matches_two_single_checks() {
+        use rand::SeedableRng;
+        on_both_paths(|| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x9a15);
+            let l_bytes = Scalar(L).to_bytes();
+            let honest = [
+                Point::base().mul_scalar(&random_scalar(&mut rng)),
+                Point::base().mul_scalar(&random_scalar(&mut rng)),
+            ];
+            let mut points = honest.to_vec();
+            for t in small_order_points() {
+                points.extend(honest.iter().map(|p| p.add(&t)));
+            }
+            for a in &points {
+                for b in &points {
+                    let want = [a, b].map(|p| p.mul_bytes(&l_bytes).is_identity());
+                    assert_eq!(Point::are_torsion_free(&[*a, *b]), want);
+                    assert_eq!([a.is_torsion_free(), b.is_torsion_free()], want);
                 }
             }
         });

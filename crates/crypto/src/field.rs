@@ -213,7 +213,7 @@ impl Fe {
 
     /// Field negation. Input: tight. Output: tight.
     #[must_use]
-    pub fn neg(self) -> Fe {
+    pub(crate) fn neg(self) -> Fe {
         Fe::ZERO.sub(self)
     }
 
@@ -324,7 +324,7 @@ impl Fe {
     /// `self^((p-5)/8)`, used for square-root extraction on the curve.
     /// Input: loose. Output: tight.
     #[must_use]
-    pub fn pow_p58(self) -> Fe {
+    pub(crate) fn pow_p58(self) -> Fe {
         // (p - 5) / 8 = 2^252 - 3 = (2^250 - 1) · 2^2 + 1.
         let (e250, _) = self.pow22501();
         e250.pow2k(2).mul(self)
@@ -355,7 +355,7 @@ impl Fe {
     /// Returns the low bit of the canonical encoding (the "sign" of x in
     /// Edwards-point compression).
     #[must_use]
-    pub fn parity(self) -> u8 {
+    pub(crate) fn parity(self) -> u8 {
         self.to_bytes()[0] & 1
     }
 }

@@ -59,7 +59,7 @@ impl HmacSha256 {
 
     /// Finishes and returns the 32-byte tag.
     #[must_use]
-    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+    pub(crate) fn finalize(self) -> [u8; DIGEST_LEN] {
         let mut outer = self.outer;
         outer.update(&self.inner.finalize());
         outer.finalize()

@@ -52,7 +52,7 @@ impl KeyPair {
     }
 
     /// `self.agree(peer)` for every peer, in order and byte for byte: the
-    /// DH outputs come from [`x25519::x25519_many`], which runs the
+    /// DH outputs come from `x25519::x25519_many`, which runs the
     /// ladders of one secret side by side where the CPU allows it.
     #[must_use]
     pub fn agree_many(&self, peers: &[x25519::PublicKey]) -> Vec<[u8; 32]> {

@@ -120,7 +120,7 @@ impl std::error::Error for CryptoError {}
 /// The comparison touches every byte of both slices regardless of where the
 /// first difference occurs.
 #[must_use]
-pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
+pub(crate) fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;
     }

@@ -33,14 +33,32 @@
 //!
 //! Where the CPU has AVX-512IFMA, `evaluate`'s two products `x·H` and
 //! `k·H` run as one pass of the IFMA Edwards pair, and so do `verify`'s
-//! subgroup check and its two Straus chains `s·B − c·PK`, `s·H − c·Γ`
-//! (traced `fl_xnoise32` on a 2-core AVX-512IFMA host: `evaluate` ≈ 51
-//! µs against ≈ 233 µs on the scalar forms, `verify` with its subgroup
-//! check ≈ 82 µs against ≈ 223 µs without it). A batch of proofs against
-//! one input — a round's claims — hashes it to the curve once, as a
-//! [`VrfInput`].
+//! two Straus chains `s·B − c·PK`, `s·H − c·Γ` and the subgroup checks of
+//! two proofs' `Γ`.
+//!
+//! A round's shared work is done once:
+//!
+//! - **The input hash.** A [`VrfInput`] hashes an input to the curve
+//!   once for every key that evaluates it and every proof verified
+//!   against it: `core::session::planned_cohorts` evaluates a round's
+//!   keys on one, and `core::sampling::seat_claims` checks a round's
+//!   claims against one. Bytes passed to `evaluate` or `verify` are
+//!   hashed on that call, so a lone `self_select` or `verify` still pays
+//!   the hash. `H`'s encoding rides in each call's one batch inversion.
+//! - **The key's point.** A [`VrfPublicKey`] keeps the point key
+//!   generation computed, so `verify` decompresses no key.
+//! - **The subgroup checks.** [`VrfProof::check_all`] parses a batch of
+//!   proofs and checks their `Γ`s two a pass of the Edwards pair, into
+//!   [`CheckedProof`]s that `verify` takes as they are.
+//!
+//! On the 2-core AVX-512IFMA host (`benches/crypto.rs`, medians of six
+//! alternating runs): `evaluate` ≈ 93 µs from bytes and ≈ 62 µs on a
+//! `VrfInput`, `verify` ≈ 98 µs from bytes; a round's claim costs half
+//! of `check_all` of two (≈ 43 µs) and `verify` of the checked proof on
+//! the round's `VrfInput` (≈ 38 µs).
 
 use std::borrow::Cow;
+use std::fmt;
 
 use crate::ed25519::{Point, Scalar};
 use crate::hmac::hkdf;
@@ -54,9 +72,13 @@ pub struct VrfSecretKey {
     public: VrfPublicKey,
 }
 
-/// VRF public key (compressed point).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VrfPublicKey(pub [u8; 32]);
+/// VRF public key: the compressed point, and the point itself as key
+/// generation computed it, so a verification decompresses nothing.
+#[derive(Clone, Copy)]
+pub struct VrfPublicKey {
+    encoded: [u8; 32],
+    point: Point,
+}
 
 /// A VRF evaluation proof: `(Γ, c, s)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -80,7 +102,11 @@ impl VrfSecretKey {
         } else {
             scalar
         };
-        let public = VrfPublicKey(Point::mul_base(&scalar).compress());
+        let point = Point::mul_base(&scalar);
+        let public = VrfPublicKey {
+            encoded: point.compress(),
+            point,
+        };
         VrfSecretKey { scalar, public }
     }
 
@@ -90,16 +116,18 @@ impl VrfSecretKey {
         self.public
     }
 
-    /// Evaluates the VRF: returns `(output, proof)`.
+    /// Evaluates the VRF: returns `(output, proof)`. `input` is the
+    /// input's bytes, hashed to the curve here, or a [`VrfInput`] hashed
+    /// once for every key that evaluates the same input.
     #[must_use]
-    pub fn evaluate(&self, input: &[u8]) -> ([u8; 32], VrfProof) {
-        let h = hash_to_curve(input);
+    pub fn evaluate<I: AsVrfInput + ?Sized>(&self, input: &I) -> ([u8; 32], VrfProof) {
+        let input = input.as_vrf_input();
         // DLEQ proof: k random (derived deterministically), commitments
         // k·B and k·H, challenge c = H(B, H, PK, Γ, k·B, k·H),
         // response s = k + c·x.
         let k = {
             let mut material = self.scalar.to_bytes().to_vec();
-            material.extend_from_slice(input);
+            material.extend_from_slice(&input.bytes);
             let wide = hkdf(b"dordis.vrf.nonce", &material, b"k");
             let k = Scalar::from_wide_bytes(&wide);
             if k.is_zero() {
@@ -108,9 +136,10 @@ impl VrfSecretKey {
                 k
             }
         };
-        let [gamma, kh] = h.mul_scalar2(&self.scalar, &k);
-        let [h_c, gamma_c, kb, kh] = Point::compress_batch(&[h, gamma, Point::mul_base(&k), kh]);
-        let c_bytes = challenge(&self.public.0, &h_c, &gamma_c, &kb, &kh);
+        let [gamma, kh] = input.point.mul_scalar2(&self.scalar, &k);
+        let [h_c, gamma_c, kb, kh] =
+            Point::compress_batch(&[input.point, gamma, Point::mul_base(&k), kh]);
+        let c_bytes = challenge(&self.public.encoded, &h_c, &gamma_c, &kb, &kh);
         let c = Scalar::from_bytes_mod_l(&c_bytes);
         let s = k.add(c.mul(self.scalar));
         let output = vrf_output(&gamma_c);
@@ -126,66 +155,87 @@ impl VrfSecretKey {
 }
 
 impl VrfPublicKey {
+    /// The key's 32-byte encoding.
+    #[must_use]
+    pub fn to_bytes(&self) -> [u8; 32] {
+        self.encoded
+    }
+
+    /// Decompresses a key from its encoding: what a key looks like to a
+    /// verifier that was handed only the bytes.
+    #[cfg(test)]
+    pub(crate) fn from_bytes(encoded: &[u8; 32]) -> Result<VrfPublicKey, CryptoError> {
+        Ok(VrfPublicKey {
+            encoded: *encoded,
+            point: Point::decompress(encoded)?,
+        })
+    }
+
     /// Verifies a proof and returns the VRF output. `input` is the
     /// input's bytes, hashed to the curve here, or a [`VrfInput`] hashed
-    /// once for every proof against the same input.
+    /// once for every proof against the same input; `proof` is a
+    /// [`VrfProof`], parsed and subgroup-checked here, or a
+    /// [`CheckedProof`] checked already.
     ///
     /// # Errors
     ///
-    /// Fails on invalid points, a `Γ` outside the prime-order subgroup or
-    /// a non-verifying DLEQ proof.
-    pub fn verify<I: AsVrfInput + ?Sized>(
+    /// Fails on an invalid `Γ` or `s`, a `Γ` outside the prime-order
+    /// subgroup or a non-verifying DLEQ proof.
+    pub fn verify<I: AsVrfInput + ?Sized, P: AsCheckedProof + ?Sized>(
         &self,
         input: &I,
-        proof: &VrfProof,
+        proof: &P,
     ) -> Result<[u8; 32], CryptoError> {
+        let proof = proof.as_checked_proof()?;
         let input = input.as_vrf_input();
-        let pk = Point::decompress(&self.0)?;
-        let gamma = Point::decompress(&proof.gamma)?;
-        let c = Scalar::from_bytes_mod_l(&proof.c);
-        let s = Scalar::from_canonical_bytes(&proof.s)?;
-        // The DLEQ proof below pins Γ only up to a small-order T: with
-        // Γ + T, a prover who retries nonces until c·T = O gets a second
-        // output that verifies. Uniqueness needs Γ in the prime-order
-        // subgroup, where the honest x·H always is.
-        if !gamma.is_torsion_free() {
-            return Err(CryptoError::InvalidPoint);
-        }
         // Recompute commitments: k·B = s·B − c·PK, k·H = s·H − c·Γ. Key,
         // input and proof are all public.
-        let [kb, kh] = Point::vartime_straus2(&s, &c, &pk.neg(), &input.point, &gamma.neg());
-        let [kb, kh] = Point::compress_batch(&[kb, kh]);
-        let expected_c = challenge(&self.0, &input.encoded, &proof.gamma, &kb, &kh);
-        if expected_c != proof.c {
+        let [kb, kh] = Point::vartime_straus2(
+            &proof.s,
+            &proof.c,
+            &self.point.neg(),
+            &input.point,
+            &proof.gamma.neg(),
+        );
+        let [h_c, kb, kh] = Point::compress_batch(&[input.point, kb, kh]);
+        let expected_c = challenge(&self.encoded, &h_c, &proof.proof.gamma, &kb, &kh);
+        if expected_c != proof.proof.c {
             return Err(CryptoError::BadSignature);
         }
-        Ok(vrf_output(&proof.gamma))
+        Ok(vrf_output(&proof.proof.gamma))
     }
 }
 
-/// A VRF input hashed to the curve, with the point's encoding: the part
-/// of a verification every proof against the same input shares.
+impl fmt::Debug for VrfPublicKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("VrfPublicKey").field(&self.encoded).finish()
+    }
+}
+
+/// A VRF input hashed to the curve, with its bytes: the part of an
+/// evaluation or a verification that every key and every proof on the
+/// same input shares. The point's encoding, which the challenge hashes,
+/// rides in each call's one batch inversion.
 #[derive(Clone, Debug)]
 pub struct VrfInput {
+    bytes: Vec<u8>,
     point: Point,
-    encoded: [u8; 32],
 }
 
 impl VrfInput {
-    /// Hashes `input` to the curve (two decompressions on average, and
-    /// one inversion for the encoding).
+    /// Hashes `input` to the curve (two decompressions on average).
     #[must_use]
     pub fn new(input: &[u8]) -> VrfInput {
-        let point = hash_to_curve(input);
         VrfInput {
-            point,
-            encoded: point.compress(),
+            bytes: input.to_vec(),
+            point: hash_to_curve(input),
         }
     }
 }
 
-/// What [`VrfPublicKey::verify`] takes as its input: bytes, hashed on
-/// each call, or a [`VrfInput`] hashed already.
+/// What [`VrfSecretKey::evaluate`] and [`VrfPublicKey::verify`] take as
+/// their input: bytes, hashed on each call, or a [`VrfInput`] hashed
+/// already.
 pub trait AsVrfInput {
     /// The input hashed to the curve.
     fn as_vrf_input(&self) -> Cow<'_, VrfInput>;
@@ -200,6 +250,104 @@ impl<T: AsRef<[u8]> + ?Sized> AsVrfInput for T {
 impl AsVrfInput for VrfInput {
     fn as_vrf_input(&self) -> Cow<'_, VrfInput> {
         Cow::Borrowed(self)
+    }
+}
+
+/// A proof with `Γ` decompressed, `c` and `s` parsed and `Γ` in the
+/// prime-order subgroup: every check of a verification that needs
+/// neither the key nor the input, made ahead of it.
+#[derive(Clone, Debug)]
+pub struct CheckedProof {
+    proof: VrfProof,
+    gamma: Point,
+    c: Scalar,
+    s: Scalar,
+}
+
+impl VrfProof {
+    /// Decompresses `Γ` and parses `s`, the checks that need no group
+    /// multiplication.
+    fn parse(&self) -> Result<CheckedProof, CryptoError> {
+        Ok(CheckedProof {
+            gamma: Point::decompress(&self.gamma)?,
+            c: Scalar::from_bytes_mod_l(&self.c),
+            s: Scalar::from_canonical_bytes(&self.s)?,
+            proof: self.clone(),
+        })
+    }
+
+    /// Parses the proof and checks that `Γ` lies in the prime-order
+    /// subgroup.
+    ///
+    /// The DLEQ equations pin `Γ` only up to a small-order `T`: with `Γ +
+    /// T`, a prover who retries nonces until `c·T = O` gets a second
+    /// output that verifies. Uniqueness needs `Γ` in the prime-order
+    /// subgroup, where the honest `x·H` always is.
+    ///
+    /// # Errors
+    ///
+    /// An invalid `Γ` or a non-canonical `s`, or a `Γ` outside the
+    /// subgroup ([`CryptoError::InvalidPoint`]).
+    fn check(&self) -> Result<CheckedProof, CryptoError> {
+        let proof = self.parse()?;
+        if !proof.gamma.is_torsion_free() {
+            return Err(CryptoError::InvalidPoint);
+        }
+        Ok(proof)
+    }
+
+    /// Parses every proof and checks that its `Γ` lies in the
+    /// prime-order subgroup, the checks of two parsed proofs in one pass
+    /// of the Edwards pair. Each result, in order, is what `verify` finds
+    /// for that proof alone before its DLEQ equations.
+    #[must_use]
+    pub fn check_all<'a>(
+        proofs: impl IntoIterator<Item = &'a VrfProof>,
+    ) -> Vec<Result<CheckedProof, CryptoError>> {
+        let parsed: Vec<_> = proofs.into_iter().map(VrfProof::parse).collect();
+        let gammas: Vec<Point> = parsed.iter().flatten().map(|p| p.gamma).collect();
+        let mut free = Vec::with_capacity(gammas.len());
+        let mut pairs = gammas.chunks_exact(2);
+        for pair in &mut pairs {
+            free.extend(Point::are_torsion_free(&[pair[0], pair[1]]));
+        }
+        free.extend(pairs.remainder().iter().map(Point::is_torsion_free));
+        let mut free = free.into_iter();
+        parsed
+            .into_iter()
+            .map(|proof| {
+                let proof = proof?;
+                if free.next().expect("one check a parsed proof") {
+                    Ok(proof)
+                } else {
+                    Err(CryptoError::InvalidPoint)
+                }
+            })
+            .collect()
+    }
+}
+
+/// What [`VrfPublicKey::verify`] takes as its proof: a [`VrfProof`],
+/// checked on each call, or a [`CheckedProof`] checked already.
+pub trait AsCheckedProof {
+    /// The proof, parsed and subgroup-checked.
+    ///
+    /// # Errors
+    ///
+    /// An invalid `Γ` or a non-canonical `s`, or a `Γ` outside the
+    /// subgroup ([`CryptoError::InvalidPoint`]).
+    fn as_checked_proof(&self) -> Result<Cow<'_, CheckedProof>, CryptoError>;
+}
+
+impl AsCheckedProof for VrfProof {
+    fn as_checked_proof(&self) -> Result<Cow<'_, CheckedProof>, CryptoError> {
+        self.check().map(Cow::Owned)
+    }
+}
+
+impl AsCheckedProof for CheckedProof {
+    fn as_checked_proof(&self) -> Result<Cow<'_, CheckedProof>, CryptoError> {
+        Ok(Cow::Borrowed(self))
     }
 }
 
@@ -303,7 +451,7 @@ mod tests {
         for (seed, pk, out, proof_hex, vk, sig_hex) in golden {
             let sk = VrfSecretKey::from_seed(&seed);
             let (output, proof) = sk.evaluate(&sampling_input(7));
-            assert_eq!(hex(&sk.public_key().0), pk);
+            assert_eq!(hex(&sk.public_key().to_bytes()), pk);
             assert_eq!(hex(&output), out);
             assert_eq!(hex(&[proof.gamma, proof.c, proof.s].concat()), proof_hex);
             assert_eq!(
@@ -325,7 +473,7 @@ mod tests {
             let (output, proof) = sk.evaluate(&sampling_input(u64::from(i)));
             let signer = SigningKey::from_seed(&seed);
             for part in [
-                &sk.public_key().0[..],
+                &sk.public_key().to_bytes()[..],
                 &output,
                 &proof.gamma,
                 &proof.c,
@@ -376,7 +524,7 @@ mod tests {
             let k = Scalar::from_u64(attempt);
             let [h_c, gamma_c, kb, kh] =
                 Point::compress_batch(&[h, shifted, Point::mul_base(&k), h.mul_scalar(&k)]);
-            let c_bytes = challenge(&sk.public.0, &h_c, &gamma_c, &kb, &kh);
+            let c_bytes = challenge(&sk.public.encoded, &h_c, &gamma_c, &kb, &kh);
             let c = Scalar::from_bytes_mod_l(&c_bytes);
             if t.mul_scalar(&c).is_identity() {
                 let s = k.add(c.mul(sk.scalar)).to_bytes();
@@ -422,6 +570,117 @@ mod tests {
         assert_eq!(sk.public_key().verify(b"round 5", &proof), Ok(out));
         let other = VrfInput::new(b"round 6");
         assert!(sk.public_key().verify(&other, &proof).is_err());
+    }
+
+    /// The keys and inputs the goldens above pin: three seeds on the
+    /// round-7 sampling input, and 64 more each on its own round.
+    fn golden_cases() -> Vec<(VrfSecretKey, Vec<u8>)> {
+        let three = [[0x00u8; 32], [0x42; 32], [0xff; 32]]
+            .map(|seed| (VrfSecretKey::from_seed(&seed), sampling_input(7)));
+        let more = (0..64u8).map(|i| {
+            let mut seed = [i; 32];
+            seed[31] = 0xa5;
+            (VrfSecretKey::from_seed(&seed), sampling_input(u64::from(i)))
+        });
+        three.into_iter().chain(more).collect()
+    }
+
+    /// A [`VrfInput`] evaluates exactly as its bytes do, output and
+    /// proof, on every golden key and input, on both paths.
+    #[test]
+    fn prehashed_evaluate_matches_bytes_on_the_golden_inputs() {
+        crate::ed25519::on_both_paths(|| {
+            for (sk, input) in golden_cases() {
+                assert_eq!(sk.evaluate(&VrfInput::new(&input)), sk.evaluate(&input));
+            }
+        });
+    }
+
+    /// The key that key generation hands out, with its point kept,
+    /// verifies every proof exactly as the same key decompressed from its
+    /// bytes does: honest proofs, each part tampered, a torsion-shifted
+    /// `Γ`, another key's proof and another input.
+    #[test]
+    fn generated_key_verifies_like_its_decompressed_bytes() {
+        crate::ed25519::on_both_paths(|| {
+            let cases = golden_cases();
+            let (_, stranger) = cases[0].0.evaluate(&sampling_input(7));
+            for (n, (sk, input)) in cases.iter().enumerate() {
+                let generated = sk.public_key();
+                let decompressed = VrfPublicKey::from_bytes(&generated.to_bytes())
+                    .expect("a generated key decompresses");
+                let (_, honest) = sk.evaluate(input);
+                let mut proofs = vec![honest.clone(), stranger.clone()];
+                for part in 0..3 {
+                    let mut bad = honest.clone();
+                    [&mut bad.gamma, &mut bad.c, &mut bad.s][part][n % 32] ^= 1;
+                    proofs.push(bad);
+                }
+                if n < 3 {
+                    proofs.push(forge_shifted(sk, input, &torsion_point(2)).0);
+                }
+                for proof in &proofs {
+                    for input in [&input[..], b"another input"] {
+                        assert_eq!(
+                            generated.verify(input, proof),
+                            decompressed.verify(input, proof)
+                        );
+                    }
+                }
+            }
+        });
+    }
+
+    /// What a check leaves to compare: the proof it accepted, or why not.
+    fn checked(result: Result<CheckedProof, CryptoError>) -> Result<VrfProof, CryptoError> {
+        result.map(|checked| checked.proof)
+    }
+
+    /// [`VrfProof::check_all`] answers, in order, what
+    /// [`VrfProof::check`] answers for each proof alone — and a checked
+    /// proof verifies as its bytes do — for an honest `Γ`, `Γ` shifted by
+    /// order 2, 4 and 8, the identity, an undecodable `Γ` and a
+    /// non-canonical `s`, in either slot of a pair, alone at the end of an
+    /// odd batch and after a proof that fails to parse.
+    #[test]
+    fn check_all_matches_one_check_a_proof() {
+        crate::ed25519::on_both_paths(|| {
+            let sk = VrfSecretKey::from_seed(&[14u8; 32]);
+            let input = VrfInput::new(&sampling_input(4));
+            let (_, honest) = sk.evaluate(&input);
+            let gamma = Point::decompress(&honest.gamma).expect("honest Γ decodes");
+            let with_gamma = |gamma: [u8; 32]| VrfProof {
+                gamma,
+                ..honest.clone()
+            };
+            let mut kinds = vec![honest.clone()];
+            for order in [2, 4, 8] {
+                kinds.push(with_gamma(gamma.add(&torsion_point(order)).compress()));
+            }
+            kinds.push(with_gamma(Point::identity().compress()));
+            kinds.push(with_gamma([0xff; 32]));
+            kinds.push(VrfProof {
+                s: [0xff; 32],
+                ..honest.clone()
+            });
+            for a in &kinds {
+                for b in &kinds {
+                    for batch in [vec![a, b], vec![a, b, a], vec![&kinds[5], a, b]] {
+                        let all = VrfProof::check_all(batch.iter().copied());
+                        assert_eq!(all.len(), batch.len());
+                        for (proof, result) in batch.iter().zip(all) {
+                            if let Ok(checked) = &result {
+                                assert_eq!(
+                                    sk.public_key().verify(&input, checked),
+                                    sk.public_key().verify(&input, *proof)
+                                );
+                            }
+                            assert_eq!(checked(result), checked(proof.check()));
+                        }
+                    }
+                }
+            }
+        });
     }
 
     #[test]

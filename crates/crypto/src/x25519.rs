@@ -7,7 +7,7 @@
 //!
 //! A client agrees with all of its neighbours under the same secret, so
 //! there are two entry points: [`x25519`] walks one ladder, and
-//! [`x25519_many`] takes one scalar and any number of base points and
+//! `x25519_many` takes one scalar and any number of base points and
 //! hands them, eight at a time, to the lane-parallel ladder of
 //! `x25519_avx512` (radix 2^51 on AVX-512IFMA multiply-adds) where the
 //! CPU has AVX-512IFMA. Every output of either is bit-equal to
@@ -104,7 +104,7 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
 /// AVX-512IFMA, goes through [`x25519`] one by one. Which points share a
 /// batch depends on `us.len()` alone.
 #[must_use]
-pub fn x25519_many(scalar: &[u8; 32], us: &[[u8; 32]]) -> Vec<[u8; 32]> {
+pub(crate) fn x25519_many(scalar: &[u8; 32], us: &[[u8; 32]]) -> Vec<[u8; 32]> {
     let mut out = Vec::with_capacity(us.len());
     #[cfg(target_arch = "x86_64")]
     let us = wide_batches(scalar, us, &mut out);

@@ -3,7 +3,7 @@
 //! AVX-512IFMA. Both run on one field arithmetic, `Fe8`.
 //!
 //! - **Eight ladders** (`ladder8`): one secret scalar, eight base points
-//!   ([`crate::x25519::x25519_many`] is the caller and decides what goes
+//!   (`crate::x25519::x25519_many` is the caller and decides what goes
 //!   in a batch). Nothing is shared between the ladders — each lane walks
 //!   RFC 7748's ladder exactly as [`crate::x25519::x25519`] does, on its
 //!   own base point — so every lane's output is bit-equal to the scalar
@@ -14,11 +14,12 @@
 //!   (the arrangement of curve25519-dalek's IFMA backend): a doubling is
 //!   one squaring and one multiplication of all eight lanes, an addition
 //!   two multiplications, and lane permutes do the shuffles in between.
-//!   `crate::ed25519::Point::{mul_scalar2, is_torsion_free,
+//!   `crate::ed25519::Point::{mul_scalar2, are_torsion_free,
 //!   vartime_straus2}` are the callers: the VRF's two secret products
-//!   `x·H` and `k·H`, the subgroup check of `Γ`, and a verification's two
-//!   Straus chains. Every group computes the group element the scalar
-//!   forms compute, so encodings are bit-equal to theirs.
+//!   `x·H` and `k·H`, the subgroup check of two proofs' `Γ`, and a
+//!   verification's two Straus chains. Every group computes the group
+//!   element the scalar forms compute, so encodings are bit-equal to
+//!   theirs.
 //!
 //! The scalar forms stay the fallback on every other host (AVX-512F
 //! without IFMA included) and the oracle of the tests below. This is one
@@ -709,7 +710,7 @@ fn detected() -> bool {
 /// `x25519(scalar, us[i])` for all eight `i` (the scalar is clamped
 /// here, as there), or `None` on a host without AVX-512IFMA.
 #[must_use]
-pub fn ladder8(scalar: &[u8; 32], us: &[[u8; 32]; 8]) -> Option<[[u8; 32]; 8]> {
+pub(crate) fn ladder8(scalar: &[u8; 32], us: &[[u8; 32]; 8]) -> Option<[[u8; 32]; 8]> {
     if !detected() {
         return None;
     }
