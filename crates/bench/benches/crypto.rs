@@ -235,6 +235,18 @@ fn bench_signatures(c: &mut Criterion) {
         b.iter(|| Point::vartime_straus2(black_box(&s), black_box(&t), &p, &q, &p));
     });
     g.finish();
+    // The comb of a public point, built once for an input many keys
+    // evaluate, and the pair of products taken from it with no doubling
+    // (`mul2` against `ed25519_pair/mul_scalar2`). Absent on a host
+    // without AVX-512IFMA.
+    if let Some(comb) = p.comb() {
+        let mut g = c.benchmark_group("ed25519_comb");
+        g.bench_function("build", |b| b.iter(|| black_box(&p).comb()));
+        g.bench_function("mul2", |b| {
+            b.iter(|| comb.mul2(black_box(&s), black_box(&t)));
+        });
+        g.finish();
+    }
 
     // One client's self-selection and the server's check of its claim.
     let vrf = VrfSecretKey::from_seed(&[4u8; 32]);
@@ -251,6 +263,11 @@ fn bench_signatures(c: &mut Criterion) {
     c.bench_function("vrf_evaluate/prehashed", |b| {
         b.iter(|| vrf.evaluate(&prehashed));
     });
+    // ... and with the comb of the hashed input too, as
+    // `planned_cohorts` evaluates a round's keys (the same as
+    // `vrf_evaluate/prehashed` on a host without AVX-512IFMA).
+    let shared = VrfInput::for_many_evaluations(input);
+    c.bench_function("vrf_evaluate/comb", |b| b.iter(|| vrf.evaluate(&shared)));
     let pair = [proof.clone(), proof.clone()];
     c.bench_function("vrf_check_all/2", |b| {
         b.iter(|| VrfProof::check_all(black_box(&pair)));

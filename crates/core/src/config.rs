@@ -263,7 +263,7 @@ impl TaskSpec {
 
     /// Per-round sampling probability used for privacy accounting.
     #[must_use]
-    pub fn sample_rate(&self) -> f64 {
+    pub(crate) fn sample_rate(&self) -> f64 {
         self.sampled_per_round as f64 / self.population as f64
     }
 

@@ -99,7 +99,7 @@ impl Trace {
     /// Dropout outcome for a set of sampled client indices at `round`:
     /// a sampled client "drops" if it is offline in this round's row.
     #[must_use]
-    pub fn dropped(&self, round: usize, sampled: &[usize]) -> Vec<usize> {
+    pub(crate) fn dropped(&self, round: usize, sampled: &[usize]) -> Vec<usize> {
         let row = &self.availability[round % self.availability.len()];
         sampled
             .iter()
@@ -134,7 +134,7 @@ impl DropoutModel {
     /// Sampled-client indices (positions in the round's sample) that drop
     /// this round.
     #[must_use]
-    pub fn sample_dropouts(
+    pub(crate) fn sample_dropouts(
         &self,
         round: usize,
         sampled: usize,

@@ -41,7 +41,7 @@ impl SamplingConfig {
     /// The self-selection threshold as a 64-bit cutoff on the first 8
     /// bytes of the VRF output.
     #[must_use]
-    pub fn threshold(&self) -> u64 {
+    pub(crate) fn threshold(&self) -> u64 {
         let p = ((self.target_sample as f64 * self.over_selection) / self.population as f64)
             .clamp(0.0, 1.0);
         (p * u64::MAX as f64) as u64
@@ -60,7 +60,7 @@ pub struct ParticipationClaim {
 }
 
 /// Round input to the VRF: a domain-separated round index.
-fn round_input(round: u64) -> Vec<u8> {
+pub(crate) fn round_input(round: u64) -> Vec<u8> {
     let mut v = b"dordis.sampling.round".to_vec();
     v.extend_from_slice(&round.to_le_bytes());
     v
@@ -68,7 +68,7 @@ fn round_input(round: u64) -> Vec<u8> {
 
 /// A round's VRF input hashed to the curve: every key that evaluates it
 /// and every claim that answers it shares the hash.
-pub(crate) fn round_vrf_input(round: u64) -> VrfInput {
+fn round_vrf_input(round: u64) -> VrfInput {
     VrfInput::new(&round_input(round))
 }
 

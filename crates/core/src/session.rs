@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dordis_crypto::prg::{Prg, Seed};
-use dordis_crypto::vrf::{VrfPublicKey, VrfSecretKey};
+use dordis_crypto::vrf::{VrfInput, VrfPublicKey, VrfSecretKey};
 use dordis_dp::accountant::Mechanism;
 use dordis_dp::encoding::Encoder;
 use dordis_dp::ledger::PrivacyLedger;
@@ -81,7 +81,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{TaskSpec, Variant};
 use crate::sampling::{
-    decode_claim, encode_claim, round_vrf_input, seat_claims, seat_claims_at, self_select,
+    decode_claim, encode_claim, round_input, seat_claims, seat_claims_at, self_select,
     self_select_at, SamplingConfig,
 };
 use crate::trainer::{
@@ -170,7 +170,7 @@ pub struct FlSessionReport {
 
 /// Wire round id for a 0-based session round index.
 #[must_use]
-pub fn wire_round(index: u32) -> u64 {
+pub(crate) fn wire_round(index: u32) -> u64 {
     u64::from(index) + 1
 }
 
@@ -256,8 +256,9 @@ pub fn planned_cohorts(spec: &TaskSpec, opts: &FlSessionOptions) -> Vec<Vec<Clie
     (0..opts.rounds)
         .map(|i| {
             // One hash of the round's input for every evaluation and
-            // every claim check.
-            let input = round_vrf_input(wire_round(i));
+            // every claim check, and one comb of it for every
+            // evaluation.
+            let input = VrfInput::for_many_evaluations(&round_input(wire_round(i)));
             let claims: Vec<_> = (0u32..)
                 .zip(&keys)
                 .filter_map(|(id, sk)| self_select_at(sk, id, &input, &opts.sample))

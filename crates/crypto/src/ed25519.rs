@@ -18,7 +18,7 @@
 //! There are three multiplications, and which one a caller uses is
 //! decided by whether its scalar is secret:
 //!
-//! - [`Point::mul_base`] (`s·B`, fixed-base comb) and
+//! - [`Point::mul_base`] (`s·B`, fixed-base comb, below) and
 //!   [`Point::mul_scalar`] (`s·P`, signed radix-16 windows) are
 //!   **constant-time in the scalar**: the same doublings and additions
 //!   for every scalar, table entries picked by a masked scan of the whole
@@ -44,6 +44,29 @@
 //! the kernel too, two points a pass: a batch of VRF proofs checks its
 //! `Γ`s in pairs, and `Point::is_torsion_free` is the pair check of one
 //! point.
+//!
+//! A comb has no doublings: row `i` holds the signed multiples of
+//! `16^i·P`, and a product is one masked lookup and one addition per
+//! radix-16 digit. Where the CPU has AVX-512IFMA the kernel's comb pass
+//! runs it on the pair, rows `0..32` in one lane group and `32..64` in
+//! the other, then one addition joins the two sums:
+//!
+//! - [`Point::mul_base`] reads the static comb of `B`, so every `s·B` —
+//!   signing and VRF keys, the nonce commitments `r·B` and `k·B`,
+//!   `x25519::public_key` — takes 33 pair additions. Elsewhere the
+//!   scalar comb adds the same 64 rows, seven multiplications an
+//!   addition; it is also the tests' second oracle.
+//! - [`Point::comb`] builds the comb of a public point once, in the
+//!   kernel, at about the cost of two variable-base products, and
+//!   [`Comb::mul2`] takes `[a·P, b·P]` from it in one pass: 64 pair
+//!   additions instead of `mul_scalar2`'s 252 doublings and 64
+//!   additions. A `VrfInput` built for many evaluations carries the comb
+//!   of its `H`. There is no scalar form: a host without AVX-512IFMA
+//!   builds no comb and runs `mul_scalar2`.
+//!
+//! Both comb passes are constant-time in the scalars as `mul_base` is:
+//! every row is read in order and its entry picked by the same masked
+//! scan, whatever the digits.
 //!
 //! [`Scalar`] arithmetic modulo `l` (`add`, `mul`, the reductions) still
 //! compares and branches on its values and is not constant-time; neither
@@ -291,6 +314,45 @@ struct Cached {
 // `static_tables_are_the_generated_source` regenerates the file and
 // fails if it differs.
 include!("ed25519_base.rs");
+
+/// One row pair of a comb, as the Edwards pair's comb pass loads it:
+/// entry `j` of rows `i` and `32 + i` (`(j+1)·16^i·P` and
+/// `(j+1)·16^(32+i)·P`), limb by limb, `W / 2` coordinates of each row
+/// in each limb's `W` words. `W = 6` is the static base comb, affine
+/// `(y − x, y + x, 2d·xy)` per row; `W = 8` a built [`Comb`], the
+/// kernel's cached form.
+pub(crate) type CombRow<const W: usize> = [[[u64; W]; 5]; 8];
+
+/// A [`BASE_COMB`] entry from the affine `(y − x, y + x, 2d·xy)` of its
+/// two rows' multiples, each coordinate as canonical limbs.
+const fn comb_entry(low: [[u64; 5]; 3], high: [[u64; 5]; 3]) -> [[u64; 6]; 5] {
+    let mut out = [[0; 6]; 5];
+    let mut limb = 0;
+    while limb < 5 {
+        let mut c = 0;
+        while c < 3 {
+            out[limb][c] = low[c][limb];
+            out[limb][3 + c] = high[c][limb];
+            c += 1;
+        }
+        limb += 1;
+    }
+    out
+}
+
+/// Row `i` of the base comb, `(j+1)·16^i·B` for `j = 0..8`, as the
+/// scalar comb adds it: half `i / 32` of row pair `i % 32`.
+fn base_comb_row(i: usize) -> [Niels; 8] {
+    let half = 3 * (i / 32);
+    BASE_COMB[i % 32].map(|entry| {
+        let coordinate = |c: usize| Fe(std::array::from_fn(|limb| entry[limb][half + c]));
+        Niels {
+            y_minus_x: coordinate(0),
+            y_plus_x: coordinate(1),
+            t2d: coordinate(2),
+        }
+    })
+}
 
 /// A [`Niels`] table entry from its canonical limbs.
 const fn niels(y_plus_x: [u64; 5], y_minus_x: [u64; 5], t2d: [u64; 5]) -> Niels {
@@ -644,8 +706,11 @@ impl Point {
     }
 
     /// `scalar · B`, constant-time in the scalar: one masked lookup and
-    /// one seven-multiplication addition per radix-16 digit from the
-    /// static comb, no doubling.
+    /// one addition per radix-16 digit from the static comb, no
+    /// doubling. Where the CPU has AVX-512IFMA the comb's rows are split
+    /// between the two lane groups of `x25519_avx512`'s Edwards pair (32
+    /// additions each, then one that joins the two sums); elsewhere the
+    /// scalar comb adds all 64 rows, seven multiplications an addition.
     #[must_use]
     pub fn mul_base(scalar: &Scalar) -> Point {
         Point::mul_base_bytes(&scalar.to_bytes())
@@ -655,11 +720,31 @@ impl Point {
     /// reduced modulo `l` or not: what a clamped X25519 secret is.
     pub(crate) fn mul_base_bytes(scalar: &[u8; 32]) -> Point {
         let digits = radix16(scalar);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(out) = crate::x25519_avx512::mul_base_pair(&BASE_COMB, &digits) {
+            return Point::from_coords(out);
+        }
         let mut acc = Point::identity();
-        for (row, &digit) in BASE_COMB.iter().zip(&digits) {
-            acc = acc.add_affine(&select(row, digit)).to_extended();
+        for (i, &digit) in digits.iter().enumerate() {
+            acc = acc
+                .add_affine(&select(&base_comb_row(i), digit))
+                .to_extended();
         }
         acc
+    }
+
+    /// The comb of `self`, a public point: its 64 rows of signed
+    /// multiples `(j+1)·16^i·self`, built once in `x25519_avx512`'s
+    /// Edwards pair (both lane groups, at about the cost of two
+    /// variable-base products) so that [`Comb::mul2`] needs no
+    /// doubling. `None` on a host without AVX-512IFMA, where there is
+    /// nothing to run it on: multiply with [`Point::mul_scalar2`] there.
+    #[must_use]
+    pub fn comb(&self) -> Option<Comb> {
+        #[cfg(target_arch = "x86_64")]
+        return crate::x25519_avx512::build_comb(&self.coords()).map(Comb);
+        #[cfg(not(target_arch = "x86_64"))]
+        None
     }
 
     /// The u-coordinate of the birationally equivalent curve25519 point,
@@ -899,6 +984,36 @@ impl Point {
     }
 }
 
+/// The comb of a public point `P` ([`Point::comb`]): 32 row pairs of
+/// the kernel's cached multiples, 81 920 bytes, for an input that many
+/// products share.
+#[derive(Clone)]
+pub struct Comb(Box<[CombRow<8>; 32]>);
+
+impl Comb {
+    /// `[a·P, b·P]`, constant-time in both scalars: the comb pass of
+    /// `x25519_avx512`, one masked lookup and one addition per digit of
+    /// each scalar and no doubling, where [`Point::mul_scalar2`] doubles
+    /// 252 times. The same group elements as `mul_scalar2`. `None` where
+    /// the Edwards pair does not run (the test switch
+    /// `with_scalar_pair`): multiply with `mul_scalar2` then.
+    #[must_use]
+    pub fn mul2(&self, a: &Scalar, b: &Scalar) -> Option<[Point; 2]> {
+        let digits = [a, b].map(|s| radix16(&s.to_bytes()));
+        #[cfg(target_arch = "x86_64")]
+        return crate::x25519_avx512::mul_comb_pair(&self.0, &digits)
+            .map(|out| out.map(Point::from_coords));
+        #[cfg(not(target_arch = "x86_64"))]
+        None
+    }
+}
+
+impl std::fmt::Debug for Comb {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Comb { .. }")
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Schnorr signatures.
 // ---------------------------------------------------------------------------
@@ -1008,13 +1123,25 @@ impl VerifyingKey {
 /// on the scalar fallback.
 #[cfg(test)]
 pub(crate) fn on_both_paths(body: impl Fn()) {
+    on_both_paths_or("ed25519 pair path: skipped (no avx512ifma)", body);
+}
+
+/// [`on_both_paths`] for the comb suites: the kernel's comb passes, then
+/// the scalar comb and `mul_scalar2` they fall back to.
+#[cfg(test)]
+pub(crate) fn on_both_comb_paths(body: impl Fn()) {
+    on_both_paths_or("ed25519 comb path: skipped (no avx512ifma)", body);
+}
+
+#[cfg(test)]
+fn on_both_paths_or(skipped: &str, body: impl Fn()) {
     #[cfg(target_arch = "x86_64")]
     let runs =
         crate::x25519_avx512::mul_pair(&[Point::identity().coords(); 2], &[[0; 64]; 2]).is_some();
     #[cfg(not(target_arch = "x86_64"))]
     let runs = false;
     if !runs {
-        println!("ed25519 pair path: skipped (no avx512ifma)");
+        println!("{skipped}");
     }
     body();
     with_scalar_pair(body);
@@ -1312,6 +1439,170 @@ mod tests {
         });
     }
 
+    /// `got` is `want`, and its `T` is right too: the next addition
+    /// reads it.
+    #[track_caller]
+    fn assert_same(got: &Point, want: &Point) {
+        assert!(got.on_curve());
+        assert_eq!(got.compress(), want.compress());
+        let b = Point::base();
+        assert!(got.add(&b).equals(&want.add(&b)));
+    }
+
+    /// Little-endian bytes of `Σ digits[i]·16^i`, which must lie in
+    /// `[0, 2^255)`.
+    fn from_radix16(digits: &[i8; 64]) -> [u8; 32] {
+        let (mut positive, mut negative) = ([0u64; 5], [0u64; 5]);
+        for (i, &digit) in digits.iter().enumerate() {
+            let side = if digit < 0 {
+                &mut negative
+            } else {
+                &mut positive
+            };
+            add_shifted(side, digit.unsigned_abs(), 4 * i);
+        }
+        let mut borrow = 0u128;
+        let mut value = [0u64; 5];
+        for k in 0..5 {
+            let d = u128::from(positive[k])
+                .wrapping_sub(u128::from(negative[k]))
+                .wrapping_sub(borrow);
+            value[k] = d as u64;
+            borrow = (d >> 127) & 1;
+        }
+        assert!(borrow == 0 && value[4] == 0 && value[3] >> 63 == 0);
+        let mut bytes = [0u8; 32];
+        for (chunk, word) in bytes.chunks_exact_mut(8).zip(value) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        bytes
+    }
+
+    /// What `mul_base` takes, reduced or not, at its edges: 0, 1, l − 1,
+    /// l, 2^252, the smallest and largest clamped X25519 secrets (2^254
+    /// and 2^255 − 8), 2^255 − 1, the all-7s and all-8s nibbles, and every
+    /// radix-16 digit −8 under a top digit of 8.
+    fn base_edge_bytes() -> Vec<[u8; 32]> {
+        let mut edges: Vec<[u8; 32]> = edge_scalars().iter().map(|s| s.to_bytes()).collect();
+        let mut top = [0xffu8; 32];
+        top[31] = 0x7f;
+        let mut minus_eight = [-8i8; 64];
+        minus_eight[63] = 8;
+        edges.extend([
+            Scalar(L).to_bytes(),
+            crate::x25519::clamp([0; 32]),
+            crate::x25519::clamp([0xff; 32]),
+            top,
+            from_radix16(&minus_eight),
+        ]);
+        edges
+    }
+
+    /// `s·B` on the split comb (the kernel's two lane groups) and on the
+    /// scalar comb against the bitwise oracle, on both paths: the edges
+    /// above and random clamped X25519 secrets.
+    #[test]
+    fn split_comb_matches_the_scalar_comb_and_the_oracle_on_edge_scalars() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xc0b1);
+        let mut scalars = base_edge_bytes();
+        assert_eq!(radix16(scalars.last().expect("edges"))[..63], [-8i8; 63]);
+        scalars.extend((0..32).map(|_| {
+            let mut secret = [0u8; 32];
+            rng.fill(&mut secret[..]);
+            crate::x25519::clamp(secret)
+        }));
+        on_both_comb_paths(|| {
+            for s in &scalars {
+                let want = Point::base().mul_bytes(s);
+                assert_same(&Point::mul_base_bytes(s), &want);
+                assert_same(&with_scalar_pair(|| Point::mul_base_bytes(s)), &want);
+            }
+        });
+    }
+
+    /// Points the comb of `H` must take: honest multiples of `B`,
+    /// hashed-to points with their torsion component kept, the identity,
+    /// points of order 2, 4 and 8, and `B` shifted by order 8.
+    fn comb_points() -> Vec<Point> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xc0b2);
+        let mut points: Vec<Point> = (0..2)
+            .map(|_| Point::base().mul_scalar(&random_scalar(&mut rng)))
+            .collect();
+        points.extend(
+            (0u8..)
+                .filter_map(|i| Point::decompress(&crate::sha256::sha256(&[i])).ok())
+                .take(2),
+        );
+        let small = small_order_points();
+        points.push(Point::base().add(&small[3]));
+        points.extend(small);
+        points
+    }
+
+    /// `[a·P, b·P]` from the comb of `P` against `mul_scalar2` and the
+    /// windowed form, on every point above and on edge and random
+    /// scalars; on the scalar path no comb is built.
+    #[test]
+    fn comb_matches_mul_scalar2_on_random_and_small_order_points() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xc0b3);
+        let mut scalars = pair_edge_scalars();
+        scalars.extend((0..4).map(|_| random_scalar(&mut rng)));
+        let points = comb_points();
+        on_both_comb_paths(|| {
+            for p in &points {
+                let Some(comb) = p.comb() else {
+                    continue;
+                };
+                for a in &scalars {
+                    for b in [&scalars[5], a] {
+                        let got = comb
+                            .mul2(a, b)
+                            .expect("the pair runs where a comb was built");
+                        let pair = p.mul_scalar2(a, b);
+                        for (got, (pair, s)) in got.iter().zip(pair.iter().zip([a, b])) {
+                            assert_same(got, pair);
+                            assert_same(got, &p.mul_scalar(s));
+                        }
+                    }
+                }
+                assert!(with_scalar_pair(|| comb.mul2(&scalars[1], &scalars[2])).is_none());
+            }
+        });
+        with_scalar_pair(|| assert!(points[0].comb().is_none()));
+    }
+
+    /// Digit patterns no recoding gives: every digit 8 (each row's last
+    /// entry), every digit −8, and the two alternations of them, through
+    /// both comb passes against the windowed form on the same digits.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn comb_passes_take_every_row_at_plus_and_minus_eight() {
+        use crate::x25519_avx512::{mul_base_pair, mul_comb_pair};
+        let p = Point::base()
+            .mul_scalar(&Scalar::from_u64(0xc0b4))
+            .add(&small_order_points()[3]);
+        let Some(comb) = p.comb() else {
+            println!("ed25519 comb path: skipped (no avx512ifma)");
+            return;
+        };
+        let alternating = |first: i8| -> [i8; 64] {
+            std::array::from_fn(|i| if i % 2 == 0 { first } else { -first })
+        };
+        let patterns = [[8i8; 64], [-8; 64], alternating(8), alternating(-8)];
+        for d in &patterns {
+            let sb = mul_base_pair(&BASE_COMB, d).expect("the pair runs where a comb was built");
+            assert_same(&Point::from_coords(sb), &Point::base().mul_digits(d));
+            for e in &patterns {
+                let [dp, ep] = mul_comb_pair(&comb.0, &[*d, *e]).expect("the pair runs");
+                assert_same(&Point::from_coords(dp), &p.mul_digits(d));
+                assert_same(&Point::from_coords(ep), &p.mul_digits(e));
+            }
+        }
+    }
+
     #[test]
     fn compress_batch_equals_compress() {
         let b = Point::base();
@@ -1330,9 +1621,9 @@ mod tests {
     fn base_comb_is_affine_multiples_of_sixteen_powers() {
         assert!(std::mem::size_of_val(&BASE_COMB) < 64 << 10);
         let mut row_base = Point::base();
-        for row in &BASE_COMB {
+        for i in 0..64 {
             let mut multiple = row_base;
-            for entry in row {
+            for entry in &base_comb_row(i) {
                 let z_inv = multiple.z.invert();
                 let (x, y) = (multiple.x.mul(z_inv), multiple.y.mul(z_inv));
                 assert!(entry.y_plus_x.equals(y.add(x)));
@@ -1405,27 +1696,27 @@ mod tests {
         )
         .unwrap();
         out.push_str(
-            "/// `BASE_COMB[i][j] = (j+1)·16^i·B` as affine `(y+x, y−x, 2d·xy)`: one\n\
-             /// row per radix-16 digit of a scalar, so `s·B` is 64 additions and\n\
-             /// no doubling (61 440 bytes).\n\
-             static BASE_COMB: [[Niels; 8]; 64] = [\n",
+            "/// `BASE_COMB[i][j]` is entry `j` of rows `i` and `32 + i`: `(j+1)·16^i·B`\n\
+             /// and `(j+1)·16^(32+i)·B`, each as affine `(y−x, y+x, 2d·xy)`, limb by\n\
+             /// limb (a `CombRow`). One row per radix-16 digit of a scalar, so\n\
+             /// `s·B` is 64 additions and no doubling (61 440 bytes).\n\
+             static BASE_COMB: [CombRow<6>; 32] = [\n",
         );
-        for (i, (row, inv)) in multiples
-            .chunks_exact(8)
-            .zip(z_inv.chunks_exact(8))
-            .enumerate()
-        {
-            writeln!(out, "    // 16^{i}·B").unwrap();
+        // Entry `k` of `multiples` as affine `(y − x, y + x, 2d·xy)`.
+        let affine = |k: usize| {
+            let (p, z_inv) = (multiples[k], z_inv[k]);
+            let (x, y) = (p.x.mul(z_inv), p.y.mul(z_inv));
+            [y.sub(x), y.add(x), x.mul(y).mul(d2)].map(limbs)
+        };
+        for i in 0..32 {
+            writeln!(out, "    // 16^{i}·B | 16^{}·B", 32 + i).unwrap();
             out.push_str("    [\n");
-            for (p, &z_inv) in row.iter().zip(inv) {
-                let (x, y) = (p.x.mul(z_inv), p.y.mul(z_inv));
-                let (sum, diff, t2d) = (y.add(x), y.sub(x), x.mul(y).mul(d2));
+            for j in 0..8 {
+                let [low, high] = [i, 32 + i].map(|row| affine(8 * row + j));
                 writeln!(
                     out,
-                    "        niels(\n            {},\n            {},\n            {},\n        ),",
-                    limbs(sum),
-                    limbs(diff),
-                    limbs(t2d)
+                    "        comb_entry(\n            [\n                {},\n                {},\n                {},\n            ],\n            [\n                {},\n                {},\n                {},\n            ],\n        ),",
+                    low[0], low[1], low[2], high[0], high[1], high[2]
                 )
                 .unwrap();
             }

@@ -30,7 +30,8 @@
 //!   of those ladders — what `x25519_many` runs its batches on where the
 //!   CPU has it — and the Edwards pair, two edwards25519 points × four
 //!   coordinates, what the VRF's two secret multiplications, its subgroup
-//!   check and its verification's two Straus chains run on there.
+//!   check, its verification's two Straus chains and every fixed-base
+//!   product `s·B` (a comb pass) run on there.
 //! - [`ed25519`]: edwards25519 group operations and a Schnorr signature
 //!   scheme over that group (UF-CMA under standard assumptions).
 //! - [`shamir`]: t-of-n Shamir secret sharing over GF(256).

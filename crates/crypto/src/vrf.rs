@@ -25,16 +25,18 @@
 //!
 //! Timing: [`VrfSecretKey::from_seed`] and [`VrfSecretKey::evaluate`]
 //! multiply by the secret scalar and the proof nonce only through
-//! `Point::mul_base` / `Point::mul_scalar2`, which are constant-time in
-//! the scalar (see [`crate::ed25519`]; the scalar arithmetic `s = k + c·x`
-//! is not). [`VrfPublicKey::verify`] sees public values only — key,
-//! input, proof — and is the one place here allowed to call the
-//! variable-time `Point::vartime_*` forms.
+//! `Point::mul_base`, `Point::mul_scalar2` and `Comb::mul2`, which are
+//! constant-time in the scalar (see [`crate::ed25519`]; the scalar
+//! arithmetic `s = k + c·x` is not). [`VrfPublicKey::verify`] sees public
+//! values only — key, input, proof — and is the one place here allowed
+//! to call the variable-time `Point::vartime_*` forms.
 //!
-//! Where the CPU has AVX-512IFMA, `evaluate`'s two products `x·H` and
-//! `k·H` run as one pass of the IFMA Edwards pair, and so do `verify`'s
-//! two Straus chains `s·B − c·PK`, `s·H − c·Γ` and the subgroup checks of
-//! two proofs' `Γ`.
+//! Where the CPU has AVX-512IFMA, every multiplication here runs on the
+//! IFMA Edwards pair: `evaluate`'s `x·H` and `k·H` as one pass (a
+//! windowed pass, or a comb pass on an input that carries the comb of
+//! `H`), `x·B` and `k·B` as a comb pass over the static base comb, and
+//! `verify`'s two Straus chains `s·B − c·PK`, `s·H − c·Γ` and the
+//! subgroup checks of two proofs' `Γ` as one pass each.
 //!
 //! A round's shared work is done once:
 //!
@@ -45,22 +47,31 @@
 //!   claims against one. Bytes passed to `evaluate` or `verify` are
 //!   hashed on that call, so a lone `self_select` or `verify` still pays
 //!   the hash. `H`'s encoding rides in each call's one batch inversion.
+//! - **The comb of `H`.** [`VrfInput::for_many_evaluations`], whose
+//!   caller is `planned_cohorts` (a round's input under every key of the
+//!   population), also builds the comb of `H` once where the CPU has
+//!   AVX-512IFMA, so each evaluation takes `x·H` and `k·H` with no
+//!   doubling. A lone `self_select`, every `verify` and a host without
+//!   IFMA build none and run `mul_scalar2`.
 //! - **The key's point.** A [`VrfPublicKey`] keeps the point key
 //!   generation computed, so `verify` decompresses no key.
 //! - **The subgroup checks.** [`VrfProof::check_all`] parses a batch of
 //!   proofs and checks their `Γ`s two a pass of the Edwards pair, into
 //!   [`CheckedProof`]s that `verify` takes as they are.
 //!
-//! On the 2-core AVX-512IFMA host (`benches/crypto.rs`, medians of six
-//! alternating runs): `evaluate` ≈ 93 µs from bytes and ≈ 62 µs on a
-//! `VrfInput`, `verify` ≈ 98 µs from bytes; a round's claim costs half
-//! of `check_all` of two (≈ 43 µs) and `verify` of the checked proof on
-//! the round's `VrfInput` (≈ 38 µs).
+//! On the 2-core AVX-512IFMA host (`benches/crypto.rs`, medians of ten
+//! alternating runs; single runs swing up to 2× with the host's load):
+//! `evaluate` ≈ 71 µs from bytes, ≈ 42 µs on a `VrfInput` and ≈ 25 µs
+//! on one built for many evaluations (`x·H` and `k·H` ≈ 8 µs from the
+//! comb against ≈ 29 µs for `mul_scalar2`, `k·B` ≈ 5 µs; the comb costs
+//! ≈ 39 µs once a round), `verify` ≈ 97 µs from bytes; a round's claim
+//! costs half of `check_all` of two (≈ 40 µs) and `verify` of the
+//! checked proof on the round's `VrfInput` (≈ 37 µs).
 
 use std::borrow::Cow;
 use std::fmt;
 
-use crate::ed25519::{Point, Scalar};
+use crate::ed25519::{Comb, Point, Scalar};
 use crate::hmac::hkdf;
 use crate::sha256::sha256_concat;
 use crate::CryptoError;
@@ -136,7 +147,11 @@ impl VrfSecretKey {
                 k
             }
         };
-        let [gamma, kh] = input.point.mul_scalar2(&self.scalar, &k);
+        let [gamma, kh] = input
+            .comb
+            .as_ref()
+            .and_then(|comb| comb.mul2(&self.scalar, &k))
+            .unwrap_or_else(|| input.point.mul_scalar2(&self.scalar, &k));
         let [h_c, gamma_c, kb, kh] =
             Point::compress_batch(&[input.point, gamma, Point::mul_base(&k), kh]);
         let c_bytes = challenge(&self.public.encoded, &h_c, &gamma_c, &kb, &kh);
@@ -215,11 +230,16 @@ impl fmt::Debug for VrfPublicKey {
 /// A VRF input hashed to the curve, with its bytes: the part of an
 /// evaluation or a verification that every key and every proof on the
 /// same input shares. The point's encoding, which the challenge hashes,
-/// rides in each call's one batch inversion.
+/// rides in each call's one batch inversion. An input built for many
+/// evaluations also carries the comb of its point.
 #[derive(Clone, Debug)]
 pub struct VrfInput {
     bytes: Vec<u8>,
     point: Point,
+    /// The comb of `point`, from which `evaluate` takes `x·H` and `k·H`
+    /// with no doubling: built by [`VrfInput::for_many_evaluations`]
+    /// where the CPU has AVX-512IFMA, `None` otherwise.
+    comb: Option<Comb>,
 }
 
 impl VrfInput {
@@ -229,7 +249,21 @@ impl VrfInput {
         VrfInput {
             bytes: input.to_vec(),
             point: hash_to_curve(input),
+            comb: None,
         }
+    }
+
+    /// [`VrfInput::new`], plus the comb of the hashed point where the
+    /// CPU has AVX-512IFMA ([`Point::comb`]: about the cost of two
+    /// variable-base products, 80 KiB): for an input that many keys
+    /// evaluate, such as a round's input under every key of the
+    /// population. Every evaluation on it then takes `x·H` and `k·H`
+    /// from the comb. Verification does not read the comb.
+    #[must_use]
+    pub fn for_many_evaluations(input: &[u8]) -> VrfInput {
+        let mut input = VrfInput::new(input);
+        input.comb = input.point.comb();
+        input
     }
 }
 
@@ -592,6 +626,19 @@ mod tests {
         crate::ed25519::on_both_paths(|| {
             for (sk, input) in golden_cases() {
                 assert_eq!(sk.evaluate(&VrfInput::new(&input)), sk.evaluate(&input));
+            }
+        });
+    }
+
+    /// An input built for many evaluations, which carries the comb of
+    /// its point where the pair runs, evaluates exactly as its bytes do,
+    /// output and proof, on every golden key and input, on both paths.
+    #[test]
+    fn comb_evaluate_matches_bytes_on_the_golden_inputs() {
+        crate::ed25519::on_both_comb_paths(|| {
+            for (sk, input) in golden_cases() {
+                let shared = VrfInput::for_many_evaluations(&input);
+                assert_eq!(sk.evaluate(&shared), sk.evaluate(&input));
             }
         });
     }

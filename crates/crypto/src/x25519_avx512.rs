@@ -20,15 +20,30 @@
 //!   verification's two Straus chains. Every group computes the group
 //!   element the scalar forms compute, so encodings are bit-equal to
 //!   theirs.
+//! - **The comb pass** (`comb_pass`), on the same pair: products read
+//!   off a comb, whose row `i` holds the eight multiples `(j+1)·16^i·P`
+//!   (`ed25519::CombRow`), rows `0..32` in lane group 0 and `32..64` in
+//!   lane group 1. A step loads a row pair's entries as its masked scan
+//!   reaches them (`select_row`) and adds the one each group's digit
+//!   names: one pair addition a step and no doubling; one more addition
+//!   (`join`) sums the two groups' halves. Two callers: `mul_base_pair`,
+//!   every `s·B` of `Point::mul_base` from the static base comb (affine
+//!   entries, so `2Z = 2` is filled in on the load), 33 additions; and
+//!   `mul_comb_pair`, `Comb::mul2`'s `[a·P, b·P]` from a comb that
+//!   `build_comb` built once from a public `P` (128 doublings to reach
+//!   `16^32·P`, then 32 row pairs of seven additions and one doubling),
+//!   both products in one pass of 32 steps, 65 additions.
 //!
 //! The scalar forms stay the fallback on every other host (AVX-512F
-//! without IFMA included) and the oracle of the tests below. This is one
-//! of the crate's three `unsafe` modules (the others are
-//! `chacha20_avx512` and `sha256_ni`): it holds the intrinsics, one
-//! unaligned store, and the three calls from safe code into
-//! `#[target_feature]` code, each behind a runtime
-//! `is_x86_feature_detected!` of `avx512f` and `avx512ifma`. Everything
-//! it exports is safe.
+//! without IFMA included) and the oracle of the tests below; a host
+//! without IFMA builds no comb and multiplies by `mul_scalar2` instead,
+//! so the built comb has no scalar twin. This is one of the crate's
+//! three `unsafe` modules (the others are `chacha20_avx512` and
+//! `sha256_ni`): it holds the intrinsics, one unaligned store, the comb
+//! rows' loads (each reads exactly the row words it is given),
+//! and the seven calls from safe code into `#[target_feature]` code, each
+//! behind a runtime `is_x86_feature_detected!` of `avx512f` and
+//! `avx512ifma`. Everything it exports is safe.
 //!
 //! # Representation and limb bounds
 //!
@@ -67,7 +82,9 @@
 //! The Edwards pair keeps the same contract: every sum and difference
 //! that feeds a product is carried, several of them at once where a lane
 //! adds and subtracts more than two terms (`combine`), and the curve
-//! constant enters as small multipliers (`Cached2`).
+//! constant enters as small multipliers (`Cached2`). Comb entries come in
+//! tight: the static ones are canonical limbs, the built ones the words a
+//! tight `Cached2` was stored as, and `load_entry` asserts it.
 //!
 //! # Constant time
 //!
@@ -81,16 +98,22 @@
 //! doublings and additions for every pair of scalars, and each group's
 //! table entry picked by a masked scan of the whole table and a masked
 //! negation, the masks computed from the digits as data. No branch,
-//! index or lane choice depends on a digit. `vartime_straus_pair`
+//! index or lane choice depends on a digit. The comb pass keeps the same
+//! contract: every row pair is read, all of it and in order, and the
+//! entry is picked by the same masked scan (`scan`, shared by `select`
+//! and `select_row`), so the loads' addresses depend on the step alone.
+//! The point a comb is built from is public. `vartime_straus_pair`
 //! branches on and indexes by its NAF digits: **public inputs only**.
 
 use core::arch::x86_64::{
-    __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64,
+    __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_madd52hi_epu64,
+    _mm512_madd52lo_epu64, _mm512_maskz_expandloadu_epi64, _mm512_or_si512,
     _mm512_permutex2var_epi64, _mm512_permutexvar_epi64, _mm512_set1_epi64, _mm512_set_epi64,
     _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srai_epi64, _mm512_srli_epi64,
-    _mm512_storeu_si512, _mm512_sub_epi64, _mm512_xor_si512,
+    _mm512_storeu_si512, _mm512_sub_epi64, _mm512_ternarylogic_epi64, _mm512_xor_si512,
 };
 
+use crate::ed25519::CombRow;
 use crate::field::Fe;
 use crate::x25519::clamp;
 
@@ -493,8 +516,8 @@ impl Fe8 {
     fn cmov(self, mask: __m512i, other: Fe8) -> Fe8 {
         let mut out = self.0;
         for i in 0..5 {
-            let t = _mm512_and_si512(mask, _mm512_xor_si512(self.0[i], other.0[i]));
-            out[i] = _mm512_xor_si512(self.0[i], t);
+            // Bitwise `mask ? other : self`: truth table 0xca.
+            out[i] = _mm512_ternarylogic_epi64::<0xca>(mask, other.0[i], self.0[i]);
         }
         Fe8(out)
     }
@@ -637,23 +660,31 @@ impl Cached2 {
 /// depend on a digit (the masks are data, as in `cswap`).
 #[target_feature(enable = "avx512f,avx512ifma")]
 fn select(table: &[Cached2; 8], identity: &Cached2, digits: [i8; 2]) -> Cached2 {
+    scan(|j| table[j], identity, digits)
+}
+
+/// The masked scan of [`select`] and [`select_row`] over `entry(j) =
+/// (j+1)·P` for `j = 0..8`, each entry read once, in order.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn scan(entry: impl Fn(usize) -> Cached2, identity: &Cached2, digits: [i8; 2]) -> Cached2 {
     // Per digit: its sign as 0 or −1 and its magnitude, without a branch.
     let sign = digits.map(|d| d >> 7);
     let magnitude = [0, 1].map(|g| i64::from((digits[g] ^ sign[g]).wrapping_sub(sign[g])));
     let per_group = |v: [i64; 2]| _mm512_set_epi64(v[1], v[1], v[1], v[1], v[0], v[0], v[0], v[0]);
     let magnitude = per_group(magnitude);
-    let mut entry = identity.0;
-    for (j, multiple) in (1..).zip(table) {
-        // (m ^ j) − 1 has its top bit set iff m == j.
+    let mut chosen = identity.0;
+    for (j, m) in (0..8).zip(1..) {
+        // (m ^ magnitude) − 1 has its top bit set iff magnitude == m.
         let hit = _mm512_srai_epi64::<63>(_mm512_sub_epi64(
-            _mm512_xor_si512(magnitude, splat(j)),
+            _mm512_xor_si512(magnitude, splat(m)),
             splat(1),
         ));
-        entry = entry.cmov(hit, multiple.0);
+        chosen = chosen.cmov(hit, entry(j).0);
     }
     let negative = per_group(sign.map(i64::from));
-    let entry = Cached2(entry);
-    Cached2(entry.0.cmov(negative, entry.neg().0))
+    let chosen = Cached2(chosen);
+    Cached2(chosen.0.cmov(negative, chosen.neg().0))
 }
 
 /// [`mul_pair`]'s body: the schedule of `ed25519::Point::mul_scalar` in
@@ -698,6 +729,144 @@ fn vartime_straus_wide(
         }
     }
     acc.store()
+}
+
+// ---------------------------------------------------------------------------
+// Comb passes: fixed-base products with no doubling.
+// ---------------------------------------------------------------------------
+
+/// All ones in the lanes of group 1.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn group1() -> __m512i {
+    _mm512_set_epi64(-1, -1, -1, -1, 0, 0, 0, 0)
+}
+
+impl Fe8 {
+    /// The two lane groups trade places.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn swap_groups(self) -> Fe8 {
+        let idx = _mm512_set_epi64(3, 2, 1, 0, 7, 6, 5, 4);
+        let mut out = self.0;
+        for limb in &mut out {
+            *limb = _mm512_permutexvar_epi64(idx, *limb);
+        }
+        Fe8(out)
+    }
+}
+
+/// [`select`] from comb row pair `row`: row `i` in group 0 and row
+/// `32 + i` in group 1 (see `ed25519::CombRow`), each entry loaded as
+/// the scan reaches it. The addresses read depend on the row alone.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn select_row<const W: usize>(row: &CombRow<W>, identity: &Cached2, digits: [i8; 2]) -> Cached2 {
+    scan(|j| load_entry(&row[j]), identity, digits)
+}
+
+/// One entry of a comb row pair, cached. A `W = 6` entry (the static
+/// base comb) holds affine `(y − x, y + x, 2d·xy)` per group: they
+/// expand into lanes 0, 1 and 3, and lane 2 takes `2Z = 2`. A `W = 8`
+/// entry is a built comb's, cached already.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn load_entry<const W: usize>(entry: &[[u64; W]; 5]) -> Cached2 {
+    const { assert!(W == 6 || W == 8) };
+    let mut cached = Cached2(Fe8::zero());
+    for (lanes, limb) in cached.0 .0.iter_mut().zip(entry) {
+        *lanes = if W == 6 {
+            // SAFETY: an expand load reads one word per set bit of its
+            // mask, six consecutive words, and `limb` holds six.
+            unsafe { _mm512_maskz_expandloadu_epi64(0b1011_1011, limb.as_ptr().cast()) }
+        } else {
+            // SAFETY: `limb` holds the eight words the load reads.
+            unsafe { _mm512_loadu_si512(limb.as_ptr().cast()) }
+        };
+    }
+    if W == 6 {
+        let two_z = _mm512_set_epi64(0, 2, 0, 0, 0, 2, 0, 0);
+        cached.0 .0[0] = _mm512_or_si512(cached.0 .0[0], two_z);
+    }
+    debug_assert!(cached.0.within(TIGHT));
+    cached
+}
+
+/// The comb pass: for each scalar's 64 signed radix-16 digits `d`,
+/// `Σ d_i·P_i` over rows `0..32` in group 0 and over rows `32..64` in
+/// group 1, where row `i` holds the multiples of `P_i`. Per row pair and
+/// scalar, one [`select_row`] in each group and one pair addition: no
+/// doubling. Constant-time in the digits as `select` is; the rows are
+/// read in order.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn comb_pass<const W: usize, const N: usize>(
+    rows: &[CombRow<W>; 32],
+    digits: [&[i8; 64]; N],
+) -> [Ext2; N] {
+    let identity = Ext2::load(&[IDENTITY; 2]);
+    let cached_identity = identity.cache();
+    let mut sums = [identity; N];
+    for (i, row) in rows.iter().enumerate() {
+        for (sum, d) in sums.iter_mut().zip(digits) {
+            *sum = sum.add(&select_row(row, &cached_identity, [d[i], d[32 + i]]));
+        }
+    }
+    sums
+}
+
+/// `p_0 + p_1` in group 0 and `q_0 + q_1` in group 1, from `p = (p_0,
+/// p_1)` and `q = (q_0, q_1)` by group: the half sums of a comb pass
+/// joined in one pair addition.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn join(p: Ext2, q: Ext2) -> Ext2 {
+    let low = p.0.cmov(group1(), q.0.swap_groups());
+    let high = p.0.swap_groups().cmov(group1(), q.0);
+    Ext2(low).add(&Ext2(high).cache())
+}
+
+/// [`mul_base_pair`]'s body.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn mul_base_wide(comb: &[CombRow<6>; 32], digits: &[i8; 64]) -> [Fe; 4] {
+    let [sum] = comb_pass(comb, [digits]);
+    let [sb, _] = join(sum, sum).store();
+    sb
+}
+
+/// [`build_comb`]'s body: `P` in group 0 and `16^32·P` in group 1 (128
+/// doublings of both), then per row pair the progression of its eight
+/// multiples and one doubling of the eighth, `16·` the row's point,
+/// which opens the next.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn build_comb_wide(point: &[Fe; 4], comb: &mut [CombRow<8>; 32]) {
+    let p = Ext2::load(&[*point; 2]);
+    let mut far = p;
+    for _ in 0..4 * 32 {
+        far = far.double();
+    }
+    let mut row_point = Ext2(p.0.cmov(group1(), far.0));
+    for row in comb.iter_mut() {
+        let step = row_point.cache();
+        let mut multiple = row_point;
+        for (j, entry) in row.iter_mut().enumerate() {
+            let cached = if j == 0 {
+                step
+            } else {
+                multiple = multiple.add(&step);
+                multiple.cache()
+            };
+            for (words, limb) in entry.iter_mut().zip(cached.0 .0) {
+                *words = lanes(limb);
+            }
+        }
+        row_point = multiple.double();
+    }
+}
+
+/// [`mul_comb_pair`]'s body: both products in one comb pass.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn mul_comb_wide(comb: &[CombRow<8>; 32], digits: &[[i8; 64]; 2]) -> [[Fe; 4]; 2] {
+    let [a, b] = comb_pass(comb, [&digits[0], &digits[1]]);
+    join(a, b).store()
 }
 
 /// Whether this CPU runs the kernel: AVX-512F for the registers, IFMA
@@ -801,6 +970,54 @@ pub(crate) fn vartime_straus_pair(
     }
     // SAFETY: avx512f and avx512ifma were detected above.
     Some(unsafe { vartime_straus_wide(firsts, seconds, nafs) })
+}
+
+/// `s·B` as extended coordinates from the static base comb and the 64
+/// signed radix-16 digits of `s` (`ed25519::radix16`): rows `0..32` in
+/// group 0 and `32..64` in group 1, one comb pass and one addition
+/// joining the two sums. Constant-time in the digits. `None` on a host
+/// without AVX-512IFMA.
+#[must_use]
+pub(crate) fn mul_base_pair(comb: &[CombRow<6>; 32], digits: &[i8; 64]) -> Option<[Fe; 4]> {
+    if !pair_detected() {
+        return None;
+    }
+    // SAFETY: avx512f and avx512ifma were detected above.
+    Some(unsafe { mul_base_wide(comb, digits) })
+}
+
+/// The comb of the point `P` (extended coordinates): row `i` holds
+/// `(j+1)·16^i·P` for `j = 0..8`, cached, rows `i` and `32 + i` in the
+/// two groups of row pair `i`. `P` is public. `None` on a host without
+/// AVX-512IFMA.
+#[must_use]
+pub(crate) fn build_comb(point: &[Fe; 4]) -> Option<Box<[CombRow<8>; 32]>> {
+    if !pair_detected() {
+        return None;
+    }
+    let mut comb: Box<[CombRow<8>; 32]> = vec![[[[0; 8]; 5]; 8]; 32]
+        .into_boxed_slice()
+        .try_into()
+        .expect("32 row pairs");
+    // SAFETY: avx512f and avx512ifma were detected above.
+    unsafe { build_comb_wide(point, &mut comb) };
+    Some(comb)
+}
+
+/// `[d_0·P, d_1·P]` from the comb of `P` ([`build_comb`]), each scalar
+/// as its 64 signed radix-16 digits: one comb pass, then one addition
+/// joining each product's two half sums. Constant-time in the digits.
+/// `None` on a host without AVX-512IFMA.
+#[must_use]
+pub(crate) fn mul_comb_pair(
+    comb: &[CombRow<8>; 32],
+    digits: &[[i8; 64]; 2],
+) -> Option<[[Fe; 4]; 2]> {
+    if !pair_detected() {
+        return None;
+    }
+    // SAFETY: avx512f and avx512ifma were detected above.
+    Some(unsafe { mul_comb_wide(comb, digits) })
 }
 
 #[cfg(test)]
@@ -1120,6 +1337,66 @@ mod tests {
             }
         }
         on_ifma_pair(body);
+    }
+
+    /// A comb row's entries as [`select_row`] must see them: group `g`
+    /// of entry `j` is the row's words for that group, with `2Z = 2`
+    /// added where a static (`W = 6`) row leaves it out.
+    fn row_entries<const W: usize>(row: &CombRow<W>) -> [[[Fe; 4]; 2]; 8] {
+        row.map(|entry| {
+            core::array::from_fn(|g| {
+                core::array::from_fn(|c| {
+                    Fe(core::array::from_fn(|l| match (W, c) {
+                        (6, 2) => u64::from(l == 0) * 2,
+                        (6, 3) => entry[l][3 * g + 2],
+                        (6, _) => entry[l][3 * g + c],
+                        _ => entry[l][4 * g + c],
+                    }))
+                })
+            })
+        })
+    }
+
+    /// Every pair of digits in `[−8, 8]` selects, in each lane group, the
+    /// signed multiple it names from that group's row (the identity for
+    /// zero), for a static and a built row pair.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn check_select_row<const W: usize>(row: &CombRow<W>) {
+        let entries = row_entries(row);
+        let identity = Ext2::load(&[IDENTITY; 2]).cache();
+        let want = |digit: i8| match digit {
+            0 => identity,
+            1..=8 => Cached2(Ext2::load(&entries[digit as usize - 1]).0),
+            _ => Cached2(Ext2::load(&entries[digit.unsigned_abs() as usize - 1]).0).neg(),
+        };
+        for d0 in -8i8..=8 {
+            for d1 in -8i8..=8 {
+                let got = select_row(row, &identity, [d0, d1]).0;
+                let (w0, w1) = (want(d0).0.store(), want(d1).0.store());
+                assert_lanes(
+                    got,
+                    |lane| if lane < 4 { w0[lane] } else { w1[lane] },
+                    "select_row",
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn comb_row_select_returns_every_signed_multiple_in_both_groups() {
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn body() {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+            let mut words =
+                |w: usize| -> Vec<u64> { (0..w).map(|_| rng.gen::<u64>() % (1 << 51)).collect() };
+            let static_row: CombRow<6> =
+                core::array::from_fn(|_| core::array::from_fn(|_| words(6).try_into().unwrap()));
+            let built_row: CombRow<8> =
+                core::array::from_fn(|_| core::array::from_fn(|_| words(8).try_into().unwrap()));
+            check_select_row(&static_row);
+            check_select_row(&built_row);
+        }
+        on_ifma_or(body, "ed25519 comb path: skipped (no avx512ifma)");
     }
 
     /// The pair's bounds are debug assertions too: a coordinate limb at
