@@ -174,6 +174,13 @@ pub(crate) fn wire_round(index: u32) -> u64 {
     u64::from(index) + 1
 }
 
+/// The 0-based session round index of wire round id `round`: the
+/// inverse of [`wire_round`], `None` for round 0 (round ids start at 1)
+/// and for an id past the last index.
+fn round_index(round: u64) -> Option<u32> {
+    round.checked_sub(1).and_then(|i| u32::try_from(i).ok())
+}
+
 /// The driver's durable round-boundary state: everything a successor
 /// coordinator needs to resume the session exactly where the committed
 /// prefix ended. Travels as the opaque `app_state` of a
@@ -391,13 +398,22 @@ fn xnoise_tolerance(variant: Variant, n: usize) -> usize {
     }
 }
 
+/// The SecAgg threshold of a round over a cohort of `n`: a majority,
+/// never below 2. A cohort of one has no aggregate to hide in, and this
+/// makes its parameters fail validation before any input is collected.
+/// XNoise sizes its collusion bound from the same threshold, so the
+/// `t/(t − T_C)` inflation matches the threshold the round enforces.
+fn secagg_threshold(n: usize) -> usize {
+    (n / 2 + 1).max(2)
+}
+
 /// The round's XNoise plan for a cohort of `n` (None for non-XNoise
 /// variants).
 fn xplan_for(st: &Statics, n: usize) -> Result<Option<XNoisePlan>, DordisError> {
     match st.spec.variant {
         Variant::XNoise { collusion_frac, .. } => {
             let tolerance = xnoise_tolerance(st.spec.variant, n);
-            let threshold = n / 2 + 1;
+            let threshold = secagg_threshold(n);
             let collusion = ((threshold as f64) * collusion_frac).floor() as usize;
             Ok(Some(XNoisePlan::new(
                 st.target_variance,
@@ -479,10 +495,7 @@ fn round_params(st: &Statics, r: u64, cohort: &[ClientId]) -> RoundParams {
     RoundParams {
         round: r,
         clients: cohort.to_vec(),
-        // Never below 2: a cohort of one has no aggregate to hide in,
-        // and this makes its parameters fail validation before any
-        // input is collected.
-        threshold: (n / 2 + 1).max(2),
+        threshold: secagg_threshold(n),
         bit_width: st.spec.privacy.encoding.bit_width,
         vector_len: Encoder::padded_len(st.dim),
         noise_components: xnoise_tolerance(st.spec.variant, n),
@@ -1053,7 +1066,8 @@ fn local_client(
             },
             |r, _params, cohort, payload| {
                 let global = bytes_to_global(payload)?;
-                let i = (r - 1) as u32;
+                let i = round_index(r)
+                    .ok_or_else(|| NetError::Protocol(format!("no session round {r}")))?;
                 let n = usize::from(cohort);
                 let update = client_update(st, i, id, &global);
                 let xplan = xplan_for(st, n)
@@ -1208,6 +1222,15 @@ mod tests {
     use dordis_secagg::SecAggError;
 
     use super::*;
+
+    #[test]
+    fn round_index_inverts_wire_round() {
+        for i in [0, 1, 41, u32::MAX] {
+            assert_eq!(round_index(wire_round(i)), Some(i));
+        }
+        assert_eq!(round_index(0), None);
+        assert_eq!(round_index(wire_round(u32::MAX) + 1), None);
+    }
 
     /// The driver plans nothing itself: handed a cohort one client short
     /// of the VRF plan, the reported cohort and droppers, the XNoise plan

@@ -104,7 +104,7 @@ impl RdpAccountant {
     /// The hypothetical ε after composing `rounds` identical rounds of the
     /// given mechanism (without mutating the accountant).
     #[must_use]
-    pub fn project(
+    pub(crate) fn project(
         mechanism: Mechanism,
         q: f64,
         noise_multiplier: f64,

@@ -51,7 +51,7 @@ impl Default for EncodingConfig {
 impl EncodingConfig {
     /// Modulus `2^b`.
     #[must_use]
-    pub fn modulus(&self) -> u64 {
+    pub(crate) fn modulus(&self) -> u64 {
         1u64 << self.bit_width
     }
 

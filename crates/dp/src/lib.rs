@@ -32,7 +32,7 @@
 pub mod accountant;
 pub mod encoding;
 pub mod ledger;
-pub mod math;
+mod math;
 pub mod mechanism;
 pub mod planner;
 pub mod rdp;

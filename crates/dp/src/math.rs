@@ -42,13 +42,13 @@ fn ln_gamma(x: f64) -> f64 {
 
 /// `ln n!`.
 #[must_use]
-pub fn ln_factorial(n: u64) -> f64 {
+pub(crate) fn ln_factorial(n: u64) -> f64 {
     ln_gamma(n as f64 + 1.0)
 }
 
 /// `ln C(n, k)`.
 #[must_use]
-pub fn ln_binomial(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_binomial(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
     }
@@ -57,7 +57,7 @@ pub fn ln_binomial(n: u64, k: u64) -> f64 {
 
 /// Numerically stable `ln Σ exp(x_i)`.
 #[must_use]
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
+pub(crate) fn log_sum_exp(xs: &[f64]) -> f64 {
     let m = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     if m == f64::NEG_INFINITY {
         return f64::NEG_INFINITY;
@@ -68,7 +68,7 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
 
 /// Next power of two at or above `n` (with `next_pow2(0) == 1`).
 #[must_use]
-pub fn next_pow2(n: usize) -> usize {
+pub(crate) fn next_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 

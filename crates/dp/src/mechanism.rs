@@ -19,7 +19,7 @@
 //! |---|---|---|---|---|---|
 //! | bytes | 2.002 | 2.009 | 2.05 | 2.25 | 3.6 |
 //!
-//! [`skellam`] (a difference of two rejection-sampled Poissons) serves
+//! `skellam` (a difference of two rejection-sampled Poissons) serves
 //! variances whose table would not fit in cache and is the reference the
 //! table is tested against.
 //!
@@ -98,7 +98,7 @@ fn poisson(prg: &mut Prg, mu: f64) -> u64 {
 /// `Skellam(μ, μ) = Poisson(μ) - Poisson(μ)` with `μ = variance / 2`; the
 /// result has mean 0 and variance `2μ = variance`. Skellam noise is closed
 /// under summation — the property XNoise's decomposition relies on.
-pub fn skellam(prg: &mut Prg, variance: f64) -> i64 {
+pub(crate) fn skellam(prg: &mut Prg, variance: f64) -> i64 {
     assert!(variance >= 0.0);
     if variance == 0.0 {
         return 0;
@@ -123,7 +123,7 @@ const STRIP: usize = 512;
 ///
 /// Up to `TABLE_CAP` the sampler inverts a precomputed survival
 /// function of `|X|` (see `SkellamTable`); above it, where the table
-/// would no longer fit in cache, every draw is [`skellam`]'s Poisson
+/// would no longer fit in cache, every draw is `skellam`'s Poisson
 /// difference. The regime is a function of `variance` alone, so a
 /// client and the server regenerating its noise always agree on it.
 pub struct SkellamSampler {

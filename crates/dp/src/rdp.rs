@@ -15,7 +15,7 @@ use crate::math::{ln_binomial, log_sum_exp};
 ///
 /// Integer orders (needed by the subsampled-Gaussian expansion) spanning
 /// the range useful for ε in roughly [0.1, 20].
-pub const DEFAULT_ORDERS: [f64; 20] = [
+pub(crate) const DEFAULT_ORDERS: [f64; 20] = [
     2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0, 12.0, 14.0, 16.0, 20.0, 24.0, 28.0, 32.0, 48.0, 64.0,
     96.0, 128.0, 256.0,
 ];
@@ -40,7 +40,7 @@ fn gaussian_rdp(alpha: f64, noise_multiplier: f64) -> f64 {
 /// multiplier. For `q = 1` this reduces to the plain Gaussian bound (up to
 /// the integer-order restriction).
 #[must_use]
-pub fn subsampled_gaussian_rdp(alpha: u64, q: f64, noise_multiplier: f64) -> f64 {
+pub(crate) fn subsampled_gaussian_rdp(alpha: u64, q: f64, noise_multiplier: f64) -> f64 {
     assert!(alpha >= 2, "subsampled RDP needs α ≥ 2");
     assert!((0.0..=1.0).contains(&q), "q must be a probability");
     assert!(noise_multiplier > 0.0);
@@ -99,7 +99,7 @@ pub(crate) fn skellam_penalty(alpha: f64, delta2: f64, delta1: f64, mu: f64) -> 
 ///
 /// `curve` supplies `ε_RDP` at each order in `orders`.
 #[must_use]
-pub fn rdp_to_epsilon(orders: &[f64], curve: &[f64], delta: f64) -> f64 {
+pub(crate) fn rdp_to_epsilon(orders: &[f64], curve: &[f64], delta: f64) -> f64 {
     assert_eq!(orders.len(), curve.len());
     assert!(delta > 0.0 && delta < 1.0);
     let mut best = f64::INFINITY;

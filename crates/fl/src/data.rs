@@ -23,13 +23,13 @@ pub struct Dataset {
 impl Dataset {
     /// Number of examples.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.features.len()
     }
 
     /// True if the dataset is empty.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.features.is_empty()
     }
 

@@ -1,7 +1,7 @@
 //! Dense vector math shared by models, optimizers, and aggregation.
 
 /// `y += alpha * x` (AXPY).
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+pub(crate) fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, xi) in y.iter_mut().zip(x.iter()) {
         *yi += alpha * xi;
@@ -10,12 +10,12 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 
 /// Euclidean norm.
 #[must_use]
-pub fn l2_norm(v: &[f32]) -> f32 {
+pub(crate) fn l2_norm(v: &[f32]) -> f32 {
     v.iter().map(|x| x * x).sum::<f32>().sqrt()
 }
 
 /// Scales `v` in place.
-pub fn scale(v: &mut [f32], s: f32) {
+pub(crate) fn scale(v: &mut [f32], s: f32) {
     for x in v.iter_mut() {
         *x *= s;
     }
@@ -33,13 +33,13 @@ pub fn clip_l2(v: &mut [f32], bound: f32) -> f32 {
 
 /// Elementwise difference `a - b`.
 #[must_use]
-pub fn sub(a: &[f32], b: &[f32]) -> Vec<f32> {
+pub(crate) fn sub(a: &[f32], b: &[f32]) -> Vec<f32> {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b.iter()).map(|(x, y)| x - y).collect()
 }
 
 /// Numerically stable softmax (in place).
-pub fn softmax_inplace(logits: &mut [f32]) {
+pub(crate) fn softmax_inplace(logits: &mut [f32]) {
     let m = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0f32;
     for x in logits.iter_mut() {
@@ -53,7 +53,7 @@ pub fn softmax_inplace(logits: &mut [f32]) {
 
 /// Index of the maximum element.
 #[must_use]
-pub fn argmax(v: &[f32]) -> usize {
+pub(crate) fn argmax(v: &[f32]) -> usize {
     let mut best = 0;
     for (i, &x) in v.iter().enumerate() {
         if x > v[best] {

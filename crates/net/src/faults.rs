@@ -10,7 +10,7 @@
 //! `DuringBroadcast` in the round (`RoundIo::trip`), and
 //! `BetweenAckAndCommit` in
 //! [`Session::commit_round`](crate::session::Session::commit_round),
-//! right after the backup's ack. [`FaultPlan::trip`] either does
+//! right after the backup's ack. `FaultPlan::trip` either does
 //! nothing (the default, compiled down to a no-op `None` check on every
 //! real deployment) or returns [`NetError::Injected`]. Crucially the
 //! injected error is *not* a [`NetError::SecAgg`] — the coordinator's
@@ -42,7 +42,7 @@ pub enum KillPoint {
 impl KillPoint {
     /// Stable label used in the injected error and telemetry.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             KillPoint::MidMaskedStage => "mid-masked-stage",
             KillPoint::DuringBroadcast => "during-broadcast",
@@ -83,7 +83,7 @@ impl FaultPlan {
     /// [`NetError::Injected`] when the plan schedules a kill here; the
     /// caller must propagate it *without* running its abort broadcast,
     /// so the simulated crash is indistinguishable from a real one.
-    pub fn trip(&self, point: KillPoint, round: u64) -> Result<(), NetError> {
+    pub(crate) fn trip(&self, point: KillPoint, round: u64) -> Result<(), NetError> {
         match self.kill {
             Some((r, p)) if r == round && p == point => {
                 Err(NetError::Injected(format!("{} @ round {round}", p.label())))
@@ -92,7 +92,7 @@ impl FaultPlan {
         }
     }
 
-    /// Whether an error came from [`FaultPlan::trip`] — the failover
+    /// Whether an error came from `FaultPlan::trip` — the failover
     /// driver uses this to tell a simulated crash from a real failure.
     #[must_use]
     pub fn is_injected(e: &NetError) -> bool {

@@ -73,7 +73,7 @@ pub fn options(id: ClientId, seed: u64) -> SessionClientOptions {
 ///
 /// # Errors
 ///
-/// Those of [`run_session_client`].
+/// Those of `run_session_client`.
 pub fn roster_client(
     chan: &mut dyn Channel,
     id: ClientId,

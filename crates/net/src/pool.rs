@@ -61,7 +61,7 @@ impl BytePool {
 
     /// A pool whose gauges record into `telemetry`.
     #[must_use]
-    pub fn with_telemetry(telemetry: &Telemetry) -> BytePool {
+    pub(crate) fn with_telemetry(telemetry: &Telemetry) -> BytePool {
         BytePool {
             shared: Arc::new(PoolShared {
                 live_in: AtomicU64::new(0),
@@ -81,7 +81,7 @@ impl BytePool {
     /// True when both handles point at the same shared ledger —
     /// used at re-registration to detect a channel crossing reactors.
     #[must_use]
-    pub fn same_as(&self, other: &BytePool) -> bool {
+    pub(crate) fn same_as(&self, other: &BytePool) -> bool {
         Arc::ptr_eq(&self.shared, &other.shared)
     }
 
@@ -186,12 +186,12 @@ pub struct ChannelAccount {
 impl ChannelAccount {
     /// The pool this account charges into.
     #[must_use]
-    pub fn pool(&self) -> &BytePool {
+    pub(crate) fn pool(&self) -> &BytePool {
         &self.inner.pool
     }
 
     /// Charges `n` buffered ingress bytes to this connection.
-    pub fn charge_ingress(&self, n: usize) {
+    pub(crate) fn charge_ingress(&self, n: usize) {
         self.inner.charged_in.fetch_add(n as u64, Ordering::Relaxed);
         self.inner.pool.charge(Ledger::In, n as u64);
     }
@@ -199,13 +199,13 @@ impl ChannelAccount {
     /// Credits `n` ingress bytes back (saturating: crediting more than
     /// was charged settles at zero, so a stray release cannot corrupt
     /// the global ledger).
-    pub fn credit_ingress(&self, n: usize) {
+    pub(crate) fn credit_ingress(&self, n: usize) {
         let actual = saturating_take(&self.inner.charged_in, n as u64);
         self.inner.pool.credit(Ledger::In, actual);
     }
 
     /// Charges `n` backlogged egress bytes.
-    pub fn charge_egress(&self, n: usize) {
+    pub(crate) fn charge_egress(&self, n: usize) {
         self.inner
             .charged_out
             .fetch_add(n as u64, Ordering::Relaxed);
@@ -213,7 +213,7 @@ impl ChannelAccount {
     }
 
     /// Credits `n` egress bytes back (saturating).
-    pub fn credit_egress(&self, n: usize) {
+    pub(crate) fn credit_egress(&self, n: usize) {
         let actual = saturating_take(&self.inner.charged_out, n as u64);
         self.inner.pool.credit(Ledger::Out, actual);
     }

@@ -6,14 +6,13 @@
 //! latency and syscall count scaled as `O(clients × ticks)`. This module
 //! replaces the sweep with a small mio-style reactor:
 //!
-//! - [`Poller`]: an epoll instance driven through direct `syscall`
+//! - `Poller`: an epoll instance driven through direct `syscall`
 //!   instructions (the container has no crates.io access, so no `libc` /
 //!   `mio` — the handful of syscalls we need are wrapped by hand in
-//!   `sys`). Registrations are [`Token`]-keyed with read/write
-//!   [`Interest`]; events are level-triggered, which composes with the
-//!   drain-until-`WouldBlock` discipline of
-//!   [`TcpChannel::try_recv`](crate::tcp::TcpChannel::try_recv).
-//! - [`Deadlines`]: one per-token deadline map — stage and per-chunk
+//!   `sys`). Registrations are `Token`-keyed with read/write
+//!   `Interest`; events are level-triggered, which composes with the
+//!   drain-until-`WouldBlock` discipline of `TcpChannel::try_recv`.
+//! - `Deadlines`: one per-token deadline map — stage and per-chunk
 //!   dropout deadlines are armed, cancelled and harvested by token, and
 //!   the earliest one bounds each poll's wait.
 //!
@@ -47,18 +46,18 @@ mod sys {
 
     #[cfg(target_arch = "x86_64")]
     mod nr {
-        pub const CLOSE: usize = 3;
-        pub const EPOLL_CTL: usize = 233;
-        pub const EPOLL_PWAIT: usize = 281;
-        pub const EPOLL_CREATE1: usize = 291;
+        pub(crate) const CLOSE: usize = 3;
+        pub(crate) const EPOLL_CTL: usize = 233;
+        pub(crate) const EPOLL_PWAIT: usize = 281;
+        pub(crate) const EPOLL_CREATE1: usize = 291;
     }
 
     #[cfg(target_arch = "aarch64")]
     mod nr {
-        pub const CLOSE: usize = 57;
-        pub const EPOLL_CTL: usize = 21;
-        pub const EPOLL_PWAIT: usize = 22;
-        pub const EPOLL_CREATE1: usize = 20;
+        pub(crate) const CLOSE: usize = 57;
+        pub(crate) const EPOLL_CTL: usize = 21;
+        pub(crate) const EPOLL_PWAIT: usize = 22;
+        pub(crate) const EPOLL_CREATE1: usize = 20;
     }
 
     #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
@@ -129,14 +128,14 @@ mod sys {
         }
     }
 
-    pub const EPOLL_CTL_ADD: usize = 1;
-    pub const EPOLL_CTL_MOD: usize = 3;
+    pub(crate) const EPOLL_CTL_ADD: usize = 1;
+    pub(crate) const EPOLL_CTL_MOD: usize = 3;
 
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
+    pub(crate) const EPOLLIN: u32 = 0x001;
+    pub(crate) const EPOLLOUT: u32 = 0x004;
+    pub(crate) const EPOLLERR: u32 = 0x008;
+    pub(crate) const EPOLLHUP: u32 = 0x010;
+    pub(crate) const EPOLLRDHUP: u32 = 0x2000;
 
     const EPOLL_CLOEXEC: usize = 0o2000000;
 
@@ -146,7 +145,7 @@ mod sys {
     #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
     #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
     #[derive(Clone, Copy, Default)]
-    pub struct EpollEvent {
+    pub(crate) struct EpollEvent {
         pub events: u32,
         pub data: u64,
     }
@@ -206,11 +205,11 @@ mod sys {
 /// the reactor's APIs. The value travels through the kernel as epoll
 /// userdata, so it must stay meaningful without any side table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Token(pub u64);
+pub(crate) struct Token(pub u64);
 
 /// Which readiness a registration subscribes to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Wake when the peer has bytes (or a hangup) for us.
     pub readable: bool,
     /// Wake when the socket can accept more of a backlogged write.
@@ -219,12 +218,12 @@ pub struct Interest {
 
 impl Interest {
     /// Read-only interest — the steady state of an idle channel.
-    pub const READ: Interest = Interest {
+    pub(crate) const READ: Interest = Interest {
         readable: true,
         writable: false,
     };
     /// Read + write interest — a channel with a backlogged outbox.
-    pub const READ_WRITE: Interest = Interest {
+    pub(crate) const READ_WRITE: Interest = Interest {
         readable: true,
         writable: true,
     };
@@ -243,7 +242,7 @@ impl Interest {
 
 /// One readiness notification out of [`Reactor::poll`].
 #[derive(Clone, Copy, Debug)]
-pub struct Event {
+pub(crate) struct Event {
     /// The registration this event belongs to.
     pub token: Token,
     /// Bytes (or a pending hangup) are available to read.
@@ -260,7 +259,7 @@ pub struct Event {
 /// flip their own read/write interest (e.g. when an outbox transitions
 /// between empty and backlogged) without borrowing the whole reactor.
 #[derive(Clone, Copy, Debug)]
-pub struct PollerHandle {
+pub(crate) struct PollerHandle {
     epfd: i32,
 }
 
@@ -270,7 +269,12 @@ impl PollerHandle {
     /// # Errors
     ///
     /// Propagates the kernel's `epoll_ctl` failure.
-    pub fn register(&self, fd: i32, token: Token, interest: Interest) -> Result<(), NetError> {
+    pub(crate) fn register(
+        &self,
+        fd: i32,
+        token: Token,
+        interest: Interest,
+    ) -> Result<(), NetError> {
         sys::epoll_ctl(
             self.epfd,
             sys::EPOLL_CTL_ADD,
@@ -288,7 +292,12 @@ impl PollerHandle {
     /// # Errors
     ///
     /// Propagates the kernel's `epoll_ctl` failure.
-    pub fn reregister(&self, fd: i32, token: Token, interest: Interest) -> Result<(), NetError> {
+    pub(crate) fn reregister(
+        &self,
+        fd: i32,
+        token: Token,
+        interest: Interest,
+    ) -> Result<(), NetError> {
         sys::epoll_ctl(
             self.epfd,
             sys::EPOLL_CTL_MOD,
@@ -305,7 +314,7 @@ impl PollerHandle {
 /// The epoll instance: owns the fd, hands out [`PollerHandle`]s, and
 /// translates kernel events into [`Event`]s.
 #[derive(Debug)]
-pub struct Poller {
+pub(crate) struct Poller {
     handle: PollerHandle,
 }
 
@@ -315,7 +324,7 @@ impl Poller {
     /// # Errors
     ///
     /// Propagates `epoll_create1` failure.
-    pub fn new() -> Result<Poller, NetError> {
+    pub(crate) fn new() -> Result<Poller, NetError> {
         let epfd = sys::epoll_create1()?;
         Ok(Poller {
             handle: PollerHandle { epfd },
@@ -324,7 +333,7 @@ impl Poller {
 
     /// The non-owning handle channels use to manage their own interest.
     #[must_use]
-    pub fn handle(&self) -> PollerHandle {
+    pub(crate) fn handle(&self) -> PollerHandle {
         self.handle
     }
 
@@ -334,7 +343,11 @@ impl Poller {
     /// # Errors
     ///
     /// Propagates `epoll_pwait` failure (`EINTR` is retried).
-    pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> Result<(), NetError> {
+    pub(crate) fn wait(
+        &self,
+        out: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> Result<(), NetError> {
         let mut buf = [sys::EpollEvent::default(); 64];
         let ms = match timeout {
             None => -1,
@@ -381,24 +394,24 @@ impl Drop for Poller {
 /// deadline. At most one per connection is armed, so a map scanned per
 /// poll is all the structure they need.
 #[derive(Debug, Default)]
-pub struct Deadlines {
+pub(crate) struct Deadlines {
     armed: BTreeMap<Token, Instant>,
 }
 
 impl Deadlines {
     /// No deadline armed.
     #[must_use]
-    pub fn new() -> Deadlines {
+    pub(crate) fn new() -> Deadlines {
         Deadlines::default()
     }
 
     /// Arms (or re-arms) `token` to fire at `deadline`.
-    pub fn schedule(&mut self, token: Token, deadline: Instant) {
+    pub(crate) fn schedule(&mut self, token: Token, deadline: Instant) {
         self.armed.insert(token, deadline);
     }
 
     /// Disarms `token` (no-op if not armed).
-    pub fn cancel(&mut self, token: Token) {
+    pub(crate) fn cancel(&mut self, token: Token) {
         self.armed.remove(&token);
     }
 
@@ -455,7 +468,7 @@ impl ReactorStats {
     ///
     /// [`NetRoundReport`]: crate::coordinator::NetRoundReport
     #[must_use]
-    pub fn delta_since(self, base: ReactorStats) -> ReactorStats {
+    pub(crate) fn delta_since(self, base: ReactorStats) -> ReactorStats {
         ReactorStats {
             polls: self.polls.saturating_sub(base.polls),
             events: self.events.saturating_sub(base.events),
@@ -468,7 +481,7 @@ impl ReactorStats {
 /// wake-up accounting and (optionally) a metrics scrape endpoint
 /// serviced on the same epoll loop.
 #[derive(Debug)]
-pub struct Reactor {
+pub(crate) struct Reactor {
     poller: Poller,
     deadlines: Deadlines,
     /// Wake-up counters (see [`ReactorStats`]).
@@ -502,7 +515,7 @@ impl Reactor {
     /// # Errors
     ///
     /// Propagates epoll creation failure.
-    pub fn with_telemetry(telemetry: Telemetry) -> Result<Reactor, NetError> {
+    pub(crate) fn with_telemetry(telemetry: Telemetry) -> Result<Reactor, NetError> {
         let poller = Poller::new()?;
         let m_polls = telemetry.counter("dordis_reactor_polls_total", &[]);
         let m_events = telemetry.counter("dordis_reactor_events_total", &[]);
@@ -526,7 +539,7 @@ impl Reactor {
     /// [`TcpChannel::register`](crate::tcp::TcpChannel::register) time to open
     /// their [`ChannelAccount`](crate::pool::ChannelAccount).
     #[must_use]
-    pub fn pool(&self) -> BytePool {
+    pub(crate) fn pool(&self) -> BytePool {
         self.pool.clone()
     }
 
@@ -548,7 +561,7 @@ impl Reactor {
     /// # Errors
     ///
     /// Propagates bind/registration failures.
-    pub fn serve_metrics(&mut self, addr: &str) -> Result<std::net::SocketAddr, NetError> {
+    pub(crate) fn serve_metrics(&mut self, addr: &str) -> Result<std::net::SocketAddr, NetError> {
         use std::os::unix::io::AsRawFd as _;
         let listener = std::net::TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -569,17 +582,17 @@ impl Reactor {
 
     /// Handle for channels to manage their own registration.
     #[must_use]
-    pub fn handle(&self) -> PollerHandle {
+    pub(crate) fn handle(&self) -> PollerHandle {
         self.poller.handle()
     }
 
     /// Arms (or re-arms) a deadline for `token`.
-    pub fn arm_deadline(&mut self, token: Token, deadline: Instant) {
+    pub(crate) fn arm_deadline(&mut self, token: Token, deadline: Instant) {
         self.deadlines.schedule(token, deadline);
     }
 
     /// Disarms `token`'s deadline.
-    pub fn cancel_deadline(&mut self, token: Token) {
+    pub(crate) fn cancel_deadline(&mut self, token: Token) {
         self.deadlines.cancel(token);
     }
 
@@ -591,7 +604,7 @@ impl Reactor {
     /// # Errors
     ///
     /// Propagates poller failures.
-    pub fn poll(
+    pub(crate) fn poll(
         &mut self,
         events: &mut Vec<Event>,
         expired: &mut Vec<Token>,

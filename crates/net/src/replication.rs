@@ -23,7 +23,7 @@
 //! `sgdxbc/typing-protocols` idiom: each transition **consumes** the
 //! old state and returns the next one, and transitions are the only
 //! places that emit wire effects. A deposed primary cannot keep
-//! committing because completing its [`AwaitingAck`] against a
+//! committing because completing its `AwaitingAck` against a
 //! `ViewChange` frame destroys the `Primary` value instead of returning
 //! it — the type system enforces the handover.
 
@@ -113,20 +113,20 @@ impl SessionCheckpoint {
 /// The primary role: free to run rounds; must [`Primary::ship`] a
 /// checkpoint (becoming [`AwaitingAck`]) before committing one.
 #[derive(Debug)]
-pub struct Primary {
+pub(crate) struct Primary {
     view: u64,
 }
 
 impl Primary {
     /// A fresh primary in view 0.
     #[must_use]
-    pub fn new() -> Primary {
+    pub(crate) fn new() -> Primary {
         Primary { view: 0 }
     }
 
     /// The view this primary believes it leads.
     #[must_use]
-    pub fn view(&self) -> u64 {
+    pub(crate) fn view(&self) -> u64 {
         self.view
     }
 
@@ -138,7 +138,7 @@ impl Primary {
     ///
     /// Propagates the channel failure; the primary role is forfeited
     /// either way (an unreplicated round must never commit).
-    pub fn ship(
+    pub(crate) fn ship(
         self,
         ckpt: &SessionCheckpoint,
         chan: &mut dyn Channel,
@@ -154,7 +154,7 @@ impl Primary {
     /// Says goodbye to the backup at clean session end, so it knows not
     /// to take over when the connection drops. Consumes the primary —
     /// the session is over.
-    pub fn retire(self, chan: &mut dyn Channel) {
+    pub(crate) fn retire(self, chan: &mut dyn Channel) {
         let env = Envelope::new(StageTag::SessionEnd, 0, Vec::new());
         let _ = chan.send(&env.encode()); // best effort: backup may be gone
     }
@@ -171,7 +171,7 @@ impl Default for Primary {
 /// [`Primary`]) or destruction (deposed / failed) — the round the
 /// checkpoint covers cannot commit while this value exists.
 #[derive(Debug)]
-pub struct AwaitingAck {
+pub(crate) struct AwaitingAck {
     view: u64,
     round: u64,
 }
@@ -186,7 +186,7 @@ impl AwaitingAck {
     ///   took over — this node is deposed and must stand down *without
     ///   committing* (the `Primary` value is destroyed, so it cannot).
     /// - [`NetError::Protocol`] on any other unexpected frame.
-    pub fn complete(self, env: &Envelope) -> Result<Primary, NetError> {
+    pub(crate) fn complete(self, env: &Envelope) -> Result<Primary, NetError> {
         match env.stage {
             StageTag::CheckpointAck if env.round == self.round => Ok(Primary { view: self.view }),
             StageTag::CheckpointAck => Err(NetError::Protocol(format!(
@@ -211,7 +211,7 @@ impl AwaitingAck {
 /// The backup role: installs checkpoints and acks them; promotes to
 /// [`Candidate`] when its lease on the primary expires.
 #[derive(Debug)]
-pub struct Backup {
+pub(crate) struct Backup {
     view: u64,
     installed: Option<SessionCheckpoint>,
 }
@@ -219,7 +219,7 @@ pub struct Backup {
 impl Backup {
     /// A fresh backup in view 0 with nothing installed.
     #[must_use]
-    pub fn new() -> Backup {
+    pub(crate) fn new() -> Backup {
         Backup {
             view: 0,
             installed: None,
@@ -262,7 +262,7 @@ impl Default for Backup {
 
 /// A promoted backup that has not yet announced its takeover.
 #[derive(Debug)]
-pub struct Candidate {
+pub(crate) struct Candidate {
     view: u64,
     installed: Option<SessionCheckpoint>,
 }

@@ -2,7 +2,7 @@
 //! symmetrically to the [`coordinator`](crate::coordinator), over any
 //! [`Channel`].
 //!
-//! One entry point, [`run_session_client`]: it answers every
+//! One entry point, `run_session_client`: it answers every
 //! [`StageTag::RoundAnnounce`] with a participation claim (or a
 //! decline), plays each round it is seated for and keeps the connection
 //! warm between rounds until the server's `SessionEnd`. [`Redial`] runs
@@ -171,7 +171,7 @@ pub struct SessionClientReport {
 /// Transport/codec failures and server protocol violations. Scripted
 /// failures, aborts, and session end are reported in the
 /// [`SessionClientReport`], not as errors.
-pub fn run_session_client<FSel, FFail, FIn, FId>(
+pub(crate) fn run_session_client<FSel, FFail, FIn, FId>(
     chan: &mut dyn Channel,
     opts: &SessionClientOptions,
     mut select: FSel,
@@ -207,18 +207,23 @@ where
     // replayed announce/Setup for an already-played round would make
     // this client re-derive that round's [`round_rng_seed`] and reuse
     // its masks — exactly the secret-reuse a recorded transcript could
-    // then unmask.
-    let mut last_round: Option<u64> = None;
+    // then unmask. Round ids start at 1, so an announce or Setup
+    // stamped 0 is a protocol violation, answered with nothing.
+    let mut last_round = 0;
     loop {
         let env = io.next()?;
         if matches!(env.stage, StageTag::RoundAnnounce | StageTag::Setup) {
-            if let Some(prev) = last_round {
-                if env.round <= prev {
-                    return Err(NetError::StaleRound {
-                        got: env.round,
-                        expected: prev + 1,
-                    });
-                }
+            if env.round == 0 {
+                return Err(NetError::Protocol(format!(
+                    "{:?} stamped round 0 (round ids start at 1)",
+                    env.stage
+                )));
+            }
+            if env.round <= last_round {
+                return Err(NetError::StaleRound {
+                    got: env.round,
+                    expected: last_round + 1,
+                });
             }
         }
         let round = env.round;
@@ -260,7 +265,7 @@ where
                     Err(Stop::End(end)) => return report(rounds, end),
                     Err(Stop::Error(e)) => return Err(e),
                 };
-                last_round = Some(round);
+                last_round = round;
                 rounds.push(SessionRoundResult { round, survivors });
             }
             StageTag::SessionEnd => return report(rounds, SessionEndKind::Ended),
@@ -431,7 +436,7 @@ impl Backoff {
     /// Forgets the attempt count — call once the connection is back
     /// (as [`Redial`] does when a coordinator seats the client again),
     /// so a much later disconnect starts fresh from `base`.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.attempt = 0;
     }
 
@@ -526,7 +531,7 @@ impl Redial {
         self.backoff.sleep();
     }
 
-    /// Runs [`run_session_client`] (with these closures) over a
+    /// Runs `run_session_client` (with these closures) over a
     /// connection to [`Redial::addr`], redialing as the type docs say;
     /// `on_lost` hears each lost connection before the failover step.
     /// A later call dials the address the last one ended on, so a client
@@ -540,7 +545,7 @@ impl Redial {
     ///
     /// A failed dial or lost connection without a second address, an
     /// outage past `max_attempts` steps ([`NetError::Unavailable`]), and
-    /// every other error of [`run_session_client`].
+    /// every other error of `run_session_client`.
     pub fn run<FSel, FFail, FIn, FId>(
         &mut self,
         stop: impl Fn() -> bool,

@@ -8,7 +8,7 @@
 //!
 //! A [`Session`] owns what outlives a round:
 //!
-//! - the collection engine (one [`Reactor`] serving every round's
+//! - the collection engine (one `Reactor` serving every round's
 //!   timers and channels),
 //! - the *parked* connections: every authenticated client channel,
 //!   registered once and kept across rounds,
@@ -84,7 +84,8 @@ pub struct SeatingOutcome {
 /// Verifies one round's participation claims and seats a cohort.
 /// Arguments: the round id and every `(claimant, claim bytes)` pair
 /// collected during the join window.
-pub type SeatingVerifier<'a> = Box<dyn FnMut(u64, &[(ClientId, Vec<u8>)]) -> SeatingOutcome + 'a>;
+pub(crate) type SeatingVerifier<'a> =
+    Box<dyn FnMut(u64, &[(ClientId, Vec<u8>)]) -> SeatingOutcome + 'a>;
 
 /// How a session decides each round's cohort.
 pub enum Seating<'a> {
@@ -103,7 +104,7 @@ pub enum Seating<'a> {
 /// derives threshold / graph / noise shape from the cohort. The returned
 /// `params.round` is overwritten with the session's round counter — the
 /// counter comes from the session, never from the callback.
-pub type ParamsFor<'a> = Box<dyn FnMut(u64, &[ClientId]) -> RoundParams + 'a>;
+pub(crate) type ParamsFor<'a> = Box<dyn FnMut(u64, &[ClientId]) -> RoundParams + 'a>;
 
 /// Configuration of a session. [`SessionConfig::new`] fills in every
 /// default; callers override the fields they change.

@@ -43,7 +43,7 @@ use crate::NetError;
 /// one stalled client could wedge the whole single-threaded coordinator
 /// mid-round; with it, the stall surfaces as [`NetError::Timeout`] and
 /// the peer becomes a detected dropout.
-pub const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+pub(crate) const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Longest sleep between polls of an empty listener in
 /// [`TcpAcceptor::accept`]; a nearer deadline shortens it.
@@ -280,7 +280,7 @@ impl WriteBuffer {
 
     /// Routes this buffer's egress accounting through a reactor's
     /// shared pool (see [`FrameBuffer::attach_account`]).
-    pub fn attach_account(&mut self, account: ChannelAccount) {
+    pub(crate) fn attach_account(&mut self, account: ChannelAccount) {
         account.charge_egress(self.len);
         self.account = Some(account);
     }
@@ -595,14 +595,14 @@ impl TcpChannel {
     /// # Errors
     ///
     /// Same contract as [`Channel::send`].
-    pub fn send_wire_shared(&mut self, msg: &Arc<Vec<u8>>) -> Result<(), NetError> {
+    pub(crate) fn send_wire_shared(&mut self, msg: &Arc<Vec<u8>>) -> Result<(), NetError> {
         self.outbox.queue_shared(msg);
         self.flush_outbox().map(drop)
     }
 
     /// Credits a received frame's bytes back to the ledger once the
     /// caller is done with it (see [`FrameBuffer::credit_frame`]).
-    pub fn credit_frame(&mut self, frame: Vec<u8>) {
+    pub(crate) fn credit_frame(&mut self, frame: Vec<u8>) {
         self.inbox.credit_frame(frame);
     }
 
@@ -614,7 +614,7 @@ impl TcpChannel {
     /// # Errors
     ///
     /// Propagates registration failures.
-    pub fn register(&mut self, reactor: &mut Reactor, token: Token) -> Result<(), NetError> {
+    pub(crate) fn register(&mut self, reactor: &mut Reactor, token: Token) -> Result<(), NetError> {
         let pool = reactor.pool();
         let fresh = match &self.inbox.account {
             Some(acct) => !acct.pool().same_as(&pool),
@@ -663,7 +663,7 @@ impl TcpChannel {
     ///
     /// [`NetError::Closed`] once the peer is gone *and* every buffered
     /// frame has been returned; codec errors for oversized frames.
-    pub fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
+    pub(crate) fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
         // Reads stop at the frame being assembled: what the peer sent
         // behind it stays in the kernel (level-triggered epoll keeps
         // reporting it) until the caller asks for the next frame.
@@ -691,13 +691,13 @@ impl TcpChannel {
     /// # Errors
     ///
     /// [`NetError::Closed`] when the peer is gone.
-    pub fn try_flush(&mut self) -> Result<bool, NetError> {
+    pub(crate) fn try_flush(&mut self) -> Result<bool, NetError> {
         self.flush_outbox()
     }
 
     /// Whether backlogged bytes are waiting on write readiness.
     #[must_use]
-    pub fn wants_write(&self) -> bool {
+    pub(crate) fn wants_write(&self) -> bool {
         !self.outbox.is_empty()
     }
 }

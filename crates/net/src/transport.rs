@@ -26,7 +26,7 @@ use crate::NetError;
 pub trait Channel: Send {
     /// Sends one frame. On a channel registered with a reactor this
     /// enqueues and flushes opportunistically — `Ok` means queued, and
-    /// [`TcpChannel::try_flush`] drains any backlog under write
+    /// `TcpChannel::try_flush` drains any backlog under write
     /// readiness.
     ///
     /// # Errors
@@ -51,7 +51,7 @@ pub trait Channel: Send {
 
 /// Encodes a frame into its on-the-wire form (4-byte little-endian
 /// length prefix + payload) as a refcounted allocation — the frame's one
-/// copy — ready for [`TcpChannel::send_wire_shared`] fan-out.
+/// copy — ready for `TcpChannel::send_wire_shared` fan-out.
 #[must_use]
 pub fn wire_message(frame: &[u8]) -> Arc<Vec<u8>> {
     let mut msg = Vec::with_capacity(4 + frame.len());

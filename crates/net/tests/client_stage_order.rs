@@ -4,13 +4,16 @@
 //! protocol error with nothing sent for it — in the malicious model a
 //! second consistency signature would sign a second survivor set, which
 //! the ConsistencyCheck round exists to rule out — and the round still
-//! completes for everyone else.
+//! completes for everyone else. So does an announce or Setup stamped
+//! round 0: round ids start at 1.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dordis_net::codec::{decode_id_list, Encode, Envelope, StageTag};
+use dordis_net::codec::{
+    decode_id_list, encode_announce, encode_setup, Encode, Envelope, StageTag,
+};
 use dordis_net::local;
 use dordis_net::runtime::SessionClientReport;
 use dordis_net::session::SessionConfig;
@@ -55,9 +58,20 @@ fn input_for(id: ClientId) -> ClientInput {
 /// Rewrites a replayed server frame.
 type Forge = fn(Envelope) -> Envelope;
 
+/// What the victim's channel does to the server's frames.
+#[derive(Clone, Copy)]
+enum Tamper {
+    /// Hands the client a second, forged copy of the first frame of
+    /// this stage right after the real one.
+    Replay(StageTag, Forge),
+    /// Hands the client this frame before any real one.
+    First(fn() -> Envelope),
+}
+
 /// A client's channel that logs the tag of every frame the client sends
 /// and, when `replay` names a server stage, hands the client a second
 /// (possibly forged) copy of that stage's frame right after the real one.
+/// A frame in `queued` comes before the next real one.
 struct Replay {
     inner: TcpChannel,
     replay: Option<(StageTag, Forge)>,
@@ -92,15 +106,13 @@ impl Channel for Replay {
     }
 }
 
-/// Runs one round of `params` in which [`VICTIM`] is replayed the first
-/// `stage` frame as `forge` rewrites it. Returns how many `answer`
-/// frames the victim sent and how its run ended, after checking that
-/// the round completed, with the survivors' exact sum, and that every
-/// other client finished it.
+/// Runs one round of `params` in which [`VICTIM`]'s channel does
+/// `tamper`. Returns how many `answer` frames the victim sent and how
+/// its run ended, after checking that the round completed, with the
+/// survivors' exact sum, and that every other client finished it.
 fn replayed_round(
     params: RoundParams,
-    stage: StageTag,
-    forge: Forge,
+    tamper: Tamper,
     answer: StageTag,
 ) -> (usize, Result<SessionClientReport, NetError>) {
     let malicious = params.threat_model == ThreatModel::Malicious;
@@ -118,10 +130,17 @@ fn replayed_round(
         ..local::one_round(params)
     };
     let (mut reports, mut clients) = local::run_session(&mut acceptor, cfg, 0..N, move |id| {
+        let victim = (id == VICTIM).then_some(tamper);
         let mut chan = Replay {
             inner: local::dial(&addr),
-            replay: (id == VICTIM).then_some((stage, forge)),
-            queued: None,
+            replay: match victim {
+                Some(Tamper::Replay(stage, forge)) => Some((stage, forge)),
+                _ => None,
+            },
+            queued: match victim {
+                Some(Tamper::First(frame)) => Some(frame().encode()),
+                _ => None,
+            },
             sent: Vec::new(),
         };
         let identity = malicious.then(|| Identity {
@@ -171,8 +190,7 @@ fn replayed_survivor_set_is_signed_once() {
     }
     let (sigs, run) = replayed_round(
         params(ThreatModel::Malicious),
-        StageTag::SurvivorSet,
-        forge,
+        Tamper::Replay(StageTag::SurvivorSet, forge),
         StageTag::ConsistencySig,
     );
     assert_eq!(sigs, 1, "consistency signatures sent");
@@ -183,10 +201,36 @@ fn replayed_survivor_set_is_signed_once() {
 fn replayed_roster_shares_keys_once() {
     let (batches, run) = replayed_round(
         params(ThreatModel::SemiHonest),
-        StageTag::Roster,
-        |env| env,
+        Tamper::Replay(StageTag::Roster, |env| env),
         StageTag::ShareKeys,
     );
     assert_eq!(batches, 1, "ShareKeys batches sent");
     assert_protocol_error(run, "Roster");
+}
+
+#[test]
+fn an_announce_or_setup_stamped_round_zero_is_answered_with_nothing() {
+    fn announce() -> Envelope {
+        Envelope::new(StageTag::RoundAnnounce, 0, encode_announce(false))
+    }
+    fn setup() -> Envelope {
+        let zero = RoundParams {
+            round: 0,
+            ..params(ThreatModel::SemiHonest)
+        };
+        Envelope::new(StageTag::Setup, 0, encode_setup(&zero, 1, N as u16, &[]))
+    }
+    // The one Join is the eager join sent at connect.
+    for (first, answer, sent) in [
+        (announce as fn() -> Envelope, StageTag::Join, 1),
+        (setup, StageTag::AdvertiseKeys, 0),
+    ] {
+        let (answers, run) = replayed_round(
+            params(ThreatModel::SemiHonest),
+            Tamper::First(first),
+            answer,
+        );
+        assert_eq!(answers, sent, "{answer:?} frames sent");
+        assert_protocol_error(run, "round 0");
+    }
 }

@@ -16,11 +16,9 @@
 use crate::hetero::ClientProfile;
 use crate::Resource;
 
-/// One stage's name, resource, and duration.
+/// One stage's resource and duration.
 #[derive(Clone, Debug)]
-pub struct StageCost {
-    /// Stage label (matching Table 1 groupings).
-    pub name: &'static str,
+pub(crate) struct StageCost {
     /// Dominant resource.
     pub resource: Resource,
     /// Duration in seconds.
@@ -104,7 +102,7 @@ pub enum Protocol {
 impl Protocol {
     /// Masking-graph degree for `n` clients.
     #[must_use]
-    pub fn degree(&self, n: usize) -> usize {
+    pub(crate) fn degree(&self, n: usize) -> usize {
         match self {
             Protocol::Plain => 0,
             Protocol::SecAgg => n.saturating_sub(1),
@@ -166,7 +164,7 @@ impl CostModel {
     /// The five Table 1 stage durations for one aggregation task over a
     /// vector of `inp.vector_len` elements.
     #[must_use]
-    pub fn stage_costs(&self, inp: &RoundCostInput) -> Vec<StageCost> {
+    pub(crate) fn stage_costs(&self, inp: &RoundCostInput) -> Vec<StageCost> {
         let u = &self.units;
         let d = inp.vector_len as f64;
         let deg = inp.protocol.degree(inp.clients) as f64;
@@ -245,27 +243,22 @@ impl CostModel {
 
         vec![
             StageCost {
-                name: "client-prepare",
                 resource: Resource::CComp,
                 secs: s1,
             },
             StageCost {
-                name: "upload",
                 resource: Resource::Comm,
                 secs: s2,
             },
             StageCost {
-                name: "server-aggregate",
                 resource: Resource::SComp,
                 secs: s3,
             },
             StageCost {
-                name: "broadcast",
                 resource: Resource::Comm,
                 secs: s4,
             },
             StageCost {
-                name: "client-decode",
                 resource: Resource::CComp,
                 secs: s5,
             },
@@ -275,7 +268,7 @@ impl CostModel {
     /// Plain (unpipelined) execution: stages run back to back.
     /// Returns `(aggregation seconds, other seconds)`.
     #[must_use]
-    pub fn plain_round(&self, inp: &RoundCostInput) -> (f64, f64) {
+    pub(crate) fn plain_round(&self, inp: &RoundCostInput) -> (f64, f64) {
         let agg: f64 = self.stage_costs(inp).iter().map(|s| s.secs).sum();
         (agg, inp.other_secs)
     }
@@ -285,7 +278,7 @@ impl CostModel {
     /// intervention penalty grows with pipeline depth (the paper's
     /// `β₁ d/m + β₂ m + β₃` model).
     #[must_use]
-    pub fn chunked_stage_costs(&self, inp: &RoundCostInput, m: usize) -> Vec<StageCost> {
+    pub(crate) fn chunked_stage_costs(&self, inp: &RoundCostInput, m: usize) -> Vec<StageCost> {
         assert!(m >= 1);
         let mut chunk_inp = *inp;
         chunk_inp.vector_len = inp.vector_len.div_ceil(m);

@@ -12,7 +12,7 @@ use crate::Resource;
 /// One executable unit: stage `stage` of chunk `chunk`, occupying
 /// `resource`.
 #[derive(Clone, Copy, Debug)]
-pub struct Task {
+pub(crate) struct Task {
     /// Stage index (0-based).
     pub stage: usize,
     /// Chunk index (0-based).
@@ -23,7 +23,7 @@ pub struct Task {
 
 /// A completed task instance with its realized schedule.
 #[derive(Clone, Copy, Debug)]
-pub struct Completed {
+pub(crate) struct Completed {
     /// The task.
     pub task: Task,
     /// Start time.
@@ -34,7 +34,7 @@ pub struct Completed {
 
 /// Result of an event-driven run.
 #[derive(Clone, Debug)]
-pub struct SimOutcome {
+pub(crate) struct SimOutcome {
     /// Every executed task with realized times.
     pub completed: Vec<Completed>,
     /// Total makespan.
@@ -60,7 +60,7 @@ pub struct SimOutcome {
 ///
 /// Panics on empty stages or `chunks == 0`.
 #[must_use]
-pub fn simulate(tau: &[f64], resources: &[Resource], chunks: usize) -> SimOutcome {
+pub(crate) fn simulate(tau: &[f64], resources: &[Resource], chunks: usize) -> SimOutcome {
     assert!(!tau.is_empty() && tau.len() == resources.len());
     assert!(chunks >= 1);
     let stages = tau.len();

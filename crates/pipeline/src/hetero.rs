@@ -20,7 +20,7 @@ pub struct ClientProfile {
 impl ClientProfile {
     /// Seconds to move `bytes` over this client's link.
     #[must_use]
-    pub fn transfer_secs(&self, bytes: f64) -> f64 {
+    pub(crate) fn transfer_secs(&self, bytes: f64) -> f64 {
         bytes * 8.0 / (self.bandwidth_mbps * 1e6)
     }
 }
@@ -56,7 +56,7 @@ impl Default for HeteroConfig {
 /// CPUs are not automatically slow links (two independent Zipfs, per the
 /// paper).
 #[must_use]
-pub fn generate(n: usize, cfg: &HeteroConfig) -> Vec<ClientProfile> {
+pub(crate) fn generate(n: usize, cfg: &HeteroConfig) -> Vec<ClientProfile> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
     // Zipf weight of rank i (1-based): i^-a, normalized to [0, 1].
     let weights: Vec<f64> = (1..=n).map(|i| (i as f64).powf(-cfg.zipf_a)).collect();
@@ -87,7 +87,7 @@ pub fn generate(n: usize, cfg: &HeteroConfig) -> Vec<ClientProfile> {
 /// The straggler profile of a cohort: the maximum compute factor and the
 /// minimum bandwidth among `profiles` (what synchronous rounds wait for).
 #[must_use]
-pub fn straggler(profiles: &[ClientProfile]) -> ClientProfile {
+pub(crate) fn straggler(profiles: &[ClientProfile]) -> ClientProfile {
     ClientProfile {
         compute_factor: profiles
             .iter()

@@ -8,7 +8,7 @@
 //! `dordis_secagg::ChunkPlan`, lives with the protocol; this crate
 //! models what the cut costs and picks `m`:
 //!
-//! - [`hetero`]: per-client compute-speed and bandwidth profiles drawn
+//! - `hetero`: per-client compute-speed and bandwidth profiles drawn
 //!   from the paper's Zipf distributions,
 //! - [`cost`]: a per-stage cost model for distributed-DP rounds (crypto
 //!   op unit costs × protocol op counts, bytes ÷ bandwidth),
@@ -30,7 +30,7 @@ pub mod cost;
 // Appendix-C recurrence against.
 #[cfg(test)]
 mod event;
-pub mod hetero;
+mod hetero;
 pub mod perfmodel;
 pub mod planner;
 pub mod schedule;

@@ -23,14 +23,14 @@ pub struct StageModel {
 impl StageModel {
     /// Predicted stage latency at chunk count `m`.
     #[must_use]
-    pub fn predict(&self, m: usize) -> f64 {
+    pub(crate) fn predict(&self, m: usize) -> f64 {
         self.beta1 * self.d / m as f64 + self.beta2 * m as f64 + self.beta3
     }
 }
 
 /// One profiling observation: chunk count and measured latency.
 #[derive(Clone, Copy, Debug)]
-pub struct Sample {
+pub(crate) struct Sample {
     /// Chunk count `m` of the observation.
     pub m: usize,
     /// Measured per-chunk stage latency in seconds.
@@ -48,7 +48,7 @@ pub struct Sample {
 /// Panics if fewer than 3 samples or fewer than 3 distinct `m` values
 /// are supplied.
 #[must_use]
-pub fn fit(samples: &[Sample], d: f64) -> StageModel {
+pub(crate) fn fit(samples: &[Sample], d: f64) -> StageModel {
     assert!(samples.len() >= 3, "need at least 3 profiling samples");
     {
         let mut ms: Vec<usize> = samples.iter().map(|s| s.m).collect();
@@ -121,7 +121,7 @@ fn solve3(mut a: [[f64; 3]; 3], mut b: [f64; 3]) -> [f64; 3] {
 /// optionally with multiplicative noise — the paper's "offline
 /// micro-benchmarking with small-scale proxy data".
 #[must_use]
-pub fn profile<F>(tau_at: F, ms: &[usize], noise: f64, seed: u64) -> Vec<Sample>
+pub(crate) fn profile<F>(tau_at: F, ms: &[usize], noise: f64, seed: u64) -> Vec<Sample>
 where
     F: Fn(usize) -> f64,
 {

@@ -94,7 +94,7 @@ impl ChunkPlan {
     /// # Errors
     ///
     /// Rejects out-of-range bit widths.
-    pub fn single(vector_len: usize, bit_width: u32) -> Result<ChunkPlan, ChunkPlanError> {
+    pub(crate) fn single(vector_len: usize, bit_width: u32) -> Result<ChunkPlan, ChunkPlanError> {
         ChunkPlan::aligned(vector_len, 1, bit_width)
     }
 

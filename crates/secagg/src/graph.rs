@@ -29,7 +29,7 @@ impl MaskingGraph {
     /// already well below `n - 1`, and — with neighborhood-scoped Shamir
     /// indexing — a sparse graph is what lifts the per-round client cap
     /// past 255 (x-coordinates only need to cover `degree + 1` holders).
-    pub const RECOMMENDED_COMPLETE_MAX: usize = 32;
+    pub(crate) const RECOMMENDED_COMPLETE_MAX: usize = 32;
 
     /// Recommended SecAgg+ degree for `n` clients: `k ≈ 2⌈log₂ n⌉ + 2`,
     /// the `O(log n)` regime of Bell et al.
@@ -43,7 +43,7 @@ impl MaskingGraph {
 
     /// The graph a round of `n` clients should use when the caller has
     /// no preference: complete up to
-    /// [`MaskingGraph::RECOMMENDED_COMPLETE_MAX`] clients (maximal mask
+    /// `MaskingGraph::RECOMMENDED_COMPLETE_MAX` clients (maximal mask
     /// density, and bit-identical to the historical default for small
     /// rounds), the Harary `O(log n)` graph beyond — which is also what
     /// keeps `degree + 1 ≤ 255` and therefore makes rosters in the
@@ -121,7 +121,7 @@ impl MaskingGraph {
 
     /// True if `a` and `b` exchange masks.
     #[must_use]
-    pub fn are_neighbors(&self, n: usize, a: usize, b: usize) -> bool {
+    pub(crate) fn are_neighbors(&self, n: usize, a: usize, b: usize) -> bool {
         if a == b {
             return false;
         }

@@ -17,7 +17,7 @@
 //! the "self-contained and complementary" property claimed in §3.3.
 //!
 //! Structure:
-//! - [`chunkplan`]: the [`ChunkPlan`] every layer consumes — byte-aligned
+//! - `chunkplan`: the [`ChunkPlan`] every layer consumes — byte-aligned
 //!   per-chunk element ranges that make the chunk the unit of masking,
 //!   transmission, and aggregation,
 //! - [`graph`]: complete and Harary k-regular masking graphs,
@@ -33,7 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chunkplan;
+mod chunkplan;
 pub mod client;
 pub mod driver;
 pub mod graph;
@@ -205,7 +205,7 @@ impl RoundParams {
 
     /// The ring mask `2^b - 1`.
     #[must_use]
-    pub fn ring_mask(&self) -> u64 {
+    pub(crate) fn ring_mask(&self) -> u64 {
         (1u64 << self.bit_width) - 1
     }
 }
@@ -215,7 +215,7 @@ impl RoundParams {
 /// neighbors and, for the self-mask seed, by the client itself) so that
 /// reconstruction stays possible under SecAgg+'s sparse graph.
 #[must_use]
-pub fn share_threshold(params: &RoundParams) -> usize {
+pub(crate) fn share_threshold(params: &RoundParams) -> usize {
     params
         .threshold
         .min(params.graph.degree(params.clients.len()))

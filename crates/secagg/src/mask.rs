@@ -1,6 +1,6 @@
 //! Mask expansion and modular vector arithmetic in `Z_{2^b}`.
 //!
-//! [`expand_and_add`] and its [`add_pairwise_mask_assign`] wrapper
+//! `expand_and_add` and its [`add_pairwise_mask_assign`] wrapper
 //! (and, for the tests, `add_self_mask_assign`) accumulate the PRG keystream
 //! **directly into the running sum** in cache-sized strips, never
 //! materializing a `Vec<u64>` per mask per neighbor — the dominant
@@ -35,13 +35,13 @@ pub(crate) const OUTER_STRIP: usize = 2048;
 /// `elem_offset` — for callers that walk one mask in several
 /// [`expand_and_add`] steps.
 #[must_use]
-pub fn pairwise_prg_at(shared_key: &[u8; 32], bit_width: u32, elem_offset: usize) -> Prg {
+pub(crate) fn pairwise_prg_at(shared_key: &[u8; 32], bit_width: u32, elem_offset: usize) -> Prg {
     Prg::new_at(shared_key, DOMAIN_PAIRWISE, bit_width, elem_offset)
 }
 
 /// The self-mask stream `PRG(b_u)`, positioned at element `elem_offset`.
 #[must_use]
-pub fn self_mask_prg_at(seed: &Seed, bit_width: u32, elem_offset: usize) -> Prg {
+pub(crate) fn self_mask_prg_at(seed: &Seed, bit_width: u32, elem_offset: usize) -> Prg {
     Prg::new_at(seed, DOMAIN_SELFMASK, bit_width, elem_offset)
 }
 
@@ -50,7 +50,12 @@ pub fn self_mask_prg_at(seed: &Seed, bit_width: u32, elem_offset: usize) -> Prg 
 /// positioned at the stream element corresponding to `acc[0]`. `acc`
 /// may be held in any word that holds the ring ([`RingWord`]): the
 /// elements are the same.
-pub fn expand_and_add<W: RingWord>(prg: &mut Prg, acc: &mut [W], positive: bool, bit_width: u32) {
+pub(crate) fn expand_and_add<W: RingWord>(
+    prg: &mut Prg,
+    acc: &mut [W],
+    positive: bool,
+    bit_width: u32,
+) {
     let mut strip = [W::default(); STRIP];
     let mut rest = acc;
     while !rest.is_empty() {

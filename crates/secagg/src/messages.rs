@@ -71,7 +71,7 @@ impl ShareBundle {
 
     /// Parses the encoding; `None` on malformed input.
     #[must_use]
-    pub fn decode(bytes: &[u8]) -> Option<ShareBundle> {
+    pub(crate) fn decode(bytes: &[u8]) -> Option<ShareBundle> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
             if *pos + n > bytes.len() {

@@ -50,7 +50,7 @@ pub struct FootprintScenario {
 impl FootprintScenario {
     /// Number of dropped clients this scenario assumes.
     #[must_use]
-    pub fn dropped(&self) -> usize {
+    pub(crate) fn dropped(&self) -> usize {
         ((self.sampled as f64) * self.dropout_rate).round() as usize
     }
 }

@@ -3,16 +3,16 @@
 //! a round, one collection loop, stage transitions and client stages
 //! that do no I/O, one masking path, one module per kernel, one cohort
 //! decision per round, a protocol that does not link the paper's cost
-//! model, no public function without a reader — checked as text over
-//! the source tree and the manifests, so the plain `cargo test` fails as
-//! soon as a change breaks one. A failure names the rule, the file and
-//! the line.
+//! model, no public function without a reader, none that only its own
+//! crate reads — checked as text over the source tree and the
+//! manifests, so the plain `cargo test` fails as soon as a change breaks
+//! one. A failure names the rule, the file and the line.
 //!
 //! No regex crate is vendored, so the matching is three small parts:
 //! a `grep -r`-style file walk ([`walk`]), a needle matcher whose `\b`
 //! at either end asks for an identifier boundary ([`Needles`]), and one
 //! enclosing-function scanner ([`charged_outside`]); the public-surface
-//! rule reads each file's identifiers once ([`identifiers`]). Test code
+//! rules read each file's identifiers once ([`identifiers`]). Test code
 //! is out of scope where a rule says so: [`Source::without_tests`] cuts a
 //! file at its first column-0 `#[cfg(test)]` or `mod tests` line.
 //! `benchmark/tests/manifest.rs` enforces the deleted names inside
@@ -237,29 +237,43 @@ fn identifiers(src: &Source) -> HashSet<&str> {
         .collect()
 }
 
-/// Every plain `pub fn` that a `crates/*/src` file of `tree` declares
-/// outside its test tail and that no other file of `tree` mentions as a
-/// whole identifier on a non-comment line; the hit's `within` is its
-/// name.
-fn unread_pub_fns(tree: &[Source]) -> Vec<Hit> {
-    let idents: Vec<HashSet<&str>> = tree.iter().map(identifiers).collect();
-    let in_crate_src = |path: &str| {
-        let mut parts = path.split('/');
-        parts.next() == Some("crates") && parts.nth(1) == Some("src")
+/// The crate a file under `crates/*/src` belongs to, named by its
+/// source: the library's directory (`crates/dp/src/rdp.rs` →
+/// `crates/dp/src/`), or the file itself for a binary under `src/bin/`,
+/// a crate of its own. `None` outside `crates/*/src`.
+fn crate_src(path: &str) -> Option<&str> {
+    let mut parts = path.splitn(4, '/');
+    let (Some("crates"), Some(name), Some("src"), Some(rest)) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return None;
     };
+    Some(if rest.starts_with("bin/") {
+        path
+    } else {
+        &path[.."crates/".len() + name.len() + "/src/".len()]
+    })
+}
+
+/// Every plain `pub fn` that a `crates/*/src` file of `tree` declares
+/// outside its test tail and that no file of `tree` that `reads` accepts
+/// as a reader of its declaring file mentions as a whole identifier on
+/// a non-comment line; the hit's `within` is its name.
+fn pub_fns_unread_by(tree: &[Source], reads: impl Fn(&str, &str) -> bool) -> Vec<Hit> {
+    let idents: Vec<HashSet<&str>> = tree.iter().map(identifiers).collect();
     let mut hits = Vec::new();
-    for (at, src) in tree.iter().enumerate() {
-        if !in_crate_src(&src.path) {
+    for src in tree {
+        if crate_src(&src.path).is_none() {
             continue;
         }
         for (i, text) in src.without_tests().text.lines().enumerate() {
             let Some(name) = declared_pub_fn(text) else {
                 continue;
             };
-            let read = idents
+            let read = tree
                 .iter()
-                .enumerate()
-                .any(|(other, words)| other != at && words.contains(name));
+                .zip(&idents)
+                .any(|(other, words)| reads(&src.path, &other.path) && words.contains(name));
             if !read {
                 hits.push(Hit {
                     path: src.path.clone(),
@@ -271,6 +285,16 @@ fn unread_pub_fns(tree: &[Source]) -> Vec<Hit> {
         }
     }
     hits
+}
+
+/// The `pub fn`s of `tree` that no other file reads.
+fn unread_pub_fns(tree: &[Source]) -> Vec<Hit> {
+    pub_fns_unread_by(tree, |decl, other| decl != other)
+}
+
+/// The `pub fn`s of `tree` that only their own crate's `src` reads.
+fn crate_local_pub_fns(tree: &[Source]) -> Vec<Hit> {
+    pub_fns_unread_by(tree, |decl, other| crate_src(decl) != crate_src(other))
 }
 
 /// Every line of `src` that `pred` accepts and whose enclosing function
@@ -786,8 +810,40 @@ const READERS: &[&str] = &[
 const UNREAD_PUB_FNS: &[(&str, &str, &str)] = &[(
     "crates/dp/src/rdp.rs",
     "skellam_rdp",
-    "ROADMAP item 14b makes the accountant call it",
+    "ROADMAP item 14(c) makes the accountant call it",
 )];
+
+/// The `pub fn`s that may stay with no reader outside their crate's
+/// `src`: (file, name, why).
+const CRATE_LOCAL_PUB_FNS: &[(&str, &str, &str)] = &[
+    (
+        "crates/crypto/src/sha256.rs",
+        "finalize",
+        "the incremental hasher's doctest reads it; the program hashes in one call",
+    ),
+    (
+        "crates/dp/src/rdp.rs",
+        "skellam_rdp",
+        "ROADMAP item 14(c) makes the accountant call it",
+    ),
+];
+
+/// Fails `rule` on every hit not in `allowed`, and on every entry of
+/// `allowed` that is no hit any more.
+fn forbid_unlisted(rule: &str, hits: Vec<Hit>, allowed: &[(&str, &str, &str)]) {
+    let is = |h: &Hit, path: &str, name: &str| h.path == path && h.within.as_deref() == Some(name);
+    let (listed, unlisted): (Vec<Hit>, Vec<Hit>) = hits
+        .into_iter()
+        .partition(|h| allowed.iter().any(|&(path, name, _)| is(h, path, name)));
+    forbid(rule, &unlisted);
+    for &(path, name, why) in allowed {
+        assert!(
+            listed.iter().any(|h| is(h, path, name)),
+            "{rule}: `{name}` in {path} is allow-listed ({why}) but is no hit \
+             there any more: drop its entry"
+        );
+    }
+}
 
 /// No public function without a reader: every plain `pub fn` in
 /// `crates/*/src` outside its file's test tail is named, as a whole
@@ -798,22 +854,36 @@ const UNREAD_PUB_FNS: &[(&str, &str, &str)] = &[(
 /// tests read is `#[cfg(test)]`, or goes.
 #[test]
 fn no_public_fn_without_a_reader() {
-    let rule = "No public fn without a reader";
     let tree = rust_files(walk(READERS));
-    let is = |h: &Hit, path: &str, name: &str| h.path == path && h.within.as_deref() == Some(name);
-    let (listed, unread): (Vec<Hit>, Vec<Hit>) = unread_pub_fns(&tree).into_iter().partition(|h| {
-        UNREAD_PUB_FNS
-            .iter()
-            .any(|&(path, name, _)| is(h, path, name))
-    });
-    forbid(rule, &unread);
-    for &(path, name, why) in UNREAD_PUB_FNS {
-        assert!(
-            listed.iter().any(|h| is(h, path, name)),
-            "{rule}: `{name}` in {path} is allow-listed ({why}) but is no unread `pub fn` \
-             there any more: drop its entry"
-        );
-    }
+    forbid_unlisted(
+        "No public fn without a reader",
+        unread_pub_fns(&tree),
+        UNREAD_PUB_FNS,
+    );
+}
+
+/// No public function that only its own crate reads: every plain
+/// `pub fn` in `crates/<c>/src` outside its file's test tail is named,
+/// as a whole identifier on a non-comment line, by a Rust file outside
+/// `crates/<c>/src` — another crate, a binary under `src/bin/`, that
+/// crate's own `tests/` and `benches/`, the workspace `tests/` and
+/// `examples/`, or the reference benchmark — or is allow-listed above
+/// with its reason. A function that only its crate reads is
+/// `pub(crate)`, where rustc's `dead_code` lint sees it.
+///
+/// The search is by name, so it can only err towards passing: a common
+/// name (`new`, `len`, `poll`) finds a reader somewhere whether or not
+/// that reader calls this function. The compile-driven sweep (make a
+/// crate's `pub fn`s `pub(crate)`, put `pub` back where rustc reports a
+/// privacy error) is what catches those.
+#[test]
+fn no_public_fn_read_only_in_its_crate() {
+    let tree = rust_files(walk(READERS));
+    forbid_unlisted(
+        "No public fn read only in its crate",
+        crate_local_pub_fns(&tree),
+        CRATE_LOCAL_PUB_FNS,
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -968,4 +1038,56 @@ fn pub_crate_and_test_tail_fns_are_not_checked() {
          }\n",
     );
     assert!(unread_names(&[lib]).is_empty());
+}
+
+/// The names `crate_local_pub_fns` reports for `tree`.
+fn crate_local_names(tree: &[Source]) -> Vec<String> {
+    let hits = crate_local_pub_fns(tree);
+    hits.into_iter().filter_map(|h| h.within).collect()
+}
+
+#[test]
+fn a_pub_fn_read_only_in_its_own_crate_src_is_crate_local() {
+    let lib = || {
+        inline(
+            "crates/net/src/pool.rs",
+            "    pub fn charge_egress(&self, n: usize) {}\n",
+        )
+    };
+    let sibling = inline("crates/net/src/tcp.rs", "account.charge_egress(n);\n");
+    let other_crate = inline("crates/core/src/session.rs", "account.charge_egress(n);\n");
+    assert_eq!(crate_local_names(&[lib(), sibling]), ["charge_egress"]);
+    assert!(crate_local_names(&[lib(), other_crate]).is_empty());
+}
+
+#[test]
+fn the_crates_own_tests_benches_and_binaries_are_readers() {
+    let lib = || inline("crates/core/src/trainer.rs", "pub fn train() {}\n");
+    for reader in [
+        "crates/core/tests/failover.rs",
+        "crates/core/benches/train.rs",
+        "crates/core/src/bin/dordis.rs",
+        "tests/end_to_end.rs",
+        "benchmark/src/fl.rs",
+    ] {
+        let user = inline(reader, "    dordis_core::trainer::train();\n");
+        assert!(crate_local_names(&[lib(), user]).is_empty(), "{reader}");
+    }
+    let comment = inline("crates/core/tests/failover.rs", "// train() runs\n");
+    assert_eq!(crate_local_names(&[lib(), comment]), ["train"]);
+}
+
+#[test]
+fn a_crate_src_is_its_directory_or_its_binary() {
+    assert_eq!(crate_src("crates/dp/src/rdp.rs"), Some("crates/dp/src/"));
+    assert_eq!(
+        crate_src("crates/net/src/reactor/sys.rs"),
+        Some("crates/net/src/")
+    );
+    assert_eq!(
+        crate_src("crates/core/src/bin/dordis.rs"),
+        Some("crates/core/src/bin/dordis.rs")
+    );
+    assert_eq!(crate_src("crates/core/tests/failover.rs"), None);
+    assert_eq!(crate_src("benchmark/src/fl.rs"), None);
 }
