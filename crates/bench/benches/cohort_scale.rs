@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use dordis_net::local;
 use dordis_net::runtime::round_rng_seed;
-use dordis_net::session::{Seating, Session, SessionConfig};
+use dordis_net::session::{seat_all, Session, SessionConfig};
 use dordis_secagg::client::{Client, ClientInput};
 use dordis_secagg::driver::{client_rng, run_round, share_keys_rng, DropoutSchedule, RoundSpec};
 use dordis_secagg::graph::MaskingGraph;
@@ -135,7 +135,12 @@ fn timed_round(n: u32, graph: MaskingGraph) -> RunResult {
         join_timeout: Duration::from_secs(300),
         stage_timeout: STAGE_TIMEOUT,
         chunks: CHUNKS,
-        ..SessionConfig::new(1, Seating::Roster, Box::new(move |_, _| params(n, graph)))
+        ..SessionConfig::new(
+            1,
+            (0..n).collect(),
+            seat_all(),
+            Box::new(move |_, _| params(n, graph)),
+        )
     };
     let mut session = Session::new(&mut acceptor, cfg).expect("session");
     let cpu0 = thread_cpu();

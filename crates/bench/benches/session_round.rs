@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use dordis_net::local;
 use dordis_net::runtime::SessionEndKind;
-use dordis_net::session::{Seating, SessionConfig};
+use dordis_net::session::{seat_all, SessionConfig};
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
@@ -60,11 +60,11 @@ fn persistent(rounds: u64, dim: usize, telemetry: Telemetry) -> Duration {
         join_timeout: JOIN_TIMEOUT,
         stage_timeout: STAGE_TIMEOUT,
         chunks: CHUNKS,
-        population: (0..N).collect(),
         telemetry,
         ..SessionConfig::new(
             rounds,
-            Seating::Roster,
+            (0..N).collect(),
+            seat_all(),
             Box::new(move |round, _| params_for_round(round, dim)),
         )
     };

@@ -30,7 +30,7 @@ use dordis_net::replication::{run_backup, BackupOutcome};
 use dordis_net::runtime::{
     Backoff, FailAction, FailPoint, FailStage, Redial, SessionClientOptions, SessionEndKind,
 };
-use dordis_net::session::{Seating, Session, SessionConfig};
+use dordis_net::session::{seat_all, Session, SessionConfig};
 use dordis_net::tcp::{TcpAcceptor, TcpChannel};
 use dordis_net::transport::{deadline_in, Acceptor as _};
 use dordis_secagg::client::ClientInput;
@@ -268,13 +268,13 @@ fn serve_inner(args: &[String]) -> Result<ExitCode, String> {
         join_timeout: Duration::from_millis(join_timeout),
         stage_timeout: Duration::from_millis(stage_timeout),
         chunks,
-        population: (0..clients).collect(),
         telemetry: telemetry.clone(),
         metrics_addr,
         replica,
         ..SessionConfig::new(
             rounds,
-            Seating::Roster,
+            (0..clients).collect(),
+            seat_all(),
             Box::new(move |_, _| params.clone()),
         )
     };
@@ -463,7 +463,7 @@ fn join_inner(args: &[String]) -> Result<ExitCode, String> {
                 r.addr()
             )
         },
-        |_| None, // roster sessions are claim-free
+        |_| Some(Vec::new()), // `serve` seats every joiner: the claim is empty
         |round| fail.filter(|_| round == fail_round),
         |round, params, _cohort, _payload| {
             println!("client {id}: seated in round {round}");

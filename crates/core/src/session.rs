@@ -64,7 +64,7 @@ use dordis_net::replication::{run_backup, BackupOutcome};
 use dordis_net::runtime::{
     Backoff, FailAction, FailPoint, FailStage, Redial, SessionClientOptions, SessionEndKind,
 };
-use dordis_net::session::{Seating, Session, SessionConfig};
+use dordis_net::session::{Session, SessionConfig};
 use dordis_net::tcp::{TcpAcceptor, TcpChannel};
 use dordis_net::transport::Acceptor as _;
 use dordis_net::NetError;
@@ -140,8 +140,8 @@ const NET_TIMEOUT: Duration = Duration::from_secs(20);
 pub struct SessionRoundOutcome {
     /// 0-based round index.
     pub round: u32,
-    /// Round id on the wire (`round + 1`; round 0 is reserved for the
-    /// session client's connect-time join).
+    /// Round id on the wire (`round + 1`; round ids start at 1, so a
+    /// frame stamped 0 is a protocol violation).
     pub wire_round: u64,
     /// The VRF-seated cohort, in seating order.
     pub cohort: Vec<ClientId>,
@@ -905,7 +905,7 @@ fn coordinate(
     // The coordinator's whole view of the VRF keys: the public registry.
     let registry = vrf_registry(st.spec.seed, population);
     let params_st = Arc::clone(st);
-    let seating = Seating::Claims(Box::new(move |r, raw_claims| {
+    let seating = Box::new(move |r, raw_claims: &[(ClientId, Vec<u8>)]| {
         let mut claims = Vec::new();
         let mut rejected = Vec::new();
         for (id, bytes) in raw_claims {
@@ -919,17 +919,17 @@ fn coordinate(
         rejected.append(&mut outcome.rejected);
         outcome.rejected = rejected;
         outcome
-    }));
+    });
     let cfg = SessionConfig {
         first_round: wire_round(first_index),
         join_timeout: NET_TIMEOUT,
         stage_timeout: NET_TIMEOUT,
         chunks: opts.chunks,
-        population: (0..population).collect(),
         replica,
         faults,
         ..SessionConfig::new(
             u64::from(opts.rounds.saturating_sub(first_index)),
+            (0..population).collect(),
             seating,
             Box::new(move |r, seated| round_params(&params_st, r, seated)),
         )
@@ -1336,6 +1336,32 @@ mod tests {
             took < Duration::from_secs(1),
             "replicated abort took {took:?}"
         );
+    }
+
+    /// A networked session on the session golden's spec (three rounds,
+    /// one scripted dropper that reconnects and re-joins) discards no
+    /// frame: nothing on 127.0.0.1 arrives late, so every stale frame
+    /// would be one the protocol made itself.
+    #[test]
+    fn a_networked_session_reports_no_self_made_stale_frames() {
+        let mut spec = TaskSpec::tiny_for_tests(20_261_019);
+        spec.rounds = 3;
+        spec.model = crate::config::ModelSpec::Mlp { hidden: 6 };
+        spec.eval_every = 1;
+        let sample = SamplingConfig {
+            target_sample: 8,
+            population: spec.population,
+            over_selection: 1.5,
+        };
+        let mut opts = FlSessionOptions::new(3, sample);
+        opts.droppers.push(MidStreamDrop {
+            round: 1,
+            client: planned_cohorts(&spec, &opts)[1][0],
+            after_chunks: 1,
+        });
+        let report = train_session_networked(&spec, &opts).unwrap();
+        let stale: Vec<u64> = report.rounds.iter().map(|r| r.stale_frames).collect();
+        assert_eq!(stale, [0, 0, 0]);
     }
 
     /// `Early` stops before the first round that would start on a spent

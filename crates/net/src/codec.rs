@@ -59,7 +59,11 @@ use crate::NetError;
 /// (`dordis_dp::mechanism`: a table-regime Skellam draw reads a 16-bit
 /// lane and, when undecided, a 64-bit refinement word; was one `u64`
 /// per draw).
-pub const WIRE_VERSION: u8 = 7;
+/// v8: one join path — a [`StageTag::RoundAnnounce`] body is empty (it
+/// carried a claims-required flag byte) and a client joins only in
+/// answer to an announce, stamped with the announced round (it sent a
+/// round-0 Join at connect).
+pub const WIRE_VERSION: u8 = 8;
 
 /// Envelope header bytes: version, stage, round, chunk.
 pub const HEADER_BYTES: usize = 1 + 1 + 8 + 2;
@@ -72,7 +76,7 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum StageTag {
-    /// Client → server: claim a seat in the round.
+    /// Client → server: claim a seat in the announced round.
     Join = 0,
     /// Server → client: the round parameters.
     Setup = 1,
@@ -102,9 +106,9 @@ pub enum StageTag {
     Finished = 13,
     /// Either direction: the sender is aborting, with a reason.
     Abort = 14,
-    /// Server → client: a new session round is opening; answer with
-    /// [`StageTag::Join`] (with a claim when required) or
-    /// [`StageTag::Decline`].
+    /// Server → client: a new session round is opening (empty body);
+    /// answer with [`StageTag::Join`], carrying the participation claim,
+    /// or [`StageTag::Decline`].
     RoundAnnounce = 15,
     /// Client → server: not participating in the announced round (e.g.
     /// the VRF said no); the connection stays open for later rounds.
@@ -849,36 +853,19 @@ pub fn decode_list<T>(
 // Control payloads (Join / Setup / SignatureList / Abort).
 // ---------------------------------------------------------------------
 
-/// Encodes a Join body: the claimed client id.
-#[must_use]
-pub fn encode_join(client: ClientId) -> Vec<u8> {
-    client.to_le_bytes().to_vec()
-}
-
-/// Decodes a Join body.
-///
-/// # Errors
-///
-/// Rejects bodies that are not exactly 4 bytes.
-pub fn decode_join(body: &[u8]) -> Result<ClientId, NetError> {
-    let mut r = Reader::new(body);
-    let id = r.u32()?;
-    r.finish()?;
-    Ok(id)
-}
-
-/// Encodes a Join body carrying a participation claim: the client id
-/// followed by the opaque claim bytes (the coordinator hands them to the
-/// session's seating verifier — `dordis-net` never interprets them).
+/// Encodes a Join (or Decline) body: the client id followed by the
+/// opaque participation-claim bytes (the coordinator hands them to the
+/// session's seating verifier — `dordis-net` never interprets them). A
+/// claim-free join and a Decline carry an empty claim.
 #[must_use]
 pub fn encode_join_claim(client: ClientId, claim: &[u8]) -> Vec<u8> {
-    let mut out = encode_join(client);
+    let mut out = client.to_le_bytes().to_vec();
     out.extend_from_slice(claim);
     out
 }
 
-/// Decodes a Join body into the claimed id and the (possibly empty)
-/// claim tail.
+/// Decodes a Join (or Decline) body into the claimed id and the
+/// (possibly empty) claim tail.
 ///
 /// # Errors
 ///
@@ -888,29 +875,6 @@ pub fn decode_join_claim(body: &[u8]) -> Result<(ClientId, Vec<u8>), NetError> {
     let id = r.u32()?;
     let claim = r.take(r.remaining())?.to_vec();
     Ok((id, claim))
-}
-
-/// Encodes a RoundAnnounce body: whether the round requires a
-/// participation claim (versus a plain roster join).
-#[must_use]
-pub fn encode_announce(claims_required: bool) -> Vec<u8> {
-    vec![u8::from(claims_required)]
-}
-
-/// Decodes a RoundAnnounce body.
-///
-/// # Errors
-///
-/// Rejects bodies that are not exactly one flag byte.
-pub fn decode_announce(body: &[u8]) -> Result<bool, NetError> {
-    let mut r = Reader::new(body);
-    let flag = r.u8()?;
-    r.finish()?;
-    match flag {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(NetError::Codec(format!("bad announce flag {other}"))),
-    }
 }
 
 /// Encodes the Setup body: the full [`RoundParams`].

@@ -5,8 +5,9 @@
 //! deployment of one coordinator and one separately scheduled client per
 //! participant. [`spawn`] starts the client threads and
 //! [`Cohort::reap`] joins them; [`run_session`] wraps both around every
-//! round of a [`Session`]; [`roster_client`] is the claim-free client
-//! most of them run.
+//! round of a [`Session`]. Most of them run a claim-free session: the
+//! coordinator seats every joiner through [`seat_all`] and
+//! [`roster_client`] joins every round with an empty claim.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -18,7 +19,7 @@ use dordis_secagg::{ClientId, RoundParams};
 
 use crate::coordinator::NetRoundReport;
 use crate::runtime::{run_session_client, FailPoint, SessionClientOptions, SessionClientReport};
-use crate::session::{Seating, Session, SessionConfig};
+use crate::session::{seat_all, Session, SessionConfig};
 use crate::tcp::{TcpAcceptor, TcpChannel};
 use crate::transport::{Acceptor, Channel};
 use crate::NetError;
@@ -46,13 +47,20 @@ pub fn dial(addr: &str) -> TcpChannel {
     TcpChannel::connect(addr).expect("connect")
 }
 
-/// A one-round roster session for `params` (round id included), with
-/// [`SessionConfig::new`]'s defaults for everything else.
+/// A one-round claim-free session for `params` (round id included):
+/// the population is `params.clients`, every joiner is seated through
+/// [`seat_all`] and the round runs on `params` as given. Everything
+/// else is [`SessionConfig::new`]'s default.
 #[must_use]
 pub fn one_round(params: RoundParams) -> SessionConfig<'static> {
     SessionConfig {
         first_round: params.round,
-        ..SessionConfig::new(1, Seating::Roster, Box::new(move |_, _| params.clone()))
+        ..SessionConfig::new(
+            1,
+            params.clients.clone(),
+            seat_all(),
+            Box::new(move |_, _| params.clone()),
+        )
     }
 }
 
@@ -67,9 +75,9 @@ pub fn options(id: ClientId, seed: u64) -> SessionClientOptions {
     }
 }
 
-/// A claim-free session client: it joins every round announced, with an
-/// empty claim where the session asks for claims. `fail(round)` scripts
-/// its failure and `input(round)` its update.
+/// A claim-free session client: it answers every announce with a Join
+/// carrying an empty claim. `fail(round)` scripts its failure and
+/// `input(round)` its update.
 ///
 /// # Errors
 ///

@@ -158,9 +158,10 @@ pub struct SessionClientReport {
 
 /// Participates in a multi-round session over one connection.
 ///
-/// Per announced round `r`, `select(r)` returns the participation-claim
-/// bytes (`None` declines); in roster (claim-free) sessions the client
-/// always joins. When seated, `input_for(r, params, cohort, payload)`
+/// The client sends nothing until the first announce. Per announced
+/// round `r`, `select(r)` returns the participation-claim bytes, sent in
+/// a Join stamped `r` (`None` declines; a claim-free client returns an
+/// empty claim). When seated, `input_for(r, params, cohort, payload)`
 /// builds the round's input from the Setup payload (e.g. the current
 /// global model) — `cohort` is the seated-cohort size from the Setup
 /// frame, which XNoise planning must key off — and `fail_for(r)` may
@@ -193,16 +194,6 @@ where
     };
     let report = |rounds, end| Ok(SessionClientReport { rounds, end });
     let mut rounds: Vec<SessionRoundResult> = Vec::new();
-    // Eager join: announce-then-answer costs a round-trip before the
-    // session's *first* round can even be seated. So the client joins
-    // optimistically at connect time, stamped round 0 (round ids start
-    // at 1): a roster session admits
-    // it immediately — its first RoundAnnounce is then answered by this
-    // already-filed join, no extra round-trip — while a claims session
-    // discards it as typed-stale and waits for the real claim after the
-    // announce.
-    io.send(StageTag::Join, codec::encode_join(opts.id))?;
-    let mut eager_join_pending = true;
     // The server is untrusted: rounds must advance strictly, or a
     // replayed announce/Setup for an already-played round would make
     // this client re-derive that round's [`round_rng_seed`] and reuse
@@ -229,27 +220,12 @@ where
         let round = env.round;
         match env.stage {
             StageTag::RoundAnnounce => {
-                let claims_required = codec::decode_announce(&env.body)?;
                 io.round = round;
-                if claims_required {
-                    // The eager join (if any) was discarded as stale by
-                    // the coordinator; answer with the real claim.
-                    eager_join_pending = false;
-                    match select(round) {
-                        Some(claim) => {
-                            io.send(StageTag::Join, codec::encode_join_claim(opts.id, &claim))?;
-                        }
-                        None => io.send(StageTag::Decline, codec::encode_join(opts.id))?,
-                    }
-                } else if eager_join_pending {
-                    // The first roster announce is already answered by
-                    // the eager join sent at connect; answering again
-                    // would land a duplicate Join in the round's stage
-                    // collection and read as a protocol violation.
-                    eager_join_pending = false;
-                } else {
-                    io.send(StageTag::Join, codec::encode_join(opts.id))?;
-                }
+                let (stage, claim) = match select(round) {
+                    Some(claim) => (StageTag::Join, claim),
+                    None => (StageTag::Decline, Vec::new()),
+                };
+                io.send(stage, codec::encode_join_claim(opts.id, &claim))?;
             }
             StageTag::Setup => {
                 io.round = round;

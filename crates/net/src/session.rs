@@ -28,19 +28,20 @@
 //! 1. **Announce**: the session broadcasts
 //!    [`StageTag::RoundAnnounce`] with the new round id to every parked
 //!    connection, and to every newly accepted one.
-//! 2. **Join / claim**: each client answers with [`StageTag::Join`] —
-//!    carrying a participation claim when the seating policy is
-//!    [`Seating::Claims`] — or [`StageTag::Decline`]. New connections
-//!    (first-time joiners *and* clients re-joining after dropping out of
-//!    an earlier round) are accepted throughout the join window. The
-//!    window closes early once every id in
-//!    [`SessionConfig::population`] has answered.
-//! 3. **Seating**: under [`Seating::Roster`] the cohort is the fixed
-//!    `params.clients` roster (first-come joins). Under
-//!    [`Seating::Claims`] the collected claims go to the verifier — for
-//!    Dordis, `dordis-core`'s VRF `seat_claims` (§7) — which seats a
-//!    cohort and rejects forged, stale and duplicate claims;
-//!    valid-but-trimmed claimants stay parked for the next round.
+//! 2. **Join / claim**: each client answers the announce with
+//!    [`StageTag::Join`], stamped with the announced round and carrying
+//!    its participation claim (empty in a claim-free session), or with
+//!    [`StageTag::Decline`]. Only ids in [`SessionConfig::population`]
+//!    are admitted. New connections (first-time joiners *and* clients
+//!    re-joining after dropping out of an earlier round) are accepted
+//!    throughout the join window, which closes early once the whole
+//!    population has answered.
+//! 3. **Seating**: the collected claims go to the session's verifier —
+//!    for Dordis, `dordis-core`'s VRF `seat_claims` (§7), which seats a
+//!    cohort and rejects forged, stale and duplicate claims; for a
+//!    claim-free session, [`seat_all`]. Valid-but-trimmed claimants stay
+//!    parked for the next round. Then [`SessionConfig::params_for`]
+//!    builds the round's parameters from the seated cohort.
 //! 4. **Round execution**: the stage transitions drive the seated
 //!    cohort's connections through the SecAgg stages, every stage one
 //!    `stage` step of the round's `RoundIo`. Survivors'
@@ -83,27 +84,26 @@ pub struct SeatingOutcome {
 
 /// Verifies one round's participation claims and seats a cohort.
 /// Arguments: the round id and every `(claimant, claim bytes)` pair
-/// collected during the join window.
+/// collected during the join window. For Dordis the claim is a VRF
+/// self-selection proof (§7) and the verifier seats a cohort from the
+/// valid ones — verify-and-trim instead of first-come-first-served.
 pub(crate) type SeatingVerifier<'a> =
     Box<dyn FnMut(u64, &[(ClientId, Vec<u8>)]) -> SeatingOutcome + 'a>;
 
-/// How a session decides each round's cohort.
-pub enum Seating<'a> {
-    /// The cohort is the fixed `params.clients` roster; a join is a
-    /// first-come seat claim.
-    Roster,
-    /// Clients present a participation claim per round (for Dordis, a
-    /// VRF self-selection proof, §7) and the verifier seats the cohort —
-    /// verify-and-trim instead of first-come-first-served.
-    Claims(SeatingVerifier<'a>),
+/// The claim-free verifier: seats every claimant and rejects none.
+#[must_use]
+pub fn seat_all() -> SeatingVerifier<'static> {
+    Box::new(|_, claims| SeatingOutcome {
+        seated: claims.iter().map(|&(id, _)| id).collect(),
+        rejected: Vec::new(),
+    })
 }
 
-/// Builds the round's [`RoundParams`] from the seated cohort. Under
-/// [`Seating::Roster`] the cohort slice is empty and the callback
-/// returns the fixed roster parameters; under [`Seating::Claims`] it
-/// derives threshold / graph / noise shape from the cohort. The returned
-/// `params.round` is overwritten with the session's round counter — the
-/// counter comes from the session, never from the callback.
+/// Builds the round's [`RoundParams`] from the seated cohort (a fixed
+/// roster may ignore it; a sampled one derives threshold / graph / noise
+/// shape from it). The returned `params.round` is overwritten with the
+/// session's round counter — the counter comes from the session, never
+/// from the callback.
 pub(crate) type ParamsFor<'a> = Box<dyn FnMut(u64, &[ClientId]) -> RoundParams + 'a>;
 
 /// Configuration of a session. [`SessionConfig::new`] fills in every
@@ -134,12 +134,12 @@ pub struct SessionConfig<'a> {
     /// can realize Figure 12's comm/compute overlap on 127.0.0.1.
     /// `None` injects nothing (production).
     pub chunk_compute: Option<Duration>,
-    /// Known client population, used to close the join window early
-    /// once everyone has answered (claimed or declined). Empty = always
-    /// wait out `join_timeout` unless the roster fills.
+    /// The client population: the ids the session admits, never empty.
+    /// The join window closes early once all of them have answered
+    /// (claimed or declined).
     pub population: Vec<ClientId>,
-    /// The seating policy.
-    pub seating: Seating<'a>,
+    /// The seating verifier.
+    pub seating: SeatingVerifier<'a>,
     /// Per-round parameter builder.
     pub params_for: ParamsFor<'a>,
     /// Telemetry handle shared by the reactor and every round.
@@ -161,12 +161,17 @@ pub struct SessionConfig<'a> {
 }
 
 impl<'a> SessionConfig<'a> {
-    /// A session of `rounds` rounds starting at round id 1, with 10 s
-    /// join and stage windows, an unchunked data plane, open
-    /// enrollment, and no injected compute, telemetry,
-    /// scrape endpoint, replica or faults.
+    /// A session of `rounds` rounds over `population`, starting at
+    /// round id 1, with 10 s join and stage windows, an unchunked data
+    /// plane, and no injected compute, telemetry, scrape endpoint,
+    /// replica or faults.
     #[must_use]
-    pub fn new(rounds: u64, seating: Seating<'a>, params_for: ParamsFor<'a>) -> Self {
+    pub fn new(
+        rounds: u64,
+        population: Vec<ClientId>,
+        seating: SeatingVerifier<'a>,
+        params_for: ParamsFor<'a>,
+    ) -> Self {
         SessionConfig {
             first_round: 1,
             rounds,
@@ -174,7 +179,7 @@ impl<'a> SessionConfig<'a> {
             stage_timeout: Duration::from_secs(10),
             chunks: 1,
             chunk_compute: None,
-            population: Vec::new(),
+            population,
             seating,
             params_for,
             telemetry: Telemetry::disabled(),
@@ -185,8 +190,8 @@ impl<'a> SessionConfig<'a> {
     }
 }
 
-/// A client's answer to one round's announce: a claim (empty bytes for
-/// roster joins) or a decline.
+/// A client's answer to one round's announce: a claim (empty bytes in a
+/// claim-free session) or a decline.
 type Answer = Option<Vec<u8>>;
 
 /// A multi-round coordinator session over one acceptor.
@@ -388,42 +393,23 @@ impl<'a> Session<'a> {
         let reactor_base = self.engine.stats;
         let metrics_base = self.cfg.telemetry.snapshot();
         let join_span = self.cfg.telemetry.span("session", "join", round, None);
-        // Roster seating fixes the cohort before anyone joins — joins
-        // are vetted against it — so its params are built here, once;
-        // claims seating builds them below from whoever the verifier
-        // seats.
-        let roster_params = match self.cfg.seating {
-            Seating::Roster => Some((self.cfg.params_for)(round, &[])),
-            Seating::Claims(_) => None,
-        };
-        let roster: Option<BTreeSet<ClientId>> = roster_params
-            .as_ref()
-            .map(|p| p.clients.iter().copied().collect());
-
-        let (answers, join_stale) = self.join_phase(round, roster.as_ref())?;
+        let (answers, join_stale) = self.join_phase(round)?;
         drop(join_span);
         let seat_span = self.cfg.telemetry.span("session", "seating", round, None);
 
         // ---- Seat the cohort. ----
-        let mut seated = Vec::new();
-        if let Seating::Claims(verifier) = &mut self.cfg.seating {
-            let claims: Vec<(ClientId, Vec<u8>)> = answers
-                .iter()
-                .filter_map(|(&id, a)| a.clone().map(|claim| (id, claim)))
-                .collect();
-            let outcome = verifier(round, &claims);
-            for (id, why) in &outcome.rejected {
-                if let Some(mut chan) = self.parked.remove(id) {
-                    let env = Envelope::new(StageTag::Abort, round, codec::encode_abort(why));
-                    let _ = send_env(&mut chan, &env);
-                }
+        let claims: Vec<(ClientId, Vec<u8>)> = answers
+            .into_iter()
+            .filter_map(|(id, a)| a.map(|claim| (id, claim)))
+            .collect();
+        let outcome = (self.cfg.seating)(round, &claims);
+        for (id, why) in &outcome.rejected {
+            if let Some(mut chan) = self.parked.remove(id) {
+                let env = Envelope::new(StageTag::Abort, round, codec::encode_abort(why));
+                let _ = send_env(&mut chan, &env);
             }
-            seated = outcome.seated;
         }
-        let mut params = match roster_params {
-            Some(p) => p,
-            None => (self.cfg.params_for)(round, &seated),
-        };
+        let mut params = (self.cfg.params_for)(round, &outcome.seated);
         params.round = round;
 
         // Move the cohort's channels out of the parked set; everyone
@@ -505,15 +491,9 @@ impl<'a> Session<'a> {
     /// connections' first frames arrive as readiness events, so one slow
     /// joiner never serializes the others. Returns the answers and the
     /// number of stale frames discarded.
-    fn join_phase(
-        &mut self,
-        round: u64,
-        roster: Option<&BTreeSet<ClientId>>,
-    ) -> Result<(BTreeMap<ClientId, Answer>, u64), NetError> {
+    fn join_phase(&mut self, round: u64) -> Result<(BTreeMap<ClientId, Answer>, u64), NetError> {
         let mut w = JoinWindow {
             round,
-            roster,
-            claims_mode: matches!(self.cfg.seating, Seating::Claims(_)),
             answers: BTreeMap::new(),
             stale: 0,
         };
@@ -523,11 +503,7 @@ impl<'a> Session<'a> {
         // Encoded once per round; every parked peer — and, in the join
         // loop, every newly accepted connection — queues the same
         // refcounted wire message.
-        let env = Envelope::new(
-            StageTag::RoundAnnounce,
-            round,
-            codec::encode_announce(w.claims_mode),
-        );
+        let env = Envelope::new(StageTag::RoundAnnounce, round, Vec::new());
         let sent = broadcast(&mut self.parked, &env, &self.cfg.telemetry);
         for (id, _) in &sent.failed {
             self.parked.remove(id);
@@ -614,20 +590,13 @@ impl<'a> Session<'a> {
         Ok((w.answers, w.stale))
     }
 
-    /// Whether the join window can close early: the roster is fully
-    /// seated, or the whole known population has answered.
-    fn join_complete(&self, w: &JoinWindow<'_>) -> bool {
-        match w.roster {
-            Some(sampled) => sampled.iter().all(|id| w.answers.contains_key(id)),
-            None => {
-                !self.cfg.population.is_empty()
-                    && self
-                        .cfg
-                        .population
-                        .iter()
-                        .all(|id| w.answers.contains_key(id))
-            }
-        }
+    /// Whether the join window can close early: the whole population
+    /// has answered.
+    fn join_complete(&self, w: &JoinWindow) -> bool {
+        self.cfg
+            .population
+            .iter()
+            .all(|id| w.answers.contains_key(id))
     }
 
     /// Vets a provisional connection's buffered frames up to its first
@@ -635,15 +604,15 @@ impl<'a> Session<'a> {
     /// token, rejected ones hear why, garbage and dead ones are dropped.
     /// One with no complete frame yet stays in `awaiting`.
     ///
-    /// Drains *through* stale frames: an eager `Join(0)` and the real
-    /// claim can both be buffered before a single readiness event, and
-    /// the claim must be filed now, not after the provisional deadline
-    /// has killed the connection.
+    /// Drains *through* stale frames: an answer to an older round and
+    /// the current one can both be buffered before a single readiness
+    /// event, and the current one must be filed now, not after the
+    /// provisional deadline has killed the connection.
     fn settle_provisional(
         &mut self,
         awaiting: &mut BTreeMap<u64, TcpChannel>,
         token: u64,
-        w: &mut JoinWindow<'_>,
+        w: &mut JoinWindow,
     ) -> Result<(), NetError> {
         let mut verdict = None;
         let closed = drain_frames(awaiting, token, |_, frame| {
@@ -686,7 +655,7 @@ impl<'a> Session<'a> {
     /// unparks it if its channel closed. Returns whether it is still
     /// parked, so this is also the liveness probe for a duplicate join:
     /// a frame the probe consumes is filed, never discarded.
-    fn read_parked(&mut self, id: ClientId, w: &mut JoinWindow<'_>) -> bool {
+    fn read_parked(&mut self, id: ClientId, w: &mut JoinWindow) -> bool {
         let closed = drain_frames(&mut self.parked, id, |parked, frame| {
             if !w.file_parked_frame(id, frame) {
                 parked.remove(&id);
@@ -703,7 +672,7 @@ impl<'a> Session<'a> {
     fn vet_first_frame(
         &mut self,
         env: Result<EnvelopeView<'_>, NetError>,
-        w: &mut JoinWindow<'_>,
+        w: &mut JoinWindow,
     ) -> Verdict {
         let round = w.round;
         let env = match env {
@@ -728,12 +697,9 @@ impl<'a> Session<'a> {
                 codec::encode_abort(why),
             ))
         };
-        // Answers are round-bound in claims mode: a Join or Decline for
-        // an older round is stale (the client will re-answer after the
-        // announce). Roster joins are round-agnostic (the session
-        // client's connect-time Join carries round 0; it learns the
-        // real id from Setup).
-        if w.claims_mode && matches!(env.stage, StageTag::Join | StageTag::Decline) {
+        // Answers are round-bound: a Join or Decline for an older round
+        // is stale (the client will re-answer after the announce).
+        if matches!(env.stage, StageTag::Join | StageTag::Decline) {
             match round_gate(env.stage, env.round, round) {
                 RoundGate::Stale => return Verdict::Stale,
                 RoundGate::Future => return reject("future round"),
@@ -745,7 +711,7 @@ impl<'a> Session<'a> {
                 let Ok((id, claim)) = codec::decode_join_claim(env.body) else {
                     return Verdict::Discard; // unidentifiable garbage
                 };
-                if !self.id_admissible(id, w.roster) {
+                if !self.cfg.population.contains(&id) {
                     return reject("not in the sampled set");
                 }
                 // A reconnect is only legitimate if the old channel is
@@ -766,13 +732,13 @@ impl<'a> Session<'a> {
             }
             StageTag::Decline => {
                 // Declines are never claim-verified (decliners skip
-                // seating), so gate them by roster/population like
-                // joins — otherwise anyone could park a connection
-                // under an arbitrary id and block that id's real join.
+                // seating), so gate them by population like joins —
+                // otherwise anyone could park a connection under an
+                // arbitrary id and block that id's real join.
                 let Ok((id, _)) = codec::decode_join_claim(env.body) else {
                     return Verdict::Discard;
                 };
-                if !self.id_admissible(id, w.roster)
+                if !self.cfg.population.contains(&id)
                     || w.answers.contains_key(&id)
                     || self.parked.contains_key(&id)
                 {
@@ -783,32 +749,18 @@ impl<'a> Session<'a> {
             _ => Verdict::Discard, // wrong first message
         }
     }
-
-    /// Whether `id` may hold a connection in this session: roster
-    /// membership when a roster exists, otherwise population membership
-    /// (when a population is configured; an empty population means open
-    /// enrollment — the seating verifier is then the only gate).
-    fn id_admissible(&self, id: ClientId, roster: Option<&BTreeSet<ClientId>>) -> bool {
-        match roster {
-            Some(sampled) => sampled.contains(&id),
-            None => self.cfg.population.is_empty() || self.cfg.population.contains(&id),
-        }
-    }
 }
 
 /// One round's join window: what its frames are vetted against, and
 /// what it collected.
-struct JoinWindow<'r> {
+struct JoinWindow {
     round: u64,
-    /// The fixed cohort, under roster seating.
-    roster: Option<&'r BTreeSet<ClientId>>,
-    claims_mode: bool,
     answers: BTreeMap<ClientId, Answer>,
     /// Frames from older rounds, discarded.
     stale: u64,
 }
 
-impl JoinWindow<'_> {
+impl JoinWindow {
     /// Files one frame from a parked (already-authenticated) peer: a
     /// Join (claim) or Decline for the current round, or a stale frame
     /// from an earlier round (discarded, typed). Returns `false` on a

@@ -257,12 +257,16 @@ fn chunked_xnoise_recovery_with_unmasking_dropout() {
 /// every honest client.
 fn run_keyless_streamer(mut chan: impl Channel, id: ClientId) {
     let far = || Instant::now() + Duration::from_secs(30);
-    let join = Envelope::new(StageTag::Join, 0, codec::encode_join(id));
-    send_env(&mut chan, &join).expect("join");
     let setup = loop {
         let env = recv_env(&mut chan, far()).expect("announce or setup");
-        if env.stage == StageTag::Setup {
-            break env;
+        match env.stage {
+            StageTag::RoundAnnounce => {
+                let join =
+                    Envelope::new(StageTag::Join, env.round, codec::encode_join_claim(id, &[]));
+                send_env(&mut chan, &join).expect("join");
+            }
+            StageTag::Setup => break env,
+            other => panic!("unexpected {other:?} before Setup"),
         }
     };
     let round = setup.round;

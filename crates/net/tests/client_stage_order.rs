@@ -5,14 +5,15 @@
 //! second consistency signature would sign a second survivor set, which
 //! the ConsistencyCheck round exists to rule out — and the round still
 //! completes for everyone else. So does an announce or Setup stamped
-//! round 0: round ids start at 1.
+//! round 0: round ids start at 1. And a client's first frame is its
+//! answer to the first announce.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dordis_net::codec::{
-    decode_id_list, encode_announce, encode_setup, Encode, Envelope, StageTag,
+    decode_id_list, decode_join_claim, encode_setup, Encode, Envelope, StageTag,
 };
 use dordis_net::local;
 use dordis_net::runtime::SessionClientReport;
@@ -68,36 +69,45 @@ enum Tamper {
     First(fn() -> Envelope),
 }
 
-/// A client's channel that logs the tag of every frame the client sends
-/// and, when `replay` names a server stage, hands the client a second
-/// (possibly forged) copy of that stage's frame right after the real one.
-/// A frame in `queued` comes before the next real one.
+/// One frame through a client's channel.
+enum Logged {
+    /// The client read this frame.
+    Heard(Envelope),
+    /// The client sent this frame.
+    Sent(Envelope),
+}
+
+/// A client's channel that logs every frame the client reads and sends,
+/// in order, and, when `replay` names a server stage, hands the client a
+/// second (possibly forged) copy of that stage's frame right after the
+/// real one. A frame in `queued` comes before the next real one.
 struct Replay {
     inner: TcpChannel,
     replay: Option<(StageTag, Forge)>,
     queued: Option<Vec<u8>>,
-    sent: Vec<StageTag>,
+    log: Vec<Logged>,
 }
 
 impl Channel for Replay {
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        self.sent
-            .push(Envelope::decode(frame).expect("own frame").stage);
+        let env = Envelope::decode(frame).expect("own frame");
+        self.log.push(Logged::Sent(env));
         self.inner.send(frame)
     }
 
     fn recv_deadline(&mut self, deadline: Instant) -> Result<Vec<u8>, NetError> {
-        if let Some(frame) = self.queued.take() {
-            return Ok(frame);
-        }
-        let frame = self.inner.recv_deadline(deadline)?;
+        let frame = match self.queued.take() {
+            Some(frame) => frame,
+            None => self.inner.recv_deadline(deadline)?,
+        };
+        let env = Envelope::decode(&frame).expect("server frame");
         if let Some((stage, forge)) = self.replay {
-            let env = Envelope::decode(&frame).expect("server frame");
             if env.stage == stage {
                 self.replay = None;
-                self.queued = Some(forge(env).encode());
+                self.queued = Some(forge(env.clone()).encode());
             }
         }
+        self.log.push(Logged::Heard(env));
         Ok(frame)
     }
 
@@ -106,15 +116,16 @@ impl Channel for Replay {
     }
 }
 
-/// Runs one round of `params` in which [`VICTIM`]'s channel does
-/// `tamper`. Returns how many `answer` frames the victim sent and how
-/// its run ended, after checking that the round completed, with the
-/// survivors' exact sum, and that every other client finished it.
+/// Runs one round of `params`, with a join window of `join_timeout`, in
+/// which [`VICTIM`]'s channel does `tamper`, if any. Returns the
+/// victim's log and how its run ended, after checking that the round
+/// completed, with the survivors' exact sum, and that every other client
+/// finished it.
 fn replayed_round(
     params: RoundParams,
-    tamper: Tamper,
-    answer: StageTag,
-) -> (usize, Result<SessionClientReport, NetError>) {
+    tamper: Option<Tamper>,
+    join_timeout: Duration,
+) -> (Vec<Logged>, Result<SessionClientReport, NetError>) {
     let malicious = params.threat_model == ThreatModel::Malicious;
     let registry = Arc::new(
         params
@@ -125,12 +136,12 @@ fn replayed_round(
     );
     let (mut acceptor, addr) = local::listen();
     let cfg = SessionConfig {
-        join_timeout: Duration::from_secs(10),
+        join_timeout,
         stage_timeout: Duration::from_secs(5),
         ..local::one_round(params)
     };
     let (mut reports, mut clients) = local::run_session(&mut acceptor, cfg, 0..N, move |id| {
-        let victim = (id == VICTIM).then_some(tamper);
+        let victim = tamper.filter(|_| id == VICTIM);
         let mut chan = Replay {
             inner: local::dial(&addr),
             replay: match victim {
@@ -141,14 +152,14 @@ fn replayed_round(
                 Some(Tamper::First(frame)) => Some(frame().encode()),
                 _ => None,
             },
-            sent: Vec::new(),
+            log: Vec::new(),
         };
         let identity = malicious.then(|| Identity {
             signing: signing_key_for(SEED, id),
             registry: Arc::clone(&registry),
         });
         let run = local::roster_client(&mut chan, id, SEED, |_| None, |_| input_for(id), identity);
-        (chan.sent, run)
+        (chan.log, run)
     });
     let report = reports.pop().expect("the round completed");
     let mut expected = vec![0u64; DIM];
@@ -158,13 +169,24 @@ fn replayed_round(
         }
     }
     assert_eq!(report.outcome.sum, expected, "survivors' sum");
-    let (sent, run) = clients.remove(&VICTIM).expect("victim");
+    let (log, run) = clients.remove(&VICTIM).expect("victim");
     for (id, (_, run)) in clients {
         let run = run.unwrap_or_else(|e| panic!("client {id}: {e}"));
         assert_eq!(run.rounds.len(), 1, "client {id}: {:?}", run.end);
     }
-    (sent.iter().filter(|&&tag| tag == answer).count(), run)
+    (log, run)
 }
+
+/// How many `tag` frames `log` shows the client sending.
+fn sent(log: &[Logged], tag: StageTag) -> usize {
+    log.iter()
+        .filter(|l| matches!(l, Logged::Sent(env) if env.stage == tag))
+        .count()
+}
+
+/// The join window of a round every client answers: it closes as soon
+/// as they have.
+const WHOLE_COHORT: Duration = Duration::from_secs(10);
 
 /// The run ended in a protocol error naming the replayed tag.
 fn assert_protocol_error(run: Result<SessionClientReport, NetError>, replayed: &str) {
@@ -188,30 +210,34 @@ fn replayed_survivor_set_is_signed_once() {
         env.body = IdList(u3).encoded();
         env
     }
-    let (sigs, run) = replayed_round(
+    let (log, run) = replayed_round(
         params(ThreatModel::Malicious),
-        Tamper::Replay(StageTag::SurvivorSet, forge),
-        StageTag::ConsistencySig,
+        Some(Tamper::Replay(StageTag::SurvivorSet, forge)),
+        WHOLE_COHORT,
     );
-    assert_eq!(sigs, 1, "consistency signatures sent");
+    assert_eq!(
+        sent(&log, StageTag::ConsistencySig),
+        1,
+        "consistency signatures sent"
+    );
     assert_protocol_error(run, "SurvivorSet");
 }
 
 #[test]
 fn replayed_roster_shares_keys_once() {
-    let (batches, run) = replayed_round(
+    let (log, run) = replayed_round(
         params(ThreatModel::SemiHonest),
-        Tamper::Replay(StageTag::Roster, |env| env),
-        StageTag::ShareKeys,
+        Some(Tamper::Replay(StageTag::Roster, |env| env)),
+        WHOLE_COHORT,
     );
-    assert_eq!(batches, 1, "ShareKeys batches sent");
+    assert_eq!(sent(&log, StageTag::ShareKeys), 1, "ShareKeys batches sent");
     assert_protocol_error(run, "Roster");
 }
 
 #[test]
 fn an_announce_or_setup_stamped_round_zero_is_answered_with_nothing() {
     fn announce() -> Envelope {
-        Envelope::new(StageTag::RoundAnnounce, 0, encode_announce(false))
+        Envelope::new(StageTag::RoundAnnounce, 0, Vec::new())
     }
     fn setup() -> Envelope {
         let zero = RoundParams {
@@ -220,17 +246,39 @@ fn an_announce_or_setup_stamped_round_zero_is_answered_with_nothing() {
         };
         Envelope::new(StageTag::Setup, 0, encode_setup(&zero, 1, N as u16, &[]))
     }
-    // The one Join is the eager join sent at connect.
-    for (first, answer, sent) in [
-        (announce as fn() -> Envelope, StageTag::Join, 1),
-        (setup, StageTag::AdvertiseKeys, 0),
+    // The victim never joins, so the window waits out its length: keep
+    // it short.
+    for (first, answer) in [
+        (announce as fn() -> Envelope, StageTag::Join),
+        (setup, StageTag::AdvertiseKeys),
     ] {
-        let (answers, run) = replayed_round(
+        let (log, run) = replayed_round(
             params(ThreatModel::SemiHonest),
-            Tamper::First(first),
-            answer,
+            Some(Tamper::First(first)),
+            Duration::from_secs(1),
         );
-        assert_eq!(answers, sent, "{answer:?} frames sent");
+        assert_eq!(sent(&log, answer), 0, "{answer:?} frames sent");
         assert_protocol_error(run, "round 0");
     }
+}
+
+/// A claim-free client sends nothing before the first announce, and
+/// its first frame answers it: a Join stamped with the announced round,
+/// carrying its id and an empty claim.
+#[test]
+fn the_first_frame_answers_the_first_announce() {
+    let (log, run) = replayed_round(params(ThreatModel::SemiHonest), None, WHOLE_COHORT);
+    assert_eq!(run.expect("victim run").rounds.len(), 1);
+    let Some(Logged::Heard(announce)) = log.first() else {
+        panic!("the client spoke before it heard anything");
+    };
+    assert_eq!(announce.stage, StageTag::RoundAnnounce);
+    let Some(Logged::Sent(join)) = log.get(1) else {
+        panic!("the announce was not answered next");
+    };
+    assert_eq!((join.stage, join.round), (StageTag::Join, announce.round));
+    assert_eq!(
+        decode_join_claim(&join.body).expect("join body"),
+        (VICTIM, Vec::new())
+    );
 }

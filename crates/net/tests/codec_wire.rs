@@ -4,13 +4,13 @@
 use dordis_crypto::ed25519::Signature;
 use dordis_crypto::shamir::Share;
 use dordis_net::codec::{
-    decode_abort, decode_advertised_keys, decode_announce, decode_consistency_signature,
-    decode_encrypted_shares, decode_id_list, decode_join, decode_join_claim, decode_list,
-    decode_masked_input, decode_noise_share_response, decode_params, decode_setup,
-    decode_signature_list, decode_unmasking_response, encode_abort, encode_announce, encode_join,
-    encode_join_claim, encode_list, encode_params, encode_setup, encode_signature_list,
-    masked_input_payload, reassemble_masked_input, split_masked_input, Encode, Envelope,
-    EnvelopeView, FrameContext, StageTag, HEADER_BYTES, MAX_FRAME_BYTES, WIRE_VERSION,
+    decode_abort, decode_advertised_keys, decode_consistency_signature, decode_encrypted_shares,
+    decode_id_list, decode_join_claim, decode_list, decode_masked_input,
+    decode_noise_share_response, decode_params, decode_setup, decode_signature_list,
+    decode_unmasking_response, encode_abort, encode_join_claim, encode_list, encode_params,
+    encode_setup, encode_signature_list, masked_input_payload, reassemble_masked_input,
+    split_masked_input, Encode, Envelope, EnvelopeView, FrameContext, StageTag, HEADER_BYTES,
+    MAX_FRAME_BYTES, WIRE_VERSION,
 };
 use dordis_net::pool::BytePool;
 use dordis_net::tcp::FrameBuffer;
@@ -322,7 +322,7 @@ fn version_mismatch_is_a_typed_error() {
     // Chunked frames changed the wire contract; a v1 peer must surface
     // as NetError::Version with both versions named, not as generic
     // codec garbage.
-    let env = Envelope::new(StageTag::Join, 1, encode_join(3));
+    let env = Envelope::new(StageTag::Join, 1, encode_join_claim(3, &[]));
     for got in [0u8, WIRE_VERSION - 1, WIRE_VERSION + 1, 0xff] {
         let mut frame = env.encode();
         frame[0] = got;
@@ -375,8 +375,17 @@ fn setup_body_carries_requested_chunk_count() {
 
 #[test]
 fn control_payloads_roundtrip() {
-    assert_eq!(decode_join(&encode_join(77)).unwrap(), 77);
-    assert!(decode_join(&[1, 2, 3]).is_err());
+    // A claim-free Join and a Decline are the bare 4-byte id.
+    assert_eq!(encode_join_claim(77, &[]), 77u32.to_le_bytes());
+    assert_eq!(
+        decode_join_claim(&encode_join_claim(77, &[])).unwrap(),
+        (77, Vec::new())
+    );
+    assert_eq!(
+        decode_join_claim(&encode_join_claim(77, b"vrf")).unwrap(),
+        (77, b"vrf".to_vec())
+    );
+    assert!(decode_join_claim(&[1, 2, 3]).is_err());
 
     for graph in [
         MaskingGraph::Complete,
@@ -602,7 +611,7 @@ mod hostile_bytes {
             unmasking.encoded(),
             noise.encoded(),
             encode_abort("below threshold"),
-            encode_announce(true),
+            encode_join_claim(5, &[]),
             Vec::new(),
         ]
     }
@@ -652,9 +661,7 @@ mod hostile_bytes {
             let _ = decode_id_list(body);
             let _ = decode_list(body, decode_advertised_keys);
             let _ = decode_list(body, decode_encrypted_shares);
-            let _ = decode_join(body);
             let _ = decode_join_claim(body);
-            let _ = decode_announce(body);
             let _ = decode_setup(body);
             let _ = decode_params(body);
             let _ = decode_signature_list(body);

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use dordis_net::local;
 use dordis_net::runtime::SessionEndKind;
-use dordis_net::session::{Seating, Session, SessionConfig};
+use dordis_net::session::{seat_all, Session, SessionConfig};
 use dordis_secagg::client::ClientInput;
 use dordis_secagg::graph::MaskingGraph;
 use dordis_secagg::{ClientId, RoundParams, ThreatModel};
@@ -78,12 +78,12 @@ fn live_scrape_mid_round_with_full_trace_coverage() {
         chunks: CHUNKS,
         // Slow the rounds down so the scraper provably lands mid-round.
         chunk_compute: Some(Duration::from_millis(25)),
-        population: (0..N).collect(),
         telemetry: telemetry.clone(),
         metrics_addr: Some("127.0.0.1:0".to_string()),
         ..SessionConfig::new(
             ROUNDS,
-            Seating::Roster,
+            (0..N).collect(),
+            seat_all(),
             Box::new(|round, _| params_for_round(round)),
         )
     };

@@ -14,7 +14,7 @@ use dordis_net::local;
 use dordis_net::runtime::{
     round_rng_seed, Backoff, FailAction, FailPoint, FailStage, Redial, SessionEndKind,
 };
-use dordis_net::session::{Seating, SeatingOutcome, Session, SessionConfig};
+use dordis_net::session::{seat_all, SeatingOutcome, Session, SessionConfig};
 use dordis_net::tcp::{TcpAcceptor, TcpChannel};
 use dordis_net::transport::{Channel, LossProfile, ThrottledChannel};
 use dordis_net::NetError;
@@ -75,16 +75,16 @@ fn driver_round(round: u64, drops: &[ClientId]) -> RoundOutcome {
     outcome
 }
 
-/// An R-round roster session of the five clients, telemetry enabled so
-/// the span / metrics probes run alongside the protocol itself.
+/// An R-round claim-free session of the five clients, telemetry enabled
+/// so the span / metrics probes run alongside the protocol itself.
 fn roster_cfg(rounds: u64) -> SessionConfig<'static> {
     SessionConfig {
         chunks: CHUNKS,
-        population: (0..N).collect(),
         telemetry: Telemetry::enabled(),
         ..SessionConfig::new(
             rounds,
-            Seating::Roster,
+            (0..N).collect(),
+            seat_all(),
             Box::new(|round, _| params_for_round(round)),
         )
     }
@@ -323,16 +323,16 @@ fn unseatable_round_keeps_the_cohort_parked_for_the_next_round() {
     let telemetry = Telemetry::enabled();
     let cfg = SessionConfig {
         chunks: CHUNKS,
-        population: (0..N).collect(),
         telemetry: telemetry.clone(),
         ..SessionConfig::new(
             2,
+            (0..N).collect(),
             // Seats every claimant, highest id first: the report must
             // hand the cohort back in *this* order.
-            Seating::Claims(Box::new(|_, claims| SeatingOutcome {
+            Box::new(|_, claims| SeatingOutcome {
                 seated: claims.iter().rev().map(|(id, _)| *id).collect(),
                 rejected: Vec::new(),
-            })),
+            }),
             Box::new(|round, cohort| {
                 let mut p = params_for_round(round);
                 p.clients = cohort.to_vec();
@@ -391,9 +391,12 @@ fn client_rejects_stale_round_frame_with_typed_error() {
     });
 
     let deadline = Instant::now() + Duration::from_secs(5);
-    // Join…
-    let join = server_end.recv_deadline(deadline).unwrap();
-    assert_eq!(Envelope::decode(&join).unwrap().stage, StageTag::Join);
+    // The announce for round 5, answered with a Join…
+    server_end
+        .send(&Envelope::new(StageTag::RoundAnnounce, 5, Vec::new()).encode())
+        .unwrap();
+    let join = Envelope::decode(&server_end.recv_deadline(deadline).unwrap()).unwrap();
+    assert_eq!((join.stage, join.round), (StageTag::Join, 5));
     // …Setup for round 5…
     let params = params_for_round(5);
     server_end
@@ -552,14 +555,14 @@ fn silent_client_returns_when_the_coordinator_hangs_up() {
     );
 }
 
-/// A two-client roster round on `first_round`.
+/// A two-client claim-free round on `first_round`.
 fn pair_cfg(first_round: u64) -> SessionConfig<'static> {
     SessionConfig {
         first_round,
-        population: vec![0, 1],
         ..SessionConfig::new(
             1,
-            Seating::Roster,
+            vec![0, 1],
+            seat_all(),
             Box::new(|round, _| RoundParams {
                 clients: vec![0, 1],
                 threshold: 2,
@@ -589,7 +592,7 @@ fn redial_backoff_restarts_once_reseated() {
         let end = Redial::new(local::options(id, SEED), addrs.clone(), backoff, 50).run(
             || false,
             |redial| losses.push(redial.backoff().attempts()),
-            |_| None,
+            |_| Some(Vec::new()),
             |_| None,
             |r, _, _, _| Ok(input_for(id, r)),
             |_| None,

@@ -256,16 +256,16 @@ fn crate_src(path: &str) -> Option<&str> {
 }
 
 /// Every plain `pub fn` that a `crates/*/src` file of `tree` declares
-/// outside its test tail and that no file of `tree` that `reads` accepts
-/// as a reader of its declaring file mentions as a whole identifier on
-/// a non-comment line; the hit's `within` is its name.
-fn pub_fns_unread_by(tree: &[Source], reads: impl Fn(&str, &str) -> bool) -> Vec<Hit> {
+/// outside its test tail and that no file of `tree` outside its crate's
+/// `src` mentions as a whole identifier on a non-comment line; the hit's
+/// `within` is its name.
+fn crate_local_pub_fns(tree: &[Source]) -> Vec<Hit> {
     let idents: Vec<HashSet<&str>> = tree.iter().map(identifiers).collect();
     let mut hits = Vec::new();
     for src in tree {
-        if crate_src(&src.path).is_none() {
+        let Some(home) = crate_src(&src.path) else {
             continue;
-        }
+        };
         for (i, text) in src.without_tests().text.lines().enumerate() {
             let Some(name) = declared_pub_fn(text) else {
                 continue;
@@ -273,7 +273,7 @@ fn pub_fns_unread_by(tree: &[Source], reads: impl Fn(&str, &str) -> bool) -> Vec
             let read = tree
                 .iter()
                 .zip(&idents)
-                .any(|(other, words)| reads(&src.path, &other.path) && words.contains(name));
+                .any(|(other, words)| crate_src(&other.path) != Some(home) && words.contains(name));
             if !read {
                 hits.push(Hit {
                     path: src.path.clone(),
@@ -285,16 +285,6 @@ fn pub_fns_unread_by(tree: &[Source], reads: impl Fn(&str, &str) -> bool) -> Vec
         }
     }
     hits
-}
-
-/// The `pub fn`s of `tree` that no other file reads.
-fn unread_pub_fns(tree: &[Source]) -> Vec<Hit> {
-    pub_fns_unread_by(tree, |decl, other| decl != other)
-}
-
-/// The `pub fn`s of `tree` that only their own crate's `src` reads.
-fn crate_local_pub_fns(tree: &[Source]) -> Vec<Hit> {
-    pub_fns_unread_by(tree, |decl, other| crate_src(decl) != crate_src(other))
 }
 
 /// Every line of `src` that `pred` accepts and whose enclosing function
@@ -451,6 +441,20 @@ const DELETED: &[&str] = &[
     "impl WireSize",
     ".wire_bytes()",
     r"\bSeatedCohort\b",
+    // The second seating mode: the roster arm, the announce's claims
+    // flag, the client's connect-time join, open enrollment and the
+    // claim-less join codec. Not a bare `Roster`: `StageTag::Roster`,
+    // the U1 key broadcast, stays.
+    "Seating::Roster",
+    "Seating::Claims",
+    "claims_required",
+    "claims_mode",
+    "eager_join",
+    "id_admissible",
+    "encode_announce(",
+    "decode_announce(",
+    "encode_join(",
+    "decode_join(",
 ];
 
 /// One way to run a round, one way into it: the engines, knobs and
@@ -805,14 +809,6 @@ const READERS: &[&str] = &[
     "benchmark/tests",
 ];
 
-/// The `pub fn`s that may stay with no reader outside their file:
-/// (file, name, why).
-const UNREAD_PUB_FNS: &[(&str, &str, &str)] = &[(
-    "crates/dp/src/rdp.rs",
-    "skellam_rdp",
-    "ROADMAP item 14(c) makes the accountant call it",
-)];
-
 /// The `pub fn`s that may stay with no reader outside their crate's
 /// `src`: (file, name, why).
 const CRATE_LOCAL_PUB_FNS: &[(&str, &str, &str)] = &[
@@ -845,23 +841,6 @@ fn forbid_unlisted(rule: &str, hits: Vec<Hit>, allowed: &[(&str, &str, &str)]) {
     }
 }
 
-/// No public function without a reader: every plain `pub fn` in
-/// `crates/*/src` outside its file's test tail is named, as a whole
-/// identifier on a non-comment line, by some other Rust file of the
-/// tree — a caller in another module or crate, a test, an example or the
-/// reference benchmark — or is allow-listed above with its reason. A
-/// function only its own file reads is not `pub`; one only its own
-/// tests read is `#[cfg(test)]`, or goes.
-#[test]
-fn no_public_fn_without_a_reader() {
-    let tree = rust_files(walk(READERS));
-    forbid_unlisted(
-        "No public fn without a reader",
-        unread_pub_fns(&tree),
-        UNREAD_PUB_FNS,
-    );
-}
-
 /// No public function that only its own crate reads: every plain
 /// `pub fn` in `crates/<c>/src` outside its file's test tail is named,
 /// as a whole identifier on a non-comment line, by a Rust file outside
@@ -869,7 +848,11 @@ fn no_public_fn_without_a_reader() {
 /// crate's own `tests/` and `benches/`, the workspace `tests/` and
 /// `examples/`, or the reference benchmark — or is allow-listed above
 /// with its reason. A function that only its crate reads is
-/// `pub(crate)`, where rustc's `dead_code` lint sees it.
+/// `pub(crate)`, where rustc's `dead_code` lint sees it. A reader
+/// outside the crate's `src` is a reader outside the declaring file, so
+/// this rule also keeps out a `pub fn` with no reader at all: one only
+/// its own file reads is not `pub`, and one only its own tests read is
+/// `#[cfg(test)]`, or goes.
 ///
 /// The search is by name, so it can only err towards passing: a common
 /// name (`new`, `len`, `poll`) finds a reader somewhere whether or not
@@ -982,9 +965,9 @@ fn the_test_tail_is_cut_at_column_zero_only() {
     assert_eq!(src.without_tests().text.lines().count(), 4);
 }
 
-/// The names `unread_pub_fns` reports for `tree`.
-fn unread_names(tree: &[Source]) -> Vec<String> {
-    let hits = unread_pub_fns(tree);
+/// The names `crate_local_pub_fns` reports for `tree`.
+fn crate_local_names(tree: &[Source]) -> Vec<String> {
+    let hits = crate_local_pub_fns(tree);
     hits.into_iter().filter_map(|h| h.within).collect()
 }
 
@@ -995,8 +978,11 @@ fn a_pub_fn_read_only_in_its_own_file_is_unread() {
         "pub fn ln_gamma(x: f64) -> f64 { x }\n\
          pub fn ln_factorial(n: u64) -> f64 { ln_gamma(n as f64 + 1.0) }\n",
     );
-    let user = inline("crates/dp/src/rdp.rs", "use crate::math::ln_factorial;\n");
-    assert_eq!(unread_names(&[lib, user]), ["ln_gamma"]);
+    let user = inline(
+        "crates/core/src/accountant.rs",
+        "use dordis_dp::math::ln_factorial;\n",
+    );
+    assert_eq!(crate_local_names(&[lib, user]), ["ln_gamma"]);
 }
 
 #[test]
@@ -1008,8 +994,8 @@ fn a_reader_under_benchmark_src_counts() {
         )
     };
     let bench = inline("benchmark/src/fl.rs", "    enforcement::perturb();\n");
-    assert!(unread_names(&[lib(), bench]).is_empty());
-    assert_eq!(unread_names(&[lib()]), ["perturb"]);
+    assert!(crate_local_names(&[lib(), bench]).is_empty());
+    assert_eq!(crate_local_names(&[lib()]), ["perturb"]);
 }
 
 #[test]
@@ -1019,10 +1005,10 @@ fn a_mention_on_a_comment_line_is_no_reader() {
         "pub fn high_water() -> u64 { 0 }\n",
     );
     let doc = inline(
-        "crates/net/src/reactor.rs",
+        "crates/core/src/session.rs",
         "/// See [`BytePool::high_water`].\n    // high_water() is sticky\n",
     );
-    assert_eq!(unread_names(&[lib, doc]), ["high_water"]);
+    assert_eq!(crate_local_names(&[lib, doc]), ["high_water"]);
 }
 
 #[test]
@@ -1037,13 +1023,7 @@ fn pub_crate_and_test_tail_fns_are_not_checked() {
          \x20   pub fn oracle() {}\n\
          }\n",
     );
-    assert!(unread_names(&[lib]).is_empty());
-}
-
-/// The names `crate_local_pub_fns` reports for `tree`.
-fn crate_local_names(tree: &[Source]) -> Vec<String> {
-    let hits = crate_local_pub_fns(tree);
-    hits.into_iter().filter_map(|h| h.within).collect()
+    assert!(crate_local_names(&[lib]).is_empty());
 }
 
 #[test]
